@@ -1,4 +1,4 @@
-//! Durable unlearning-request journal.
+//! Durable unlearning-request journal: the write-ahead log.
 //!
 //! A deployment checkpoint (`Checkpoint`) captures the system *between*
 //! requests; it says nothing about a request that was in flight when the
@@ -11,11 +11,11 @@
 //! ```
 //!
 //! with, at each transition, the global parameters and RNG state at that
-//! boundary. After a crash, [`QuickDrop::resume_requests`] restores the
-//! model and RNG stream from the last record and finishes the incomplete
-//! stages idempotently, so kill-and-resume mid-unlearn reproduces the
-//! uninterrupted run bit-for-bit — the same guarantee the round
-//! checkpointing of PR 2 gives mid-training.
+//! boundary. This module is the log only — records, commit frames,
+//! segments, torn-tail repair, legacy migration. It knows the *shape*
+//! of a record ([`JournalRecord`], [`RequestState`]) and nothing about
+//! how a request is executed; which records are written when, and how a
+//! killed run is finished from them, is `crate::lifecycle`'s.
 //!
 //! Since version 3 the journal is stored as checksummed, length-framed
 //! commits in append-only segment files next to a small marker file
@@ -28,15 +28,9 @@
 //! [`JournalError::CorruptRecord`] instead of a JSON parse failure.
 
 use crate::vfs::{self, StdFs, StorageError, Vfs};
-use crate::{Checkpoint, QuickDrop};
-use qd_fed::{Federation, PhaseStats};
-use qd_nn::relative_drift;
-use qd_tensor::rng::{Rng, RngState};
+use qd_tensor::rng::RngState;
 use qd_tensor::Tensor;
-use qd_unlearn::{
-    check_attempt, probe_sample, GuardPolicy, GuardStats, GuardViolation, MethodOutcome,
-    UnlearnError, UnlearnRequest,
-};
+use qd_unlearn::{GuardStats, UnlearnRequest};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -107,6 +101,49 @@ pub enum RequestState {
     Quarantined,
 }
 
+/// What a record in some [`RequestState`] does to the forgotten-state
+/// marks when the journal is replayed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MarkEffect {
+    /// The request's target counts as forgotten from here on.
+    Mark,
+    /// The request's target is known again.
+    Unmark,
+    /// The model never changed (or has not yet) for this request.
+    None,
+}
+
+impl RequestState {
+    /// True when no later record can follow for this request short of an
+    /// explicit relearn: the request was served (RECOVERED), restored
+    /// (RELEARNED), shed (FAILED) or dead-lettered (QUARANTINED). A unit
+    /// is finished once every member holds a terminal record.
+    pub fn is_terminal(self) -> bool {
+        match self {
+            RequestState::Received | RequestState::Unlearned => false,
+            RequestState::Recovered
+            | RequestState::Relearned
+            | RequestState::Failed
+            | RequestState::Quarantined => true,
+        }
+    }
+
+    /// The one place that says which states count as "forgotten": every
+    /// journal walker (resume, tail restore) applies this per record, in
+    /// journal order. Marking is idempotent, so records the checkpoint
+    /// already reflects apply harmlessly a second time; FAILED and
+    /// QUARANTINED requests never touched the model.
+    pub(crate) fn mark_effect(self) -> MarkEffect {
+        match self {
+            RequestState::Unlearned | RequestState::Recovered => MarkEffect::Mark,
+            RequestState::Relearned => MarkEffect::Unmark,
+            RequestState::Received | RequestState::Failed | RequestState::Quarantined => {
+                MarkEffect::None
+            }
+        }
+    }
+}
+
 impl std::fmt::Display for RequestState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
@@ -124,9 +161,9 @@ impl std::fmt::Display for RequestState {
 /// Identifier linking the journal records of one coalesced batch.
 ///
 /// A batch serves several compatible requests through a single shared
-/// recovery pass ([`QuickDrop::serve_batch_journaled`]); every member's
-/// records carry the same `BatchId` so [`QuickDrop::resume_requests`]
-/// can tell how far a partially-applied batch got and replay the rest
+/// recovery pass ([`crate::QuickDrop::serve_batch_journaled`]); every
+/// member's records carry the same `BatchId` so
+/// [`crate::QuickDrop::resume_requests`] can tell how far a partially-applied batch got and replay the rest
 /// to a bit-for-bit identical end state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct BatchId(pub u64);
@@ -945,1182 +982,10 @@ impl RequestJournal {
     }
 }
 
-/// How a journaled serve call ended.
-#[derive(Debug)]
-pub enum ServeRun {
-    /// The request was fully served (boxed to keep the enum small).
-    Complete(Box<MethodOutcome>),
-    /// Serving stopped right after appending the record for `state` —
-    /// the deterministic stand-in for a crash at that boundary. Continue
-    /// with [`QuickDrop::resume_requests`].
-    Preempted {
-        /// The last state made durable before stopping.
-        state: RequestState,
-    },
-}
-
-impl ServeRun {
-    /// The completed outcome, or `None` if the run was preempted.
-    pub fn into_complete(self) -> Option<MethodOutcome> {
-        match self {
-            ServeRun::Complete(outcome) => Some(*outcome),
-            ServeRun::Preempted { .. } => None,
-        }
-    }
-}
-
-/// Why a journaled serve call failed.
-#[derive(Debug)]
-pub enum ServeError {
-    /// Journal or checkpoint I/O failed.
-    Io(std::io::Error),
-    /// The divergence guard exhausted its backoff; the federation holds
-    /// the pre-request model. The journal keeps the request at RECEIVED,
-    /// so a later resume deterministically surfaces this same error —
-    /// the operator decides whether to drop the request or relax the
-    /// policy.
-    Diverged(UnlearnError),
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::Io(e) => write!(f, "journal I/O: {e}"),
-            ServeError::Diverged(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-impl From<std::io::Error> for ServeError {
-    fn from(e: std::io::Error) -> Self {
-        ServeError::Io(e)
-    }
-}
-
-impl From<crate::checkpoint::CheckpointError> for ServeError {
-    fn from(e: crate::checkpoint::CheckpointError) -> Self {
-        ServeError::Io(e.into())
-    }
-}
-
-impl From<JournalError> for ServeError {
-    fn from(e: JournalError) -> Self {
-        ServeError::Io(e.into())
-    }
-}
-
-/// A durable boundary inside a coalesced batch at which serving can be
-/// preempted — the batch analogue of handing a [`RequestState`] to
-/// [`QuickDrop::serve_journaled`], used by the chaos tests to stand in
-/// for a crash at exactly that point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchPreempt {
-    // (serde impls are hand-written below: the vendored derive only
-    // handles fieldless enums, and `Unlearned` carries its count.)
-    /// Right after the atomic RECEIVED set is durable, before any
-    /// model change.
-    Received,
-    /// Right after this many members (a 1-based count, in journal
-    /// order) have durable UNLEARNED records.
-    Unlearned(usize),
-    /// Right after the atomic RECOVERED set is durable, before
-    /// returning.
-    Recovered,
-    /// Right after a unit's first atomic QUARANTINED set is durable —
-    /// the dead-letter boundary the failure-isolation executor adds.
-    Quarantined,
-    /// Right after a unit's atomic FAILED (breaker-shed) set is
-    /// durable.
-    Failed,
-}
-
-impl Serialize for BatchPreempt {
-    fn to_value(&self) -> serde::Value {
-        match *self {
-            BatchPreempt::Received => serde::Value::Str("received".to_string()),
-            BatchPreempt::Unlearned(n) => {
-                serde::Value::Map(vec![("unlearned".to_string(), Serialize::to_value(&n))])
-            }
-            BatchPreempt::Recovered => serde::Value::Str("recovered".to_string()),
-            BatchPreempt::Quarantined => serde::Value::Str("quarantined".to_string()),
-            BatchPreempt::Failed => serde::Value::Str("failed".to_string()),
-        }
-    }
-}
-
-impl Deserialize for BatchPreempt {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v {
-            serde::Value::Str(s) => match s.as_str() {
-                "received" => Ok(BatchPreempt::Received),
-                "recovered" => Ok(BatchPreempt::Recovered),
-                "quarantined" => Ok(BatchPreempt::Quarantined),
-                "failed" => Ok(BatchPreempt::Failed),
-                other => Err(serde::DeError::new(format!(
-                    "unknown BatchPreempt variant {other:?}"
-                ))),
-            },
-            other => {
-                let n = other.field("BatchPreempt", "unlearned")?;
-                Ok(BatchPreempt::Unlearned(Deserialize::from_value(n)?))
-            }
-        }
-    }
-}
-
-/// How a journaled batch serve call ended.
-#[derive(Debug)]
-pub enum BatchRun {
-    /// Every member was fully served (boxed to keep the enum small).
-    Complete(Box<BatchOutcome>),
-    /// Serving stopped right after `boundary` became durable — the
-    /// deterministic stand-in for a crash there. Continue with
-    /// [`QuickDrop::resume_requests`].
-    Preempted {
-        /// The last boundary made durable before stopping.
-        boundary: BatchPreempt,
-    },
-}
-
-impl BatchRun {
-    /// The completed outcome, or `None` if the run was preempted.
-    pub fn into_complete(self) -> Option<BatchOutcome> {
-        match self {
-            BatchRun::Complete(outcome) => Some(*outcome),
-            BatchRun::Preempted { .. } => None,
-        }
-    }
-}
-
-/// What a completed coalesced batch cost and produced.
-#[derive(Debug, Clone)]
-pub struct BatchOutcome {
-    /// The batch's journal identifier.
-    pub batch: BatchId,
-    /// Per-member ascent accounting, in journal order. Members whose
-    /// ascent ran in a previous process (batch finished by resume)
-    /// report [`PhaseStats::default`] — the accounting died with that
-    /// process; the model and RNG state did not.
-    pub unlearn: Vec<PhaseStats>,
-    /// The one shared recovery pass.
-    pub recovery: PhaseStats,
-    /// Global parameters after all ascents, before recovery.
-    pub post_unlearn_params: Vec<Tensor>,
-    /// Guard bookkeeping accumulated across the whole batch (`None`
-    /// for unguarded serving).
-    pub guard: Option<GuardStats>,
-}
-
-/// How a [`QuickDrop::resume_requests_until`] call ended.
-#[derive(Debug)]
-pub enum ResumeRun {
-    /// The journal tail was finished (or nothing needed finishing);
-    /// carries the outcome of the request finished during resume, if
-    /// any (boxed to keep the enum small).
-    Complete(Option<Box<MethodOutcome>>),
-    /// Finishing stopped right after `boundary` became durable — the
-    /// deterministic crash stand-in, as in [`BatchRun::Preempted`].
-    Preempted {
-        /// The last boundary made durable before stopping.
-        boundary: BatchPreempt,
-    },
-}
-
-impl QuickDrop {
-    /// Serves one request with every stage boundary made durable in
-    /// `journal` before the next stage runs (write-ahead discipline:
-    /// RECEIVED before any model change, UNLEARNED before recovery,
-    /// RECOVERED before returning).
-    ///
-    /// With a `policy`, the ascent stage runs under the divergence guard
-    /// exactly as in [`QuickDrop::unlearn_guarded`] — drift/non-finite
-    /// gate, rollback, halved-LR retries — and the UNLEARNED record is
-    /// only written for a guard-accepted ascent, so the journal never
-    /// certifies a diverged model. `preempt_at` stops serving right
-    /// after that state's record is durable, *without* any further
-    /// writes — a deterministic crash stand-in for the resume tests.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] on journal I/O failure (the request may be
-    /// partially served; the journal tells how far), or
-    /// [`ServeError::Diverged`] when the guard exhausted its backoff
-    /// (model and RNG rolled back; no UNLEARNED record written).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` fails [`GuardPolicy::validate`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_journaled(
-        &mut self,
-        fed: &mut Federation,
-        journal: &mut RequestJournal,
-        request: UnlearnRequest,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-        preempt_at: Option<RequestState>,
-    ) -> Result<ServeRun, ServeError> {
-        if let Some(policy) = policy {
-            if let Err(msg) = policy.validate() {
-                // qd-lint: allow(panic-safety) -- policy validation failure
-                // is a documented caller bug (`# Panics`), not a runtime
-                // condition
-                panic!("invalid guard policy: {msg}");
-            }
-        }
-        let seq = journal.next_seq();
-        journal.append(JournalRecord {
-            seq,
-            request,
-            state: RequestState::Received,
-            rng: rng.state(),
-            global: fed.global().to_vec(),
-            guard: None,
-            batch: None,
-            reason: None,
-        })?;
-        if preempt_at == Some(RequestState::Received) {
-            return Ok(ServeRun::Preempted {
-                state: RequestState::Received,
-            });
-        }
-        self.finish_from_received(fed, journal, seq, request, policy, rng, preempt_at)
-    }
-
-    /// Runs ascent (guarded when `policy` is set) from the current
-    /// federation state, appends the UNLEARNED record, then recovery and
-    /// the RECOVERED record. Shared by [`QuickDrop::serve_journaled`]
-    /// and the RECEIVED arm of [`QuickDrop::resume_requests`].
-    #[allow(clippy::too_many_arguments)]
-    fn finish_from_received(
-        &mut self,
-        fed: &mut Federation,
-        journal: &mut RequestJournal,
-        seq: u64,
-        request: UnlearnRequest,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-        preempt_at: Option<RequestState>,
-    ) -> Result<ServeRun, ServeError> {
-        let reference = fed.global().to_vec();
-        let rng_mark = rng.state();
-        let mut stats = GuardStats::default();
-        let mut last_violation = GuardViolation::NonFinite;
-        let mut lr_scale = policy.map_or(1.0f32, |p| p.ascent_lr_scale);
-        let retries = policy.map_or(0, |p| p.ascent_retries);
-        let mut accepted: Option<PhaseStats> = None;
-        for attempt in 0..=retries {
-            let (unlearn, post) = self.ascent_stage(fed, request, rng, lr_scale);
-            stats.steps += 1;
-            stats.final_drift = relative_drift(&post, &reference);
-            let gate = match policy {
-                Some(policy) => {
-                    check_attempt(policy, fed.model().as_ref(), &reference, &post, &post, None)
-                        .map(|_| ())
-                }
-                None => Ok(()),
-            };
-            match gate {
-                Ok(()) => {
-                    accepted = Some(unlearn);
-                    break;
-                }
-                Err(violation) => {
-                    last_violation = violation;
-                    fed.set_global(reference.clone());
-                    *rng = Rng::from_state(&rng_mark);
-                    stats.rollbacks += 1;
-                    if attempt < retries {
-                        lr_scale *= 0.5;
-                        stats.lr_halvings += 1;
-                    }
-                }
-            }
-        }
-        let Some(unlearn) = accepted else {
-            return Err(ServeError::Diverged(UnlearnError::Diverged {
-                violation: last_violation,
-                stats,
-            }));
-        };
-        let post_unlearn_params = fed.global().to_vec();
-        self.mark_unlearned(request);
-        journal.append(JournalRecord {
-            seq,
-            request,
-            state: RequestState::Unlearned,
-            rng: rng.state(),
-            global: post_unlearn_params.clone(),
-            guard: policy.map(|_| stats),
-            batch: None,
-            reason: None,
-        })?;
-        if preempt_at == Some(RequestState::Unlearned) {
-            return Ok(ServeRun::Preempted {
-                state: RequestState::Unlearned,
-            });
-        }
-        let (recovery, stats) = self.finish_from_unlearned(
-            fed,
-            &reference,
-            &post_unlearn_params,
-            request,
-            policy,
-            stats,
-            rng,
-        )?;
-        journal.append(JournalRecord {
-            seq,
-            request,
-            state: RequestState::Recovered,
-            rng: rng.state(),
-            global: fed.global().to_vec(),
-            guard: stats,
-            batch: None,
-            reason: None,
-        })?;
-        if preempt_at == Some(RequestState::Recovered) {
-            return Ok(ServeRun::Preempted {
-                state: RequestState::Recovered,
-            });
-        }
-        Ok(ServeRun::Complete(Box::new(MethodOutcome {
-            unlearn,
-            recovery,
-            post_unlearn_params,
-            guard: stats,
-        })))
-    }
-
-    /// Recovery stage plus the post-recovery guard check (non-finite +
-    /// retain probe; the drift term re-measures the persisted ascent
-    /// result, so a resumed run reproduces the same `final_drift`).
-    /// Rolls the model, RNG and forgotten-state marks back to
-    /// `reference` on violation.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_from_unlearned(
-        &mut self,
-        fed: &mut Federation,
-        reference: &[Tensor],
-        post_unlearn_params: &[Tensor],
-        request: UnlearnRequest,
-        policy: Option<&GuardPolicy>,
-        mut stats: GuardStats,
-        rng: &mut Rng,
-    ) -> Result<(PhaseStats, Option<GuardStats>), ServeError> {
-        let rng_mark = rng.state();
-        let recovery = self.recovery_stage(fed, rng);
-        if let Some(policy) = policy {
-            let probe = probe_sample(&self.synthetic_retain(), policy.probe_samples);
-            match check_attempt(
-                policy,
-                fed.model().as_ref(),
-                reference,
-                post_unlearn_params,
-                fed.global(),
-                probe.as_ref(),
-            ) {
-                Ok(drift) => {
-                    stats.final_drift = drift;
-                    Ok((recovery, Some(stats)))
-                }
-                Err(violation) => {
-                    // A recovered model failing the probe is surfaced,
-                    // not retried: the ascent was already accepted, and
-                    // re-running recovery from the same state is
-                    // deterministic. Roll everything back instead.
-                    self.unmark_unlearned(request);
-                    fed.set_global(reference.to_vec());
-                    *rng = Rng::from_state(&rng_mark);
-                    stats.rollbacks += 1;
-                    Err(ServeError::Diverged(UnlearnError::Diverged {
-                        violation,
-                        stats,
-                    }))
-                }
-            }
-        } else {
-            Ok((recovery, None))
-        }
-    }
-
-    /// Serves a coalesced batch of compatible requests through the
-    /// journal as one unit: an atomic RECEIVED set for every member,
-    /// per-member guarded ascents (each with its own UNLEARNED record,
-    /// so a crash between members loses no accepted ascent), then **one
-    /// shared recovery pass** — QuickDrop's "sequential requests"
-    /// observation made operational: n compatible forget requests cost
-    /// n ascents but a single recovery — and an atomic RECOVERED set.
-    ///
-    /// All records carry the same fresh [`BatchId`], which is what lets
-    /// [`QuickDrop::resume_requests`] replay a partially-applied batch
-    /// to a bit-for-bit identical end state. `requests` must be
-    /// non-empty and deduplicated (the serve layer's `ForgetSet`
-    /// canonicalization guarantees both). A guard `policy` gates each
-    /// member's ascent against the state just before that member (the
-    /// same drift a sequential run would measure) and the shared
-    /// recovery against the pre-batch reference. `preempt_at` stops
-    /// serving right after that boundary's records are durable.
-    ///
-    /// On divergence — any member exhausting its ascent retries, or the
-    /// recovered model failing the probe — the **whole batch** rolls
-    /// back: model and RNG return to the pre-batch boundary and every
-    /// member's forgotten-state mark is cleared. The journal keeps
-    /// whatever records were already durable, so a later resume
-    /// deterministically reproduces this same error.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] on journal I/O failure or an empty batch, or
-    /// [`ServeError::Diverged`] as above.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` fails [`GuardPolicy::validate`].
-    pub fn serve_batch_journaled(
-        &mut self,
-        fed: &mut Federation,
-        journal: &mut RequestJournal,
-        requests: &[UnlearnRequest],
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-        preempt_at: Option<BatchPreempt>,
-    ) -> Result<BatchRun, ServeError> {
-        if let Some(policy) = policy {
-            if let Err(msg) = policy.validate() {
-                // qd-lint: allow(panic-safety) -- policy validation failure
-                // is a documented caller bug (`# Panics`), not a runtime
-                // condition
-                panic!("invalid guard policy: {msg}");
-            }
-        }
-        if requests.is_empty() {
-            return Err(ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "cannot serve an empty batch",
-            )));
-        }
-        let batch = journal.next_batch_id();
-        let base = journal.next_seq();
-        let batch_rng = rng.state();
-        let batch_reference = fed.global().to_vec();
-        let received: Vec<JournalRecord> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, &request)| JournalRecord {
-                seq: base + i as u64,
-                request,
-                state: RequestState::Received,
-                rng: batch_rng.clone(),
-                global: batch_reference.clone(),
-                guard: None,
-                batch: Some(batch),
-                reason: None,
-            })
-            .collect();
-        journal.append_all(received)?;
-        if preempt_at == Some(BatchPreempt::Received) {
-            return Ok(BatchRun::Preempted {
-                boundary: BatchPreempt::Received,
-            });
-        }
-        let members: Vec<(u64, UnlearnRequest)> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (base + i as u64, r))
-            .collect();
-        self.finish_batch(
-            fed,
-            journal,
-            batch,
-            &members,
-            0,
-            batch_reference,
-            batch_rng,
-            GuardStats::default(),
-            policy,
-            rng,
-            preempt_at,
-        )
-    }
-
-    /// Runs a batch from its first un-unlearned member: guarded ascent +
-    /// UNLEARNED record per remaining member, one shared recovery, then
-    /// the atomic RECOVERED set. Shared by
-    /// [`QuickDrop::serve_batch_journaled`] (`done == 0`) and the batch
-    /// arm of [`QuickDrop::resume_requests`] (`done` = members whose
-    /// UNLEARNED records survived the crash).
-    #[allow(clippy::too_many_arguments)]
-    fn finish_batch(
-        &mut self,
-        fed: &mut Federation,
-        journal: &mut RequestJournal,
-        batch: BatchId,
-        members: &[(u64, UnlearnRequest)],
-        done: usize,
-        batch_reference: Vec<Tensor>,
-        batch_rng: RngState,
-        mut stats: GuardStats,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-        preempt_at: Option<BatchPreempt>,
-    ) -> Result<BatchRun, ServeError> {
-        let mut unlearn_stats: Vec<PhaseStats> = vec![PhaseStats::default(); done];
-        for (index, &(seq, request)) in members.iter().enumerate().skip(done) {
-            // Each member's guard measures drift against the state just
-            // before that member's ascent — the same reference a
-            // sequential (uncoalesced) run would use.
-            let member_reference = fed.global().to_vec();
-            let rng_mark = rng.state();
-            let mut last_violation = GuardViolation::NonFinite;
-            let mut lr_scale = policy.map_or(1.0f32, |p| p.ascent_lr_scale);
-            let retries = policy.map_or(0, |p| p.ascent_retries);
-            let mut accepted: Option<PhaseStats> = None;
-            for attempt in 0..=retries {
-                let (unlearn, post) = self.ascent_stage(fed, request, rng, lr_scale);
-                stats.steps += 1;
-                stats.final_drift = relative_drift(&post, &member_reference);
-                let gate = match policy {
-                    Some(policy) => check_attempt(
-                        policy,
-                        fed.model().as_ref(),
-                        &member_reference,
-                        &post,
-                        &post,
-                        None,
-                    )
-                    .map(|_| ()),
-                    None => Ok(()),
-                };
-                match gate {
-                    Ok(()) => {
-                        accepted = Some(unlearn);
-                        break;
-                    }
-                    Err(violation) => {
-                        last_violation = violation;
-                        fed.set_global(member_reference.clone());
-                        *rng = Rng::from_state(&rng_mark);
-                        stats.rollbacks += 1;
-                        if attempt < retries {
-                            lr_scale *= 0.5;
-                            stats.lr_halvings += 1;
-                        }
-                    }
-                }
-            }
-            let Some(unlearn) = accepted else {
-                // One member diverging fails the whole batch: clear the
-                // marks of the members already unlearned and return to
-                // the pre-batch boundary. Everything restored here is
-                // journal-derivable, so resume reproduces this error
-                // and this end state exactly.
-                for &(_, done_request) in &members[..index] {
-                    self.unmark_unlearned(done_request);
-                }
-                fed.set_global(batch_reference);
-                *rng = Rng::from_state(&batch_rng);
-                return Err(ServeError::Diverged(UnlearnError::Diverged {
-                    violation: last_violation,
-                    stats,
-                }));
-            };
-            self.mark_unlearned(request);
-            journal.append(JournalRecord {
-                seq,
-                request,
-                state: RequestState::Unlearned,
-                rng: rng.state(),
-                global: fed.global().to_vec(),
-                guard: policy.map(|_| stats),
-                batch: Some(batch),
-                reason: None,
-            })?;
-            unlearn_stats.push(unlearn);
-            if preempt_at == Some(BatchPreempt::Unlearned(index + 1)) {
-                return Ok(BatchRun::Preempted {
-                    boundary: BatchPreempt::Unlearned(index + 1),
-                });
-            }
-        }
-        // One shared recovery pass amortized over the whole batch.
-        let post_unlearn_params = fed.global().to_vec();
-        let rng_mark = rng.state();
-        let recovery = self.recovery_stage(fed, rng);
-        let final_stats = if let Some(policy) = policy {
-            let probe = probe_sample(&self.synthetic_retain(), policy.probe_samples);
-            match check_attempt(
-                policy,
-                fed.model().as_ref(),
-                &batch_reference,
-                &post_unlearn_params,
-                fed.global(),
-                probe.as_ref(),
-            ) {
-                Ok(drift) => {
-                    stats.final_drift = drift;
-                    Some(stats)
-                }
-                Err(violation) => {
-                    for &(_, request) in members {
-                        self.unmark_unlearned(request);
-                    }
-                    fed.set_global(batch_reference);
-                    *rng = Rng::from_state(&rng_mark);
-                    stats.rollbacks += 1;
-                    return Err(ServeError::Diverged(UnlearnError::Diverged {
-                        violation,
-                        stats,
-                    }));
-                }
-            }
-        } else {
-            None
-        };
-        let recovered: Vec<JournalRecord> = members
-            .iter()
-            .map(|&(seq, request)| JournalRecord {
-                seq,
-                request,
-                state: RequestState::Recovered,
-                rng: rng.state(),
-                global: fed.global().to_vec(),
-                guard: final_stats,
-                batch: Some(batch),
-                reason: None,
-            })
-            .collect();
-        journal.append_all(recovered)?;
-        if preempt_at == Some(BatchPreempt::Recovered) {
-            return Ok(BatchRun::Preempted {
-                boundary: BatchPreempt::Recovered,
-            });
-        }
-        Ok(BatchRun::Complete(Box::new(BatchOutcome {
-            batch,
-            unlearn: unlearn_stats,
-            recovery,
-            post_unlearn_params,
-            guard: final_stats,
-        })))
-    }
-
-    /// Restores previously erased knowledge through the journal: relearns
-    /// with [`qd_unlearn::UnlearningMethod::relearn`] semantics on the
-    /// synthetic forget set, then appends the terminal RELEARNED record.
-    ///
-    /// A crash mid-relearn leaves the journal at RECOVERED; resume treats
-    /// the relearn as never started (the caller re-submits it), matching
-    /// the state machine's forward-only discipline.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] on journal I/O failure, or with kind
-    /// [`std::io::ErrorKind::InvalidData`] when the journal holds no
-    /// RECOVERED record for `request`.
-    pub fn relearn_journaled(
-        &mut self,
-        fed: &mut Federation,
-        journal: &mut RequestJournal,
-        request: UnlearnRequest,
-        phase: &qd_fed::Phase,
-        rng: &mut Rng,
-    ) -> Result<PhaseStats, ServeError> {
-        let seq = journal
-            .records()
-            .iter()
-            .rev()
-            .find(|r| r.request == request && r.state == RequestState::Recovered)
-            .map(|r| r.seq)
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("journal holds no recovered request matching {request}"),
-                )
-            })?;
-        use qd_unlearn::UnlearningMethod as _;
-        let stats = self
-            .relearn(fed, request, phase, rng)
-            // qd-lint: allow(panic-safety) -- QuickDrop always supports
-            // relearning; a None here is a type-level invariant breach
-            .expect("QuickDrop supports relearning");
-        journal.append(JournalRecord {
-            seq,
-            request,
-            state: RequestState::Relearned,
-            rng: rng.state(),
-            global: fed.global().to_vec(),
-            guard: None,
-            batch: None,
-            reason: None,
-        })?;
-        Ok(stats)
-    }
-
-    /// Replays `journal` onto a system restored from its deployment
-    /// [`Checkpoint`]: re-applies every record's forgotten-state marks
-    /// (idempotently), restores the global model and RNG stream from the
-    /// **last** record — the journal, not the checkpoint, is the source
-    /// of truth for anything that happened after the checkpoint was
-    /// written — and finishes the incomplete stages of the last request,
-    /// if any.
-    ///
-    /// Requests are served sequentially, so at most the last journaled
-    /// request can be incomplete; the continuation reproduces the
-    /// uninterrupted run bit-for-bit (same model bits, same RNG stream,
-    /// same persisted [`GuardStats`]) provided `policy` matches the
-    /// original run's.
-    ///
-    /// Returns the outcome of the request finished during resume, or
-    /// `None` when the journal was empty or already fully served.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] on journal I/O failure, or
-    /// [`ServeError::Diverged`] when finishing the incomplete request
-    /// trips the guard (deterministically the same outcome the
-    /// uninterrupted run would have had).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` fails [`GuardPolicy::validate`].
-    pub fn resume_requests(
-        &mut self,
-        fed: &mut Federation,
-        journal: &mut RequestJournal,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-    ) -> Result<Option<MethodOutcome>, ServeError> {
-        match self.resume_requests_until(fed, journal, policy, rng, None)? {
-            ResumeRun::Complete(outcome) => Ok(outcome.map(|o| *o)),
-            // Unreachable with `preempt_at: None`; nothing is left
-            // undone if it ever were.
-            ResumeRun::Preempted { .. } => Ok(None),
-        }
-    }
-
-    /// [`QuickDrop::resume_requests`] with a durable-boundary preempt:
-    /// finishing stops right after `preempt_at` becomes durable, the
-    /// deterministic crash stand-in the failure-isolation executor and
-    /// the chaos harnesses drive. `None` finishes everything.
-    ///
-    /// This is also the failure-isolation executor's *only* execution
-    /// path: it appends a unit's RECEIVED set itself and then drives
-    /// every attempt through this call, so a fresh unit and a
-    /// crash-resumed one execute identical code from identical
-    /// journal-derived state.
-    ///
-    /// # Errors
-    ///
-    /// As [`QuickDrop::resume_requests`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` fails [`GuardPolicy::validate`].
-    pub fn resume_requests_until(
-        &mut self,
-        fed: &mut Federation,
-        journal: &mut RequestJournal,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-        preempt_at: Option<BatchPreempt>,
-    ) -> Result<ResumeRun, ServeError> {
-        if let Some(policy) = policy {
-            if let Err(msg) = policy.validate() {
-                // qd-lint: allow(panic-safety) -- policy validation failure
-                // is a documented caller bug (`# Panics`), not a runtime
-                // condition
-                panic!("invalid guard policy: {msg}");
-            }
-        }
-        let Some(last) = journal.last().cloned() else {
-            return Ok(ResumeRun::Complete(None));
-        };
-        // Replay the forgotten-state marks in journal order. Marking is
-        // idempotent (set semantics), so records already reflected in
-        // the checkpoint apply harmlessly a second time. FAILED and
-        // QUARANTINED requests never touched the model, so they mark
-        // nothing.
-        for record in journal.records() {
-            match record.state {
-                RequestState::Unlearned | RequestState::Recovered => {
-                    self.mark_unlearned(record.request);
-                }
-                RequestState::Relearned => self.unmark_unlearned(record.request),
-                RequestState::Received | RequestState::Failed | RequestState::Quarantined => {}
-            }
-        }
-        fed.set_global(last.global.clone());
-        *rng = Rng::from_state(&last.rng);
-        if let Some(batch) = last.batch {
-            return self.resume_batch(fed, journal, batch, &last, policy, rng, preempt_at);
-        }
-        // For a singleton request the batch-level boundaries map onto
-        // the request states (`Unlearned(_)` can only mean the one
-        // member); the isolation-only boundaries cannot occur here.
-        let preempt = preempt_at.and_then(|boundary| match boundary {
-            BatchPreempt::Received => Some(RequestState::Received),
-            BatchPreempt::Unlearned(_) => Some(RequestState::Unlearned),
-            BatchPreempt::Recovered => Some(RequestState::Recovered),
-            BatchPreempt::Quarantined | BatchPreempt::Failed => None,
-        });
-        match last.state {
-            RequestState::Recovered
-            | RequestState::Relearned
-            | RequestState::Failed
-            | RequestState::Quarantined => Ok(ResumeRun::Complete(None)),
-            RequestState::Received => {
-                // Crash before (or during) ascent: the RECEIVED record
-                // holds the pre-request state we just restored; run the
-                // request start to finish. RECEIVED marks nothing, so
-                // the mark replay above left this request untouched.
-                let run = self.finish_from_received(
-                    fed,
-                    journal,
-                    last.seq,
-                    last.request,
-                    policy,
-                    rng,
-                    preempt,
-                )?;
-                Ok(match run {
-                    ServeRun::Complete(outcome) => ResumeRun::Complete(Some(outcome)),
-                    ServeRun::Preempted { state } => ResumeRun::Preempted {
-                        boundary: match state {
-                            RequestState::Unlearned => BatchPreempt::Unlearned(1),
-                            _ => BatchPreempt::Recovered,
-                        },
-                    },
-                })
-            }
-            RequestState::Unlearned => {
-                // Crash between ascent and recovery: the pre-request
-                // reference lives in this request's RECEIVED record.
-                let reference = journal
-                    .records()
-                    .iter()
-                    .find(|r| r.seq == last.seq && r.state == RequestState::Received)
-                    .map(|r| r.global.clone())
-                    .ok_or_else(|| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!(
-                                "journal record {} is UNLEARNED without a RECEIVED record",
-                                last.seq
-                            ),
-                        )
-                    })?;
-                let stats = last.guard.unwrap_or_default();
-                let (recovery, stats) = self.finish_from_unlearned(
-                    fed,
-                    &reference,
-                    &last.global,
-                    last.request,
-                    policy,
-                    stats,
-                    rng,
-                )?;
-                journal.append(JournalRecord {
-                    seq: last.seq,
-                    request: last.request,
-                    state: RequestState::Recovered,
-                    rng: rng.state(),
-                    global: fed.global().to_vec(),
-                    guard: stats,
-                    batch: None,
-                    reason: None,
-                })?;
-                if preempt == Some(RequestState::Recovered) {
-                    return Ok(ResumeRun::Preempted {
-                        boundary: BatchPreempt::Recovered,
-                    });
-                }
-                Ok(ResumeRun::Complete(Some(Box::new(MethodOutcome {
-                    // The ascent's cost accounting died with the original
-                    // process; the model/RNG state did not.
-                    unlearn: PhaseStats::default(),
-                    recovery,
-                    post_unlearn_params: last.global,
-                    guard: stats,
-                }))))
-            }
-        }
-    }
-
-    /// The batch arm of [`QuickDrop::resume_requests`]: membership and
-    /// progress both come from the journal — the RECEIVED set (atomic,
-    /// so never half-written) lists the members, QUARANTINED and FAILED
-    /// records subtract the members isolated or shed out of the batch,
-    /// the UNLEARNED records say how many active ascents were accepted
-    /// before the crash, and the caller has already restored model/RNG
-    /// from the last record and replayed the forgotten-state marks.
-    /// `finish_batch` then runs the remaining members and the
-    /// shared recovery exactly as the uninterrupted run would have. A
-    /// batch whose every member is quarantined or shed has nothing left
-    /// to do.
-    #[allow(clippy::too_many_arguments)]
-    fn resume_batch(
-        &mut self,
-        fed: &mut Federation,
-        journal: &mut RequestJournal,
-        batch: BatchId,
-        last: &JournalRecord,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-        preempt_at: Option<BatchPreempt>,
-    ) -> Result<ResumeRun, ServeError> {
-        if matches!(
-            last.state,
-            RequestState::Recovered | RequestState::Relearned
-        ) {
-            return Ok(ResumeRun::Complete(None));
-        }
-        let inactive: Vec<u64> = journal
-            .records()
-            .iter()
-            .filter(|r| {
-                r.batch == Some(batch)
-                    && matches!(r.state, RequestState::Quarantined | RequestState::Failed)
-            })
-            .map(|r| r.seq)
-            .collect();
-        let members: Vec<(u64, UnlearnRequest)> = journal
-            .records()
-            .iter()
-            .filter(|r| {
-                r.batch == Some(batch)
-                    && r.state == RequestState::Received
-                    && !inactive.contains(&r.seq)
-            })
-            .map(|r| (r.seq, r.request))
-            .collect();
-        if members.is_empty() {
-            return Ok(ResumeRun::Complete(None));
-        }
-        let done = journal
-            .records()
-            .iter()
-            .filter(|r| {
-                r.batch == Some(batch)
-                    && r.state == RequestState::Unlearned
-                    && !inactive.contains(&r.seq)
-            })
-            .count();
-        // Every member's RECEIVED record carries the same pre-batch
-        // state, so any of them (quarantined or not) supplies the
-        // reference.
-        let (batch_reference, batch_rng) = journal
-            .records()
-            .iter()
-            .find(|r| r.batch == Some(batch) && r.state == RequestState::Received)
-            .map(|r| (r.global.clone(), r.rng.clone()))
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("journal holds {batch} records without a RECEIVED set"),
-                )
-            })?;
-        let stats = last.guard.unwrap_or_default();
-        let run = self.finish_batch(
-            fed,
-            journal,
-            batch,
-            &members,
-            done,
-            batch_reference,
-            batch_rng,
-            stats,
-            policy,
-            rng,
-            preempt_at,
-        )?;
-        Ok(match run {
-            BatchRun::Complete(outcome) => {
-                ResumeRun::Complete(Some(Box::new(MethodOutcome {
-                    // Ascent accounting from before the crash died with
-                    // the original process; the model/RNG state did not.
-                    unlearn: PhaseStats::default(),
-                    recovery: outcome.recovery,
-                    post_unlearn_params: outcome.post_unlearn_params,
-                    guard: outcome.guard,
-                })))
-            }
-            BatchRun::Preempted { boundary } => ResumeRun::Preempted { boundary },
-        })
-    }
-
-    /// Side-effect-free trial: would serving `requests` as one
-    /// coalesced unit from the **current** live state (model, RNG
-    /// stream, forgotten-state marks) succeed under `policy`?
-    ///
-    /// Runs the exact operation sequence `finish_batch` would —
-    /// per-member guarded ascents with in-guard rollback/LR-halving,
-    /// marks, one shared recovery, the post-recovery probe check — on a
-    /// cloned RNG stream, then restores the model and marks, so the
-    /// live state is untouched whatever the verdict. Because the trial
-    /// and the real execution perform identical operations from
-    /// identical state, a `true` here guarantees the subsequent real
-    /// (journaled) execution of the same unit under the same policy
-    /// accepts — which is what lets the failure-isolation executor pick
-    /// a retry-ladder rung (and bisect poison members) *before* writing
-    /// anything, keeping the ladder position journal-derivable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` fails [`GuardPolicy::validate`] or `requests`
-    /// is empty.
-    pub fn probe_unit(
-        &mut self,
-        fed: &mut Federation,
-        requests: &[UnlearnRequest],
-        policy: &GuardPolicy,
-        rng: &Rng,
-    ) -> bool {
-        if let Err(msg) = policy.validate() {
-            // qd-lint: allow(panic-safety) -- policy validation failure
-            // is a documented caller bug (`# Panics`), not a runtime
-            // condition
-            panic!("invalid guard policy: {msg}");
-        }
-        // qd-lint: allow(panic-safety) -- an empty unit is a documented
-        // caller bug (`# Panics`), not a runtime condition
-        assert!(!requests.is_empty(), "cannot probe an empty unit");
-        let reference = fed.global().to_vec();
-        let marks = self.marks_snapshot();
-        let mut rng = Rng::from_state(&rng.state());
-        let mut ok = true;
-        for &request in requests {
-            let member_reference = fed.global().to_vec();
-            let rng_mark = rng.state();
-            let mut lr_scale = policy.ascent_lr_scale;
-            let mut accepted = false;
-            for attempt in 0..=policy.ascent_retries {
-                let (_, post) = self.ascent_stage(fed, request, &mut rng, lr_scale);
-                let gate = check_attempt(
-                    policy,
-                    fed.model().as_ref(),
-                    &member_reference,
-                    &post,
-                    &post,
-                    None,
-                );
-                if gate.is_ok() {
-                    accepted = true;
-                    break;
-                }
-                fed.set_global(member_reference.clone());
-                rng = Rng::from_state(&rng_mark);
-                if attempt < policy.ascent_retries {
-                    lr_scale *= 0.5;
-                }
-            }
-            if !accepted {
-                ok = false;
-                break;
-            }
-            self.mark_unlearned(request);
-        }
-        if ok {
-            let post_unlearn = fed.global().to_vec();
-            let _ = self.recovery_stage(fed, &mut rng);
-            let probe = probe_sample(&self.synthetic_retain(), policy.probe_samples);
-            ok = check_attempt(
-                policy,
-                fed.model().as_ref(),
-                &reference,
-                &post_unlearn,
-                fed.global(),
-                probe.as_ref(),
-            )
-            .is_ok();
-        }
-        fed.set_global(reference);
-        self.marks_restore(marks);
-        ok
-    }
-
-    /// Restores live state (forgotten-state marks, global model, RNG
-    /// stream) from the journal tail **without finishing anything** —
-    /// the failure-isolation executor's resume entry point. Unlike
-    /// [`QuickDrop::resume_requests`], an in-flight unit at the tail is
-    /// left exactly where the journal says it is, because the executor
-    /// must re-derive the winning retry-ladder rung (by re-running the
-    /// probes) before any serving code touches the unit; resuming with
-    /// the base policy here would finish it under the wrong rung.
-    ///
-    /// Idempotent: on a live (non-crashed) deployment the tail already
-    /// matches the live state and the mark replay re-applies set
-    /// semantics, so calling this is harmless. An empty journal is a
-    /// no-op.
-    pub fn restore_tail(&mut self, fed: &mut Federation, journal: &RequestJournal, rng: &mut Rng) {
-        for record in journal.records() {
-            match record.state {
-                RequestState::Unlearned | RequestState::Recovered => {
-                    self.mark_unlearned(record.request);
-                }
-                RequestState::Relearned => self.unmark_unlearned(record.request),
-                RequestState::Received | RequestState::Failed | RequestState::Quarantined => {}
-            }
-        }
-        if let Some(last) = journal.last() {
-            fed.set_global(last.global.clone());
-            *rng = Rng::from_state(&last.rng);
-        }
-    }
-
-    /// Loads the deployment checkpoint at `checkpoint` and replays the
-    /// journal at [`RequestJournal::path_for_checkpoint`] onto it —
-    /// the one-call crash recovery entry point used by the CLI.
-    ///
-    /// A corrupt primary checkpoint falls back to the `.prev`
-    /// generation its last save rotated aside (see
-    /// [`Checkpoint::load_with_fallback_on`]); the journal replay then
-    /// rolls the model forward, so the fallback costs nothing that was
-    /// journaled.
-    ///
-    /// # Errors
-    ///
-    /// Any checkpoint/journal load error, plus everything
-    /// [`QuickDrop::resume_requests`] can return.
-    pub fn recover_deployment(
-        checkpoint: impl AsRef<Path>,
-        fed: &mut Federation,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-    ) -> Result<(QuickDrop, RequestJournal, Option<MethodOutcome>), ServeError> {
-        Self::recover_deployment_on(Arc::new(StdFs), checkpoint, fed, policy, rng)
-    }
-
-    /// [`QuickDrop::recover_deployment`] on an explicit [`Vfs`] — the
-    /// entry point the crash-point matrix harness drives.
-    ///
-    /// # Errors
-    ///
-    /// As [`QuickDrop::recover_deployment`].
-    pub fn recover_deployment_on(
-        vfs: Arc<dyn Vfs>,
-        checkpoint: impl AsRef<Path>,
-        fed: &mut Federation,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-    ) -> Result<(QuickDrop, RequestJournal, Option<MethodOutcome>), ServeError> {
-        let (ckpt, _fell_back) = Checkpoint::load_with_fallback_on(&*vfs, checkpoint.as_ref())?;
-        let (global, mut qd) = ckpt.restore()?;
-        fed.set_global(global);
-        let mut journal = RequestJournal::open_on(
-            Arc::clone(&vfs),
-            RequestJournal::path_for_checkpoint(checkpoint.as_ref()),
-        )?;
-        let finished = qd.resume_requests(fed, &mut journal, policy, rng)?;
-        Ok((qd, journal, finished))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qd_tensor::rng::Rng;
 
     #[test]
     fn records_without_a_batch_field_read_back_as_unbatched() {

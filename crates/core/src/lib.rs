@@ -60,6 +60,7 @@
 mod checkpoint;
 mod config;
 mod journal;
+mod lifecycle;
 pub mod sample_level;
 mod system;
 pub mod vfs;
@@ -67,10 +68,10 @@ pub mod vfs;
 pub use checkpoint::{Checkpoint, CheckpointError, MidPhase, CHECKPOINT_VERSION};
 pub use config::QuickDropConfig;
 pub use journal::{
-    segment_path, BatchId, BatchOutcome, BatchPreempt, BatchRun, FailReason, JournalError,
-    JournalRecord, RequestJournal, RequestState, ResumeRun, ServeError, ServeRun, TailRepair,
-    JOURNAL_MAGIC, JOURNAL_MIN_VERSION, JOURNAL_VERSION,
+    segment_path, BatchId, FailReason, JournalError, JournalRecord, RequestJournal, RequestState,
+    TailRepair, JOURNAL_MAGIC, JOURNAL_MIN_VERSION, JOURNAL_VERSION,
 };
+pub use lifecycle::{BatchOutcome, BatchPreempt, BatchRun, ResumeRun, ServeError, ServeRun};
 pub use sample_level::{SampleLevelConfig, SampleLevelQuickDrop};
 pub use system::{CheckpointPolicy, QuickDrop, TrainReport, TrainRun};
 pub use vfs::{storage_cause, CrashPoint, Fault, FaultFs, StdFs, StorageError, Vfs, VfsOp};

@@ -143,6 +143,17 @@ impl std::fmt::Debug for QuickDrop {
     }
 }
 
+/// The `# Panics` contract every guard-taking entry point shares: a
+/// policy that fails [`GuardPolicy::validate`] is a caller bug.
+pub(crate) fn validated(policy: Option<&GuardPolicy>) -> Option<&GuardPolicy> {
+    if let Some(Err(msg)) = policy.map(GuardPolicy::validate) {
+        // qd-lint: allow(panic-safety) -- policy validation failure is a
+        // documented caller bug (`# Panics`), not a runtime condition
+        panic!("invalid guard policy: {msg}");
+    }
+    policy
+}
+
 impl QuickDrop {
     /// Step 1 + 2 of the workflow: runs FL training with in-situ
     /// distillation on `fed`, then (optionally) fine-tunes and augments
@@ -655,17 +666,13 @@ impl QuickDrop {
         policy: &GuardPolicy,
         rng: &mut Rng,
     ) -> Result<MethodOutcome, UnlearnError> {
-        if let Err(msg) = policy.validate() {
-            // qd-lint: allow(panic-safety) -- policy validation failure is a
-            // documented caller bug (`# Panics`), not a runtime condition
-            panic!("invalid guard policy: {msg}");
-        }
+        validated(Some(policy));
         let reference = fed.global().to_vec();
         let rng_mark = rng.state();
         let probe = probe_sample(&self.synthetic_retain(), policy.probe_samples);
         let mut stats = GuardStats::default();
         let mut last_violation = GuardViolation::NonFinite;
-        let mut lr_scale = 1.0f32;
+        let mut lr_scale = policy.ascent_lr_scale;
         for attempt in 0..=policy.ascent_retries {
             let (unlearn, post_unlearn_params) = self.ascent_stage(fed, request, rng, lr_scale);
             stats.steps += 1;
@@ -876,6 +883,37 @@ mod tests {
             "relearning should restore class 2: {fa_unlearned} -> {fa_back}"
         );
         assert_eq!(qd.unlearned_classes().count(), 0);
+    }
+
+    #[test]
+    fn unlearn_guarded_starts_from_the_policys_ascent_lr_scale() {
+        let (mut fed, mut qd, _, mut rng, _) = trained_system();
+        let request = UnlearnRequest::Class(4);
+        let (reference, rng_mark) = (fed.global().to_vec(), rng.state());
+        let mut ascent_at = |scale: f32| {
+            let (_, post) = qd.ascent_stage(&mut fed, request, &mut rng, scale);
+            fed.set_global(reference.clone());
+            rng = Rng::from_state(&rng_mark);
+            post
+        };
+        let (half, full) = (ascent_at(0.5), ascent_at(1.0));
+        let policy = GuardPolicy {
+            drift_budget: 64.0,
+            ascent_retries: 0,
+            ascent_lr_scale: 0.5,
+            ..GuardPolicy::default()
+        };
+        let outcome = qd
+            .unlearn_guarded(&mut fed, request, &policy, &mut rng)
+            .expect("a generous budget accepts the first attempt");
+        let bits = |params: &[Tensor]| -> Vec<u32> {
+            params
+                .iter()
+                .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&outcome.post_unlearn_params), bits(&half));
+        assert_ne!(bits(&outcome.post_unlearn_params), bits(&full));
     }
 
     #[test]

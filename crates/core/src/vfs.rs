@@ -426,7 +426,7 @@ pub enum CrashPoint {
         /// Index into the service plan's unit list.
         unit: usize,
         /// The journal boundary to die at.
-        boundary: crate::journal::BatchPreempt,
+        boundary: crate::BatchPreempt,
     },
 }
 

@@ -2,11 +2,14 @@
 //! boundary (after RECEIVED, after UNLEARNED, after RECOVERED) resumes
 //! from the deployment checkpoint + journal and reproduces the
 //! uninterrupted run bit-for-bit — final model bits, RNG stream, and the
-//! persisted `GuardStats` counters.
+//! persisted `GuardStats` counters. A request served alone and a
+//! coalesced batch go through the same unit engine; the tests at the
+//! end pin the two places they are allowed to differ (the batch id on
+//! disk, and what `Unlearned(k)` names).
 
 use qd_core::{
-    BatchPreempt, BatchRun, Checkpoint, JournalError, JournalRecord, QuickDrop, QuickDropConfig,
-    RequestJournal, RequestState, ServeRun,
+    BatchId, BatchPreempt, BatchRun, Checkpoint, FaultFs, JournalError, JournalRecord, QuickDrop,
+    QuickDropConfig, RequestJournal, RequestState, ResumeRun, ServeRun, Vfs,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};
@@ -124,10 +127,17 @@ fn uninterrupted(paths: &Paths) -> (Vec<Tensor>, RequestJournal) {
     (fed.global().to_vec(), journal)
 }
 
-/// Kill at `boundary` while serving the first request, then resume in a
-/// "fresh process" and finish the stream identically.
-fn kill_and_resume(boundary: RequestState, reference: &(Vec<Tensor>, RequestJournal)) {
-    let paths = paths(&format!("kill_{boundary}"));
+/// Kill at `kill` while serving the first request — which must stop
+/// the run with `landed` as the last durable state and report
+/// `reported` — then resume in a "fresh process" and finish the stream
+/// identically.
+fn kill_and_resume(
+    kill: BatchPreempt,
+    landed: RequestState,
+    reported: BatchPreempt,
+    reference: &(Vec<Tensor>, RequestJournal),
+) {
+    let paths = paths(&format!("kill_{kill:?}"));
 
     // Process A: train, checkpoint, die right after `boundary` is durable.
     {
@@ -144,14 +154,14 @@ fn kill_and_resume(boundary: RequestState, reference: &(Vec<Tensor>, RequestJour
                 REQUESTS[0],
                 Some(&policy()),
                 &mut rng,
-                Some(boundary),
+                Some(kill),
             )
             .unwrap();
-        let ServeRun::Preempted { state } = run else {
-            panic!("serving must stop at the {boundary} boundary");
+        let ServeRun::Preempted { boundary } = run else {
+            panic!("serving must stop at the {kill:?} boundary");
         };
-        assert_eq!(state, boundary);
-        assert_eq!(journal.last().unwrap().state, boundary);
+        assert_eq!(boundary, reported);
+        assert_eq!(journal.last().unwrap().state, landed);
     }
 
     // Process B: everything rebuilt from the seed; model, RNG and request
@@ -159,10 +169,8 @@ fn kill_and_resume(boundary: RequestState, reference: &(Vec<Tensor>, RequestJour
     let (mut fed, mut rng) = fresh_fed();
     let (mut qd, mut journal, finished) =
         QuickDrop::recover_deployment(&paths.ckpt, &mut fed, Some(&policy()), &mut rng).unwrap();
-    match boundary {
-        RequestState::Recovered | RequestState::Relearned => {
-            assert!(finished.is_none(), "nothing was in flight");
-        }
+    match landed {
+        RequestState::Recovered => assert!(finished.is_none(), "nothing was in flight"),
         _ => {
             let outcome = finished.expect("resume finishes the in-flight request");
             assert_eq!(
@@ -229,12 +237,31 @@ fn killed_request_stream_resumes_bit_for_bit_at_every_boundary() {
     let reopened = RequestJournal::open(ref_paths.journal.clone()).unwrap();
     assert_same_records(reference.1.records(), reopened.records());
 
-    for boundary in [
-        RequestState::Received,
-        RequestState::Unlearned,
-        RequestState::Recovered,
+    // A request served alone is its unit's one member, so any
+    // `Unlearned(k)` names its UNLEARNED record and reports `Unlearned(1)`.
+    for (kill, landed, reported) in [
+        (
+            BatchPreempt::Received,
+            RequestState::Received,
+            BatchPreempt::Received,
+        ),
+        (
+            BatchPreempt::Unlearned(1),
+            RequestState::Unlearned,
+            BatchPreempt::Unlearned(1),
+        ),
+        (
+            BatchPreempt::Unlearned(2),
+            RequestState::Unlearned,
+            BatchPreempt::Unlearned(1),
+        ),
+        (
+            BatchPreempt::Recovered,
+            RequestState::Recovered,
+            BatchPreempt::Recovered,
+        ),
     ] {
-        kill_and_resume(boundary, &reference);
+        kill_and_resume(kill, landed, reported, &reference);
     }
 
     std::fs::remove_file(&ref_paths.ckpt).ok();
@@ -467,4 +494,129 @@ fn relearn_of_an_unserved_request_is_rejected() {
         .relearn_journaled(&mut fed, &mut journal, REQUESTS[0], &phase, &mut rng)
         .expect_err("nothing recovered yet");
     assert!(err.to_string().contains("no recovered request"), "{err}");
+}
+
+/// Trains once and returns a served-nothing deployment on an in-memory
+/// filesystem: the journal is empty and bound to `fs`.
+fn deployment_on(fs: &Arc<FaultFs>) -> (Federation, QuickDrop, Rng, RequestJournal) {
+    let (mut fed, mut rng) = fresh_fed();
+    let (qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
+    let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
+    let journal = RequestJournal::open_on(vfs, PathBuf::from("d.json.journal")).unwrap();
+    (fed, qd, rng, journal)
+}
+
+#[test]
+fn unlearned_count_names_a_member_only_inside_a_batch() {
+    // The same single request, written batch-form (`batch: Some`): now
+    // `Unlearned(2)` names a second member that does not exist, so the
+    // unit runs to completion; `Unlearned(1)` still stops it.
+    for (kill, stops) in [
+        (BatchPreempt::Unlearned(2), false),
+        (BatchPreempt::Unlearned(1), true),
+    ] {
+        let (mut fed, mut qd, mut rng, mut journal) = deployment_on(&Arc::new(FaultFs::new()));
+        let run = qd
+            .serve_batch_journaled(
+                &mut fed,
+                &mut journal,
+                &REQUESTS[..1],
+                Some(&policy()),
+                &mut rng,
+                Some(kill),
+            )
+            .unwrap();
+        assert_eq!(matches!(run, BatchRun::Preempted { .. }), stops, "{kill:?}");
+        let last = journal.last().unwrap();
+        assert_eq!(last.batch, Some(BatchId(0)));
+        let landed = if stops {
+            RequestState::Unlearned
+        } else {
+            RequestState::Recovered
+        };
+        assert_eq!(last.state, landed, "{kill:?}");
+    }
+}
+
+#[test]
+fn a_single_request_is_an_unbatched_unit_of_one_byte_for_byte() {
+    // `serve_journaled`...
+    let served = Arc::new(FaultFs::new());
+    let (mut fed, mut qd, mut rng, mut journal) = deployment_on(&served);
+    let outcome = qd
+        .serve_journaled(
+            &mut fed,
+            &mut journal,
+            REQUESTS[0],
+            Some(&policy()),
+            &mut rng,
+            None,
+        )
+        .unwrap()
+        .into_complete()
+        .expect("no preemption configured");
+    assert!(
+        outcome.unlearn.rounds > 0,
+        "a fresh unit reports its member's real ascent accounting"
+    );
+    let served_model = fed.global().to_vec();
+
+    // ...and the service executor's spelling of the same unit: a
+    // hand-appended one-member RECEIVED set with `batch: None`, driven
+    // through the resume protocol.
+    let built = Arc::new(FaultFs::new());
+    let (mut fed, mut qd, mut rng, mut journal) = deployment_on(&built);
+    let members = QuickDrop::receive_unit(&fed, &mut journal, &REQUESTS[..1], None, &rng).unwrap();
+    assert_eq!(members, vec![(0, REQUESTS[0])]);
+    let run = qd
+        .resume_requests_until(&mut fed, &mut journal, Some(&policy()), &mut rng, None)
+        .unwrap();
+    assert!(matches!(run, ResumeRun::Complete(Some(_))));
+
+    assert_bit_identical(&served_model, fed.global());
+    assert!(journal.records().iter().all(|r| r.batch.is_none()));
+    assert_eq!(
+        served.files(),
+        built.files(),
+        "journal marker and segments must be byte-identical"
+    );
+}
+
+#[test]
+fn probe_unit_touches_nothing_whatever_the_verdict() {
+    let fs = Arc::new(FaultFs::new());
+    let (mut fed, mut qd, mut rng, mut journal) = deployment_on(&fs);
+    // Some history, so there are marks and records to disturb.
+    qd.serve_journaled(
+        &mut fed,
+        &mut journal,
+        REQUESTS[0],
+        Some(&policy()),
+        &mut rng,
+        None,
+    )
+    .unwrap();
+    let snapshot = |qd: &QuickDrop, fed: &Federation, name: &str| {
+        // Model bits and both mark sets, as the checkpoint serializes them.
+        let path = PathBuf::from(name);
+        Checkpoint::capture(fed.global(), qd)
+            .save_on(fs.as_ref(), &path)
+            .unwrap();
+        fs.file(&path).unwrap()
+    };
+    let before = snapshot(&qd, &fed, "before.json");
+    let (rng_before, records_before) = (rng.state(), journal.records().len());
+
+    let unit = [REQUESTS[1], UnlearnRequest::Client(1)];
+    let strict = GuardPolicy {
+        drift_budget: 1e-6,
+        ascent_retries: 1,
+        ..GuardPolicy::default()
+    };
+    for (policy, verdict) in [(batch_policy(), true), (strict, false)] {
+        assert_eq!(qd.probe_unit(&mut fed, &unit, &policy, &rng), verdict);
+        assert_eq!(before, snapshot(&qd, &fed, "after.json"), "{verdict}");
+        assert_eq!(rng.state(), rng_before, "{verdict}");
+        assert_eq!(journal.records().len(), records_before, "{verdict}");
+    }
 }

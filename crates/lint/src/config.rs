@@ -52,6 +52,12 @@ pub struct Config {
     /// `serving = ["qd_serve::executor::run_service*"]`. Reachability
     /// rules start their traversal here.
     pub entrypoints: BTreeMap<String, Vec<String>>,
+    /// 1-based config line of each `[entrypoints]` set, for findings
+    /// about the globs themselves.
+    pub entrypoint_lines: BTreeMap<String, usize>,
+    /// The file this config was loaded from (empty when parsed from
+    /// text), echoed into findings about the config itself.
+    pub source: String,
 }
 
 impl Config {
@@ -113,6 +119,7 @@ impl Config {
                         .entry(key.to_string())
                         .or_default()
                         .extend(values);
+                    config.entrypoint_lines.insert(key.to_string(), lineno + 1);
                 }
                 Some(section) => {
                     let rule = section.trim_start_matches("rules.").to_string();
@@ -137,12 +144,14 @@ impl Config {
     /// (converted to [`std::io::ErrorKind::InvalidData`]).
     pub fn load(path: &Path) -> std::io::Result<Config> {
         let text = std::fs::read_to_string(path)?;
-        Config::parse(&text).map_err(|e| {
+        let mut config = Config::parse(&text).map_err(|e| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("{}: {e}", path.display()),
             )
-        })
+        })?;
+        config.source = path.to_string_lossy().replace('\\', "/");
+        Ok(config)
     }
 }
 
@@ -284,11 +293,13 @@ exclude = ["crates/core/src/bin/**"]
     fn entrypoints_parse_and_name_globs_match() {
         let text = r#"
 [entrypoints]
-serving = ["qd_serve::executor::run_service*", "qd_core::journal::**"]
+serving = ["qd_serve::executor::run_service*", "qd_core::journal::**", "qd_core::lifecycle::**"]
 admin = ["**::admin::main"]
 "#;
         let c = Config::parse(text).unwrap();
         assert_eq!(c.entrypoints.len(), 2);
+        assert_eq!(c.entrypoint_lines["serving"], 3);
+        assert_eq!(c.entrypoint_lines["admin"], 4);
         let serving = &c.entrypoints["serving"];
         assert!(name_glob_match(
             &serving[0],
@@ -300,7 +311,15 @@ admin = ["**::admin::main"]
         ));
         assert!(name_glob_match(
             &serving[1],
-            "qd_core::journal::QuickDrop::serve_batch_journaled"
+            "qd_core::journal::RequestJournal::append_all"
+        ));
+        assert!(name_glob_match(
+            &serving[2],
+            "qd_core::lifecycle::QuickDrop::serve_batch_journaled"
+        ));
+        assert!(!name_glob_match(
+            &serving[1],
+            "qd_core::lifecycle::QuickDrop::serve_batch_journaled"
         ));
         assert!(!name_glob_match(&serving[1], "qd_core::checkpoint::save"));
         assert!(name_glob_match(

@@ -190,6 +190,29 @@ pub fn analyze(files: &[(String, String)], config: &Config) -> Analysis {
     }
 }
 
+/// Entry-point hygiene: an `[entrypoints]` glob matching no fn of
+/// `graph` is a hard finding against the config line that declares it
+/// — like a typo'd `allow(..)`, it would otherwise silently police
+/// nothing while its author believes a surface is covered (a module
+/// rename is all it takes). Only meaningful when `graph` was built from
+/// the whole tree `config` describes; the caller decides that.
+pub fn stale_entrypoints(graph: &Graph, config: &Config) -> Vec<Diagnostic> {
+    graph
+        .unmatched_entrypoints(&config.entrypoints)
+        .into_iter()
+        .map(|(set, glob)| Diagnostic {
+            path: config.source.clone(),
+            line: config.entrypoint_lines.get(&set).copied().unwrap_or(0),
+            rule: "entrypoint-hygiene".to_string(),
+            message: format!(
+                "entry-point glob `{glob}` (set `{set}`) matches no fn in the scanned \
+                 sources; it seeds no reachability"
+            ),
+            chain: Vec::new(),
+        })
+        .collect()
+}
+
 /// Whether `rule` is allowed at 0-based `line`: an allow annotation on
 /// the line itself, or in the run of comment-only/blank lines directly
 /// above it.

@@ -166,6 +166,28 @@ impl Graph {
         queue
     }
 
+    /// The `(set, glob)` pairs of `entrypoints` that match no non-test
+    /// fn of this graph: they seed nothing, so whatever they were
+    /// written to police is unpoliced.
+    pub fn unmatched_entrypoints(
+        &self,
+        entrypoints: &BTreeMap<String, Vec<String>>,
+    ) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        for (set, globs) in entrypoints {
+            for glob in globs {
+                let seeds = self
+                    .nodes
+                    .iter()
+                    .any(|n| !n.item.in_test && name_glob_match(glob, &n.item.qualified));
+                if !seeds {
+                    out.push((set.clone(), glob.clone()));
+                }
+            }
+        }
+        out
+    }
+
     /// Computes reachability from the configured entry sets (a map of
     /// set name to `::`-glob patterns over qualified names).
     pub fn reachability(&self, entrypoints: &BTreeMap<String, Vec<String>>) -> Reach {

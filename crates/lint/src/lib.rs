@@ -55,6 +55,7 @@
 //! lock-order          | serve sources                                    | no two locks acquired in inconsistent order along any call path
 //! vfs-discipline      | core / serve sources outside the Vfs impl        | no direct std::fs calls; all storage I/O goes through qd_core::vfs
 //! suppression-hygiene | workspace-wide                                   | qd-lint: allow(..) must name known rules
+//! entrypoint-hygiene  | the config, on scans covering its tree           | every [entrypoints] glob matches at least one workspace fn
 //! unsafe-hygiene      | workspace-wide                                   | no unsafe code anywhere
 //! ";
 //! assert_eq!(qd_lint::rules::render_table(), expected);

@@ -7,7 +7,9 @@
 //!
 //! With no paths, scans the workspace source roots (`crates`, `src`,
 //! `examples`, `tests`). The config defaults to `./qd-lint.toml` when
-//! present. `--deny` exits non-zero on any finding (the CI gate);
+//! present; on such a whole-tree scan (or one whose paths contain the
+//! config's directory) an `[entrypoints]` glob matching no fn is itself
+//! a finding. `--deny` exits non-zero on any finding (the CI gate);
 //! without it findings are printed as warnings. `--format json` prints
 //! findings as a JSON array instead of text (exit semantics unchanged);
 //! `--graph dot` prints the workspace call graph, annotated with
@@ -101,6 +103,14 @@ fn main() -> ExitCode {
             .exists()
             .then(|| "qd-lint.toml".into())
     });
+    // Stale entry-point globs can only be judged by a scan covering the
+    // tree the config describes: the default roots, or explicit paths
+    // that contain the config's own directory.
+    let whole_tree = cli.paths.is_empty()
+        || config_path.as_deref().is_some_and(|config| {
+            let dir = config.parent().unwrap_or(std::path::Path::new(""));
+            cli.paths.iter().any(|p| dir.starts_with(p))
+        });
     let config = match config_path {
         Some(path) => match Config::load(&path) {
             Ok(config) => config,
@@ -132,7 +142,10 @@ fn main() -> ExitCode {
         print!("{}", analysis.graph.to_dot(&analysis.reach));
         return ExitCode::SUCCESS;
     }
-    let diagnostics = analysis.diagnostics;
+    let mut diagnostics = analysis.diagnostics;
+    if whole_tree {
+        diagnostics.extend(engine::stale_entrypoints(&analysis.graph, &config));
+    }
     if cli.json {
         print!("{}", engine::to_json(&diagnostics));
     } else if diagnostics.is_empty() {

@@ -63,6 +63,11 @@ pub const RULES: &[Rule] = &[
         invariant: "qd-lint: allow(..) must name known rules",
     },
     Rule {
+        name: "entrypoint-hygiene",
+        scope: "the config, on scans covering its tree",
+        invariant: "every [entrypoints] glob matches at least one workspace fn",
+    },
+    Rule {
         name: "unsafe-hygiene",
         scope: "workspace-wide",
         invariant: "no unsafe code anywhere",
@@ -138,7 +143,9 @@ pub fn check(name: &str, file: &LexedFile) -> Vec<(usize, String)> {
         }),
         "suppression-hygiene" => check_suppression_hygiene(file),
         // lock-order is interprocedural-only: it needs the workspace
-        // call graph, so the engine runs it via `crate::interproc`.
+        // call graph, so the engine runs it via `crate::interproc`;
+        // entrypoint-hygiene judges the config, not a source file
+        // (`crate::engine::stale_entrypoints`).
         _ => Vec::new(),
     }
 }

@@ -118,6 +118,15 @@ fn deny_mode_fails_on_the_corpus_with_file_line_diagnostics() {
         stdout.contains("fixtures/serving/panics.rs:4: [panic-safety]"),
         "diagnostics carry file:line: {stdout}"
     );
+    // The scan covers the config's own tree, so its stale entry-point
+    // glob is judged — against the config line that declares it.
+    assert!(
+        stdout.contains(
+            "fixtures/qd-lint.toml:13: [entrypoint-hygiene] entry-point glob \
+             `**::serving::entry::renamed_away` (set `stale`)"
+        ),
+        "a glob seeding nothing is a finding: {stdout}"
+    );
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("violation(s)"), "{stderr}");
 }
@@ -129,6 +138,8 @@ fn clean_tree_passes_deny_mode() {
         .args(["--deny", "--config", "fixtures/qd-lint.toml", "src"])
         .output()
         .expect("binary runs");
+    // A partial scan (here: outside the config's tree) cannot judge the
+    // config's entry-point globs, so none of them is reported stale.
     assert!(
         out.status.success(),
         "lint's own src must be clean: {}",

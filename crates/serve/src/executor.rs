@@ -1,12 +1,16 @@
-//! Failure isolation: the poison-tolerant service executor.
+//! The service executor: the one unit loop, and the failure-isolation
+//! policy layered on it.
 //!
-//! The plain executor ([`crate::run_service`]) has one failure mode:
-//! the first unit the divergence guard rejects aborts the whole run,
-//! and every request queued behind it starves. This module gives the
-//! service the opposite contract — **no request can take down the
-//! service** — through three mechanisms, all off by default
-//! ([`IsolationConfig`]) and all journal-derivable so a killed run
-//! resumes bit-for-bit:
+//! [`run_service_isolated`] drives every planned unit the same way:
+//! append its atomic RECEIVED set, then execute it through qd-core's
+//! unit engine. With everything in [`IsolationConfig`] off (the
+//! default, and all [`crate::run_service`] is) that is the whole story,
+//! and the service has one failure mode: the first unit the divergence
+//! guard rejects aborts the run, and every request queued behind it
+//! starves. An active config gives the service the opposite contract —
+//! **no request can take down the service** — through three
+//! mechanisms, all journal-derivable so a killed run resumes
+//! bit-for-bit:
 //!
 //! 1. **Retry ladder** ([`ladder_policy`]): a unit the guard rejects is
 //!    re-tried under progressively tightened policies — each rung
@@ -44,23 +48,32 @@
 //!
 //! # Execution = resume
 //!
-//! The executor appends a unit's atomic RECEIVED set itself and then
-//! drives *all* model work through
-//! [`qd_core::QuickDrop::resume_requests_until`] — a fresh unit and a
-//! crash-resumed one execute identical code from identical
+//! The executor appends a unit's atomic RECEIVED set
+//! ([`qd_core::QuickDrop::receive_unit`]) and then drives *all* model
+//! work through [`qd_core::QuickDrop::resume_requests_until`] — a fresh
+//! unit and a crash-resumed one execute identical code from identical
 //! journal-derived state, which is what makes the kill-anywhere
-//! crash matrix in `tests/poison.rs` pass bit-for-bit.
+//! crash matrix in `tests/poison.rs` pass bit-for-bit. What is durable
+//! at each boundary is qd-core's decision (`lifecycle.rs`); this module
+//! decides only *which* members run under *which* policy, and writes
+//! the two terminal sets that policy produces (FAILED, QUARANTINED).
+//!
+//! Active and inactive configs differ in exactly one written byte: a
+//! request served alone is unbatched (`batch: None`) with isolation
+//! off and carries a batch id under an active config, where the probe
+//! ladder treats every unit uniformly.
 
 use crate::plan::{build_plan, Plan, PlannedBatch};
-use crate::service::{run_plain, ChaosKill, ServiceError, ServiceRun};
+use crate::service::{ChaosKill, ServiceError, ServiceRun};
 use crate::stats::ServeStats;
 use crate::ServeConfig;
 use qd_core::{
-    BatchPreempt, FailReason, JournalRecord, QuickDrop, RequestJournal, RequestState, ResumeRun,
-    ServeError,
+    BatchId, BatchPreempt, FailReason, JournalRecord, QuickDrop, RequestJournal, RequestState,
+    ResumeRun, ServeError,
 };
 use qd_fed::Federation;
-use qd_tensor::rng::Rng;
+use qd_tensor::rng::{Rng, RngState};
+use qd_tensor::Tensor;
 use qd_unlearn::{ForgetSet, GuardPolicy, UnlearnRequest};
 use std::collections::BTreeMap;
 
@@ -68,10 +81,10 @@ use std::collections::BTreeMap;
 /// ascent-LR scale is numerically dead anyway.
 pub const MAX_UNIT_RETRIES: u32 = 16;
 
-/// Failure-isolation knobs. The default is everything **off**, and the
-/// executor with an all-off config routes through the exact plain
-/// path — journal bytes, model bits and stats unchanged from a build
-/// without this module.
+/// Failure-isolation knobs. The default is everything **off**: the
+/// executor then runs every unit once under the base policy — journal
+/// bytes, model bits and stats as before this module existed (pinned
+/// by the digest oracle in `tests/poison.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IsolationConfig {
     /// Retry-ladder rungs past the base policy (rung k halves the
@@ -89,8 +102,8 @@ pub struct IsolationConfig {
 }
 
 impl IsolationConfig {
-    /// True when any isolation mechanism is enabled. Inactive configs
-    /// take the plain path (bit-for-bit the pre-isolation behaviour).
+    /// True when any isolation mechanism is enabled. An inactive config
+    /// probes nothing, quarantines nothing and sheds nothing.
     pub fn active(&self) -> bool {
         self.unit_retries > 0 || self.bisect || self.breaker_trip > 0
     }
@@ -333,13 +346,15 @@ pub(crate) struct UnitProgress {
     pub failed: Vec<usize>,
     /// Member positions served to RECOVERED.
     pub recovered: Vec<usize>,
+    /// Records in a terminal state ([`RequestState::is_terminal`]); a
+    /// member gets at most one.
+    terminal: usize,
 }
 
 impl UnitProgress {
     /// Every member holds a terminal state.
     fn complete(&self, members: usize) -> bool {
-        self.received_seqs.len() == members
-            && self.recovered.len() + self.quarantined.len() + self.failed.len() == members
+        self.received_seqs.len() == members && self.terminal == members
     }
 }
 
@@ -446,14 +461,15 @@ pub(crate) fn map_journal(plan: &Plan, journal: &RequestJournal) -> Result<Front
                 let Some(progress) = units.get_mut(u) else {
                     continue;
                 };
+                progress.terminal += usize::from(state.is_terminal());
+                // Which terminal state, for the stats and breaker folds.
                 match state {
-                    RequestState::Unlearned => {}
                     RequestState::Recovered => progress.recovered.push(m),
                     RequestState::Quarantined => progress
                         .quarantined
                         .push((m, record.reason.unwrap_or(FailReason::Diverged))),
                     RequestState::Failed => progress.failed.push(m),
-                    RequestState::Received | RequestState::Relearned => {}
+                    _ => {}
                 }
             }
         }
@@ -485,11 +501,42 @@ enum UnitRun {
     Preempted,
 }
 
-/// Serves one planned unit under failure isolation: shed OPEN-breaker
-/// tenants to FAILED, probe the retry ladder, bisect and quarantine
-/// what no rung serves, execute the survivors via the resume protocol.
-/// `progress` carries the journal-derived state of a unit a killed run
-/// left in flight.
+/// One atomic terminal frame (FAILED or QUARANTINED) for `positions`
+/// of `unit`, re-certifying the unchanged `rng`/`global`: these
+/// members never touched the model.
+#[allow(clippy::too_many_arguments)]
+fn terminal_frame(
+    unit: &PlannedBatch,
+    seqs: &[u64],
+    positions: &[usize],
+    state: RequestState,
+    reason: FailReason,
+    batch: Option<BatchId>,
+    rng: &RngState,
+    global: &[Tensor],
+) -> Vec<JournalRecord> {
+    positions
+        .iter()
+        .filter_map(|&i| {
+            Some(JournalRecord {
+                seq: *seqs.get(i)?,
+                request: *unit.members.get(i)?,
+                state,
+                rng: rng.clone(),
+                global: global.to_vec(),
+                guard: None,
+                batch,
+                reason: Some(reason),
+            })
+        })
+        .collect()
+}
+
+/// Serves one planned unit: append its RECEIVED set, then — under an
+/// active `iso` — shed OPEN-breaker tenants to FAILED, probe the retry
+/// ladder, bisect and quarantine what no rung serves; finally execute
+/// the survivors via the resume protocol. `progress` carries the
+/// journal-derived state of a unit a killed run left in flight.
 #[allow(clippy::too_many_arguments)]
 fn serve_unit(
     qd: &mut QuickDrop,
@@ -497,7 +544,7 @@ fn serve_unit(
     journal: &mut RequestJournal,
     unit: &PlannedBatch,
     unit_index: usize,
-    policy: &GuardPolicy,
+    policy: Option<&GuardPolicy>,
     iso: &IsolationConfig,
     breaker: &TenantBreaker,
     rng: &mut Rng,
@@ -523,86 +570,62 @@ fn serve_unit(
             quarantined = p.quarantined.iter().map(|&(i, _)| i).collect();
             shed = p.failed.clone();
             received_seqs = p.received_seqs.clone();
-            let first = journal
-                .records()
-                .iter()
-                .find(|r| {
-                    r.state == RequestState::Received && received_seqs.first() == Some(&r.seq)
-                })
-                .cloned();
+            let first = journal.records().iter().find(|r| {
+                r.state == RequestState::Received && received_seqs.first() == Some(&r.seq)
+            });
             let Some(first) = first else {
                 return Err(foreign(format!(
                     "unit {unit_index} is started but its RECEIVED records are missing"
                 )));
             };
             batch_id = first.batch;
-            pre_rng = first.rng;
-            pre_global = first.global;
+            pre_rng = first.rng.clone();
+            pre_global = first.global.clone();
         }
         None => {
-            let id = journal.next_batch_id();
-            let seq0 = journal.next_seq();
+            // The one written difference between an active and an
+            // inactive config: a request served alone stays unbatched
+            // with isolation off, as it always was on disk.
+            batch_id = (n > 1 || iso.active()).then(|| journal.next_batch_id());
             pre_rng = rng.state();
             pre_global = fed.global().to_vec();
-            // Always batch-form (even singletons): the resume protocol
-            // then treats every executor unit uniformly.
-            let frame: Vec<JournalRecord> = unit
-                .members
-                .iter()
-                .enumerate()
-                .map(|(i, &request)| JournalRecord {
-                    seq: seq0 + i as u64,
-                    request,
-                    state: RequestState::Received,
-                    rng: pre_rng.clone(),
-                    global: pre_global.clone(),
-                    guard: None,
-                    batch: Some(id),
-                    reason: None,
-                })
-                .collect();
-            received_seqs = frame.iter().map(|r| r.seq).collect();
-            journal.append_all(frame).map_err(ServeError::from)?;
+            let members = QuickDrop::receive_unit(fed, journal, &unit.members, batch_id, rng)
+                .map_err(ServeError::from)?;
+            received_seqs = members.iter().map(|&(seq, _)| seq).collect();
             if kill_at(BatchPreempt::Received) {
                 return Ok(UnitRun::Preempted);
             }
-            batch_id = Some(id);
             quarantined = Vec::new();
             // Shed decision: members whose owning tenant's breaker is
             // OPEN never reach the model. Derived from breaker state,
             // which is itself a fold over the journal — so a resumed
             // run re-derives the identical decision (and then simply
-            // reads the FAILED records instead of re-deciding).
-            let to_shed: Vec<usize> = (0..n)
+            // reads the FAILED records instead of re-deciding). A
+            // disabled breaker is never OPEN.
+            shed = (0..n)
                 .filter(|&i| owner_tenant(unit, i).is_some_and(|t| breaker.is_open(t)))
                 .collect();
-            if !to_shed.is_empty() {
-                let frame: Vec<JournalRecord> = to_shed
-                    .iter()
-                    .filter_map(|&i| {
-                        unit.members.get(i).map(|&request| JournalRecord {
-                            seq: received_seqs.get(i).copied().unwrap_or_default(),
-                            request,
-                            state: RequestState::Failed,
-                            rng: pre_rng.clone(),
-                            global: pre_global.clone(),
-                            guard: None,
-                            batch: batch_id,
-                            reason: Some(FailReason::Shed),
-                        })
-                    })
-                    .collect();
+            if !shed.is_empty() {
+                let frame = terminal_frame(
+                    unit,
+                    &received_seqs,
+                    &shed,
+                    RequestState::Failed,
+                    FailReason::Shed,
+                    batch_id,
+                    &pre_rng,
+                    &pre_global,
+                );
                 journal.append_all(frame).map_err(ServeError::from)?;
                 if kill_at(BatchPreempt::Failed) {
                     return Ok(UnitRun::Preempted);
                 }
             }
-            shed = to_shed;
         }
     }
 
     let mut active: Vec<usize> = (0..n)
-        .filter(|i| !shed.contains(i) && !quarantined.iter().any(|q| q == i))
+        .filter(|i| !shed.contains(i) && !quarantined.contains(i))
         .collect();
     // In-execution boundaries are the resume protocol's to honor; the
     // executor owns the Received/Failed/Quarantined ones above.
@@ -619,26 +642,30 @@ fn serve_unit(
             .filter_map(|&i| unit.members.get(i).copied())
             .collect();
         let probe_rng = Rng::from_state(&pre_rng);
-        let mut winning = None;
-        for rung in 0..=iso.unit_retries {
-            fed.set_global(pre_global.clone());
-            if qd.probe_unit(fed, &requests, &ladder_policy(policy, rung), &probe_rng) {
-                winning = Some(rung);
-                break;
-            }
-        }
-        if let Some(rung) = winning {
-            // The probe accepted, so the identical real execution
-            // accepts; resume_requests_until restores the journal tail
-            // (marks, model, RNG) itself and runs the remaining
-            // members under the winning rung.
-            let run = qd.resume_requests_until(
-                fed,
-                journal,
-                Some(&ladder_policy(policy, rung)),
-                rng,
-                exec_preempt,
-            )?;
+        // The policy the unit executes under: the first ladder rung whose
+        // probe accepts — or, with isolation off, the base policy as
+        // given, unprobed (a divergence then aborts the run).
+        let ladder = |qd: &mut QuickDrop, fed: &mut Federation, sub: &[UnlearnRequest]| {
+            let base = policy?;
+            (0..=iso.unit_retries)
+                .map(|rung| ladder_policy(base, rung))
+                .find(|rung_policy| {
+                    fed.set_global(pre_global.clone());
+                    qd.probe_unit(fed, sub, rung_policy, &probe_rng)
+                })
+        };
+        let exec_policy = if iso.active() {
+            ladder(qd, fed, &requests).map(Some)
+        } else {
+            Some(policy.copied())
+        };
+        if let Some(exec_policy) = exec_policy {
+            // A probe that accepted guarantees the identical real
+            // execution accepts; resume_requests_until restores the
+            // journal tail (marks, model, RNG) itself and runs the
+            // remaining members.
+            let run =
+                qd.resume_requests_until(fed, journal, exec_policy.as_ref(), rng, exec_preempt)?;
             return Ok(match run {
                 ResumeRun::Complete(_) => UnitRun::Done { quarantined, shed },
                 ResumeRun::Preempted { .. } => UnitRun::Preempted,
@@ -653,10 +680,7 @@ fn serve_unit(
                     .iter()
                     .filter_map(|&i| unit.members.get(i).copied())
                     .collect();
-                (0..=iso.unit_retries).any(|rung| {
-                    fed.set_global(pre_global.clone());
-                    qd.probe_unit(fed, &sub, &ladder_policy(policy, rung), &probe_rng)
-                })
+                ladder(qd, fed, &sub).is_some()
             });
             if found.is_empty() {
                 // Interaction-only failure: bisection cannot localize.
@@ -675,27 +699,20 @@ fn serve_unit(
             FailReason::Diverged
         };
         // Probes are side-effect-free, so the journal tail still holds
-        // the pre-unit state; the QUARANTINED records re-certify it
-        // (terminal: these members never touched the model).
-        let (tail_rng, tail_global) = journal.last().map_or_else(
-            || (pre_rng.clone(), pre_global.clone()),
-            |r| (r.rng.clone(), r.global.clone()),
+        // the pre-unit state; the QUARANTINED records re-certify it.
+        let (tail_rng, tail_global) = journal
+            .last()
+            .map_or((&pre_rng, &pre_global), |r| (&r.rng, &r.global));
+        let frame = terminal_frame(
+            unit,
+            &received_seqs,
+            &poison,
+            RequestState::Quarantined,
+            reason,
+            batch_id,
+            tail_rng,
+            tail_global,
         );
-        let frame: Vec<JournalRecord> = poison
-            .iter()
-            .filter_map(|&i| {
-                unit.members.get(i).map(|&request| JournalRecord {
-                    seq: received_seqs.get(i).copied().unwrap_or_default(),
-                    request,
-                    state: RequestState::Quarantined,
-                    rng: tail_rng.clone(),
-                    global: tail_global.clone(),
-                    guard: None,
-                    batch: batch_id,
-                    reason: Some(reason),
-                })
-            })
-            .collect();
         journal.append_all(frame).map_err(ServeError::from)?;
         quarantined.extend(poison.iter().copied());
         if kill_at(BatchPreempt::Quarantined) {
@@ -710,8 +727,8 @@ fn serve_unit(
 /// (not the plan's promise), quarantined/shed riders come from the
 /// QUARANTINED/FAILED records, `pending` is whatever the journal has
 /// not made terminal yet (nonzero exactly on preempted runs), and the
-/// breaker column reports the final per-tenant fold when one is in
-/// force. Everything here is a pure function of (plan, journal,
+/// breaker column reports the final per-tenant fold (all `closed` for
+/// a disabled breaker). Everything here is a pure function of (plan, journal,
 /// breaker fold), so a resumed run reports bit-for-bit the stats of an
 /// unfailed one — and the accounting identity `admitted = served +
 /// quarantined + shed + pending` holds even mid-crash.
@@ -719,7 +736,7 @@ pub(crate) fn apply_failure_stats(
     stats: &mut ServeStats,
     plan: &Plan,
     frontier: &Frontier,
-    breaker: Option<&TenantBreaker>,
+    breaker: &TenantBreaker,
 ) {
     let mut served = 0u64;
     let mut quarantined = 0u64;
@@ -749,9 +766,7 @@ pub(crate) fn apply_failure_stats(
     stats.shed = shed;
     stats.served = served;
     stats.pending = stats.admitted.saturating_sub(served + quarantined + shed);
-    if let Some(breaker) = breaker {
-        stats.breaker = breaker.labels();
-    }
+    stats.breaker = breaker.labels();
 }
 
 /// Journal↔plan consistency, summarized for external harnesses.
@@ -811,27 +826,28 @@ pub fn frontier_summary(
     Ok(summary)
 }
 
-/// [`crate::run_service`] with failure isolation: the retry ladder,
-/// batch bisection and per-tenant circuit breakers of this module,
-/// governed by `iso`. An inactive `iso` routes through the plain path
-/// unchanged (bit-for-bit, including journal bytes). An active one
-/// requires a guard policy — the ladder and bisection probes need a
-/// divergence verdict to act on.
+/// Plans and executes the service run for `cfg` — the one unit loop —
+/// with the retry ladder, batch bisection and per-tenant circuit
+/// breakers of this module governed by `iso`. An inactive `iso` is
+/// [`crate::run_service`]: every unit runs once under the base
+/// `policy` (which may be `None`), and a divergence aborts the run. An
+/// active one requires a guard policy — the ladder and bisection probes
+/// need a divergence verdict to act on.
 ///
 /// Crash recovery contract: after a kill, reopen the checkpoint and
-/// journal **without** the plain resume call
-/// (`QuickDrop::recover_deployment` would finish the in-flight unit
-/// under the base policy; the CLI skips it when isolation is active)
-/// and call this again with the same config — it restores the tail
-/// ([`QuickDrop::restore_tail`]), re-derives the breaker fold and the
-/// winning ladder rung from the journal, and continues to a
+/// journal and call this again with the same config — it restores the
+/// tail ([`QuickDrop::restore_tail`]), re-derives the breaker fold and
+/// the winning ladder rung from the journal, and continues to a
 /// bit-for-bit identical terminal state: model bits, journal records,
-/// dead-letter set and [`ServeStats`].
+/// dead-letter set and [`ServeStats`]. Under an active `iso` do so
+/// **without** the plain resume call first
+/// (`QuickDrop::recover_deployment` would finish the in-flight unit
+/// under the base policy rather than its rung; the CLI skips it).
 ///
 /// # Errors
 ///
 /// As [`crate::run_service`], plus [`ServiceError::Plan`] for an
-/// invalid `iso` or a missing guard policy.
+/// invalid `iso` or an active one without a guard policy.
 #[allow(clippy::too_many_arguments)]
 pub fn run_service_isolated(
     qd: &mut QuickDrop,
@@ -844,16 +860,13 @@ pub fn run_service_isolated(
     kill: Option<ChaosKill>,
 ) -> Result<ServiceRun, ServiceError> {
     iso.validate().map_err(ServiceError::Plan)?;
-    if !iso.active() {
-        return run_plain(qd, fed, journal, cfg, policy, rng, kill);
-    }
-    let Some(policy) = policy else {
+    if iso.active() && policy.is_none() {
         return Err(ServiceError::Plan(
             "failure isolation requires a guard policy: the retry ladder and bisection \
              probes need a divergence verdict to act on"
                 .to_string(),
         ));
-    };
+    }
     let plan = build_plan(cfg).map_err(ServiceError::Plan)?;
     let frontier = map_journal(&plan, journal)?;
     // Restore marks/model/RNG from the journal tail without finishing
@@ -888,7 +901,7 @@ pub fn run_service_isolated(
     }
     let final_frontier = map_journal(&plan, journal)?;
     let mut stats = ServeStats::from_plan(&plan);
-    apply_failure_stats(&mut stats, &plan, &final_frontier, Some(&breaker));
+    apply_failure_stats(&mut stats, &plan, &final_frontier, &breaker);
     if preempted {
         stats.mark_partial();
     }

@@ -35,14 +35,16 @@
 //!
 //! # Failure isolation
 //!
-//! [`run_service_isolated`] wraps the same plan/execute split in a
+//! [`run_service_isolated`] is the unit loop itself; [`run_service`] is
+//! that call with every isolation knob off. With knobs on it becomes a
 //! degraded-mode executor (see `executor`): a unit the guard rejects
 //! climbs a deterministic retry ladder of tightened policies, a
 //! poisoned coalesced batch is bisected down to the guilty members,
 //! those members are quarantined to a dead-letter journal instead of
 //! aborting the run, and per-tenant circuit breakers shed a repeatedly
 //! poisonous tenant's queue. All knobs ([`IsolationConfig`]) default
-//! off, and the inactive executor is bit-for-bit the plain service.
+//! off; the inactive executor probes, sheds and quarantines nothing,
+//! and the first unit the guard rejects aborts the run.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]

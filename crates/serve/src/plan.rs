@@ -56,7 +56,8 @@ pub struct RequestTag {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedBatch {
     /// Distinct member requests, dispatch order. This is exactly the
-    /// member list handed to `QuickDrop::serve_batch_journaled`.
+    /// member list the executor makes durable as the unit's RECEIVED
+    /// set (`QuickDrop::receive_unit`).
     pub members: Vec<UnlearnRequest>,
     /// Per member: every admitted request it serves. `riders[i][0]` is
     /// the request that claimed the slot; later entries are duplicates

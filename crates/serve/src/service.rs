@@ -1,30 +1,31 @@
-//! Plan execution over the request journal.
+//! The service entry point and its result types.
 //!
-//! [`run_service`] drives the planned service units through
-//! `QuickDrop`'s journaled serving calls, in plan order: singleton
-//! units through `serve_journaled`, coalesced units through
-//! `serve_batch_journaled`. Progress lives entirely in the journal, so
-//! crash recovery is: reload checkpoint + journal (which finishes any
-//! partially-applied unit via `QuickDrop::resume_requests`), then call
-//! [`run_service`] again with the same config — it rebuilds the same
-//! plan, maps the journal back onto it, and continues from the first
-//! incomplete unit. The final model, journal records and
-//! [`ServeStats`] match an unfailed run bit-for-bit.
+//! [`run_service`] plans the multi-tenant request stream and drives the
+//! planned units through the request journal, in plan order. There is
+//! one unit loop — [`crate::run_service_isolated`] — and this is it with
+//! every failure-isolation mechanism off: each unit's RECEIVED set is
+//! appended (a request served alone unbatched, a coalesced unit under a
+//! fresh batch id) and the unit is executed by qd-core's one unit
+//! engine through `QuickDrop::resume_requests_until`, under the base
+//! guard policy; the first unit the guard rejects aborts the run.
 //!
-//! With an active [`crate::IsolationConfig`] the same entry point
-//! routes through the failure-isolation executor
-//! ([`crate::run_service_isolated`]): diverging units walk a retry
-//! ladder, poison members are bisected into a dead-letter set, and
-//! per-tenant circuit breakers shed work from repeat offenders — see
-//! `crate::executor`.
+//! Progress lives entirely in the journal, so crash recovery is: reload
+//! checkpoint + journal (which finishes any partially-applied unit via
+//! `QuickDrop::resume_requests`), then call [`run_service`] again with
+//! the same config — it rebuilds the same plan, maps the journal back
+//! onto it, and continues from the first incomplete unit. The final
+//! model, journal records and [`ServeStats`] match an unfailed run
+//! bit-for-bit.
+//!
+//! With an active [`crate::IsolationConfig`] the same loop adds the
+//! policy layer: diverging units walk a retry ladder, poison members
+//! are bisected into a dead-letter set, and per-tenant circuit breakers
+//! shed work from repeat offenders — see `crate::executor`.
 
 use crate::config::ServeConfig;
-use crate::executor::map_journal;
-use crate::plan::build_plan;
+use crate::executor::{run_service_isolated, IsolationConfig};
 use crate::stats::ServeStats;
-use qd_core::{
-    BatchPreempt, BatchRun, QuickDrop, RequestJournal, RequestState, ServeError, ServeRun,
-};
+use qd_core::{BatchPreempt, QuickDrop, RequestJournal, ServeError};
 use qd_fed::Federation;
 use qd_tensor::rng::Rng;
 use qd_unlearn::{ForgetSet, GuardPolicy};
@@ -71,11 +72,12 @@ impl From<ServeError> for ServiceError {
 pub struct ChaosKill {
     /// Index into the plan's unit list.
     pub unit_index: usize,
-    /// The journal boundary to die at. For singleton units,
-    /// `Unlearned(_)` means the UNLEARNED record. The
-    /// isolation-only boundaries (`Quarantined`, `Failed`) only fire
-    /// under an active [`crate::IsolationConfig`]; the plain path
-    /// never reaches them.
+    /// The journal boundary to die at. For a unit written unbatched (a
+    /// request served alone with isolation off), `Unlearned(_)` means
+    /// the UNLEARNED record whatever the count. The isolation-only
+    /// boundaries (`Quarantined`, `Failed`) only fire under an active
+    /// [`crate::IsolationConfig`]; with isolation off those records
+    /// are never written.
     pub boundary: BatchPreempt,
 }
 
@@ -115,7 +117,7 @@ pub struct ServiceRun {
     /// holds the partial progress and a later call continues it.
     pub preempted: bool,
     /// The dead-letter set: requests whose members were isolated to
-    /// QUARANTINED. Empty on the plain path and on any run without
+    /// QUARANTINED. Empty with isolation off and on any run without
     /// poison.
     pub dead_letter: ForgetSet,
 }
@@ -133,9 +135,8 @@ pub struct ServiceRun {
 /// deployment (`QuickDrop::recover_deployment`, which finishes any
 /// partially-applied unit), then call this with the same config.
 ///
-/// This is the *plain* (isolation-off) path — equivalent to
-/// [`crate::run_service_isolated`] with the default all-off
-/// [`crate::IsolationConfig`], which is exactly how it is implemented.
+/// This is [`crate::run_service_isolated`] with the default all-off
+/// [`crate::IsolationConfig`].
 ///
 /// # Errors
 ///
@@ -145,7 +146,6 @@ pub struct ServiceRun {
 /// divergence aborts the run; the journal keeps the diverged unit at
 /// its last durable state, so a retry surfaces the same error
 /// deterministically).
-#[allow(clippy::too_many_arguments)]
 pub fn run_service(
     qd: &mut QuickDrop,
     fed: &mut Federation,
@@ -155,67 +155,14 @@ pub fn run_service(
     rng: &mut Rng,
     kill: Option<ChaosKill>,
 ) -> Result<ServiceRun, ServiceError> {
-    run_plain(qd, fed, journal, cfg, policy, rng, kill)
-}
-
-/// The isolation-off unit loop shared by [`run_service`] and the
-/// executor's inactive fast path: byte-for-byte the behaviour the
-/// service had before failure isolation existed, except that progress
-/// counting now goes through [`map_journal`] (typed
-/// [`ServiceError::ForeignJournal`] instead of silent miscounts) and
-/// preempted stats are marked partial.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_plain(
-    qd: &mut QuickDrop,
-    fed: &mut Federation,
-    journal: &mut RequestJournal,
-    cfg: &ServeConfig,
-    policy: Option<&GuardPolicy>,
-    rng: &mut Rng,
-    kill: Option<ChaosKill>,
-) -> Result<ServiceRun, ServiceError> {
-    let plan = build_plan(cfg).map_err(ServiceError::Plan)?;
-    let frontier = map_journal(&plan, journal)?;
-    let resumed_units = frontier.done as u64;
-    let mut stats = ServeStats::from_plan(&plan);
-    let mut executed_units = 0u64;
-    let mut preempted = false;
-    for (index, unit) in plan.batches.iter().enumerate().skip(frontier.done) {
-        let unit_kill = kill.filter(|k| k.unit_index == index);
-        let hit = if let [single] = unit.members.as_slice() {
-            let preempt_at = unit_kill.and_then(|k| match k.boundary {
-                BatchPreempt::Received => Some(RequestState::Received),
-                BatchPreempt::Unlearned(_) => Some(RequestState::Unlearned),
-                BatchPreempt::Recovered => Some(RequestState::Recovered),
-                // Isolation-only boundaries: the plain path never
-                // writes these records, so the kill cannot fire.
-                BatchPreempt::Quarantined | BatchPreempt::Failed => None,
-            });
-            let run = qd.serve_journaled(fed, journal, *single, policy, rng, preempt_at)?;
-            matches!(run, ServeRun::Preempted { .. })
-        } else {
-            let preempt_at = unit_kill.map(|k| k.boundary);
-            let run =
-                qd.serve_batch_journaled(fed, journal, &unit.members, policy, rng, preempt_at)?;
-            matches!(run, BatchRun::Preempted { .. })
-        };
-        if hit {
-            preempted = true;
-            break;
-        }
-        executed_units += 1;
-    }
-    let final_frontier = map_journal(&plan, journal)?;
-    crate::executor::apply_failure_stats(&mut stats, &plan, &final_frontier, None);
-    if preempted {
-        stats.mark_partial();
-    }
-    let dead_letter = final_frontier.dead_letter(&plan);
-    Ok(ServiceRun {
-        stats,
-        executed_units,
-        resumed_units,
-        preempted,
-        dead_letter,
-    })
+    run_service_isolated(
+        qd,
+        fed,
+        journal,
+        cfg,
+        policy,
+        &IsolationConfig::default(),
+        rng,
+        kill,
+    )
 }

@@ -13,11 +13,13 @@
 //!    bits, every journal record including the typed reason, the
 //!    dead-letter set, and [`ServeStats`].
 //!
-//! A final test pins the inertness contract: with every isolation flag
-//! off, [`run_service_isolated`] is byte-for-byte the plain
-//! [`run_service`] — same model, same journal bytes on disk, same
-//! stats.
+//! A final test pins the inertness contract as a digest oracle: with
+//! every isolation flag off, the one unit loop writes the journal
+//! bytes, model bits and stats the pre-isolation plain service wrote —
+//! unfailed, and killed at every in-unit boundary then resumed the way
+//! the CLI does.
 
+use qd_core::vfs::crc32;
 use qd_core::{
     BatchPreempt, Checkpoint, FailReason, FaultFs, JournalRecord, QuickDrop, QuickDropConfig,
     RequestJournal, RequestState, Vfs,
@@ -27,7 +29,7 @@ use qd_fed::{FaultKind, FaultPlan, Federation, Phase};
 use qd_nn::{Mlp, Module};
 use qd_serve::{
     build_plan, run_service, run_service_isolated, ChaosKill, IsolationConfig, Plan, ServeConfig,
-    ServeStats,
+    ServeStats, ServiceRun,
 };
 use qd_tensor::rng::{Rng, RngState};
 use qd_tensor::Tensor;
@@ -594,62 +596,229 @@ fn breaker_sheds_the_tripped_tenants_queue_and_resumes_bit_for_bit() {
     );
 }
 
-#[test]
-fn inactive_isolation_is_bit_for_bit_the_plain_service() {
-    let seed = poison_seed();
+/// What one process of the plain service leaves behind, reduced to
+/// CRC32s: every byte on the (fault-injectable) filesystem — checkpoint,
+/// journal marker, every segment — the final model bits, and the
+/// serialized [`ServeStats`].
+fn files_digest(fs: &FaultFs) -> u32 {
+    let mut bytes = Vec::new();
+    for (path, data) in fs.files() {
+        bytes.extend_from_slice(path.to_string_lossy().as_bytes());
+        bytes.extend_from_slice(&(data.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&data);
+    }
+    crc32(&bytes)
+}
+
+fn model_digest(params: &[Tensor]) -> u32 {
+    let bytes: Vec<u8> = params
+        .iter()
+        .flat_map(|t| t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()))
+        .collect();
+    crc32(&bytes)
+}
+
+fn stats_digest(stats: &ServeStats) -> u32 {
+    crc32(serde_json::to_string(stats).unwrap().as_bytes())
+}
+
+/// One "process" of the plain service on `fs`: deployment from the
+/// checkpoint file, journal reopened, and — when `resume` — the CLI's
+/// crash recovery (`resume_requests`, then `run_service` again).
+fn oracle_process(
+    seed: &PoisonSeed,
+    fs: &Arc<FaultFs>,
+    cfg: &ServeConfig,
+    policy: Option<&GuardPolicy>,
+    kill: Option<ChaosKill>,
+    resume: bool,
+) -> (ServiceRun, Vec<Tensor>) {
     let ckpt_path = PathBuf::from("svc.json");
-    // Honest traffic (no fault plan): the contract is that a build with
-    // isolation compiled in but switched off writes the exact bytes the
-    // plain service writes.
-    let run_on = |isolated: bool| {
-        let fs = Arc::new(FaultFs::new());
+    let (mut fed, _) = fresh_fed();
+    let (global, mut qd) = Checkpoint::load_on(fs.as_ref(), &ckpt_path)
+        .unwrap()
+        .restore()
+        .unwrap();
+    fed.set_global(global);
+    let mut rng = Rng::from_state(&seed.rng);
+    let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
+    let mut journal =
+        RequestJournal::open_on(vfs, RequestJournal::path_for_checkpoint(&ckpt_path)).unwrap();
+    if resume {
+        qd.resume_requests(&mut fed, &mut journal, policy, &mut rng)
+            .unwrap();
+    }
+    let run = run_service(&mut qd, &mut fed, &mut journal, cfg, policy, &mut rng, kill).unwrap();
+    assert!(run.dead_letter.is_empty());
+    (run, fed.global().to_vec())
+}
+
+fn oracle_fs(seed: &PoisonSeed) -> Arc<FaultFs> {
+    let fs = Arc::new(FaultFs::new());
+    seed.ckpt
+        .save_on(fs.as_ref(), &PathBuf::from("svc.json"))
+        .unwrap();
+    fs
+}
+
+/// Digests captured at the parent of the engine merge (PR 12), when the
+/// plain service still had its own unit loop (`run_plain`) and
+/// singletons their own state machine (`finish_from_received` /
+/// `finish_from_unlearned`). The merged engine must reproduce every one
+/// of them: zero re-pins.
+const ORACLE: &[(&str, u32)] = &[
+    ("coalesced/files", 0xf35ff5a9),
+    ("coalesced/model", 0x03fb97af),
+    ("coalesced/stats", 0xf9c166b2),
+    ("singletons/files", 0xd2855d7f),
+    ("singletons/model", 0x4291cba8),
+    ("singletons/stats", 0x7d07faa3),
+    ("unguarded/files", 0x2e3707b0),
+    ("unguarded/model", 0x03fb97af),
+    ("unguarded/stats", 0xf9c166b2),
+    ("serve-relearn/files", 0x1ea996ac),
+    ("serve-relearn/model", 0xb30c90f7),
+    ("coalesced/kill-single@received", 0x07b09686),
+    ("coalesced/kill-single@unlearned1", 0xdfad0a8a),
+    ("coalesced/kill-single@unlearned2", 0xdfad0a8a),
+    ("coalesced/kill-single@recovered", 0x515ff2c3),
+    ("coalesced/kill-multi@received", 0x6f38b51b),
+    ("coalesced/kill-multi@unlearned1", 0x3a2d2238),
+    ("coalesced/kill-multi@unlearned2", 0xb42932fb),
+    ("coalesced/kill-multi@recovered", 0x34c010b7),
+    ("singletons/kill-single@received", 0x1d0bd4c7),
+    ("singletons/kill-single@unlearned1", 0x26a1ba7a),
+    ("singletons/kill-single@unlearned2", 0x26a1ba7a),
+    ("singletons/kill-single@recovered", 0x9a2858e2),
+];
+
+#[test]
+fn merged_engine_reproduces_the_parent_digests() {
+    let seed = poison_seed();
+    let mut actual: Vec<(String, u32)> = Vec::new();
+
+    // (a) guarded coalesced mix, (b) singletons only, (c) unguarded.
+    let coalesced = serve_config();
+    let singletons = ServeConfig {
+        coalesce: false,
+        ..serve_config()
+    };
+    let guard = policy();
+    let scenarios: [(&str, &ServeConfig, Option<&GuardPolicy>); 3] = [
+        ("coalesced", &coalesced, Some(&guard)),
+        ("singletons", &singletons, Some(&guard)),
+        ("unguarded", &coalesced, None),
+    ];
+    let mut unfailed = Vec::new();
+    for (name, cfg, policy) in scenarios {
+        let fs = oracle_fs(&seed);
+        let (run, model) = oracle_process(&seed, &fs, cfg, policy, None, false);
+        assert!(!run.preempted);
+        let digests = [
+            files_digest(&fs),
+            model_digest(&model),
+            stats_digest(&run.stats),
+        ];
+        for (what, d) in ["files", "model", "stats"].iter().zip(digests) {
+            actual.push((format!("{name}/{what}"), d));
+        }
+        unfailed.push(digests);
+    }
+
+    // (d) the request-at-a-time path: serve a class and a client request
+    // through `serve_journaled`, then relearn the class.
+    {
+        let fs = oracle_fs(&seed);
         let (mut fed, _) = fresh_fed();
         let (global, mut qd) = seed.ckpt.clone().restore().unwrap();
         fed.set_global(global);
         let mut rng = Rng::from_state(&seed.rng);
-        seed.ckpt.save_on(fs.as_ref(), &ckpt_path).unwrap();
         let vfs: Arc<dyn Vfs> = Arc::clone(&fs) as Arc<dyn Vfs>;
-        let mut journal =
-            RequestJournal::open_on(vfs, RequestJournal::path_for_checkpoint(&ckpt_path)).unwrap();
-        let run = if isolated {
-            run_service_isolated(
-                &mut qd,
+        let mut journal = RequestJournal::open_on(vfs, PathBuf::from("svc.json.journal")).unwrap();
+        for request in [UnlearnRequest::Class(1), UnlearnRequest::Client(0)] {
+            qd.serve_journaled(
                 &mut fed,
                 &mut journal,
-                &serve_config(),
-                Some(&policy()),
-                &IsolationConfig::default(),
+                request,
+                Some(&guard),
                 &mut rng,
                 None,
             )
             .unwrap()
-        } else {
-            run_service(
-                &mut qd,
-                &mut fed,
-                &mut journal,
-                &serve_config(),
-                Some(&policy()),
-                &mut rng,
-                None,
-            )
-            .unwrap()
-        };
-        assert!(run.dead_letter.is_empty());
-        (
-            fed.global().to_vec(),
-            journal.records().to_vec(),
-            run.stats,
-            fs.files(),
+            .into_complete()
+            .expect("no preemption configured");
+        }
+        let phase = qd.config().relearn_phase;
+        qd.relearn_journaled(
+            &mut fed,
+            &mut journal,
+            UnlearnRequest::Class(1),
+            &phase,
+            &mut rng,
         )
-    };
-    let plain = run_on(false);
-    let inactive = run_on(true);
-    assert_bit_identical(&plain.0, &inactive.0);
-    assert_same_records(&plain.1, &inactive.1);
-    assert_eq!(plain.2, inactive.2, "stats must be identical");
-    assert_eq!(
-        plain.3, inactive.3,
-        "on-disk bytes must be identical with isolation flags off"
-    );
+        .unwrap();
+        actual.push(("serve-relearn/files".to_string(), files_digest(&fs)));
+        actual.push((
+            "serve-relearn/model".to_string(),
+            model_digest(fed.global()),
+        ));
+    }
+
+    // (e) kill (a) and (b) at every in-unit boundary of a singleton unit
+    // and of a multi-member unit; the bytes on disk at the kill are
+    // pinned, and the CLI-style resume must land on the unfailed digests.
+    let plan = build_plan(&coalesced).unwrap();
+    let single_unit = plan
+        .batches
+        .iter()
+        .position(|u| u.members.len() == 1)
+        .expect("the coalesced plan needs a singleton unit");
+    let multi_unit = plan
+        .batches
+        .iter()
+        .position(|u| u.members.len() > 1)
+        .expect("the coalesced plan needs a multi-member unit");
+    let boundaries = [
+        ("received", BatchPreempt::Received),
+        ("unlearned1", BatchPreempt::Unlearned(1)),
+        ("unlearned2", BatchPreempt::Unlearned(2)),
+        ("recovered", BatchPreempt::Recovered),
+    ];
+    let kills = [
+        (0usize, "single", single_unit),
+        (0, "multi", multi_unit),
+        (1, "single", 1),
+    ];
+    for (scenario, kind, unit_index) in kills {
+        let (name, cfg, policy) = scenarios[scenario];
+        for (label, boundary) in boundaries {
+            let fs = oracle_fs(&seed);
+            let kill = ChaosKill {
+                unit_index,
+                boundary,
+            };
+            let (run, _) = oracle_process(&seed, &fs, cfg, policy, Some(kill), false);
+            assert!(run.preempted, "{name}: {kind}@{label} must fire");
+            actual.push((format!("{name}/kill-{kind}@{label}"), files_digest(&fs)));
+            let (run, model) = oracle_process(&seed, &fs, cfg, policy, None, true);
+            assert!(!run.preempted);
+            assert_eq!(
+                [
+                    files_digest(&fs),
+                    model_digest(&model),
+                    stats_digest(&run.stats)
+                ],
+                unfailed[scenario],
+                "{name}: resume after {kind}@{label} must reach the unfailed digests"
+            );
+        }
+    }
+
+    let expected: Vec<(String, u32)> = ORACLE.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    if actual != expected {
+        for (name, digest) in &actual {
+            println!("    (\"{name}\", {digest:#010x}),");
+        }
+        panic!("digests moved from the parent-captured oracle (actual table printed above)");
+    }
 }

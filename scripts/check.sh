@@ -62,6 +62,10 @@ cargo test --offline --release -p qd-chaos -q
 echo "== whole-system chaos gate (release, pinned seed, 25 schedules, all invariants)"
 cargo run --offline --release -q -p qd-cli -- chaos --seed 7 --runs 25
 
+echo "== qd-perf smoke (the unmodified benchmark harness built against these crates; each replica must end on the CLI's model bits)"
+bash qd-perf/run.sh --smoke | tee /dev/stderr | grep -x 'smoke: ok' >/dev/null \
+    || { echo "qd-perf --smoke did not end 'smoke: ok' — the benchmark's pinned library surface broke" >&2; exit 1; }
+
 echo "== chaos bench (smoke mode; refreshes BENCH_chaos.json)"
 cargo bench --offline -p qd-bench --bench chaos -- --test
 
