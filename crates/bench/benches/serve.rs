@@ -60,7 +60,6 @@ fn mixes(smoke: bool, clients: usize) -> Vec<(String, ServeConfig)> {
         clients,
         class_share: 0.75,
         seed: 11,
-        planner_threads: 2,
         ..ServeConfig::default()
     };
     vec![
@@ -462,13 +461,7 @@ fn smoke_assertions(rows: &[MixRow], dep: &mut Deployment) {
     dep.setup.fed.set_global(params);
     dep.setup.rng = Rng::from_state(&rng_at_start);
     let mut journal = RequestJournal::open(&kill_path).expect("reopen journal");
-    qd.resume_requests(
-        &mut dep.setup.fed,
-        &mut journal,
-        Some(&policy()),
-        &mut dep.setup.rng,
-    )
-    .expect("resume finishes the in-flight batch");
+    // The executor finishes the in-flight batch before continuing.
     let resumed = run_service(
         &mut qd,
         &mut dep.setup.fed,

@@ -14,13 +14,13 @@ use qd_core::{
     Checkpoint, CrashPoint, FaultFs, JournalRecord, QuickDrop, QuickDropConfig, RequestJournal,
     RequestState, Vfs,
 };
-use qd_data::{partition_iid, Dataset, SyntheticDataset};
+use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{FaultPlan, Federation, Phase};
 use qd_net::NetConfig;
 use qd_nn::{Mlp, Module};
 use qd_serve::{
-    frontier_summary, run_service, run_service_isolated, ChaosKill, FrontierSummary,
-    IsolationConfig, ServeConfig, ServeStats,
+    frontier_summary, run_service_isolated, ChaosKill, FrontierSummary, IsolationConfig,
+    ServeConfig, ServeStats,
 };
 use qd_tensor::rng::{Rng, RngState};
 use qd_tensor::Tensor;
@@ -198,21 +198,6 @@ fn guard_policy() -> qd_unlearn::GuardPolicy {
     }
 }
 
-/// A federation stub whose clients hold no real data — everything the
-/// serving path needs lives in the checkpoint's synthetic sets.
-fn stub_federation(qd: &QuickDrop, params: Vec<Tensor>) -> Result<Federation, String> {
-    let first = qd
-        .synthetic_sets()
-        .first()
-        .ok_or_else(|| "checkpoint holds no synthetic sets".to_string())?;
-    let (c, h, wd) = first.sample_dims();
-    let classes = first.classes();
-    let n = qd.synthetic_sets().len();
-    let empty = Dataset::new(Vec::new(), Vec::new(), classes, c, h, wd);
-    let model: Arc<dyn Module> = Arc::new(Mlp::new(&[256, 16, 10]));
-    Ok(Federation::with_params(model, vec![empty; n], params))
-}
-
 impl Harness {
     /// A fresh harness with empty caches.
     pub fn new() -> Harness {
@@ -385,25 +370,19 @@ impl Harness {
         // Deploy fresh or recover the durable checkpoint. The fresh
         // path saves the checkpoint before any journal write, so a
         // missing checkpoint implies an empty journal.
-        let fresh = fs.file(&ckpt).is_none();
-        let restored = if fresh {
-            seed.ckpt.clone()
-        } else {
-            let (loaded, _fell_back) =
-                Checkpoint::load_with_fallback_on(fs.as_ref(), &ckpt).map_err(|e| e.to_string())?;
-            loaded
-        };
-        let (params, mut qd) = restored.restore().map_err(|e| e.to_string())?;
-        let mut fed = stub_federation(&qd, params)?;
-        let mut rng = Rng::from_state(&seed.rng);
-        if fresh {
+        let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
+        let model: Arc<dyn Module> = Arc::new(Mlp::new(&[256, 16, 10]));
+        let (mut qd, mut fed, mut journal) = if fs.file(&ckpt).is_none() {
             seed.ckpt
                 .save_on(fs.as_ref(), &ckpt)
                 .map_err(|e| e.to_string())?;
+            seed.ckpt.clone().open_on(vfs, &journal_path, model)
+        } else {
+            QuickDrop::open_deployment(vfs, &ckpt, &journal_path, model)
+                .map(|(qd, fed, journal, _fell_back)| (qd, fed, journal))
         }
-
-        let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
-        let mut journal = RequestJournal::open_on(vfs, journal_path).map_err(|e| e.to_string())?;
+        .map_err(|e| e.to_string())?;
+        let mut rng = Rng::from_state(&seed.rng);
 
         if spike_active(w) {
             fed.set_fault_plan(Some(FaultPlan::serving_spike(
@@ -435,35 +414,19 @@ impl Harness {
             });
         }
 
-        let run = if iso.active() {
-            // The isolated executor resumes in-flight units itself (it
-            // must re-derive the retry-ladder rung first); the plain
-            // resume would finish them under the base policy.
-            run_service_isolated(
-                &mut qd,
-                &mut fed,
-                &mut journal,
-                &cfg,
-                Some(&policy),
-                &iso,
-                &mut rng,
-                kill,
-            )
-            .map_err(|e| e.to_string())?
-        } else {
-            qd.resume_requests(&mut fed, &mut journal, Some(&policy), &mut rng)
-                .map_err(|e| e.to_string())?;
-            run_service(
-                &mut qd,
-                &mut fed,
-                &mut journal,
-                &cfg,
-                Some(&policy),
-                &mut rng,
-                kill,
-            )
-            .map_err(|e| e.to_string())?
-        };
+        // The executor finishes whatever unit a previous lifetime left
+        // in flight, under the policy (ladder rung) it started under.
+        let run = run_service_isolated(
+            &mut qd,
+            &mut fed,
+            &mut journal,
+            &cfg,
+            Some(&policy),
+            &iso,
+            &mut rng,
+            kill,
+        )
+        .map_err(|e| e.to_string())?;
         if run.preempted {
             return Err(format!(
                 "{BOUNDARY_DEATH} after {} executed unit(s)",

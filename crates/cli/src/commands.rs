@@ -2,15 +2,17 @@
 
 use crate::{Args, ParseError};
 use qd_core::{
-    Checkpoint, CheckpointPolicy, QuickDrop, QuickDropConfig, RequestJournal, ServeError, TrainRun,
+    Checkpoint, CheckpointPolicy, QuickDrop, QuickDropConfig, RequestJournal, ServeError, StdFs,
+    TrainRun,
 };
 use qd_data::{ascii_samples, partition_dirichlet, partition_iid, Dataset, SyntheticDataset};
 use qd_eval::{per_class_accuracy, split_accuracy};
 use qd_fed::{Federation, Phase};
-use qd_nn::{ConvNet, Module};
+use qd_nn::ConvNet;
 use qd_tensor::rng::Rng;
 use qd_unlearn::{GuardPolicy, UnlearnRequest, UnlearningMethod, DEFAULT_DRIFT_BUDGET};
 use std::fmt;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Errors surfaced to the CLI user.
@@ -57,12 +59,6 @@ impl From<qd_core::CheckpointError> for CliError {
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         CliError::Io(e)
-    }
-}
-
-impl From<qd_core::JournalError> for CliError {
-    fn from(e: qd_core::JournalError) -> Self {
-        CliError::Io(e.into())
     }
 }
 
@@ -243,18 +239,26 @@ fn request_from(args: &Args) -> Result<UnlearnRequest, CliError> {
     }
 }
 
-/// A federation stub whose clients hold no real data — everything the
-/// serving path needs lives in the checkpoint's synthetic sets.
-fn stub_federation(
-    ckpt_model: Arc<dyn Module>,
-    qd: &QuickDrop,
-    params: Vec<qd_tensor::Tensor>,
-) -> Federation {
-    let n = qd.synthetic_sets().len().max(1);
-    let (c, h, w) = qd.synthetic_sets()[0].sample_dims();
-    let classes = qd.synthetic_sets()[0].classes();
-    let empty = Dataset::new(Vec::new(), Vec::new(), classes, c, h, w);
-    Federation::with_params(ckpt_model, vec![empty; n], params)
+/// Opens a journaled deployment ([`QuickDrop::open_deployment`] on the
+/// real filesystem). The returned line is empty unless the primary
+/// checkpoint was unreadable and its `.prev` generation stood in.
+fn open_journaled(
+    ckpt: &str,
+    journal: &Path,
+    model: Arc<ConvNet>,
+) -> Result<(QuickDrop, Federation, RequestJournal, String), CliError> {
+    let (qd, fed, journal, fell_back) =
+        QuickDrop::open_deployment(Arc::new(StdFs), Path::new(ckpt), journal, model)?;
+    let fell_back_line = fell_back
+        .map(|primary| {
+            format!(
+                "{primary}\nfell back to the previous checkpoint generation {}; \
+                 the journal rolls it forward\n",
+                Checkpoint::prev_path(Path::new(ckpt)).display()
+            )
+        })
+        .unwrap_or_default();
+    Ok((qd, fed, journal, fell_back_line))
 }
 
 /// Executes a parsed command line, returning the text to print.
@@ -412,9 +416,26 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
     let seed = args.get_u64("seed", 42)?;
     let request = request_from(args)?;
 
-    let (params, mut qd) = Checkpoint::load(&path)?.restore()?;
     let model = model_for(dataset);
-    let mut fed = stub_federation(model.clone(), &qd, params);
+    let policy = guard_policy_from(args)?;
+    // With --journal the deployment opens through the journal: a corrupt
+    // primary checkpoint falls back to `.prev`, and the model, RNG stream
+    // and request progress continue from the journal's last record — a
+    // request interrupted by a crash in an earlier invocation is finished
+    // here before the new one is served, reproducing the uninterrupted
+    // stream bit-for-bit. Without one nothing could roll `.prev` forward,
+    // so the load is strict.
+    let (mut qd, mut fed, mut journal, fell_back_line) = match journal_path_from(args, &path) {
+        Some(jp) => {
+            let (qd, fed, journal, line) = open_journaled(&path, &jp, model.clone())?;
+            (qd, fed, Some(journal), line)
+        }
+        None => {
+            let (params, qd) = Checkpoint::load(&path)?.restore()?;
+            let fed = qd.serving_federation(model.clone(), params)?;
+            (qd, fed, None, String::new())
+        }
+    };
     // Serving RNG is independent of the training seed.
     let mut rng = Rng::seed_from(seed ^ 0x5EED);
     let test = dataset.generate(
@@ -429,20 +450,9 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
             (test.clone(), test.clone())
         }
     };
-    let policy = guard_policy_from(args)?;
-    let journal_path = journal_path_from(args, &path);
-    // With --journal, the model, RNG stream and request progress continue
-    // from the journal's last record: a request interrupted by a crash in
-    // an earlier invocation is finished here before the new one is served,
-    // reproducing the uninterrupted stream bit-for-bit.
-    let mut journal = match &journal_path {
-        Some(jp) => Some(RequestJournal::open(jp)?),
-        None => None,
-    };
     let resumed_line = match &mut journal {
         Some(journal) => qd
-            .resume_requests(&mut fed, journal, policy.as_ref(), &mut rng)
-            .map_err(CliError::from)?
+            .resume_requests(&mut fed, journal, policy.as_ref(), &mut rng)?
             .map(|_| "finished an in-flight request from the journal\n")
             .unwrap_or_default(),
         None => "",
@@ -450,8 +460,7 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
     let report = match mode {
         ServeMode::Unlearn => {
             let outcome = if let Some(journal) = &mut journal {
-                qd.serve_journaled(&mut fed, journal, request, policy.as_ref(), &mut rng, None)
-                    .map_err(CliError::from)?
+                qd.serve_journaled(&mut fed, journal, request, policy.as_ref(), &mut rng, None)?
                     .into_complete()
                     .expect("no preemption configured")
             } else if let Some(policy) = &policy {
@@ -482,8 +491,7 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
         ServeMode::Relearn => {
             let phase = qd.config().relearn_phase;
             let stats = if let Some(journal) = &mut journal {
-                qd.relearn_journaled(&mut fed, journal, request, &phase, &mut rng)
-                    .map_err(CliError::from)?
+                qd.relearn_journaled(&mut fed, journal, request, &phase, &mut rng)?
             } else {
                 qd.relearn(&mut fed, request, &phase, &mut rng)
                     .expect("QuickDrop supports relearning")
@@ -497,7 +505,7 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
             )
         }
     };
-    let report = format!("{resumed_line}{report}");
+    let report = format!("{fell_back_line}{resumed_line}{report}");
     Checkpoint::capture(fed.global(), &qd).save(&out)?;
     Ok(format!("{report}checkpoint written to {out}\n"))
 }
@@ -550,33 +558,17 @@ fn service(args: &Args) -> Result<String, CliError> {
     let out = args.get_str("out", &path);
     let seed = args.get_u64("seed", 42)?;
 
-    let (params, mut qd) = Checkpoint::load(&path)?.restore()?;
-    let model = model_for(dataset);
-    let mut fed = stub_federation(model.clone(), &qd, params);
-    let classes = qd.synthetic_sets()[0].classes();
-    let clients = qd.synthetic_sets().len();
-    let cfg = serve_config_from(args, classes, clients)?;
+    // The service always journals: progress counting and crash recovery
+    // both live in the journal (the executor finishes whatever unit a
+    // killed run left in flight). `--journal` only picks the location.
+    let journal_path = journal_path_from(args, &path)
+        .unwrap_or_else(|| RequestJournal::path_for_checkpoint(&path));
+    let (mut qd, mut fed, mut journal, fell_back_line) =
+        open_journaled(&path, &journal_path, model_for(dataset))?;
+    let cfg = serve_config_from(args, fed.client_data(0).classes(), fed.n_clients())?;
     let policy = guard_policy_from(args)?;
     let iso = isolation_config_from(args)?;
     let mut rng = Rng::seed_from(seed ^ 0x5EED);
-
-    // The service always journals: progress counting and crash recovery
-    // both live in the journal. `--journal` only picks the location.
-    let journal_path = journal_path_from(args, &path)
-        .unwrap_or_else(|| RequestJournal::path_for_checkpoint(&path));
-    let mut journal = RequestJournal::open(&journal_path)?;
-    // Under failure isolation the executor resumes in-flight units
-    // itself (it must re-derive the retry-ladder rung before anything
-    // executes); the plain resume here would finish them under the
-    // base policy.
-    let resumed_line = if iso.active() {
-        String::new()
-    } else {
-        qd.resume_requests(&mut fed, &mut journal, policy.as_ref(), &mut rng)
-            .map_err(CliError::from)?
-            .map(|_| "finished an in-flight service unit from the journal\n".to_string())
-            .unwrap_or_default()
-    };
 
     let run = qd_serve::run_service_isolated(
         &mut qd,
@@ -587,8 +579,7 @@ fn service(args: &Args) -> Result<String, CliError> {
         &iso,
         &mut rng,
         None,
-    )
-    .map_err(CliError::from)?;
+    )?;
     Checkpoint::capture(fed.global(), &qd).save(&out)?;
 
     let stats = &run.stats;
@@ -621,10 +612,10 @@ fn service(args: &Args) -> Result<String, CliError> {
         String::new()
     };
     Ok(format!(
-        "served {} of {} offered requests from {} tenant(s) in {} unit(s) \
+        "{fell_back_line}served {} of {} offered requests from {} tenant(s) in {} unit(s) \
          (coalesce ratio {:.2}); rejected {}\n\
          virtual latency p50 {} µs, p99 {} µs; {:.1} req/s over {} µs\n\
-         {degraded_line}{resumed_line}{resumed_units_line}{stats_line}checkpoint written to {out}\n",
+         {degraded_line}{resumed_units_line}{stats_line}checkpoint written to {out}\n",
         stats.served,
         stats.offered,
         stats.tenants,
@@ -946,6 +937,113 @@ mod tests {
         std::fs::remove_file(&journal).ok();
     }
 
+    /// Removes `ckpt` and everything beside it that carries its name
+    /// (`.prev`, the journal marker, every journal segment).
+    fn remove_deployment(ckpt: &str) {
+        let ckpt = std::path::Path::new(ckpt);
+        let name = ckpt.file_name().unwrap().to_string_lossy().into_owned();
+        for entry in std::fs::read_dir(ckpt.parent().unwrap()).unwrap().flatten() {
+            if entry.file_name().to_string_lossy().starts_with(&name) {
+                std::fs::remove_file(entry.path()).ok();
+            }
+        }
+    }
+
+    fn train_tiny(ckpt: &str) {
+        run(&args(&[
+            "train",
+            "--out",
+            ckpt,
+            "--clients",
+            "2",
+            "--samples",
+            "120",
+            "--rounds",
+            "2",
+            "--steps",
+            "2",
+            "--scale",
+            "20",
+            "--iid",
+            "--seed",
+            "3",
+        ]))
+        .unwrap();
+    }
+
+    #[test]
+    fn journaled_modes_fall_back_to_the_previous_checkpoint_generation() {
+        // The same stream twice; the second run's primary checkpoint is
+        // torn before the last request.
+        let (intact, torn) = (tmp("prev_intact.json"), tmp("prev_torn.json"));
+        let serve = |mode: &str, ckpt: &str, class: &str, journal: bool| {
+            let mut line = vec![mode, "--ckpt", ckpt, "--class", class, "--seed", "7"];
+            line.extend(journal.then_some("--journal"));
+            run(&args(&line))
+        };
+        for ckpt in [&intact, &torn] {
+            remove_deployment(ckpt);
+            train_tiny(ckpt);
+            serve("unlearn", ckpt, "1", true).unwrap();
+            serve("unlearn", ckpt, "2", true).unwrap();
+        }
+        let bytes = std::fs::read(&torn).unwrap();
+        std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
+
+        // Without a journal nothing could roll `.prev` forward: strict.
+        let err = serve("relearn", &torn, "1", false).unwrap_err().to_string();
+        assert!(err.contains(&format!("checkpoint {torn}: ")), "{err}");
+
+        let reference = serve("relearn", &intact, "1", true).unwrap();
+        assert!(!reference.contains("fell back"), "{reference}");
+        let out = serve("relearn", &torn, "1", true).unwrap();
+        assert!(out.contains(&format!("checkpoint {torn}: ")), "{out}");
+        assert!(out.contains("fell back to the previous"), "{out}");
+        assert!(out.contains("relearned class 1"), "{out}");
+        // The journal rolled `.prev` (one request behind) forward: model
+        // bits, mark sets, everything the checkpoint holds.
+        assert_eq!(
+            std::fs::read(&torn).unwrap(),
+            std::fs::read(&intact).unwrap(),
+            "the fallback run's final checkpoint differs from the intact run's"
+        );
+        remove_deployment(&intact);
+        remove_deployment(&torn);
+    }
+
+    #[test]
+    fn a_checkpoint_without_synthetic_sets_is_an_error_not_a_panic() {
+        /// Empties the JSON array under `key` by bracket matching.
+        fn emptied(json: &str, key: &str) -> String {
+            let open = json.find(&format!("\"{key}\":[")).expect("key present") + key.len() + 3;
+            let mut depth = 0usize;
+            let close = json[open..]
+                .bytes()
+                .position(|b| {
+                    depth += usize::from(b == b'[');
+                    depth -= usize::from(b == b']');
+                    depth == 0
+                })
+                .expect("array closes");
+            format!("{}[]{}", &json[..open], &json[open + close + 1..])
+        }
+        let ckpt = tmp("no_synthetic.json");
+        train_tiny(&ckpt);
+        let json = std::fs::read_to_string(&ckpt).unwrap();
+        let json = emptied(&emptied(&json, "synthetic"), "recovery_data");
+        std::fs::write(&ckpt, json).unwrap();
+        for line in [
+            vec!["unlearn", "--ckpt", &ckpt, "--class", "1"],
+            vec!["unlearn", "--ckpt", &ckpt, "--class", "1", "--journal"],
+            vec!["relearn", "--ckpt", &ckpt, "--class", "1"],
+            vec!["serve", "--ckpt", &ckpt],
+        ] {
+            let err = run(&args(&line)).unwrap_err().to_string();
+            assert!(err.contains("holds no synthetic sets"), "{line:?}: {err}");
+        }
+        std::fs::remove_file(&ckpt).ok();
+    }
+
     #[test]
     fn serve_runs_a_multi_tenant_mix_and_reports_sla() {
         let ckpt = tmp("serve_cmd.json");
@@ -1020,25 +1118,7 @@ mod tests {
     #[test]
     fn serve_flags_are_validated() {
         let ckpt = tmp("serve_bad.json");
-        run(&args(&[
-            "train",
-            "--out",
-            &ckpt,
-            "--clients",
-            "2",
-            "--samples",
-            "120",
-            "--rounds",
-            "2",
-            "--steps",
-            "2",
-            "--scale",
-            "20",
-            "--iid",
-            "--seed",
-            "3",
-        ]))
-        .unwrap();
+        train_tiny(&ckpt);
         for bad in [
             vec!["serve", "--ckpt", &ckpt, "--tenants", "0"],
             vec!["serve", "--ckpt", &ckpt, "--queue-cap", "0"],

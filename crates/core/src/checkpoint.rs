@@ -45,6 +45,10 @@ pub enum CheckpointError {
     /// [`QuickDrop::resume_train`](crate::QuickDrop::resume_train)
     /// instead.
     MidTrainRestore,
+    /// The deployment holds no synthetic sets, so there is nothing to
+    /// serve from (see
+    /// [`QuickDrop::serving_federation`](crate::QuickDrop::serving_federation)).
+    NoSyntheticSets,
 }
 
 impl fmt::Display for CheckpointError {
@@ -58,6 +62,9 @@ impl fmt::Display for CheckpointError {
                 "mid-training checkpoint: resume training with \
                  QuickDrop::resume_train instead of restoring a deployment",
             ),
+            CheckpointError::NoSyntheticSets => {
+                f.write_str("deployment checkpoint holds no synthetic sets to serve from")
+            }
         }
     }
 }
@@ -310,11 +317,12 @@ impl Checkpoint {
     /// generation when the primary is unreadable (missing, torn, or
     /// corrupted in place). On fallback the primary's error is returned
     /// alongside the recovered checkpoint so callers can report what
-    /// was lost — the previous generation predates the primary, but the
-    /// journal replay of [`QuickDrop::recover_deployment_on`] rolls it
-    /// forward again.
+    /// was lost — the previous generation predates the primary, but
+    /// the journal [`QuickDrop::open_deployment`] opens beside it rolls
+    /// it forward again. That is the only caller: without a journal a
+    /// fallback would silently un-serve the last request.
     ///
-    /// [`QuickDrop::recover_deployment_on`]: crate::QuickDrop::recover_deployment_on
+    /// [`QuickDrop::open_deployment`]: crate::QuickDrop::open_deployment
     ///
     /// # Errors
     ///

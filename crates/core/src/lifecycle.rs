@@ -29,15 +29,23 @@
 //!    UNLEARNED record (1-based, journal order). An unbatched unit *is*
 //!    its one member, so any `k` names its UNLEARNED record, and the
 //!    boundary reported back is `Unlearned(1)`.
+//!
+//! Every way a request reaches the engine is in this module. Journaled:
+//! [`QuickDrop::serve_journaled`] and [`QuickDrop::serve_batch_journaled`]
+//! for a fresh unit, [`QuickDrop::resume_requests_until`] for the
+//! journal's tail unit (the service executor's only execution path).
+//! Unjournaled: [`QuickDrop::unlearn_guarded`], and
+//! [`QuickDrop::probe_unit`], which is the same call rolled back. A
+//! journaled deployment is opened by [`QuickDrop::open_deployment`].
 
 use crate::journal::{
     BatchId, JournalError, JournalRecord, MarkEffect, RequestJournal, RequestState,
 };
 use crate::system::validated;
-use crate::vfs::{StdFs, Vfs};
-use crate::{Checkpoint, QuickDrop};
+use crate::vfs::Vfs;
+use crate::{Checkpoint, CheckpointError, QuickDrop};
 use qd_fed::{Federation, PhaseStats};
-use qd_nn::relative_drift;
+use qd_nn::{relative_drift, Module};
 use qd_tensor::rng::{Rng, RngState};
 use qd_tensor::Tensor;
 use qd_unlearn::{
@@ -249,6 +257,37 @@ pub enum ResumeRun {
     },
 }
 
+/// Why a journaled unit stops at a boundary instead of running on. A
+/// unit run without a journal has nothing that could stop it — its
+/// `commit` is infallible, and the engine's signature carries that to
+/// [`QuickDrop::probe_unit`] and [`QuickDrop::unlearn_guarded`].
+enum Stop {
+    Io(std::io::Error),
+    Preempted(BatchPreempt),
+}
+
+/// The record certifying the live model and RNG stream as `member`'s
+/// `state` — every record the lifecycle writes.
+fn certify(
+    (seq, request): (u64, UnlearnRequest),
+    state: RequestState,
+    guard: Option<GuardStats>,
+    batch: Option<BatchId>,
+    fed: &Federation,
+    rng: &Rng,
+) -> JournalRecord {
+    JournalRecord {
+        seq,
+        request,
+        state,
+        rng: rng.state(),
+        global: fed.global().to_vec(),
+        guard,
+        batch,
+        reason: None,
+    }
+}
+
 impl QuickDrop {
     /// Serves one request with every stage boundary made durable in
     /// `journal` before the next stage runs (write-ahead discipline:
@@ -354,19 +393,10 @@ impl QuickDrop {
                 boundary: BatchPreempt::Received,
             });
         }
-        let (reference, unit_rng) = (fed.global().to_vec(), rng.state());
-        self.finish_unit(
-            fed,
-            Some(journal),
-            batch,
-            &members,
-            0,
-            reference,
-            unit_rng,
-            GuardStats::default(),
-            policy,
-            rng,
-            preempt_at,
+        let (reference, unit_rng, stats) =
+            (fed.global().to_vec(), rng.state(), GuardStats::default());
+        self.finish_journaled(
+            fed, journal, preempt_at, batch, &members, 0, reference, unit_rng, stats, policy, rng,
         )
     }
 
@@ -397,16 +427,7 @@ impl QuickDrop {
             .collect();
         let frame = members
             .iter()
-            .map(|&(seq, request)| JournalRecord {
-                seq,
-                request,
-                state: RequestState::Received,
-                rng: rng.state(),
-                global: fed.global().to_vec(),
-                guard: None,
-                batch,
-                reason: None,
-            })
+            .map(|&member| certify(member, RequestState::Received, None, batch, fed, rng))
             .collect();
         journal.append_all(frame)?;
         Ok(members)
@@ -419,9 +440,14 @@ impl QuickDrop {
     /// are the pre-unit state the RECEIVED set pinned; the live model
     /// and `rng` are wherever the last durable record left them.
     ///
-    /// Fresh units arrive here with `done == 0`, crash-resumed ones with
-    /// everything journal-derived, and [`QuickDrop::probe_unit`] with
-    /// `journal: None` — the same operations, nothing written.
+    /// Each boundary's atomic frame goes to `commit`, the only thing
+    /// that can stop the engine short of a verdict: the outer `Err` is
+    /// whatever `commit` stopped with, the inner one the guard's
+    /// verdict. Fresh units arrive here with `done == 0`, crash-resumed
+    /// ones with everything journal-derived (both through
+    /// `finish_journaled`), and [`QuickDrop::probe_unit`] and
+    /// [`QuickDrop::unlearn_guarded`] with a `commit` that writes
+    /// nothing and cannot fail — the same operations.
     ///
     /// One member diverging fails the whole unit: the marks of the
     /// members already unlearned are cleared and model and RNG return
@@ -429,10 +455,10 @@ impl QuickDrop {
     /// journal-derivable, so resume reproduces the error and the end
     /// state exactly.
     #[allow(clippy::too_many_arguments)]
-    fn finish_unit(
+    fn finish_unit<S>(
         &mut self,
         fed: &mut Federation,
-        mut journal: Option<&mut RequestJournal>,
+        mut commit: impl FnMut(BatchPreempt, Vec<JournalRecord>) -> Result<(), S>,
         batch: Option<BatchId>,
         members: &[(u64, UnlearnRequest)],
         done: usize,
@@ -441,11 +467,11 @@ impl QuickDrop {
         mut stats: GuardStats,
         policy: Option<&GuardPolicy>,
         rng: &mut Rng,
-        preempt_at: Option<BatchPreempt>,
-    ) -> Result<BatchRun, ServeError> {
+    ) -> Result<Result<BatchOutcome, UnlearnError>, S> {
+        use RequestState::{Recovered, Unlearned};
         let mut unlearn = vec![PhaseStats::default(); done];
-        for (index, &(seq, request)) in members.iter().enumerate().skip(done) {
-            match self.guarded_ascent(fed, request, policy, &mut stats, rng) {
+        for (index, &member) in members.iter().enumerate().skip(done) {
+            match self.guarded_ascent(fed, member.1, policy, &mut stats, rng) {
                 Ok(phase) => unlearn.push(phase),
                 Err(violation) => {
                     for &(_, unlearned) in &members[..index] {
@@ -453,67 +479,70 @@ impl QuickDrop {
                     }
                     fed.set_global(reference);
                     *rng = Rng::from_state(&unit_rng);
-                    return Err(ServeError::Diverged(UnlearnError::Diverged {
-                        violation,
-                        stats,
-                    }));
+                    return Ok(Err(UnlearnError::Diverged { violation, stats }));
                 }
             }
-            self.mark_unlearned(request);
-            if let Some(journal) = journal.as_deref_mut() {
-                journal.append(JournalRecord {
-                    seq,
-                    request,
-                    state: RequestState::Unlearned,
-                    rng: rng.state(),
-                    global: fed.global().to_vec(),
-                    guard: policy.map(|_| stats),
-                    batch,
-                    reason: None,
-                })?;
-            }
-            // Rule 2 of the module docs: an unbatched unit is its one
-            // member, so any count names this record.
-            let hit = match preempt_at {
-                Some(BatchPreempt::Unlearned(k)) => batch.is_none() || k == index + 1,
-                _ => false,
-            };
-            if hit {
-                return Ok(BatchRun::Preempted {
-                    boundary: BatchPreempt::Unlearned(index + 1),
-                });
-            }
+            self.mark_unlearned(member.1);
+            let record = certify(member, Unlearned, policy.map(|_| stats), batch, fed, rng);
+            commit(BatchPreempt::Unlearned(index + 1), vec![record])?;
         }
         let (recovery, post_unlearn_params, guard) =
-            self.recover_and_check(fed, members, &reference, policy, stats, rng)?;
-        if let Some(journal) = journal {
-            let frame = members
-                .iter()
-                .map(|&(seq, request)| JournalRecord {
-                    seq,
-                    request,
-                    state: RequestState::Recovered,
-                    rng: rng.state(),
-                    global: fed.global().to_vec(),
-                    guard,
-                    batch,
-                    reason: None,
-                })
-                .collect();
-            journal.append_all(frame)?;
-        }
-        if preempt_at == Some(BatchPreempt::Recovered) {
-            return Ok(BatchRun::Preempted {
-                boundary: BatchPreempt::Recovered,
-            });
-        }
-        Ok(BatchRun::Complete(Box::new(BatchOutcome {
+            match self.recover_and_check(fed, members, &reference, policy, stats, rng) {
+                Ok(recovered) => recovered,
+                Err(diverged) => return Ok(Err(diverged)),
+            };
+        let frame = members
+            .iter()
+            .map(|&member| certify(member, Recovered, guard, batch, fed, rng))
+            .collect();
+        commit(BatchPreempt::Recovered, frame)?;
+        Ok(Ok(BatchOutcome {
             batch,
             unlearn,
             recovery,
             post_unlearn_params,
             guard,
-        })))
+        }))
+    }
+
+    /// [`QuickDrop::finish_unit`] against the journal: every frame is
+    /// appended, and serving stops right after `preempt_at`'s.
+    #[allow(clippy::too_many_arguments)]
+    fn finish_journaled(
+        &mut self,
+        fed: &mut Federation,
+        journal: &mut RequestJournal,
+        preempt_at: Option<BatchPreempt>,
+        batch: Option<BatchId>,
+        members: &[(u64, UnlearnRequest)],
+        done: usize,
+        reference: Vec<Tensor>,
+        unit_rng: RngState,
+        stats: GuardStats,
+        policy: Option<&GuardPolicy>,
+        rng: &mut Rng,
+    ) -> Result<BatchRun, ServeError> {
+        let preempt_at = match preempt_at {
+            // Rule 2 of the module docs: an unbatched unit is its one
+            // member, so any count names its UNLEARNED record.
+            Some(BatchPreempt::Unlearned(_)) if batch.is_none() => Some(BatchPreempt::Unlearned(1)),
+            other => other,
+        };
+        let commit = |boundary, frame| {
+            journal.append_all(frame).map_err(Stop::Io)?;
+            if preempt_at == Some(boundary) {
+                return Err(Stop::Preempted(boundary));
+            }
+            Ok(())
+        };
+        match self.finish_unit(
+            fed, commit, batch, members, done, reference, unit_rng, stats, policy, rng,
+        ) {
+            Ok(Ok(outcome)) => Ok(BatchRun::Complete(Box::new(outcome))),
+            Ok(Err(diverged)) => Err(ServeError::Diverged(diverged)),
+            Err(Stop::Preempted(boundary)) => Ok(BatchRun::Preempted { boundary }),
+            Err(Stop::Io(e)) => Err(ServeError::Io(e)),
+        }
     }
 
     /// One member's ascent under the guard: attempt, gate against the
@@ -578,7 +607,7 @@ impl QuickDrop {
         policy: Option<&GuardPolicy>,
         mut stats: GuardStats,
         rng: &mut Rng,
-    ) -> Result<(PhaseStats, Vec<Tensor>, Option<GuardStats>), ServeError> {
+    ) -> Result<(PhaseStats, Vec<Tensor>, Option<GuardStats>), UnlearnError> {
         let post_unlearn_params = fed.global().to_vec();
         let rng_mark = rng.state();
         let recovery = self.recovery_stage(fed, rng);
@@ -605,10 +634,7 @@ impl QuickDrop {
                 fed.set_global(reference.to_vec());
                 *rng = Rng::from_state(&rng_mark);
                 stats.rollbacks += 1;
-                Err(ServeError::Diverged(UnlearnError::Diverged {
-                    violation,
-                    stats,
-                }))
+                Err(UnlearnError::Diverged { violation, stats })
             }
         }
     }
@@ -652,16 +678,15 @@ impl QuickDrop {
             // qd-lint: allow(panic-safety) -- QuickDrop always supports
             // relearning; a None here is a type-level invariant breach
             .expect("QuickDrop supports relearning");
-        journal.append(JournalRecord {
-            seq,
-            request,
-            state: RequestState::Relearned,
-            rng: rng.state(),
-            global: fed.global().to_vec(),
-            guard: None,
-            batch: None,
-            reason: None,
-        })?;
+        let record = certify(
+            (seq, request),
+            RequestState::Relearned,
+            None,
+            None,
+            fed,
+            rng,
+        );
+        journal.append(record)?;
         Ok(stats)
     }
 
@@ -681,6 +706,16 @@ impl QuickDrop {
     ///
     /// Returns the outcome of the unit finished during resume, or
     /// `None` when the journal was empty or already fully served.
+    ///
+    /// This is the single-request CLI's resume: `quickdrop-cli unlearn`
+    /// and `relearn --journal` call it right after
+    /// [`QuickDrop::open_deployment`], before serving the new request.
+    /// A service run never needs it — the qd-serve executor finishes an
+    /// in-flight service unit itself, under the policy it started
+    /// under. Calling it first with that same policy is harmless (the
+    /// executor then finds the unit finished); only under an active
+    /// isolation config would it pick the base policy over the unit's
+    /// ladder rung.
     ///
     /// # Errors
     ///
@@ -780,18 +815,10 @@ impl QuickDrop {
             .iter()
             .filter(|r| r.state == RequestState::Unlearned && !settled.contains(&r.seq))
             .count();
-        let run = self.finish_unit(
-            fed,
-            Some(journal),
-            batch,
-            &members,
-            done,
-            reference,
-            unit_rng,
-            stats.unwrap_or_default(),
-            policy,
+        let stats = stats.unwrap_or_default();
+        let run = self.finish_journaled(
+            fed, journal, preempt_at, batch, &members, done, reference, unit_rng, stats, policy,
             rng,
-            preempt_at,
         )?;
         Ok(match run {
             BatchRun::Complete(outcome) => ResumeRun::Complete(Some(Box::new(outcome.merged()))),
@@ -826,30 +853,68 @@ impl QuickDrop {
         policy: &GuardPolicy,
         rng: &Rng,
     ) -> bool {
-        let policy = validated(Some(policy));
         // qd-lint: allow(panic-safety) -- an empty unit is a documented
         // caller bug (`# Panics`), not a runtime condition
         assert!(!requests.is_empty(), "cannot probe an empty unit");
         let reference = fed.global().to_vec();
         let marks = self.marks_snapshot();
         let mut rng = Rng::from_state(&rng.state());
-        let members: Vec<(u64, UnlearnRequest)> = (0u64..).zip(requests.iter().copied()).collect();
-        let verdict = self.finish_unit(
-            fed,
-            None,
-            None,
-            &members,
-            0,
-            reference.clone(),
-            rng.state(),
-            GuardStats::default(),
-            policy,
-            &mut rng,
-            None,
-        );
+        let verdict = self.run_unjournaled(fed, requests, policy, &mut rng);
         fed.set_global(reference);
         self.marks_restore(marks);
         verdict.is_ok()
+    }
+
+    /// Serves one request under a divergence guard without a journal:
+    /// the unit engine on a unit of one, nothing written — what
+    /// [`QuickDrop::probe_unit`] runs, kept instead of rolled back. The
+    /// ascent is gated (drift budget, non-finite scan) *before* any
+    /// recovery rounds are spent on it and retried at half the ascent LR
+    /// up to [`GuardPolicy::ascent_retries`] times; the recovered model
+    /// is then checked (non-finite scan, retain probe drawn from the
+    /// synthetic retain set *without* the request's data), and a
+    /// violation there is surfaced, not retried — exactly the verdict
+    /// [`QuickDrop::serve_journaled`] reaches. Guard bookkeeping rides
+    /// on [`MethodOutcome::guard`].
+    ///
+    /// # Errors
+    ///
+    /// [`UnlearnError::Diverged`] when the guard rejected the request;
+    /// the federation then holds the pre-request model and the request
+    /// is not marked forgotten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `policy` fails [`GuardPolicy::validate`].
+    pub fn unlearn_guarded(
+        &mut self,
+        fed: &mut Federation,
+        request: UnlearnRequest,
+        policy: &GuardPolicy,
+        rng: &mut Rng,
+    ) -> Result<MethodOutcome, UnlearnError> {
+        self.run_unjournaled(fed, &[request], policy, rng)
+            .map(BatchOutcome::merged)
+    }
+
+    /// The engine from the live state with nothing written: the body of
+    /// [`QuickDrop::probe_unit`] and [`QuickDrop::unlearn_guarded`].
+    fn run_unjournaled(
+        &mut self,
+        fed: &mut Federation,
+        requests: &[UnlearnRequest],
+        policy: &GuardPolicy,
+        rng: &mut Rng,
+    ) -> Result<BatchOutcome, UnlearnError> {
+        let policy = validated(Some(policy));
+        let members: Vec<(u64, UnlearnRequest)> = (0u64..).zip(requests.iter().copied()).collect();
+        let (reference, unit_rng, stats) =
+            (fed.global().to_vec(), rng.state(), GuardStats::default());
+        let unwritten = |_, _| Ok::<(), std::convert::Infallible>(());
+        let Ok(verdict) = self.finish_unit(
+            fed, unwritten, None, &members, 0, reference, unit_rng, stats, policy, rng,
+        );
+        verdict
     }
 
     /// Restores live state (forgotten-state marks, global model, RNG
@@ -879,50 +944,64 @@ impl QuickDrop {
         }
     }
 
-    /// Loads the deployment checkpoint at `checkpoint` and replays the
-    /// journal at [`RequestJournal::path_for_checkpoint`] onto it —
-    /// the one-call crash recovery entry point used by the CLI.
-    ///
-    /// A corrupt primary checkpoint falls back to the `.prev`
-    /// generation its last save rotated aside (see
-    /// [`Checkpoint::load_with_fallback_on`]); the journal replay then
-    /// rolls the model forward, so the fallback costs nothing that was
-    /// journaled.
-    ///
-    /// # Errors
-    ///
-    /// Any checkpoint/journal load error, plus everything
-    /// [`QuickDrop::resume_requests`] can return.
-    pub fn recover_deployment(
-        checkpoint: impl AsRef<Path>,
-        fed: &mut Federation,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-    ) -> Result<(QuickDrop, RequestJournal, Option<MethodOutcome>), ServeError> {
-        Self::recover_deployment_on(Arc::new(StdFs), checkpoint, fed, policy, rng)
-    }
-
-    /// [`QuickDrop::recover_deployment`] on an explicit [`Vfs`] — the
-    /// entry point the crash-point matrix harness drives.
+    /// Opens a journaled deployment for serving — the one way in for
+    /// `quickdrop-cli serve`, `unlearn`/`relearn --journal` and the
+    /// `qd-chaos` harness: the checkpoint at `checkpoint` (falling back
+    /// to its `.prev` generation, see
+    /// [`Checkpoint::load_with_fallback_on`]), opened by
+    /// [`Checkpoint::open_on`]. On fallback the primary's error rides
+    /// along so the caller can report it; nothing journaled is lost,
+    /// because whoever serves next — [`QuickDrop::resume_requests`] or
+    /// the service executor — first restores model, RNG and marks from
+    /// the journal tail. Without a journal nothing rolls `.prev`
+    /// forward, which is why the non-journaled CLI modes load strictly.
     ///
     /// # Errors
     ///
-    /// As [`QuickDrop::recover_deployment`].
-    pub fn recover_deployment_on(
+    /// [`ServeError::Io`] when neither checkpoint generation loads, plus
+    /// everything [`Checkpoint::open_on`] returns.
+    #[allow(clippy::type_complexity)]
+    pub fn open_deployment(
         vfs: Arc<dyn Vfs>,
-        checkpoint: impl AsRef<Path>,
-        fed: &mut Federation,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-    ) -> Result<(QuickDrop, RequestJournal, Option<MethodOutcome>), ServeError> {
-        let (ckpt, _fell_back) = Checkpoint::load_with_fallback_on(&*vfs, checkpoint.as_ref())?;
-        let (global, mut qd) = ckpt.restore()?;
-        fed.set_global(global);
-        let mut journal = RequestJournal::open_on(
-            Arc::clone(&vfs),
-            RequestJournal::path_for_checkpoint(checkpoint.as_ref()),
-        )?;
-        let finished = qd.resume_requests(fed, &mut journal, policy, rng)?;
-        Ok((qd, journal, finished))
+        checkpoint: &Path,
+        journal: &Path,
+        model: Arc<dyn Module>,
+    ) -> Result<
+        (
+            QuickDrop,
+            Federation,
+            RequestJournal,
+            Option<CheckpointError>,
+        ),
+        ServeError,
+    > {
+        let (ckpt, fell_back) = Checkpoint::load_with_fallback_on(&*vfs, checkpoint)?;
+        let (qd, fed, journal) = ckpt.open_on(vfs, journal, model)?;
+        Ok((qd, fed, journal, fell_back))
+    }
+}
+
+impl Checkpoint {
+    /// Opens this (already loaded, or just captured) deployment snapshot
+    /// for journaled serving: [`Checkpoint::restore`], the
+    /// [`QuickDrop::serving_federation`] over `model`, then the request
+    /// journal at `journal` on `vfs` — the journal open is the only
+    /// storage access. [`QuickDrop::open_deployment`] is this after a
+    /// load; the `qd-chaos` harness calls it directly on a fresh deploy,
+    /// whose checkpoint it has just written.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Io`] for a mid-training or synthetic-set-less
+    /// checkpoint, or a journal that does not open.
+    pub fn open_on(
+        self,
+        vfs: Arc<dyn Vfs>,
+        journal: &Path,
+        model: Arc<dyn Module>,
+    ) -> Result<(QuickDrop, Federation, RequestJournal), ServeError> {
+        let (global, qd) = self.restore()?;
+        let fed = qd.serving_federation(model, global)?;
+        Ok((qd, fed, RequestJournal::open_on(vfs, journal)?))
     }
 }

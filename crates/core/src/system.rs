@@ -1,20 +1,21 @@
 //! The QuickDrop system: training-time synthesis and request serving.
 
 use crate::checkpoint::MidPhase;
-use crate::{Checkpoint, QuickDropConfig};
+use crate::{Checkpoint, CheckpointError, QuickDropConfig};
 use qd_data::Dataset;
 use qd_distill::{
     augment_with_real, distilling_trainers, finetune, DistillingTrainer, SyntheticSet,
 };
 use qd_fed::{sgd_trainers, Federation, Phase, PhaseStats, ResumeState};
+use qd_nn::Module;
 use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
 use qd_unlearn::{
-    check_attempt, probe_sample, Capabilities, Efficiency, GuardPolicy, GuardStats, GuardViolation,
-    MethodOutcome, UnlearnError, UnlearnRequest, UnlearningMethod,
+    Capabilities, Efficiency, GuardPolicy, MethodOutcome, UnlearnRequest, UnlearningMethod,
 };
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Costs and artifacts of QuickDrop's training stage (steps 1–2 of
@@ -387,6 +388,31 @@ impl QuickDrop {
         &self.synthetic
     }
 
+    /// The federation a restored deployment serves on: `model` at
+    /// `global` over one client per synthetic set, none holding real
+    /// data. Every serving phase trains on the synthetic sets, so their
+    /// geometry is all the (empty) client datasets need to carry.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::NoSyntheticSets`] when the deployment holds no
+    /// synthetic set to take the geometry from — a checkpoint file is
+    /// outside input.
+    pub fn serving_federation(
+        &self,
+        model: Arc<dyn Module>,
+        global: Vec<Tensor>,
+    ) -> Result<Federation, CheckpointError> {
+        let first = self
+            .synthetic
+            .first()
+            .ok_or(CheckpointError::NoSyntheticSets)?;
+        let (c, h, w) = first.sample_dims();
+        let empty = Dataset::new(Vec::new(), Vec::new(), first.classes(), c, h, w);
+        let clients = vec![empty; self.synthetic.len()];
+        Ok(Federation::with_params(model, clients, global))
+    }
+
     /// Classes currently in the forgotten state.
     pub fn unlearned_classes(&self) -> impl Iterator<Item = usize> + '_ {
         self.unlearned_classes.iter().copied()
@@ -636,104 +662,6 @@ impl QuickDrop {
         )
     }
 
-    /// Serves one request under a divergence guard, with stage-level
-    /// retry: the ascent result is checked against the drift budget and
-    /// non-finite scan *before* any recovery rounds are spent on it, and
-    /// the recovered model is checked (non-finite + retain probe) before
-    /// the outcome is accepted.
-    ///
-    /// On violation the global model, the RNG stream and the
-    /// forgotten-state bookkeeping all roll back to their pre-request
-    /// state, and the attempt is retried with the ascent LR halved —
-    /// up to [`GuardPolicy::ascent_retries`] times. Guard bookkeeping is
-    /// attached to the returned outcome
-    /// ([`qd_unlearn::MethodOutcome::guard`]).
-    ///
-    /// [`GuardPolicy::ascent_retries`]: qd_unlearn::GuardPolicy::ascent_retries
-    ///
-    /// # Errors
-    ///
-    /// [`UnlearnError::Diverged`] when every attempt violated the guard;
-    /// the federation then still holds the pre-request model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` fails [`qd_unlearn::GuardPolicy::validate`].
-    pub fn unlearn_guarded(
-        &mut self,
-        fed: &mut Federation,
-        request: UnlearnRequest,
-        policy: &GuardPolicy,
-        rng: &mut Rng,
-    ) -> Result<MethodOutcome, UnlearnError> {
-        validated(Some(policy));
-        let reference = fed.global().to_vec();
-        let rng_mark = rng.state();
-        let probe = probe_sample(&self.synthetic_retain(), policy.probe_samples);
-        let mut stats = GuardStats::default();
-        let mut last_violation = GuardViolation::NonFinite;
-        let mut lr_scale = policy.ascent_lr_scale;
-        for attempt in 0..=policy.ascent_retries {
-            let (unlearn, post_unlearn_params) = self.ascent_stage(fed, request, rng, lr_scale);
-            stats.steps += 1;
-            stats.final_drift = qd_nn::relative_drift(&post_unlearn_params, &reference);
-            // Gate the ascent result before spending recovery rounds:
-            // this is where divergence happens, and a rejected ascent
-            // costs only the ascent.
-            let ascent_ok = check_attempt(
-                policy,
-                fed.model().as_ref(),
-                &reference,
-                &post_unlearn_params,
-                &post_unlearn_params,
-                None,
-            );
-            let violation = match ascent_ok {
-                Ok(_) => {
-                    self.mark_unlearned(request);
-                    let recovery_stats = self.recovery_stage(fed, rng);
-                    match check_attempt(
-                        policy,
-                        fed.model().as_ref(),
-                        &reference,
-                        &post_unlearn_params,
-                        fed.global(),
-                        probe.as_ref(),
-                    ) {
-                        Ok(drift) => {
-                            stats.final_drift = drift;
-                            return Ok(MethodOutcome {
-                                unlearn,
-                                recovery: recovery_stats,
-                                post_unlearn_params,
-                                guard: Some(stats),
-                            });
-                        }
-                        Err(v) => {
-                            self.unmark_unlearned(request);
-                            v
-                        }
-                    }
-                }
-                Err(v) => v,
-            };
-            last_violation = violation;
-            // Roll back model and RNG; retry deterministically at half
-            // the ascent LR (skipped once the budget is exhausted).
-            fed.set_global(reference.clone());
-            *rng = Rng::from_state(&rng_mark);
-            stats.rollbacks += 1;
-            if attempt < policy.ascent_retries {
-                lr_scale *= 0.5;
-                stats.lr_halvings += 1;
-            }
-        }
-        Err(UnlearnError::Diverged {
-            violation: last_violation,
-            stats,
-        })
-    }
-
     /// Per-client recovery sets: the (augmented) synthetic data minus
     /// everything currently forgotten (`S \ S_f`).
     pub(crate) fn synthetic_retain(&self) -> Vec<Option<Dataset>> {
@@ -821,7 +749,7 @@ mod tests {
     use qd_data::{partition_dirichlet, SyntheticDataset};
     use qd_eval::split_accuracy;
     use qd_nn::{Mlp, Module};
-    use qd_unlearn::fr_eval_sets;
+    use qd_unlearn::{fr_eval_sets, UnlearnError};
     use std::sync::Arc;
 
     fn trained_system() -> (Federation, QuickDrop, Dataset, Rng, Arc<dyn Module>) {
@@ -914,6 +842,225 @@ mod tests {
         };
         assert_eq!(bits(&outcome.post_unlearn_params), bits(&half));
         assert_ne!(bits(&outcome.post_unlearn_params), bits(&full));
+    }
+
+    /// What one `unlearn_guarded` call leaves behind, as CRC32s: model
+    /// bits, RNG stream, both mark sets, and the guard's verdict (its
+    /// stats; for an accepted request also the post-ascent parameters
+    /// and the round counts).
+    fn guarded_digests(
+        fed: &Federation,
+        qd: &QuickDrop,
+        rng: &Rng,
+        result: &Result<MethodOutcome, UnlearnError>,
+    ) -> [u32; 4] {
+        use crate::vfs::crc32;
+        let param_bytes = |params: &[Tensor]| -> Vec<u8> {
+            params
+                .iter()
+                .flat_map(|t| t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()))
+                .collect()
+        };
+        let state = rng.state();
+        let mut rng_bytes: Vec<u8> = state.words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        rng_bytes.extend(
+            state
+                .spare_normal
+                .map_or(u32::MAX, f32::to_bits)
+                .to_le_bytes(),
+        );
+        let mut mark_bytes = Vec::new();
+        for set in [&qd.unlearned_classes, &qd.unlearned_clients] {
+            mark_bytes.extend((set.len() as u64).to_le_bytes());
+            mark_bytes.extend(set.iter().flat_map(|&m| (m as u64).to_le_bytes()));
+        }
+        let mut verdict = Vec::new();
+        let stats = match result {
+            Ok(outcome) => {
+                verdict.extend(param_bytes(&outcome.post_unlearn_params));
+                verdict.extend((outcome.unlearn.rounds as u64).to_le_bytes());
+                verdict.extend((outcome.recovery.rounds as u64).to_le_bytes());
+                outcome.guard.expect("guarded serving attaches stats")
+            }
+            Err(UnlearnError::Diverged { violation, stats }) => {
+                verdict.extend(violation.to_string().as_bytes());
+                *stats
+            }
+        };
+        for field in [
+            stats.steps,
+            stats.rollbacks,
+            stats.lr_halvings,
+            stats.final_drift.to_bits(),
+        ] {
+            verdict.extend(field.to_le_bytes());
+        }
+        [
+            crc32(&param_bytes(fed.global())),
+            crc32(&rng_bytes),
+            crc32(&mark_bytes),
+            crc32(&verdict),
+        ]
+    }
+
+    /// Digests captured at the parent of PR 13, when `unlearn_guarded`
+    /// still carried its own retry loop. With the retain probe off (the
+    /// default) the unit engine must reproduce every one: zero re-pins.
+    const GUARDED_ORACLE: &[(&str, [u32; 4])] = &[
+        (
+            "default/class 4",
+            [0x1e3f4e22, 0x9ac99339, 0xf6d5e380, 0xf54550f5],
+        ),
+        (
+            "default/client 1",
+            [0x14ceadb8, 0x4758c822, 0xc1035b2f, 0x121d7db7],
+        ),
+        (
+            "generous/class 4",
+            [0xaed32d72, 0x9ac99339, 0xf6d5e380, 0xafca2e31],
+        ),
+        (
+            "generous/client 1",
+            [0x14ceadb8, 0x4758c822, 0xc1035b2f, 0x121d7db7],
+        ),
+        (
+            "half-lr/class 4",
+            [0x1e3f4e22, 0x9ac99339, 0xf6d5e380, 0x8b82a8f6],
+        ),
+        (
+            "half-lr/client 1",
+            [0xbfafe223, 0x4758c822, 0xc1035b2f, 0x3dd16c32],
+        ),
+        (
+            "hostile/class 4",
+            [0xbdff1682, 0x6d241036, 0xecbb4b55, 0xac85ac89],
+        ),
+        (
+            "hostile/client 1",
+            [0xbdff1682, 0x6d241036, 0xecbb4b55, 0x4930afea],
+        ),
+    ];
+
+    #[test]
+    fn unlearn_guarded_reproduces_the_parent_digests() {
+        let (mut fed, trained, _, trained_rng, _) = trained_system();
+        let (reference, rng_mark) = (fed.global().to_vec(), trained_rng.state());
+        let default = GuardPolicy::default();
+        let generous = GuardPolicy {
+            drift_budget: 64.0,
+            ..default
+        };
+        let half_lr = GuardPolicy {
+            ascent_lr_scale: 0.5,
+            ..generous
+        };
+        // `hostile` multiplies the configured ascent LR: no amount of
+        // halving inside the retry budget brings it under the drift gate.
+        let cases: [(&str, GuardPolicy, f32); 4] = [
+            ("default", default, 1.0),
+            ("generous", generous, 1.0),
+            ("half-lr", half_lr, 1.0),
+            ("hostile", default, 4096.0),
+        ];
+        let mut actual: Vec<(String, [u32; 4])> = Vec::new();
+        for (name, policy, hostile) in cases {
+            for request in [UnlearnRequest::Class(4), UnlearnRequest::Client(1)] {
+                let mut qd = trained.clone();
+                qd.config.unlearn_phase.lr *= hostile;
+                fed.set_global(reference.clone());
+                let mut rng = Rng::from_state(&rng_mark);
+                let result = qd.unlearn_guarded(&mut fed, request, &policy, &mut rng);
+                if hostile > 1.0 {
+                    // The error path: model, RNG and marks are back at
+                    // the pre-request state.
+                    assert!(result.is_err(), "{name}/{request} must exhaust backoff");
+                    assert_eq!(rng.state(), rng_mark);
+                    assert_eq!(qd.unlearned_classes.len() + qd.unlearned_clients.len(), 0);
+                    for (a, b) in fed.global().iter().zip(&reference) {
+                        assert_eq!(a.data(), b.data(), "{name}/{request}: model not restored");
+                    }
+                }
+                actual.push((
+                    format!("{name}/{request}"),
+                    guarded_digests(&fed, &qd, &rng, &result),
+                ));
+            }
+        }
+        let expected: Vec<(String, [u32; 4])> = GUARDED_ORACLE
+            .iter()
+            .map(|&(n, d)| (n.to_string(), d))
+            .collect();
+        if actual != expected {
+            for (name, d) in &actual {
+                println!(
+                    "        (\"{name}\", [{:#010x}, {:#010x}, {:#010x}, {:#010x}]),",
+                    d[0], d[1], d[2], d[3]
+                );
+            }
+            panic!("digests moved from the parent-captured oracle (actual table printed above)");
+        }
+    }
+
+    /// With the retain probe on, the journal-less front door and the
+    /// journaled one are the same engine: same probe (drawn after the
+    /// request is marked), same verdict — a post-recovery violation is
+    /// surfaced after one attempt, not retried — same model, same marks.
+    #[test]
+    fn guarded_and_journaled_serving_reach_the_same_probe_verdict() {
+        use crate::{FaultFs, RequestJournal, ServeError, Vfs};
+        let (mut fed, trained, _, trained_rng, _) = trained_system();
+        let (reference, rng_mark) = (fed.global().to_vec(), trained_rng.state());
+        let request = UnlearnRequest::Class(4);
+        for (limit, accepts) in [(1.0e6, true), (1.0e-6, false)] {
+            let policy = GuardPolicy {
+                drift_budget: 64.0,
+                retain_probe: limit,
+                ..GuardPolicy::default()
+            };
+            let mut qd = trained.clone();
+            fed.set_global(reference.clone());
+            let mut rng = Rng::from_state(&rng_mark);
+            let guarded = qd.unlearn_guarded(&mut fed, request, &policy, &mut rng);
+            let guarded_model = fed.global().to_vec();
+            assert_eq!(guarded.is_ok(), accepts, "probe limit {limit}");
+
+            let mut qd_journaled = trained.clone();
+            fed.set_global(reference.clone());
+            let mut rng = Rng::from_state(&rng_mark);
+            let fs: Arc<dyn Vfs> = Arc::new(FaultFs::new());
+            let mut journal = RequestJournal::open_on(fs, "probe.journal").unwrap();
+            let journaled = qd_journaled
+                .serve_journaled(
+                    &mut fed,
+                    &mut journal,
+                    request,
+                    Some(&policy),
+                    &mut rng,
+                    None,
+                )
+                .map(|run| run.into_complete().expect("no preemption configured"));
+            match (guarded, journaled) {
+                (Ok(a), Ok(b)) => assert_eq!(a.guard, b.guard),
+                (Err(a), Err(ServeError::Diverged(b))) => {
+                    assert_eq!(a, b);
+                    let UnlearnError::Diverged { stats, .. } = a;
+                    assert_eq!(
+                        (stats.steps, stats.rollbacks),
+                        (1, 1),
+                        "surfaced, not retried"
+                    );
+                }
+                (a, b) => panic!("verdicts differ at probe limit {limit}: {a:?} vs {b:?}"),
+            }
+            for (a, b) in guarded_model.iter().zip(fed.global()) {
+                assert_eq!(
+                    a.data(),
+                    b.data(),
+                    "model bits differ at probe limit {limit}"
+                );
+            }
+            assert_eq!(qd.marks_snapshot(), qd_journaled.marks_snapshot());
+        }
     }
 
     #[test]

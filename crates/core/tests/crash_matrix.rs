@@ -28,12 +28,15 @@ const BATCH: [UnlearnRequest; 2] = [UnlearnRequest::Class(7), UnlearnRequest::Cl
 
 fn fresh_fed() -> (Federation, Rng) {
     let mut rng = Rng::seed_from(42);
-    let model: Arc<dyn Module> = Arc::new(Mlp::new(&[256, 16, 10]));
     let data = SyntheticDataset::Digits.generate(240, &mut rng);
     let parts = partition_iid(data.len(), 3, &mut rng);
     let clients = parts.iter().map(|p| data.subset(p)).collect();
-    let fed = Federation::new(model, clients, &mut rng);
+    let fed = Federation::new(model(), clients, &mut rng);
     (fed, rng)
+}
+
+fn model() -> Arc<dyn Module> {
+    Arc::new(Mlp::new(&[256, 16, 10]))
 }
 
 fn config() -> QuickDropConfig {
@@ -156,11 +159,13 @@ fn resume(seed: &Seed, fs: &Arc<FaultFs>) -> Terminal {
         // the operator redeploys from the seed.
         return scenario(seed, fs).expect("fault-free redeploy succeeds");
     }
-    let (mut fed, mut rng) = fresh_fed();
     let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
-    let (mut qd, mut journal, _finished) =
-        QuickDrop::recover_deployment_on(vfs, ckpt_path(), &mut fed, Some(&policy()), &mut rng)
+    let (mut qd, mut fed, mut journal, _) =
+        QuickDrop::open_deployment(vfs, &ckpt_path(), &journal_path(), model())
             .expect("recovery after a crash succeeds");
+    let mut rng = Rng::seed_from(0); // restored from the journal tail
+    qd.resume_requests(&mut fed, &mut journal, Some(&policy()), &mut rng)
+        .expect("finishing the in-flight unit succeeds");
     if journal.records().is_empty() {
         // Died before the first record became durable: the pre-request
         // RNG stream is not on disk, so rebuild model + RNG from the
@@ -174,7 +179,7 @@ fn resume(seed: &Seed, fs: &Arc<FaultFs>) -> Terminal {
             files: fs.files(),
         };
     }
-    // recover_deployment already finished the in-flight unit (restoring
+    // resume_requests already finished the in-flight unit (restoring
     // model + RNG from the last durable record); run whatever units the
     // journal says are still missing.
     run_units(&mut qd, &mut fed, &mut journal, &mut rng).expect("resumed units succeed");

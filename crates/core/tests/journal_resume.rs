@@ -9,25 +9,28 @@
 
 use qd_core::{
     BatchId, BatchPreempt, BatchRun, Checkpoint, FaultFs, JournalError, JournalRecord, QuickDrop,
-    QuickDropConfig, RequestJournal, RequestState, ResumeRun, ServeRun, Vfs,
+    QuickDropConfig, RequestJournal, RequestState, ResumeRun, ServeRun, StdFs, Vfs,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};
 use qd_nn::{Mlp, Module};
 use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
-use qd_unlearn::{GuardPolicy, UnlearnRequest};
+use qd_unlearn::{GuardPolicy, MethodOutcome, UnlearnRequest};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 fn fresh_fed() -> (Federation, Rng) {
     let mut rng = Rng::seed_from(42);
-    let model: Arc<dyn Module> = Arc::new(Mlp::new(&[256, 16, 10]));
     let data = SyntheticDataset::Digits.generate(240, &mut rng);
     let parts = partition_iid(data.len(), 3, &mut rng);
     let clients = parts.iter().map(|p| data.subset(p)).collect();
-    let fed = Federation::new(model, clients, &mut rng);
+    let fed = Federation::new(model(), clients, &mut rng);
     (fed, rng)
+}
+
+fn model() -> Arc<dyn Module> {
+    Arc::new(Mlp::new(&[256, 16, 10]))
 }
 
 fn config() -> QuickDropConfig {
@@ -87,6 +90,28 @@ fn paths(name: &str) -> Paths {
     std::fs::remove_file(&ckpt).ok();
     std::fs::remove_file(&journal).ok();
     Paths { ckpt, journal }
+}
+
+/// A fresh process after a kill, as `quickdrop-cli unlearn --journal`
+/// starts: open the deployment, finish the journal's in-flight unit.
+fn recover(
+    paths: &Paths,
+    policy: &GuardPolicy,
+) -> (
+    QuickDrop,
+    Federation,
+    RequestJournal,
+    Rng,
+    Option<MethodOutcome>,
+) {
+    let (mut qd, mut fed, mut journal, fell_back) =
+        QuickDrop::open_deployment(Arc::new(StdFs), &paths.ckpt, &paths.journal, model()).unwrap();
+    assert!(fell_back.is_none(), "the primary checkpoint is intact");
+    let mut rng = Rng::seed_from(0); // restored from the journal tail
+    let finished = qd
+        .resume_requests(&mut fed, &mut journal, Some(policy), &mut rng)
+        .unwrap();
+    (qd, fed, journal, rng, finished)
 }
 
 /// The uninterrupted run: train, serve both requests journaled, relearn
@@ -164,11 +189,9 @@ fn kill_and_resume(
         assert_eq!(journal.last().unwrap().state, landed);
     }
 
-    // Process B: everything rebuilt from the seed; model, RNG and request
-    // progress all come from the checkpoint + journal.
-    let (mut fed, mut rng) = fresh_fed();
-    let (mut qd, mut journal, finished) =
-        QuickDrop::recover_deployment(&paths.ckpt, &mut fed, Some(&policy()), &mut rng).unwrap();
+    // Process B: model, RNG and request progress all come from the
+    // checkpoint + journal.
+    let (mut qd, mut fed, mut journal, mut rng, finished) = recover(&paths, &policy());
     match landed {
         RequestState::Recovered => assert!(finished.is_none(), "nothing was in flight"),
         _ => {
@@ -415,12 +438,9 @@ fn kill_and_resume_batch(
         assert_eq!(stopped, boundary);
     }
 
-    // Process B: everything rebuilt from the seed; batch membership and
-    // progress come entirely from the checkpoint + journal.
-    let (mut fed, mut rng) = fresh_fed();
-    let (_qd, journal, finished) =
-        QuickDrop::recover_deployment(&paths.ckpt, &mut fed, Some(&batch_policy()), &mut rng)
-            .unwrap();
+    // Process B: batch membership and progress come entirely from the
+    // checkpoint + journal.
+    let (_qd, fed, journal, _rng, finished) = recover(&paths, &batch_policy());
     match boundary {
         BatchPreempt::Recovered => assert!(finished.is_none(), "nothing was in flight"),
         _ => assert!(finished.is_some(), "resume finishes the in-flight batch"),

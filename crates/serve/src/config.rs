@@ -47,9 +47,6 @@ pub struct ServeConfig {
     /// Seed for the arrival streams (each tenant's stream is derived
     /// from `seed` and its tenant index).
     pub seed: u64,
-    /// Worker threads used while planning. Affects wall-clock only,
-    /// never results: streams are merged deterministically.
-    pub planner_threads: usize,
 }
 
 impl Default for ServeConfig {
@@ -68,7 +65,6 @@ impl Default for ServeConfig {
             ascent_cost_us: 400,
             recovery_cost_us: 900,
             seed: 7,
-            planner_threads: 4,
         }
     }
 }

@@ -53,7 +53,10 @@
 //! work through [`qd_core::QuickDrop::resume_requests_until`] — a fresh
 //! unit and a crash-resumed one execute identical code from identical
 //! journal-derived state, which is what makes the kill-anywhere
-//! crash matrix in `tests/poison.rs` pass bit-for-bit. What is durable
+//! crash matrix in `tests/poison.rs` pass bit-for-bit. It also means
+//! the unit a killed run left in flight is finished *here*, for every
+//! config, under the policy it started under; callers reopen the
+//! deployment and call again, nothing else. What is durable
 //! at each boundary is qd-core's decision (`lifecycle.rs`); this module
 //! decides only *which* members run under *which* policy, and writes
 //! the two terminal sets that policy produces (FAILED, QUARANTINED).
@@ -835,14 +838,14 @@ pub fn frontier_summary(
 /// need a divergence verdict to act on.
 ///
 /// Crash recovery contract: after a kill, reopen the checkpoint and
-/// journal and call this again with the same config — it restores the
-/// tail ([`QuickDrop::restore_tail`]), re-derives the breaker fold and
-/// the winning ladder rung from the journal, and continues to a
+/// journal (`QuickDrop::open_deployment`) and call this again with the
+/// same config — it restores the tail ([`QuickDrop::restore_tail`]),
+/// re-derives the breaker fold from the journal, finishes the unit the
+/// kill left in flight under the policy it started under (the base
+/// policy, or the re-derived ladder rung), and continues to a
 /// bit-for-bit identical terminal state: model bits, journal records,
-/// dead-letter set and [`ServeStats`]. Under an active `iso` do so
-/// **without** the plain resume call first
-/// (`QuickDrop::recover_deployment` would finish the in-flight unit
-/// under the base policy rather than its rung; the CLI skips it).
+/// dead-letter set and [`ServeStats`]. Finishing in-flight units is
+/// this function's job for every config; callers do nothing first.
 ///
 /// # Errors
 ///

@@ -1,4 +1,4 @@
-//! qd-serve: a concurrent unlearning-as-a-service front end.
+//! qd-serve: an unlearning-as-a-service front end.
 //!
 //! QuickDrop's durable request journal (qd-core) already makes a single
 //! stream of unlearning requests crash-consistent. This crate puts a
@@ -14,11 +14,10 @@
 //! The service is deliberately two-phase:
 //!
 //! 1. **Plan** ([`build_plan`]): a *pure function* of [`ServeConfig`].
-//!    Arrival streams are generated concurrently on a hand-rolled
-//!    [`ThreadPool`] (the only concurrency in the crate), then merged
-//!    deterministically; queuing, fairness, coalescing and the virtual
-//!    clock all run single-threaded over the merged stream. Same
-//!    config ⇒ same plan, always.
+//!    Each tenant's seeded arrival stream is generated, the streams
+//!    are merged into one sorted sequence, and queuing, fairness,
+//!    coalescing and the virtual clock run over it — single-threaded
+//!    throughout. Same config ⇒ same plan, always.
 //! 2. **Execute** ([`run_service`]): walks the planned units through
 //!    the journaled serving calls in order. All durability lives here,
 //!    in qd-core's journal protocol.
@@ -53,7 +52,6 @@
 pub mod config;
 pub mod executor;
 pub mod plan;
-pub mod pool;
 pub mod service;
 pub mod stats;
 
@@ -63,6 +61,5 @@ pub use executor::{
     IsolationConfig, TenantBreaker, MAX_UNIT_RETRIES,
 };
 pub use plan::{build_plan, Arrival, Plan, PlannedBatch, RequestTag};
-pub use pool::ThreadPool;
 pub use service::{run_service, ChaosKill, ServiceError, ServiceRun};
 pub use stats::{percentile_us, ServeStats};

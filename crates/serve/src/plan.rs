@@ -2,10 +2,9 @@
 //!
 //! qd-serve splits serving into **plan** and **execute**. The plan is a
 //! pure function of the [`ServeConfig`]: seeded per-tenant arrival
-//! streams (generated concurrently on the [`crate::pool::ThreadPool`],
-//! merged deterministically), bounded admission queues, deficit
-//! round-robin fairness, and request coalescing, all driven by a
-//! virtual microsecond clock — no wall time anywhere. Execution then
+//! streams merged into one sorted sequence, bounded admission queues,
+//! deficit round-robin fairness, and request coalescing, all driven by
+//! a virtual microsecond clock — no wall time anywhere. Execution then
 //! walks the planned service units through the request journal in
 //! order.
 //!
@@ -17,11 +16,9 @@
 //! run and an unfailed one.
 
 use crate::config::ServeConfig;
-use crate::pool::ThreadPool;
 use qd_tensor::rng::Rng;
 use qd_unlearn::UnlearnRequest;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, PoisonError};
 
 /// One offered request: which tenant, its index in that tenant's
 /// stream, and when it arrives on the virtual clock.
@@ -107,8 +104,8 @@ struct QueuedJob {
 }
 
 /// Generates one tenant's seeded arrival stream. Each tenant owns an
-/// independent RNG derived from the config seed and its index, so
-/// streams are stable regardless of which planner thread runs them.
+/// independent RNG derived from the config seed and its index, so one
+/// tenant's stream does not depend on how many others there are.
 fn tenant_stream(cfg: &ServeConfig, tenant: usize) -> Vec<Arrival> {
     let mut rng =
         Rng::seed_from(cfg.seed ^ (tenant as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -134,41 +131,14 @@ fn tenant_stream(cfg: &ServeConfig, tenant: usize) -> Vec<Arrival> {
         .collect()
 }
 
-/// Generates every tenant's stream on the pool and merges them into
-/// one arrival sequence ordered by `(time, tenant, idx)`.
-///
-/// # Errors
-///
-/// Reports a planner job that panicked or went missing (a bug, not an
-/// input problem — surfaced as an error because the serving path must
-/// not panic).
-pub fn merged_arrivals(cfg: &ServeConfig) -> Result<Vec<Arrival>, String> {
-    let slots: Arc<Mutex<Vec<Option<Vec<Arrival>>>>> =
-        Arc::new(Mutex::new(vec![None; cfg.tenants]));
-    let pool = ThreadPool::new(cfg.planner_threads);
-    for tenant in 0..cfg.tenants {
-        let slots = Arc::clone(&slots);
-        let cfg = cfg.clone();
-        pool.execute(move || {
-            let stream = tenant_stream(&cfg, tenant);
-            let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
-            slots[tenant] = Some(stream);
-        });
-    }
-    let panicked = pool.join();
-    if panicked > 0 {
-        return Err(format!("{panicked} planner jobs panicked"));
-    }
-    let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut merged = Vec::with_capacity(cfg.tenants * cfg.arrival_requests);
-    for (tenant, slot) in slots.iter_mut().enumerate() {
-        match slot.take() {
-            Some(stream) => merged.extend(stream),
-            None => return Err(format!("planner produced no stream for tenant {tenant}")),
-        }
-    }
+/// Every tenant's stream, merged into one arrival sequence ordered by
+/// `(time, tenant, idx)`.
+pub fn merged_arrivals(cfg: &ServeConfig) -> Vec<Arrival> {
+    let mut merged: Vec<Arrival> = (0..cfg.tenants)
+        .flat_map(|tenant| tenant_stream(cfg, tenant))
+        .collect();
     merged.sort_by_key(|a| (a.at_us, a.tenant, a.idx));
-    Ok(merged)
+    merged
 }
 
 /// Assembles the next service unit by deficit round-robin over the
@@ -244,10 +214,10 @@ fn assemble_unit(
 /// # Errors
 ///
 /// Returns the [`ServeConfig::validate`] message for an unrunnable
-/// config, or a planner-failure description.
+/// config.
 pub fn build_plan(cfg: &ServeConfig) -> Result<Plan, String> {
     cfg.validate()?;
-    let arrivals = merged_arrivals(cfg)?;
+    let arrivals = merged_arrivals(cfg);
     let offered = arrivals.len() as u64;
     let mut queues: Vec<VecDeque<QueuedJob>> = (0..cfg.tenants).map(|_| VecDeque::new()).collect();
     let mut deficits = vec![0u64; cfg.tenants];
@@ -343,14 +313,6 @@ mod tests {
         let a = build_plan(&small()).unwrap();
         let b = build_plan(&small()).unwrap();
         assert_eq!(a, b);
-        // Single-threaded planning produces the identical plan:
-        // concurrency affects wall-clock only.
-        let serial = build_plan(&ServeConfig {
-            planner_threads: 1,
-            ..small()
-        })
-        .unwrap();
-        assert_eq!(a, serial);
     }
 
     #[test]

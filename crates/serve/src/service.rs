@@ -9,12 +9,12 @@
 //! engine through `QuickDrop::resume_requests_until`, under the base
 //! guard policy; the first unit the guard rejects aborts the run.
 //!
-//! Progress lives entirely in the journal, so crash recovery is: reload
-//! checkpoint + journal (which finishes any partially-applied unit via
-//! `QuickDrop::resume_requests`), then call [`run_service`] again with
-//! the same config — it rebuilds the same plan, maps the journal back
-//! onto it, and continues from the first incomplete unit. The final
-//! model, journal records and [`ServeStats`] match an unfailed run
+//! Progress lives entirely in the journal, so crash recovery is: reopen
+//! checkpoint + journal (`QuickDrop::open_deployment`), then call
+//! [`run_service`] again with the same config — it rebuilds the same
+//! plan, maps the journal back onto it, finishes the unit the kill
+//! left partially applied and continues from there. The final model,
+//! journal records and [`ServeStats`] match an unfailed run
 //! bit-for-bit.
 //!
 //! With an active [`crate::IsolationConfig`] the same loop adds the
@@ -131,9 +131,9 @@ pub struct ServiceRun {
 /// journal that cannot be aligned (wrong config, relearn records, some
 /// other deployment's history) is refused with
 /// [`ServiceError::ForeignJournal`] instead of being silently
-/// miscounted. Callers resuming after a crash should first restore the
-/// deployment (`QuickDrop::recover_deployment`, which finishes any
-/// partially-applied unit), then call this with the same config.
+/// miscounted. Callers resuming after a crash reopen the deployment
+/// (`QuickDrop::open_deployment`) and call this with the same config;
+/// the partially-applied unit is finished here.
 ///
 /// This is [`crate::run_service_isolated`] with the default all-off
 /// [`crate::IsolationConfig`].

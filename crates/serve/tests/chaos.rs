@@ -5,7 +5,9 @@
 //! final model bits, every journal record, and the reported
 //! [`ServeStats`].
 
-use qd_core::{BatchPreempt, Checkpoint, QuickDrop, QuickDropConfig, RequestJournal, RequestState};
+use qd_core::{
+    BatchPreempt, Checkpoint, QuickDrop, QuickDropConfig, RequestJournal, RequestState, StdFs,
+};
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};
 use qd_nn::{Mlp, Module};
@@ -18,12 +20,15 @@ use std::sync::Arc;
 
 fn fresh_fed() -> (Federation, Rng) {
     let mut rng = Rng::seed_from(42);
-    let model: Arc<dyn Module> = Arc::new(Mlp::new(&[256, 16, 10]));
     let data = SyntheticDataset::Digits.generate(240, &mut rng);
     let parts = partition_iid(data.len(), 3, &mut rng);
     let clients = parts.iter().map(|p| data.subset(p)).collect();
-    let fed = Federation::new(model, clients, &mut rng);
+    let fed = Federation::new(model(), clients, &mut rng);
     (fed, rng)
+}
+
+fn model() -> Arc<dyn Module> {
+    Arc::new(Mlp::new(&[256, 16, 10]))
 }
 
 fn config() -> QuickDropConfig {
@@ -62,7 +67,6 @@ fn serve_config() -> ServeConfig {
         ascent_cost_us: 400,
         recovery_cost_us: 900,
         seed: 11,
-        planner_threads: 2,
     }
 }
 
@@ -163,11 +167,11 @@ fn kill_and_resume(
     }
 
     // Process B: model, RNG and progress all come from checkpoint +
-    // journal. recover_deployment finishes the partially-applied unit;
-    // run_service then re-plans and continues from the frontier.
-    let (mut fed, mut rng) = fresh_fed();
-    let (mut qd, mut journal, _finished) =
-        QuickDrop::recover_deployment(&paths.ckpt, &mut fed, Some(&policy()), &mut rng).unwrap();
+    // journal. run_service re-plans, finishes the partially-applied
+    // unit and continues from the frontier.
+    let (mut qd, mut fed, mut journal, _) =
+        QuickDrop::open_deployment(Arc::new(StdFs), &paths.ckpt, &paths.journal, model()).unwrap();
+    let mut rng = Rng::seed_from(0); // restored from the journal tail
     let run = run_service(
         &mut qd,
         &mut fed,
@@ -367,10 +371,11 @@ fn vfs_resume(seed: &ServeSeed, fs: &Arc<FaultFs>) -> VfsTerminal {
         return vfs_scenario(seed, fs).expect("fault-free redeploy succeeds");
     }
     let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
-    let (mut fed, mut rng) = fresh_fed();
-    let (mut qd, mut journal, _finished) =
-        QuickDrop::recover_deployment_on(vfs, vfs_ckpt_path(), &mut fed, Some(&policy()), &mut rng)
+    let journal_path = RequestJournal::path_for_checkpoint(vfs_ckpt_path());
+    let (mut qd, mut fed, mut journal, _) =
+        QuickDrop::open_deployment(vfs, &vfs_ckpt_path(), &journal_path, model())
             .expect("recovery after a crash succeeds");
+    let mut rng = Rng::seed_from(0); // restored from the journal tail
     if journal.records().is_empty() {
         // Died before the first record became durable: the post-train
         // RNG stream is not on disk; rebuild it from the seed.

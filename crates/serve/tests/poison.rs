@@ -101,7 +101,6 @@ fn serve_config() -> ServeConfig {
         ascent_cost_us: 400,
         recovery_cost_us: 900,
         seed: 42,
-        planner_threads: 2,
     }
 }
 
@@ -279,11 +278,10 @@ fn seq_units(plan: &Plan, records: &[JournalRecord]) -> BTreeMap<u64, usize> {
 }
 
 /// Kills the degraded service at `kill`, then resumes in a "fresh
-/// process" from checkpoint + journal alone — deliberately **without**
-/// the plain `recover_deployment` resume, which would finish the
-/// in-flight unit under the base policy; the isolated executor
-/// re-derives the winning ladder rung and the breaker fold from the
-/// journal itself — and demands the unfailed run's terminal state.
+/// process" from checkpoint + journal alone: the executor re-derives
+/// the winning ladder rung and the breaker fold from the journal itself
+/// and finishes the in-flight unit under that rung — and demands the
+/// unfailed run's terminal state.
 fn kill_and_resume(
     seed: &PoisonSeed,
     iso: &IsolationConfig,
@@ -623,8 +621,9 @@ fn stats_digest(stats: &ServeStats) -> u32 {
 }
 
 /// One "process" of the plain service on `fs`: deployment from the
-/// checkpoint file, journal reopened, and — when `resume` — the CLI's
-/// crash recovery (`resume_requests`, then `run_service` again).
+/// checkpoint file, journal reopened, and `run_service` — preceded, when
+/// `resume`, by a caller-side `resume_requests` (redundant: the executor
+/// finishes in-flight units itself; the oracle pins that it is harmless).
 fn oracle_process(
     seed: &PoisonSeed,
     fs: &Arc<FaultFs>,
@@ -800,17 +799,25 @@ fn merged_engine_reproduces_the_parent_digests() {
             let (run, _) = oracle_process(&seed, &fs, cfg, policy, Some(kill), false);
             assert!(run.preempted, "{name}: {kind}@{label} must fire");
             actual.push((format!("{name}/kill-{kind}@{label}"), files_digest(&fs)));
-            let (run, model) = oracle_process(&seed, &fs, cfg, policy, None, true);
-            assert!(!run.preempted);
-            assert_eq!(
-                [
-                    files_digest(&fs),
-                    model_digest(&model),
-                    stats_digest(&run.stats)
-                ],
-                unfailed[scenario],
-                "{name}: resume after {kind}@{label} must reach the unfailed digests"
-            );
+            // Two ways back, one end state: `resume_requests` first (the
+            // single-request CLI's resume — still legal here, and then a
+            // no-op for the executor), or the executor alone.
+            let killed = fs.files();
+            for resume_first in [true, false] {
+                fs.reset_to(killed.clone());
+                let (run, model) = oracle_process(&seed, &fs, cfg, policy, None, resume_first);
+                assert!(!run.preempted);
+                assert_eq!(
+                    [
+                        files_digest(&fs),
+                        model_digest(&model),
+                        stats_digest(&run.stats)
+                    ],
+                    unfailed[scenario],
+                    "{name}: resume after {kind}@{label} (resume_requests first: \
+                     {resume_first}) must reach the unfailed digests"
+                );
+            }
         }
     }
 

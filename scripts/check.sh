@@ -38,6 +38,9 @@ echo "== qd-lint (--graph dot output matches the pinned fixture byte-for-byte)"
 echo "== cargo test"
 cargo test --offline --workspace -q
 
+echo "== code lines (scripts/loc.sh; informational, never a gate)"
+./scripts/loc.sh | tail -n 1
+
 echo "== journal kill-and-resume (release, every state boundary)"
 cargo test --offline --release -p qd-core --test journal_resume -q
 

@@ -4,7 +4,6 @@ bench_output.txt (run `cargo bench --workspace 2>&1 | tee bench_output.txt`
 first). The hand-written preamble of EXPERIMENTS.md (everything above the
 generated-sections marker) is preserved."""
 
-import re
 import sys
 
 MARKER = "<!-- GENERATED SECTIONS BELOW — do not edit by hand -->"
@@ -60,19 +59,6 @@ def main() -> None:
         parts.append("")
         parts.append("```text")
         parts.append(extract(bench, banner).rstrip())
-        parts.append("```")
-        parts.append("")
-    # Kernel micro-benchmarks summary if present (criterion prints the
-    # name and the time on adjacent lines).
-    kern = re.findall(
-        r"^(kernels/[^\s]+)\s*\n\s+time:\s*\[([^\]]+)\]", bench, re.M
-    )
-    if kern:
-        parts.append("## Kernel micro-benchmarks (criterion)")
-        parts.append("")
-        parts.append("```text")
-        for name, time in kern:
-            parts.append(f"{name}: {time}")
         parts.append("```")
         parts.append("")
     open("EXPERIMENTS.md", "w", encoding="utf-8").write("\n".join(parts))
