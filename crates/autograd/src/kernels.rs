@@ -5,16 +5,23 @@ use qd_tensor::Tensor;
 
 /// Permutes a patch-row matrix `(N*OH*OW, C)` into an `(N, C, OH, OW)`
 /// feature map. Inverse (and adjoint) of [`nchw_to_rows`].
+///
+/// Per image this is a `(OH*OW, C) -> (C, OH*OW)` transpose: each output
+/// plane is one column of the image's row block, read as a strided run.
 pub(crate) fn rows_to_nchw(rows: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
     assert_eq!(rows.dims(), &[n * oh * ow, c], "rows_to_nchw shape");
-    let data = rows.data();
-    let mut out = vec![0.0f32; n * c * oh * ow];
     let hw = oh * ow;
-    for b in 0..n {
-        for p in 0..hw {
-            let row = &data[(b * hw + p) * c..(b * hw + p + 1) * c];
-            for (ch, &v) in row.iter().enumerate() {
-                out[(b * c + ch) * hw + p] = v;
+    let mut out = vec![0.0f32; n * c * hw];
+    if c * hw > 0 {
+        for (block, img) in rows
+            .data()
+            .chunks_exact(hw * c)
+            .zip(out.chunks_exact_mut(c * hw))
+        {
+            for (ch, plane) in img.chunks_exact_mut(hw).enumerate() {
+                for (o, &v) in plane.iter_mut().zip(block[ch..].iter().step_by(c)) {
+                    *o = v;
+                }
             }
         }
     }
@@ -23,16 +30,23 @@ pub(crate) fn rows_to_nchw(rows: &Tensor, n: usize, c: usize, oh: usize, ow: usi
 
 /// Permutes an `(N, C, OH, OW)` feature map into patch rows
 /// `(N*OH*OW, C)`. Inverse (and adjoint) of [`rows_to_nchw`].
+///
+/// Per image this is a `(C, OH*OW) -> (OH*OW, C)` transpose: each input
+/// plane is written down one column of the image's row block.
 pub(crate) fn nchw_to_rows(x: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
     assert_eq!(x.len(), n * c * oh * ow, "nchw_to_rows length");
-    let data = x.data();
     let hw = oh * ow;
     let mut out = vec![0.0f32; n * hw * c];
-    for b in 0..n {
-        for ch in 0..c {
-            let src = &data[(b * c + ch) * hw..(b * c + ch + 1) * hw];
-            for (p, &v) in src.iter().enumerate() {
-                out[(b * hw + p) * c + ch] = v;
+    if c * hw > 0 {
+        for (img, block) in x
+            .data()
+            .chunks_exact(c * hw)
+            .zip(out.chunks_exact_mut(hw * c))
+        {
+            for (ch, plane) in img.chunks_exact(hw).enumerate() {
+                for (o, &v) in block[ch..].iter_mut().step_by(c).zip(plane) {
+                    *o = v;
+                }
             }
         }
     }
@@ -102,6 +116,55 @@ pub(crate) fn channel_broadcast(v: &Tensor, n: usize, h: usize, w: usize) -> Ten
 mod tests {
     use super::*;
     use qd_tensor::rng::Rng;
+
+    /// The first-draft permutes, indexed per element: the oracles.
+    fn naive_rows_to_nchw(rows: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
+        let hw = oh * ow;
+        let mut out = vec![0.0f32; n * c * hw];
+        for b in 0..n {
+            for p in 0..hw {
+                for ch in 0..c {
+                    out[(b * c + ch) * hw + p] = rows.data()[(b * hw + p) * c + ch];
+                }
+            }
+        }
+        Tensor::from_vec(out, &[n, c, oh, ow])
+    }
+
+    fn naive_nchw_to_rows(x: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
+        let hw = oh * ow;
+        let mut out = vec![0.0f32; n * hw * c];
+        for b in 0..n {
+            for ch in 0..c {
+                for p in 0..hw {
+                    out[(b * hw + p) * c + ch] = x.data()[(b * c + ch) * hw + p];
+                }
+            }
+        }
+        Tensor::from_vec(out, &[n * hw, c])
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn nchw_permutes_match_the_indexed_loops(
+            n in 1usize..4,
+            c in 1usize..6,
+            oh in 1usize..5,
+            ow in 1usize..5,
+            seed in 0u64..100_000,
+        ) {
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut rng = Rng::seed_from(seed);
+            let rows = Tensor::randn(&[n * oh * ow, c], &mut rng);
+            let img = rows_to_nchw(&rows, n, c, oh, ow);
+            let want = naive_rows_to_nchw(&rows, n, c, oh, ow);
+            assert_eq!((img.dims(), bits(&img)), (want.dims(), bits(&want)));
+            let x = Tensor::randn(&[n, c, oh, ow], &mut rng);
+            let back = nchw_to_rows(&x, n, c, oh, ow);
+            let want = naive_nchw_to_rows(&x, n, c, oh, ow);
+            assert_eq!((back.dims(), bits(&back)), (want.dims(), bits(&want)));
+        }
+    }
 
     #[test]
     fn nchw_permutes_round_trip() {

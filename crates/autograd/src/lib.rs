@@ -20,8 +20,13 @@
 //!   *outside* the tape and are inserted per step as leaves, which keeps
 //!   federated averaging and gradient ascent as plain tensor arithmetic.
 //! * Convolution is a composite of the linear pair `im2col`/`col2im` plus
-//!   `matmul`, so its double-backprop falls out of the vjp rules of those
-//!   primitives — no special casing.
+//!   a matrix product, so its double-backprop falls out of the vjp rules of
+//!   those primitives — no special casing.
+//! * The three products `A·B`, `Aᵀ·B` and `A·Bᵀ` are ops of their own and
+//!   closed under differentiation (each one's adjoints are products from
+//!   the same three), so no transpose is recorded or materialised at any
+//!   order; and a vjp rule builds no adjoint for an input that needs no
+//!   gradient.
 //!
 //! # Examples
 //!

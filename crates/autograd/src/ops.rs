@@ -9,177 +9,154 @@
 use crate::tape::{Op, PoolGeo, Tape};
 use crate::Var;
 
+/// The `(input, contribution)` pairs one node hands to [`Tape::grad`]: no
+/// op has more than two inputs, so they travel in an array, not a `Vec`.
+pub(crate) type Contributions = [Option<(Var, Var)>; 2];
+
+/// The contribution of an op with a single differentiable input.
+fn unary(a: Var, da: Var) -> Contributions {
+    [Some((a, da)), None]
+}
+
 impl Tape {
+    /// Contributions of a two-input op: `da`/`db` build the adjoint of
+    /// `a`/`b` and are only run for an input that needs a gradient, so a
+    /// product against a constant (the `dCols` of a network's first
+    /// convolution, say) is never computed just to be dropped.
+    fn binary(
+        &mut self,
+        (a, b): (Var, Var),
+        da: impl FnOnce(&mut Tape) -> Var,
+        db: impl FnOnce(&mut Tape) -> Var,
+    ) -> Contributions {
+        [
+            self.needs_grad(a).then(|| (a, da(self))),
+            self.needs_grad(b).then(|| (b, db(self))),
+        ]
+    }
+
     /// Returns `(input, contribution)` pairs for the node `node` (whose
-    /// recorded op is `op`) given the upstream adjoint `u`.
+    /// recorded op is `op`) given the upstream adjoint `u`, for the inputs
+    /// that need a gradient.
     ///
     /// Every contribution is shaped exactly like its input so that adjoint
-    /// accumulation is a plain elementwise add.
-    pub(crate) fn vjp(&mut self, node: Var, op: &Op, u: Var) -> Vec<(Var, Var)> {
-        match *op {
-            Op::Leaf | Op::Constant | Op::ReluMask => Vec::new(),
-            Op::Add(a, b) => vec![(a, u), (b, u)],
-            Op::Sub(a, b) => {
-                let nb = self.neg(u);
-                vec![(a, u), (b, nb)]
-            }
-            Op::Mul(a, b) => {
-                let da = self.mul(u, b);
-                let db = self.mul(u, a);
-                vec![(a, da), (b, db)]
-            }
-            Op::Div(a, b) => {
+    /// accumulation is a plain elementwise add. The three matrix products
+    /// are closed under this function — each one's contributions are
+    /// products from the same family — so no transpose is ever
+    /// materialised, at any order of differentiation.
+    pub(crate) fn vjp(&mut self, node: Var, op: Op, u: Var) -> Contributions {
+        match op {
+            Op::Leaf | Op::Constant | Op::ReluMask | Op::MaxUnpoolMask => [None, None],
+            Op::Add(a, b) => self.binary((a, b), |_| u, |_| u),
+            Op::Sub(a, b) => self.binary((a, b), |_| u, |t| t.neg(u)),
+            Op::Mul(a, b) => self.binary((a, b), |t| t.mul(u, b), |t| t.mul(u, a)),
+            Op::Div(a, b) => self.binary(
+                (a, b),
                 // y = a / b; da = u / b; db = -u * y / b.
-                let da = self.div(u, b);
-                let y_over_b = self.div(node, b);
-                let ub = self.mul(u, y_over_b);
-                let db = self.neg(ub);
-                vec![(a, da), (b, db)]
-            }
-            Op::Neg(a) => {
-                let da = self.neg(u);
-                vec![(a, da)]
-            }
-            Op::Scale(a, s) => {
-                let da = self.scale(u, s);
-                vec![(a, da)]
-            }
-            Op::AddScalar(a) => vec![(a, u)],
-            Op::MatMul(a, b) => {
-                let bt = self.transpose2(b);
-                let da = self.matmul(u, bt);
-                let at = self.transpose2(a);
-                let db = self.matmul(at, u);
-                vec![(a, da), (b, db)]
-            }
-            Op::Transpose2(a) => {
-                let da = self.transpose2(u);
-                vec![(a, da)]
-            }
+                |t| t.div(u, b),
+                |t| {
+                    let y_over_b = t.div(node, b);
+                    let ub = t.mul(u, y_over_b);
+                    t.neg(ub)
+                },
+            ),
+            Op::Neg(a) => unary(a, self.neg(u)),
+            Op::Scale(a, s) => unary(a, self.scale(u, s)),
+            Op::AddScalar(a) => unary(a, u),
+            // y = a·b; da = u·bᵀ; db = aᵀ·u.
+            Op::MatMul(a, b) => self.binary((a, b), |t| t.matmul_nt(u, b), |t| t.matmul_tn(a, u)),
+            // y = aᵀ·b; da = b·uᵀ; db = a·u.
+            Op::MatMulTn(a, b) => self.binary((a, b), |t| t.matmul_nt(b, u), |t| t.matmul(a, u)),
+            // y = a·bᵀ; da = u·b; db = uᵀ·a.
+            Op::MatMulNt(a, b) => self.binary((a, b), |t| t.matmul(u, b), |t| t.matmul_tn(u, a)),
+            Op::Transpose2(a) => unary(a, self.transpose2(u)),
             Op::Relu(a) => {
                 // d relu(x)/dx = 1[x > 0]; the mask is locally constant.
                 let mask = self.relu_mask(a);
-                let da = self.mul(u, mask);
-                vec![(a, da)]
+                unary(a, self.mul(u, mask))
             }
             Op::Tanh(a) => {
                 // y = tanh(x); dy/dx = 1 - y².
                 let y2 = self.mul(node, node);
                 let neg = self.neg(y2);
                 let one_minus = self.add_scalar(neg, 1.0);
-                let da = self.mul(u, one_minus);
-                vec![(a, da)]
+                unary(a, self.mul(u, one_minus))
             }
             Op::Sigmoid(a) => {
                 // y = σ(x); dy/dx = y (1 - y).
                 let neg = self.neg(node);
                 let one_minus = self.add_scalar(neg, 1.0);
                 let deriv = self.mul(node, one_minus);
-                let da = self.mul(u, deriv);
-                vec![(a, da)]
+                unary(a, self.mul(u, deriv))
             }
-            Op::MaxPool(a, geo) => {
-                let da = self.max_unpool_scatter(a, u, geo);
-                vec![(a, da)]
-            }
-            Op::MaxUnpoolMask => Vec::new(),
+            Op::MaxPool(a, geo) => unary(a, self.max_unpool_scatter(a, u, geo)),
             Op::Sqrt(a) => {
                 // y = sqrt(a); da = u / (2 y).
                 let half_u = self.scale(u, 0.5);
-                let da = self.div(half_u, node);
-                vec![(a, da)]
+                unary(a, self.div(half_u, node))
             }
-            Op::Exp(a) => {
-                let da = self.mul(u, node);
-                vec![(a, da)]
-            }
-            Op::Ln(a) => {
-                let da = self.div(u, a);
-                vec![(a, da)]
-            }
+            Op::Exp(a) => unary(a, self.mul(u, node)),
+            Op::Ln(a) => unary(a, self.div(u, a)),
             Op::SumAll(a) => {
                 let dims = self.value(a).dims().to_vec();
-                let da = self.broadcast_to(u, &dims);
-                vec![(a, da)]
+                unary(a, self.broadcast_to(u, &dims))
             }
             Op::BroadcastTo(a) => {
                 let s = self.sum_all(u);
-                let da = self.reshape_like(s, a);
-                vec![(a, da)]
+                unary(a, self.reshape_like(s, a))
             }
             Op::SumRows(a) => {
                 let m = self.value(a).dims()[0];
-                let da = self.broadcast_rows(u, m);
-                vec![(a, da)]
+                unary(a, self.broadcast_rows(u, m))
             }
-            Op::BroadcastRows(a) => {
-                let da = self.sum_rows(u);
-                vec![(a, da)]
-            }
+            Op::BroadcastRows(a) => unary(a, self.sum_rows(u)),
             Op::SumCols(a) => {
                 let n = self.value(a).dims()[1];
-                let da = self.broadcast_cols(u, n);
-                vec![(a, da)]
+                unary(a, self.broadcast_cols(u, n))
             }
-            Op::BroadcastCols(a) => {
-                let da = self.sum_cols(u);
-                vec![(a, da)]
-            }
-            Op::Reshape(a) => {
-                let da = self.reshape_like(u, a);
-                vec![(a, da)]
-            }
+            Op::BroadcastCols(a) => unary(a, self.sum_cols(u)),
+            Op::Reshape(a) => unary(a, self.reshape_like(u, a)),
             Op::Im2col(a, geo) => {
                 let folded = self.col2im(u, geo);
-                let da = self.reshape_like(folded, a);
-                vec![(a, da)]
+                unary(a, self.reshape_like(folded, a))
             }
             Op::Col2im(a, geo) => {
                 let cols = self.im2col(u, geo);
-                let da = self.reshape_like(cols, a);
-                vec![(a, da)]
+                unary(a, self.reshape_like(cols, a))
             }
             Op::AvgPool(a, PoolGeo { c, h, w, k }) => {
                 let up = self.avg_unpool2d(u, c, h / k, w / k, k);
-                let da = self.reshape_like(up, a);
-                vec![(a, da)]
+                unary(a, self.reshape_like(up, a))
             }
             Op::AvgUnpool(a, PoolGeo { c, h, w, k }) => {
                 // Forward input was (N, C, h, w) with output (N, C, h*k, w*k).
                 let down = self.avg_pool2d(u, c, h * k, w * k, k);
-                let da = self.reshape_like(down, a);
-                vec![(a, da)]
+                unary(a, self.reshape_like(down, a))
             }
             Op::RowsToNchw(a, [n, c, oh, ow]) => {
                 let rows = self.nchw_to_rows(u, n, c, oh, ow);
-                let da = self.reshape_like(rows, a);
-                vec![(a, da)]
+                unary(a, self.reshape_like(rows, a))
             }
             Op::NchwToRows(a, [n, c, oh, ow]) => {
                 let img = self.rows_to_nchw(u, n, c, oh, ow);
-                let da = self.reshape_like(img, a);
-                vec![(a, da)]
+                unary(a, self.reshape_like(img, a))
             }
             Op::SpatialSum(a, [c, h, w]) => {
                 let bc = self.spatial_broadcast(u, c, h, w);
-                let da = self.reshape_like(bc, a);
-                vec![(a, da)]
+                unary(a, self.reshape_like(bc, a))
             }
             Op::SpatialBroadcast(a, [c, h, w]) => {
                 let s = self.spatial_sum(u, c, h, w);
-                let da = self.reshape_like(s, a);
-                vec![(a, da)]
+                unary(a, self.reshape_like(s, a))
             }
             Op::ChannelSum(a, [c, h, w]) => {
                 let n = self.value(a).len() / (c * h * w);
                 let bc = self.channel_broadcast(u, n, h, w);
-                let da = self.reshape_like(bc, a);
-                vec![(a, da)]
+                unary(a, self.reshape_like(bc, a))
             }
             Op::ChannelBroadcast(a, [_, c, h, w]) => {
                 let s = self.channel_sum(u, c, h, w);
-                let da = self.reshape_like(s, a);
-                vec![(a, da)]
+                unary(a, self.reshape_like(s, a))
             }
             Op::LogSoftmax(a) => {
                 // y = log_softmax(x); da = u - softmax(x) * rowsum(u).
@@ -188,19 +165,17 @@ impl Tape {
                 let row = self.sum_cols(u);
                 let bc = self.broadcast_cols(row, n);
                 let sub = self.mul(soft, bc);
-                let da = self.sub(u, sub);
-                vec![(a, da)]
+                unary(a, self.sub(u, sub))
             }
         }
     }
 
     /// Reshapes `v` to the dims of `like` if they differ (no-op otherwise).
     fn reshape_like(&mut self, v: Var, like: Var) -> Var {
-        let want = self.value(like).dims().to_vec();
-        if self.value(v).dims() == want.as_slice() {
-            v
-        } else {
-            self.reshape(v, &want)
+        if self.value(v).dims() == self.value(like).dims() {
+            return v;
         }
+        let want = self.value(like).dims().to_vec();
+        self.reshape(v, &want)
     }
 }

@@ -27,7 +27,7 @@ pub(crate) struct PoolGeo {
     pub k: usize,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Op {
     Leaf,
     Constant,
@@ -39,6 +39,8 @@ pub(crate) enum Op {
     Scale(Var, f32),
     AddScalar(Var),
     MatMul(Var, Var),
+    MatMulTn(Var, Var),
+    MatMulNt(Var, Var),
     Transpose2(Var),
     Relu(Var),
     ReluMask,
@@ -146,6 +148,11 @@ impl Tape {
         self.push(value, Op::Constant, false)
     }
 
+    /// Whether gradients flow to `v`: it is a leaf or depends on one.
+    pub(crate) fn needs_grad(&self, v: Var) -> bool {
+        self.nodes[v.0].needs_grad
+    }
+
     fn push(&mut self, value: Tensor, op: Op, needs_grad: bool) -> Var {
         self.nodes.push(Node {
             value,
@@ -211,6 +218,23 @@ impl Tape {
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).matmul(self.value(b));
         self.push_binary(a, b, v, Op::MatMul(a, b))
+    }
+
+    /// `aᵀ · b` for rank-2 variables `(k, m)` and `(k, n)`, without
+    /// recording (or building) the transpose; see
+    /// [`qd_tensor::Tensor::matmul_tn`].
+    pub fn matmul_tn(&mut self, a: Var, b: Var) -> Var {
+        let v = self.value(a).matmul_tn(self.value(b));
+        self.push_binary(a, b, v, Op::MatMulTn(a, b))
+    }
+
+    /// `a · bᵀ` for rank-2 variables `(m, k)` and `(n, k)`, without
+    /// recording (or building) the transpose — the product of a layer's
+    /// input with its `(out, in)` weight matrix; see
+    /// [`qd_tensor::Tensor::matmul_nt`].
+    pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
+        let v = self.value(a).matmul_nt(self.value(b));
+        self.push_binary(a, b, v, Op::MatMulNt(a, b))
     }
 
     /// Transpose of a rank-2 variable.
@@ -296,8 +320,7 @@ impl Tape {
     /// inputs, mirroring [`Tape::relu_mask`].
     pub(crate) fn max_unpool_scatter(&mut self, input: Var, upstream: Var, geo: PoolGeo) -> Var {
         let PoolGeo { c, h, w, k } = geo;
-        let x = self.value(input).clone();
-        let u = self.value(upstream);
+        let (x, u) = (self.value(input), self.value(upstream));
         let per_image = c * h * w;
         let n = x.len() / per_image;
         let (oh, ow) = (h / k, w / k);
@@ -323,8 +346,7 @@ impl Tape {
                 }
             }
         }
-        let dims = self.value(input).dims().to_vec();
-        let v = Tensor::from_vec(out, &dims);
+        let v = Tensor::from_vec(out, x.dims());
         // Like ReluMask: a function of (input, upstream) whose derivative
         // w.r.t. the *selection* is zero a.e.; upstream linearity is
         // handled by first-order use only.
@@ -515,11 +537,8 @@ impl Tape {
             if !self.nodes[id].needs_grad {
                 continue;
             }
-            let op = self.nodes[id].op.clone();
-            for (input, contribution) in self.vjp(Var(id), &op, upstream) {
-                if input.0 >= horizon || !self.nodes[input.0].needs_grad {
-                    continue;
-                }
+            let op = self.nodes[id].op;
+            for (input, contribution) in self.vjp(Var(id), op, upstream).into_iter().flatten() {
                 adjoint[input.0] = Some(match adjoint[input.0] {
                     Some(acc) => self.add(acc, contribution),
                     None => contribution,

@@ -86,6 +86,161 @@ fn matmul_gradcheck() {
 }
 
 #[test]
+fn matmul_tn_and_nt_gradcheck() {
+    let mut rng = Rng::seed_from(33);
+    // Ragged against the kernel's 4x8 tile on purpose.
+    let a = smooth_randn(&[5, 3], &mut rng);
+    let b = smooth_randn(&[5, 9], &mut rng);
+    assert_grads_close(
+        |t, vs| {
+            let y = t.matmul_tn(vs[0], vs[1]); // (3, 9)
+            let sq = t.mul(y, y);
+            t.sum_all(sq)
+        },
+        &[a, b],
+        5e-2,
+    );
+    let a = smooth_randn(&[5, 3], &mut rng);
+    let b = smooth_randn(&[9, 3], &mut rng);
+    assert_grads_close(
+        |t, vs| {
+            let y = t.matmul_nt(vs[0], vs[1]); // (5, 9)
+            let sq = t.mul(y, y);
+            t.sum_all(sq)
+        },
+        &[a, b],
+        5e-2,
+    );
+}
+
+#[test]
+fn gemm_family_matches_the_transpose_composites_bit_for_bit() {
+    // Values, first-order gradients and gradient-of-gradient of Aᵀ·B and
+    // A·Bᵀ against the recorded transpose2 + matmul they replace: the
+    // family is closed under vjp, so equality must hold at every order.
+    let mut rng = Rng::seed_from(34);
+    let a = Tensor::randn(&[6, 5], &mut rng);
+    let b = Tensor::randn(&[6, 11], &mut rng);
+    let c = Tensor::randn(&[11, 5], &mut rng);
+    let run = |fused: bool| -> Vec<Vec<u32>> {
+        let mut t = Tape::new();
+        let (av, bv, cv) = (t.leaf(a.clone()), t.leaf(b.clone()), t.leaf(c.clone()));
+        // tn: (5, 11); nt: (6, 11); mixed = nt · tnᵀ: (6, 5), so every
+        // input receives more than one contribution.
+        let (tn, nt, mixed) = if fused {
+            let tn = t.matmul_tn(av, bv);
+            let nt = t.matmul_nt(av, cv);
+            (tn, nt, t.matmul_nt(nt, tn))
+        } else {
+            let at = t.transpose2(av);
+            let tn = t.matmul(at, bv);
+            let ct = t.transpose2(cv);
+            let nt = t.matmul(av, ct);
+            let tnt = t.transpose2(tn);
+            (tn, nt, t.matmul(nt, tnt))
+        };
+        let sq = t.mul(mixed, mixed);
+        let loss = t.sum_all(sq);
+        let first = t.grad(loss, &[av, bv, cv]);
+        let gg = t.mul(first[0], first[0]);
+        let phi = t.sum_all(gg);
+        let second = t.grad(phi, &[av, bv, cv]);
+        [tn, nt]
+            .iter()
+            .chain(&first)
+            .chain(&second)
+            .map(|v| t.value(*v).data().iter().map(|x| x.to_bits()).collect())
+            .collect()
+    };
+    assert_eq!(run(true), run(false));
+}
+
+/// The gradient-matching shape of a second-order check: with
+/// `φ = ‖∂L/∂inputs[inner]‖²`, compares the tape's `∂φ/∂inputs[outer]`
+/// (a gradient of a gradient) against central differences of `φ`.
+fn assert_second_order_close(
+    build: impl Fn(&mut Tape, &[Var]) -> Var,
+    inputs: &[Tensor],
+    (inner, outer): (usize, usize),
+    tol: f32,
+) {
+    let phi = |t: &mut Tape, tensors: &[Tensor]| -> (Vec<Var>, Var) {
+        let vs: Vec<Var> = tensors.iter().map(|x| t.leaf(x.clone())).collect();
+        let loss = build(t, &vs);
+        let g = t.grad(loss, &[vs[inner]])[0];
+        let gg = t.mul(g, g);
+        (vs, t.sum_all(gg))
+    };
+    let numeric = numeric_grad(
+        |tensors| {
+            let mut t = Tape::new();
+            let (_, out) = phi(&mut t, tensors);
+            t.value(out).item()
+        },
+        inputs,
+        outer,
+        1e-3,
+    );
+    let mut t = Tape::new();
+    let (vs, out) = phi(&mut t, inputs);
+    let analytic = t.grad(out, &[vs[outer]])[0];
+    let gap = t.value(analytic).max_abs_diff(&numeric);
+    assert!(
+        gap < tol,
+        "second-order gap {gap} (inner {inner}, outer {outer})"
+    );
+}
+
+#[test]
+fn second_order_through_matmul_tn_and_nt() {
+    let mut rng = Rng::seed_from(35);
+    // A linear layer x·Wᵀ under a smooth nonlinearity, differentiated the
+    // way distillation does: inner gradient w.r.t. W, outer w.r.t. x.
+    let x = smooth_randn(&[3, 5], &mut rng);
+    let w = smooth_randn(&[9, 5], &mut rng).scale(0.5);
+    let layer = |t: &mut Tape, vs: &[Var]| {
+        let y = t.matmul_nt(vs[0], vs[1]);
+        let act = t.tanh(y);
+        let sq = t.mul(act, act);
+        t.sum_all(sq)
+    };
+    assert_second_order_close(layer, &[x.clone(), w.clone()], (1, 0), 5e-2);
+    assert_second_order_close(layer, &[x, w], (0, 1), 5e-2);
+
+    let a = smooth_randn(&[5, 3], &mut rng).scale(0.5);
+    let b = smooth_randn(&[5, 9], &mut rng).scale(0.5);
+    let gram = |t: &mut Tape, vs: &[Var]| {
+        let y = t.matmul_tn(vs[0], vs[1]);
+        let act = t.tanh(y);
+        let sq = t.mul(act, act);
+        t.sum_all(sq)
+    };
+    assert_second_order_close(gram, &[a.clone(), b.clone()], (0, 1), 5e-2);
+    assert_second_order_close(gram, &[a, b], (1, 0), 5e-2);
+}
+
+#[test]
+fn constant_operands_get_no_contribution_nodes() {
+    // x is data (a constant): backward must not build dX = dY·W for it.
+    let mut rng = Rng::seed_from(36);
+    let mut grad_nodes = |x_is_leaf: bool| {
+        let mut t = Tape::new();
+        let x = Tensor::randn(&[4, 3], &mut rng);
+        let xv = if x_is_leaf { t.leaf(x) } else { t.constant(x) };
+        let w = t.leaf(Tensor::randn(&[2, 3], &mut rng));
+        let y = t.matmul_nt(xv, w);
+        let sq = t.mul(y, y);
+        let loss = t.sum_all(sq);
+        let before = t.len();
+        let g = t.grad(loss, &[w])[0];
+        assert_eq!(t.value(g).dims(), &[2, 3]);
+        t.len() - before
+    };
+    let (constant, leaf) = (grad_nodes(false), grad_nodes(true));
+    assert!(constant < leaf, "{constant} nodes vs {leaf}");
+}
+
+#[test]
 fn transpose_gradcheck() {
     let mut rng = Rng::seed_from(4);
     let a = smooth_randn(&[2, 5], &mut rng);

@@ -83,18 +83,41 @@ pub fn matching_distance(tape: &mut Tape, grads_s: &[Var], grads_d: &[Tensor]) -
     total.unwrap_or_else(|| tape.constant(Tensor::zeros(&[1])))
 }
 
+/// Records the matching objective at `syn` on a fresh tape: the synthetic
+/// samples as a leaf, the model gradients they induce (as differentiable
+/// nodes) and their distance to `ref_grads`. Returns the tape, the
+/// synthetic leaf and the distance node.
+fn matching_objective(
+    model: &dyn Module,
+    params: &[Tensor],
+    ref_grads: &[Tensor],
+    syn: &Tensor,
+    class: usize,
+    classes: usize,
+) -> (Tape, Var, Var) {
+    let mut tape = Tape::new();
+    let p: Vec<Var> = params.iter().map(|t| tape.leaf(t.clone())).collect();
+    let sv = tape.leaf(syn.clone());
+    let labels = vec![class; crate::synset::rows(syn)];
+    let logits = model.forward(&mut tape, &p, sv);
+    let loss = cross_entropy(&mut tape, logits, &labels, classes);
+    let grads_s = tape.grad(loss, &p);
+    let dist = matching_distance(&mut tape, &grads_s, ref_grads);
+    (tape, sv, dist)
+}
+
 /// One class-wise synthetic update (Eq. 6): runs `steps` SGD steps on the
 /// synthetic samples of one class, minimizing the matching distance
 /// between the model gradients they induce and `ref_grads` (the gradients
 /// of the same class's *real* samples at the same parameters).
 ///
 /// Returns the updated synthetic tensor and the distance *before* the
-/// first step (useful for monitoring convergence).
+/// first step (useful for monitoring convergence). With `steps == 0` the
+/// distance is evaluated once and `syn` is returned unchanged.
 ///
 /// # Panics
 ///
-/// Panics if `steps == 0` would still be fine (returns unchanged), but a
-/// non-positive `lr` panics.
+/// Panics if `lr` is not finite and positive.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's Algorithm 2 signature
 pub fn match_class_step(
     model: &dyn Module,
@@ -107,29 +130,21 @@ pub fn match_class_step(
     steps: usize,
 ) -> (Tensor, f32) {
     assert!(lr.is_finite() && lr > 0.0, "matching lr must be positive");
+    if steps == 0 {
+        let (tape, _, dist) = matching_objective(model, params, ref_grads, &syn, class, classes);
+        return (syn, tape.value(dist).item());
+    }
     let mut syn = syn;
     let mut first_distance = f32::NAN;
-    for step in 0..steps.max(1) {
-        let mut tape = Tape::new();
-        let p: Vec<Var> = params.iter().map(|t| tape.leaf(t.clone())).collect();
-        let sv = tape.leaf(syn.clone());
-        let labels = vec![class; crate::synset::rows(&syn)];
-        let logits = model.forward(&mut tape, &p, sv);
-        let loss = cross_entropy(&mut tape, logits, &labels, classes);
-        let grads_s = tape.grad(loss, &p);
-        let dist = matching_distance(&mut tape, &grads_s, ref_grads);
+    for step in 0..steps {
+        let (mut tape, sv, dist) =
+            matching_objective(model, params, ref_grads, &syn, class, classes);
         if step == 0 {
             first_distance = tape.value(dist).item();
         }
-        if steps == 0 {
-            break;
+        for g in tape.grad(dist, &[sv]) {
+            syn.axpy(-lr, tape.value(g));
         }
-        let Some(g) = tape.grad(dist, &[sv]).pop() else {
-            break;
-        };
-        let mut updated = syn.clone();
-        updated.axpy(-lr, tape.value(g));
-        syn = updated;
     }
     (syn, first_distance)
 }
@@ -205,6 +220,29 @@ mod tests {
             d_after < d0 * 0.3,
             "matching distance should drop: {d0} -> {d_after}"
         );
+    }
+
+    #[test]
+    fn zero_steps_evaluates_the_distance_and_leaves_syn_untouched() {
+        let mut rng = Rng::seed_from(8);
+        let model = Mlp::new(&[256, 10]);
+        let params = model.init(&mut rng);
+        let data = SyntheticDataset::Digits.generate(60, &mut rng);
+        let class = 2;
+        let (real_x, real_y) = data.only_class(class).all();
+        let refs = reference_gradients(&model, &params, &real_x, &real_y, 10);
+        let syn0 = Tensor::randn(&[2, 1, 16, 16], &mut rng);
+
+        let (same, d) = match_class_step(&model, &params, &refs, syn0.clone(), class, 10, 1.0, 0);
+        let (moved, d1) = match_class_step(&model, &params, &refs, syn0.clone(), class, 10, 1.0, 1);
+        assert_eq!(same, syn0);
+        assert_eq!(
+            d.to_bits(),
+            d1.to_bits(),
+            "both report the starting distance"
+        );
+        assert!(d.is_finite() && d > 0.0);
+        assert_ne!(moved, syn0);
     }
 
     #[test]

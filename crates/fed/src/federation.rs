@@ -155,6 +155,10 @@ pub struct Federation {
     guard: UpdateGuard,
     health: ClientHealth,
     fault_plan: Option<FaultPlan>,
+    /// Clients whose local rounds run at once (the machine's hardware
+    /// threads). It decides only when results arrive, never what they are:
+    /// every client works from its own pre-forked RNG into its own slot.
+    client_threads: usize,
 }
 
 impl std::fmt::Debug for Federation {
@@ -176,21 +180,8 @@ impl Federation {
     ///
     /// Panics if `clients` is empty.
     pub fn new(model: Arc<dyn Module>, clients: Vec<Dataset>, rng: &mut Rng) -> Self {
-        assert!(!clients.is_empty(), "federation needs at least one client");
         let global = model.init(rng);
-        let guard = UpdateGuard::new(GuardConfig::default(), clients.len());
-        let health = ClientHealth::new(HealthConfig::default(), clients.len());
-        Federation {
-            model,
-            clients,
-            global,
-            record_history: false,
-            history: Vec::new(),
-            transport: Box::new(LoopbackTransport::new()),
-            guard,
-            health,
-            fault_plan: None,
-        }
+        Federation::with_params(model, clients, global)
     }
 
     /// Creates a federation with the given starting parameters (used by
@@ -209,6 +200,9 @@ impl Federation {
             guard,
             health,
             fault_plan: None,
+            client_threads: std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(4),
         }
     }
 
@@ -541,10 +535,7 @@ impl Federation {
                         participants.contains(i) && start_params[slot_of(*i)].is_some()
                     })
                     .collect();
-                let parallelism = std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(4);
-                for chunk in jobs.chunks_mut(parallelism) {
+                for chunk in jobs.chunks_mut(self.client_threads) {
                     std::thread::scope(|scope| {
                         let mut handles = Vec::new();
                         for (client, trainer) in chunk.iter_mut() {
@@ -771,6 +762,33 @@ mod tests {
         for (a, b) in fed.global().iter().zip(&before) {
             assert!(a.max_abs_diff(b) < 1e-6);
         }
+    }
+
+    #[test]
+    fn global_parameters_do_not_depend_on_client_parallelism() {
+        // The contract the kernels and the round loop share: how many
+        // clients compute at once changes no bit of the result. A ConvNet,
+        // so every register-tiled product and run-copy kernel is on the
+        // path.
+        let run = |client_threads: usize| {
+            let mut rng = Rng::seed_from(3);
+            let model: Arc<dyn Module> = Arc::new(qd_nn::ConvNet::new(1, 16, 2, 4, 10));
+            let clients: Vec<Dataset> = (0..4)
+                .map(|_| SyntheticDataset::Digits.generate(24, &mut rng))
+                .collect();
+            let mut fed = Federation::new(model.clone(), clients, &mut rng);
+            fed.client_threads = client_threads;
+            let mut trainers = sgd_trainers(model, 4);
+            let phase = Phase::training(2, 3, 8, 0.1);
+            fed.run_phase(&mut trainers, None, &phase, &mut rng);
+            fed.global()
+                .iter()
+                .map(|t| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                .collect::<Vec<_>>()
+        };
+        let serial = run(1);
+        assert_eq!(serial, run(2));
+        assert_eq!(serial, run(4));
     }
 
     #[test]

@@ -42,8 +42,7 @@ impl Module for Linear {
     fn forward(&self, tape: &mut Tape, params: &[Var], x: Var) -> Var {
         let (w, b) = (params[0], params[1]);
         let batch = tape.value(x).dims()[0];
-        let wt = tape.transpose2(w);
-        let y = tape.matmul(x, wt);
+        let y = tape.matmul_nt(x, w);
         let bb = tape.broadcast_rows(b, batch);
         tape.add(y, bb)
     }
@@ -64,7 +63,9 @@ impl Module for Linear {
 ///
 /// Implemented as the differentiable composite
 /// `rows_to_nchw(im2col(x) · Wᵀ + b)`, which makes it valid inside
-/// higher-order gradient expressions (the distillation objective).
+/// higher-order gradient expressions (the distillation objective). The
+/// product is one `matmul_nt` node: `Wᵀ` is never built, forward or
+/// backward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conv2d {
     in_channels: usize,
@@ -111,8 +112,7 @@ impl Module for Conv2d {
         assert_eq!(c, self.in_channels, "Conv2d channel mismatch");
         let geo = Conv2dGeometry::new(c, h, w, self.kernel, self.stride, self.pad);
         let cols = tape.im2col(x, geo); // (N*OH*OW, C*k*k)
-        let wt = tape.transpose2(params[0]); // (C*k*k, Cout)
-        let y = tape.matmul(cols, wt); // (N*OH*OW, Cout)
+        let y = tape.matmul_nt(cols, params[0]); // (N*OH*OW, Cout)
         let bb = tape.broadcast_rows(params[1], geo.rows(n));
         let yb = tape.add(y, bb);
         tape.rows_to_nchw(yb, n, self.out_channels, geo.out_h, geo.out_w)

@@ -82,6 +82,83 @@ impl Conv2dGeometry {
     }
 }
 
+/// Where one window element `(c, ky, kx)` — one column of the patch matrix —
+/// meets the image: every output row in `oys` has the same run of `len`
+/// output positions starting at `ox0` whose window element lies inside the
+/// input.
+struct ColumnRuns {
+    /// The patch column, `(c * k + ky) * k + kx`.
+    col: usize,
+    oys: std::ops::Range<usize>,
+    ox0: usize,
+    len: usize,
+    /// Offset inside one image of the pixel under `(oys.start, ox0)`; the
+    /// run's following positions read pixels `stride` apart and the next
+    /// output row reads `stride` input rows further down.
+    first: usize,
+}
+
+impl Conv2dGeometry {
+    /// The output positions along one axis whose window element `kk` lands
+    /// inside the input: `0 <= o * stride + kk - pad < in_dim`.
+    fn covered(&self, kk: usize, in_dim: usize, out_dim: usize) -> std::ops::Range<usize> {
+        let lo = self.pad.saturating_sub(kk).div_ceil(self.stride);
+        let hi = (in_dim + self.pad)
+            .saturating_sub(kk)
+            .div_ceil(self.stride)
+            .min(out_dim);
+        lo..hi
+    }
+
+    /// The non-empty runs of every patch column, in column order.
+    ///
+    /// This is the one place the padding is clipped — once per window
+    /// element and axis — so the kernels' inner loops are plain strided
+    /// runs with no bounds test per element.
+    fn column_runs(&self) -> Vec<ColumnRuns> {
+        let k = self.kernel;
+        let mut runs = Vec::with_capacity(self.patch_len());
+        for c in 0..self.in_channels {
+            for ky in 0..k {
+                let oys = self.covered(ky, self.in_h, self.out_h);
+                for kx in 0..k {
+                    let oxs = self.covered(kx, self.in_w, self.out_w);
+                    if oys.is_empty() || oxs.is_empty() {
+                        continue;
+                    }
+                    let iy = oys.start * self.stride + ky - self.pad;
+                    let ix = oxs.start * self.stride + kx - self.pad;
+                    runs.push(ColumnRuns {
+                        col: (c * k + ky) * k + kx,
+                        oys: oys.clone(),
+                        ox0: oxs.start,
+                        len: oxs.len(),
+                        first: (c * self.in_h + iy) * self.in_w + ix,
+                    });
+                }
+            }
+        }
+        runs
+    }
+
+    /// Calls `f(patch_offset, image_offset, len)` for each run of `column`
+    /// inside one image: `len` patch-block elements `patch_len()` apart
+    /// pair with `len` image elements `stride` apart.
+    #[inline(always)]
+    fn for_each_run(&self, column: &ColumnRuns, mut f: impl FnMut(usize, usize, usize)) {
+        let cols = self.patch_len();
+        let mut at = column.first;
+        for oy in column.oys.clone() {
+            f(
+                (oy * self.out_w + column.ox0) * cols + column.col,
+                at,
+                column.len,
+            );
+            at += self.stride * self.in_w;
+        }
+    }
+}
+
 /// Unfolds an `(N, C, H, W)` tensor into patch rows `(N*OH*OW, C*k*k)`.
 ///
 /// Out-of-bounds positions (from zero padding) contribute zeros. The row
@@ -103,44 +180,38 @@ pub fn im2col(x: &Tensor, geo: &Conv2dGeometry) -> Tensor {
         geo.in_w
     );
     let n = x.len() / per_image;
-    let rows = geo.rows(n);
     let cols = geo.patch_len();
-    let mut out = vec![0.0f32; rows * cols];
-    let data = x.data();
-    let k = geo.kernel;
-    for b in 0..n {
-        let img = &data[b * per_image..(b + 1) * per_image];
-        for oy in 0..geo.out_h {
-            for ox in 0..geo.out_w {
-                let row = b * geo.out_h * geo.out_w + oy * geo.out_w + ox;
-                let out_row = &mut out[row * cols..(row + 1) * cols];
-                for c in 0..geo.in_channels {
-                    let chan = &img[c * geo.in_h * geo.in_w..(c + 1) * geo.in_h * geo.in_w];
-                    for ky in 0..k {
-                        let iy = (oy * geo.stride + ky) as isize - geo.pad as isize;
-                        if iy < 0 || iy >= geo.in_h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * geo.stride + kx) as isize - geo.pad as isize;
-                            if ix < 0 || ix >= geo.in_w as isize {
-                                continue;
-                            }
-                            out_row[c * k * k + ky * k + kx] =
-                                chan[iy as usize * geo.in_w + ix as usize];
-                        }
+    let per_image_out = geo.rows(1) * cols;
+    let mut out = vec![0.0f32; n * per_image_out];
+    if per_image_out > 0 {
+        let columns = geo.column_runs();
+        // One image's patch block is small enough to stay in cache while
+        // every window element scatters its pixel runs down one column.
+        for (img, block) in x
+            .data()
+            .chunks_exact(per_image)
+            .zip(out.chunks_exact_mut(per_image_out))
+        {
+            for column in &columns {
+                geo.for_each_run(column, |to, from, len| {
+                    let dst = &mut block[to..to + (len - 1) * cols + 1];
+                    let src = &img[from..from + (len - 1) * geo.stride + 1];
+                    for t in 0..len {
+                        dst[t * cols] = src[t * geo.stride];
                     }
-                }
+                });
             }
         }
     }
-    Tensor::from_vec(out, &[rows, cols])
+    Tensor::from_vec(out, &[geo.rows(n), cols])
 }
 
 /// Folds patch rows back into an image tensor: the adjoint of [`im2col`].
 ///
 /// Overlapping patches are *summed* into the `(N, C, H, W)` output, which
-/// is exactly the vector-Jacobian product of `im2col`.
+/// is exactly the vector-Jacobian product of `im2col`. Each pixel receives
+/// its contributions in ascending `(oy, ox)` order of the patches that
+/// cover it, from a `0.0` start.
 ///
 /// # Panics
 ///
@@ -165,31 +236,23 @@ pub fn col2im(cols_t: &Tensor, geo: &Conv2dGeometry) -> Tensor {
     let n = cols_t.dims()[0] / per_image_rows;
     let per_image = geo.in_channels * geo.in_h * geo.in_w;
     let mut out = vec![0.0f32; n * per_image];
-    let data = cols_t.data();
-    let k = geo.kernel;
-    for b in 0..n {
-        let img = &mut out[b * per_image..(b + 1) * per_image];
-        for oy in 0..geo.out_h {
-            for ox in 0..geo.out_w {
-                let row = b * per_image_rows + oy * geo.out_w + ox;
-                let in_row = &data[row * cols..(row + 1) * cols];
-                for c in 0..geo.in_channels {
-                    let base = c * geo.in_h * geo.in_w;
-                    for ky in 0..k {
-                        let iy = (oy * geo.stride + ky) as isize - geo.pad as isize;
-                        if iy < 0 || iy >= geo.in_h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * geo.stride + kx) as isize - geo.pad as isize;
-                            if ix < 0 || ix >= geo.in_w as isize {
-                                continue;
-                            }
-                            img[base + iy as usize * geo.in_w + ix as usize] +=
-                                in_row[c * k * k + ky * k + kx];
-                        }
+    if cols > 0 && per_image > 0 {
+        let columns = geo.column_runs();
+        for (block, img) in cols_t
+            .data()
+            .chunks_exact(per_image_rows * cols)
+            .zip(out.chunks_exact_mut(per_image))
+        {
+            // Patches reach a pixel in ascending (oy, ox) order exactly when
+            // the window elements that carry them run in descending order.
+            for column in columns.iter().rev() {
+                geo.for_each_run(column, |from, to, len| {
+                    let src = &block[from..from + (len - 1) * cols + 1];
+                    let dst = &mut img[to..to + (len - 1) * geo.stride + 1];
+                    for t in 0..len {
+                        dst[t * geo.stride] += src[t * cols];
                     }
-                }
+                });
             }
         }
     }
@@ -200,7 +263,8 @@ pub fn col2im(cols_t: &Tensor, geo: &Conv2dGeometry) -> Tensor {
 ///
 /// Output is `(N, C, H/k, W/k)`. Trailing rows/columns that do not fill a
 /// whole window are rejected to keep the operation exactly linear and
-/// invertible-in-structure.
+/// invertible-in-structure. Each window is summed in `(ky, kx)` order from
+/// `0.0`, then scaled once.
 ///
 /// # Panics
 ///
@@ -221,22 +285,21 @@ pub fn avg_pool2d(x: &Tensor, c: usize, h: usize, w: usize, k: usize) -> Tensor 
     let (oh, ow) = (h / k, w / k);
     let mut out = vec![0.0f32; n * c * oh * ow];
     let inv = 1.0 / (k * k) as f32;
-    let data = x.data();
-    for b in 0..n {
-        for ch in 0..c {
-            let src = &data[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
-            let dst_base = (b * c + ch) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            acc += src[(oy * k + ky) * w + ox * k + kx];
-                        }
-                    }
-                    out[dst_base + oy * ow + ox] = acc * inv;
+    // One output row gathers a band of `k` input rows; a window's rows are
+    // `w` apart in the band and the next window starts `k` further on.
+    for (band, orow) in x.data().chunks_exact(k * w).zip(out.chunks_exact_mut(ow)) {
+        let mut window = 0;
+        for o in orow {
+            let mut acc = 0.0;
+            let mut row = window;
+            for _ in 0..k {
+                for kx in 0..k {
+                    acc += band[row + kx];
                 }
+                row += w;
             }
+            *o = acc * inv;
+            window += k;
         }
     }
     Tensor::from_vec(out, &[n, c, oh, ow])
@@ -260,20 +323,15 @@ pub fn avg_unpool2d(y: &Tensor, c: usize, oh: usize, ow: usize, k: usize) -> Ten
     let (h, w) = (oh * k, ow * k);
     let mut out = vec![0.0f32; n * c * h * w];
     let inv = 1.0 / (k * k) as f32;
-    let data = y.data();
-    for b in 0..n {
-        for ch in 0..c {
-            let src = &data[(b * c + ch) * oh * ow..(b * c + ch + 1) * oh * ow];
-            let dst = &mut out[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let v = src[oy * ow + ox] * inv;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            dst[(oy * k + ky) * w + ox * k + kx] = v;
-                        }
-                    }
-                }
+    if k > 0 {
+        // One input row spreads into a band of `k` identical output rows.
+        for (yrow, band) in y.data().chunks_exact(ow).zip(out.chunks_exact_mut(k * w)) {
+            let (first, rest) = band.split_at_mut(w);
+            for (window, &v) in first.chunks_exact_mut(k).zip(yrow) {
+                window.fill(v * inv);
+            }
+            for row in rest.chunks_exact_mut(w) {
+                row.copy_from_slice(first);
             }
         }
     }

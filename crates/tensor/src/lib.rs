@@ -28,6 +28,8 @@
 
 mod conv;
 mod linalg;
+#[cfg(test)]
+mod naive;
 mod reduce;
 pub mod rng;
 mod shape;

@@ -69,6 +69,19 @@ echo "== qd-perf smoke (the unmodified benchmark harness built against these cra
 bash qd-perf/run.sh --smoke | tee /dev/stderr | grep -x 'smoke: ok' >/dev/null \
     || { echo "qd-perf --smoke did not end 'smoke: ok' — the benchmark's pinned library surface broke" >&2; exit 1; }
 
+echo "== float-order gate (traced qd-perf runs must end on the model digests qd-perf/README.md pins)"
+# Every kernel keeps one reduction order (DESIGN.md §4.6), so these digests
+# only move when a change reorders a float sum — which then needs the
+# re-pin policy of ROADMAP item 2, not a silent pass.
+while read -r workload digest; do
+    bash qd-perf/run.sh --workload "$workload" --seed 11 --trace 1 \
+        | grep -x "  model_digest $digest" >/dev/null \
+        || { echo "qd-perf $workload (seed 11) did not print model_digest $digest — a kernel reordered a float sum" >&2; exit 1; }
+done <<'DIGESTS'
+train-distill 185d83271a152c63
+request-stream 4027121546bddd40
+DIGESTS
+
 echo "== chaos bench (smoke mode; refreshes BENCH_chaos.json)"
 cargo bench --offline -p qd-bench --bench chaos -- --test
 
