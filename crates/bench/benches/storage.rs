@@ -1,14 +1,16 @@
-//! Storage harness: the cost of a journal append under the version-3
-//! segment format versus the whole-file rewrite of versions 1–2.
+//! Storage harness: the cost of a journal append under the segment
+//! format (version 4: one CRC-sealed commit of binary record frames per
+//! append) versus the whole-file JSON rewrite of versions 1–2.
 //!
 //! Runs entirely on the in-memory fault-injecting [`FaultFs`], so the
 //! numbers are Vfs-op and byte counts — deterministic, reproducible
 //! bit-for-bit across machines — rather than wall time. For each
 //! journal length the harness appends that many identical records,
-//! reports the v3 bytes/ops actually moved, and computes the exact
-//! byte volume the legacy format would have rewritten for the same
-//! record stream (serializing the growing JSON document at every
-//! append, which is what `persist()` used to do). Rows land in
+//! reports the bytes/ops actually moved, and computes the exact byte
+//! volume the legacy format would have rewritten for the same record
+//! stream (the JSON rendering of the growing document at every append,
+//! which is what `persist()` used to do — no build reads that format
+//! any more; it survives here as the yardstick). Rows land in
 //! `BENCH_storage.json`.
 //!
 //! Pass `--test` for a seconds-scale smoke run that additionally pins
@@ -30,14 +32,14 @@ use std::sync::Arc;
 #[derive(Serialize)]
 struct StorageRow {
     appends: usize,
-    /// Bytes handed to the Vfs by the v3 segment format.
-    v3_bytes: u64,
-    /// Vfs operations issued by the v3 segment format.
-    v3_ops: u64,
+    /// Bytes handed to the Vfs by the v4 segment format.
+    v4_bytes: u64,
+    /// Vfs operations issued by the v4 segment format.
+    v4_ops: u64,
     /// Bytes the v1/v2 whole-file rewrite would have moved for the
     /// same record stream.
     v2_equiv_bytes: u64,
-    /// v2_equiv_bytes / v3_bytes — the write amplification the segment
+    /// v2_equiv_bytes / v4_bytes — the write amplification the segment
     /// format removes.
     amplification: f32,
 }
@@ -70,9 +72,9 @@ fn legacy_document(records: &[JournalRecord]) -> String {
     serde_json::to_string(&file).expect("legacy document serializes")
 }
 
-/// Appends `n` records through the v3 journal on a fresh [`FaultFs`],
+/// Appends `n` records through the journal on a fresh [`FaultFs`],
 /// returning (bytes, ops, per-append byte deltas).
-fn v3_cost(n: usize) -> (u64, u64, Vec<u64>) {
+fn v4_cost(n: usize) -> (u64, u64, Vec<u64>) {
     let fs = Arc::new(FaultFs::new());
     let path = PathBuf::from("bench.journal");
     let mut journal = RequestJournal::open_on(Arc::clone(&fs) as Arc<dyn Vfs>, &path)
@@ -107,7 +109,7 @@ fn v2_equiv_cost(n: usize) -> u64 {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
     println!(
-        "storage: v3 segment appends vs legacy whole-file rewrites{}",
+        "storage: v4 segment appends vs legacy whole-file rewrites{}",
         if smoke { " [smoke]" } else { "" }
     );
 
@@ -115,17 +117,17 @@ fn main() {
     let mut rows = Vec::new();
     println!(
         "  {:>8} {:>12} {:>8} {:>16} {:>14}",
-        "appends", "v3 bytes", "v3 ops", "v2-equiv bytes", "amplification"
+        "appends", "v4 bytes", "v4 ops", "v2-equiv bytes", "amplification"
     );
     for &n in lengths {
-        let (v3_bytes, v3_ops, _) = v3_cost(n);
+        let (v4_bytes, v4_ops, _) = v4_cost(n);
         let v2_equiv_bytes = v2_equiv_cost(n);
-        let amplification = v2_equiv_bytes as f32 / v3_bytes as f32;
-        println!("  {n:>8} {v3_bytes:>12} {v3_ops:>8} {v2_equiv_bytes:>16} {amplification:>14.2}");
+        let amplification = v2_equiv_bytes as f32 / v4_bytes as f32;
+        println!("  {n:>8} {v4_bytes:>12} {v4_ops:>8} {v2_equiv_bytes:>16} {amplification:>14.2}");
         rows.push(StorageRow {
             appends: n,
-            v3_bytes,
-            v3_ops,
+            v4_bytes,
+            v4_ops,
             v2_equiv_bytes,
             amplification,
         });
@@ -143,7 +145,7 @@ fn main() {
 
     print_paper_reference(&[
         "no direct paper counterpart: QuickDrop's serving speedup assumes the",
-        "journal write path is cheap; shape to reproduce: v3 append cost is",
+        "journal write path is cheap; shape to reproduce: v4 append cost is",
         "constant (one Vfs append + one fsync, identical bytes per record)",
         "while the legacy rewrite-equivalent grows quadratically, so the",
         "amplification column rises with journal length.",
@@ -153,7 +155,7 @@ fn main() {
 /// Smoke contract: O(1) appends, and amplification that grows with
 /// journal length.
 fn smoke_assertions(rows: &[StorageRow]) {
-    let (_, _, deltas) = v3_cost(16);
+    let (_, _, deltas) = v4_cost(16);
     let steady = deltas[1];
     for (i, &d) in deltas.iter().enumerate().skip(1) {
         assert_eq!(
@@ -162,8 +164,8 @@ fn smoke_assertions(rows: &[StorageRow]) {
              appends must not rewrite the journal"
         );
     }
-    let (_, ops, _) = v3_cost(16);
-    let (_, ops_double, _) = v3_cost(32);
+    let (_, ops, _) = v4_cost(16);
+    let (_, ops_double, _) = v4_cost(32);
     assert_eq!(
         ops_double - ops,
         2 * 16,

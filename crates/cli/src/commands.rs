@@ -125,6 +125,7 @@ USAGE:
                         [--stats-out stats.json]
   quickdrop-cli eval    --ckpt ckpt.json [--dataset D] [--samples N] [--seed X]
   quickdrop-cli show    --ckpt ckpt.json [--client I] [--limit N]
+  quickdrop-cli dump    --ckpt ckpt.json [--journal [PATH]]
   quickdrop-cli chaos   [--seed X] [--runs N] [--shrink]
                         [--repro-out chaos-repro.json]
                         [--replay chaos-repro.json]
@@ -276,6 +277,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         "serve" => service(args),
         "eval" => eval(args),
         "show" => show(args),
+        "dump" => dump(args),
         "chaos" => chaos(args),
         other => Err(CliError::Usage(format!(
             "unknown subcommand {other:?}\n\n{USAGE}"
@@ -746,6 +748,27 @@ fn show(args: &Args) -> Result<String, CliError> {
     ))
 }
 
+/// The JSON rendering of a checkpoint or, with `--journal`, of each
+/// journal record (one per line, oldest first): the binary files decoded
+/// and handed to `serde_json`, for `jq` and eyeballs. Read-only — a torn
+/// journal tail is reported, not repaired.
+fn dump(args: &Args) -> Result<String, CliError> {
+    let line = |json: Result<String, serde_json::Error>| {
+        json.map(|j| j + "\n")
+            .map_err(|e| CliError::Io(std::io::Error::other(e)))
+    };
+    let path = args.require_str("ckpt")?;
+    match journal_path_from(args, &path) {
+        None => line(serde_json::to_string(&Checkpoint::load(&path)?)),
+        Some(journal) => RequestJournal::open_strict_on(Arc::new(StdFs), journal)
+            .map_err(std::io::Error::from)?
+            .records()
+            .iter()
+            .map(|record| line(serde_json::to_string(record)))
+            .collect(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -871,6 +894,66 @@ mod tests {
             journal_path_from(&args(&["unlearn", "--journal", "w.journal"]), "d.json"),
             Some(std::path::PathBuf::from("w.journal"))
         );
+    }
+
+    #[test]
+    fn dump_renders_the_binary_files_as_json_without_touching_them() {
+        let ckpt = tmp("dump_cmd.json");
+        remove_deployment(&ckpt);
+        train_tiny(&ckpt);
+        run(&args(&[
+            "unlearn",
+            "--ckpt",
+            &ckpt,
+            "--class",
+            "1",
+            "--seed",
+            "7",
+            "--journal",
+        ]))
+        .unwrap();
+        let files = |ckpt: &str| {
+            let seg = format!("{ckpt}.journal.seg-000000");
+            [ckpt.to_string(), format!("{ckpt}.journal"), seg].map(|f| std::fs::read(f).unwrap())
+        };
+        let before = files(&ckpt);
+        assert!(
+            before[0].starts_with(b"QDC3\n") && before[1] == b"QDJ4\n",
+            "the files on disk are the binary formats"
+        );
+
+        // The checkpoint: one JSON object that is the checkpoint again.
+        let out = run(&args(&["dump", "--ckpt", &ckpt])).unwrap();
+        assert!(
+            out.starts_with("{\"version\":3,\"global\":[{\"shape\":["),
+            "{out:.80}"
+        );
+        let back: Checkpoint = serde_json::from_str(&out).unwrap();
+        assert_eq!(
+            back.global,
+            Checkpoint::load(&ckpt).unwrap().global,
+            "the rendering carries the model exactly"
+        );
+
+        // The journal: one record per line, in journal order.
+        let out = run(&args(&["dump", "--ckpt", &ckpt, "--journal"])).unwrap();
+        let states: Vec<&str> = out
+            .lines()
+            .map(|l| {
+                assert!(
+                    l.starts_with("{\"seq\":0,\"request\":{\"kind\":\"class\""),
+                    "{l:.80}"
+                );
+                let at = l.find("\"state\":\"").expect("state tag") + 9;
+                &l[at..at + 4]
+            })
+            .collect();
+        assert_eq!(states, ["Rece", "Unle", "Reco"]);
+
+        assert!(files(&ckpt) == before, "dump is read-only");
+        let err = run(&args(&["dump"])).unwrap_err().to_string();
+        assert!(err.contains("--ckpt"), "{err}");
+        remove_deployment(&ckpt);
     }
 
     #[test]
@@ -1029,9 +1112,10 @@ mod tests {
         }
         let ckpt = tmp("no_synthetic.json");
         train_tiny(&ckpt);
-        let json = std::fs::read_to_string(&ckpt).unwrap();
+        let json = run(&args(&["dump", "--ckpt", &ckpt])).unwrap();
         let json = emptied(&emptied(&json, "synthetic"), "recovery_data");
-        std::fs::write(&ckpt, json).unwrap();
+        let hollow: Checkpoint = serde_json::from_str(&json).unwrap();
+        hollow.save(&ckpt).unwrap();
         for line in [
             vec!["unlearn", "--ckpt", &ckpt, "--class", "1"],
             vec!["unlearn", "--ckpt", &ckpt, "--class", "1", "--journal"],

@@ -5,6 +5,7 @@
 #![deny(rust_2018_idioms)]
 
 use qd_cli::{run, Args};
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -17,8 +18,15 @@ fn main() -> ExitCode {
     };
     match run(&args) {
         Ok(report) => {
-            print!("{report}");
-            ExitCode::SUCCESS
+            // `dump … | head` closes the pipe early; that is the reader's
+            // choice, not an error (`print!` would panic on it).
+            match std::io::stdout().write_all(report.as_bytes()) {
+                Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+                    eprintln!("error: writing the report: {e}");
+                    ExitCode::FAILURE
+                }
+                _ => ExitCode::SUCCESS,
+            }
         }
         Err(e) => {
             eprintln!("error: {e}");

@@ -4,14 +4,16 @@
 //! weeks (the paper's cost amortization argument, Section 5). That only
 //! works if the global model *and* every client's synthetic dataset
 //! survive restarts. A [`Checkpoint`] bundles both plus the phase
-//! configuration and the forgotten-state bookkeeping, serialized as JSON
-//! (human-inspectable; tensors are small at QuickDrop's synthetic scales).
+//! configuration and the forgotten-state bookkeeping, stored as one
+//! CRC-sealed [`crate::frame`] (see [`CHECKPOINT_VERSION`]); `quickdrop-cli
+//! dump` prints the JSON rendering for inspection.
 //!
 //! In a production federation each client would persist its own synthetic
 //! set locally — synthetic samples never leave devices. The single-file
 //! checkpoint here reflects this crate's role as a *simulator* of the
 //! whole federation.
 
+use crate::frame;
 use crate::vfs::{self, StdFs, Vfs};
 use crate::{QuickDrop, QuickDropConfig};
 use qd_data::Dataset;
@@ -31,14 +33,23 @@ use std::path::{Path, PathBuf};
 pub enum CheckpointError {
     /// Reading, writing, syncing or renaming the file failed.
     Io(std::io::Error),
-    /// The file exists but is not a checkpoint this build reads:
-    /// corrupt JSON, missing/old/future version, malformed payload.
-    /// Carries the path and a human-readable detail.
+    /// The file exists but is not an intact checkpoint: no magic, a
+    /// length or CRC that does not verify, a malformed payload. Carries
+    /// the path and a human-readable detail.
     Format {
         /// The offending file.
         path: std::path::PathBuf,
         /// What was wrong with it.
         detail: String,
+    },
+    /// The file is a checkpoint of a format version this build does not
+    /// read (it reads exactly [`CHECKPOINT_VERSION`]; there is no
+    /// migration — re-capture the deployment).
+    UnsupportedVersion {
+        /// The refused file.
+        path: std::path::PathBuf,
+        /// The version it declares.
+        version: u32,
     },
     /// [`Checkpoint::restore`] was called on a mid-training checkpoint,
     /// which holds no servable synthetic state — feed it to
@@ -58,6 +69,13 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Format { path, detail } => {
                 write!(f, "checkpoint {}: {detail}", path.display())
             }
+            CheckpointError::UnsupportedVersion { path, version } => write!(
+                f,
+                "checkpoint {}: format version {version} is not supported; this \
+                 build reads only version {CHECKPOINT_VERSION} (re-capture the \
+                 checkpoint)",
+                path.display()
+            ),
             CheckpointError::MidTrainRestore => f.write_str(
                 "mid-training checkpoint: resume training with \
                  QuickDrop::resume_train instead of restoring a deployment",
@@ -128,7 +146,7 @@ pub struct Checkpoint {
     pub(crate) mid_phase: Option<MidPhase>,
 }
 
-/// Mid-phase training state carried by a version-2 [`Checkpoint`].
+/// Mid-phase training state carried by a [`Checkpoint`].
 ///
 /// Written at a round boundary by [`QuickDrop::train_with_checkpoints`]
 /// and consumed by [`QuickDrop::resume_train`]: together with
@@ -155,10 +173,22 @@ pub struct MidPhase {
 
 /// Current checkpoint format version.
 ///
-/// Version 2 added the [`MidPhase`] payload (and with it crash-consistent
-/// mid-training resume); version-1 files predate this repository's
-/// resilience layer and are rejected on load.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// A version-3 file is
+///
+/// ```text
+/// "QDC3\n" | len: u32le | crc32(frame): u32le | frame
+/// ```
+///
+/// where `frame` is the [`crate::frame`] encoding of the [`Checkpoint`]
+/// (JSON skeleton + raw-`f32` body). A flipped bit anywhere in the file
+/// fails the magic, the length or the CRC check, so it can never load as
+/// a different model. Version 2 was the same structure as bare JSON text;
+/// it and every other version are refused with
+/// [`CheckpointError::UnsupportedVersion`].
+pub const CHECKPOINT_VERSION: u32 = 3;
+
+/// Leading bytes of a version-3 checkpoint file.
+const CHECKPOINT_MAGIC: &[u8; 5] = b"QDC3\n";
 
 impl Checkpoint {
     /// Captures the current global parameters and QuickDrop state.
@@ -240,7 +270,7 @@ impl Checkpoint {
         path.with_file_name(name)
     }
 
-    /// Serializes to JSON at `path`, atomically.
+    /// Writes the checkpoint to `path`, atomically.
     ///
     /// The bytes are written to a sibling `<name>.tmp` file, synced, and
     /// renamed over `path`, so a crash mid-save leaves either the old
@@ -253,8 +283,7 @@ impl Checkpoint {
     /// # Errors
     ///
     /// Returns any I/O error from writing the temporary file or renaming
-    /// it (as [`CheckpointError::Io`]); serialization itself is
-    /// infallible for this type.
+    /// it (as [`CheckpointError::Io`]).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
         self.save_on(&StdFs, path.as_ref())
     }
@@ -265,9 +294,10 @@ impl Checkpoint {
     ///
     /// As [`Checkpoint::save`].
     pub fn save_on(&self, fs: &dyn Vfs, path: &Path) -> Result<(), CheckpointError> {
-        let json = serde_json::to_string(self).map_err(std::io::Error::other)?;
+        let mut bytes = CHECKPOINT_MAGIC.to_vec();
+        bytes.extend(frame::seal(&frame::encode(&self.to_value()))?);
         let tmp = vfs::sibling(path, ".tmp");
-        fs.write(&tmp, json.as_bytes()).map_err(into_io)?;
+        fs.write(&tmp, &bytes).map_err(into_io)?;
         fs.fsync(&tmp).map_err(into_io)?;
         // Rotate the previous generation aside rather than renaming
         // over it: bit rot in the primary then still has a fallback.
@@ -281,15 +311,18 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Loads a checkpoint from `path`.
+    /// Loads a checkpoint from `path`. The CRC is verified before a byte
+    /// of the payload is decoded, so corruption anywhere in the file is
+    /// always detected.
     ///
     /// # Errors
     ///
     /// Returns a [`CheckpointError::Format`] naming the file and the
-    /// problem when the contents are corrupt or truncated JSON, carry no
-    /// `version` field, use a version this build does not read (older or
-    /// newer), or fail to decode as a checkpoint — plus
-    /// [`CheckpointError::Io`] for any error reading the file itself.
+    /// problem when the contents are not an intact checkpoint (no magic,
+    /// truncated, CRC mismatch, malformed payload),
+    /// [`CheckpointError::UnsupportedVersion`] when they are a checkpoint
+    /// of another format version — plus [`CheckpointError::Io`] for any
+    /// error reading the file itself.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
         Self::load_on(&StdFs, path.as_ref())
     }
@@ -308,9 +341,33 @@ impl Checkpoint {
             path: path.to_path_buf(),
             detail,
         };
-        let json = String::from_utf8(bytes)
-            .map_err(|e| invalid(format!("checkpoint is not UTF-8: {e}")))?;
-        Self::parse(path, &json)
+        let unsupported = |version: u32| CheckpointError::UnsupportedVersion {
+            path: path.to_path_buf(),
+            version,
+        };
+        let Some(sealed) = bytes.strip_prefix(CHECKPOINT_MAGIC) else {
+            return Err(match frame::foreign_version(&bytes, b"QDC") {
+                Some(version) => unsupported(version),
+                None => invalid("not a checkpoint file (no QDC3 magic)".to_string()),
+            });
+        };
+        let payload = frame::unseal(sealed).map_err(|e| invalid(e.detail))?;
+        if payload.len() + 8 != sealed.len() {
+            return Err(invalid("stray bytes after the payload".to_string()));
+        }
+        let value = frame::decode(payload).map_err(|e| invalid(e.to_string()))?;
+        // Check the version *before* decoding the payload, so a mismatch
+        // is reported as such rather than as whatever field happens to
+        // be missing from the other layout.
+        let version: u32 = value
+            .field("Checkpoint", "version")
+            .and_then(serde::Deserialize::from_value)
+            .map_err(|e| invalid(format!("no usable version: {e}")))?;
+        if version != CHECKPOINT_VERSION {
+            return Err(unsupported(version));
+        }
+        serde::Deserialize::from_value(&value)
+            .map_err(|e| invalid(format!("malformed version-{version} payload: {e}")))
     }
 
     /// Loads the checkpoint at `path`, falling back to the `.prev`
@@ -342,38 +399,6 @@ impl Checkpoint {
             // than the primary's; report the latter.
             Err(_) => Err(primary_err),
         }
-    }
-
-    fn parse(path: &Path, json: &str) -> Result<Self, CheckpointError> {
-        let invalid = |detail: String| CheckpointError::Format {
-            path: path.to_path_buf(),
-            detail,
-        };
-        // Parse the raw structure and check the version *before* decoding
-        // the payload, so a version mismatch is reported as such rather
-        // than as whatever field happens to be missing from the old or
-        // future layout.
-        let value: serde::Value = serde_json::from_str(json)
-            .map_err(|e| invalid(format!("corrupt or truncated JSON: {e}")))?;
-        let version = value
-            .get("version")
-            .ok_or_else(|| invalid("no version field; not a checkpoint file".to_string()))?;
-        let version: u32 = serde::Deserialize::from_value(version)
-            .map_err(|e| invalid(format!("malformed version field: {e}")))?;
-        if version < CHECKPOINT_VERSION {
-            return Err(invalid(format!(
-                "obsolete format version {version}; this build reads only \
-                 version {CHECKPOINT_VERSION} (re-capture the checkpoint)"
-            )));
-        }
-        if version > CHECKPOINT_VERSION {
-            return Err(invalid(format!(
-                "format version {version} is newer than this build's \
-                 version {CHECKPOINT_VERSION}; upgrade to load it"
-            )));
-        }
-        serde::Deserialize::from_value(&value)
-            .map_err(|e| invalid(format!("malformed version-{version} payload: {e}")))
     }
 }
 
@@ -440,21 +465,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn version_mismatch_is_rejected() {
-        let (fed, qd, _) = trained();
-        let mut ckpt = Checkpoint::capture(fed.global(), &qd);
-        ckpt.version = 999;
-        let dir = std::env::temp_dir().join("qd_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad_version.json");
-        // Bypass save()'s implicit current version by writing directly.
-        std::fs::write(&path, serde_json::to_string(&ckpt).unwrap()).unwrap();
-        assert!(Checkpoint::load(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    fn load_error(name: &str, contents: &str) -> CheckpointError {
+    fn load_error(name: &str, contents: &[u8]) -> CheckpointError {
         let dir = std::env::temp_dir().join("qd_ckpt_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(name);
@@ -464,43 +475,73 @@ mod tests {
         err
     }
 
+    /// The file image `save` writes for `ckpt`.
+    fn image(ckpt: &Checkpoint) -> Vec<u8> {
+        sealed(&ckpt.to_value())
+    }
+
+    /// A well-sealed file whose payload is the frame of `value` — what a
+    /// build with a different idea of a checkpoint would write.
+    fn sealed(value: &serde::Value) -> Vec<u8> {
+        sealed_bytes(&frame::encode(value))
+    }
+
+    fn sealed_bytes(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = CHECKPOINT_MAGIC.to_vec();
+        bytes.extend(frame::seal(payload).unwrap());
+        bytes
+    }
+
     #[test]
     fn corrupt_and_mismatched_files_give_descriptive_errors() {
-        let cases = [
-            ("garbage.json", "not json {{{", "corrupt or truncated"),
+        let (fed, qd, _) = trained();
+        let good = image(&Checkpoint::capture(fed.global(), &qd));
+        let version = |v| serde::Value::Map(vec![("version".into(), v)]);
+        let mut bad_crc = good.clone();
+        *bad_crc.last_mut().unwrap() ^= 1;
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let cases: [(&str, Vec<u8>, &str); 10] = [
+            ("garbage.json", b"not json {{{".to_vec(), "no QDC3 magic"),
+            ("empty.json", Vec::new(), "no QDC3 magic"),
+            (
+                "header.json",
+                good[..9].to_vec(),
+                "envelope cut short after 4 byte(s)",
+            ),
             (
                 "truncated.json",
-                "{\"version\": 2, \"global\": [",
-                "corrupt or truncated",
+                good[..good.len() / 2].to_vec(),
+                "envelope cut short",
             ),
-            ("empty.json", "", "corrupt or truncated"),
-            ("no_version.json", "{\"global\": []}", "no version field"),
+            ("trailing.json", trailing, "stray bytes after the payload"),
+            ("bad_crc.json", bad_crc, "CRC mismatch"),
+            ("not_a_frame.json", sealed_bytes(b"abc"), "malformed frame"),
+            (
+                "no_version.json",
+                sealed(&serde::Value::Map(Vec::new())),
+                "missing field `version`",
+            ),
             (
                 "bool_version.json",
-                "{\"version\": true}",
-                "malformed version field",
-            ),
-            ("future.json", "{\"version\": 999}", "newer than this build"),
-            (
-                "obsolete.json",
-                "{\"version\": 1}",
-                "obsolete format version 1",
+                sealed(&version(serde::Value::Bool(true))),
+                "no usable version: expected unsigned integer",
             ),
             (
-                "hollow_v2.json",
-                "{\"version\": 2}",
-                "malformed version-2 payload",
+                "hollow_v3.json",
+                sealed(&version(serde::Value::U64(3))),
+                "malformed version-3 payload",
             ),
         ];
         for (name, contents, needle) in cases {
-            let err = load_error(name, contents);
+            let err = load_error(name, &contents);
             assert!(
                 matches!(err, CheckpointError::Format { .. }),
                 "{name}: {err} should be a Format error"
             );
             // The io::Error conversion (used by `?` in io contexts)
             // keeps the InvalidData kind and the full message.
-            let as_io: std::io::Error = load_error(name, contents).into();
+            let as_io: std::io::Error = load_error(name, &contents).into();
             assert_eq!(as_io.kind(), std::io::ErrorKind::InvalidData, "{name}");
             let msg = err.to_string();
             assert!(
@@ -508,6 +549,73 @@ mod tests {
                 "{name}: {msg:?} should mention {needle:?}"
             );
             assert!(msg.contains(name), "{name}: {msg:?} should name the file");
+        }
+    }
+
+    #[test]
+    fn other_format_versions_are_refused_by_number() {
+        let (fed, qd, _) = trained();
+        let mut future = Checkpoint::capture(fed.global(), &qd);
+        future.version = 999;
+        let v2_json = {
+            let mut v2 = future.clone();
+            v2.version = 2;
+            serde_json::to_string(&v2).unwrap().into_bytes()
+        };
+        let cases = [
+            ("future.json", image(&future), 999),
+            ("v2.json", v2_json, 2),
+            ("v1.json", b"{\"version\": 1}".to_vec(), 1),
+        ];
+        for (name, contents, expected) in cases {
+            let err = load_error(name, &contents);
+            let msg = err.to_string();
+            let CheckpointError::UnsupportedVersion { path, version } = err else {
+                panic!("{name}: {msg} should be UnsupportedVersion");
+            };
+            assert_eq!(version, expected, "{name}");
+            assert!(path.ends_with(name) && msg.contains(name), "{msg}");
+            assert!(msg.contains(&format!("version {expected} is not supported")));
+        }
+    }
+
+    /// A bit flipped anywhere in a saved checkpoint must be *seen*: the
+    /// primary refuses with a `Format` error and the `.prev` generation
+    /// stands in. As JSON text (format version 2) a flip inside a digit
+    /// loaded silently as a different model.
+    #[test]
+    fn a_bit_flip_at_any_byte_falls_back_to_the_previous_generation() {
+        let (fed, qd, _) = trained();
+        // Every field populated, trimmed to ~12 KB so stride 1 stays
+        // cheap: the bias, one client's synthetic set, no recovery data.
+        let mut ckpt = Checkpoint::capture(fed.global(), &qd);
+        ckpt.global.remove(0);
+        ckpt.synthetic.truncate(1);
+        ckpt.recovery_data.clear();
+        let fs = crate::FaultFs::new();
+        let path = Path::new("deploy.json");
+        ckpt.save_on(&fs, path).unwrap();
+        // A second generation that differs from the first in one weight.
+        let prev_bits = ckpt.global[0].data()[0].to_bits();
+        ckpt.global[0].data_mut()[0] += 1.0;
+        ckpt.save_on(&fs, path).unwrap();
+        let (clean, lost) = Checkpoint::load_with_fallback_on(&fs, path).unwrap();
+        assert!(lost.is_none());
+        assert_ne!(clean.global[0].data()[0].to_bits(), prev_bits);
+
+        let len = fs.file(path).expect("primary exists").len();
+        for at in 0..len {
+            let bit = 1u8 << (at % 8);
+            assert!(fs.corrupt(path, at, bit));
+            let (ckpt, lost) = Checkpoint::load_with_fallback_on(&fs, path)
+                .unwrap_or_else(|e| panic!("flip at byte {at}: no fallback: {e}"));
+            let lost = lost.unwrap_or_else(|| panic!("flip at byte {at} of {len} loaded silently"));
+            assert!(
+                matches!(&lost, CheckpointError::Format { path: p, .. } if p == path),
+                "flip at byte {at}: {lost}"
+            );
+            assert_eq!(ckpt.global[0].data()[0].to_bits(), prev_bits, "byte {at}");
+            assert!(fs.corrupt(path, at, bit), "flip back");
         }
     }
 

@@ -12,21 +12,22 @@
 //!
 //! with, at each transition, the global parameters and RNG state at that
 //! boundary. This module is the log only — records, commit frames,
-//! segments, torn-tail repair, legacy migration. It knows the *shape*
-//! of a record ([`JournalRecord`], [`RequestState`]) and nothing about
-//! how a request is executed; which records are written when, and how a
-//! killed run is finished from them, is `crate::lifecycle`'s.
+//! segments, torn-tail repair. It knows the *shape* of a record
+//! ([`JournalRecord`], [`RequestState`]) and nothing about how a request
+//! is executed; which records are written when, and how a killed run is
+//! finished from them, is `crate::lifecycle`'s.
 //!
-//! Since version 3 the journal is stored as checksummed, length-framed
-//! commits in append-only segment files next to a small marker file
-//! (see [`JOURNAL_VERSION`]), all driven through the [`crate::vfs::Vfs`]
-//! syscall layer. An append costs one `append` + one `fsync` regardless
-//! of journal length (versions 1–2 rewrote the whole file every time);
-//! a crash mid-append tears at most the final commit, which the next
-//! open repairs by truncating to the last valid record; and in-place
-//! corruption is caught by a CRC32 per commit and surfaced as a typed
-//! [`JournalError::CorruptRecord`] instead of a JSON parse failure.
+//! The journal is stored as checksummed, length-framed commits in
+//! append-only segment files next to a small marker file (see
+//! [`JOURNAL_VERSION`]), all driven through the [`crate::vfs::Vfs`]
+//! syscall layer; each record inside a commit is one [`crate::frame`]
+//! (JSON skeleton + raw-`f32` body). An append costs one `append` + one
+//! `fsync` regardless of journal length; a crash mid-append tears at
+//! most the final commit, which the next open repairs by truncating to
+//! the last valid record; and in-place corruption is caught by a CRC32
+//! per commit and surfaced as a typed [`JournalError::CorruptRecord`].
 
+use crate::frame::{self, read_u32};
 use crate::vfs::{self, StdFs, StorageError, Vfs};
 use qd_tensor::rng::RngState;
 use qd_tensor::Tensor;
@@ -37,36 +38,32 @@ use std::sync::Arc;
 
 /// Current journal format version.
 ///
-/// Version 3 abandons the single JSON document of versions 1–2 for
-/// checksummed, length-framed commits in append-only segment files: the
-/// journal path itself holds only the [`JOURNAL_MAGIC`] marker bytes,
-/// and the records live in sibling `<name>.seg-NNNNNN` files (see
-/// [`segment_path`]). Each commit frame is
+/// The journal path itself holds only the [`JOURNAL_MAGIC`] marker
+/// bytes; the records live in sibling `<name>.seg-NNNNNN` files (see
+/// [`segment_path`]) as checksummed, length-framed commits:
 ///
 /// ```text
 /// len: u32le | crc32(body): u32le | body
-/// body = count: u32le, then per record: rec_len: u32le | rec_json
+/// body = count: u32le, then per record: rec_len: u32le | frame
 /// ```
 ///
-/// so an append is one framed write + one fsync instead of a whole-file
-/// rewrite, and every commit is independently verifiable. Version-1 and
-/// version-2 journals still load; they are migrated to version 3 on
-/// open (the marker atomically replacing the legacy JSON is the
-/// migration's commit point).
-pub const JOURNAL_VERSION: u32 = 3;
+/// so an append is one framed write + one fsync, and every commit is
+/// independently verifiable. Version 4 changed what a record *is* — a
+/// [`crate::frame`] instead of version 3's JSON text — and nothing about
+/// the framing around it. No other version is read: a version-1/2 JSON
+/// journal or a version-3 marker is refused with
+/// [`JournalError::UnsupportedVersion`] and left untouched.
+pub const JOURNAL_VERSION: u32 = 4;
 
-/// Oldest journal format version this build still reads.
-pub const JOURNAL_MIN_VERSION: u32 = 1;
-
-/// Contents of a version-3 journal marker file.
-pub const JOURNAL_MAGIC: &[u8; 5] = b"QDJ3\n";
+/// Contents of a version-4 journal marker file.
+pub const JOURNAL_MAGIC: &[u8; 5] = b"QDJ4\n";
 
 /// Appends rotate to a fresh segment file once the tail segment reaches
 /// this many bytes, bounding the cost of a torn-tail repair (which
 /// rewrites one segment) and of any future segment-level retention.
 const SEGMENT_ROTATE_BYTES: usize = 256 * 1024;
 
-/// The path of segment `index` of the version-3 journal at `journal`:
+/// The path of segment `index` of the journal at `journal`:
 /// `<name>.seg-NNNNNN` next to the marker file.
 pub fn segment_path(journal: &Path, index: u32) -> PathBuf {
     let mut name = journal
@@ -203,7 +200,7 @@ impl std::fmt::Display for FailReason {
 
 /// One journal entry: a request reaching `state`, with everything needed
 /// to continue from exactly this boundary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JournalRecord {
     /// Request sequence number (shared by all records of one request).
     pub seq: u64,
@@ -219,64 +216,11 @@ pub struct JournalRecord {
     /// serving and for RECEIVED records).
     pub guard: Option<GuardStats>,
     /// The coalesced batch this record belongs to (`None` for requests
-    /// served alone, and for every record of a version-1 journal).
+    /// served alone).
     pub batch: Option<BatchId>,
     /// Why the request failed (`Some` only on [`RequestState::Failed`]
     /// and [`RequestState::Quarantined`] records).
     pub reason: Option<FailReason>,
-}
-
-// Hand-written so the `reason` key is only emitted when set: every
-// record a pre-isolation build wrote — and every record a run with
-// isolation off writes — stays byte-identical (the derive would emit
-// `"reason": null` on all of them, changing every journal frame).
-impl Serialize for JournalRecord {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("seq".to_string(), Serialize::to_value(&self.seq)),
-            ("request".to_string(), Serialize::to_value(&self.request)),
-            ("state".to_string(), Serialize::to_value(&self.state)),
-            ("rng".to_string(), Serialize::to_value(&self.rng)),
-            ("global".to_string(), Serialize::to_value(&self.global)),
-            ("guard".to_string(), Serialize::to_value(&self.guard)),
-            ("batch".to_string(), Serialize::to_value(&self.batch)),
-        ];
-        if let Some(reason) = &self.reason {
-            entries.push(("reason".to_string(), Serialize::to_value(reason)));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-// Hand-written so version-1 records — written before the `batch` field
-// existed — deserialize with `batch: None` instead of failing on the
-// missing field (the derive treats every field as required); likewise
-// `reason`, absent from every pre-isolation record.
-impl Deserialize for JournalRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(JournalRecord {
-            seq: Deserialize::from_value(v.field("JournalRecord", "seq")?)?,
-            request: Deserialize::from_value(v.field("JournalRecord", "request")?)?,
-            state: Deserialize::from_value(v.field("JournalRecord", "state")?)?,
-            rng: Deserialize::from_value(v.field("JournalRecord", "rng")?)?,
-            global: Deserialize::from_value(v.field("JournalRecord", "global")?)?,
-            guard: Deserialize::from_value(v.field("JournalRecord", "guard")?)?,
-            batch: match v.get("batch") {
-                None => None,
-                Some(b) => Deserialize::from_value(b)?,
-            },
-            reason: match v.get("reason") {
-                None => None,
-                Some(r) => Deserialize::from_value(r)?,
-            },
-        })
-    }
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct JournalFile {
-    version: u32,
-    records: Vec<JournalRecord>,
 }
 
 /// Why a journal file failed to load or replay.
@@ -292,12 +236,21 @@ struct JournalFile {
 pub enum JournalError {
     /// Reading or writing the journal file failed.
     Io(std::io::Error),
-    /// The file is corrupt, versionless, or of an unreadable version.
+    /// The file is not a journal this build can make sense of.
     Format {
         /// The offending journal file.
         path: PathBuf,
         /// What was wrong with it.
         detail: String,
+    },
+    /// The file is a journal, but of a format version this build does
+    /// not read (it reads exactly [`JOURNAL_VERSION`]; there is no
+    /// migration). The file is left as it was.
+    UnsupportedVersion {
+        /// The refused journal file.
+        path: PathBuf,
+        /// The version it declares.
+        version: u32,
     },
     /// A record carries a `state` tag this build does not know — the
     /// journal was written by a newer build whose state machine has
@@ -345,6 +298,13 @@ impl std::fmt::Display for JournalError {
             JournalError::Format { path, detail } => {
                 write!(f, "journal {}: {detail}", path.display())
             }
+            JournalError::UnsupportedVersion { path, version } => write!(
+                f,
+                "journal {}: format version {version} is not supported; this \
+                 build reads only version {JOURNAL_VERSION} (finish or archive \
+                 the journal with the build that wrote it)",
+                path.display()
+            ),
             JournalError::UnknownState { path, seq, tag } => write!(
                 f,
                 "journal {}: record {seq} is in unknown state {tag:?}; \
@@ -424,7 +384,7 @@ pub struct RequestJournal {
     tail_seg: u32,
     /// Bytes currently in the tail segment.
     tail_len: usize,
-    /// Whether the version-3 marker file exists at `path` yet (written
+    /// Whether the marker file exists at `path` yet (written
     /// before the first append so reopens recognize the format).
     marker_written: bool,
     /// Set when an append failed after possibly leaving a torn frame on
@@ -440,38 +400,17 @@ fn io_err(e: StorageError) -> JournalError {
     JournalError::Io(e.into())
 }
 
-/// Encodes one atomic commit frame holding `records`.
+/// Encodes one atomic commit frame holding `records`. (A count or length
+/// past `u32` makes the body longer than `seal` accepts, so the `as`
+/// casts cannot truncate silently.)
 fn encode_commit(records: &[JournalRecord]) -> std::io::Result<Vec<u8>> {
-    let mut body = Vec::new();
-    body.extend_from_slice(
-        &u32::try_from(records.len())
-            .map_err(std::io::Error::other)?
-            .to_le_bytes(),
-    );
+    let mut body = (records.len() as u32).to_le_bytes().to_vec();
     for record in records {
-        let json = serde_json::to_string(record).map_err(std::io::Error::other)?;
-        body.extend_from_slice(
-            &u32::try_from(json.len())
-                .map_err(std::io::Error::other)?
-                .to_le_bytes(),
-        );
-        body.extend_from_slice(json.as_bytes());
+        let rec = frame::encode(&record.to_value());
+        body.extend_from_slice(&(rec.len() as u32).to_le_bytes());
+        body.extend_from_slice(&rec);
     }
-    let mut frame = Vec::with_capacity(body.len() + 8);
-    frame.extend_from_slice(
-        &u32::try_from(body.len())
-            .map_err(std::io::Error::other)?
-            .to_le_bytes(),
-    );
-    frame.extend_from_slice(&vfs::crc32(&body).to_le_bytes());
-    frame.extend_from_slice(&body);
-    Ok(frame)
-}
-
-/// Reads the u32le at `bytes[at..at + 4]`, if present.
-fn read_u32(bytes: &[u8], at: usize) -> Option<u32> {
-    let chunk: [u8; 4] = bytes.get(at..at + 4)?.try_into().ok()?;
-    Some(u32::from_le_bytes(chunk))
+    frame::seal(&body)
 }
 
 impl RequestJournal {
@@ -479,13 +418,13 @@ impl RequestJournal {
     /// existing records; a missing file starts an empty journal
     /// (created on first append). A torn tail — the leftovers of a
     /// crash mid-append — is repaired by truncating to the last valid
-    /// commit (see [`RequestJournal::repairs`]); legacy version-1/2
-    /// JSON journals are migrated to the version-3 segment format.
+    /// commit (see [`RequestJournal::repairs`]).
     ///
     /// # Errors
     ///
-    /// [`JournalError::Format`] naming the file when its contents are
-    /// corrupt, versionless, or of a version this build does not read;
+    /// [`JournalError::UnsupportedVersion`] naming the file and version
+    /// when it is a journal of any other format version (the file is
+    /// left untouched); [`JournalError::Format`] when it is no journal;
     /// [`JournalError::CorruptRecord`] when a committed frame fails its
     /// CRC or framing check away from the tail (in-place corruption a
     /// truncation cannot safely repair); [`JournalError::UnknownState`]
@@ -546,16 +485,17 @@ impl RequestJournal {
         }
         let head = vfs.read(&path).map_err(io_err)?;
         if head.starts_with(JOURNAL_MAGIC) {
-            return Self::open_v3(vfs, path, repair);
+            return Self::open_segments(vfs, path, repair);
         }
-        // Not a v3 marker: a legacy version-1/2 JSON journal (or
-        // garbage, which the legacy parser reports with context).
-        let json = String::from_utf8(head).map_err(|_| JournalError::Format {
-            path: path.clone(),
-            detail: "neither a version-3 journal marker nor JSON".to_string(),
-        })?;
-        let records = Self::parse_legacy(&path, &json)?;
-        Self::migrate_legacy(vfs, path, records)
+        // Some other build's journal (a `QDJ<n>` marker, or the JSON
+        // document of versions 1-2) or no journal: refuse it where it lies.
+        Err(match frame::foreign_version(&head, b"QDJ") {
+            Some(version) => JournalError::UnsupportedVersion { path, version },
+            None => JournalError::Format {
+                path,
+                detail: "not a journal marker".to_string(),
+            },
+        })
     }
 
     /// The existing `<name>.seg-NNNNNN` files for the journal at
@@ -581,7 +521,7 @@ impl RequestJournal {
         Ok(out)
     }
 
-    fn open_v3(vfs: Arc<dyn Vfs>, path: PathBuf, repair: bool) -> Result<Self, JournalError> {
+    fn open_segments(vfs: Arc<dyn Vfs>, path: PathBuf, repair: bool) -> Result<Self, JournalError> {
         let segments = Self::segment_files(&*vfs, &path)?;
         for (expect, (index, seg)) in segments.iter().enumerate() {
             if *index as usize != expect {
@@ -653,50 +593,25 @@ impl RequestJournal {
         let mut offset = 0usize;
         while offset < bytes.len() {
             let remaining = bytes.len() - offset;
-            // A frame that runs past the end of the file is the torn
-            // tail a crash mid-append leaves — but only at the very end
-            // of the journal; anywhere else it is corruption.
-            let torn_or = |detail: String| -> Result<SegmentScan, JournalError> {
-                if is_last {
-                    Ok(SegmentScan {
-                        valid_len: offset,
-                        trailing: remaining,
-                    })
-                } else {
-                    Err(corrupt(offset, detail))
-                }
-            };
-            let (Some(len), Some(crc)) = (read_u32(bytes, offset), read_u32(bytes, offset + 4))
-            else {
-                return torn_or(format!("{remaining}-byte frame-header fragment"));
-            };
-            let len = len as usize;
-            if remaining - 8 < len {
-                return torn_or(format!(
-                    "frame of {len} bytes overruns the segment by {}",
-                    len - (remaining - 8)
-                ));
-            }
-            let body = &bytes[offset + 8..offset + 8 + len];
-            let computed = vfs::crc32(body);
-            if computed != crc {
-                // A bad CRC on the segment-final frame is a torn body
-                // whose header landed first; give the crash the benefit
-                // of the doubt there. Earlier frames have valid frames
-                // after them, so they can only be in-place corruption.
-                if is_last && offset + 8 + len == bytes.len() {
+            let body = match frame::unseal(&bytes[offset..]) {
+                Ok(body) => body,
+                // Damage reaching the very end of the journal is the torn
+                // tail a crash mid-append leaves: a frame that runs past
+                // the end of the file, or a whole final frame with a bad
+                // CRC (a torn body whose header landed first — give the
+                // crash the benefit of the doubt there).
+                Err(torn) if is_last && torn.span == remaining => {
                     return Ok(SegmentScan {
                         valid_len: offset,
                         trailing: remaining,
                     });
                 }
-                return Err(corrupt(
-                    offset,
-                    format!("CRC mismatch: stored {crc:#010x}, computed {computed:#010x}"),
-                ));
-            }
+                // Anywhere else valid frames follow, so it can only be
+                // in-place corruption.
+                Err(damage) => return Err(corrupt(offset, damage.detail)),
+            };
             Self::parse_commit_body(seg, offset, body, records)?;
-            offset += 8 + len;
+            offset += 8 + body.len();
         }
         Ok(SegmentScan {
             valid_len: offset,
@@ -723,14 +638,11 @@ impl RequestJournal {
                 .ok_or_else(|| corrupt("record length overruns the commit".into()))?
                 as usize;
             pos += 4;
-            let json = body
+            let rec = body
                 .get(pos..pos + rec_len)
                 .ok_or_else(|| corrupt("record payload overruns the commit".into()))?;
             pos += rec_len;
-            let json = std::str::from_utf8(json)
-                .map_err(|e| corrupt(format!("record is not UTF-8: {e}")))?;
-            let value: serde::Value = serde_json::from_str(json)
-                .map_err(|e| corrupt(format!("record is not valid JSON: {e}")))?;
+            let value = frame::decode(rec).map_err(|e| corrupt(e.to_string()))?;
             Self::check_record_state(seg, &value, records.len() as u64)?;
             let record = JournalRecord::from_value(&value)
                 .map_err(|e| corrupt(format!("malformed record: {e}")))?;
@@ -755,19 +667,11 @@ impl RequestJournal {
         value: &serde::Value,
         fallback_seq: u64,
     ) -> Result<(), JournalError> {
-        const KNOWN: [&str; 6] = [
-            "Received",
-            "Unlearned",
-            "Recovered",
-            "Relearned",
-            "Failed",
-            "Quarantined",
-        ];
-        let Some(serde::Value::Str(tag)) = value.get("state") else {
+        let Some(state @ serde::Value::Str(tag)) = value.get("state") else {
             // Shape problems are the full deserialize's to report.
             return Ok(());
         };
-        if !KNOWN.contains(&tag.as_str()) {
+        if RequestState::from_value(state).is_err() {
             let seq = value
                 .get("seq")
                 .and_then(|s| u64::from_value(s).ok())
@@ -779,80 +683,6 @@ impl RequestJournal {
             });
         }
         Ok(())
-    }
-
-    /// Parses a legacy (version-1/2) single-file JSON journal.
-    fn parse_legacy(path: &Path, json: &str) -> Result<Vec<JournalRecord>, JournalError> {
-        let invalid = |detail: String| JournalError::Format {
-            path: path.to_path_buf(),
-            detail,
-        };
-        let value: serde::Value = serde_json::from_str(json)
-            .map_err(|e| invalid(format!("corrupt or truncated JSON: {e}")))?;
-        let version = value
-            .get("version")
-            .ok_or_else(|| invalid("no version field; not a journal file".to_string()))?;
-        let version: u32 = serde::Deserialize::from_value(version)
-            .map_err(|e| invalid(format!("malformed version field: {e}")))?;
-        if !(JOURNAL_MIN_VERSION..=JOURNAL_VERSION).contains(&version) {
-            return Err(invalid(format!(
-                "format version {version}; this build reads only versions \
-                 {JOURNAL_MIN_VERSION} through {JOURNAL_VERSION}"
-            )));
-        }
-        if let Some(serde::Value::Seq(raw)) = value.get("records") {
-            for (index, record) in raw.iter().enumerate() {
-                Self::check_record_state(path, record, index as u64)?;
-            }
-        }
-        let file: JournalFile = serde::Deserialize::from_value(&value)
-            .map_err(|e| invalid(format!("malformed version-{version} payload: {e}")))?;
-        Ok(file.records)
-    }
-
-    /// Rewrites a legacy journal in the version-3 segment format. The
-    /// marker atomically replacing the legacy JSON at `path` is the
-    /// commit point: crash before it and the next open re-migrates
-    /// from the still-intact JSON (removing these half-built segments
-    /// first); crash after it and the migration is complete.
-    fn migrate_legacy(
-        vfs: Arc<dyn Vfs>,
-        path: PathBuf,
-        records: Vec<JournalRecord>,
-    ) -> Result<Self, JournalError> {
-        for (_, seg) in Self::segment_files(&*vfs, &path)? {
-            vfs.remove(&seg).map_err(io_err)?;
-        }
-        let mut tail_seg = 0u32;
-        let mut tail_len = 0usize;
-        for record in &records {
-            let frame = encode_commit(std::slice::from_ref(record)).map_err(JournalError::Io)?;
-            if tail_len >= SEGMENT_ROTATE_BYTES {
-                tail_seg += 1;
-                tail_len = 0;
-            }
-            vfs.append(&segment_path(&path, tail_seg), &frame)
-                .map_err(io_err)?;
-            tail_len += frame.len();
-        }
-        // Make every segment durable before the marker commits to them.
-        for index in 0..=tail_seg {
-            let seg = segment_path(&path, index);
-            if vfs.exists(&seg).map_err(io_err)? {
-                vfs.fsync(&seg).map_err(io_err)?;
-            }
-        }
-        vfs::atomic_write(&*vfs, &path, JOURNAL_MAGIC).map_err(io_err)?;
-        Ok(RequestJournal {
-            path,
-            vfs,
-            records,
-            tail_seg,
-            tail_len,
-            marker_written: true,
-            poisoned: None,
-            repairs: Vec::new(),
-        })
     }
 
     /// Torn-tail truncations this open performed (empty for a clean
@@ -986,30 +816,6 @@ impl RequestJournal {
 mod tests {
     use super::*;
     use qd_tensor::rng::Rng;
-
-    #[test]
-    fn records_without_a_batch_field_read_back_as_unbatched() {
-        let record = JournalRecord {
-            seq: 3,
-            request: UnlearnRequest::Class(1),
-            state: RequestState::Received,
-            rng: Rng::seed_from(9).state(),
-            global: Vec::new(),
-            guard: None,
-            batch: Some(BatchId(4)),
-            reason: None,
-        };
-        // A version-1 writer never emitted the `batch` key at all;
-        // strip it to simulate such a record.
-        let serde::Value::Map(entries) = record.to_value() else {
-            panic!("records serialize as objects");
-        };
-        let v1 = serde::Value::Map(entries.into_iter().filter(|(k, _)| k != "batch").collect());
-        let read = JournalRecord::from_value(&v1).expect("v1 record must load");
-        assert_eq!(read.batch, None);
-        assert_eq!(read.seq, 3);
-        assert_eq!(read.state, RequestState::Received);
-    }
 
     #[test]
     fn commit_frames_round_trip_and_classify_tail_damage() {

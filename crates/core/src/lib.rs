@@ -59,6 +59,7 @@
 
 mod checkpoint;
 mod config;
+pub mod frame;
 mod journal;
 mod lifecycle;
 pub mod sample_level;
@@ -69,7 +70,7 @@ pub use checkpoint::{Checkpoint, CheckpointError, MidPhase, CHECKPOINT_VERSION};
 pub use config::QuickDropConfig;
 pub use journal::{
     segment_path, BatchId, FailReason, JournalError, JournalRecord, RequestJournal, RequestState,
-    TailRepair, JOURNAL_MAGIC, JOURNAL_MIN_VERSION, JOURNAL_VERSION,
+    TailRepair, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 pub use lifecycle::{BatchOutcome, BatchPreempt, BatchRun, ResumeRun, ServeError, ServeRun};
 pub use sample_level::{SampleLevelConfig, SampleLevelQuickDrop};

@@ -178,7 +178,7 @@ impl QuickDrop {
     }
 
     /// [`QuickDrop::train`] with crash-consistent round checkpointing:
-    /// after every [`CheckpointPolicy::every`]-th round a version-2
+    /// after every [`CheckpointPolicy::every`]-th round a
     /// [`Checkpoint`] holding the partial global model and the
     /// [`MidPhase`] cursor is atomically written to
     /// [`CheckpointPolicy::path`]. If the process dies at any point,

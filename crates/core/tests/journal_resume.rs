@@ -296,16 +296,11 @@ fn journal_rejects_corrupt_and_foreign_files() {
     let dir = std::env::temp_dir().join("qd_journal_resume_test");
     std::fs::create_dir_all(&dir).unwrap();
     let cases = [
-        ("garbage.journal", "not json", "corrupt or truncated"),
+        ("garbage.journal", "not json", "not a journal marker"),
         (
             "no_version.journal",
             "{\"records\": []}",
-            "no version field",
-        ),
-        (
-            "future.journal",
-            "{\"version\": 99, \"records\": []}",
-            "reads only version",
+            "not a journal marker",
         ),
     ];
     for (name, contents, needle) in cases {
@@ -328,38 +323,30 @@ fn journal_rejects_corrupt_and_foreign_files() {
 }
 
 #[test]
-fn journal_rejects_unknown_future_state_tags() {
+fn journals_of_another_version_are_refused_by_number() {
     let dir = std::env::temp_dir().join("qd_journal_resume_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("future_state.journal");
-    // A structurally valid journal whose record is in a state only a
-    // newer build's state machine knows. Replaying it as if the record
-    // did not exist would silently drop a durable transition, so open()
-    // must refuse with the typed forward-compat error.
-    std::fs::write(
-        &path,
-        "{\"version\": 2, \"records\": [{\"seq\": 7, \"state\": \"Vaporized\"}]}",
-    )
-    .unwrap();
-    let err = RequestJournal::open(&path).expect_err("unknown state tag must not open");
-    let JournalError::UnknownState { seq, ref tag, .. } = err else {
-        panic!("expected UnknownState, got {err:?}");
-    };
-    assert_eq!(seq, 7);
-    assert_eq!(tag, "Vaporized");
-    assert!(err.to_string().contains("Vaporized"), "{err}");
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn version_one_journals_still_open() {
-    let dir = std::env::temp_dir().join("qd_journal_resume_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("v1_empty.journal");
-    std::fs::write(&path, "{\"version\": 1, \"records\": []}").unwrap();
-    let journal = RequestJournal::open(&path).expect("v1 journals must load");
-    assert!(journal.records().is_empty());
-    std::fs::remove_file(&path).ok();
+    for (name, contents, expected) in [
+        ("v1_empty.journal", "{\"version\": 1, \"records\": []}", 1),
+        ("future.journal", "QDJ99\n", 99),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, contents).unwrap();
+        let err = RequestJournal::open(&path).expect_err("only version 4 opens");
+        assert!(
+            matches!(err, JournalError::UnsupportedVersion { version, .. } if version == expected),
+            "{name}: {err:?}"
+        );
+        assert!(err.to_string().contains(name), "{err} should name the file");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            contents,
+            "a refused journal is left as it was"
+        );
+        let io: std::io::Error = err.into();
+        assert_eq!(io.kind(), std::io::ErrorKind::InvalidData, "{name}");
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 /// Coalesced members run ascent back-to-back with no recovery in

@@ -65,8 +65,9 @@ pub use phase::Phase;
 pub use trainer::{sgd_trainers, ClientTrainer, LocalOutcome, SgdClientTrainer};
 
 // Re-exported so downstream crates can configure a federation's network
-// without depending on `qd-net` directly.
+// — and store parameters in the wire codec's F32 layout — without
+// depending on `qd-net` directly.
 pub use qd_net::{
-    Delivery, LoopbackTransport, NetConfig, NetStats, ReliableTransport, RetryConfig, SimNet,
-    Transport,
+    Delivery, LoopbackTransport, NetConfig, NetStats, Payload, PayloadError, ReliableTransport,
+    RetryConfig, SimNet, Transport, WireFormat,
 };

@@ -143,6 +143,12 @@ impl Payload {
         }
         let format = WireFormat::from_tag(r.u8()?)?;
         let count = r.u32()? as usize;
+        // Lengths come off the wire (or the disk): nothing is allocated
+        // for one until the bytes that would fill it are known to exist.
+        // Every tensor record is at least its 4-byte rank.
+        if count > self.bytes.len().saturating_sub(r.pos) / 4 {
+            return Err(PayloadError::new("truncated frame"));
+        }
         let mut tensors = Vec::with_capacity(count);
         for _ in 0..count {
             let ndim = r.u32()? as usize;
@@ -157,14 +163,17 @@ impl Payload {
                 }
                 dims.push(d as usize);
             }
-            let len: usize = dims.iter().product::<usize>().max(usize::from(ndim == 0));
+            let len = dims
+                .iter()
+                .try_fold(1usize, |n, &d| n.checked_mul(d))
+                .ok_or_else(|| PayloadError::new("implausible shape"))?;
             let data = match format {
                 WireFormat::F32 => {
-                    let mut data = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        data.push(r.f32()?);
-                    }
-                    data
+                    let raw = len
+                        .checked_mul(4)
+                        .ok_or_else(|| PayloadError::new("implausible shape"))?;
+                    let (words, _) = r.take(raw)?.as_chunks::<4>();
+                    words.iter().map(|w| f32::from_le_bytes(*w)).collect()
                 }
                 WireFormat::QuantU8 => {
                     let min = r.f32()?;
@@ -313,6 +322,25 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn lying_lengths_are_refused_before_anything_is_allocated_for_them() {
+        // count = u32::MAX tensors in a 10-byte frame.
+        let mut frame = b"QDNP\x01\x00".to_vec();
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Payload::from_bytes(frame).decode().is_err());
+        // One rank-3 tensor of (2^32 - 1)^3 elements — overflows usize.
+        let mut frame = b"QDNP\x01\x00".to_vec();
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.extend_from_slice(&3u32.to_le_bytes());
+        for _ in 0..3 {
+            frame.extend_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        }
+        assert!(Payload::from_bytes(frame.clone()).decode().is_err());
+        // The same in the one-byte-per-scalar layout.
+        frame[5] = 1;
+        assert!(Payload::from_bytes(frame).decode().is_err());
     }
 
     #[test]

@@ -50,7 +50,7 @@ cargo test --offline --release -p qd-serve --test chaos -q
 echo "== crash-point matrix (release, kill at every Vfs op, stride 1)"
 cargo test --offline --release -p qd-core --test crash_matrix -q
 
-echo "== journal format corpus (release: pinned v1/v2 fixtures, corruption corpus, O(1) appends)"
+echo "== durable format corpus (release: pinned journal-v4 + checkpoint-v3 fixtures read bit-for-bit and rewritten byte-for-byte, typed refusal of v1/v2/v3/JSON inputs, corruption corpus, O(1) appends)"
 cargo test --offline --release -p qd-core --test journal_format -q
 
 echo "== poison-request matrix (release: quarantine exactness, kill-at-every-boundary, inertness)"
@@ -66,17 +66,46 @@ echo "== whole-system chaos gate (release, pinned seed, 25 schedules, all invari
 cargo run --offline --release -q -p qd-cli -- chaos --seed 7 --runs 25
 
 echo "== qd-perf smoke (the unmodified benchmark harness built against these crates; each replica must end on the CLI's model bits)"
-bash qd-perf/run.sh --smoke | tee /dev/stderr | grep -x 'smoke: ok' >/dev/null \
+# One tolerated flake, retried: the harness reads its own CPU time from
+# /proc/self/stat in 10 ms ticks, and since PR 15 the traced smoke-scale
+# reopen-history span is 6-10 ms, so about one run in three sees zero
+# ticks and reports `proc.sys_share was not emitted`. qd-perf/ is frozen
+# between benchmark PRs; any *other* FAILED line still fails the gate at
+# once.
+smoke_ok=
+for attempt in 1 2 3 4 5; do
+    smoke="$(bash qd-perf/run.sh --smoke </dev/null || true)"
+    printf '%s\n' "$smoke" >&2
+    if grep -x 'smoke: ok' <<<"$smoke" >/dev/null; then
+        smoke_ok=1
+        break
+    fi
+    [ "$(grep '^  FAILED' <<<"$smoke" || true)" = '  FAILED proc.sys_share was not emitted' ] || break
+    echo "qd-perf --smoke attempt $attempt: only the CPU-tick artefact failed; retrying" >&2
+done
+[ -n "$smoke_ok" ] \
     || { echo "qd-perf --smoke did not end 'smoke: ok' — the benchmark's pinned library surface broke" >&2; exit 1; }
 
-echo "== float-order gate (traced qd-perf runs must end on the model digests qd-perf/README.md pins)"
+echo "== float-order gate + durable-bytes gate (traced qd-perf runs must end on the model digests qd-perf/README.md pins; a journal record and a checkpoint must stay binary-sized)"
 # Every kernel keeps one reduction order (DESIGN.md §4.6), so these digests
 # only move when a change reorders a float sum — which then needs the
-# re-pin policy of ROADMAP item 2, not a silent pass.
+# re-pin policy of ROADMAP item 2, not a silent pass. The same
+# request-stream output carries two exact byte counts (`#` metrics): a
+# change that quietly re-inflates a journal record or the checkpoint
+# (DESIGN.md "Durable formats": 111 689 and 1 968 430 bytes as decimal
+# text) fails here.
 while read -r workload digest; do
-    bash qd-perf/run.sh --workload "$workload" --seed 11 --trace 1 \
-        | grep -x "  model_digest $digest" >/dev/null \
+    report="$(bash qd-perf/run.sh --workload "$workload" --seed 11 --trace 1 </dev/null)"
+    grep -x "  model_digest $digest" <<<"$report" >/dev/null \
         || { echo "qd-perf $workload (seed 11) did not print model_digest $digest — a kernel reordered a float sum" >&2; exit 1; }
+    [ "$workload" = request-stream ] || continue
+    while read -r metric ceiling; do
+        awk -v m="$metric" -v max="$ceiling" '$1 == m { seen = 1; if ($2 + 0 > max) bad = 1 } END { exit !(seen && !bad) }' <<<"$report" \
+            || { echo "qd-perf $workload (seed 11): $metric is missing or above $ceiling bytes — durable state re-inflated" >&2; exit 1; }
+    done <<'BYTES'
+core.journal.bytes_per_record 23000
+core.ckpt.bytes 420000
+BYTES
 done <<'DIGESTS'
 train-distill 185d83271a152c63
 request-stream 4027121546bddd40
