@@ -53,6 +53,24 @@ pub(crate) fn nchw_to_rows(x: &Tensor, n: usize, c: usize, oh: usize, ow: usize)
     Tensor::from_vec(out, &[n * hw, c])
 }
 
+/// Adds the vector `b` `(n,)` to every row of the matrix `y` `(m, n)`.
+pub(crate) fn add_row_bias(y: &Tensor, b: &Tensor) -> Tensor {
+    let n = b.len();
+    assert_eq!(b.shape().rank(), 1, "add_row_bias expects a bias vector");
+    assert!(
+        y.shape().rank() == 2 && y.dims()[1] == n,
+        "add_row_bias: {} rows against a bias of {n}",
+        y.shape()
+    );
+    let mut out = Vec::with_capacity(y.len());
+    if n > 0 {
+        for row in y.data().chunks_exact(n) {
+            out.extend(row.iter().zip(b.data()).map(|(&v, &bias)| v + bias));
+        }
+    }
+    Tensor::from_vec(out, y.dims())
+}
+
 /// Sums each `(n, c)` plane over its spatial extent:
 /// `(N, C, H, W) -> (N*C,)`.
 pub(crate) fn spatial_sum(x: &Tensor, c: usize, h: usize, w: usize) -> Tensor {

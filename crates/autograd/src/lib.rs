@@ -27,6 +27,12 @@
 //!   the same three), so no transpose is recorded or materialised at any
 //!   order; and a vjp rule builds no adjoint for an input that needs no
 //!   gradient.
+//! * A tape is sized to its caller. [`Tape::grad`] keeps everything, for
+//!   the one gradient that is differentiated again; [`Tape::into_grads`]
+//!   is the same sweep over the same rules, bit for bit, for a gradient
+//!   that is only read, and releases every value as it passes;
+//!   [`Tape::inference`] is a forward-only tape on which finished
+//!   sub-computations are retired.
 //!
 //! # Examples
 //!

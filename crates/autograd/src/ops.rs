@@ -9,8 +9,9 @@
 use crate::tape::{Op, PoolGeo, Tape};
 use crate::Var;
 
-/// The `(input, contribution)` pairs one node hands to [`Tape::grad`]: no
-/// op has more than two inputs, so they travel in an array, not a `Vec`.
+/// The `(input, contribution)` pairs one node hands to the gradient sweep
+/// (one table for [`Tape::grad`] and [`Tape::into_grads`]): no op has more
+/// than two inputs, so they travel in an array, not a `Vec`.
 pub(crate) type Contributions = [Option<(Var, Var)>; 2];
 
 /// The contribution of an op with a single differentiable input.
@@ -110,6 +111,7 @@ impl Tape {
                 unary(a, self.broadcast_rows(u, m))
             }
             Op::BroadcastRows(a) => unary(a, self.sum_rows(u)),
+            Op::AddRowBias(y, b) => self.binary((y, b), |_| u, |t| t.sum_rows(u)),
             Op::SumCols(a) => {
                 let n = self.value(a).dims()[1];
                 unary(a, self.broadcast_cols(u, n))

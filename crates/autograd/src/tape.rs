@@ -69,23 +69,67 @@ pub(crate) enum Op {
     ChannelSum(Var, [usize; 3]),
     ChannelBroadcast(Var, [usize; 4]),
     LogSoftmax(Var),
+    AddRowBias(Var, Var),
 }
 
 pub(crate) struct Node {
-    pub value: Tensor,
+    /// `None` once released: by [`Tape::retire`] on an inference tape, or
+    /// by the terminal sweep after it has passed the node.
+    pub value: Option<Tensor>,
     pub op: Op,
     pub needs_grad: bool,
+}
+
+/// What a tape keeps, which is what its caller may still ask of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Mode {
+    /// Every value stays: [`Tape::grad`] may be applied, and re-applied
+    /// to its own output.
+    #[default]
+    Recording,
+    /// Nothing is differentiable and [`Tape::retire`] releases values.
+    Inference,
+    /// [`Tape::into_grads`] is consuming the tape, releasing each value
+    /// once the sweep has passed it.
+    Terminal,
+}
+
+impl Mode {
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Recording => "recording tape",
+            Mode::Inference => "inference tape",
+            Mode::Terminal => "terminal gradient sweep",
+        }
+    }
+}
+
+fn value_bytes(value: &Tensor) -> usize {
+    std::mem::size_of_val(value.data())
 }
 
 /// An eager autodiff tape.
 ///
 /// Construct values with [`Tape::leaf`] (differentiable) or
 /// [`Tape::constant`] (treated as fixed), combine them with the op methods,
-/// and differentiate with [`Tape::grad`]. Because `grad` emits ordinary
-/// nodes, it can be nested for higher-order derivatives.
-///
-/// A tape only grows; for iterative training, create a fresh tape per step
+/// and differentiate. For iterative training, create a fresh tape per step
 /// and re-insert parameters as leaves.
+///
+/// A tape is sized to what its caller will still ask of it:
+///
+/// * [`Tape::grad`] emits the gradients as ordinary nodes, so it can be
+///   nested for higher-order derivatives; the tape keeps every value.
+///   Only a gradient that is differentiated again needs it (gradient
+///   matching's inner `∇θ L(S)`).
+/// * [`Tape::into_grads`] is the last thing done to a tape: the same
+///   sweep over the same rules, to the same bits, but it returns plain
+///   tensors and releases every value, adjoint and temporary as soon as
+///   the sweep has passed it. Every SGD/SGA step and every *outer*
+///   gradient uses it.
+/// * [`Tape::inference`] starts a tape that is never differentiated, on
+///   which [`Tape::retire`] releases values a forward pass is done with.
+///
+/// Reading a released value panics; it never returns stale data.
 ///
 /// # Examples
 ///
@@ -104,6 +148,10 @@ pub(crate) struct Node {
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
+    mode: Mode,
+    /// Bytes of node values held now, and the most ever held at once.
+    live_bytes: usize,
+    peak_bytes: usize,
 }
 
 impl std::fmt::Debug for Tape {
@@ -113,9 +161,37 @@ impl std::fmt::Debug for Tape {
 }
 
 impl Tape {
-    /// Creates an empty tape.
+    /// Creates an empty recording tape.
     pub fn new() -> Self {
         Tape::default()
+    }
+
+    /// Creates an empty tape for a forward pass that is never
+    /// differentiated: [`Tape::leaf`] records a constant, [`Tape::grad`]
+    /// and [`Tape::into_grads`] panic, and [`Tape::retire`] releases
+    /// values, so a caller that retires as it goes holds one layer's
+    /// working set instead of the network's.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use qd_autograd::Tape;
+    /// use qd_tensor::Tensor;
+    ///
+    /// let mut tape = Tape::inference();
+    /// let x = tape.constant(Tensor::from_vec(vec![-1.0, 2.0], &[2]));
+    /// let from = tape.len();
+    /// let h = tape.relu(x);
+    /// let y = tape.scale(h, 3.0);
+    /// tape.retire(from, y); // `h` is gone, `x` and `y` stay
+    /// assert_eq!(tape.value(y).data(), &[0.0, 6.0]);
+    /// assert_eq!(tape.value(x).data(), &[-1.0, 2.0]);
+    /// ```
+    pub fn inference() -> Self {
+        Tape {
+            mode: Mode::Inference,
+            ..Tape::default()
+        }
     }
 
     /// Number of nodes recorded so far.
@@ -132,15 +208,50 @@ impl Tape {
     ///
     /// # Panics
     ///
-    /// Panics if `v` does not belong to this tape.
+    /// Panics if `v` does not belong to this tape, or if its value has
+    /// been released (see [`Tape::retire`] and [`Tape::into_grads`]).
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        self.nodes[v.0].value.as_ref().unwrap_or_else(|| {
+            panic!(
+                "value of node {} was released by the {}",
+                v.0,
+                self.mode.name()
+            )
+        })
+    }
+
+    /// The most bytes of node values this tape has held at one time: its
+    /// footprint, which [`Tape::retire`] and [`Tape::into_grads`] exist to
+    /// bound. On a recording tape nothing is released, so this is the
+    /// sum over all nodes.
+    pub fn peak_value_bytes(&self) -> usize {
+        self.peak_bytes
+    }
+
+    /// On an inference tape, releases the value of every node recorded at
+    /// index `from` or later except `keep`: the caller is done with a
+    /// sub-computation and wants only its result. On a recording tape this
+    /// does nothing, because a later gradient sweep reads those values.
+    pub fn retire(&mut self, from: usize, keep: Var) {
+        if self.mode == Mode::Inference {
+            for id in (from..self.nodes.len()).filter(|&id| id != keep.0) {
+                self.release(Var(id));
+            }
+        }
+    }
+
+    fn release(&mut self, v: Var) {
+        if let Some(value) = self.nodes[v.0].value.take() {
+            self.live_bytes -= value_bytes(&value);
+        }
     }
 
     /// Inserts a differentiable leaf (e.g. a model parameter or a synthetic
-    /// sample being optimized).
+    /// sample being optimized). On an inference tape nothing is
+    /// differentiable and this records a constant.
     pub fn leaf(&mut self, value: Tensor) -> Var {
-        self.push(value, Op::Leaf, true)
+        let differentiable = self.mode != Mode::Inference;
+        self.push(value, Op::Leaf, differentiable)
     }
 
     /// Inserts a non-differentiable constant (e.g. input data or labels).
@@ -154,8 +265,10 @@ impl Tape {
     }
 
     fn push(&mut self, value: Tensor, op: Op, needs_grad: bool) -> Var {
+        self.live_bytes += value_bytes(&value);
+        self.peak_bytes = self.peak_bytes.max(self.live_bytes);
         self.nodes.push(Node {
-            value,
+            value: Some(value),
             op,
             needs_grad,
         });
@@ -411,6 +524,17 @@ impl Tape {
         self.push_unary(a, v, Op::BroadcastRows(a))
     }
 
+    /// Adds the vector `b` of shape `(n,)` to every row of the `(m, n)`
+    /// matrix `y` — a layer's bias — in one pass, where
+    /// [`Tape::broadcast_rows`] then [`Tape::add`] materialise the
+    /// repeated rows first. Same sums in the same order as that pair, at
+    /// every order of differentiation: `b`'s adjoint is `sum_rows` of the
+    /// upstream either way, and the broadcast had this one consumer.
+    pub fn add_row_bias(&mut self, y: Var, b: Var) -> Var {
+        let v = kernels::add_row_bias(self.value(y), self.value(b));
+        self.push_binary(y, b, v, Op::AddRowBias(y, b))
+    }
+
     /// Sums a matrix over columns: `(m, n) -> (m,)`.
     pub fn sum_cols(&mut self, a: Var) -> Var {
         let v = self.value(a).sum_cols();
@@ -514,12 +638,92 @@ impl Tape {
     ///
     /// Variables in `xs` that `y` does not depend on receive zero tensors.
     /// Applying `grad` to one of the returned variables yields exact
-    /// second-order derivatives.
+    /// second-order derivatives. A gradient that is only read — a training
+    /// step, or the outermost derivative — should use
+    /// [`Tape::into_grads`], which computes the same bits and keeps none
+    /// of this.
     ///
     /// # Panics
     ///
-    /// Panics if `y` is not a single-element variable.
+    /// Panics if `y` is not a single-element variable, or on an inference
+    /// tape.
     pub fn grad(&mut self, y: Var, xs: &[Var]) -> Vec<Var> {
+        let adjoints = self.sweep(y, xs, false);
+        xs.iter()
+            .zip(adjoints)
+            .map(|(x, adjoint)| {
+                adjoint.unwrap_or_else(|| self.constant(Tensor::zeros(self.value(*x).dims())))
+            })
+            .collect()
+    }
+
+    /// The gradients of scalar `y` with respect to each variable in `xs`
+    /// as plain tensors, consuming the tape: the terminal sweep.
+    ///
+    /// It is [`Tape::grad`]'s loop over [`Tape::grad`]'s rules in the same
+    /// node order, so the result is bit-identical to reading `grad`'s
+    /// output — but nothing is kept for a further derivative. A node's
+    /// forward value is released once the sweep has passed it (every
+    /// consumer has a higher index and has already run), a rule's
+    /// temporaries when the rule returns, an adjoint when the last slot
+    /// holding it is consumed, and accumulation is `acc += c` in place
+    /// when `acc` has a single holder — the same additions in the same
+    /// order. Variables `y` does not depend on receive zero tensors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` is not a single-element variable, or on an inference
+    /// tape.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use qd_autograd::Tape;
+    /// use qd_tensor::Tensor;
+    ///
+    /// let mut tape = Tape::new();
+    /// let x = tape.leaf(Tensor::from_vec(vec![1.0, -2.0], &[2]));
+    /// let sq = tape.mul(x, x);
+    /// let y = tape.sum_all(sq);
+    /// let grads = tape.into_grads(y, &[x]);
+    /// assert_eq!(grads[0].data(), &[2.0, -4.0]);
+    /// ```
+    pub fn into_grads(mut self, y: Var, xs: &[Var]) -> Vec<Tensor> {
+        self.sweep_terminal(y, xs)
+    }
+
+    /// [`Tape::into_grads`] on a borrowed tape, which is left spent (its
+    /// forward values released): what tests use to read
+    /// [`Tape::peak_value_bytes`] after the sweep.
+    #[doc(hidden)]
+    pub fn sweep_terminal(&mut self, y: Var, xs: &[Var]) -> Vec<Tensor> {
+        let shapes: Vec<Vec<usize>> = xs.iter().map(|x| self.value(*x).dims().to_vec()).collect();
+        let adjoints = self.sweep(y, xs, true);
+        adjoints
+            .iter()
+            .zip(&shapes)
+            .map(|(adjoint, dims)| match adjoint {
+                Some(g) => self.value(*g).clone(),
+                None => Tensor::zeros(dims),
+            })
+            .collect()
+    }
+
+    /// The reverse sweep behind [`Tape::grad`] and [`Tape::into_grads`]:
+    /// the adjoint of `y` with respect to each of `xs` (`None` where `y`
+    /// does not depend on it), as nodes on this tape.
+    ///
+    /// `terminal` changes what is kept and nothing that is computed. The
+    /// liveness argument: a rule reads its own node, its inputs (lower
+    /// indices) and its upstream adjoint, so when the sweep stands at
+    /// `id` no later step reads a forward value above `id`, a temporary
+    /// of an earlier rule, or an adjoint no slot points to any more.
+    fn sweep(&mut self, y: Var, xs: &[Var], terminal: bool) -> Vec<Option<Var>> {
+        assert!(
+            self.mode == Mode::Recording,
+            "cannot differentiate on the {}",
+            self.mode.name()
+        );
         assert_eq!(
             self.value(y).len(),
             1,
@@ -527,32 +731,94 @@ impl Tape {
             self.value(y).shape()
         );
         let horizon = y.0 + 1;
+        if terminal {
+            self.mode = Mode::Terminal;
+            // Nothing recorded after `y` can feed it.
+            for id in horizon..self.nodes.len() {
+                self.release(Var(id));
+            }
+            self.nodes.truncate(horizon);
+        }
         let mut adjoint: Vec<Option<Var>> = vec![None; horizon];
+        // Terminal sweep only: how many adjoint slots (and entries of
+        // `xs`, whose adjoints are the result) point at each node. The
+        // pass-through rules (`Add`, `AddScalar`, a no-op reshape) hand
+        // one upstream to several inputs, so it may be updated in place or
+        // released only by its last holder.
+        let mut holders: Vec<u32> = Vec::new();
         let seed = self.constant(Tensor::ones(self.value(y).dims()));
         adjoint[y.0] = Some(seed);
+        if terminal {
+            holders.resize(self.nodes.len(), 0);
+            holders[seed.0] = 1;
+        }
         for id in (0..horizon).rev() {
-            let Some(upstream) = adjoint[id] else {
-                continue;
-            };
-            if !self.nodes[id].needs_grad {
-                continue;
+            if let (Some(upstream), true) = (adjoint[id], self.nodes[id].needs_grad) {
+                let mark = self.nodes.len();
+                let op = self.nodes[id].op;
+                let contributions = self.vjp(Var(id), op, upstream);
+                if terminal {
+                    holders.resize(self.nodes.len(), 0);
+                    if !xs.contains(&Var(id)) {
+                        holders[upstream.0] -= 1;
+                    }
+                }
+                for (input, c) in contributions.into_iter().flatten() {
+                    debug_assert!(c.0 >= horizon, "a contribution is a node of the sweep");
+                    let sum = match adjoint[input.0] {
+                        None => c,
+                        // `upstream` may yet be passed through by this
+                        // rule's other contribution, and `acc == c` would
+                        // read the buffer it writes.
+                        Some(acc)
+                            if terminal && holders[acc.0] == 1 && acc != c && acc != upstream =>
+                        {
+                            self.add_assign(acc, c);
+                            continue;
+                        }
+                        Some(acc) => {
+                            let sum = self.add(acc, c);
+                            if terminal {
+                                holders.resize(self.nodes.len(), 0);
+                                holders[acc.0] -= 1;
+                                if holders[acc.0] == 0 {
+                                    self.release(acc);
+                                }
+                            }
+                            sum
+                        }
+                    };
+                    adjoint[input.0] = Some(sum);
+                    if terminal {
+                        holders[sum.0] += 1;
+                    }
+                }
+                if terminal {
+                    for held in std::iter::once(upstream.0).chain(mark..self.nodes.len()) {
+                        if holders[held] == 0 {
+                            self.release(Var(held));
+                        }
+                    }
+                }
             }
-            let op = self.nodes[id].op;
-            for (input, contribution) in self.vjp(Var(id), op, upstream).into_iter().flatten() {
-                adjoint[input.0] = Some(match adjoint[input.0] {
-                    Some(acc) => self.add(acc, contribution),
-                    None => contribution,
-                });
+            if terminal {
+                self.release(Var(id));
             }
         }
         xs.iter()
-            .map(|x| {
-                adjoint
-                    .get(x.0)
-                    .copied()
-                    .flatten()
-                    .unwrap_or_else(|| self.constant(Tensor::zeros(self.value(*x).dims())))
-            })
+            .map(|x| adjoint.get(x.0).copied().flatten())
             .collect()
+    }
+
+    /// `acc += c`, elementwise, in `acc`'s own buffer: the additions
+    /// [`Tape::add`] would perform, without the third tensor.
+    fn add_assign(&mut self, acc: Var, c: Var) {
+        let mut sum = self.nodes[acc.0].value.take().expect("a held adjoint");
+        let addend = self.value(c);
+        assert_eq!(sum.dims(), addend.dims(), "adjoint shape mismatch");
+        for (a, &b) in sum.data_mut().iter_mut().zip(addend.data()) {
+            *a += b;
+        }
+        self.nodes[acc.0].value = Some(sum);
     }
 }

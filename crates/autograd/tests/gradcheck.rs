@@ -367,6 +367,77 @@ fn sum_broadcast_rows_cols_gradcheck() {
     );
 }
 
+/// A linear layer with its bias, under a smooth nonlinearity, with the
+/// bias added by `add_row_bias` or by the pair it replaces.
+fn biased_layer(t: &mut Tape, vs: &[Var], fused: bool) -> Var {
+    let y = t.matmul_nt(vs[0], vs[1]);
+    let yb = if fused {
+        t.add_row_bias(y, vs[2])
+    } else {
+        let rows = t.value(y).dims()[0];
+        let bb = t.broadcast_rows(vs[2], rows);
+        t.add(y, bb)
+    };
+    let act = t.tanh(yb);
+    let sq = t.mul(act, act);
+    t.sum_all(sq)
+}
+
+#[test]
+fn add_row_bias_gradcheck_first_and_second_order() {
+    let mut rng = Rng::seed_from(51);
+    let x = smooth_randn(&[3, 5], &mut rng);
+    let w = smooth_randn(&[4, 5], &mut rng).scale(0.5);
+    let b = smooth_randn(&[4], &mut rng);
+    let inputs = [x, w, b];
+    let layer = |t: &mut Tape, vs: &[Var]| biased_layer(t, vs, true);
+    assert_grads_close(layer, &inputs, 3e-2);
+    // Inner gradient w.r.t. the bias and the weights (distillation's
+    // shape), outer w.r.t. the data and the bias itself.
+    assert_second_order_close(layer, &inputs, (2, 0), 5e-2);
+    assert_second_order_close(layer, &inputs, (1, 2), 5e-2);
+    assert_second_order_close(layer, &inputs, (2, 2), 5e-2);
+}
+
+proptest::proptest! {
+    /// Values, gradients and gradients of gradients of `add_row_bias`
+    /// against `broadcast_rows` + `add`: the broadcast had one consumer, so
+    /// no sum is re-associated at any order (DESIGN.md §4.7).
+    #[test]
+    fn add_row_bias_matches_the_composed_pair_bit_for_bit(
+        m in 1usize..7,
+        n in 1usize..10,
+        k in 1usize..6,
+        seed in 0u64..100_000,
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        let inputs = [
+            Tensor::randn(&[m, k], &mut rng),
+            Tensor::randn(&[n, k], &mut rng),
+            Tensor::randn(&[n], &mut rng),
+        ];
+        let run = |fused: bool| -> Vec<Vec<u32>> {
+            let mut t = Tape::new();
+            let vs: Vec<Var> = inputs.iter().map(|x| t.leaf(x.clone())).collect();
+            let loss = biased_layer(&mut t, &vs, fused);
+            let first = t.grad(loss, &vs);
+            let mut phi = t.sum_all(first[0]);
+            for &g in &first[1..] {
+                let gg = t.mul(g, g);
+                let s = t.sum_all(gg);
+                phi = t.add(phi, s);
+            }
+            let second = t.grad(phi, &vs);
+            std::iter::once(&loss)
+                .chain(&first)
+                .chain(&second)
+                .map(|v| t.value(*v).data().iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(run(true), run(false));
+    }
+}
+
 #[test]
 fn broadcast_to_gradcheck() {
     let a = Tensor::from_vec(vec![0.7], &[1]);

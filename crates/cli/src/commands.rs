@@ -6,7 +6,7 @@ use qd_core::{
     TrainRun,
 };
 use qd_data::{ascii_samples, partition_dirichlet, partition_iid, Dataset, SyntheticDataset};
-use qd_eval::{per_class_accuracy, split_accuracy};
+use qd_eval::{accuracy, per_class_accuracy, split_accuracy};
 use qd_fed::{Federation, Phase};
 use qd_nn::ConvNet;
 use qd_tensor::rng::Rng;
@@ -444,12 +444,19 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
         args.get_usize("samples", 400)?,
         &mut Rng::seed_from(seed + 1),
     );
-    let (f_set, r_set) = match request {
-        UnlearnRequest::Class(c) => (test.only_class(c), test.without_class(c)),
+    let report_accuracy = |fed: &Federation| match request {
+        UnlearnRequest::Class(c) => split_accuracy(
+            model.as_ref(),
+            fed.global(),
+            &test.only_class(c),
+            &test.without_class(c),
+        ),
         UnlearnRequest::Client(_) => {
             // Client-level evaluation data is not reconstructible from a
-            // stub federation; report whole-test accuracy instead.
-            (test.clone(), test.clone())
+            // stub federation; report whole-test accuracy, evaluated
+            // once, in both columns.
+            let whole = accuracy(model.as_ref(), fed.global(), &test);
+            (whole, whole)
         }
     };
     let resumed_line = match &mut journal {
@@ -480,7 +487,7 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
                     )
                 })
                 .unwrap_or_default();
-            let (fa, ra) = split_accuracy(model.as_ref(), fed.global(), &f_set, &r_set);
+            let (fa, ra) = report_accuracy(&fed);
             format!(
                 "unlearned {request} in {:.0} ms over {} synthetic samples; \
                  F-Set {:.1}%, R-Set {:.1}%\n{guard_line}",
@@ -498,7 +505,7 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
                 qd.relearn(&mut fed, request, &phase, &mut rng)
                     .expect("QuickDrop supports relearning")
             };
-            let (fa, ra) = split_accuracy(model.as_ref(), fed.global(), &f_set, &r_set);
+            let (fa, ra) = report_accuracy(&fed);
             format!(
                 "relearned {request} in {:.0} ms; F-Set {:.1}%, R-Set {:.1}%\n",
                 stats.wall.as_secs_f64() * 1000.0,
@@ -847,6 +854,19 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("relearned class 3"));
+
+        // A client-level request has no forget/retain test split: both
+        // columns carry the one whole-test accuracy.
+        let out = run(&args(&[
+            "unlearn", "--ckpt", &ckpt, "--client", "1", "--seed", "7",
+        ]))
+        .unwrap();
+        assert!(out.contains("unlearned client 1"));
+        let column = |name: &str| {
+            let rest = out.split(name).nth(1).expect("column present");
+            rest.split('%').next().expect("a percentage").to_string()
+        };
+        assert_eq!(column("F-Set "), column("R-Set "));
         std::fs::remove_file(&ckpt).ok();
     }
 

@@ -62,12 +62,9 @@ pub fn distribution_match_step(
         if steps == 0 {
             break;
         }
-        let Some(g) = tape.grad(obj, &[sv]).pop() else {
-            break;
-        };
-        let mut updated = syn.clone();
-        updated.axpy(-lr, tape.value(g));
-        syn = updated;
+        for g in tape.into_grads(obj, &[sv]) {
+            syn.axpy(-lr, &g);
+        }
     }
     (syn, first)
 }

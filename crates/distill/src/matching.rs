@@ -1,14 +1,16 @@
 //! The gradient-matching objective and the class-wise synthetic update.
 
 use qd_autograd::{Tape, Var};
-use qd_nn::{cross_entropy, Module};
+use qd_nn::{cross_entropy, loss_gradients, Module};
 use qd_tensor::Tensor;
 
 /// Numerical floor for the cosine denominator.
 const EPS: f32 = 1e-6;
 
 /// Cross-entropy gradients of `model` at `params` on one labelled batch,
-/// returned as plain tensors (the *detached* reference branch of Eq. 5).
+/// returned as plain tensors (the *detached* reference branch of Eq. 5):
+/// [`qd_nn::loss_gradients`] under the name the distillation surface
+/// pins.
 pub fn reference_gradients(
     model: &dyn Module,
     params: &[Tensor],
@@ -16,13 +18,7 @@ pub fn reference_gradients(
     labels: &[usize],
     classes: usize,
 ) -> Vec<Tensor> {
-    let mut tape = Tape::new();
-    let p: Vec<Var> = params.iter().map(|t| tape.leaf(t.clone())).collect();
-    let xv = tape.constant(x.clone());
-    let logits = model.forward(&mut tape, &p, xv);
-    let loss = cross_entropy(&mut tape, logits, labels, classes);
-    let grads = tape.grad(loss, &p);
-    grads.into_iter().map(|g| tape.value(g).clone()).collect()
+    loss_gradients(model, params, x, labels, classes)
 }
 
 /// Builds the layerwise gradient-matching distance of Zhao et al. (2021)
@@ -85,8 +81,9 @@ pub fn matching_distance(tape: &mut Tape, grads_s: &[Var], grads_d: &[Tensor]) -
 
 /// Records the matching objective at `syn` on a fresh tape: the synthetic
 /// samples as a leaf, the model gradients they induce (as differentiable
-/// nodes) and their distance to `ref_grads`. Returns the tape, the
-/// synthetic leaf and the distance node.
+/// nodes: this gradient is differentiated again, hence [`Tape::grad`])
+/// and their distance to `ref_grads`. Returns the tape, the synthetic
+/// leaf and the distance node.
 fn matching_objective(
     model: &dyn Module,
     params: &[Tensor],
@@ -137,13 +134,13 @@ pub fn match_class_step(
     let mut syn = syn;
     let mut first_distance = f32::NAN;
     for step in 0..steps {
-        let (mut tape, sv, dist) =
-            matching_objective(model, params, ref_grads, &syn, class, classes);
+        let (tape, sv, dist) = matching_objective(model, params, ref_grads, &syn, class, classes);
         if step == 0 {
             first_distance = tape.value(dist).item();
         }
-        for g in tape.grad(dist, &[sv]) {
-            syn.axpy(-lr, tape.value(g));
+        // The outer derivative is only read: the terminal sweep.
+        for g in tape.into_grads(dist, &[sv]) {
+            syn.axpy(-lr, &g);
         }
     }
     (syn, first_distance)

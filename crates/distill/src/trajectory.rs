@@ -182,10 +182,10 @@ pub fn trajectory_match_step(
 
     // Descend the synthetic pixels through the unrolled trajectory.
     let leaf_vars: Vec<Var> = leaves.iter().map(|&(_, v)| v).collect();
-    let grads = tape.grad(objective, &leaf_vars);
+    let grads = tape.into_grads(objective, &leaf_vars);
     for (&(c, _), g) in leaves.iter().zip(&grads) {
         let mut updated = syn.class_samples(c).unwrap().clone();
-        updated.axpy(-syn_lr, tape.value(*g));
+        updated.axpy(-syn_lr, g);
         syn.set_class_samples(c, updated);
     }
     value

@@ -7,8 +7,9 @@
 //! predictive distributions directly and are used by the test-suite to
 //! check that unlearned models move *toward* the oracle.
 
+use crate::metrics::logits;
 use qd_data::Dataset;
-use qd_nn::{forward_inference, Module};
+use qd_nn::Module;
 use qd_tensor::Tensor;
 
 /// Fraction of samples on which two parameterizations of `model` predict
@@ -23,9 +24,8 @@ pub fn prediction_agreement(
     if data.is_empty() {
         return 1.0;
     }
-    let (x, _) = data.all();
-    let pa = forward_inference(model, params_a, &x).row_argmax();
-    let pb = forward_inference(model, params_b, &x).row_argmax();
+    let pa = logits(model, params_a, data).row_argmax();
+    let pb = logits(model, params_b, data).row_argmax();
     pa.iter().zip(&pb).filter(|(a, b)| a == b).count() as f32 / pa.len() as f32
 }
 
@@ -41,9 +41,8 @@ pub fn prediction_kl(
     if data.is_empty() {
         return 0.0;
     }
-    let (x, _) = data.all();
-    let la = forward_inference(model, params_a, &x).log_softmax_rows();
-    let lb = forward_inference(model, params_b, &x).log_softmax_rows();
+    let la = logits(model, params_a, data).log_softmax_rows();
+    let lb = logits(model, params_b, data).log_softmax_rows();
     let n = la.dims()[0];
     let c = la.dims()[1];
     let mut total = 0.0f64;

@@ -1,23 +1,85 @@
 //! Accuracy and loss metrics.
+//!
+//! Every metric is a function of the model's logits on the dataset, which
+//! `logits` computes by streaming chunks of `EVAL_BATCH` samples through
+//! forward-only tapes ([`qd_nn::forward_inference`]), the chunks fanned
+//! over [`qd_nn::worker_count`] threads and concatenated in sample order.
+//! A sample's logits do not depend on which other samples share its
+//! batch, so the results are the same bits for any chunk size and any
+//! worker count.
 
 use qd_data::Dataset;
-use qd_nn::{forward_inference, Module};
+use qd_nn::{forward_inference, worker_count, Module};
 use qd_tensor::Tensor;
 
-/// Evaluation batch size: bounds peak memory on large test sets.
-const EVAL_BATCH: usize = 256;
+/// Samples per evaluation chunk. 32 is the batch the kernels and the
+/// `qd-perf` ledger are tuned at, and a chunk's working set stays in
+/// cache: with this constant alone changed from 256, a served request
+/// (`op_ms_p50` @ request-stream) measured ≈ 14 % faster and its process
+/// peaked at 48 MiB instead of 126 MiB (EXPERIMENTS.md, "PR 16 ledger").
+const EVAL_BATCH: usize = 32;
+
+/// The `(n, classes)` logits of `model(params)` on every sample of `data`,
+/// in sample order.
+pub(crate) fn logits(model: &dyn Module, params: &[Tensor], data: &Dataset) -> Tensor {
+    logits_chunked(model, params, data, EVAL_BATCH, worker_count())
+}
+
+/// [`logits`] with the chunk size and worker count spelled out: `data` is
+/// cut into consecutive chunks of `chunk` samples, the chunks into at most
+/// `workers` contiguous runs, one thread each (a single run stays on the
+/// calling thread).
+fn logits_chunked(
+    model: &dyn Module,
+    params: &[Tensor],
+    data: &Dataset,
+    chunk: usize,
+    workers: usize,
+) -> Tensor {
+    let starts: Vec<usize> = (0..data.len()).step_by(chunk).collect();
+    let run = |starts: &[usize]| -> Vec<f32> {
+        let mut rows = Vec::new();
+        for &start in starts {
+            let idx: Vec<usize> = (start..(start + chunk).min(data.len())).collect();
+            let (x, _) = data.batch(&idx);
+            rows.extend_from_slice(forward_inference(model, params, &x).data());
+        }
+        rows
+    };
+    let per_worker = starts.len().div_ceil(workers.max(1)).max(1);
+    let rows = if starts.len() <= per_worker {
+        run(&starts)
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = starts
+                .chunks(per_worker)
+                .map(|group| scope.spawn(|| run(group)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| {
+                    // A worker only fails to join by panicking: re-raise it.
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
+        })
+    };
+    let classes = rows.len().checked_div(data.len()).unwrap_or(0);
+    Tensor::from_vec(rows, &[data.len(), classes])
+}
 
 /// Top-1 accuracy of `model(params)` on `data` (0 for an empty dataset).
 pub fn accuracy(model: &dyn Module, params: &[Tensor], data: &Dataset) -> f32 {
     if data.is_empty() {
         return 0.0;
     }
-    let mut correct = 0usize;
-    for_batches(data, |x, y| {
-        let logits = forward_inference(model, params, x);
-        let preds = logits.row_argmax();
-        correct += preds.iter().zip(y).filter(|(p, t)| p == t).count();
-    });
+    let preds = logits(model, params, data).row_argmax();
+    let correct = preds
+        .iter()
+        .zip(data.labels())
+        .filter(|(p, t)| p == t)
+        .count();
     correct as f32 / data.len() as f32
 }
 
@@ -25,16 +87,15 @@ pub fn accuracy(model: &dyn Module, params: &[Tensor], data: &Dataset) -> f32 {
 pub fn per_class_accuracy(model: &dyn Module, params: &[Tensor], data: &Dataset) -> Vec<f32> {
     let mut correct = vec![0usize; data.classes()];
     let mut total = vec![0usize; data.classes()];
-    for_batches(data, |x, y| {
-        let logits = forward_inference(model, params, x);
-        let preds = logits.row_argmax();
-        for (p, &t) in preds.iter().zip(y) {
+    if !data.is_empty() {
+        let preds = logits(model, params, data).row_argmax();
+        for (p, &t) in preds.iter().zip(data.labels()) {
             total[t] += 1;
             if *p == t {
                 correct[t] += 1;
             }
         }
-    });
+    }
     correct
         .iter()
         .zip(&total)
@@ -61,27 +122,16 @@ pub fn split_accuracy(
 /// Per-sample cross-entropy losses of `model(params)` on `data`, in sample
 /// order. The raw material of the loss-threshold MIA.
 pub fn sample_losses(model: &dyn Module, params: &[Tensor], data: &Dataset) -> Vec<f32> {
-    let mut losses = Vec::with_capacity(data.len());
-    for_batches(data, |x, y| {
-        let logits = forward_inference(model, params, x);
-        let ls = logits.log_softmax_rows();
-        let classes = data.classes();
-        for (i, &t) in y.iter().enumerate() {
-            losses.push(-ls.data()[i * classes + t]);
-        }
-    });
-    losses
-}
-
-fn for_batches(data: &Dataset, mut f: impl FnMut(&Tensor, &[usize])) {
-    let mut start = 0;
-    while start < data.len() {
-        let end = (start + EVAL_BATCH).min(data.len());
-        let idx: Vec<usize> = (start..end).collect();
-        let (x, y) = data.batch(&idx);
-        f(&x, &y);
-        start = end;
+    if data.is_empty() {
+        return Vec::new();
     }
+    let ls = logits(model, params, data).log_softmax_rows();
+    let classes = data.classes();
+    data.labels()
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| -ls.data()[i * classes + t])
+        .collect()
 }
 
 #[cfg(test)]
@@ -129,6 +179,47 @@ mod tests {
         let (fa, ra) = split_accuracy(&model, &params, &f, &r);
         assert_eq!(fa, 1.0);
         assert_eq!(ra, 0.0);
+    }
+
+    #[test]
+    fn results_do_not_depend_on_chunk_size_or_worker_count() {
+        let mut rng = Rng::seed_from(5);
+        let model = qd_nn::ConvNet::new(1, 16, 2, 4, 10);
+        let params = model.init(&mut rng);
+        // 75 samples: ragged against every chunk size, fewer chunks than
+        // workers at 256.
+        let data = SyntheticDataset::Digits.generate(75, &mut rng);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // One batch on one thread is the reference; `accuracy`,
+        // `per_class_accuracy` and `sample_losses` read nothing else.
+        let (x, _) = data.all();
+        let whole = forward_inference(&model, &params, &x);
+        assert_eq!(whole.dims(), &[75, 10]);
+        for chunk in [1, 7, 32, 256] {
+            for workers in [1, 2, 5] {
+                let got = logits_chunked(&model, &params, &data, chunk, workers);
+                assert_eq!(got.dims(), whole.dims());
+                assert_eq!(bits(&got), bits(&whole), "chunk {chunk}, {workers} workers");
+            }
+        }
+        let preds = whole.row_argmax();
+        let hits = preds.iter().zip(data.labels()).filter(|(p, t)| p == t);
+        assert_eq!(accuracy(&model, &params, &data), hits.count() as f32 / 75.0);
+        let per_class = per_class_accuracy(&model, &params, &data);
+        for (class, &acc) in per_class.iter().enumerate() {
+            let members = data.indices_of_class(class);
+            let right = members.iter().filter(|&&i| preds[i] == class).count();
+            assert_eq!(acc, right as f32 / members.len().max(1) as f32);
+        }
+        let ls = whole.log_softmax_rows();
+        let losses = sample_losses(&model, &params, &data);
+        assert_eq!(losses.len(), 75);
+        for (i, loss) in losses.iter().enumerate() {
+            assert_eq!(
+                loss.to_bits(),
+                (-ls.data()[i * 10 + data.label(i)]).to_bits()
+            );
+        }
     }
 
     #[test]

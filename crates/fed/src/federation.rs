@@ -200,9 +200,7 @@ impl Federation {
             guard,
             health,
             fault_plan: None,
-            client_threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4),
+            client_threads: qd_nn::worker_count(),
         }
     }
 

@@ -2,9 +2,8 @@
 //! SGD/SGA implementation.
 
 use crate::Phase;
-use qd_autograd::Tape;
 use qd_data::Dataset;
-use qd_nn::{cross_entropy, Module, Sgd};
+use qd_nn::{loss_gradients, Module, Sgd};
 use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
 use std::sync::Arc;
@@ -110,7 +109,7 @@ impl ClientTrainer for SgdClientTrainer {
             }
             let (x, y) = data.sample_batch(phase.batch_size, &mut batch_rng);
             samples += y.len();
-            let grads = batch_gradients(self.model.as_ref(), &params, &x, &y, data.classes());
+            let grads = loss_gradients(self.model.as_ref(), &params, &x, &y, data.classes());
             opt.step(&mut params, &grads);
         }
         LocalOutcome {
@@ -118,25 +117,6 @@ impl ClientTrainer for SgdClientTrainer {
             samples_processed: samples,
         }
     }
-}
-
-/// Computes cross-entropy gradients of `model` at `params` on one batch.
-///
-/// A convenience shared by trainers and unlearning methods.
-pub(crate) fn batch_gradients(
-    model: &dyn Module,
-    params: &[Tensor],
-    x: &Tensor,
-    labels: &[usize],
-    classes: usize,
-) -> Vec<Tensor> {
-    let mut tape = Tape::new();
-    let p: Vec<_> = params.iter().map(|t| tape.leaf(t.clone())).collect();
-    let xv = tape.constant(x.clone());
-    let logits = model.forward(&mut tape, &p, xv);
-    let loss = cross_entropy(&mut tape, logits, labels, classes);
-    let grads = tape.grad(loss, &p);
-    grads.into_iter().map(|g| tape.value(g).clone()).collect()
 }
 
 /// Builds one [`SgdClientTrainer`] per client, boxed for

@@ -40,11 +40,8 @@ impl Linear {
 
 impl Module for Linear {
     fn forward(&self, tape: &mut Tape, params: &[Var], x: Var) -> Var {
-        let (w, b) = (params[0], params[1]);
-        let batch = tape.value(x).dims()[0];
-        let y = tape.matmul_nt(x, w);
-        let bb = tape.broadcast_rows(b, batch);
-        tape.add(y, bb)
+        let y = tape.matmul_nt(x, params[0]);
+        tape.add_row_bias(y, params[1])
     }
 
     fn param_shapes(&self) -> Vec<Vec<usize>> {
@@ -113,8 +110,7 @@ impl Module for Conv2d {
         let geo = Conv2dGeometry::new(c, h, w, self.kernel, self.stride, self.pad);
         let cols = tape.im2col(x, geo); // (N*OH*OW, C*k*k)
         let y = tape.matmul_nt(cols, params[0]); // (N*OH*OW, Cout)
-        let bb = tape.broadcast_rows(params[1], geo.rows(n));
-        let yb = tape.add(y, bb);
+        let yb = tape.add_row_bias(y, params[1]);
         tape.rows_to_nchw(yb, n, self.out_channels, geo.out_h, geo.out_w)
     }
 

@@ -36,9 +36,8 @@
 //! let xv = tape.constant(x);
 //! let logits = model.forward(&mut tape, &p, xv);
 //! let loss = cross_entropy(&mut tape, logits, &labels, 3);
-//! let grads = tape.grad(loss, &p);
-//! let grad_tensors: Vec<Tensor> = grads.iter().map(|g| tape.value(*g).clone()).collect();
-//! Sgd::descent(0.1).step(&mut params, &grad_tensors);
+//! let grads = tape.into_grads(loss, &p); // or `qd_nn::loss_gradients`
+//! Sgd::descent(0.1).step(&mut params, &grads);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,8 +54,8 @@ mod params;
 pub use layers::{
     AvgPool2d, Conv2d, Flatten, InstanceNorm2d, Linear, MaxPool2d, Relu, Sigmoid, Tanh,
 };
-pub use loss::{cross_entropy, mse, one_hot};
+pub use loss::{cross_entropy, loss_gradients, mse, one_hot};
 pub use models::{ConvNet, LeNet, Mlp};
-pub use module::{forward_inference, Module, Sequential};
+pub use module::{forward_inference, worker_count, Module, Sequential};
 pub use optim::{Direction, Sgd};
 pub use params::{param_l2_distance, param_l2_norm, params_have_non_finite, relative_drift};

@@ -1,5 +1,6 @@
 //! Losses: cross-entropy over logits, mean-squared error, one-hot helper.
 
+use crate::Module;
 use qd_autograd::{Tape, Var};
 use qd_tensor::Tensor;
 
@@ -37,6 +38,26 @@ pub fn cross_entropy(tape: &mut Tape, logits: Var, labels: &[usize], classes: us
     let total = tape.sum_all(picked);
     let neg = tape.neg(total);
     tape.scale(neg, 1.0 / labels.len().max(1) as f32)
+}
+
+/// Cross-entropy gradients of `model` at `params` on one labelled batch,
+/// one tensor per parameter: what every SGD/SGA step in this workspace
+/// (training, ascent, recovery, relearning, the baselines) and gradient
+/// matching's detached reference branch compute. First order only, so it
+/// runs the terminal sweep ([`Tape::into_grads`]) and keeps nothing.
+pub fn loss_gradients(
+    model: &dyn Module,
+    params: &[Tensor],
+    x: &Tensor,
+    labels: &[usize],
+    classes: usize,
+) -> Vec<Tensor> {
+    let mut tape = Tape::new();
+    let p: Vec<Var> = params.iter().map(|t| tape.leaf(t.clone())).collect();
+    let xv = tape.constant(x.clone());
+    let logits = model.forward(&mut tape, &p, xv);
+    let loss = cross_entropy(&mut tape, logits, labels, classes);
+    tape.into_grads(loss, &p)
 }
 
 /// Mean squared error between two same-shaped variables.

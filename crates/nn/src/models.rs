@@ -407,14 +407,9 @@ mod tests {
         let mut params = net.init(&mut rng);
         let x = Tensor::randn(&[4, 1, 16, 16], &mut rng);
         let labels = vec![0usize, 1, 2, 3];
-        let mut tape = qd_autograd::Tape::new();
-        let p: Vec<_> = params.iter().map(|t| tape.leaf(t.clone())).collect();
-        let xv = tape.constant(x);
-        let logits = net.forward(&mut tape, &p, xv);
-        let loss = crate::cross_entropy(&mut tape, logits, &labels, 10);
-        let grads = tape.grad(loss, &p);
+        let grads = crate::loss_gradients(&net, &params, &x, &labels, 10);
         for (param, g) in params.iter_mut().zip(&grads) {
-            param.axpy(-0.1, tape.value(*g));
+            param.axpy(-0.1, g);
             assert!(param.all_finite());
         }
     }

@@ -38,8 +38,10 @@ pub trait Module: Send + Sync {
 
 /// Runs `module` in inference mode on a batch, returning raw logits.
 ///
-/// Builds a throwaway tape internally; parameters are inserted as
-/// constants so no gradient bookkeeping happens.
+/// Builds a throwaway [`Tape::inference`] internally: nothing is
+/// differentiable, and [`Sequential`] retires each child's working set as
+/// it goes, so the call holds one layer's intermediates, not the
+/// network's. The logits are bit-identical to a recording tape's.
 ///
 /// # Examples
 ///
@@ -54,11 +56,22 @@ pub trait Module: Send + Sync {
 /// assert_eq!(logits.dims(), &[3, 2]);
 /// ```
 pub fn forward_inference(module: &dyn Module, params: &[Tensor], x: &Tensor) -> Tensor {
-    let mut tape = Tape::new();
+    let mut tape = Tape::inference();
     let p: Vec<Var> = params.iter().map(|t| tape.constant(t.clone())).collect();
     let xv = tape.constant(x.clone());
     let y = module.forward(&mut tape, &p, xv);
     tape.value(y).clone()
+}
+
+/// How many model evaluations run at once wherever this workspace fans
+/// independent work over threads (a round's clients, an evaluation's
+/// chunks): the machine's hardware threads. It decides only when results
+/// arrive, never what they are — every such caller reduces in a fixed
+/// order — so it is not configurable.
+pub fn worker_count() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(4)
 }
 
 /// Runs a chain of modules, splitting the parameter list among children.
@@ -108,10 +121,18 @@ impl Module for Sequential {
         );
         let mut offset = 0;
         let mut h = x;
+        // On an inference tape, a child's temporaries and the previous
+        // child's output are released when the child returns; what the
+        // caller recorded before this call (`x`, `params`) is never ours
+        // to release. On a recording tape `retire` does nothing.
+        let mut retire_from = tape.len();
         for child in &self.children {
+            let child_from = tape.len();
             let n = child.param_count();
             h = child.forward(tape, &params[offset..offset + n], h);
             offset += n;
+            tape.retire(retire_from, h);
+            retire_from = child_from;
         }
         h
     }

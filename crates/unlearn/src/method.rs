@@ -114,25 +114,6 @@ pub trait UnlearningMethod {
     }
 }
 
-/// Cross-entropy gradients of `model` at `params` on one batch (shared by
-/// methods that run local steps outside the federation's round machinery,
-/// e.g. PGA's projected ascent).
-pub(crate) fn batch_grads(
-    model: &dyn qd_nn::Module,
-    params: &[Tensor],
-    x: &Tensor,
-    labels: &[usize],
-    classes: usize,
-) -> Vec<Tensor> {
-    let mut tape = qd_autograd::Tape::new();
-    let p: Vec<_> = params.iter().map(|t| tape.leaf(t.clone())).collect();
-    let xv = tape.constant(x.clone());
-    let logits = model.forward(&mut tape, &p, xv);
-    let loss = qd_nn::cross_entropy(&mut tape, logits, labels, classes);
-    let grads = tape.grad(loss, &p);
-    grads.into_iter().map(|g| tape.value(g).clone()).collect()
-}
-
 /// SGD training on the original forget data — the shared relearning
 /// procedure of all baselines (Section 4.7).
 pub fn relearn_with_original(

@@ -147,13 +147,8 @@ impl UnlearningMethod for PgaHalimi {
                 for _ in 0..self.ascent_steps {
                     let (x, y) = data.sample_batch(self.batch_size, &mut crng);
                     samples += y.len();
-                    let grads = crate::method::batch_grads(
-                        fed.model().as_ref(),
-                        &local,
-                        &x,
-                        &y,
-                        data.classes(),
-                    );
+                    let grads =
+                        qd_nn::loss_gradients(fed.model().as_ref(), &local, &x, &y, data.classes());
                     opt.step(&mut local, &grads);
                     self.project(&mut local, &reference);
                 }

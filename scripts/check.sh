@@ -39,7 +39,7 @@ echo "== cargo test"
 cargo test --offline --workspace -q
 
 echo "== code lines (scripts/loc.sh; informational, never a gate)"
-./scripts/loc.sh | tail -n 1
+./scripts/loc.sh | tail -n 5
 
 echo "== journal kill-and-resume (release, every state boundary)"
 cargo test --offline --release -p qd-core --test journal_resume -q
@@ -109,6 +109,7 @@ BYTES
 done <<'DIGESTS'
 train-distill 185d83271a152c63
 request-stream 4027121546bddd40
+serve-mixed 075781b4b7e93219
 DIGESTS
 
 echo "== chaos bench (smoke mode; refreshes BENCH_chaos.json)"

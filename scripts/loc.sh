@@ -5,18 +5,44 @@
 #   ./scripts/loc.sh [FILE...]     (default: every crates/*/src/*.rs)
 #
 # A file that does not exist counts 0, so the same list can be measured
-# on two commits when one of them deleted a file.
+# on two commits when one of them deleted a file. With the default list,
+# four more lines follow the total — the crates' integration tests, the
+# root tests, the vendored stand-ins and the benchmark package, by the
+# same measure — so a before/after count covers the whole repository;
+# they are informational and never part of the total.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-[ $# -gt 0 ] || set -- crates/*/src/*.rs
+
+code_lines() {
+    local n=0
+    if [ -f "$1" ]; then
+        n=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1" | grep -v '^\s*//' | grep -cv '^\s*$' || true)
+    fi
+    echo "$n"
+}
+
+# Sum over every tracked-or-not .rs file under the given directories.
+tree_lines() {
+    local sum=0 f
+    while IFS= read -r f; do
+        sum=$((sum + $(code_lines "$f")))
+    done < <(find "$@" -name '*.rs' -not -path '*/target/*' 2>/dev/null | sort)
+    echo "$sum"
+}
+
+whole_repo=
+[ $# -gt 0 ] || { whole_repo=1; set -- crates/*/src/*.rs; }
 
 total=0
 for f in "$@"; do
-    n=0
-    if [ -f "$f" ]; then
-        n=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -v '^\s*//' | grep -cv '^\s*$' || true)
-    fi
+    n=$(code_lines "$f")
     printf '%6d %s\n' "$n" "$f"
     total=$((total + n))
 done
 printf '%6d total\n' "$total"
+if [ -n "$whole_repo" ]; then
+    printf '%6d crates/*/tests (not in the total)\n' "$(tree_lines crates/*/tests)"
+    printf '%6d tests/ (not in the total)\n' "$(tree_lines tests)"
+    printf '%6d vendor/ (not in the total)\n' "$(tree_lines vendor)"
+    printf '%6d qd-perf/ (not in the total)\n' "$(tree_lines qd-perf)"
+fi
