@@ -29,33 +29,57 @@ pub fn numeric_grad(
 
 /// Asserts that the tape gradients of `build` match central differences.
 ///
-/// `build` receives a fresh tape and one leaf per input tensor and must
-/// return a scalar variable. Differentiable behaviour is compared at
-/// tolerance `tol` (absolute, against gradients of typical magnitude ≤ 1;
-/// scale your function accordingly).
+/// `build` receives a fresh recording tape and one leaf per input tensor
+/// and must return a scalar variable. Differentiable behaviour is compared
+/// at tolerance `tol` (absolute, against gradients of typical magnitude
+/// ≤ 1; scale your function accordingly).
 ///
 /// # Panics
 ///
 /// Panics (with a diagnostic) if any analytic gradient entry deviates from
 /// the numerical estimate by more than `tol`.
 pub fn assert_grads_close(build: impl Fn(&mut Tape, &[Var]) -> Var, inputs: &[Tensor], tol: f32) {
-    let mut tape = Tape::new();
-    let vars: Vec<Var> = inputs.iter().map(|t| tape.leaf(t.clone())).collect();
-    let y = build(&mut tape, &vars);
-    let grads = tape.grad(y, &vars);
-    for (which, g) in grads.iter().enumerate() {
+    assert_grads_close_on(Tape::new, build, inputs, tol);
+}
+
+/// [`assert_grads_close`] on [`Tape::first_order`] tapes, forward passes
+/// included: the check of a fused composite's kernels, which a recording
+/// tape never runs.
+///
+/// # Panics
+///
+/// As [`assert_grads_close`].
+pub fn assert_first_order_grads_close(
+    build: impl Fn(&mut Tape, &[Var]) -> Var,
+    inputs: &[Tensor],
+    tol: f32,
+) {
+    assert_grads_close_on(Tape::first_order, build, inputs, tol);
+}
+
+fn assert_grads_close_on(
+    open: fn() -> Tape,
+    build: impl Fn(&mut Tape, &[Var]) -> Var,
+    inputs: &[Tensor],
+    tol: f32,
+) {
+    let record = |tensors: &[Tensor]| {
+        let mut tape = open();
+        let vars: Vec<Var> = tensors.iter().map(|t| tape.leaf(t.clone())).collect();
+        let y = build(&mut tape, &vars);
+        (tape, y, vars)
+    };
+    let (tape, y, vars) = record(inputs);
+    for (which, analytic) in tape.into_grads(y, &vars).iter().enumerate() {
         let numeric = numeric_grad(
             |tensors| {
-                let mut t = Tape::new();
-                let vs: Vec<Var> = tensors.iter().map(|x| t.leaf(x.clone())).collect();
-                let out = build(&mut t, &vs);
-                t.value(out).item()
+                let (tape, out, _) = record(tensors);
+                tape.value(out).item()
             },
             inputs,
             which,
             1e-2,
         );
-        let analytic = tape.value(*g);
         let gap = analytic.max_abs_diff(&numeric);
         assert!(
             gap <= tol,

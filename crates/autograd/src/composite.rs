@@ -1,0 +1,100 @@
+//! Composite layers: one entry point each, two representations.
+//!
+//! On a recording tape a composite expands to the chain of primitives
+//! that is closed under differentiation — the only representation that
+//! reproduces a gradient of a gradient bit for bit. On a first-order or
+//! inference tape nothing is differentiated twice, so it is one node with
+//! a fused forward kernel and a direct backward rule (`ops.rs`). The tape
+//! chooses from its own kind ([`Tape::fuses`]); callers cannot.
+
+use crate::kernels;
+use crate::tape::{Op, Tape};
+use crate::Var;
+use qd_tensor::{Conv2dGeometry, Tensor};
+
+impl Tape {
+    /// Instance normalization with affine parameters over an
+    /// `(N, C, H, W)` variable: each `(n, c)` plane normalised by its own
+    /// spatial mean and variance (`eps` added under the root), then scaled
+    /// by `gamma[c]` and shifted by `beta[c]`.
+    ///
+    /// A recording tape records the 17 primitives (sums, broadcasts and
+    /// elementwise ops) whose `vjp`s stay closed under second order; a
+    /// first-order or inference tape records the statistics and one fused
+    /// node, whose backward kernel performs the chain's first-order
+    /// arithmetic plane by plane. Values and gradients are `to_bits`-equal
+    /// between the two.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not rank 4 or `gamma`/`beta` are not `(C,)`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use qd_autograd::Tape;
+    /// use qd_tensor::Tensor;
+    ///
+    /// let mut tape = Tape::first_order();
+    /// let x = tape.leaf(Tensor::from_vec(vec![1.0, 3.0, -2.0, 2.0], &[1, 2, 1, 2]));
+    /// let gamma = tape.leaf(Tensor::ones(&[2]));
+    /// let beta = tape.leaf(Tensor::zeros(&[2]));
+    /// let y = tape.instance_norm(x, gamma, beta, 0.0);
+    /// assert_eq!(tape.value(y).data(), &[-1.0, 1.0, -1.0, 1.0]);
+    /// ```
+    pub fn instance_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
+        if self.fuses() {
+            let (out, stats) =
+                kernels::instance_norm(self.value(x), self.value(gamma), self.value(beta), eps);
+            let stats = self.constant(stats);
+            let needs = [x, gamma, beta].iter().any(|v| self.needs_grad(*v));
+            return self.push(out, Op::InstanceNorm(x, gamma, beta, stats), needs);
+        }
+        let &[n, c, h, w] = self.value(x).dims() else {
+            panic!("instance norm expects (N, C, H, W)");
+        };
+        let hw = (h * w) as f32;
+        let s = self.spatial_sum(x, c, h, w); // (N*C,)
+        let mean = self.scale(s, 1.0 / hw);
+        let mean_bc = self.spatial_broadcast(mean, c, h, w);
+        let centered = self.sub(x, mean_bc);
+        let sq = self.mul(centered, centered);
+        let var_sum = self.spatial_sum(sq, c, h, w);
+        let var = self.scale(var_sum, 1.0 / hw);
+        let var_eps = self.add_scalar(var, eps);
+        let std = self.sqrt(var_eps);
+        let ones = self.constant(Tensor::ones(&[n * c]));
+        let inv = self.div(ones, std);
+        let inv_bc = self.spatial_broadcast(inv, c, h, w);
+        let normed = self.mul(centered, inv_bc);
+        let gamma = self.channel_broadcast(gamma, n, h, w);
+        let beta = self.channel_broadcast(beta, n, h, w);
+        let scaled = self.mul(normed, gamma);
+        self.add(scaled, beta)
+    }
+
+    /// A 2-D convolution of the `(N, Cin, H, W)` variable `x` with the
+    /// `(Cout, Cin·k·k)` weight matrix and `(Cout,)` bias:
+    /// `rows_to_nchw(im2col(x) · Wᵀ + b)`.
+    ///
+    /// A recording tape records those four primitives, which makes the
+    /// convolution valid inside a gradient of a gradient. A first-order
+    /// or inference tape records `im2col` and one node for the rest: bias
+    /// add and the rows → NCHW permute in one pass over the product, which
+    /// is not retained. Same bits either way.
+    pub fn conv2d(&mut self, x: Var, weight: Var, bias: Var, geo: Conv2dGeometry) -> Var {
+        let n = self.value(x).dims()[0];
+        let out_dims = [n, self.value(bias).len(), geo.out_h, geo.out_w];
+        let cols = self.im2col(x, geo); // (N*OH*OW, Cin*k*k)
+        if self.fuses() {
+            let product = self.value(cols).matmul_nt(self.value(weight));
+            let out = kernels::bias_rows_to_nchw(&product, self.value(bias), out_dims);
+            let needs = [cols, weight, bias].iter().any(|v| self.needs_grad(*v));
+            return self.push(out, Op::ConvOutput(cols, weight, bias, out_dims), needs);
+        }
+        let y = self.matmul_nt(cols, weight); // (N*OH*OW, Cout)
+        let yb = self.add_row_bias(y, bias);
+        let [n, c, oh, ow] = out_dims;
+        self.rows_to_nchw(yb, n, c, oh, ow)
+    }
+}

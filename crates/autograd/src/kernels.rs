@@ -1,14 +1,42 @@
-//! Private layout kernels used by the tape ops: NCHW permutes and
-//! spatial/channel reductions with their adjoint broadcasts.
+//! Private kernels used by the tape ops: NCHW permutes and
+//! spatial/channel reductions with their adjoint broadcasts, and the fused
+//! composites a first-order or inference tape records in place of chains
+//! of them.
+//!
+//! A fused kernel's contract is the chain's: per output element and per
+//! reduction, the same rounded operations in the same order (a plane sum
+//! is `iter().sum()` in element order, a channel sum adds plane sums in
+//! batch order, a product feeding a sum is rounded before it is added),
+//! so the two representations are `to_bits`-equal.
 
 use qd_tensor::Tensor;
 
 /// Permutes a patch-row matrix `(N*OH*OW, C)` into an `(N, C, OH, OW)`
 /// feature map. Inverse (and adjoint) of [`nchw_to_rows`].
+pub(crate) fn rows_to_nchw(rows: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
+    rows_to_nchw_with(rows, [n, c, oh, ow], |v, _| v)
+}
+
+/// `rows_to_nchw(add_row_bias(y, b))` in one pass: the `(N*OH*OW, C)`
+/// product of a convolution plus its bias, written as `(N, C, OH, OW)`.
+pub(crate) fn bias_rows_to_nchw(y: &Tensor, b: &Tensor, dims: [usize; 4]) -> Tensor {
+    assert_eq!(
+        b.dims(),
+        &[dims[1]],
+        "bias_rows_to_nchw expects a bias vector"
+    );
+    rows_to_nchw_with(y, dims, |v, ch| v + b.data()[ch])
+}
+
+/// The rows → NCHW permute with `map(value, channel)` applied on the way.
 ///
 /// Per image this is a `(OH*OW, C) -> (C, OH*OW)` transpose: each output
 /// plane is one column of the image's row block, read as a strided run.
-pub(crate) fn rows_to_nchw(rows: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
+fn rows_to_nchw_with(
+    rows: &Tensor,
+    [n, c, oh, ow]: [usize; 4],
+    map: impl Fn(f32, usize) -> f32,
+) -> Tensor {
     assert_eq!(rows.dims(), &[n * oh * ow, c], "rows_to_nchw shape");
     let hw = oh * ow;
     let mut out = vec![0.0f32; n * c * hw];
@@ -20,7 +48,7 @@ pub(crate) fn rows_to_nchw(rows: &Tensor, n: usize, c: usize, oh: usize, ow: usi
         {
             for (ch, plane) in img.chunks_exact_mut(hw).enumerate() {
                 for (o, &v) in plane.iter_mut().zip(block[ch..].iter().step_by(c)) {
-                    *o = v;
+                    *o = map(v, ch);
                 }
             }
         }
@@ -128,6 +156,262 @@ pub(crate) fn channel_broadcast(v: &Tensor, n: usize, h: usize, w: usize) -> Ten
         }
     }
     Tensor::from_vec(out, &[n, c, h, w])
+}
+
+/// `u · 1[x > 0]`, the adjoint of `relu(x)`: a multiply by the 0/1 mask,
+/// not a select, so `-0.0` and NaN upstreams come out as they do from
+/// `mul(u, relu_mask(x))`.
+pub(crate) fn relu_vjp(u: &Tensor, x: &Tensor) -> Tensor {
+    u.zip_map(x, |u, x| u * if x > 0.0 { 1.0 } else { 0.0 })
+}
+
+/// `(n, c, hw)` of an `(N, C, H, W)` tensor.
+fn planes_of(x: &Tensor) -> (usize, usize, usize) {
+    let &[n, c, h, w] = x.dims() else {
+        panic!("instance norm expects (N, C, H, W), got {}", x.shape());
+    };
+    assert!(h * w > 0, "instance norm over an empty plane");
+    (n, c, h * w)
+}
+
+/// `Tape::neg` is `scale(-1.0)` — a multiply, not a sign flip — and the
+/// fused backward pass negates the way the chain's rules do.
+const MINUS_ONE: f32 = -1.0;
+
+/// Planes reduced side by side. A plane sum is one chain of dependent
+/// adds — its order is the contract — so the only parallelism a reduction
+/// has is several planes' chains in flight at once.
+const LANES: usize = 4;
+
+/// Runs `group(first_plane, LANES)` over as many whole groups of planes
+/// as there are, then `group(plane, 1)` over the rest.
+fn for_plane_groups(planes: usize, mut group: impl FnMut(usize, usize)) {
+    let wide = planes - planes % LANES;
+    (0..wide).step_by(LANES).for_each(|p| group(p, LANES));
+    (wide..planes).for_each(|p| group(p, 1));
+}
+
+/// The `N` consecutive `hw`-element planes at the start of `data`.
+fn lanes<const N: usize>(data: &[f32], hw: usize) -> [&[f32]; N] {
+    std::array::from_fn(|lane| &data[lane * hw..][..hw])
+}
+
+/// `Σ_i term(lane, i)` over `0..hw` for `N` planes at once: each lane adds
+/// its terms in element order to what `Iterator::sum` starts an `f32` sum
+/// from, so a lane is `iter().sum()` to the bit, signed zeros included.
+#[inline(always)]
+fn lane_sums<const N: usize>(hw: usize, term: impl Fn(usize, usize) -> f32) -> [f32; N] {
+    let mut sums = [std::iter::empty::<f32>().sum(); N];
+    for i in 0..hw {
+        for (lane, sum) in sums.iter_mut().enumerate() {
+            *sum += term(lane, i);
+        }
+    }
+    sums
+}
+
+/// Instance norm with affine parameters: each `(n, c)` plane of `x`
+/// normalised by its own mean and variance, then `· γ[c] + β[c]`.
+///
+/// Returns the output and the `(2, N*C)` statistics the backward kernel
+/// needs: every plane's mean, then every plane's standard deviation
+/// `sqrt(var + eps)`.
+pub(crate) fn instance_norm(
+    x: &Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+    eps: f32,
+) -> (Tensor, Tensor) {
+    let (n, c, hw) = planes_of(x);
+    assert_eq!(gamma.dims(), &[c], "instance norm scale is per channel");
+    assert_eq!(beta.dims(), &[c], "instance norm shift is per channel");
+    let mut out = vec![0.0f32; x.len()];
+    let mut stats = vec![0.0f32; 2 * n * c];
+    let mut forward = NormForward {
+        x: x.data(),
+        gamma: gamma.data(),
+        beta: beta.data(),
+        eps,
+        hw,
+        out: &mut out,
+        stats: &mut stats,
+    };
+    for_plane_groups(n * c, |p, width| match width {
+        LANES => forward.group::<LANES>(p),
+        _ => forward.group::<1>(p),
+    });
+    (
+        Tensor::from_vec(out, x.dims()),
+        Tensor::from_vec(stats, &[2, n * c]),
+    )
+}
+
+struct NormForward<'a> {
+    x: &'a [f32],
+    gamma: &'a [f32],
+    beta: &'a [f32],
+    eps: f32,
+    hw: usize,
+    out: &'a mut [f32],
+    stats: &'a mut [f32],
+}
+
+impl NormForward<'_> {
+    /// Planes `p .. p + N`: mean, centre, variance, scale — the chain's
+    /// `spatial_sum · 1/hw`, `sub`, `mul`, `spatial_sum · 1/hw`,
+    /// `+ eps`, `sqrt`, `1 / std`, `mul`, `mul γ`, `add β`.
+    fn group<const N: usize>(&mut self, p: usize) {
+        let (hw, c, planes) = (self.hw, self.gamma.len(), self.stats.len() / 2);
+        let inv_hw = 1.0 / hw as f32;
+        let x = lanes::<N>(&self.x[p * hw..], hw);
+        let out = &mut self.out[p * hw..][..N * hw];
+        let mean = lane_sums::<N>(hw, |lane, i| x[lane][i]).map(|s| s * inv_hw);
+        for (lane, os) in out.chunks_exact_mut(hw).enumerate() {
+            for (o, &v) in os.iter_mut().zip(x[lane]) {
+                *o = v - mean[lane];
+            }
+        }
+        let centered = lanes::<N>(out, hw);
+        let std = lane_sums::<N>(hw, |lane, i| centered[lane][i] * centered[lane][i])
+            .map(|s| (s * inv_hw + self.eps).sqrt());
+        for (lane, os) in out.chunks_exact_mut(hw).enumerate() {
+            let inv = 1.0 / std[lane];
+            let (g, b) = (self.gamma[(p + lane) % c], self.beta[(p + lane) % c]);
+            for o in os {
+                *o = (*o * inv) * g + b;
+            }
+            self.stats[p + lane] = mean[lane];
+            self.stats[planes + p + lane] = std[lane];
+        }
+    }
+}
+
+/// The adjoints [`instance_norm_vjp`] computes, one per input that needs
+/// a gradient.
+pub(crate) struct InstanceNormGrads {
+    /// The adjoint of the centred input, which is `x`'s through the
+    /// subtraction — with `via_mean` already added when the caller asked
+    /// for them folded.
+    pub dx: Option<Tensor>,
+    /// `x`'s second contribution, through the plane means, when it was
+    /// asked for on its own.
+    pub via_mean: Option<Tensor>,
+    pub dgamma: Option<Tensor>,
+    pub dbeta: Option<Tensor>,
+}
+
+/// The first-order backward pass of [`instance_norm`] for upstream `u`:
+/// what the chain's rules compute, plane by plane.
+///
+/// With `c = x − mean`, `inv = 1/std` and `v = u·γ`:
+/// `dβ = Σ u`, `dγ = Σ u·(c·inv)` (plane sums added in batch order),
+/// `d_inv = Σ v·c`, `a = (((d_inv·(inv/std))·−1)·½ / std) / hw`,
+/// `d_centered = ((v·inv) + a·c) + a·c` and
+/// `dx = d_centered + (Σ −d_centered) / hw`. `fold` adds that last term in
+/// place — the chain's result when `x`'s adjoint slot is empty, since it
+/// adds `d_centered` into the slot first and the mean term second.
+pub(crate) fn instance_norm_vjp(
+    x: &Tensor,
+    gamma: &Tensor,
+    stats: &Tensor,
+    u: &Tensor,
+    [need_x, need_gamma, need_beta]: [bool; 3],
+    fold: bool,
+) -> InstanceNormGrads {
+    let (n, c, hw) = planes_of(x);
+    assert_eq!(u.dims(), x.dims(), "instance norm upstream shape");
+    let mut backward = NormBackward {
+        x: x.data(),
+        u: u.data(),
+        gamma: gamma.data(),
+        stats: stats.data(),
+        hw,
+        centered: vec![0.0f32; LANES * hw],
+        dx: need_x.then(|| vec![0.0f32; x.len()]),
+        via_mean: (need_x && !fold).then(|| vec![0.0f32; x.len()]),
+        dgamma: need_gamma.then(|| vec![0.0f32; c]),
+        dbeta: need_beta.then(|| vec![0.0f32; c]),
+    };
+    for_plane_groups(n * c, |p, width| match width {
+        LANES => backward.group::<LANES>(p),
+        _ => backward.group::<1>(p),
+    });
+    let like_x = |v: Vec<f32>| Tensor::from_vec(v, x.dims());
+    let per_channel = |v: Vec<f32>| Tensor::from_vec(v, &[c]);
+    InstanceNormGrads {
+        dx: backward.dx.map(like_x),
+        via_mean: backward.via_mean.map(like_x),
+        dgamma: backward.dgamma.map(per_channel),
+        dbeta: backward.dbeta.map(per_channel),
+    }
+}
+
+struct NormBackward<'a> {
+    x: &'a [f32],
+    u: &'a [f32],
+    gamma: &'a [f32],
+    stats: &'a [f32],
+    hw: usize,
+    /// Scratch: the centred planes of the group in hand.
+    centered: Vec<f32>,
+    dx: Option<Vec<f32>>,
+    via_mean: Option<Vec<f32>>,
+    dgamma: Option<Vec<f32>>,
+    dbeta: Option<Vec<f32>>,
+}
+
+impl NormBackward<'_> {
+    /// Planes `p .. p + N`. A group's planes are consecutive, so adding
+    /// its plane sums into `dγ`/`dβ` lane by lane keeps batch order.
+    fn group<const N: usize>(&mut self, p: usize) {
+        let (hw, c, planes) = (self.hw, self.gamma.len(), self.stats.len() / 2);
+        let inv_hw = 1.0 / hw as f32;
+        let x = lanes::<N>(&self.x[p * hw..], hw);
+        let u = lanes::<N>(&self.u[p * hw..], hw);
+        let channel: [usize; N] = std::array::from_fn(|lane| (p + lane) % c);
+        let std: [f32; N] = std::array::from_fn(|lane| self.stats[planes + p + lane]);
+        let inv = std.map(|s| 1.0 / s);
+        for (lane, ds) in self.centered.chunks_exact_mut(hw).take(N).enumerate() {
+            let mean = self.stats[p + lane];
+            for (d, &v) in ds.iter_mut().zip(x[lane]) {
+                *d = v - mean;
+            }
+        }
+        let centered = lanes::<N>(&self.centered, hw);
+        if let Some(dbeta) = &mut self.dbeta {
+            let sums = lane_sums::<N>(hw, |lane, i| u[lane][i]);
+            for (ch, sum) in channel.iter().zip(sums) {
+                dbeta[*ch] += sum;
+            }
+        }
+        if let Some(dgamma) = &mut self.dgamma {
+            let sums = lane_sums::<N>(hw, |lane, i| u[lane][i] * (centered[lane][i] * inv[lane]));
+            for (ch, sum) in channel.iter().zip(sums) {
+                dgamma[*ch] += sum;
+            }
+        }
+        let Some(dx) = &mut self.dx else { return };
+        let g = channel.map(|ch| self.gamma[ch]);
+        let d_inv = lane_sums::<N>(hw, |lane, i| (u[lane][i] * g[lane]) * centered[lane][i]);
+        let dx = &mut dx[p * hw..][..N * hw];
+        for (lane, os) in dx.chunks_exact_mut(hw).enumerate() {
+            let d_std = (d_inv[lane] * (inv[lane] / std[lane])) * MINUS_ONE;
+            let a = ((d_std * 0.5) / std[lane]) * inv_hw;
+            for ((o, &u), &d) in os.iter_mut().zip(u[lane]).zip(centered[lane]) {
+                let ad = a * d;
+                *o = ((u * g[lane]) * inv[lane] + ad) + ad;
+            }
+        }
+        let d_centered = lanes::<N>(dx, hw);
+        let shift =
+            lane_sums::<N>(hw, |lane, i| d_centered[lane][i] * MINUS_ONE).map(|s| s * inv_hw);
+        for (lane, os) in dx.chunks_exact_mut(hw).enumerate() {
+            match &mut self.via_mean {
+                Some(separate) => separate[(p + lane) * hw..][..hw].fill(shift[lane]),
+                None => os.iter_mut().for_each(|o| *o += shift[lane]),
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -21,18 +21,25 @@
 //!   federated averaging and gradient ascent as plain tensor arithmetic.
 //! * Convolution is a composite of the linear pair `im2col`/`col2im` plus
 //!   a matrix product, so its double-backprop falls out of the vjp rules of
-//!   those primitives — no special casing.
+//!   those primitives — no special casing on a recording tape.
 //! * The three products `A·B`, `Aᵀ·B` and `A·Bᵀ` are ops of their own and
 //!   closed under differentiation (each one's adjoints are products from
 //!   the same three), so no transpose is recorded or materialised at any
 //!   order; and a vjp rule builds no adjoint for an input that needs no
 //!   gradient.
-//! * A tape is sized to its caller. [`Tape::grad`] keeps everything, for
-//!   the one gradient that is differentiated again; [`Tape::into_grads`]
-//!   is the same sweep over the same rules, bit for bit, for a gradient
-//!   that is only read, and releases every value as it passes;
+//! * A tape is opened for its caller. [`Tape::new`] records: [`Tape::grad`]
+//!   keeps everything, for the one gradient that is differentiated again,
+//!   and [`Tape::into_grads`] is the same sweep over the same rules, bit
+//!   for bit, for a gradient that is only read, releasing every value as it
+//!   passes. [`Tape::first_order`] allows only `into_grads`, and
 //!   [`Tape::inference`] is a forward-only tape on which finished
 //!   sub-computations are retired.
+//! * The composites [`Tape::instance_norm`], [`Tape::relu`] and
+//!   [`Tape::conv2d`] have one entry point and two representations: chains
+//!   of primitives on a recording tape, single fused nodes with direct
+//!   backward kernels on the other two kinds, where no gradient can be
+//!   differentiated again. The tape picks from its own kind and both give
+//!   the same bits.
 //!
 //! # Examples
 //!
@@ -57,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod check;
+mod composite;
 mod kernels;
 mod ops;
 mod tape;

@@ -1,22 +1,26 @@
 //! Vector–Jacobian products for every tape op.
 //!
-//! Each rule *emits ordinary tape ops*, so the gradient of a gradient is
-//! available by construction. Rules for linear ops are their adjoints
-//! (`im2col` ↔ `col2im`, pool ↔ unpool, sum ↔ broadcast, permutes), which
-//! the test-suite verifies by inner-product identities and finite
-//! differences.
+//! Each rule of a primitive *emits ordinary tape ops*, so the gradient of
+//! a gradient is available by construction. Rules for linear ops are their
+//! adjoints (`im2col` ↔ `col2im`, pool ↔ unpool, sum ↔ broadcast,
+//! permutes), which the test-suite verifies by inner-product identities
+//! and finite differences. The fused composites of a first-order tape
+//! (`composite.rs`) have direct rules instead: their output is only read.
 
+use crate::kernels;
 use crate::tape::{Op, PoolGeo, Tape};
 use crate::Var;
 
 /// The `(input, contribution)` pairs one node hands to the gradient sweep
-/// (one table for [`Tape::grad`] and [`Tape::into_grads`]): no op has more
-/// than two inputs, so they travel in an array, not a `Vec`.
-pub(crate) type Contributions = [Option<(Var, Var)>; 2];
+/// (one table for [`Tape::grad`] and [`Tape::into_grads`]), in the order
+/// they are added into the inputs' adjoint slots. A primitive has at most
+/// two inputs; fused instance norm has three and may hand its first one
+/// two contributions — so four travel in an array, not a `Vec`.
+pub(crate) type Contributions = [Option<(Var, Var)>; 4];
 
 /// The contribution of an op with a single differentiable input.
 fn unary(a: Var, da: Var) -> Contributions {
-    [Some((a, da)), None]
+    [Some((a, da)), None, None, None]
 }
 
 impl Tape {
@@ -33,6 +37,8 @@ impl Tape {
         [
             self.needs_grad(a).then(|| (a, da(self))),
             self.needs_grad(b).then(|| (b, db(self))),
+            None,
+            None,
         ]
     }
 
@@ -45,9 +51,19 @@ impl Tape {
     /// are closed under this function — each one's contributions are
     /// products from the same family — so no transpose is ever
     /// materialised, at any order of differentiation.
-    pub(crate) fn vjp(&mut self, node: Var, op: Op, u: Var) -> Contributions {
+    ///
+    /// `slots` are the adjoint slots as the sweep has filled them so far,
+    /// for the one rule whose folded contribution is only the chain's
+    /// when its input's slot is still empty.
+    pub(crate) fn vjp(
+        &mut self,
+        node: Var,
+        op: Op,
+        u: Var,
+        slots: &[Option<Var>],
+    ) -> Contributions {
         match op {
-            Op::Leaf | Op::Constant | Op::ReluMask | Op::MaxUnpoolMask => [None, None],
+            Op::Leaf | Op::Constant | Op::ReluMask | Op::MaxUnpoolMask => [None; 4],
             Op::Add(a, b) => self.binary((a, b), |_| u, |_| u),
             Op::Sub(a, b) => self.binary((a, b), |_| u, |t| t.neg(u)),
             Op::Mul(a, b) => self.binary((a, b), |t| t.mul(u, b), |t| t.mul(u, a)),
@@ -71,6 +87,10 @@ impl Tape {
             // y = a·bᵀ; da = u·b; db = uᵀ·a.
             Op::MatMulNt(a, b) => self.binary((a, b), |t| t.matmul(u, b), |t| t.matmul_tn(u, a)),
             Op::Transpose2(a) => unary(a, self.transpose2(u)),
+            Op::Relu(a) if self.fuses() => {
+                let da = kernels::relu_vjp(self.value(u), self.value(a));
+                unary(a, self.constant(da))
+            }
             Op::Relu(a) => {
                 // d relu(x)/dx = 1[x > 0]; the mask is locally constant.
                 let mask = self.relu_mask(a);
@@ -159,6 +179,40 @@ impl Tape {
             Op::ChannelBroadcast(a, [_, c, h, w]) => {
                 let s = self.channel_sum(u, c, h, w);
                 unary(a, self.reshape_like(s, a))
+            }
+            Op::InstanceNorm(x, gamma, beta, stats) => {
+                // A consumer of `x` recorded after the norm has already
+                // filled the slot: the chain then adds its two
+                // contributions to `x` one after the other.
+                let fold = slots[x.index()].is_none();
+                let needs = [x, gamma, beta].map(|v| self.needs_grad(v));
+                let grads = kernels::instance_norm_vjp(
+                    self.value(x),
+                    self.value(gamma),
+                    self.value(stats),
+                    self.value(u),
+                    needs,
+                    fold,
+                );
+                [
+                    grads.dx.map(|g| (x, self.constant(g))),
+                    grads.via_mean.map(|g| (x, self.constant(g))),
+                    grads.dgamma.map(|g| (gamma, self.constant(g))),
+                    grads.dbeta.map(|g| (beta, self.constant(g))),
+                ]
+            }
+            Op::ConvOutput(cols, weight, bias, [n, c, oh, ow]) => {
+                // The chain's rules on the chain's values: the upstream
+                // as rows is the adjoint of `cols · Wᵀ` and of `+ b` both.
+                let rows = self.nchw_to_rows(u, n, c, oh, ow);
+                [
+                    self.needs_grad(cols)
+                        .then(|| (cols, self.matmul(rows, weight))),
+                    self.needs_grad(weight)
+                        .then(|| (weight, self.matmul_tn(rows, cols))),
+                    self.needs_grad(bias).then(|| (bias, self.sum_rows(rows))),
+                    None,
+                ]
             }
             Op::LogSoftmax(a) => {
                 // y = log_softmax(x); da = u - softmax(x) * rowsum(u).

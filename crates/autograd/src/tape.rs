@@ -70,6 +70,12 @@ pub(crate) enum Op {
     ChannelBroadcast(Var, [usize; 4]),
     LogSoftmax(Var),
     AddRowBias(Var, Var),
+    /// Fused instance norm of `(x, γ, β)`; the fourth input is the
+    /// `(2, N·C)` per-plane mean/std node its forward pass left behind.
+    InstanceNorm(Var, Var, Var, Var),
+    /// Fused convolution output `rows_to_nchw(cols · Wᵀ + b)` of
+    /// `(cols, W, b)` into `[n, c, oh, ow]`.
+    ConvOutput(Var, Var, Var, [usize; 4]),
 }
 
 pub(crate) struct Node {
@@ -80,26 +86,28 @@ pub(crate) struct Node {
     pub needs_grad: bool,
 }
 
-/// What a tape keeps, which is what its caller may still ask of it.
+/// What a tape was opened for, which is what its caller may still ask of
+/// it — and so how a composite layer is represented on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum Mode {
-    /// Every value stays: [`Tape::grad`] may be applied, and re-applied
-    /// to its own output.
+enum Kind {
+    /// [`Tape::new`]: every value stays, [`Tape::grad`] may be applied and
+    /// re-applied to its own output, composites are chains of primitives.
     #[default]
     Recording,
-    /// Nothing is differentiable and [`Tape::retire`] releases values.
+    /// [`Tape::first_order`]: [`Tape::into_grads`] is the only sweep, so
+    /// no gradient is ever differentiated again and composites are fused.
+    FirstOrder,
+    /// [`Tape::inference`]: nothing is differentiable, [`Tape::retire`]
+    /// releases values, composites are fused.
     Inference,
-    /// [`Tape::into_grads`] is consuming the tape, releasing each value
-    /// once the sweep has passed it.
-    Terminal,
 }
 
-impl Mode {
+impl Kind {
     fn name(self) -> &'static str {
         match self {
-            Mode::Recording => "recording tape",
-            Mode::Inference => "inference tape",
-            Mode::Terminal => "terminal gradient sweep",
+            Kind::Recording => "recording tape",
+            Kind::FirstOrder => "first-order tape",
+            Kind::Inference => "inference tape",
         }
     }
 }
@@ -115,21 +123,29 @@ fn value_bytes(value: &Tensor) -> usize {
 /// and differentiate. For iterative training, create a fresh tape per step
 /// and re-insert parameters as leaves.
 ///
-/// A tape is sized to what its caller will still ask of it:
+/// A tape is opened for what its caller will still ask of it, and that
+/// *kind* — never a flag — decides what it keeps and how it represents a
+/// composite layer ([`Tape::instance_norm`], [`Tape::relu`],
+/// [`Tape::conv2d`]):
 ///
-/// * [`Tape::grad`] emits the gradients as ordinary nodes, so it can be
-///   nested for higher-order derivatives; the tape keeps every value.
-///   Only a gradient that is differentiated again needs it (gradient
-///   matching's inner `∇θ L(S)`).
-/// * [`Tape::into_grads`] is the last thing done to a tape: the same
-///   sweep over the same rules, to the same bits, but it returns plain
-///   tensors and releases every value, adjoint and temporary as soon as
-///   the sweep has passed it. Every SGD/SGA step and every *outer*
-///   gradient uses it.
+/// * [`Tape::new`], the recording tape: [`Tape::grad`] emits the
+///   gradients as ordinary nodes, so it can be nested for higher-order
+///   derivatives; the tape keeps every value and a composite is a chain
+///   of primitives, closed under differentiation. Only a gradient that is
+///   differentiated again needs it (gradient matching's inner `∇θ L(S)`).
+///   [`Tape::into_grads`] is the last thing done to it: the same sweep
+///   over the same rules, to the same bits, but it returns plain tensors
+///   and releases every value, adjoint and temporary as soon as the sweep
+///   has passed it — every *outer* gradient uses it.
+/// * [`Tape::first_order`]: `into_grads` is the only sweep, so nothing on
+///   it is differentiated twice and a composite is one node with a direct
+///   backward kernel. Every SGD/SGA step uses it.
 /// * [`Tape::inference`] starts a tape that is never differentiated, on
-///   which [`Tape::retire`] releases values a forward pass is done with.
+///   which [`Tape::retire`] releases values a forward pass is done with;
+///   composites are the same single nodes.
 ///
-/// Reading a released value panics; it never returns stale data.
+/// All three compute the same bits. Reading a released value panics; it
+/// never returns stale data.
 ///
 /// # Examples
 ///
@@ -148,7 +164,9 @@ fn value_bytes(value: &Tensor) -> usize {
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
-    mode: Mode,
+    kind: Kind,
+    /// Set once [`Tape::into_grads`] has consumed the tape.
+    swept: bool,
     /// Bytes of node values held now, and the most ever held at once.
     live_bytes: usize,
     peak_bytes: usize,
@@ -164,6 +182,45 @@ impl Tape {
     /// Creates an empty recording tape.
     pub fn new() -> Self {
         Tape::default()
+    }
+
+    /// Creates an empty tape whose gradients are only ever read: a
+    /// training, ascent or recovery step, a reference gradient.
+    /// [`Tape::into_grads`] is its only sweep and [`Tape::grad`] panics,
+    /// so no adjoint on it is differentiated again — which is what lets a
+    /// composite layer ([`Tape::instance_norm`], [`Tape::relu`],
+    /// [`Tape::conv2d`]) be one node with a hand-written backward kernel
+    /// here, where a recording tape needs the chain of primitives that is
+    /// closed under second order. The kernels perform, per output element
+    /// and per reduction, the chain's rounded operations in the chain's
+    /// order, so values and gradients are `to_bits`-equal to a recording
+    /// tape's; what changes is the time and the memory.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use qd_autograd::Tape;
+    /// use qd_tensor::Tensor;
+    ///
+    /// let mut tape = Tape::first_order();
+    /// let x = tape.leaf(Tensor::from_vec(vec![-1.0, 2.0], &[2]));
+    /// let h = tape.relu(x);
+    /// let sq = tape.mul(h, h);
+    /// let y = tape.sum_all(sq);
+    /// assert_eq!(tape.into_grads(y, &[x])[0].data(), &[0.0, 4.0]);
+    /// ```
+    pub fn first_order() -> Self {
+        Tape {
+            kind: Kind::FirstOrder,
+            ..Tape::default()
+        }
+    }
+
+    /// Whether composites are single fused nodes on this tape: it can
+    /// never be asked for a gradient of a gradient. The one place the
+    /// kind decides a representation.
+    pub(crate) fn fuses(&self) -> bool {
+        self.kind != Kind::Recording
     }
 
     /// Creates an empty tape for a forward pass that is never
@@ -189,7 +246,7 @@ impl Tape {
     /// ```
     pub fn inference() -> Self {
         Tape {
-            mode: Mode::Inference,
+            kind: Kind::Inference,
             ..Tape::default()
         }
     }
@@ -213,11 +270,23 @@ impl Tape {
     pub fn value(&self, v: Var) -> &Tensor {
         self.nodes[v.0].value.as_ref().unwrap_or_else(|| {
             panic!(
-                "value of node {} was released by the {}",
+                "value of node {} was released by the {}{}",
                 v.0,
-                self.mode.name()
+                self.kind.name(),
+                if self.swept { "'s terminal sweep" } else { "" }
             )
         })
+    }
+
+    /// The variant name of every node's recorded op, in order: what the
+    /// tests that pin a representation (chain or fused) compare.
+    #[doc(hidden)]
+    pub fn op_names(&self) -> Vec<String> {
+        let variant = |node: &Node| {
+            let debug = format!("{:?}", node.op);
+            debug.split('(').next().unwrap_or_default().to_string()
+        };
+        self.nodes.iter().map(variant).collect()
     }
 
     /// The most bytes of node values this tape has held at one time: its
@@ -233,7 +302,7 @@ impl Tape {
     /// sub-computation and wants only its result. On a recording tape this
     /// does nothing, because a later gradient sweep reads those values.
     pub fn retire(&mut self, from: usize, keep: Var) {
-        if self.mode == Mode::Inference {
+        if self.kind == Kind::Inference {
             for id in (from..self.nodes.len()).filter(|&id| id != keep.0) {
                 self.release(Var(id));
             }
@@ -250,7 +319,7 @@ impl Tape {
     /// sample being optimized). On an inference tape nothing is
     /// differentiable and this records a constant.
     pub fn leaf(&mut self, value: Tensor) -> Var {
-        let differentiable = self.mode != Mode::Inference;
+        let differentiable = self.kind != Kind::Inference;
         self.push(value, Op::Leaf, differentiable)
     }
 
@@ -264,7 +333,7 @@ impl Tape {
         self.nodes[v.0].needs_grad
     }
 
-    fn push(&mut self, value: Tensor, op: Op, needs_grad: bool) -> Var {
+    pub(crate) fn push(&mut self, value: Tensor, op: Op, needs_grad: bool) -> Var {
         self.live_bytes += value_bytes(&value);
         self.peak_bytes = self.peak_bytes.max(self.live_bytes);
         self.nodes.push(Node {
@@ -720,9 +789,15 @@ impl Tape {
     /// of an earlier rule, or an adjoint no slot points to any more.
     fn sweep(&mut self, y: Var, xs: &[Var], terminal: bool) -> Vec<Option<Var>> {
         assert!(
-            self.mode == Mode::Recording,
-            "cannot differentiate on the {}",
-            self.mode.name()
+            self.kind != Kind::Inference && !self.swept,
+            "cannot differentiate on the {}{}",
+            self.kind.name(),
+            if self.swept { " again" } else { "" }
+        );
+        assert!(
+            terminal || self.kind == Kind::Recording,
+            "cannot record a gradient on the {}: `into_grads` is its only sweep",
+            self.kind.name()
         );
         assert_eq!(
             self.value(y).len(),
@@ -732,7 +807,7 @@ impl Tape {
         );
         let horizon = y.0 + 1;
         if terminal {
-            self.mode = Mode::Terminal;
+            self.swept = true;
             // Nothing recorded after `y` can feed it.
             for id in horizon..self.nodes.len() {
                 self.release(Var(id));
@@ -756,7 +831,7 @@ impl Tape {
             if let (Some(upstream), true) = (adjoint[id], self.nodes[id].needs_grad) {
                 let mark = self.nodes.len();
                 let op = self.nodes[id].op;
-                let contributions = self.vjp(Var(id), op, upstream);
+                let contributions = self.vjp(Var(id), op, upstream, &adjoint);
                 if terminal {
                     holders.resize(self.nodes.len(), 0);
                     if !xs.contains(&Var(id)) {

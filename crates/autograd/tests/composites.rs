@@ -1,0 +1,280 @@
+//! The composites have two representations and one meaning: on a
+//! first-order or inference tape `instance_norm`, `relu` and `conv2d` are
+//! fused nodes, on a recording tape chains of primitives, and values and
+//! gradients agree to the bit — the chain being the oracle — over random
+//! shapes, constant inputs, shared inputs and hostile upstreams.
+
+use proptest::prelude::*;
+use qd_autograd::check::assert_first_order_grads_close;
+use qd_autograd::{Tape, Var};
+use qd_tensor::rng::Rng;
+use qd_tensor::{Conv2dGeometry, Tensor};
+
+fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
+    (
+        t.dims().to_vec(),
+        t.data().iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
+/// Records `build` on a recording tape and reads `grad`, then on a
+/// first-order tape and runs `into_grads`, and on an inference tape for
+/// the forward value alone: the composite's output and every gradient
+/// must be the recording tape's, bit for bit.
+fn assert_kinds_agree(build: impl Fn(&mut Tape) -> (Var, Var, Vec<Var>)) {
+    let mut recording = Tape::new();
+    let (out, loss, xs) = build(&mut recording);
+    let want_out = recording.value(out).clone();
+    let want: Vec<Tensor> = recording
+        .grad(loss, &xs)
+        .into_iter()
+        .map(|g| recording.value(g).clone())
+        .collect();
+
+    let mut inference = Tape::inference();
+    let (out, _, _) = build(&mut inference);
+    assert_eq!(bits(inference.value(out)), bits(&want_out), "inference");
+
+    let mut first_order = Tape::first_order();
+    let (out, loss, xs) = build(&mut first_order);
+    assert_eq!(bits(first_order.value(out)), bits(&want_out), "forward");
+    for (i, (got, want)) in first_order
+        .into_grads(loss, &xs)
+        .iter()
+        .zip(&want)
+        .enumerate()
+    {
+        assert_eq!(bits(got), bits(want), "gradient {i}");
+    }
+}
+
+/// A leaf, or a constant when the case says this input needs no gradient.
+fn input(tape: &mut Tape, value: Tensor, differentiable: bool) -> Var {
+    if differentiable {
+        tape.leaf(value)
+    } else {
+        tape.constant(value)
+    }
+}
+
+/// `Σ out · weights`, so the composite's upstream is not all ones.
+fn weighted_sum(tape: &mut Tape, out: Var, weights: Tensor) -> Var {
+    let w = tape.constant(weights);
+    let weighted = tape.mul(out, w);
+    tape.sum_all(weighted)
+}
+
+/// Bit `i` of `mask`: the vendored proptest stand-in draws integers.
+fn bit(mask: usize, i: usize) -> bool {
+    mask >> i & 1 == 1
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `hw = 1`, `n = 1`, plane counts on both sides of the kernel's
+    /// group width, any subset of the inputs constant, and `x` consumed
+    /// before the norm, after it (its adjoint slot is then full when the
+    /// norm's rule runs), both or neither.
+    #[test]
+    fn instance_norm_equals_its_chain(
+        n in 1usize..4,
+        c in 1usize..6,
+        h in 1usize..5,
+        w in 1usize..5,
+        eps in 0.0f32..0.3,
+        differentiable in 0usize..8,
+        consumers in 0usize..4,
+        seed in 0u64..100_000,
+    ) {
+        // A third of the cases run the two values layers use.
+        let eps = if eps < 0.05 { 0.0 } else if eps < 0.1 { 1e-5 } else { eps };
+        assert_kinds_agree(|tape| {
+            let mut rng = Rng::seed_from(seed);
+            let x = input(tape, Tensor::randn(&[n, c, h, w], &mut rng), bit(differentiable, 0));
+            let gamma = input(tape, Tensor::randn(&[c], &mut rng), bit(differentiable, 1));
+            let beta = input(tape, Tensor::randn(&[c], &mut rng), bit(differentiable, 2));
+            let before = bit(consumers, 0).then(|| tape.mul(x, x));
+            let out = tape.instance_norm(x, gamma, beta, eps);
+            let after = bit(consumers, 1).then(|| tape.tanh(x));
+            let mut loss = weighted_sum(tape, out, Tensor::randn(&[n, c, h, w], &mut rng));
+            for extra in [before, after].into_iter().flatten() {
+                let term = weighted_sum(tape, extra, Tensor::randn(&[n, c, h, w], &mut rng));
+                loss = tape.add(loss, term);
+            }
+            (out, loss, vec![x, gamma, beta])
+        });
+    }
+
+    /// Constant planes (zero variance, `eps` alone under the root) and
+    /// constant parameters.
+    #[test]
+    fn instance_norm_of_constant_tensors_equals_its_chain(
+        n in 1usize..3,
+        c in 1usize..6,
+        hw in 1usize..4,
+        x0 in -2.0f32..2.0,
+        g0 in -2.0f32..2.0,
+        b0 in -2.0f32..2.0,
+        seed in 0u64..100_000,
+    ) {
+        assert_kinds_agree(|tape| {
+            let x = tape.leaf(Tensor::full(&[n, c, hw, hw], x0));
+            let gamma = tape.leaf(Tensor::full(&[c], g0));
+            let beta = tape.leaf(Tensor::full(&[c], b0));
+            let out = tape.instance_norm(x, gamma, beta, 1e-5);
+            let weights = Tensor::randn(&[n, c, hw, hw], &mut Rng::seed_from(seed));
+            (out, weighted_sum(tape, out, weights), vec![x, gamma, beta])
+        });
+    }
+
+    #[test]
+    fn conv2d_equals_its_chain(
+        n in 1usize..3,
+        cin in 1usize..4,
+        cout in 1usize..5,
+        hw in 3usize..7,
+        wide_kernel in 0usize..2,
+        stride in 1usize..3,
+        pad in 0usize..2,
+        differentiable in 0usize..8,
+        seed in 0u64..100_000,
+    ) {
+        let kernel = 1 + 2 * wide_kernel;
+        let geo = Conv2dGeometry::new(cin, hw, hw, kernel, stride, pad);
+        assert_kinds_agree(|tape| {
+            let mut rng = Rng::seed_from(seed);
+            let x = input(tape, Tensor::randn(&[n, cin, hw, hw], &mut rng), bit(differentiable, 0));
+            let fan = cin * kernel * kernel;
+            let weight = input(tape, Tensor::randn(&[cout, fan], &mut rng), bit(differentiable, 1));
+            let bias = input(tape, Tensor::randn(&[cout], &mut rng), bit(differentiable, 2));
+            let out = tape.conv2d(x, weight, bias, geo);
+            let weights = Tensor::randn(&[n, cout, geo.out_h, geo.out_w], &mut rng);
+            (out, weighted_sum(tape, out, weights), vec![x, weight, bias])
+        });
+    }
+
+    /// ReLU's adjoint is a multiply by the 0/1 mask, so a negative
+    /// upstream over a dead unit is `-0.0` and a non-finite one is NaN —
+    /// in both representations.
+    #[test]
+    fn relu_equals_its_chain_under_hostile_upstreams(
+        picks in proptest::collection::vec(0usize..64, 1..24),
+        seed in 0u64..100_000,
+    ) {
+        let menu = [
+            0.0f32, -0.0, 1.5, -2.5, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::MIN_POSITIVE,
+        ];
+        let n = picks.len();
+        let x: Vec<f32> = picks.iter().map(|p| menu[p % 8]).collect();
+        let u: Vec<f32> = picks.iter().map(|p| menu[p / 8]).collect();
+        assert_kinds_agree(|tape| {
+            let x = tape.leaf(Tensor::from_vec(x.clone(), &[n]));
+            let out = tape.relu(x);
+            // A second consumer, so the rule's contribution is also added
+            // into a slot that is already full.
+            let noise = Tensor::randn(&[n], &mut Rng::seed_from(seed));
+            let side = weighted_sum(tape, x, noise);
+            let main = weighted_sum(tape, out, Tensor::from_vec(u.clone(), &[n]));
+            (out, tape.add(main, side), vec![x])
+        });
+    }
+}
+
+fn smooth_randn(shape: &[usize], rng: &mut Rng) -> Tensor {
+    Tensor::randn(shape, rng).scale(0.5)
+}
+
+#[test]
+fn fused_instance_norm_gradcheck() {
+    let mut rng = Rng::seed_from(31);
+    // Six planes: one group of four and two single ones.
+    let x = smooth_randn(&[2, 3, 2, 3], &mut rng);
+    let gamma = Tensor::from_vec(vec![1.5, 0.5, -0.8], &[3]);
+    let beta = Tensor::from_vec(vec![0.1, -0.2, 0.3], &[3]);
+    let weights = smooth_randn(&[2, 3, 2, 3], &mut rng);
+    assert_first_order_grads_close(
+        move |t, vs| {
+            let y = t.instance_norm(vs[0], vs[1], vs[2], 1e-3);
+            let sq = t.mul(y, y);
+            weighted_sum(t, sq, weights.clone())
+        },
+        &[x, gamma, beta],
+        8e-2,
+    );
+}
+
+#[test]
+fn fused_conv2d_gradcheck() {
+    let mut rng = Rng::seed_from(32);
+    let geo = Conv2dGeometry::new(2, 4, 4, 3, 1, 1);
+    let x = smooth_randn(&[2, 2, 4, 4], &mut rng);
+    let weight = smooth_randn(&[3, 18], &mut rng);
+    let bias = smooth_randn(&[3], &mut rng);
+    assert_first_order_grads_close(
+        move |t, vs| {
+            let y = t.conv2d(vs[0], vs[1], vs[2], geo);
+            let sq = t.mul(y, y);
+            t.sum_all(sq)
+        },
+        &[x, weight, bias],
+        5e-2,
+    );
+}
+
+#[test]
+fn fused_relu_gradcheck_away_from_the_kink() {
+    let x = Tensor::from_vec(vec![-1.5, -0.4, 0.3, 0.9, 2.0, -2.2], &[2, 3]);
+    assert_first_order_grads_close(
+        |t, vs| {
+            let r = t.relu(vs[0]);
+            let sq = t.mul(r, r);
+            t.sum_all(sq)
+        },
+        &[x],
+        2e-2,
+    );
+}
+
+/// A fused rule builds an adjoint only for an input that needs one: with
+/// two of the three constant the sweep records two nodes fewer, and with
+/// all three constant neither the norm's three nor the adjoint of the
+/// norm's output is built.
+#[test]
+fn a_fused_rule_computes_no_gradient_for_a_constant_input() {
+    let nodes_after_sweep = |differentiable: [bool; 3]| {
+        let mut tape = Tape::first_order();
+        let x = input(&mut tape, Tensor::ones(&[2, 2, 2, 2]), differentiable[0]);
+        let gamma = input(&mut tape, Tensor::ones(&[2]), differentiable[1]);
+        let beta = input(&mut tape, Tensor::ones(&[2]), differentiable[2]);
+        let anchor = tape.leaf(Tensor::ones(&[2, 2, 2, 2]));
+        let y = tape.instance_norm(x, gamma, beta, 1e-5);
+        let both = tape.mul(y, anchor);
+        let loss = tape.sum_all(both);
+        tape.sweep_terminal(loss, &[anchor]);
+        tape.len()
+    };
+    let all = nodes_after_sweep([true, true, true]);
+    assert_eq!(nodes_after_sweep([true, false, false]), all - 2);
+    assert_eq!(nodes_after_sweep([false, true, false]), all - 2);
+    assert_eq!(nodes_after_sweep([false, false, false]), all - 4);
+}
+
+#[test]
+#[should_panic(expected = "cannot record a gradient on the first-order tape")]
+fn a_first_order_tape_refuses_a_recorded_gradient() {
+    let mut tape = Tape::first_order();
+    let x = tape.leaf(Tensor::scalar(2.0));
+    let y = tape.mul(x, x);
+    let _ = tape.grad(y, &[x]);
+}
+
+#[test]
+#[should_panic(expected = "released by the first-order tape's terminal sweep")]
+fn reading_a_first_order_tapes_value_after_its_sweep_panics() {
+    let mut tape = Tape::first_order();
+    let x = tape.leaf(Tensor::scalar(2.0));
+    let y = tape.relu(x);
+    assert_eq!(tape.sweep_terminal(y, &[x])[0].item(), 1.0);
+    let _ = tape.value(x);
+}

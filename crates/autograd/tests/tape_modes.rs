@@ -165,7 +165,7 @@ fn the_terminal_sweep_holds_less_than_the_recording_one() {
 }
 
 #[test]
-#[should_panic(expected = "released by the terminal gradient sweep")]
+#[should_panic(expected = "released by the recording tape's terminal sweep")]
 fn reading_a_value_after_the_terminal_sweep_panics() {
     let mut tape = Tape::new();
     let x = tape.leaf(Tensor::scalar(2.0));

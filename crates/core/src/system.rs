@@ -608,10 +608,13 @@ impl QuickDrop {
             UnlearnRequest::Client(_) => 1,
         };
         let mut unlearn = PhaseStats::default();
-        for _ in 0..round_cap {
+        for round in 1..=round_cap {
             let stats = fed.run_phase(&mut trainers, Some(&forget), &one_round, rng);
             unlearn.merge(&stats);
-            if stats.rounds == 0 || forget_eval.is_empty() {
+            // The probe only decides whether another round runs, so after
+            // the last permitted one (always, for a client request) its
+            // answer could change nothing; it draws no randomness.
+            if round == round_cap || stats.rounds == 0 || forget_eval.is_empty() {
                 break;
             }
             let acc = qd_eval::accuracy(fed.model().as_ref(), fed.global(), &forget_eval);
@@ -998,6 +1001,58 @@ mod tests {
                 );
             }
             panic!("digests moved from the parent-captured oracle (actual table printed above)");
+        }
+    }
+
+    /// The stop probe only decides whether another ascent round runs, so
+    /// it is skipped after the last permitted one — and since it draws no
+    /// randomness, the stage is exactly its rounds: the model, the RNG
+    /// stream and the counted work of `round_cap` bare `run_phase` calls.
+    /// A client request is always one round; a class request that never
+    /// reaches the stop accuracy uses every permitted round.
+    #[test]
+    fn the_ascent_stage_is_exactly_its_permitted_rounds() {
+        let (mut fed, trained, _, trained_rng, _) = trained_system();
+        let (reference, rng_mark) = (fed.global().to_vec(), trained_rng.state());
+        for (request, max_rounds, rounds) in [
+            (UnlearnRequest::Client(1), 3, 1),
+            (UnlearnRequest::Class(4), 1, 1),
+            (UnlearnRequest::Class(4), 3, 3),
+        ] {
+            let mut qd = trained.clone();
+            qd.config.max_unlearn_rounds = max_rounds;
+            qd.config.unlearn_stop_accuracy = -1.0; // never reached
+
+            fed.set_global(reference.clone());
+            let mut rng = Rng::from_state(&rng_mark);
+            let (stats, post) = qd.ascent_stage(&mut fed, request, &mut rng, 1.0);
+            assert_eq!(stats.rounds, rounds, "{request}: rounds run");
+
+            fed.set_global(reference.clone());
+            let mut bare_rng = Rng::from_state(&rng_mark);
+            let forget = qd.synthetic_forget(request);
+            let mut trainers = sgd_trainers(fed.model().clone(), fed.n_clients());
+            let one_round = Phase {
+                rounds: 1,
+                ..qd.config.unlearn_phase
+            };
+            let mut bare = PhaseStats::default();
+            for _ in 0..rounds {
+                bare.merge(&fed.run_phase(&mut trainers, Some(&forget), &one_round, &mut bare_rng));
+            }
+            assert_eq!(rng.state(), bare_rng.state(), "{request}: RNG stream");
+            assert_eq!(
+                (
+                    stats.samples_processed,
+                    stats.data_size,
+                    stats.upload_scalars
+                ),
+                (bare.samples_processed, bare.data_size, bare.upload_scalars),
+                "{request}: counted work"
+            );
+            for (a, b) in post.iter().zip(fed.global()) {
+                assert_eq!(a.data(), b.data(), "{request}: model bits");
+            }
         }
     }
 

@@ -58,11 +58,10 @@ impl Module for Linear {
 
 /// A 2-D convolution over `(N, Cin, H, W) -> (N, Cout, OH, OW)`.
 ///
-/// Implemented as the differentiable composite
-/// `rows_to_nchw(im2col(x) · Wᵀ + b)`, which makes it valid inside
-/// higher-order gradient expressions (the distillation objective). The
-/// product is one `matmul_nt` node: `Wᵀ` is never built, forward or
-/// backward.
+/// [`Tape::conv2d`]: the composite `rows_to_nchw(im2col(x) · Wᵀ + b)`,
+/// recorded as differentiable primitives where a gradient may be
+/// differentiated again (the distillation objective) and as one fused
+/// node where it cannot. `Wᵀ` is never built, forward or backward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conv2d {
     in_channels: usize,
@@ -105,13 +104,10 @@ impl Module for Conv2d {
             "Conv2d expects (N, C, H, W), got rank {}",
             dims.len()
         );
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let (c, h, w) = (dims[1], dims[2], dims[3]);
         assert_eq!(c, self.in_channels, "Conv2d channel mismatch");
         let geo = Conv2dGeometry::new(c, h, w, self.kernel, self.stride, self.pad);
-        let cols = tape.im2col(x, geo); // (N*OH*OW, C*k*k)
-        let y = tape.matmul_nt(cols, params[0]); // (N*OH*OW, Cout)
-        let yb = tape.add_row_bias(y, params[1]);
-        tape.rows_to_nchw(yb, n, self.out_channels, geo.out_h, geo.out_w)
+        tape.conv2d(x, params[0], params[1], geo)
     }
 
     fn param_shapes(&self) -> Vec<Vec<usize>> {
@@ -132,7 +128,7 @@ impl Module for Conv2d {
 ///
 /// Normalizes each `(n, c)` plane by its own spatial mean/variance, then
 /// applies per-channel scale `γ` and shift `β` — matching the `IN` module
-/// of the paper's ConvNet.
+/// of the paper's ConvNet. The arithmetic is [`Tape::instance_norm`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstanceNorm2d {
     channels: usize,
@@ -153,26 +149,8 @@ impl Module for InstanceNorm2d {
     fn forward(&self, tape: &mut Tape, params: &[Var], x: Var) -> Var {
         let dims = tape.value(x).dims().to_vec();
         assert_eq!(dims.len(), 4, "InstanceNorm2d expects (N, C, H, W)");
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        assert_eq!(c, self.channels, "InstanceNorm2d channel mismatch");
-        let hw = (h * w) as f32;
-        let s = tape.spatial_sum(x, c, h, w); // (N*C,)
-        let mean = tape.scale(s, 1.0 / hw);
-        let mean_bc = tape.spatial_broadcast(mean, c, h, w);
-        let centered = tape.sub(x, mean_bc);
-        let sq = tape.mul(centered, centered);
-        let var_sum = tape.spatial_sum(sq, c, h, w);
-        let var = tape.scale(var_sum, 1.0 / hw);
-        let var_eps = tape.add_scalar(var, self.eps);
-        let std = tape.sqrt(var_eps);
-        let ones = tape.constant(Tensor::ones(&[n * c]));
-        let inv = tape.div(ones, std);
-        let inv_bc = tape.spatial_broadcast(inv, c, h, w);
-        let normed = tape.mul(centered, inv_bc);
-        let gamma = tape.channel_broadcast(params[0], n, h, w);
-        let beta = tape.channel_broadcast(params[1], n, h, w);
-        let scaled = tape.mul(normed, gamma);
-        tape.add(scaled, beta)
+        assert_eq!(dims[1], self.channels, "InstanceNorm2d channel mismatch");
+        tape.instance_norm(x, params[0], params[1], self.eps)
     }
 
     fn param_shapes(&self) -> Vec<Vec<usize>> {

@@ -43,8 +43,14 @@ pub fn cross_entropy(tape: &mut Tape, logits: Var, labels: &[usize], classes: us
 /// Cross-entropy gradients of `model` at `params` on one labelled batch,
 /// one tensor per parameter: what every SGD/SGA step in this workspace
 /// (training, ascent, recovery, relearning, the baselines) and gradient
-/// matching's detached reference branch compute. First order only, so it
-/// runs the terminal sweep ([`Tape::into_grads`]) and keeps nothing.
+/// matching's detached reference branch compute.
+///
+/// The result is only ever read, never differentiated again, so this is
+/// the one place that opens a [`Tape::first_order`]: every caller gets the
+/// fused instance-norm, ReLU and convolution-output nodes and the terminal
+/// sweep ([`Tape::into_grads`]) without choosing anything, and the
+/// gradients are `to_bits`-equal to what a recording tape's `grad` would
+/// give (`tests/tape_modes.rs`).
 pub fn loss_gradients(
     model: &dyn Module,
     params: &[Tensor],
@@ -52,7 +58,7 @@ pub fn loss_gradients(
     labels: &[usize],
     classes: usize,
 ) -> Vec<Tensor> {
-    let mut tape = Tape::new();
+    let mut tape = Tape::first_order();
     let p: Vec<Var> = params.iter().map(|t| tape.leaf(t.clone())).collect();
     let xv = tape.constant(x.clone());
     let logits = model.forward(&mut tape, &p, xv);

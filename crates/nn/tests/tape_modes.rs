@@ -1,11 +1,15 @@
-//! The tape modes under whole models: the inference tape and the
-//! terminal sweep give the recording tape's bits, and hold a stated
-//! fraction of its memory.
+//! The tape kinds under whole models: the first-order and inference
+//! tapes, which record fused composites, give the recording tape's bits —
+//! the recording tape's chains being the oracle — and hold a stated
+//! fraction of its memory; and the recording tape still records what it
+//! recorded before the fused composites existed.
 
 use qd_autograd::{Tape, Var};
 use qd_nn::{cross_entropy, forward_inference, loss_gradients, ConvNet, LeNet, Mlp, Module};
 use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
+
+const BATCHES: [usize; 4] = [1, 2, 18, 32];
 
 fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
     (
@@ -14,8 +18,20 @@ fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
     )
 }
 
-/// One training step's graph on a recording tape: parameters as leaves,
-/// the batch as a constant, the cross-entropy loss.
+/// The three architectures with their input channel counts: fused norm,
+/// ReLU and convolution output (`ConvNet`), convolution output beside
+/// ops that have one representation (`LeNet`: tanh, max-pool), ReLU
+/// alone (`Mlp`).
+fn models() -> [(Box<dyn Module>, usize); 3] {
+    [
+        (Box::new(ConvNet::scaled_default(3, 10)), 3),
+        (Box::new(LeNet::new(1, 16, 10)), 1),
+        (Box::new(Mlp::new(&[256, 32, 10])), 1),
+    ]
+}
+
+/// One training step's graph: parameters as leaves, the batch as a
+/// constant, the cross-entropy loss.
 fn record_step(
     tape: &mut Tape,
     model: &dyn Module,
@@ -41,40 +57,104 @@ fn recording_logits(model: &dyn Module, params: &[Tensor], x: &Tensor) -> Tensor
 #[test]
 fn inference_tape_logits_equal_the_recording_tapes_bit_for_bit() {
     let mut rng = Rng::seed_from(21);
-    let image = Tensor::randn(&[5, 3, 16, 16], &mut rng);
-    let gray = Tensor::randn(&[5, 1, 16, 16], &mut rng);
-    let models: [(Box<dyn Module>, &Tensor); 3] = [
-        (Box::new(ConvNet::scaled_default(3, 10)), &image),
-        (Box::new(LeNet::new(1, 16, 10)), &gray), // max-pool, tanh
-        (Box::new(Mlp::new(&[256, 32, 10])), &gray),
-    ];
-    for (model, x) in &models {
+    for (model, channels) in &models() {
         let params = model.init(&mut rng);
-        assert_eq!(
-            bits(&forward_inference(model.as_ref(), &params, x)),
-            bits(&recording_logits(model.as_ref(), &params, x)),
-        );
+        for batch in BATCHES {
+            let x = Tensor::randn(&[batch, *channels, 16, 16], &mut rng);
+            assert_eq!(
+                bits(&forward_inference(model.as_ref(), &params, &x)),
+                bits(&recording_logits(model.as_ref(), &params, &x)),
+                "batch {batch}"
+            );
+        }
     }
 }
 
 #[test]
 fn loss_gradients_equal_the_recorded_gradients_bit_for_bit() {
     let mut rng = Rng::seed_from(22);
-    let models: [(Box<dyn Module>, usize); 2] = [
-        (Box::new(ConvNet::scaled_default(3, 10)), 3),
-        (Box::new(LeNet::new(1, 16, 10)), 1),
-    ];
-    for (model, channels) in &models {
+    for (model, channels) in &models() {
         let params = model.init(&mut rng);
-        let x = Tensor::randn(&[6, *channels, 16, 16], &mut rng);
-        let labels: Vec<usize> = (0..6).map(|i| (i * 3) % 10).collect();
-        let mut tape = Tape::new();
-        let (loss, p) = record_step(&mut tape, model.as_ref(), &params, &x, &labels, 10);
-        let recorded = tape.grad(loss, &p);
-        let terminal = loss_gradients(model.as_ref(), &params, &x, &labels, 10);
-        for (g, want) in terminal.iter().zip(recorded) {
-            assert_eq!(bits(g), bits(tape.value(want)));
+        for batch in BATCHES {
+            let x = Tensor::randn(&[batch, *channels, 16, 16], &mut rng);
+            let labels: Vec<usize> = (0..batch).map(|i| (i * 3) % 10).collect();
+            let mut tape = Tape::new();
+            let (loss, p) = record_step(&mut tape, model.as_ref(), &params, &x, &labels, 10);
+            let recorded = tape.grad(loss, &p);
+            let first_order = loss_gradients(model.as_ref(), &params, &x, &labels, 10);
+            for (g, want) in first_order.iter().zip(recorded) {
+                assert_eq!(bits(g), bits(tape.value(want)), "batch {batch}");
+            }
         }
+    }
+}
+
+/// A first-order tape's forward values are the recording tape's too: the
+/// loss, computed through every fused node, in less than half the nodes.
+#[test]
+fn first_order_forward_values_equal_the_recording_tapes() {
+    let mut rng = Rng::seed_from(24);
+    let net = ConvNet::scaled_default(3, 10);
+    let params = net.init(&mut rng);
+    let x = Tensor::randn(&[18, 3, 16, 16], &mut rng);
+    let labels: Vec<usize> = (0..18).map(|i| i % 10).collect();
+    let mut recording = Tape::new();
+    let (want, _) = record_step(&mut recording, &net, &params, &x, &labels, 10);
+    let mut first_order = Tape::first_order();
+    let (loss, _) = record_step(&mut first_order, &net, &params, &x, &labels, 10);
+    assert_eq!(
+        first_order.value(loss).item().to_bits(),
+        recording.value(want).item().to_bits()
+    );
+    assert!(first_order.len() < recording.len() / 2);
+}
+
+/// Gradient matching differentiates a gradient again, so it runs on the
+/// recording tape and must find there exactly what it found before the
+/// fused composites existed: the same ops in the same order (the count is
+/// qd-perf's `autograd.tape_nodes_b32`).
+#[test]
+fn the_recording_tape_still_records_the_chains() {
+    let mut rng = Rng::seed_from(25);
+    let net = ConvNet::scaled_default(3, 10);
+    let params = net.init(&mut rng);
+    let x = Tensor::randn(&[32, 3, 16, 16], &mut rng);
+    let labels: Vec<usize> = (0..32).map(|i| i % 10).collect();
+    let mut tape = Tape::new();
+    let (loss, p) = record_step(&mut tape, &net, &params, &x, &labels, 10);
+    let forward = tape.op_names();
+    tape.grad(loss, &p);
+    assert_eq!(tape.len(), 140);
+
+    let convolution = ["Im2col", "MatMulNt", "AddRowBias", "RowsToNchw"];
+    let instance_norm = [
+        "SpatialSum",
+        "Scale",
+        "SpatialBroadcast",
+        "Sub",
+        "Mul",
+        "SpatialSum",
+        "Scale",
+        "AddScalar",
+        "Sqrt",
+        "Constant",
+        "Div",
+        "SpatialBroadcast",
+        "Mul",
+        "ChannelBroadcast",
+        "ChannelBroadcast",
+        "Mul",
+        "Add",
+    ];
+    let block: Vec<&str> = convolution
+        .iter()
+        .chain(&instance_norm)
+        .chain(&["Relu", "AvgPool"])
+        .copied()
+        .collect();
+    let leaves = params.len() + 1;
+    for first in [leaves, leaves + block.len()] {
+        assert_eq!(forward[first..first + block.len()], block[..]);
     }
 }
 
@@ -87,17 +167,22 @@ fn a_b32_convnet_step_holds_a_fraction_of_the_recording_tape() {
     let params = net.init(&mut rng);
     let x = Tensor::randn(&[32, 3, 16, 16], &mut rng);
     let labels: Vec<usize> = (0..32).map(|i| i % 10).collect();
-
-    let mut recording = Tape::new();
-    let (loss, p) = record_step(&mut recording, &net, &params, &x, &labels, 10);
-    let forward = recording.peak_value_bytes();
-    recording.grad(loss, &p);
-    let grad = recording.peak_value_bytes();
-
-    let mut terminal = Tape::new();
-    let (loss, p) = record_step(&mut terminal, &net, &params, &x, &labels, 10);
-    terminal.sweep_terminal(loss, &p);
-    let into_grads = terminal.peak_value_bytes();
+    let peak_of = |mut tape: Tape, sweep: fn(&mut Tape, Var, &[Var])| {
+        let (loss, p) = record_step(&mut tape, &net, &params, &x, &labels, 10);
+        sweep(&mut tape, loss, &p);
+        tape.peak_value_bytes()
+    };
+    let forward = peak_of(Tape::new(), |_, _, _| {});
+    let grad = peak_of(Tape::new(), |tape, loss, p| {
+        tape.grad(loss, p);
+    });
+    let terminal = |tape: &mut Tape, loss: Var, p: &[Var]| {
+        tape.sweep_terminal(loss, p);
+    };
+    // The chains swept terminally (an outer gradient), then what
+    // `loss_gradients` runs: the fused composites swept terminally.
+    let into_grads = peak_of(Tape::new(), terminal);
+    let first_order = peak_of(Tape::first_order(), terminal);
 
     // `forward_inference`'s tape, retired by `Sequential` as it goes.
     let mut inference = Tape::inference();
@@ -109,22 +194,17 @@ fn a_b32_convnet_step_holds_a_fraction_of_the_recording_tape() {
     net.forward(&mut inference, &pv, xv);
     let inference = inference.peak_value_bytes();
 
-    // Measured: forward 10 939 764, grad 22 868 072, into_grads
-    // 11 271 312, inference 5 379 176 bytes. Recording keeps the forward
-    // pass and the whole backward pass; the terminal sweep peaks at the
-    // forward pass plus one rule's working set.
-    assert!(grad > 20_000_000, "recording grad holds {grad} bytes");
-    assert!(
-        into_grads * 2 < grad,
-        "terminal sweep {into_grads} vs recording {grad}"
-    );
-    assert!(
-        into_grads < forward + forward / 4,
-        "terminal sweep {into_grads} vs forward {forward}"
-    );
-    // One layer's working set, not the network's.
-    assert!(
-        inference * 2 < forward,
-        "inference {inference} vs recording forward {forward}"
-    );
+    // Recording keeps the forward pass and the whole backward pass; a
+    // terminal sweep peaks at the forward pass plus one rule's working
+    // set; the fused forward pass is a third of the chains' (a norm keeps
+    // its output and 2·N·C statistics instead of ten plane-sized
+    // temporaries, a convolution its output instead of three copies of
+    // it). Before the fused composites a step held `into_grads` and an
+    // inference forward 5 379 176 bytes — instance norm's temporaries —
+    // where it now holds a convolution's patch rows and output.
+    assert_eq!(forward, 10_939_764);
+    assert_eq!(grad, 22_868_072);
+    assert_eq!(into_grads, 11_271_312);
+    assert_eq!(first_order, 5_484_880);
+    assert_eq!(inference, 1_561_704);
 }

@@ -86,14 +86,16 @@ done
 [ -n "$smoke_ok" ] \
     || { echo "qd-perf --smoke did not end 'smoke: ok' — the benchmark's pinned library surface broke" >&2; exit 1; }
 
-echo "== float-order gate + durable-bytes gate (traced qd-perf runs must end on the model digests qd-perf/README.md pins; a journal record and a checkpoint must stay binary-sized)"
+echo "== float-order gate + exact-count gates (traced qd-perf runs must end on the model digests qd-perf/README.md pins; a journal record and a checkpoint must stay binary-sized; a request's steps must stay on the first-order tape)"
 # Every kernel keeps one reduction order (DESIGN.md §4.6), so these digests
 # only move when a change reorders a float sum — which then needs the
 # re-pin policy of ROADMAP item 2, not a silent pass. The same
 # request-stream output carries two exact byte counts (`#` metrics): a
 # change that quietly re-inflates a journal record or the checkpoint
 # (DESIGN.md "Durable formats": 111 689 and 1 968 430 bytes as decimal
-# text) fails here.
+# text) fails here. So does one that quietly routes training, ascent or
+# recovery steps back onto the recording tape's chains (DESIGN.md §4.7):
+# a request then allocates 1 036 408 712 bytes, not 472 659 365.
 while read -r workload digest; do
     report="$(bash qd-perf/run.sh --workload "$workload" --seed 11 --trace 1 </dev/null)"
     grep -x "  model_digest $digest" <<<"$report" >/dev/null \
@@ -101,10 +103,11 @@ while read -r workload digest; do
     [ "$workload" = request-stream ] || continue
     while read -r metric ceiling; do
         awk -v m="$metric" -v max="$ceiling" '$1 == m { seen = 1; if ($2 + 0 > max) bad = 1 } END { exit !(seen && !bad) }' <<<"$report" \
-            || { echo "qd-perf $workload (seed 11): $metric is missing or above $ceiling bytes — durable state re-inflated" >&2; exit 1; }
+            || { echo "qd-perf $workload (seed 11): $metric is missing or above $ceiling bytes — durable state re-inflated, or steps back on the recording tape" >&2; exit 1; }
     done <<'BYTES'
 core.journal.bytes_per_record 23000
 core.ckpt.bytes 420000
+alloc.bytes_per_op 600000000
 BYTES
 done <<'DIGESTS'
 train-distill 185d83271a152c63
