@@ -14,8 +14,8 @@ use crate::Var;
 /// The `(input, contribution)` pairs one node hands to the gradient sweep
 /// (one table for [`Tape::grad`] and [`Tape::into_grads`]), in the order
 /// they are added into the inputs' adjoint slots. A primitive has at most
-/// two inputs; fused instance norm has three and may hand its first one
-/// two contributions — so four travel in an array, not a `Vec`.
+/// two inputs; fused instance norm has three and may hand `x` two
+/// contributions — so four travel in an array, not a `Vec`.
 pub(crate) type Contributions = [Option<(Var, Var)>; 4];
 
 /// The contribution of an op with a single differentiable input.
@@ -194,11 +194,13 @@ impl Tape {
                     needs,
                     fold,
                 );
+                // The chain's order: its shift broadcast is recorded last
+                // and so swept first, then the scale's, then `x`.
                 [
+                    grads.dbeta.map(|g| (beta, self.constant(g))),
+                    grads.dgamma.map(|g| (gamma, self.constant(g))),
                     grads.dx.map(|g| (x, self.constant(g))),
                     grads.via_mean.map(|g| (x, self.constant(g))),
-                    grads.dgamma.map(|g| (gamma, self.constant(g))),
-                    grads.dbeta.map(|g| (beta, self.constant(g))),
                 ]
             }
             Op::ConvOutput(cols, weight, bias, [n, c, oh, ow]) => {

@@ -278,3 +278,22 @@ fn reading_a_first_order_tapes_value_after_its_sweep_panics() {
     assert_eq!(tape.sweep_terminal(y, &[x])[0].item(), 1.0);
     let _ = tape.value(x);
 }
+
+/// One variable as both scale and shift, read again after the norm: its
+/// slot is full when the norm's rule runs and takes the shift's
+/// contribution before the scale's, as the chain's two broadcasts do.
+#[test]
+fn one_variable_as_scale_and_shift_equals_the_chain() {
+    for seed in 0..16 {
+        assert_kinds_agree(|tape| {
+            let mut rng = Rng::seed_from(seed);
+            let x = tape.leaf(Tensor::randn(&[2, 3, 2, 2], &mut rng));
+            let both = tape.leaf(Tensor::randn(&[3], &mut rng));
+            let out = tape.instance_norm(x, both, both, 1e-5);
+            let after = tape.tanh(both);
+            let loss = weighted_sum(tape, out, Tensor::randn(&[2, 3, 2, 2], &mut rng));
+            let term = weighted_sum(tape, after, Tensor::randn(&[3], &mut rng));
+            (out, tape.add(loss, term), vec![x, both])
+        });
+    }
+}
