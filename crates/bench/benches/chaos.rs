@@ -95,49 +95,6 @@ fn run_one(kind: Option<AggregatorKind>, smoke: bool) -> Row {
     }
 }
 
-/// One row of `BENCH_chaos.json`: whole-system orchestration
-/// throughput for a sweep of generated schedules on one seed.
-#[derive(serde::Serialize)]
-struct OrchestrationRow {
-    seed: u64,
-    runs: u64,
-    faults_fired: u64,
-    invariants_checked: u64,
-    violations: u64,
-    runs_per_sec: f32,
-}
-
-/// Executes `runs` generated schedules of `seed` through the qd-chaos
-/// harness (deploy → serve → crash → resume → relearn plus the full
-/// invariant registry per run) and measures wall-clock throughput.
-fn orchestration_sweep(seed: u64, runs: u64) -> OrchestrationRow {
-    let mut harness = qd_chaos::Harness::new();
-    let mut faults_fired = 0;
-    let mut invariants_checked = 0;
-    let mut violations = 0;
-    let started = std::time::Instant::now();
-    for run in 0..runs {
-        let schedule = qd_chaos::ChaosSchedule::generate(seed, run);
-        let report = harness.run(&schedule).expect("schedule executes");
-        faults_fired += report.faults_fired;
-        invariants_checked += report.invariants_checked;
-        violations += report.violations.len() as u64;
-    }
-    let elapsed = started.elapsed().as_secs_f32();
-    OrchestrationRow {
-        seed,
-        runs,
-        faults_fired,
-        invariants_checked,
-        violations,
-        runs_per_sec: if elapsed > 0.0 {
-            runs as f32 / elapsed
-        } else {
-            0.0
-        },
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
     println!(
@@ -147,27 +104,6 @@ fn main() {
         if smoke { " [smoke]" } else { "" },
     );
 
-    // Whole-system fault orchestration throughput (qd-chaos): seeded
-    // schedules over the full lifecycle, every invariant checked.
-    let sweep_runs = if smoke { 2 } else { 10 };
-    let orchestration: Vec<OrchestrationRow> = [7u64, 11]
-        .into_iter()
-        .map(|seed| orchestration_sweep(seed, sweep_runs))
-        .collect();
-    println!(
-        "  {:>6} {:>6} {:>13} {:>18} {:>11} {:>13}",
-        "seed", "runs", "faults fired", "invariants checked", "violations", "runs/sec"
-    );
-    for r in &orchestration {
-        println!(
-            "  {:>6} {:>6} {:>13} {:>18} {:>11} {:>13.2}",
-            r.seed, r.runs, r.faults_fired, r.invariants_checked, r.violations, r.runs_per_sec
-        );
-    }
-    let json = serde_json::to_string(&orchestration).expect("rows serialize");
-    let out = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_chaos.json");
-    std::fs::write(&out, format!("{json}\n")).expect("write BENCH_chaos.json");
-    println!("  wrote BENCH_chaos.json ({} rows)", orchestration.len());
     let rows: Vec<Row> = [
         None,
         Some(AggregatorKind::FedAvg),

@@ -10,18 +10,15 @@
 //! diffable across commits; everything is virtual-clock-derived and
 //! therefore reproducible bit-for-bit across machines.
 //!
-//! Pass `--test` for a seconds-scale smoke run that additionally
-//! crash-tests the service: a run killed mid-batch (between two
-//! members' UNLEARNED records) must resume from checkpoint + journal to
-//! the same final model, journal, and stats bit-for-bit.
+//! Pass `--test` for a seconds-scale smoke run that also asserts the
+//! rows' shape.
 
 use qd_bench::{bench_config, print_paper_reference, Setup, Split};
-use qd_core::{BatchPreempt, Checkpoint, QuickDrop, RequestJournal};
+use qd_core::{Checkpoint, QuickDrop, RequestJournal};
 use qd_data::SyntheticDataset;
 use qd_fed::{FaultKind, FaultPlan, Phase};
 use qd_serve::{
-    build_plan, run_service, run_service_isolated, ChaosKill, IsolationConfig, ServeConfig,
-    ServeStats,
+    build_plan, run_service, run_service_isolated, IsolationConfig, ServeConfig, ServeStats,
 };
 use qd_tensor::rng::Rng;
 use qd_unlearn::{GuardPolicy, UnlearnRequest};
@@ -341,7 +338,7 @@ fn main() {
     println!("  wrote BENCH_serve.json ({} mixes)", rows.len());
 
     if smoke {
-        smoke_assertions(&rows, &mut dep);
+        smoke_assertions(&rows);
         println!("smoke assertions passed");
     }
 
@@ -349,14 +346,13 @@ fn main() {
         "no direct paper counterpart: the paper serves one request at a time;",
         "shape to reproduce: the coalesced mix serves the same offered load in",
         "fewer service units than the sequential one (coalesce ratio > 1) and",
-        "finishes sooner on the virtual clock, while a run killed mid-batch",
-        "resumes from checkpoint + journal bit-for-bit.",
+        "finishes sooner on the virtual clock.",
     ]);
 }
 
-/// Smoke contract: coalescing must actually amortize, and a mid-batch
-/// crash must resume bit-for-bit.
-fn smoke_assertions(rows: &[MixRow], dep: &mut Deployment) {
+/// Smoke contract: coalescing must actually amortize, and the poisoned
+/// mix must degrade without starving anyone.
+fn smoke_assertions(rows: &[MixRow]) {
     let coalesced = rows.iter().find(|r| r.mix == "duo-coalesced").unwrap();
     let sequential = rows.iter().find(|r| r.mix == "duo-sequential").unwrap();
     let poisoned = rows.iter().find(|r| r.mix == "duo-poisoned").unwrap();
@@ -396,107 +392,4 @@ fn smoke_assertions(rows: &[MixRow], dep: &mut Deployment) {
         coalesced.stats.makespan_us <= sequential.stats.makespan_us,
         "amortized recovery must not extend the makespan"
     );
-
-    // Crash mid-batch, resume, compare bit-for-bit.
-    let cfg = mixes(true, dep.setup.fed.n_clients())
-        .into_iter()
-        .find(|(n, _)| n == "duo-coalesced")
-        .map(|(_, c)| c)
-        .unwrap();
-    let plan = build_plan(&cfg).expect("plan");
-    let batch_unit = plan
-        .batches
-        .iter()
-        .position(|b| b.members.len() > 1)
-        .expect("mix must contain a coalesced batch");
-
-    // Unfailed reference.
-    dep.rewind();
-    let (ref_path, mut ref_journal) = fresh_journal("smoke_ref");
-    let mut qd = snapshot_qd(dep);
-    run_service(
-        &mut qd,
-        &mut dep.setup.fed,
-        &mut ref_journal,
-        &cfg,
-        Some(&policy()),
-        &mut dep.setup.rng,
-        None,
-    )
-    .expect("reference run");
-    let ref_model = dep.setup.fed.global().to_vec();
-
-    // Killed run: die between the first and second UNLEARNED records of
-    // the coalesced batch, then "restart the process" (fresh QuickDrop
-    // from the checkpoint, journal reopened from disk) and finish.
-    dep.rewind();
-    let ckpt_path = bench_dir().join("smoke_kill.ckpt.json");
-    let mut qd = snapshot_qd(dep);
-    Checkpoint::capture(dep.setup.fed.global(), &qd)
-        .save(&ckpt_path)
-        .expect("checkpoint");
-    let (kill_path, mut journal) = fresh_journal("smoke_kill");
-    let rng_at_start = dep.setup.rng.state();
-    let run = run_service(
-        &mut qd,
-        &mut dep.setup.fed,
-        &mut journal,
-        &cfg,
-        Some(&policy()),
-        &mut dep.setup.rng,
-        Some(ChaosKill {
-            unit_index: batch_unit,
-            boundary: BatchPreempt::Unlearned(1),
-        }),
-    )
-    .expect("killed run reaches its boundary");
-    assert!(run.preempted, "the kill must fire");
-    drop(journal);
-    drop(qd);
-
-    let (params, mut qd) = Checkpoint::load(&ckpt_path)
-        .expect("reload checkpoint")
-        .restore()
-        .expect("restore");
-    dep.setup.fed.set_global(params);
-    dep.setup.rng = Rng::from_state(&rng_at_start);
-    let mut journal = RequestJournal::open(&kill_path).expect("reopen journal");
-    // The executor finishes the in-flight batch before continuing.
-    let resumed = run_service(
-        &mut qd,
-        &mut dep.setup.fed,
-        &mut journal,
-        &cfg,
-        Some(&policy()),
-        &mut dep.setup.rng,
-        None,
-    )
-    .expect("resumed run completes");
-    assert!(!resumed.preempted);
-
-    assert_eq!(
-        resumed.stats, coalesced.stats,
-        "stats diverged across kill+resume"
-    );
-    for (a, b) in ref_model.iter().zip(dep.setup.fed.global()) {
-        for (u, v) in a.data().iter().zip(b.data()) {
-            assert_eq!(u.to_bits(), v.to_bits(), "kill+resume model diverged");
-        }
-    }
-    let reference = RequestJournal::open(&ref_path).expect("reopen reference");
-    assert_eq!(
-        reference.records().len(),
-        journal.records().len(),
-        "journal shape diverged"
-    );
-    for (a, b) in reference.records().iter().zip(journal.records()) {
-        assert_eq!(
-            (a.seq, a.request, a.state, a.batch),
-            (b.seq, b.request, b.state, b.batch)
-        );
-        assert_eq!(a.rng, b.rng, "journal RNG stream diverged at {}", a.seq);
-    }
-    std::fs::remove_file(&ckpt_path).ok();
-    std::fs::remove_file(&ref_path).ok();
-    std::fs::remove_file(&kill_path).ok();
 }

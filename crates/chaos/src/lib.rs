@@ -32,5 +32,5 @@ pub mod shrink;
 
 pub use invariant::{registry, Invariant, Violation};
 pub use scenario::{ChaosError, Harness, RunOutcome, RunReport, Terminal};
-pub use schedule::{ChaosSchedule, FaultSpec, InjectedFault, StorageFault, Workload};
+pub use schedule::{ChaosSchedule, FaultSpec, FrontDoor, InjectedFault, StorageFault, Workload};
 pub use shrink::{shrink, Repro};

@@ -8,22 +8,30 @@
 //! whatever survived. Both runs share the workload (training mix,
 //! Byzantine plan, serving traffic) bit-for-bit, so the invariant
 //! registry can demand identical terminal states.
+//!
+//! A lifetime serves through one of two front doors ([`FrontDoor`]):
+//! the service executor, or the per-request journaled calls.
+//! [`Harness::exhaustive`] enumerates every single-death schedule of a
+//! workload — each `Vfs` operation of the fault-free lifetime, each
+//! journal boundary its units reach — beside the seeded sampler
+//! [`ChaosSchedule::generate`].
 
-use crate::schedule::{ChaosSchedule, Workload};
+use crate::schedule::{ChaosSchedule, FaultSpec, FrontDoor, InjectedFault, Workload};
 use qd_core::{
-    Checkpoint, CrashPoint, FaultFs, JournalRecord, QuickDrop, QuickDropConfig, RequestJournal,
-    RequestState, Vfs,
+    BatchPreempt, BatchRun, Checkpoint, CrashPoint, FaultFs, JournalRecord, QuickDrop,
+    QuickDropConfig, RequestJournal, RequestState, ResumeRun, ServeError, ServeRun, Vfs,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{FaultPlan, Federation, Phase};
 use qd_net::NetConfig;
 use qd_nn::{Mlp, Module};
 use qd_serve::{
-    frontier_summary, run_service_isolated, ChaosKill, FrontierSummary, IsolationConfig,
-    ServeConfig, ServeStats,
+    build_plan, frontier_summary, run_service_isolated, ChaosKill, FrontierSummary,
+    IsolationConfig, ServeConfig, ServeStats,
 };
 use qd_tensor::rng::{Rng, RngState};
 use qd_tensor::Tensor;
+use qd_unlearn::GuardPolicy;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -52,8 +60,9 @@ pub struct Terminal {
     pub rng: RngState,
     /// Every durable journal record.
     pub records: Vec<JournalRecord>,
-    /// The reported SLA stats.
-    pub stats: ServeStats,
+    /// The reported SLA stats (`None` behind the per-request front
+    /// door, which reports none).
+    pub stats: Option<ServeStats>,
     /// Journal↔plan frontier alignment, when the journal is still
     /// alignable (`None` after a RELEARNED terminal record, which
     /// [`qd_serve::frontier_summary`] rightly refuses).
@@ -89,6 +98,47 @@ impl RunOutcome {
     pub fn stalled(&self) -> bool {
         self.faulted.is_none()
     }
+
+    /// Checks the full invariant registry against this outcome.
+    pub fn report(&self) -> RunReport {
+        let registry = crate::invariant::registry();
+        RunReport {
+            completed: !self.stalled(),
+            attempts: self.attempts,
+            faults_fired: self.faults_fired,
+            invariants_checked: registry.len() as u64,
+            violations: registry.iter().filter_map(|i| i.check(self)).collect(),
+        }
+    }
+}
+
+/// How one process lifetime died.
+enum Death {
+    /// Preempted right after the armed journal boundary became durable
+    /// — a kill that fired, after this many units ran to completion.
+    Boundary(u64),
+    /// A storage or serving error surfaced; carries its message.
+    Error(String),
+}
+
+impl Death {
+    fn error(e: impl std::fmt::Display) -> Death {
+        Death::Error(e.to_string())
+    }
+}
+
+impl std::fmt::Display for Death {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Death::Boundary(units) => {
+                write!(
+                    f,
+                    "preempted at journal boundary after {units} executed unit(s)"
+                )
+            }
+            Death::Error(message) => f.write_str(message),
+        }
+    }
 }
 
 /// The serializable result of one schedule execution: what `qd chaos`
@@ -114,13 +164,43 @@ struct DeploySeed {
     rng: RngState,
 }
 
+/// A fault-free reference lifetime: where it ended, and how many `Vfs`
+/// operations it took to get there.
+struct Reference {
+    terminal: Terminal,
+    ops: u64,
+}
+
+/// [`QuickDrop::resume_requests_until`]'s signature.
+type Resume = fn(
+    &mut QuickDrop,
+    &mut Federation,
+    &mut RequestJournal,
+    Option<&GuardPolicy>,
+    &mut Rng,
+    Option<BatchPreempt>,
+) -> Result<ResumeRun, ServeError>;
+
 /// The chaos executor. Caches trained deployments and fault-free
 /// reference terminals across runs, keyed by the workload knobs that
 /// produced them, so a multi-run sweep trains once per environment.
-#[derive(Default)]
 pub struct Harness {
     deploys: BTreeMap<String, DeploySeed>,
-    references: BTreeMap<String, Terminal>,
+    references: BTreeMap<String, Reference>,
+    /// How a per-request lifetime finishes the journal's in-flight
+    /// unit. Always [`QuickDrop::resume_requests_until`]; private, so
+    /// only this module's negative control can swap in an unsound one.
+    resume: Resume,
+}
+
+impl Default for Harness {
+    fn default() -> Harness {
+        Harness {
+            deploys: BTreeMap::new(),
+            references: BTreeMap::new(),
+            resume: QuickDrop::resume_requests_until,
+        }
+    }
 }
 
 fn ckpt_path() -> PathBuf {
@@ -149,7 +229,9 @@ fn workload_key(w: &Workload) -> String {
     format!("{w:?}")
 }
 
-fn serve_config(w: &Workload) -> ServeConfig {
+/// The service configuration `w`'s lifetimes plan from — the units an
+/// enumerated boundary kill indexes.
+pub fn serve_config(w: &Workload) -> ServeConfig {
     ServeConfig {
         tenants: w.tenants,
         arrival_requests: w.requests,
@@ -187,14 +269,14 @@ fn isolation(w: &Workload) -> IsolationConfig {
     }
 }
 
-fn guard_policy() -> qd_unlearn::GuardPolicy {
+fn guard_policy() -> GuardPolicy {
     // Coalesced batches run several ascents back-to-back before the
     // shared recovery, so drift accumulates well past the
     // single-request budget; keep a real budget in force with enough
     // headroom that a clean run never rolls back.
-    qd_unlearn::GuardPolicy {
+    GuardPolicy {
         drift_budget: 64.0,
-        ..qd_unlearn::GuardPolicy::default()
+        ..GuardPolicy::default()
     }
 }
 
@@ -213,21 +295,7 @@ impl Harness {
     /// reference run fails — both mean the *schedule* is broken, not
     /// the system under test.
     pub fn run(&mut self, schedule: &ChaosSchedule) -> Result<RunReport, ChaosError> {
-        let outcome = self.execute(schedule)?;
-        let registry = crate::invariant::registry();
-        let mut violations = Vec::new();
-        for invariant in &registry {
-            if let Some(v) = invariant.check(&outcome) {
-                violations.push(v);
-            }
-        }
-        Ok(RunReport {
-            completed: !outcome.stalled(),
-            attempts: outcome.attempts,
-            faults_fired: outcome.faults_fired,
-            invariants_checked: registry.len() as u64,
-            violations,
-        })
+        Ok(self.execute(schedule)?.report())
     }
 
     /// Executes `schedule` and returns the raw outcome without checking
@@ -239,13 +307,7 @@ impl Harness {
     pub fn execute(&mut self, schedule: &ChaosSchedule) -> Result<RunOutcome, ChaosError> {
         schedule.validate().map_err(ChaosError)?;
         let w = schedule.workload.clone();
-        self.ensure_deploy(&w)?;
-        self.ensure_reference(&w)?;
-        let reference = self
-            .references
-            .get(&workload_key(&w))
-            .cloned()
-            .ok_or_else(|| ChaosError("reference cache miss after fill".to_string()))?;
+        let reference = self.reference(&w)?.terminal.clone();
 
         let fs = Arc::new(FaultFs::new());
         let mut attempt: u32 = 0;
@@ -281,10 +343,10 @@ impl Harness {
                 }
                 Err(death) => {
                     faults_fired += armed.saturating_sub(fs.pending_faults());
-                    if death.starts_with(BOUNDARY_DEATH) {
-                        faults_fired += 1;
-                    }
-                    last_error = death;
+                    // A boundary preemption leaves no unfired entry in
+                    // the `FaultFs` schedule to count it by.
+                    faults_fired += u64::from(matches!(death, Death::Boundary(_)));
+                    last_error = death.to_string();
                     fs.crash();
                     attempt += 1;
                     if attempt > schedule.max_resumes {
@@ -337,33 +399,98 @@ impl Harness {
         Ok(())
     }
 
-    fn ensure_reference(&mut self, w: &Workload) -> Result<(), ChaosError> {
+    /// The fault-free reference lifetime of `w`, run once per workload.
+    fn reference(&mut self, w: &Workload) -> Result<&Reference, ChaosError> {
+        self.ensure_deploy(w)?;
         let key = workload_key(w);
-        if self.references.contains_key(&key) {
-            return Ok(());
+        if !self.references.contains_key(&key) {
+            let fs = Arc::new(FaultFs::new());
+            let terminal = self
+                .attempt(w, &fs, None)
+                .map_err(|e| ChaosError(format!("fault-free reference run failed: {e}")))?;
+            let ops = fs.op_count();
+            self.references
+                .insert(key.clone(), Reference { terminal, ops });
         }
-        let fs = Arc::new(FaultFs::new());
-        let terminal = self
-            .attempt(w, &fs, None)
-            .map_err(|e| ChaosError(format!("fault-free reference run failed: {e}")))?;
-        self.references.insert(key, terminal);
-        Ok(())
+        self.references
+            .get(&key)
+            .ok_or_else(|| ChaosError("reference cache miss after fill".to_string()))
+    }
+
+    /// Every single-death schedule of `w`: one kill per `Vfs` operation
+    /// of its fault-free lifetime, and one per journal boundary each
+    /// planned unit reaches in it — RECEIVED always; FAILED and
+    /// QUARANTINED where the reference run shed or quarantined a member
+    /// of the unit; `Unlearned(k)` for each member it served, and
+    /// RECOVERED if it served any. Both bounds come from the reference
+    /// run, so every schedule's kill fires, and one resume is all it is
+    /// allowed.
+    ///
+    /// # Errors
+    ///
+    /// As [`Harness::run`].
+    pub fn exhaustive(&mut self, w: &Workload) -> Result<Vec<ChaosSchedule>, ChaosError> {
+        let single_death = |point| ChaosSchedule {
+            seed: w.train_seed,
+            workload: w.clone(),
+            faults: vec![InjectedFault {
+                attempt: 0,
+                spec: FaultSpec::Crash(point),
+            }],
+            max_resumes: 1,
+        };
+        single_death(CrashPoint::VfsOp(0))
+            .validate()
+            .map_err(ChaosError)?;
+        let plan = build_plan(&serve_config(w)).map_err(ChaosError)?;
+        let reference = self.reference(w)?;
+        // Sequence numbers are handed out in plan order, member by
+        // member, so a record's `seq` names its unit.
+        let unit_of_seq: Vec<usize> = (plan.batches.iter().enumerate())
+            .flat_map(|(unit, batch)| vec![unit; batch.members.len()])
+            .collect();
+        let reached = |unit: usize, state: RequestState| {
+            let records = reference.terminal.records.iter();
+            records
+                .filter(|r| r.state == state && unit_of_seq.get(r.seq as usize) == Some(&unit))
+                .count()
+        };
+        let mut points: Vec<CrashPoint> = (0..reference.ops).map(CrashPoint::VfsOp).collect();
+        for unit in 0..plan.batches.len() {
+            let served = reached(unit, RequestState::Recovered);
+            let mut boundaries = vec![BatchPreempt::Received];
+            if reached(unit, RequestState::Failed) > 0 {
+                boundaries.push(BatchPreempt::Failed);
+            }
+            if reached(unit, RequestState::Quarantined) > 0 {
+                boundaries.push(BatchPreempt::Quarantined);
+            }
+            boundaries.extend((1..=served).map(BatchPreempt::Unlearned));
+            if served > 0 {
+                boundaries.push(BatchPreempt::Recovered);
+            }
+            points.extend(
+                (boundaries.into_iter()).map(|boundary| CrashPoint::Boundary { unit, boundary }),
+            );
+        }
+        Ok(points.into_iter().map(single_death).collect())
     }
 
     /// One process lifetime: deploy or recover from whatever `fs`
-    /// holds, serve to completion, persist stats, relearn when the
-    /// workload asks for it. Any surfaced storage error or boundary
-    /// preemption is the process dying, reported as `Err`.
+    /// holds, serve the plan to completion through the workload's front
+    /// door, relearn when the workload asks for it. Any surfaced storage
+    /// error or boundary preemption is the process dying, reported as
+    /// `Err`.
     fn attempt(
         &self,
         w: &Workload,
         fs: &Arc<FaultFs>,
         kill: Option<ChaosKill>,
-    ) -> Result<Terminal, String> {
+    ) -> Result<Terminal, Death> {
         let seed = self
             .deploys
             .get(&env_key(w))
-            .ok_or_else(|| "deploy cache miss".to_string())?;
+            .ok_or_else(|| Death::error("deploy cache miss"))?;
         let ckpt = ckpt_path();
         let journal_path = RequestJournal::path_for_checkpoint(&ckpt);
 
@@ -375,13 +502,15 @@ impl Harness {
         let (mut qd, mut fed, mut journal) = if fs.file(&ckpt).is_none() {
             seed.ckpt
                 .save_on(fs.as_ref(), &ckpt)
-                .map_err(|e| e.to_string())?;
+                .map_err(Death::error)?;
             seed.ckpt.clone().open_on(vfs, &journal_path, model)
         } else {
             QuickDrop::open_deployment(vfs, &ckpt, &journal_path, model)
                 .map(|(qd, fed, journal, _fell_back)| (qd, fed, journal))
         }
-        .map_err(|e| e.to_string())?;
+        .map_err(Death::error)?;
+        // The post-training stream; the journal tail, once there is
+        // one, overrides it.
         let mut rng = Rng::from_state(&seed.rng);
 
         if spike_active(w) {
@@ -392,8 +521,7 @@ impl Harness {
             )));
         }
         let cfg = serve_config(w);
-        let policy = guard_policy();
-        let iso = isolation(w);
+        let service = w.front_door == FrontDoor::Service;
 
         let relearned = journal
             .records()
@@ -403,7 +531,11 @@ impl Harness {
             // A previous lifetime finished the whole lifecycle; rebuild
             // live state from the tail and reread the persisted stats.
             qd.restore_tail(&mut fed, &journal, &mut rng);
-            let stats = read_stats(fs)?;
+            let stats = if service {
+                Some(read_stats(fs).map_err(Death::error)?)
+            } else {
+                None
+            };
             return Ok(Terminal {
                 global: fed.global().to_vec(),
                 rng: rng.state(),
@@ -414,30 +546,36 @@ impl Harness {
             });
         }
 
-        // The executor finishes whatever unit a previous lifetime left
-        // in flight, under the policy (ladder rung) it started under.
-        let run = run_service_isolated(
-            &mut qd,
-            &mut fed,
-            &mut journal,
-            &cfg,
-            Some(&policy),
-            &iso,
-            &mut rng,
-            kill,
-        )
-        .map_err(|e| e.to_string())?;
-        if run.preempted {
-            return Err(format!(
-                "{BOUNDARY_DEATH} after {} executed unit(s)",
-                run.executed_units
-            ));
-        }
+        let stats = if service {
+            // The executor finishes whatever unit a previous lifetime
+            // left in flight, under the policy (ladder rung) it started
+            // under.
+            let run = run_service_isolated(
+                &mut qd,
+                &mut fed,
+                &mut journal,
+                &cfg,
+                Some(&guard_policy()),
+                &isolation(w),
+                &mut rng,
+                kill,
+            )
+            .map_err(Death::error)?;
+            if run.preempted {
+                return Err(Death::Boundary(run.executed_units));
+            }
+            Some(run.stats)
+        } else {
+            self.serve_per_request(&cfg, &mut qd, &mut fed, &mut journal, &mut rng, kill)?;
+            None
+        };
 
         let frontier = frontier_summary(&cfg, &journal).map_err(|e| e.to_string());
-        run.stats
-            .save_json_on(fs.as_ref(), &stats_path())
-            .map_err(|e| e.to_string())?;
+        if let Some(stats) = &stats {
+            stats
+                .save_json_on(fs.as_ref(), &stats_path())
+                .map_err(Death::error)?;
+        }
 
         if w.relearn {
             let recovered = journal
@@ -448,7 +586,7 @@ impl Harness {
             if let Some(request) = recovered {
                 let phase = qd.config().relearn_phase;
                 qd.relearn_journaled(&mut fed, &mut journal, request, &phase, &mut rng)
-                    .map_err(|e| e.to_string())?;
+                    .map_err(Death::error)?;
             }
         }
 
@@ -456,17 +594,72 @@ impl Harness {
             global: fed.global().to_vec(),
             rng: rng.state(),
             records: journal.records().to_vec(),
-            stats: run.stats,
+            stats,
             frontier: Some(frontier),
             files: fs.files(),
         })
     }
-}
 
-/// Prefix of the death message a journal-boundary kill produces; the
-/// fault accounting uses it to count the kill as fired (a boundary
-/// preemption leaves no unfired entry in the `FaultFs` schedule).
-const BOUNDARY_DEATH: &str = "preempted at journal boundary";
+    /// The per-request front door: what a sequence of `quickdrop-cli
+    /// unlearn --journal` invocations does to an open deployment, in
+    /// one lifetime. Finish the unit a previous lifetime left in flight
+    /// (restoring model, RNG and marks from the journal tail), then
+    /// serve every planned unit that has not started, each through its
+    /// own journaled call. `kill` names a plan unit whichever call
+    /// executes it.
+    fn serve_per_request(
+        &self,
+        cfg: &ServeConfig,
+        qd: &mut QuickDrop,
+        fed: &mut Federation,
+        journal: &mut RequestJournal,
+        rng: &mut Rng,
+        kill: Option<ChaosKill>,
+    ) -> Result<(), Death> {
+        let plan = build_plan(cfg).map_err(Death::error)?;
+        let policy = guard_policy();
+        let preempt_in = |unit: usize| kill.filter(|k| k.unit_index == unit).map(|k| k.boundary);
+        // A unit's RECEIVED set is one atomic frame and units are served
+        // in plan order, so the RECEIVED count says how many started.
+        let mut received = (journal.records().iter())
+            .filter(|r| r.state == RequestState::Received)
+            .count();
+        let mut started = 0usize;
+        for unit in &plan.batches {
+            if received == 0 {
+                break;
+            }
+            received = received.saturating_sub(unit.members.len());
+            started += 1;
+        }
+        let in_flight = started.checked_sub(1).and_then(preempt_in);
+        let resumed =
+            (self.resume)(qd, fed, journal, Some(&policy), rng, in_flight).map_err(Death::error)?;
+        let resumed = match resumed {
+            ResumeRun::Preempted { .. } => return Err(Death::Boundary(0)),
+            ResumeRun::Complete(finished) => u64::from(finished.is_some()),
+        };
+        for (index, unit) in plan.batches.iter().enumerate().skip(started) {
+            let (policy, preempt) = (Some(&policy), preempt_in(index));
+            let preempted = match unit.members.as_slice() {
+                &[alone] => matches!(
+                    qd.serve_journaled(fed, journal, alone, policy, rng, preempt)
+                        .map_err(Death::error)?,
+                    ServeRun::Preempted { .. }
+                ),
+                members => matches!(
+                    qd.serve_batch_journaled(fed, journal, members, policy, rng, preempt)
+                        .map_err(Death::error)?,
+                    BatchRun::Preempted { .. }
+                ),
+            };
+            if preempted {
+                return Err(Death::Boundary(resumed + (index - started) as u64));
+            }
+        }
+        Ok(())
+    }
+}
 
 fn read_stats(fs: &FaultFs) -> Result<ServeStats, String> {
     let bytes = fs
@@ -475,4 +668,52 @@ fn read_stats(fs: &FaultFs) -> Result<ServeStats, String> {
     let text = String::from_utf8(bytes).map_err(|e| e.to_string())?;
     let value = serde_json::from_str(&text).map_err(|e| e.to_string())?;
     serde::Deserialize::from_value(&value).map_err(|e: serde::DeError| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The negative control: the harness can fail. A per-request
+    /// lifetime whose resume neither restores the journal tail nor
+    /// finishes the in-flight unit is unsound from the first durable
+    /// record on, and `kill-resume-equivalence` says so at every
+    /// enumerated journal boundary — while a kill before anything was
+    /// durable, where there is nothing to resume, still passes.
+    #[test]
+    fn an_unsound_resume_is_caught_at_every_enumerated_boundary() {
+        let w = Workload {
+            train_seed: 42,
+            samples: 120,
+            clients: 3,
+            rounds: 3,
+            byzantine_frac: 0.0,
+            net_drop: 0.0,
+            ascent_spike: 1.0,
+            tenants: 2,
+            requests: 3,
+            serve_seed: 11,
+            breaker_trip: 0,
+            breaker_cooldown: 2,
+            relearn: true,
+            front_door: FrontDoor::PerRequest,
+        };
+        let mut harness = Harness::new();
+        harness.resume = |_, _, _, _, _, _| Ok(ResumeRun::Complete(None));
+        let schedules = harness.exhaustive(&w).expect("the workload enumerates");
+        let mut boundaries = 0;
+        for schedule in &schedules {
+            let spec = schedule.faults[0].spec;
+            let at_boundary = matches!(spec, FaultSpec::Crash(CrashPoint::Boundary { .. }));
+            if !at_boundary && spec != FaultSpec::Crash(CrashPoint::VfsOp(0)) {
+                continue;
+            }
+            let report = harness.run(schedule).expect("schedule executes");
+            let caught =
+                (report.violations.iter()).any(|v| v.invariant == "kill-resume-equivalence");
+            assert_eq!(caught, at_boundary, "{spec:?}: {:?}", report.violations);
+            boundaries += usize::from(at_boundary);
+        }
+        assert!(boundaries > 0, "the workload must reach journal boundaries");
+    }
 }

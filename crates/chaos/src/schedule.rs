@@ -11,10 +11,25 @@
 use qd_core::{CrashPoint, Fault};
 use serde::{DeError, Deserialize, Serialize, Value};
 
+/// Which serving calls a process lifetime makes — the two ways the
+/// shipped CLI reaches the unit engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum FrontDoor {
+    /// `quickdrop-cli serve`: `run_service_isolated` over the whole
+    /// plan, then the stats write.
+    Service,
+    /// `quickdrop-cli unlearn|relearn --journal`: `open_deployment →
+    /// resume_requests → serve_journaled | serve_batch_journaled |
+    /// relearn_journaled`, the plan's units served one call each (a
+    /// one-member unit alone, a coalesced one as a batch). No failure
+    /// isolation and no stats file: neither exists behind this door.
+    PerRequest,
+}
+
 /// The workload every run of a schedule executes — the environment and
 /// service mix shared by the reference and faulted runs, so that the
 /// only difference between the two is the injected failures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Seed of the training environment (model init, data, partition,
     /// Byzantine client assignment).
@@ -50,6 +65,66 @@ pub struct Workload {
     /// Relearn the first RECOVERED request after the service run — the
     /// full deploy→serve→relearn lifecycle.
     pub relearn: bool,
+    /// The serving calls each lifetime makes. Written to JSON only when
+    /// it is not [`FrontDoor::Service`], so a service schedule's bytes
+    /// (and every `chaos-repro.json` written before the field existed)
+    /// are unchanged.
+    pub front_door: FrontDoor,
+}
+
+// Hand-written because the vendored derive has no `skip_serializing_if`
+// / `default`: `front_door` must be absent for a service workload.
+impl Serialize for Workload {
+    fn to_value(&self) -> Value {
+        let mut map = vec![
+            ("train_seed".to_string(), self.train_seed.to_value()),
+            ("samples".to_string(), self.samples.to_value()),
+            ("clients".to_string(), self.clients.to_value()),
+            ("rounds".to_string(), self.rounds.to_value()),
+            ("byzantine_frac".to_string(), self.byzantine_frac.to_value()),
+            ("net_drop".to_string(), self.net_drop.to_value()),
+            ("ascent_spike".to_string(), self.ascent_spike.to_value()),
+            ("tenants".to_string(), self.tenants.to_value()),
+            ("requests".to_string(), self.requests.to_value()),
+            ("serve_seed".to_string(), self.serve_seed.to_value()),
+            ("breaker_trip".to_string(), self.breaker_trip.to_value()),
+            (
+                "breaker_cooldown".to_string(),
+                self.breaker_cooldown.to_value(),
+            ),
+            ("relearn".to_string(), self.relearn.to_value()),
+        ];
+        if self.front_door != FrontDoor::Service {
+            map.push(("front_door".to_string(), self.front_door.to_value()));
+        }
+        Value::Map(map)
+    }
+}
+
+impl Deserialize for Workload {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        fn get<T: Deserialize>(v: &Value, field: &str) -> Result<T, DeError> {
+            T::from_value(v.field("Workload", field)?)
+        }
+        Ok(Workload {
+            train_seed: get(v, "train_seed")?,
+            samples: get(v, "samples")?,
+            clients: get(v, "clients")?,
+            rounds: get(v, "rounds")?,
+            byzantine_frac: get(v, "byzantine_frac")?,
+            net_drop: get(v, "net_drop")?,
+            ascent_spike: get(v, "ascent_spike")?,
+            tenants: get(v, "tenants")?,
+            requests: get(v, "requests")?,
+            serve_seed: get(v, "serve_seed")?,
+            breaker_trip: get(v, "breaker_trip")?,
+            breaker_cooldown: get(v, "breaker_cooldown")?,
+            relearn: get(v, "relearn")?,
+            front_door: v
+                .get("front_door")
+                .map_or(Ok(FrontDoor::Service), FrontDoor::from_value)?,
+        })
+    }
 }
 
 /// One storage-level fault of the non-kill family. Process deaths are
@@ -223,6 +298,12 @@ impl ChaosSchedule {
         if w.breaker_trip > 0 && w.breaker_cooldown == 0 {
             return Err("a breaker trip threshold needs a cooldown ≥ 1".to_string());
         }
+        if w.front_door == FrontDoor::PerRequest && w.ascent_spike > 1.0 {
+            return Err(
+                "the per-request front door has no failure isolation to survive an ascent spike"
+                    .to_string(),
+            );
+        }
         let mut crash_attempts: Vec<u32> = Vec::new();
         let mut storage_slots: Vec<(u32, u64)> = Vec::new();
         for fault in &self.faults {
@@ -318,6 +399,7 @@ impl ChaosSchedule {
             breaker_trip: if stream(3) == 0 { 1 } else { 0 },
             breaker_cooldown: 2,
             relearn: stream(2) == 0,
+            front_door: FrontDoor::Service,
         };
         let lethal = 1 + stream(3) as u32;
         let mut faults = Vec::new();

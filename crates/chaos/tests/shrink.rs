@@ -3,7 +3,9 @@
 //! committed `chaos-repro.json` fixture replays to a byte-for-byte
 //! identical violation report.
 
-use qd_chaos::{shrink, ChaosSchedule, FaultSpec, Harness, InjectedFault, Repro, Workload};
+use qd_chaos::{
+    shrink, ChaosSchedule, FaultSpec, FrontDoor, Harness, InjectedFault, Repro, Workload,
+};
 use qd_core::CrashPoint;
 
 /// A schedule that cannot complete: every allowed lifetime (initial
@@ -24,6 +26,7 @@ fn stalling_schedule() -> ChaosSchedule {
         breaker_trip: 0,
         breaker_cooldown: 2,
         relearn: true,
+        front_door: FrontDoor::Service,
     };
     let faults = (0..2)
         .map(|attempt| InjectedFault {

@@ -1,22 +1,21 @@
-//! Journal acceptance: a request stream killed at every journal state
-//! boundary (after RECEIVED, after UNLEARNED, after RECOVERED) resumes
-//! from the deployment checkpoint + journal and reproduces the
-//! uninterrupted run bit-for-bit — final model bits, RNG stream, and the
-//! persisted `GuardStats` counters. A request served alone and a
-//! coalesced batch go through the same unit engine; the tests at the
-//! end pin the two places they are allowed to differ (the batch id on
-//! disk, and what `Unlearned(k)` names).
+//! Journal acceptance: what a served request stream leaves in the
+//! journal, and how the journal refuses what it cannot read. A request
+//! served alone and a coalesced batch go through the same unit engine;
+//! the tests at the end pin the two places they are allowed to differ
+//! (the batch id on disk, and what `Unlearned(k)` names). Killing a
+//! stream at every boundary and resuming it is tested in
+//! `crates/chaos/tests/exhaustive.rs` (the per-request workload).
 
 use qd_core::{
     BatchId, BatchPreempt, BatchRun, Checkpoint, FaultFs, JournalError, JournalRecord, QuickDrop,
-    QuickDropConfig, RequestJournal, RequestState, ResumeRun, ServeRun, StdFs, Vfs,
+    QuickDropConfig, RequestJournal, RequestState, ResumeRun, ServeRun, Vfs,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};
 use qd_nn::{Mlp, Module};
 use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
-use qd_unlearn::{GuardPolicy, MethodOutcome, UnlearnRequest};
+use qd_unlearn::{GuardPolicy, UnlearnRequest};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -77,52 +76,18 @@ fn assert_same_records(reference: &[JournalRecord], resumed: &[JournalRecord]) {
     }
 }
 
-struct Paths {
-    ckpt: PathBuf,
-    journal: PathBuf,
+/// The journal survives a reopen byte-for-byte.
+fn assert_reopens_identically(fs: &Arc<FaultFs>, journal: &RequestJournal) {
+    let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
+    let reopened = RequestJournal::open_on(vfs, PathBuf::from("d.json.journal")).unwrap();
+    assert_same_records(journal.records(), reopened.records());
 }
 
-fn paths(name: &str) -> Paths {
-    let dir = std::env::temp_dir().join("qd_journal_resume_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let ckpt = dir.join(format!("{name}.json"));
-    let journal = RequestJournal::path_for_checkpoint(&ckpt);
-    std::fs::remove_file(&ckpt).ok();
-    std::fs::remove_file(&journal).ok();
-    Paths { ckpt, journal }
-}
-
-/// A fresh process after a kill, as `quickdrop-cli unlearn --journal`
-/// starts: open the deployment, finish the journal's in-flight unit.
-fn recover(
-    paths: &Paths,
-    policy: &GuardPolicy,
-) -> (
-    QuickDrop,
-    Federation,
-    RequestJournal,
-    Rng,
-    Option<MethodOutcome>,
-) {
-    let (mut qd, mut fed, mut journal, fell_back) =
-        QuickDrop::open_deployment(Arc::new(StdFs), &paths.ckpt, &paths.journal, model()).unwrap();
-    assert!(fell_back.is_none(), "the primary checkpoint is intact");
-    let mut rng = Rng::seed_from(0); // restored from the journal tail
-    let finished = qd
-        .resume_requests(&mut fed, &mut journal, Some(policy), &mut rng)
-        .unwrap();
-    (qd, fed, journal, rng, finished)
-}
-
-/// The uninterrupted run: train, serve both requests journaled, relearn
-/// the first. Returns the final global parameters and the journal.
-fn uninterrupted(paths: &Paths) -> (Vec<Tensor>, RequestJournal) {
-    let (mut fed, mut rng) = fresh_fed();
-    let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
-    Checkpoint::capture(fed.global(), &qd)
-        .save(&paths.ckpt)
-        .unwrap();
-    let mut journal = RequestJournal::open(&paths.journal).unwrap();
+#[test]
+fn a_request_stream_journals_the_full_state_machine() {
+    // Serve both requests journaled, relearn the first.
+    let fs = Arc::new(FaultFs::new());
+    let (mut fed, mut qd, mut rng, mut journal) = deployment_on(&fs);
     for request in REQUESTS {
         let run = qd
             .serve_journaled(
@@ -149,98 +114,8 @@ fn uninterrupted(paths: &Paths) -> (Vec<Tensor>, RequestJournal) {
         &mut rng,
     )
     .unwrap();
-    (fed.global().to_vec(), journal)
-}
-
-/// Kill at `kill` while serving the first request — which must stop
-/// the run with `landed` as the last durable state and report
-/// `reported` — then resume in a "fresh process" and finish the stream
-/// identically.
-fn kill_and_resume(
-    kill: BatchPreempt,
-    landed: RequestState,
-    reported: BatchPreempt,
-    reference: &(Vec<Tensor>, RequestJournal),
-) {
-    let paths = paths(&format!("kill_{kill:?}"));
-
-    // Process A: train, checkpoint, die right after `boundary` is durable.
-    {
-        let (mut fed, mut rng) = fresh_fed();
-        let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
-        Checkpoint::capture(fed.global(), &qd)
-            .save(&paths.ckpt)
-            .unwrap();
-        let mut journal = RequestJournal::open(&paths.journal).unwrap();
-        let run = qd
-            .serve_journaled(
-                &mut fed,
-                &mut journal,
-                REQUESTS[0],
-                Some(&policy()),
-                &mut rng,
-                Some(kill),
-            )
-            .unwrap();
-        let ServeRun::Preempted { boundary } = run else {
-            panic!("serving must stop at the {kill:?} boundary");
-        };
-        assert_eq!(boundary, reported);
-        assert_eq!(journal.last().unwrap().state, landed);
-    }
-
-    // Process B: model, RNG and request progress all come from the
-    // checkpoint + journal.
-    let (mut qd, mut fed, mut journal, mut rng, finished) = recover(&paths, &policy());
-    match landed {
-        RequestState::Recovered => assert!(finished.is_none(), "nothing was in flight"),
-        _ => {
-            let outcome = finished.expect("resume finishes the in-flight request");
-            assert_eq!(
-                outcome
-                    .guard
-                    .expect("stats persisted across the kill")
-                    .rollbacks,
-                0
-            );
-        }
-    }
-    assert_eq!(journal.last().unwrap().state, RequestState::Recovered);
-
-    // Finish the stream exactly as the uninterrupted run did.
-    qd.serve_journaled(
-        &mut fed,
-        &mut journal,
-        REQUESTS[1],
-        Some(&policy()),
-        &mut rng,
-        None,
-    )
-    .unwrap();
-    let relearn_phase = qd.config().relearn_phase;
-    qd.relearn_journaled(
-        &mut fed,
-        &mut journal,
-        REQUESTS[0],
-        &relearn_phase,
-        &mut rng,
-    )
-    .unwrap();
-
-    assert_bit_identical(&reference.0, fed.global());
-    assert_same_records(reference.1.records(), journal.records());
-
-    std::fs::remove_file(&paths.ckpt).ok();
-    std::fs::remove_file(&paths.journal).ok();
-}
-
-#[test]
-fn killed_request_stream_resumes_bit_for_bit_at_every_boundary() {
-    let ref_paths = paths("reference");
-    let reference = uninterrupted(&ref_paths);
     assert_eq!(
-        reference
-            .1
+        journal
             .records()
             .iter()
             .map(|r| (r.seq, r.state))
@@ -256,39 +131,7 @@ fn killed_request_stream_resumes_bit_for_bit_at_every_boundary() {
         ],
         "journal must trace the full state machine"
     );
-    // The journal survives a reopen byte-for-byte.
-    let reopened = RequestJournal::open(ref_paths.journal.clone()).unwrap();
-    assert_same_records(reference.1.records(), reopened.records());
-
-    // A request served alone is its unit's one member, so any
-    // `Unlearned(k)` names its UNLEARNED record and reports `Unlearned(1)`.
-    for (kill, landed, reported) in [
-        (
-            BatchPreempt::Received,
-            RequestState::Received,
-            BatchPreempt::Received,
-        ),
-        (
-            BatchPreempt::Unlearned(1),
-            RequestState::Unlearned,
-            BatchPreempt::Unlearned(1),
-        ),
-        (
-            BatchPreempt::Unlearned(2),
-            RequestState::Unlearned,
-            BatchPreempt::Unlearned(1),
-        ),
-        (
-            BatchPreempt::Recovered,
-            RequestState::Recovered,
-            BatchPreempt::Recovered,
-        ),
-    ] {
-        kill_and_resume(kill, landed, reported, &reference);
-    }
-
-    std::fs::remove_file(&ref_paths.ckpt).ok();
-    std::fs::remove_file(&ref_paths.journal).ok();
+    assert_reopens_identically(&fs, &journal);
 }
 
 #[test]
@@ -360,15 +203,12 @@ fn batch_policy() -> GuardPolicy {
     }
 }
 
-/// Uninterrupted coalesced batch of both requests: one RECEIVED set,
-/// two UNLEARNED records, one shared recovery, one RECOVERED set.
-fn uninterrupted_batch(paths: &Paths) -> (Vec<Tensor>, RequestJournal) {
-    let (mut fed, mut rng) = fresh_fed();
-    let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
-    Checkpoint::capture(fed.global(), &qd)
-        .save(&paths.ckpt)
-        .unwrap();
-    let mut journal = RequestJournal::open(&paths.journal).unwrap();
+#[test]
+fn a_batch_journals_atomic_sets_around_per_member_records() {
+    // One coalesced batch of both requests: one RECEIVED set, two
+    // UNLEARNED records, one shared recovery, one RECOVERED set.
+    let fs = Arc::new(FaultFs::new());
+    let (mut fed, mut qd, mut rng, mut journal) = deployment_on(&fs);
     let run = qd
         .serve_batch_journaled(
             &mut fed,
@@ -388,75 +228,8 @@ fn uninterrupted_batch(paths: &Paths) -> (Vec<Tensor>, RequestJournal) {
         "one attempt per member"
     );
     assert_eq!(stats.rollbacks, 0);
-    (fed.global().to_vec(), journal)
-}
-
-/// Kill mid-batch at `boundary`, resume in a fresh process, and the
-/// model, journal and per-request terminal states must all match the
-/// unfailed batch run bit-for-bit.
-fn kill_and_resume_batch(
-    boundary: BatchPreempt,
-    name: &str,
-    reference: &(Vec<Tensor>, RequestJournal),
-) {
-    let paths = paths(name);
-
-    // Process A: train, checkpoint, die right after `boundary` is durable.
-    {
-        let (mut fed, mut rng) = fresh_fed();
-        let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
-        Checkpoint::capture(fed.global(), &qd)
-            .save(&paths.ckpt)
-            .unwrap();
-        let mut journal = RequestJournal::open(&paths.journal).unwrap();
-        let run = qd
-            .serve_batch_journaled(
-                &mut fed,
-                &mut journal,
-                &REQUESTS,
-                Some(&batch_policy()),
-                &mut rng,
-                Some(boundary),
-            )
-            .unwrap();
-        let BatchRun::Preempted { boundary: stopped } = run else {
-            panic!("batch serving must stop at {boundary:?}");
-        };
-        assert_eq!(stopped, boundary);
-    }
-
-    // Process B: batch membership and progress come entirely from the
-    // checkpoint + journal.
-    let (_qd, fed, journal, _rng, finished) = recover(&paths, &batch_policy());
-    match boundary {
-        BatchPreempt::Recovered => assert!(finished.is_none(), "nothing was in flight"),
-        _ => assert!(finished.is_some(), "resume finishes the in-flight batch"),
-    }
-
-    assert_bit_identical(&reference.0, fed.global());
-    assert_same_records(reference.1.records(), journal.records());
-    // Every member ends fully served.
-    for request in REQUESTS {
-        let terminal = journal
-            .records()
-            .iter()
-            .rev()
-            .find(|r| r.request == request)
-            .expect("member has records");
-        assert_eq!(terminal.state, RequestState::Recovered, "{request}");
-    }
-
-    std::fs::remove_file(&paths.ckpt).ok();
-    std::fs::remove_file(&paths.journal).ok();
-}
-
-#[test]
-fn killed_batch_resumes_bit_for_bit_at_every_boundary() {
-    let ref_paths = paths("batch_reference");
-    let reference = uninterrupted_batch(&ref_paths);
     assert_eq!(
-        reference
-            .1
+        journal
             .records()
             .iter()
             .map(|r| (r.seq, r.state, r.batch.map(|b| b.0)))
@@ -471,31 +244,12 @@ fn killed_batch_resumes_bit_for_bit_at_every_boundary() {
         ],
         "batch journal: atomic RECEIVED set, per-member UNLEARNED, atomic RECOVERED set"
     );
-    // The batch journal survives a reopen byte-for-byte (version 2 with
-    // batch ids round-trips).
-    let reopened = RequestJournal::open(ref_paths.journal.clone()).unwrap();
-    assert_same_records(reference.1.records(), reopened.records());
-    assert_eq!(reopened.records()[0].batch, reference.1.records()[0].batch);
-
-    for (boundary, name) in [
-        (BatchPreempt::Received, "batch_kill_received"),
-        (BatchPreempt::Unlearned(1), "batch_kill_unlearned_1"),
-        (BatchPreempt::Unlearned(2), "batch_kill_unlearned_2"),
-        (BatchPreempt::Recovered, "batch_kill_recovered"),
-    ] {
-        kill_and_resume_batch(boundary, name, &reference);
-    }
-
-    std::fs::remove_file(&ref_paths.ckpt).ok();
-    std::fs::remove_file(&ref_paths.journal).ok();
+    assert_reopens_identically(&fs, &journal);
 }
 
 #[test]
 fn relearn_of_an_unserved_request_is_rejected() {
-    let paths = paths("unserved_relearn");
-    let (mut fed, mut rng) = fresh_fed();
-    let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
-    let mut journal = RequestJournal::open(&paths.journal).unwrap();
+    let (mut fed, mut qd, mut rng, mut journal) = deployment_on(&Arc::new(FaultFs::new()));
     let phase = qd.config().relearn_phase;
     let err = qd
         .relearn_journaled(&mut fed, &mut journal, REQUESTS[0], &phase, &mut rng)
@@ -543,6 +297,27 @@ fn unlearned_count_names_a_member_only_inside_a_batch() {
         };
         assert_eq!(last.state, landed, "{kill:?}");
     }
+
+    // Served alone (`batch: None`) the request *is* its unit's one
+    // member: any count names its UNLEARNED record, lands there, and is
+    // reported back as `Unlearned(1)`.
+    let (mut fed, mut qd, mut rng, mut journal) = deployment_on(&Arc::new(FaultFs::new()));
+    let run = qd
+        .serve_journaled(
+            &mut fed,
+            &mut journal,
+            REQUESTS[0],
+            Some(&policy()),
+            &mut rng,
+            Some(BatchPreempt::Unlearned(2)),
+        )
+        .unwrap();
+    let ServeRun::Preempted { boundary } = run else {
+        panic!("serving must stop at the UNLEARNED record");
+    };
+    assert_eq!(boundary, BatchPreempt::Unlearned(1));
+    assert_eq!(journal.last().unwrap().state, RequestState::Unlearned);
+    assert_eq!(journal.last().unwrap().batch, None);
 }
 
 #[test]
@@ -567,6 +342,11 @@ fn a_single_request_is_an_unbatched_unit_of_one_byte_for_byte() {
         "a fresh unit reports its member's real ascent accounting"
     );
     let served_model = fed.global().to_vec();
+    let resumed = qd
+        .resume_requests(&mut fed, &mut journal, Some(&policy()), &mut rng)
+        .unwrap();
+    assert!(resumed.is_none(), "nothing was in flight");
+    assert_bit_identical(&served_model, fed.global());
 
     // ...and the service executor's spelling of the same unit: a
     // hand-appended one-member RECEIVED set with `batch: None`, driven

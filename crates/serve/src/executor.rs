@@ -559,7 +559,7 @@ fn serve_unit(
     let n = unit.members.len();
 
     let mut quarantined: Vec<usize>;
-    let shed: Vec<usize>;
+    let mut shed: Vec<usize>;
     let received_seqs: Vec<u64>;
     let batch_id;
     let pre_rng;
@@ -599,30 +599,36 @@ fn serve_unit(
                 return Ok(UnitRun::Preempted);
             }
             quarantined = Vec::new();
-            // Shed decision: members whose owning tenant's breaker is
-            // OPEN never reach the model. Derived from breaker state,
-            // which is itself a fold over the journal — so a resumed
-            // run re-derives the identical decision (and then simply
-            // reads the FAILED records instead of re-deciding). A
-            // disabled breaker is never OPEN.
-            shed = (0..n)
-                .filter(|&i| owner_tenant(unit, i).is_some_and(|t| breaker.is_open(t)))
-                .collect();
-            if !shed.is_empty() {
-                let frame = terminal_frame(
-                    unit,
-                    &received_seqs,
-                    &shed,
-                    RequestState::Failed,
-                    FailReason::Shed,
-                    batch_id,
-                    &pre_rng,
-                    &pre_global,
-                );
-                journal.append_all(frame).map_err(ServeError::from)?;
-                if kill_at(BatchPreempt::Failed) {
-                    return Ok(UnitRun::Preempted);
-                }
+            shed = Vec::new();
+        }
+    }
+    // Shed decision: members whose owning tenant's breaker is OPEN
+    // never reach the model. Its FAILED frame is the first thing
+    // written after the RECEIVED set, so the decision is still to be
+    // taken exactly when that set is the journal's tail: on a fresh
+    // unit, and on one whose previous process died before the frame
+    // was durable. Derived from breaker state, which is itself a fold
+    // over the journal — so a resumed run re-derives the identical
+    // decision (or reads the FAILED records it already led to). A
+    // disabled breaker is never OPEN.
+    if (journal.last()).is_some_and(|r| r.state == RequestState::Received) {
+        shed = (0..n)
+            .filter(|&i| owner_tenant(unit, i).is_some_and(|t| breaker.is_open(t)))
+            .collect();
+        if !shed.is_empty() {
+            let frame = terminal_frame(
+                unit,
+                &received_seqs,
+                &shed,
+                RequestState::Failed,
+                FailReason::Shed,
+                batch_id,
+                &pre_rng,
+                &pre_global,
+            );
+            journal.append_all(frame).map_err(ServeError::from)?;
+            if kill_at(BatchPreempt::Failed) {
+                return Ok(UnitRun::Preempted);
             }
         }
     }

@@ -39,27 +39,15 @@ echo "== cargo test"
 cargo test --offline --workspace -q
 
 echo "== code lines (scripts/loc.sh; informational, never a gate)"
-./scripts/loc.sh | tail -n 5
-
-echo "== journal kill-and-resume (release, every state boundary)"
-cargo test --offline --release -p qd-core --test journal_resume -q
-
-echo "== serve kill-and-resume (release, every boundary kind + full Vfs crash matrix)"
-cargo test --offline --release -p qd-serve --test chaos -q
-
-echo "== crash-point matrix (release, kill at every Vfs op, stride 1)"
-cargo test --offline --release -p qd-core --test crash_matrix -q
+./scripts/loc.sh | tail -n 6
 
 echo "== durable format corpus (release: pinned journal-v4 + checkpoint-v3 fixtures read bit-for-bit and rewritten byte-for-byte, typed refusal of v1/v2/v3/JSON inputs, corruption corpus, O(1) appends)"
 cargo test --offline --release -p qd-core --test journal_format -q
 
-echo "== poison-request matrix (release: quarantine exactness, kill-at-every-boundary, inertness)"
-cargo test --offline --release -p qd-serve --test poison -q
-
 echo "== isolation properties (release: ladder monotonicity, bisection order-insensitivity)"
 cargo test --offline --release -p qd-serve --test isolation_props -q
 
-echo "== chaos determinism + shrink + fixture replay (release, qd-chaos)"
+echo "== the crash gate (release, qd-chaos: every Vfs op and every journal boundary of the four named workloads, both front doors, all invariants; plus determinism, shrink, fixture replay)"
 cargo test --offline --release -p qd-chaos -q
 
 echo "== whole-system chaos gate (release, pinned seed, 25 schedules, all invariants)"
@@ -115,7 +103,7 @@ request-stream 4027121546bddd40
 serve-mixed 075781b4b7e93219
 DIGESTS
 
-echo "== chaos bench (smoke mode; refreshes BENCH_chaos.json)"
+echo "== chaos bench (smoke mode, Byzantine aggregators)"
 cargo bench --offline -p qd-bench --bench chaos -- --test
 
 echo "== tail bench (smoke mode, 30% dropout)"
@@ -124,10 +112,7 @@ cargo bench --offline -p qd-bench --bench tail -- --test
 echo "== divergence bench (smoke mode, 50x ascent spike)"
 cargo bench --offline -p qd-bench --bench divergence -- --test
 
-echo "== serve bench (smoke mode, crash-mid-batch resume; refreshes BENCH_serve.json)"
+echo "== serve bench (smoke mode; refreshes BENCH_serve.json)"
 cargo bench --offline -p qd-bench --bench serve -- --test
-
-echo "== storage bench (smoke mode, O(1) append contract; refreshes BENCH_storage.json)"
-cargo bench --offline -p qd-bench --bench storage -- --test
 
 echo "all checks passed"

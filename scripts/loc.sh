@@ -6,10 +6,10 @@
 #
 # A file that does not exist counts 0, so the same list can be measured
 # on two commits when one of them deleted a file. With the default list,
-# four more lines follow the total — the crates' integration tests, the
-# root tests, the vendored stand-ins and the benchmark package, by the
-# same measure — so a before/after count covers the whole repository;
-# they are informational and never part of the total.
+# five more lines follow the total — the crates' integration tests, the
+# paper benches, the root tests, the vendored stand-ins and the benchmark
+# package, by the same measure — so a before/after count covers the
+# whole repository; they are informational and never part of the total.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,6 +42,7 @@ done
 printf '%6d total\n' "$total"
 if [ -n "$whole_repo" ]; then
     printf '%6d crates/*/tests (not in the total)\n' "$(tree_lines crates/*/tests)"
+    printf '%6d crates/bench (not in the total)\n' "$(tree_lines crates/bench)"
     printf '%6d tests/ (not in the total)\n' "$(tree_lines tests)"
     printf '%6d vendor/ (not in the total)\n' "$(tree_lines vendor)"
     printf '%6d qd-perf/ (not in the total)\n' "$(tree_lines qd-perf)"
