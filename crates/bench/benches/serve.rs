@@ -2,7 +2,7 @@
 //! the request journal, measured per tenant mix.
 //!
 //! Each mix trains one shared deployment, then runs its seeded arrival
-//! streams through `qd_serve::run_service` — bounded admission,
+//! streams through `qd_serve::run_service_isolated` — bounded admission,
 //! deficit-round-robin fairness, and request coalescing — and reports
 //! the resulting [`ServeStats`] (virtual-clock p50/p99 latency,
 //! throughput, queue depth, coalesce ratio, rejections). The full set
@@ -17,9 +17,7 @@ use qd_bench::{bench_config, print_paper_reference, Setup, Split};
 use qd_core::{Checkpoint, QuickDrop, RequestJournal};
 use qd_data::SyntheticDataset;
 use qd_fed::{FaultKind, FaultPlan, Phase};
-use qd_serve::{
-    build_plan, run_service, run_service_isolated, IsolationConfig, ServeConfig, ServeStats,
-};
+use qd_serve::{build_plan, run_service_isolated, IsolationConfig, ServeConfig, ServeStats};
 use qd_tensor::rng::Rng;
 use qd_unlearn::{GuardPolicy, UnlearnRequest};
 use serde::Serialize;
@@ -198,16 +196,17 @@ fn fresh_journal(name: &str) -> (PathBuf, RequestJournal) {
 /// Runs one mix end to end on a rewound deployment; returns its stats.
 fn run_mix(dep: &mut Deployment, name: &str, cfg: &ServeConfig) -> ServeStats {
     dep.rewind();
-    // Each mix gets a dedicated journal: run_service's progress
+    // Each mix gets a dedicated journal: the executor's progress
     // counting assumes the journal belongs to this plan alone.
     let (path, mut journal) = fresh_journal(name);
     let mut qd = snapshot_qd(dep);
-    let run = run_service(
+    let run = run_service_isolated(
         &mut qd,
         &mut dep.setup.fed,
         &mut journal,
         cfg,
         Some(&policy()),
+        &IsolationConfig::default(),
         &mut dep.setup.rng,
         None,
     )

@@ -18,8 +18,8 @@
 
 use crate::schedule::{ChaosSchedule, FaultSpec, FrontDoor, InjectedFault, Workload};
 use qd_core::{
-    BatchPreempt, BatchRun, Checkpoint, CrashPoint, FaultFs, JournalRecord, QuickDrop,
-    QuickDropConfig, RequestJournal, RequestState, ResumeRun, ServeError, ServeRun, Vfs,
+    units, BatchPreempt, Checkpoint, CrashPoint, FaultFs, JournalRecord, JournaledRun, QuickDrop,
+    QuickDropConfig, RequestJournal, RequestState, ServeError, Vfs,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{FaultPlan, Federation, Phase};
@@ -31,7 +31,7 @@ use qd_serve::{
 };
 use qd_tensor::rng::{Rng, RngState};
 use qd_tensor::Tensor;
-use qd_unlearn::GuardPolicy;
+use qd_unlearn::{GuardPolicy, MethodOutcome};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -179,7 +179,7 @@ type Resume = fn(
     Option<&GuardPolicy>,
     &mut Rng,
     Option<BatchPreempt>,
-) -> Result<ResumeRun, ServeError>;
+) -> Result<JournaledRun<Option<MethodOutcome>>, ServeError>;
 
 /// The chaos executor. Caches trained deployments and fault-free
 /// reference terminals across runs, keyed by the workload knobs that
@@ -442,27 +442,20 @@ impl Harness {
         single_death(CrashPoint::VfsOp(0))
             .validate()
             .map_err(ChaosError)?;
-        let plan = build_plan(&serve_config(w)).map_err(ChaosError)?;
         let reference = self.reference(w)?;
-        // Sequence numbers are handed out in plan order, member by
-        // member, so a record's `seq` names its unit.
-        let unit_of_seq: Vec<usize> = (plan.batches.iter().enumerate())
-            .flat_map(|(unit, batch)| vec![unit; batch.members.len()])
-            .collect();
-        let reached = |unit: usize, state: RequestState| {
-            let records = reference.terminal.records.iter();
-            records
-                .filter(|r| r.state == state && unit_of_seq.get(r.seq as usize) == Some(&unit))
-                .count()
-        };
         let mut points: Vec<CrashPoint> = (0..reference.ops).map(CrashPoint::VfsOp).collect();
-        for unit in 0..plan.batches.len() {
-            let served = reached(unit, RequestState::Recovered);
+        // The reference run served the whole plan, so its journal's
+        // units are the plan's, in plan order.
+        let journaled =
+            units(&reference.terminal.records).map_err(|e| ChaosError(e.to_string()))?;
+        for (unit, journaled) in journaled.iter().enumerate() {
+            let reached = |state| journaled.members.iter().any(|m| m.state == state);
+            let served = journaled.members.iter().filter(|m| m.served()).count();
             let mut boundaries = vec![BatchPreempt::Received];
-            if reached(unit, RequestState::Failed) > 0 {
+            if reached(RequestState::Failed) {
                 boundaries.push(BatchPreempt::Failed);
             }
-            if reached(unit, RequestState::Quarantined) > 0 {
+            if reached(RequestState::Quarantined) {
                 boundaries.push(BatchPreempt::Quarantined);
             }
             boundaries.extend((1..=served).map(BatchPreempt::Unlearned));
@@ -523,10 +516,9 @@ impl Harness {
         let cfg = serve_config(w);
         let service = w.front_door == FrontDoor::Service;
 
-        let relearned = journal
-            .records()
-            .iter()
-            .any(|r| r.state == RequestState::Relearned);
+        let journaled = units(journal.records()).map_err(Death::error)?;
+        let mut members = journaled.iter().flat_map(|unit| &unit.members);
+        let relearned = members.any(|m| m.state == RequestState::Relearned);
         if relearned {
             // A previous lifetime finished the whole lifecycle; rebuild
             // live state from the tail and reread the persisted stats.
@@ -578,11 +570,10 @@ impl Harness {
         }
 
         if w.relearn {
-            let recovered = journal
-                .records()
-                .iter()
-                .find(|r| r.state == RequestState::Recovered)
-                .map(|r| r.request);
+            let recovered = (units(journal.records()).map_err(Death::error)?.iter())
+                .flat_map(|unit| &unit.members)
+                .find(|m| m.state == RequestState::Recovered)
+                .map(|m| m.request);
             if let Some(request) = recovered {
                 let phase = qd.config().relearn_phase;
                 qd.relearn_journaled(&mut fed, &mut journal, request, &phase, &mut rng)
@@ -619,41 +610,27 @@ impl Harness {
         let plan = build_plan(cfg).map_err(Death::error)?;
         let policy = guard_policy();
         let preempt_in = |unit: usize| kill.filter(|k| k.unit_index == unit).map(|k| k.boundary);
-        // A unit's RECEIVED set is one atomic frame and units are served
-        // in plan order, so the RECEIVED count says how many started.
-        let mut received = (journal.records().iter())
-            .filter(|r| r.state == RequestState::Received)
-            .count();
-        let mut started = 0usize;
-        for unit in &plan.batches {
-            if received == 0 {
-                break;
-            }
-            received = received.saturating_sub(unit.members.len());
-            started += 1;
-        }
+        // Units are served in plan order, so the journal's are the
+        // plan's leading ones.
+        let started = units(journal.records()).map_err(Death::error)?.len();
         let in_flight = started.checked_sub(1).and_then(preempt_in);
         let resumed =
             (self.resume)(qd, fed, journal, Some(&policy), rng, in_flight).map_err(Death::error)?;
         let resumed = match resumed {
-            ResumeRun::Preempted { .. } => return Err(Death::Boundary(0)),
-            ResumeRun::Complete(finished) => u64::from(finished.is_some()),
+            JournaledRun::Preempted { .. } => return Err(Death::Boundary(0)),
+            JournaledRun::Complete(finished) => u64::from(finished.is_some()),
         };
         for (index, unit) in plan.batches.iter().enumerate().skip(started) {
             let (policy, preempt) = (Some(&policy), preempt_in(index));
-            let preempted = match unit.members.as_slice() {
-                &[alone] => matches!(
-                    qd.serve_journaled(fed, journal, alone, policy, rng, preempt)
-                        .map_err(Death::error)?,
-                    ServeRun::Preempted { .. }
-                ),
-                members => matches!(
-                    qd.serve_batch_journaled(fed, journal, members, policy, rng, preempt)
-                        .map_err(Death::error)?,
-                    BatchRun::Preempted { .. }
-                ),
+            let served = match unit.members.as_slice() {
+                &[alone] => qd
+                    .serve_journaled(fed, journal, alone, policy, rng, preempt)
+                    .map(|run| run.into_complete().is_some()),
+                members => qd
+                    .serve_batch_journaled(fed, journal, members, policy, rng, preempt)
+                    .map(|run| run.into_complete().is_some()),
             };
-            if preempted {
+            if !served.map_err(Death::error)? {
                 return Err(Death::Boundary(resumed + (index - started) as u64));
             }
         }
@@ -699,7 +676,7 @@ mod tests {
             front_door: FrontDoor::PerRequest,
         };
         let mut harness = Harness::new();
-        harness.resume = |_, _, _, _, _, _| Ok(ResumeRun::Complete(None));
+        harness.resume = |_, _, _, _, _, _| Ok(JournaledRun::Complete(Box::new(None)));
         let schedules = harness.exhaustive(&w).expect("the workload enumerates");
         let mut boundaries = 0;
         for schedule in &schedules {

@@ -118,22 +118,13 @@ fn assert_resumes(harness: &mut Harness, schedule: &ChaosSchedule) -> Terminal {
     outcome.reference
 }
 
-/// Kills `w` at every enumerated crash point in release builds — the
-/// `cargo test --release -p qd-chaos` gate of `scripts/check.sh`.
-///
-/// The one sampling left in the workspace's crash tests: a debug build
-/// takes every 10th point. Measured on two cores: the four workloads
-/// enumerate 45 + 48 + 54 + 54 = 201 schedules, which take 9.1 s of CPU
-/// in release but 159 s unoptimised (a spiked lifetime re-runs every
-/// ladder and bisection probe, ≈ 1.4 s each), against a budget of 21 s
-/// for the crash tests in a plain `cargo test`; every 10th runs this
-/// file in 18 s.
+/// Kills `w` at every enumerated crash point — the four workloads
+/// enumerate 45 + 48 + 54 + 54 = 201 schedules.
 fn assert_every_kill_resumes(w: &Workload) -> (Vec<ChaosSchedule>, Terminal) {
-    let stride = if cfg!(debug_assertions) { 10 } else { 1 };
     let mut harness = Harness::new();
     let schedules = harness.exhaustive(w).expect("the workload enumerates");
     let mut reference = None;
-    for schedule in schedules.iter().step_by(stride) {
+    for schedule in &schedules {
         reference = Some(assert_resumes(&mut harness, schedule));
     }
     (schedules, reference.expect("a workload has crash points"))

@@ -72,7 +72,9 @@ pub use journal::{
     segment_path, BatchId, FailReason, JournalError, JournalRecord, RequestJournal, RequestState,
     TailRepair, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
-pub use lifecycle::{BatchOutcome, BatchPreempt, BatchRun, ResumeRun, ServeError, ServeRun};
+pub use lifecycle::{
+    units, BatchOutcome, BatchPreempt, JournaledRun, ServeError, ShapeError, Unit, UnitMember,
+};
 pub use sample_level::{SampleLevelConfig, SampleLevelQuickDrop};
 pub use system::{CheckpointPolicy, QuickDrop, TrainReport, TrainRun};
 pub use vfs::{storage_cause, CrashPoint, Fault, FaultFs, StdFs, StorageError, Vfs, VfsOp};

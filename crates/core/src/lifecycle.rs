@@ -14,8 +14,8 @@
 //! | UNLEARNED | no | mark | one frame per member, in member order | `Unlearned(k)` |
 //! | RECOVERED | yes | mark | one atomic frame for all served members | `Recovered` |
 //! | RELEARNED | yes | unmark | one frame (`relearn_journaled`) | — |
-//! | FAILED | yes | none | one atomic frame per shed set (qd-serve) | `Failed` |
-//! | QUARANTINED | yes | none | one atomic frame per isolated set (qd-serve) | `Quarantined` |
+//! | FAILED | yes | none | one atomic frame per shed set (`settle_unserved`) | `Failed` |
+//! | QUARANTINED | yes | none | one atomic frame per isolated set (`settle_unserved`) | `Quarantined` |
 //!
 //! The terminal and marks columns are [`RequestState::is_terminal`] and
 //! `RequestState::mark_effect`; nothing else in the workspace re-derives
@@ -30,16 +30,27 @@
 //!    its one member, so any `k` names its UNLEARNED record, and the
 //!    boundary reported back is `Unlearned(1)`.
 //!
-//! Every way a request reaches the engine is in this module. Journaled:
-//! [`QuickDrop::serve_journaled`] and [`QuickDrop::serve_batch_journaled`]
-//! for a fresh unit, [`QuickDrop::resume_requests_until`] for the
-//! journal's tail unit (the service executor's only execution path).
-//! Unjournaled: [`QuickDrop::unlearn_guarded`], and
-//! [`QuickDrop::probe_unit`], which is the same call rolled back. A
-//! journaled deployment is opened by [`QuickDrop::open_deployment`].
+//! Every record is built by `certify`, and every reader that needs to
+//! know *which unit, which members, how far* reads [`units`] — the one
+//! fold of the journal into [`Unit`]s; nothing else in the workspace
+//! scans the records for unit state.
+//!
+//! Every way a request reaches the engine is in this module. Journaled,
+//! there is one path: make the unit's RECEIVED set durable if it is not
+//! yet ([`QuickDrop::receive_unit`]), then restore the journal's tail
+//! and finish its last unit from what [`units`] says is left of it.
+//! [`QuickDrop::serve_journaled`] and
+//! [`QuickDrop::serve_batch_journaled`] do both steps,
+//! [`QuickDrop::resume_requests_until`] — a crash-resumed unit, and
+//! every unit of the service executor — only the second, so a fresh
+//! unit and a resumed one run the same instructions from the same
+//! journal-derived state. Unjournaled: [`qd_unlearn::UnlearningMethod::unlearn`]
+//! and [`QuickDrop::unlearn_guarded`], and [`QuickDrop::probe_unit`],
+//! which is the same call rolled back. A journaled deployment is opened
+//! by [`QuickDrop::open_deployment`].
 
 use crate::journal::{
-    BatchId, JournalError, JournalRecord, MarkEffect, RequestJournal, RequestState,
+    BatchId, FailReason, JournalError, JournalRecord, MarkEffect, RequestJournal, RequestState,
 };
 use crate::system::validated;
 use crate::vfs::Vfs;
@@ -53,14 +64,19 @@ use qd_unlearn::{
     UnlearnError, UnlearnRequest,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-/// How a journaled single-request serve call ended.
+/// How a journaled call ended: [`QuickDrop::serve_journaled`] with the
+/// request's [`MethodOutcome`], [`QuickDrop::serve_batch_journaled`]
+/// with the unit's [`BatchOutcome`], [`QuickDrop::resume_requests_until`]
+/// with the outcome of the unit it finished — `None` when nothing was in
+/// flight.
 #[derive(Debug)]
-pub enum ServeRun {
-    /// The request was fully served (boxed to keep the enum small).
-    Complete(Box<MethodOutcome>),
+pub enum JournaledRun<T> {
+    /// The unit was fully served (boxed to keep the enum small).
+    Complete(Box<T>),
     /// Serving stopped right after `boundary` became durable — the
     /// deterministic stand-in for a crash there. Continue with
     /// [`QuickDrop::resume_requests`].
@@ -70,12 +86,19 @@ pub enum ServeRun {
     },
 }
 
-impl ServeRun {
+impl<T> JournaledRun<T> {
     /// The completed outcome, or `None` if the run was preempted.
-    pub fn into_complete(self) -> Option<MethodOutcome> {
+    pub fn into_complete(self) -> Option<T> {
         match self {
-            ServeRun::Complete(outcome) => Some(*outcome),
-            ServeRun::Preempted { .. } => None,
+            JournaledRun::Complete(outcome) => Some(*outcome),
+            JournaledRun::Preempted { .. } => None,
+        }
+    }
+
+    fn map<U>(self, f: impl FnOnce(T) -> U) -> JournaledRun<U> {
+        match self {
+            JournaledRun::Complete(outcome) => JournaledRun::Complete(Box::new(f(*outcome))),
+            JournaledRun::Preempted { boundary } => JournaledRun::Preempted { boundary },
         }
     }
 }
@@ -181,30 +204,6 @@ impl Deserialize for BatchPreempt {
     }
 }
 
-/// How a journaled unit serve call ended.
-#[derive(Debug)]
-pub enum BatchRun {
-    /// Every member was fully served (boxed to keep the enum small).
-    Complete(Box<BatchOutcome>),
-    /// Serving stopped right after `boundary` became durable — the
-    /// deterministic stand-in for a crash there. Continue with
-    /// [`QuickDrop::resume_requests`].
-    Preempted {
-        /// The last boundary made durable before stopping.
-        boundary: BatchPreempt,
-    },
-}
-
-impl BatchRun {
-    /// The completed outcome, or `None` if the run was preempted.
-    pub fn into_complete(self) -> Option<BatchOutcome> {
-        match self {
-            BatchRun::Complete(outcome) => Some(*outcome),
-            BatchRun::Preempted { .. } => None,
-        }
-    }
-}
-
 /// What a completed unit cost and produced.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
@@ -228,7 +227,7 @@ pub struct BatchOutcome {
 impl BatchOutcome {
     /// The unit as one [`MethodOutcome`]: the ascents this process ran,
     /// merged. For a request served alone that is its one ascent.
-    fn merged(self) -> MethodOutcome {
+    pub(crate) fn merged(self) -> MethodOutcome {
         let mut unlearn = PhaseStats::default();
         for member in &self.unlearn {
             unlearn.merge(member);
@@ -242,19 +241,165 @@ impl BatchOutcome {
     }
 }
 
-/// How a [`QuickDrop::resume_requests_until`] call ended.
-#[derive(Debug)]
-pub enum ResumeRun {
-    /// The journal tail was finished (or nothing needed finishing);
-    /// carries the outcome of the unit finished during resume, if
-    /// any (boxed to keep the enum small).
-    Complete(Option<Box<MethodOutcome>>),
-    /// Finishing stopped right after `boundary` became durable — the
-    /// deterministic crash stand-in, as in [`BatchRun::Preempted`].
-    Preempted {
-        /// The last boundary made durable before stopping.
-        boundary: BatchPreempt,
+/// One member of a [`Unit`]: a request, and the latest state the
+/// journal certifies for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnitMember {
+    /// The member's sequence number.
+    pub seq: u64,
+    /// The request.
+    pub request: UnlearnRequest,
+    /// The state of the member's latest record.
+    pub state: RequestState,
+    /// That record's reason (`Some` on FAILED and QUARANTINED).
+    pub reason: Option<FailReason>,
+}
+
+impl UnitMember {
+    /// The member was served to RECOVERED (and perhaps relearned since).
+    pub fn served(&self) -> bool {
+        matches!(
+            self.state,
+            RequestState::Recovered | RequestState::Relearned
+        )
+    }
+}
+
+/// One unit as the journal records it (rule 1 of the module docs): a
+/// RECEIVED set sharing a [`BatchId`], or a lone `batch: None` request.
+#[derive(Debug, Clone)]
+pub struct Unit<'a> {
+    /// The unit's batch id (`None` for a request served alone).
+    pub batch: Option<BatchId>,
+    /// The unit's first RECEIVED record. Every record of the set pins
+    /// the same pre-unit model and RNG stream — the reference every
+    /// guard check, probe and resume measures against.
+    pub received: &'a JournalRecord,
+    /// The members, in journal order.
+    pub members: Vec<UnitMember>,
+}
+
+impl Unit<'_> {
+    /// The members no terminal record settles yet — what is left to
+    /// serve, in journal order.
+    pub fn pending(&self) -> impl Iterator<Item = &UnitMember> {
+        self.members.iter().filter(|m| !m.state.is_terminal())
+    }
+
+    /// The pending members whose ascent was accepted before the journal
+    /// ended. Members are unlearned in order, so they lead
+    /// [`Unit::pending`].
+    pub fn unlearned(&self) -> usize {
+        self.pending()
+            .filter(|m| m.state == RequestState::Unlearned)
+            .count()
+    }
+}
+
+/// A journal no sequence of units could have written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShapeError {
+    /// A `state` record for a `seq` no RECEIVED record introduced.
+    UnknownSeq {
+        /// The unknown sequence number.
+        seq: u64,
+        /// The state the record certifies.
+        state: RequestState,
     },
+    /// A RECEIVED record joining `batch` after some other record
+    /// followed that batch's RECEIVED set. The set is one atomic frame;
+    /// nothing can come between its records.
+    Interleaved {
+        /// The late record's sequence number.
+        seq: u64,
+        /// The batch it claims.
+        batch: BatchId,
+    },
+}
+
+impl std::fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ShapeError::UnknownSeq { seq, state } => {
+                write!(
+                    f,
+                    "{state} record references seq {seq}, which no RECEIVED record introduced"
+                )
+            }
+            ShapeError::Interleaved { seq, batch } => {
+                write!(f, "RECEIVED record seq {seq} joins {batch} after another record interleaved its RECEIVED set")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ShapeError {}
+
+impl From<ShapeError> for ServeError {
+    fn from(e: ShapeError) -> Self {
+        ServeError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    }
+}
+
+/// Folds journal records into the units they describe, in journal
+/// order: which requests form each unit, and how far each got. One pass,
+/// nothing cloned. The journal itself is a log that accepts any record;
+/// this is where a record sequence must make sense as units.
+///
+/// # Errors
+///
+/// [`ShapeError`] for a sequence no units could have written.
+pub fn units(records: &[JournalRecord]) -> Result<Vec<Unit<'_>>, ShapeError> {
+    let mut units: Vec<Unit<'_>> = Vec::new();
+    // seq → (unit, member) position. BTreeMap: iteration order in this
+    // crate is lint-enforced deterministic.
+    let mut owner: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
+    // Whether the previous record was a RECEIVED one, i.e. the last
+    // unit's set may still be growing.
+    let mut receiving = false;
+    for record in records {
+        if record.state != RequestState::Received {
+            receiving = false;
+            let member = owner
+                .get(&record.seq)
+                .and_then(|&(unit, member)| units.get_mut(unit)?.members.get_mut(member))
+                .ok_or(ShapeError::UnknownSeq {
+                    seq: record.seq,
+                    state: record.state,
+                })?;
+            (member.state, member.reason) = (record.state, record.reason);
+            continue;
+        }
+        let member = UnitMember {
+            seq: record.seq,
+            request: record.request,
+            state: record.state,
+            reason: None,
+        };
+        let next = units.len();
+        match (units.last_mut(), record.batch) {
+            (Some(unit), Some(batch)) if unit.batch == Some(batch) => {
+                if !receiving {
+                    return Err(ShapeError::Interleaved {
+                        seq: record.seq,
+                        batch,
+                    });
+                }
+                owner.insert(record.seq, (next - 1, unit.members.len()));
+                unit.members.push(member);
+            }
+            _ => {
+                owner.insert(record.seq, (next, 0));
+                units.push(Unit {
+                    batch: record.batch,
+                    received: record,
+                    members: vec![member],
+                });
+            }
+        }
+        receiving = true;
+    }
+    Ok(units)
 }
 
 /// Why a journaled unit stops at a boundary instead of running on. A
@@ -264,6 +409,13 @@ pub enum ResumeRun {
 enum Stop {
     Io(std::io::Error),
     Preempted(BatchPreempt),
+}
+
+/// A call that has just made a RECEIVED set durable finds that unit
+/// pending at the tail; anything else is a journal changed under it.
+fn no_tail_unit() -> ServeError {
+    let msg = "the RECEIVED set just appended is not the journal's pending tail unit";
+    ServeError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, msg))
 }
 
 /// The record certifying the live model and RNG stream as `member`'s
@@ -322,12 +474,10 @@ impl QuickDrop {
         policy: Option<&GuardPolicy>,
         rng: &mut Rng,
         preempt_at: Option<BatchPreempt>,
-    ) -> Result<ServeRun, ServeError> {
-        let run = self.serve_fresh_unit(fed, journal, &[request], None, policy, rng, preempt_at)?;
-        Ok(match run {
-            BatchRun::Complete(outcome) => ServeRun::Complete(Box::new(outcome.merged())),
-            BatchRun::Preempted { boundary } => ServeRun::Preempted { boundary },
-        })
+    ) -> Result<JournaledRun<MethodOutcome>, ServeError> {
+        let fresh = Some((&[request][..], None));
+        let run = self.run_journaled(fed, journal, fresh, policy, rng, preempt_at)?;
+        Ok(run.ok_or_else(no_tail_unit)?.map(BatchOutcome::merged))
     }
 
     /// Serves a coalesced batch of compatible requests through the
@@ -369,42 +519,77 @@ impl QuickDrop {
         policy: Option<&GuardPolicy>,
         rng: &mut Rng,
         preempt_at: Option<BatchPreempt>,
-    ) -> Result<BatchRun, ServeError> {
-        let batch = Some(journal.next_batch_id());
-        self.serve_fresh_unit(fed, journal, requests, batch, policy, rng, preempt_at)
+    ) -> Result<JournaledRun<BatchOutcome>, ServeError> {
+        let fresh = Some((requests, Some(journal.next_batch_id())));
+        let run = self.run_journaled(fed, journal, fresh, policy, rng, preempt_at)?;
+        run.ok_or_else(no_tail_unit)
     }
 
-    /// RECEIVED, then the engine: the body both serve calls share.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_fresh_unit(
+    /// The one way a unit executes against the journal (module docs):
+    /// make `fresh`'s RECEIVED set durable, then restore the journal's
+    /// tail — marks, model, RNG stream — and finish its last unit from
+    /// what [`units`] says is left of it. A unit received a moment ago
+    /// and one a killed process left behind are told apart by nothing
+    /// past the first `if`: members, progress, the pre-unit reference
+    /// and the guard stats so far all come from the journal. `None`
+    /// when the tail unit has nobody left to serve.
+    fn run_journaled(
         &mut self,
         fed: &mut Federation,
         journal: &mut RequestJournal,
-        requests: &[UnlearnRequest],
-        batch: Option<BatchId>,
+        fresh: Option<(&[UnlearnRequest], Option<BatchId>)>,
         policy: Option<&GuardPolicy>,
         rng: &mut Rng,
         preempt_at: Option<BatchPreempt>,
-    ) -> Result<BatchRun, ServeError> {
+    ) -> Result<Option<JournaledRun<BatchOutcome>>, ServeError> {
         let policy = validated(policy);
-        let members = Self::receive_unit(fed, journal, requests, batch, rng)?;
-        if preempt_at == Some(BatchPreempt::Received) {
-            return Ok(BatchRun::Preempted {
-                boundary: BatchPreempt::Received,
-            });
+        if let Some((requests, batch)) = fresh {
+            Self::receive_unit(fed, journal, requests, batch, rng)?;
+            if preempt_at == Some(BatchPreempt::Received) {
+                let boundary = BatchPreempt::Received;
+                return Ok(Some(JournaledRun::Preempted { boundary }));
+            }
         }
-        let (reference, unit_rng, stats) =
-            (fed.global().to_vec(), rng.state(), GuardStats::default());
-        self.finish_journaled(
-            fed, journal, preempt_at, batch, &members, 0, reference, unit_rng, stats, policy, rng,
-        )
+        self.restore_tail(fed, journal, rng);
+        let Some(tail) = units(journal.records())?.pop() else {
+            return Ok(None);
+        };
+        let members: Vec<(u64, UnlearnRequest)> =
+            tail.pending().map(|m| (m.seq, m.request)).collect();
+        if members.is_empty() {
+            return Ok(None);
+        }
+        let (batch, done) = (tail.batch, tail.unlearned());
+        let (reference, unit_rng) = (tail.received.global.clone(), tail.received.rng.clone());
+        let stats = journal.last().and_then(|r| r.guard).unwrap_or_default();
+        let preempt_at = match preempt_at {
+            // Rule 2 of the module docs: an unbatched unit is its one
+            // member, so any count names its UNLEARNED record.
+            Some(BatchPreempt::Unlearned(_)) if batch.is_none() => Some(BatchPreempt::Unlearned(1)),
+            other => other,
+        };
+        let commit = |boundary, frame| {
+            journal.append_all(frame).map_err(Stop::Io)?;
+            if preempt_at == Some(boundary) {
+                return Err(Stop::Preempted(boundary));
+            }
+            Ok(())
+        };
+        match self.finish_unit(
+            fed, commit, batch, &members, done, reference, unit_rng, stats, policy, rng,
+        ) {
+            Ok(Ok(outcome)) => Ok(Some(JournaledRun::Complete(Box::new(outcome)))),
+            Ok(Err(diverged)) => Err(ServeError::Diverged(diverged)),
+            Err(Stop::Preempted(boundary)) => Ok(Some(JournaledRun::Preempted { boundary })),
+            Err(Stop::Io(e)) => Err(ServeError::Io(e)),
+        }
     }
 
     /// Makes a fresh unit's RECEIVED boundary durable: one atomic frame
-    /// holding a record per member, each carrying the pre-unit model and
-    /// RNG state (the reference every later guard check and every
-    /// resume measures against). Returns the members with the sequence
-    /// numbers they were given.
+    /// holding a record per member, numbered from
+    /// [`RequestJournal::next_seq`], each carrying the pre-unit model
+    /// and RNG state (the reference every later guard check and every
+    /// resume measures against).
     ///
     /// # Errors
     ///
@@ -415,22 +600,52 @@ impl QuickDrop {
         requests: &[UnlearnRequest],
         batch: Option<BatchId>,
         rng: &Rng,
-    ) -> std::io::Result<Vec<(u64, UnlearnRequest)>> {
+    ) -> std::io::Result<()> {
         if requests.is_empty() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 "cannot serve an empty batch",
             ));
         }
-        let members: Vec<(u64, UnlearnRequest)> = (journal.next_seq()..)
+        let frame = (journal.next_seq()..)
             .zip(requests.iter().copied())
+            .map(|member| certify(member, RequestState::Received, None, batch, fed, rng))
             .collect();
+        journal.append_all(frame)
+    }
+
+    /// Settles members of the journal's tail unit that never reach the
+    /// model: one atomic FAILED frame for a shed set
+    /// ([`FailReason::Shed`]), or QUARANTINED frame for a set isolated
+    /// for any other `reason`, certifying the live model and RNG stream
+    /// — which the pre-unit state still is, since probes roll back. The
+    /// qd-serve executor decides who and why; what the frame holds is
+    /// decided here, like every other record's.
+    ///
+    /// # Errors
+    ///
+    /// Journal I/O failure.
+    pub fn settle_unserved(
+        fed: &Federation,
+        journal: &mut RequestJournal,
+        batch: Option<BatchId>,
+        members: &[(u64, UnlearnRequest)],
+        reason: FailReason,
+        rng: &Rng,
+    ) -> std::io::Result<()> {
+        let state = match reason {
+            FailReason::Shed => RequestState::Failed,
+            _ => RequestState::Quarantined,
+        };
         let frame = members
             .iter()
-            .map(|&member| certify(member, RequestState::Received, None, batch, fed, rng))
+            .map(|&member| {
+                let mut record = certify(member, state, None, batch, fed, rng);
+                record.reason = Some(reason);
+                record
+            })
             .collect();
-        journal.append_all(frame)?;
-        Ok(members)
+        journal.append_all(frame)
     }
 
     /// The unit engine. Runs `members` from the first one without an
@@ -443,11 +658,11 @@ impl QuickDrop {
     /// Each boundary's atomic frame goes to `commit`, the only thing
     /// that can stop the engine short of a verdict: the outer `Err` is
     /// whatever `commit` stopped with, the inner one the guard's
-    /// verdict. Fresh units arrive here with `done == 0`, crash-resumed
-    /// ones with everything journal-derived (both through
-    /// `finish_journaled`), and [`QuickDrop::probe_unit`] and
-    /// [`QuickDrop::unlearn_guarded`] with a `commit` that writes
-    /// nothing and cannot fail — the same operations.
+    /// verdict. Journaled units arrive here through `run_journaled`
+    /// with everything journal-derived, and [`QuickDrop::probe_unit`],
+    /// [`QuickDrop::unlearn_guarded`] and the plain `unlearn` with
+    /// `done == 0` and a `commit` that writes nothing and cannot fail —
+    /// the same operations.
     ///
     /// One member diverging fails the whole unit: the marks of the
     /// members already unlearned are cleared and model and RNG return
@@ -503,46 +718,6 @@ impl QuickDrop {
             post_unlearn_params,
             guard,
         }))
-    }
-
-    /// [`QuickDrop::finish_unit`] against the journal: every frame is
-    /// appended, and serving stops right after `preempt_at`'s.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_journaled(
-        &mut self,
-        fed: &mut Federation,
-        journal: &mut RequestJournal,
-        preempt_at: Option<BatchPreempt>,
-        batch: Option<BatchId>,
-        members: &[(u64, UnlearnRequest)],
-        done: usize,
-        reference: Vec<Tensor>,
-        unit_rng: RngState,
-        stats: GuardStats,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-    ) -> Result<BatchRun, ServeError> {
-        let preempt_at = match preempt_at {
-            // Rule 2 of the module docs: an unbatched unit is its one
-            // member, so any count names its UNLEARNED record.
-            Some(BatchPreempt::Unlearned(_)) if batch.is_none() => Some(BatchPreempt::Unlearned(1)),
-            other => other,
-        };
-        let commit = |boundary, frame| {
-            journal.append_all(frame).map_err(Stop::Io)?;
-            if preempt_at == Some(boundary) {
-                return Err(Stop::Preempted(boundary));
-            }
-            Ok(())
-        };
-        match self.finish_unit(
-            fed, commit, batch, members, done, reference, unit_rng, stats, policy, rng,
-        ) {
-            Ok(Ok(outcome)) => Ok(BatchRun::Complete(Box::new(outcome))),
-            Ok(Err(diverged)) => Err(ServeError::Diverged(diverged)),
-            Err(Stop::Preempted(boundary)) => Ok(BatchRun::Preempted { boundary }),
-            Err(Stop::Io(e)) => Err(ServeError::Io(e)),
-        }
     }
 
     /// One member's ascent under the guard: attempt, gate against the
@@ -651,7 +826,7 @@ impl QuickDrop {
     ///
     /// [`ServeError::Io`] on journal I/O failure, or with kind
     /// [`std::io::ErrorKind::InvalidData`] when the journal holds no
-    /// RECOVERED record for `request`.
+    /// served member for `request` (or fails the [`units`] fold).
     pub fn relearn_journaled(
         &mut self,
         fed: &mut Federation,
@@ -660,12 +835,11 @@ impl QuickDrop {
         phase: &qd_fed::Phase,
         rng: &mut Rng,
     ) -> Result<PhaseStats, ServeError> {
-        let seq = journal
-            .records()
+        let seq = units(journal.records())?
             .iter()
-            .rev()
-            .find(|r| r.request == request && r.state == RequestState::Recovered)
-            .map(|r| r.seq)
+            .flat_map(|unit| &unit.members)
+            .rfind(|m| m.request == request && m.served())
+            .map(|m| m.seq)
             .ok_or_else(|| {
                 std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
@@ -734,12 +908,9 @@ impl QuickDrop {
         policy: Option<&GuardPolicy>,
         rng: &mut Rng,
     ) -> Result<Option<MethodOutcome>, ServeError> {
-        match self.resume_requests_until(fed, journal, policy, rng, None)? {
-            ResumeRun::Complete(outcome) => Ok(outcome.map(|o| *o)),
-            // Unreachable with `preempt_at: None`; nothing is left
-            // undone if it ever were.
-            ResumeRun::Preempted { .. } => Ok(None),
-        }
+        // Nothing preempts with `preempt_at: None`.
+        let run = self.resume_requests_until(fed, journal, policy, rng, None)?;
+        Ok(run.into_complete().flatten())
     }
 
     /// [`QuickDrop::resume_requests`] with a durable-boundary preempt:
@@ -747,19 +918,16 @@ impl QuickDrop {
     /// deterministic crash stand-in the service executor and the chaos
     /// harnesses drive. `None` finishes everything.
     ///
-    /// This is also the service executor's *only* execution path: it
-    /// appends a unit's RECEIVED set ([`QuickDrop::receive_unit`]) and
-    /// then drives every attempt through this call, so a fresh unit and
-    /// a crash-resumed one execute identical code from identical
-    /// journal-derived state.
+    /// This is the one journaled path (module docs) entered past its
+    /// first step, and the service executor's only way to run a unit:
+    /// it appends the RECEIVED set ([`QuickDrop::receive_unit`]) and
+    /// drives every attempt through this call.
     ///
-    /// Membership and progress both come from the journal: the unit is
-    /// the tail record's batch (or, unbatched, its `seq`); its RECEIVED
-    /// set (atomic, so never half-written) lists the members; members
-    /// holding a terminal record — served, quarantined or shed — are
-    /// settled and drop out; the UNLEARNED records of the rest say how
-    /// many ascents were accepted before the crash. A unit with no
-    /// member left has nothing to do.
+    /// Membership and progress both come from [`units`]: the unit is
+    /// the journal's last; members holding a terminal record — served,
+    /// quarantined or shed — are settled and drop out; the UNLEARNED
+    /// states of the rest say how many ascents were accepted before the
+    /// crash. A unit with no member left has nothing to do.
     ///
     /// # Errors
     ///
@@ -775,55 +943,13 @@ impl QuickDrop {
         policy: Option<&GuardPolicy>,
         rng: &mut Rng,
         preempt_at: Option<BatchPreempt>,
-    ) -> Result<ResumeRun, ServeError> {
-        let policy = validated(policy);
-        let Some(last) = journal.last() else {
-            return Ok(ResumeRun::Complete(None));
-        };
-        let (batch, seq, state, stats) = (last.batch, last.seq, last.state, last.guard);
-        self.restore_tail(fed, journal, rng);
-        let unit: Vec<&JournalRecord> = journal
-            .records()
-            .iter()
-            .filter(|r| r.batch == batch && (batch.is_some() || r.seq == seq))
-            .collect();
-        let settled: Vec<u64> = unit
-            .iter()
-            .filter(|r| r.state.is_terminal())
-            .map(|r| r.seq)
-            .collect();
-        let pending: Vec<&JournalRecord> = unit
-            .iter()
-            .filter(|r| r.state == RequestState::Received && !settled.contains(&r.seq))
-            .copied()
-            .collect();
-        // Every RECEIVED record of a unit carries the same pre-unit
-        // state, so the first pending one supplies the reference.
-        let Some(first) = pending.first() else {
-            if state.is_terminal() {
-                return Ok(ResumeRun::Complete(None));
-            }
-            return Err(ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("journal record {seq} is {state} without a RECEIVED record"),
-            )));
-        };
-        let (reference, unit_rng) = (first.global.clone(), first.rng.clone());
-        let members: Vec<(u64, UnlearnRequest)> =
-            pending.iter().map(|r| (r.seq, r.request)).collect();
-        let done = unit
-            .iter()
-            .filter(|r| r.state == RequestState::Unlearned && !settled.contains(&r.seq))
-            .count();
-        let stats = stats.unwrap_or_default();
-        let run = self.finish_journaled(
-            fed, journal, preempt_at, batch, &members, done, reference, unit_rng, stats, policy,
-            rng,
-        )?;
-        Ok(match run {
-            BatchRun::Complete(outcome) => ResumeRun::Complete(Some(Box::new(outcome.merged()))),
-            BatchRun::Preempted { boundary } => ResumeRun::Preempted { boundary },
-        })
+    ) -> Result<JournaledRun<Option<MethodOutcome>>, ServeError> {
+        Ok(
+            match self.run_journaled(fed, journal, None, policy, rng, preempt_at)? {
+                Some(run) => run.map(|unit| Some(unit.merged())),
+                None => JournaledRun::Complete(Box::new(None)),
+            },
+        )
     }
 
     /// Side-effect-free trial: would serving `requests` as one unit from
@@ -859,7 +985,7 @@ impl QuickDrop {
         let reference = fed.global().to_vec();
         let marks = self.marks_snapshot();
         let mut rng = Rng::from_state(&rng.state());
-        let verdict = self.run_unjournaled(fed, requests, policy, &mut rng);
+        let verdict = self.run_unjournaled(fed, requests, Some(policy), &mut rng);
         fed.set_global(reference);
         self.marks_restore(marks);
         verdict.is_ok()
@@ -893,20 +1019,22 @@ impl QuickDrop {
         policy: &GuardPolicy,
         rng: &mut Rng,
     ) -> Result<MethodOutcome, UnlearnError> {
-        self.run_unjournaled(fed, &[request], policy, rng)
+        self.run_unjournaled(fed, &[request], Some(policy), rng)
             .map(BatchOutcome::merged)
     }
 
     /// The engine from the live state with nothing written: the body of
-    /// [`QuickDrop::probe_unit`] and [`QuickDrop::unlearn_guarded`].
-    fn run_unjournaled(
+    /// [`QuickDrop::probe_unit`], [`QuickDrop::unlearn_guarded`] and —
+    /// with no `policy`, where the one attempt per member is accepted
+    /// as it stands — [`qd_unlearn::UnlearningMethod::unlearn`].
+    pub(crate) fn run_unjournaled(
         &mut self,
         fed: &mut Federation,
         requests: &[UnlearnRequest],
-        policy: &GuardPolicy,
+        policy: Option<&GuardPolicy>,
         rng: &mut Rng,
     ) -> Result<BatchOutcome, UnlearnError> {
-        let policy = validated(Some(policy));
+        let policy = validated(policy);
         let members: Vec<(u64, UnlearnRequest)> = (0u64..).zip(requests.iter().copied()).collect();
         let (reference, unit_rng, stats) =
             (fed.global().to_vec(), rng.state(), GuardStats::default());
@@ -1003,5 +1131,198 @@ impl Checkpoint {
         let (global, qd) = self.restore()?;
         let fed = qd.serving_federation(model, global)?;
         Ok((qd, fed, RequestJournal::open_on(vfs, journal)?))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use RequestState::{Failed, Quarantined, Received, Recovered, Relearned, Unlearned};
+
+    /// A record of `seq` (request `Class(seq)`) in `state`; `batch` as
+    /// the lifecycle writes it, except that RELEARNED never carries one.
+    fn record(seq: u64, state: RequestState, batch: Option<u64>) -> JournalRecord {
+        JournalRecord {
+            seq,
+            request: UnlearnRequest::Class(seq as usize),
+            state,
+            rng: Rng::seed_from(seq).state(),
+            global: Vec::new(),
+            guard: None,
+            batch: batch.map(BatchId),
+            reason: match state {
+                Failed => Some(FailReason::Shed),
+                Quarantined => Some(FailReason::PoisonMember),
+                _ => None,
+            },
+        }
+    }
+
+    /// What a unit looks like from outside: its batch, the index of the
+    /// record `received` points at, `(seq, state)` per member, and the
+    /// pending / unlearned counts.
+    type Shape = (Option<u64>, usize, Vec<(u64, RequestState)>, usize, usize);
+
+    fn shapes(records: &[JournalRecord]) -> Result<Vec<Shape>, ShapeError> {
+        let shape = |unit: &Unit<'_>| {
+            let pinned = records.iter().position(|r| std::ptr::eq(r, unit.received));
+            (
+                unit.batch.map(|b| b.0),
+                pinned.expect("`received` borrows from the records"),
+                unit.members.iter().map(|m| (m.seq, m.state)).collect(),
+                unit.pending().count(),
+                unit.unlearned(),
+            )
+        };
+        Ok(units(records)?.iter().map(shape).collect())
+    }
+
+    #[test]
+    fn units_folds_every_journal_the_lifecycle_writes() {
+        let alone = |states: &[RequestState]| -> Vec<JournalRecord> {
+            states.iter().map(|&s| record(0, s, None)).collect()
+        };
+        let one = |state, pending, unlearned| vec![(None, 0, vec![(0, state)], pending, unlearned)];
+        let cases: Vec<(&str, Vec<JournalRecord>, Vec<Shape>)> = vec![
+            ("empty", vec![], vec![]),
+            ("alone, received", alone(&[Received]), one(Received, 1, 0)),
+            (
+                "alone, unlearned",
+                alone(&[Received, Unlearned]),
+                one(Unlearned, 1, 1),
+            ),
+            (
+                "alone, recovered",
+                alone(&[Received, Unlearned, Recovered]),
+                one(Recovered, 0, 0),
+            ),
+            ("alone, shed", alone(&[Received, Failed]), one(Failed, 0, 0)),
+            (
+                "alone, quarantined",
+                alone(&[Received, Quarantined]),
+                one(Quarantined, 0, 0),
+            ),
+            (
+                "alone, relearned after recovered",
+                alone(&[Received, Unlearned, Recovered, Relearned]),
+                one(Relearned, 0, 0),
+            ),
+            (
+                "a batch of 3 killed after Unlearned(1)",
+                vec![
+                    record(0, Received, Some(0)),
+                    record(1, Received, Some(0)),
+                    record(2, Received, Some(0)),
+                    record(0, Unlearned, Some(0)),
+                ],
+                vec![(
+                    Some(0),
+                    0,
+                    vec![(0, Unlearned), (1, Received), (2, Received)],
+                    3,
+                    1,
+                )],
+            ),
+            (
+                "shed and quarantined members, served survivors, then a unit of one",
+                vec![
+                    record(0, Received, None),
+                    record(0, Unlearned, None),
+                    record(0, Recovered, None),
+                    record(1, Received, Some(0)),
+                    record(2, Received, Some(0)),
+                    record(3, Received, Some(0)),
+                    record(4, Received, Some(0)),
+                    record(4, Failed, Some(0)),
+                    record(2, Quarantined, Some(0)),
+                    record(1, Unlearned, Some(0)),
+                    record(3, Unlearned, Some(0)),
+                    record(1, Recovered, Some(0)),
+                    record(3, Recovered, Some(0)),
+                    // A batch member relearned: the record carries no id.
+                    record(3, Relearned, None),
+                    record(5, Received, Some(1)),
+                ],
+                vec![
+                    (None, 0, vec![(0, Recovered)], 0, 0),
+                    (
+                        Some(0),
+                        3,
+                        vec![
+                            (1, Recovered),
+                            (2, Quarantined),
+                            (3, Relearned),
+                            (4, Failed),
+                        ],
+                        0,
+                        0,
+                    ),
+                    (Some(1), 14, vec![(5, Received)], 1, 0),
+                ],
+            ),
+            (
+                // What qd-perf's storage probe appends: the journal is a
+                // log and takes them; the fold reads 32 pending units.
+                "32 bare RECEIVED records",
+                (100..132).map(|seq| record(seq, Received, None)).collect(),
+                (0..32)
+                    .map(|i| (None, i, vec![(100 + i as u64, Received)], 1, 0))
+                    .collect(),
+            ),
+        ];
+        for (name, records, expected) in cases {
+            assert_eq!(shapes(&records), Ok(expected), "{name}");
+        }
+
+        let mixed = [
+            record(1, Received, Some(0)),
+            record(2, Received, Some(0)),
+            record(1, Failed, Some(0)),
+            record(2, Quarantined, Some(0)),
+        ];
+        let folded = units(&mixed).unwrap();
+        let reasons: Vec<_> = folded[0].members.iter().map(|m| m.reason).collect();
+        assert_eq!(
+            reasons,
+            [Some(FailReason::Shed), Some(FailReason::PoisonMember)]
+        );
+        assert!(folded[0].members.iter().all(|m| !m.served()));
+    }
+
+    #[test]
+    fn units_refuses_what_no_unit_sequence_writes() {
+        let stray = [record(0, Received, None), record(9, Recovered, None)];
+        assert_eq!(
+            shapes(&stray),
+            Err(ShapeError::UnknownSeq {
+                seq: 9,
+                state: Recovered
+            })
+        );
+        let relearn_stream = [record(0, Relearned, None)];
+        assert!(matches!(
+            shapes(&relearn_stream),
+            Err(ShapeError::UnknownSeq { seq: 0, .. })
+        ));
+        let torn_set = [
+            record(0, Received, Some(0)),
+            record(0, Unlearned, Some(0)),
+            record(1, Received, Some(0)),
+        ];
+        assert_eq!(
+            shapes(&torn_set),
+            Err(ShapeError::Interleaved {
+                seq: 1,
+                batch: BatchId(0)
+            })
+        );
+        let ServeError::Io(e) = ServeError::from(ShapeError::UnknownSeq {
+            seq: 9,
+            state: Recovered,
+        }) else {
+            panic!("a shape error is an I/O-class serve error");
+        };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("seq 9"), "{e}");
     }
 }

@@ -706,17 +706,20 @@ impl UnlearningMethod for QuickDrop {
         request: UnlearnRequest,
         rng: &mut Rng,
     ) -> MethodOutcome {
-        // Step 3: SGA on the synthetic forget set.
-        let (unlearn, post_unlearn_params) = self.ascent_stage(fed, request, rng, 1.0);
-        self.mark_unlearned(request);
-        // Step 4: recovery on the synthetic retain set.
-        let recovery = self.recovery_stage(fed, rng);
-        MethodOutcome {
-            unlearn,
-            recovery,
-            post_unlearn_params,
-            guard: None,
-        }
+        // Steps 3 and 4 — SGA on the synthetic forget set, recovery on
+        // the synthetic retain set — are the unit engine on a unit of
+        // one. Without a guard policy nothing can reject the request;
+        // were it rejected, it cost nothing and the model is unchanged.
+        let served = self.run_unjournaled(fed, &[request], None, rng);
+        served.map_or_else(
+            |_rejected| MethodOutcome {
+                unlearn: PhaseStats::default(),
+                recovery: PhaseStats::default(),
+                post_unlearn_params: fed.global().to_vec(),
+                guard: None,
+            },
+            crate::BatchOutcome::merged,
+        )
     }
 
     fn relearn(

@@ -7,8 +7,8 @@
 //! `crates/chaos/tests/exhaustive.rs` (the per-request workload).
 
 use qd_core::{
-    BatchId, BatchPreempt, BatchRun, Checkpoint, FaultFs, JournalError, JournalRecord, QuickDrop,
-    QuickDropConfig, RequestJournal, RequestState, ResumeRun, ServeRun, Vfs,
+    BatchId, BatchPreempt, Checkpoint, FaultFs, JournalError, JournalRecord, JournaledRun,
+    QuickDrop, QuickDropConfig, RequestJournal, RequestState, Vfs,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};
@@ -287,7 +287,11 @@ fn unlearned_count_names_a_member_only_inside_a_batch() {
                 Some(kill),
             )
             .unwrap();
-        assert_eq!(matches!(run, BatchRun::Preempted { .. }), stops, "{kill:?}");
+        assert_eq!(
+            matches!(run, JournaledRun::Preempted { .. }),
+            stops,
+            "{kill:?}"
+        );
         let last = journal.last().unwrap();
         assert_eq!(last.batch, Some(BatchId(0)));
         let landed = if stops {
@@ -312,7 +316,7 @@ fn unlearned_count_names_a_member_only_inside_a_batch() {
             Some(BatchPreempt::Unlearned(2)),
         )
         .unwrap();
-    let ServeRun::Preempted { boundary } = run else {
+    let JournaledRun::Preempted { boundary } = run else {
         panic!("serving must stop at the UNLEARNED record");
     };
     assert_eq!(boundary, BatchPreempt::Unlearned(1));
@@ -320,53 +324,62 @@ fn unlearned_count_names_a_member_only_inside_a_batch() {
     assert_eq!(journal.last().unwrap().batch, None);
 }
 
+/// There is one journaled path: serving a unit is appending its RECEIVED
+/// set and finishing the journal's tail. Spelled as one call
+/// (`serve_journaled`, `serve_batch_journaled`) or as the service
+/// executor's two (`receive_unit`, then the resume protocol), a request
+/// served alone and a batch leave the same bytes on disk and the same
+/// model bits — at any commit where a fresh unit ran from live state and
+/// a resumed one from the journal, this is where a difference showed.
 #[test]
-fn a_single_request_is_an_unbatched_unit_of_one_byte_for_byte() {
-    // `serve_journaled`...
-    let served = Arc::new(FaultFs::new());
-    let (mut fed, mut qd, mut rng, mut journal) = deployment_on(&served);
-    let outcome = qd
-        .serve_journaled(
-            &mut fed,
-            &mut journal,
-            REQUESTS[0],
-            Some(&policy()),
-            &mut rng,
-            None,
-        )
-        .unwrap()
-        .into_complete()
-        .expect("no preemption configured");
-    assert!(
-        outcome.unlearn.rounds > 0,
-        "a fresh unit reports its member's real ascent accounting"
-    );
-    let served_model = fed.global().to_vec();
-    let resumed = qd
-        .resume_requests(&mut fed, &mut journal, Some(&policy()), &mut rng)
-        .unwrap();
-    assert!(resumed.is_none(), "nothing was in flight");
-    assert_bit_identical(&served_model, fed.global());
+fn a_fresh_unit_and_a_received_then_resumed_one_are_byte_identical() {
+    let policy = batch_policy();
+    for requests in [&REQUESTS[..1], &REQUESTS[..]] {
+        let served = Arc::new(FaultFs::new());
+        let (mut fed, mut qd, mut rng, mut journal) = deployment_on(&served);
+        let (fed_, journal_, rng_) = (&mut fed, &mut journal, &mut rng);
+        let ascent_rounds: usize = match requests {
+            &[alone] => {
+                let run = qd.serve_journaled(fed_, journal_, alone, Some(&policy), rng_, None);
+                let outcome = run.unwrap().into_complete();
+                outcome.expect("no preemption configured").unlearn.rounds
+            }
+            members => {
+                let run =
+                    qd.serve_batch_journaled(fed_, journal_, members, Some(&policy), rng_, None);
+                let outcome = run.unwrap().into_complete();
+                let ascents = outcome.expect("no preemption configured").unlearn;
+                ascents.iter().map(|member| member.rounds).sum()
+            }
+        };
+        assert!(
+            ascent_rounds > 0,
+            "a fresh unit reports its members' real ascent accounting"
+        );
+        let served_model = fed.global().to_vec();
+        let resumed = qd
+            .resume_requests(&mut fed, &mut journal, Some(&policy), &mut rng)
+            .unwrap();
+        assert!(resumed.is_none(), "nothing was in flight");
+        assert_bit_identical(&served_model, fed.global());
 
-    // ...and the service executor's spelling of the same unit: a
-    // hand-appended one-member RECEIVED set with `batch: None`, driven
-    // through the resume protocol.
-    let built = Arc::new(FaultFs::new());
-    let (mut fed, mut qd, mut rng, mut journal) = deployment_on(&built);
-    let members = QuickDrop::receive_unit(&fed, &mut journal, &REQUESTS[..1], None, &rng).unwrap();
-    assert_eq!(members, vec![(0, REQUESTS[0])]);
-    let run = qd
-        .resume_requests_until(&mut fed, &mut journal, Some(&policy()), &mut rng, None)
-        .unwrap();
-    assert!(matches!(run, ResumeRun::Complete(Some(_))));
+        let built = Arc::new(FaultFs::new());
+        let (mut fed, mut qd, mut rng, mut journal) = deployment_on(&built);
+        let batch = (requests.len() > 1).then_some(BatchId(0));
+        QuickDrop::receive_unit(&fed, &mut journal, requests, batch, &rng).unwrap();
+        let run = qd
+            .resume_requests_until(&mut fed, &mut journal, Some(&policy), &mut rng, None)
+            .unwrap();
+        assert!(run.into_complete().flatten().is_some());
 
-    assert_bit_identical(&served_model, fed.global());
-    assert!(journal.records().iter().all(|r| r.batch.is_none()));
-    assert_eq!(
-        served.files(),
-        built.files(),
-        "journal marker and segments must be byte-identical"
-    );
+        assert_bit_identical(&served_model, fed.global());
+        assert!(journal.records().iter().all(|r| r.batch == batch));
+        assert_eq!(
+            served.files(),
+            built.files(),
+            "journal marker and segments must be byte-identical"
+        );
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! [`run_service_isolated`] drives every planned unit the same way:
 //! append its atomic RECEIVED set, then execute it through qd-core's
 //! unit engine. With everything in [`IsolationConfig`] off (the
-//! default, and all [`crate::run_service`] is) that is the whole story,
+//! default) that is the whole story,
 //! and the service has one failure mode: the first unit the divergence
 //! guard rejects aborts the run, and every request queued behind it
 //! starves. An active config gives the service the opposite contract —
@@ -49,17 +49,19 @@
 //! # Execution = resume
 //!
 //! The executor appends a unit's atomic RECEIVED set
-//! ([`qd_core::QuickDrop::receive_unit`]) and then drives *all* model
-//! work through [`qd_core::QuickDrop::resume_requests_until`] — a fresh
-//! unit and a crash-resumed one execute identical code from identical
-//! journal-derived state, which is what makes the kill-anywhere
-//! crash matrix in `tests/poison.rs` pass bit-for-bit. It also means
-//! the unit a killed run left in flight is finished *here*, for every
-//! config, under the policy it started under; callers reopen the
-//! deployment and call again, nothing else. What is durable
-//! at each boundary is qd-core's decision (`lifecycle.rs`); this module
-//! decides only *which* members run under *which* policy, and writes
-//! the two terminal sets that policy produces (FAILED, QUARANTINED).
+//! ([`qd_core::QuickDrop::receive_unit`]), reads the unit back through
+//! qd-core's one journal fold ([`qd_core::units`]) — whether this
+//! process or a killed one wrote that set — and drives *all* model work
+//! through [`qd_core::QuickDrop::resume_requests_until`]: the one
+//! journaled path of `qd_core`'s lifecycle module, which every
+//! per-request call runs too. It also means the unit a killed run left
+//! in flight is finished *here*, for every config, under the policy it
+//! started under; callers reopen the deployment and call again, nothing
+//! else. What is durable at each boundary, and what every record holds,
+//! is qd-core's decision (`lifecycle.rs`); this module decides only
+//! *which* members run under *which* policy, and which are settled
+//! unserved ([`qd_core::QuickDrop::settle_unserved`]: FAILED,
+//! QUARANTINED) and why.
 //!
 //! Active and inactive configs differ in exactly one written byte: a
 //! request served alone is unbatched (`batch: None`) with isolation
@@ -71,14 +73,12 @@ use crate::service::{ChaosKill, ServiceError, ServiceRun};
 use crate::stats::ServeStats;
 use crate::ServeConfig;
 use qd_core::{
-    BatchId, BatchPreempt, FailReason, JournalRecord, QuickDrop, RequestJournal, RequestState,
-    ResumeRun, ServeError,
+    units, BatchPreempt, FailReason, JournaledRun, QuickDrop, RequestJournal, RequestState,
+    ServeError, Unit,
 };
 use qd_fed::Federation;
-use qd_tensor::rng::{Rng, RngState};
-use qd_tensor::Tensor;
+use qd_tensor::rng::Rng;
 use qd_unlearn::{ForgetSet, GuardPolicy, UnlearnRequest};
-use std::collections::BTreeMap;
 
 /// Highest retry-ladder rung accepted: beyond 2^-16 the halved
 /// ascent-LR scale is numerically dead anyway.
@@ -278,35 +278,32 @@ impl TenantBreaker {
         }
     }
 
-    /// Applies one completed unit's outcomes, in the canonical order
-    /// (quarantines before serves, member order within each): the same
-    /// fold live execution and journal replay both use.
-    fn feed(&mut self, unit: &PlannedBatch, quarantined: &[usize], shed: &[usize]) {
-        for &i in quarantined {
-            if let Some(t) = owner_tenant(unit, i) {
-                self.record_quarantine(t);
-            }
+    /// Applies one completed unit's outcomes as the journal certifies
+    /// them (`served` is its [`qd_core::units`] fold), quarantines before
+    /// serves: the same fold of the same input for live execution and
+    /// journal replay.
+    fn feed(&mut self, unit: &PlannedBatch, served: &Unit<'_>) {
+        let owners = |state| {
+            let settled =
+                (served.members.iter().enumerate()).filter(move |(_, m)| m.state == state);
+            settled.filter_map(|(i, _)| owner_tenant(unit, i))
+        };
+        for t in owners(RequestState::Quarantined) {
+            self.record_quarantine(t);
         }
-        for i in 0..unit.members.len() {
-            if quarantined.contains(&i) || shed.contains(&i) {
-                continue;
-            }
-            if let Some(t) = owner_tenant(unit, i) {
-                self.record_served(t);
-            }
+        for t in owners(RequestState::Recovered) {
+            self.record_served(t);
         }
     }
 
     /// Rebuilds breaker state from the journal-derived outcomes of the
-    /// leading completed units — the resume path. Because live
-    /// execution applies [`TenantBreaker::feed`] with exactly the
-    /// outcomes the journal certifies, the replayed state is identical
-    /// to the state the killed process held.
-    pub(crate) fn replay(&mut self, plan: &Plan, frontier: &Frontier) {
-        for (unit, progress) in plan.batches.iter().zip(&frontier.units).take(frontier.done) {
+    /// leading completed units — the resume path. Live execution feeds
+    /// each unit from the journal as well, so the replayed state is
+    /// identical to the state the killed process held.
+    pub(crate) fn replay(&mut self, plan: &Plan, frontier: &Frontier<'_>) {
+        for (unit, served) in plan.batches.iter().zip(&frontier.units).take(frontier.done) {
             self.tick();
-            let quarantined: Vec<usize> = progress.quarantined.iter().map(|&(i, _)| i).collect();
-            self.feed(unit, &quarantined, &progress.failed);
+            self.feed(unit, served);
         }
     }
 
@@ -336,50 +333,25 @@ fn owner_tenant(unit: &PlannedBatch, member: usize) -> Option<usize> {
         .map(|tag| tag.tenant)
 }
 
-/// Journal-derived progress of one planned unit.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct UnitProgress {
-    /// The unit's atomic RECEIVED set is durable.
-    pub started: bool,
-    /// Sequence number per member position (full once `started`).
-    pub received_seqs: Vec<u64>,
-    /// Member positions isolated to QUARANTINED, with the typed reason.
-    pub quarantined: Vec<(usize, FailReason)>,
-    /// Member positions shed to FAILED.
-    pub failed: Vec<usize>,
-    /// Member positions served to RECOVERED.
-    pub recovered: Vec<usize>,
-    /// Records in a terminal state ([`RequestState::is_terminal`]); a
-    /// member gets at most one.
-    terminal: usize,
-}
-
-impl UnitProgress {
-    /// Every member holds a terminal state.
-    fn complete(&self, members: usize) -> bool {
-        self.received_seqs.len() == members && self.terminal == members
-    }
-}
-
 /// Where a journal stands relative to a plan.
 #[derive(Debug, Clone)]
-pub(crate) struct Frontier {
-    /// Per-unit progress, index-aligned with `plan.batches`.
-    pub units: Vec<UnitProgress>,
-    /// Leading units whose every member is terminal.
+pub(crate) struct Frontier<'a> {
+    /// The journal's units ([`qd_core::units`]), index-aligned with the
+    /// leading `plan.batches`; planned units past the end have not
+    /// started.
+    pub units: Vec<Unit<'a>>,
+    /// Leading units whose every member is terminal. At most one more
+    /// unit — the one in flight — has started.
     pub done: usize,
 }
 
-impl Frontier {
+impl Frontier<'_> {
     /// The dead-letter set: every quarantined member's request.
-    pub fn dead_letter(&self, plan: &Plan) -> ForgetSet {
+    pub fn dead_letter(&self) -> ForgetSet {
         let mut set = ForgetSet::empty();
-        for (unit, progress) in plan.batches.iter().zip(&self.units) {
-            for &(i, _) in &progress.quarantined {
-                if let Some(&request) = unit.members.get(i) {
-                    set.insert(request);
-                }
-            }
+        let members = self.units.iter().flat_map(|unit| &unit.members);
+        for member in members.filter(|m| m.state == RequestState::Quarantined) {
+            set.insert(member.request);
         }
         set
     }
@@ -389,157 +361,65 @@ fn foreign(msg: String) -> ServiceError {
     ServiceError::ForeignJournal(msg)
 }
 
-/// Aligns the journal's records with the plan's units, record by
-/// record: RECEIVED records must arrive in plan order (unit by unit,
-/// member by member — each unit's set is one atomic frame, so its
-/// records are contiguous), and every later record must reference a
-/// sequence number some RECEIVED record introduced. Anything else —
-/// RELEARNED records, unknown sequence numbers, requests that do not
-/// match the plan — means the journal belongs to some other deployment
-/// or config, and progress counting on it would silently corrupt the
-/// run: the typed [`ServiceError::ForeignJournal`] refuses it up
-/// front.
-pub(crate) fn map_journal(plan: &Plan, journal: &RequestJournal) -> Result<Frontier, ServiceError> {
-    let mut units: Vec<UnitProgress> = plan
-        .batches
-        .iter()
-        .map(|_| UnitProgress::default())
-        .collect();
-    // BTreeMap, not HashMap: serve-crate iteration order is
-    // lint-enforced deterministic.
-    let mut seq_owner: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
-    let mut next_unit = 0usize;
-    let mut next_member = 0usize;
-    for record in journal.records() {
-        match record.state {
-            RequestState::Received => {
-                let Some(unit) = plan.batches.get(next_unit) else {
-                    return Err(foreign(format!(
-                        "RECEIVED record seq {} is beyond the plan's {} units",
-                        record.seq,
-                        plan.batches.len()
-                    )));
-                };
-                let expected = unit.members.get(next_member).copied();
-                if expected != Some(record.request) {
-                    return Err(foreign(format!(
-                        "RECEIVED record seq {} carries {}, but plan unit {} member {} is {}",
-                        record.seq,
-                        record.request,
-                        next_unit,
-                        next_member,
-                        expected.map_or_else(|| "absent".to_string(), |r| r.to_string()),
-                    )));
-                }
-                seq_owner.insert(record.seq, (next_unit, next_member));
-                if let Some(progress) = units.get_mut(next_unit) {
-                    progress.started = true;
-                    progress.received_seqs.push(record.seq);
-                }
-                next_member += 1;
-                if next_member == unit.members.len() {
-                    next_unit += 1;
-                    next_member = 0;
-                }
-            }
-            RequestState::Relearned => {
-                return Err(foreign(format!(
-                    "RELEARNED record seq {} — relearn streams never come from this service",
-                    record.seq
-                )));
-            }
-            state => {
-                if next_member != 0 {
-                    return Err(foreign(format!(
-                        "{state} record seq {} interleaves unit {next_unit}'s RECEIVED set",
-                        record.seq
-                    )));
-                }
-                let Some(&(u, m)) = seq_owner.get(&record.seq) else {
-                    return Err(foreign(format!(
-                        "{state} record references unknown seq {}",
-                        record.seq
-                    )));
-                };
-                let Some(progress) = units.get_mut(u) else {
-                    continue;
-                };
-                progress.terminal += usize::from(state.is_terminal());
-                // Which terminal state, for the stats and breaker folds.
-                match state {
-                    RequestState::Recovered => progress.recovered.push(m),
-                    RequestState::Quarantined => progress
-                        .quarantined
-                        .push((m, record.reason.unwrap_or(FailReason::Diverged))),
-                    RequestState::Failed => progress.failed.push(m),
-                    _ => {}
-                }
-            }
-        }
-    }
-    if next_member != 0 {
+/// The journal's units; one the fold refuses was not written by this
+/// service.
+fn journal_units(journal: &RequestJournal) -> Result<Vec<Unit<'_>>, ServiceError> {
+    units(journal.records()).map_err(|e| foreign(e.to_string()))
+}
+
+/// Aligns the journal's units ([`qd_core::units`]) with the plan's, unit
+/// by unit: they must arrive in plan order with exactly the planned
+/// members (each unit's RECEIVED set is one atomic frame, so a started
+/// unit is never short), and only the last may be unfinished. Anything
+/// else — a journal the fold refuses, RELEARNED members, requests that
+/// do not match the plan — means the journal belongs to some other
+/// deployment or config, and progress counting on it would silently
+/// corrupt the run: the typed [`ServiceError::ForeignJournal`] refuses
+/// it up front.
+pub(crate) fn map_journal<'a>(
+    plan: &Plan,
+    journal: &'a RequestJournal,
+) -> Result<Frontier<'a>, ServiceError> {
+    let units = journal_units(journal)?;
+    if units.len() > plan.batches.len() {
         return Err(foreign(format!(
-            "journal ends inside unit {next_unit}'s RECEIVED set"
+            "the journal holds {} units, the plan only {}",
+            units.len(),
+            plan.batches.len()
         )));
     }
-    let done = plan
-        .batches
-        .iter()
-        .zip(&units)
-        .take_while(|(unit, progress)| progress.complete(unit.members.len()))
+    for (index, (planned, unit)) in plan.batches.iter().zip(&units).enumerate() {
+        if !unit.members.iter().map(|m| &m.request).eq(&planned.members) {
+            return Err(foreign(format!(
+                "unit {index}'s RECEIVED set is not the plan's {} member(s)",
+                planned.members.len()
+            )));
+        }
+        if let Some(m) = (unit.members.iter()).find(|m| m.state == RequestState::Relearned) {
+            return Err(foreign(format!(
+                "RELEARNED record seq {} — relearn streams never come from this service",
+                m.seq
+            )));
+        }
+    }
+    let done = (units.iter())
+        .take_while(|unit| unit.pending().next().is_none())
         .count();
+    if units.len() > done + 1 {
+        return Err(foreign(format!(
+            "unit {} started before unit {done} finished",
+            done + 1
+        )));
+    }
     Ok(Frontier { units, done })
 }
 
-/// How one unit's serve attempt ended.
-enum UnitRun {
-    /// Every member reached a terminal state (RECOVERED, QUARANTINED
-    /// or FAILED); `quarantined`/`shed` list the member positions that
-    /// did not recover.
-    Done {
-        quarantined: Vec<usize>,
-        shed: Vec<usize>,
-    },
-    /// A [`ChaosKill`] boundary fired; the journal holds the progress.
-    Preempted,
-}
-
-/// One atomic terminal frame (FAILED or QUARANTINED) for `positions`
-/// of `unit`, re-certifying the unchanged `rng`/`global`: these
-/// members never touched the model.
-#[allow(clippy::too_many_arguments)]
-fn terminal_frame(
-    unit: &PlannedBatch,
-    seqs: &[u64],
-    positions: &[usize],
-    state: RequestState,
-    reason: FailReason,
-    batch: Option<BatchId>,
-    rng: &RngState,
-    global: &[Tensor],
-) -> Vec<JournalRecord> {
-    positions
-        .iter()
-        .filter_map(|&i| {
-            Some(JournalRecord {
-                seq: *seqs.get(i)?,
-                request: *unit.members.get(i)?,
-                state,
-                rng: rng.clone(),
-                global: global.to_vec(),
-                guard: None,
-                batch,
-                reason: Some(reason),
-            })
-        })
-        .collect()
-}
-
-/// Serves one planned unit: append its RECEIVED set, then — under an
-/// active `iso` — shed OPEN-breaker tenants to FAILED, probe the retry
-/// ladder, bisect and quarantine what no rung serves; finally execute
-/// the survivors via the resume protocol. `progress` carries the
-/// journal-derived state of a unit a killed run left in flight.
+/// Serves one planned unit: append its RECEIVED set unless a killed run
+/// already did (`started`), read the unit back from the journal, then —
+/// under an active `iso` — shed OPEN-breaker tenants to FAILED, probe
+/// the retry ladder, bisect and quarantine what no rung serves; finally
+/// execute the survivors via the resume protocol. `Ok(false)` when a
+/// [`ChaosKill`] boundary fired; the journal holds the progress.
 #[allow(clippy::too_many_arguments)]
 fn serve_unit(
     qd: &mut QuickDrop,
@@ -552,56 +432,42 @@ fn serve_unit(
     breaker: &TenantBreaker,
     rng: &mut Rng,
     kill: Option<ChaosKill>,
-    progress: Option<&UnitProgress>,
-) -> Result<UnitRun, ServiceError> {
+    started: bool,
+) -> Result<bool, ServiceError> {
     let unit_kill = kill.filter(|k| k.unit_index == unit_index);
     let kill_at = |b: BatchPreempt| unit_kill.is_some_and(|k| k.boundary == b);
-    let n = unit.members.len();
-
-    let mut quarantined: Vec<usize>;
-    let mut shed: Vec<usize>;
-    let received_seqs: Vec<u64>;
-    let batch_id;
-    let pre_rng;
-    let pre_global;
-    match progress {
-        Some(p) => {
-            // A killed run left this unit in flight: its RECEIVED set
-            // (and any QUARANTINED/FAILED frames) are already durable.
-            // The pre-unit state every probe needs is pinned by the
-            // RECEIVED records.
-            quarantined = p.quarantined.iter().map(|&(i, _)| i).collect();
-            shed = p.failed.clone();
-            received_seqs = p.received_seqs.clone();
-            let first = journal.records().iter().find(|r| {
-                r.state == RequestState::Received && received_seqs.first() == Some(&r.seq)
-            });
-            let Some(first) = first else {
-                return Err(foreign(format!(
-                    "unit {unit_index} is started but its RECEIVED records are missing"
-                )));
-            };
-            batch_id = first.batch;
-            pre_rng = first.rng.clone();
-            pre_global = first.global.clone();
-        }
-        None => {
-            // The one written difference between an active and an
-            // inactive config: a request served alone stays unbatched
-            // with isolation off, as it always was on disk.
-            batch_id = (n > 1 || iso.active()).then(|| journal.next_batch_id());
-            pre_rng = rng.state();
-            pre_global = fed.global().to_vec();
-            let members = QuickDrop::receive_unit(fed, journal, &unit.members, batch_id, rng)
-                .map_err(ServeError::from)?;
-            received_seqs = members.iter().map(|&(seq, _)| seq).collect();
-            if kill_at(BatchPreempt::Received) {
-                return Ok(UnitRun::Preempted);
-            }
-            quarantined = Vec::new();
-            shed = Vec::new();
+    if !started {
+        // The one written difference between an active and an inactive
+        // config: a request served alone stays unbatched with isolation
+        // off, as it always was on disk.
+        let batch = (unit.members.len() > 1 || iso.active()).then(|| journal.next_batch_id());
+        QuickDrop::receive_unit(fed, journal, &unit.members, batch, rng)
+            .map_err(ServeError::from)?;
+        if kill_at(BatchPreempt::Received) {
+            return Ok(false);
         }
     }
+    // The unit as the journal holds it, whoever wrote it: its members
+    // with their sequence numbers, who is already settled (QUARANTINED
+    // or FAILED frames a killed run made durable), and the pre-unit
+    // state every probe needs, pinned by the RECEIVED records.
+    let folded = journal_units(journal)?;
+    let Some(tail) = folded.get(unit_index) else {
+        return Err(foreign(format!("unit {unit_index} has no RECEIVED set")));
+    };
+    let batch = tail.batch;
+    let members: Vec<(u64, UnlearnRequest)> =
+        tail.members.iter().map(|m| (m.seq, m.request)).collect();
+    let mut active: Vec<usize> = (tail.members.iter().enumerate())
+        .filter(|(_, m)| !m.state.is_terminal())
+        .map(|(i, _)| i)
+        .collect();
+    let (pre_rng, pre_global) = (tail.received.rng.clone(), tail.received.global.clone());
+    let members_at = |positions: &[usize]| -> Vec<(u64, UnlearnRequest)> {
+        (positions.iter())
+            .filter_map(|&i| members.get(i).copied())
+            .collect()
+    };
     // Shed decision: members whose owning tenant's breaker is OPEN
     // never reach the model. Its FAILED frame is the first thing
     // written after the RECEIVED set, so the decision is still to be
@@ -612,40 +478,33 @@ fn serve_unit(
     // decision (or reads the FAILED records it already led to). A
     // disabled breaker is never OPEN.
     if (journal.last()).is_some_and(|r| r.state == RequestState::Received) {
-        shed = (0..n)
+        let shed: Vec<usize> = (active.iter().copied())
             .filter(|&i| owner_tenant(unit, i).is_some_and(|t| breaker.is_open(t)))
             .collect();
         if !shed.is_empty() {
-            let frame = terminal_frame(
-                unit,
-                &received_seqs,
-                &shed,
-                RequestState::Failed,
+            QuickDrop::settle_unserved(
+                fed,
+                journal,
+                batch,
+                &members_at(&shed),
                 FailReason::Shed,
-                batch_id,
-                &pre_rng,
-                &pre_global,
-            );
-            journal.append_all(frame).map_err(ServeError::from)?;
+                rng,
+            )
+            .map_err(ServeError::from)?;
             if kill_at(BatchPreempt::Failed) {
-                return Ok(UnitRun::Preempted);
+                return Ok(false);
             }
+            active.retain(|i| !shed.contains(i));
         }
     }
 
-    let mut active: Vec<usize> = (0..n)
-        .filter(|i| !shed.contains(i) && !quarantined.contains(i))
-        .collect();
     // In-execution boundaries are the resume protocol's to honor; the
     // executor owns the Received/Failed/Quarantined ones above.
     let exec_preempt = unit_kill
         .map(|k| k.boundary)
         .filter(|b| matches!(b, BatchPreempt::Unlearned(_) | BatchPreempt::Recovered));
 
-    loop {
-        if active.is_empty() {
-            return Ok(UnitRun::Done { quarantined, shed });
-        }
+    while !active.is_empty() {
         let requests: Vec<UnlearnRequest> = active
             .iter()
             .filter_map(|&i| unit.members.get(i).copied())
@@ -675,10 +534,7 @@ fn serve_unit(
             // remaining members.
             let run =
                 qd.resume_requests_until(fed, journal, exec_policy.as_ref(), rng, exec_preempt)?;
-            return Ok(match run {
-                ResumeRun::Complete(_) => UnitRun::Done { quarantined, shed },
-                ResumeRun::Preempted { .. } => UnitRun::Preempted,
-            });
+            return Ok(matches!(run, JournaledRun::Complete(_)));
         }
         // No rung serves the active set. Isolate the poison members —
         // by bisection probes when enabled and the set is divisible —
@@ -707,28 +563,16 @@ fn serve_unit(
         } else {
             FailReason::Diverged
         };
-        // Probes are side-effect-free, so the journal tail still holds
-        // the pre-unit state; the QUARANTINED records re-certify it.
-        let (tail_rng, tail_global) = journal
-            .last()
-            .map_or((&pre_rng, &pre_global), |r| (&r.rng, &r.global));
-        let frame = terminal_frame(
-            unit,
-            &received_seqs,
-            &poison,
-            RequestState::Quarantined,
-            reason,
-            batch_id,
-            tail_rng,
-            tail_global,
-        );
-        journal.append_all(frame).map_err(ServeError::from)?;
-        quarantined.extend(poison.iter().copied());
+        // Probes are side-effect-free, so the live model and RNG stream
+        // are still the pre-unit state the QUARANTINED records certify.
+        QuickDrop::settle_unserved(fed, journal, batch, &members_at(&poison), reason, rng)
+            .map_err(ServeError::from)?;
         if kill_at(BatchPreempt::Quarantined) {
-            return Ok(UnitRun::Preempted);
+            return Ok(false);
         }
         active.retain(|i| !poison.contains(i));
     }
+    Ok(true)
 }
 
 /// Folds the journal's terminal outcomes into the plan-derived stats:
@@ -744,32 +588,28 @@ fn serve_unit(
 pub(crate) fn apply_failure_stats(
     stats: &mut ServeStats,
     plan: &Plan,
-    frontier: &Frontier,
+    frontier: &Frontier<'_>,
     breaker: &TenantBreaker,
 ) {
     let mut served = 0u64;
     let mut quarantined = 0u64;
     let mut shed = 0u64;
     for (unit, progress) in plan.batches.iter().zip(&frontier.units) {
-        if !progress.quarantined.is_empty() {
-            stats.retried_units += 1;
+        let (mut retried, mut bisected) = (false, false);
+        for (member, riders) in progress.members.iter().zip(&unit.riders) {
+            match member.state {
+                RequestState::Recovered => served += riders.len() as u64,
+                RequestState::Quarantined => {
+                    quarantined += riders.len() as u64;
+                    retried = true;
+                    bisected |= member.reason == Some(FailReason::PoisonMember);
+                }
+                RequestState::Failed => shed += riders.len() as u64,
+                _ => {}
+            }
         }
-        if progress
-            .quarantined
-            .iter()
-            .any(|&(_, reason)| reason == FailReason::PoisonMember)
-        {
-            stats.bisected_units += 1;
-        }
-        for &i in &progress.recovered {
-            served += unit.riders.get(i).map_or(0, |r| r.len() as u64);
-        }
-        for &(i, _) in &progress.quarantined {
-            quarantined += unit.riders.get(i).map_or(0, |r| r.len() as u64);
-        }
-        for &i in &progress.failed {
-            shed += unit.riders.get(i).map_or(0, |r| r.len() as u64);
-        }
+        stats.retried_units += u64::from(retried);
+        stats.bisected_units += u64::from(bisected);
     }
     stats.quarantined = quarantined;
     stats.shed = shed;
@@ -818,30 +658,33 @@ pub fn frontier_summary(
 ) -> Result<FrontierSummary, ServiceError> {
     let plan = crate::plan::build_plan(cfg).map_err(ServiceError::Plan)?;
     let frontier = map_journal(&plan, journal)?;
-    let mut summary = FrontierSummary {
+    let count = |state| {
+        let members = frontier.units.iter().flat_map(|unit| &unit.members);
+        members.filter(|m| m.state == state).count()
+    };
+    Ok(FrontierSummary {
         units: plan.batches.len(),
         done: frontier.done,
-        received: 0,
-        recovered: 0,
-        quarantined: 0,
-        failed: 0,
-    };
-    for progress in &frontier.units {
-        summary.received += progress.received_seqs.len();
-        summary.recovered += progress.recovered.len();
-        summary.quarantined += progress.quarantined.len();
-        summary.failed += progress.failed.len();
-    }
-    Ok(summary)
+        received: frontier.units.iter().map(|unit| unit.members.len()).sum(),
+        recovered: count(RequestState::Recovered),
+        quarantined: count(RequestState::Quarantined),
+        failed: count(RequestState::Failed),
+    })
 }
 
 /// Plans and executes the service run for `cfg` — the one unit loop —
 /// with the retry ladder, batch bisection and per-tenant circuit
-/// breakers of this module governed by `iso`. An inactive `iso` is
-/// [`crate::run_service`]: every unit runs once under the base
-/// `policy` (which may be `None`), and a divergence aborts the run. An
+/// breakers of this module governed by `iso`. Under an inactive `iso`
+/// every unit runs once under the base `policy` (which may be `None`),
+/// and the first unit the guard rejects aborts the run. An
 /// active one requires a guard policy — the ladder and bisection probes
 /// need a divergence verdict to act on.
+///
+/// The journal must be dedicated to this service run: its units are
+/// aligned with the plan's before anything executes, and a journal that
+/// cannot be aligned (wrong config, relearn records, some other
+/// deployment's history) is refused instead of being silently
+/// miscounted.
 ///
 /// Crash recovery contract: after a kill, reopen the checkpoint and
 /// journal (`QuickDrop::open_deployment`) and call this again with the
@@ -855,8 +698,13 @@ pub fn frontier_summary(
 ///
 /// # Errors
 ///
-/// As [`crate::run_service`], plus [`ServiceError::Plan`] for an
-/// invalid `iso` or an active one without a guard policy.
+/// [`ServiceError::Plan`] for an unrunnable config, an invalid `iso` or
+/// an active one without a guard policy,
+/// [`ServiceError::ForeignJournal`] when the journal cannot be aligned
+/// with the plan, or [`ServiceError::Serve`] when a unit fails (with
+/// isolation off a guard divergence aborts the run; the journal keeps
+/// the diverged unit at its last durable state, so a retry surfaces the
+/// same error deterministically).
 #[allow(clippy::too_many_arguments)]
 pub fn run_service_isolated(
     qd: &mut QuickDrop,
@@ -877,36 +725,42 @@ pub fn run_service_isolated(
         ));
     }
     let plan = build_plan(cfg).map_err(ServiceError::Plan)?;
-    let frontier = map_journal(&plan, journal)?;
-    // Restore marks/model/RNG from the journal tail without finishing
-    // the in-flight unit (the ladder rung must be re-derived first).
-    // Idempotent when the live state already matches the tail.
-    qd.restore_tail(fed, journal, rng);
     let mut breaker = TenantBreaker::new(
         plan.rejected_by_tenant.len(),
         iso.breaker_trip,
         iso.breaker_cooldown,
     );
+    let frontier = map_journal(&plan, journal)?;
     breaker.replay(&plan, &frontier);
-    let resumed_units = frontier.done as u64;
+    let (done, started) = (frontier.done, frontier.units.len());
+    // Restore marks/model/RNG from the journal tail without finishing
+    // the in-flight unit (the ladder rung must be re-derived first).
+    // Idempotent when the live state already matches the tail.
+    qd.restore_tail(fed, journal, rng);
     let mut executed_units = 0u64;
     let mut preempted = false;
-    for (index, unit) in plan.batches.iter().enumerate().skip(frontier.done) {
-        let progress = frontier.units.get(index).filter(|p| p.started);
-        let run = serve_unit(
-            qd, fed, journal, unit, index, policy, iso, &breaker, rng, kill, progress,
+    for (index, unit) in plan.batches.iter().enumerate().skip(done) {
+        preempted = !serve_unit(
+            qd,
+            fed,
+            journal,
+            unit,
+            index,
+            policy,
+            iso,
+            &breaker,
+            rng,
+            kill,
+            index < started,
         )?;
-        match run {
-            UnitRun::Preempted => {
-                preempted = true;
-                break;
-            }
-            UnitRun::Done { quarantined, shed } => {
-                breaker.tick();
-                breaker.feed(unit, &quarantined, &shed);
-                executed_units += 1;
-            }
+        if preempted {
+            break;
         }
+        breaker.tick();
+        if let Some(served) = journal_units(journal)?.get(index) {
+            breaker.feed(unit, served);
+        }
+        executed_units += 1;
     }
     let final_frontier = map_journal(&plan, journal)?;
     let mut stats = ServeStats::from_plan(&plan);
@@ -914,13 +768,12 @@ pub fn run_service_isolated(
     if preempted {
         stats.mark_partial();
     }
-    let dead_letter = final_frontier.dead_letter(&plan);
     Ok(ServiceRun {
         stats,
         executed_units,
-        resumed_units,
+        resumed_units: done as u64,
         preempted,
-        dead_letter,
+        dead_letter: final_frontier.dead_letter(),
     })
 }
 
@@ -928,7 +781,7 @@ pub fn run_service_isolated(
 mod tests {
     use super::*;
     use crate::plan::RequestTag;
-    use qd_core::{FaultFs, Vfs};
+    use qd_core::{FaultFs, JournalRecord, Vfs};
     use qd_tensor::rng::Rng;
     use std::path::PathBuf;
     use std::sync::Arc;
@@ -1005,13 +858,10 @@ mod tests {
             .unwrap();
         let f = map_journal(&plan, &journal).unwrap();
         assert_eq!(f.done, 0, "unit 0 still has a live member");
-        assert!(f.units[0].started);
-        assert_eq!(f.units[0].quarantined, vec![(0, FailReason::Diverged)]);
-        assert!(!f.units[1].started);
-        assert_eq!(
-            f.dead_letter(&plan).requests(),
-            vec![UnlearnRequest::Client(0)]
-        );
+        assert_eq!(f.units.len(), 1, "unit 1 has not started");
+        assert_eq!(f.units[0].members[0].state, RequestState::Quarantined);
+        assert_eq!(f.units[0].pending().count(), 1);
+        assert_eq!(f.dead_letter().requests(), vec![UnlearnRequest::Client(0)]);
 
         journal
             .append(record(

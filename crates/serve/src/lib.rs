@@ -18,9 +18,9 @@
 //!    are merged into one sorted sequence, and queuing, fairness,
 //!    coalescing and the virtual clock run over it — single-threaded
 //!    throughout. Same config ⇒ same plan, always.
-//! 2. **Execute** ([`run_service`]): walks the planned units through
-//!    the journaled serving calls in order. All durability lives here,
-//!    in qd-core's journal protocol.
+//! 2. **Execute** ([`run_service_isolated`]): walks the planned units
+//!    through qd-core's one journaled path in order. All durability
+//!    lives there, in qd-core's journal protocol.
 //!
 //! The split is what makes crash recovery trivial: after a kill, the
 //! journal says how many planned units completed, and re-planning from
@@ -34,10 +34,10 @@
 //!
 //! # Failure isolation
 //!
-//! [`run_service_isolated`] is the unit loop itself; [`run_service`] is
-//! that call with every isolation knob off. With knobs on it becomes a
-//! degraded-mode executor (see `executor`): a unit the guard rejects
-//! climbs a deterministic retry ladder of tightened policies, a
+//! [`run_service_isolated`] is the one unit loop. With isolation knobs
+//! on it becomes a degraded-mode executor (see `executor`): a unit the
+//! guard rejects climbs a deterministic retry ladder of tightened
+//! policies, a
 //! poisoned coalesced batch is bisected down to the guilty members,
 //! those members are quarantined to a dead-letter journal instead of
 //! aborting the run, and per-tenant circuit breakers shed a repeatedly
@@ -61,5 +61,5 @@ pub use executor::{
     IsolationConfig, TenantBreaker, MAX_UNIT_RETRIES,
 };
 pub use plan::{build_plan, Arrival, Plan, PlannedBatch, RequestTag};
-pub use service::{run_service, ChaosKill, ServiceError, ServiceRun};
+pub use service::{ChaosKill, ServiceError, ServiceRun};
 pub use stats::{percentile_us, ServeStats};

@@ -1,34 +1,13 @@
-//! The service entry point and its result types.
+//! The service run's result and error types.
 //!
-//! [`run_service`] plans the multi-tenant request stream and drives the
-//! planned units through the request journal, in plan order. There is
-//! one unit loop — [`crate::run_service_isolated`] — and this is it with
-//! every failure-isolation mechanism off: each unit's RECEIVED set is
-//! appended (a request served alone unbatched, a coalesced unit under a
-//! fresh batch id) and the unit is executed by qd-core's one unit
-//! engine through `QuickDrop::resume_requests_until`, under the base
-//! guard policy; the first unit the guard rejects aborts the run.
-//!
-//! Progress lives entirely in the journal, so crash recovery is: reopen
-//! checkpoint + journal (`QuickDrop::open_deployment`), then call
-//! [`run_service`] again with the same config — it rebuilds the same
-//! plan, maps the journal back onto it, finishes the unit the kill
-//! left partially applied and continues from there. The final model,
-//! journal records and [`ServeStats`] match an unfailed run
-//! bit-for-bit.
-//!
-//! With an active [`crate::IsolationConfig`] the same loop adds the
-//! policy layer: diverging units walk a retry ladder, poison members
-//! are bisected into a dead-letter set, and per-tenant circuit breakers
-//! shed work from repeat offenders — see `crate::executor`.
+//! [`crate::run_service_isolated`] is the one unit loop (see
+//! `crate::executor`); what it returns ([`ServiceRun`]), how it fails
+//! ([`ServiceError`]) and how a chaos schedule kills it ([`ChaosKill`])
+//! live here.
 
-use crate::config::ServeConfig;
-use crate::executor::{run_service_isolated, IsolationConfig};
 use crate::stats::ServeStats;
-use qd_core::{BatchPreempt, QuickDrop, RequestJournal, ServeError};
-use qd_fed::Federation;
-use qd_tensor::rng::Rng;
-use qd_unlearn::{ForgetSet, GuardPolicy};
+use qd_core::{BatchPreempt, ServeError};
+use qd_unlearn::ForgetSet;
 
 /// Why a service run failed.
 #[derive(Debug)]
@@ -99,7 +78,7 @@ impl ChaosKill {
     }
 }
 
-/// What a [`run_service`] call did.
+/// What a [`crate::run_service_isolated`] call did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceRun {
     /// Full SLA accounting. Plan-derived and identical across resumes;
@@ -120,49 +99,4 @@ pub struct ServiceRun {
     /// QUARANTINED. Empty with isolation off and on any run without
     /// poison.
     pub dead_letter: ForgetSet,
-}
-
-/// Plans and executes the whole service run for `cfg` — or, when the
-/// journal already holds progress from a killed run *of the same
-/// config*, the remainder of it.
-///
-/// The journal must be dedicated to this service run: its records are
-/// aligned with the plan's units before anything executes, and a
-/// journal that cannot be aligned (wrong config, relearn records, some
-/// other deployment's history) is refused with
-/// [`ServiceError::ForeignJournal`] instead of being silently
-/// miscounted. Callers resuming after a crash reopen the deployment
-/// (`QuickDrop::open_deployment`) and call this with the same config;
-/// the partially-applied unit is finished here.
-///
-/// This is [`crate::run_service_isolated`] with the default all-off
-/// [`crate::IsolationConfig`].
-///
-/// # Errors
-///
-/// [`ServiceError::Plan`] for an unrunnable config,
-/// [`ServiceError::ForeignJournal`] when the journal cannot be aligned
-/// with the plan, or [`ServiceError::Serve`] when a unit fails (guard
-/// divergence aborts the run; the journal keeps the diverged unit at
-/// its last durable state, so a retry surfaces the same error
-/// deterministically).
-pub fn run_service(
-    qd: &mut QuickDrop,
-    fed: &mut Federation,
-    journal: &mut RequestJournal,
-    cfg: &ServeConfig,
-    policy: Option<&GuardPolicy>,
-    rng: &mut Rng,
-    kill: Option<ChaosKill>,
-) -> Result<ServiceRun, ServiceError> {
-    run_service_isolated(
-        qd,
-        fed,
-        journal,
-        cfg,
-        policy,
-        &IsolationConfig::default(),
-        rng,
-        kill,
-    )
 }

@@ -30,8 +30,8 @@ use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{FaultKind, FaultPlan, Federation, Phase};
 use qd_nn::{Mlp, Module};
 use qd_serve::{
-    build_plan, run_service, run_service_isolated, ChaosKill, IsolationConfig, Plan, ServeConfig,
-    ServeStats, ServiceRun,
+    build_plan, run_service_isolated, ChaosKill, IsolationConfig, Plan, ServeConfig, ServeStats,
+    ServiceRun,
 };
 use qd_tensor::rng::{Rng, RngState};
 use qd_tensor::Tensor;
@@ -440,7 +440,8 @@ fn stats_digest(stats: &ServeStats) -> u32 {
 }
 
 /// One "process" of the plain service on `fs`: deployment from the
-/// checkpoint file, journal reopened, and `run_service` — preceded, when
+/// checkpoint file, journal reopened, and the executor with isolation
+/// off — preceded, when
 /// `resume`, by a caller-side `resume_requests` (redundant: the executor
 /// finishes in-flight units itself; the oracle pins that it is harmless).
 fn oracle_process(
@@ -466,7 +467,18 @@ fn oracle_process(
         qd.resume_requests(&mut fed, &mut journal, policy, &mut rng)
             .unwrap();
     }
-    let run = run_service(&mut qd, &mut fed, &mut journal, cfg, policy, &mut rng, kill).unwrap();
+    let iso = IsolationConfig::default();
+    let run = run_service_isolated(
+        &mut qd,
+        &mut fed,
+        &mut journal,
+        cfg,
+        policy,
+        &iso,
+        &mut rng,
+        kill,
+    )
+    .unwrap();
     assert!(run.dead_letter.is_empty());
     (run, fed.global().to_vec())
 }
