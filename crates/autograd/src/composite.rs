@@ -4,13 +4,15 @@
 //! that is closed under differentiation — the only representation that
 //! reproduces a gradient of a gradient bit for bit. On a first-order or
 //! inference tape nothing is differentiated twice, so it is one node with
-//! a fused forward kernel and a direct backward rule (`ops.rs`). The tape
-//! chooses from its own kind ([`Tape::fuses`]); callers cannot.
+//! a fused forward kernel and a direct backward rule (`ops.rs`) — for a
+//! convolution, kernels that never unfold the patch matrix the chain is
+//! made of. The tape chooses from its own kind ([`Tape::fuses`]); callers
+//! cannot.
 
 use crate::kernels;
 use crate::tape::{Op, Tape};
 use crate::Var;
-use qd_tensor::{Conv2dGeometry, Tensor};
+use qd_tensor::{conv2d, Conv2dGeometry, Tensor};
 
 impl Tape {
     /// Instance normalization with affine parameters over an
@@ -79,22 +81,28 @@ impl Tape {
     ///
     /// A recording tape records those four primitives, which makes the
     /// convolution valid inside a gradient of a gradient. A first-order
-    /// or inference tape records `im2col` and one node for the rest: bias
-    /// add and the rows → NCHW permute in one pass over the product, which
-    /// is not retained. Same bits either way.
+    /// or inference tape records one node, computed by
+    /// [`qd_tensor::conv2d`] and differentiated by its two gradient
+    /// kernels, which read and write the images in place: the patch
+    /// matrix, nine times an activation for a 3×3 window, never exists.
+    /// Same bits either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `conv2d`, unless `x` is a whole number of
+    /// `Cin×H×W` images, `bias` a vector and `weight`
+    /// `(bias.len(), Cin·k·k)`.
     pub fn conv2d(&mut self, x: Var, weight: Var, bias: Var, geo: Conv2dGeometry) -> Var {
-        let n = self.value(x).dims()[0];
-        let out_dims = [n, self.value(bias).len(), geo.out_h, geo.out_w];
-        let cols = self.im2col(x, geo); // (N*OH*OW, Cin*k*k)
+        let (xv, w, b) = (self.value(x), self.value(weight), self.value(bias));
+        let [n, c, oh, ow] = geo.output_dims(xv, w, b);
         if self.fuses() {
-            let product = self.value(cols).matmul_nt(self.value(weight));
-            let out = kernels::bias_rows_to_nchw(&product, self.value(bias), out_dims);
-            let needs = [cols, weight, bias].iter().any(|v| self.needs_grad(*v));
-            return self.push(out, Op::ConvOutput(cols, weight, bias, out_dims), needs);
+            let out = conv2d(xv, w, b, &geo);
+            let needs = [x, weight, bias].iter().any(|v| self.needs_grad(*v));
+            return self.push(out, Op::Conv2d(x, weight, bias, geo), needs);
         }
+        let cols = self.im2col(x, geo); // (N*OH*OW, Cin*k*k)
         let y = self.matmul_nt(cols, weight); // (N*OH*OW, Cout)
         let yb = self.add_row_bias(y, bias);
-        let [n, c, oh, ow] = out_dims;
         self.rows_to_nchw(yb, n, c, oh, ow)
     }
 }

@@ -1,7 +1,8 @@
 //! Private kernels used by the tape ops: NCHW permutes and
 //! spatial/channel reductions with their adjoint broadcasts, and the fused
-//! composites a first-order or inference tape records in place of chains
-//! of them.
+//! instance norm and ReLU adjoint a first-order or inference tape records
+//! in place of chains of them (its convolution is `qd_tensor::conv2d` and
+//! that kernel's two gradients).
 //!
 //! A fused kernel's contract is the chain's: per output element and per
 //! reduction, the same rounded operations in the same order (a plane sum
@@ -13,30 +14,10 @@ use qd_tensor::Tensor;
 
 /// Permutes a patch-row matrix `(N*OH*OW, C)` into an `(N, C, OH, OW)`
 /// feature map. Inverse (and adjoint) of [`nchw_to_rows`].
-pub(crate) fn rows_to_nchw(rows: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
-    rows_to_nchw_with(rows, [n, c, oh, ow], |v, _| v)
-}
-
-/// `rows_to_nchw(add_row_bias(y, b))` in one pass: the `(N*OH*OW, C)`
-/// product of a convolution plus its bias, written as `(N, C, OH, OW)`.
-pub(crate) fn bias_rows_to_nchw(y: &Tensor, b: &Tensor, dims: [usize; 4]) -> Tensor {
-    assert_eq!(
-        b.dims(),
-        &[dims[1]],
-        "bias_rows_to_nchw expects a bias vector"
-    );
-    rows_to_nchw_with(y, dims, |v, ch| v + b.data()[ch])
-}
-
-/// The rows → NCHW permute with `map(value, channel)` applied on the way.
 ///
 /// Per image this is a `(OH*OW, C) -> (C, OH*OW)` transpose: each output
 /// plane is one column of the image's row block, read as a strided run.
-fn rows_to_nchw_with(
-    rows: &Tensor,
-    [n, c, oh, ow]: [usize; 4],
-    map: impl Fn(f32, usize) -> f32,
-) -> Tensor {
+pub(crate) fn rows_to_nchw(rows: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
     assert_eq!(rows.dims(), &[n * oh * ow, c], "rows_to_nchw shape");
     let hw = oh * ow;
     let mut out = vec![0.0f32; n * c * hw];
@@ -48,7 +29,7 @@ fn rows_to_nchw_with(
         {
             for (ch, plane) in img.chunks_exact_mut(hw).enumerate() {
                 for (o, &v) in plane.iter_mut().zip(block[ch..].iter().step_by(c)) {
-                    *o = map(v, ch);
+                    *o = v;
                 }
             }
         }

@@ -19,9 +19,11 @@
 //! * Values are plain [`qd_tensor::Tensor`]s; model parameters live
 //!   *outside* the tape and are inserted per step as leaves, which keeps
 //!   federated averaging and gradient ascent as plain tensor arithmetic.
-//! * Convolution is a composite of the linear pair `im2col`/`col2im` plus
-//!   a matrix product, so its double-backprop falls out of the vjp rules of
-//!   those primitives — no special casing on a recording tape.
+//! * On a recording tape convolution is a composite of the linear pair
+//!   `im2col`/`col2im` plus a matrix product, so its double-backprop falls
+//!   out of the vjp rules of those primitives — no special casing. Where
+//!   nothing is differentiated twice it is one node on `qd-tensor`'s direct
+//!   kernels, which never build the patch matrix.
 //! * The three products `A·B`, `Aᵀ·B` and `A·Bᵀ` are ops of their own and
 //!   closed under differentiation (each one's adjoints are products from
 //!   the same three), so no transpose is recorded or materialised at any

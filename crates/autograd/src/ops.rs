@@ -10,6 +10,7 @@
 use crate::kernels;
 use crate::tape::{Op, PoolGeo, Tape};
 use crate::Var;
+use qd_tensor::{conv2d_input_grad, conv2d_weight_grad, Tensor};
 
 /// The `(input, contribution)` pairs one node hands to the gradient sweep
 /// (one table for [`Tape::grad`] and [`Tape::into_grads`]), in the order
@@ -203,16 +204,26 @@ impl Tape {
                     grads.via_mean.map(|g| (x, self.constant(g))),
                 ]
             }
-            Op::ConvOutput(cols, weight, bias, [n, c, oh, ow]) => {
-                // The chain's rules on the chain's values: the upstream
-                // as rows is the adjoint of `cols · Wᵀ` and of `+ b` both.
-                let rows = self.nchw_to_rows(u, n, c, oh, ow);
+            Op::Conv2d(x, weight, bias, geo) => {
+                // The chain's rules on the chain's values: the upstream as
+                // rows is the adjoint of `cols · Wᵀ` and of `+ b` both. `x`
+                // comes last, as from the chain's `im2col` node, which sat
+                // right below the convolution's output.
+                let (xv, w) = (self.value(x), self.value(weight));
+                let [n, c, oh, ow] = geo.output_dims(xv, w, self.value(bias));
+                let [need_x, need_w, need_b] = [x, weight, bias].map(|v| self.needs_grad(v));
+                let dx = need_x.then(|| {
+                    let folded = conv2d_input_grad(self.value(u), w, &geo);
+                    Tensor::from_vec(folded.into_vec(), xv.dims())
+                });
+                let rows = (need_w || need_b).then(|| self.nchw_to_rows(u, n, c, oh, ow));
+                let dw = rows
+                    .filter(|_| need_w)
+                    .map(|rows| conv2d_weight_grad(self.value(x), self.value(rows), &geo));
                 [
-                    self.needs_grad(cols)
-                        .then(|| (cols, self.matmul(rows, weight))),
-                    self.needs_grad(weight)
-                        .then(|| (weight, self.matmul_tn(rows, cols))),
-                    self.needs_grad(bias).then(|| (bias, self.sum_rows(rows))),
+                    dw.map(|g| (weight, self.constant(g))),
+                    rows.filter(|_| need_b).map(|r| (bias, self.sum_rows(r))),
+                    dx.map(|g| (x, self.constant(g))),
                     None,
                 ]
             }

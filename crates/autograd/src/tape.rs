@@ -73,9 +73,9 @@ pub(crate) enum Op {
     /// Fused instance norm of `(x, γ, β)`; the fourth input is the
     /// `(2, N·C)` per-plane mean/std node its forward pass left behind.
     InstanceNorm(Var, Var, Var, Var),
-    /// Fused convolution output `rows_to_nchw(cols · Wᵀ + b)` of
-    /// `(cols, W, b)` into `[n, c, oh, ow]`.
-    ConvOutput(Var, Var, Var, [usize; 4]),
+    /// Direct convolution of `(x, W, b)`: no patch matrix, forward or
+    /// backward.
+    Conv2d(Var, Var, Var, Conv2dGeometry),
 }
 
 pub(crate) struct Node {

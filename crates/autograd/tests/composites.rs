@@ -128,29 +128,41 @@ proptest! {
         });
     }
 
+    /// `h != w`, kernels 1, 3 and 5, channel counts on both sides of a
+    /// tile, any subset of the inputs constant, and `x` read again after
+    /// the convolution: its adjoint slot is then full when the rule hands
+    /// over `x`'s contribution, last, as the chain's `im2col` node does.
     #[test]
     fn conv2d_equals_its_chain(
         n in 1usize..3,
         cin in 1usize..4,
-        cout in 1usize..5,
-        hw in 3usize..7,
-        wide_kernel in 0usize..2,
+        cout in 1usize..6,
+        h in 3usize..8,
+        w in 3usize..8,
+        kernel in 0usize..3,
         stride in 1usize..3,
-        pad in 0usize..2,
+        pad in 0usize..3,
         differentiable in 0usize..8,
+        read_again in 0usize..2,
         seed in 0u64..100_000,
     ) {
-        let kernel = 1 + 2 * wide_kernel;
-        let geo = Conv2dGeometry::new(cin, hw, hw, kernel, stride, pad);
+        let kernel = [1, 3, 5][kernel].min(h + 2 * pad).min(w + 2 * pad);
+        let geo = Conv2dGeometry::new(cin, h, w, kernel, stride, pad);
         assert_kinds_agree(|tape| {
             let mut rng = Rng::seed_from(seed);
-            let x = input(tape, Tensor::randn(&[n, cin, hw, hw], &mut rng), bit(differentiable, 0));
+            let x = input(tape, Tensor::randn(&[n, cin, h, w], &mut rng), bit(differentiable, 0));
             let fan = cin * kernel * kernel;
             let weight = input(tape, Tensor::randn(&[cout, fan], &mut rng), bit(differentiable, 1));
             let bias = input(tape, Tensor::randn(&[cout], &mut rng), bit(differentiable, 2));
             let out = tape.conv2d(x, weight, bias, geo);
+            let after = (read_again == 1).then(|| tape.tanh(x));
             let weights = Tensor::randn(&[n, cout, geo.out_h, geo.out_w], &mut rng);
-            (out, weighted_sum(tape, out, weights), vec![x, weight, bias])
+            let mut loss = weighted_sum(tape, out, weights);
+            if let Some(after) = after {
+                let term = weighted_sum(tape, after, Tensor::randn(&[n, cin, h, w], &mut rng));
+                loss = tape.add(loss, term);
+            }
+            (out, loss, vec![x, weight, bias])
         });
     }
 
@@ -296,4 +308,35 @@ fn one_variable_as_scale_and_shift_equals_the_chain() {
             (out, tape.add(loss, term), vec![x, both])
         });
     }
+}
+
+/// A 2×3×4×4 batch against a weight and a bias, on the tape `open` opens.
+fn conv2d_of_shapes(open: fn() -> Tape, x: &[usize], weight: &[usize], bias: &[usize]) {
+    let mut tape = open();
+    let [x, weight, bias] = [x, weight, bias].map(|dims| tape.leaf(Tensor::zeros(dims)));
+    tape.conv2d(x, weight, bias, Conv2dGeometry::new(3, 4, 4, 3, 1, 1));
+}
+
+#[test]
+#[should_panic(expected = "conv2d: input [2, 3, 4, 5] is not a whole number of 3x4x4 images")]
+fn conv2d_names_an_input_that_is_not_whole_images() {
+    conv2d_of_shapes(Tape::first_order, &[2, 3, 4, 5], &[5, 27], &[5]);
+}
+
+#[test]
+#[should_panic(expected = "conv2d: weight [5, 18] is not (Cout, Cin*k*k) = (5, 27)")]
+fn conv2d_names_a_weight_of_the_wrong_fan_in() {
+    conv2d_of_shapes(Tape::inference, &[2, 3, 4, 4], &[5, 18], &[5]);
+}
+
+#[test]
+#[should_panic(expected = "conv2d: weight [27, 5] is not (Cout, Cin*k*k) = (5, 27) for bias [5]")]
+fn conv2d_names_a_transposed_weight_on_the_recording_tape_too() {
+    conv2d_of_shapes(Tape::new, &[2, 3, 4, 4], &[27, 5], &[5]);
+}
+
+#[test]
+#[should_panic(expected = "conv2d: bias [5, 1] is not a vector")]
+fn conv2d_names_a_bias_that_is_not_a_vector() {
+    conv2d_of_shapes(Tape::new, &[2, 3, 4, 4], &[5, 27], &[5, 1]);
 }

@@ -60,8 +60,9 @@ impl Module for Linear {
 ///
 /// [`Tape::conv2d`]: the composite `rows_to_nchw(im2col(x) · Wᵀ + b)`,
 /// recorded as differentiable primitives where a gradient may be
-/// differentiated again (the distillation objective) and as one fused
-/// node where it cannot. `Wᵀ` is never built, forward or backward.
+/// differentiated again (the distillation objective) and as one node on
+/// the direct kernels, which skip the patch matrix, where it cannot. `Wᵀ`
+/// is never built, forward or backward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conv2d {
     in_channels: usize,

@@ -19,9 +19,8 @@ fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
 }
 
 /// The three architectures with their input channel counts: fused norm,
-/// ReLU and convolution output (`ConvNet`), convolution output beside
-/// ops that have one representation (`LeNet`: tanh, max-pool), ReLU
-/// alone (`Mlp`).
+/// ReLU and convolution (`ConvNet`), convolution beside ops that have one
+/// representation (`LeNet`: tanh, max-pool), ReLU alone (`Mlp`).
 fn models() -> [(Box<dyn Module>, usize); 3] {
     [
         (Box::new(ConvNet::scaled_default(3, 10)), 3),
@@ -158,6 +157,34 @@ fn the_recording_tape_still_records_the_chains() {
     }
 }
 
+/// Off the recording tape a convolution is one node, forward and backward:
+/// no patch matrix is unfolded, multiplied or folded back, and the only
+/// `MatMulNt` is the classifier's.
+#[test]
+fn a_fused_convnet_records_one_node_per_convolution_and_no_patch_matrix() {
+    let mut rng = Rng::seed_from(26);
+    let net = ConvNet::scaled_default(3, 10);
+    let params = net.init(&mut rng);
+    let x = Tensor::randn(&[4, 3, 16, 16], &mut rng);
+    let count = |tape: &Tape, op: &str| tape.op_names().iter().filter(|o| *o == op).count();
+    let assert_patch_free = |tape: &Tape| {
+        assert_eq!(count(tape, "Conv2d"), net.blocks());
+        assert_eq!(count(tape, "Im2col") + count(tape, "Col2im"), 0);
+        assert_eq!(count(tape, "MatMulNt"), 1);
+    };
+    let mut inference = Tape::inference();
+    let p: Vec<Var> = params.iter().map(|t| inference.leaf(t.clone())).collect();
+    let xv = inference.constant(x.clone());
+    net.forward(&mut inference, &p, xv);
+    assert_patch_free(&inference);
+
+    let mut first_order = Tape::first_order();
+    let (loss, p) = record_step(&mut first_order, &net, &params, &x, &[0, 1, 2, 3], 10);
+    assert_patch_free(&first_order);
+    first_order.sweep_terminal(loss, &p);
+    assert_patch_free(&first_order);
+}
+
 /// The footprint pin: `Tape::peak_value_bytes` counts bytes, not time, so
 /// these hold exactly on every machine.
 #[test]
@@ -196,15 +223,17 @@ fn a_b32_convnet_step_holds_a_fraction_of_the_recording_tape() {
 
     // Recording keeps the forward pass and the whole backward pass; a
     // terminal sweep peaks at the forward pass plus one rule's working
-    // set; the fused forward pass is a third of the chains' (a norm keeps
-    // its output and 2·N·C statistics instead of ten plane-sized
-    // temporaries, a convolution its output instead of three copies of
-    // it). Before the fused composites a step held `into_grads` and an
-    // inference forward 5 379 176 bytes — instance norm's temporaries —
-    // where it now holds a convolution's patch rows and output.
+    // set; the fused forward pass is a fifth of the chains' (a norm
+    // keeps its output and 2·N·C statistics instead of ten plane-sized
+    // temporaries, a convolution its output alone: no patch rows — nine
+    // times its input — no product, no biased copy): 2 297 204 bytes. A
+    // first-order step peaks in the first block's ReLU rule, holding the
+    // forward values up to that ReLU, its upstream and its result; an
+    // inference forward holds the batch, the first convolution's output
+    // and its norm's. The three recording counts are untouched.
     assert_eq!(forward, 10_939_764);
     assert_eq!(grad, 22_868_072);
     assert_eq!(into_grads, 11_271_312);
-    assert_eq!(first_order, 5_484_880);
-    assert_eq!(inference, 1_561_704);
+    assert_eq!(first_order, 2_765_136);
+    assert_eq!(inference, 1_172_584);
 }

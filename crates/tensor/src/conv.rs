@@ -1,10 +1,17 @@
-//! Convolution-support kernels: `im2col`/`col2im` and average pooling.
+//! Convolution kernels: the direct forward / weight-gradient /
+//! input-gradient kernels, `im2col`/`col2im`, and average pooling.
 //!
-//! Convolution itself is expressed in `qd-autograd` as the composite
-//! `nchw(im2col(x) · Wᵀ)`. Because `im2col` and `col2im` are a mutually
-//! adjoint *linear* pair, the composite is differentiable to any order —
-//! exactly what the gradient-matching distillation objective needs.
+//! `qd-autograd` has two representations of a convolution. Where a
+//! gradient may be differentiated again it is the composite
+//! `nchw(im2col(x) · Wᵀ + b)`: `im2col` and `col2im` are a mutually adjoint
+//! *linear* pair, so the composite is differentiable to any order — exactly
+//! what the gradient-matching distillation objective needs. Everywhere else
+//! it is [`conv2d`] with [`conv2d_weight_grad`] and [`conv2d_input_grad`],
+//! which walk NCHW in place and never build the patch matrix, yet give each
+//! output element the composite's terms in the composite's order: the same
+//! bits at a ninth of the working set.
 
+use crate::linalg::{lanes, tile, MR, NR};
 use crate::Tensor;
 
 /// Static geometry of a 2-D convolution (or pooling) window.
@@ -42,8 +49,8 @@ impl Conv2dGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if `stride == 0` or the padded input is smaller than the
-    /// kernel.
+    /// Panics if `kernel == 0`, `stride == 0` or the padded input is smaller
+    /// than the kernel.
     pub fn new(
         in_channels: usize,
         in_h: usize,
@@ -52,6 +59,7 @@ impl Conv2dGeometry {
         stride: usize,
         pad: usize,
     ) -> Self {
+        assert!(kernel > 0, "kernel must be positive");
         assert!(stride > 0, "stride must be positive");
         assert!(
             in_h + 2 * pad >= kernel && in_w + 2 * pad >= kernel,
@@ -79,6 +87,55 @@ impl Conv2dGeometry {
     /// Number of rows of the `im2col` matrix for a batch of `n`: `n*OH*OW`.
     pub fn rows(&self, n: usize) -> usize {
         n * self.out_h * self.out_w
+    }
+
+    /// Elements of one input image, `C * H * W`.
+    fn image_len(&self) -> usize {
+        self.in_channels * self.in_h * self.in_w
+    }
+
+    /// How many images `x` holds, for the kernel `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not a whole number of `C x H x W` images.
+    fn batch(&self, name: &str, x: &Tensor) -> usize {
+        assert!(
+            self.image_len() > 0 && x.len().is_multiple_of(self.image_len()),
+            "{name}: input {} is not a whole number of {}x{}x{} images",
+            x.shape(),
+            self.in_channels,
+            self.in_h,
+            self.in_w
+        );
+        x.len() / self.image_len()
+    }
+
+    /// The `[N, Cout, OH, OW]` of the convolution of `x` with the
+    /// `(Cout, C*k*k)` `weight` and `(Cout,)` `bias`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `conv2d` and the shapes at odds, if `x` is not a whole
+    /// number of `C x H x W` images, `bias` is not a vector or `weight` is
+    /// not `(bias.len(), C*k*k)`.
+    pub fn output_dims(&self, x: &Tensor, weight: &Tensor, bias: &Tensor) -> [usize; 4] {
+        let n = self.batch("conv2d", x);
+        let (cout, fan) = (bias.len(), self.patch_len());
+        assert_eq!(
+            bias.dims(),
+            [cout],
+            "conv2d: bias {} is not a vector",
+            bias.shape()
+        );
+        assert_eq!(
+            weight.dims(),
+            [cout, fan],
+            "conv2d: weight {} is not (Cout, Cin*k*k) = ({cout}, {fan}) for bias {}",
+            weight.shape(),
+            bias.shape()
+        );
+        [n, cout, self.out_h, self.out_w]
     }
 }
 
@@ -170,16 +227,7 @@ impl Conv2dGeometry {
 ///
 /// Panics if `x` does not have `N * C * H * W` elements for some `N`.
 pub fn im2col(x: &Tensor, geo: &Conv2dGeometry) -> Tensor {
-    let per_image = geo.in_channels * geo.in_h * geo.in_w;
-    assert!(
-        per_image > 0 && x.len().is_multiple_of(per_image),
-        "input of {} elements is not a whole number of {}x{}x{} images",
-        x.len(),
-        geo.in_channels,
-        geo.in_h,
-        geo.in_w
-    );
-    let n = x.len() / per_image;
+    let (n, per_image) = (geo.batch("im2col", x), geo.image_len());
     let cols = geo.patch_len();
     let per_image_out = geo.rows(1) * cols;
     let mut out = vec![0.0f32; n * per_image_out];
@@ -257,6 +305,313 @@ pub fn col2im(cols_t: &Tensor, geo: &Conv2dGeometry) -> Tensor {
         }
     }
     Tensor::from_vec(out, &[n, geo.in_channels, geo.in_h, geo.in_w])
+}
+
+/// One image's zero-padded working copy: what the direct kernels read (the
+/// input) or add into (the input gradient) where the chain of primitives
+/// has a patch matrix. A kernel owns one and reuses it for every image.
+struct Frame {
+    geo: Conv2dGeometry,
+    /// Row pitch: the padded width, widened until `NR` lanes `stride` apart
+    /// starting under any chunk of output positions stay inside one row.
+    pitch: usize,
+    /// `(C, H + 2*pad, pitch)`; outside the image it is zero (the input) or
+    /// dropped (the input gradient), which is how padding is clipped.
+    data: Vec<f32>,
+    /// Where window element `(c, ky, kx)` lies from the first element of
+    /// its patch, in patch-column order.
+    offsets: Vec<usize>,
+}
+
+impl Frame {
+    fn new(geo: &Conv2dGeometry) -> Self {
+        let &Conv2dGeometry { kernel, stride, .. } = geo;
+        let chunks = geo.out_w.div_ceil(NR);
+        let pitch = (geo.in_w + 2 * geo.pad).max((chunks * NR - 1) * stride + kernel);
+        let rows = geo.in_h + 2 * geo.pad;
+        let offsets = (0..geo.patch_len())
+            .map(|col| {
+                let (c, ky, kx) = (col / (kernel * kernel), col / kernel % kernel, col % kernel);
+                (c * rows + ky) * pitch + kx
+            })
+            .collect();
+        Frame {
+            geo: *geo,
+            pitch,
+            data: vec![0.0; geo.in_channels * rows * pitch],
+            offsets,
+        }
+    }
+
+    /// Where the patch of output position `(oy, ox)` starts.
+    fn corner(&self, oy: usize, ox: usize) -> usize {
+        (oy * self.pitch + ox) * self.geo.stride
+    }
+
+    /// The image's rows inside the frame, in `(c, y)` order.
+    fn image_rows(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        let (in_h, in_w, pad) = (self.geo.in_h, self.geo.in_w, self.geo.pad);
+        self.data
+            .chunks_exact_mut(self.pitch)
+            .enumerate()
+            .filter(move |(row, _)| (pad..pad + in_h).contains(&(row % (in_h + 2 * pad))))
+            .map(move |(_, row)| &mut row[pad..pad + in_w])
+    }
+
+    fn load(&mut self, img: &[f32]) {
+        let w = self.geo.in_w;
+        for (dst, src) in self.image_rows().zip(img.chunks_exact(w)) {
+            dst.copy_from_slice(src);
+        }
+    }
+
+    fn store(&mut self, img: &mut [f32]) {
+        let w = self.geo.in_w;
+        for (src, dst) in self.image_rows().zip(img.chunks_exact_mut(w)) {
+            dst.copy_from_slice(src);
+        }
+    }
+
+    /// Output channels `oc0 .. oc0 + MR` of the loaded image, a run of `NR`
+    /// output positions at a time: the tile's rows are the filters, its
+    /// lanes the run's pixels under one window element. A ragged last group
+    /// repeats its last filter and drops the copies, here and below.
+    fn forward(&self, w: &[f32], bias: &[f32], oc0: usize, planes: &mut [f32]) {
+        let (out_h, out_w, stride) = (self.geo.out_h, self.geo.out_w, self.geo.stride);
+        let len = self.offsets.len();
+        let filters: [&[f32]; MR] =
+            std::array::from_fn(|r| &w[(oc0 + r).min(bias.len() - 1) * len..][..len]);
+        let lhs = |kk: usize| std::array::from_fn(|r| filters[r][kk]);
+        for oy in 0..out_h {
+            for ox0 in (0..out_w).step_by(NR) {
+                let zero = [[0.0f32; NR]; MR];
+                let corner = self.corner(oy, ox0);
+                let at = |kk: usize| corner + self.offsets[kk];
+                let acc = if stride == 1 {
+                    tile(zero, 0..len, lhs, |kk| lanes(&self.data[at(kk)..]))
+                } else {
+                    let strided = |kk| std::array::from_fn(|l| self.data[at(kk) + l * stride]);
+                    tile(zero, 0..len, lhs, strided)
+                };
+                for (oc, row) in (oc0..bias.len()).zip(&acc) {
+                    let dst = &mut planes[(oc * out_h + oy) * out_w + ox0..];
+                    for (o, &v) in dst.iter_mut().zip(&row[..NR.min(out_w - ox0)]) {
+                        *o = v + bias[oc];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adds the loaded image's terms to rows `k0 .. k0 + MR`, columns
+    /// `j0 .. j0 + NR` of the `(C*k*k, Cout)` transposed weight gradient:
+    /// the tile's rows are window elements read under each patch `corners`
+    /// names, its lanes the upstream's channels at that patch.
+    fn weight_grad(
+        &self,
+        corners: &[usize],
+        (dy_rows, cout): (&[f32], usize),
+        (k0, j0): (usize, usize),
+        dwt: &mut [f32],
+    ) {
+        let (nr, len) = (NR.min(cout - j0), self.offsets.len());
+        let offsets: [usize; MR] = std::array::from_fn(|r| self.offsets[(k0 + r).min(len - 1)]);
+        let lhs = |p: usize| std::array::from_fn(|r| self.data[corners[p] + offsets[r]]);
+        let mut acc = [[0.0f32; NR]; MR];
+        for (k, row) in (k0..len).zip(&mut acc) {
+            row[..nr].copy_from_slice(&dwt[k * cout + j0..][..nr]);
+        }
+        let at = |p: usize| &dy_rows[p * cout + j0..];
+        let acc = if nr == NR {
+            tile(acc, 0..corners.len(), lhs, |p| lanes(at(p)))
+        } else {
+            tile(acc, 0..corners.len(), lhs, |p| ragged_lanes(&at(p)[..nr]))
+        };
+        for (k, row) in (k0..len).zip(&acc) {
+            dwt[k * cout + j0..][..nr].copy_from_slice(&row[..nr]);
+        }
+    }
+
+    /// Adds to the frame what window elements `k0 .. k0 + MR` of the patches
+    /// at `(oy, ox0 ..)` pass back: each tile row is `Σ_oc dy · w` for one
+    /// window element, finished before it is added under that element.
+    ///
+    /// `w` holds each filter in `padded` floats, a whole number of groups.
+    fn input_grad(
+        &mut self,
+        planes: &[f32],
+        (w, padded): (&[f32], usize),
+        (oy, ox0): (usize, usize),
+        k0: usize,
+    ) {
+        let (out_h, out_w, stride) = (self.geo.out_h, self.geo.out_w, self.geo.stride);
+        let (len, positions) = (self.offsets.len(), out_h * out_w);
+        let nr = NR.min(out_w - ox0);
+        let lhs = |oc: usize| -> [f32; MR] {
+            w[oc * padded + k0..][..MR]
+                .try_into()
+                .expect("a group is MR wide")
+        };
+        let zero = [[0.0f32; NR]; MR];
+        let at = |oc: usize| &planes[oc * positions + oy * out_w + ox0..];
+        let acc = if nr == NR {
+            tile(zero, 0..planes.len() / positions, lhs, |oc| lanes(at(oc)))
+        } else {
+            let ragged = |oc| ragged_lanes(&at(oc)[..nr]);
+            tile(zero, 0..planes.len() / positions, lhs, ragged)
+        };
+        // Descending, like the caller's groups: see `conv2d_input_grad`.
+        let corner = self.corner(oy, ox0);
+        for (k, row) in (k0..len).zip(&acc).rev() {
+            let first = corner + self.offsets[k];
+            if stride == 1 {
+                for (o, &v) in self.data[first..][..nr].iter_mut().zip(row) {
+                    *o += v;
+                }
+            } else {
+                let dst = self.data[first..].iter_mut().step_by(stride);
+                for (o, &v) in dst.zip(&row[..nr]) {
+                    *o += v;
+                }
+            }
+        }
+    }
+}
+
+/// `run`, shorter than a tile is wide, padded with zeros.
+#[inline(always)]
+fn ragged_lanes(run: &[f32]) -> [f32; NR] {
+    let mut padded = [0.0f32; NR];
+    padded[..run.len()].copy_from_slice(run);
+    padded
+}
+
+/// The convolution of `(N, C, H, W)` images with a `(Cout, C*k*k)` weight
+/// matrix and `(Cout,)` bias, `-> (N, Cout, OH, OW)`, without the patch
+/// matrix: `rows_to_nchw(im2col(x).matmul_nt(weight) + bias)` to the bit.
+///
+/// `out[n, oc, oy, ox]` is the sum over window elements `(c, ky, kx)`
+/// ascending from `0.0` of `x · w` — one rounded multiply and one rounded
+/// add per term, a padding position multiplied as the zero it is — plus
+/// `bias[oc]`.
+///
+/// # Panics
+///
+/// Panics as [`Conv2dGeometry::output_dims`] does.
+pub fn conv2d(x: &Tensor, weight: &Tensor, bias: &Tensor, geo: &Conv2dGeometry) -> Tensor {
+    let dims = geo.output_dims(x, weight, bias);
+    let [_, cout, oh, ow] = dims;
+    let mut out = vec![0.0f32; dims.iter().product()];
+    let mut frame = Frame::new(geo);
+    for (b, img) in x.data().chunks_exact(geo.image_len()).enumerate() {
+        frame.load(img);
+        let planes = &mut out[b * cout * oh * ow..][..cout * oh * ow];
+        for oc0 in (0..cout).step_by(MR) {
+            frame.forward(weight.data(), bias.data(), oc0, planes);
+        }
+    }
+    Tensor::from_vec(out, &dims)
+}
+
+/// The gradient of [`conv2d`] with respect to its weight, `(Cout, C*k*k)`,
+/// from the input and the upstream laid out as rows `(N*OH*OW, Cout)`:
+/// `dy_rows.matmul_tn(im2col(x))` to the bit.
+///
+/// `dW[oc, (c, ky, kx)]` is the sum over patches `(n, oy, ox)` ascending
+/// from `0.0` of `dy · x`, padding positions included as zeros.
+///
+/// # Panics
+///
+/// Panics if `x` is not a whole number of images or `dy_rows` does not have
+/// one row per patch.
+pub fn conv2d_weight_grad(x: &Tensor, dy_rows: &Tensor, geo: &Conv2dGeometry) -> Tensor {
+    let patches = geo.rows(geo.batch("conv2d_weight_grad", x));
+    assert!(
+        dy_rows.shape().rank() == 2 && dy_rows.dims()[0] == patches,
+        "conv2d_weight_grad: upstream {} is not one row for each of {patches} patches",
+        dy_rows.shape()
+    );
+    let (len, cout) = (geo.patch_len(), dy_rows.dims()[1]);
+    let mut frame = Frame::new(geo);
+    let corners: Vec<usize> = (0..geo.rows(1))
+        .map(|p| frame.corner(p / geo.out_w, p % geo.out_w))
+        .collect();
+    let mut dwt = vec![0.0f32; len * cout];
+    for (b, img) in x.data().chunks_exact(geo.image_len()).enumerate() {
+        frame.load(img);
+        // A tile rests in `dwt` between images, which is exact, so its sum
+        // runs over every patch of the batch without a break.
+        let rows = &dy_rows.data()[b * corners.len() * cout..][..corners.len() * cout];
+        for k0 in (0..len).step_by(MR) {
+            for j0 in (0..cout).step_by(NR) {
+                frame.weight_grad(&corners, (rows, cout), (k0, j0), &mut dwt);
+            }
+        }
+    }
+    Tensor::from_vec(dwt, &[len, cout]).transpose2()
+}
+
+/// The gradient of [`conv2d`] with respect to its input, `(N, C, H, W)`,
+/// from the `(N, Cout, OH, OW)` upstream and the weight, without the patch
+/// matrix: `col2im(nchw_to_rows(dy).matmul(weight))` to the bit.
+///
+/// `dx[n, c, iy, ix]` is the sum, from `0.0`, over the patches `(oy, ox)`
+/// that cover the pixel in ascending order of `Σ_oc dy · w` — that inner
+/// sum over `oc` ascending from `0.0` and finished before it is added. A
+/// window element that falls in the padding adds to no pixel.
+///
+/// # Panics
+///
+/// Panics if `weight` is not `(Cout, C*k*k)` or `dy` is not a whole number
+/// of `Cout x OH x OW` maps.
+pub fn conv2d_input_grad(dy: &Tensor, weight: &Tensor, geo: &Conv2dGeometry) -> Tensor {
+    let (len, per_image) = (geo.patch_len(), geo.image_len());
+    assert!(
+        weight.shape().rank() == 2 && weight.dims()[1] == len && per_image > 0,
+        "conv2d_input_grad: weight {} is not (Cout, {len})",
+        weight.shape()
+    );
+    let per_map = weight.dims()[0] * geo.rows(1);
+    assert!(
+        per_map > 0 && dy.len().is_multiple_of(per_map),
+        "conv2d_input_grad: upstream {} is not a whole number of {}x{}x{} maps",
+        dy.shape(),
+        weight.dims()[0],
+        geo.out_h,
+        geo.out_w
+    );
+    let n = dy.len() / per_map;
+    let mut dx = vec![0.0f32; n * per_image];
+    let mut frame = Frame::new(geo);
+    // Each filter padded to whole groups of `MR` window elements, so that a
+    // group's weights are one slice; a ragged group's extra rows are dropped.
+    let padded = len.next_multiple_of(MR);
+    let mut filters = vec![0.0f32; weight.dims()[0] * padded];
+    for (dst, src) in filters
+        .chunks_exact_mut(padded)
+        .zip(weight.data().chunks_exact(len))
+    {
+        dst[..len].copy_from_slice(src);
+    }
+    for (planes, img) in dy
+        .data()
+        .chunks_exact(per_map)
+        .zip(dx.chunks_exact_mut(per_image))
+    {
+        frame.data.fill(0.0);
+        // A pixel takes its patches in ascending `(oy, ox)`: rows in order,
+        // chunks in order and, inside a chunk, `ox` ascending — which under
+        // one pixel is window elements descending.
+        for oy in 0..geo.out_h {
+            for ox0 in (0..geo.out_w).step_by(NR) {
+                for k0 in (0..len).step_by(MR).rev() {
+                    frame.input_grad(planes, (&filters, padded), (oy, ox0), k0);
+                }
+            }
+        }
+        frame.store(img);
+    }
+    Tensor::from_vec(dx, &[n, geo.in_channels, geo.in_h, geo.in_w])
 }
 
 /// Non-overlapping average pooling on an `(N, C, H, W)` tensor.
@@ -355,6 +710,12 @@ mod tests {
     fn geometry_strided() {
         let g = Conv2dGeometry::new(1, 8, 8, 2, 2, 0);
         assert_eq!((g.out_h, g.out_w), (4, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel must be positive")]
+    fn geometry_rejects_an_empty_window() {
+        let _ = Conv2dGeometry::new(1, 4, 4, 0, 1, 0);
     }
 
     #[test]

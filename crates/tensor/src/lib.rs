@@ -3,7 +3,8 @@
 //! This crate is the numerical substrate of the workspace: a row-major,
 //! heap-allocated tensor type plus the handful of kernels the rest of the
 //! system needs (elementwise arithmetic with limited broadcasting, matrix
-//! multiplication, `im2col`/`col2im` for convolution-as-matmul, pooling,
+//! multiplication, convolution — direct kernels, and `im2col`/`col2im` for
+//! the convolution-as-matmul a gradient of a gradient needs — pooling,
 //! reductions, and seeded random sampling including Gamma/Dirichlet draws
 //! for non-IID federated partitioning).
 //!
@@ -35,6 +36,9 @@ pub mod rng;
 mod shape;
 mod tensor;
 
-pub use conv::{avg_pool2d, avg_unpool2d, col2im, im2col, Conv2dGeometry};
+pub use conv::{
+    avg_pool2d, avg_unpool2d, col2im, conv2d, conv2d_input_grad, conv2d_weight_grad, im2col,
+    Conv2dGeometry,
+};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -14,9 +14,9 @@ use crate::Tensor;
 use std::ops::Range;
 
 /// Rows of the output tile held in registers.
-const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Columns of the output tile: two 4-lane vectors on baseline SSE2.
-const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 /// Terms of the reduction taken per pass over the output, so that a long
 /// reduction (a weight gradient sums over every row of a batch) works on
 /// blocks of both operands that stay in L1. Between passes a tile rests in
@@ -53,26 +53,32 @@ struct Panel<'a> {
     nr: usize,
 }
 
+/// The `NR` values at the start of `run`: one row of a panel, or one run of
+/// output positions of a convolution.
+#[inline(always)]
+pub(crate) fn lanes(run: &[f32]) -> [f32; NR] {
+    run[..NR].try_into().expect("a run is NR wide")
+}
+
 /// Advances one `R x NR` output tile over the terms `ks`: `R` left-operand
-/// values per `k` (from `lhs`) against row `k` of `panel`.
+/// values per `k` (from `lhs`) against the `NR` right-operand values of
+/// that `k` (from `rhs`) — a panel row for a product; the direct
+/// convolution kernels (`conv.rs`) read theirs from an image.
 ///
 /// The accumulators are taken and returned by value so they live in
 /// registers for the whole `k` loop, and the `NR` loop runs over fixed-size
 /// arrays, which is what lets the compiler vectorise it without intrinsics.
 #[inline(always)]
-fn tile<const R: usize>(
+pub(crate) fn tile<const R: usize>(
     mut acc: [[f32; NR]; R],
     ks: Range<usize>,
     lhs: impl Fn(usize) -> [f32; R],
-    panel: &Panel<'_>,
+    rhs: impl Fn(usize) -> [f32; NR],
 ) -> [[f32; NR]; R] {
     for kk in ks {
-        let a = lhs(kk);
-        let b: &[f32; NR] = panel.rows[kk * panel.ld..][..NR]
-            .try_into()
-            .expect("a panel row is NR wide");
+        let (a, b) = (lhs(kk), rhs(kk));
         for (row, &ar) in acc.iter_mut().zip(&a) {
-            for (o, &bv) in row.iter_mut().zip(b) {
+            for (o, &bv) in row.iter_mut().zip(&b) {
                 *o += ar * bv;
             }
         }
@@ -94,6 +100,7 @@ impl Product<'_> {
     ) {
         let &Product { m, n, k, a, lhs } = self;
         let &Panel { j0, nr, .. } = panel;
+        let rhs = |kk: usize| lanes(&panel.rows[kk * panel.ld..]);
         let mut acc = [[0.0f32; NR]; R];
         for (r, row) in acc.iter_mut().enumerate() {
             let src = &out[(i0 + r) * n + j0..];
@@ -108,7 +115,7 @@ impl Product<'_> {
         let acc = match lhs {
             Layout::Plain => {
                 let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
-                tile(acc, ks, |kk| std::array::from_fn(|r| rows[r][kk]), panel)
+                tile(acc, ks, |kk| std::array::from_fn(|r| rows[r][kk]), rhs)
             }
             Layout::Transposed => tile(
                 acc,
@@ -118,7 +125,7 @@ impl Product<'_> {
                         .try_into()
                         .expect("a row group is R wide")
                 },
-                panel,
+                rhs,
             ),
         };
         for (r, row) in acc.iter().enumerate() {

@@ -180,13 +180,91 @@ mod differential {
         t
     }
 
+    /// Every value's bits, a NaN's as the one NaN: which operand's sign and
+    /// payload a sum or product of two NaNs inherits is the instruction
+    /// selector's choice (IEEE 754 leaves it open), not a reduction order.
     fn bits(t: &Tensor) -> Vec<u32> {
-        t.data().iter().map(|v| v.to_bits()).collect()
+        let canonical = |v: &f32| if v.is_nan() { f32::NAN } else { *v };
+        t.data().iter().map(|v| canonical(v).to_bits()).collect()
     }
 
     fn assert_same(new: &Tensor, oracle: &Tensor) {
         assert_eq!(new.dims(), oracle.dims());
         assert_eq!(bits(new), bits(oracle));
+    }
+
+    /// Normal draws, one in twelve replaced by a value arithmetic treats
+    /// specially — few enough that not every sum ends up NaN.
+    fn hostile(shape: &[usize], rng: &mut Rng) -> Tensor {
+        let menu = [
+            0.0f32,
+            -0.0,
+            1.5,
+            -2.5,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+        ];
+        let mut t = Tensor::randn(shape, rng);
+        for v in t.data_mut() {
+            if let Some(&special) = menu.get(rng.below(96)) {
+                *v = special;
+            }
+        }
+        t
+    }
+
+    /// The triple loop with no term skipped: [`matmul`] passes over a zero
+    /// on its left, which a zero times an infinity must not be.
+    fn product(lhs: &Tensor, rhs: &Tensor) -> Tensor {
+        let (m, k, n) = (lhs.dims()[0], lhs.dims()[1], rhs.dims()[1]);
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                for kk in 0..k {
+                    out[i * n + j] += lhs.data()[i * k + kk] * rhs.data()[kk * n + j];
+                }
+            }
+        }
+        Tensor::from_vec(out, &[m, n])
+    }
+
+    /// `(N, C, OH, OW) -> (N*OH*OW, C)`, or back.
+    fn permuted(t: &Tensor, [n, c, hw]: [usize; 3], to_rows: bool) -> Tensor {
+        let mut out = vec![0.0f32; n * c * hw];
+        for (b, ch, p) in (0..n * c * hw).map(|i| (i / (c * hw), i / hw % c, i % hw)) {
+            let (plane, row) = ((b * c + ch) * hw + p, (b * hw + p) * c + ch);
+            let (to, from) = if to_rows { (row, plane) } else { (plane, row) };
+            out[to] = t.data()[from];
+        }
+        Tensor::from_vec(out, &[n * hw, c])
+    }
+
+    /// The three direct kernels against the chain they replace, built from
+    /// the oracles: `im2col`, the triple loop, `col2im`.
+    fn assert_direct_conv_matches(
+        geo: &Conv2dGeometry,
+        [x, weight, bias, dy]: [&Tensor; 4],
+        product: fn(&Tensor, &Tensor) -> Tensor,
+    ) {
+        let [n, cout, oh, ow] = geo.output_dims(x, weight, bias);
+        let cols = im2col(x, geo);
+        let mut y = product(&cols, &weight.transpose2());
+        for row in y.data_mut().chunks_exact_mut(cout) {
+            row.iter_mut().zip(bias.data()).for_each(|(v, b)| *v += b);
+        }
+        let want = permuted(&y, [n, cout, oh * ow], false).reshape(&[n, cout, oh, ow]);
+        assert_same(&crate::conv2d(x, weight, bias, geo), &want);
+        let rows = permuted(dy, [n, cout, oh * ow], true);
+        assert_same(
+            &crate::conv2d_weight_grad(x, &rows, geo),
+            &product(&rows.transpose2(), &cols),
+        );
+        assert_same(
+            &crate::conv2d_input_grad(dy, weight, geo),
+            &col2im(&product(&rows, weight), geo),
+        );
     }
 
     proptest! {
@@ -232,6 +310,37 @@ mod differential {
             assert_same(&crate::col2im(&cols, &geo), &col2im(&cols, &geo));
         }
 
+        /// Kernels 1 to 5, `pad > kernel - 1`, 1x1 images, `h != w`, channel
+        /// counts on both sides of a tile, strides with and without the
+        /// contiguous runs; inputs salted with zeros of both signs, then
+        /// with NaN and ±∞ among them.
+        #[test]
+        fn direct_conv_kernels_match_im2col_gemm_col2im(
+            n in 1usize..4,
+            cin in 1usize..6,
+            cout in 1usize..10,
+            h in 1usize..10,
+            w in 1usize..10,
+            kernel in 0usize..4,
+            stride in 1usize..4,
+            pad in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let kernel = [1, 2, 3, 5][kernel].min(h + 2 * pad).min(w + 2 * pad);
+            let geo = Conv2dGeometry::new(cin, h, w, kernel, stride, pad);
+            let shapes = [
+                vec![n, cin, h, w],
+                vec![cout, geo.patch_len()],
+                vec![cout],
+                vec![n, cout, geo.out_h, geo.out_w],
+            ];
+            let mut rng = Rng::seed_from(seed);
+            let finite = shapes.each_ref().map(|shape| salted(shape, &mut rng));
+            assert_direct_conv_matches(&geo, finite.each_ref(), matmul);
+            let hostile = shapes.each_ref().map(|shape| hostile(shape, &mut rng));
+            assert_direct_conv_matches(&geo, hostile.each_ref(), product);
+        }
+
         #[test]
         fn pool_kernels_match_the_indexed_loops(
             n in 1usize..3,
@@ -256,7 +365,8 @@ mod differential {
     }
 
     /// The shapes `ConvNet::scaled_default` issues at batch 32, where the
-    /// pinned digests come from.
+    /// pinned digests come from, and its two convolutions at every batch
+    /// size a run issues.
     #[test]
     fn deployed_shapes_match() {
         let mut rng = Rng::seed_from(5);
@@ -267,6 +377,16 @@ mod differential {
             assert_same(&a.matmul_nt(&w), &matmul(&a, &w.transpose2()));
             assert_same(&u.matmul(&w), &matmul(&u, &w));
             assert_same(&u.matmul_tn(&a), &matmul(&u.transpose2(), &a));
+        }
+        for batch in [1, 2, 18, 20, 32] {
+            for (cin, hw) in [(3, 16), (16, 8)] {
+                let geo = Conv2dGeometry::new(cin, hw, hw, 3, 1, 1);
+                let x = salted(&[batch, cin, hw, hw], &mut rng);
+                let weight = salted(&[16, geo.patch_len()], &mut rng);
+                let bias = salted(&[16], &mut rng);
+                let dy = salted(&[batch, 16, hw, hw], &mut rng);
+                assert_direct_conv_matches(&geo, [&x, &weight, &bias, &dy], matmul);
+            }
         }
     }
 }
