@@ -6,8 +6,11 @@
 //! inference tape nothing is differentiated twice, so it is one node with
 //! a fused forward kernel and a direct backward rule (`ops.rs`) — for a
 //! convolution, kernels that never unfold the patch matrix the chain is
-//! made of. The tape chooses from its own kind ([`Tape::fuses`]); callers
-//! cannot.
+//! made of; for a ConvNet block's norm, ReLU and pool, one node whose only
+//! kept value is the pooled map. The tape chooses from its own kind
+//! ([`Tape::fuses`]); callers cannot. [`Tape::instance_norm`] on its own
+//! is its chain on every tape: its fused form exists only inside
+//! [`Tape::norm_relu_pool`].
 
 use crate::kernels;
 use crate::tape::{Op, Tape};
@@ -20,12 +23,10 @@ impl Tape {
     /// spatial mean and variance (`eps` added under the root), then scaled
     /// by `gamma[c]` and shifted by `beta[c]`.
     ///
-    /// A recording tape records the 17 primitives (sums, broadcasts and
-    /// elementwise ops) whose `vjp`s stay closed under second order; a
-    /// first-order or inference tape records the statistics and one fused
-    /// node, whose backward kernel performs the chain's first-order
-    /// arithmetic plane by plane. Values and gradients are `to_bits`-equal
-    /// between the two.
+    /// Records, on every tape, the 17 primitives (sums, broadcasts and
+    /// elementwise ops) whose `vjp`s stay closed under second order. Its
+    /// fused form exists only as the head of a ConvNet block's tail,
+    /// [`Tape::norm_relu_pool`].
     ///
     /// # Panics
     ///
@@ -45,13 +46,6 @@ impl Tape {
     /// assert_eq!(tape.value(y).data(), &[-1.0, 1.0, -1.0, 1.0]);
     /// ```
     pub fn instance_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        if self.fuses() {
-            let (out, stats) =
-                kernels::instance_norm(self.value(x), self.value(gamma), self.value(beta), eps);
-            let stats = self.constant(stats);
-            let needs = [x, gamma, beta].iter().any(|v| self.needs_grad(*v));
-            return self.push(out, Op::InstanceNorm(x, gamma, beta, stats), needs);
-        }
         let &[n, c, h, w] = self.value(x).dims() else {
             panic!("instance norm expects (N, C, H, W)");
         };
@@ -73,6 +67,50 @@ impl Tape {
         let beta = self.channel_broadcast(beta, n, h, w);
         let scaled = self.mul(normed, gamma);
         self.add(scaled, beta)
+    }
+
+    /// The tail of a ConvNet block: [`Tape::instance_norm`], then
+    /// [`Tape::relu`], then a non-overlapping 2×2 [`Tape::avg_pool2d`],
+    /// `(N, C, H, W) -> (N, C, H/2, W/2)`.
+    ///
+    /// A recording tape records exactly those three. A first-order or
+    /// inference tape records the statistics and one node whose value is
+    /// the pooled map: the forward kernel pools each group of normalised
+    /// planes as it leaves them, and the backward kernel forms the norm's
+    /// upstream `(u·¼)·1[y > 0]` inside the norm's adjoint, recomputing
+    /// the mask from the statistics, so neither the norm's output nor the
+    /// ReLU's is kept. Values and gradients are `to_bits`-equal between
+    /// the two.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Tape::instance_norm`] does, or if `H` or `W` is odd.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use qd_autograd::Tape;
+    /// use qd_tensor::Tensor;
+    ///
+    /// let mut tape = Tape::inference();
+    /// let x = tape.leaf(Tensor::from_vec(vec![1.0, 3.0, -2.0, 2.0], &[1, 1, 2, 2]));
+    /// let gamma = tape.leaf(Tensor::ones(&[1]));
+    /// let beta = tape.leaf(Tensor::zeros(&[1]));
+    /// let y = tape.norm_relu_pool(x, gamma, beta, 0.0);
+    /// assert_eq!(tape.value(y).dims(), &[1, 1, 1, 1]);
+    /// ```
+    pub fn norm_relu_pool(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
+        if self.fuses() {
+            let [xv, g, b] = [x, gamma, beta].map(|v| self.value(v));
+            let (out, stats) = kernels::norm_relu_pool(xv, g, b, eps);
+            let stats = self.constant(stats);
+            let needs = [x, gamma, beta].iter().any(|v| self.needs_grad(*v));
+            return self.push(out, Op::NormReluPool(x, gamma, beta, stats), needs);
+        }
+        let normed = self.instance_norm(x, gamma, beta, eps);
+        let active = self.relu(normed);
+        let dims = self.value(active).dims().to_vec();
+        self.avg_pool2d(active, dims[1], dims[2], dims[3], kernels::POOL)
     }
 
     /// A 2-D convolution of the `(N, Cin, H, W)` variable `x` with the

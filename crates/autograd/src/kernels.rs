@@ -1,16 +1,20 @@
 //! Private kernels used by the tape ops: NCHW permutes and
 //! spatial/channel reductions with their adjoint broadcasts, and the fused
-//! instance norm and ReLU adjoint a first-order or inference tape records
-//! in place of chains of them (its convolution is `qd_tensor::conv2d` and
-//! that kernel's two gradients).
+//! instance norm · ReLU · average pool of a ConvNet block and the ReLU
+//! adjoint a first-order or inference tape records in place of chains of
+//! them (its convolution is `qd_tensor::conv2d` and that kernel's
+//! gradients).
 //!
 //! A fused kernel's contract is the chain's: per output element and per
 //! reduction, the same rounded operations in the same order (a plane sum
 //! is `iter().sum()` in element order, a channel sum adds plane sums in
-//! batch order, a product feeding a sum is rounded before it is added),
-//! so the two representations are `to_bits`-equal.
+//! batch order, a product feeding a sum is rounded before it is added, a
+//! pool window is `qd_tensor`'s own loop), so the two representations are
+//! `to_bits`-equal. What a fused kernel keeps is its own business: the
+//! norm's and the ReLU's outputs and their adjoints exist one group of
+//! planes at a time, in scratch.
 
-use qd_tensor::Tensor;
+use qd_tensor::{avg_pool_planes, avg_unpool_planes, Tensor};
 
 /// Permutes a patch-row matrix `(N*OH*OW, C)` into an `(N, C, OH, OW)`
 /// feature map. Inverse (and adjoint) of [`nchw_to_rows`].
@@ -146,13 +150,21 @@ pub(crate) fn relu_vjp(u: &Tensor, x: &Tensor) -> Tensor {
     u.zip_map(x, |u, x| u * if x > 0.0 { 1.0 } else { 0.0 })
 }
 
-/// `(n, c, hw)` of an `(N, C, H, W)` tensor.
-fn planes_of(x: &Tensor) -> (usize, usize, usize) {
+/// The window and stride of a ConvNet block's average pool.
+pub(crate) const POOL: usize = 2;
+
+/// `[n, c, h, w]` of an `(N, C, H, W)` tensor, whose planes the
+/// `POOL × POOL` pool must tile exactly.
+fn planes_of(x: &Tensor) -> [usize; 4] {
     let &[n, c, h, w] = x.dims() else {
         panic!("instance norm expects (N, C, H, W), got {}", x.shape());
     };
     assert!(h * w > 0, "instance norm over an empty plane");
-    (n, c, h * w)
+    assert!(
+        h.is_multiple_of(POOL) && w.is_multiple_of(POOL),
+        "pooling {h}x{w} by {POOL}"
+    );
+    [n, c, h, w]
 }
 
 /// `Tape::neg` is `scale(-1.0)` — a multiply, not a sign flip — and the
@@ -191,38 +203,46 @@ fn lane_sums<const N: usize>(hw: usize, term: impl Fn(usize, usize) -> f32) -> [
     sums
 }
 
-/// Instance norm with affine parameters: each `(n, c)` plane of `x`
-/// normalised by its own mean and variance, then `· γ[c] + β[c]`.
+/// A ConvNet block's tail: each `(n, c)` plane of `x` normalised by its
+/// own mean and variance, `· γ[c] + β[c]`, rectified, and averaged over
+/// non-overlapping `POOL × POOL` windows, `(N, C, H/POOL, W/POOL)`. The
+/// norm's ReLU output lives only in a scratch of one group of planes, from
+/// which `qd_tensor`'s pooling loop writes the pooled planes.
 ///
-/// Returns the output and the `(2, N*C)` statistics the backward kernel
-/// needs: every plane's mean, then every plane's standard deviation
+/// Returns the pooled map and the `(2, N*C)` statistics the backward
+/// kernel needs: every plane's mean, then every plane's standard deviation
 /// `sqrt(var + eps)`.
-pub(crate) fn instance_norm(
+pub(crate) fn norm_relu_pool(
     x: &Tensor,
     gamma: &Tensor,
     beta: &Tensor,
     eps: f32,
 ) -> (Tensor, Tensor) {
-    let (n, c, hw) = planes_of(x);
+    let [n, c, h, w] = planes_of(x);
+    let (hw, pooled) = (h * w, h * w / (POOL * POOL));
     assert_eq!(gamma.dims(), &[c], "instance norm scale is per channel");
     assert_eq!(beta.dims(), &[c], "instance norm shift is per channel");
-    let mut out = vec![0.0f32; x.len()];
+    let mut out = vec![0.0f32; n * c * pooled];
     let mut stats = vec![0.0f32; 2 * n * c];
+    let mut active = vec![0.0f32; LANES * hw];
     let mut forward = NormForward {
         x: x.data(),
         gamma: gamma.data(),
         beta: beta.data(),
         eps,
         hw,
-        out: &mut out,
         stats: &mut stats,
     };
-    for_plane_groups(n * c, |p, width| match width {
-        LANES => forward.group::<LANES>(p),
-        _ => forward.group::<1>(p),
+    for_plane_groups(n * c, |p, width| {
+        let planes = &mut active[..width * hw];
+        match width {
+            LANES => forward.group::<LANES>(p, planes),
+            _ => forward.group::<1>(p, planes),
+        }
+        avg_pool_planes(planes, w, POOL, &mut out[p * pooled..][..width * pooled]);
     });
     (
-        Tensor::from_vec(out, x.dims()),
+        Tensor::from_vec(out, &[n, c, h / POOL, w / POOL]),
         Tensor::from_vec(stats, &[2, n * c]),
     )
 }
@@ -233,19 +253,18 @@ struct NormForward<'a> {
     beta: &'a [f32],
     eps: f32,
     hw: usize,
-    out: &'a mut [f32],
     stats: &'a mut [f32],
 }
 
 impl NormForward<'_> {
-    /// Planes `p .. p + N`: mean, centre, variance, scale — the chain's
-    /// `spatial_sum · 1/hw`, `sub`, `mul`, `spatial_sum · 1/hw`,
-    /// `+ eps`, `sqrt`, `1 / std`, `mul`, `mul γ`, `add β`.
-    fn group<const N: usize>(&mut self, p: usize) {
+    /// Planes `p .. p + N` into `out`: mean, centre, variance, scale,
+    /// rectify — the chain's `spatial_sum · 1/hw`, `sub`, `mul`,
+    /// `spatial_sum · 1/hw`, `+ eps`, `sqrt`, `1 / std`, `mul`, `mul γ`,
+    /// `add β`, `relu`.
+    fn group<const N: usize>(&mut self, p: usize, out: &mut [f32]) {
         let (hw, c, planes) = (self.hw, self.gamma.len(), self.stats.len() / 2);
         let inv_hw = 1.0 / hw as f32;
         let x = lanes::<N>(&self.x[p * hw..], hw);
-        let out = &mut self.out[p * hw..][..N * hw];
         let mean = lane_sums::<N>(hw, |lane, i| x[lane][i]).map(|s| s * inv_hw);
         for (lane, os) in out.chunks_exact_mut(hw).enumerate() {
             for (o, &v) in os.iter_mut().zip(x[lane]) {
@@ -259,7 +278,7 @@ impl NormForward<'_> {
             let inv = 1.0 / std[lane];
             let (g, b) = (self.gamma[(p + lane) % c], self.beta[(p + lane) % c]);
             for o in os {
-                *o = (*o * inv) * g + b;
+                *o = ((*o * inv) * g + b).max(0.0);
             }
             self.stats[p + lane] = mean[lane];
             self.stats[planes + p + lane] = std[lane];
@@ -267,9 +286,9 @@ impl NormForward<'_> {
     }
 }
 
-/// The adjoints [`instance_norm_vjp`] computes, one per input that needs
+/// The adjoints [`norm_relu_pool_vjp`] computes, one per input that needs
 /// a gradient.
-pub(crate) struct InstanceNormGrads {
+pub(crate) struct NormReluPoolGrads {
     /// The adjoint of the centred input, which is `x`'s through the
     /// subtraction — with `via_mean` already added when the caller asked
     /// for them folded.
@@ -281,33 +300,44 @@ pub(crate) struct InstanceNormGrads {
     pub dbeta: Option<Tensor>,
 }
 
-/// The first-order backward pass of [`instance_norm`] for upstream `u`:
-/// what the chain's rules compute, plane by plane.
+/// The first-order backward pass of [`norm_relu_pool`] for the pooled
+/// map's upstream `up`: what the chain's rules compute, plane by plane.
 ///
-/// With `c = x − mean`, `inv = 1/std` and `v = u·γ`:
+/// The upstream `u` at the norm's output is formed one group of planes at
+/// a time: `up` spread by `qd_tensor`'s unpooling loop (`avg_pool2d`'s
+/// rule), times the 0/1 mask of the norm's output `((c·inv)·γ) + β`
+/// recomputed from the statistics (`relu`'s rule). Then, with
+/// `c = x − mean`, `inv = 1/std` and `v = u·γ`:
 /// `dβ = Σ u`, `dγ = Σ u·(c·inv)` (plane sums added in batch order),
 /// `d_inv = Σ v·c`, `a = (((d_inv·(inv/std))·−1)·½ / std) / hw`,
 /// `d_centered = ((v·inv) + a·c) + a·c` and
 /// `dx = d_centered + (Σ −d_centered) / hw`. `fold` adds that last term in
 /// place — the chain's result when `x`'s adjoint slot is empty, since it
 /// adds `d_centered` into the slot first and the mean term second.
-pub(crate) fn instance_norm_vjp(
-    x: &Tensor,
-    gamma: &Tensor,
+pub(crate) fn norm_relu_pool_vjp(
+    [x, gamma, beta]: [&Tensor; 3],
     stats: &Tensor,
-    u: &Tensor,
+    up: &Tensor,
     [need_x, need_gamma, need_beta]: [bool; 3],
     fold: bool,
-) -> InstanceNormGrads {
-    let (n, c, hw) = planes_of(x);
-    assert_eq!(u.dims(), x.dims(), "instance norm upstream shape");
+) -> NormReluPoolGrads {
+    let [n, c, h, w] = planes_of(x);
+    assert_eq!(
+        up.dims(),
+        [n, c, h / POOL, w / POOL],
+        "instance norm upstream shape"
+    );
+    let hw = h * w;
     let mut backward = NormBackward {
         x: x.data(),
-        u: u.data(),
+        up: up.data(),
         gamma: gamma.data(),
+        beta: beta.data(),
         stats: stats.data(),
         hw,
+        w,
         centered: vec![0.0f32; LANES * hw],
+        unpooled: vec![0.0f32; LANES * hw],
         dx: need_x.then(|| vec![0.0f32; x.len()]),
         via_mean: (need_x && !fold).then(|| vec![0.0f32; x.len()]),
         dgamma: need_gamma.then(|| vec![0.0f32; c]),
@@ -319,7 +349,7 @@ pub(crate) fn instance_norm_vjp(
     });
     let like_x = |v: Vec<f32>| Tensor::from_vec(v, x.dims());
     let per_channel = |v: Vec<f32>| Tensor::from_vec(v, &[c]);
-    InstanceNormGrads {
+    NormReluPoolGrads {
         dx: backward.dx.map(like_x),
         via_mean: backward.via_mean.map(like_x),
         dgamma: backward.dgamma.map(per_channel),
@@ -329,12 +359,18 @@ pub(crate) fn instance_norm_vjp(
 
 struct NormBackward<'a> {
     x: &'a [f32],
-    u: &'a [f32],
+    /// The pooled map's upstream.
+    up: &'a [f32],
     gamma: &'a [f32],
+    beta: &'a [f32],
     stats: &'a [f32],
     hw: usize,
+    /// The planes' width.
+    w: usize,
     /// Scratch: the centred planes of the group in hand.
     centered: Vec<f32>,
+    /// Scratch: the group's upstream at the norm's output.
+    unpooled: Vec<f32>,
     dx: Option<Vec<f32>>,
     via_mean: Option<Vec<f32>>,
     dgamma: Option<Vec<f32>>,
@@ -348,7 +384,6 @@ impl NormBackward<'_> {
         let (hw, c, planes) = (self.hw, self.gamma.len(), self.stats.len() / 2);
         let inv_hw = 1.0 / hw as f32;
         let x = lanes::<N>(&self.x[p * hw..], hw);
-        let u = lanes::<N>(&self.u[p * hw..], hw);
         let channel: [usize; N] = std::array::from_fn(|lane| (p + lane) % c);
         let std: [f32; N] = std::array::from_fn(|lane| self.stats[planes + p + lane]);
         let inv = std.map(|s| 1.0 / s);
@@ -359,6 +394,17 @@ impl NormBackward<'_> {
             }
         }
         let centered = lanes::<N>(&self.centered, hw);
+        let pooled = hw / (POOL * POOL);
+        let unpooled = &mut self.unpooled[..N * hw];
+        avg_unpool_planes(&self.up[p * pooled..][..N * pooled], self.w, POOL, unpooled);
+        for (lane, ds) in unpooled.chunks_exact_mut(hw).enumerate() {
+            let (g, b) = (self.gamma[channel[lane]], self.beta[channel[lane]]);
+            for (d, &c) in ds.iter_mut().zip(centered[lane]) {
+                let y = (c * inv[lane]) * g + b;
+                *d *= if y > 0.0 { 1.0 } else { 0.0 };
+            }
+        }
+        let u = lanes::<N>(&self.unpooled, hw);
         if let Some(dbeta) = &mut self.dbeta {
             let sums = lane_sums::<N>(hw, |lane, i| u[lane][i]);
             for (ch, sum) in channel.iter().zip(sums) {

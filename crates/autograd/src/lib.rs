@@ -36,7 +36,7 @@
 //!   passes. [`Tape::first_order`] allows only `into_grads`, and
 //!   [`Tape::inference`] is a forward-only tape on which finished
 //!   sub-computations are retired.
-//! * The composites [`Tape::instance_norm`], [`Tape::relu`] and
+//! * The composites [`Tape::norm_relu_pool`], [`Tape::relu`] and
 //!   [`Tape::conv2d`] have one entry point and two representations: chains
 //!   of primitives on a recording tape, single fused nodes with direct
 //!   backward kernels on the other two kinds, where no gradient can be

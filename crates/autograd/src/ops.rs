@@ -15,7 +15,7 @@ use qd_tensor::{conv2d_input_grad, conv2d_weight_grad, Tensor};
 /// The `(input, contribution)` pairs one node hands to the gradient sweep
 /// (one table for [`Tape::grad`] and [`Tape::into_grads`]), in the order
 /// they are added into the inputs' adjoint slots. A primitive has at most
-/// two inputs; fused instance norm has three and may hand `x` two
+/// two inputs; a fused block tail has three and may hand `x` two
 /// contributions — so four travel in an array, not a `Vec`.
 pub(crate) type Contributions = [Option<(Var, Var)>; 4];
 
@@ -181,15 +181,16 @@ impl Tape {
                 let s = self.channel_sum(u, c, h, w);
                 unary(a, self.reshape_like(s, a))
             }
-            Op::InstanceNorm(x, gamma, beta, stats) => {
+            Op::NormReluPool(x, gamma, beta, stats) => {
                 // A consumer of `x` recorded after the norm has already
                 // filled the slot: the chain then adds its two
-                // contributions to `x` one after the other.
+                // contributions to `x` one after the other. The chain's
+                // `AvgPool` and `Relu` rules had the only consumers of
+                // their outputs, so they change `u` alone.
                 let fold = slots[x.index()].is_none();
                 let needs = [x, gamma, beta].map(|v| self.needs_grad(v));
-                let grads = kernels::instance_norm_vjp(
-                    self.value(x),
-                    self.value(gamma),
+                let grads = kernels::norm_relu_pool_vjp(
+                    [x, gamma, beta].map(|v| self.value(v)),
                     self.value(stats),
                     self.value(u),
                     needs,
@@ -205,24 +206,27 @@ impl Tape {
                 ]
             }
             Op::Conv2d(x, weight, bias, geo) => {
-                // The chain's rules on the chain's values: the upstream as
-                // rows is the adjoint of `cols · Wᵀ` and of `+ b` both. `x`
-                // comes last, as from the chain's `im2col` node, which sat
-                // right below the convolution's output.
-                let (xv, w) = (self.value(x), self.value(weight));
-                let [n, c, oh, ow] = geo.output_dims(xv, w, self.value(bias));
+                // The chain's rules on the chain's values, read from the
+                // NCHW upstream: `W`'s and `b`'s as the adjoints of
+                // `cols · Wᵀ` and `+ b`, then `x`'s last, as from the
+                // chain's `im2col` node, which sat right below the
+                // convolution's output.
+                let (xv, w, uv) = (self.value(x), self.value(weight), self.value(u));
                 let [need_x, need_w, need_b] = [x, weight, bias].map(|v| self.needs_grad(v));
                 let dx = need_x.then(|| {
-                    let folded = conv2d_input_grad(self.value(u), w, &geo);
+                    let folded = conv2d_input_grad(uv, w, &geo);
                     Tensor::from_vec(folded.into_vec(), xv.dims())
                 });
-                let rows = (need_w || need_b).then(|| self.nchw_to_rows(u, n, c, oh, ow));
-                let dw = rows
-                    .filter(|_| need_w)
-                    .map(|rows| conv2d_weight_grad(self.value(x), self.value(rows), &geo));
+                // One pass gives both; a constant weight beside a
+                // differentiable bias, which no model here has, pays for
+                // the weight's.
+                let grads = (need_w || need_b).then(|| conv2d_weight_grad(xv, uv, &geo));
+                let (dw, db) = grads.map_or((None, None), |(dw, db)| {
+                    (need_w.then_some(dw), need_b.then_some(db))
+                });
                 [
                     dw.map(|g| (weight, self.constant(g))),
-                    rows.filter(|_| need_b).map(|r| (bias, self.sum_rows(r))),
+                    db.map(|g| (bias, self.constant(g))),
                     dx.map(|g| (x, self.constant(g))),
                     None,
                 ]

@@ -70,11 +70,12 @@ pub(crate) enum Op {
     ChannelBroadcast(Var, [usize; 4]),
     LogSoftmax(Var),
     AddRowBias(Var, Var),
-    /// Fused instance norm of `(x, γ, β)`; the fourth input is the
+    /// Fused instance norm of `(x, γ, β)`, then ReLU, then a 2×2 average
+    /// pool: its value is the pooled map alone. The fourth input is the
     /// `(2, N·C)` per-plane mean/std node its forward pass left behind.
-    InstanceNorm(Var, Var, Var, Var),
-    /// Direct convolution of `(x, W, b)`: no patch matrix, forward or
-    /// backward.
+    NormReluPool(Var, Var, Var, Var),
+    /// Direct convolution of `(x, W, b)`: no patch matrix and no row-major
+    /// upstream, forward or backward.
     Conv2d(Var, Var, Var, Conv2dGeometry),
 }
 
@@ -125,7 +126,7 @@ fn value_bytes(value: &Tensor) -> usize {
 ///
 /// A tape is opened for what its caller will still ask of it, and that
 /// *kind* — never a flag — decides what it keeps and how it represents a
-/// composite layer ([`Tape::instance_norm`], [`Tape::relu`],
+/// composite layer ([`Tape::norm_relu_pool`], [`Tape::relu`],
 /// [`Tape::conv2d`]):
 ///
 /// * [`Tape::new`], the recording tape: [`Tape::grad`] emits the
@@ -188,7 +189,7 @@ impl Tape {
     /// training, ascent or recovery step, a reference gradient.
     /// [`Tape::into_grads`] is its only sweep and [`Tape::grad`] panics,
     /// so no adjoint on it is differentiated again — which is what lets a
-    /// composite layer ([`Tape::instance_norm`], [`Tape::relu`],
+    /// composite layer ([`Tape::norm_relu_pool`], [`Tape::relu`],
     /// [`Tape::conv2d`]) be one node with a hand-written backward kernel
     /// here, where a recording tape needs the chain of primitives that is
     /// closed under second order. The kernels perform, per output element

@@ -305,29 +305,31 @@ mod tests {
     #[test]
     fn distillation_does_not_change_model_update_semantics() {
         // With the same seed, the model parameters produced by the
-        // distilling trainer equal those of plain SGD: distillation is a
-        // passenger.
+        // distilling trainer equal those of plain SGD to the bit, with
+        // matching on: distillation is a passenger. Both draw the FL
+        // batches from `rng.fork(0)`, and matching draws only from
+        // `rng.fork(1)`. A ConvNet, so every step runs the fused
+        // convolution and norm·ReLU·pool nodes.
         let mut rng = Rng::seed_from(1);
-        let model: Arc<dyn Module> = Arc::new(Mlp::new(&[256, 10]));
+        let model: Arc<dyn Module> = Arc::new(qd_nn::ConvNet::scaled_default(3, 10));
         let params = model.init(&mut rng);
-        let data = SyntheticDataset::Digits.generate(100, &mut rng);
+        let data = SyntheticDataset::Cifar.generate(100, &mut rng);
         let phase = Phase::training(1, 3, 16, 0.05);
 
         let mut plain = qd_fed::SgdClientTrainer::new(model.clone());
         let a = plain.local_round(params.clone(), &data, &phase, &mut Rng::seed_from(9));
 
-        // The distilling trainer consumes extra RNG draws for matching, so
-        // exact batch-by-batch equality is only guaranteed when matching is
-        // disabled via an empty synthetic set (scale so large each class
-        // still gets 1 sample; instead compare against classes_per_step=0).
         let cfg = DistillConfig {
-            classes_per_step: 0,
+            scale: 20,
+            classes_per_step: 2,
             ..DistillConfig::default()
         };
         let mut distilling = DistillingTrainer::new(model, cfg);
         let b = distilling.local_round(params, &data, &phase, &mut Rng::seed_from(9));
+        assert!(distilling.dd_time() > Duration::ZERO, "matching ran");
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (x, y) in a.params.iter().zip(&b.params) {
-            assert!(x.max_abs_diff(y) < 1e-6);
+            assert_eq!(bits(x), bits(y));
         }
     }
 

@@ -1,5 +1,5 @@
-//! Individual layers: linear, convolution, instance norm, ReLU, pooling,
-//! flatten.
+//! Individual layers: linear, convolution, a ConvNet block's instance
+//! norm · ReLU · average-pool tail, activations, max pooling, flatten.
 
 use crate::Module;
 use qd_autograd::{Tape, Var};
@@ -125,33 +125,38 @@ impl Module for Conv2d {
     }
 }
 
-/// Instance normalization with affine parameters, over `(N, C, H, W)`.
+/// The tail of a ConvNet block over `(N, C, H, W) -> (N, C, H/2, W/2)`:
+/// instance normalization with affine parameters, ReLU, then non-overlapping
+/// 2×2 average pooling — the `[N, A, P]` of the paper's `[W, N, A, P]`
+/// block.
 ///
-/// Normalizes each `(n, c)` plane by its own spatial mean/variance, then
-/// applies per-channel scale `γ` and shift `β` — matching the `IN` module
-/// of the paper's ConvNet. The arithmetic is [`Tape::instance_norm`].
+/// Each `(n, c)` plane is normalized by its own spatial mean/variance
+/// (`eps = 1e-5`) and scaled by `γ[c]` and shifted by `β[c]`, matching the
+/// `IN` module of the paper's ConvNet. The arithmetic is
+/// [`Tape::norm_relu_pool`]: the three layers' chains of primitives where a
+/// gradient may be differentiated again, one node elsewhere.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InstanceNorm2d {
+pub struct NormReluPool {
     channels: usize,
     eps: f32,
 }
 
-impl InstanceNorm2d {
-    /// Instance norm over `channels` feature maps with `eps = 1e-5`.
+impl NormReluPool {
+    /// Norm, ReLU and 2×2 pool over `channels` feature maps.
     pub fn new(channels: usize) -> Self {
-        InstanceNorm2d {
+        NormReluPool {
             channels,
             eps: 1e-5,
         }
     }
 }
 
-impl Module for InstanceNorm2d {
+impl Module for NormReluPool {
     fn forward(&self, tape: &mut Tape, params: &[Var], x: Var) -> Var {
         let dims = tape.value(x).dims().to_vec();
-        assert_eq!(dims.len(), 4, "InstanceNorm2d expects (N, C, H, W)");
-        assert_eq!(dims[1], self.channels, "InstanceNorm2d channel mismatch");
-        tape.instance_norm(x, params[0], params[1], self.eps)
+        assert_eq!(dims.len(), 4, "NormReluPool expects (N, C, H, W)");
+        assert_eq!(dims[1], self.channels, "NormReluPool channel mismatch");
+        tape.norm_relu_pool(x, params[0], params[1], self.eps)
     }
 
     fn param_shapes(&self) -> Vec<Vec<usize>> {
@@ -252,35 +257,6 @@ impl Module for MaxPool2d {
     }
 }
 
-/// Non-overlapping average pooling with window `k`, over `(N, C, H, W)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AvgPool2d {
-    k: usize,
-}
-
-impl AvgPool2d {
-    /// Pooling with a `k x k` window and stride `k`.
-    pub fn new(k: usize) -> Self {
-        AvgPool2d { k }
-    }
-}
-
-impl Module for AvgPool2d {
-    fn forward(&self, tape: &mut Tape, _params: &[Var], x: Var) -> Var {
-        let dims = tape.value(x).dims().to_vec();
-        assert_eq!(dims.len(), 4, "AvgPool2d expects (N, C, H, W)");
-        tape.avg_pool2d(x, dims[1], dims[2], dims[3], self.k)
-    }
-
-    fn param_shapes(&self) -> Vec<Vec<usize>> {
-        Vec::new()
-    }
-
-    fn init(&self, _rng: &mut Rng) -> Vec<Tensor> {
-        Vec::new()
-    }
-}
-
 /// Flattens `(N, C, H, W)` (or any rank ≥ 2) into `(N, rest)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Flatten;
@@ -333,23 +309,35 @@ mod tests {
 
     #[test]
     fn instance_norm_normalizes_each_plane() {
-        let layer = InstanceNorm2d::new(2);
+        // Ahead of the ReLU and the pool each (n, c) plane is ~zero-mean
+        // and ~unit-variance; the layer's output is the mean of each 2x2
+        // window of its positive part.
+        let layer = NormReluPool::new(2);
         let params = layer.init(&mut Rng::seed_from(0));
         let x = Tensor::randn(&[3, 2, 4, 4], &mut Rng::seed_from(3)).scale(5.0);
         let y = forward_inference(&layer, &params, &x);
-        // Each (n, c) plane should be ~zero-mean, ~unit-variance.
+        let mut tape = Tape::inference();
+        let [xv, gamma, beta] = [&x, &params[0], &params[1]].map(|t| tape.constant(t.clone()));
+        let normed = tape.instance_norm(xv, gamma, beta, 1e-5);
+        let normed = tape.value(normed);
         for p in 0..6 {
-            let plane = &y.data()[p * 16..(p + 1) * 16];
+            let plane = &normed.data()[p * 16..(p + 1) * 16];
             let mean: f32 = plane.iter().sum::<f32>() / 16.0;
             let var: f32 = plane.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / 16.0;
             assert!(mean.abs() < 1e-4, "plane {p} mean {mean}");
             assert!((var - 1.0).abs() < 1e-2, "plane {p} var {var}");
+            for (i, pooled) in y.data()[p * 4..(p + 1) * 4].iter().enumerate() {
+                let corner = (i / 2) * 8 + (i % 2) * 2;
+                let window = [0, 1, 4, 5].map(|d| plane[corner + d].max(0.0));
+                let want = window.iter().fold(0.0f32, |acc, v| acc + v) * 0.25;
+                assert_eq!(pooled.to_bits(), want.to_bits(), "plane {p} window {i}");
+            }
         }
     }
 
     #[test]
     fn instance_norm_gradcheck() {
-        let layer = InstanceNorm2d::new(2);
+        let layer = NormReluPool::new(2);
         let x = Tensor::randn(&[1, 2, 2, 2], &mut Rng::seed_from(4));
         let gamma = Tensor::from_vec(vec![1.5, 0.5], &[2]);
         let beta = Tensor::from_vec(vec![0.1, -0.2], &[2]);
@@ -382,9 +370,10 @@ mod tests {
 
     #[test]
     fn pooling_halves_dims() {
-        let layer = AvgPool2d::new(2);
+        let layer = NormReluPool::new(3);
+        let params = layer.init(&mut Rng::seed_from(0));
         let x = Tensor::randn(&[1, 3, 8, 8], &mut Rng::seed_from(7));
-        let y = forward_inference(&layer, &[], &x);
+        let y = forward_inference(&layer, &params, &x);
         assert_eq!(y.dims(), &[1, 3, 4, 4]);
     }
 

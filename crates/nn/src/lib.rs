@@ -13,7 +13,8 @@
 //!
 //! The model zoo includes the paper's ConvNet backbone
 //! (`[W filters, InstanceNorm, ReLU, AvgPool] × D` + linear classifier,
-//! Gidaris & Komodakis 2018) and an MLP for fast tests.
+//! Gidaris & Komodakis 2018; each block a [`Conv2d`] and a
+//! [`NormReluPool`]) and an MLP for fast tests.
 //!
 //! # Examples
 //!
@@ -51,9 +52,7 @@ mod module;
 mod optim;
 mod params;
 
-pub use layers::{
-    AvgPool2d, Conv2d, Flatten, InstanceNorm2d, Linear, MaxPool2d, Relu, Sigmoid, Tanh,
-};
+pub use layers::{Conv2d, Flatten, Linear, MaxPool2d, NormReluPool, Relu, Sigmoid, Tanh};
 pub use loss::{cross_entropy, loss_gradients, mse, one_hot};
 pub use models::{ConvNet, LeNet, Mlp};
 pub use module::{forward_inference, worker_count, Module, Sequential};

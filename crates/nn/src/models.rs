@@ -1,13 +1,13 @@
 //! Model zoo: the paper's ConvNet backbone and an MLP for fast tests.
 
-use crate::{AvgPool2d, Conv2d, Flatten, InstanceNorm2d, Linear, Module, Relu, Sequential};
+use crate::{Conv2d, Flatten, Linear, Module, NormReluPool, Relu, Sequential};
 use qd_autograd::{Tape, Var};
 use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
 
 /// The modular ConvNet of Gidaris & Komodakis (2018) used by QuickDrop:
 /// `[W filters (3x3), InstanceNorm, ReLU, AvgPool(2)] × D` followed by a
-/// linear classifier.
+/// linear classifier. A block is a [`Conv2d`] and a [`NormReluPool`].
 ///
 /// The paper's default is `D = 3`, `W = 128` on 32x32 inputs; this
 /// reproduction defaults to smaller widths via [`ConvNet::scaled_default`]
@@ -31,6 +31,8 @@ pub struct ConvNet {
     in_channels: usize,
     input_hw: usize,
     blocks: usize,
+    /// Children of `seq` per block: the convolution and its tail.
+    block_len: usize,
     filters: usize,
     classes: usize,
 }
@@ -62,11 +64,10 @@ impl ConvNet {
         let mut c = in_channels;
         for _ in 0..blocks {
             children.push(Box::new(Conv2d::same3x3(c, filters)));
-            children.push(Box::new(InstanceNorm2d::new(filters)));
-            children.push(Box::new(Relu));
-            children.push(Box::new(AvgPool2d::new(2)));
+            children.push(Box::new(NormReluPool::new(filters)));
             c = filters;
         }
+        let block_len = children.len() / blocks;
         children.push(Box::new(Flatten));
         let final_hw = input_hw / div;
         children.push(Box::new(Linear::new(
@@ -78,6 +79,7 @@ impl ConvNet {
             in_channels,
             input_hw,
             blocks,
+            block_len,
             filters,
             classes,
         }
@@ -149,7 +151,12 @@ impl ConvNet {
         );
         let mut h = x;
         let mut offset = 0;
-        for child in self.seq.children().iter().take((block + 1) * 4) {
+        for child in self
+            .seq
+            .children()
+            .iter()
+            .take((block + 1) * self.block_len)
+        {
             let n = child.param_count();
             h = child.forward(tape, &params[offset..offset + n], h);
             offset += n;
@@ -387,17 +394,36 @@ mod tests {
         assert_eq!(shapes[net.classifier_weight_index()], vec![10, 128 * 16]);
     }
 
+    /// `block_output(b)` on a recording and on an inference tape is the
+    /// pooled map of block `b`, as the primitives compute it one layer at a
+    /// time.
     #[test]
     fn block_output_exposes_intermediate_features() {
-        let net = ConvNet::new(1, 16, 2, 8, 10);
-        let params = net.init(&mut Rng::seed_from(0));
-        let mut tape = qd_autograd::Tape::new();
-        let p: Vec<_> = params.iter().map(|t| tape.constant(t.clone())).collect();
-        let x = tape.constant(Tensor::zeros(&[2, 1, 16, 16]));
-        let b0 = net.block_output(&mut tape, &p, x, 0);
-        assert_eq!(tape.value(b0).dims(), &[2, 8, 8, 8]);
-        let b1 = net.block_output(&mut tape, &p, x, 1);
-        assert_eq!(tape.value(b1).dims(), &[2, 8, 4, 4]);
+        let net = ConvNet::new(1, 16, 3, 8, 10);
+        let mut rng = Rng::seed_from(0);
+        let params = net.init(&mut rng);
+        let x = Tensor::randn(&[2, 1, 16, 16], &mut rng);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut chain = Tape::new();
+        let p: Vec<Var> = params.iter().map(|t| chain.constant(t.clone())).collect();
+        let mut h = chain.constant(x.clone());
+        for block in 0..net.blocks() {
+            let [c, hw] = [1, 2].map(|d| chain.value(h).dims()[d]);
+            let geo = qd_tensor::Conv2dGeometry::new(c, hw, hw, 3, 1, 1);
+            let conv = chain.conv2d(h, p[4 * block], p[4 * block + 1], geo);
+            let normed = chain.instance_norm(conv, p[4 * block + 2], p[4 * block + 3], 1e-5);
+            let active = chain.relu(normed);
+            h = chain.avg_pool2d(active, 8, hw, hw, 2);
+            let want = chain.value(h);
+            assert_eq!(want.dims(), &[2, 8, hw / 2, hw / 2]);
+            for mut tape in [Tape::new(), Tape::inference()] {
+                let pv: Vec<Var> = params.iter().map(|t| tape.constant(t.clone())).collect();
+                let xv = tape.constant(x.clone());
+                let got = net.block_output(&mut tape, &pv, xv, block);
+                assert_eq!(tape.value(got).dims(), want.dims(), "block {block}");
+                assert_eq!(bits(tape.value(got)), bits(want), "block {block}");
+            }
+        }
     }
 
     #[test]

@@ -6,10 +6,7 @@
 
 use qd_autograd::check::numeric_grad;
 use qd_autograd::{Tape, Var};
-use qd_nn::{
-    cross_entropy, AvgPool2d, Conv2d, ConvNet, Flatten, InstanceNorm2d, Linear, Module, Relu,
-    Sequential,
-};
+use qd_nn::{cross_entropy, Conv2d, ConvNet, Flatten, Linear, Module, NormReluPool, Sequential};
 use qd_tensor::rng::Rng;
 use qd_tensor::{Conv2dGeometry, Tensor};
 
@@ -79,9 +76,7 @@ fn composite_convnet(
             inner: Conv2d::same3x3(c, filters),
             out_channels: filters,
         }));
-        children.push(Box::new(InstanceNorm2d::new(filters)));
-        children.push(Box::new(Relu));
-        children.push(Box::new(AvgPool2d::new(2)));
+        children.push(Box::new(NormReluPool::new(filters)));
         c = filters;
     }
     children.push(Box::new(Flatten));

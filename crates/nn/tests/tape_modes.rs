@@ -157,9 +157,11 @@ fn the_recording_tape_still_records_the_chains() {
     }
 }
 
-/// Off the recording tape a convolution is one node, forward and backward:
-/// no patch matrix is unfolded, multiplied or folded back, and the only
-/// `MatMulNt` is the classifier's.
+/// Off the recording tape a block is two nodes, forward and backward: a
+/// convolution — no patch matrix unfolded, multiplied or folded back, no
+/// upstream permuted into rows, and the only `MatMulNt` the classifier's —
+/// and a norm·ReLU·pool tail, with no ReLU output, pooled map or unpooled
+/// adjoint of its own.
 #[test]
 fn a_fused_convnet_records_one_node_per_convolution_and_no_patch_matrix() {
     let mut rng = Rng::seed_from(26);
@@ -169,8 +171,18 @@ fn a_fused_convnet_records_one_node_per_convolution_and_no_patch_matrix() {
     let count = |tape: &Tape, op: &str| tape.op_names().iter().filter(|o| *o == op).count();
     let assert_patch_free = |tape: &Tape| {
         assert_eq!(count(tape, "Conv2d"), net.blocks());
-        assert_eq!(count(tape, "Im2col") + count(tape, "Col2im"), 0);
+        assert_eq!(count(tape, "NormReluPool"), net.blocks());
         assert_eq!(count(tape, "MatMulNt"), 1);
+        for op in [
+            "Im2col",
+            "Col2im",
+            "NchwToRows",
+            "Relu",
+            "AvgPool",
+            "AvgUnpool",
+        ] {
+            assert_eq!(count(tape, op), 0, "{op}");
+        }
     };
     let mut inference = Tape::inference();
     let p: Vec<Var> = params.iter().map(|t| inference.leaf(t.clone())).collect();
@@ -223,17 +235,27 @@ fn a_b32_convnet_step_holds_a_fraction_of_the_recording_tape() {
 
     // Recording keeps the forward pass and the whole backward pass; a
     // terminal sweep peaks at the forward pass plus one rule's working
-    // set; the fused forward pass is a fifth of the chains' (a norm
-    // keeps its output and 2·N·C statistics instead of ten plane-sized
-    // temporaries, a convolution its output alone: no patch rows — nine
-    // times its input — no product, no biased copy): 2 297 204 bytes. A
-    // first-order step peaks in the first block's ReLU rule, holding the
-    // forward values up to that ReLU, its upstream and its result; an
-    // inference forward holds the batch, the first convolution's output
-    // and its norm's. The three recording counts are untouched.
+    // set. The three recording counts are untouched.
+    //
+    // The fused forward pass keeps, per block, the convolution's output
+    // alone (no patch rows — nine times its input — no product, no biased
+    // copy) and the pooled map with 2·N·C statistics (no norm or ReLU
+    // output): 986 484 bytes. A first-order step peaks in the first
+    // block's norm·ReLU·pool rule. With the sweep above it released, it
+    // holds the batch (98 304), the parameters (21 608), the first
+    // convolution's output (524 288), the block's statistics (4 096) and
+    // pooled map (131 072), that map's upstream (131 072) and the rule's
+    // result, the convolution output's gradient (524 288), beside the
+    // parameter gradients finished so far (19 816): 1 454 544, where the
+    // first block's ReLU rule peaked at 2 765 136 while the norm's and the
+    // ReLU's outputs, the unpooled upstream and a rows copy of each
+    // convolution's upstream were nodes. An inference forward holds the
+    // batch, the parameters, the first convolution's output and the
+    // block's statistics and pooled map: 779 368 (1 172 584 with the norm's
+    // output beside them).
     assert_eq!(forward, 10_939_764);
     assert_eq!(grad, 22_868_072);
     assert_eq!(into_grads, 11_271_312);
-    assert_eq!(first_order, 2_765_136);
-    assert_eq!(inference, 1_172_584);
+    assert_eq!(first_order, 1_454_544);
+    assert_eq!(inference, 779_368);
 }

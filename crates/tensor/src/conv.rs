@@ -6,12 +6,13 @@
 //! `nchw(im2col(x) · Wᵀ + b)`: `im2col` and `col2im` are a mutually adjoint
 //! *linear* pair, so the composite is differentiable to any order — exactly
 //! what the gradient-matching distillation objective needs. Everywhere else
-//! it is [`conv2d`] with [`conv2d_weight_grad`] and [`conv2d_input_grad`],
-//! which walk NCHW in place and never build the patch matrix, yet give each
-//! output element the composite's terms in the composite's order: the same
-//! bits at a ninth of the working set.
+//! it is [`conv2d`] with [`conv2d_weight_grad`] (weight and bias) and
+//! [`conv2d_input_grad`], which walk NCHW in place and never build the
+//! patch matrix or a row-major copy of the upstream, yet give each output
+//! element the composite's terms in the composite's order: the same bits at
+//! a ninth of the working set.
 
-use crate::linalg::{lanes, tile, MR, NR};
+use crate::linalg::{lanes, tile, tile_terms, KC, MR, NR};
 use crate::Tensor;
 
 /// Static geometry of a 2-D convolution (or pooling) window.
@@ -307,16 +308,18 @@ pub fn col2im(cols_t: &Tensor, geo: &Conv2dGeometry) -> Tensor {
     Tensor::from_vec(out, &[n, geo.in_channels, geo.in_h, geo.in_w])
 }
 
-/// One image's zero-padded working copy: what the direct kernels read (the
-/// input) or add into (the input gradient) where the chain of primitives
-/// has a patch matrix. A kernel owns one and reuses it for every image.
+/// Zero-padded working copies of a few consecutive images: what the direct
+/// kernels read (the input) or add into (the input gradient) where the
+/// chain of primitives has a patch matrix. A kernel owns one and reuses it
+/// for every image, or every group of images, of the batch.
 struct Frame {
     geo: Conv2dGeometry,
     /// Row pitch: the padded width, widened until `NR` lanes `stride` apart
     /// starting under any chunk of output positions stay inside one row.
     pitch: usize,
-    /// `(C, H + 2*pad, pitch)`; outside the image it is zero (the input) or
-    /// dropped (the input gradient), which is how padding is clipped.
+    /// One `(C, H + 2*pad, pitch)` slot per image; outside the image it is
+    /// zero (the input) or dropped (the input gradient), which is how
+    /// padding is clipped.
     data: Vec<f32>,
     /// Where window element `(c, ky, kx)` lies from the first element of
     /// its patch, in patch-column order.
@@ -324,7 +327,7 @@ struct Frame {
 }
 
 impl Frame {
-    fn new(geo: &Conv2dGeometry) -> Self {
+    fn new(geo: &Conv2dGeometry, images: usize) -> Self {
         let &Conv2dGeometry { kernel, stride, .. } = geo;
         let chunks = geo.out_w.div_ceil(NR);
         let pitch = (geo.in_w + 2 * geo.pad).max((chunks * NR - 1) * stride + kernel);
@@ -338,37 +341,43 @@ impl Frame {
         Frame {
             geo: *geo,
             pitch,
-            data: vec![0.0; geo.in_channels * rows * pitch],
+            data: vec![0.0; images * geo.in_channels * rows * pitch],
             offsets,
         }
     }
 
-    /// Where the patch of output position `(oy, ox)` starts.
+    /// Where the patch of output position `(oy, ox)` of the first slot's
+    /// image starts.
     fn corner(&self, oy: usize, ox: usize) -> usize {
         (oy * self.pitch + ox) * self.geo.stride
     }
 
-    /// The image's rows inside the frame, in `(c, y)` order.
-    fn image_rows(&mut self) -> impl Iterator<Item = &mut [f32]> {
-        let (in_h, in_w, pad) = (self.geo.in_h, self.geo.in_w, self.geo.pad);
-        self.data
-            .chunks_exact_mut(self.pitch)
-            .enumerate()
-            .filter(move |(row, _)| (pad..pad + in_h).contains(&(row % (in_h + 2 * pad))))
-            .map(move |(_, row)| &mut row[pad..pad + in_w])
+    /// Floats per image slot.
+    fn slot_len(&self) -> usize {
+        self.geo.in_channels * (self.geo.in_h + 2 * self.geo.pad) * self.pitch
     }
 
-    fn load(&mut self, img: &[f32]) {
+    /// The images' rows inside the frame, in `(slot, c, y)` order.
+    fn image_rows(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        let (in_h, in_w, pad, pitch) = (self.geo.in_h, self.geo.in_w, self.geo.pad, self.pitch);
+        self.data
+            .chunks_exact_mut((in_h + 2 * pad) * pitch)
+            .flat_map(move |plane| plane[pad * pitch..].chunks_exact_mut(pitch).take(in_h))
+            .map(move |row| &mut row[pad..pad + in_w])
+    }
+
+    /// Copies in consecutive images, one per slot from the first.
+    fn load(&mut self, images: &[f32]) {
         let w = self.geo.in_w;
-        for (dst, src) in self.image_rows().zip(img.chunks_exact(w)) {
-            dst.copy_from_slice(src);
+        for (dst, src) in self.image_rows().zip(images.chunks_exact(w)) {
+            dst.iter_mut().zip(src).for_each(|(d, &s)| *d = s);
         }
     }
 
     fn store(&mut self, img: &mut [f32]) {
         let w = self.geo.in_w;
         for (src, dst) in self.image_rows().zip(img.chunks_exact_mut(w)) {
-            dst.copy_from_slice(src);
+            dst.iter_mut().zip(src).for_each(|(d, s)| *d = *s);
         }
     }
 
@@ -403,30 +412,44 @@ impl Frame {
         }
     }
 
-    /// Adds the loaded image's terms to rows `k0 .. k0 + MR`, columns
+    /// Where every patch of every slot starts, in `(slot, oy, ox)` order.
+    fn corners(&self) -> Vec<usize> {
+        let (out_h, out_w) = (self.geo.out_h, self.geo.out_w);
+        let slots = self.data.len() / self.slot_len().max(1);
+        (0..slots * out_h * out_w)
+            .map(|p| {
+                let (slot, at) = (p / (out_h * out_w), p % (out_h * out_w));
+                slot * self.slot_len() + self.corner(at / out_w, at % out_w)
+            })
+            .collect()
+    }
+
+    /// Adds the loaded images' terms to rows `k0 .. k0 + MR`, columns
     /// `j0 .. j0 + NR` of the `(C*k*k, Cout)` transposed weight gradient:
     /// the tile's rows are window elements read under each patch `corners`
-    /// names, its lanes the upstream's channels at that patch.
+    /// names, its lanes the upstream's channels at that patch (`panel`, one
+    /// row per patch).
     fn weight_grad(
         &self,
         corners: &[usize],
-        (dy_rows, cout): (&[f32], usize),
-        (k0, j0): (usize, usize),
+        panel: &[f32],
+        (k0, j0, cout): (usize, usize, usize),
         dwt: &mut [f32],
     ) {
         let (nr, len) = (NR.min(cout - j0), self.offsets.len());
-        let offsets: [usize; MR] = std::array::from_fn(|r| self.offsets[(k0 + r).min(len - 1)]);
-        let lhs = |p: usize| std::array::from_fn(|r| self.data[corners[p] + offsets[r]]);
         let mut acc = [[0.0f32; NR]; MR];
         for (k, row) in (k0..len).zip(&mut acc) {
             row[..nr].copy_from_slice(&dwt[k * cout + j0..][..nr]);
         }
-        let at = |p: usize| &dy_rows[p * cout + j0..];
-        let acc = if nr == NR {
-            tile(acc, 0..corners.len(), lhs, |p| lanes(at(p)))
-        } else {
-            tile(acc, 0..corners.len(), lhs, |p| ragged_lanes(&at(p)[..nr]))
-        };
+        // Slices of one length, so that one bounds test covers a patch's
+        // four reads.
+        let reach = corners.last().map_or(0, |last| last + 1);
+        let src: [&[f32]; MR] =
+            std::array::from_fn(|r| &self.data[self.offsets[(k0 + r).min(len - 1)]..][..reach]);
+        let lhs = corners
+            .iter()
+            .map(|&at| std::array::from_fn(|r| src[r][at]));
+        let acc = tile_terms(acc, lhs.zip(panel.chunks_exact(NR).map(lanes)));
         for (k, row) in (k0..len).zip(&acc) {
             dwt[k * cout + j0..][..nr].copy_from_slice(&row[..nr]);
         }
@@ -502,7 +525,7 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, bias: &Tensor, geo: &Conv2dGeometry) 
     let dims = geo.output_dims(x, weight, bias);
     let [_, cout, oh, ow] = dims;
     let mut out = vec![0.0f32; dims.iter().product()];
-    let mut frame = Frame::new(geo);
+    let mut frame = Frame::new(geo, 1);
     for (b, img) in x.data().chunks_exact(geo.image_len()).enumerate() {
         frame.load(img);
         let planes = &mut out[b * cout * oh * ow..][..cout * oh * ow];
@@ -513,42 +536,113 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, bias: &Tensor, geo: &Conv2dGeometry) 
     Tensor::from_vec(out, &dims)
 }
 
-/// The gradient of [`conv2d`] with respect to its weight, `(Cout, C*k*k)`,
-/// from the input and the upstream laid out as rows `(N*OH*OW, Cout)`:
-/// `dy_rows.matmul_tn(im2col(x))` to the bit.
+/// A group of images' upstream, laid out for the weight-gradient tile:
+/// one `NR`-channel panel after another, each one `NR`-float row per patch
+/// in `(image, oy, ox)` order — `nchw_to_rows(dy)` cut into column panels,
+/// as the GEMM packs its right operand. A ragged last panel repeats its
+/// last channel; the tile computes the copies and drops them.
+struct Panels {
+    data: Vec<f32>,
+    /// Patches a panel has room for.
+    patches: usize,
+}
+
+impl Panels {
+    fn new(cout: usize, patches: usize) -> Self {
+        Panels {
+            data: vec![0.0; cout.div_ceil(NR) * patches * NR],
+            patches,
+        }
+    }
+
+    /// Panel `j`'s first `patches` rows.
+    fn panel(&self, j: usize, patches: usize) -> &[f32] {
+        &self.data[j * self.patches * NR..][..patches * NR]
+    }
+
+    /// Lays out `maps`, whole `(Cout, positions)` maps of consecutive
+    /// images, and adds every channel's values patch by patch into the
+    /// running sums `db`: `sum_rows(nchw_to_rows(dy))`'s additions.
+    fn load(&mut self, maps: &[f32], positions: usize, db: &mut [f32]) {
+        let cout = db.len();
+        for (j, sums) in db.chunks_mut(NR).enumerate() {
+            let nr = sums.len();
+            let mut acc = [0.0f32; NR];
+            acc[..nr].copy_from_slice(sums);
+            let panel = &mut self.data[j * self.patches * NR..];
+            for (map, rows) in maps
+                .chunks_exact(cout * positions)
+                .zip(panel.chunks_exact_mut(positions * NR))
+            {
+                let planes: [&[f32]; NR] = std::array::from_fn(|l| {
+                    &map[(j * NR + l.min(nr - 1)) * positions..][..positions]
+                });
+                for (p, row) in rows.chunks_exact_mut(NR).enumerate() {
+                    let v: [f32; NR] = std::array::from_fn(|l| planes[l][p]);
+                    row.copy_from_slice(&v);
+                    for (a, x) in acc.iter_mut().zip(v) {
+                        *a += x;
+                    }
+                }
+            }
+            sums.copy_from_slice(&acc[..nr]);
+        }
+    }
+}
+
+/// The gradients of [`conv2d`] with respect to its weight, `(Cout, C*k*k)`,
+/// and its bias, `(Cout,)`, from the input and the `(N, Cout, OH, OW)`
+/// upstream, in one pass over both: with `rows = nchw_to_rows(dy)`,
+/// `rows.matmul_tn(im2col(x))` and `rows.sum_rows()` to the bit.
 ///
 /// `dW[oc, (c, ky, kx)]` is the sum over patches `(n, oy, ox)` ascending
-/// from `0.0` of `dy · x`, padding positions included as zeros.
+/// from `0.0` of `dy · x`, padding positions included as zeros, and
+/// `db[oc]` the sum over `(n, oy, ox)` ascending from `0.0` of `dy`. The
+/// images go through a group at a time — padded into one working copy,
+/// their upstream laid out in channel panels as the GEMM packs its right
+/// operand, the bias sums taken on the way — and a
+/// group holds enough images that a tile takes about `KC` terms between a
+/// load and a store of its accumulators, as the GEMM's does.
 ///
 /// # Panics
 ///
-/// Panics if `x` is not a whole number of images or `dy_rows` does not have
-/// one row per patch.
-pub fn conv2d_weight_grad(x: &Tensor, dy_rows: &Tensor, geo: &Conv2dGeometry) -> Tensor {
-    let patches = geo.rows(geo.batch("conv2d_weight_grad", x));
+/// Panics if `x` is not a whole number of images or `dy` is not one
+/// `(Cout, OH, OW)` map per image.
+pub fn conv2d_weight_grad(x: &Tensor, dy: &Tensor, geo: &Conv2dGeometry) -> (Tensor, Tensor) {
+    let n = geo.batch("conv2d_weight_grad", x);
     assert!(
-        dy_rows.shape().rank() == 2 && dy_rows.dims()[0] == patches,
-        "conv2d_weight_grad: upstream {} is not one row for each of {patches} patches",
-        dy_rows.shape()
+        dy.shape().rank() == 4 && dy.dims()[0] == n && dy.dims()[2..] == [geo.out_h, geo.out_w],
+        "conv2d_weight_grad: upstream {} is not (N, Cout, OH, OW) with N = {n}, OH x OW = {}x{}",
+        dy.shape(),
+        geo.out_h,
+        geo.out_w
     );
-    let (len, cout) = (geo.patch_len(), dy_rows.dims()[1]);
-    let mut frame = Frame::new(geo);
-    let corners: Vec<usize> = (0..geo.rows(1))
-        .map(|p| frame.corner(p / geo.out_w, p % geo.out_w))
-        .collect();
+    let (len, positions, cout) = (geo.patch_len(), geo.rows(1), dy.dims()[1]);
+    let images = KC.div_ceil(positions).clamp(1, n.max(1));
+    let mut frame = Frame::new(geo, images);
+    let corners = frame.corners();
+    let mut panels = Panels::new(cout, images * positions);
     let mut dwt = vec![0.0f32; len * cout];
-    for (b, img) in x.data().chunks_exact(geo.image_len()).enumerate() {
-        frame.load(img);
-        // A tile rests in `dwt` between images, which is exact, so its sum
+    let mut db = vec![0.0f32; cout];
+    for (imgs, maps) in x
+        .data()
+        .chunks(images * geo.image_len())
+        .zip(dy.data().chunks((images * cout * positions).max(1)))
+    {
+        frame.load(imgs);
+        panels.load(maps, positions, &mut db);
+        // Between groups a tile rests in `dwt`, which is exact, so its sum
         // runs over every patch of the batch without a break.
-        let rows = &dy_rows.data()[b * corners.len() * cout..][..corners.len() * cout];
+        let patches = &corners[..maps.len() / cout];
         for k0 in (0..len).step_by(MR) {
             for j0 in (0..cout).step_by(NR) {
-                frame.weight_grad(&corners, (rows, cout), (k0, j0), &mut dwt);
+                let panel = panels.panel(j0 / NR, patches.len());
+                frame.weight_grad(patches, panel, (k0, j0, cout), &mut dwt);
             }
         }
     }
-    Tensor::from_vec(dwt, &[len, cout]).transpose2()
+    let dw = Tensor::from_vec(dwt, &[len, cout]).transpose2();
+    (dw, Tensor::from_vec(db, &[cout]))
 }
 
 /// The gradient of [`conv2d`] with respect to its input, `(N, C, H, W)`,
@@ -582,7 +676,7 @@ pub fn conv2d_input_grad(dy: &Tensor, weight: &Tensor, geo: &Conv2dGeometry) -> 
     );
     let n = dy.len() / per_map;
     let mut dx = vec![0.0f32; n * per_image];
-    let mut frame = Frame::new(geo);
+    let mut frame = Frame::new(geo, 1);
     // Each filter padded to whole groups of `MR` window elements, so that a
     // group's weights are one slice; a ragged group's extra rows are dropped.
     let padded = len.next_multiple_of(MR);
@@ -639,25 +733,42 @@ pub fn avg_pool2d(x: &Tensor, c: usize, h: usize, w: usize, k: usize) -> Tensor 
     let n = x.len() / per_image;
     let (oh, ow) = (h / k, w / k);
     let mut out = vec![0.0f32; n * c * oh * ow];
+    avg_pool_planes(x.data(), w, k, &mut out);
+    Tensor::from_vec(out, &[n, c, oh, ow])
+}
+
+/// [`avg_pool2d`] over planes `w` wide laid end to end in `x`, into `out`
+/// (`x.len() / k²` elements): the loop both the whole-tensor function and
+/// a fused caller run, so a window is summed one way everywhere.
+///
+/// Inlined, so a caller passing a constant `k` gets the window's loops
+/// unrolled.
+///
+/// # Panics
+///
+/// Panics if `w` is not a positive multiple of `k` or `out` is not
+/// `x.len() / k²` long.
+#[inline]
+pub fn avg_pool_planes(x: &[f32], w: usize, k: usize, out: &mut [f32]) {
+    assert!(
+        k > 0 && w > 0 && w.is_multiple_of(k),
+        "pooling rows of {w} by {k}"
+    );
+    assert_eq!(x.len(), out.len() * k * k, "pooled length");
     let inv = 1.0 / (k * k) as f32;
     // One output row gathers a band of `k` input rows; a window's rows are
     // `w` apart in the band and the next window starts `k` further on.
-    for (band, orow) in x.data().chunks_exact(k * w).zip(out.chunks_exact_mut(ow)) {
-        let mut window = 0;
-        for o in orow {
+    for (band, orow) in x.chunks_exact(k * w).zip(out.chunks_exact_mut(w / k)) {
+        for (window, o) in orow.iter_mut().enumerate() {
             let mut acc = 0.0;
-            let mut row = window;
-            for _ in 0..k {
-                for kx in 0..k {
-                    acc += band[row + kx];
+            for ky in 0..k {
+                for v in &band[ky * w + window * k..][..k] {
+                    acc += v;
                 }
-                row += w;
             }
             *o = acc * inv;
-            window += k;
         }
     }
-    Tensor::from_vec(out, &[n, c, oh, ow])
 }
 
 /// Adjoint of [`avg_pool2d`]: spreads each pooled value, divided by `k*k`,
@@ -677,20 +788,38 @@ pub fn avg_unpool2d(y: &Tensor, c: usize, oh: usize, ow: usize, k: usize) -> Ten
     let n = y.len() / per_image;
     let (h, w) = (oh * k, ow * k);
     let mut out = vec![0.0f32; n * c * h * w];
-    let inv = 1.0 / (k * k) as f32;
     if k > 0 {
-        // One input row spreads into a band of `k` identical output rows.
-        for (yrow, band) in y.data().chunks_exact(ow).zip(out.chunks_exact_mut(k * w)) {
-            let (first, rest) = band.split_at_mut(w);
-            for (window, &v) in first.chunks_exact_mut(k).zip(yrow) {
-                window.fill(v * inv);
-            }
-            for row in rest.chunks_exact_mut(w) {
-                row.copy_from_slice(first);
-            }
-        }
+        avg_unpool_planes(y.data(), w, k, &mut out);
     }
     Tensor::from_vec(out, &[n, c, h, w])
+}
+
+/// [`avg_unpool2d`] into planes `w` wide laid end to end in `out`, from
+/// `y` (`out.len() / k²` elements): the loop both the whole-tensor
+/// function and a fused caller run. Inlined, as [`avg_pool_planes`] is.
+///
+/// # Panics
+///
+/// Panics if `w` is not a positive multiple of `k` or `y` is not
+/// `out.len() / k²` long.
+#[inline]
+pub fn avg_unpool_planes(y: &[f32], w: usize, k: usize, out: &mut [f32]) {
+    assert!(
+        k > 0 && w > 0 && w.is_multiple_of(k),
+        "unpooling into rows of {w} by {k}"
+    );
+    assert_eq!(out.len(), y.len() * k * k, "unpooled length");
+    let inv = 1.0 / (k * k) as f32;
+    // One input row spreads into a band of `k` identical output rows.
+    for (yrow, band) in y.chunks_exact(w / k).zip(out.chunks_exact_mut(k * w)) {
+        let (first, rest) = band.split_at_mut(w);
+        for (window, &v) in first.chunks_exact_mut(k).zip(yrow) {
+            window.fill(v * inv);
+        }
+        for row in rest.chunks_exact_mut(w) {
+            row.copy_from_slice(first);
+        }
+    }
 }
 
 #[cfg(test)]

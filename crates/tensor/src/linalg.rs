@@ -22,7 +22,7 @@ pub(crate) const NR: usize = 8;
 /// blocks of both operands that stay in L1. Between passes a tile rests in
 /// the output buffer; an `f32` store and reload is exact, so the sum still
 /// runs `k` ascending without a break.
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 
 /// How an operand of a product lies in memory.
 #[derive(Clone, Copy)]
@@ -70,13 +70,22 @@ pub(crate) fn lanes(run: &[f32]) -> [f32; NR] {
 /// arrays, which is what lets the compiler vectorise it without intrinsics.
 #[inline(always)]
 pub(crate) fn tile<const R: usize>(
-    mut acc: [[f32; NR]; R],
+    acc: [[f32; NR]; R],
     ks: Range<usize>,
     lhs: impl Fn(usize) -> [f32; R],
     rhs: impl Fn(usize) -> [f32; NR],
 ) -> [[f32; NR]; R] {
-    for kk in ks {
-        let (a, b) = (lhs(kk), rhs(kk));
+    tile_terms(acc, ks.map(|kk| (lhs(kk), rhs(kk))))
+}
+
+/// [`tile`] over terms an iterator hands over as `(lhs, rhs)` pairs, for a
+/// caller that walks its operands rather than indexing them.
+#[inline(always)]
+pub(crate) fn tile_terms<const R: usize>(
+    mut acc: [[f32; NR]; R],
+    terms: impl Iterator<Item = ([f32; R], [f32; NR])>,
+) -> [[f32; NR]; R] {
+    for (a, b) in terms {
         for (row, &ar) in acc.iter_mut().zip(&a) {
             for (o, &bv) in row.iter_mut().zip(&b) {
                 *o += ar * bv;

@@ -241,8 +241,10 @@ mod differential {
         Tensor::from_vec(out, &[n * hw, c])
     }
 
-    /// The three direct kernels against the chain they replace, built from
-    /// the oracles: `im2col`, the triple loop, `col2im`.
+    /// The direct kernels against the chain they replace, built from the
+    /// oracles: `im2col`, the triple loop, `col2im`; the parameter
+    /// gradients, which read the NCHW upstream, against
+    /// `matmul_tn(nchw_to_rows(dy), im2col(x))` and `sum_rows(nchw_to_rows(dy))`.
     fn assert_direct_conv_matches(
         geo: &Conv2dGeometry,
         [x, weight, bias, dy]: [&Tensor; 4],
@@ -257,10 +259,9 @@ mod differential {
         let want = permuted(&y, [n, cout, oh * ow], false).reshape(&[n, cout, oh, ow]);
         assert_same(&crate::conv2d(x, weight, bias, geo), &want);
         let rows = permuted(dy, [n, cout, oh * ow], true);
-        assert_same(
-            &crate::conv2d_weight_grad(x, &rows, geo),
-            &product(&rows.transpose2(), &cols),
-        );
+        let (dw, db) = crate::conv2d_weight_grad(x, dy, geo);
+        assert_same(&dw, &product(&rows.transpose2(), &cols));
+        assert_same(&db, &rows.sum_rows());
         assert_same(
             &crate::conv2d_input_grad(dy, weight, geo),
             &col2im(&product(&rows, weight), geo),
@@ -311,14 +312,15 @@ mod differential {
         }
 
         /// Kernels 1 to 5, `pad > kernel - 1`, 1x1 images, `h != w`, channel
-        /// counts on both sides of a tile, strides with and without the
-        /// contiguous runs; inputs salted with zeros of both signs, then
-        /// with NaN and ±∞ among them.
+        /// counts on both sides of a tile and `Cout` past two of them,
+        /// ragged or not, strides with and without the contiguous runs,
+        /// batches that split into more than one group of images; inputs
+        /// salted with zeros of both signs, then with NaN and ±∞ among them.
         #[test]
         fn direct_conv_kernels_match_im2col_gemm_col2im(
-            n in 1usize..4,
+            n in 1usize..7,
             cin in 1usize..6,
-            cout in 1usize..10,
+            cout in 1usize..20,
             h in 1usize..10,
             w in 1usize..10,
             kernel in 0usize..4,

@@ -76,7 +76,7 @@ done
 [ -n "$smoke_ok" ] \
     || { echo "qd-perf --smoke did not end 'smoke: ok' — the benchmark's pinned library surface broke" >&2; exit 1; }
 
-echo "== float-order gate + exact-count gates (traced qd-perf runs must end on the model digests qd-perf/README.md pins; a journal record and a checkpoint must stay binary-sized; a step must stay on the first-order tape and off the patch matrix)"
+echo "== float-order gate + exact-count gates (traced qd-perf runs must end on the model digests qd-perf/README.md pins; a journal record and a checkpoint must stay binary-sized; a step must stay on the first-order tape, off the patch matrix and free of layout and ReLU/pool nodes)"
 # Every kernel keeps one reduction order (DESIGN.md §4.6), so these digests
 # only move when a change reorders a float sum — which then needs the
 # re-pin policy of ROADMAP item 2, not a silent pass. The same
@@ -84,11 +84,14 @@ echo "== float-order gate + exact-count gates (traced qd-perf runs must end on t
 # change that quietly re-inflates a journal record or the checkpoint
 # (DESIGN.md "Durable formats": 111 689 and 1 968 430 bytes as decimal
 # text) fails here. So does one that quietly routes training, ascent or
-# recovery steps back onto the recording tape's chains, or a convolution
-# back through `im2col`/`col2im` (DESIGN.md §4.7): a request allocates
-# 268 618 207 bytes — 471 990 615 with the patch matrix, 1 036 408 712 on
-# the recording tape — and a train-distill run 1 640 852 944, 2 529 464 016
-# with the patch matrix.
+# recovery steps back onto the recording tape's chains, a convolution
+# back through `im2col`/`col2im`, or a step that re-materialises a block's
+# ReLU output, pooled or unpooled map, or a rows copy of a convolution's
+# upstream (DESIGN.md §4.7): a request allocates 125 954 670 bytes —
+# 269 604 319 with those nodes, 471 990 615 with the patch matrix as well,
+# 1 036 408 712 on the recording tape — and a train-distill run
+# 952 509 332, 1 643 507 152 with those nodes and 2 529 464 016 with the
+# patch matrix. The ceilings are the measured counts plus 10 %.
 while read -r workload digest; do
     report="$(bash qd-perf/run.sh --workload "$workload" --seed 11 --trace 1 </dev/null)"
     grep -x "  model_digest $digest" <<<"$report" >/dev/null \
@@ -96,12 +99,12 @@ while read -r workload digest; do
     while read -r on metric ceiling; do
         [ "$on" = "$workload" ] || continue
         awk -v m="$metric" -v max="$ceiling" '$1 == m { seen = 1; if ($2 + 0 > max) bad = 1 } END { exit !(seen && !bad) }' <<<"$report" \
-            || { echo "qd-perf $workload (seed 11): $metric is missing or above $ceiling bytes — durable state re-inflated, steps back on the recording tape, or a convolution back on the patch matrix" >&2; exit 1; }
+            || { echo "qd-perf $workload (seed 11): $metric is missing or above $ceiling bytes — durable state re-inflated, steps back on the recording tape, or a step holding its layout or ReLU/pool nodes again" >&2; exit 1; }
     done <<'BYTES'
 request-stream core.journal.bytes_per_record 23000
 request-stream core.ckpt.bytes 420000
-request-stream alloc.bytes_per_op 350000000
-train-distill alloc.bytes_per_op 2000000000
+request-stream alloc.bytes_per_op 139000000
+train-distill alloc.bytes_per_op 1048000000
 BYTES
 done <<'DIGESTS'
 train-distill 185d83271a152c63
