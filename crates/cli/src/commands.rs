@@ -758,7 +758,8 @@ fn show(args: &Args) -> Result<String, CliError> {
 /// The JSON rendering of a checkpoint or, with `--journal`, of each
 /// journal record (one per line, oldest first): the binary files decoded
 /// and handed to `serde_json`, for `jq` and eyeballs. Read-only — a torn
-/// journal tail is reported, not repaired.
+/// journal tail, stale `.tmp` files and segments without a marker are
+/// reported or left alone, never repaired.
 fn dump(args: &Args) -> Result<String, CliError> {
     let line = |json: Result<String, serde_json::Error>| {
         json.map(|j| j + "\n")
@@ -766,7 +767,10 @@ fn dump(args: &Args) -> Result<String, CliError> {
     };
     let path = args.require_str("ckpt")?;
     match journal_path_from(args, &path) {
-        None => line(serde_json::to_string(&Checkpoint::load(&path)?)),
+        None => line(serde_json::to_string(&Checkpoint::read_on(
+            &StdFs,
+            Path::new(&path),
+        )?)),
         Some(journal) => RequestJournal::open_strict_on(Arc::new(StdFs), journal)
             .map_err(std::io::Error::from)?
             .records()
@@ -919,27 +923,57 @@ mod tests {
     #[test]
     fn dump_renders_the_binary_files_as_json_without_touching_them() {
         let ckpt = tmp("dump_cmd.json");
+        let bare = tmp("dump_bare.json");
         remove_deployment(&ckpt);
+        remove_deployment(&bare);
         train_tiny(&ckpt);
-        run(&args(&[
-            "unlearn",
-            "--ckpt",
-            &ckpt,
-            "--class",
-            "1",
-            "--seed",
-            "7",
-            "--journal",
-        ]))
-        .unwrap();
+        for class in ["1", "2"] {
+            run(&args(&[
+                "unlearn",
+                "--ckpt",
+                &ckpt,
+                "--class",
+                class,
+                "--seed",
+                "7",
+                "--journal",
+            ]))
+            .unwrap();
+        }
+        let seg = format!("{ckpt}.journal.seg-000000");
+        // Leftovers a repairing open would clear: a stale save, and a
+        // copy of the deployment whose journal marker is gone.
+        std::fs::write(format!("{ckpt}.tmp"), b"half-written save").unwrap();
+        std::fs::copy(&ckpt, &bare).unwrap();
+        std::fs::copy(&seg, format!("{bare}.journal.seg-000000")).unwrap();
+        // Every file carrying a deployment's name, with its bytes.
         let files = |ckpt: &str| {
-            let seg = format!("{ckpt}.journal.seg-000000");
-            [ckpt.to_string(), format!("{ckpt}.journal"), seg].map(|f| std::fs::read(f).unwrap())
+            let ckpt = std::path::Path::new(ckpt);
+            let name = ckpt.file_name().unwrap().to_string_lossy().into_owned();
+            let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(ckpt.parent().unwrap())
+                .unwrap()
+                .flatten()
+                .filter(|e| e.file_name().to_string_lossy().starts_with(&name))
+                .map(|e| {
+                    (
+                        e.file_name().to_string_lossy().into_owned(),
+                        std::fs::read(e.path()).unwrap(),
+                    )
+                })
+                .collect();
+            out.sort();
+            out
         };
-        let before = files(&ckpt);
+        let before = (files(&ckpt), files(&bare));
+        let file = |name: &str| std::fs::read(name).unwrap();
         assert!(
-            before[0].starts_with(b"QDC3\n") && before[1] == b"QDJ4\n",
+            file(&ckpt).starts_with(b"QDC3\n") && file(&format!("{ckpt}.journal")) == b"QDJ5\n",
             "the files on disk are the binary formats"
+        );
+        assert_eq!(
+            before.0.len(),
+            5,
+            "checkpoint, .prev, .tmp, marker, segment"
         );
 
         // The checkpoint: one JSON object that is the checkpoint again.
@@ -951,7 +985,9 @@ mod tests {
         let back: Checkpoint = serde_json::from_str(&out).unwrap();
         assert_eq!(
             back.global,
-            Checkpoint::load(&ckpt).unwrap().global,
+            Checkpoint::read_on(&StdFs, Path::new(&ckpt))
+                .unwrap()
+                .global,
             "the rendering carries the model exactly"
         );
 
@@ -959,21 +995,53 @@ mod tests {
         let out = run(&args(&["dump", "--ckpt", &ckpt, "--journal"])).unwrap();
         let states: Vec<&str> = out
             .lines()
-            .map(|l| {
+            .zip([0, 0, 0, 1, 1, 1])
+            .map(|(l, seq)| {
                 assert!(
-                    l.starts_with("{\"seq\":0,\"request\":{\"kind\":\"class\""),
+                    l.starts_with(&format!("{{\"seq\":{seq},\"request\":{{\"kind\":\"class\"")),
                     "{l:.80}"
                 );
                 let at = l.find("\"state\":\"").expect("state tag") + 9;
                 &l[at..at + 4]
             })
             .collect();
-        assert_eq!(states, ["Rece", "Unle", "Reco"]);
+        assert_eq!(states, ["Rece", "Unle", "Reco", "Rece", "Unle", "Reco"]);
+        // The second RECEIVED repeats the first RECOVERED's model, so the
+        // segment holds it as a back-reference; the dump still carries
+        // the full parameters.
+        assert_eq!(
+            file(&seg)
+                .windows(13)
+                .filter(|w| w == b"\"global\":null")
+                .count(),
+            1,
+            "exactly one snapshot is a back-reference"
+        );
+        let records: Vec<qd_core::JournalRecord> = out
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert!(!records[3].global.is_empty());
+        assert_eq!(
+            records[3].global, records[2].global,
+            "the back-referenced record dumps with its full parameters"
+        );
 
-        assert!(files(&ckpt) == before, "dump is read-only");
+        // Without a marker the segment is reported, not deleted.
+        let err = run(&args(&["dump", "--ckpt", &bare, "--journal"]))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("no journal marker") && err.contains("dump_bare.json.journal.seg-000000"),
+            "{err}"
+        );
+        run(&args(&["dump", "--ckpt", &bare])).unwrap();
+
+        assert!((files(&ckpt), files(&bare)) == before, "dump is read-only");
         let err = run(&args(&["dump"])).unwrap_err().to_string();
         assert!(err.contains("--ckpt"), "{err}");
         remove_deployment(&ckpt);
+        remove_deployment(&bare);
     }
 
     #[test]

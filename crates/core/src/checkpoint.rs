@@ -336,6 +336,16 @@ impl Checkpoint {
     /// As [`Checkpoint::load`].
     pub fn load_on(fs: &dyn Vfs, path: &Path) -> Result<Self, CheckpointError> {
         vfs::sweep_stale_tmps(fs, path);
+        Self::read_on(fs, path)
+    }
+
+    /// [`Checkpoint::load_on`] without the sweep: reads the file and
+    /// touches nothing, for inspecting a deployment as it lies.
+    ///
+    /// # Errors
+    ///
+    /// As [`Checkpoint::load`].
+    pub fn read_on(fs: &dyn Vfs, path: &Path) -> Result<Self, CheckpointError> {
         let bytes = fs.read(path).map_err(into_io)?;
         let invalid = |detail: String| CheckpointError::Format {
             path: path.to_path_buf(),

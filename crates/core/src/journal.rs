@@ -21,7 +21,11 @@
 //! append-only segment files next to a small marker file (see
 //! [`JOURNAL_VERSION`]), all driven through the [`crate::vfs::Vfs`]
 //! syscall layer; each record inside a commit is one [`crate::frame`]
-//! (JSON skeleton + raw-`f32` body). An append costs one `append` + one
+//! (JSON skeleton + raw-`f32` body). A record whose model snapshot is
+//! bit-identical to the one before it in the same segment — RECEIVED
+//! after the previous boundary, the members of a coalesced RECEIVED or
+//! RECOVERED set — stores a back-reference instead of a second copy, so
+//! each snapshot is on disk once. An append costs one `append` + one
 //! `fsync` regardless of journal length; a crash mid-append tears at
 //! most the final commit, which the next open repairs by truncating to
 //! the last valid record; and in-place corruption is caught by a CRC32
@@ -48,15 +52,19 @@ use std::sync::Arc;
 /// ```
 ///
 /// so an append is one framed write + one fsync, and every commit is
-/// independently verifiable. Version 4 changed what a record *is* — a
-/// [`crate::frame`] instead of version 3's JSON text — and nothing about
-/// the framing around it. No other version is read: a version-1/2 JSON
-/// journal or a version-3 marker is refused with
+/// independently verifiable. Each record is a [`crate::frame`]. Version 5
+/// writes a model snapshot once: a record whose `global` is bit-identical
+/// (same shapes, same `to_bits`) to the preceding record's in the same
+/// segment carries `"global": null` in its skeleton and no body arrays —
+/// a back-reference the reader resolves to the previous record's
+/// parameters. The first record of every segment is always inline, so
+/// each segment decodes on its own. No other version is read: a
+/// version-1/2 JSON journal or a version-3/4 marker is refused with
 /// [`JournalError::UnsupportedVersion`] and left untouched.
-pub const JOURNAL_VERSION: u32 = 4;
+pub const JOURNAL_VERSION: u32 = 5;
 
-/// Contents of a version-4 journal marker file.
-pub const JOURNAL_MAGIC: &[u8; 5] = b"QDJ4\n";
+/// Contents of a version-5 journal marker file.
+pub const JOURNAL_MAGIC: &[u8; 5] = b"QDJ5\n";
 
 /// Appends rotate to a fresh segment file once the tail segment reaches
 /// this many bytes, bounding the cost of a torn-tail repair (which
@@ -384,6 +392,9 @@ pub struct RequestJournal {
     tail_seg: u32,
     /// Bytes currently in the tail segment.
     tail_len: usize,
+    /// Index in `records` of the tail segment's first record: a commit
+    /// may only back-reference a snapshot from `records[tail_start..]`.
+    tail_start: usize,
     /// Whether the marker file exists at `path` yet (written
     /// before the first append so reopens recognize the format).
     marker_written: bool,
@@ -400,15 +411,54 @@ fn io_err(e: StorageError) -> JournalError {
     JournalError::Io(e.into())
 }
 
-/// Encodes one atomic commit frame holding `records`. (A count or length
-/// past `u32` makes the body longer than `seal` accepts, so the `as`
-/// casts cannot truncate silently.)
-fn encode_commit(records: &[JournalRecord]) -> std::io::Result<Vec<u8>> {
+/// True when two snapshots are the same bits: same shapes, same
+/// `to_bits` per scalar. (`f32` equality would take `-0.0` for `0.0` and
+/// a NaN for no NaN, so a back-reference could restore another model.)
+fn same_snapshot(a: &[Tensor], b: &[Tensor]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.shape() == y.shape()
+                && x.data()
+                    .iter()
+                    .zip(y.data())
+                    .all(|(p, q)| p.to_bits() == q.to_bits())
+        })
+}
+
+/// The `global` entry of a record's value tree: the snapshot a
+/// back-reference replaces with `null`.
+fn global_mut(value: &mut serde::Value) -> Option<&mut serde::Value> {
+    let serde::Value::Map(entries) = value else {
+        return None;
+    };
+    entries
+        .iter_mut()
+        .find(|(key, _)| key == "global")
+        .map(|(_, v)| v)
+}
+
+/// Encodes one atomic commit frame holding `records`. `prev` is the
+/// record just before them in the same segment (`None` when the commit
+/// opens a segment); a record whose snapshot repeats its predecessor's
+/// is written as a back-reference. (A count or length past `u32` makes
+/// the body longer than `seal` accepts, so the `as` casts cannot
+/// truncate silently.)
+fn encode_commit<'a>(
+    records: &'a [JournalRecord],
+    mut prev: Option<&'a JournalRecord>,
+) -> std::io::Result<Vec<u8>> {
     let mut body = (records.len() as u32).to_le_bytes().to_vec();
     for record in records {
-        let rec = frame::encode(&record.to_value());
+        let mut value = record.to_value();
+        if prev.is_some_and(|p| same_snapshot(&p.global, &record.global)) {
+            if let Some(global) = global_mut(&mut value) {
+                *global = serde::Value::Null;
+            }
+        }
+        let rec = frame::encode(&value);
         body.extend_from_slice(&(rec.len() as u32).to_le_bytes());
         body.extend_from_slice(&rec);
+        prev = Some(record);
     }
     frame::seal(&body)
 }
@@ -445,13 +495,17 @@ impl RequestJournal {
         Self::open_inner(vfs, path.into(), true)
     }
 
-    /// Opens without repairing: a torn tail is surfaced as
-    /// [`JournalError::TornTail`] instead of being truncated, for
-    /// callers that want to inspect crash damage before discarding it.
+    /// Opens without touching anything, for callers that want to
+    /// inspect a deployment as it lies: a torn tail is surfaced as
+    /// [`JournalError::TornTail`] instead of being truncated, stale
+    /// `<name>*.tmp` files stay where they are, and segments without a
+    /// marker are reported instead of removed.
     ///
     /// # Errors
     ///
-    /// As [`RequestJournal::open`], plus [`JournalError::TornTail`].
+    /// As [`RequestJournal::open`], plus [`JournalError::TornTail`], and
+    /// [`JournalError::Format`] naming the segment files when the marker
+    /// is missing but segments exist.
     pub fn open_strict_on(
         vfs: Arc<dyn Vfs>,
         path: impl Into<PathBuf>,
@@ -462,14 +516,26 @@ impl RequestJournal {
     fn open_inner(vfs: Arc<dyn Vfs>, path: PathBuf, repair: bool) -> Result<Self, JournalError> {
         // A crash between create and rename leaves `<name>*.tmp`
         // droppings; clear them so aborted saves never accumulate.
-        vfs::sweep_stale_tmps(&*vfs, &path);
+        if repair {
+            vfs::sweep_stale_tmps(&*vfs, &path);
+        }
         if !vfs.exists(&path).map_err(io_err)? {
             // Segments without a marker are unreachable — either the
             // marker write of a brand-new journal never landed (no
             // record was ever acknowledged) or the marker was deleted
-            // out from under us. Remove them rather than resurrect
-            // half a journal.
-            for (_, seg) in Self::segment_files(&*vfs, &path)? {
+            // out from under us. A repairing open removes them rather
+            // than resurrect half a journal; a strict one reports them.
+            let segments = Self::segment_files(&*vfs, &path)?;
+            if !repair && !segments.is_empty() {
+                let names: Vec<String> = (segments.iter())
+                    .map(|(_, seg)| seg.display().to_string())
+                    .collect();
+                return Err(JournalError::Format {
+                    path,
+                    detail: format!("no journal marker, but segments {}", names.join(", ")),
+                });
+            }
+            for (_, seg) in segments {
                 vfs.remove(&seg).map_err(io_err)?;
             }
             return Ok(RequestJournal {
@@ -478,6 +544,7 @@ impl RequestJournal {
                 records: Vec::new(),
                 tail_seg: 0,
                 tail_len: 0,
+                tail_start: 0,
                 marker_written: false,
                 poisoned: None,
                 repairs: Vec::new(),
@@ -538,9 +605,11 @@ impl RequestJournal {
         let mut repairs = Vec::new();
         let mut tail_seg = 0u32;
         let mut tail_len = 0usize;
+        let mut tail_start = 0usize;
         for (i, (index, seg)) in segments.iter().enumerate() {
             let bytes = vfs.read(seg).map_err(io_err)?;
             let is_last = i + 1 == segments.len();
+            tail_start = records.len();
             let scan = Self::parse_segment(seg, &bytes, is_last, &mut records)?;
             tail_seg = *index;
             tail_len = scan.valid_len;
@@ -569,6 +638,7 @@ impl RequestJournal {
             records,
             tail_seg,
             tail_len,
+            tail_start,
             marker_written: true,
             poisoned: None,
             repairs,
@@ -590,6 +660,7 @@ impl RequestJournal {
             offset,
             detail,
         };
+        let seg_start = records.len();
         let mut offset = 0usize;
         while offset < bytes.len() {
             let remaining = bytes.len() - offset;
@@ -610,7 +681,7 @@ impl RequestJournal {
                 // in-place corruption.
                 Err(damage) => return Err(corrupt(offset, damage.detail)),
             };
-            Self::parse_commit_body(seg, offset, body, records)?;
+            Self::parse_commit_body(seg, offset, body, seg_start, records)?;
             offset += 8 + body.len();
         }
         Ok(SegmentScan {
@@ -619,11 +690,14 @@ impl RequestJournal {
         })
     }
 
-    /// Decodes the records of one CRC-verified commit body.
+    /// Decodes the records of one CRC-verified commit body, resolving a
+    /// back-referenced snapshot to the previous record's — which must
+    /// belong to the same segment, the one starting at `seg_start`.
     fn parse_commit_body(
         seg: &Path,
         offset: usize,
         body: &[u8],
+        seg_start: usize,
         records: &mut Vec<JournalRecord>,
     ) -> Result<(), JournalError> {
         let corrupt = |detail: String| JournalError::CorruptRecord {
@@ -642,10 +716,24 @@ impl RequestJournal {
                 .get(pos..pos + rec_len)
                 .ok_or_else(|| corrupt("record payload overruns the commit".into()))?;
             pos += rec_len;
-            let value = frame::decode(rec).map_err(|e| corrupt(e.to_string()))?;
+            let mut value = frame::decode(rec).map_err(|e| corrupt(e.to_string()))?;
             Self::check_record_state(seg, &value, records.len() as u64)?;
-            let record = JournalRecord::from_value(&value)
+            let reference = match global_mut(&mut value) {
+                Some(global) if matches!(global, serde::Value::Null) => {
+                    *global = serde::Value::Seq(Vec::new());
+                    true
+                }
+                _ => false,
+            };
+            let mut record = JournalRecord::from_value(&value)
                 .map_err(|e| corrupt(format!("malformed record: {e}")))?;
+            if reference {
+                let prev = records.get(seg_start..).and_then(<[_]>::last);
+                record.global = prev
+                    .ok_or_else(|| corrupt("a back-reference opens its segment".into()))?
+                    .global
+                    .clone();
+            }
             records.push(record);
         }
         if pos != body.len() {
@@ -723,8 +811,7 @@ impl RequestJournal {
     /// poisons the journal (the on-disk tail may be torn) so every
     /// later append fails until the journal is reopened and repaired.
     pub fn append(&mut self, record: JournalRecord) -> std::io::Result<()> {
-        let frame = encode_commit(std::slice::from_ref(&record))?;
-        self.append_frame(&frame)?;
+        self.append_commit(std::slice::from_ref(&record))?;
         self.records.push(record);
         Ok(())
     }
@@ -744,16 +831,16 @@ impl RequestJournal {
         if records.is_empty() {
             return Ok(());
         }
-        let frame = encode_commit(&records)?;
-        self.append_frame(&frame)?;
+        self.append_commit(&records)?;
         self.records.extend(records);
         Ok(())
     }
 
-    /// Lands one encoded commit frame on the tail segment, rotating
-    /// segments at the size threshold and writing the format marker
-    /// ahead of the very first frame.
-    fn append_frame(&mut self, frame: &[u8]) -> std::io::Result<()> {
+    /// Lands `records` as one commit frame on the tail segment: writes
+    /// the format marker ahead of the very first frame, rotates segments
+    /// at the size threshold, then encodes against the tail segment's
+    /// last record — so a commit that opens a segment starts inline.
+    fn append_commit(&mut self, records: &[JournalRecord]) -> std::io::Result<()> {
         if let Some(why) = &self.poisoned {
             return Err(std::io::Error::other(format!(
                 "journal {} is poisoned by an earlier append failure ({why}); \
@@ -771,11 +858,14 @@ impl RequestJournal {
         if self.tail_len >= SEGMENT_ROTATE_BYTES {
             self.tail_seg += 1;
             self.tail_len = 0;
+            self.tail_start = self.records.len();
         }
+        let prev = self.records.get(self.tail_start..).and_then(<[_]>::last);
+        let frame = encode_commit(records, prev)?;
         let seg = segment_path(&self.path, self.tail_seg);
         if let Err(e) = self
             .vfs
-            .append(&seg, frame)
+            .append(&seg, &frame)
             .and_then(|()| self.vfs.fsync(&seg))
         {
             // The frame may be partially on disk; nothing durable can
@@ -830,9 +920,9 @@ mod tests {
             reason: None,
         };
         let seg = Path::new("j.seg-000000");
-        let mut bytes = encode_commit(&[rec(0), rec(1)]).expect("encodable");
+        let mut bytes = encode_commit(&[rec(0), rec(1)], None).expect("encodable");
         let first_commit = bytes.len();
-        bytes.extend(encode_commit(std::slice::from_ref(&rec(2))).expect("encodable"));
+        bytes.extend(encode_commit(std::slice::from_ref(&rec(2)), None).expect("encodable"));
 
         let mut records = Vec::new();
         let scan = RequestJournal::parse_segment(seg, &bytes, true, &mut records).expect("clean");

@@ -7,8 +7,8 @@
 //! `crates/chaos/tests/exhaustive.rs` (the per-request workload).
 
 use qd_core::{
-    BatchId, BatchPreempt, Checkpoint, FaultFs, JournalError, JournalRecord, JournaledRun,
-    QuickDrop, QuickDropConfig, RequestJournal, RequestState, Vfs,
+    segment_path, BatchId, BatchPreempt, Checkpoint, FaultFs, JournalError, JournalRecord,
+    JournaledRun, QuickDrop, QuickDropConfig, RequestJournal, RequestState, Vfs,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};
@@ -83,6 +83,39 @@ fn assert_reopens_identically(fs: &Arc<FaultFs>, journal: &RequestJournal) {
     assert_same_records(journal.records(), reopened.records());
 }
 
+/// Each model snapshot is on disk once: the (single) segment holds one
+/// inline snapshot per model change — the first record's counts as one —
+/// and a back-reference for every record that repeats the one before it.
+/// Returns the number of changes.
+fn assert_each_snapshot_stored_once(fs: &FaultFs, journal: &RequestJournal) -> usize {
+    let path = PathBuf::from("d.json.journal");
+    assert!(fs.file(&segment_path(&path, 1)).is_none(), "one segment");
+    let seg = fs.file(&segment_path(&path, 0)).expect("segment 0");
+    let count = |pattern: &[u8]| seg.windows(pattern.len()).filter(|w| w == &pattern).count();
+    let same = |a: &[Tensor], b: &[Tensor]| {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                x.dims() == y.dims()
+                    && x.data()
+                        .iter()
+                        .zip(y.data())
+                        .all(|(p, q)| p.to_bits() == q.to_bits())
+            })
+    };
+    let records = journal.records();
+    let changes = 1 + records
+        .windows(2)
+        .filter(|w| !same(&w[0].global, &w[1].global))
+        .count();
+    assert_eq!(count(b"\"global\":["), changes, "inline snapshots");
+    assert_eq!(
+        count(b"\"global\":null"),
+        records.len() - changes,
+        "back-references"
+    );
+    changes
+}
+
 #[test]
 fn a_request_stream_journals_the_full_state_machine() {
     // Serve both requests journaled, relearn the first.
@@ -132,6 +165,8 @@ fn a_request_stream_journals_the_full_state_machine() {
         "journal must trace the full state machine"
     );
     assert_reopens_identically(&fs, &journal);
+    // Only the second RECEIVED repeats a model (the first RECOVERED's).
+    assert_eq!(assert_each_snapshot_stored_once(&fs, &journal), 6);
 }
 
 #[test]
@@ -175,7 +210,7 @@ fn journals_of_another_version_are_refused_by_number() {
     ] {
         let path = dir.join(name);
         std::fs::write(&path, contents).unwrap();
-        let err = RequestJournal::open(&path).expect_err("only version 4 opens");
+        let err = RequestJournal::open(&path).expect_err("only version 5 opens");
         assert!(
             matches!(err, JournalError::UnsupportedVersion { version, .. } if version == expected),
             "{name}: {err:?}"
@@ -245,6 +280,8 @@ fn a_batch_journals_atomic_sets_around_per_member_records() {
         "batch journal: atomic RECEIVED set, per-member UNLEARNED, atomic RECOVERED set"
     );
     assert_reopens_identically(&fs, &journal);
+    // The second member of each atomic set repeats the first's model.
+    assert_eq!(assert_each_snapshot_stored_once(&fs, &journal), 4);
 }
 
 #[test]

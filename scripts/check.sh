@@ -41,7 +41,7 @@ cargo test --offline --workspace -q
 echo "== code lines (scripts/loc.sh; informational, never a gate)"
 ./scripts/loc.sh | tail -n 6
 
-echo "== durable format corpus (release: pinned journal-v4 + checkpoint-v3 fixtures read bit-for-bit and rewritten byte-for-byte, typed refusal of v1/v2/v3/JSON inputs, corruption corpus, O(1) appends)"
+echo "== durable format corpus (release: pinned journal-v5 + checkpoint-v3 fixtures read bit-for-bit and rewritten byte-for-byte, typed refusal of v1-v4/JSON inputs, back-reference round-trip oracle, corruption corpus, O(1) appends)"
 cargo test --offline --release -p qd-core --test journal_format -q
 
 echo "== isolation properties (release: ladder monotonicity, bisection order-insensitivity)"
@@ -83,7 +83,10 @@ echo "== float-order gate + exact-count gates (traced qd-perf runs must end on t
 # request-stream output carries two exact byte counts (`#` metrics): a
 # change that quietly re-inflates a journal record or the checkpoint
 # (DESIGN.md "Durable formats": 111 689 and 1 968 430 bytes as decimal
-# text) fails here. So does one that quietly routes training, ascent or
+# text) fails here. The journal probe re-appends one record, so since
+# journal v5 it measures a back-reference (269 bytes; a record carrying
+# its snapshot inline is 22 335): a change that stops writing a repeated
+# snapshot once fails the 296-byte ceiling. So does one that quietly routes training, ascent or
 # recovery steps back onto the recording tape's chains, a convolution
 # back through `im2col`/`col2im`, or a step that re-materialises a block's
 # ReLU output, pooled or unpooled map, or a rows copy of a convolution's
@@ -101,7 +104,7 @@ while read -r workload digest; do
         awk -v m="$metric" -v max="$ceiling" '$1 == m { seen = 1; if ($2 + 0 > max) bad = 1 } END { exit !(seen && !bad) }' <<<"$report" \
             || { echo "qd-perf $workload (seed 11): $metric is missing or above $ceiling bytes — durable state re-inflated, steps back on the recording tape, or a step holding its layout or ReLU/pool nodes again" >&2; exit 1; }
     done <<'BYTES'
-request-stream core.journal.bytes_per_record 23000
+request-stream core.journal.bytes_per_record 296
 request-stream core.ckpt.bytes 420000
 request-stream alloc.bytes_per_op 139000000
 train-distill alloc.bytes_per_op 1048000000
