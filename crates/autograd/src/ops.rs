@@ -64,7 +64,7 @@ impl Tape {
         slots: &[Option<Var>],
     ) -> Contributions {
         match op {
-            Op::Leaf | Op::Constant | Op::ReluMask | Op::MaxUnpoolMask => [None; 4],
+            Op::Leaf | Op::Constant | Op::ReluMask => [None; 4],
             Op::Add(a, b) => self.binary((a, b), |_| u, |_| u),
             Op::Sub(a, b) => self.binary((a, b), |_| u, |t| t.neg(u)),
             Op::Mul(a, b) => self.binary((a, b), |t| t.mul(u, b), |t| t.mul(u, a)),
@@ -111,7 +111,6 @@ impl Tape {
                 let deriv = self.mul(node, one_minus);
                 unary(a, self.mul(u, deriv))
             }
-            Op::MaxPool(a, geo) => unary(a, self.max_unpool_scatter(a, u, geo)),
             Op::Sqrt(a) => {
                 // y = sqrt(a); da = u / (2 y).
                 let half_u = self.scale(u, 0.5);

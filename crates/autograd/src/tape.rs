@@ -46,8 +46,6 @@ pub(crate) enum Op {
     ReluMask,
     Tanh(Var),
     Sigmoid(Var),
-    MaxPool(Var, PoolGeo),
-    MaxUnpoolMask,
     Sqrt(Var),
     Exp(Var),
     Ln(Var),
@@ -453,89 +451,6 @@ impl Tape {
         self.push_unary(a, v, Op::Sigmoid(a))
     }
 
-    /// Non-overlapping max pooling over an `(N, C, H, W)` variable.
-    ///
-    /// The selection mask is treated as locally constant (like the ReLU
-    /// mask), so gradients route to the argmax positions only; second
-    /// derivatives through the selection are zero almost everywhere.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` or `w` is not divisible by `k`.
-    pub fn max_pool2d(&mut self, a: Var, c: usize, h: usize, w: usize, k: usize) -> Var {
-        assert!(
-            k > 0 && h.is_multiple_of(k) && w.is_multiple_of(k),
-            "pooling {h}x{w} by {k}"
-        );
-        let x = self.value(a);
-        let per_image = c * h * w;
-        assert!(
-            per_image > 0 && x.len().is_multiple_of(per_image),
-            "input is not a whole number of {c}x{h}x{w} images"
-        );
-        let n = x.len() / per_image;
-        let (oh, ow) = (h / k, w / k);
-        let mut out = vec![f32::NEG_INFINITY; n * c * oh * ow];
-        for b in 0..n {
-            for ch in 0..c {
-                let src = &x.data()[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
-                let base = (b * c + ch) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                best = best.max(src[(oy * k + ky) * w + ox * k + kx]);
-                            }
-                        }
-                        out[base + oy * ow + ox] = best;
-                    }
-                }
-            }
-        }
-        let v = Tensor::from_vec(out, &[n, c, oh, ow]);
-        self.push_unary(a, v, Op::MaxPool(a, PoolGeo { c, h, w, k }))
-    }
-
-    /// Scatters a pooled adjoint back to the argmax positions of the
-    /// original input (ties send the gradient to the first maximum). The
-    /// resulting node is treated as locally constant with respect to its
-    /// inputs, mirroring [`Tape::relu_mask`].
-    pub(crate) fn max_unpool_scatter(&mut self, input: Var, upstream: Var, geo: PoolGeo) -> Var {
-        let PoolGeo { c, h, w, k } = geo;
-        let (x, u) = (self.value(input), self.value(upstream));
-        let per_image = c * h * w;
-        let n = x.len() / per_image;
-        let (oh, ow) = (h / k, w / k);
-        let mut out = vec![0.0f32; x.len()];
-        for b in 0..n {
-            for ch in 0..c {
-                let src = &x.data()[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
-                let dst = &mut out[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
-                let ubase = (b * c + ch) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = (f32::NEG_INFINITY, 0usize);
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let idx = (oy * k + ky) * w + ox * k + kx;
-                                if src[idx] > best.0 {
-                                    best = (src[idx], idx);
-                                }
-                            }
-                        }
-                        dst[best.1] += u.data()[ubase + oy * ow + ox];
-                    }
-                }
-            }
-        }
-        let v = Tensor::from_vec(out, x.dims());
-        // Like ReluMask: a function of (input, upstream) whose derivative
-        // w.r.t. the *selection* is zero a.e.; upstream linearity is
-        // handled by first-order use only.
-        self.push(v, Op::MaxUnpoolMask, false)
-    }
-
     /// Elementwise square root.
     pub fn sqrt(&mut self, a: Var) -> Var {
         let v = self.value(a).map(f32::sqrt);
@@ -558,14 +473,6 @@ impl Tape {
     pub fn sum_all(&mut self, a: Var) -> Var {
         let v = Tensor::scalar(self.value(a).sum());
         self.push_unary(a, v, Op::SumAll(a))
-    }
-
-    /// Mean of all elements, yielding a scalar (composite of
-    /// [`Tape::sum_all`] and [`Tape::scale`]).
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        let n = self.value(a).len().max(1);
-        let s = self.sum_all(a);
-        self.scale(s, 1.0 / n as f32)
     }
 
     /// Broadcasts a scalar variable to `shape`.

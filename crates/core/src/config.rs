@@ -88,13 +88,6 @@ impl QuickDropConfig {
         self
     }
 
-    /// Returns a copy with fine-tuning enabled (Figure 5 sweeps the
-    /// number of outer steps).
-    pub fn with_finetune(mut self, finetune: FinetuneConfig) -> Self {
-        self.finetune = Some(finetune);
-        self
-    }
-
     /// Returns a copy deployed over the given simulated network.
     pub fn with_net(mut self, net: NetConfig) -> Self {
         self.net = net.validated();
@@ -123,8 +116,6 @@ mod tests {
     fn builders_adjust() {
         let c = QuickDropConfig::scaled_test().with_scale(7);
         assert_eq!(c.distill.scale, 7);
-        let c = c.with_finetune(qd_distill::FinetuneConfig::default());
-        assert!(c.finetune.is_some());
     }
 
     #[test]

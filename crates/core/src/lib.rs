@@ -62,7 +62,6 @@ mod config;
 pub mod frame;
 mod journal;
 mod lifecycle;
-pub mod sample_level;
 mod system;
 pub mod vfs;
 
@@ -75,6 +74,5 @@ pub use journal::{
 pub use lifecycle::{
     units, BatchOutcome, BatchPreempt, JournaledRun, ServeError, ShapeError, Unit, UnitMember,
 };
-pub use sample_level::{SampleLevelConfig, SampleLevelQuickDrop};
 pub use system::{CheckpointPolicy, QuickDrop, TrainReport, TrainRun};
 pub use vfs::{storage_cause, CrashPoint, Fault, FaultFs, StdFs, StorageError, Vfs, VfsOp};

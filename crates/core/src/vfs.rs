@@ -559,33 +559,6 @@ impl FaultFs {
         self.lock().schedule.len() as u64
     }
 
-    /// Builds a seeded pseudo-random fault schedule: over `ops`
-    /// operations, roughly one fault every `fault_every` ops, drawn
-    /// deterministically from `seed` (splitmix64). Used by soak-style
-    /// tests that want arbitrary-but-reproducible fault mixes.
-    pub fn schedule_seeded(&self, seed: u64, ops: u64, fault_every: u64) {
-        let mut guard = self.lock();
-        let mut x = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut draw = move || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for op in 0..ops {
-            if fault_every > 0 && draw() % fault_every == 0 {
-                let fault = match draw() % 4 {
-                    0 => Fault::Kill,
-                    1 => Fault::TornWrite((draw() % 64) as usize),
-                    2 => Fault::FsyncFail,
-                    _ => Fault::DiskFull,
-                };
-                guard.schedule.insert(op, fault);
-            }
-        }
-    }
-
     /// Caps the filesystem at `bytes` total: writes and appends that
     /// would exceed it fail with `ENOSPC`.
     pub fn set_capacity(&self, bytes: u64) {
@@ -1057,15 +1030,5 @@ mod tests {
         let back = storage_cause(&io).expect("payload preserved");
         assert_eq!(back.op, VfsOp::Append);
         assert_eq!(back.path, Path::new("j.seg"));
-    }
-
-    #[test]
-    fn seeded_schedules_are_deterministic() {
-        let a = FaultFs::new();
-        let b = FaultFs::new();
-        a.schedule_seeded(7, 100, 5);
-        b.schedule_seeded(7, 100, 5);
-        assert_eq!(a.lock().schedule, b.lock().schedule);
-        assert!(!a.lock().schedule.is_empty());
     }
 }

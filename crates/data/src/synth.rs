@@ -126,11 +126,6 @@ impl SyntheticDataset {
         }
         Dataset::new(images, labels.to_vec(), self.classes(), c, HW, HW)
     }
-
-    /// Generates a train/test pair with disjoint randomness.
-    pub fn generate_split(self, train: usize, test: usize, rng: &mut Rng) -> (Dataset, Dataset) {
-        (self.generate(train, rng), self.generate(test, rng))
-    }
 }
 
 /// Draws the glyph for `digit`, upscaled 2x, into a 16x16 canvas at offset

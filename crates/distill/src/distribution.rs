@@ -47,7 +47,7 @@ pub fn distribution_match_step(
     let mut syn = syn;
     let mut first = f32::NAN;
     for step in 0..steps.max(1) {
-        let mut tape = Tape::new();
+        let mut tape = Tape::first_order();
         let p: Vec<Var> = params.iter().map(|t| tape.constant(t.clone())).collect();
         let xv = tape.constant(real_x.clone());
         let real_mean = mean_embedding(&mut tape, model, &p, xv);

@@ -54,7 +54,6 @@ mod finetune;
 mod matching;
 mod synset;
 mod trainer;
-mod trajectory;
 
 pub use augment::augment_with_real;
 pub use distribution::distribution_match_step;
@@ -62,4 +61,3 @@ pub use finetune::{finetune, FinetuneConfig};
 pub use matching::{match_class_step, matching_distance, reference_gradients};
 pub use synset::SyntheticSet;
 pub use trainer::{distilling_trainers, DistillConfig, DistillingTrainer, MatchObjective};
-pub use trajectory::{trajectory_match_step, ExpertTrajectory};

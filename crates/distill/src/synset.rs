@@ -133,14 +133,6 @@ impl SyntheticSet {
         self.per_class[class] = Some(samples);
     }
 
-    /// Drops the samples of `class` (e.g. after that class was unlearned
-    /// and should no longer be stored).
-    pub fn remove_class(&mut self, class: usize) {
-        if let Some(slot) = self.per_class.get_mut(class) {
-            *slot = None;
-        }
-    }
-
     /// Materializes the whole set as a labelled [`Dataset`].
     pub fn to_dataset(&self) -> Dataset {
         let mut images = Vec::new();
@@ -185,12 +177,6 @@ impl SyntheticSet {
                 self.width,
             ),
         }
-    }
-
-    /// Materializes every class *except* `class` (the client's synthetic
-    /// retain set for recovery).
-    pub fn dataset_without_class(&self, class: usize) -> Dataset {
-        self.to_dataset().without_class(class)
     }
 }
 
@@ -251,23 +237,12 @@ mod tests {
     }
 
     #[test]
-    fn class_dataset_and_without_class_partition() {
+    fn class_dataset_holds_exactly_that_class() {
         let d = data();
         let syn = SyntheticSet::init_from_real(&d, 50, &mut Rng::seed_from(4));
         let f = syn.class_dataset(3);
-        let r = syn.dataset_without_class(3);
-        assert_eq!(f.len() + r.len(), syn.len());
+        assert_eq!(f.len(), syn.class_samples(3).map_or(0, |t| t.dims()[0]));
         assert!(f.labels().iter().all(|&y| y == 3));
-        assert!(r.labels().iter().all(|&y| y != 3));
-    }
-
-    #[test]
-    fn remove_class_clears_samples() {
-        let d = data();
-        let mut syn = SyntheticSet::init_from_real(&d, 50, &mut Rng::seed_from(5));
-        assert!(syn.class_samples(2).is_some());
-        syn.remove_class(2);
-        assert!(syn.class_samples(2).is_none());
     }
 
     #[test]

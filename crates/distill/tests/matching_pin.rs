@@ -2,8 +2,10 @@
 //! again, so it stays on the recording tape and its bits may never move
 //! without a re-pin: `match_class_step` on a fixed seed must return the
 //! synthetic samples it returned before the first-order tape existed.
+//! Distribution matching takes only a terminal gradient, so it runs on the
+//! first-order tape, and must return what it returned on the recording one.
 
-use qd_distill::{match_class_step, reference_gradients};
+use qd_distill::{distribution_match_step, match_class_step, reference_gradients};
 use qd_nn::{ConvNet, Module};
 use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
@@ -26,6 +28,12 @@ const PARENT_SYNTHETIC: u64 = 0x46c6_731f_4ed8_d0c9;
 const PARENT_DISTANCE: u32 = 0x41d3_0669;
 const PARENT_REFERENCE: u64 = 0xad13_c808_aced_0486;
 
+/// Captured at commit dd8a2a6, where `distribution_match_step` ran on the
+/// recording tape: the synthetic samples after three steps and the
+/// objective before the first.
+const RECORDED_DISTRIBUTION_SYNTHETIC: u64 = 0xe52b_75ca_454b_5dbf;
+const RECORDED_DISTRIBUTION_OBJECTIVE: u32 = 0x3f41_f1da;
+
 #[test]
 fn match_class_step_reproduces_the_parents_synthetic_bits() {
     let mut rng = Rng::seed_from(17);
@@ -46,5 +54,27 @@ fn match_class_step_reproduces_the_parents_synthetic_bits() {
     assert_eq!(
         (digest(&out), first.to_bits(), reference),
         (PARENT_SYNTHETIC, PARENT_DISTANCE, PARENT_REFERENCE)
+    );
+}
+
+#[test]
+fn distribution_match_step_reproduces_the_recording_tapes_bits() {
+    let mut rng = Rng::seed_from(18);
+    let net = ConvNet::scaled_default(3, 10);
+    let params = net.init(&mut rng);
+    let real = Tensor::randn(&[6, 3, 16, 16], &mut rng);
+    let syn = Tensor::randn(&[2, 3, 16, 16], &mut rng);
+    let (out, first) = distribution_match_step(&net, &params, &real, syn, 0.1, 3);
+    println!(
+        "synthetic {:#018x} objective {:#010x}",
+        digest(&out),
+        first.to_bits()
+    );
+    assert_eq!(
+        (digest(&out), first.to_bits()),
+        (
+            RECORDED_DISTRIBUTION_SYNTHETIC,
+            RECORDED_DISTRIBUTION_OBJECTIVE
+        )
     );
 }

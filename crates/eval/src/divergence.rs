@@ -3,9 +3,9 @@
 //! The paper defines unlearning success as matching the retraining
 //! oracle's *behaviour* (Section 2.1: the unlearned model should be
 //! "equivalent in performance to a model trained only on `D \ D_f`").
-//! Accuracy is a coarse proxy; these metrics compare two models'
-//! predictive distributions directly and are used by the test-suite to
-//! check that unlearned models move *toward* the oracle.
+//! Accuracy is a coarse proxy; this metric compares two models'
+//! predictions directly and is used by the test-suite to check that
+//! unlearned models move *toward* the oracle.
 
 use crate::metrics::logits;
 use qd_data::Dataset;
@@ -29,33 +29,6 @@ pub fn prediction_agreement(
     pa.iter().zip(&pb).filter(|(a, b)| a == b).count() as f32 / pa.len() as f32
 }
 
-/// Mean KL divergence `KL(softmax_a ‖ softmax_b)` over `data` (nats).
-/// Zero iff the two models produce identical distributions. Returns 0 for
-/// empty datasets.
-pub fn prediction_kl(
-    model: &dyn Module,
-    params_a: &[Tensor],
-    params_b: &[Tensor],
-    data: &Dataset,
-) -> f32 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    let la = logits(model, params_a, data).log_softmax_rows();
-    let lb = logits(model, params_b, data).log_softmax_rows();
-    let n = la.dims()[0];
-    let c = la.dims()[1];
-    let mut total = 0.0f64;
-    for i in 0..n {
-        for j in 0..c {
-            let lp = la.data()[i * c + j] as f64;
-            let lq = lb.data()[i * c + j] as f64;
-            total += lp.exp() * (lp - lq);
-        }
-    }
-    (total / n as f64) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,7 +49,6 @@ mod tests {
     fn identical_models_agree_perfectly() {
         let (model, a, _, data) = setup();
         assert_eq!(prediction_agreement(&model, &a, &a, &data), 1.0);
-        assert!(prediction_kl(&model, &a, &a, &data).abs() < 1e-6);
     }
 
     #[test]
@@ -84,16 +56,6 @@ mod tests {
         let (model, a, b, data) = setup();
         let agree = prediction_agreement(&model, &a, &b, &data);
         assert!(agree < 1.0, "independent inits should disagree somewhere");
-        let kl = prediction_kl(&model, &a, &b, &data);
-        assert!(kl > 0.0, "KL of different models must be positive");
-    }
-
-    #[test]
-    fn kl_is_asymmetric_but_nonnegative_both_ways() {
-        let (model, a, b, data) = setup();
-        let ab = prediction_kl(&model, &a, &b, &data);
-        let ba = prediction_kl(&model, &b, &a, &data);
-        assert!(ab >= 0.0 && ba >= 0.0);
     }
 
     #[test]
@@ -101,6 +63,5 @@ mod tests {
         let (model, a, b, data) = setup();
         let empty = data.subset(&[]);
         assert_eq!(prediction_agreement(&model, &a, &b, &empty), 1.0);
-        assert_eq!(prediction_kl(&model, &a, &b, &empty), 0.0);
     }
 }

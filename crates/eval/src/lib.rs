@@ -37,6 +37,6 @@ mod divergence;
 mod metrics;
 mod mia;
 
-pub use divergence::{prediction_agreement, prediction_kl};
+pub use divergence::prediction_agreement;
 pub use metrics::{accuracy, per_class_accuracy, sample_losses, split_accuracy};
 pub use mia::MiaAttack;

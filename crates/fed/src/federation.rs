@@ -314,11 +314,6 @@ impl Federation {
         &self.history
     }
 
-    /// Drops all recorded history (reclaiming memory).
-    pub fn clear_history(&mut self) {
-        self.history.clear();
-    }
-
     /// Number of `f32` scalars held by the recorded history — the storage
     /// FedEraser trades for unlearning speed, which grows linearly with
     /// rounds x participants (Table 1's "storage efficiency" column).

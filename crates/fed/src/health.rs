@@ -98,11 +98,6 @@ impl ClientHealth {
         self.state.cooldown[client] > 0
     }
 
-    /// `true` if `client`'s next sampled round is a half-open probe.
-    pub fn is_half_open(&self, client: usize) -> bool {
-        self.state.half_open[client]
-    }
-
     /// Advances every open breaker by one round (call once per round,
     /// before sampling). A breaker reaching the end of its cooldown
     /// flips to half-open: the client re-enters the pool, on probation.
@@ -189,7 +184,7 @@ mod tests {
         assert!(h.is_cooling(0), "one round of cooldown left");
         assert_eq!(h.tick(), 1, "re-entry counts as a probe");
         assert!(!h.is_cooling(0));
-        assert!(h.is_half_open(0));
+        assert!(h.state().half_open[0]);
         assert_eq!(h.tick(), 0, "closed breakers do not re-probe");
     }
 
@@ -202,10 +197,10 @@ mod tests {
             }
         }
         trial.tick();
-        assert!(trial.is_half_open(0) && trial.is_half_open(1));
+        assert_eq!(trial.state().half_open, vec![true, true]);
         // Client 0's probe round succeeds: breaker closes fully.
         trial.on_success(0);
-        assert!(!trial.is_half_open(0));
+        assert!(!trial.state().half_open[0]);
         assert!(!trial.on_failure(0, 1), "streak restarted from zero");
         // Client 1's probe fails: one strike re-opens, no three-count.
         assert!(trial.on_failure(1, 1), "failed probe must re-open");

@@ -114,12 +114,6 @@ impl Phase {
         self
     }
 
-    /// Returns a copy with a different direction.
-    pub fn with_direction(mut self, direction: Direction) -> Self {
-        self.direction = direction;
-        self
-    }
-
     /// Returns a copy with the given mid-round failure probability.
     ///
     /// # Panics
@@ -176,14 +170,12 @@ mod tests {
         let p = Phase::training(1, 2, 3, 0.1)
             .with_participation(0.5)
             .with_rounds(7)
-            .with_direction(Direction::Ascent)
             .with_aggregator(AggregatorKind::TrimmedMean)
             .with_min_quorum(2)
             .with_sample_slack(3)
             .with_cooldown_rounds(4);
         assert_eq!(p.participation, 0.5);
         assert_eq!(p.rounds, 7);
-        assert_eq!(p.direction, Direction::Ascent);
         assert_eq!(p.aggregator, AggregatorKind::TrimmedMean);
         assert_eq!(p.min_quorum, 2);
         assert_eq!(p.sample_slack, 3);

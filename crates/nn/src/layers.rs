@@ -1,5 +1,5 @@
 //! Individual layers: linear, convolution, a ConvNet block's instance
-//! norm · ReLU · average-pool tail, activations, max pooling, flatten.
+//! norm · ReLU · average-pool tail, ReLU, flatten.
 
 use crate::Module;
 use qd_autograd::{Tape, Var};
@@ -189,74 +189,6 @@ impl Module for Relu {
     }
 }
 
-/// Elementwise hyperbolic tangent activation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Tanh;
-
-impl Module for Tanh {
-    fn forward(&self, tape: &mut Tape, _params: &[Var], x: Var) -> Var {
-        tape.tanh(x)
-    }
-
-    fn param_shapes(&self) -> Vec<Vec<usize>> {
-        Vec::new()
-    }
-
-    fn init(&self, _rng: &mut Rng) -> Vec<Tensor> {
-        Vec::new()
-    }
-}
-
-/// Elementwise logistic sigmoid activation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Sigmoid;
-
-impl Module for Sigmoid {
-    fn forward(&self, tape: &mut Tape, _params: &[Var], x: Var) -> Var {
-        tape.sigmoid(x)
-    }
-
-    fn param_shapes(&self) -> Vec<Vec<usize>> {
-        Vec::new()
-    }
-
-    fn init(&self, _rng: &mut Rng) -> Vec<Tensor> {
-        Vec::new()
-    }
-}
-
-/// Non-overlapping max pooling with window `k`, over `(N, C, H, W)`.
-///
-/// Gradients route to the argmax position of each window; the selection
-/// is treated as locally constant (see `qd_autograd`'s docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MaxPool2d {
-    k: usize,
-}
-
-impl MaxPool2d {
-    /// Pooling with a `k x k` window and stride `k`.
-    pub fn new(k: usize) -> Self {
-        MaxPool2d { k }
-    }
-}
-
-impl Module for MaxPool2d {
-    fn forward(&self, tape: &mut Tape, _params: &[Var], x: Var) -> Var {
-        let dims = tape.value(x).dims().to_vec();
-        assert_eq!(dims.len(), 4, "MaxPool2d expects (N, C, H, W)");
-        tape.max_pool2d(x, dims[1], dims[2], dims[3], self.k)
-    }
-
-    fn param_shapes(&self) -> Vec<Vec<usize>> {
-        Vec::new()
-    }
-
-    fn init(&self, _rng: &mut Rng) -> Vec<Tensor> {
-        Vec::new()
-    }
-}
-
 /// Flattens `(N, C, H, W)` (or any rank ≥ 2) into `(N, rest)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Flatten;
@@ -375,25 +307,6 @@ mod tests {
         let x = Tensor::randn(&[1, 3, 8, 8], &mut Rng::seed_from(7));
         let y = forward_inference(&layer, &params, &x);
         assert_eq!(y.dims(), &[1, 3, 4, 4]);
-    }
-
-    #[test]
-    fn max_pool_selects_window_maxima() {
-        let layer = MaxPool2d::new(2);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 9.0], &[1, 1, 2, 2]);
-        let y = forward_inference(&layer, &[], &x);
-        assert_eq!(y.data(), &[9.0]);
-    }
-
-    #[test]
-    fn tanh_and_sigmoid_ranges() {
-        let x = Tensor::from_vec(vec![-10.0, 0.0, 10.0], &[1, 3]);
-        let t = forward_inference(&Tanh, &[], &x);
-        assert!(t.data()[0] < -0.99 && t.data()[2] > 0.99);
-        assert!((t.data()[1]).abs() < 1e-6);
-        let s = forward_inference(&Sigmoid, &[], &x);
-        assert!(s.data()[0] < 0.01 && s.data()[2] > 0.99);
-        assert!((s.data()[1] - 0.5).abs() < 1e-6);
     }
 
     #[test]

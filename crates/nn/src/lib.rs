@@ -52,9 +52,9 @@ mod module;
 mod optim;
 mod params;
 
-pub use layers::{Conv2d, Flatten, Linear, MaxPool2d, NormReluPool, Relu, Sigmoid, Tanh};
-pub use loss::{cross_entropy, loss_gradients, mse, one_hot};
-pub use models::{ConvNet, LeNet, Mlp};
+pub use layers::{Conv2d, Flatten, Linear, NormReluPool, Relu};
+pub use loss::{cross_entropy, loss_gradients, one_hot};
+pub use models::{ConvNet, Mlp};
 pub use module::{forward_inference, worker_count, Module, Sequential};
 pub use optim::{Direction, Sgd};
 pub use params::{param_l2_distance, param_l2_norm, params_have_non_finite, relative_drift};

@@ -1,4 +1,4 @@
-//! Losses: cross-entropy over logits, mean-squared error, one-hot helper.
+//! Losses: cross-entropy over logits, one-hot helper.
 
 use crate::Module;
 use qd_autograd::{Tape, Var};
@@ -67,13 +67,6 @@ pub fn loss_gradients(
     tape.into_grads(loss, &p)
 }
 
-/// Mean squared error between two same-shaped variables.
-pub fn mse(tape: &mut Tape, a: Var, b: Var) -> Var {
-    let d = tape.sub(a, b);
-    let sq = tape.mul(d, d);
-    tape.mean_all(sq)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,14 +122,5 @@ mod tests {
             &[logits],
             1e-2,
         );
-    }
-
-    #[test]
-    fn mse_of_identical_inputs_is_zero() {
-        let mut tape = Tape::new();
-        let a = tape.constant(Tensor::ones(&[2, 2]));
-        let b = tape.constant(Tensor::ones(&[2, 2]));
-        let loss = mse(&mut tape, a, b);
-        assert_eq!(tape.value(loss).item(), 0.0);
     }
 }

@@ -194,83 +194,6 @@ impl Module for ConvNet {
     }
 }
 
-/// A LeNet-style convolutional network: two conv/tanh/max-pool blocks and
-/// a two-layer classifier head.
-///
-/// Included as an architecture-diversity option for distillation and
-/// unlearning experiments (max pooling and saturating activations exercise
-/// different autograd paths than the paper's ConvNet).
-///
-/// # Examples
-///
-/// ```
-/// use qd_nn::{forward_inference, LeNet, Module};
-/// use qd_tensor::{rng::Rng, Tensor};
-///
-/// let net = LeNet::new(1, 16, 10);
-/// let params = net.init(&mut Rng::seed_from(0));
-/// let y = forward_inference(&net, &params, &Tensor::zeros(&[2, 1, 16, 16]));
-/// assert_eq!(y.dims(), &[2, 10]);
-/// ```
-pub struct LeNet {
-    seq: Sequential,
-    input_hw: usize,
-}
-
-impl LeNet {
-    /// Builds a LeNet for square `input_hw` inputs (must be divisible
-    /// by 4) with `in_channels` channels and `classes` outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input_hw` is not divisible by 4.
-    pub fn new(in_channels: usize, input_hw: usize, classes: usize) -> Self {
-        assert_eq!(input_hw % 4, 0, "input {input_hw} not divisible by 4");
-        let final_hw = input_hw / 4;
-        let children: Vec<Box<dyn Module>> = vec![
-            Box::new(Conv2d::same3x3(in_channels, 6)),
-            Box::new(crate::Tanh),
-            Box::new(crate::MaxPool2d::new(2)),
-            Box::new(Conv2d::same3x3(6, 16)),
-            Box::new(crate::Tanh),
-            Box::new(crate::MaxPool2d::new(2)),
-            Box::new(Flatten),
-            Box::new(Linear::new(16 * final_hw * final_hw, 64)),
-            Box::new(crate::Tanh),
-            Box::new(Linear::new(64, classes)),
-        ];
-        LeNet {
-            seq: Sequential::new(children),
-            input_hw,
-        }
-    }
-
-    /// The expected square input size.
-    pub fn input_hw(&self) -> usize {
-        self.input_hw
-    }
-}
-
-impl std::fmt::Debug for LeNet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LeNet({}x{} input)", self.input_hw, self.input_hw)
-    }
-}
-
-impl Module for LeNet {
-    fn forward(&self, tape: &mut Tape, params: &[Var], x: Var) -> Var {
-        self.seq.forward(tape, params, x)
-    }
-
-    fn param_shapes(&self) -> Vec<Vec<usize>> {
-        self.seq.param_shapes()
-    }
-
-    fn init(&self, rng: &mut Rng) -> Vec<Tensor> {
-        self.seq.init(rng)
-    }
-}
-
 /// A multi-layer perceptron with ReLU activations, for flat inputs.
 ///
 /// Mostly used by the test-suite and micro-benchmarks where a ConvNet
@@ -423,20 +346,6 @@ mod tests {
                 assert_eq!(tape.value(got).dims(), want.dims(), "block {block}");
                 assert_eq!(bits(tape.value(got)), bits(want), "block {block}");
             }
-        }
-    }
-
-    #[test]
-    fn lenet_trains_a_step_without_nans() {
-        let net = LeNet::new(1, 16, 10);
-        let mut rng = Rng::seed_from(3);
-        let mut params = net.init(&mut rng);
-        let x = Tensor::randn(&[4, 1, 16, 16], &mut rng);
-        let labels = vec![0usize, 1, 2, 3];
-        let grads = crate::loss_gradients(&net, &params, &x, &labels, 10);
-        for (param, g) in params.iter_mut().zip(&grads) {
-            param.axpy(-0.1, g);
-            assert!(param.all_finite());
         }
     }
 

@@ -87,13 +87,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// Creates a tensor of i.i.d. uniform samples in `[lo, hi)`.
-    pub fn rand_uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut Rng) -> Self {
-        let shape = Shape::new(shape);
-        let data = (0..shape.len()).map(|_| rng.uniform(lo, hi)).collect();
-        Tensor { shape, data }
-    }
-
     /// The tensor's shape.
     pub fn shape(&self) -> &Shape {
         &self.shape

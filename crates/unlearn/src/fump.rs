@@ -100,7 +100,7 @@ impl FuMp {
                 let idx: Vec<usize> = picks.into_iter().map(|p| members[p]).collect();
                 let (x, _) = data.batch(&idx);
                 probed += idx.len();
-                let mut tape = Tape::new();
+                let mut tape = Tape::inference();
                 let p: Vec<Var> = fed
                     .global()
                     .iter()

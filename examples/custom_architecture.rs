@@ -2,9 +2,9 @@
 //!
 //! QuickDrop is architecture-agnostic: anything implementing
 //! `qd_nn::Module` can be trained, distilled against, unlearned and
-//! relearned — including models with max pooling and saturating
-//! activations, whose gradient paths differ from the paper's ConvNet.
-//! This example runs the full pipeline on a LeNet-style network.
+//! relearned. This example declares its own network — one wide 5×5
+//! convolution block and a two-layer classifier head, a shape the library
+//! does not ship — and runs the full pipeline on it.
 //!
 //! Run with:
 //!
@@ -12,11 +12,45 @@
 //! cargo run --release --example custom_architecture
 //! ```
 
+use quickdrop::autograd::{Tape, Var};
+use quickdrop::nn::{Conv2d, Flatten, Linear, NormReluPool, Relu, Sequential};
 use quickdrop::{
-    accuracy, fr_eval_sets, partition_dirichlet, split_accuracy, Federation, LeNet, Module,
-    QuickDrop, QuickDropConfig, Rng, SyntheticDataset, UnlearnRequest, UnlearningMethod,
+    accuracy, fr_eval_sets, partition_dirichlet, split_accuracy, Federation, Module, QuickDrop,
+    QuickDropConfig, Rng, SyntheticDataset, Tensor, UnlearnRequest, UnlearningMethod,
 };
 use std::sync::Arc;
+
+/// A 5×5 convolution with 8 filters, the ConvNet block tail (instance
+/// norm, ReLU, 2×2 average pool), then `Linear → ReLU → Linear`.
+struct WideKernelNet(Sequential);
+
+impl WideKernelNet {
+    fn new(channels: usize, hw: usize, classes: usize) -> Self {
+        let pooled = hw / 2;
+        WideKernelNet(Sequential::new(vec![
+            Box::new(Conv2d::new(channels, 8, 5, 1, 2)),
+            Box::new(NormReluPool::new(8)),
+            Box::new(Flatten),
+            Box::new(Linear::new(8 * pooled * pooled, 64)),
+            Box::new(Relu),
+            Box::new(Linear::new(64, classes)),
+        ]))
+    }
+}
+
+impl Module for WideKernelNet {
+    fn forward(&self, tape: &mut Tape, params: &[Var], x: Var) -> Var {
+        self.0.forward(tape, params, x)
+    }
+
+    fn param_shapes(&self) -> Vec<Vec<usize>> {
+        self.0.param_shapes()
+    }
+
+    fn init(&self, rng: &mut Rng) -> Vec<Tensor> {
+        self.0.init(rng)
+    }
+}
 
 fn main() {
     let mut rng = Rng::seed_from(5);
@@ -26,8 +60,7 @@ fn main() {
     let parts = partition_dirichlet(train.labels(), train.classes(), 4, 0.5, &mut rng);
     let clients: Vec<_> = parts.iter().map(|p| train.subset(p)).collect();
 
-    // Any Module works; LeNet here (conv/tanh/max-pool blocks).
-    let model: Arc<dyn Module> = Arc::new(LeNet::new(dataset.channels(), dataset.hw(), 10));
+    let model: Arc<dyn Module> = Arc::new(WideKernelNet::new(dataset.channels(), dataset.hw(), 10));
     let mut fed = Federation::new(model.clone(), clients, &mut rng);
 
     let mut config = QuickDropConfig::scaled_test();
@@ -37,7 +70,7 @@ fn main() {
     config.max_unlearn_rounds = 4;
     let (mut qd, report) = QuickDrop::train(&mut fed, config, &mut rng);
     println!(
-        "LeNet federation trained: test accuracy {:.1}%, DD overhead {:.0}%",
+        "custom-network federation trained: test accuracy {:.1}%, DD overhead {:.0}%",
         accuracy(model.as_ref(), fed.global(), &test) * 100.0,
         report.dd_overhead() * 100.0
     );

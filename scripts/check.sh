@@ -35,6 +35,24 @@ echo "== qd-lint (--graph dot output matches the pinned fixture byte-for-byte)"
     | diff -u crates/lint/fixtures/graph.dot - \
     || { echo "call-graph DOT drifted from crates/lint/fixtures/graph.dot" >&2; exit 1; }
 
+echo "== recording tape (Tape::new) opened by gradient matching alone"
+# Only a gradient that is differentiated again needs the recording tape,
+# and only gradient matching differentiates one; every other product path
+# runs on Tape::first_order or Tape::inference. Files are measured as
+# scripts/loc.sh measures them: code above the first #[cfg(test)], comment
+# lines skipped.
+recording=
+for f in crates/*/src/*.rs; do
+    [[ $f == crates/autograd/* ]] && continue
+    # Not `grep -q`: exiting at the first match breaks the pipe, which
+    # pipefail would report as no match.
+    if awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -v '^\s*//' | grep -F 'Tape::new()' >/dev/null; then
+        recording+="$f "
+    fi
+done
+[ "$recording" = "crates/distill/src/matching.rs " ] \
+    || { echo "Tape::new() is opened outside gradient matching: ${recording:-none} — a new second-order caller blocks ROADMAP item 4 (forward-over-reverse matching, Tape::grad test-only); use Tape::first_order or Tape::inference" >&2; exit 1; }
+
 echo "== cargo test"
 cargo test --offline --workspace -q
 

@@ -9,7 +9,9 @@
 //! * [`tensor`] — dense `f32` kernels (matmul, im2col, pooling, seeded
 //!   RNG with Gamma/Dirichlet sampling);
 //! * [`autograd`] — tape-based reverse-mode AD with **exact higher-order
-//!   gradients** (gradient matching differentiates *through* gradients);
+//!   gradients** on its recording tape, which gradient matching alone uses
+//!   (it differentiates *through* gradients); every other step runs on a
+//!   first-order or inference tape;
 //! * [`nn`] — layers, the paper's ConvNet, cross-entropy, SGD with an
 //!   explicit ascent mode;
 //! * [`data`] — procedural stand-ins for MNIST/CIFAR-10/SVHN plus
@@ -17,7 +19,8 @@
 //! * [`fed`] — a deterministic FedAvg simulator with pluggable client
 //!   trainers, partial participation and update-history recording;
 //! * [`distill`] — gradient-matching dataset distillation, in situ with
-//!   FL training, plus fine-tuning and recovery augmentation;
+//!   FL training (distribution matching as the ablation), plus fine-tuning
+//!   and recovery augmentation;
 //! * [`unlearn`] — the unlearning-method abstraction and all five
 //!   baselines (Retrain-Or, SGA-Or, FedEraser, FU-MP, S2U);
 //! * [`core`] — **QuickDrop itself**: train → distil → unlearn → recover
@@ -65,24 +68,19 @@ pub use qd_nn as nn;
 pub use qd_tensor as tensor;
 pub use qd_unlearn as unlearn;
 
-pub use qd_core::{
-    Checkpoint, QuickDrop, QuickDropConfig, SampleLevelConfig, SampleLevelQuickDrop, TrainReport,
-};
+pub use qd_core::{Checkpoint, QuickDrop, QuickDropConfig, TrainReport};
 pub use qd_data::{
     ascii_image, ascii_samples, partition_dirichlet, partition_iid, Dataset, SyntheticDataset,
 };
 pub use qd_distill::{
-    distribution_match_step, trajectory_match_step, DistillConfig, ExpertTrajectory,
-    FinetuneConfig, MatchObjective, SyntheticSet,
+    distribution_match_step, DistillConfig, FinetuneConfig, MatchObjective, SyntheticSet,
 };
-pub use qd_eval::{
-    accuracy, per_class_accuracy, prediction_agreement, prediction_kl, split_accuracy, MiaAttack,
-};
+pub use qd_eval::{accuracy, per_class_accuracy, prediction_agreement, split_accuracy, MiaAttack};
 pub use qd_fed::{
     Federation, LoopbackTransport, NetConfig, NetStats, Phase, PhaseStats, RoundBreakdown, SimNet,
     Transport,
 };
-pub use qd_nn::{ConvNet, Direction, LeNet, Mlp, Module, Sgd};
+pub use qd_nn::{ConvNet, Direction, Mlp, Module, Sgd};
 pub use qd_tensor::rng::Rng;
 pub use qd_tensor::Tensor;
 pub use qd_unlearn::{

@@ -36,14 +36,12 @@ fn unlearning_a_class_nobody_holds_is_a_noop() {
     let model = fed.model().clone();
     let mut fed = Federation::new(model, stripped, &mut rng);
     let (mut qd, _) = QuickDrop::train(&mut fed, QuickDropConfig::scaled_test(), &mut rng);
-    let before = fed.global().to_vec();
     let outcome = qd.unlearn(&mut fed, UnlearnRequest::Class(9), &mut rng);
     // No client owns synthetic class-9 data: zero unlearning rounds run.
     assert_eq!(outcome.unlearn.rounds, 0);
     assert_eq!(outcome.unlearn.data_size, 0);
     // Recovery may still run (it uses the retain set), so only the
     // unlearning stage must be free.
-    let _ = before;
 }
 
 #[test]
@@ -130,17 +128,4 @@ fn phase_with_zero_rounds_is_free() {
     );
     assert_eq!(stats.rounds, 0);
     assert_eq!(stats.samples_processed, 0);
-}
-
-#[test]
-fn sample_level_requests_on_out_of_range_indices_hit_nothing() {
-    let (mut fed, mut rng, _) = mini_fed(2, 120, 9);
-    let mut sl = quickdrop::SampleLevelQuickDrop::distill(
-        &fed,
-        quickdrop::SampleLevelConfig::default(),
-        &mut rng,
-    );
-    // Index beyond the client's data: no covering subset, no ascent.
-    let outcome = sl.unlearn_samples(&mut fed, 0, &[9_999], &mut rng);
-    assert_eq!(outcome.unlearn.rounds, 0);
 }
