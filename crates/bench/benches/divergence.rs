@@ -1,15 +1,17 @@
-//! Divergence chaos harness: SGA unlearning under hostile ascent-LR
-//! spikes, with and without the divergence guard.
+//! Divergence chaos harness: QuickDrop unlearning under hostile
+//! ascent-LR spikes, with and without the divergence guard the CLI
+//! ships (`--drift-budget`, `--ascent-retries`).
 //!
 //! A fraction of clients magnifies its ascent learning rate 50x
 //! ([`FaultKind::AscentSpike`]) — the failure QuickDrop-style serving is
 //! most exposed to, because gradient ascent amplifies rather than damps
-//! perturbations. Three runs share one trained model and one RNG stream:
+//! perturbations. Three runs serve the same request on clones of one
+//! trained [`QuickDrop`], from one trained model and one RNG stream:
 //!
-//! 1. fault-free SGA (the reference),
-//! 2. unguarded SGA under the spike (expected to collapse),
-//! 3. [`Guarded`] SGA under the same spike (drift budget + rollback +
-//!    LR-halving backoff; expected to track the reference).
+//! 1. fault-free [`QuickDrop`] (`unlearn`, the reference),
+//! 2. unguarded `unlearn` under the spike (expected to collapse),
+//! 3. [`QuickDrop::unlearn_guarded`] under the same spike (drift budget
+//!    + rollback + LR-halving backoff; expected to track the reference).
 //!
 //! Pass `--test` for a seconds-scale smoke run that asserts the
 //! robustness contract instead of only printing it.
@@ -21,9 +23,7 @@ use qd_eval::split_accuracy;
 use qd_fed::{FaultKind, FaultPlan, Phase};
 use qd_nn::params_have_non_finite;
 use qd_tensor::rng::Rng;
-use qd_unlearn::{
-    fr_eval_sets, GuardPolicy, GuardStats, Guarded, SgaOriginal, UnlearnRequest, UnlearningMethod,
-};
+use qd_unlearn::{fr_eval_sets, GuardPolicy, GuardStats, UnlearnRequest, UnlearningMethod};
 
 /// Fraction of clients spiking their ascent LR.
 const SPIKE_FRAC: f32 = 0.2;
@@ -40,10 +40,9 @@ struct Row {
 
 struct Harness {
     setup: Setup,
+    trained: QuickDrop,
     reference: Vec<qd_tensor::Tensor>,
     rng_mark: qd_tensor::rng::RngState,
-    ascent: Phase,
-    recover: Phase,
     request: UnlearnRequest,
 }
 
@@ -67,16 +66,14 @@ impl Harness {
             cfg.train_phase = Phase::training(rounds, 2, 16, 0.08);
             cfg.distill.scale = 20;
         }
-        let (ascent, recover) = (cfg.unlearn_phase, cfg.recover_phase);
-        QuickDrop::train(&mut setup.fed, cfg, &mut setup.rng);
+        let (trained, _) = QuickDrop::train(&mut setup.fed, cfg, &mut setup.rng);
         let reference = setup.fed.global().to_vec();
         let rng_mark = setup.rng.state();
         Harness {
             setup,
+            trained,
             reference,
             rng_mark,
-            ascent,
-            recover,
             request: UnlearnRequest::Class(4),
         }
     }
@@ -87,12 +84,14 @@ impl Harness {
             .with_ascent_spike(SPIKE_SCALE)
     }
 
-    /// Rewinds the federation and RNG to the post-training snapshot so
-    /// every variant serves the identical request stream.
-    fn rewind(&mut self, plan: Option<FaultPlan>) {
+    /// Rewinds the federation and RNG to the post-training snapshot and
+    /// hands out a fresh clone of the trained system, so every variant
+    /// serves the identical request stream.
+    fn rewind(&mut self, plan: Option<FaultPlan>) -> QuickDrop {
         self.setup.fed.set_global(self.reference.clone());
         self.setup.rng = Rng::from_state(&self.rng_mark);
         self.setup.fed.set_fault_plan(plan);
+        self.trained.clone()
     }
 
     fn measure(&self, label: &'static str, guard: Option<GuardStats>) -> Row {
@@ -118,23 +117,26 @@ impl Harness {
     }
 
     fn run_unguarded(&mut self, label: &'static str, plan: Option<FaultPlan>) -> Row {
-        self.rewind(plan);
-        let mut sga = SgaOriginal::new(self.ascent, self.recover);
-        sga.unlearn(&mut self.setup.fed, self.request, &mut self.setup.rng);
+        let mut qd = self.rewind(plan);
+        qd.unlearn(&mut self.setup.fed, self.request, &mut self.setup.rng);
         self.measure(label, None)
     }
 
     fn run_guarded(&mut self, label: &'static str, plan: Option<FaultPlan>) -> Row {
-        self.rewind(plan);
+        let mut qd = self.rewind(plan);
         // Default drift budget; enough backoff headroom to out-halve a
         // 50x spike (2^6 > 50).
         let policy = GuardPolicy {
             ascent_retries: 8,
             ..GuardPolicy::default()
         };
-        let mut guarded = Guarded::new(SgaOriginal::new(self.ascent, self.recover), policy);
-        let outcome = guarded
-            .try_unlearn(&mut self.setup.fed, self.request, &mut self.setup.rng)
+        let outcome = qd
+            .unlearn_guarded(
+                &mut self.setup.fed,
+                self.request,
+                &policy,
+                &mut self.setup.rng,
+            )
             .expect("the guard must land an accepted attempt");
         self.measure(label, outcome.guard)
     }
@@ -143,19 +145,19 @@ impl Harness {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
     println!(
-        "divergence: {:.0}% of clients spike their ascent LR {SPIKE_SCALE}x{}",
+        "divergence: {:.0}% of clients spike their ascent LR {SPIKE_SCALE}x (QuickDrop){}",
         SPIKE_FRAC * 100.0,
         if smoke { " [smoke]" } else { "" },
     );
     let mut h = Harness::build(smoke);
     let rows = [
-        h.run_unguarded("SGA-Or (fault-free)", None),
-        h.run_unguarded("SGA-Or unguarded @ spike", Some(h.spike_plan())),
-        h.run_guarded("SGA-Or guarded @ spike", Some(h.spike_plan())),
+        h.run_unguarded("QuickDrop (fault-free)", None),
+        h.run_unguarded("QuickDrop unguarded @ spike", Some(h.spike_plan())),
+        h.run_guarded("QuickDrop guarded @ spike", Some(h.spike_plan())),
     ];
 
     println!(
-        "  {:<26} {:>8} {:>8} {:>10} {:>10} {:>9}",
+        "  {:<28} {:>8} {:>8} {:>10} {:>10} {:>9}",
         "engine", "F-Set", "R-Set", "rollbacks", "halvings", "drift"
     );
     for r in &rows {
@@ -177,7 +179,7 @@ fn main() {
             }
         };
         println!(
-            "  {:<26} {:>8} {:>8} {:>10} {:>10} {:>9}",
+            "  {:<28} {:>8} {:>8} {:>10} {:>10} {:>9}",
             r.label,
             acc(r.forget_acc),
             acc(r.retain_acc),
@@ -213,9 +215,9 @@ fn main() {
 
     print_paper_reference(&[
         "no direct paper counterpart: the paper assumes well-behaved ascent;",
-        "shape to reproduce: unguarded SGA under a 50x ascent-LR spike loses",
-        ">= 10 R-Set points or blows up to non-finite parameters, while the",
-        "guarded engine rolls back, halves the ascent LR, and finishes within",
-        "1 R-Set point of the fault-free run.",
+        "shape to reproduce: unguarded QuickDrop under a 50x ascent-LR spike",
+        "loses >= 10 R-Set points or blows up to non-finite parameters, while",
+        "the guarded engine rolls back, halves the ascent LR, and finishes",
+        "within 1 R-Set point of the fault-free run.",
     ]);
 }

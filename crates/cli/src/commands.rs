@@ -1069,7 +1069,7 @@ mod tests {
         ]))
         .unwrap();
 
-        // Guarded + journaled serving reports the guard's verdict and
+        // Serving under the guard and the journal reports the verdict and
         // leaves a durable trace next to the checkpoint.
         let out = run(&args(&[
             "unlearn",

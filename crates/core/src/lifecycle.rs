@@ -785,7 +785,7 @@ impl QuickDrop {
     ) -> Result<(PhaseStats, Vec<Tensor>, Option<GuardStats>), UnlearnError> {
         let post_unlearn_params = fed.global().to_vec();
         let rng_mark = rng.state();
-        let recovery = self.recovery_stage(fed, rng);
+        let recovery = self.recover(fed, &self.config().recover_phase, rng);
         let Some(policy) = policy else {
             return Ok((recovery, post_unlearn_params, None));
         };

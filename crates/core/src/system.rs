@@ -155,6 +155,26 @@ pub(crate) fn validated(policy: Option<&GuardPolicy>) -> Option<&GuardPolicy> {
     policy
 }
 
+/// Step 2b of the workflow: the per-client recovery sets — each
+/// synthetic set, augmented 1:1 with the client's original samples when
+/// `augment` is on.
+fn recovery_sets(
+    synthetic: &[SyntheticSet],
+    fed: &Federation,
+    augment: bool,
+    rng: &mut Rng,
+) -> Vec<Dataset> {
+    (synthetic.iter().enumerate())
+        .map(|(i, syn)| {
+            if augment {
+                augment_with_real(syn, fed.client_data(i), rng)
+            } else {
+                syn.to_dataset()
+            }
+        })
+        .collect()
+}
+
 impl QuickDrop {
     /// Step 1 + 2 of the workflow: runs FL training with in-situ
     /// distillation on `fed`, then (optionally) fine-tunes and augments
@@ -350,18 +370,7 @@ impl QuickDrop {
             }
         }
 
-        // Step 2b: data augmentation with original samples (1:1).
-        let recovery_data: Vec<Dataset> = synthetic
-            .iter()
-            .enumerate()
-            .map(|(i, syn)| {
-                if config.augment {
-                    augment_with_real(syn, fed.client_data(i), rng)
-                } else {
-                    syn.to_dataset()
-                }
-            })
-            .collect();
+        let recovery_data = recovery_sets(&synthetic, fed, config.augment, rng);
 
         let synthetic_samples = synthetic.iter().map(SyntheticSet::len).sum();
         let real_samples = fed.clients().iter().map(Dataset::len).sum();
@@ -476,8 +485,11 @@ impl QuickDrop {
         }
     }
 
-    /// Runs extra recovery rounds on the synthetic retain set — exposed so
-    /// harnesses can observe the model round by round (Figure 2).
+    /// Step 4 of the workflow: recovery descent on the synthetic retain
+    /// set (everything not currently forgotten) under `phase`. The unit
+    /// engine and relearning's consolidation pass run it with the
+    /// configured recovery phase; harnesses call it for extra rounds to
+    /// observe the model round by round (Figure 2).
     pub fn recover(&self, fed: &mut Federation, phase: &Phase, rng: &mut Rng) -> PhaseStats {
         let retain = self.synthetic_retain();
         let mut trainers = sgd_trainers(fed.model().clone(), fed.n_clients());
@@ -499,18 +511,7 @@ impl QuickDrop {
         for (i, syn) in self.synthetic.iter_mut().enumerate() {
             real_grads += finetune(model.as_ref(), syn, fed.client_data(i), cfg, rng);
         }
-        self.recovery_data = self
-            .synthetic
-            .iter()
-            .enumerate()
-            .map(|(i, syn)| {
-                if self.config.augment {
-                    augment_with_real(syn, fed.client_data(i), rng)
-                } else {
-                    syn.to_dataset()
-                }
-            })
-            .collect();
+        self.recovery_data = recovery_sets(&self.synthetic, fed, self.config.augment, rng);
         real_grads
     }
 
@@ -652,19 +653,6 @@ impl QuickDrop {
         }
     }
 
-    /// Step 4 of the workflow as a standalone stage: recovery descent on
-    /// the synthetic retain set (everything not currently forgotten).
-    pub(crate) fn recovery_stage(&self, fed: &mut Federation, rng: &mut Rng) -> PhaseStats {
-        let retain = self.synthetic_retain();
-        let mut trainers = sgd_trainers(fed.model().clone(), fed.n_clients());
-        fed.run_phase(
-            &mut trainers,
-            Some(&retain),
-            &self.config.recover_phase,
-            rng,
-        )
-    }
-
     /// Per-client recovery sets: the (augmented) synthetic data minus
     /// everything currently forgotten (`S \ S_f`).
     pub(crate) fn synthetic_retain(&self) -> Vec<Option<Dataset>> {
@@ -737,14 +725,7 @@ impl UnlearningMethod for QuickDrop {
         let mut trainers = sgd_trainers(fed.model().clone(), fed.n_clients());
         let mut stats = fed.run_phase(&mut trainers, Some(&forget), phase, rng);
         self.unmark_unlearned(request);
-        let retain = self.synthetic_retain();
-        let consolidation = fed.run_phase(
-            &mut trainers,
-            Some(&retain),
-            &self.config.recover_phase,
-            rng,
-        );
-        stats.merge(&consolidation);
+        stats.merge(&self.recover(fed, &self.config.recover_phase, rng));
         Some(stats)
     }
 }

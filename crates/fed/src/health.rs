@@ -1,4 +1,13 @@
-//! Per-client transport health tracking with a circuit breaker.
+//! Per-client transport health tracking with a circuit breaker — the
+//! workspace's one CLOSED → OPEN → HALF-OPEN breaker.
+//!
+//! It serves two owners. The `Federation` indexes it by client and
+//! ticks it per round (below). The qd-serve executor indexes it by
+//! tenant and ticks it per service unit: a quarantined unit is a
+//! failure, a served one a success, and an OPEN tenant's queued members
+//! are shed. There the state is never serialized; it is a fold over the
+//! journal that a resumed run replays. A zero cooldown is the off
+//! switch for both.
 //!
 //! A dead or badly flaky client that keeps getting sampled wastes a
 //! deadline's worth of simulated time every round it stalls. The
@@ -25,12 +34,12 @@
 //!           └──────────┴──────────────────▶ back to OPEN
 //! ```
 //!
-//! State lives in a serializable [`HealthState`] carried inside round
-//! checkpoints, so kill-and-resume reproduces sampling decisions
-//! bit-for-bit. Health is transport-level only — it reacts to
-//! undelivered rounds, never to update *content* (that is the
-//! [`crate::UpdateGuard`]'s job, and quarantine is permanent where
-//! cooldown is temporary).
+//! In the federation, state lives in a serializable [`HealthState`]
+//! carried inside round checkpoints, so kill-and-resume reproduces
+//! sampling decisions bit-for-bit. There health is transport-level only
+//! — it reacts to undelivered rounds, never to update *content* (that
+//! is the [`crate::UpdateGuard`]'s job, and quarantine is permanent
+//! where cooldown is temporary).
 
 use serde::{Deserialize, Serialize};
 
@@ -147,6 +156,19 @@ impl ClientHealth {
         &self.state
     }
 
+    /// Human-readable breaker state per index: `"closed"`, `"open(n)"`
+    /// (`n` units of cooldown left) or `"half-open"`.
+    pub fn labels(&self) -> Vec<String> {
+        let state = &self.state;
+        (state.cooldown.iter().zip(&state.half_open))
+            .map(|(&cooldown, &half_open)| match (cooldown, half_open) {
+                (c, _) if c > 0 => format!("open({c})"),
+                (_, true) => "half-open".to_string(),
+                _ => "closed".to_string(),
+            })
+            .collect()
+    }
+
     /// Restores bookkeeping captured by [`ClientHealth::state`] — part
     /// of resuming a phase from a crash-consistent checkpoint.
     pub fn restore(&mut self, state: HealthState) {
@@ -205,6 +227,39 @@ mod tests {
         // Client 1's probe fails: one strike re-opens, no three-count.
         assert!(trial.on_failure(1, 1), "failed probe must re-open");
         assert!(trial.is_cooling(1));
+    }
+
+    #[test]
+    fn labels_follow_trip_cooldown_and_half_open() {
+        let mut h = ClientHealth::new(HealthConfig { breaker_after: 2 }, 2);
+        assert_eq!(h.labels(), ["closed", "closed"]);
+        // The second strike trips OPEN for the full cooldown.
+        h.on_failure(0, 3);
+        assert!(!h.is_cooling(0));
+        h.on_failure(0, 3);
+        assert_eq!(h.labels(), ["open(3)", "closed"]);
+
+        // Cooldown expires tick by tick; at zero the breaker half-opens.
+        h.tick();
+        h.tick();
+        assert_eq!(h.labels()[0], "open(1)");
+        h.tick();
+        assert!(!h.is_cooling(0));
+        assert_eq!(h.labels()[0], "half-open");
+
+        // A success in HALF-OPEN closes the breaker for good.
+        h.on_success(0);
+        assert_eq!(h.labels()[0], "closed");
+
+        // A failure in HALF-OPEN re-opens immediately instead.
+        h.on_failure(0, 3);
+        h.on_failure(0, 3);
+        for _ in 0..3 {
+            h.tick();
+        }
+        assert_eq!(h.labels()[0], "half-open");
+        h.on_failure(0, 3);
+        assert_eq!(h.labels()[0], "open(3)", "a failed probe re-opens");
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //!    members; only those are quarantined to the dead-letter set
 //!    (typed QUARANTINED journal records), and the survivors are
 //!    served normally.
-//! 3. **Per-tenant circuit breakers** ([`TenantBreaker`]): tenants
-//!    whose requests keep getting quarantined trip an
-//!    CLOSED → OPEN → HALF-OPEN breaker (modeled on qd-fed's
-//!    per-client health tracking) and have their queued work shed to
-//!    FAILED records instead of burning ladder probes on it.
+//! 3. **Per-tenant circuit breakers**: tenants whose requests keep
+//!    getting quarantined trip a CLOSED → OPEN → HALF-OPEN breaker —
+//!    qd-fed's [`ClientHealth`], indexed by tenant — and have their
+//!    queued work shed to FAILED records instead of burning ladder
+//!    probes on it.
 //!
 //! # Probe-first execution
 //!
@@ -76,7 +76,7 @@ use qd_core::{
     units, BatchPreempt, FailReason, JournaledRun, QuickDrop, RequestJournal, RequestState,
     ServeError, Unit,
 };
-use qd_fed::Federation;
+use qd_fed::{ClientHealth, Federation, HealthConfig};
 use qd_tensor::rng::Rng;
 use qd_unlearn::{ForgetSet, GuardPolicy, UnlearnRequest};
 
@@ -190,136 +190,59 @@ pub fn isolate_poison<T: Copy>(members: &[T], probe: &mut dyn FnMut(&[T]) -> boo
     out
 }
 
-/// Per-tenant circuit breaker (CLOSED → OPEN → HALF-OPEN), modeled on
-/// qd-fed's per-client health tracking. Strikes accumulate per
-/// quarantined unit; at `trip` strikes the breaker OPENs and the
-/// tenant's queued members are shed to FAILED for `cooldown` units;
-/// then HALF-OPEN lets one unit through — served closes the breaker,
-/// another quarantine re-opens it.
-///
-/// Nothing here is serialized: the state is a pure fold over the
-/// journal's per-unit outcomes, so a resumed run replays the completed
-/// units and lands on the identical state (`TenantBreaker::replay`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantBreaker {
-    trip: u32,
-    cooldown: u32,
-    strikes: Vec<u32>,
-    /// Remaining shed units; > 0 means OPEN.
-    cooldowns: Vec<u32>,
-    half_open: Vec<bool>,
+/// The per-tenant circuit breakers: qd-fed's [`ClientHealth`] indexed by
+/// tenant, one tick per unit. At `breaker_trip` quarantined units a
+/// tenant's breaker OPENs and its queued members are shed to FAILED for
+/// `breaker_cooldown` units; then HALF-OPEN lets one unit through —
+/// served closes the breaker, another quarantine re-opens it. A
+/// disabled breaker (`breaker_trip == 0`) runs with a zero cooldown,
+/// which never opens.
+fn tenant_breakers(tenants: usize, iso: &IsolationConfig) -> ClientHealth {
+    let breaker_after = iso.breaker_trip;
+    ClientHealth::new(HealthConfig { breaker_after }, tenants)
 }
 
-impl TenantBreaker {
-    /// A breaker per tenant, all CLOSED. `trip == 0` disables tripping
-    /// entirely.
-    pub fn new(tenants: usize, trip: u32, cooldown: u32) -> TenantBreaker {
-        TenantBreaker {
-            trip,
-            cooldown,
-            strikes: vec![0; tenants],
-            cooldowns: vec![0; tenants],
-            half_open: vec![false; tenants],
-        }
+/// Ticks the breakers' unit clock, then applies one completed unit's
+/// outcomes as the journal certifies them (`served` is its
+/// [`qd_core::units`] fold), quarantines before serves: the same fold of
+/// the same input for live execution and journal replay, so nothing here
+/// is serialized.
+fn feed(
+    breakers: &mut ClientHealth,
+    iso: &IsolationConfig,
+    unit: &PlannedBatch,
+    served: &Unit<'_>,
+) {
+    let cooldown = if iso.breaker_trip > 0 {
+        iso.breaker_cooldown as usize
+    } else {
+        0
+    };
+    let owners = |state| {
+        let settled = (served.members.iter().enumerate()).filter(move |(_, m)| m.state == state);
+        settled.filter_map(|(i, _)| owner_tenant(unit, i))
+    };
+    breakers.tick();
+    for t in owners(RequestState::Quarantined) {
+        breakers.on_failure(t, cooldown);
     }
-
-    /// Is tenant `t`'s breaker OPEN (its members get shed)?
-    pub fn is_open(&self, t: usize) -> bool {
-        self.cooldowns.get(t).is_some_and(|&c| c > 0)
+    for t in owners(RequestState::Recovered) {
+        breakers.on_success(t);
     }
+}
 
-    /// Advances the unit clock: every OPEN breaker's cooldown
-    /// decrements, and one that reaches zero goes HALF-OPEN.
-    pub fn tick(&mut self) {
-        for (cooldown, half_open) in self.cooldowns.iter_mut().zip(&mut self.half_open) {
-            if *cooldown > 0 {
-                *cooldown -= 1;
-                if *cooldown == 0 {
-                    *half_open = true;
-                }
-            }
-        }
-    }
-
-    /// A unit of tenant `t`'s was quarantined: strike, and trip (or
-    /// re-open a HALF-OPEN probe that failed).
-    fn record_quarantine(&mut self, t: usize) {
-        if self.trip == 0 {
-            return;
-        }
-        let (Some(strikes), Some(cooldown), Some(half_open)) = (
-            self.strikes.get_mut(t),
-            self.cooldowns.get_mut(t),
-            self.half_open.get_mut(t),
-        ) else {
-            return;
-        };
-        if *half_open {
-            *half_open = false;
-            *cooldown = self.cooldown;
-            *strikes = 0;
-        } else {
-            *strikes += 1;
-            if *strikes >= self.trip {
-                *cooldown = self.cooldown;
-                *strikes = 0;
-            }
-        }
-    }
-
-    /// A unit of tenant `t`'s was served to RECOVERED: clear strikes
-    /// (and close a HALF-OPEN probe that succeeded).
-    fn record_served(&mut self, t: usize) {
-        if let (Some(strikes), Some(half_open)) =
-            (self.strikes.get_mut(t), self.half_open.get_mut(t))
-        {
-            *strikes = 0;
-            *half_open = false;
-        }
-    }
-
-    /// Applies one completed unit's outcomes as the journal certifies
-    /// them (`served` is its [`qd_core::units`] fold), quarantines before
-    /// serves: the same fold of the same input for live execution and
-    /// journal replay.
-    fn feed(&mut self, unit: &PlannedBatch, served: &Unit<'_>) {
-        let owners = |state| {
-            let settled =
-                (served.members.iter().enumerate()).filter(move |(_, m)| m.state == state);
-            settled.filter_map(|(i, _)| owner_tenant(unit, i))
-        };
-        for t in owners(RequestState::Quarantined) {
-            self.record_quarantine(t);
-        }
-        for t in owners(RequestState::Recovered) {
-            self.record_served(t);
-        }
-    }
-
-    /// Rebuilds breaker state from the journal-derived outcomes of the
-    /// leading completed units — the resume path. Live execution feeds
-    /// each unit from the journal as well, so the replayed state is
-    /// identical to the state the killed process held.
-    pub(crate) fn replay(&mut self, plan: &Plan, frontier: &Frontier<'_>) {
-        for (unit, served) in plan.batches.iter().zip(&frontier.units).take(frontier.done) {
-            self.tick();
-            self.feed(unit, served);
-        }
-    }
-
-    /// Human-readable state of tenant `t`: `"closed"`, `"open(n)"` or
-    /// `"half-open"`.
-    pub fn label(&self, t: usize) -> String {
-        match (self.cooldowns.get(t), self.half_open.get(t)) {
-            (Some(&c), _) if c > 0 => format!("open({c})"),
-            (_, Some(true)) => "half-open".to_string(),
-            _ => "closed".to_string(),
-        }
-    }
-
-    /// [`TenantBreaker::label`] for every tenant.
-    pub fn labels(&self) -> Vec<String> {
-        (0..self.strikes.len()).map(|t| self.label(t)).collect()
+/// Rebuilds the breakers from the journal-derived outcomes of the
+/// leading completed units — the resume path. Live execution feeds each
+/// unit from the journal as well, so the replayed state is identical to
+/// the state the killed process held.
+fn replay(
+    breakers: &mut ClientHealth,
+    iso: &IsolationConfig,
+    plan: &Plan,
+    frontier: &Frontier<'_>,
+) {
+    for (unit, served) in plan.batches.iter().zip(&frontier.units).take(frontier.done) {
+        feed(breakers, iso, unit, served);
     }
 }
 
@@ -429,7 +352,7 @@ fn serve_unit(
     unit_index: usize,
     policy: Option<&GuardPolicy>,
     iso: &IsolationConfig,
-    breaker: &TenantBreaker,
+    breakers: &ClientHealth,
     rng: &mut Rng,
     kill: Option<ChaosKill>,
     started: bool,
@@ -479,7 +402,7 @@ fn serve_unit(
     // disabled breaker is never OPEN.
     if (journal.last()).is_some_and(|r| r.state == RequestState::Received) {
         let shed: Vec<usize> = (active.iter().copied())
-            .filter(|&i| owner_tenant(unit, i).is_some_and(|t| breaker.is_open(t)))
+            .filter(|&i| owner_tenant(unit, i).is_some_and(|t| breakers.is_cooling(t)))
             .collect();
         if !shed.is_empty() {
             QuickDrop::settle_unserved(
@@ -589,7 +512,7 @@ pub(crate) fn apply_failure_stats(
     stats: &mut ServeStats,
     plan: &Plan,
     frontier: &Frontier<'_>,
-    breaker: &TenantBreaker,
+    breakers: &ClientHealth,
 ) {
     let mut served = 0u64;
     let mut quarantined = 0u64;
@@ -615,7 +538,7 @@ pub(crate) fn apply_failure_stats(
     stats.shed = shed;
     stats.served = served;
     stats.pending = stats.admitted.saturating_sub(served + quarantined + shed);
-    stats.breaker = breaker.labels();
+    stats.breaker = breakers.labels();
 }
 
 /// Journal↔plan consistency, summarized for external harnesses.
@@ -725,13 +648,9 @@ pub fn run_service_isolated(
         ));
     }
     let plan = build_plan(cfg).map_err(ServiceError::Plan)?;
-    let mut breaker = TenantBreaker::new(
-        plan.rejected_by_tenant.len(),
-        iso.breaker_trip,
-        iso.breaker_cooldown,
-    );
+    let mut breakers = tenant_breakers(plan.rejected_by_tenant.len(), iso);
     let frontier = map_journal(&plan, journal)?;
-    breaker.replay(&plan, &frontier);
+    replay(&mut breakers, iso, &plan, &frontier);
     let (done, started) = (frontier.done, frontier.units.len());
     // Restore marks/model/RNG from the journal tail without finishing
     // the in-flight unit (the ladder rung must be re-derived first).
@@ -748,7 +667,7 @@ pub fn run_service_isolated(
             index,
             policy,
             iso,
-            &breaker,
+            &breakers,
             rng,
             kill,
             index < started,
@@ -756,15 +675,14 @@ pub fn run_service_isolated(
         if preempted {
             break;
         }
-        breaker.tick();
         if let Some(served) = journal_units(journal)?.get(index) {
-            breaker.feed(unit, served);
+            feed(&mut breakers, iso, unit, served);
         }
         executed_units += 1;
     }
     let final_frontier = map_journal(&plan, journal)?;
     let mut stats = ServeStats::from_plan(&plan);
-    apply_failure_stats(&mut stats, &plan, &final_frontier, &breaker);
+    apply_failure_stats(&mut stats, &plan, &final_frontier, &breakers);
     if preempted {
         stats.mark_partial();
     }
@@ -946,64 +864,47 @@ mod tests {
         ));
     }
 
+    /// A quarantine strikes the owning tenant's breaker and a served
+    /// member clears its rider's; with the breaker disabled
+    /// (`breaker_trip == 0`) the same journal never opens one.
     #[test]
-    fn breaker_trips_cools_down_and_half_opens() {
-        let mut b = TenantBreaker::new(2, 2, 3);
-        assert!(!b.is_open(0));
-        assert_eq!(b.label(0), "closed");
-
-        // One strike is below the trip threshold.
-        b.record_quarantine(0);
-        assert!(!b.is_open(0));
-        // The second strike trips OPEN for the full cooldown.
-        b.record_quarantine(0);
-        assert!(b.is_open(0));
-        assert_eq!(b.label(0), "open(3)");
-        assert!(!b.is_open(1), "tenant 1 is unaffected");
-
-        // Cooldown expires unit by unit; at zero the breaker half-opens.
-        b.tick();
-        b.tick();
-        assert_eq!(b.label(0), "open(1)");
-        b.tick();
-        assert!(!b.is_open(0));
-        assert_eq!(b.label(0), "half-open");
-
-        // A served unit in HALF-OPEN closes the breaker for good.
-        b.record_served(0);
-        assert_eq!(b.label(0), "closed");
-
-        // A quarantine in HALF-OPEN re-opens immediately instead.
-        b.record_quarantine(0);
-        b.record_quarantine(0);
-        b.tick();
-        b.tick();
-        b.tick();
-        assert_eq!(b.label(0), "half-open");
-        b.record_quarantine(0);
-        assert_eq!(b.label(0), "open(3)", "a failed probe re-opens");
-    }
-
-    #[test]
-    fn breaker_served_resets_strikes() {
-        let mut b = TenantBreaker::new(1, 3, 1);
-        b.record_quarantine(0);
-        b.record_quarantine(0);
-        b.record_served(0);
-        b.record_quarantine(0);
-        b.record_quarantine(0);
-        assert!(!b.is_open(0), "strikes must reset on a served unit");
-        b.record_quarantine(0);
-        assert!(b.is_open(0));
-    }
-
-    #[test]
-    fn disabled_breaker_never_trips() {
-        let mut b = TenantBreaker::new(1, 0, 0);
-        for _ in 0..10 {
-            b.record_quarantine(0);
+    fn breakers_fold_the_journal_and_a_disabled_one_never_opens() {
+        let plan = tiny_plan();
+        let mut journal = mem_journal();
+        journal
+            .append_all(vec![
+                record(0, UnlearnRequest::Client(0), RequestState::Received),
+                record(1, UnlearnRequest::Client(1), RequestState::Received),
+            ])
+            .unwrap();
+        journal
+            .append(record(
+                0,
+                UnlearnRequest::Client(0),
+                RequestState::Quarantined,
+            ))
+            .unwrap();
+        journal
+            .append(record(
+                1,
+                UnlearnRequest::Client(1),
+                RequestState::Recovered,
+            ))
+            .unwrap();
+        let frontier = map_journal(&plan, &journal).unwrap();
+        let tripping = IsolationConfig {
+            breaker_trip: 1,
+            breaker_cooldown: 2,
+            ..IsolationConfig::default()
+        };
+        for (iso, labels) in [
+            (tripping, ["open(2)", "closed"]),
+            (IsolationConfig::default(), ["closed", "closed"]),
+        ] {
+            let mut breakers = tenant_breakers(2, &iso);
+            replay(&mut breakers, &iso, &plan, &frontier);
+            assert_eq!(breakers.labels(), labels, "{iso:?}");
+            assert_eq!(breakers.is_cooling(0), iso.breaker_trip > 0);
         }
-        assert!(!b.is_open(0));
-        assert_eq!(b.label(0), "closed");
     }
 }

@@ -58,7 +58,7 @@ pub mod stats;
 pub use config::ServeConfig;
 pub use executor::{
     frontier_summary, isolate_poison, ladder_policy, run_service_isolated, FrontierSummary,
-    IsolationConfig, TenantBreaker, MAX_UNIT_RETRIES,
+    IsolationConfig, MAX_UNIT_RETRIES,
 };
 pub use plan::{build_plan, Arrival, Plan, PlannedBatch, RequestTag};
 pub use service::{ChaosKill, ServiceError, ServiceRun};

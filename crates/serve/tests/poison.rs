@@ -19,7 +19,8 @@
 //! every isolation flag off, the one unit loop writes the journal
 //! bytes, model bits and stats the pre-isolation plain service wrote —
 //! unfailed, and killed at every in-unit boundary then resumed the way
-//! the CLI does.
+//! the CLI does. The same table pins two isolation-active runs of the
+//! poisoned mix (breaker; ladder + bisection).
 
 use qd_core::vfs::crc32;
 use qd_core::{
@@ -113,6 +114,17 @@ fn iso() -> IsolationConfig {
         unit_retries: 2,
         bisect: true,
         ..IsolationConfig::default()
+    }
+}
+
+/// One ladder rung, bisection, and a breaker that trips on the first
+/// quarantine and sheds for two units.
+fn breaker_iso() -> IsolationConfig {
+    IsolationConfig {
+        unit_retries: 1,
+        bisect: true,
+        breaker_trip: 1,
+        breaker_cooldown: 2,
     }
 }
 
@@ -385,13 +397,7 @@ fn a_preempted_lifetime_reports_partial_stats_with_zeroed_slas() {
 fn breaker_sheds_the_tripped_tenants_queue() {
     let poison = UnlearnRequest::Client(byzantine());
     let seed = poison_seed();
-    let biso = IsolationConfig {
-        unit_retries: 1,
-        bisect: true,
-        breaker_trip: 1,
-        breaker_cooldown: 2,
-    };
-    let reference = unfailed(&seed, &paths("poison_breaker_ref"), &biso);
+    let reference = unfailed(&seed, &paths("poison_breaker_ref"), &breaker_iso());
 
     // The first quarantine trips the owner's breaker; later units with
     // that tenant's members are shed to FAILED without burning probes.
@@ -439,21 +445,26 @@ fn stats_digest(stats: &ServeStats) -> u32 {
     crc32(serde_json::to_string(stats).unwrap().as_bytes())
 }
 
-/// One "process" of the plain service on `fs`: deployment from the
-/// checkpoint file, journal reopened, and the executor with isolation
-/// off — preceded, when
+/// One "process" of the service on `fs`: deployment from the checkpoint
+/// file, journal reopened, and the executor under `iso` — preceded, when
 /// `resume`, by a caller-side `resume_requests` (redundant: the executor
 /// finishes in-flight units itself; the oracle pins that it is harmless).
+/// An active `iso` serves the poisoned mix: the Byzantine fault plan is
+/// armed.
 fn oracle_process(
     seed: &PoisonSeed,
     fs: &Arc<FaultFs>,
     cfg: &ServeConfig,
     policy: Option<&GuardPolicy>,
+    iso: &IsolationConfig,
     kill: Option<ChaosKill>,
     resume: bool,
 ) -> (ServiceRun, Vec<Tensor>) {
     let ckpt_path = PathBuf::from("svc.json");
     let (mut fed, _) = fresh_fed();
+    if iso.active() {
+        fed.set_fault_plan(Some(spike_plan()));
+    }
     let (global, mut qd) = Checkpoint::load_on(fs.as_ref(), &ckpt_path)
         .unwrap()
         .restore()
@@ -467,19 +478,18 @@ fn oracle_process(
         qd.resume_requests(&mut fed, &mut journal, policy, &mut rng)
             .unwrap();
     }
-    let iso = IsolationConfig::default();
     let run = run_service_isolated(
         &mut qd,
         &mut fed,
         &mut journal,
         cfg,
         policy,
-        &iso,
+        iso,
         &mut rng,
         kill,
     )
     .unwrap();
-    assert!(run.dead_letter.is_empty());
+    assert_eq!(run.dead_letter.is_empty(), !iso.active());
     (run, fed.global().to_vec())
 }
 
@@ -500,6 +510,10 @@ fn oracle_fs(seed: &PoisonSeed) -> Arc<FaultFs> {
 /// once when journal v4 / checkpoint v3 changed the bytes on disk, and
 /// once more when journal v5 wrote repeated snapshots as back-references —
 /// each time nothing else (DESIGN.md, "Durable formats", re-pin policy).
+/// The `breaker/*` and `ladder-bisect/*` rows pin two isolation-active
+/// runs; they were captured while the executor still carried its own
+/// tenant breaker type, before it drove qd-fed's `ClientHealth` (the
+/// breaker run ends with one tenant OPEN and the other HALF-OPEN).
 const ORACLE: &[(&str, u32)] = &[
     ("coalesced/files", 0x05e6be5a),
     ("coalesced/model", 0x03fb97af),
@@ -524,6 +538,12 @@ const ORACLE: &[(&str, u32)] = &[
     ("singletons/kill-single@unlearned1", 0x62c7b00c),
     ("singletons/kill-single@unlearned2", 0x62c7b00c),
     ("singletons/kill-single@recovered", 0x4dbe50bc),
+    ("breaker/files", 0xf70467d4),
+    ("breaker/model", 0xb4b6263e),
+    ("breaker/stats", 0x45393062),
+    ("ladder-bisect/files", 0xf56f045b),
+    ("ladder-bisect/model", 0x1f793fc2),
+    ("ladder-bisect/stats", 0x62b07e7a),
 ];
 
 #[test]
@@ -538,6 +558,7 @@ fn merged_engine_reproduces_the_parent_digests() {
         ..serve_config()
     };
     let guard = policy();
+    let off = IsolationConfig::default();
     let scenarios: [(&str, &ServeConfig, Option<&GuardPolicy>); 3] = [
         ("coalesced", &coalesced, Some(&guard)),
         ("singletons", &singletons, Some(&guard)),
@@ -546,7 +567,7 @@ fn merged_engine_reproduces_the_parent_digests() {
     let mut unfailed = Vec::new();
     for (name, cfg, policy) in scenarios {
         let fs = oracle_fs(&seed);
-        let (run, model) = oracle_process(&seed, &fs, cfg, policy, None, false);
+        let (run, model) = oracle_process(&seed, &fs, cfg, policy, &off, None, false);
         assert!(!run.preempted);
         let digests = [
             files_digest(&fs),
@@ -631,7 +652,7 @@ fn merged_engine_reproduces_the_parent_digests() {
                 unit_index,
                 boundary,
             };
-            let (run, _) = oracle_process(&seed, &fs, cfg, policy, Some(kill), false);
+            let (run, _) = oracle_process(&seed, &fs, cfg, policy, &off, Some(kill), false);
             assert!(run.preempted, "{name}: {kind}@{label} must fire");
             actual.push((format!("{name}/kill-{kind}@{label}"), files_digest(&fs)));
             // Two ways back, one end state: `resume_requests` first (the
@@ -640,7 +661,8 @@ fn merged_engine_reproduces_the_parent_digests() {
             let killed = fs.files();
             for resume_first in [true, false] {
                 fs.reset_to(killed.clone());
-                let (run, model) = oracle_process(&seed, &fs, cfg, policy, None, resume_first);
+                let (run, model) =
+                    oracle_process(&seed, &fs, cfg, policy, &off, None, resume_first);
                 assert!(!run.preempted);
                 assert_eq!(
                     [
@@ -653,6 +675,23 @@ fn merged_engine_reproduces_the_parent_digests() {
                      {resume_first}) must reach the unfailed digests"
                 );
             }
+        }
+    }
+
+    // (f) isolation active on the poisoned mix: the breaker's trip,
+    // cooldown, shed and half-open decisions, and the ladder + bisection
+    // quarantines, pinned by what they write.
+    for (name, iso) in [("breaker", breaker_iso()), ("ladder-bisect", iso())] {
+        let fs = oracle_fs(&seed);
+        let (run, model) = oracle_process(&seed, &fs, &coalesced, Some(&guard), &iso, None, false);
+        assert!(!run.preempted);
+        let digests = [
+            files_digest(&fs),
+            model_digest(&model),
+            stats_digest(&run.stats),
+        ];
+        for (what, d) in ["files", "model", "stats"].iter().zip(digests) {
+            actual.push((format!("{name}/{what}"), d));
         }
     }
 

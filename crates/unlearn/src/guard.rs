@@ -1,30 +1,33 @@
-//! Divergence guards for gradient-ascent unlearning.
+//! The divergence guard's vocabulary: policy, checks and verdicts.
 //!
-//! Plain SGA has a first-class failure mode: one over-aggressive ascent
-//! step (a hostile forget-data holder, a misconfigured LR) blows the
-//! model past what recovery on the retain set can reverse. The guard
-//! wraps any [`UnlearningMethod`] with three cheap post-attempt checks —
-//! a non-finite scan, a **drift budget** (max relative L2 displacement of
-//! the ascent result from the pre-unlearn model, the same ball geometry
-//! PGA projects onto), and a **retain probe** (loss on a small retain
-//! sample must stay under a threshold) — and on violation rolls the
-//! federation back to the pre-unlearn snapshot and retries with a halved
-//! ascent LR. Bounded backoff: after the configured retries the guard
-//! surfaces a typed [`UnlearnError::Diverged`] with the model restored,
-//! never a poisoned one.
+//! Gradient-ascent unlearning has a first-class failure mode: one
+//! over-aggressive ascent step (a hostile forget-data holder, a
+//! misconfigured LR) blows the model past what recovery on the retain
+//! set can reverse. The guard applies three cheap checks to an attempt
+//! ([`check_attempt`]) — a non-finite scan, a **drift budget** (max
+//! relative L2 displacement of the ascent result from the pre-unlearn
+//! model, the same ball geometry PGA projects onto), and a **retain
+//! probe** (loss on a small retain sample must stay under a threshold).
+//!
+//! There is one guard, and it is QuickDrop's unit engine in qd-core
+//! (`lifecycle.rs`): it gates each ascent, and on violation rolls model
+//! and RNG back to the pre-attempt snapshot and retries at half the
+//! ascent LR. Bounded backoff: after the configured retries it surfaces
+//! a typed [`UnlearnError::Diverged`] with the model restored, never a
+//! poisoned one. This module holds only what that engine, the journal
+//! and the serve executor share.
 
-use crate::{retain_override, Capabilities, MethodOutcome, UnlearnRequest, UnlearningMethod};
 use qd_data::Dataset;
-use qd_fed::Federation;
 use qd_nn::{params_have_non_finite, relative_drift, Module};
-use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
 
 /// Default drift budget: the ascent stage may displace the model by at
-/// most half its own norm. Fault-free SGA ascent on a trained model
-/// lands well under this (relative drift ~0.1–0.3 at the paper's LRs,
-/// comfortably inside PGA's published projection radii of 0.2–0.5),
-/// while a spiked ascent overshoots it by orders of magnitude — so the
+/// most half its own norm. In the `divergence` bench, QuickDrop's
+/// fault-free ascent on a trained model drifts 0.26 (smoke scale) to
+/// 0.30 (bench scale) and passes on the first attempt — inside PGA's
+/// published projection radii of 0.2–0.5 — while under a 50× ascent
+/// spike on a fifth of the clients the guard rejects five attempts
+/// before one, at 1/32 of the spiked LR, lands at 0.13–0.15. So the
 /// default separates the two regimes without tuning.
 pub const DEFAULT_DRIFT_BUDGET: f32 = 0.5;
 
@@ -108,11 +111,12 @@ impl GuardPolicy {
 }
 
 /// Everything a guard decided while serving one request. Flows into
-/// [`MethodOutcome::guard`] and, when a request journal is in use, is
+/// [`crate::MethodOutcome::guard`] and, when a request journal is in use, is
 /// persisted with the request's UNLEARNED record.
 #[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct GuardStats {
-    /// Guarded ascent attempts executed (1 for a clean first pass).
+    /// Ascent attempts executed under the guard (1 for a clean first
+    /// pass).
     pub steps: u32,
     /// Rollbacks to the pre-unlearn snapshot.
     pub rollbacks: u32,
@@ -274,184 +278,11 @@ pub fn check_attempt(
     Ok(drift)
 }
 
-/// A method whose ascent aggressiveness the guard can dial down between
-/// attempts.
-pub trait GuardableMethod: UnlearningMethod {
-    /// Multiplies the ascent learning rate by `factor` (the guard passes
-    /// `0.5` after each rollback). The change persists: a guard instance
-    /// that had to back off keeps serving at the LR it found safe.
-    fn scale_ascent_lr(&mut self, factor: f32);
-}
-
-/// Divergence-safe wrapper around an unlearning method.
-///
-/// Snapshots the global model and RNG before the inner method runs,
-/// checks the result against the [`GuardPolicy`], and on violation rolls
-/// both back and retries at half the ascent LR. See the module docs for
-/// the failure model.
-///
-/// # Examples
-///
-/// ```
-/// use qd_fed::Phase;
-/// use qd_unlearn::{GuardPolicy, Guarded, SgaOriginal, UnlearningMethod};
-///
-/// let sga = SgaOriginal::new(
-///     Phase::unlearning(2, 50, 256, 0.02),
-///     Phase::training(2, 50, 256, 0.01),
-/// );
-/// let guarded = Guarded::new(sga, GuardPolicy::default());
-/// assert_eq!(guarded.name(), "SGA-Or"); // transparent in tables
-/// ```
-#[derive(Debug, Clone)]
-pub struct Guarded<M> {
-    inner: M,
-    policy: GuardPolicy,
-}
-
-impl<M: GuardableMethod> Guarded<M> {
-    /// Wraps `inner` with `policy`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy fails [`GuardPolicy::validate`].
-    pub fn new(inner: M, policy: GuardPolicy) -> Self {
-        if let Err(msg) = policy.validate() {
-            // qd-lint: allow(panic-safety) -- policy validation failure is a
-            // documented caller bug (`# Panics`), not a runtime condition
-            panic!("invalid guard policy: {msg}");
-        }
-        Guarded { inner, policy }
-    }
-
-    /// The wrapped method.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
-    /// The active guard policy.
-    pub fn policy(&self) -> &GuardPolicy {
-        &self.policy
-    }
-
-    /// Serves one request under the guard.
-    ///
-    /// On success the returned outcome carries the guard's bookkeeping in
-    /// [`MethodOutcome::guard`]. On divergence the federation holds the
-    /// pre-unlearn model and the RNG stream is restored to its
-    /// pre-request state, so the caller can retry, reroute, or refuse
-    /// without inheriting a poisoned deployment.
-    ///
-    /// # Errors
-    ///
-    /// [`UnlearnError::Diverged`] when every attempt (1 + configured
-    /// retries) violated the guard.
-    pub fn try_unlearn(
-        &mut self,
-        fed: &mut Federation,
-        request: UnlearnRequest,
-        rng: &mut Rng,
-    ) -> Result<MethodOutcome, UnlearnError> {
-        let reference = fed.global().to_vec();
-        let rng_mark = rng.state();
-        let probe = probe_sample(&retain_override(fed, request), self.policy.probe_samples);
-        let mut stats = GuardStats::default();
-        let mut last_violation = GuardViolation::NonFinite;
-        for attempt in 0..=self.policy.ascent_retries {
-            let mut outcome = self.inner.unlearn(fed, request, rng);
-            stats.steps += 1;
-            match check_attempt(
-                &self.policy,
-                fed.model().as_ref(),
-                &reference,
-                &outcome.post_unlearn_params,
-                fed.global(),
-                probe.as_ref(),
-            ) {
-                Ok(drift) => {
-                    stats.final_drift = drift;
-                    outcome.guard = Some(stats);
-                    return Ok(outcome);
-                }
-                Err(violation) => {
-                    stats.final_drift = relative_drift(&outcome.post_unlearn_params, &reference);
-                    last_violation = violation;
-                }
-            }
-            // Roll back model and RNG; retry deterministically at half
-            // the ascent LR (skipped once the budget is exhausted).
-            fed.set_global(reference.clone());
-            *rng = Rng::from_state(&rng_mark);
-            stats.rollbacks += 1;
-            if attempt < self.policy.ascent_retries {
-                self.inner.scale_ascent_lr(0.5);
-                stats.lr_halvings += 1;
-            }
-        }
-        Err(UnlearnError::Diverged {
-            violation: last_violation,
-            stats,
-        })
-    }
-}
-
-impl<M: GuardableMethod> UnlearningMethod for Guarded<M> {
-    /// Delegates to the inner method: the guard is transparent in
-    /// experiment tables, its work shows up in [`MethodOutcome::guard`].
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        self.inner.capabilities()
-    }
-
-    /// Guarded serving through the common trait.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`UnlearnError::Diverged`] — callers that want the typed
-    /// error (and the rolled-back model) use [`Guarded::try_unlearn`].
-    fn unlearn(
-        &mut self,
-        fed: &mut Federation,
-        request: UnlearnRequest,
-        rng: &mut Rng,
-    ) -> MethodOutcome {
-        match self.try_unlearn(fed, request, rng) {
-            Ok(outcome) => outcome,
-            // qd-lint: allow(panic-safety) -- trait method has no error
-            // channel; the fallible entry point is try_unlearn
-            Err(e) => panic!("{e}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SgaOriginal;
-    use qd_data::{partition_iid, SyntheticDataset};
-    use qd_fed::{sgd_trainers, Federation, Phase};
-    use qd_nn::Mlp;
-    use std::sync::Arc;
-
-    fn trained_federation(seed: u64) -> (Federation, Rng) {
-        let mut rng = Rng::seed_from(seed);
-        let model: Arc<dyn Module> = Arc::new(Mlp::new(&[256, 32, 10]));
-        let data = SyntheticDataset::Digits.generate(400, &mut rng);
-        let parts = partition_iid(data.len(), 4, &mut rng);
-        let clients: Vec<_> = parts.iter().map(|p| data.subset(p)).collect();
-        let mut fed = Federation::new(model.clone(), clients, &mut rng);
-        let mut trainers = sgd_trainers(model, 4);
-        fed.run_phase(
-            &mut trainers,
-            None,
-            &Phase::training(8, 10, 32, 0.1),
-            &mut rng,
-        );
-        (fed, rng)
-    }
+    use qd_data::SyntheticDataset;
+    use qd_tensor::rng::Rng;
 
     #[test]
     fn default_policy_validates() {
@@ -466,81 +297,6 @@ mod tests {
             ..GuardPolicy::default()
         };
         assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn clean_run_passes_with_zero_rollbacks() {
-        let (mut fed, mut rng) = trained_federation(1);
-        let sga = SgaOriginal::new(
-            Phase::unlearning(1, 6, 32, 0.05),
-            Phase::training(2, 8, 32, 0.05),
-        );
-        let mut guarded = Guarded::new(sga, GuardPolicy::default());
-        let outcome = guarded
-            .try_unlearn(&mut fed, UnlearnRequest::Class(5), &mut rng)
-            .expect("fault-free run stays inside the budget");
-        let stats = outcome.guard.expect("guarded outcome carries stats");
-        assert_eq!(stats.steps, 1);
-        assert_eq!(stats.rollbacks, 0);
-        assert!(stats.final_drift > 0.0, "ascent must move the model");
-        assert!(stats.final_drift <= DEFAULT_DRIFT_BUDGET);
-    }
-
-    #[test]
-    fn hostile_lr_rolls_back_and_recovers_or_surfaces_typed_error() {
-        let (mut fed, mut rng) = trained_federation(2);
-        // 40x the sane ascent LR: the first attempts must blow the budget.
-        let sga = SgaOriginal::new(
-            Phase::unlearning(1, 6, 32, 2.0),
-            Phase::training(2, 8, 32, 0.05),
-        );
-        let policy = GuardPolicy {
-            ascent_retries: 8,
-            ..GuardPolicy::default()
-        };
-        let mut guarded = Guarded::new(sga, policy);
-        match guarded.try_unlearn(&mut fed, UnlearnRequest::Class(5), &mut rng) {
-            Ok(outcome) => {
-                let stats = outcome.guard.expect("stats attached");
-                assert!(stats.rollbacks >= 1, "hostile LR must trigger a rollback");
-                assert_eq!(stats.lr_halvings, stats.rollbacks);
-                assert!(stats.final_drift <= policy.drift_budget);
-                assert!(!qd_nn::params_have_non_finite(fed.global()));
-            }
-            Err(UnlearnError::Diverged { stats, .. }) => {
-                panic!("8 halvings shrink 2.0 to ~0.008; should converge, got {stats:?}")
-            }
-        }
-    }
-
-    #[test]
-    fn exhausted_backoff_restores_the_model_bit_for_bit() {
-        let (mut fed, mut rng) = trained_federation(3);
-        let reference = fed.global().to_vec();
-        let rng_mark = rng.state();
-        let sga = SgaOriginal::new(
-            Phase::unlearning(1, 6, 32, 5.0),
-            Phase::training(1, 2, 32, 0.05),
-        );
-        // No retries and an unmeetable budget: guaranteed divergence.
-        let policy = GuardPolicy {
-            drift_budget: 1e-6,
-            ascent_retries: 0,
-            ..GuardPolicy::default()
-        };
-        let mut guarded = Guarded::new(sga, policy);
-        let err = guarded
-            .try_unlearn(&mut fed, UnlearnRequest::Class(5), &mut rng)
-            .expect_err("budget of 1e-6 cannot be met");
-        let UnlearnError::Diverged { stats, .. } = &err;
-        assert_eq!(stats.steps, 1);
-        assert_eq!(stats.rollbacks, 1);
-        assert_eq!(stats.lr_halvings, 0, "no retry, no halving");
-        assert!(err.to_string().contains("rolled back"));
-        for (a, b) in fed.global().iter().zip(&reference) {
-            assert_eq!(a.data(), b.data(), "model must be restored exactly");
-        }
-        assert_eq!(rng.state(), rng_mark, "RNG stream must be restored");
     }
 
     #[test]

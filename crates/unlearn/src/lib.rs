@@ -55,8 +55,8 @@ mod sga;
 pub use federaser::FedEraser;
 pub use fump::FuMp;
 pub use guard::{
-    check_attempt, probe_sample, GuardPolicy, GuardStats, GuardViolation, GuardableMethod, Guarded,
-    UnlearnError, DEFAULT_DRIFT_BUDGET,
+    check_attempt, probe_sample, GuardPolicy, GuardStats, GuardViolation, UnlearnError,
+    DEFAULT_DRIFT_BUDGET,
 };
 pub use method::{
     relearn_with_original, Capabilities, Efficiency, MethodOutcome, UnlearningMethod,

@@ -58,8 +58,8 @@ pub struct MethodOutcome {
     /// stage-wise accuracy reporting as in Table 2).
     pub post_unlearn_params: Vec<Tensor>,
     /// Divergence-guard bookkeeping, `Some` when the request was served
-    /// through a [`crate::Guarded`] wrapper (or another guarded engine);
-    /// `None` for unguarded serving.
+    /// under a guard policy (QuickDrop's guarded unit engine); `None` for
+    /// unguarded serving.
     pub guard: Option<crate::GuardStats>,
 }
 

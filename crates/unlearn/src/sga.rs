@@ -94,12 +94,6 @@ impl UnlearningMethod for SgaOriginal {
     }
 }
 
-impl crate::GuardableMethod for SgaOriginal {
-    fn scale_ascent_lr(&mut self, factor: f32) {
-        self.unlearn_phase.lr *= factor;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

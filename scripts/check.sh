@@ -35,23 +35,49 @@ echo "== qd-lint (--graph dot output matches the pinned fixture byte-for-byte)"
     | diff -u crates/lint/fixtures/graph.dot - \
     || { echo "call-graph DOT drifted from crates/lint/fixtures/graph.dot" >&2; exit 1; }
 
+# Does FILE's code match `grep ARGS...`? Code is what scripts/loc.sh
+# counts: the lines above the first #[cfg(test)], comment lines skipped.
+code_matches() {
+    local f=$1
+    shift
+    # Not `grep -q`: exiting at the first match breaks the pipe, which
+    # pipefail would report as no match.
+    awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -v '^\s*//' | grep "$@" >/dev/null
+}
+
 echo "== recording tape (Tape::new) opened by gradient matching alone"
 # Only a gradient that is differentiated again needs the recording tape,
 # and only gradient matching differentiates one; every other product path
-# runs on Tape::first_order or Tape::inference. Files are measured as
-# scripts/loc.sh measures them: code above the first #[cfg(test)], comment
-# lines skipped.
+# runs on Tape::first_order or Tape::inference.
 recording=
 for f in crates/*/src/*.rs; do
     [[ $f == crates/autograd/* ]] && continue
-    # Not `grep -q`: exiting at the first match breaks the pipe, which
-    # pipefail would report as no match.
-    if awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -v '^\s*//' | grep -F 'Tape::new()' >/dev/null; then
+    if code_matches "$f" -F 'Tape::new()'; then
         recording+="$f "
     fi
 done
 [ "$recording" = "crates/distill/src/matching.rs " ] \
     || { echo "Tape::new() is opened outside gradient matching: ${recording:-none} — a new second-order caller blocks ROADMAP item 4 (forward-over-reverse matching, Tape::grad test-only); use Tape::first_order or Tape::inference" >&2; exit 1; }
+
+echo "== one divergence guard, one circuit breaker"
+# The guard's rollback-and-halve loop lives in qd-core's unit engine
+# alone, and the CLOSED/OPEN/HALF-OPEN state in qd-fed's ClientHealth
+# alone (qd-serve's tenant breakers are a tenant-indexed ClientHealth).
+# A second copy of either is a second place the pinned bits can drift,
+# and a second thing the divergence bench might be measuring instead.
+while read -r owner flag pattern; do
+    found=
+    for f in crates/*/src/*.rs; do
+        if code_matches "$f" "$flag" -e "$pattern"; then
+            found+="$f "
+        fi
+    done
+    [ "$found" = "$owner " ] \
+        || { echo "'$pattern' is in ${found:-no file}, expected in $owner alone — drive the one copy instead of writing another" >&2; exit 1; }
+done <<'ONE_COPY'
+crates/core/src/lifecycle.rs -F lr_halvings += 1
+crates/fed/src/health.rs -w half_open
+ONE_COPY
 
 echo "== cargo test"
 cargo test --offline --workspace -q
@@ -139,7 +165,7 @@ cargo bench --offline -p qd-bench --bench chaos -- --test
 echo "== tail bench (smoke mode, 30% dropout)"
 cargo bench --offline -p qd-bench --bench tail -- --test
 
-echo "== divergence bench (smoke mode, 50x ascent spike)"
+echo "== divergence bench (smoke mode: QuickDrop under a 50x ascent spike, unguarded and under the guard the CLI ships)"
 cargo bench --offline -p qd-bench --bench divergence -- --test
 
 echo "== serve bench (smoke mode; refreshes BENCH_serve.json)"
