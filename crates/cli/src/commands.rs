@@ -757,9 +757,11 @@ fn show(args: &Args) -> Result<String, CliError> {
 
 /// The JSON rendering of a checkpoint or, with `--journal`, of each
 /// journal record (one per line, oldest first): the binary files decoded
-/// and handed to `serde_json`, for `jq` and eyeballs. Read-only — a torn
-/// journal tail, stale `.tmp` files and segments without a marker are
-/// reported or left alone, never repaired.
+/// and handed to `serde_json`, for `jq` and eyeballs. A derived record
+/// carries its snapshot's digest, `"global":{"crc32":n}`, where a stored
+/// one carries the parameters. Read-only — a torn journal tail, stale
+/// `.tmp` files and segments without a marker are reported or left
+/// alone, never repaired.
 fn dump(args: &Args) -> Result<String, CliError> {
     let line = |json: Result<String, serde_json::Error>| {
         json.map(|j| j + "\n")
@@ -773,9 +775,8 @@ fn dump(args: &Args) -> Result<String, CliError> {
         )?)),
         Some(journal) => RequestJournal::open_strict_on(Arc::new(StdFs), journal)
             .map_err(std::io::Error::from)?
-            .records()
-            .iter()
-            .map(|record| line(serde_json::to_string(record)))
+            .rendered()
+            .map(|record| line(serde_json::to_string(&record)))
             .collect(),
     }
 }
@@ -967,7 +968,7 @@ mod tests {
         let before = (files(&ckpt), files(&bare));
         let file = |name: &str| std::fs::read(name).unwrap();
         assert!(
-            file(&ckpt).starts_with(b"QDC3\n") && file(&format!("{ckpt}.journal")) == b"QDJ5\n",
+            file(&ckpt).starts_with(b"QDC3\n") && file(&format!("{ckpt}.journal")) == b"QDJ6\n",
             "the files on disk are the binary formats"
         );
         assert_eq!(
@@ -1006,24 +1007,34 @@ mod tests {
             })
             .collect();
         assert_eq!(states, ["Rece", "Unle", "Reco", "Rece", "Unle", "Reco"]);
+        let count = |pattern: &[u8]| {
+            let seg = file(&seg);
+            seg.windows(pattern.len()).filter(|w| w == &pattern).count()
+        };
+        // Each UNLEARNED snapshot is derived: the segment holds its
+        // digest, and so does the dump.
+        assert_eq!(count(b"\"global\":{\"crc32\":"), 2, "two derived records");
+        let journal = RequestJournal::open_strict_on(Arc::new(StdFs), format!("{ckpt}.journal"));
+        let journal = journal.unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        for i in [1, 4] {
+            let digest = journal.digest(i).expect("an UNLEARNED record is derived");
+            let shown = format!("\"global\":{{\"crc32\":{digest}}}");
+            assert!(lines[i].contains(&shown), "{:.160}", lines[i]);
+        }
         // The second RECEIVED repeats the first RECOVERED's model, so the
         // segment holds it as a back-reference; the dump still carries
         // the full parameters.
         assert_eq!(
-            file(&seg)
-                .windows(13)
-                .filter(|w| w == b"\"global\":null")
-                .count(),
+            count(b"\"global\":null"),
             1,
             "exactly one snapshot is a back-reference"
         );
-        let records: Vec<qd_core::JournalRecord> = out
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .collect();
-        assert!(!records[3].global.is_empty());
+        let record = |i: usize| serde_json::from_str::<qd_core::JournalRecord>(lines[i]).unwrap();
+        assert!(!record(3).global.is_empty());
         assert_eq!(
-            records[3].global, records[2].global,
+            record(3).global,
+            record(2).global,
             "the back-referenced record dumps with its full parameters"
         );
 

@@ -21,15 +21,20 @@
 //! append-only segment files next to a small marker file (see
 //! [`JOURNAL_VERSION`]), all driven through the [`crate::vfs::Vfs`]
 //! syscall layer; each record inside a commit is one [`crate::frame`]
-//! (JSON skeleton + raw-`f32` body). A record whose model snapshot is
-//! bit-identical to the one before it in the same segment — RECEIVED
-//! after the previous boundary, the members of a coalesced RECEIVED or
-//! RECOVERED set — stores a back-reference instead of a second copy, so
-//! each snapshot is on disk once. An append costs one `append` + one
-//! `fsync` regardless of journal length; a crash mid-append tears at
-//! most the final commit, which the next open repairs by truncating to
-//! the last valid record; and in-place corruption is caught by a CRC32
-//! per commit and surfaced as a typed [`JournalError::CorruptRecord`].
+//! (JSON skeleton + raw-`f32` body). A snapshot is stored one of three
+//! ways. A record whose model is bit-identical to the last stored one in
+//! the same segment — RECEIVED after the previous boundary, the members
+//! of a coalesced RECEIVED or RECOVERED set — holds a back-reference. A
+//! *derived* record ([`RequestState::is_derived`]: UNLEARNED) holds only
+//! a CRC32 digest of its snapshot's bits: the unit engine is
+//! deterministic, so the model is rebuilt by replaying the accepted
+//! ascents from the unit's RECEIVED record, and the digest checks the
+//! replay. Every other record holds its snapshot inline. An append costs
+//! one `append` + one `fsync` regardless of journal length; a crash
+//! mid-append tears at most the final commit, which the next open
+//! repairs by truncating to the last valid record; and in-place
+//! corruption is caught by a CRC32 per commit and surfaced as a typed
+//! [`JournalError::CorruptRecord`].
 
 use crate::frame::{self, read_u32};
 use crate::vfs::{self, StdFs, StorageError, Vfs};
@@ -52,19 +57,33 @@ use std::sync::Arc;
 /// ```
 ///
 /// so an append is one framed write + one fsync, and every commit is
-/// independently verifiable. Each record is a [`crate::frame`]. Version 5
-/// writes a model snapshot once: a record whose `global` is bit-identical
-/// (same shapes, same `to_bits`) to the preceding record's in the same
-/// segment carries `"global": null` in its skeleton and no body arrays —
-/// a back-reference the reader resolves to the previous record's
-/// parameters. The first record of every segment is always inline, so
-/// each segment decodes on its own. No other version is read: a
-/// version-1/2 JSON journal or a version-3/4 marker is refused with
+/// independently verifiable. Each record is a [`crate::frame`], and its
+/// skeleton's `global` says how the snapshot is stored:
+///
+/// - `[...]`: inline, the parameters in the frame's body;
+/// - `null`: a back-reference. The snapshot is bit-identical (same
+///   shapes, same `to_bits`) to the last *stored* — inline or
+///   referenced — record's in the same segment, and the reader resolves
+///   it to those parameters;
+/// - `{"crc32": n}`: derived, on every record whose state
+///   [`RequestState::is_derived`] and on no other. `n` is the CRC32 of the
+///   snapshot's bits (each tensor's rank and dims, then its scalars'
+///   `to_bits`, all little-endian), and the record reads back with an
+///   empty `global`. A derived record references nothing in the file, and
+///   nothing references it.
+///
+/// Version 6 added derived records; version 5 stored UNLEARNED snapshots
+/// inline or by reference. The first stored record of every segment is
+/// inline, so each segment decodes on its own. No other version is read:
+/// a version-1/2 JSON journal or a version-3/4/5 marker is refused with
 /// [`JournalError::UnsupportedVersion`] and left untouched.
-pub const JOURNAL_VERSION: u32 = 5;
+pub const JOURNAL_VERSION: u32 = 6;
 
-/// Contents of a version-5 journal marker file.
-pub const JOURNAL_MAGIC: &[u8; 5] = b"QDJ5\n";
+/// Contents of a version-6 journal marker file.
+pub const JOURNAL_MAGIC: &[u8; 5] = b"QDJ6\n";
+
+/// The key of a derived record's `global`: `{"crc32": digest}`.
+const DIGEST_KEY: &str = "crc32";
 
 /// Appends rotate to a fresh segment file once the tail segment reaches
 /// this many bytes, bounding the cost of a torn-tail repair (which
@@ -147,6 +166,16 @@ impl RequestState {
             }
         }
     }
+
+    /// The one place that says which states' snapshots are *derived*:
+    /// written as a digest, not a model, and rebuilt on resume by
+    /// replaying the unit's accepted ascents from its RECEIVED record
+    /// (see [`JOURNAL_VERSION`]). Only an ascent boundary is: an ascent
+    /// on a few synthetic samples is cheap to re-run, and everything it
+    /// reads is pinned by the RECEIVED record and the request.
+    pub fn is_derived(self) -> bool {
+        self == RequestState::Unlearned
+    }
 }
 
 impl std::fmt::Display for RequestState {
@@ -218,7 +247,10 @@ pub struct JournalRecord {
     pub state: RequestState,
     /// RNG stream position at the boundary.
     pub rng: RngState,
-    /// Global model parameters at the boundary.
+    /// Global model parameters at the boundary. Empty on a *derived*
+    /// record ([`RequestState::is_derived`]) once the journal holds it:
+    /// only the snapshot's digest is durable ([`RequestJournal::digest`]),
+    /// and the model is rebuilt by replay.
     pub global: Vec<Tensor>,
     /// Guard bookkeeping accumulated so far (`None` for unguarded
     /// serving and for RECEIVED records).
@@ -388,6 +420,9 @@ pub struct RequestJournal {
     path: PathBuf,
     vfs: Arc<dyn Vfs>,
     records: Vec<JournalRecord>,
+    /// Per record, the digest a derived one stores in place of its
+    /// snapshot (`None` for a stored snapshot).
+    digests: Vec<Option<u32>>,
     /// Segment index new commits append to.
     tail_seg: u32,
     /// Bytes currently in the tail segment.
@@ -425,8 +460,27 @@ fn same_snapshot(a: &[Tensor], b: &[Tensor]) -> bool {
         })
 }
 
+/// The CRC32 a derived record stores in place of `global`: over each
+/// tensor's rank and dims (u64), then its scalars' `to_bits`, all
+/// little-endian — so a replay matches only the same shapes and the
+/// same 32 bits per scalar.
+pub(crate) fn snapshot_digest(global: &[Tensor]) -> u32 {
+    let mut bytes = Vec::new();
+    for t in global {
+        let dims = t.dims();
+        for d in std::iter::once(dims.len()).chain(dims.iter().copied()) {
+            bytes.extend_from_slice(&(d as u64).to_le_bytes());
+        }
+        for x in t.data() {
+            bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+    }
+    vfs::crc32(&bytes)
+}
+
 /// The `global` entry of a record's value tree: the snapshot a
-/// back-reference replaces with `null`.
+/// back-reference replaces with `null`, and a derived record with its
+/// digest.
 fn global_mut(value: &mut serde::Value) -> Option<&mut serde::Value> {
     let serde::Value::Map(entries) = value else {
         return None;
@@ -437,30 +491,70 @@ fn global_mut(value: &mut serde::Value) -> Option<&mut serde::Value> {
         .map(|(_, v)| v)
 }
 
-/// Encodes one atomic commit frame holding `records`. `prev` is the
-/// record just before them in the same segment (`None` when the commit
-/// opens a segment); a record whose snapshot repeats its predecessor's
-/// is written as a back-reference. (A count or length past `u32` makes
-/// the body longer than `seal` accepts, so the `as` casts cannot
-/// truncate silently.)
+/// A record's value tree with `global` as the segment stores it:
+/// `{"crc32": digest}` for a derived record, `null` for a
+/// back-reference, the parameters otherwise.
+fn stored_value(record: &JournalRecord, digest: Option<u32>, reference: bool) -> serde::Value {
+    let mut value = record.to_value();
+    let stored = match digest {
+        Some(digest) => serde::Value::Map(vec![(
+            DIGEST_KEY.to_string(),
+            serde::Value::U64(u64::from(digest)),
+        )]),
+        None if reference => serde::Value::Null,
+        None => return value,
+    };
+    if let Some(global) = global_mut(&mut value) {
+        *global = stored;
+    }
+    value
+}
+
+/// The digest a derived record's `global` holds, if it is one.
+fn stored_digest(global: &serde::Value) -> Option<u32> {
+    let serde::Value::Map(entries) = global else {
+        return None;
+    };
+    match entries.as_slice() {
+        [(key, serde::Value::U64(n))] if key == DIGEST_KEY => u32::try_from(*n).ok(),
+        _ => None,
+    }
+}
+
+/// The last record in `segment` whose snapshot is stored — what a
+/// back-reference resolves to.
+fn last_stored(segment: &[JournalRecord]) -> Option<&JournalRecord> {
+    segment.iter().rev().find(|r| !r.state.is_derived())
+}
+
+/// Encodes one atomic commit frame holding `records`, with each one's
+/// digest (`Some` for a derived record). `prev` is the last stored record
+/// in the same segment (`None` when nothing stored precedes the commit
+/// there); a record whose snapshot repeats it is written as a
+/// back-reference. (A count or length past `u32` makes the body longer
+/// than `seal` accepts, so the `as` casts cannot truncate silently.)
 fn encode_commit<'a>(
     records: &'a [JournalRecord],
     mut prev: Option<&'a JournalRecord>,
-) -> std::io::Result<Vec<u8>> {
+) -> std::io::Result<(Vec<u8>, Vec<Option<u32>>)> {
     let mut body = (records.len() as u32).to_le_bytes().to_vec();
+    let mut digests = Vec::with_capacity(records.len());
     for record in records {
-        let mut value = record.to_value();
-        if prev.is_some_and(|p| same_snapshot(&p.global, &record.global)) {
-            if let Some(global) = global_mut(&mut value) {
-                *global = serde::Value::Null;
-            }
-        }
-        let rec = frame::encode(&value);
+        let digest = record
+            .state
+            .is_derived()
+            .then(|| snapshot_digest(&record.global));
+        let reference =
+            digest.is_none() && prev.is_some_and(|p| same_snapshot(&p.global, &record.global));
+        let rec = frame::encode(&stored_value(record, digest, reference));
         body.extend_from_slice(&(rec.len() as u32).to_le_bytes());
         body.extend_from_slice(&rec);
-        prev = Some(record);
+        if digest.is_none() {
+            prev = Some(record);
+        }
+        digests.push(digest);
     }
-    frame::seal(&body)
+    Ok((frame::seal(&body)?, digests))
 }
 
 impl RequestJournal {
@@ -542,6 +636,7 @@ impl RequestJournal {
                 path,
                 vfs,
                 records: Vec::new(),
+                digests: Vec::new(),
                 tail_seg: 0,
                 tail_len: 0,
                 tail_start: 0,
@@ -601,7 +696,7 @@ impl RequestJournal {
                 });
             }
         }
-        let mut records = Vec::new();
+        let (mut records, mut digests) = (Vec::new(), Vec::new());
         let mut repairs = Vec::new();
         let mut tail_seg = 0u32;
         let mut tail_len = 0usize;
@@ -610,7 +705,7 @@ impl RequestJournal {
             let bytes = vfs.read(seg).map_err(io_err)?;
             let is_last = i + 1 == segments.len();
             tail_start = records.len();
-            let scan = Self::parse_segment(seg, &bytes, is_last, &mut records)?;
+            let scan = Self::parse_segment(seg, &bytes, is_last, &mut records, &mut digests)?;
             tail_seg = *index;
             tail_len = scan.valid_len;
             if scan.trailing > 0 {
@@ -636,6 +731,7 @@ impl RequestJournal {
             path,
             vfs,
             records,
+            digests,
             tail_seg,
             tail_len,
             tail_start,
@@ -646,14 +742,16 @@ impl RequestJournal {
     }
 
     /// Walks one segment's commit frames, appending their records to
-    /// `records`. Returns the valid prefix length and, for the last
-    /// segment, any torn trailing bytes; a torn shape anywhere else is
-    /// in-place corruption ([`JournalError::CorruptRecord`]).
+    /// `records` and each one's digest to `digests`. Returns the valid
+    /// prefix length and, for the last segment, any torn trailing bytes;
+    /// a torn shape anywhere else is in-place corruption
+    /// ([`JournalError::CorruptRecord`]).
     fn parse_segment(
         seg: &Path,
         bytes: &[u8],
         is_last: bool,
         records: &mut Vec<JournalRecord>,
+        digests: &mut Vec<Option<u32>>,
     ) -> Result<SegmentScan, JournalError> {
         let corrupt = |offset: usize, detail: String| JournalError::CorruptRecord {
             path: seg.to_path_buf(),
@@ -681,7 +779,7 @@ impl RequestJournal {
                 // in-place corruption.
                 Err(damage) => return Err(corrupt(offset, damage.detail)),
             };
-            Self::parse_commit_body(seg, offset, body, seg_start, records)?;
+            Self::parse_commit_body(seg, offset, body, seg_start, records, digests)?;
             offset += 8 + body.len();
         }
         Ok(SegmentScan {
@@ -691,14 +789,16 @@ impl RequestJournal {
     }
 
     /// Decodes the records of one CRC-verified commit body, resolving a
-    /// back-referenced snapshot to the previous record's — which must
-    /// belong to the same segment, the one starting at `seg_start`.
+    /// back-referenced snapshot to the last stored record's — which must
+    /// belong to the same segment, the one starting at `seg_start` — and
+    /// taking a derived record's digest out of its `global`.
     fn parse_commit_body(
         seg: &Path,
         offset: usize,
         body: &[u8],
         seg_start: usize,
         records: &mut Vec<JournalRecord>,
+        digests: &mut Vec<Option<u32>>,
     ) -> Result<(), JournalError> {
         let corrupt = |detail: String| JournalError::CorruptRecord {
             path: seg.to_path_buf(),
@@ -718,23 +818,37 @@ impl RequestJournal {
             pos += rec_len;
             let mut value = frame::decode(rec).map_err(|e| corrupt(e.to_string()))?;
             Self::check_record_state(seg, &value, records.len() as u64)?;
-            let reference = match global_mut(&mut value) {
-                Some(global) if matches!(global, serde::Value::Null) => {
+            let (mut reference, mut digest) = (false, None);
+            if let Some(global) = global_mut(&mut value) {
+                reference = matches!(global, serde::Value::Null);
+                digest = stored_digest(global);
+                if reference || digest.is_some() {
                     *global = serde::Value::Seq(Vec::new());
-                    true
                 }
-                _ => false,
-            };
+            }
             let mut record = JournalRecord::from_value(&value)
                 .map_err(|e| corrupt(format!("malformed record: {e}")))?;
+            if record.state.is_derived() != digest.is_some() {
+                let holds = if digest.is_some() {
+                    "a digest"
+                } else {
+                    "a model"
+                };
+                return Err(corrupt(format!(
+                    "{} record {} holds {holds}, which journal version {JOURNAL_VERSION} \
+                     never writes",
+                    record.state, record.seq
+                )));
+            }
             if reference {
-                let prev = records.get(seg_start..).and_then(<[_]>::last);
+                let prev = records.get(seg_start..).and_then(last_stored);
                 record.global = prev
                     .ok_or_else(|| corrupt("a back-reference opens its segment".into()))?
                     .global
                     .clone();
             }
             records.push(record);
+            digests.push(digest);
         }
         if pos != body.len() {
             return Err(corrupt(format!(
@@ -785,6 +899,21 @@ impl RequestJournal {
         &self.records
     }
 
+    /// The digest record `index` stores in place of its snapshot: `Some`
+    /// exactly when the record is derived ([`RequestState::is_derived`]),
+    /// whose `global` is then empty.
+    pub fn digest(&self, index: usize) -> Option<u32> {
+        self.digests.get(index).copied().flatten()
+    }
+
+    /// Every record as a value tree, oldest first — what
+    /// `quickdrop-cli dump --journal` prints: a stored snapshot in full
+    /// (back-references resolved), a derived one as the `{"crc32": n}`
+    /// its segment holds in the model's place.
+    pub fn rendered(&self) -> impl Iterator<Item = serde::Value> + '_ {
+        (self.records.iter().zip(&self.digests)).map(|(r, &digest)| stored_value(r, digest, false))
+    }
+
     /// The most recent record.
     pub fn last(&self) -> Option<&JournalRecord> {
         self.records.last()
@@ -802,7 +931,8 @@ impl RequestJournal {
 
     /// Appends a record durably: one framed commit appended to the tail
     /// segment and fsynced — two [`Vfs`] operations regardless of how
-    /// many records the journal already holds.
+    /// many records the journal already holds. A derived record is kept
+    /// as a reopen reads it: digest, empty `global`.
     ///
     /// # Errors
     ///
@@ -811,8 +941,8 @@ impl RequestJournal {
     /// poisons the journal (the on-disk tail may be torn) so every
     /// later append fails until the journal is reopened and repaired.
     pub fn append(&mut self, record: JournalRecord) -> std::io::Result<()> {
-        self.append_commit(std::slice::from_ref(&record))?;
-        self.records.push(record);
+        let digests = self.append_commit(std::slice::from_ref(&record))?;
+        self.push([record], digests);
         Ok(())
     }
 
@@ -831,16 +961,33 @@ impl RequestJournal {
         if records.is_empty() {
             return Ok(());
         }
-        self.append_commit(&records)?;
-        self.records.extend(records);
+        let digests = self.append_commit(&records)?;
+        self.push(records, digests);
         Ok(())
+    }
+
+    /// Adds durable records to the in-memory list as a reopen would read
+    /// them back: a derived one with its digest and an empty `global`.
+    fn push(
+        &mut self,
+        records: impl IntoIterator<Item = JournalRecord>,
+        digests: Vec<Option<u32>>,
+    ) {
+        for (mut record, digest) in records.into_iter().zip(digests) {
+            if digest.is_some() {
+                record.global = Vec::new();
+            }
+            self.records.push(record);
+            self.digests.push(digest);
+        }
     }
 
     /// Lands `records` as one commit frame on the tail segment: writes
     /// the format marker ahead of the very first frame, rotates segments
     /// at the size threshold, then encodes against the tail segment's
-    /// last record — so a commit that opens a segment starts inline.
-    fn append_commit(&mut self, records: &[JournalRecord]) -> std::io::Result<()> {
+    /// last stored record — so a commit that opens a segment starts
+    /// inline. Returns each record's digest (`Some` when derived).
+    fn append_commit(&mut self, records: &[JournalRecord]) -> std::io::Result<Vec<Option<u32>>> {
         if let Some(why) = &self.poisoned {
             return Err(std::io::Error::other(format!(
                 "journal {} is poisoned by an earlier append failure ({why}); \
@@ -860,8 +1007,8 @@ impl RequestJournal {
             self.tail_len = 0;
             self.tail_start = self.records.len();
         }
-        let prev = self.records.get(self.tail_start..).and_then(<[_]>::last);
-        let frame = encode_commit(records, prev)?;
+        let prev = self.records.get(self.tail_start..).and_then(last_stored);
+        let (frame, digests) = encode_commit(records, prev)?;
         let seg = segment_path(&self.path, self.tail_seg);
         if let Err(e) = self
             .vfs
@@ -874,7 +1021,7 @@ impl RequestJournal {
             return Err(e.into());
         }
         self.tail_len += frame.len();
-        Ok(())
+        Ok(digests)
     }
 
     /// The batch id the next coalesced batch will get.
@@ -920,12 +1067,17 @@ mod tests {
             reason: None,
         };
         let seg = Path::new("j.seg-000000");
-        let mut bytes = encode_commit(&[rec(0), rec(1)], None).expect("encodable");
+        let encode = |records: &[JournalRecord]| encode_commit(records, None).expect("encodable").0;
+        let mut bytes = encode(&[rec(0), rec(1)]);
         let first_commit = bytes.len();
-        bytes.extend(encode_commit(std::slice::from_ref(&rec(2)), None).expect("encodable"));
+        bytes.extend(encode(&[rec(2)]));
+        let parse = |bytes: &[u8], is_last| {
+            let mut records = Vec::new();
+            RequestJournal::parse_segment(seg, bytes, is_last, &mut records, &mut Vec::new())
+                .map(|scan| (scan, records))
+        };
 
-        let mut records = Vec::new();
-        let scan = RequestJournal::parse_segment(seg, &bytes, true, &mut records).expect("clean");
+        let (scan, records) = parse(&bytes, true).expect("clean");
         assert_eq!((scan.valid_len, scan.trailing), (bytes.len(), 0));
         assert_eq!(
             records.iter().map(|r| r.seq).collect::<Vec<_>>(),
@@ -935,29 +1087,24 @@ mod tests {
         // Tearing the final frame yields the torn-tail shape in the last
         // segment, and CorruptRecord anywhere else.
         let torn = &bytes[..bytes.len() - 3];
-        let mut records = Vec::new();
-        let scan =
-            RequestJournal::parse_segment(seg, torn, true, &mut records).expect("repairable");
+        let (scan, records) = parse(torn, true).expect("repairable");
         assert_eq!(scan.valid_len, first_commit);
         assert_eq!(scan.trailing, torn.len() - first_commit);
         assert_eq!(records.len(), 2, "the intact commit still loads");
-        let err = RequestJournal::parse_segment(seg, torn, false, &mut Vec::new())
-            .expect_err("mid-journal tear is corruption");
+        let err = parse(torn, false).expect_err("mid-journal tear is corruption");
         assert!(matches!(err, JournalError::CorruptRecord { .. }), "{err}");
 
         // Flipping a committed byte is corruption even at the tail...
         let mut flipped = bytes.clone();
         flipped[10] ^= 0x40;
-        let err = RequestJournal::parse_segment(seg, &flipped, true, &mut Vec::new())
-            .expect_err("bad CRC mid-file");
+        let err = parse(&flipped, true).expect_err("bad CRC mid-file");
         assert!(matches!(err, JournalError::CorruptRecord { .. }), "{err}");
         // ...unless it hits the segment-final frame, where a torn body
         // behind a landed header is the innocent explanation.
         let last = bytes.len() - 1;
         let mut flipped = bytes;
         flipped[last] ^= 0x40;
-        let scan = RequestJournal::parse_segment(seg, &flipped, true, &mut Vec::new())
-            .expect("tail-frame CRC failure repairs as torn");
+        let (scan, _) = parse(&flipped, true).expect("tail-frame CRC failure repairs as torn");
         assert_eq!(scan.valid_len, first_commit);
     }
 

@@ -72,7 +72,8 @@ pub use journal::{
     TailRepair, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 pub use lifecycle::{
-    units, BatchOutcome, BatchPreempt, JournaledRun, ServeError, ShapeError, Unit, UnitMember,
+    units, BatchOutcome, BatchPreempt, JournaledRun, ReplayMismatch, ServeError, ShapeError, Unit,
+    UnitMember,
 };
 pub use system::{CheckpointPolicy, QuickDrop, TrainReport, TrainRun};
 pub use vfs::{storage_cause, CrashPoint, Fault, FaultFs, StdFs, StorageError, Vfs, VfsOp};

@@ -8,18 +8,25 @@
 //! crash-resumed, journaled or merely probed, runs through the one
 //! engine in this module (`finish_unit`), under write-ahead discipline:
 //!
-//! | state | terminal | marks | durable as | [`BatchPreempt`] |
-//! |---|---|---|---|---|
-//! | RECEIVED | no | none | one atomic frame for the whole unit | `Received` |
-//! | UNLEARNED | no | mark | one frame per member, in member order | `Unlearned(k)` |
-//! | RECOVERED | yes | mark | one atomic frame for all served members | `Recovered` |
-//! | RELEARNED | yes | unmark | one frame (`relearn_journaled`) | — |
-//! | FAILED | yes | none | one atomic frame per shed set (`settle_unserved`) | `Failed` |
-//! | QUARANTINED | yes | none | one atomic frame per isolated set (`settle_unserved`) | `Quarantined` |
+//! | state | terminal | marks | snapshot | durable as | [`BatchPreempt`] |
+//! |---|---|---|---|---|---|
+//! | RECEIVED | no | none | stored | one atomic frame for the whole unit | `Received` |
+//! | UNLEARNED | no | mark | derived; rebuilt by replay | one frame per member, in member order | `Unlearned(k)` |
+//! | RECOVERED | yes | mark | stored | one atomic frame for all served members | `Recovered` |
+//! | RELEARNED | yes | unmark | stored | one frame (`relearn_journaled`) | — |
+//! | FAILED | yes | none | stored | one atomic frame per shed set (`settle_unserved`) | `Failed` |
+//! | QUARANTINED | yes | none | stored | one atomic frame per isolated set (`settle_unserved`) | `Quarantined` |
 //!
-//! The terminal and marks columns are [`RequestState::is_terminal`] and
-//! `RequestState::mark_effect`; nothing else in the workspace re-derives
-//! them. Two rules fix how a unit is written and killed:
+//! The terminal, marks and snapshot columns are
+//! [`RequestState::is_terminal`], `RequestState::mark_effect` and
+//! [`RequestState::is_derived`]; nothing else in the workspace re-derives
+//! them. A derived record stores a digest of its model, not the model:
+//! the unit's RECEIVED record plus the members' requests determine it, so
+//! a resumed unit rebuilds it by re-running the accepted ascents, and the
+//! digest, RNG state and guard stats of each record check the replay
+//! ([`ReplayMismatch`] when one does not hold). Ascents read no
+//! forgotten-state marks, so replay order is all that matters. Two rules
+//! fix how a unit is written and killed:
 //!
 //! 1. **Identity.** A unit's records share a [`BatchId`], or — for a
 //!    request served alone with `batch: None` — a `seq`. An unbatched
@@ -50,7 +57,8 @@
 //! by [`QuickDrop::open_deployment`].
 
 use crate::journal::{
-    BatchId, FailReason, JournalError, JournalRecord, MarkEffect, RequestJournal, RequestState,
+    snapshot_digest, BatchId, FailReason, JournalError, JournalRecord, MarkEffect, RequestJournal,
+    RequestState,
 };
 use crate::system::validated;
 use crate::vfs::Vfs;
@@ -210,10 +218,9 @@ pub struct BatchOutcome {
     /// The unit's journal identifier (`None` for a request served alone,
     /// which its `seq` identifies).
     pub batch: Option<BatchId>,
-    /// Per-member ascent accounting, in journal order. Members whose
-    /// ascent ran in a previous process (unit finished by resume)
-    /// report [`PhaseStats::default`] — the accounting died with that
-    /// process; the model and RNG state did not.
+    /// Per-member ascent accounting, in journal order. For a unit
+    /// finished by resume, the members whose ascent a previous process
+    /// had accepted report the replay that rebuilt their model.
     pub unlearn: Vec<PhaseStats>,
     /// The one shared recovery pass.
     pub recovery: PhaseStats,
@@ -253,6 +260,8 @@ pub struct UnitMember {
     pub state: RequestState,
     /// That record's reason (`Some` on FAILED and QUARANTINED).
     pub reason: Option<FailReason>,
+    /// That record's index in the folded records.
+    pub record: usize,
 }
 
 impl UnitMember {
@@ -341,6 +350,60 @@ impl From<ShapeError> for ServeError {
     }
 }
 
+/// A derived record its replay did not reproduce: re-run from the unit's
+/// RECEIVED record under the resuming policy, a member's accepted ascent
+/// ended somewhere other than the journal certifies. Either the unit is
+/// resumed under another guard policy than it ran under, or the record
+/// is damaged. The resume writes nothing and leaves model and RNG at the
+/// unit's RECEIVED boundary; it never continues from a different model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplayMismatch {
+    /// The member whose derived record the replay contradicts.
+    pub seq: u64,
+    /// What the replay did not reproduce: `"RNG state"`, `"guard
+    /// stats"`, `"snapshot digest"`, or `"accepted ascent"` when the
+    /// guard now rejects it.
+    pub what: &'static str,
+}
+
+impl std::fmt::Display for ReplayMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "replaying the derived record of seq {} did not reproduce its {}: the unit is \
+             resumed under another guard policy than it ran under, or the record is damaged",
+            self.seq, self.what
+        )
+    }
+}
+
+impl std::error::Error for ReplayMismatch {}
+
+impl From<ReplayMismatch> for ServeError {
+    fn from(e: ReplayMismatch) -> Self {
+        ServeError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    }
+}
+
+/// Checks a replayed ascent's UNLEARNED frame against the derived record
+/// the journal holds for that member, with its stored `digest`: same RNG
+/// state, same guard stats, and a model with that digest.
+fn check_replay(
+    durable: &JournalRecord,
+    digest: Option<u32>,
+    frame: &[JournalRecord],
+) -> Result<(), ReplayMismatch> {
+    let what = match frame {
+        [replayed] if replayed.rng != durable.rng => "RNG state",
+        [replayed] if replayed.guard != durable.guard => "guard stats",
+        [replayed] if Some(snapshot_digest(&replayed.global)) != digest => "snapshot digest",
+        [_] => return Ok(()),
+        _ => "record",
+    };
+    let seq = durable.seq;
+    Err(ReplayMismatch { seq, what })
+}
+
 /// Folds journal records into the units they describe, in journal
 /// order: which requests form each unit, and how far each got. One pass,
 /// nothing cloned. The journal itself is a log that accepts any record;
@@ -357,7 +420,7 @@ pub fn units(records: &[JournalRecord]) -> Result<Vec<Unit<'_>>, ShapeError> {
     // Whether the previous record was a RECEIVED one, i.e. the last
     // unit's set may still be growing.
     let mut receiving = false;
-    for record in records {
+    for (index, record) in records.iter().enumerate() {
         if record.state != RequestState::Received {
             receiving = false;
             let member = owner
@@ -368,6 +431,7 @@ pub fn units(records: &[JournalRecord]) -> Result<Vec<Unit<'_>>, ShapeError> {
                     state: record.state,
                 })?;
             (member.state, member.reason) = (record.state, record.reason);
+            member.record = index;
             continue;
         }
         let member = UnitMember {
@@ -375,6 +439,7 @@ pub fn units(records: &[JournalRecord]) -> Result<Vec<Unit<'_>>, ShapeError> {
             request: record.request,
             state: record.state,
             reason: None,
+            record: index,
         };
         let next = units.len();
         match (units.last_mut(), record.batch) {
@@ -409,6 +474,7 @@ pub fn units(records: &[JournalRecord]) -> Result<Vec<Unit<'_>>, ShapeError> {
 enum Stop {
     Io(std::io::Error),
     Preempted(BatchPreempt),
+    Replay(ReplayMismatch),
 }
 
 /// A call that has just made a RECEIVED set durable finds that unit
@@ -530,9 +596,13 @@ impl QuickDrop {
     /// tail — marks, model, RNG stream — and finish its last unit from
     /// what [`units`] says is left of it. A unit received a moment ago
     /// and one a killed process left behind are told apart by nothing
-    /// past the first `if`: members, progress, the pre-unit reference
-    /// and the guard stats so far all come from the journal. `None`
-    /// when the tail unit has nobody left to serve.
+    /// past the first `if`: members, progress and the pre-unit reference
+    /// all come from the journal, and both run every pending member from
+    /// the RECEIVED boundary. The ascents a killed process had accepted
+    /// are durable only as derived records, so their frames are replays:
+    /// `commit` checks each against its record ([`ReplayMismatch`] if it
+    /// differs) instead of appending it, and skips its preempt point.
+    /// `None` when the tail unit has nobody left to serve.
     fn run_journaled(
         &mut self,
         fed: &mut Federation,
@@ -559,29 +629,48 @@ impl QuickDrop {
         if members.is_empty() {
             return Ok(None);
         }
-        let (batch, done) = (tail.batch, tail.unlearned());
+        // Members are unlearned in order, so the accepted ascents lead.
+        let records = journal.records();
+        let mut replay = (tail.pending().take(tail.unlearned()))
+            .map(|m| (records[m.record].clone(), journal.digest(m.record)))
+            .collect::<Vec<_>>()
+            .into_iter();
+        let batch = tail.batch;
         let (reference, unit_rng) = (tail.received.global.clone(), tail.received.rng.clone());
-        let stats = journal.last().and_then(|r| r.guard).unwrap_or_default();
         let preempt_at = match preempt_at {
             // Rule 2 of the module docs: an unbatched unit is its one
             // member, so any count names its UNLEARNED record.
             Some(BatchPreempt::Unlearned(_)) if batch.is_none() => Some(BatchPreempt::Unlearned(1)),
             other => other,
         };
-        let commit = |boundary, frame| {
+        let commit = |boundary, frame: Vec<JournalRecord>| {
+            if let Some((durable, digest)) = replay.next() {
+                return check_replay(&durable, digest, &frame).map_err(Stop::Replay);
+            }
             journal.append_all(frame).map_err(Stop::Io)?;
             if preempt_at == Some(boundary) {
                 return Err(Stop::Preempted(boundary));
             }
             Ok(())
         };
-        match self.finish_unit(
-            fed, commit, batch, &members, done, reference, unit_rng, stats, policy, rng,
-        ) {
-            Ok(Ok(outcome)) => Ok(Some(JournaledRun::Complete(Box::new(outcome)))),
-            Ok(Err(diverged)) => Err(ServeError::Diverged(diverged)),
-            Err(Stop::Preempted(boundary)) => Ok(Some(JournaledRun::Preempted { boundary })),
-            Err(Stop::Io(e)) => Err(ServeError::Io(e)),
+        let verdict = self.finish_unit(
+            fed, commit, batch, &members, reference, unit_rng, policy, rng,
+        );
+        // The guard rejecting an ascent the journal holds as accepted is
+        // a replay that took another path, not a divergence.
+        let rejected = replay.next().map(|(durable, _)| ReplayMismatch {
+            seq: durable.seq,
+            what: "accepted ascent",
+        });
+        match (verdict, rejected) {
+            (Ok(Ok(outcome)), _) => Ok(Some(JournaledRun::Complete(Box::new(outcome)))),
+            (Err(Stop::Replay(mismatch)), _) | (Ok(Err(_)), Some(mismatch)) => {
+                self.restore_tail(fed, journal, rng);
+                Err(mismatch.into())
+            }
+            (Ok(Err(diverged)), None) => Err(ServeError::Diverged(diverged)),
+            (Err(Stop::Preempted(boundary)), _) => Ok(Some(JournaledRun::Preempted { boundary })),
+            (Err(Stop::Io(e)), _) => Err(ServeError::Io(e)),
         }
     }
 
@@ -648,21 +737,22 @@ impl QuickDrop {
         journal.append_all(frame)
     }
 
-    /// The unit engine. Runs `members` from the first one without an
-    /// UNLEARNED record (`done` of them already have one): guarded
-    /// ascent + UNLEARNED record per remaining member, one shared
+    /// The unit engine. Runs every one of `members` from the pre-unit
+    /// state: guarded ascent + UNLEARNED record per member, one shared
     /// recovery, then the atomic RECOVERED set. `reference`/`unit_rng`
-    /// are the pre-unit state the RECEIVED set pinned; the live model
-    /// and `rng` are wherever the last durable record left them.
+    /// are that state, as the RECEIVED set pinned it, and the live model
+    /// and `rng` start there.
     ///
     /// Each boundary's atomic frame goes to `commit`, the only thing
     /// that can stop the engine short of a verdict: the outer `Err` is
     /// whatever `commit` stopped with, the inner one the guard's
     /// verdict. Journaled units arrive here through `run_journaled`
-    /// with everything journal-derived, and [`QuickDrop::probe_unit`],
-    /// [`QuickDrop::unlearn_guarded`] and the plain `unlearn` with
-    /// `done == 0` and a `commit` that writes nothing and cannot fail —
-    /// the same operations.
+    /// with everything journal-derived — including members whose
+    /// UNLEARNED record a killed process made durable: their ascents run
+    /// again as replays, and `commit` checks those frames against the
+    /// records. [`QuickDrop::probe_unit`], [`QuickDrop::unlearn_guarded`]
+    /// and the plain `unlearn` pass a `commit` that writes nothing and
+    /// cannot fail — the same operations.
     ///
     /// One member diverging fails the whole unit: the marks of the
     /// members already unlearned are cleared and model and RNG return
@@ -676,16 +766,15 @@ impl QuickDrop {
         mut commit: impl FnMut(BatchPreempt, Vec<JournalRecord>) -> Result<(), S>,
         batch: Option<BatchId>,
         members: &[(u64, UnlearnRequest)],
-        done: usize,
         reference: Vec<Tensor>,
         unit_rng: RngState,
-        mut stats: GuardStats,
         policy: Option<&GuardPolicy>,
         rng: &mut Rng,
     ) -> Result<Result<BatchOutcome, UnlearnError>, S> {
         use RequestState::{Recovered, Unlearned};
-        let mut unlearn = vec![PhaseStats::default(); done];
-        for (index, &member) in members.iter().enumerate().skip(done) {
+        let mut stats = GuardStats::default();
+        let mut unlearn = Vec::with_capacity(members.len());
+        for (index, &member) in members.iter().enumerate() {
             match self.guarded_ascent(fed, member.1, policy, &mut stats, rng) {
                 Ok(phase) => unlearn.push(phase),
                 Err(violation) => {
@@ -867,16 +956,19 @@ impl QuickDrop {
     /// Replays `journal` onto a system restored from its deployment
     /// [`Checkpoint`]: re-applies every record's forgotten-state marks
     /// (idempotently), restores the global model and RNG stream from the
-    /// **last** record — the journal, not the checkpoint, is the source
-    /// of truth for anything that happened after the checkpoint was
-    /// written — and finishes the incomplete stages of the last unit,
-    /// if any.
+    /// journal's tail ([`QuickDrop::restore_tail`]) — the journal, not
+    /// the checkpoint, is the source of truth for anything that happened
+    /// after the checkpoint was written — and finishes the incomplete
+    /// stages of the last unit, if any.
     ///
     /// Units are served sequentially, so at most the last journaled
-    /// unit can be incomplete; the continuation reproduces the
-    /// uninterrupted run bit-for-bit (same model bits, same RNG stream,
-    /// same persisted [`GuardStats`]) provided `policy` matches the
-    /// original run's.
+    /// unit can be incomplete. Its accepted ascents are replayed from
+    /// its RECEIVED record and checked against their derived records;
+    /// the continuation then reproduces the uninterrupted run
+    /// bit-for-bit (same model bits, same RNG stream, same persisted
+    /// [`GuardStats`]) provided `policy` matches the original run's. A
+    /// policy whose replay takes another path is a [`ReplayMismatch`],
+    /// never a different model.
     ///
     /// Returns the outcome of the unit finished during resume, or
     /// `None` when the journal was empty or already fully served.
@@ -893,9 +985,10 @@ impl QuickDrop {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] on journal I/O failure, or
-    /// [`ServeError::Diverged`] when finishing the incomplete unit
-    /// trips the guard (deterministically the same outcome the
+    /// [`ServeError::Io`] on journal I/O failure or, with kind
+    /// [`std::io::ErrorKind::InvalidData`], a [`ReplayMismatch`] (nothing
+    /// written); [`ServeError::Diverged`] when finishing the incomplete
+    /// unit trips the guard (deterministically the same outcome the
     /// uninterrupted run would have had).
     ///
     /// # Panics
@@ -1036,11 +1129,10 @@ impl QuickDrop {
     ) -> Result<BatchOutcome, UnlearnError> {
         let policy = validated(policy);
         let members: Vec<(u64, UnlearnRequest)> = (0u64..).zip(requests.iter().copied()).collect();
-        let (reference, unit_rng, stats) =
-            (fed.global().to_vec(), rng.state(), GuardStats::default());
+        let (reference, unit_rng) = (fed.global().to_vec(), rng.state());
         let unwritten = |_, _| Ok::<(), std::convert::Infallible>(());
         let Ok(verdict) = self.finish_unit(
-            fed, unwritten, None, &members, 0, reference, unit_rng, stats, policy, rng,
+            fed, unwritten, None, &members, reference, unit_rng, policy, rng,
         );
         verdict
     }
@@ -1054,21 +1146,37 @@ impl QuickDrop {
     /// probes) before any serving code touches the unit; resuming with
     /// the base policy here would finish it under the wrong rung.
     ///
+    /// Model and RNG come from the last record, unless that record is
+    /// derived ([`RequestState::is_derived`]): its model is not on disk,
+    /// so they come from the RECEIVED record of the unit in flight, and
+    /// finishing that unit replays the accepted ascents from there. A
+    /// served history ends on a stored record and never replays.
+    ///
     /// Idempotent: on a live (non-crashed) deployment the tail already
     /// matches the live state and the mark replay re-applies set
     /// semantics, so calling this is harmless. An empty journal is a
     /// no-op.
     pub fn restore_tail(&mut self, fed: &mut Federation, journal: &RequestJournal, rng: &mut Rng) {
-        for record in journal.records() {
+        let records = journal.records();
+        for record in records {
             match record.state.mark_effect() {
                 MarkEffect::Mark => self.mark_unlearned(record.request),
                 MarkEffect::Unmark => self.unmark_unlearned(record.request),
                 MarkEffect::None => {}
             }
         }
-        if let Some(last) = journal.last() {
-            fed.set_global(last.global.clone());
-            *rng = Rng::from_state(&last.rng);
+        let boundary = match journal.last() {
+            // A fold the journal fails restores nothing; whoever serves
+            // next reports the ShapeError.
+            Some(last) if last.state.is_derived() => units(records)
+                .ok()
+                .and_then(|mut units| units.pop())
+                .map(|tail| tail.received),
+            last => last,
+        };
+        if let Some(boundary) = boundary {
+            fed.set_global(boundary.global.clone());
+            *rng = Rng::from_state(&boundary.rng);
         }
     }
 

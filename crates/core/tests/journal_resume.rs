@@ -4,18 +4,22 @@
 //! the tests at the end pin the two places they are allowed to differ
 //! (the batch id on disk, and what `Unlearned(k)` names). Killing a
 //! stream at every boundary and resuming it is tested in
-//! `crates/chaos/tests/exhaustive.rs` (the per-request workload).
+//! `crates/chaos/tests/exhaustive.rs` (the per-request workload); the
+//! last test here kills a unit whose guard rolled an ascent back, and
+//! pins the replay of its derived UNLEARNED records and the typed
+//! refusal of a replay that leaves the journaled path.
 
 use qd_core::{
-    segment_path, BatchId, BatchPreempt, Checkpoint, FaultFs, JournalError, JournalRecord,
-    JournaledRun, QuickDrop, QuickDropConfig, RequestJournal, RequestState, Vfs,
+    frame, segment_path, BatchId, BatchOutcome, BatchPreempt, Checkpoint, FaultFs, JournalError,
+    JournalRecord, JournaledRun, QuickDrop, QuickDropConfig, ReplayMismatch, RequestJournal,
+    RequestState, ServeError, Vfs,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};
 use qd_nn::{Mlp, Module};
-use qd_tensor::rng::Rng;
+use qd_tensor::rng::{Rng, RngState};
 use qd_tensor::Tensor;
-use qd_unlearn::{GuardPolicy, UnlearnRequest};
+use qd_unlearn::{GuardPolicy, MethodOutcome, UnlearnRequest};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -83,10 +87,12 @@ fn assert_reopens_identically(fs: &Arc<FaultFs>, journal: &RequestJournal) {
     assert_same_records(journal.records(), reopened.records());
 }
 
-/// Each model snapshot is on disk once: the (single) segment holds one
-/// inline snapshot per model change — the first record's counts as one —
-/// and a back-reference for every record that repeats the one before it.
-/// Returns the number of changes.
+/// Each model snapshot is on disk at most once: every UNLEARNED record is
+/// derived (a digest, no model), and among the stored records the
+/// (single) segment holds one inline snapshot per model change — the
+/// first stored record's counts as one — and a back-reference for every
+/// record that repeats the last stored one. Returns the number of inline
+/// snapshots.
 fn assert_each_snapshot_stored_once(fs: &FaultFs, journal: &RequestJournal) -> usize {
     let path = PathBuf::from("d.json.journal");
     assert!(fs.file(&segment_path(&path, 1)).is_none(), "one segment");
@@ -102,15 +108,20 @@ fn assert_each_snapshot_stored_once(fs: &FaultFs, journal: &RequestJournal) -> u
                         .all(|(p, q)| p.to_bits() == q.to_bits())
             })
     };
-    let records = journal.records();
-    let changes = 1 + records
+    let (derived, stored): (Vec<_>, Vec<_>) =
+        (journal.records().iter().enumerate()).partition(|(_, r)| r.state.is_derived());
+    for (i, record) in &derived {
+        assert!(record.global.is_empty() && journal.digest(*i).is_some());
+    }
+    let changes = 1 + stored
         .windows(2)
-        .filter(|w| !same(&w[0].global, &w[1].global))
+        .filter(|w| !same(&w[0].1.global, &w[1].1.global))
         .count();
+    assert_eq!(count(b"\"global\":{\"crc32\":"), derived.len(), "digests");
     assert_eq!(count(b"\"global\":["), changes, "inline snapshots");
     assert_eq!(
         count(b"\"global\":null"),
-        records.len() - changes,
+        stored.len() - changes,
         "back-references"
     );
     changes
@@ -165,8 +176,11 @@ fn a_request_stream_journals_the_full_state_machine() {
         "journal must trace the full state machine"
     );
     assert_reopens_identically(&fs, &journal);
-    // Only the second RECEIVED repeats a model (the first RECOVERED's).
-    assert_eq!(assert_each_snapshot_stored_once(&fs, &journal), 6);
+    // Both UNLEARNED snapshots are derived, and only the second RECEIVED
+    // repeats a stored model (the first RECOVERED's): one inline
+    // snapshot per served request, plus the first RECEIVED and the
+    // RELEARNED.
+    assert_eq!(assert_each_snapshot_stored_once(&fs, &journal), 4);
 }
 
 #[test]
@@ -210,7 +224,7 @@ fn journals_of_another_version_are_refused_by_number() {
     ] {
         let path = dir.join(name);
         std::fs::write(&path, contents).unwrap();
-        let err = RequestJournal::open(&path).expect_err("only version 5 opens");
+        let err = RequestJournal::open(&path).expect_err("only version 6 opens");
         assert!(
             matches!(err, JournalError::UnsupportedVersion { version, .. } if version == expected),
             "{name}: {err:?}"
@@ -280,8 +294,9 @@ fn a_batch_journals_atomic_sets_around_per_member_records() {
         "batch journal: atomic RECEIVED set, per-member UNLEARNED, atomic RECOVERED set"
     );
     assert_reopens_identically(&fs, &journal);
-    // The second member of each atomic set repeats the first's model.
-    assert_eq!(assert_each_snapshot_stored_once(&fs, &journal), 4);
+    // The second member of each atomic set repeats the first's model, and
+    // both UNLEARNED snapshots are derived: RECEIVED and RECOVERED inline.
+    assert_eq!(assert_each_snapshot_stored_once(&fs, &journal), 2);
 }
 
 #[test]
@@ -455,5 +470,178 @@ fn probe_unit_touches_nothing_whatever_the_verdict() {
         assert_eq!(before, snapshot(&qd, &fed, "after.json"), "{verdict}");
         assert_eq!(rng.state(), rng_before, "{verdict}");
         assert_eq!(journal.records().len(), records_before, "{verdict}");
+    }
+}
+
+/// A coalesced unit whose second member the default guard accepts only
+/// after one rollback, at half the ascent LR; the first and third pass
+/// their first attempt.
+const ROLLED_BACK: [UnlearnRequest; 3] = [
+    UnlearnRequest::Client(0),
+    UnlearnRequest::Class(3),
+    UnlearnRequest::Class(7),
+];
+
+/// Serves [`ROLLED_BACK`] on a fresh deployment over `fs` under the
+/// default guard, stopping after `kill`.
+fn serve_rolled_back(fs: &Arc<FaultFs>, kill: Option<BatchPreempt>) -> JournaledRun<BatchOutcome> {
+    let (mut fed, mut qd, mut rng, mut journal) = deployment_on(fs);
+    let policy = GuardPolicy::default();
+    let run = qd.serve_batch_journaled(
+        &mut fed,
+        &mut journal,
+        &ROLLED_BACK,
+        Some(&policy),
+        &mut rng,
+        kill,
+    );
+    run.unwrap()
+}
+
+/// What a restarted process holds after resuming the journal on `fs`
+/// under `policy`: the resume's verdict, the model, the RNG stream and
+/// the journal's records.
+fn resume_on(
+    fs: &Arc<FaultFs>,
+    policy: &GuardPolicy,
+) -> (
+    Result<Option<MethodOutcome>, ServeError>,
+    Vec<Tensor>,
+    RngState,
+    Vec<JournalRecord>,
+) {
+    let (mut fed, mut qd, mut rng, mut journal) = deployment_on(fs);
+    let resumed = qd.resume_requests(&mut fed, &mut journal, Some(policy), &mut rng);
+    (
+        resumed,
+        fed.global().to_vec(),
+        rng.state(),
+        journal.records().to_vec(),
+    )
+}
+
+/// The [`ReplayMismatch`] a resume failed with.
+fn replay_mismatch(resumed: Result<Option<MethodOutcome>, ServeError>) -> ReplayMismatch {
+    let err = resumed.expect_err("the replay must be refused");
+    let ServeError::Io(io) = &err else {
+        panic!("a replay mismatch is an I/O-class serve error, got {err}");
+    };
+    assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
+    *io.get_ref()
+        .and_then(|e| e.downcast_ref::<ReplayMismatch>())
+        .unwrap_or_else(|| panic!("expected a ReplayMismatch, got {err}"))
+}
+
+/// Every UNLEARNED record is derived, so a unit killed after k accepted
+/// ascents resumes by replaying all k from its RECEIVED record — here
+/// through a rollback and a halved LR — and must land where the
+/// uninterrupted run did: the same journal bytes, model, RNG stream and
+/// guard stats. A replay that does not match its record is refused with
+/// a typed error, and nothing is written.
+#[test]
+fn a_resume_replays_the_accepted_ascents_through_a_rollback() {
+    let served = Arc::new(FaultFs::new());
+    assert!(matches!(
+        serve_rolled_back(&served, None),
+        JournaledRun::Complete(_)
+    ));
+    let (none, model, rng, records) = resume_on(&served, &GuardPolicy::default());
+    assert!(none.unwrap().is_none(), "nothing was in flight");
+    let rollbacks: Vec<(u32, u32)> = (records.iter())
+        .filter(|r| r.state.is_derived())
+        .map(|r| {
+            r.guard
+                .map(|g| (g.rollbacks, g.lr_halvings))
+                .expect("guarded")
+        })
+        .collect();
+    assert_eq!(
+        rollbacks,
+        [(0, 0), (1, 1), (1, 1)],
+        "member 2 rolled back once"
+    );
+
+    let mut killed_after_two = None;
+    for k in 1..=3 {
+        let fs = Arc::new(FaultFs::new());
+        let kill = BatchPreempt::Unlearned(k);
+        let stopped = serve_rolled_back(&fs, Some(kill));
+        assert!(matches!(stopped, JournaledRun::Preempted { boundary } if boundary == kill));
+        if k == 2 {
+            killed_after_two = Some(fs.files());
+        }
+        let (resumed, resumed_model, resumed_rng, resumed_records) =
+            resume_on(&fs, &GuardPolicy::default());
+        let outcome = resumed.unwrap().expect("the unit was in flight");
+        assert_eq!(
+            outcome.guard,
+            records.last().unwrap().guard,
+            "Unlearned({k})"
+        );
+        assert!(
+            served.files() == fs.files(),
+            "Unlearned({k}): journal bytes"
+        );
+        assert_bit_identical(&model, &resumed_model);
+        assert_eq!(rng, resumed_rng, "Unlearned({k}): RNG stream");
+        assert_same_records(&records, &resumed_records);
+    }
+
+    // Killed after member 2's accepted ascent: the segment's last commit is
+    // its derived record. Refused without a write in every case: a digest
+    // that no longer matches, a policy under which member 2 passes its
+    // first attempt, and one under which member 1 never passes.
+    let killed = killed_after_two.expect("killed at Unlearned(2)");
+    let seg = segment_path(&PathBuf::from("d.json.journal"), 0);
+    let tampered = {
+        let mut files = killed.clone();
+        let bytes = files.get_mut(&seg).expect("segment 0");
+        let mut last = 0;
+        while let Some(len) = bytes.get(last..last + 4) {
+            let next = last + 8 + u32::from_le_bytes(len.try_into().unwrap()) as usize;
+            if next == bytes.len() {
+                break;
+            }
+            last = next;
+        }
+        let mut body = bytes[last + 8..].to_vec();
+        let key = b"\"crc32\":";
+        let at = body.windows(key.len()).position(|w| w == key).unwrap() + key.len();
+        let end = at + body[at..].iter().take_while(|b| b.is_ascii_digit()).count() - 1;
+        body[end] = if body[end] == b'0' {
+            b'1'
+        } else {
+            body[end] - 1
+        };
+        bytes.truncate(last);
+        bytes.extend(frame::seal(&body).unwrap());
+        files
+    };
+    let lenient = GuardPolicy {
+        drift_budget: 64.0,
+        ..GuardPolicy::default()
+    };
+    let strict = GuardPolicy {
+        drift_budget: 1e-6,
+        ..GuardPolicy::default()
+    };
+    for (files, policy, seq, what) in [
+        (tampered, GuardPolicy::default(), 1, "snapshot digest"),
+        (killed.clone(), lenient, 1, "guard stats"),
+        // Member 1's replay now exhausts its retries: not a divergence
+        // of the unit, a replay that left the journaled path.
+        (killed, strict, 0, "accepted ascent"),
+    ] {
+        let fs = Arc::new(FaultFs::new());
+        fs.reset_to(files.clone());
+        let (resumed, model, rng, records) = resume_on(&fs, &policy);
+        assert_eq!(replay_mismatch(resumed), ReplayMismatch { seq, what });
+        assert!(
+            fs.files() == files,
+            "{what}: the refused resume wrote something"
+        );
+        // Left at the unit's RECEIVED boundary, not at a different model.
+        assert_bit_identical(&records[0].global, &model);
+        assert_eq!(records[0].rng, rng, "{what}");
     }
 }

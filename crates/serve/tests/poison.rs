@@ -507,41 +507,42 @@ fn oracle_fs(seed: &PoisonSeed) -> Arc<FaultFs> {
 /// `finish_from_unlearned`). The merged engine must reproduce every one
 /// of them: zero re-pins. The `model` and `stats` rows are still those
 /// captures; every row that hashes *files* (`*/files`, `*/kill-*`) moved
-/// once when journal v4 / checkpoint v3 changed the bytes on disk, and
-/// once more when journal v5 wrote repeated snapshots as back-references —
+/// once when journal v4 / checkpoint v3 changed the bytes on disk, once
+/// when journal v5 wrote repeated snapshots as back-references, and once
+/// more when journal v6 wrote each UNLEARNED snapshot as a digest —
 /// each time nothing else (DESIGN.md, "Durable formats", re-pin policy).
 /// The `breaker/*` and `ladder-bisect/*` rows pin two isolation-active
 /// runs; they were captured while the executor still carried its own
 /// tenant breaker type, before it drove qd-fed's `ClientHealth` (the
 /// breaker run ends with one tenant OPEN and the other HALF-OPEN).
 const ORACLE: &[(&str, u32)] = &[
-    ("coalesced/files", 0x05e6be5a),
+    ("coalesced/files", 0x8dcf5c93),
     ("coalesced/model", 0x03fb97af),
     ("coalesced/stats", 0xf9c166b2),
-    ("singletons/files", 0x278d33c2),
+    ("singletons/files", 0x025f5b91),
     ("singletons/model", 0x4291cba8),
     ("singletons/stats", 0x7d07faa3),
-    ("unguarded/files", 0x90b8ea86),
+    ("unguarded/files", 0x65be9a68),
     ("unguarded/model", 0x03fb97af),
     ("unguarded/stats", 0xf9c166b2),
-    ("serve-relearn/files", 0xbc653419),
+    ("serve-relearn/files", 0x35e7f87b),
     ("serve-relearn/model", 0xb30c90f7),
-    ("coalesced/kill-single@received", 0x3022a4d1),
-    ("coalesced/kill-single@unlearned1", 0xb0dfac2b),
-    ("coalesced/kill-single@unlearned2", 0xb0dfac2b),
-    ("coalesced/kill-single@recovered", 0xab88a3fa),
-    ("coalesced/kill-multi@received", 0xbe582676),
-    ("coalesced/kill-multi@unlearned1", 0xd0ed11b3),
-    ("coalesced/kill-multi@unlearned2", 0x0d257d3f),
-    ("coalesced/kill-multi@recovered", 0x938bad13),
-    ("singletons/kill-single@received", 0x2d0ffcf8),
-    ("singletons/kill-single@unlearned1", 0x62c7b00c),
-    ("singletons/kill-single@unlearned2", 0x62c7b00c),
-    ("singletons/kill-single@recovered", 0x4dbe50bc),
-    ("breaker/files", 0xf70467d4),
+    ("coalesced/kill-single@received", 0x192ba863),
+    ("coalesced/kill-single@unlearned1", 0x91cd725c),
+    ("coalesced/kill-single@unlearned2", 0x91cd725c),
+    ("coalesced/kill-single@recovered", 0x35bd2d96),
+    ("coalesced/kill-multi@received", 0xe9ebeab8),
+    ("coalesced/kill-multi@unlearned1", 0x5a867218),
+    ("coalesced/kill-multi@unlearned2", 0x0935a798),
+    ("coalesced/kill-multi@recovered", 0xb3660d62),
+    ("singletons/kill-single@received", 0xec022845),
+    ("singletons/kill-single@unlearned1", 0x384bef5b),
+    ("singletons/kill-single@unlearned2", 0x384bef5b),
+    ("singletons/kill-single@recovered", 0xbb2fe421),
+    ("breaker/files", 0xd4e4b209),
     ("breaker/model", 0xb4b6263e),
     ("breaker/stats", 0x45393062),
-    ("ladder-bisect/files", 0xf56f045b),
+    ("ladder-bisect/files", 0x889ab2b5),
     ("ladder-bisect/model", 0x1f793fc2),
     ("ladder-bisect/stats", 0x62b07e7a),
 ];

@@ -85,7 +85,7 @@ cargo test --offline --workspace -q
 echo "== code lines (scripts/loc.sh; informational, never a gate)"
 ./scripts/loc.sh | tail -n 6
 
-echo "== durable format corpus (release: pinned journal-v5 + checkpoint-v3 fixtures read bit-for-bit and rewritten byte-for-byte, typed refusal of v1-v4/JSON inputs, back-reference round-trip oracle, corruption corpus, O(1) appends)"
+echo "== durable format corpus (release: pinned journal-v6 + checkpoint-v3 fixtures read bit-for-bit and rewritten byte-for-byte, typed refusal of v1-v5/JSON inputs, back-reference + derived-record round-trip oracle, corruption corpus, O(1) appends, one stored snapshot and <= 25 KB per unlearn)"
 cargo test --offline --release -p qd-core --test journal_format -q
 
 echo "== isolation properties (release: ladder monotonicity, bisection order-insensitivity)"
@@ -128,9 +128,12 @@ echo "== float-order gate + exact-count gates (traced qd-perf runs must end on t
 # change that quietly re-inflates a journal record or the checkpoint
 # (DESIGN.md "Durable formats": 111 689 and 1 968 430 bytes as decimal
 # text) fails here. The journal probe re-appends one record, so since
-# journal v5 it measures a back-reference (269 bytes; a record carrying
-# its snapshot inline is 22 335): a change that stops writing a repeated
-# snapshot once fails the 296-byte ceiling. So does one that quietly routes training, ascent or
+# journal v5 it measures a back-reference (269 bytes): a change that stops
+# writing a repeated snapshot once fails the 296-byte ceiling. A record
+# carrying its snapshot inline is 22 335 bytes, and since journal v6 an
+# unlearn stores one (its UNLEARNED record is a digest); the
+# journal_format run above gates one stored snapshot and <= 25 KB per
+# unlearn. These runs also fail a change that quietly routes training, ascent or
 # recovery steps back onto the recording tape's chains, a convolution
 # back through `im2col`/`col2im`, or a step that re-materialises a block's
 # ReLU output, pooled or unpooled map, or a rows copy of a convolution's
