@@ -89,6 +89,11 @@ impl Args {
         &self.command
     }
 
+    /// Every option and flag given, without dashes.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.options.keys().chain(&self.flags).map(String::as_str)
+    }
+
     /// Returns `true` if the boolean flag was given.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)

@@ -102,17 +102,15 @@ USAGE:
                         [--net-latency-ms MS] [--net-bandwidth-mbps MBPS]
                         [--net-jitter-ms MS] [--dropout-prob P]
                         [--straggler-frac F] [--loss-prob P]
-                        [--net-seed X] [--quantized]
-                        [--retry-max N] [--retry-backoff-ms MS]
-                        [--round-deadline-ms MS] [--hedge-after-ms MS]
-                        [--sample-slack N] [--cooldown-rounds N]
+                        [--net-seed X] [--quantized] [--cooldown-rounds N]
   quickdrop-cli unlearn --ckpt ckpt.json (--class C | --client I)
-                        [--out ckpt.json] [--dataset D] [--seed X]
-                        [--drift-budget F] [--retain-probe L]
+                        [--out ckpt.json] [--dataset D] [--samples N]
+                        [--seed X] [--drift-budget F] [--retain-probe L]
                         [--ascent-retries N] [--journal [PATH]]
   quickdrop-cli relearn --ckpt ckpt.json (--class C | --client I)
-                        [--out ckpt.json] [--dataset D] [--seed X]
-                        [--journal [PATH]]
+                        [--out ckpt.json] [--dataset D] [--samples N]
+                        [--seed X] [--drift-budget F] [--retain-probe L]
+                        [--ascent-retries N] [--journal [PATH]]
   quickdrop-cli serve   --ckpt ckpt.json [--out ckpt.json] [--dataset D]
                         [--tenants N] [--arrival-requests N]
                         [--arrival-gap-us U] [--queue-cap N]
@@ -165,12 +163,6 @@ fn net_config_from(args: &Args) -> Result<qd_fed::NetConfig, CliError> {
         loss_prob: args.get_f32("loss-prob", 0.0)?,
         seed: args.get_u64("net-seed", 0)?,
         quantized: args.flag("quantized"),
-        retry: qd_fed::RetryConfig {
-            max_attempts: args.get_usize("retry-max", 1)? as u32,
-            base_backoff_ms: args.get_f32("retry-backoff-ms", 50.0)?,
-            deadline_ms: args.get_f32("round-deadline-ms", 0.0)?,
-            hedge_after_ms: args.get_f32("hedge-after-ms", 0.0)?,
-        },
         ..qd_fed::NetConfig::default()
     };
     net.validate()
@@ -269,20 +261,59 @@ fn open_journaled(
 /// Returns [`CliError`] for unknown subcommands, malformed options, or
 /// checkpoint I/O failures.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    match args.command() {
-        "help" | "usage" => Ok(USAGE.to_string()),
-        "train" => train(args),
-        "unlearn" => serve(args, ServeMode::Unlearn),
-        "relearn" => serve(args, ServeMode::Relearn),
-        "serve" => service(args),
-        "eval" => eval(args),
-        "show" => show(args),
-        "dump" => dump(args),
-        "chaos" => chaos(args),
-        other => Err(CliError::Usage(format!(
-            "unknown subcommand {other:?}\n\n{USAGE}"
+    let command: fn(&Args) -> Result<String, CliError> = match args.command() {
+        "help" | "usage" => return Ok(USAGE.to_string()),
+        "train" => train,
+        "unlearn" => |args| serve(args, ServeMode::Unlearn),
+        "relearn" => |args| serve(args, ServeMode::Relearn),
+        "serve" => service,
+        "eval" => eval,
+        "show" => show,
+        "dump" => dump,
+        "chaos" => chaos,
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown subcommand {other:?}\n\n{USAGE}"
+            )))
+        }
+    };
+    check_options(args)?;
+    command(args)
+}
+
+/// Refuses an option the subcommand does not take, naming it: a typo in
+/// an option would otherwise be read as its absence.
+fn check_options(args: &Args) -> Result<(), CliError> {
+    let accepted = usage_options(args.command());
+    match args.keys().find(|key| !accepted.contains(key)) {
+        Some(key) => Err(CliError::Usage(format!(
+            "{} does not take --{key}\n\n{USAGE}",
+            args.command()
         ))),
+        None => Ok(()),
     }
+}
+
+/// The options [`USAGE`] lists for `command`: the one list a command
+/// line is checked against, so the help text and the parser cannot
+/// drift apart.
+fn usage_options(command: &str) -> Vec<&'static str> {
+    let mut current = None;
+    let mut options = Vec::new();
+    for line in USAGE.lines() {
+        if let Some(rest) = line.strip_prefix("  quickdrop-cli ") {
+            current = rest.split_whitespace().next();
+        } else if !line.starts_with("    ") {
+            current = None;
+        }
+        if current == Some(command) {
+            options.extend(
+                line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .filter_map(|token| token.strip_prefix("--")),
+            );
+        }
+    }
+    options
 }
 
 fn train(args: &Args) -> Result<String, CliError> {
@@ -340,7 +371,6 @@ fn train(args: &Args) -> Result<String, CliError> {
         .train_phase
         .with_aggregator(aggregator)
         .with_min_quorum(quorum)
-        .with_sample_slack(args.get_usize("sample-slack", 0)?)
         .with_cooldown_rounds(args.get_usize("cooldown-rounds", 0)?);
     config.unlearn_phase = Phase::unlearning(1, steps.min(6), batch, lr / 2.0);
     config.max_unlearn_rounds = 4;
@@ -381,14 +411,11 @@ fn train(args: &Args) -> Result<String, CliError> {
     let net_line = if report.fl_stats.net.total_bytes() > 0 {
         let n = &report.fl_stats.net;
         format!(
-            "network: {:.1} KiB on the wire, {:.0} ms simulated, {} drops, \
-             {} retries, {} timed out, {} hedged\n",
+            "network: {:.1} KiB on the wire, {:.0} ms simulated, {} drops, {} retries\n",
             n.total_bytes() as f64 / 1024.0,
             n.sim.as_secs_f64() * 1000.0,
             n.drops,
             n.retries,
-            n.timed_out,
-            n.hedges,
         )
     } else {
         String::new()
@@ -805,6 +832,53 @@ mod tests {
     fn unknown_subcommand_errors_with_usage() {
         let err = run(&args(&["frobnicate"])).unwrap_err();
         assert!(err.to_string().contains("unknown subcommand"));
+    }
+
+    #[test]
+    fn options_a_subcommand_does_not_take_are_usage_errors() {
+        for (bad, key) in [
+            (vec!["train", "--out", "x", "--retry-max", "4"], "retry-max"),
+            (
+                vec!["train", "--retry-backoff-ms", "25"],
+                "retry-backoff-ms",
+            ),
+            (
+                vec!["train", "--round-deadline-ms", "900"],
+                "round-deadline-ms",
+            ),
+            (vec!["train", "--hedge-after-ms", "300"], "hedge-after-ms"),
+            (vec!["train", "--sample-slack", "1"], "sample-slack"),
+            (
+                vec!["unlearn", "--ckpt", "x", "--drift-budgt", "0.5"],
+                "drift-budgt",
+            ),
+            (vec!["eval", "--ckpt", "x", "--journal"], "journal"),
+        ] {
+            let err = run(&args(&bad)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{bad:?}");
+            let msg = err.to_string();
+            assert!(
+                msg.starts_with(&format!("{} does not take --{key}\n", bad[0])),
+                "{msg:.80}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_option_usage_lists_passes_the_check() {
+        let commands = [
+            "train", "unlearn", "relearn", "serve", "eval", "show", "dump", "chaos",
+        ];
+        for command in commands {
+            let listed = usage_options(command);
+            assert!(!listed.is_empty(), "{command}");
+            for option in listed {
+                check_options(&args(&[command, &format!("--{option}"), "v"])).unwrap();
+                check_options(&args(&[command, &format!("--{option}")])).unwrap();
+            }
+        }
+        assert!(usage_options("unlearn").contains(&"samples"));
+        assert!(usage_options("train").contains(&"cooldown-rounds"));
     }
 
     #[test]
@@ -1332,14 +1406,6 @@ mod tests {
             "--net-seed",
             "9",
             "--quantized",
-            "--retry-max",
-            "4",
-            "--retry-backoff-ms",
-            "25",
-            "--round-deadline-ms",
-            "900",
-            "--hedge-after-ms",
-            "300",
         ]);
         let net = net_config_from(&a).unwrap();
         assert_eq!(net.latency_ms, 20.0);
@@ -1349,16 +1415,8 @@ mod tests {
         assert_eq!(net.seed, 9);
         assert!(net.quantized);
         assert!(!net.is_ideal());
-        assert_eq!(net.retry.max_attempts, 4);
-        assert_eq!(net.retry.base_backoff_ms, 25.0);
-        assert_eq!(net.retry.deadline_ms, 900.0);
-        assert_eq!(net.retry.hedge_after_ms, 300.0);
-        assert!(net.retry.is_active());
-        // Defaults stay ideal so the loopback fast path is kept, with
-        // the passive retry policy that never wraps the transport.
-        let defaults = net_config_from(&args(&["train"])).unwrap();
-        assert!(defaults.is_ideal());
-        assert!(!defaults.retry.is_active());
+        // Defaults stay ideal so the loopback fast path is kept.
+        assert!(net_config_from(&args(&["train"])).unwrap().is_ideal());
     }
 
     #[test]
@@ -1368,21 +1426,6 @@ mod tests {
             vec!["train", "--loss-prob", "-0.1"],
             vec!["train", "--straggler-frac", "2"],
             vec!["train", "--net-latency-ms", "-5"],
-            vec!["train", "--retry-max", "0"],
-            vec![
-                "train",
-                "--round-deadline-ms",
-                "10",
-                "--retry-backoff-ms",
-                "50",
-            ],
-            vec![
-                "train",
-                "--round-deadline-ms",
-                "100",
-                "--hedge-after-ms",
-                "100",
-            ],
         ] {
             let err = net_config_from(&args(&bad)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{bad:?}");

@@ -277,19 +277,7 @@ impl QuickDrop {
         // installed so later serving phases (unlearn/recover/relearn on
         // this federation) are priced under the same conditions.
         if !config.net.is_ideal() {
-            let sim = qd_fed::SimNet::new(config.net.validated());
-            if config.net.retry.is_active() {
-                // An active retry policy wraps the simulator in the
-                // reliability layer; the passive default skips the
-                // wrapper entirely so traces stay bit-for-bit.
-                fed.set_transport(Box::new(qd_fed::ReliableTransport::new(
-                    sim,
-                    config.net.retry,
-                    config.net.seed,
-                )));
-            } else {
-                fed.set_transport(Box::new(sim));
-            }
+            fed.set_transport(Box::new(qd_fed::SimNet::new(config.net.validated())));
         }
         let mut trainers = distilling_trainers(model.clone(), config.distill, n);
         let cursor = resume.map(|mid| {

@@ -1,8 +1,8 @@
-//! Kill-and-resume acceptance for the reliability layer: a training run
-//! with mid-round failures, over-provisioned sampling and an active
-//! circuit breaker is killed while a client is cooling down, and the
-//! resumed run must reproduce the uninterrupted one bit-for-bit — the
-//! breaker state rides inside the checkpoint cursor.
+//! Kill-and-resume acceptance for the client circuit breaker: a training
+//! run with mid-round failures and an active breaker is killed while a
+//! client is cooling down, and the resumed run must reproduce the
+//! uninterrupted one bit-for-bit — the breaker state rides inside the
+//! checkpoint cursor.
 
 use qd_core::{Checkpoint, CheckpointPolicy, QuickDrop, QuickDropConfig, TrainRun};
 use qd_data::{partition_iid, SyntheticDataset};
@@ -25,14 +25,13 @@ fn fresh_fed() -> (Federation, Rng) {
     (fed, rng)
 }
 
-/// A faulty phase: mid-round crashes, one slack client per round, and a
-/// breaker that cools a crashed client down for three rounds.
+/// A faulty phase: mid-round crashes and a breaker that cools a crashed
+/// client down for three rounds.
 fn config() -> QuickDropConfig {
     let mut cfg = QuickDropConfig::scaled_test();
     cfg.train_phase = Phase::training(8, 3, 16, 0.1)
         .with_participation(0.75)
         .with_dropout(0.45)
-        .with_sample_slack(1)
         .with_cooldown_rounds(3);
     cfg
 }

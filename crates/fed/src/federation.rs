@@ -444,20 +444,14 @@ impl Federation {
                     stats.resilience.quorum_fallbacks += 1;
                     break 'round;
                 }
-                // Over-provisioned sampling: draw `target_k + slack`
-                // clients, aggregate only the first `target_k` whose
-                // round trips complete. With `sample_slack == 0` the
-                // draw is identical to the historical one.
-                let (participants, target_k): (Vec<usize>, usize) = if phase.participation >= 1.0 {
-                    let n = round_eligible.len();
-                    (round_eligible.clone(), n)
+                let participants: Vec<usize> = if phase.participation >= 1.0 {
+                    round_eligible
                 } else {
                     let k = ((round_eligible.len() as f32 * phase.participation).round() as usize)
                         .clamp(1, round_eligible.len());
-                    let sampled = (k + phase.sample_slack).min(round_eligible.len());
-                    let mut picks = rng.choose_indices(round_eligible.len(), sampled);
+                    let mut picks = rng.choose_indices(round_eligible.len(), k);
                     picks.sort_unstable();
-                    (picks.into_iter().map(|j| round_eligible[j]).collect(), k)
+                    picks.into_iter().map(|j| round_eligible[j]).collect()
                 };
                 let sizes: Vec<usize> = participants
                     .iter()
@@ -502,16 +496,10 @@ impl Federation {
                 // dropout, retry budget exhausted) means the client never
                 // sees this round and computes nothing.
                 self.transport.begin_round(&participants);
-                let mut start_params: Vec<Option<Vec<Tensor>>> =
-                    Vec::with_capacity(participants.len());
-                // Per-slot simulated round-trip time, the arrival order
-                // used to pick the first `target_k` finishers.
-                let mut path_time: Vec<Duration> = Vec::with_capacity(participants.len());
-                for &c in &participants {
-                    let d = self.transport.download(c, &global_before);
-                    path_time.push(d.sim);
-                    start_params.push(d.tensors);
-                }
+                let mut start_params: Vec<Option<Vec<Tensor>>> = participants
+                    .iter()
+                    .map(|&c| self.transport.download(c, &global_before).tensors)
+                    .collect();
 
                 let mut outcomes: Vec<Option<crate::LocalOutcome>> = Vec::new();
                 outcomes.resize_with(participants.len(), || None);
@@ -591,9 +579,7 @@ impl Federation {
                             }
                         }
                     }
-                    let d = self.transport.upload(client, upload);
-                    path_time[slot] += d.sim;
-                    delivered[slot] = d.tensors;
+                    delivered[slot] = self.transport.upload(client, upload).tensors;
                 }
                 self.transport.end_round();
 
@@ -604,30 +590,14 @@ impl Federation {
 
                 // Transport-level health: a completed round trip resets a
                 // client's failure streak; anything else (failed download,
-                // mid-round crash, lost or timed-out upload) is a strike
-                // that can open the circuit breaker. Runs before slack
-                // trimming — a discarded extra arrival is the server's
-                // choice, not a client fault.
+                // mid-round crash, lost upload) is a strike that can open
+                // the circuit breaker.
                 for (slot, d) in delivered.iter().enumerate() {
                     let client = participants[slot];
                     if d.is_some() {
                         self.health.on_success(client);
                     } else if self.health.on_failure(client, phase.cooldown_rounds) {
                         stats.resilience.cooled_down += 1;
-                    }
-                }
-
-                // Over-provisioned rounds keep only the first `target_k`
-                // arrivals by simulated completion time (ties broken by
-                // client id — `participants` is sorted, so the stable
-                // sort on time alone preserves id order within a tie).
-                if participants.len() > target_k {
-                    let mut arrived: Vec<usize> = (0..participants.len())
-                        .filter(|&s| delivered[s].is_some())
-                        .collect();
-                    arrived.sort_by_key(|&s| (path_time[s], participants[s]));
-                    for &s in arrived.iter().skip(target_k) {
-                        delivered[s] = None;
                     }
                 }
 
@@ -1041,9 +1011,7 @@ mod tests {
                 delivered: 6 * scale,
                 retries: scale,
                 drops: scale,
-                timed_out: 3 * scale,
                 unreachable: scale,
-                hedges: 2 * scale,
             },
             resilience: ResilienceStats {
                 rejected_non_finite: 2 * s,
@@ -1073,9 +1041,7 @@ mod tests {
         assert_eq!(total.net.delivered, 18);
         assert_eq!(total.net.retries, 3);
         assert_eq!(total.net.drops, 3);
-        assert_eq!(total.net.timed_out, 9);
         assert_eq!(total.net.unreachable, 3);
-        assert_eq!(total.net.hedges, 6);
         assert_eq!(total.resilience.rejected_non_finite, 6);
         assert_eq!(total.resilience.rejected_norm, 3);
         assert_eq!(total.resilience.rejected(), 9);

@@ -10,7 +10,7 @@
 //! switch for both.
 //!
 //! A dead or badly flaky client that keeps getting sampled wastes a
-//! deadline's worth of simulated time every round it stalls. The
+//! transport timeout's worth of simulated time every round it stalls. The
 //! [`ClientHealth`] tracker counts *consecutive* transport failures per
 //! client and, past a threshold, opens a circuit breaker: the client is
 //! removed from the sampling pool for a configurable number of rounds,

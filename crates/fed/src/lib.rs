@@ -68,6 +68,6 @@ pub use trainer::{sgd_trainers, ClientTrainer, LocalOutcome, SgdClientTrainer};
 // — and store parameters in the wire codec's F32 layout — without
 // depending on `qd-net` directly.
 pub use qd_net::{
-    Delivery, LoopbackTransport, NetConfig, NetStats, Payload, PayloadError, ReliableTransport,
-    RetryConfig, SimNet, Transport, WireFormat,
+    Delivery, LoopbackTransport, NetConfig, NetStats, Payload, PayloadError, SimNet, Transport,
+    WireFormat,
 };

@@ -53,14 +53,6 @@ pub struct Phase {
     /// (counted in `ResilienceStats::quorum_fallbacks`). `0` and `1` are
     /// equivalent: any survivor aggregates.
     pub min_quorum: usize,
-    /// Over-provisioned sampling: each round samples `k + sample_slack`
-    /// clients but aggregates only the first `k` whose round trips
-    /// complete, ordered by simulated completion time (ties broken by
-    /// client id). Extra arrivals are discarded, so the aggregation
-    /// cohort size is unchanged — slack only buys insurance against
-    /// faults. `0` disables over-provisioning (the historical
-    /// behaviour). Irrelevant at full participation.
-    pub sample_slack: usize,
     /// Circuit-breaker cooldown: rounds a client sits out of the
     /// sampling pool after `ClientHealth`'s consecutive-failure
     /// threshold trips. `0` disables the breaker (the historical
@@ -81,7 +73,6 @@ impl Phase {
             dropout: 0.0,
             aggregator: AggregatorKind::FedAvg,
             min_quorum: 0,
-            sample_slack: 0,
             cooldown_rounds: 0,
         }
     }
@@ -141,13 +132,6 @@ impl Phase {
         self
     }
 
-    /// Returns a copy sampling `slack` extra clients per round and
-    /// keeping only the first `k` to finish.
-    pub fn with_sample_slack(mut self, slack: usize) -> Self {
-        self.sample_slack = slack;
-        self
-    }
-
     /// Returns a copy cooling tripped clients down for `rounds` rounds.
     pub fn with_cooldown_rounds(mut self, rounds: usize) -> Self {
         self.cooldown_rounds = rounds;
@@ -172,21 +156,17 @@ mod tests {
             .with_rounds(7)
             .with_aggregator(AggregatorKind::TrimmedMean)
             .with_min_quorum(2)
-            .with_sample_slack(3)
             .with_cooldown_rounds(4);
         assert_eq!(p.participation, 0.5);
         assert_eq!(p.rounds, 7);
         assert_eq!(p.aggregator, AggregatorKind::TrimmedMean);
         assert_eq!(p.min_quorum, 2);
-        assert_eq!(p.sample_slack, 3);
         assert_eq!(p.cooldown_rounds, 4);
     }
 
     #[test]
-    fn constructors_default_to_no_slack_or_cooldown() {
-        let p = Phase::training(1, 1, 1, 0.1);
-        assert_eq!(p.sample_slack, 0);
-        assert_eq!(p.cooldown_rounds, 0);
+    fn constructors_default_to_no_cooldown() {
+        assert_eq!(Phase::training(1, 1, 1, 0.1).cooldown_rounds, 0);
     }
 
     #[test]

@@ -1,11 +1,7 @@
-//! Integration tests for the deadline-driven reliability layer:
-//! over-provisioned sampling, the client-health circuit breaker, and
+//! Integration tests for the client-health circuit breaker and
 //! bit-for-bit resume with health state in the cursor.
 
-use qd_fed::{
-    sgd_trainers, ClientTrainer, Federation, HealthConfig, NetConfig, Phase, ReliableTransport,
-    ResumeState, RetryConfig, SimNet,
-};
+use qd_fed::{sgd_trainers, ClientTrainer, Federation, HealthConfig, Phase, ResumeState};
 use qd_nn::{Mlp, Module};
 use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
@@ -29,50 +25,6 @@ fn assert_bit_identical(a: &[Tensor], b: &[Tensor]) {
             assert_eq!(u.to_bits(), v.to_bits());
         }
     }
-}
-
-#[test]
-fn sample_slack_caps_the_aggregation_cohort_at_target_k() {
-    // 10 clients at 30% participation: target k = 3, slack 4 means 7 are
-    // sampled each round — but no round may ever aggregate more than 3.
-    let (mut fed, mut trainers, mut rng) = build(2, 10);
-    fed.set_record_history(true);
-    let phase = Phase::training(6, 1, 8, 0.05)
-        .with_participation(0.3)
-        .with_sample_slack(4);
-    let stats = fed.run_phase(&mut trainers, None, &phase, &mut rng);
-    assert_eq!(stats.rounds, 6);
-    for rec in fed.history() {
-        assert_eq!(rec.participants.len(), 3, "slack must be trimmed back to k");
-        let total: f32 = rec.weights.iter().sum();
-        assert!((total - 1.0).abs() < 1e-4, "weights renormalize over kept");
-    }
-    // All 7 sampled clients paid a download, only the kept 3 an upload.
-    let model_scalars: usize = fed.global().iter().map(Tensor::len).sum();
-    assert_eq!(stats.download_scalars, 6 * 7 * model_scalars);
-}
-
-#[test]
-fn slack_keeps_rounds_at_quorum_under_dropout() {
-    // With 40% mid-round failures and k = 2 of 8, a slack of 4 should
-    // rescue rounds the slack-less run loses to quorum fallback.
-    let run = |slack: usize| {
-        let (mut fed, mut trainers, mut rng) = build(5, 8);
-        let phase = Phase::training(12, 1, 8, 0.05)
-            .with_participation(0.25)
-            .with_dropout(0.4)
-            .with_min_quorum(2)
-            .with_sample_slack(slack);
-        fed.run_phase(&mut trainers, None, &phase, &mut rng)
-            .resilience
-            .quorum_fallbacks
-    };
-    let without = run(0);
-    let with = run(4);
-    assert!(
-        with < without,
-        "slack should reduce quorum fallbacks: {with} vs {without}"
-    );
 }
 
 #[test]
@@ -125,7 +77,6 @@ fn resume_mid_phase_with_open_breaker_is_bit_for_bit() {
     let phase = Phase::training(12, 1, 8, 0.05)
         .with_participation(0.75)
         .with_dropout(0.5)
-        .with_sample_slack(1)
         .with_cooldown_rounds(3);
     let health = HealthConfig { breaker_after: 1 };
 
@@ -160,43 +111,4 @@ fn resume_mid_phase_with_open_breaker_is_bit_for_bit() {
     let mut rng2 = Rng::seed_from(0); // overwritten by the cursor
     fed2.run_phase_resumable(&mut trainers2, None, &phase, &mut rng2, Some(&cursor), None);
     assert_bit_identical(&full, fed2.global());
-}
-
-#[test]
-fn reliable_simnet_federation_recovers_lossy_rounds() {
-    // End-to-end through the real round loop: a lossy link that the
-    // retry wrapper papers over, where the bare transport loses uploads.
-    let net = NetConfig {
-        loss_prob: 0.4,
-        max_retries: 0,
-        seed: 21,
-        ..NetConfig::default()
-    };
-    let run = |retry: Option<RetryConfig>| {
-        let (mut fed, mut trainers, mut rng) = build(13, 4);
-        let sim = SimNet::new(net);
-        match retry {
-            Some(r) => fed.set_transport(Box::new(ReliableTransport::new(sim, r, net.seed))),
-            None => fed.set_transport(Box::new(sim)),
-        }
-        let phase = Phase::training(6, 1, 8, 0.05);
-        fed.run_phase(&mut trainers, None, &phase, &mut rng)
-    };
-    let bare = run(None);
-    let wrapped = run(Some(RetryConfig {
-        max_attempts: 5,
-        base_backoff_ms: 10.0,
-        ..RetryConfig::default()
-    }));
-    assert!(bare.net.drops > 0, "baseline must lose transfers");
-    assert!(wrapped.net.drops < bare.net.drops);
-    assert!(wrapped.net.retries > bare.net.retries);
-    assert!(
-        wrapped.upload_scalars > bare.upload_scalars,
-        "recovered transfers mean more updates aggregated"
-    );
-    assert_eq!(
-        wrapped.net.drops + wrapped.net.timed_out + wrapped.net.unreachable + wrapped.net.delivered,
-        wrapped.net.transfers
-    );
 }

@@ -1,105 +1,6 @@
 //! Network model configuration.
 
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
-
-/// Reliability policy of a [`crate::ReliableTransport`] wrapper:
-/// application-level re-requests on top of whatever link-layer retry the
-/// wrapped transport already performs, bounded by a per-round deadline.
-///
-/// The default is *passive* — one attempt, no deadline, no hedging — so
-/// a wrapper configured with it changes neither outcomes nor simulated
-/// time, and `NetConfig::default()` stays ideal.
-///
-/// All time fields are milliseconds of simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RetryConfig {
-    /// Total transfer attempts per direction (first try included).
-    /// Must be at least 1; `1` disables application-level retry.
-    pub max_attempts: u32,
-    /// Backoff before the first re-request, in ms; doubles after every
-    /// further failure, with a seeded jitter in `[0, 100%)` on top.
-    pub base_backoff_ms: f32,
-    /// Per-round budget of simulated time per client, in ms. A transfer
-    /// pushing a client's cumulative round time past it is abandoned and
-    /// counted as `NetStats::timed_out`. `0` means no deadline.
-    pub deadline_ms: f32,
-    /// Threshold past which a *successful but straggling* transfer is
-    /// raced against a hedged duplicate: the duplicate is issued at
-    /// `hedge_after_ms` and the earlier arrival wins. `0` disables
-    /// hedging.
-    pub hedge_after_ms: f32,
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig {
-            max_attempts: 1,
-            base_backoff_ms: 50.0,
-            deadline_ms: 0.0,
-            hedge_after_ms: 0.0,
-        }
-    }
-}
-
-impl RetryConfig {
-    /// `true` when the policy can change any outcome: more than one
-    /// attempt, a deadline, or hedging. The passive default returns
-    /// `false`, and a wrapper driven by it is a transparent pass-through.
-    pub fn is_active(&self) -> bool {
-        self.max_attempts > 1 || self.deadline_ms > 0.0 || self.hedge_after_ms > 0.0
-    }
-
-    /// The per-round deadline, or `None` when unbounded.
-    pub fn deadline(&self) -> Option<Duration> {
-        (self.deadline_ms > 0.0).then(|| Duration::from_secs_f64(self.deadline_ms as f64 / 1e3))
-    }
-
-    /// The hedging threshold, or `None` when hedging is off.
-    pub fn hedge_after(&self) -> Option<Duration> {
-        (self.hedge_after_ms > 0.0)
-            .then(|| Duration::from_secs_f64(self.hedge_after_ms as f64 / 1e3))
-    }
-
-    /// Checks the policy for nonsensical combinations, returning a
-    /// human-readable description of the first problem found (the same
-    /// contract as [`NetConfig::validate`], which calls this).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_attempts == 0 {
-            return Err(
-                "retry max_attempts must be at least 1 (a transfer needs one attempt), got 0"
-                    .to_string(),
-            );
-        }
-        let non_negative = |name: &str, v: f32| -> Result<(), String> {
-            if v >= 0.0 && v.is_finite() {
-                Ok(())
-            } else {
-                Err(format!(
-                    "retry {name} must be finite and non-negative, got {v}"
-                ))
-            }
-        };
-        non_negative("base_backoff_ms", self.base_backoff_ms)?;
-        non_negative("deadline_ms", self.deadline_ms)?;
-        non_negative("hedge_after_ms", self.hedge_after_ms)?;
-        if self.deadline_ms > 0.0 && self.deadline_ms < self.base_backoff_ms {
-            return Err(format!(
-                "retry deadline_ms ({}) is shorter than base_backoff_ms ({}); \
-                 no re-request could ever fit inside the round budget",
-                self.deadline_ms, self.base_backoff_ms
-            ));
-        }
-        if self.deadline_ms > 0.0 && self.hedge_after_ms >= self.deadline_ms {
-            return Err(format!(
-                "retry hedge_after_ms ({}) must be below deadline_ms ({}); \
-                 a hedge issued at the deadline can never win",
-                self.hedge_after_ms, self.deadline_ms
-            ));
-        }
-        Ok(())
-    }
-}
 
 /// Parameters of the simulated network between the server and clients.
 ///
@@ -139,10 +40,6 @@ pub struct NetConfig {
     /// Seed of the network's own random stream, independent of the
     /// federation seed.
     pub seed: u64,
-    /// Application-level reliability policy, enforced by wrapping the
-    /// transport in a [`crate::ReliableTransport`] when
-    /// [`RetryConfig::is_active`]. The passive default changes nothing.
-    pub retry: RetryConfig,
 }
 
 impl Default for NetConfig {
@@ -160,7 +57,6 @@ impl Default for NetConfig {
             backoff: 2.0,
             quantized: false,
             seed: 0,
-            retry: RetryConfig::default(),
         }
     }
 }
@@ -236,7 +132,7 @@ impl NetConfig {
         if self.backoff.is_nan() || self.backoff < 1.0 {
             return Err(format!("backoff must be >= 1, got {}", self.backoff));
         }
-        self.retry.validate()
+        Ok(())
     }
 
     /// Panics if any field is outside its meaningful range; returns the
@@ -296,10 +192,6 @@ mod tests {
             max_retries: 9,
             timeout_ms: 1.0,
             seed: 42,
-            retry: RetryConfig {
-                max_attempts: 4,
-                ..RetryConfig::default()
-            },
             ..NetConfig::default()
         };
         assert!(c.is_ideal());
@@ -343,81 +235,10 @@ mod tests {
             loss_prob: 0.01,
             quantized: true,
             seed: 7,
-            retry: RetryConfig {
-                max_attempts: 3,
-                base_backoff_ms: 25.0,
-                deadline_ms: 900.0,
-                hedge_after_ms: 300.0,
-            },
             ..NetConfig::default()
         };
         let v = serde::Serialize::to_value(&c);
         let back: NetConfig = serde::Deserialize::from_value(&v).unwrap();
         assert_eq!(back, c);
-    }
-
-    #[test]
-    fn default_retry_is_passive_and_valid() {
-        let r = RetryConfig::default();
-        assert!(!r.is_active());
-        assert!(r.validate().is_ok());
-        assert_eq!(r.deadline(), None);
-        assert_eq!(r.hedge_after(), None);
-        for active in [
-            RetryConfig {
-                max_attempts: 2,
-                ..r
-            },
-            RetryConfig {
-                deadline_ms: 500.0,
-                ..r
-            },
-            RetryConfig {
-                hedge_after_ms: 80.0,
-                ..r
-            },
-        ] {
-            assert!(active.is_active(), "{active:?}");
-        }
-    }
-
-    #[test]
-    fn retry_validation_rejects_nonsensical_combinations() {
-        type Case = (fn(&mut RetryConfig), &'static str);
-        let cases: [Case; 4] = [
-            (|r| r.max_attempts = 0, "max_attempts"),
-            (|r| r.base_backoff_ms = f32::NAN, "base_backoff_ms"),
-            (
-                // A deadline too tight for even one backoff wait.
-                |r| {
-                    r.deadline_ms = 10.0;
-                    r.base_backoff_ms = 50.0;
-                },
-                "shorter than base_backoff_ms",
-            ),
-            (
-                // Hedging at (or past) the deadline can never win.
-                |r| {
-                    r.deadline_ms = 200.0;
-                    r.hedge_after_ms = 200.0;
-                },
-                "below deadline_ms",
-            ),
-        ];
-        for (mutate, needle) in cases {
-            let mut r = RetryConfig::default();
-            mutate(&mut r);
-            let err = r.validate().unwrap_err();
-            assert!(
-                err.contains(needle),
-                "error {err:?} should mention {needle}"
-            );
-            // The same verdict surfaces through the parent config.
-            let c = NetConfig {
-                retry: r,
-                ..NetConfig::default()
-            };
-            assert_eq!(c.validate().unwrap_err(), err);
-        }
     }
 }

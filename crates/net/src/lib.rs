@@ -55,14 +55,12 @@
 
 pub mod config;
 pub mod payload;
-pub mod reliable;
 pub mod sim;
 pub mod stats;
 pub mod transport;
 
-pub use config::{NetConfig, RetryConfig};
+pub use config::NetConfig;
 pub use payload::{Payload, PayloadError, WireFormat};
-pub use reliable::ReliableTransport;
 pub use sim::SimNet;
 pub use stats::NetStats;
 pub use transport::{Delivery, LoopbackTransport, Transport};

@@ -13,9 +13,8 @@ const TAG_DOWN: u64 = 0x03;
 const TAG_UP: u64 = 0x04;
 
 /// Mixes the 1-based per-round call sequence into an event stream, so a
-/// re-requested transfer (same round, client and direction — e.g. from a
-/// [`crate::ReliableTransport`] retry or hedge) sees fresh randomness
-/// instead of deterministically replaying its first failure.
+/// re-requested transfer (same round, client and direction) sees fresh
+/// randomness instead of deterministically replaying its first failure.
 const SEQ_MIX: u64 = 0xD1B5_4A32_D192_ED03;
 
 /// A simulated server ↔ client network with per-link latency, bandwidth
@@ -41,8 +40,8 @@ pub struct SimNet {
     /// Per-client network path time accumulated this round.
     path: BTreeMap<usize, Duration>,
     /// 1-based count of transfer calls per `(client, direction)` this
-    /// round, folded into the event streams so repeated calls (retries,
-    /// hedges) draw independently.
+    /// round, folded into the event streams so repeated calls draw
+    /// independently.
     seq: BTreeMap<(usize, u64), u64>,
     /// The encoded global model of the current round (identical for
     /// every participant, so it is encoded once).
@@ -427,7 +426,7 @@ mod tests {
         assert_eq!(stats.unreachable, dropped as u64);
         assert_eq!(stats.drops, 0);
         assert_eq!(
-            stats.drops + stats.timed_out + stats.unreachable + stats.delivered,
+            stats.drops + stats.unreachable + stats.delivered,
             stats.transfers
         );
     }
@@ -491,9 +490,8 @@ mod tests {
 
     #[test]
     fn repeated_calls_in_a_round_draw_fresh_streams() {
-        // A re-requested transfer (what ReliableTransport's retry does)
-        // must not deterministically replay its first outcome: the call
-        // sequence number feeds the event stream.
+        // A re-requested transfer must not deterministically replay its
+        // first outcome: the call sequence number feeds the event stream.
         let cfg = NetConfig {
             jitter_ms: 50.0,
             seed: 4,

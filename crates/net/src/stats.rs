@@ -18,8 +18,8 @@ pub struct NetStats {
     pub sim: Duration,
     /// Logical transfers requested of the transport (one per
     /// download/upload call, whatever its outcome). Every transfer ends
-    /// in exactly one of `delivered`, `drops`, `timed_out` or
-    /// `unreachable`, so the four always sum to this field.
+    /// in exactly one of `delivered`, `drops` or `unreachable`, so the
+    /// three always sum to this field.
     pub transfers: u64,
     /// Transfers that reached their destination.
     pub delivered: u64,
@@ -27,14 +27,9 @@ pub struct NetStats {
     pub retries: u64,
     /// Failed deliveries: transfers whose retry budget ran out.
     pub drops: u64,
-    /// Transfers abandoned because the client's cumulative simulated
-    /// time crossed the round deadline (`RetryConfig::deadline_ms`).
-    pub timed_out: u64,
     /// Transfers never attempted because the peer was known unreachable
     /// for the whole round (`Delivery::attempts == 0`).
     pub unreachable: u64,
-    /// Hedged duplicate attempts raced against straggling transfers.
-    pub hedges: u64,
 }
 
 impl NetStats {
@@ -47,9 +42,7 @@ impl NetStats {
         self.delivered += other.delivered;
         self.retries += other.retries;
         self.drops += other.drops;
-        self.timed_out += other.timed_out;
         self.unreachable += other.unreachable;
-        self.hedges += other.hedges;
     }
 
     /// Bytes on the wire in both directions.
@@ -60,7 +53,7 @@ impl NetStats {
     /// Transfers that failed for any reason (the complement of
     /// `delivered` among `transfers`).
     pub fn failed(&self) -> u64 {
-        self.drops + self.timed_out + self.unreachable
+        self.drops + self.unreachable
     }
 }
 
@@ -75,13 +68,11 @@ mod tests {
             bytes_down: 10 * k,
             bytes_up: 4 * k,
             sim: Duration::from_millis(5 * k),
-            transfers: 12 * k,
+            transfers: 6 * k,
             delivered: 3 * k,
             retries: 9 * k,
             drops: 2 * k,
-            timed_out: 6 * k,
             unreachable: k,
-            hedges: 7 * k,
         }
     }
 
@@ -91,25 +82,19 @@ mod tests {
         a.merge(&sample(2));
         assert_eq!(a, sample(3));
         assert_eq!(a.total_bytes(), 42);
-        assert_eq!(a.failed(), 27);
+        assert_eq!(a.failed(), 9);
     }
 
     #[test]
     fn transfer_outcomes_partition_transfers_across_merges() {
         // Every transfer ends in exactly one outcome bucket, and merging
-        // preserves that: drops + timed_out + unreachable + delivered
-        // must equal transfers before and after.
+        // preserves that: drops + unreachable + delivered must equal
+        // transfers before and after.
         let mut a = sample(1);
-        assert_eq!(
-            a.drops + a.timed_out + a.unreachable + a.delivered,
-            a.transfers
-        );
+        assert_eq!(a.drops + a.unreachable + a.delivered, a.transfers);
         a.merge(&sample(5));
         a.merge(&NetStats::default());
-        assert_eq!(
-            a.drops + a.timed_out + a.unreachable + a.delivered,
-            a.transfers
-        );
+        assert_eq!(a.drops + a.unreachable + a.delivered, a.transfers);
         assert_eq!(a.failed() + a.delivered, a.transfers);
     }
 

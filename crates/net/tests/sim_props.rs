@@ -84,9 +84,9 @@ proptest! {
         seed in 0u64..64,
         extra in 1usize..4,
     ) {
-        // Re-requesting one client's transfer mid-round (what a retry
-        // wrapper does) must not shift any *other* client's draws: the
-        // sequence counters are per-client.
+        // Re-requesting one client's transfer mid-round must not shift
+        // any *other* client's draws: the sequence counters are
+        // per-client.
         let cfg = NetConfig {
             jitter_ms: 40.0,
             loss_prob: 0.2,

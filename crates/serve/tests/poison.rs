@@ -508,41 +508,43 @@ fn oracle_fs(seed: &PoisonSeed) -> Arc<FaultFs> {
 /// of them: zero re-pins. The `model` and `stats` rows are still those
 /// captures; every row that hashes *files* (`*/files`, `*/kill-*`) moved
 /// once when journal v4 / checkpoint v3 changed the bytes on disk, once
-/// when journal v5 wrote repeated snapshots as back-references, and once
-/// more when journal v6 wrote each UNLEARNED snapshot as a digest —
-/// each time nothing else (DESIGN.md, "Durable formats", re-pin policy).
+/// when journal v5 wrote repeated snapshots as back-references, once
+/// when journal v6 wrote each UNLEARNED snapshot as a digest, and once
+/// more when checkpoints stopped carrying the retired retry policy and
+/// sampling slack — each time nothing else (DESIGN.md, "Durable
+/// formats", re-pin policy).
 /// The `breaker/*` and `ladder-bisect/*` rows pin two isolation-active
 /// runs; they were captured while the executor still carried its own
 /// tenant breaker type, before it drove qd-fed's `ClientHealth` (the
 /// breaker run ends with one tenant OPEN and the other HALF-OPEN).
 const ORACLE: &[(&str, u32)] = &[
-    ("coalesced/files", 0x8dcf5c93),
+    ("coalesced/files", 0xa3cd41d8),
     ("coalesced/model", 0x03fb97af),
     ("coalesced/stats", 0xf9c166b2),
-    ("singletons/files", 0x025f5b91),
+    ("singletons/files", 0xd58533ff),
     ("singletons/model", 0x4291cba8),
     ("singletons/stats", 0x7d07faa3),
-    ("unguarded/files", 0x65be9a68),
+    ("unguarded/files", 0xdc88713c),
     ("unguarded/model", 0x03fb97af),
     ("unguarded/stats", 0xf9c166b2),
-    ("serve-relearn/files", 0x35e7f87b),
+    ("serve-relearn/files", 0x044e122c),
     ("serve-relearn/model", 0xb30c90f7),
-    ("coalesced/kill-single@received", 0x192ba863),
-    ("coalesced/kill-single@unlearned1", 0x91cd725c),
-    ("coalesced/kill-single@unlearned2", 0x91cd725c),
-    ("coalesced/kill-single@recovered", 0x35bd2d96),
-    ("coalesced/kill-multi@received", 0xe9ebeab8),
-    ("coalesced/kill-multi@unlearned1", 0x5a867218),
-    ("coalesced/kill-multi@unlearned2", 0x0935a798),
-    ("coalesced/kill-multi@recovered", 0xb3660d62),
-    ("singletons/kill-single@received", 0xec022845),
-    ("singletons/kill-single@unlearned1", 0x384bef5b),
-    ("singletons/kill-single@unlearned2", 0x384bef5b),
-    ("singletons/kill-single@recovered", 0xbb2fe421),
-    ("breaker/files", 0xd4e4b209),
+    ("coalesced/kill-single@received", 0x809632c6),
+    ("coalesced/kill-single@unlearned1", 0xf748e742),
+    ("coalesced/kill-single@unlearned2", 0xf748e742),
+    ("coalesced/kill-single@recovered", 0x21485b0c),
+    ("coalesced/kill-multi@received", 0x2957de95),
+    ("coalesced/kill-multi@unlearned1", 0x57ab4a11),
+    ("coalesced/kill-multi@unlearned2", 0x375464e6),
+    ("coalesced/kill-multi@recovered", 0x10afc737),
+    ("singletons/kill-single@received", 0xe42b749f),
+    ("singletons/kill-single@unlearned1", 0x318ec2a6),
+    ("singletons/kill-single@unlearned2", 0x318ec2a6),
+    ("singletons/kill-single@recovered", 0xa7690998),
+    ("breaker/files", 0xe3b9a238),
     ("breaker/model", 0xb4b6263e),
     ("breaker/stats", 0x45393062),
-    ("ladder-bisect/files", 0x889ab2b5),
+    ("ladder-bisect/files", 0xc02268e2),
     ("ladder-bisect/model", 0x1f793fc2),
     ("ladder-bisect/stats", 0x62b07e7a),
 ];

@@ -165,9 +165,6 @@ DIGESTS
 echo "== chaos bench (smoke mode, Byzantine aggregators)"
 cargo bench --offline -p qd-bench --bench chaos -- --test
 
-echo "== tail bench (smoke mode, 30% dropout)"
-cargo bench --offline -p qd-bench --bench tail -- --test
-
 echo "== divergence bench (smoke mode: QuickDrop under a 50x ascent spike, unguarded and under the guard the CLI ships)"
 cargo bench --offline -p qd-bench --bench divergence -- --test
 
