@@ -23,7 +23,7 @@ use qd_core::{
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{FaultPlan, Federation, Phase};
-use qd_net::NetConfig;
+use qd_net::{NetConfig, SimNet};
 use qd_nn::{Mlp, Module};
 use qd_serve::{
     build_plan, frontier_summary, run_service_isolated, ChaosKill, FrontierSummary,
@@ -384,9 +384,14 @@ impl Harness {
             // them (robust aggregation is part of the environment).
             fed.set_fault_plan(Some(FaultPlan::new(w.train_seed, w.byzantine_frac)));
         }
+        // The `net_drop` environment: clients unreachable for whole
+        // rounds while the deployment trains, over a simulated network.
+        let net = NetConfig::lossy(w.train_seed, w.net_drop);
+        if !net.is_ideal() {
+            fed.set_transport(Box::new(SimNet::new(net.validated())));
+        }
         let mut cfg = QuickDropConfig::scaled_test();
         cfg.train_phase = Phase::training(w.rounds, 2, 16, 0.1);
-        let cfg = cfg.with_net(NetConfig::lossy(w.train_seed, w.net_drop));
         let (qd, _) = QuickDrop::train(&mut fed, cfg, &mut rng);
         fed.set_fault_plan(None);
         self.deploys.insert(

@@ -128,46 +128,41 @@ impl Args {
 
     /// A `usize` option, or `default` if absent.
     pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, ParseError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ParseError::BadValue {
-                key: key.to_string(),
-                value: v.clone(),
-            }),
-        }
+        Ok(self.parsed(key)?.unwrap_or(default))
+    }
+
+    /// A `u32` option, or `default` if absent. A value past `u32::MAX` is
+    /// a [`ParseError::BadValue`], never a wrapped-around count.
+    pub fn get_u32(&self, key: &str, default: u32) -> Result<u32, ParseError> {
+        Ok(self.parsed(key)?.unwrap_or(default))
     }
 
     /// An `f32` option, or `default` if absent.
     pub fn get_f32(&self, key: &str, default: f32) -> Result<f32, ParseError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ParseError::BadValue {
-                key: key.to_string(),
-                value: v.clone(),
-            }),
-        }
+        Ok(self.parsed(key)?.unwrap_or(default))
     }
 
     /// A `u64` option, or `default` if absent.
     pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, ParseError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ParseError::BadValue {
-                key: key.to_string(),
-                value: v.clone(),
-            }),
-        }
+        Ok(self.parsed(key)?.unwrap_or(default))
     }
 
     /// An optional `usize` option.
     pub fn get_opt_usize(&self, key: &str) -> Result<Option<usize>, ParseError> {
-        match self.options.get(key) {
-            None => Ok(None),
-            Some(v) => v.parse().map(Some).map_err(|_| ParseError::BadValue {
-                key: key.to_string(),
-                value: v.clone(),
-            }),
-        }
+        self.parsed(key)
+    }
+
+    /// The option's value parsed as `T`, `None` if absent.
+    fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ParseError> {
+        self.options
+            .get(key)
+            .map(|v| {
+                v.parse().map_err(|_| ParseError::BadValue {
+                    key: key.to_string(),
+                    value: v.clone(),
+                })
+            })
+            .transpose()
     }
 }
 
@@ -201,6 +196,17 @@ mod tests {
             a.get_usize("clients", 1),
             Err(ParseError::BadValue { .. })
         ));
+    }
+
+    #[test]
+    fn u32_options_refuse_values_past_u32_max() {
+        let a = parse(&["serve", "--unit-retries", "4294967299"]).unwrap();
+        assert_eq!(
+            a.get_u32("unit-retries", 0).unwrap_err().to_string(),
+            "invalid value \"4294967299\" for --unit-retries"
+        );
+        let a = parse(&["serve", "--unit-retries", "4294967295"]).unwrap();
+        assert_eq!(a.get_u32("unit-retries", 0).unwrap(), u32::MAX);
     }
 
     #[test]

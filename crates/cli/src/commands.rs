@@ -99,10 +99,7 @@ USAGE:
                         [--aggregator fedavg|median|trimmed-mean|norm-clip]
                         [--quorum N] [--byzantine-frac F]
                         [--checkpoint-every K] [--preempt-after R] [--resume]
-                        [--net-latency-ms MS] [--net-bandwidth-mbps MBPS]
-                        [--net-jitter-ms MS] [--dropout-prob P]
-                        [--straggler-frac F] [--loss-prob P]
-                        [--net-seed X] [--quantized] [--cooldown-rounds N]
+                        [--cooldown-rounds N]
   quickdrop-cli unlearn --ckpt ckpt.json (--class C | --client I)
                         [--out ckpt.json] [--dataset D] [--samples N]
                         [--seed X] [--drift-budget F] [--retain-probe L]
@@ -150,26 +147,6 @@ fn model_for(dataset: SyntheticDataset) -> Arc<ConvNet> {
     ))
 }
 
-/// Reads the `--net-*` family of options into a [`qd_fed::NetConfig`],
-/// surfacing `NetConfig::validate`'s verdict on out-of-range values as a
-/// usage error (where the library's `validated()` would panic).
-fn net_config_from(args: &Args) -> Result<qd_fed::NetConfig, CliError> {
-    let net = qd_fed::NetConfig {
-        latency_ms: args.get_f32("net-latency-ms", 0.0)?,
-        bandwidth_mbps: args.get_f32("net-bandwidth-mbps", 0.0)?,
-        jitter_ms: args.get_f32("net-jitter-ms", 0.0)?,
-        dropout_prob: args.get_f32("dropout-prob", 0.0)?,
-        straggler_frac: args.get_f32("straggler-frac", 0.0)?,
-        loss_prob: args.get_f32("loss-prob", 0.0)?,
-        seed: args.get_u64("net-seed", 0)?,
-        quantized: args.flag("quantized"),
-        ..qd_fed::NetConfig::default()
-    };
-    net.validate()
-        .map_err(|msg| CliError::Usage(format!("bad --net option: {msg}")))?;
-    Ok(net)
-}
-
 /// Reads the `--drift-budget` / `--retain-probe` / `--ascent-retries`
 /// family into a [`GuardPolicy`], or `None` when no guard flag was
 /// given — keeping the unguarded serving path bit-for-bit untouched.
@@ -185,7 +162,7 @@ fn guard_policy_from(args: &Args) -> Result<Option<GuardPolicy>, CliError> {
     let policy = GuardPolicy {
         drift_budget: args.get_f32("drift-budget", DEFAULT_DRIFT_BUDGET)?,
         retain_probe: args.get_f32("retain-probe", 0.0)?,
-        ascent_retries: args.get_usize("ascent-retries", 3)? as u32,
+        ascent_retries: args.get_u32("ascent-retries", 3)?,
         ..GuardPolicy::default()
     };
     policy
@@ -200,10 +177,10 @@ fn guard_policy_from(args: &Args) -> Result<Option<GuardPolicy>, CliError> {
 /// isolation existed.
 fn isolation_config_from(args: &Args) -> Result<qd_serve::IsolationConfig, CliError> {
     let iso = qd_serve::IsolationConfig {
-        unit_retries: args.get_usize("unit-retries", 0)? as u32,
+        unit_retries: args.get_u32("unit-retries", 0)?,
         bisect: args.flag("bisect"),
-        breaker_trip: args.get_usize("breaker-trip", 0)? as u32,
-        breaker_cooldown: args.get_usize("breaker-cooldown", 0)? as u32,
+        breaker_trip: args.get_u32("breaker-trip", 0)?,
+        breaker_cooldown: args.get_u32("breaker-cooldown", 0)?,
     };
     iso.validate()
         .map_err(|msg| CliError::Usage(format!("bad isolation option: {msg}")))?;
@@ -230,6 +207,22 @@ fn request_from(args: &Args) -> Result<UnlearnRequest, CliError> {
             "exactly one of --class or --client is required".into(),
         )),
     }
+}
+
+/// Refuses a request naming a class or client the deployment `fed` does
+/// not have — it would forget nothing yet journal a unit and mark the
+/// class forgotten.
+fn check_in_range(request: UnlearnRequest, fed: &Federation) -> Result<(), CliError> {
+    let (index, count, unit) = match request {
+        UnlearnRequest::Class(c) => (c, fed.client_data(0).classes(), "classes"),
+        UnlearnRequest::Client(i) => (i, fed.n_clients(), "clients"),
+    };
+    if index < count {
+        return Ok(());
+    }
+    Err(CliError::Usage(format!(
+        "{request} out of range (deployment has {count} {unit})"
+    )))
 }
 
 /// Opens a journaled deployment ([`QuickDrop::open_deployment`] on the
@@ -327,6 +320,11 @@ fn train(args: &Args) -> Result<String, CliError> {
     let lr = args.get_f32("lr", 0.08)?;
     let scale = args.get_usize("scale", 100)?;
     let seed = args.get_u64("seed", 42)?;
+    for (key, value) in [("clients", clients), ("scale", scale)] {
+        if value == 0 {
+            return Err(CliError::Usage(format!("--{key} must be at least 1")));
+        }
+    }
     let aggregator = {
         let name = args.get_str("aggregator", "fedavg");
         qd_fed::AggregatorKind::parse(&name).ok_or_else(|| {
@@ -374,7 +372,6 @@ fn train(args: &Args) -> Result<String, CliError> {
         .with_cooldown_rounds(args.get_usize("cooldown-rounds", 0)?);
     config.unlearn_phase = Phase::unlearning(1, steps.min(6), batch, lr / 2.0);
     config.max_unlearn_rounds = 4;
-    config.net = net_config_from(args)?;
 
     // Mid-phase checkpoints share the --out path: while the run is in
     // flight the file holds a resumable cursor, and on completion the
@@ -408,22 +405,10 @@ fn train(args: &Args) -> Result<String, CliError> {
         }
     };
 
-    let net_line = if report.fl_stats.net.total_bytes() > 0 {
-        let n = &report.fl_stats.net;
-        format!(
-            "network: {:.1} KiB on the wire, {:.0} ms simulated, {} drops, {} retries\n",
-            n.total_bytes() as f64 / 1024.0,
-            n.sim.as_secs_f64() * 1000.0,
-            n.drops,
-            n.retries,
-        )
-    } else {
-        String::new()
-    };
     Checkpoint::capture(fed.global(), &qd).save(&out)?;
     Ok(format!(
         "trained {} on {} clients ({} samples); synthetic storage {:.1}%, \
-         DD overhead {:.0}%; checkpoint written to {out}\n{net_line}",
+         DD overhead {:.0}%; checkpoint written to {out}\n",
         dataset.name(),
         clients,
         samples,
@@ -465,6 +450,7 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
             (qd, fed, None, String::new())
         }
     };
+    check_in_range(request, &fed)?;
     // Serving RNG is independent of the training seed.
     let mut rng = Rng::seed_from(seed ^ 0x5EED);
     let test = dataset.generate(
@@ -848,6 +834,17 @@ mod tests {
             ),
             (vec!["train", "--hedge-after-ms", "300"], "hedge-after-ms"),
             (vec!["train", "--sample-slack", "1"], "sample-slack"),
+            (vec!["train", "--net-latency-ms", "10"], "net-latency-ms"),
+            (
+                vec!["train", "--net-bandwidth-mbps", "50"],
+                "net-bandwidth-mbps",
+            ),
+            (vec!["train", "--net-jitter-ms", "5"], "net-jitter-ms"),
+            (vec!["train", "--dropout-prob", "0.2"], "dropout-prob"),
+            (vec!["train", "--straggler-frac", "0.2"], "straggler-frac"),
+            (vec!["train", "--loss-prob", "0.3"], "loss-prob"),
+            (vec!["train", "--net-seed", "9"], "net-seed"),
+            (vec!["train", "--out", "x", "--quantized"], "quantized"),
             (
                 vec!["unlearn", "--ckpt", "x", "--drift-budgt", "0.5"],
                 "drift-budgt",
@@ -1390,82 +1387,6 @@ mod tests {
     }
 
     #[test]
-    fn net_flags_build_a_config() {
-        let a = args(&[
-            "train",
-            "--out",
-            "x",
-            "--net-latency-ms",
-            "20",
-            "--net-bandwidth-mbps",
-            "100",
-            "--dropout-prob",
-            "0.1",
-            "--loss-prob",
-            "0.05",
-            "--net-seed",
-            "9",
-            "--quantized",
-        ]);
-        let net = net_config_from(&a).unwrap();
-        assert_eq!(net.latency_ms, 20.0);
-        assert_eq!(net.bandwidth_mbps, 100.0);
-        assert_eq!(net.dropout_prob, 0.1);
-        assert_eq!(net.loss_prob, 0.05);
-        assert_eq!(net.seed, 9);
-        assert!(net.quantized);
-        assert!(!net.is_ideal());
-        // Defaults stay ideal so the loopback fast path is kept.
-        assert!(net_config_from(&args(&["train"])).unwrap().is_ideal());
-    }
-
-    #[test]
-    fn out_of_range_net_probabilities_are_usage_errors() {
-        for bad in [
-            vec!["train", "--dropout-prob", "1.0"],
-            vec!["train", "--loss-prob", "-0.1"],
-            vec!["train", "--straggler-frac", "2"],
-            vec!["train", "--net-latency-ms", "-5"],
-        ] {
-            let err = net_config_from(&args(&bad)).unwrap_err();
-            assert!(matches!(err, CliError::Usage(_)), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn train_over_simulated_network_reports_wire_costs() {
-        let ckpt = tmp("netsim.json");
-        let out = run(&args(&[
-            "train",
-            "--out",
-            &ckpt,
-            "--clients",
-            "2",
-            "--samples",
-            "120",
-            "--rounds",
-            "2",
-            "--steps",
-            "2",
-            "--scale",
-            "20",
-            "--iid",
-            "--seed",
-            "3",
-            "--net-latency-ms",
-            "15",
-            "--net-bandwidth-mbps",
-            "50",
-            "--loss-prob",
-            "0.05",
-        ]))
-        .unwrap();
-        assert!(out.contains("network:"), "{out}");
-        assert!(out.contains("simulated"), "{out}");
-        std::fs::remove_file(&ckpt).ok();
-    }
-
-    #[test]
     fn bad_dataset_is_reported() {
         let err = run(&args(&[
             "train",
@@ -1486,40 +1407,42 @@ mod tests {
         assert!(err.to_string().contains("byzantine-frac"), "{err}");
     }
 
-    #[test]
-    fn preempted_training_resumes_to_the_uninterrupted_result() {
+    /// Trains `train --clients 3 ... extra` uninterrupted, and again
+    /// killed after round 3 (last checkpoint: round 2) and resumed; both
+    /// must end on the same bits. Returns the cursor the resume started
+    /// from. `extra` names the seed and the number of rounds.
+    fn assert_resume_is_bit_for_bit(name: &str, extra: &[&str]) -> qd_fed::ResumeState {
         let flags = |out: &str| -> Vec<String> {
-            [
+            let base = [
                 "train",
                 "--out",
                 out,
                 "--clients",
-                "2",
+                "3",
                 "--samples",
-                "120",
-                "--rounds",
-                "4",
+                "150",
                 "--steps",
                 "2",
                 "--scale",
                 "20",
                 "--iid",
-                "--seed",
-                "5",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
+            ];
+            base.iter().chain(extra).map(|s| s.to_string()).collect()
         };
-        let uninterrupted = tmp("resume_ref.json");
+        let uninterrupted = tmp(&format!("{name}_ref.json"));
         run(&Args::parse(flags(&uninterrupted)).unwrap()).unwrap();
 
-        // Same run, killed after round 3 (last checkpoint: round 2).
-        let interrupted = tmp("resume_cut.json");
+        let interrupted = tmp(&format!("{name}_cut.json"));
         let mut cut = flags(&interrupted);
         cut.extend(["--checkpoint-every", "2", "--preempt-after", "3"].map(String::from));
         let out = run(&Args::parse(cut).unwrap()).unwrap();
         assert!(out.contains("preempted after 3 rounds"), "{out}");
+        let cursor = Checkpoint::load(&interrupted)
+            .unwrap()
+            .mid_phase()
+            .expect("a mid-phase checkpoint")
+            .cursor
+            .clone();
 
         let mut resume = flags(&interrupted);
         resume.push("--resume".to_string());
@@ -1535,6 +1458,118 @@ mod tests {
         }
         std::fs::remove_file(&uninterrupted).ok();
         std::fs::remove_file(&interrupted).ok();
+        cursor
+    }
+
+    #[test]
+    fn preempted_training_resumes_to_the_uninterrupted_result() {
+        assert_resume_is_bit_for_bit("resume", &["--seed", "5", "--rounds", "4"]);
+    }
+
+    #[test]
+    fn preempted_training_under_crashing_clients_resumes_to_the_uninterrupted_result() {
+        // `--byzantine-frac` is the one client fault the CLI injects. At
+        // this seed client 0 crashes in rounds 1, 2, 3 and 5: its third
+        // strike opens the breaker in round 3, after the round-2
+        // checkpoint, so the resumed run benches it for round 4 only if
+        // the strikes rode in the checkpoint.
+        let cursor = assert_resume_is_bit_for_bit(
+            "resume_byzantine",
+            &[
+                "--seed",
+                "13",
+                "--rounds",
+                "6",
+                "--byzantine-frac",
+                "0.3",
+                "--cooldown-rounds",
+                "2",
+            ],
+        );
+        assert_eq!(
+            cursor.health.failures,
+            [1, 0, 0],
+            "test premise: client 0's round-1 crash is on the books"
+        );
+    }
+
+    #[test]
+    fn train_refuses_zero_clients_and_zero_scale() {
+        for key in ["clients", "scale"] {
+            let out = tmp(&format!("zero_{key}.json"));
+            let flag = format!("--{key}");
+            let err = run(&args(&["train", "--out", &out, &flag, "0"])).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{err}");
+            assert_eq!(err.to_string(), format!("{flag} must be at least 1"));
+            assert!(!Path::new(&out).exists(), "nothing is written");
+        }
+    }
+
+    #[test]
+    fn requests_outside_the_deployment_are_refused_before_anything_is_written() {
+        let ckpt = tmp("out_of_range.json");
+        remove_deployment(&ckpt);
+        train_tiny(&ckpt);
+        let before = std::fs::read(&ckpt).unwrap();
+        let siblings = || {
+            let dir = std::fs::read_dir(Path::new(&ckpt).parent().unwrap()).unwrap();
+            (dir.flatten())
+                .filter(|e| {
+                    e.file_name()
+                        .to_string_lossy()
+                        .starts_with("out_of_range.json")
+                })
+                .count()
+        };
+        for (mode, target, message) in [
+            (
+                "unlearn",
+                ["--class", "99"],
+                "class 99 out of range (deployment has 10 classes)",
+            ),
+            (
+                "unlearn",
+                ["--client", "99"],
+                "client 99 out of range (deployment has 2 clients)",
+            ),
+            (
+                "relearn",
+                ["--class", "10"],
+                "class 10 out of range (deployment has 10 classes)",
+            ),
+            (
+                "relearn",
+                ["--client", "2"],
+                "client 2 out of range (deployment has 2 clients)",
+            ),
+        ] {
+            for journal in [false, true] {
+                let mut line = [mode, "--ckpt", &ckpt].to_vec();
+                line.extend(target);
+                line.extend(journal.then_some("--journal"));
+                let err = run(&args(&line)).unwrap_err();
+                assert!(matches!(err, CliError::Usage(_)), "{line:?}: {err}");
+                assert_eq!(err.to_string(), message, "{line:?}");
+                assert_eq!(std::fs::read(&ckpt).unwrap(), before, "{line:?}");
+                assert_eq!(siblings(), 1, "{line:?}: no .prev, no journal");
+            }
+        }
+        remove_deployment(&ckpt);
+    }
+
+    #[test]
+    fn counts_past_u32_are_refused_naming_the_option() {
+        let err = guard_policy_from(&args(&["unlearn", "--ascent-retries", "4294967299"]))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--ascent-retries"), "{err}");
+        for key in ["unit-retries", "breaker-trip", "breaker-cooldown"] {
+            let flag = format!("--{key}");
+            let err = isolation_config_from(&args(&["serve", &flag, "4294967296"]))
+                .unwrap_err()
+                .to_string();
+            assert_eq!(err, format!("invalid value \"4294967296\" for {flag}"));
+        }
     }
 
     #[test]

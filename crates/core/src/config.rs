@@ -1,7 +1,7 @@
 //! QuickDrop configuration.
 
 use qd_distill::{DistillConfig, FinetuneConfig};
-use qd_fed::{NetConfig, Phase};
+use qd_fed::Phase;
 
 /// Full configuration of the QuickDrop pipeline (Figure 1).
 ///
@@ -39,11 +39,6 @@ pub struct QuickDropConfig {
     /// Early-stop threshold for adaptive unlearning (see
     /// [`QuickDropConfig::max_unlearn_rounds`]).
     pub unlearn_stop_accuracy: f32,
-    /// Network conditions for every federated exchange. The default is an
-    /// ideal (loopback) network; any non-ideal setting routes rounds
-    /// through a [`qd_fed::SimNet`] so phase statistics include simulated
-    /// transfer time, wire bytes, and fault counts.
-    pub net: NetConfig,
 }
 
 impl QuickDropConfig {
@@ -61,7 +56,6 @@ impl QuickDropConfig {
             finetune: None,
             max_unlearn_rounds: 1,
             unlearn_stop_accuracy: 0.05,
-            net: NetConfig::default(),
         }
     }
 
@@ -87,12 +81,6 @@ impl QuickDropConfig {
         self.distill.scale = scale;
         self
     }
-
-    /// Returns a copy deployed over the given simulated network.
-    pub fn with_net(mut self, net: NetConfig) -> Self {
-        self.net = net.validated();
-        self
-    }
 }
 
 #[cfg(test)]
@@ -116,17 +104,5 @@ mod tests {
     fn builders_adjust() {
         let c = QuickDropConfig::scaled_test().with_scale(7);
         assert_eq!(c.distill.scale, 7);
-    }
-
-    #[test]
-    fn network_defaults_to_ideal_and_builder_installs_one() {
-        let c = QuickDropConfig::scaled_test();
-        assert!(c.net.is_ideal());
-        let c = c.with_net(NetConfig {
-            latency_ms: 25.0,
-            ..NetConfig::default()
-        });
-        assert!(!c.net.is_ideal());
-        assert_eq!(c.net.latency_ms, 25.0);
     }
 }

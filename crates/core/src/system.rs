@@ -203,8 +203,8 @@ impl QuickDrop {
     /// [`MidPhase`] cursor is atomically written to
     /// [`CheckpointPolicy::path`]. If the process dies at any point,
     /// [`QuickDrop::resume_train`] on the surviving file continues the
-    /// run; under the loopback transport the final parameters are
-    /// bit-for-bit those of the uninterrupted run.
+    /// run, and the final parameters are bit-for-bit those of the
+    /// uninterrupted run.
     ///
     /// # Errors
     ///
@@ -225,11 +225,10 @@ impl QuickDrop {
     /// `fed` must be built over the same model architecture, client
     /// datasets and seed-derived state as the original run; the global
     /// parameters are overwritten from the checkpoint and `rng` from the
-    /// stored cursor. Under the loopback transport the continuation is
-    /// bit-for-bit identical to never having stopped. (Under a simulated
-    /// network the *model* trajectory is identical only if no impairment
-    /// is configured; the network's own random trace restarts with the
-    /// transport.) The compute-time columns of the final report cover
+    /// stored cursor. The continuation is bit-for-bit identical to never
+    /// having stopped (on the loopback transport every federation starts
+    /// with; a `SimNet` a caller installs restarts its random trace). The
+    /// compute-time columns of the final report cover
     /// only the rounds executed after the resume.
     ///
     /// # Errors
@@ -273,12 +272,6 @@ impl QuickDrop {
     ) -> std::io::Result<TrainRun> {
         let model = fed.model().clone();
         let n = fed.n_clients();
-        // Deploy over the configured network. The transport stays
-        // installed so later serving phases (unlearn/recover/relearn on
-        // this federation) are priced under the same conditions.
-        if !config.net.is_ideal() {
-            fed.set_transport(Box::new(qd_fed::SimNet::new(config.net.validated())));
-        }
         let mut trainers = distilling_trainers(model.clone(), config.distill, n);
         let cursor = resume.map(|mid| {
             let robins = mid.trainer_round_robin;

@@ -6,14 +6,15 @@
 
 use qd_core::{Checkpoint, CheckpointPolicy, QuickDrop, QuickDropConfig, TrainRun};
 use qd_data::{partition_iid, SyntheticDataset};
-use qd_fed::{Federation, HealthConfig, Phase};
+use qd_fed::{FaultKind, FaultPlan, Federation, HealthConfig, Phase};
 use qd_nn::{Mlp, Module};
 use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
 use std::sync::Arc;
 
 /// Rebuilds the experiment from scratch — the stand-in for a fresh
-/// process after a kill — with a one-strike circuit breaker installed.
+/// process after a kill — with a one-strike circuit breaker installed and
+/// half the clients crashing mid-round in about half their rounds.
 fn fresh_fed() -> (Federation, Rng) {
     let mut rng = Rng::seed_from(23);
     let model: Arc<dyn Module> = Arc::new(Mlp::new(&[256, 16, 10]));
@@ -22,16 +23,17 @@ fn fresh_fed() -> (Federation, Rng) {
     let clients = parts.iter().map(|p| data.subset(p)).collect();
     let mut fed = Federation::new(model, clients, &mut rng);
     fed.set_health(HealthConfig { breaker_after: 1 });
+    fed.set_fault_plan(Some(
+        FaultPlan::new(23, 0.5).with_kinds(vec![FaultKind::Crash]),
+    ));
     (fed, rng)
 }
 
-/// A faulty phase: mid-round crashes and a breaker that cools a crashed
-/// client down for three rounds.
+/// A phase whose breaker cools a crashed client down for three rounds.
 fn config() -> QuickDropConfig {
     let mut cfg = QuickDropConfig::scaled_test();
     cfg.train_phase = Phase::training(8, 3, 16, 0.1)
         .with_participation(0.75)
-        .with_dropout(0.45)
         .with_cooldown_rounds(3);
     cfg
 }
@@ -57,8 +59,8 @@ fn killed_run_with_cooled_down_client_resumes_bit_for_bit() {
     let (_, report_ref) = QuickDrop::train(&mut fed_ref, config(), &mut rng_ref);
     assert!(
         report_ref.fl_stats.resilience.cooled_down > 0,
-        "test premise: 45% dropout with a one-strike breaker must cool \
-         someone down, got {:?}",
+        "test premise: crashing clients with a one-strike breaker must \
+         cool someone down, got {:?}",
         report_ref.fl_stats.resilience
     );
 

@@ -60,22 +60,6 @@ pub struct PhaseStats {
     pub resilience: ResilienceStats,
 }
 
-/// Per-round averages of a [`PhaseStats`], for comparing phases that ran
-/// different numbers of rounds on an equal footing.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RoundBreakdown {
-    /// Gradient evaluations (in samples) per round.
-    pub samples: f64,
-    /// Scalars exchanged (both directions) per round.
-    pub communication_scalars: f64,
-    /// Wire bytes (both directions) per round.
-    pub net_bytes: f64,
-    /// Simulated network time per round.
-    pub net_time: Duration,
-    /// Real wall-clock per round.
-    pub wall: Duration,
-}
-
 impl PhaseStats {
     /// Accumulates another phase's costs (used to total unlearning +
     /// recovery).
@@ -93,23 +77,6 @@ impl PhaseStats {
     /// Total scalars exchanged in both directions.
     pub fn communication_scalars(&self) -> usize {
         self.download_scalars + self.upload_scalars
-    }
-
-    /// Rounds-weighted averages: every total divided by the number of
-    /// rounds executed, so phases of different lengths compare directly.
-    /// All-zero when no round ran.
-    pub fn per_round(&self) -> RoundBreakdown {
-        if self.rounds == 0 {
-            return RoundBreakdown::default();
-        }
-        let n = self.rounds as f64;
-        RoundBreakdown {
-            samples: self.samples_processed as f64 / n,
-            communication_scalars: self.communication_scalars() as f64 / n,
-            net_bytes: self.net.total_bytes() as f64 / n,
-            net_time: self.net.sim / self.rounds as u32,
-            wall: self.wall / self.rounds as u32,
-        }
     }
 }
 
@@ -464,13 +431,6 @@ impl Federation {
                 let weights: Vec<f32> = sizes.iter().map(|&s| s as f32 / total as f32).collect();
                 stats.data_size = total;
 
-                // Failure injection: each sampled client may crash mid-round
-                // and deliver no update (drawn up-front for determinism).
-                let failed: Vec<bool> = participants
-                    .iter()
-                    .map(|_| phase.dropout > 0.0 && rng.uniform(0.0, 1.0) < phase.dropout)
-                    .collect();
-
                 // Pre-fork one RNG per participant so results are independent
                 // of execution interleaving.
                 let seeds: Vec<Rng> = participants.iter().map(|&i| rng.fork(i as u64)).collect();
@@ -564,9 +524,6 @@ impl Federation {
                         continue; // never reached: no compute, no upload
                     };
                     stats.samples_processed += outcome.samples_processed;
-                    if failed[slot] {
-                        continue; // crashed mid-round: nothing to upload
-                    }
                     let client = participants[slot];
                     let mut upload = outcome.params.clone();
                     if let Some(plan) = &self.fault_plan {
@@ -699,6 +656,12 @@ mod tests {
     use crate::{sgd_trainers, SgdClientTrainer};
     use qd_data::SyntheticDataset;
     use qd_nn::Mlp;
+
+    /// A plan whose `frac` of the clients crash mid-round, each in about
+    /// half its rounds, and upload nothing.
+    fn crash_plan(seed: u64, frac: f32) -> FaultPlan {
+        FaultPlan::new(seed, frac).with_kinds(vec![crate::FaultKind::Crash])
+    }
 
     fn setup(n_clients: usize, per_client: usize) -> (Arc<dyn Module>, Vec<Dataset>, Rng) {
         let mut rng = Rng::seed_from(0);
@@ -893,11 +856,12 @@ mod tests {
     fn failed_clients_download_but_never_upload() {
         let (model, clients, mut rng) = setup(4, 12);
         let mut fed = Federation::new(model.clone(), clients, &mut rng);
+        fed.set_fault_plan(Some(crash_plan(1, 0.5)));
         let mut trainers = sgd_trainers(model, 4);
         let stats = fed.run_phase(
             &mut trainers,
             None,
-            &Phase::training(10, 1, 8, 0.05).with_dropout(0.5),
+            &Phase::training(10, 1, 8, 0.05),
             &mut rng,
         );
         assert!(
@@ -908,14 +872,16 @@ mod tests {
 
     #[test]
     fn training_survives_client_failures() {
-        // With 40% mid-round failures, FedAvg still converges (slower);
-        // the global model must keep improving and stay finite.
+        // With 2 of 5 clients crashing mid-round in about half their
+        // rounds, FedAvg still converges (slower); the global model must
+        // keep improving and stay finite.
         let (model, clients, mut rng) = setup(5, 60);
         let test = SyntheticDataset::Digits.generate(100, &mut rng);
         let mut fed = Federation::new(model.clone(), clients, &mut rng);
+        fed.set_fault_plan(Some(crash_plan(2, 0.4)));
         let acc_before = accuracy(model.as_ref(), fed.global(), &test);
         let mut trainers = sgd_trainers(model.clone(), 5);
-        let phase = Phase::training(6, 8, 32, 0.1).with_dropout(0.4);
+        let phase = Phase::training(6, 8, 32, 0.1);
         let stats = fed.run_phase(&mut trainers, None, &phase, &mut rng);
         assert_eq!(stats.rounds, 6);
         assert!(fed.global().iter().all(|t| t.all_finite()));
@@ -931,8 +897,9 @@ mod tests {
         let (model, clients, mut rng) = setup(4, 20);
         let mut fed = Federation::new(model.clone(), clients, &mut rng);
         fed.set_record_history(true);
+        fed.set_fault_plan(Some(crash_plan(3, 0.5)));
         let mut trainers = sgd_trainers(model, 4);
-        let phase = Phase::training(6, 2, 8, 0.05).with_dropout(0.5);
+        let phase = Phase::training(6, 2, 8, 0.05);
         fed.run_phase(&mut trainers, None, &phase, &mut rng);
         for rec in fed.history() {
             let total: f32 = rec.weights.iter().sum();
@@ -940,12 +907,6 @@ mod tests {
             assert_eq!(rec.participants.len(), rec.updates.len());
             assert!(!rec.participants.is_empty());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "dropout")]
-    fn rejects_certain_failure() {
-        let _ = Phase::training(1, 1, 1, 0.1).with_dropout(1.0);
     }
 
     #[test]
@@ -1049,20 +1010,5 @@ mod tests {
         assert_eq!(total.resilience.quorum_fallbacks, 3);
         assert_eq!(total.resilience.cooled_down, 9);
         assert_eq!(total.resilience.half_open_probes, 6);
-    }
-
-    #[test]
-    fn per_round_divides_totals_by_rounds() {
-        let b = sample_stats(1).per_round();
-        assert_eq!(b.samples, 50.0);
-        assert_eq!(b.communication_scalars, 25.0);
-        assert_eq!(b.net_bytes, 750.0);
-        assert_eq!(b.net_time, Duration::from_millis(2));
-        assert_eq!(b.wall, Duration::from_millis(5));
-    }
-
-    #[test]
-    fn per_round_of_empty_phase_is_all_zero() {
-        assert_eq!(PhaseStats::default().per_round(), RoundBreakdown::default());
     }
 }

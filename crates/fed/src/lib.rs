@@ -57,9 +57,7 @@ pub use aggregate::{
     UpdateGuard, Violation, TRIM_FRAC,
 };
 pub use faults::{FaultKind, FaultPlan, ASCENT_SPIKE_SCALE, BYZANTINE_SCALE};
-pub use federation::{
-    Federation, PhaseObserver, PhaseStats, ResumeState, RoundBreakdown, RoundRecord,
-};
+pub use federation::{Federation, PhaseObserver, PhaseStats, ResumeState, RoundRecord};
 pub use health::{ClientHealth, HealthConfig, HealthState};
 pub use phase::Phase;
 pub use trainer::{sgd_trainers, ClientTrainer, LocalOutcome, SgdClientTrainer};

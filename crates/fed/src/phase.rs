@@ -39,11 +39,6 @@ pub struct Phase {
     pub direction: Direction,
     /// Fraction of eligible clients sampled each round (`1.0` = all).
     pub participation: f32,
-    /// Probability that a sampled client fails mid-round (crash, network
-    /// partition) and its update is lost. The server aggregates over the
-    /// survivors with renormalized weights — standard FedAvg fault
-    /// handling. `0.0` disables failure injection.
-    pub dropout: f32,
     /// Server-side aggregation rule folding the surviving updates into
     /// the next global model. [`AggregatorKind::FedAvg`] reproduces the
     /// historical behaviour bit-for-bit.
@@ -70,7 +65,6 @@ impl Phase {
             lr,
             direction: Direction::Descent,
             participation: 1.0,
-            dropout: 0.0,
             aggregator: AggregatorKind::FedAvg,
             min_quorum: 0,
             cooldown_rounds: 0,
@@ -102,20 +96,6 @@ impl Phase {
     /// Returns a copy with a different number of rounds.
     pub fn with_rounds(mut self, rounds: usize) -> Self {
         self.rounds = rounds;
-        self
-    }
-
-    /// Returns a copy with the given mid-round failure probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probability` is not in `[0, 1)`.
-    pub fn with_dropout(mut self, probability: f32) -> Self {
-        assert!(
-            (0.0..1.0).contains(&probability),
-            "dropout must be in [0, 1), got {probability}"
-        );
-        self.dropout = probability;
         self
     }
 

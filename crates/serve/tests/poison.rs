@@ -509,42 +509,43 @@ fn oracle_fs(seed: &PoisonSeed) -> Arc<FaultFs> {
 /// captures; every row that hashes *files* (`*/files`, `*/kill-*`) moved
 /// once when journal v4 / checkpoint v3 changed the bytes on disk, once
 /// when journal v5 wrote repeated snapshots as back-references, once
-/// when journal v6 wrote each UNLEARNED snapshot as a digest, and once
-/// more when checkpoints stopped carrying the retired retry policy and
-/// sampling slack — each time nothing else (DESIGN.md, "Durable
+/// when journal v6 wrote each UNLEARNED snapshot as a digest, once when
+/// checkpoints stopped carrying the retired retry policy and sampling
+/// slack, and once more when they stopped carrying the network config and
+/// each phase's dropout — each time nothing else (DESIGN.md, "Durable
 /// formats", re-pin policy).
 /// The `breaker/*` and `ladder-bisect/*` rows pin two isolation-active
 /// runs; they were captured while the executor still carried its own
 /// tenant breaker type, before it drove qd-fed's `ClientHealth` (the
 /// breaker run ends with one tenant OPEN and the other HALF-OPEN).
 const ORACLE: &[(&str, u32)] = &[
-    ("coalesced/files", 0xa3cd41d8),
+    ("coalesced/files", 0x4f7e9dd2),
     ("coalesced/model", 0x03fb97af),
     ("coalesced/stats", 0xf9c166b2),
-    ("singletons/files", 0xd58533ff),
+    ("singletons/files", 0xb9208f13),
     ("singletons/model", 0x4291cba8),
     ("singletons/stats", 0x7d07faa3),
-    ("unguarded/files", 0xdc88713c),
+    ("unguarded/files", 0xd6aa98c1),
     ("unguarded/model", 0x03fb97af),
     ("unguarded/stats", 0xf9c166b2),
-    ("serve-relearn/files", 0x044e122c),
+    ("serve-relearn/files", 0x6b12e66f),
     ("serve-relearn/model", 0xb30c90f7),
-    ("coalesced/kill-single@received", 0x809632c6),
-    ("coalesced/kill-single@unlearned1", 0xf748e742),
-    ("coalesced/kill-single@unlearned2", 0xf748e742),
-    ("coalesced/kill-single@recovered", 0x21485b0c),
-    ("coalesced/kill-multi@received", 0x2957de95),
-    ("coalesced/kill-multi@unlearned1", 0x57ab4a11),
-    ("coalesced/kill-multi@unlearned2", 0x375464e6),
-    ("coalesced/kill-multi@recovered", 0x10afc737),
-    ("singletons/kill-single@received", 0xe42b749f),
-    ("singletons/kill-single@unlearned1", 0x318ec2a6),
-    ("singletons/kill-single@unlearned2", 0x318ec2a6),
-    ("singletons/kill-single@recovered", 0xa7690998),
-    ("breaker/files", 0xe3b9a238),
+    ("coalesced/kill-single@received", 0x26acd82a),
+    ("coalesced/kill-single@unlearned1", 0xf0f18d7e),
+    ("coalesced/kill-single@unlearned2", 0xf0f18d7e),
+    ("coalesced/kill-single@recovered", 0x4bc3bf5c),
+    ("coalesced/kill-multi@received", 0x6e6e39e0),
+    ("coalesced/kill-multi@unlearned1", 0xafde423e),
+    ("coalesced/kill-multi@unlearned2", 0x8fb0bc59),
+    ("coalesced/kill-multi@recovered", 0x787aae1b),
+    ("singletons/kill-single@received", 0xc01ff403),
+    ("singletons/kill-single@unlearned1", 0x116fa1ef),
+    ("singletons/kill-single@unlearned2", 0x116fa1ef),
+    ("singletons/kill-single@recovered", 0x1f0fea47),
+    ("breaker/files", 0x0ea5f057),
     ("breaker/model", 0xb4b6263e),
     ("breaker/stats", 0x45393062),
-    ("ladder-bisect/files", 0xc02268e2),
+    ("ladder-bisect/files", 0x6f47efc6),
     ("ladder-bisect/model", 0x1f793fc2),
     ("ladder-bisect/stats", 0x62b07e7a),
 ];

@@ -59,12 +59,16 @@ done
 [ "$recording" = "crates/distill/src/matching.rs " ] \
     || { echo "Tape::new() is opened outside gradient matching: ${recording:-none} — a new second-order caller blocks ROADMAP item 4 (forward-over-reverse matching, Tape::grad test-only); use Tape::first_order or Tape::inference" >&2; exit 1; }
 
-echo "== one divergence guard, one circuit breaker"
+echo "== one divergence guard, one circuit breaker, one builder of a simulated network"
 # The guard's rollback-and-halve loop lives in qd-core's unit engine
 # alone, and the CLOSED/OPEN/HALF-OPEN state in qd-fed's ClientHealth
 # alone (qd-serve's tenant breakers are a tenant-indexed ClientHealth).
 # A second copy of either is a second place the pinned bits can drift,
 # and a second thing the divergence bench might be measuring instead.
+# Training runs on the loopback transport: the chaos harness's `net_drop`
+# environment is the only library code that builds a SimNet, so a
+# checkpoint, a flag or a config field cannot route training through one
+# again and break bit-for-bit resume.
 while read -r owner flag pattern; do
     found=
     for f in crates/*/src/*.rs; do
@@ -77,6 +81,7 @@ while read -r owner flag pattern; do
 done <<'ONE_COPY'
 crates/core/src/lifecycle.rs -F lr_halvings += 1
 crates/fed/src/health.rs -w half_open
+crates/chaos/src/scenario.rs -F SimNet::new(
 ONE_COPY
 
 echo "== cargo test"

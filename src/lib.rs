@@ -77,8 +77,7 @@ pub use qd_distill::{
 };
 pub use qd_eval::{accuracy, per_class_accuracy, prediction_agreement, split_accuracy, MiaAttack};
 pub use qd_fed::{
-    Federation, LoopbackTransport, NetConfig, NetStats, Phase, PhaseStats, RoundBreakdown, SimNet,
-    Transport,
+    Federation, LoopbackTransport, NetConfig, NetStats, Phase, PhaseStats, SimNet, Transport,
 };
 pub use qd_nn::{ConvNet, Direction, Mlp, Module, Sgd};
 pub use qd_tensor::rng::Rng;

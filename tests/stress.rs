@@ -2,6 +2,7 @@
 //! participation combined with failure injection, and FedEraser over
 //! partial-participation histories.
 
+use quickdrop::fed::{FaultKind, FaultPlan};
 use quickdrop::{
     accuracy, fr_eval_sets, partition_dirichlet, partition_iid, Dataset, FedEraser, Federation,
     Mlp, Module, Phase, QuickDrop, QuickDropConfig, Rng, SyntheticDataset, UnlearnRequest,
@@ -66,12 +67,14 @@ fn unlearning_works_after_faulty_partial_participation_training() {
     let (mut fed, test, mut rng, model) = federation(8, 700, Some(0.5), 2);
     let mut cfg = QuickDropConfig::scaled_test();
     // Train under adverse conditions: half the clients sampled per round,
-    // 25% of those crash mid-round.
-    cfg.train_phase = Phase::training(12, 8, 32, 0.1)
-        .with_participation(0.5)
-        .with_dropout(0.25);
+    // and 2 of the 8 crash mid-round in about half their rounds.
+    fed.set_fault_plan(Some(
+        FaultPlan::new(2, 0.25).with_kinds(vec![FaultKind::Crash]),
+    ));
+    cfg.train_phase = Phase::training(12, 8, 32, 0.1).with_participation(0.5);
     cfg.recover_phase = Phase::training(2, 8, 32, 0.1);
     let (mut qd, _) = QuickDrop::train(&mut fed, cfg, &mut rng);
+    fed.set_fault_plan(None);
     let acc = accuracy(model.as_ref(), fed.global(), &test);
     assert!(acc > 0.5, "training under faults reached only {acc}");
 
