@@ -1039,7 +1039,7 @@ mod tests {
         let before = (files(&ckpt), files(&bare));
         let file = |name: &str| std::fs::read(name).unwrap();
         assert!(
-            file(&ckpt).starts_with(b"QDC3\n") && file(&format!("{ckpt}.journal")) == b"QDJ6\n",
+            file(&ckpt).starts_with(b"QDC4\n") && file(&format!("{ckpt}.journal")) == b"QDJ6\n",
             "the files on disk are the binary formats"
         );
         assert_eq!(
@@ -1051,7 +1051,7 @@ mod tests {
         // The checkpoint: one JSON object that is the checkpoint again.
         let out = run(&args(&["dump", "--ckpt", &ckpt])).unwrap();
         assert!(
-            out.starts_with("{\"version\":3,\"global\":[{\"shape\":["),
+            out.starts_with("{\"version\":4,\"global\":[{\"shape\":["),
             "{out:.80}"
         );
         let back: Checkpoint = serde_json::from_str(&out).unwrap();
@@ -1283,7 +1283,7 @@ mod tests {
         let ckpt = tmp("no_synthetic.json");
         train_tiny(&ckpt);
         let json = run(&args(&["dump", "--ckpt", &ckpt])).unwrap();
-        let json = emptied(&emptied(&json, "synthetic"), "recovery_data");
+        let json = emptied(&emptied(&json, "synthetic"), "recovery_real");
         let hollow: Checkpoint = serde_json::from_str(&json).unwrap();
         hollow.save(&ckpt).unwrap();
         for line in [

@@ -137,7 +137,9 @@ pub struct Checkpoint {
     pub global: Vec<Tensor>,
     pub(crate) config: QuickDropConfig,
     pub(crate) synthetic: Vec<SyntheticSet>,
-    pub(crate) recovery_data: Vec<Dataset>,
+    /// The real half of each client's recovery set; the synthetic half
+    /// is `synthetic`, stored once.
+    pub(crate) recovery_real: Vec<Dataset>,
     pub(crate) unlearned_classes: BTreeSet<usize>,
     pub(crate) unlearned_clients: BTreeSet<usize>,
     /// `Some` while a training phase is still in flight: everything
@@ -173,34 +175,42 @@ pub struct MidPhase {
 
 /// Current checkpoint format version.
 ///
-/// A version-3 file is
+/// A version-4 file is
 ///
 /// ```text
-/// "QDC3\n" | len: u32le | crc32(frame): u32le | frame
+/// "QDC4\n" | len: u32le | crc32(frame): u32le | frame
 /// ```
 ///
 /// where `frame` is the [`crate::frame`] encoding of the [`Checkpoint`]
 /// (JSON skeleton + raw-`f32` body). A flipped bit anywhere in the file
 /// fails the magic, the length or the CRC check, so it can never load as
-/// a different model. Version 2 was the same structure as bare JSON text;
-/// it and every other version are refused with
-/// [`CheckpointError::UnsupportedVersion`].
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// a different model. A frame that passes them still has to make sense:
+/// every dataset, tensor and synthetic set is read back through its
+/// constructor's checks, and each client has one recovery set of the
+/// synthetic sets' geometry, or the load is a [`CheckpointError::Format`].
+///
+/// Each client's recovery set is its synthetic set followed by
+/// `recovery_real`, the real samples mixed in, so every synthetic sample
+/// is stored once. Version 3 (`"QDC3\n"`) stored the whole recovery set
+/// beside the synthetic sets, and version 2 was that structure as bare
+/// JSON text; they and every other version are refused with
+/// [`CheckpointError::UnsupportedVersion`], the file left as it is.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
-/// Leading bytes of a version-3 checkpoint file.
-const CHECKPOINT_MAGIC: &[u8; 5] = b"QDC3\n";
+/// Leading bytes of a version-4 checkpoint file.
+const CHECKPOINT_MAGIC: &[u8; 5] = b"QDC4\n";
 
 impl Checkpoint {
     /// Captures the current global parameters and QuickDrop state.
     pub fn capture(global: &[Tensor], qd: &QuickDrop) -> Self {
-        let (config, synthetic, recovery_data, unlearned_classes, unlearned_clients) =
+        let (config, synthetic, recovery_real, unlearned_classes, unlearned_clients) =
             qd.state_for_checkpoint();
         Checkpoint {
             version: CHECKPOINT_VERSION,
             global: global.to_vec(),
             config,
             synthetic,
-            recovery_data,
+            recovery_real,
             unlearned_classes,
             unlearned_clients,
             mid_phase: None,
@@ -222,7 +232,7 @@ impl Checkpoint {
             global: global.to_vec(),
             config: config.clone(),
             synthetic: Vec::new(),
-            recovery_data: Vec::new(),
+            recovery_real: Vec::new(),
             unlearned_classes: BTreeSet::new(),
             unlearned_clients: BTreeSet::new(),
             mid_phase: Some(mid_phase),
@@ -252,7 +262,7 @@ impl Checkpoint {
         let qd = QuickDrop::from_checkpoint_state(
             self.config,
             self.synthetic,
-            self.recovery_data,
+            self.recovery_real,
             self.unlearned_classes,
             self.unlearned_clients,
         );
@@ -358,7 +368,7 @@ impl Checkpoint {
         let Some(sealed) = bytes.strip_prefix(CHECKPOINT_MAGIC) else {
             return Err(match frame::foreign_version(&bytes, b"QDC") {
                 Some(version) => unsupported(version),
-                None => invalid("not a checkpoint file (no QDC3 magic)".to_string()),
+                None => invalid("not a checkpoint file (no QDC4 magic)".to_string()),
             });
         };
         let payload = frame::unseal(sealed).map_err(|e| invalid(e.detail))?;
@@ -377,7 +387,39 @@ impl Checkpoint {
             return Err(unsupported(version));
         }
         serde::Deserialize::from_value(&value)
+            .map_err(|e| e.to_string())
+            .and_then(|ckpt: Self| ckpt.check_recovery_sets().map(|()| ckpt))
             .map_err(|e| invalid(format!("malformed version-{version} payload: {e}")))
+    }
+
+    /// One recovery set per client, every synthetic and recovery set of
+    /// one sample geometry and class count — what serving assumes of a
+    /// deployment, checked where it comes in from disk.
+    fn check_recovery_sets(&self) -> Result<(), String> {
+        if self.recovery_real.len() != self.synthetic.len() {
+            return Err(format!(
+                "{} recovery sets for {} synthetic sets",
+                self.recovery_real.len(),
+                self.synthetic.len()
+            ));
+        }
+        let Some(first) = self.synthetic.first() else {
+            return Ok(());
+        };
+        let want = (first.sample_dims(), first.classes());
+        for (i, (syn, real)) in self.synthetic.iter().zip(&self.recovery_real).enumerate() {
+            for (what, got) in [
+                ("synthetic set", (syn.sample_dims(), syn.classes())),
+                ("recovery set", (real.sample_dims(), real.classes())),
+            ] {
+                if got != want {
+                    return Err(format!(
+                        "client {i}'s {what} has (C, H, W) and classes {got:?}, not {want:?}"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Loads the checkpoint at `path`, falling back to the `.prev`
@@ -512,8 +554,8 @@ mod tests {
         let mut trailing = good.clone();
         trailing.push(0);
         let cases: [(&str, Vec<u8>, &str); 10] = [
-            ("garbage.json", b"not json {{{".to_vec(), "no QDC3 magic"),
-            ("empty.json", Vec::new(), "no QDC3 magic"),
+            ("garbage.json", b"not json {{{".to_vec(), "no QDC4 magic"),
+            ("empty.json", Vec::new(), "no QDC4 magic"),
             (
                 "header.json",
                 good[..9].to_vec(),
@@ -538,9 +580,9 @@ mod tests {
                 "no usable version: expected unsigned integer",
             ),
             (
-                "hollow_v3.json",
-                sealed(&version(serde::Value::U64(3))),
-                "malformed version-3 payload",
+                "hollow_v4.json",
+                sealed(&version(serde::Value::U64(4))),
+                "malformed version-4 payload",
             ),
         ];
         for (name, contents, needle) in cases {
@@ -572,8 +614,13 @@ mod tests {
             v2.version = 2;
             serde_json::to_string(&v2).unwrap().into_bytes()
         };
+        // A version-3 body sealed under today's magic is refused by its
+        // number too: the body, not the magic, says what it holds.
+        let mut v3 = future.clone();
+        v3.version = 3;
         let cases = [
             ("future.json", image(&future), 999),
+            ("v3_body.json", image(&v3), 3),
             ("v2.json", v2_json, 2),
             ("v1.json", b"{\"version\": 1}".to_vec(), 1),
         ];
@@ -597,11 +644,11 @@ mod tests {
     fn a_bit_flip_at_any_byte_falls_back_to_the_previous_generation() {
         let (fed, qd, _) = trained();
         // Every field populated, trimmed to ~12 KB so stride 1 stays
-        // cheap: the bias, one client's synthetic set, no recovery data.
+        // cheap: the bias, one client's synthetic set, no real samples.
         let mut ckpt = Checkpoint::capture(fed.global(), &qd);
         ckpt.global.remove(0);
         ckpt.synthetic.truncate(1);
-        ckpt.recovery_data.clear();
+        ckpt.recovery_real = vec![ckpt.recovery_real[0].empty_like()];
         let fs = crate::FaultFs::new();
         let path = Path::new("deploy.json");
         ckpt.save_on(&fs, path).unwrap();

@@ -183,12 +183,14 @@ fn lower(
 }
 
 /// The format version a file of some *other* build declares, so a refusal
-/// can name it: the digits of a `stem<n>` magic (`QDJ3`, `QDC4`, …), or
-/// the `version` field of the JSON documents journals v1-2 and checkpoint
-/// v2 were. `None` when `bytes` is neither.
+/// can name it: the digits of a `stem<n>\n` magic (`QDJ3`, `QDC3`, …),
+/// whatever follows the newline, or the `version` field of the JSON
+/// documents journals v1-2 and checkpoint v2 were. `None` when `bytes` is
+/// neither.
 pub(crate) fn foreign_version(bytes: &[u8], stem: &[u8]) -> Option<u32> {
-    if let Some(n) = bytes.strip_prefix(stem) {
-        return std::str::from_utf8(n).ok()?.trim_end().parse().ok();
+    if let Some(rest) = bytes.strip_prefix(stem) {
+        let digits = rest.split(|&b| b == b'\n').next()?;
+        return std::str::from_utf8(digits).ok()?.trim_end().parse().ok();
     }
     let doc: Value = serde_json::from_str(std::str::from_utf8(bytes).ok()?).ok()?;
     serde::Deserialize::from_value(doc.get("version")?).ok()

@@ -127,7 +127,9 @@ impl TrainReport {
 pub struct QuickDrop {
     config: QuickDropConfig,
     synthetic: Vec<SyntheticSet>,
-    recovery_data: Vec<Dataset>,
+    /// The real half of each client's recovery set (see
+    /// [`QuickDrop::recovery_set`]); empty sets when `augment` is off.
+    recovery_real: Vec<Dataset>,
     unlearned_classes: BTreeSet<usize>,
     unlearned_clients: BTreeSet<usize>,
 }
@@ -155,10 +157,10 @@ pub(crate) fn validated(policy: Option<&GuardPolicy>) -> Option<&GuardPolicy> {
     policy
 }
 
-/// Step 2b of the workflow: the per-client recovery sets — each
-/// synthetic set, augmented 1:1 with the client's original samples when
-/// `augment` is on.
-fn recovery_sets(
+/// Step 2b of the workflow: the real half of each client's recovery set
+/// — the client's original samples mixed 1:1 into its synthetic set when
+/// `augment` is on, none when it is off.
+fn recovery_reals(
     synthetic: &[SyntheticSet],
     fed: &Federation,
     augment: bool,
@@ -169,7 +171,7 @@ fn recovery_sets(
             if augment {
                 augment_with_real(syn, fed.client_data(i), rng)
             } else {
-                syn.to_dataset()
+                fed.client_data(i).empty_like()
             }
         })
         .collect()
@@ -351,7 +353,7 @@ impl QuickDrop {
             }
         }
 
-        let recovery_data = recovery_sets(&synthetic, fed, config.augment, rng);
+        let recovery_real = recovery_reals(&synthetic, fed, config.augment, rng);
 
         let synthetic_samples = synthetic.iter().map(SyntheticSet::len).sum();
         let real_samples = fed.clients().iter().map(Dataset::len).sum();
@@ -366,7 +368,7 @@ impl QuickDrop {
         let system = QuickDrop {
             config,
             synthetic,
-            recovery_data,
+            recovery_real,
             unlearned_classes: BTreeSet::new(),
             unlearned_clients: BTreeSet::new(),
         };
@@ -428,7 +430,7 @@ impl QuickDrop {
         (
             self.config.clone(),
             self.synthetic.clone(),
-            self.recovery_data.clone(),
+            self.recovery_real.clone(),
             self.unlearned_classes.clone(),
             self.unlearned_clients.clone(),
         )
@@ -453,14 +455,14 @@ impl QuickDrop {
     pub(crate) fn from_checkpoint_state(
         config: QuickDropConfig,
         synthetic: Vec<SyntheticSet>,
-        recovery_data: Vec<Dataset>,
+        recovery_real: Vec<Dataset>,
         unlearned_classes: BTreeSet<usize>,
         unlearned_clients: BTreeSet<usize>,
     ) -> Self {
         QuickDrop {
             config,
             synthetic,
-            recovery_data,
+            recovery_real,
             unlearned_classes,
             unlearned_clients,
         }
@@ -492,7 +494,7 @@ impl QuickDrop {
         for (i, syn) in self.synthetic.iter_mut().enumerate() {
             real_grads += finetune(model.as_ref(), syn, fed.client_data(i), cfg, rng);
         }
-        self.recovery_data = recovery_sets(&self.synthetic, fed, self.config.augment, rng);
+        self.recovery_real = recovery_reals(&self.synthetic, fed, self.config.augment, rng);
         real_grads
     }
 
@@ -555,16 +557,16 @@ impl QuickDrop {
             };
             match request {
                 UnlearnRequest::Class(c) => {
-                    for mixed in &self.recovery_data {
-                        let part = mixed.only_class(c);
+                    for i in 0..self.synthetic.len() {
+                        let part = self.recovery_set(i).only_class(c);
                         if !part.is_empty() {
                             add(&part);
                         }
                     }
                 }
                 UnlearnRequest::Client(t) => {
-                    if let Some(mixed) = self.recovery_data.get(t) {
-                        add(mixed);
+                    if t < self.synthetic.len() {
+                        add(&self.recovery_set(t));
                     }
                 }
             }
@@ -572,9 +574,9 @@ impl QuickDrop {
                 add(d);
             }
             all.unwrap_or_else(|| {
-                self.recovery_data
+                self.recovery_real
                     .first()
-                    .map(|d| d.empty_like())
+                    .map(Dataset::empty_like)
                     // qd-lint: allow(panic-safety) -- Federation construction
                     // guarantees at least one client with recovery data
                     .expect("at least one client")
@@ -634,17 +636,25 @@ impl QuickDrop {
         }
     }
 
+    /// Client `i`'s recovery set: its synthetic set, followed by the real
+    /// samples mixed into it (none when `augment` is off). The synthetic
+    /// half is built from [`QuickDrop::synthetic_sets`] on each call, so
+    /// a deployment stores every synthetic sample once.
+    fn recovery_set(&self, i: usize) -> Dataset {
+        let mut set = self.synthetic[i].to_dataset();
+        set.extend(&self.recovery_real[i]);
+        set
+    }
+
     /// Per-client recovery sets: the (augmented) synthetic data minus
     /// everything currently forgotten (`S \ S_f`).
     pub(crate) fn synthetic_retain(&self) -> Vec<Option<Dataset>> {
-        self.recovery_data
-            .iter()
-            .enumerate()
-            .map(|(i, mixed)| {
+        (0..self.synthetic.len())
+            .map(|i| {
                 if self.unlearned_clients.contains(&i) {
                     return None;
                 }
-                let mut d = mixed.clone();
+                let mut d = self.recovery_set(i);
                 for &c in &self.unlearned_classes {
                     d = d.without_class(c);
                 }
@@ -1081,6 +1091,106 @@ mod tests {
             }
             assert_eq!(qd.marks_snapshot(), qd_journaled.marks_snapshot());
         }
+    }
+
+    /// The recovery sets as the parent built and stored them, kept as the
+    /// oracle: each synthetic set's samples, then `min(m, |Dᶜ|)` real
+    /// samples per owned class drawn from `rng`.
+    fn stored_recovery_sets(qd: &QuickDrop, fed: &Federation, rng: &mut Rng) -> Vec<Dataset> {
+        (qd.synthetic.iter().enumerate())
+            .map(|(i, syn)| {
+                let mut mixed = syn.to_dataset();
+                let real = fed.client_data(i);
+                for class in syn
+                    .owned_classes()
+                    .into_iter()
+                    .filter(|_| qd.config.augment)
+                {
+                    let m = syn.class_samples(class).map_or(0, |t| t.dims()[0]);
+                    let members = real.indices_of_class(class);
+                    if members.is_empty() || m == 0 {
+                        continue;
+                    }
+                    for p in rng.choose_indices(members.len(), m.min(members.len())) {
+                        mixed.push(real.image(members[p]), class);
+                    }
+                }
+                mixed
+            })
+            .collect()
+    }
+
+    /// Every recovery set is the bytes it was when the whole set was
+    /// stored: same samples, same order, same RNG draws — after training
+    /// with augmentation on and off, and after `finetune_more` rebuilds
+    /// the real halves.
+    #[test]
+    fn recovery_sets_are_the_stored_ones_to_the_byte() {
+        use serde::Serialize;
+        let same = |qd: &QuickDrop, oracle: &[Dataset], what: &str| {
+            assert_eq!(qd.recovery_real.len(), oracle.len(), "{what}");
+            for (i, want) in oracle.iter().enumerate() {
+                let got = qd.recovery_set(i);
+                assert_eq!(&got, want, "{what}: client {i}");
+                assert_eq!(
+                    crate::frame::encode(&got.to_value()),
+                    crate::frame::encode(&want.to_value()),
+                    "{what}: client {i}'s bytes"
+                );
+            }
+        };
+        let deployment = |augment: bool| {
+            let mut rng = Rng::seed_from(4);
+            let model: Arc<dyn Module> = Arc::new(Mlp::new(&[256, 10]));
+            let data = SyntheticDataset::Digits.generate(240, &mut rng);
+            let parts = partition_dirichlet(data.labels(), 10, 3, 0.5, &mut rng);
+            let clients: Vec<_> = parts.iter().map(|p| data.subset(p)).collect();
+            let mut fed = Federation::new(model, clients, &mut rng);
+            let mut cfg = QuickDropConfig::scaled_test();
+            cfg.train_phase = Phase::training(2, 2, 16, 0.1);
+            cfg.distill.scale = 10;
+            cfg.augment = augment;
+            let (qd, _) = QuickDrop::train(&mut fed, cfg, &mut rng);
+            (fed, qd, rng)
+        };
+        // Nothing before step 2b reads `augment`, and without it step 2b
+        // draws nothing: the plain run ends where the augmented one drew.
+        let (plain_fed, plain, drawn_from) = deployment(false);
+        let mut oracle_rng = Rng::from_state(&drawn_from.state());
+        let oracle = stored_recovery_sets(&plain, &plain_fed, &mut oracle_rng);
+        assert_eq!(
+            oracle_rng.state(),
+            drawn_from.state(),
+            "augment off draws nothing"
+        );
+        same(&plain, &oracle, "augment off");
+        let (fed, mut qd, mut rng) = deployment(true);
+        let oracle = stored_recovery_sets(&qd, &fed, &mut oracle_rng);
+        assert_eq!(rng.state(), oracle_rng.state(), "augment on: RNG draws");
+        assert!(qd.recovery_real.iter().all(|real| !real.is_empty()));
+        same(&qd, &oracle, "augment on");
+
+        let ft = qd_distill::FinetuneConfig {
+            outer_steps: 1,
+            inner_steps: 1,
+            model_steps: 1,
+            ..qd_distill::FinetuneConfig::default()
+        };
+        let mut parent = qd.clone();
+        let mut oracle_rng = Rng::from_state(&rng.state());
+        qd.finetune_more(&fed, &ft, &mut rng);
+        for (i, syn) in parent.synthetic.iter_mut().enumerate() {
+            finetune(
+                fed.model().as_ref(),
+                syn,
+                fed.client_data(i),
+                &ft,
+                &mut oracle_rng,
+            );
+        }
+        let oracle = stored_recovery_sets(&parent, &fed, &mut oracle_rng);
+        assert_eq!(rng.state(), oracle_rng.state(), "finetune_more: RNG draws");
+        same(&qd, &oracle, "finetune_more");
     }
 
     #[test]

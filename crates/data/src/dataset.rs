@@ -2,7 +2,7 @@
 
 use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// An in-memory labelled image dataset with CHW samples.
 ///
@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ds.len(), 2);
 /// assert_eq!(ds.indices_of_class(1), &[1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     images: Vec<f32>,
     labels: Vec<usize>,
@@ -47,18 +47,45 @@ impl Dataset {
         height: usize,
         width: usize,
     ) -> Self {
-        let sample = channels * height * width;
-        assert_eq!(
-            images.len(),
-            labels.len() * sample,
-            "image buffer {} does not hold {} samples of {} floats",
-            images.len(),
-            labels.len(),
-            sample
-        );
+        let dims = (channels, height, width);
+        let problem = Self::inconsistency(&images, &labels, classes, dims);
+        assert!(problem.is_none(), "{}", problem.unwrap_or_default());
+        Self::indexed(images, labels, classes, dims)
+    }
+
+    /// Why `images` and `labels` do not make a dataset of `classes`
+    /// classes and `(C, H, W)` samples, if they do not: [`Dataset::new`]'s
+    /// checks, shared with datasets read back from disk.
+    fn inconsistency(
+        images: &[f32],
+        labels: &[usize],
+        classes: usize,
+        (channels, height, width): (usize, usize, usize),
+    ) -> Option<String> {
+        let sample = channels
+            .checked_mul(height)
+            .and_then(|n| n.checked_mul(width));
+        if sample.and_then(|s| labels.len().checked_mul(s)) != Some(images.len()) {
+            return Some(format!(
+                "image buffer {} does not hold {} samples of {channels}x{height}x{width} floats",
+                images.len(),
+                labels.len(),
+            ));
+        }
+        (labels.iter().find(|&&y| y >= classes))
+            .map(|y| format!("label {y} out of range for {classes} classes"))
+    }
+
+    /// A dataset over parts [`Dataset::inconsistency`] passed, its class
+    /// index built from the labels.
+    fn indexed(
+        images: Vec<f32>,
+        labels: Vec<usize>,
+        classes: usize,
+        (channels, height, width): (usize, usize, usize),
+    ) -> Self {
         let mut by_class = vec![Vec::new(); classes];
         for (i, &y) in labels.iter().enumerate() {
-            assert!(y < classes, "label {y} out of range for {classes} classes");
             by_class[y].push(i);
         }
         Dataset {
@@ -268,6 +295,45 @@ impl Dataset {
     }
 }
 
+// The class index is derived state: it is not stored, and a dataset is
+// read back through `new`'s checks and rebuilt from the labels — so a
+// stored label out of range, or a buffer the labels do not account for,
+// is a malformed file rather than a panic at first use.
+impl Serialize for Dataset {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("images".to_string(), self.images.to_value()),
+            ("labels".to_string(), self.labels.to_value()),
+            ("channels".to_string(), self.channels.to_value()),
+            ("height".to_string(), self.height.to_value()),
+            ("width".to_string(), self.width.to_value()),
+            ("classes".to_string(), self.classes.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Dataset {
+    fn from_value(v: &Value) -> Result<Self, serde::DeError> {
+        fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, serde::DeError> {
+            T::from_value(v.field("Dataset", name)?)
+        }
+        let dims = (
+            field(v, "channels")?,
+            field(v, "height")?,
+            field(v, "width")?,
+        );
+        let (images, labels, classes): (Vec<f32>, Vec<usize>, usize) = (
+            field(v, "images")?,
+            field(v, "labels")?,
+            field(v, "classes")?,
+        );
+        match Self::inconsistency(&images, &labels, classes, dims) {
+            Some(problem) => Err(serde::DeError::new(problem)),
+            None => Ok(Self::indexed(images, labels, classes, dims)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,6 +404,35 @@ mod tests {
         let (x, y) = ds.sample_batch(100, &mut Rng::seed_from(0));
         assert_eq!(x.dims()[0], 4);
         assert_eq!(y.len(), 4);
+    }
+
+    #[test]
+    fn stored_datasets_rebuild_their_class_index_and_refuse_bad_parts() {
+        let ds = tiny();
+        let v = ds.to_value();
+        assert!(v.get("by_class").is_none(), "the class index is derived");
+        assert_eq!(Dataset::from_value(&v).unwrap(), ds);
+        let with = |key: &str, value: Value| {
+            let Value::Map(mut entries) = v.clone() else {
+                panic!("a dataset serializes as a map");
+            };
+            for (k, slot) in &mut entries {
+                if k == key {
+                    *slot = value.clone();
+                }
+            }
+            Dataset::from_value(&Value::Map(entries)).map_err(|e| e.to_string())
+        };
+        let labels = |ls: &[u64]| Value::Seq(ls.iter().map(|&l| Value::U64(l)).collect());
+        let bad_label = with("labels", labels(&[0, 1, 0, 99])).unwrap_err();
+        assert!(
+            bad_label.contains("label 99 out of range for 3 classes"),
+            "{bad_label}"
+        );
+        let short = with("labels", labels(&[0, 1, 0])).unwrap_err();
+        assert!(short.contains("does not hold 3 samples"), "{short}");
+        let huge = with("width", Value::U64(u64::MAX)).unwrap_err();
+        assert!(huge.contains("does not hold"), "{huge}");
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! * [`finetune`] optionally refines a finished synthetic set across
 //!   fresh model initializations for better recovery accuracy
 //!   (Section 3.3.2 / Figure 5).
-//! * [`augment_with_real`] mixes 1:1 real samples into the synthetic set
-//!   for the recovery phase (Section 3.3.1).
+//! * [`augment_with_real`] draws the real samples mixed 1:1 into the
+//!   synthetic set for the recovery phase (Section 3.3.1).
 //!
 //! # Examples
 //!

@@ -3,7 +3,7 @@
 use qd_data::Dataset;
 use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Leading (sample-count) dimension of a tensor, zero for rank-0.
 pub(crate) fn rows(t: &Tensor) -> usize {
@@ -17,7 +17,7 @@ pub(crate) fn rows(t: &Tensor) -> usize {
 /// Classes the client does not own have no synthetic samples — this is
 /// what lets QuickDrop serve class-level requests with only the owning
 /// clients participating.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SyntheticSet {
     per_class: Vec<Option<Tensor>>,
     channels: usize,
@@ -124,13 +124,24 @@ impl SyntheticSet {
     /// from the set's sample dims.
     pub fn set_class_samples(&mut self, class: usize, samples: Tensor) {
         assert!(class < self.per_class.len(), "class out of range");
-        let d = samples.dims();
-        assert_eq!(
-            (d.get(1).copied(), d.get(2).copied(), d.get(3).copied()),
-            (Some(self.channels), Some(self.height), Some(self.width)),
-            "sample geometry mismatch"
-        );
+        let problem = Self::misfit(&samples, self.sample_dims());
+        assert!(problem.is_none(), "{}", problem.unwrap_or_default());
         self.per_class[class] = Some(samples);
+    }
+
+    /// Why `samples` are not `(m, C, H, W)` samples at `(C, H, W)`, if
+    /// they are not: [`SyntheticSet::set_class_samples`]'s check, shared
+    /// with sets read back from disk.
+    fn misfit(
+        samples: &Tensor,
+        (channels, height, width): (usize, usize, usize),
+    ) -> Option<String> {
+        (samples.dims().get(1..) != Some(&[channels, height, width][..])).then(|| {
+            format!(
+                "sample geometry mismatch: shape {}, not (m, {channels}, {height}, {width})",
+                samples.shape()
+            )
+        })
     }
 
     /// Materializes the whole set as a labelled [`Dataset`].
@@ -177,6 +188,37 @@ impl SyntheticSet {
                 self.width,
             ),
         }
+    }
+}
+
+// Read back through the geometry `set_class_samples` asserts: every
+// stored class tensor is `(m, C, H, W)` at the set's sample dims, or the
+// file is malformed.
+impl Deserialize for SyntheticSet {
+    fn from_value(v: &Value) -> Result<Self, serde::DeError> {
+        fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, serde::DeError> {
+            T::from_value(v.field("SyntheticSet", name)?)
+        }
+        let per_class: Vec<Option<Tensor>> = field(v, "per_class")?;
+        let (channels, height, width) = (
+            field(v, "channels")?,
+            field(v, "height")?,
+            field(v, "width")?,
+        );
+        for (class, t) in per_class.iter().enumerate() {
+            let problem = t
+                .as_ref()
+                .and_then(|t| Self::misfit(t, (channels, height, width)));
+            if let Some(problem) = problem {
+                return Err(serde::DeError::new(format!("class {class}: {problem}")));
+            }
+        }
+        Ok(SyntheticSet {
+            per_class,
+            channels,
+            height,
+            width,
+        })
     }
 }
 
@@ -243,6 +285,23 @@ mod tests {
         let f = syn.class_dataset(3);
         assert_eq!(f.len(), syn.class_samples(3).map_or(0, |t| t.dims()[0]));
         assert!(f.labels().iter().all(|&y| y == 3));
+    }
+
+    #[test]
+    fn stored_sets_refuse_a_class_tensor_of_another_geometry() {
+        let syn = SyntheticSet::init_from_real(&data(), 50, &mut Rng::seed_from(5));
+        let v = syn.to_value();
+        assert_eq!(SyntheticSet::from_value(&v).unwrap(), syn);
+        let Value::Map(mut entries) = v else {
+            panic!("a synthetic set serializes as a map");
+        };
+        for (k, slot) in &mut entries {
+            if k == "channels" {
+                *slot = Value::U64(3);
+            }
+        }
+        let err = SyntheticSet::from_value(&Value::Map(entries)).unwrap_err();
+        assert!(err.to_string().contains("not (m, 3, 16, 16)"), "{err}");
     }
 
     #[test]

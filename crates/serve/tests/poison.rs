@@ -511,41 +511,42 @@ fn oracle_fs(seed: &PoisonSeed) -> Arc<FaultFs> {
 /// when journal v5 wrote repeated snapshots as back-references, once
 /// when journal v6 wrote each UNLEARNED snapshot as a digest, once when
 /// checkpoints stopped carrying the retired retry policy and sampling
-/// slack, and once more when they stopped carrying the network config and
-/// each phase's dropout — each time nothing else (DESIGN.md, "Durable
+/// slack, once when they stopped carrying the network config and each
+/// phase's dropout, and once more when checkpoint v4 stored each
+/// synthetic sample once — each time nothing else (DESIGN.md, "Durable
 /// formats", re-pin policy).
 /// The `breaker/*` and `ladder-bisect/*` rows pin two isolation-active
 /// runs; they were captured while the executor still carried its own
 /// tenant breaker type, before it drove qd-fed's `ClientHealth` (the
 /// breaker run ends with one tenant OPEN and the other HALF-OPEN).
 const ORACLE: &[(&str, u32)] = &[
-    ("coalesced/files", 0x4f7e9dd2),
+    ("coalesced/files", 0x1ffa902b),
     ("coalesced/model", 0x03fb97af),
     ("coalesced/stats", 0xf9c166b2),
-    ("singletons/files", 0xb9208f13),
+    ("singletons/files", 0xffacb6d2),
     ("singletons/model", 0x4291cba8),
     ("singletons/stats", 0x7d07faa3),
-    ("unguarded/files", 0xd6aa98c1),
+    ("unguarded/files", 0xb5dc4acf),
     ("unguarded/model", 0x03fb97af),
     ("unguarded/stats", 0xf9c166b2),
-    ("serve-relearn/files", 0x6b12e66f),
+    ("serve-relearn/files", 0x14d89271),
     ("serve-relearn/model", 0xb30c90f7),
-    ("coalesced/kill-single@received", 0x26acd82a),
-    ("coalesced/kill-single@unlearned1", 0xf0f18d7e),
-    ("coalesced/kill-single@unlearned2", 0xf0f18d7e),
-    ("coalesced/kill-single@recovered", 0x4bc3bf5c),
-    ("coalesced/kill-multi@received", 0x6e6e39e0),
-    ("coalesced/kill-multi@unlearned1", 0xafde423e),
-    ("coalesced/kill-multi@unlearned2", 0x8fb0bc59),
-    ("coalesced/kill-multi@recovered", 0x787aae1b),
-    ("singletons/kill-single@received", 0xc01ff403),
-    ("singletons/kill-single@unlearned1", 0x116fa1ef),
-    ("singletons/kill-single@unlearned2", 0x116fa1ef),
-    ("singletons/kill-single@recovered", 0x1f0fea47),
-    ("breaker/files", 0x0ea5f057),
+    ("coalesced/kill-single@received", 0x56d53d36),
+    ("coalesced/kill-single@unlearned1", 0x8a1824e0),
+    ("coalesced/kill-single@unlearned2", 0x8a1824e0),
+    ("coalesced/kill-single@recovered", 0xa3043240),
+    ("coalesced/kill-multi@received", 0x4df4558d),
+    ("coalesced/kill-multi@unlearned1", 0x1c611b43),
+    ("coalesced/kill-multi@unlearned2", 0x3bb7cb42),
+    ("coalesced/kill-multi@recovered", 0x0694c2f4),
+    ("singletons/kill-single@received", 0x77722d3e),
+    ("singletons/kill-single@unlearned1", 0x69214eb3),
+    ("singletons/kill-single@unlearned2", 0x69214eb3),
+    ("singletons/kill-single@recovered", 0x94474c9e),
+    ("breaker/files", 0x30c64e07),
     ("breaker/model", 0xb4b6263e),
     ("breaker/stats", 0x45393062),
-    ("ladder-bisect/files", 0x6f47efc6),
+    ("ladder-bisect/files", 0x25d68b45),
     ("ladder-bisect/model", 0x1f793fc2),
     ("ladder-bisect/stats", 0x62b07e7a),
 ];

@@ -2,7 +2,7 @@
 
 use crate::rng::Rng;
 use crate::Shape;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A dense, row-major, heap-allocated `f32` tensor.
@@ -22,7 +22,7 @@ use std::fmt;
 /// let y = x.add(&Tensor::full(&[2, 2], 1.0));
 /// assert_eq!(y.data(), &[4.0, 4.0, 4.0, 4.0]);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -37,13 +37,22 @@ impl Tensor {
     /// by `shape`.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Self {
         let shape = Shape::new(shape);
-        assert_eq!(
-            data.len(),
-            shape.len(),
-            "buffer of {} elements does not fit shape {shape}",
-            data.len()
-        );
+        let problem = Self::misfit(&data, &shape);
+        assert!(problem.is_none(), "{}", problem.unwrap_or_default());
         Tensor { shape, data }
+    }
+
+    /// Why `data` does not fill a tensor of `shape`, if it does not:
+    /// [`Tensor::from_vec`]'s check, shared with tensors read back from
+    /// disk (whose dims may multiply past `usize`).
+    fn misfit(data: &[f32], shape: &Shape) -> Option<String> {
+        let len = (shape.dims().iter()).try_fold(1usize, |n, &d| n.checked_mul(d));
+        (len != Some(data.len())).then(|| {
+            format!(
+                "buffer of {} elements does not fit shape {shape}",
+                data.len()
+            )
+        })
     }
 
     /// Creates a rank-0 (scalar) tensor.
@@ -282,6 +291,19 @@ impl Tensor {
     }
 }
 
+// Read back through the check `from_vec` asserts: a stored tensor whose
+// shape does not account for its buffer is a malformed file, not a value.
+impl serde::Deserialize for Tensor {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let shape: Shape = serde::Deserialize::from_value(v.field("Tensor", "shape")?)?;
+        let data: Vec<f32> = serde::Deserialize::from_value(v.field("Tensor", "data")?)?;
+        match Self::misfit(&data, &shape) {
+            Some(problem) => Err(serde::DeError::new(problem)),
+            None => Ok(Tensor { shape, data }),
+        }
+    }
+}
+
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         const PREVIEW: usize = 8;
@@ -314,6 +336,23 @@ mod tests {
     #[should_panic(expected = "does not fit shape")]
     fn from_vec_rejects_wrong_count() {
         let _ = Tensor::from_vec(vec![1.0], &[2]);
+    }
+
+    #[test]
+    fn deserialize_checks_element_count() {
+        use serde::Deserialize;
+        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
+        let back = Tensor::from_value(&t.to_value()).unwrap();
+        assert_eq!(back, t);
+        for dims in [vec![3u64, 3], vec![6, 0], vec![u64::MAX, 2]] {
+            let mut v = t.to_value();
+            let serde::Value::Map(entries) = &mut v else {
+                panic!("a tensor serializes as a map");
+            };
+            entries[0].1 = serde::Value::Seq(dims.into_iter().map(serde::Value::U64).collect());
+            let err = Tensor::from_value(&v).unwrap_err().to_string();
+            assert!(err.contains("does not fit shape"), "{err}");
+        }
     }
 
     #[test]

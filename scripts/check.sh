@@ -90,7 +90,7 @@ cargo test --offline --workspace -q
 echo "== code lines (scripts/loc.sh; informational, never a gate)"
 ./scripts/loc.sh | tail -n 6
 
-echo "== durable format corpus (release: pinned journal-v6 + checkpoint-v3 fixtures read bit-for-bit and rewritten byte-for-byte, typed refusal of v1-v5/JSON inputs, back-reference + derived-record round-trip oracle, corruption corpus, O(1) appends, one stored snapshot and <= 25 KB per unlearn)"
+echo "== durable format corpus (release: pinned journal-v6 + checkpoint-v4 fixtures read bit-for-bit and rewritten byte-for-byte, typed refusal of journal v1-v5 and checkpoint v1-v3/JSON inputs, back-reference + derived-record round-trip oracle, corruption corpus incl. sealed-but-inconsistent checkpoints, O(1) appends, one stored snapshot and <= 25 KB per unlearn, each synthetic sample stored once per checkpoint)"
 cargo test --offline --release -p qd-core --test journal_format -q
 
 echo "== isolation properties (release: ladder monotonicity, bisection order-insensitivity)"
@@ -132,7 +132,8 @@ echo "== float-order gate + exact-count gates (traced qd-perf runs must end on t
 # request-stream output carries two exact byte counts (`#` metrics): a
 # change that quietly re-inflates a journal record or the checkpoint
 # (DESIGN.md "Durable formats": 111 689 and 1 968 430 bytes as decimal
-# text) fails here. The journal probe re-appends one record, so since
+# text; the checkpoint 395 044 while it stored each synthetic sample twice,
+# 271 752 since) fails here. The journal probe re-appends one record, so since
 # journal v5 it measures a back-reference (269 bytes): a change that stops
 # writing a repeated snapshot once fails the 296-byte ceiling. A record
 # carrying its snapshot inline is 22 335 bytes, and since journal v6 an
@@ -157,7 +158,7 @@ while read -r workload digest; do
             || { echo "qd-perf $workload (seed 11): $metric is missing or above $ceiling bytes — durable state re-inflated, steps back on the recording tape, or a step holding its layout or ReLU/pool nodes again" >&2; exit 1; }
     done <<'BYTES'
 request-stream core.journal.bytes_per_record 296
-request-stream core.ckpt.bytes 420000
+request-stream core.ckpt.bytes 299000
 request-stream alloc.bytes_per_op 139000000
 train-distill alloc.bytes_per_op 1048000000
 BYTES
