@@ -386,9 +386,9 @@ impl Harness {
         }
         // The `net_drop` environment: clients unreachable for whole
         // rounds while the deployment trains, over a simulated network.
-        let net = NetConfig::lossy(w.train_seed, w.net_drop);
-        if !net.is_ideal() {
-            fed.set_transport(Box::new(SimNet::new(net.validated())));
+        if w.net_drop > 0.0 {
+            let net = NetConfig::lossy(w.train_seed, w.net_drop);
+            fed.set_transport(Box::new(SimNet::new(net)));
         }
         let mut cfg = QuickDropConfig::scaled_test();
         cfg.train_phase = Phase::training(w.rounds, 2, 16, 0.1);

@@ -320,9 +320,25 @@ fn train(args: &Args) -> Result<String, CliError> {
     let lr = args.get_f32("lr", 0.08)?;
     let scale = args.get_usize("scale", 100)?;
     let seed = args.get_u64("seed", 42)?;
-    for (key, value) in [("clients", clients), ("scale", scale)] {
+    for (key, value) in [
+        ("clients", clients),
+        ("scale", scale),
+        ("samples", samples),
+        ("batch", batch),
+    ] {
         if value == 0 {
             return Err(CliError::Usage(format!("--{key} must be at least 1")));
+        }
+    }
+    // Dirichlet's concentration; `--iid` partitions without one.
+    let alpha = (!args.flag("iid"))
+        .then(|| args.get_f32("alpha", 0.1))
+        .transpose()?;
+    for (key, value) in [("lr", Some(lr)), ("alpha", alpha)] {
+        if let Some(v) = value.filter(|v| !(v.is_finite() && *v > 0.0)) {
+            return Err(CliError::Usage(format!(
+                "--{key} must be positive and finite, got {v}"
+            )));
         }
     }
     let aggregator = {
@@ -346,11 +362,9 @@ fn train(args: &Args) -> Result<String, CliError> {
 
     let mut rng = Rng::seed_from(seed);
     let data = dataset.generate(samples, &mut rng);
-    let parts = if args.flag("iid") {
-        partition_iid(data.len(), clients, &mut rng)
-    } else {
-        let alpha = args.get_f32("alpha", 0.1)?;
-        partition_dirichlet(data.labels(), data.classes(), clients, alpha, &mut rng)
+    let parts = match alpha {
+        None => partition_iid(data.len(), clients, &mut rng),
+        Some(alpha) => partition_dirichlet(data.labels(), data.classes(), clients, alpha, &mut rng),
     };
     let client_data: Vec<Dataset> = parts.iter().map(|p| data.subset(p)).collect();
     let model = model_for(dataset);
@@ -1495,12 +1509,26 @@ mod tests {
 
     #[test]
     fn train_refuses_zero_clients_and_zero_scale() {
-        for key in ["clients", "scale"] {
-            let out = tmp(&format!("zero_{key}.json"));
-            let flag = format!("--{key}");
-            let err = run(&args(&["train", "--out", &out, &flag, "0"])).unwrap_err();
+        // A degenerate count or rate is refused by name before anything
+        // is written, rather than panicking mid-run (`--lr`, `--alpha`)
+        // or writing a deployment that never trained (`--batch`,
+        // `--samples`).
+        let positive =
+            |flag: &str, value: &str| format!("{flag} must be positive and finite, got {value}");
+        let mut cases = Vec::new();
+        for flag in ["--clients", "--scale", "--samples", "--batch"] {
+            cases.push((flag, "0", format!("{flag} must be at least 1")));
+        }
+        for flag in ["--lr", "--alpha"] {
+            for (value, shown) in [("0", "0"), ("-1", "-1"), ("nan", "NaN")] {
+                cases.push((flag, value, positive(flag, shown)));
+            }
+        }
+        for (flag, value, message) in cases {
+            let out = tmp(&format!("refused{flag}={value}.json"));
+            let err = run(&args(&["train", "--out", &out, flag, value])).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{err}");
-            assert_eq!(err.to_string(), format!("{flag} must be at least 1"));
+            assert_eq!(err.to_string(), message);
             assert!(!Path::new(&out).exists(), "nothing is written");
         }
     }

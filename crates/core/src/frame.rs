@@ -23,7 +23,7 @@
 //! `unseal` them, verifying the CRC, before a byte of a frame is parsed.
 
 use crate::vfs::crc32;
-use qd_fed::{Payload, WireFormat};
+use qd_fed::Payload;
 use qd_tensor::Tensor;
 use serde::{DeError, Value};
 
@@ -86,7 +86,7 @@ pub fn encode(value: &Value) -> Vec<u8> {
     let mut body = Vec::new();
     // Infallible for the Value data model (see `serde_json::to_string`).
     let skeleton = serde_json::to_string(&hoist(value, &mut body)).unwrap_or_default();
-    let body = Payload::encode(&body, WireFormat::F32);
+    let body = Payload::encode(&body);
     // A length past u32 is caught when the frame is sealed.
     let skel_len = (skeleton.len() as u32).to_le_bytes();
     [&skel_len[..], skeleton.as_bytes(), body.as_bytes()].concat()
@@ -136,9 +136,6 @@ pub fn decode(bytes: &[u8]) -> Result<Value, DeError> {
     let skeleton = std::str::from_utf8(skeleton).map_err(bad)?;
     let mut value: Value = serde_json::from_str(skeleton).map_err(bad)?;
     let body = Payload::from_bytes(body.to_vec());
-    if body.format().map_err(bad)? != WireFormat::F32 {
-        return Err(bad("body is not in the F32 layout"));
-    }
     let mut body = body.decode().map_err(bad)?.into_iter().enumerate();
     lower(&mut value, &mut body)?;
     match body.next() {
@@ -330,7 +327,7 @@ mod tests {
         let frame_of = |skeleton: &str, arrays: &[Tensor]| {
             let mut out = (skeleton.len() as u32).to_le_bytes().to_vec();
             out.extend_from_slice(skeleton.as_bytes());
-            out.extend_from_slice(Payload::encode(arrays, WireFormat::F32).as_bytes());
+            out.extend_from_slice(Payload::encode(arrays).as_bytes());
             out
         };
         let one = [Tensor::from_vec(vec![1.0], &[1])];
@@ -345,11 +342,12 @@ mod tests {
             let err = decode(&frame_of(skeleton, arrays)).expect_err(skeleton);
             assert!(err.to_string().starts_with("malformed frame: "), "{err}");
         }
-        let quant = Payload::encode(&one, WireFormat::QuantU8);
-        let mut lossy = 10u32.to_le_bytes().to_vec();
-        lossy.extend_from_slice(b"{\"$f32\":0}");
-        lossy.extend_from_slice(quant.as_bytes());
-        assert!(decode(&lossy).is_err(), "a lossy body is refused");
+        // The body's format byte: past the length, the 10-byte skeleton,
+        // and the payload's magic and version.
+        let mut other_format = frame_of("{\"$f32\":0}", &one);
+        other_format[4 + 10 + 5] = 1;
+        let err = decode(&other_format).expect_err("format byte 1");
+        assert!(err.to_string().starts_with("malformed frame: "), "{err}");
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! * a pluggable [`Aggregator`] trait with four built-in rules
 //!   ([`AggregatorKind`]): weighted FedAvg, coordinate-wise median,
 //!   coordinate-wise trimmed mean, and norm-clipped mean;
-//! * an [`UpdateGuard`] that validates every update *at ingestion* (after
-//!   the wire decode, so quantization artifacts are covered) and
-//!   quarantines clients after repeated violations;
+//! * an [`UpdateGuard`] that validates every update *at ingestion* (as
+//!   the transport delivered it) and quarantines clients after repeated
+//!   violations;
 //! * [`ResilienceStats`], the accounting that rides inside
 //!   `PhaseStats` so chaos experiments can report what was rejected.
 //!

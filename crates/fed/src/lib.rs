@@ -67,5 +67,4 @@ pub use trainer::{sgd_trainers, ClientTrainer, LocalOutcome, SgdClientTrainer};
 // depending on `qd-net` directly.
 pub use qd_net::{
     Delivery, LoopbackTransport, NetConfig, NetStats, Payload, PayloadError, SimNet, Transport,
-    WireFormat,
 };

@@ -75,16 +75,15 @@ fn identically_seeded_runs_produce_identical_phase_stats() {
 
 #[test]
 fn identically_seeded_simnet_runs_agree_including_wire_costs() {
-    // Under a lossy, jittery simulated network the transport RNG adds a
+    // Under a simulated network with dropout the transport RNG adds a
     // second random stream; both must be pinned by the seed, down to
-    // byte counts, drops and retries.
+    // byte counts and unreachable clients.
     let phase = Phase::training(4, 3, 8, 0.1);
     let cfg = NetConfig {
         latency_ms: 5.0,
         bandwidth_mbps: 50.0,
-        loss_prob: 0.05,
+        dropout_prob: 0.2,
         seed: 11,
-        ..NetConfig::default()
     };
     let first = run(9, Some(cfg), &phase);
     let second = run(9, Some(cfg), &phase);

@@ -1,7 +1,7 @@
 //! Integration tests for the federation ↔ transport seam: the loopback
 //! default must reproduce pre-transport results bit-for-bit, an ideal
-//! `SimNet` must agree with it, and lossy/slow networks must be priced
-//! deterministically.
+//! `SimNet` must agree with it, and slow networks with dropout must be
+//! priced deterministically.
 
 use qd_fed::{sgd_trainers, Federation, NetConfig, Phase, PhaseStats, SimNet};
 use qd_nn::{Mlp, Module};
@@ -51,7 +51,7 @@ fn loopback_and_ideal_simnet_agree_bit_for_bit() {
     assert_eq!(loop_stats.net.total_bytes(), 0);
     assert!(sim_stats.net.total_bytes() > 0);
     assert_eq!(sim_stats.net.sim, std::time::Duration::ZERO);
-    assert_eq!(sim_stats.net.drops, 0);
+    assert_eq!(sim_stats.net.delivered, sim_stats.net.transfers);
 
     // Transport choice never changes the learning-level accounting.
     assert_eq!(loop_stats.rounds, sim_stats.rounds);
@@ -62,17 +62,13 @@ fn loopback_and_ideal_simnet_agree_bit_for_bit() {
 
 #[test]
 fn same_seed_and_config_reproduce_netstats_and_params() {
-    // Full determinism under an adversarial network: latency, jitter,
-    // loss, dropout and stragglers all active.
+    // Full determinism under a degraded network: latency, bandwidth and
+    // dropout all active.
     let cfg = NetConfig {
         latency_ms: 5.0,
         bandwidth_mbps: 50.0,
-        jitter_ms: 2.0,
         dropout_prob: 0.2,
-        straggler_frac: 0.3,
-        loss_prob: 0.1,
         seed: 7,
-        ..NetConfig::default()
     };
     let phase = Phase::training(4, 2, 8, 0.1);
     let (params_a, stats_a) = run(9, Some(cfg), &phase);
@@ -91,10 +87,8 @@ fn slow_lossy_network_reports_time_bytes_and_drops() {
     let cfg = NetConfig {
         latency_ms: 20.0,
         bandwidth_mbps: 10.0,
-        loss_prob: 0.3,
         dropout_prob: 0.3,
         seed: 3,
-        ..NetConfig::default()
     };
     let phase = Phase::training(6, 1, 8, 0.1);
     let (params, stats) = run(5, Some(cfg), &phase);
@@ -103,32 +97,16 @@ fn slow_lossy_network_reports_time_bytes_and_drops() {
     // 6 rounds x >= 20 ms of latency each way.
     assert!(stats.net.sim >= std::time::Duration::from_millis(6 * 40));
     assert!(
-        stats.net.drops > 0,
-        "30% loss over 6 rounds must drop something"
+        stats.net.unreachable > 0,
+        "30% dropout over 6 rounds must miss someone"
+    );
+    assert_eq!(
+        stats.net.transfers,
+        stats.net.delivered + stats.net.unreachable
     );
     // Unreachable clients compute nothing, so uploads fall short of the
     // loopback count for the same phase.
     assert!(stats.upload_scalars < stats.download_scalars);
-}
-
-#[test]
-fn quantized_wire_still_learns() {
-    // QuantU8 is lossy, so parameters diverge from the loopback run, but
-    // training must remain finite and the traffic must shrink.
-    let phase = Phase::training(3, 4, 8, 0.1);
-    let quant = NetConfig {
-        quantized: true,
-        ..NetConfig::default()
-    };
-    let (qp, q_stats) = run(42, Some(quant), &phase);
-    let (_, f_stats) = run(42, Some(NetConfig::default()), &phase);
-    assert!(qp.iter().all(|t| t.all_finite()));
-    assert!(
-        q_stats.net.total_bytes() * 3 < f_stats.net.total_bytes(),
-        "u8 wire should be ~4x smaller: {} vs {}",
-        q_stats.net.total_bytes(),
-        f_stats.net.total_bytes()
-    );
 }
 
 #[test]
@@ -147,3 +125,58 @@ fn phase_stats_surface_net_costs() {
     assert_eq!(stats.net.transfers, 4 * 3 * 2);
     assert!(stats.net.sim >= std::time::Duration::from_millis(4 * 20));
 }
+
+/// CRC-32 (IEEE, reflected) over the parameters' little-endian bits.
+fn crc32(params: &[Tensor]) -> u32 {
+    let mut crc = !0u32;
+    for byte in params
+        .iter()
+        .flat_map(|t| t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()))
+    {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+/// The final parameters' CRC and every `NetStats` counter, captured at
+/// commit 6e2f435, before `SimNet` was cut down to latency, bandwidth and
+/// dropout: the chaos harness's dropout-only network and the benchmark's
+/// latency + bandwidth link must still train the same model and pay the
+/// same cost.
+#[test]
+fn the_two_shipped_networks_train_the_pinned_model_at_the_pinned_cost() {
+    let phase = Phase::training(6, 2, 8, 0.1);
+    let cases = [
+        (NetConfig::lossy(7, 0.3), PIN_LOSSY),
+        (
+            NetConfig {
+                latency_ms: 5.0,
+                bandwidth_mbps: 100.0,
+                ..NetConfig::default()
+            },
+            PIN_LINK,
+        ),
+    ];
+    for (cfg, pin) in cases {
+        let (params, stats) = run(5, Some(cfg), &phase);
+        let n = stats.net;
+        let got = (
+            crc32(&params),
+            n.bytes_down,
+            n.bytes_up,
+            n.sim.as_nanos(),
+            n.transfers,
+            n.delivered,
+            n.unreachable,
+        );
+        assert_eq!(got, pin, "{cfg:?}");
+        assert_eq!(n.transfers, n.delivered + n.unreachable);
+    }
+}
+
+type Pin = (u32, u64, u64, u128, u64, u64, u64);
+const PIN_LOSSY: Pin = (3295693179, 206424, 206424, 1000000000, 30, 24, 6);
+const PIN_LINK: Pin = (2460348390, 309636, 309636, 76513920, 36, 36, 0);

@@ -6,15 +6,14 @@
 //! server ↔ client parameter exchange through, plus two implementations:
 //!
 //! * [`LoopbackTransport`] — the zero-cost in-process default;
-//! * [`SimNet`] — per-link latency, bandwidth and jitter with fault
-//!   injection (client dropout, stragglers, message loss with bounded
-//!   retry), driven by its own seeded RNG so traces are reproducible and
+//! * [`SimNet`] — per-link latency and bandwidth plus whole-round client
+//!   dropout, driven by its own seeded RNG so traces are reproducible and
 //!   independent of the federation's random stream.
 //!
-//! Parameters cross the wire as [`Payload`] frames — byte-accurate
-//! little-endian encodings in either lossless `f32` or quantized-`u8`
-//! [`WireFormat`] — so reported byte counts are exactly what a real
-//! implementation would send. Costs land in [`NetStats`].
+//! Parameters are priced as [`Payload`] frames — byte-accurate,
+//! lossless little-endian `f32` encodings — so reported byte counts are
+//! exactly what a real implementation would send. Costs land in
+//! [`NetStats`].
 //!
 //! # Example
 //!
@@ -22,13 +21,12 @@
 //! use qd_net::{NetConfig, SimNet, Transport};
 //! use qd_tensor::Tensor;
 //!
-//! // A 20 ms / 100 Mbit/s link that loses 1% of messages.
+//! // A 20 ms / 100 Mbit/s link where a client misses 10% of rounds.
 //! let cfg = NetConfig {
 //!     latency_ms: 20.0,
 //!     bandwidth_mbps: 100.0,
-//!     loss_prob: 0.01,
+//!     dropout_prob: 0.1,
 //!     seed: 7,
-//!     ..NetConfig::default()
 //! };
 //! let mut net = SimNet::new(cfg);
 //!
@@ -45,7 +43,7 @@
 //! net.end_round();
 //!
 //! let stats = net.take_stats();
-//! assert!(stats.total_bytes() > 0);
+//! assert_eq!(stats.transfers, stats.delivered + stats.unreachable);
 //! assert!(stats.sim >= std::time::Duration::from_millis(40));
 //! ```
 
@@ -60,7 +58,7 @@ pub mod stats;
 pub mod transport;
 
 pub use config::NetConfig;
-pub use payload::{Payload, PayloadError, WireFormat};
+pub use payload::{Payload, PayloadError};
 pub use sim::SimNet;
 pub use stats::NetStats;
 pub use transport::{Delivery, LoopbackTransport, Transport};

@@ -2,14 +2,10 @@
 //!
 //! A [`Payload`] is the serialized form of a `Vec<Tensor>` as it would
 //! cross the network: a fixed header, then per-tensor shape metadata and
-//! element data, all little-endian. Two wire formats exist:
-//!
-//! * [`WireFormat::F32`] — raw IEEE-754 bits, 4 bytes/scalar, decodes
-//!   bit-exactly;
-//! * [`WireFormat::QuantU8`] — per-tensor affine quantization to one
-//!   byte/scalar (plus an 8-byte min/scale header per tensor). Decoding
-//!   reconstructs each value to within half a quantization step,
-//!   `(max - min) / 510`.
+//! raw IEEE-754 element bits, all little-endian, so a frame decodes
+//! bit-exactly (NaN payloads and `-0.0` included). The same layout is
+//! the body of every journal record and checkpoint file (`qd-core`'s
+//! `frame` module).
 //!
 //! Byte counts reported by the transport layer are `Payload::len`, so
 //! simulated bandwidth costs track exactly what the codec emits.
@@ -20,36 +16,10 @@ use qd_tensor::Tensor;
 const MAGIC: [u8; 4] = *b"QDNP";
 /// Frame layout version.
 const VERSION: u8 = 1;
+/// The header's element-format byte: `0`, raw `f32` — the one layout.
+const FORMAT_F32: u8 = 0;
 /// Bytes before the first tensor record: magic, version, format, count.
 const HEADER_LEN: usize = 4 + 1 + 1 + 4;
-
-/// Element encoding used on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireFormat {
-    /// Raw `f32` little-endian bits; lossless.
-    F32,
-    /// Per-tensor affine `u8` quantization; 4x smaller, lossy.
-    QuantU8,
-}
-
-impl WireFormat {
-    fn tag(self) -> u8 {
-        match self {
-            WireFormat::F32 => 0,
-            WireFormat::QuantU8 => 1,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, PayloadError> {
-        match tag {
-            0 => Ok(WireFormat::F32),
-            1 => Ok(WireFormat::QuantU8),
-            other => Err(PayloadError::new(format!(
-                "unknown wire format tag {other}"
-            ))),
-        }
-    }
-}
 
 /// A malformed or truncated frame (the typed error every fallible
 /// [`Payload`] operation returns — nothing in the codec panics).
@@ -79,19 +49,16 @@ pub struct Payload {
 }
 
 impl Payload {
-    /// Encodes `tensors` in the given wire format.
-    pub fn encode(tensors: &[Tensor], format: WireFormat) -> Payload {
+    /// Encodes `tensors`.
+    pub fn encode(tensors: &[Tensor]) -> Payload {
         let data_bytes: usize = tensors
             .iter()
-            .map(|t| match format {
-                WireFormat::F32 => 4 + 8 * t.shape().rank() + 4 * t.len(),
-                WireFormat::QuantU8 => 4 + 8 * t.shape().rank() + 8 + t.len(),
-            })
+            .map(|t| 4 + 8 * t.shape().rank() + 4 * t.len())
             .sum();
         let mut bytes = Vec::with_capacity(HEADER_LEN + data_bytes);
         bytes.extend_from_slice(&MAGIC);
         bytes.push(VERSION);
-        bytes.push(format.tag());
+        bytes.push(FORMAT_F32);
         bytes.extend_from_slice(&(tensors.len() as u32).to_le_bytes());
         for t in tensors {
             let dims = t.shape().dims();
@@ -99,25 +66,8 @@ impl Payload {
             for &d in dims {
                 bytes.extend_from_slice(&(d as u64).to_le_bytes());
             }
-            match format {
-                WireFormat::F32 => {
-                    for &x in t.data() {
-                        bytes.extend_from_slice(&x.to_le_bytes());
-                    }
-                }
-                WireFormat::QuantU8 => {
-                    let (min, scale) = quant_params(t.data());
-                    bytes.extend_from_slice(&min.to_le_bytes());
-                    bytes.extend_from_slice(&scale.to_le_bytes());
-                    for &x in t.data() {
-                        let q = if scale > 0.0 {
-                            (((x - min) / scale).round()).clamp(0.0, 255.0) as u8
-                        } else {
-                            0
-                        };
-                        bytes.push(q);
-                    }
-                }
+            for &x in t.data() {
+                bytes.extend_from_slice(&x.to_le_bytes());
             }
         }
         Payload { bytes }
@@ -127,8 +77,9 @@ impl Payload {
     ///
     /// # Errors
     ///
-    /// Returns [`PayloadError`] on bad magic, unknown version or format,
-    /// truncation, or a shape/element-count mismatch.
+    /// Returns [`PayloadError`] on bad magic, unknown version, a format
+    /// byte other than `0`, truncation, or a shape/element-count
+    /// mismatch.
     pub fn decode(&self) -> Result<Vec<Tensor>, PayloadError> {
         let mut r = Reader {
             bytes: &self.bytes,
@@ -141,7 +92,12 @@ impl Payload {
         if version != VERSION {
             return Err(PayloadError::new(format!("unsupported version {version}")));
         }
-        let format = WireFormat::from_tag(r.u8()?)?;
+        let format = r.u8()?;
+        if format != FORMAT_F32 {
+            return Err(PayloadError::new(format!(
+                "unsupported format tag {format}"
+            )));
+        }
         let count = r.u32()? as usize;
         // Lengths come off the wire (or the disk): nothing is allocated
         // for one until the bytes that would fill it are known to exist.
@@ -167,23 +123,11 @@ impl Payload {
                 .iter()
                 .try_fold(1usize, |n, &d| n.checked_mul(d))
                 .ok_or_else(|| PayloadError::new("implausible shape"))?;
-            let data = match format {
-                WireFormat::F32 => {
-                    let raw = len
-                        .checked_mul(4)
-                        .ok_or_else(|| PayloadError::new("implausible shape"))?;
-                    let (words, _) = r.take(raw)?.as_chunks::<4>();
-                    words.iter().map(|w| f32::from_le_bytes(*w)).collect()
-                }
-                WireFormat::QuantU8 => {
-                    let min = r.f32()?;
-                    let scale = r.f32()?;
-                    r.take(len)?
-                        .iter()
-                        .map(|&q| min + q as f32 * scale)
-                        .collect()
-                }
-            };
+            let raw = len
+                .checked_mul(4)
+                .ok_or_else(|| PayloadError::new("implausible shape"))?;
+            let (words, _) = r.take(raw)?.as_chunks::<4>();
+            let data = words.iter().map(|w| f32::from_le_bytes(*w)).collect();
             tensors.push(Tensor::from_vec(data, &dims));
         }
         if r.pos != self.bytes.len() {
@@ -201,22 +145,6 @@ impl Payload {
         self.bytes.len()
     }
 
-    /// The wire format recorded in the frame header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PayloadError`] when the frame is too short to carry a
-    /// header or the format tag is unknown — possible for frames built
-    /// with [`Payload::from_bytes`] from wire input; frames built by
-    /// [`Payload::encode`] always succeed.
-    pub fn format(&self) -> Result<WireFormat, PayloadError> {
-        let tag = self
-            .bytes
-            .get(5)
-            .ok_or_else(|| PayloadError::new("frame too short for a header"))?;
-        WireFormat::from_tag(*tag)
-    }
-
     /// The raw frame bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
@@ -226,32 +154,6 @@ impl Payload {
     pub fn from_bytes(bytes: Vec<u8>) -> Payload {
         Payload { bytes }
     }
-
-    /// Worst-case absolute reconstruction error per element for encoding
-    /// `tensors` in `format` (0 for lossless formats).
-    pub fn max_quant_error(tensors: &[Tensor], format: WireFormat) -> f32 {
-        match format {
-            WireFormat::F32 => 0.0,
-            WireFormat::QuantU8 => tensors
-                .iter()
-                .map(|t| quant_params(t.data()).1 / 2.0)
-                .fold(0.0, f32::max),
-        }
-    }
-}
-
-/// Per-tensor affine quantization parameters `(min, step)`.
-fn quant_params(data: &[f32]) -> (f32, f32) {
-    let mut min = f32::INFINITY;
-    let mut max = f32::NEG_INFINITY;
-    for &x in data {
-        min = min.min(x);
-        max = max.max(x);
-    }
-    if !min.is_finite() || !max.is_finite() || max <= min {
-        return (if min.is_finite() { min } else { 0.0 }, 0.0);
-    }
-    (min, (max - min) / 255.0)
 }
 
 struct Reader<'a> {
@@ -290,10 +192,6 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, PayloadError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
-
-    fn f32(&mut self) -> Result<f32, PayloadError> {
-        Ok(f32::from_le_bytes(self.array()?))
-    }
 }
 
 #[cfg(test)]
@@ -313,7 +211,7 @@ mod tests {
     #[test]
     fn f32_round_trip_is_bit_exact() {
         let tensors = sample_tensors();
-        let payload = Payload::encode(&tensors, WireFormat::F32);
+        let payload = Payload::encode(&tensors);
         let back = payload.decode().unwrap();
         assert_eq!(back.len(), tensors.len());
         for (a, b) in tensors.iter().zip(&back) {
@@ -337,59 +235,21 @@ mod tests {
         for _ in 0..3 {
             frame.extend_from_slice(&u64::from(u32::MAX).to_le_bytes());
         }
-        assert!(Payload::from_bytes(frame.clone()).decode().is_err());
-        // The same in the one-byte-per-scalar layout.
-        frame[5] = 1;
         assert!(Payload::from_bytes(frame).decode().is_err());
     }
 
     #[test]
     fn f32_byte_count_is_exact() {
         let tensors = sample_tensors();
-        let payload = Payload::encode(&tensors, WireFormat::F32);
+        let payload = Payload::encode(&tensors);
         // header + per-tensor (ndim + dims + data)
         let expected = 10 + (4 + 16 + 48) + (4 + 32 + 96) + (4 + 8 + 4);
         assert_eq!(payload.len(), expected);
-        assert_eq!(payload.format().unwrap(), WireFormat::F32);
-    }
-
-    #[test]
-    fn quantized_is_smaller_and_error_bounded() {
-        let tensors = sample_tensors();
-        let f32_len = Payload::encode(&tensors, WireFormat::F32).len();
-        let payload = Payload::encode(&tensors, WireFormat::QuantU8);
-        assert!(payload.len() < f32_len, "{} vs {f32_len}", payload.len());
-
-        // On realistically sized tensors the ~4x saving shows through the
-        // framing overhead.
-        let mut rng = Rng::seed_from(13);
-        let big = vec![Tensor::randn(&[64, 64], &mut rng)];
-        let big_quant = Payload::encode(&big, WireFormat::QuantU8).len();
-        let big_f32 = Payload::encode(&big, WireFormat::F32).len();
-        assert!(big_quant * 3 < big_f32, "{big_quant} vs {big_f32}");
-        let bound = Payload::max_quant_error(&tensors, WireFormat::QuantU8);
-        assert!(bound > 0.0);
-        let back = payload.decode().unwrap();
-        for (a, b) in tensors.iter().zip(&back) {
-            for (x, y) in a.data().iter().zip(b.data()) {
-                assert!(
-                    (x - y).abs() <= bound * 1.0001,
-                    "{x} vs {y} (bound {bound})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn constant_tensor_quantizes_exactly() {
-        let t = vec![Tensor::from_vec(vec![1.5; 6], &[2, 3])];
-        let back = Payload::encode(&t, WireFormat::QuantU8).decode().unwrap();
-        assert_eq!(back[0].data(), t[0].data());
     }
 
     #[test]
     fn empty_parameter_list_round_trips() {
-        let payload = Payload::encode(&[], WireFormat::F32);
+        let payload = Payload::encode(&[]);
         assert_eq!(payload.len(), 10);
         assert_eq!(payload.decode().unwrap(), Vec::<Tensor>::new());
     }
@@ -397,7 +257,7 @@ mod tests {
     #[test]
     fn corrupted_frames_are_rejected() {
         let tensors = sample_tensors();
-        let good = Payload::encode(&tensors, WireFormat::F32);
+        let good = Payload::encode(&tensors);
 
         let mut bad_magic = good.as_bytes().to_vec();
         bad_magic[0] = b'X';
@@ -407,9 +267,11 @@ mod tests {
         bad_version[4] = 99;
         assert!(Payload::from_bytes(bad_version).decode().is_err());
 
-        let mut bad_format = good.as_bytes().to_vec();
-        bad_format[5] = 7;
-        assert!(Payload::from_bytes(bad_format).decode().is_err());
+        for format in [1, 7] {
+            let mut bad_format = good.as_bytes().to_vec();
+            bad_format[5] = format;
+            assert!(Payload::from_bytes(bad_format).decode().is_err());
+        }
 
         let truncated = good.as_bytes()[..good.len() - 3].to_vec();
         assert!(Payload::from_bytes(truncated).decode().is_err());
@@ -422,7 +284,7 @@ mod tests {
     #[test]
     fn scalar_rank_zero_tensor_round_trips() {
         let t = vec![Tensor::from_vec(vec![std::f32::consts::PI], &[])];
-        let payload = Payload::encode(&t, WireFormat::F32);
+        let payload = Payload::encode(&t);
         let back = payload.decode().unwrap();
         assert_eq!(back[0].shape().rank(), 0);
         assert_eq!(back[0].data()[0].to_bits(), t[0].data()[0].to_bits());

@@ -8,9 +8,9 @@ use std::time::Duration;
 /// call sites construct and copy freely.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Bytes sent server → clients, including retransmissions.
+    /// Bytes sent server → clients.
     pub bytes_down: u64,
-    /// Bytes sent clients → server, including retransmissions.
+    /// Bytes sent clients → server.
     pub bytes_up: u64,
     /// Simulated network wall-clock: the sum over rounds of the slowest
     /// client's download + upload path (rounds are network-parallel
@@ -18,17 +18,13 @@ pub struct NetStats {
     pub sim: Duration,
     /// Logical transfers requested of the transport (one per
     /// download/upload call, whatever its outcome). Every transfer ends
-    /// in exactly one of `delivered`, `drops` or `unreachable`, so the
-    /// three always sum to this field.
+    /// in exactly one of `delivered` or `unreachable`, so the two always
+    /// sum to this field.
     pub transfers: u64,
     /// Transfers that reached their destination.
     pub delivered: u64,
-    /// Extra attempts caused by message loss.
-    pub retries: u64,
-    /// Failed deliveries: transfers whose retry budget ran out.
-    pub drops: u64,
-    /// Transfers never attempted because the peer was known unreachable
-    /// for the whole round (`Delivery::attempts == 0`).
+    /// Transfers never attempted because the peer was unreachable for
+    /// the whole round.
     pub unreachable: u64,
 }
 
@@ -40,20 +36,12 @@ impl NetStats {
         self.sim += other.sim;
         self.transfers += other.transfers;
         self.delivered += other.delivered;
-        self.retries += other.retries;
-        self.drops += other.drops;
         self.unreachable += other.unreachable;
     }
 
     /// Bytes on the wire in both directions.
     pub fn total_bytes(&self) -> u64 {
         self.bytes_down + self.bytes_up
-    }
-
-    /// Transfers that failed for any reason (the complement of
-    /// `delivered` among `transfers`).
-    pub fn failed(&self) -> u64 {
-        self.drops + self.unreachable
     }
 }
 
@@ -69,9 +57,7 @@ mod tests {
             bytes_up: 4 * k,
             sim: Duration::from_millis(5 * k),
             transfers: 6 * k,
-            delivered: 3 * k,
-            retries: 9 * k,
-            drops: 2 * k,
+            delivered: 5 * k,
             unreachable: k,
         }
     }
@@ -82,27 +68,25 @@ mod tests {
         a.merge(&sample(2));
         assert_eq!(a, sample(3));
         assert_eq!(a.total_bytes(), 42);
-        assert_eq!(a.failed(), 9);
     }
 
     #[test]
     fn transfer_outcomes_partition_transfers_across_merges() {
         // Every transfer ends in exactly one outcome bucket, and merging
-        // preserves that: drops + unreachable + delivered must equal
+        // preserves that: unreachable + delivered must equal
         // transfers before and after.
         let mut a = sample(1);
-        assert_eq!(a.drops + a.unreachable + a.delivered, a.transfers);
+        assert_eq!(a.unreachable + a.delivered, a.transfers);
         a.merge(&sample(5));
         a.merge(&NetStats::default());
-        assert_eq!(a.drops + a.unreachable + a.delivered, a.transfers);
-        assert_eq!(a.failed() + a.delivered, a.transfers);
+        assert_eq!(a.unreachable + a.delivered, a.transfers);
     }
 
     #[test]
     fn default_is_all_zero() {
         let s = NetStats::default();
         assert_eq!(s.total_bytes(), 0);
-        assert_eq!(s.failed(), 0);
+        assert_eq!(s.transfers, 0);
         assert_eq!(s.sim, Duration::ZERO);
     }
 }

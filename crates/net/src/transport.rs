@@ -7,18 +7,13 @@ use std::time::Duration;
 /// The result of moving one parameter set across the transport.
 #[derive(Debug, Clone)]
 pub struct Delivery {
-    /// The parameters as they arrived, or `None` if the transfer failed
-    /// (unreachable client, retry budget exhausted). Lossy wire formats
-    /// deliver the *reconstructed* values, so downstream computation sees
-    /// exactly what a real receiver would.
+    /// The parameters as they arrived — bit-for-bit the ones sent — or
+    /// `None` if the client was unreachable for the round.
     pub tensors: Option<Vec<Tensor>>,
-    /// Bytes that hit the wire for this transfer, retransmissions
-    /// included.
+    /// Bytes that hit the wire for this transfer.
     pub bytes: u64,
     /// Simulated time from send to delivery (or to giving up).
     pub sim: Duration,
-    /// Send attempts made (0 when the peer was known unreachable).
-    pub attempts: u32,
 }
 
 impl Delivery {
@@ -28,7 +23,6 @@ impl Delivery {
             tensors: Some(tensors),
             bytes: 0,
             sim: Duration::ZERO,
-            attempts: 1,
         }
     }
 

@@ -1,9 +1,8 @@
 //! Property tests for the wire codec: frames must round-trip arbitrary
-//! tensor shapes bit-exactly in `f32`, and within the documented error
-//! bound when quantized.
+//! tensor shapes and bit patterns exactly.
 
 use proptest::prelude::*;
-use qd_net::{Payload, WireFormat};
+use qd_net::Payload;
 use qd_tensor::Tensor;
 
 /// Builds one tensor consuming `dims` and the prefix of `raw` it needs.
@@ -24,7 +23,7 @@ proptest! {
         // the lossless format must preserve all of them exactly.
         let raw: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
         let t = tensor_from(&dims, &raw);
-        let frame = Payload::encode(std::slice::from_ref(&t), WireFormat::F32);
+        let frame = Payload::encode(std::slice::from_ref(&t));
         let back = frame.decode().unwrap();
         prop_assert_eq!(back.len(), 1);
         prop_assert_eq!(back[0].shape().dims(), &dims[..]);
@@ -52,32 +51,10 @@ proptest! {
             })
             .collect();
         let t = tensor_from(&dims, &raw);
-        let frame = Payload::encode(std::slice::from_ref(&t), WireFormat::F32);
+        let frame = Payload::encode(std::slice::from_ref(&t));
         let back = frame.decode().unwrap();
         for (x, y) in t.data().iter().zip(back[0].data()) {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "{} vs {}", x, y);
-        }
-        // The lossy format cannot preserve non-finite values, but it must
-        // fail soft: encode and decode without panicking.
-        let _ = Payload::encode(std::slice::from_ref(&t), WireFormat::QuantU8).decode();
-    }
-
-    #[test]
-    fn quantized_error_stays_within_bound(
-        dims in proptest::collection::vec(1usize..5, 1..4usize),
-        vals in proptest::collection::vec(-100.0f32..100.0, 64),
-    ) {
-        let t = tensor_from(&dims, &vals);
-        let tensors = vec![t];
-        let bound = Payload::max_quant_error(&tensors, WireFormat::QuantU8);
-        prop_assert!(bound <= 200.0 / 510.0 * 1.0001, "bound {}", bound);
-        let back = Payload::encode(&tensors, WireFormat::QuantU8).decode().unwrap();
-        prop_assert_eq!(back[0].shape().dims(), &dims[..]);
-        for (x, y) in tensors[0].data().iter().zip(back[0].data()) {
-            prop_assert!(
-                (x - y).abs() <= bound * 1.0001,
-                "|{} - {}| > {}", x, y, bound
-            );
         }
     }
 
@@ -91,14 +68,10 @@ proptest! {
             .iter()
             .map(|&r| tensor_from(&vec![3; r], &vals))
             .collect();
-        for format in [WireFormat::F32, WireFormat::QuantU8] {
-            let frame = Payload::encode(&tensors, format);
-            prop_assert_eq!(frame.format().unwrap(), format);
-            let back = frame.decode().unwrap();
-            prop_assert_eq!(back.len(), tensors.len());
-            for (a, b) in tensors.iter().zip(&back) {
-                prop_assert_eq!(a.shape(), b.shape());
-            }
+        let back = Payload::encode(&tensors).decode().unwrap();
+        prop_assert_eq!(back.len(), tensors.len());
+        for (a, b) in tensors.iter().zip(&back) {
+            prop_assert_eq!(a.shape(), b.shape());
         }
     }
 
@@ -108,7 +81,7 @@ proptest! {
         vals in proptest::collection::vec(-1.0f32..1.0, 12),
     ) {
         let t = vec![tensor_from(&[3, 4], &vals)];
-        let frame = Payload::encode(&t, WireFormat::F32);
+        let frame = Payload::encode(&t);
         let cut = cut.min(frame.len() - 1);
         let shorter = frame.as_bytes()[..frame.len() - cut].to_vec();
         prop_assert!(Payload::from_bytes(shorter).decode().is_err());

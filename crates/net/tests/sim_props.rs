@@ -1,8 +1,7 @@
-//! Property tests for `SimNet`'s determinism guarantees: every random
-//! decision is a pure function of `(seed, round, client, event, seq)`,
-//! so the order in which clients appear in `begin_round` — or are
-//! serviced within the round — must not change any client's drawn
-//! latency, loss outcome, or dropout verdict.
+//! Property tests for `SimNet`'s determinism guarantees: the dropout
+//! verdict is a pure function of `(seed, round, client)`, so the order in
+//! which clients appear in `begin_round` — or are serviced within the
+//! round — must not change any client's outcome or simulated time.
 
 use proptest::prelude::*;
 use qd_net::{NetConfig, SimNet, Transport};
@@ -24,22 +23,20 @@ fn permuted(perm: &[usize]) -> Vec<usize> {
 }
 
 /// Runs `rounds` rounds over `participants` (in the given order) and
-/// returns each client's per-round `(delivered, sim, attempts)` trace.
+/// returns each client's per-round `(delivered, sim)` trace.
 fn trace(
     cfg: NetConfig,
     rounds: usize,
     participants: &[usize],
-) -> BTreeMap<usize, Vec<(bool, Duration, u32)>> {
+) -> BTreeMap<usize, Vec<(bool, Duration)>> {
     let p = params();
     let mut net = SimNet::new(cfg);
-    let mut out: BTreeMap<usize, Vec<(bool, Duration, u32)>> = BTreeMap::new();
+    let mut out: BTreeMap<usize, Vec<(bool, Duration)>> = BTreeMap::new();
     for _ in 0..rounds {
         net.begin_round(participants);
         for &c in participants {
             let d = net.download(c, &p);
-            out.entry(c)
-                .or_default()
-                .push((d.delivered(), d.sim, d.attempts));
+            out.entry(c).or_default().push((d.delivered(), d.sim));
         }
         net.end_round();
     }
@@ -54,17 +51,12 @@ proptest! {
         perm in proptest::collection::vec(0usize..1000, 2..8usize),
         seed in 0u64..64,
     ) {
-        // A faulty, jittery network where every stream matters: dropout,
-        // loss (=> retries), jitter (=> latency draws) all active.
+        // A slow network with dropout: every client's verdict is drawn.
         let cfg = NetConfig {
             latency_ms: 10.0,
-            jitter_ms: 25.0,
-            loss_prob: 0.25,
+            bandwidth_mbps: 50.0,
             dropout_prob: 0.25,
-            straggler_frac: 0.3,
-            straggler_slowdown: 5.0,
             seed,
-            ..NetConfig::default()
         };
         let canonical: Vec<usize> = (0..perm.len()).collect();
         let mut shuffled = permuted(&perm);
@@ -79,32 +71,70 @@ proptest! {
         );
     }
 
-    #[test]
-    fn draws_are_stable_under_interleaved_rerequests(
-        seed in 0u64..64,
-        extra in 1usize..4,
-    ) {
-        // Re-requesting one client's transfer mid-round must not shift
-        // any *other* client's draws: the sequence counters are
-        // per-client.
-        let cfg = NetConfig {
-            jitter_ms: 40.0,
-            loss_prob: 0.2,
-            seed,
-            ..NetConfig::default()
-        };
-        let p = params();
-        let run = |rerequests: usize| {
-            let mut net = SimNet::new(cfg);
-            net.begin_round(&[0, 1, 2]);
-            let first = net.download(0, &p).sim;
-            for _ in 0..rerequests {
-                net.download(1, &p); // noisy neighbour re-requests
+}
+
+/// The unreachable clients of 20 rounds over clients `0..4` under
+/// `NetConfig::lossy(seed, p)`, one bit per `(round, client)` at
+/// `4 * round + client`.
+fn unreachable_mask(seed: u64, p: f32) -> u128 {
+    let params = params();
+    let mut net = SimNet::new(NetConfig::lossy(seed, p));
+    let mut mask = 0u128;
+    for round in 0..20 {
+        net.begin_round(&[0, 1, 2, 3]);
+        for client in 0..4 {
+            if !net.download(client, &params).delivered() {
+                mask |= 1 << (4 * round + client);
             }
-            let other = net.download(2, &p).sim;
+        }
+        net.end_round();
+    }
+    mask
+}
+
+/// Captured at commit 6e2f435, before `SimNet` was cut down to latency,
+/// bandwidth and dropout: the dropout draw — the one the chaos harness's
+/// `net_drop` environment trains under — must not move.
+#[test]
+fn lossy_dropout_draws_are_pinned() {
+    const PINNED: [(u64, f32, u128); 6] = [
+        (0, 0.2, 0xc80008c0040420cc2),
+        (0, 0.5, 0x18cd9a44bfc3c8c2bec6),
+        (7, 0.2, 0xc02010801012400b022),
+        (7, 0.5, 0x5d825d5917792585ba2a),
+        (42, 0.2, 0x244004840600c1105c20),
+        (42, 0.5, 0x3e5165b42e18dd587fb3),
+    ];
+    for (seed, p, mask) in PINNED {
+        assert_eq!(unreachable_mask(seed, p), mask, "lossy({seed}, {p})");
+    }
+}
+
+/// A config `validated()` accepts never panics the simulator: a transfer
+/// time past what a `Duration` holds saturates instead.
+#[test]
+fn extreme_valid_links_saturate_instead_of_panicking() {
+    let p = params();
+    for cfg in [
+        NetConfig {
+            latency_ms: f32::MAX,
+            ..NetConfig::default()
+        },
+        NetConfig {
+            bandwidth_mbps: 1e-30,
+            ..NetConfig::default()
+        },
+    ] {
+        let mut net = SimNet::new(cfg.validated());
+        for _ in 0..2 {
+            net.begin_round(&[0, 1]);
+            for client in [0, 1] {
+                let down = net.download(client, &p);
+                assert_eq!(down.sim, Duration::MAX, "{cfg:?}");
+                net.upload(client, down.tensors.unwrap_or_default());
+            }
             net.end_round();
-            (first, other)
-        };
-        prop_assert_eq!(run(0), run(extra));
+        }
+        assert_eq!(net.take_stats().sim, Duration::MAX, "{cfg:?}");
     }
 }

@@ -88,7 +88,7 @@ echo "== cargo test"
 cargo test --offline --workspace -q
 
 echo "== code lines (scripts/loc.sh; informational, never a gate)"
-./scripts/loc.sh | tail -n 6
+./scripts/loc.sh | tail -n 7
 
 echo "== durable format corpus (release: pinned journal-v6 + checkpoint-v4 fixtures read bit-for-bit and rewritten byte-for-byte, typed refusal of journal v1-v5 and checkpoint v1-v3/JSON inputs, back-reference + derived-record round-trip oracle, corruption corpus incl. sealed-but-inconsistent checkpoints, O(1) appends, one stored snapshot and <= 25 KB per unlearn, each synthetic sample stored once per checkpoint)"
 cargo test --offline --release -p qd-core --test journal_format -q

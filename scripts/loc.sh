@@ -6,10 +6,13 @@
 #
 # A file that does not exist counts 0, so the same list can be measured
 # on two commits when one of them deleted a file. With the default list,
-# five more lines follow the total — the crates' integration tests, the
+# six more lines follow the total — the crates' integration tests, the
 # paper benches, the root tests, the vendored stand-ins and the benchmark
-# package, by the same measure — so a before/after count covers the
-# whole repository; they are informational and never part of the total.
+# package, by the same measure, so a before/after count covers the whole
+# repository; then the lint suppressions: `// qd-lint: allow(` comment
+# lines in the files qd-lint scans by default (its roots, minus the
+# `exclude` globs of qd-lint.toml's [lint] table). They are informational
+# and never part of the total.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +33,21 @@ tree_lines() {
     echo "$sum"
 }
 
+# Suppression comment lines in the files qd-lint scans by default.
+lint_allows() {
+    local excludes f g sum=0
+    mapfile -t excludes < <(sed -n '/^\[lint\]/,/^\[/s/^exclude = \[\(.*\)\]/\1/p' qd-lint.toml \
+        | tr -d '" ' | tr ',' '\n')
+    while IFS= read -r f; do
+        for g in "${excludes[@]}"; do
+            # $g unquoted: it is a glob pattern.
+            [[ $f == $g ]] && continue 2
+        done
+        sum=$((sum + $(grep -cE '^\s*// qd-lint: allow\(' "$f" || true)))
+    done < <(find crates src examples tests -name '*.rs' 2>/dev/null | sort)
+    echo "$sum"
+}
+
 whole_repo=
 [ $# -gt 0 ] || { whole_repo=1; set -- crates/*/src/*.rs; }
 
@@ -46,4 +64,5 @@ if [ -n "$whole_repo" ]; then
     printf '%6d tests/ (not in the total)\n' "$(tree_lines tests)"
     printf '%6d vendor/ (not in the total)\n' "$(tree_lines vendor)"
     printf '%6d qd-perf/ (not in the total)\n' "$(tree_lines qd-perf)"
+    printf '%6d qd-lint: allow comment lines (not in the total)\n' "$(lint_allows)"
 fi
