@@ -309,27 +309,27 @@ fn usage_options(command: &str) -> Vec<&'static str> {
     options
 }
 
+/// A count option that must be at least 1: zero is refused by name, before
+/// anything is loaded or written, rather than running on nothing (a training
+/// set, a batch, a test set that reports 0.0 % as if it were a result).
+fn positive_count(args: &Args, key: &str, default: usize) -> Result<usize, CliError> {
+    match args.get_usize(key, default)? {
+        0 => Err(CliError::Usage(format!("--{key} must be at least 1"))),
+        n => Ok(n),
+    }
+}
+
 fn train(args: &Args) -> Result<String, CliError> {
     let dataset = dataset_by_name(&args.get_str("dataset", "digits"))?;
     let out = args.require_str("out")?;
-    let clients = args.get_usize("clients", 4)?;
-    let samples = args.get_usize("samples", 800)?;
+    let clients = positive_count(args, "clients", 4)?;
+    let samples = positive_count(args, "samples", 800)?;
     let rounds = args.get_usize("rounds", 8)?;
     let steps = args.get_usize("steps", 8)?;
-    let batch = args.get_usize("batch", 32)?;
+    let batch = positive_count(args, "batch", 32)?;
     let lr = args.get_f32("lr", 0.08)?;
-    let scale = args.get_usize("scale", 100)?;
+    let scale = positive_count(args, "scale", 100)?;
     let seed = args.get_u64("seed", 42)?;
-    for (key, value) in [
-        ("clients", clients),
-        ("scale", scale),
-        ("samples", samples),
-        ("batch", batch),
-    ] {
-        if value == 0 {
-            return Err(CliError::Usage(format!("--{key} must be at least 1")));
-        }
-    }
     // Dirichlet's concentration; `--iid` partitions without one.
     let alpha = (!args.flag("iid"))
         .then(|| args.get_f32("alpha", 0.1))
@@ -443,6 +443,7 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
     let out = args.get_str("out", &path);
     let seed = args.get_u64("seed", 42)?;
     let request = request_from(args)?;
+    let samples = positive_count(args, "samples", 400)?;
 
     let model = model_for(dataset);
     let policy = guard_policy_from(args)?;
@@ -467,10 +468,7 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
     check_in_range(request, &fed)?;
     // Serving RNG is independent of the training seed.
     let mut rng = Rng::seed_from(seed ^ 0x5EED);
-    let test = dataset.generate(
-        args.get_usize("samples", 400)?,
-        &mut Rng::seed_from(seed + 1),
-    );
+    let test = dataset.generate(samples, &mut Rng::seed_from(seed + 1));
     let report_accuracy = |fed: &Federation| match request {
         UnlearnRequest::Class(c) => split_accuracy(
             model.as_ref(),
@@ -742,12 +740,10 @@ fn eval(args: &Args) -> Result<String, CliError> {
     let dataset = dataset_by_name(&args.get_str("dataset", "digits"))?;
     let path = args.require_str("ckpt")?;
     let seed = args.get_u64("seed", 42)?;
+    let samples = positive_count(args, "samples", 400)?;
     let (params, qd) = Checkpoint::load(&path)?.restore()?;
     let model = model_for(dataset);
-    let test = dataset.generate(
-        args.get_usize("samples", 400)?,
-        &mut Rng::seed_from(seed + 1),
-    );
+    let test = dataset.generate(samples, &mut Rng::seed_from(seed + 1));
     let pc = per_class_accuracy(model.as_ref(), &params, &test);
     let mut out = String::from("per-class accuracy:\n");
     for (c, a) in pc.iter().enumerate() {
@@ -1549,27 +1545,33 @@ mod tests {
                 })
                 .count()
         };
+        // An empty test set would report 0.0 % on both sets — perfect
+        // forgetting, as it reads — after rewriting the checkpoint.
+        let no_samples = "--samples must be at least 1";
         for (mode, target, message) in [
             (
                 "unlearn",
-                ["--class", "99"],
+                &["--class", "99"][..],
                 "class 99 out of range (deployment has 10 classes)",
             ),
             (
                 "unlearn",
-                ["--client", "99"],
+                &["--client", "99"],
                 "client 99 out of range (deployment has 2 clients)",
             ),
             (
                 "relearn",
-                ["--class", "10"],
+                &["--class", "10"],
                 "class 10 out of range (deployment has 10 classes)",
             ),
             (
                 "relearn",
-                ["--client", "2"],
+                &["--client", "2"],
                 "client 2 out of range (deployment has 2 clients)",
             ),
+            ("unlearn", &["--class", "3", "--samples", "0"], no_samples),
+            ("unlearn", &["--client", "1", "--samples", "0"], no_samples),
+            ("relearn", &["--class", "3", "--samples", "0"], no_samples),
         ] {
             for journal in [false, true] {
                 let mut line = [mode, "--ckpt", &ckpt].to_vec();
@@ -1582,6 +1584,9 @@ mod tests {
                 assert_eq!(siblings(), 1, "{line:?}: no .prev, no journal");
             }
         }
+        let err = run(&args(&["eval", "--ckpt", &ckpt, "--samples", "0"])).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert_eq!(err.to_string(), no_samples);
         remove_deployment(&ckpt);
     }
 

@@ -188,11 +188,17 @@ fn render_texture(class: usize, rng: &mut Rng, out: &mut Vec<f32>) {
     let phase_x = base + rng.uniform(-0.7, 0.7);
     let phase_y = base + rng.uniform(-0.7, 0.7);
     let amp = rng.uniform(0.45, 1.0);
+    // The texture is a column wave times a row wave: `2 * HW` values, each
+    // taken once instead of once per pixel and channel.
+    let sx: [f32; HW] = std::array::from_fn(|x| {
+        (std::f32::consts::TAU * fx * x as f32 / HW as f32 + phase_x).sin()
+    });
+    let sy: [f32; HW] = std::array::from_fn(|y| {
+        (std::f32::consts::TAU * fy * y as f32 / HW as f32 + phase_y).cos()
+    });
     for &cw in &color {
-        for y in 0..HW {
-            for x in 0..HW {
-                let sx = (std::f32::consts::TAU * fx * x as f32 / HW as f32 + phase_x).sin();
-                let sy = (std::f32::consts::TAU * fy * y as f32 / HW as f32 + phase_y).cos();
+        for &sy in &sy {
+            for &sx in &sx {
                 let v = amp * cw * sx * sy + 0.25 * rng.normal();
                 out.push(v.clamp(-1.5, 1.5));
             }
@@ -215,15 +221,19 @@ fn render_svhn(class: usize, rng: &mut Rng, out: &mut Vec<f32>) {
         let bg_fx = rng.uniform(0.5, 1.5);
         let bg_phase = rng.uniform(0.0, std::f32::consts::TAU);
         let bg_level = rng.uniform(-0.15, 0.15);
+        // The background is a wave along the diagonal `x + y`: `2 * HW - 1`
+        // values, each taken once instead of once per pixel.
+        let bg: [f32; 2 * HW - 1] = std::array::from_fn(|diagonal| {
+            bg_level
+                + 0.15
+                    * (std::f32::consts::TAU * bg_fx * diagonal as f32 / (2.0 * HW as f32)
+                        + bg_phase)
+                        .sin()
+        });
         for y in 0..HW {
             for x in 0..HW {
-                let bg = bg_level
-                    + 0.15
-                        * (std::f32::consts::TAU * bg_fx * (x + y) as f32 / (2.0 * HW as f32)
-                            + bg_phase)
-                            .sin();
                 let g = glyph[y * HW + x];
-                let v = bg * (1.0 - g) + digit_c * g + 0.1 * rng.normal();
+                let v = bg[x + y] * (1.0 - g) + digit_c * g + 0.1 * rng.normal();
                 out.push(v.clamp(-1.5, 1.5));
             }
         }
@@ -347,6 +357,91 @@ mod tests {
                     cifar_signature(b),
                     "classes {a}/{b} share a texture signature"
                 );
+            }
+        }
+    }
+
+    /// The first-draft renderers, one `sin`/`cos` per pixel, kept as the
+    /// oracle of the ones above.
+    mod per_pixel {
+        use super::*;
+
+        pub(super) fn render_texture(class: usize, rng: &mut Rng, out: &mut Vec<f32>) {
+            let ([fx, fy], color) = cifar_signature(class);
+            let base = class as f32 * 0.7;
+            let phase_x = base + rng.uniform(-0.7, 0.7);
+            let phase_y = base + rng.uniform(-0.7, 0.7);
+            let amp = rng.uniform(0.45, 1.0);
+            for &cw in &color {
+                for y in 0..HW {
+                    for x in 0..HW {
+                        let sx =
+                            (std::f32::consts::TAU * fx * x as f32 / HW as f32 + phase_x).sin();
+                        let sy =
+                            (std::f32::consts::TAU * fy * y as f32 / HW as f32 + phase_y).cos();
+                        let v = amp * cw * sx * sy + 0.25 * rng.normal();
+                        out.push(v.clamp(-1.5, 1.5));
+                    }
+                }
+            }
+        }
+
+        pub(super) fn render_svhn(class: usize, rng: &mut Rng, out: &mut Vec<f32>) {
+            let mut glyph = [0.0f32; HW * HW];
+            let ox = 1 + rng.below(4);
+            let oy = rng.below(2);
+            stamp_glyph(&mut glyph, class, ox, oy, 1.0);
+            let digit_color = [
+                rng.uniform(0.6, 1.2),
+                rng.uniform(0.6, 1.2),
+                rng.uniform(0.6, 1.2),
+            ];
+            for digit_c in digit_color {
+                let bg_fx = rng.uniform(0.5, 1.5);
+                let bg_phase = rng.uniform(0.0, std::f32::consts::TAU);
+                let bg_level = rng.uniform(-0.15, 0.15);
+                for y in 0..HW {
+                    for x in 0..HW {
+                        let bg = bg_level
+                            + 0.15
+                                * (std::f32::consts::TAU * bg_fx * (x + y) as f32
+                                    / (2.0 * HW as f32)
+                                    + bg_phase)
+                                    .sin();
+                        let g = glyph[y * HW + x];
+                        let v = bg * (1.0 - g) + digit_c * g + 0.1 * rng.normal();
+                        out.push(v.clamp(-1.5, 1.5));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_waves_match_the_per_pixel_oracle_to_the_bit() {
+        for ds in [
+            SyntheticDataset::Digits,
+            SyntheticDataset::Cifar,
+            SyntheticDataset::Svhn,
+        ] {
+            for seed in [0, 1, 7, 42, 2024] {
+                let data = ds.generate(40, &mut Rng::seed_from(seed));
+                let mut rng = Rng::seed_from(seed);
+                let labels: Vec<usize> = (0..40).map(|_| rng.below(ds.classes())).collect();
+                let mut want = Vec::new();
+                for &y in &labels {
+                    match ds {
+                        SyntheticDataset::Digits => render_digit(y, &mut rng, &mut want),
+                        SyntheticDataset::Cifar => {
+                            per_pixel::render_texture(y, &mut rng, &mut want)
+                        }
+                        SyntheticDataset::Svhn => per_pixel::render_svhn(y, &mut rng, &mut want),
+                    }
+                }
+                let (x, _) = data.all();
+                let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(data.labels(), labels, "{} seed {seed}", ds.name());
+                assert_eq!(bits(x.data()), bits(&want), "{} seed {seed}", ds.name());
             }
         }
     }

@@ -12,7 +12,7 @@
 //! element the composite's terms in the composite's order: the same bits at
 //! a ninth of the working set.
 
-use crate::linalg::{lanes, tile, tile_terms, KC, MR, NR};
+use crate::linalg::{lanes, tile, KC, MR, NR};
 use crate::Tensor;
 
 /// Static geometry of a 2-D convolution (or pooling) window.
@@ -383,24 +383,30 @@ impl Frame {
 
     /// Output channels `oc0 .. oc0 + MR` of the loaded image, a run of `NR`
     /// output positions at a time: the tile's rows are the filters, its
-    /// lanes the run's pixels under one window element. A ragged last group
-    /// repeats its last filter and drops the copies, here and below.
-    fn forward(&self, w: &[f32], bias: &[f32], oc0: usize, planes: &mut [f32]) {
+    /// lanes the run's pixels under one window element. `group` holds the
+    /// `MR` filters' weights window element by window element (see
+    /// [`row_groups`]). A ragged last group repeats its last filter and
+    /// drops the copies, here and below.
+    fn forward(&self, group: &[f32], bias: &[f32], oc0: usize, planes: &mut [f32]) {
         let (out_h, out_w, stride) = (self.geo.out_h, self.geo.out_w, self.geo.stride);
-        let len = self.offsets.len();
-        let filters: [&[f32]; MR] =
-            std::array::from_fn(|r| &w[(oc0 + r).min(bias.len() - 1) * len..][..len]);
-        let lhs = |kk: usize| std::array::from_fn(|r| filters[r][kk]);
+        // Walked, not indexed, so that a term costs no bounds test on its
+        // weights or its offset.
+        let weights = || {
+            group
+                .chunks_exact(MR)
+                .map(|w| -> [f32; MR] { w.try_into().expect("a group is MR wide") })
+        };
         for oy in 0..out_h {
             for ox0 in (0..out_w).step_by(NR) {
                 let zero = [[0.0f32; NR]; MR];
-                let corner = self.corner(oy, ox0);
-                let at = |kk: usize| corner + self.offsets[kk];
+                let window = &self.data[self.corner(oy, ox0)..];
                 let acc = if stride == 1 {
-                    tile(zero, 0..len, lhs, |kk| lanes(&self.data[at(kk)..]))
+                    let runs = self.offsets.iter().map(|&at| lanes(&window[at..]));
+                    tile(zero, weights().zip(runs))
                 } else {
-                    let strided = |kk| std::array::from_fn(|l| self.data[at(kk) + l * stride]);
-                    tile(zero, 0..len, lhs, strided)
+                    let runs = (self.offsets.iter())
+                        .map(|&at| std::array::from_fn(|l| window[at + l * stride]));
+                    tile(zero, weights().zip(runs))
                 };
                 for (oc, row) in (oc0..bias.len()).zip(&acc) {
                     let dst = &mut planes[(oc * out_h + oy) * out_w + ox0..];
@@ -442,14 +448,14 @@ impl Frame {
             row[..nr].copy_from_slice(&dwt[k * cout + j0..][..nr]);
         }
         // Slices of one length, so that one bounds test covers a patch's
-        // four reads.
+        // `MR` reads.
         let reach = corners.last().map_or(0, |last| last + 1);
         let src: [&[f32]; MR] =
             std::array::from_fn(|r| &self.data[self.offsets[(k0 + r).min(len - 1)]..][..reach]);
         let lhs = corners
             .iter()
             .map(|&at| std::array::from_fn(|r| src[r][at]));
-        let acc = tile_terms(acc, lhs.zip(panel.chunks_exact(NR).map(lanes)));
+        let acc = tile(acc, lhs.zip(panel.chunks_exact(NR).map(lanes)));
         for (k, row) in (k0..len).zip(&acc) {
             dwt[k * cout + j0..][..nr].copy_from_slice(&row[..nr]);
         }
@@ -459,33 +465,24 @@ impl Frame {
     /// at `(oy, ox0 ..)` pass back: each tile row is `Σ_oc dy · w` for one
     /// window element, finished before it is added under that element.
     ///
-    /// `w` holds each filter in `padded` floats, a whole number of groups.
-    fn input_grad(
-        &mut self,
-        planes: &[f32],
-        (w, padded): (&[f32], usize),
-        (oy, ox0): (usize, usize),
-        k0: usize,
-    ) {
+    /// `group` holds those window elements' weights filter by filter (see
+    /// [`row_groups`]).
+    fn input_grad(&mut self, planes: &[f32], group: &[f32], (oy, ox0): (usize, usize), k0: usize) {
         let (out_h, out_w, stride) = (self.geo.out_h, self.geo.out_w, self.geo.stride);
-        let (len, positions) = (self.offsets.len(), out_h * out_w);
         let nr = NR.min(out_w - ox0);
-        let lhs = |oc: usize| -> [f32; MR] {
-            w[oc * padded + k0..][..MR]
-                .try_into()
-                .expect("a group is MR wide")
-        };
+        let weights = group
+            .chunks_exact(MR)
+            .map(|w| -> [f32; MR] { w.try_into().expect("a group is MR wide") });
         let zero = [[0.0f32; NR]; MR];
-        let at = |oc: usize| &planes[oc * positions + oy * out_w + ox0..];
+        let runs = (planes.chunks_exact(out_h * out_w)).map(|map| &map[oy * out_w + ox0..]);
         let acc = if nr == NR {
-            tile(zero, 0..planes.len() / positions, lhs, |oc| lanes(at(oc)))
+            tile(zero, weights.zip(runs.map(lanes)))
         } else {
-            let ragged = |oc| ragged_lanes(&at(oc)[..nr]);
-            tile(zero, 0..planes.len() / positions, lhs, ragged)
+            tile(zero, weights.zip(runs.map(|run| ragged_lanes(&run[..nr]))))
         };
         // Descending, like the caller's groups: see `conv2d_input_grad`.
         let corner = self.corner(oy, ox0);
-        for (k, row) in (k0..len).zip(&acc).rev() {
+        for (k, row) in (k0..self.offsets.len()).zip(&acc).rev() {
             let first = corner + self.offsets[k];
             if stride == 1 {
                 for (o, &v) in self.data[first..][..nr].iter_mut().zip(row) {
@@ -526,14 +523,34 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, bias: &Tensor, geo: &Conv2dGeometry) 
     let [_, cout, oh, ow] = dims;
     let mut out = vec![0.0f32; dims.iter().product()];
     let mut frame = Frame::new(geo, 1);
+    let groups = row_groups(weight.data(), geo.patch_len());
     for (b, img) in x.data().chunks_exact(geo.image_len()).enumerate() {
         frame.load(img);
         let planes = &mut out[b * cout * oh * ow..][..cout * oh * ow];
-        for oc0 in (0..cout).step_by(MR) {
-            frame.forward(weight.data(), bias.data(), oc0, planes);
+        for (g, group) in groups.chunks_exact(geo.patch_len() * MR).enumerate() {
+            frame.forward(group, bias.data(), g * MR, planes);
         }
     }
     Tensor::from_vec(out, &dims)
+}
+
+/// The rows of the row-major matrix `m`, `len` wide, as groups of `MR`
+/// rows, each group one `(len, MR)` block: a tile's left operand packed as
+/// the GEMM packs a transposed panel, so that the `MR` values of one term
+/// are one slice. A ragged last group repeats its last row. The forward
+/// kernel groups the filters (rows of the weight), the input gradient the
+/// window elements (rows of its transpose).
+fn row_groups(m: &[f32], len: usize) -> Vec<f32> {
+    let rows = m.len() / len;
+    let mut groups = vec![0.0f32; rows.div_ceil(MR) * MR * len];
+    for (g, group) in groups.chunks_exact_mut(len * MR).enumerate() {
+        for (kk, values) in group.chunks_exact_mut(MR).enumerate() {
+            for (r, v) in values.iter_mut().enumerate() {
+                *v = m[(g * MR + r).min(rows - 1) * len + kk];
+            }
+        }
+    }
+    groups
 }
 
 /// A group of images' upstream, laid out for the weight-gradient tile:
@@ -677,16 +694,8 @@ pub fn conv2d_input_grad(dy: &Tensor, weight: &Tensor, geo: &Conv2dGeometry) -> 
     let n = dy.len() / per_map;
     let mut dx = vec![0.0f32; n * per_image];
     let mut frame = Frame::new(geo, 1);
-    // Each filter padded to whole groups of `MR` window elements, so that a
-    // group's weights are one slice; a ragged group's extra rows are dropped.
-    let padded = len.next_multiple_of(MR);
-    let mut filters = vec![0.0f32; weight.dims()[0] * padded];
-    for (dst, src) in filters
-        .chunks_exact_mut(padded)
-        .zip(weight.data().chunks_exact(len))
-    {
-        dst[..len].copy_from_slice(src);
-    }
+    let cout = weight.dims()[0];
+    let groups = row_groups(weight.transpose2().data(), cout);
     for (planes, img) in dy
         .data()
         .chunks_exact(per_map)
@@ -698,8 +707,8 @@ pub fn conv2d_input_grad(dy: &Tensor, weight: &Tensor, geo: &Conv2dGeometry) -> 
         // one pixel is window elements descending.
         for oy in 0..geo.out_h {
             for ox0 in (0..geo.out_w).step_by(NR) {
-                for k0 in (0..len).step_by(MR).rev() {
-                    frame.input_grad(planes, (&filters, padded), (oy, ox0), k0);
+                for (g, group) in groups.chunks_exact(cout * MR).enumerate().rev() {
+                    frame.input_grad(planes, group, (oy, ox0), g * MR);
                 }
             }
         }

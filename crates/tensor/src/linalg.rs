@@ -13,9 +13,14 @@ use crate::Tensor;
 
 use std::ops::Range;
 
-/// Rows of the output tile held in registers.
-pub(crate) const MR: usize = 4;
-/// Columns of the output tile: two 4-lane vectors on baseline SSE2.
+/// Rows of the output tile held in registers: eight accumulator rows, so
+/// that eight independent add chains hide the adder's latency, and with one
+/// register for the right operand and one for a broadcast the tile fits the
+/// sixteen vector registers of x86-64-v3.
+pub(crate) const MR: usize = 8;
+/// Columns of the output tile: one 8-lane (256-bit) vector on x86-64-v3,
+/// the workspace's build target (`.cargo/config.toml`); two 4-lane ones on
+/// the SSE2 baseline, with the same bits.
 pub(crate) const NR: usize = 8;
 /// Terms of the reduction taken per pass over the output, so that a long
 /// reduction (a weight gradient sums over every row of a batch) works on
@@ -60,37 +65,24 @@ pub(crate) fn lanes(run: &[f32]) -> [f32; NR] {
     run[..NR].try_into().expect("a run is NR wide")
 }
 
-/// Advances one `R x NR` output tile over the terms `ks`: `R` left-operand
-/// values per `k` (from `lhs`) against the `NR` right-operand values of
-/// that `k` (from `rhs`) — a panel row for a product; the direct
-/// convolution kernels (`conv.rs`) read theirs from an image.
+/// Advances one `R x NR` output tile over `terms`, in order: each term is
+/// `R` left-operand values against `NR` right-operand values — a panel row
+/// for a product; the direct convolution kernels (`conv.rs`) read theirs
+/// from an image.
 ///
 /// The accumulators are taken and returned by value so they live in
-/// registers for the whole `k` loop, and the `NR` loop runs over fixed-size
-/// arrays, which is what lets the compiler vectorise it without intrinsics.
+/// registers for the whole reduction, and each term rebuilds them from
+/// fixed-size arrays, which is what lets the compiler unroll the tile and
+/// vectorise it without intrinsics. (Written as nested `for` loops, the
+/// tile at `R` = 8 is not unrolled and its accumulators live in memory,
+/// several times slower.)
 #[inline(always)]
 pub(crate) fn tile<const R: usize>(
-    acc: [[f32; NR]; R],
-    ks: Range<usize>,
-    lhs: impl Fn(usize) -> [f32; R],
-    rhs: impl Fn(usize) -> [f32; NR],
-) -> [[f32; NR]; R] {
-    tile_terms(acc, ks.map(|kk| (lhs(kk), rhs(kk))))
-}
-
-/// [`tile`] over terms an iterator hands over as `(lhs, rhs)` pairs, for a
-/// caller that walks its operands rather than indexing them.
-#[inline(always)]
-pub(crate) fn tile_terms<const R: usize>(
     mut acc: [[f32; NR]; R],
     terms: impl Iterator<Item = ([f32; R], [f32; NR])>,
 ) -> [[f32; NR]; R] {
     for (a, b) in terms {
-        for (row, &ar) in acc.iter_mut().zip(&a) {
-            for (o, &bv) in row.iter_mut().zip(&b) {
-                *o += ar * bv;
-            }
-        }
+        acc = std::array::from_fn(|r| std::array::from_fn(|l| acc[r][l] + a[r] * b[l]));
     }
     acc
 }
@@ -113,8 +105,8 @@ impl Product<'_> {
         let mut acc = [[0.0f32; NR]; R];
         for (r, row) in acc.iter_mut().enumerate() {
             let src = &out[(i0 + r) * n + j0..];
-            // The fixed-width arm is the common one and compiles to two
-            // vector moves; the ragged one to a `memcpy` call.
+            // The fixed-width arm is the common one and compiles to vector
+            // moves; the ragged one to a `memcpy` call.
             if nr == NR {
                 row.copy_from_slice(&src[..NR]);
             } else {
@@ -124,18 +116,19 @@ impl Product<'_> {
         let acc = match lhs {
             Layout::Plain => {
                 let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
-                tile(acc, ks, |kk| std::array::from_fn(|r| rows[r][kk]), rhs)
+                tile(
+                    acc,
+                    ks.map(|kk| (std::array::from_fn(|r| rows[r][kk]), rhs(kk))),
+                )
             }
-            Layout::Transposed => tile(
-                acc,
-                ks,
-                |kk| {
+            Layout::Transposed => {
+                let column = |kk: usize| -> [f32; R] {
                     a[kk * m + i0..][..R]
                         .try_into()
                         .expect("a row group is R wide")
-                },
-                rhs,
-            ),
+                };
+                tile(acc, ks.map(|kk| (column(kk), rhs(kk))))
+            }
         };
         for (r, row) in acc.iter().enumerate() {
             let dst = &mut out[(i0 + r) * n + j0..];
@@ -156,8 +149,7 @@ impl Product<'_> {
     /// last panel, and every panel of a transposed right operand, is packed
     /// up front into a zero-padded `k x NR` block so the micro-kernel sees
     /// full-width rows either way (the padding columns are computed and
-    /// dropped). A ragged last row group uses the same kernel at a smaller
-    /// `R`.
+    /// dropped). A ragged last row group runs as tiles of 4, 2 and 1 rows.
     fn run(&self, b: &[f32], rhs: Layout) -> Vec<f32> {
         let &Product { m, n, k, .. } = self;
         let mut out = vec![0.0f32; m * n];
@@ -183,7 +175,12 @@ impl Product<'_> {
         }
         for k0 in (0..k).step_by(KC) {
             let ks = k0..k.min(k0 + KC);
-            for i0 in (0..m).step_by(MR) {
+            let mut i0 = 0;
+            while i0 < m {
+                let height = match (m - i0).min(MR) {
+                    MR => MR,
+                    left => 1 << left.ilog2(),
+                };
                 for p in 0..panels {
                     let (rows, ld) = if p < in_place {
                         (&b[p * NR..], n)
@@ -196,13 +193,14 @@ impl Product<'_> {
                         j0: p * NR,
                         nr: NR.min(n - p * NR),
                     };
-                    match m - i0 {
+                    match height {
                         1 => self.advance::<1>(ks.clone(), i0, &panel, &mut out),
                         2 => self.advance::<2>(ks.clone(), i0, &panel, &mut out),
-                        3 => self.advance::<3>(ks.clone(), i0, &panel, &mut out),
+                        4 => self.advance::<4>(ks.clone(), i0, &panel, &mut out),
                         _ => self.advance::<MR>(ks.clone(), i0, &panel, &mut out),
                     }
                 }
+                i0 += height;
             }
         }
         out

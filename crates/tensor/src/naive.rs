@@ -164,6 +164,7 @@ pub(crate) fn avg_unpool2d(y: &Tensor, c: usize, oh: usize, ow: usize, k: usize)
 /// salted with exact zeros of both signs.
 mod differential {
     use super::*;
+    use crate::linalg::{KC, MR, NR};
     use crate::rng::Rng;
     use proptest::prelude::*;
 
@@ -271,17 +272,18 @@ mod differential {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// `m`, `n` straddle the 4x8 tile, `k` includes 0 and 1 and values
+        /// `m`, `n` straddle the `MR x NR` tile — every ragged row group and
+        /// panel, `n < NR` included — and `k` includes 0 and 1 and values
         /// past the reduction block.
         #[test]
         fn gemm_family_matches_the_triple_loop(
-            m in 1usize..14,
-            n in 1usize..28,
+            m in 1usize..2 * MR + 4,
+            n in 1usize..3 * NR + 4,
             k in 0usize..40,
             long_k in 0usize..2,
             seed in 0u64..1_000_000,
         ) {
-            let k = if long_k == 1 { k + 250 } else { k };
+            let k = if long_k == 1 { k + KC - 6 } else { k };
             let mut rng = Rng::seed_from(seed);
             let a = salted(&[m, k], &mut rng);
             let b = salted(&[k, n], &mut rng);
@@ -313,16 +315,17 @@ mod differential {
 
         /// Kernels 1 to 5, `pad > kernel - 1`, 1x1 images, `h != w`, channel
         /// counts on both sides of a tile and `Cout` past two of them,
-        /// ragged or not, strides with and without the contiguous runs,
+        /// ragged or not, output rows narrower than, as wide as and ragged
+        /// past a run of `NR`, strides with and without the contiguous runs,
         /// batches that split into more than one group of images; inputs
         /// salted with zeros of both signs, then with NaN and ±∞ among them.
         #[test]
         fn direct_conv_kernels_match_im2col_gemm_col2im(
             n in 1usize..7,
             cin in 1usize..6,
-            cout in 1usize..20,
+            cout in 1usize..2 * MR + 4,
             h in 1usize..10,
-            w in 1usize..10,
+            w in 1usize..NR + 6,
             kernel in 0usize..4,
             stride in 1usize..4,
             pad in 0usize..3,
@@ -363,6 +366,22 @@ mod differential {
                 &crate::avg_unpool2d(&y, c, oh, ow, k),
                 &avg_unpool2d(&y, c, oh, ow, k),
             );
+        }
+    }
+
+    /// Channel counts of the paper's ConvNet-3 (128 filters) and past it,
+    /// ragged against the tile on either side: a weight-gradient window
+    /// longer than `KC` and a `Cout` of many row groups and panels.
+    #[test]
+    fn wide_channel_counts_match() {
+        let mut rng = Rng::seed_from(6);
+        for (cin, cout, hw, stride) in [(64, 64, 4, 1), (128, 72, 3, 1), (67, 129, 5, 2)] {
+            let geo = Conv2dGeometry::new(cin, hw, hw, 3, stride, 1);
+            let x = salted(&[2, cin, hw, hw], &mut rng);
+            let weight = salted(&[cout, geo.patch_len()], &mut rng);
+            let bias = salted(&[cout], &mut rng);
+            let dy = salted(&[2, cout, geo.out_h, geo.out_w], &mut rng);
+            assert_direct_conv_matches(&geo, [&x, &weight, &bias, &dy], matmul);
         }
     }
 

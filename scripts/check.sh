@@ -16,6 +16,16 @@ cargo clippy --offline --workspace --no-deps --all-targets -- -D warnings
 echo "== cargo doc (workspace, -D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
+echo "== release build targets x86-64-v3 (.cargo/config.toml)"
+# The kernels' register tiles are sized for 256-bit lanes (DESIGN.md §4.6).
+# A lost config, or a RUSTFLAGS that replaces it (even an empty one), builds
+# the same bits at about 1.5x the time; fail here, not in a benchmark.
+if [ "$(uname -m)" = x86_64 ]; then
+    cargo rustc --offline --release -q -p qd-tensor --lib -- --print cfg \
+        | grep -x 'target_feature="avx2"' >/dev/null \
+        || { echo "the release build does not target x86-64-v3: is .cargo/config.toml there, and RUSTFLAGS unset?" >&2; exit 1; }
+fi
+
 echo "== qd-lint (workspace invariants, --deny)"
 cargo run --offline -q -p qd-lint -- --deny
 
