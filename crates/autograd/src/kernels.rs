@@ -1,70 +1,21 @@
-//! Private kernels used by the tape ops: NCHW permutes and
-//! spatial/channel reductions with their adjoint broadcasts, and the fused
-//! instance norm · ReLU · average pool of a ConvNet block and the ReLU
-//! adjoint a first-order or inference tape records in place of chains of
-//! them (its convolution is `qd_tensor::conv2d` and that kernel's
-//! gradients).
+//! Private kernels used by the tape ops: spatial/channel reductions with
+//! their adjoint broadcasts, the ReLU adjoint a first-order or inference
+//! tape records in place of a chain, and the tail of a ConvNet block —
+//! instance norm · ReLU · average pool — that those tapes fuse.
 //!
-//! A fused kernel's contract is the chain's: per output element and per
-//! reduction, the same rounded operations in the same order (a plane sum
-//! is `iter().sum()` in element order, a channel sum adds plane sums in
-//! batch order, a product feeding a sum is rounded before it is added, a
-//! pool window is `qd_tensor`'s own loop), so the two representations are
-//! `to_bits`-equal. What a fused kernel keeps is its own business: the
-//! norm's and the ReLU's outputs and their adjoints exist one group of
-//! planes at a time, in scratch.
+//! The tail runs on its pre-norm map position-major (`qd_tensor::conv2d_rows`
+//! writes it so): row `n·H·W + p` holds every channel of position `p` of
+//! image `n`, padded to `lane_pitch(C)`, so each per-plane reduction runs
+//! `LANES` planes per vector. A fused kernel's contract is the chain's:
+//! per output element and per reduction, the same rounded operations in
+//! the same order (a plane sum is `iter().sum()` in position order, a
+//! channel sum adds plane sums in batch order, a product feeding a sum is
+//! rounded before it is added, a pool window is summed in `(ky, kx)` order
+//! from `0.0`), so the two representations are `to_bits`-equal. The
+//! padding lanes compute junk that no result reads. The norm's and the
+//! ReLU's outputs are never stored.
 
-use qd_tensor::{avg_pool_planes, avg_unpool_planes, Tensor};
-
-/// Permutes a patch-row matrix `(N*OH*OW, C)` into an `(N, C, OH, OW)`
-/// feature map. Inverse (and adjoint) of [`nchw_to_rows`].
-///
-/// Per image this is a `(OH*OW, C) -> (C, OH*OW)` transpose: each output
-/// plane is one column of the image's row block, read as a strided run.
-pub(crate) fn rows_to_nchw(rows: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
-    assert_eq!(rows.dims(), &[n * oh * ow, c], "rows_to_nchw shape");
-    let hw = oh * ow;
-    let mut out = vec![0.0f32; n * c * hw];
-    if c * hw > 0 {
-        for (block, img) in rows
-            .data()
-            .chunks_exact(hw * c)
-            .zip(out.chunks_exact_mut(c * hw))
-        {
-            for (ch, plane) in img.chunks_exact_mut(hw).enumerate() {
-                for (o, &v) in plane.iter_mut().zip(block[ch..].iter().step_by(c)) {
-                    *o = v;
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[n, c, oh, ow])
-}
-
-/// Permutes an `(N, C, OH, OW)` feature map into patch rows
-/// `(N*OH*OW, C)`. Inverse (and adjoint) of [`rows_to_nchw`].
-///
-/// Per image this is a `(C, OH*OW) -> (OH*OW, C)` transpose: each input
-/// plane is written down one column of the image's row block.
-pub(crate) fn nchw_to_rows(x: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
-    assert_eq!(x.len(), n * c * oh * ow, "nchw_to_rows length");
-    let hw = oh * ow;
-    let mut out = vec![0.0f32; n * hw * c];
-    if c * hw > 0 {
-        for (img, block) in x
-            .data()
-            .chunks_exact(c * hw)
-            .zip(out.chunks_exact_mut(hw * c))
-        {
-            for (ch, plane) in img.chunks_exact(hw).enumerate() {
-                for (o, &v) in block[ch..].iter_mut().step_by(c).zip(plane) {
-                    *o = v;
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, &[n * hw, c])
-}
+use qd_tensor::{lane_pitch, Tensor, LANES};
 
 /// Adds the vector `b` `(n,)` to every row of the matrix `y` `(m, n)`.
 pub(crate) fn add_row_bias(y: &Tensor, b: &Tensor) -> Tensor {
@@ -87,43 +38,30 @@ pub(crate) fn add_row_bias(y: &Tensor, b: &Tensor) -> Tensor {
 /// Sums each `(n, c)` plane over its spatial extent:
 /// `(N, C, H, W) -> (N*C,)`.
 pub(crate) fn spatial_sum(x: &Tensor, c: usize, h: usize, w: usize) -> Tensor {
-    let hw = h * w;
-    let planes = x.len() / hw;
-    assert_eq!(x.len(), planes * hw, "spatial_sum length");
-    assert_eq!(planes % c, 0, "spatial_sum channel mismatch");
-    let data = x.data();
-    let out = (0..planes)
-        .map(|p| data[p * hw..(p + 1) * hw].iter().sum())
-        .collect();
-    Tensor::from_vec(out, &[planes])
+    assert_eq!(x.len() % (c * h * w), 0, "spatial_sum length");
+    let sums = x.data().chunks_exact(h * w).map(|plane| plane.iter().sum());
+    Tensor::from_vec(sums.collect(), &[x.len() / (h * w)])
 }
 
 /// Replicates a per-plane vector `(N*C,)` over the spatial extent:
 /// adjoint of [`spatial_sum`].
 pub(crate) fn spatial_broadcast(v: &Tensor, c: usize, h: usize, w: usize) -> Tensor {
-    let planes = v.len();
-    assert_eq!(planes % c, 0, "spatial_broadcast channel mismatch");
-    let n = planes / c;
-    let hw = h * w;
-    let mut out = vec![0.0f32; planes * hw];
-    for (p, &val) in v.data().iter().enumerate() {
-        out[p * hw..(p + 1) * hw].fill(val);
+    assert_eq!(v.len() % c, 0, "spatial_broadcast channel mismatch");
+    let mut out = vec![0.0f32; v.len() * h * w];
+    for (plane, &val) in out.chunks_exact_mut(h * w).zip(v.data()) {
+        plane.fill(val);
     }
-    Tensor::from_vec(out, &[n, c, h, w])
+    Tensor::from_vec(out, &[v.len() / c, c, h, w])
 }
 
-/// Sums an `(N, C, H, W)` tensor over batch and spatial axes: `-> (C,)`.
+/// Sums an `(N, C, H, W)` tensor over batch and spatial axes: `-> (C,)`,
+/// each channel's plane sums added in batch order.
 pub(crate) fn channel_sum(x: &Tensor, c: usize, h: usize, w: usize) -> Tensor {
-    let hw = h * w;
-    assert_eq!(x.len() % (c * hw), 0, "channel_sum length");
-    let n = x.len() / (c * hw);
-    let data = x.data();
+    assert_eq!(x.len() % (c * h * w), 0, "channel_sum length");
     let mut out = vec![0.0f32; c];
-    for b in 0..n {
-        for (ch, o) in out.iter_mut().enumerate() {
-            *o += data[(b * c + ch) * hw..(b * c + ch + 1) * hw]
-                .iter()
-                .sum::<f32>();
+    for image in x.data().chunks_exact(c * h * w) {
+        for (o, plane) in out.iter_mut().zip(image.chunks_exact(h * w)) {
+            *o += plane.iter().sum::<f32>();
         }
     }
     Tensor::from_vec(out, &[c])
@@ -132,15 +70,11 @@ pub(crate) fn channel_sum(x: &Tensor, c: usize, h: usize, w: usize) -> Tensor {
 /// Replicates a per-channel vector `(C,)` over batch and spatial axes:
 /// adjoint of [`channel_sum`].
 pub(crate) fn channel_broadcast(v: &Tensor, n: usize, h: usize, w: usize) -> Tensor {
-    let c = v.len();
-    let hw = h * w;
-    let mut out = vec![0.0f32; n * c * hw];
-    for b in 0..n {
-        for (ch, &val) in v.data().iter().enumerate() {
-            out[(b * c + ch) * hw..(b * c + ch + 1) * hw].fill(val);
-        }
+    let mut out = vec![0.0f32; n * v.len() * h * w];
+    for (plane, &val) in out.chunks_exact_mut(h * w).zip(v.data().iter().cycle()) {
+        plane.fill(val);
     }
-    Tensor::from_vec(out, &[n, c, h, w])
+    Tensor::from_vec(out, &[n, v.len(), h, w])
 }
 
 /// `u · 1[x > 0]`, the adjoint of `relu(x)`: a multiply by the 0/1 mask,
@@ -153,291 +87,309 @@ pub(crate) fn relu_vjp(u: &Tensor, x: &Tensor) -> Tensor {
 /// The window and stride of a ConvNet block's average pool.
 pub(crate) const POOL: usize = 2;
 
-/// `[n, c, h, w]` of an `(N, C, H, W)` tensor, whose planes the
-/// `POOL × POOL` pool must tile exactly.
-fn planes_of(x: &Tensor) -> [usize; 4] {
-    let &[n, c, h, w] = x.dims() else {
-        panic!("instance norm expects (N, C, H, W), got {}", x.shape());
-    };
-    assert!(h * w > 0, "instance norm over an empty plane");
-    assert!(
-        h.is_multiple_of(POOL) && w.is_multiple_of(POOL),
-        "pooling {h}x{w} by {POOL}"
-    );
-    [n, c, h, w]
-}
+/// The pool's scale, `avg_pool2d`'s `1 / (k·k)`.
+const POOL_SCALE: f32 = 1.0 / (POOL * POOL) as f32;
 
 /// `Tape::neg` is `scale(-1.0)` — a multiply, not a sign flip — and the
 /// fused backward pass negates the way the chain's rules do.
 const MINUS_ONE: f32 = -1.0;
 
-/// Planes reduced side by side. A plane sum is one chain of dependent
-/// adds — its order is the contract — so the only parallelism a reduction
-/// has is several planes' chains in flight at once.
-const LANES: usize = 4;
+/// One vector of a position-major row: `LANES` planes.
+type Lanes = [f32; LANES];
 
-/// Runs `group(first_plane, LANES)` over as many whole groups of planes
-/// as there are, then `group(plane, 1)` over the rest.
-fn for_plane_groups(planes: usize, mut group: impl FnMut(usize, usize)) {
-    let wide = planes - planes % LANES;
-    (0..wide).step_by(LANES).for_each(|p| group(p, LANES));
-    (wide..planes).for_each(|p| group(p, 1));
-}
-
-/// The `N` consecutive `hw`-element planes at the start of `data`.
-fn lanes<const N: usize>(data: &[f32], hw: usize) -> [&[f32]; N] {
-    std::array::from_fn(|lane| &data[lane * hw..][..hw])
-}
-
-/// `Σ_i term(lane, i)` over `0..hw` for `N` planes at once: each lane adds
-/// its terms in element order to what `Iterator::sum` starts an `f32` sum
-/// from, so a lane is `iter().sum()` to the bit, signed zeros included.
+/// `f` lane by lane: a loop the compiler unrolls into vector operations
+/// (inside the kernels below it does not inline `array::from_fn`'s
+/// machinery, and each call would be eight scalar operations).
 #[inline(always)]
-fn lane_sums<const N: usize>(hw: usize, term: impl Fn(usize, usize) -> f32) -> [f32; N] {
-    let mut sums = [std::iter::empty::<f32>().sum(); N];
-    for i in 0..hw {
-        for (lane, sum) in sums.iter_mut().enumerate() {
-            *sum += term(lane, i);
-        }
+fn each(f: impl Fn(usize) -> f32) -> Lanes {
+    let mut out = [0.0; LANES];
+    for (l, o) in out.iter_mut().enumerate() {
+        *o = f(l);
     }
-    sums
+    out
 }
 
-/// A ConvNet block's tail: each `(n, c)` plane of `x` normalised by its
-/// own mean and variance, `· γ[c] + β[c]`, rectified, and averaged over
-/// non-overlapping `POOL × POOL` windows, `(N, C, H/POOL, W/POOL)`. The
-/// norm's ReLU output lives only in a scratch of one group of planes, from
-/// which `qd_tensor`'s pooling loop writes the pooled planes.
+/// The vector at the start of `run`.
+#[inline(always)]
+fn vector(run: &[f32]) -> Lanes {
+    run[..LANES].try_into().expect("a run is a whole vector")
+}
+
+/// Where each lane of a plane sum starts: what `Iterator::sum` starts an
+/// `f32` sum from, so that a lane adding its plane's terms in position
+/// order is the chain's `iter().sum()` to the bit, signed zeros included.
+fn empty_sum() -> Lanes {
+    [std::iter::empty::<f32>().sum(); LANES]
+}
+
+/// The `(N, C, H, W)` a block tail's pre-norm map stands for. The tail
+/// works a *column* at a time: vector `k` of every row of one image,
+/// position after position — `LANES` planes, whose sums are chains of
+/// dependent adds in position order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Planes {
+    pub dims: [usize; 4],
+}
+
+impl Planes {
+    /// # Panics
+    ///
+    /// Panics unless `dims` is `(N, C, H, W)` with planes the
+    /// `POOL × POOL` pool tiles exactly.
+    pub fn new(dims: &[usize]) -> Self {
+        let &[n, c, h, w] = dims else {
+            panic!("instance norm expects (N, C, H, W), got {dims:?}");
+        };
+        assert!(h * w > 0, "instance norm over an empty plane");
+        assert!(
+            h.is_multiple_of(POOL) && w.is_multiple_of(POOL),
+            "pooling {h}x{w} by {POOL}"
+        );
+        Planes { dims: [n, c, h, w] }
+    }
+
+    /// Floats per row of the position-major map.
+    pub fn pitch(&self) -> usize {
+        lane_pitch(self.dims[1])
+    }
+
+    /// Per-channel `v` as vectors of lanes, its last channel repeated into
+    /// the padding.
+    fn lanes_of(&self, v: &Tensor) -> Vec<Lanes> {
+        let c = self.dims[1];
+        assert_eq!(v.dims(), [c], "instance norm parameters are per channel");
+        let lane = |i: usize| v.data()[i.min(c - 1)];
+        (0..self.pitch() / LANES)
+            .map(|k| each(|l| lane(k * LANES + l)))
+            .collect()
+    }
+
+    /// Each column of `map` as `(image, k, its vectors)`, image by image.
+    fn columns<'a>(&self, map: &'a [f32]) -> impl Iterator<Item = (usize, usize, Column<'a>)> {
+        let (pitch, image) = (self.pitch(), self.dims[2] * self.dims[3] * self.pitch());
+        let images = map.chunks_exact(image.max(1)).enumerate();
+        images.flat_map(move |(i, rows)| {
+            (0..pitch / LANES).map(move |k| (i, k, Column { rows, k, pitch }))
+        })
+    }
+
+    /// `v`, one value per plane of the `(N·pitch)`, over every position of
+    /// the `(N, C, H, W)` planes.
+    pub fn broadcast(&self, v: &[f32]) -> Tensor {
+        let [n, c, h, w] = self.dims;
+        let planes = (0..n * c).map(|p| v[p / c * self.pitch() + p % c]);
+        let values = planes.flat_map(|v| std::iter::repeat_n(v, h * w));
+        Tensor::from_vec(values.collect(), &self.dims)
+    }
+}
+
+/// Vector `k` of each `pitch`-wide row of `image`, to write.
+fn column_mut(image: &mut [f32], pitch: usize, k: usize) -> impl Iterator<Item = &mut [f32]> {
+    image
+        .chunks_exact_mut(pitch)
+        .map(move |row| &mut row[k * LANES..][..LANES])
+}
+
+/// Vector `k` of each of one image's rows.
+#[derive(Clone, Copy)]
+struct Column<'a> {
+    rows: &'a [f32],
+    k: usize,
+    pitch: usize,
+}
+
+impl<'a> Column<'a> {
+    /// The vector at position `p`.
+    #[inline(always)]
+    fn at(self, p: usize) -> Lanes {
+        vector(&self.rows[p * self.pitch + self.k * LANES..])
+    }
+
+    /// Its vectors in position order.
+    fn iter(self) -> impl Iterator<Item = Lanes> + 'a {
+        self.rows
+            .chunks_exact(self.pitch)
+            .map(move |row| vector(&row[self.k * LANES..]))
+    }
+}
+
+/// `(Σ_p x) / hw` and `sqrt((Σ_p (x − mean)²) / hw + eps)` down a column:
+/// the chain's `spatial_sum · 1/hw`, `sub`, `mul`, `spatial_sum · 1/hw`,
+/// `+ eps`, `sqrt`.
+fn moments(col: Column<'_>, inv_hw: f32, eps: f32) -> [Lanes; 2] {
+    let sum = col.iter().fold(empty_sum(), |s, x| each(|l| s[l] + x[l]));
+    let mean = each(|l| sum[l] * inv_hw);
+    let squares = col.iter().fold(empty_sum(), |s, x| {
+        each(|l| s[l] + (x[l] - mean[l]) * (x[l] - mean[l]))
+    });
+    [mean, each(|l| (squares[l] * inv_hw + eps).sqrt())]
+}
+
+/// A ConvNet block's tail on its position-major pre-norm map `map`,
+/// `(N·H·W, lane_pitch(C))`, standing for the `(N, C, H, W)` of `planes`:
+/// each `(n, c)` plane normalised by its own mean and variance,
+/// `· γ[c] + β[c]`, rectified, and averaged over non-overlapping
+/// `POOL × POOL` windows into `(N, C, H/POOL, W/POOL)` planes — after the
+/// moments, the chain's `1 / std`, `mul`, `mul γ`, `add β`, `relu` and
+/// the pool's window sum from `0.0`, `· ¼`.
 ///
-/// Returns the pooled map and the `(2, N*C)` statistics the backward
-/// kernel needs: every plane's mean, then every plane's standard deviation
-/// `sqrt(var + eps)`.
+/// Returns the pooled map and the `(2, N·pitch)` statistics the backward
+/// kernel needs: every plane's mean, then its standard deviation.
 pub(crate) fn norm_relu_pool(
-    x: &Tensor,
+    map: &Tensor,
+    planes: Planes,
     gamma: &Tensor,
     beta: &Tensor,
     eps: f32,
 ) -> (Tensor, Tensor) {
-    let [n, c, h, w] = planes_of(x);
-    let (hw, pooled) = (h * w, h * w / (POOL * POOL));
-    assert_eq!(gamma.dims(), &[c], "instance norm scale is per channel");
-    assert_eq!(beta.dims(), &[c], "instance norm shift is per channel");
+    let [n, c, h, w] = planes.dims;
+    let (hw, pitch, pooled) = (h * w, planes.pitch(), h * w / (POOL * POOL));
+    assert_eq!(map.dims(), [n * hw, pitch], "instance norm map shape");
+    let (g, b) = (planes.lanes_of(gamma), planes.lanes_of(beta));
     let mut out = vec![0.0f32; n * c * pooled];
-    let mut stats = vec![0.0f32; 2 * n * c];
-    let mut active = vec![0.0f32; LANES * hw];
-    let mut forward = NormForward {
-        x: x.data(),
-        gamma: gamma.data(),
-        beta: beta.data(),
-        eps,
-        hw,
-        stats: &mut stats,
-    };
-    for_plane_groups(n * c, |p, width| {
-        let planes = &mut active[..width * hw];
-        match width {
-            LANES => forward.group::<LANES>(p, planes),
-            _ => forward.group::<1>(p, planes),
+    let mut stats = vec![0.0f32; 2 * n * pitch];
+    let mut windows = vec![[0.0f32; LANES]; pooled];
+    // Each window's first position, in pooled order.
+    let rows = (0..h).step_by(POOL).map(|y| y * w);
+    let corners: Vec<usize> = rows.flat_map(|row| (row..row + w).step_by(POOL)).collect();
+    for (i, k, column) in planes.columns(map.data()) {
+        let [mean, std] = moments(column, 1.0 / hw as f32, eps);
+        let (inv, g, b) = (each(|l| 1.0 / std[l]), g[k], b[k]);
+        for (window, &corner) in windows.iter_mut().zip(&corners) {
+            let mut acc = [0.0f32; LANES];
+            // The window's positions in `(ky, kx)` order.
+            for at in [0, 1, w, w + 1].map(|d| corner + d) {
+                let x = column.at(at);
+                acc = each(|l| acc[l] + (((x[l] - mean[l]) * inv[l]) * g[l] + b[l]).max(0.0));
+            }
+            *window = each(|l| acc[l] * POOL_SCALE);
         }
-        avg_pool_planes(planes, w, POOL, &mut out[p * pooled..][..width * pooled]);
-    });
+        let (image, lanes) = (
+            &mut out[(i * c + k * LANES) * pooled..],
+            0..LANES.min(c - k * LANES),
+        );
+        for (plane, l) in image.chunks_exact_mut(pooled).zip(lanes) {
+            plane.iter_mut().zip(&windows).for_each(|(o, s)| *o = s[l]);
+        }
+        let at = i * pitch + k * LANES;
+        stats[at..][..LANES].copy_from_slice(&mean);
+        stats[n * pitch + at..][..LANES].copy_from_slice(&std);
+    }
     (
         Tensor::from_vec(out, &[n, c, h / POOL, w / POOL]),
-        Tensor::from_vec(stats, &[2, n * c]),
+        Tensor::from_vec(stats, &[2, n * pitch]),
     )
-}
-
-struct NormForward<'a> {
-    x: &'a [f32],
-    gamma: &'a [f32],
-    beta: &'a [f32],
-    eps: f32,
-    hw: usize,
-    stats: &'a mut [f32],
-}
-
-impl NormForward<'_> {
-    /// Planes `p .. p + N` into `out`: mean, centre, variance, scale,
-    /// rectify — the chain's `spatial_sum · 1/hw`, `sub`, `mul`,
-    /// `spatial_sum · 1/hw`, `+ eps`, `sqrt`, `1 / std`, `mul`, `mul γ`,
-    /// `add β`, `relu`.
-    fn group<const N: usize>(&mut self, p: usize, out: &mut [f32]) {
-        let (hw, c, planes) = (self.hw, self.gamma.len(), self.stats.len() / 2);
-        let inv_hw = 1.0 / hw as f32;
-        let x = lanes::<N>(&self.x[p * hw..], hw);
-        let mean = lane_sums::<N>(hw, |lane, i| x[lane][i]).map(|s| s * inv_hw);
-        for (lane, os) in out.chunks_exact_mut(hw).enumerate() {
-            for (o, &v) in os.iter_mut().zip(x[lane]) {
-                *o = v - mean[lane];
-            }
-        }
-        let centered = lanes::<N>(out, hw);
-        let std = lane_sums::<N>(hw, |lane, i| centered[lane][i] * centered[lane][i])
-            .map(|s| (s * inv_hw + self.eps).sqrt());
-        for (lane, os) in out.chunks_exact_mut(hw).enumerate() {
-            let inv = 1.0 / std[lane];
-            let (g, b) = (self.gamma[(p + lane) % c], self.beta[(p + lane) % c]);
-            for o in os {
-                *o = ((*o * inv) * g + b).max(0.0);
-            }
-            self.stats[p + lane] = mean[lane];
-            self.stats[planes + p + lane] = std[lane];
-        }
-    }
 }
 
 /// The adjoints [`norm_relu_pool_vjp`] computes, one per input that needs
 /// a gradient.
 pub(crate) struct NormReluPoolGrads {
-    /// The adjoint of the centred input, which is `x`'s through the
-    /// subtraction — with `via_mean` already added when the caller asked
-    /// for them folded.
+    /// The pre-norm map's adjoint, position-major: its adjoint through the
+    /// centring subtraction, with the mean term already added when the
+    /// caller asked for it folded.
     pub dx: Option<Tensor>,
-    /// `x`'s second contribution, through the plane means, when it was
-    /// asked for on its own.
-    pub via_mean: Option<Tensor>,
+    /// The mean term on its own, one per plane of the `(N·pitch)`, when it
+    /// was not folded.
+    pub shift: Option<Vec<f32>>,
     pub dgamma: Option<Tensor>,
     pub dbeta: Option<Tensor>,
 }
 
 /// The first-order backward pass of [`norm_relu_pool`] for the pooled
-/// map's upstream `up`: what the chain's rules compute, plane by plane.
+/// map's upstream `up`: what the chain's rules compute, plane by plane, in
+/// two passes down each column.
 ///
-/// The upstream `u` at the norm's output is formed one group of planes at
-/// a time: `up` spread by `qd_tensor`'s unpooling loop (`avg_pool2d`'s
-/// rule), times the 0/1 mask of the norm's output `((c·inv)·γ) + β`
-/// recomputed from the statistics (`relu`'s rule). Then, with
-/// `c = x − mean`, `inv = 1/std` and `v = u·γ`:
-/// `dβ = Σ u`, `dγ = Σ u·(c·inv)` (plane sums added in batch order),
-/// `d_inv = Σ v·c`, `a = (((d_inv·(inv/std))·−1)·½ / std) / hw`,
-/// `d_centered = ((v·inv) + a·c) + a·c` and
+/// Pass one forms the upstream at the norm's output, `u = (up·¼)·1[y > 0]`
+/// (the pool's and the ReLU's rules, the mask recomputed from the
+/// statistics), and takes `dβ = Σ u`, `dγ = Σ u·(c·inv)` and
+/// `d_inv = Σ (u·γ)·c` at once, with `c = x − mean` and `inv = 1/std`
+/// (plane sums added into `dγ`/`dβ` in batch order). Pass two forms
+/// `d_centered = ((u·γ)·inv + a·c) + a·c` with
+/// `a = (((d_inv·(inv/std))·−1)·½ / std) / hw` and takes `Σ −d_centered`;
 /// `dx = d_centered + (Σ −d_centered) / hw`. `fold` adds that last term in
 /// place — the chain's result when `x`'s adjoint slot is empty, since it
 /// adds `d_centered` into the slot first and the mean term second.
 pub(crate) fn norm_relu_pool_vjp(
-    [x, gamma, beta]: [&Tensor; 3],
-    stats: &Tensor,
-    up: &Tensor,
+    map: &Tensor,
+    planes: Planes,
+    [gamma, beta, stats, up]: [&Tensor; 4],
     [need_x, need_gamma, need_beta]: [bool; 3],
     fold: bool,
 ) -> NormReluPoolGrads {
-    let [n, c, h, w] = planes_of(x);
-    assert_eq!(
-        up.dims(),
-        [n, c, h / POOL, w / POOL],
-        "instance norm upstream shape"
-    );
-    let hw = h * w;
-    let mut backward = NormBackward {
-        x: x.data(),
-        up: up.data(),
-        gamma: gamma.data(),
-        beta: beta.data(),
-        stats: stats.data(),
-        hw,
-        w,
-        centered: vec![0.0f32; LANES * hw],
-        unpooled: vec![0.0f32; LANES * hw],
-        dx: need_x.then(|| vec![0.0f32; x.len()]),
-        via_mean: (need_x && !fold).then(|| vec![0.0f32; x.len()]),
-        dgamma: need_gamma.then(|| vec![0.0f32; c]),
-        dbeta: need_beta.then(|| vec![0.0f32; c]),
-    };
-    for_plane_groups(n * c, |p, width| match width {
-        LANES => backward.group::<LANES>(p),
-        _ => backward.group::<1>(p),
-    });
-    let like_x = |v: Vec<f32>| Tensor::from_vec(v, x.dims());
+    let [n, c, h, w] = planes.dims;
+    let (hw, pitch, pooled) = (h * w, planes.pitch(), h * w / (POOL * POOL));
+    let up_dims = [n, c, h / POOL, w / POOL];
+    assert_eq!(up.dims(), up_dims, "instance norm upstream shape");
+    let (g, b) = (planes.lanes_of(gamma), planes.lanes_of(beta));
+    let inv_hw = 1.0 / hw as f32;
+    let mut dx = vec![0.0f32; n * hw * pitch];
+    let mut shifts = vec![0.0f32; n * pitch];
+    let (mut dgamma, mut dbeta) = (vec![0.0f32; c], vec![0.0f32; c]);
+    // The column's upstream, spread by the pool's rule: `up · ¼`.
+    let mut spread = vec![[0.0f32; LANES]; pooled];
+    // The pooled position each position falls in, in position order.
+    let window_of: Vec<usize> = (0..h * w)
+        .map(|p| p / w / POOL * (w / POOL) + p % w / POOL)
+        .collect();
+    for (i, k, column) in planes.columns(map.data()) {
+        let channels = k * LANES..c.min((k + 1) * LANES);
+        let ups = &up.data()[(i * c + channels.start) * pooled..];
+        for (plane, l) in ups.chunks_exact(pooled).zip(0..channels.len()) {
+            for (s, u) in spread.iter_mut().zip(plane) {
+                s[l] = u * POOL_SCALE;
+            }
+        }
+        let at = i * pitch + k * LANES;
+        let mean = vector(&stats.data()[at..]);
+        let std = vector(&stats.data()[n * pitch + at..]);
+        let (inv, g, b) = (each(|l| 1.0 / std[l]), g[k], b[k]);
+        let image = &mut dx[i * hw * pitch..][..hw * pitch];
+        let [mut sum_u, mut sum_scaled, mut d_inv] = [empty_sum(); 3];
+        let positions = column.iter().zip(column_mut(image, pitch, k));
+        for ((x, d), &q) in positions.zip(&window_of) {
+            let centered = each(|l| x[l] - mean[l]);
+            let up = spread[q];
+            let u = each(|l| {
+                let y = (centered[l] * inv[l]) * g[l] + b[l];
+                up[l] * if y > 0.0 { 1.0 } else { 0.0 }
+            });
+            d.copy_from_slice(&u);
+            sum_u = each(|l| sum_u[l] + u[l]);
+            sum_scaled = each(|l| sum_scaled[l] + u[l] * (centered[l] * inv[l]));
+            d_inv = each(|l| d_inv[l] + (u[l] * g[l]) * centered[l]);
+        }
+        for (ch, l) in channels.zip(0..) {
+            dbeta[ch] += sum_u[l];
+            dgamma[ch] += sum_scaled[l];
+        }
+        if !need_x {
+            continue;
+        }
+        let a = each(|l| ((((d_inv[l] * (inv[l] / std[l])) * MINUS_ONE) * 0.5) / std[l]) * inv_hw);
+        let mut negated = empty_sum();
+        for (x, d) in column.iter().zip(column_mut(image, pitch, k)) {
+            let d_centered = each(|l| {
+                let ad = a[l] * (x[l] - mean[l]);
+                ((d[l] * g[l]) * inv[l] + ad) + ad
+            });
+            d.copy_from_slice(&d_centered);
+            negated = each(|l| negated[l] + d_centered[l] * MINUS_ONE);
+        }
+        let shift = each(|l| negated[l] * inv_hw);
+        if fold {
+            for d in column_mut(image, pitch, k) {
+                d.iter_mut().zip(shift).for_each(|(d, s)| *d += s);
+            }
+        } else {
+            shifts[at..][..LANES].copy_from_slice(&shift);
+        }
+    }
     let per_channel = |v: Vec<f32>| Tensor::from_vec(v, &[c]);
     NormReluPoolGrads {
-        dx: backward.dx.map(like_x),
-        via_mean: backward.via_mean.map(like_x),
-        dgamma: backward.dgamma.map(per_channel),
-        dbeta: backward.dbeta.map(per_channel),
-    }
-}
-
-struct NormBackward<'a> {
-    x: &'a [f32],
-    /// The pooled map's upstream.
-    up: &'a [f32],
-    gamma: &'a [f32],
-    beta: &'a [f32],
-    stats: &'a [f32],
-    hw: usize,
-    /// The planes' width.
-    w: usize,
-    /// Scratch: the centred planes of the group in hand.
-    centered: Vec<f32>,
-    /// Scratch: the group's upstream at the norm's output.
-    unpooled: Vec<f32>,
-    dx: Option<Vec<f32>>,
-    via_mean: Option<Vec<f32>>,
-    dgamma: Option<Vec<f32>>,
-    dbeta: Option<Vec<f32>>,
-}
-
-impl NormBackward<'_> {
-    /// Planes `p .. p + N`. A group's planes are consecutive, so adding
-    /// its plane sums into `dγ`/`dβ` lane by lane keeps batch order.
-    fn group<const N: usize>(&mut self, p: usize) {
-        let (hw, c, planes) = (self.hw, self.gamma.len(), self.stats.len() / 2);
-        let inv_hw = 1.0 / hw as f32;
-        let x = lanes::<N>(&self.x[p * hw..], hw);
-        let channel: [usize; N] = std::array::from_fn(|lane| (p + lane) % c);
-        let std: [f32; N] = std::array::from_fn(|lane| self.stats[planes + p + lane]);
-        let inv = std.map(|s| 1.0 / s);
-        for (lane, ds) in self.centered.chunks_exact_mut(hw).take(N).enumerate() {
-            let mean = self.stats[p + lane];
-            for (d, &v) in ds.iter_mut().zip(x[lane]) {
-                *d = v - mean;
-            }
-        }
-        let centered = lanes::<N>(&self.centered, hw);
-        let pooled = hw / (POOL * POOL);
-        let unpooled = &mut self.unpooled[..N * hw];
-        avg_unpool_planes(&self.up[p * pooled..][..N * pooled], self.w, POOL, unpooled);
-        for (lane, ds) in unpooled.chunks_exact_mut(hw).enumerate() {
-            let (g, b) = (self.gamma[channel[lane]], self.beta[channel[lane]]);
-            for (d, &c) in ds.iter_mut().zip(centered[lane]) {
-                let y = (c * inv[lane]) * g + b;
-                *d *= if y > 0.0 { 1.0 } else { 0.0 };
-            }
-        }
-        let u = lanes::<N>(&self.unpooled, hw);
-        if let Some(dbeta) = &mut self.dbeta {
-            let sums = lane_sums::<N>(hw, |lane, i| u[lane][i]);
-            for (ch, sum) in channel.iter().zip(sums) {
-                dbeta[*ch] += sum;
-            }
-        }
-        if let Some(dgamma) = &mut self.dgamma {
-            let sums = lane_sums::<N>(hw, |lane, i| u[lane][i] * (centered[lane][i] * inv[lane]));
-            for (ch, sum) in channel.iter().zip(sums) {
-                dgamma[*ch] += sum;
-            }
-        }
-        let Some(dx) = &mut self.dx else { return };
-        let g = channel.map(|ch| self.gamma[ch]);
-        let d_inv = lane_sums::<N>(hw, |lane, i| (u[lane][i] * g[lane]) * centered[lane][i]);
-        let dx = &mut dx[p * hw..][..N * hw];
-        for (lane, os) in dx.chunks_exact_mut(hw).enumerate() {
-            let d_std = (d_inv[lane] * (inv[lane] / std[lane])) * MINUS_ONE;
-            let a = ((d_std * 0.5) / std[lane]) * inv_hw;
-            for ((o, &u), &d) in os.iter_mut().zip(u[lane]).zip(centered[lane]) {
-                let ad = a * d;
-                *o = ((u * g[lane]) * inv[lane] + ad) + ad;
-            }
-        }
-        let d_centered = lanes::<N>(dx, hw);
-        let shift =
-            lane_sums::<N>(hw, |lane, i| d_centered[lane][i] * MINUS_ONE).map(|s| s * inv_hw);
-        for (lane, os) in dx.chunks_exact_mut(hw).enumerate() {
-            match &mut self.via_mean {
-                Some(separate) => separate[(p + lane) * hw..][..hw].fill(shift[lane]),
-                None => os.iter_mut().for_each(|o| *o += shift[lane]),
-            }
-        }
+        dx: need_x.then(|| Tensor::from_vec(dx, &[n * hw, pitch])),
+        shift: (need_x && !fold).then_some(shifts),
+        dgamma: need_gamma.then(|| per_channel(dgamma)),
+        dbeta: need_beta.then(|| per_channel(dbeta)),
     }
 }
 
@@ -445,6 +397,15 @@ impl NormBackward<'_> {
 mod tests {
     use super::*;
     use qd_tensor::rng::Rng;
+
+    /// The chain's permutes, `qd_tensor`'s row copies at a pitch of `c`.
+    fn rows_to_nchw(rows: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
+        qd_tensor::rows_to_planes(rows, [n, c, oh, ow])
+    }
+
+    fn nchw_to_rows(x: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
+        qd_tensor::planes_to_rows(x, [n, c, oh, ow], c)
+    }
 
     /// The first-draft permutes, indexed per element: the oracles.
     fn naive_rows_to_nchw(rows: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {

@@ -36,12 +36,12 @@
 //!   passes. [`Tape::first_order`] allows only `into_grads`, and
 //!   [`Tape::inference`] is a forward-only tape on which finished
 //!   sub-computations are retired.
-//! * The composites [`Tape::norm_relu_pool`], [`Tape::relu`] and
-//!   [`Tape::conv2d`] have one entry point and two representations: chains
-//!   of primitives on a recording tape, single fused nodes with direct
-//!   backward kernels on the other two kinds, where no gradient can be
-//!   differentiated again. The tape picks from its own kind and both give
-//!   the same bits.
+//! * The composites [`Tape::conv_norm_relu_pool`] (a whole ConvNet block),
+//!   [`Tape::norm_relu_pool`], [`Tape::relu`] and [`Tape::conv2d`] have
+//!   one entry point and two representations: chains of primitives on a
+//!   recording tape, single fused nodes with direct backward kernels on the
+//!   other two kinds, where no gradient can be differentiated again. The
+//!   tape picks from its own kind and both give the same bits.
 //!
 //! # Examples
 //!

@@ -7,21 +7,24 @@
 //! and finite differences. The fused composites of a first-order tape
 //! (`composite.rs`) have direct rules instead: their output is only read.
 
-use crate::kernels;
+use crate::kernels::{self, norm_relu_pool_vjp, Planes};
 use crate::tape::{Op, PoolGeo, Tape};
 use crate::Var;
-use qd_tensor::{conv2d_input_grad, conv2d_weight_grad, Tensor};
+use qd_tensor::{
+    conv2d_input_grad, conv2d_weight_grad, lane_pitch, planes_to_rows, rows_to_planes,
+    Conv2dGeometry, Tensor,
+};
 
 /// The `(input, contribution)` pairs one node hands to the gradient sweep
 /// (one table for [`Tape::grad`] and [`Tape::into_grads`]), in the order
 /// they are added into the inputs' adjoint slots. A primitive has at most
-/// two inputs; a fused block tail has three and may hand `x` two
-/// contributions — so four travel in an array, not a `Vec`.
-pub(crate) type Contributions = [Option<(Var, Var)>; 4];
+/// two inputs; a fused block has five — so five travel in an array, not a
+/// `Vec`.
+pub(crate) type Contributions = [Option<(Var, Var)>; 5];
 
 /// The contribution of an op with a single differentiable input.
 fn unary(a: Var, da: Var) -> Contributions {
-    [Some((a, da)), None, None, None]
+    [Some((a, da)), None, None, None, None]
 }
 
 impl Tape {
@@ -38,6 +41,7 @@ impl Tape {
         [
             self.needs_grad(a).then(|| (a, da(self))),
             self.needs_grad(b).then(|| (b, db(self))),
+            None,
             None,
             None,
         ]
@@ -64,7 +68,7 @@ impl Tape {
         slots: &[Option<Var>],
     ) -> Contributions {
         match op {
-            Op::Leaf | Op::Constant | Op::ReluMask => [None; 4],
+            Op::Leaf | Op::Constant | Op::ReluMask => [None; 5],
             Op::Add(a, b) => self.binary((a, b), |_| u, |_| u),
             Op::Sub(a, b) => self.binary((a, b), |_| u, |t| t.neg(u)),
             Op::Mul(a, b) => self.binary((a, b), |t| t.mul(u, b), |t| t.mul(u, a)),
@@ -188,47 +192,44 @@ impl Tape {
                 // their outputs, so they change `u` alone.
                 let fold = slots[x.index()].is_none();
                 let needs = [x, gamma, beta].map(|v| self.needs_grad(v));
-                let grads = kernels::norm_relu_pool_vjp(
-                    [x, gamma, beta].map(|v| self.value(v)),
-                    self.value(stats),
-                    self.value(u),
-                    needs,
-                    fold,
-                );
+                let [xv, g, b, s, up] = [x, gamma, beta, stats, u].map(|v| self.value(v));
+                let planes = Planes::new(xv.dims());
+                let map = planes_to_rows(xv, planes.dims, planes.pitch());
+                let t = norm_relu_pool_vjp(&map, planes, [g, b, s, up], needs, fold);
+                let dx = t.dx.map(|rows| rows_to_planes(&rows, planes.dims));
+                let via_mean = t.shift.map(|shift| planes.broadcast(&shift));
                 // The chain's order: its shift broadcast is recorded last
                 // and so swept first, then the scale's, then `x`.
-                [
-                    grads.dbeta.map(|g| (beta, self.constant(g))),
-                    grads.dgamma.map(|g| (gamma, self.constant(g))),
-                    grads.dx.map(|g| (x, self.constant(g))),
-                    grads.via_mean.map(|g| (x, self.constant(g))),
-                ]
+                self.given([beta, gamma, x, x], [t.dbeta, t.dgamma, dx, via_mean])
+            }
+            Op::ConvNormReluPool([x, weight, bias, gamma, beta], geo, kept) => {
+                // The two chains' rules on their values: the tail's, with
+                // the pre-norm map's slot empty (the convolution is its one
+                // consumer), then the convolution's from the map's adjoint.
+                let [map, stats] = kept.expect("a differentiable block keeps its map");
+                let [nx, nw, nb, ng, nbeta] =
+                    [x, weight, bias, gamma, beta].map(|v| self.needs_grad(v));
+                let [xv, w, g, b, s, u] = [x, weight, gamma, beta, stats, u].map(|v| self.value(v));
+                let planes = Planes::new(&[xv.dims()[0], w.dims()[0], geo.out_h, geo.out_w]);
+                let needs = [nx || nw || nb, ng, nbeta];
+                let t = norm_relu_pool_vjp(self.value(map), planes, [g, b, s, u], needs, true);
+                let conv = |rows| self.conv_grads([x, weight], geo, &rows, [nx, nw, nb]);
+                let [dw, db, dx] = t.dx.map_or([None, None, None], conv);
+                let grads = [t.dbeta, t.dgamma, db, dw, dx];
+                self.given([beta, gamma, bias, weight, x], grads)
             }
             Op::Conv2d(x, weight, bias, geo) => {
-                // The chain's rules on the chain's values, read from the
-                // NCHW upstream: `W`'s and `b`'s as the adjoints of
-                // `cols · Wᵀ` and `+ b`, then `x`'s last, as from the
-                // chain's `im2col` node, which sat right below the
+                // The chain's rules on the chain's values, from a
+                // position-major copy of the upstream: `W`'s and `b`'s as
+                // the adjoints of `cols · Wᵀ` and `+ b`, then `x`'s last, as
+                // from the chain's `im2col` node, which sat right below the
                 // convolution's output.
-                let (xv, w, uv) = (self.value(x), self.value(weight), self.value(u));
-                let [need_x, need_w, need_b] = [x, weight, bias].map(|v| self.needs_grad(v));
-                let dx = need_x.then(|| {
-                    let folded = conv2d_input_grad(uv, w, &geo);
-                    Tensor::from_vec(folded.into_vec(), xv.dims())
-                });
-                // One pass gives both; a constant weight beside a
-                // differentiable bias, which no model here has, pays for
-                // the weight's.
-                let grads = (need_w || need_b).then(|| conv2d_weight_grad(xv, uv, &geo));
-                let (dw, db) = grads.map_or((None, None), |(dw, db)| {
-                    (need_w.then_some(dw), need_b.then_some(db))
-                });
-                [
-                    dw.map(|g| (weight, self.constant(g))),
-                    db.map(|g| (bias, self.constant(g))),
-                    dx.map(|g| (x, self.constant(g))),
-                    None,
-                ]
+                let (uv, cout) = (self.value(u), self.value(bias).len());
+                let rows =
+                    planes_to_rows(uv, uv.dims().try_into().expect("NCHW"), lane_pitch(cout));
+                let needs = [x, weight, bias].map(|v| self.needs_grad(v));
+                let [dw, db, dx] = self.conv_grads([x, weight], geo, &rows, needs);
+                self.given([weight, bias, x], [dw, db, dx])
             }
             Op::LogSoftmax(a) => {
                 // y = log_softmax(x); da = u - softmax(x) * rowsum(u).
@@ -240,6 +241,45 @@ impl Tape {
                 unary(a, self.sub(u, sub))
             }
         }
+    }
+
+    /// A convolution's adjoints `[W, b, x]` from its position-major
+    /// upstream `rows`, each where `needs` (`[x, W, b]`) asks for it: the
+    /// weight's and the bias's in one pass over `rows`, the input's from a
+    /// `(N, Cout, OH, OW)` copy of them. A constant weight beside a
+    /// differentiable bias, which no model here has, pays for the weight's.
+    fn conv_grads(
+        &self,
+        [x, weight]: [Var; 2],
+        geo: Conv2dGeometry,
+        rows: &Tensor,
+        [need_x, need_w, need_b]: [bool; 3],
+    ) -> [Option<Tensor>; 3] {
+        let (xv, w) = (self.value(x), self.value(weight));
+        let dims = [xv.dims()[0], w.dims()[0], geo.out_h, geo.out_w];
+        let grads = (need_w || need_b).then(|| conv2d_weight_grad(xv, rows, dims[1], &geo));
+        let [dw, db] = grads.map_or([None, None], |(dw, db)| {
+            [need_w.then_some(dw), need_b.then_some(db)]
+        });
+        let dx = need_x.then(|| {
+            let dy = conv2d_input_grad(&rows_to_planes(rows, dims), w, &geo);
+            Tensor::from_vec(dy.into_vec(), xv.dims())
+        });
+        [dw, db, dx]
+    }
+
+    /// The contributions of a fused rule: each adjoint in `grads` that was
+    /// computed, as a constant node, for its input, in the order given.
+    fn given<const N: usize>(
+        &mut self,
+        inputs: [Var; N],
+        grads: [Option<Tensor>; N],
+    ) -> Contributions {
+        let mut out = [None; 5];
+        for (slot, (input, g)) in out.iter_mut().zip(inputs.into_iter().zip(grads)) {
+            *slot = g.map(|g| (input, self.constant(g)));
+        }
+        out
     }
 
     /// Reshapes `v` to the dims of `like` if they differ (no-op otherwise).

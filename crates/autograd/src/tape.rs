@@ -1,7 +1,10 @@
 //! The tape: eager op recording plus gradient construction.
 
 use crate::kernels;
-use qd_tensor::{avg_pool2d, avg_unpool2d, col2im, im2col, Conv2dGeometry, Tensor};
+use qd_tensor::{
+    avg_pool2d, avg_unpool2d, col2im, im2col, planes_to_rows, rows_to_planes, Conv2dGeometry,
+    Tensor,
+};
 
 /// Handle to a node on a [`Tape`].
 ///
@@ -70,10 +73,16 @@ pub(crate) enum Op {
     AddRowBias(Var, Var),
     /// Fused instance norm of `(x, γ, β)`, then ReLU, then a 2×2 average
     /// pool: its value is the pooled map alone. The fourth input is the
-    /// `(2, N·C)` per-plane mean/std node its forward pass left behind.
+    /// `(2, N·pitch)` per-plane mean/std node its forward pass left behind.
     NormReluPool(Var, Var, Var, Var),
-    /// Direct convolution of `(x, W, b)`: no patch matrix and no row-major
-    /// upstream, forward or backward.
+    /// A whole ConvNet block of `[x, W, b, γ, β]`: a direct convolution,
+    /// then the fused norm·ReLU·pool tail; its value is the pooled map.
+    /// Where it is differentiated it keeps two constant nodes: the
+    /// position-major pre-norm map and the `(2, N·pitch)` statistics.
+    ConvNormReluPool([Var; 5], Conv2dGeometry, Option<[Var; 2]>),
+    /// Direct convolution of `(x, W, b)`: no patch matrix, forward or
+    /// backward; its rule hands the weight gradient a position-major copy
+    /// of the upstream.
     Conv2d(Var, Var, Var, Conv2dGeometry),
 }
 
@@ -124,8 +133,8 @@ fn value_bytes(value: &Tensor) -> usize {
 ///
 /// A tape is opened for what its caller will still ask of it, and that
 /// *kind* — never a flag — decides what it keeps and how it represents a
-/// composite layer ([`Tape::norm_relu_pool`], [`Tape::relu`],
-/// [`Tape::conv2d`]):
+/// composite layer ([`Tape::conv_norm_relu_pool`], [`Tape::norm_relu_pool`],
+/// [`Tape::relu`], [`Tape::conv2d`]):
 ///
 /// * [`Tape::new`], the recording tape: [`Tape::grad`] emits the
 ///   gradients as ordinary nodes, so it can be nested for higher-order
@@ -187,8 +196,8 @@ impl Tape {
     /// training, ascent or recovery step, a reference gradient.
     /// [`Tape::into_grads`] is its only sweep and [`Tape::grad`] panics,
     /// so no adjoint on it is differentiated again — which is what lets a
-    /// composite layer ([`Tape::norm_relu_pool`], [`Tape::relu`],
-    /// [`Tape::conv2d`]) be one node with a hand-written backward kernel
+    /// composite layer ([`Tape::conv_norm_relu_pool`], [`Tape::relu`], …)
+    /// be one node with a hand-written backward kernel
     /// here, where a recording tape needs the chain of primitives that is
     /// closed under second order. The kernels perform, per output element
     /// and per reduction, the chain's rounded operations in the chain's
@@ -565,13 +574,13 @@ impl Tape {
 
     /// Permutes conv output rows `(N*OH*OW, C)` into `(N, C, OH, OW)`.
     pub fn rows_to_nchw(&mut self, a: Var, n: usize, c: usize, oh: usize, ow: usize) -> Var {
-        let v = kernels::rows_to_nchw(self.value(a), n, c, oh, ow);
+        let v = rows_to_planes(self.value(a), [n, c, oh, ow]);
         self.push_unary(a, v, Op::RowsToNchw(a, [n, c, oh, ow]))
     }
 
     /// Permutes `(N, C, OH, OW)` into rows `(N*OH*OW, C)`.
     pub fn nchw_to_rows(&mut self, a: Var, n: usize, c: usize, oh: usize, ow: usize) -> Var {
-        let v = kernels::nchw_to_rows(self.value(a), n, c, oh, ow);
+        let v = planes_to_rows(self.value(a), [n, c, oh, ow], c);
         self.push_unary(a, v, Op::NchwToRows(a, [n, c, oh, ow]))
     }
 

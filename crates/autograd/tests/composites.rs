@@ -1,6 +1,6 @@
 //! The composites have two representations and one meaning: on a
-//! first-order or inference tape `norm_relu_pool`, `relu` and `conv2d`
-//! are fused nodes, on a recording tape chains of primitives, and values
+//! first-order or inference tape `conv_norm_relu_pool`, `norm_relu_pool`,
+//! `relu` and `conv2d` are fused nodes, on a recording tape chains of primitives, and values
 //! and gradients agree to the bit — the chain being the oracle — over
 //! random shapes, constant inputs, shared inputs and hostile values.
 
@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use qd_autograd::check::assert_first_order_grads_close;
 use qd_autograd::{Tape, Var};
 use qd_tensor::rng::Rng;
-use qd_tensor::{Conv2dGeometry, Tensor};
+use qd_tensor::{Conv2dGeometry, Tensor, LANES};
 
 fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
     (
@@ -196,6 +196,69 @@ proptest! {
                 loss = tape.add(loss, term);
             }
             (out, loss, vec![x, gamma, beta])
+        });
+    }
+
+    /// The whole block, chain against fused node: `Cout` up to `2·LANES + 3`
+    /// (so up to 57 planes, a ragged last vector of lanes or none), stride
+    /// 1 or 2, kernels 1 and 3, any subset of the five inputs constant, one
+    /// variable as two of `b`, `γ` and `β` (the node hands its
+    /// contributions over in the chain's order: `β`, `γ`, `b`, `W`, `x`),
+    /// `x` read again after the block, and in half the cases ±0, NaN and
+    /// ±∞ among the inputs, parameters and upstreams — those cases compare
+    /// every NaN as one.
+    #[test]
+    fn conv_norm_relu_pool_equals_its_chain(
+        n in 1usize..4,
+        cin in 1usize..4,
+        cout in 1usize..2 * LANES + 4,
+        oh in 1usize..4,
+        ow in 1usize..4,
+        wide in 0usize..2,
+        stride in 1usize..3,
+        differentiable in 0usize..32,
+        shared in 0usize..3,
+        read_again in 0usize..2,
+        hostile in 0usize..2,
+        seed in 0u64..100_000,
+    ) {
+        let kernel = [1, 3][wide];
+        let (h, w) = (2 * oh * stride, 2 * ow * stride);
+        let geo = Conv2dGeometry::new(cin, h, w, kernel, stride, kernel / 2);
+        assert_eq!((geo.out_h, geo.out_w), (2 * oh, 2 * ow));
+        let draw = |shape: &[usize], one_in: usize, rng: &mut Rng| {
+            let mut t = Tensor::randn(shape, rng);
+            if hostile == 1 {
+                for v in t.data_mut() {
+                    if rng.below(one_in) == 0 {
+                        *v = SPECIALS[rng.below(SPECIALS.len())];
+                    }
+                }
+            }
+            t
+        };
+        let compare = if hostile == 1 { bits_nan_as_one } else { bits };
+        assert_kinds_agree_as(compare, |tape| {
+            let mut rng = Rng::seed_from(seed);
+            let x = input(tape, draw(&[n, cin, h, w], 40, &mut rng), bit(differentiable, 0));
+            let fan = cin * kernel * kernel;
+            let weight = input(tape, draw(&[cout, fan], 40, &mut rng), bit(differentiable, 1));
+            let [bias, gamma, beta] = [2, 3, 4]
+                .map(|i| input(tape, draw(&[cout], 6, &mut rng), bit(differentiable, i)));
+            let (bias, beta) = match shared {
+                1 => (bias, gamma),
+                2 => (gamma, beta),
+                _ => (bias, beta),
+            };
+            let out = tape.conv_norm_relu_pool(x, [weight, bias, gamma, beta], geo, 1e-5);
+            let pooled = [n, cout, oh, ow];
+            let mut loss = weighted_sum(tape, out, draw(&pooled, 4, &mut rng));
+            if read_again == 1 {
+                let after = tape.tanh(x);
+                let term = weighted_sum(tape, after, Tensor::randn(&[n, cin, h, w], &mut rng));
+                loss = tape.add(loss, term);
+            }
+            (out, loss, vec![x, weight, bias, gamma, beta])
         });
     }
 

@@ -466,22 +466,30 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
         }
     };
     check_in_range(request, &fed)?;
+    // With a journal, `relearn_journaled` refuses a target it holds no
+    // served request for; without one the checkpoint's forgotten set is
+    // the record, and relearning what it never forgot would only rewrite
+    // the model.
+    if mode == ServeMode::Relearn && journal.is_none() && !qd.is_forgotten(request) {
+        return Err(CliError::Usage(format!(
+            "the deployment has not forgotten {request}: nothing to relearn"
+        )));
+    }
     // Serving RNG is independent of the training seed.
     let mut rng = Rng::seed_from(seed ^ 0x5EED);
     let test = dataset.generate(samples, &mut Rng::seed_from(seed + 1));
     let report_accuracy = |fed: &Federation| match request {
-        UnlearnRequest::Class(c) => split_accuracy(
-            model.as_ref(),
-            fed.global(),
-            &test.only_class(c),
-            &test.without_class(c),
-        ),
+        UnlearnRequest::Class(c) => {
+            let (forget, retain) = (test.only_class(c), test.without_class(c));
+            let (fa, ra) = split_accuracy(model.as_ref(), fed.global(), &forget, &retain);
+            (percent(fa, forget.len()), percent(ra, retain.len()))
+        }
         UnlearnRequest::Client(_) => {
             // Client-level evaluation data is not reconstructible from a
             // stub federation; report whole-test accuracy, evaluated
             // once, in both columns.
-            let whole = accuracy(model.as_ref(), fed.global(), &test);
-            (whole, whole)
+            let whole = percent(accuracy(model.as_ref(), fed.global(), &test), test.len());
+            (whole.clone(), whole)
         }
     };
     let resumed_line = match &mut journal {
@@ -515,11 +523,9 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
             let (fa, ra) = report_accuracy(&fed);
             format!(
                 "unlearned {request} in {:.0} ms over {} synthetic samples; \
-                 F-Set {:.1}%, R-Set {:.1}%\n{guard_line}",
+                 F-Set {fa}, R-Set {ra}\n{guard_line}",
                 outcome.total().wall.as_secs_f64() * 1000.0,
                 outcome.unlearn.data_size,
-                fa * 100.0,
-                ra * 100.0
             )
         }
         ServeMode::Relearn => {
@@ -532,10 +538,8 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
             };
             let (fa, ra) = report_accuracy(&fed);
             format!(
-                "relearned {request} in {:.0} ms; F-Set {:.1}%, R-Set {:.1}%\n",
+                "relearned {request} in {:.0} ms; F-Set {fa}, R-Set {ra}\n",
                 stats.wall.as_secs_f64() * 1000.0,
-                fa * 100.0,
-                ra * 100.0
             )
         }
     };
@@ -752,9 +756,24 @@ fn eval(args: &Args) -> Result<String, CliError> {
         } else {
             ""
         };
-        out.push_str(&format!("  class {c}: {:>5.1}%{marker}\n", a * 100.0));
+        let samples = test.labels().iter().filter(|&&label| label == c).count();
+        out.push_str(&format!(
+            "  class {c}: {:>6}{marker}\n",
+            percent(*a, samples)
+        ));
     }
     Ok(out)
+}
+
+/// An accuracy as the CLI prints it: a percentage, or `n/a (no test
+/// samples)` for a split that holds none — whose accuracy is no
+/// measurement, and whose `0.0%` would read as complete forgetting.
+fn percent(accuracy: f32, samples: usize) -> String {
+    if samples == 0 {
+        "n/a (no test samples)".to_string()
+    } else {
+        format!("{:.1}%", accuracy * 100.0)
+    }
 }
 
 fn show(args: &Args) -> Result<String, CliError> {
@@ -1232,6 +1251,126 @@ mod tests {
             "3",
         ]))
         .unwrap();
+    }
+
+    /// Files in the test directory that carry `ckpt`'s name: the
+    /// checkpoint, and any `.prev` or journal beside it.
+    fn siblings(ckpt: &str) -> usize {
+        let name = std::path::Path::new(ckpt)
+            .file_name()
+            .unwrap()
+            .to_string_lossy()
+            .into_owned();
+        let dir = std::fs::read_dir(std::path::Path::new(ckpt).parent().unwrap()).unwrap();
+        dir.flatten()
+            .filter(|e| e.file_name().to_string_lossy().starts_with(&name))
+            .count()
+    }
+
+    /// Without a journal the checkpoint's forgotten set is the record:
+    /// relearning a class or client the deployment has not forgotten is
+    /// refused once the checkpoint is read and before anything is
+    /// written, as the journaled form refuses it.
+    #[test]
+    fn an_unjournaled_relearn_of_what_was_not_forgotten_is_refused() {
+        let ckpt = tmp("not_forgotten.json");
+        remove_deployment(&ckpt);
+        train_tiny(&ckpt);
+        let relearn = |target: [&str; 2]| {
+            let mut line = vec!["relearn", "--ckpt", &ckpt, "--seed", "5"];
+            line.extend(target);
+            run(&args(&line))
+        };
+        for target in [["--class", "7"], ["--client", "1"]] {
+            let before = std::fs::read(&ckpt).unwrap();
+            let err = relearn(target).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{target:?}: {err}");
+            let what = format!("{} {}", &target[0][2..], target[1]);
+            let message = format!("the deployment has not forgotten {what}: nothing to relearn");
+            assert_eq!(err.to_string(), message);
+            assert_eq!(std::fs::read(&ckpt).unwrap(), before, "{target:?}");
+            assert_eq!(siblings(&ckpt), 1, "{target:?}: no .prev");
+        }
+        // Forgotten, it relearns once; relearned, it is refused again.
+        run(&args(&[
+            "unlearn", "--ckpt", &ckpt, "--class", "7", "--seed", "5",
+        ]))
+        .unwrap();
+        assert!(relearn(["--class", "7"])
+            .unwrap()
+            .contains("relearned class 7"));
+        let before = std::fs::read(&ckpt).unwrap();
+        assert!(matches!(relearn(["--class", "7"]), Err(CliError::Usage(_))));
+        assert_eq!(std::fs::read(&ckpt).unwrap(), before);
+        remove_deployment(&ckpt);
+    }
+
+    /// A split with no test samples measures nothing: `unlearn`,
+    /// `relearn` and `eval` print `n/a (no test samples)` for it, not a
+    /// `0.0%` that reads as complete forgetting.
+    #[test]
+    fn a_split_without_test_samples_reads_n_a() {
+        const NA: &str = "n/a (no test samples)";
+        let ckpt = tmp("no_test_samples.json");
+        remove_deployment(&ckpt);
+        train_tiny(&ckpt);
+        // The CLI's test set for `--samples 3 --seed 5`.
+        let test = SyntheticDataset::Digits.generate(3, &mut Rng::seed_from(6));
+        let absent = (0..10).find(|c| !test.labels().contains(c)).unwrap();
+        let out = run(&args(&[
+            "eval",
+            "--ckpt",
+            &ckpt,
+            "--samples",
+            "3",
+            "--seed",
+            "5",
+        ]))
+        .unwrap();
+        for c in 0..10 {
+            let line = out
+                .lines()
+                .find(|l| l.starts_with(&format!("  class {c}:")))
+                .unwrap();
+            assert_eq!(line.contains(NA), !test.labels().contains(&c), "{line}");
+            assert_eq!(line.contains('%'), test.labels().contains(&c), "{line}");
+        }
+        let class = absent.to_string();
+        for mode in ["unlearn", "relearn"] {
+            let line = [
+                mode,
+                "--ckpt",
+                &ckpt,
+                "--class",
+                &class,
+                "--samples",
+                "3",
+                "--seed",
+                "5",
+            ];
+            let out = run(&args(&line)).unwrap();
+            assert!(out.contains(&format!("F-Set {NA}, R-Set ")), "{out}");
+            assert!(out.contains('%'), "{out}: the retain split has samples");
+        }
+        // One sample: its class's retain split is the empty one.
+        let only = SyntheticDataset::Digits
+            .generate(1, &mut Rng::seed_from(6))
+            .labels()[0];
+        let line = [
+            "unlearn",
+            "--ckpt",
+            &ckpt,
+            "--class",
+            &only.to_string(),
+            "--samples",
+            "1",
+        ];
+        let out = run(&args(&[&line[..], &["--seed", "5"]].concat())).unwrap();
+        assert!(
+            out.contains(&format!("R-Set {NA}")) && !out.contains("F-Set n/a"),
+            "{out}"
+        );
+        remove_deployment(&ckpt);
     }
 
     #[test]

@@ -410,6 +410,15 @@ impl QuickDrop {
         self.unlearned_classes.iter().copied()
     }
 
+    /// Whether `request`'s class or client is in the forgotten state:
+    /// unlearned, and not relearned since.
+    pub fn is_forgotten(&self, request: UnlearnRequest) -> bool {
+        match request {
+            UnlearnRequest::Class(c) => self.unlearned_classes.contains(&c),
+            UnlearnRequest::Client(t) => self.unlearned_clients.contains(&t),
+        }
+    }
+
     /// The configuration this system was trained with.
     pub fn config(&self) -> &QuickDropConfig {
         &self.config

@@ -1,5 +1,5 @@
 //! Individual layers: linear, convolution, a ConvNet block's instance
-//! norm · ReLU · average-pool tail, ReLU, flatten.
+//! norm · ReLU · average-pool tail, a whole ConvNet block, ReLU, flatten.
 
 use crate::Module;
 use qd_autograd::{Tape, Var};
@@ -94,11 +94,10 @@ impl Conv2d {
     pub fn same3x3(in_channels: usize, out_channels: usize) -> Self {
         Conv2d::new(in_channels, out_channels, 3, 1, 1)
     }
-}
 
-impl Module for Conv2d {
-    fn forward(&self, tape: &mut Tape, params: &[Var], x: Var) -> Var {
-        let dims = tape.value(x).dims().to_vec();
+    /// The geometry of this convolution over the `(N, C, H, W)` batch `x`.
+    fn geometry(&self, x: &Tensor) -> Conv2dGeometry {
+        let dims = x.dims();
         assert_eq!(
             dims.len(),
             4,
@@ -107,7 +106,13 @@ impl Module for Conv2d {
         );
         let (c, h, w) = (dims[1], dims[2], dims[3]);
         assert_eq!(c, self.in_channels, "Conv2d channel mismatch");
-        let geo = Conv2dGeometry::new(c, h, w, self.kernel, self.stride, self.pad);
+        Conv2dGeometry::new(c, h, w, self.kernel, self.stride, self.pad)
+    }
+}
+
+impl Module for Conv2d {
+    fn forward(&self, tape: &mut Tape, params: &[Var], x: Var) -> Var {
+        let geo = self.geometry(tape.value(x));
         tape.conv2d(x, params[0], params[1], geo)
     }
 
@@ -168,6 +173,46 @@ impl Module for NormReluPool {
             Tensor::ones(&[self.channels]),
             Tensor::zeros(&[self.channels]),
         ]
+    }
+}
+
+/// One ConvNet block, `[W, N, A, P]`: a [`Conv2d`] and its
+/// [`NormReluPool`] as one module over `(N, Cin, H, W) -> (N, Cout, OH/2,
+/// OW/2)`, with their parameters in their order, `[W, b, γ, β]`, and
+/// their initialisation.
+///
+/// The arithmetic is [`Tape::conv_norm_relu_pool`]: the two layers'
+/// chains where a gradient may be differentiated again, one node
+/// elsewhere, whose pre-norm map stays inside it position-major.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ConvBlock {
+    conv: Conv2d,
+    tail: NormReluPool,
+}
+
+impl ConvBlock {
+    /// A block of `conv` followed by its norm·ReLU·pool tail.
+    pub fn new(conv: Conv2d) -> Self {
+        ConvBlock {
+            conv,
+            tail: NormReluPool::new(conv.out_channels),
+        }
+    }
+}
+
+impl Module for ConvBlock {
+    fn forward(&self, tape: &mut Tape, params: &[Var], x: Var) -> Var {
+        let geo = self.conv.geometry(tape.value(x));
+        let [w, b, gamma, beta] = params.try_into().expect("a block has four parameters");
+        tape.conv_norm_relu_pool(x, [w, b, gamma, beta], geo, self.tail.eps)
+    }
+
+    fn param_shapes(&self) -> Vec<Vec<usize>> {
+        [self.conv.param_shapes(), self.tail.param_shapes()].concat()
+    }
+
+    fn init(&self, rng: &mut Rng) -> Vec<Tensor> {
+        [self.conv.init(rng), self.tail.init(rng)].concat()
     }
 }
 
@@ -298,6 +343,31 @@ mod tests {
             &[x, params[0].clone(), params[1].clone()],
             5e-2,
         );
+    }
+
+    /// A block's parameters are its convolution's and then its tail's,
+    /// drawn as those two layers draw them, and its output is theirs.
+    #[test]
+    fn a_block_is_its_convolution_then_its_tail() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (conv, tail) = (Conv2d::same3x3(3, 5), NormReluPool::new(5));
+        let block = ConvBlock::new(conv);
+        assert_eq!(
+            block.param_shapes(),
+            [conv.param_shapes(), tail.param_shapes()].concat()
+        );
+        let params = block.init(&mut Rng::seed_from(8));
+        let mut rng = Rng::seed_from(8);
+        let apart = [conv.init(&mut rng), tail.init(&mut rng)].concat();
+        assert_eq!(
+            params.iter().map(bits).collect::<Vec<_>>(),
+            apart.iter().map(bits).collect::<Vec<_>>()
+        );
+        let x = Tensor::randn(&[2, 3, 6, 6], &mut Rng::seed_from(9));
+        let y = forward_inference(&block, &params, &x);
+        let h = forward_inference(&conv, &params[..2], &x);
+        assert_eq!(bits(&y), bits(&forward_inference(&tail, &params[2..], &h)));
+        assert_eq!(y.dims(), &[2, 5, 3, 3]);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!
 //! The model zoo includes the paper's ConvNet backbone
 //! (`[W filters, InstanceNorm, ReLU, AvgPool] × D` + linear classifier,
-//! Gidaris & Komodakis 2018; each block a [`Conv2d`] and a
-//! [`NormReluPool`]) and an MLP for fast tests.
+//! Gidaris & Komodakis 2018; each block a [`ConvBlock`]: a [`Conv2d`] and
+//! a [`NormReluPool`] as one module) and an MLP for fast tests.
 //!
 //! # Examples
 //!
@@ -52,7 +52,7 @@ mod module;
 mod optim;
 mod params;
 
-pub use layers::{Conv2d, Flatten, Linear, NormReluPool, Relu};
+pub use layers::{Conv2d, ConvBlock, Flatten, Linear, NormReluPool, Relu};
 pub use loss::{cross_entropy, loss_gradients, one_hot};
 pub use models::{ConvNet, Mlp};
 pub use module::{forward_inference, worker_count, Module, Sequential};

@@ -47,9 +47,8 @@ pub fn cross_entropy(tape: &mut Tape, logits: Var, labels: &[usize], classes: us
 ///
 /// The result is only ever read, never differentiated again, so this is
 /// the one place that opens a [`Tape::first_order`]: every caller gets the
-/// fused nodes — `Conv2d` for a convolution, `NormReluPool` for a ConvNet
-/// block's norm·ReLU·pool tail, `Relu` for a ReLU on its own — and the
-/// terminal sweep ([`Tape::into_grads`]) without
+/// fused nodes — `ConvNormReluPool` for a whole ConvNet block, `Relu` for
+/// a ReLU on its own — and the terminal sweep ([`Tape::into_grads`]) without
 /// choosing anything, and the gradients are `to_bits`-equal to what a
 /// recording tape's `grad` would give (`tests/tape_modes.rs`).
 pub fn loss_gradients(

@@ -1,13 +1,14 @@
 //! Model zoo: the paper's ConvNet backbone and an MLP for fast tests.
 
-use crate::{Conv2d, Flatten, Linear, Module, NormReluPool, Relu, Sequential};
+use crate::{Conv2d, ConvBlock, Flatten, Linear, Module, Relu, Sequential};
 use qd_autograd::{Tape, Var};
 use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
 
 /// The modular ConvNet of Gidaris & Komodakis (2018) used by QuickDrop:
 /// `[W filters (3x3), InstanceNorm, ReLU, AvgPool(2)] × D` followed by a
-/// linear classifier. A block is a [`Conv2d`] and a [`NormReluPool`].
+/// linear classifier. A block is one [`ConvBlock`]: a [`Conv2d`] and a
+/// [`NormReluPool`](crate::NormReluPool), one node on the tapes that fuse.
 ///
 /// The paper's default is `D = 3`, `W = 128` on 32x32 inputs; this
 /// reproduction defaults to smaller widths via [`ConvNet::scaled_default`]
@@ -31,8 +32,6 @@ pub struct ConvNet {
     in_channels: usize,
     input_hw: usize,
     blocks: usize,
-    /// Children of `seq` per block: the convolution and its tail.
-    block_len: usize,
     filters: usize,
     classes: usize,
 }
@@ -63,11 +62,9 @@ impl ConvNet {
         let mut children: Vec<Box<dyn Module>> = Vec::new();
         let mut c = in_channels;
         for _ in 0..blocks {
-            children.push(Box::new(Conv2d::same3x3(c, filters)));
-            children.push(Box::new(NormReluPool::new(filters)));
+            children.push(Box::new(ConvBlock::new(Conv2d::same3x3(c, filters))));
             c = filters;
         }
-        let block_len = children.len() / blocks;
         children.push(Box::new(Flatten));
         let final_hw = input_hw / div;
         children.push(Box::new(Linear::new(
@@ -79,7 +76,6 @@ impl ConvNet {
             in_channels,
             input_hw,
             blocks,
-            block_len,
             filters,
             classes,
         }
@@ -151,12 +147,7 @@ impl ConvNet {
         );
         let mut h = x;
         let mut offset = 0;
-        for child in self
-            .seq
-            .children()
-            .iter()
-            .take((block + 1) * self.block_len)
-        {
+        for child in self.seq.children().iter().take(block + 1) {
             let n = child.param_count();
             h = child.forward(tape, &params[offset..offset + n], h);
             offset += n;

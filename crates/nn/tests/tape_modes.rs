@@ -176,26 +176,35 @@ fn the_recording_tape_still_records_the_chains() {
     }
 }
 
-/// Off the recording tape a block is two nodes, forward and backward: a
-/// convolution — no patch matrix unfolded, multiplied or folded back, no
-/// upstream permuted into rows, and the only `MatMulNt` the classifier's —
-/// and a norm·ReLU·pool tail, with no ReLU output, pooled map or unpooled
-/// adjoint of its own.
+/// Off the recording tape a block is one node, forward and backward: no
+/// convolution, norm, ReLU or pool of its own — no patch matrix unfolded,
+/// multiplied or folded back, no upstream permuted into rows, no plane
+/// sum or broadcast — and the only `MatMulNt` and `AddRowBias` the
+/// classifier's. A first-order tape keeps the block's position-major map
+/// and statistics as two constants in front of it; an inference tape keeps
+/// neither.
 #[test]
-fn a_fused_convnet_records_one_node_per_convolution_and_no_patch_matrix() {
+fn a_fused_convnet_records_one_node_per_block_and_no_chain() {
     let mut rng = Rng::seed_from(26);
     let net = ConvNet::scaled_default(3, 10);
     let params = net.init(&mut rng);
     let x = Tensor::randn(&[4, 3, 16, 16], &mut rng);
     let count = |tape: &Tape, op: &str| tape.op_names().iter().filter(|o| *o == op).count();
-    let assert_patch_free = |tape: &Tape| {
-        assert_eq!(count(tape, "Conv2d"), net.blocks());
-        assert_eq!(count(tape, "NormReluPool"), net.blocks());
+    let assert_chain_free = |tape: &Tape| {
+        assert_eq!(count(tape, "ConvNormReluPool"), net.blocks());
         assert_eq!(count(tape, "MatMulNt"), 1);
+        assert_eq!(count(tape, "AddRowBias"), 1);
         for op in [
+            "Conv2d",
+            "NormReluPool",
             "Im2col",
             "Col2im",
             "NchwToRows",
+            "RowsToNchw",
+            "SpatialSum",
+            "SpatialBroadcast",
+            "ChannelSum",
+            "ChannelBroadcast",
             "Relu",
             "AvgPool",
             "AvgUnpool",
@@ -203,17 +212,53 @@ fn a_fused_convnet_records_one_node_per_convolution_and_no_patch_matrix() {
             assert_eq!(count(tape, op), 0, "{op}");
         }
     };
+    // What follows the parameters and the batch, up to the classifier.
+    let blocks = |tape: &Tape| tape.op_names()[params.len() + 1..].to_vec();
     let mut inference = Tape::inference();
     let p: Vec<Var> = params.iter().map(|t| inference.leaf(t.clone())).collect();
     let xv = inference.constant(x.clone());
     net.forward(&mut inference, &p, xv);
-    assert_patch_free(&inference);
+    assert_chain_free(&inference);
+    assert_eq!(
+        blocks(&inference),
+        [
+            "ConvNormReluPool",
+            "ConvNormReluPool",
+            "Reshape",
+            "MatMulNt",
+            "AddRowBias"
+        ]
+    );
 
     let mut first_order = Tape::first_order();
     let (loss, p) = record_step(&mut first_order, &net, &params, &x, &[0, 1, 2, 3], 10);
-    assert_patch_free(&first_order);
+    assert_chain_free(&first_order);
+    let block = ["Constant", "Constant", "ConvNormReluPool"];
+    assert_eq!(
+        blocks(&first_order)[..2 * block.len()],
+        [block, block].concat()
+    );
     first_order.sweep_terminal(loss, &p);
-    assert_patch_free(&first_order);
+    assert_chain_free(&first_order);
+}
+
+/// A step of the paper's ConvNet — three blocks of 128 filters on 32×32
+/// inputs, every channel count a multiple of the lane width, the first
+/// block's windows 27 terms long — on a first-order tape gives the
+/// recording tape's gradients, to the bit.
+#[test]
+fn a_paper_default_first_order_step_equals_the_recording_tapes() {
+    let mut rng = Rng::seed_from(27);
+    let net = ConvNet::paper_default(3, 32, 10);
+    let params = net.init(&mut rng);
+    let x = Tensor::randn(&[1, 3, 32, 32], &mut rng);
+    let mut tape = Tape::new();
+    let (loss, p) = record_step(&mut tape, &net, &params, &x, &[7], 10);
+    let recorded = tape.grad(loss, &p);
+    let first_order = loss_gradients(&net, &params, &x, &[7], 10);
+    for (i, (g, want)) in first_order.iter().zip(recorded).enumerate() {
+        assert_eq!(bits(g), bits(tape.value(want)), "parameter {i}");
+    }
 }
 
 /// The footprint pin: `Tape::peak_value_bytes` counts bytes, not time, so
@@ -256,25 +301,26 @@ fn a_b32_convnet_step_holds_a_fraction_of_the_recording_tape() {
     // terminal sweep peaks at the forward pass plus one rule's working
     // set. The three recording counts are untouched.
     //
-    // The fused forward pass keeps, per block, the convolution's output
-    // alone (no patch rows — nine times its input — no product, no biased
-    // copy) and the pooled map with 2·N·C statistics (no norm or ReLU
-    // output): 986 484 bytes. A first-order step peaks in the first
-    // block's norm·ReLU·pool rule. With the sweep above it released, it
-    // holds the batch (98 304), the parameters (21 608), the first
-    // convolution's output (524 288), the block's statistics (4 096) and
-    // pooled map (131 072), that map's upstream (131 072) and the rule's
-    // result, the convolution output's gradient (524 288), beside the
-    // parameter gradients finished so far (19 816): 1 454 544, where the
-    // first block's ReLU rule peaked at 2 765 136 while the norm's and the
-    // ReLU's outputs, the unpooled upstream and a rows copy of each
-    // convolution's upstream were nodes. An inference forward holds the
-    // batch, the parameters, the first convolution's output and the
-    // block's statistics and pooled map: 779 368 (1 172 584 with the norm's
-    // output beside them).
+    // The fused forward pass keeps, per block, the position-major pre-norm
+    // map (as large as the convolution's output: no patch rows — nine
+    // times its input — no product, no biased copy), 2·N·C statistics and
+    // the pooled map (no norm or ReLU output): 986 484 bytes. A
+    // first-order step now peaks in the second block's rule. With the
+    // sweep above it released, it holds the batch (98 304), the parameters
+    // (21 608), both blocks' maps (524 288 + 131 072), statistics (2 × 4 096)
+    // and pooled maps (131 072 + 32 768), the second pooled map's upstream
+    // (32 768) and the classifier's gradients (10 280), beside the rule's
+    // results: the block's parameter gradients (9 408) and its input's
+    // gradient (131 072): 1 130 832. The first block's rule, the peak while
+    // a block was two nodes (1 454 544), no longer holds its convolution
+    // output's gradient as a node (524 288): the tail's adjoint of the map
+    // stays inside the rule. An inference forward holds the batch, the
+    // parameters and the two pooled maps: 283 752 (779 368 while the
+    // convolution's output and the statistics were nodes; the map now
+    // lives only inside the block's call).
     assert_eq!(forward, 10_939_764);
     assert_eq!(grad, 22_868_072);
     assert_eq!(into_grads, 11_271_312);
-    assert_eq!(first_order, 1_454_544);
-    assert_eq!(inference, 779_368);
+    assert_eq!(first_order, 1_130_832);
+    assert_eq!(inference, 283_752);
 }

@@ -1,16 +1,24 @@
 //! Convolution kernels: the direct forward / weight-gradient /
-//! input-gradient kernels, `im2col`/`col2im`, and average pooling.
+//! input-gradient kernels, `im2col`/`col2im`, average pooling, and the
+//! copies between `(N, C, H, W)` planes and position-major rows.
 //!
 //! `qd-autograd` has two representations of a convolution. Where a
 //! gradient may be differentiated again it is the composite
 //! `nchw(im2col(x) · Wᵀ + b)`: `im2col` and `col2im` are a mutually adjoint
 //! *linear* pair, so the composite is differentiable to any order — exactly
 //! what the gradient-matching distillation objective needs. Everywhere else
-//! it is [`conv2d`] with [`conv2d_weight_grad`] (weight and bias) and
-//! [`conv2d_input_grad`], which walk NCHW in place and never build the
-//! patch matrix or a row-major copy of the upstream, yet give each output
-//! element the composite's terms in the composite's order: the same bits at
-//! a ninth of the working set.
+//! it is [`conv2d`] (or [`conv2d_rows`]) with [`conv2d_weight_grad`]
+//! (weight and bias, from a position-major upstream) and [`conv2d_input_grad`],
+//! which walk the images in place and never build the patch matrix, yet
+//! give each output element the composite's terms in the composite's order:
+//! the same bits at a ninth of the working set.
+//!
+//! A *position-major* map is the composite's `(N·OH·OW, Cout)` rows with
+//! each row padded to [`lane_pitch`]`(Cout)` floats: one output position's
+//! channels side by side, so that a per-channel reduction runs [`LANES`]
+//! channels per vector. The forward kernel writes it directly and the
+//! weight gradient reads it directly; a ConvNet block keeps its pre-norm
+//! map in it (`qd-autograd`).
 
 use crate::linalg::{lanes, tile, KC, MR, NR};
 use crate::Tensor;
@@ -314,8 +322,9 @@ pub fn col2im(cols_t: &Tensor, geo: &Conv2dGeometry) -> Tensor {
 /// for every image, or every group of images, of the batch.
 struct Frame {
     geo: Conv2dGeometry,
-    /// Row pitch: the padded width, widened until `NR` lanes `stride` apart
-    /// starting under any chunk of output positions stay inside one row.
+    /// Row pitch: the padded width, widened until a run of `MR.max(NR)`
+    /// positions `stride` apart starting under any chunk of output
+    /// positions stays inside one row.
     pitch: usize,
     /// One `(C, H + 2*pad, pitch)` slot per image; outside the image it is
     /// zero (the input) or dropped (the input gradient), which is how
@@ -329,8 +338,9 @@ struct Frame {
 impl Frame {
     fn new(geo: &Conv2dGeometry, images: usize) -> Self {
         let &Conv2dGeometry { kernel, stride, .. } = geo;
-        let chunks = geo.out_w.div_ceil(NR);
-        let pitch = (geo.in_w + 2 * geo.pad).max((chunks * NR - 1) * stride + kernel);
+        let run = MR.max(NR);
+        let pitch =
+            (geo.in_w + 2 * geo.pad).max((geo.out_w.div_ceil(run) * run - 1) * stride + kernel);
         let rows = geo.in_h + 2 * geo.pad;
         let offsets = (0..geo.patch_len())
             .map(|col| {
@@ -381,37 +391,41 @@ impl Frame {
         }
     }
 
-    /// Output channels `oc0 .. oc0 + MR` of the loaded image, a run of `NR`
-    /// output positions at a time: the tile's rows are the filters, its
-    /// lanes the run's pixels under one window element. `group` holds the
-    /// `MR` filters' weights window element by window element (see
-    /// [`row_groups`]). A ragged last group repeats its last filter and
-    /// drops the copies, here and below.
-    fn forward(&self, group: &[f32], bias: &[f32], oc0: usize, planes: &mut [f32]) {
+    /// Output channels `oc0 .. oc0 + NR` of the loaded image, `MR` output
+    /// positions at a time: the tile's rows are a run of positions, its
+    /// lanes the filters, and each term is the run's pixels under one
+    /// window element against the filters' weights there. `group` holds
+    /// those weights window element by window element (see [`row_groups`];
+    /// a ragged last group repeats its last filter), `bias` the filters'
+    /// biases. A row is one position's `NR` channels, stored as `store`
+    /// says into `out`, the image's share of the output.
+    fn forward(&self, group: &[f32], bias: [f32; NR], oc0: usize, store: Store, out: &mut [f32]) {
         let (out_h, out_w, stride) = (self.geo.out_h, self.geo.out_w, self.geo.stride);
         // Walked, not indexed, so that a term costs no bounds test on its
         // weights or its offset.
-        let weights = || {
-            group
-                .chunks_exact(MR)
-                .map(|w| -> [f32; MR] { w.try_into().expect("a group is MR wide") })
-        };
+        let weights = || group.chunks_exact(NR).map(lanes::<NR>);
         for oy in 0..out_h {
-            for ox0 in (0..out_w).step_by(NR) {
+            for ox0 in (0..out_w).step_by(MR) {
                 let zero = [[0.0f32; NR]; MR];
                 let window = &self.data[self.corner(oy, ox0)..];
                 let acc = if stride == 1 {
-                    let runs = self.offsets.iter().map(|&at| lanes(&window[at..]));
-                    tile(zero, weights().zip(runs))
+                    let runs = self.offsets.iter().map(|&at| lanes::<MR>(&window[at..]));
+                    tile(zero, runs.zip(weights()))
                 } else {
                     let runs = (self.offsets.iter())
-                        .map(|&at| std::array::from_fn(|l| window[at + l * stride]));
-                    tile(zero, weights().zip(runs))
+                        .map(|&at| std::array::from_fn(|r| window[at + r * stride]));
+                    tile(zero, runs.zip(weights()))
                 };
-                for (oc, row) in (oc0..bias.len()).zip(&acc) {
-                    let dst = &mut planes[(oc * out_h + oy) * out_w + ox0..];
-                    for (o, &v) in dst.iter_mut().zip(&row[..NR.min(out_w - ox0)]) {
-                        *o = v + bias[oc];
+                let first = oy * out_w + ox0;
+                for (p, row) in (first..).zip(&acc[..MR.min(out_w - ox0)]) {
+                    let biased: [f32; NR] = std::array::from_fn(|l| row[l] + bias[l]);
+                    match store {
+                        Store::Rows(pitch) => out[p * pitch + oc0..][..NR].copy_from_slice(&biased),
+                        Store::Planes(cout) => {
+                            for (oc, v) in (oc0..cout).zip(biased) {
+                                out[oc * out_h * out_w + p] = v;
+                            }
+                        }
                     }
                 }
             }
@@ -433,12 +447,12 @@ impl Frame {
     /// Adds the loaded images' terms to rows `k0 .. k0 + MR`, columns
     /// `j0 .. j0 + NR` of the `(C*k*k, Cout)` transposed weight gradient:
     /// the tile's rows are window elements read under each patch `corners`
-    /// names, its lanes the upstream's channels at that patch (`panel`, one
-    /// row per patch).
+    /// names, its lanes the upstream's channels at that patch: channels
+    /// `j0 ..` of one of `rows`, the images' position-major upstream.
     fn weight_grad(
         &self,
         corners: &[usize],
-        panel: &[f32],
+        (rows, pitch): (&[f32], usize),
         (k0, j0, cout): (usize, usize, usize),
         dwt: &mut [f32],
     ) {
@@ -455,7 +469,8 @@ impl Frame {
         let lhs = corners
             .iter()
             .map(|&at| std::array::from_fn(|r| src[r][at]));
-        let acc = tile(acc, lhs.zip(panel.chunks_exact(NR).map(lanes)));
+        let upstream = rows.chunks_exact(pitch).map(|row| lanes::<NR>(&row[j0..]));
+        let acc = tile(acc, lhs.zip(upstream));
         for (k, row) in (k0..len).zip(&acc) {
             dwt[k * cout + j0..][..nr].copy_from_slice(&row[..nr]);
         }
@@ -506,6 +521,55 @@ fn ragged_lanes(run: &[f32]) -> [f32; NR] {
     padded
 }
 
+/// Lanes of one vector of a position-major row: the register tile's
+/// width.
+pub const LANES: usize = NR;
+
+/// Floats per row of a position-major map of `channels` channels: whole
+/// vectors of [`LANES`].
+pub fn lane_pitch(channels: usize) -> usize {
+    channels.div_ceil(LANES) * LANES
+}
+
+/// Where the forward kernel stores its tiles.
+#[derive(Clone, Copy)]
+enum Store {
+    /// Position-major rows this many floats wide.
+    Rows(usize),
+    /// `(Cout, OH, OW)` planes of this many channels.
+    Planes(usize),
+}
+
+/// The direct forward kernel over every image, its output stored as
+/// `store` says, image after image.
+fn forward(
+    x: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    geo: &Conv2dGeometry,
+    store: Store,
+) -> Vec<f32> {
+    let [n, cout, oh, ow] = geo.output_dims(x, weight, bias);
+    let per_image = oh
+        * ow
+        * match store {
+            Store::Rows(pitch) => pitch,
+            Store::Planes(cout) => cout,
+        };
+    let mut out = vec![0.0f32; n * per_image];
+    let mut frame = Frame::new(geo, 1);
+    let groups = row_groups(weight.data(), geo.patch_len());
+    for (b, img) in x.data().chunks_exact(geo.image_len()).enumerate() {
+        frame.load(img);
+        let block = &mut out[b * per_image..][..per_image];
+        for (g, group) in groups.chunks_exact(geo.patch_len() * NR).enumerate() {
+            let lanes = std::array::from_fn(|l| bias.data()[(g * NR + l).min(cout - 1)]);
+            frame.forward(group, lanes, g * NR, store, block);
+        }
+    }
+    out
+}
+
 /// The convolution of `(N, C, H, W)` images with a `(Cout, C*k*k)` weight
 /// matrix and `(Cout,)` bias, `-> (N, Cout, OH, OW)`, without the patch
 /// matrix: `rows_to_nchw(im2col(x).matmul_nt(weight) + bias)` to the bit.
@@ -513,33 +577,40 @@ fn ragged_lanes(run: &[f32]) -> [f32; NR] {
 /// `out[n, oc, oy, ox]` is the sum over window elements `(c, ky, kx)`
 /// ascending from `0.0` of `x · w` — one rounded multiply and one rounded
 /// add per term, a padding position multiplied as the zero it is — plus
-/// `bias[oc]`.
+/// `bias[oc]`. It is [`conv2d_rows`]'s kernel, storing planes.
 ///
 /// # Panics
 ///
 /// Panics as [`Conv2dGeometry::output_dims`] does.
 pub fn conv2d(x: &Tensor, weight: &Tensor, bias: &Tensor, geo: &Conv2dGeometry) -> Tensor {
     let dims = geo.output_dims(x, weight, bias);
-    let [_, cout, oh, ow] = dims;
-    let mut out = vec![0.0f32; dims.iter().product()];
-    let mut frame = Frame::new(geo, 1);
-    let groups = row_groups(weight.data(), geo.patch_len());
-    for (b, img) in x.data().chunks_exact(geo.image_len()).enumerate() {
-        frame.load(img);
-        let planes = &mut out[b * cout * oh * ow..][..cout * oh * ow];
-        for (g, group) in groups.chunks_exact(geo.patch_len() * MR).enumerate() {
-            frame.forward(group, bias.data(), g * MR, planes);
-        }
-    }
-    Tensor::from_vec(out, &dims)
+    Tensor::from_vec(forward(x, weight, bias, geo, Store::Planes(dims[1])), &dims)
+}
+
+/// [`conv2d`] stored position-major: `(N·OH·OW, lane_pitch(Cout))`, row
+/// `n·OH·OW + oy·OW + ox` holding every channel of that output position —
+/// `im2col(x).matmul_nt(weight) + bias` to the bit, each row padded. The
+/// padding lanes hold the last channel again; a reader drops them.
+///
+/// # Panics
+///
+/// Panics as [`Conv2dGeometry::output_dims`] does.
+pub fn conv2d_rows(x: &Tensor, weight: &Tensor, bias: &Tensor, geo: &Conv2dGeometry) -> Tensor {
+    let [n, cout, oh, ow] = geo.output_dims(x, weight, bias);
+    let pitch = lane_pitch(cout);
+    Tensor::from_vec(
+        forward(x, weight, bias, geo, Store::Rows(pitch)),
+        &[n * oh * ow, pitch],
+    )
 }
 
 /// The rows of the row-major matrix `m`, `len` wide, as groups of `MR`
-/// rows, each group one `(len, MR)` block: a tile's left operand packed as
-/// the GEMM packs a transposed panel, so that the `MR` values of one term
-/// are one slice. A ragged last group repeats its last row. The forward
-/// kernel groups the filters (rows of the weight), the input gradient the
-/// window elements (rows of its transpose).
+/// (= `NR`) rows, each group one `(len, MR)` block: a tile's operand
+/// packed as the GEMM packs a transposed panel, so that the `MR` values of
+/// one term are one slice. A ragged last group repeats its last row. The
+/// forward kernel groups the filters (rows of the weight; a tile's lanes),
+/// the input gradient the window elements (rows of its transpose; a tile's
+/// rows).
 fn row_groups(m: &[f32], len: usize) -> Vec<f32> {
     let rows = m.len() / len;
     let mut groups = vec![0.0f32; rows.div_ceil(MR) * MR * len];
@@ -553,112 +624,128 @@ fn row_groups(m: &[f32], len: usize) -> Vec<f32> {
     groups
 }
 
-/// A group of images' upstream, laid out for the weight-gradient tile:
-/// one `NR`-channel panel after another, each one `NR`-float row per patch
-/// in `(image, oy, ox)` order — `nchw_to_rows(dy)` cut into column panels,
-/// as the GEMM packs its right operand. A ragged last panel repeats its
-/// last channel; the tile computes the copies and drops them.
-struct Panels {
-    data: Vec<f32>,
-    /// Patches a panel has room for.
-    patches: usize,
-}
-
-impl Panels {
-    fn new(cout: usize, patches: usize) -> Self {
-        Panels {
-            data: vec![0.0; cout.div_ceil(NR) * patches * NR],
-            patches,
-        }
-    }
-
-    /// Panel `j`'s first `patches` rows.
-    fn panel(&self, j: usize, patches: usize) -> &[f32] {
-        &self.data[j * self.patches * NR..][..patches * NR]
-    }
-
-    /// Lays out `maps`, whole `(Cout, positions)` maps of consecutive
-    /// images, and adds every channel's values patch by patch into the
-    /// running sums `db`: `sum_rows(nchw_to_rows(dy))`'s additions.
-    fn load(&mut self, maps: &[f32], positions: usize, db: &mut [f32]) {
-        let cout = db.len();
-        for (j, sums) in db.chunks_mut(NR).enumerate() {
-            let nr = sums.len();
-            let mut acc = [0.0f32; NR];
-            acc[..nr].copy_from_slice(sums);
-            let panel = &mut self.data[j * self.patches * NR..];
-            for (map, rows) in maps
-                .chunks_exact(cout * positions)
-                .zip(panel.chunks_exact_mut(positions * NR))
-            {
-                let planes: [&[f32]; NR] = std::array::from_fn(|l| {
-                    &map[(j * NR + l.min(nr - 1)) * positions..][..positions]
-                });
-                for (p, row) in rows.chunks_exact_mut(NR).enumerate() {
-                    let v: [f32; NR] = std::array::from_fn(|l| planes[l][p]);
-                    row.copy_from_slice(&v);
-                    for (a, x) in acc.iter_mut().zip(v) {
-                        *a += x;
-                    }
-                }
-            }
-            sums.copy_from_slice(&acc[..nr]);
-        }
-    }
-}
-
-/// The gradients of [`conv2d`] with respect to its weight, `(Cout, C*k*k)`,
-/// and its bias, `(Cout,)`, from the input and the `(N, Cout, OH, OW)`
-/// upstream, in one pass over both: with `rows = nchw_to_rows(dy)`,
-/// `rows.matmul_tn(im2col(x))` and `rows.sum_rows()` to the bit.
-///
-/// `dW[oc, (c, ky, kx)]` is the sum over patches `(n, oy, ox)` ascending
-/// from `0.0` of `dy · x`, padding positions included as zeros, and
-/// `db[oc]` the sum over `(n, oy, ox)` ascending from `0.0` of `dy`. The
-/// images go through a group at a time — padded into one working copy,
-/// their upstream laid out in channel panels as the GEMM packs its right
-/// operand, the bias sums taken on the way — and a
-/// group holds enough images that a tile takes about `KC` terms between a
-/// load and a store of its accumulators, as the GEMM's does.
+/// `(N, C, H, W)` planes, `dims`, as position-major rows
+/// `(N·H·W, pitch)`: row `n·H·W + p` holds channel `c` of position `p` of
+/// image `n` at `c`, and zeros from `C` to `pitch`.
 ///
 /// # Panics
 ///
-/// Panics if `x` is not a whole number of images or `dy` is not one
-/// `(Cout, OH, OW)` map per image.
-pub fn conv2d_weight_grad(x: &Tensor, dy: &Tensor, geo: &Conv2dGeometry) -> (Tensor, Tensor) {
-    let n = geo.batch("conv2d_weight_grad", x);
+/// Panics if `x` is not `dims.iter().product()` long or `pitch < C`.
+pub fn planes_to_rows(x: &Tensor, [n, c, h, w]: [usize; 4], pitch: usize) -> Tensor {
+    assert_eq!(x.len(), n * c * h * w, "planes_to_rows length");
+    assert!(pitch >= c, "rows of {pitch} cannot hold {c} channels");
+    let hw = h * w;
+    let mut out = vec![0.0f32; n * hw * pitch];
+    if c * hw > 0 {
+        for (img, block) in x
+            .data()
+            .chunks_exact(c * hw)
+            .zip(out.chunks_exact_mut(hw * pitch))
+        {
+            for (ch, plane) in img.chunks_exact(hw).enumerate() {
+                for (o, &v) in block[ch..].iter_mut().step_by(pitch).zip(plane) {
+                    *o = v;
+                }
+            }
+        }
+    }
+    Tensor::from_vec(out, &[n * hw, pitch])
+}
+
+/// Position-major rows `(N·H·W, pitch)` as the `(N, C, H, W)` planes
+/// `dims`: the inverse (and adjoint) of [`planes_to_rows`]; lanes past `C`
+/// are dropped.
+///
+/// # Panics
+///
+/// Panics if `rows` is not `(N·H·W, pitch)` with `pitch >= C`.
+pub fn rows_to_planes(rows: &Tensor, [n, c, h, w]: [usize; 4]) -> Tensor {
+    let hw = h * w;
+    let pitch = rows.dims().get(1).copied().unwrap_or(0);
     assert!(
-        dy.shape().rank() == 4 && dy.dims()[0] == n && dy.dims()[2..] == [geo.out_h, geo.out_w],
-        "conv2d_weight_grad: upstream {} is not (N, Cout, OH, OW) with N = {n}, OH x OW = {}x{}",
-        dy.shape(),
-        geo.out_h,
-        geo.out_w
+        rows.dims() == [n * hw, pitch] && pitch >= c,
+        "rows_to_planes: rows {} are not ({}, >= {c})",
+        rows.shape(),
+        n * hw
     );
-    let (len, positions, cout) = (geo.patch_len(), geo.rows(1), dy.dims()[1]);
+    let mut out = vec![0.0f32; n * c * hw];
+    if c * hw > 0 {
+        for (block, img) in rows
+            .data()
+            .chunks_exact(hw * pitch)
+            .zip(out.chunks_exact_mut(c * hw))
+        {
+            for (ch, plane) in img.chunks_exact_mut(hw).enumerate() {
+                for (o, &v) in plane.iter_mut().zip(block[ch..].iter().step_by(pitch)) {
+                    *o = v;
+                }
+            }
+        }
+    }
+    Tensor::from_vec(out, &[n, c, h, w])
+}
+
+/// The gradients of [`conv2d`] with respect to its weight, `(Cout, C*k*k)`,
+/// and its bias, `(Cout,)`, from the input and the position-major upstream
+/// `rows`,
+/// `(N·OH·OW, lane_pitch(cout))`, whose lanes past `cout` are never read
+/// into a result, in one pass over both.
+///
+/// `dW[oc, (c, ky, kx)]` is the sum over patches `(n, oy, ox)` ascending
+/// from `0.0` of `dy · x`, padding positions included as zeros, and
+/// `db[oc]` the sum over `(n, oy, ox)` ascending from `0.0` of `dy`: the
+/// bits of `rows.matmul_tn(im2col(x))` and `rows.sum_rows()`. The images
+/// go through a group at a time, padded into one working copy; a tile's
+/// lanes are a slice of an upstream row, the bias sums run across channels
+/// a vector at a time, and a group holds enough images that a tile takes
+/// about `KC` terms between a load and a store of its accumulators, as the
+/// GEMM's does.
+///
+/// # Panics
+///
+/// Panics if `x` is not a whole number of images or `rows` is not
+/// `(N·OH·OW, lane_pitch(cout))`.
+pub fn conv2d_weight_grad(
+    x: &Tensor,
+    rows: &Tensor,
+    cout: usize,
+    geo: &Conv2dGeometry,
+) -> (Tensor, Tensor) {
+    let n = geo.batch("conv2d_weight_grad", x);
+    let (len, positions, pitch) = (geo.patch_len(), geo.rows(1), lane_pitch(cout));
+    assert_eq!(
+        rows.dims(),
+        [n * positions, pitch],
+        "conv2d_weight_grad: upstream rows {} are not (N*OH*OW, lane_pitch(Cout))",
+        rows.shape()
+    );
     let images = KC.div_ceil(positions).clamp(1, n.max(1));
     let mut frame = Frame::new(geo, images);
     let corners = frame.corners();
-    let mut panels = Panels::new(cout, images * positions);
     let mut dwt = vec![0.0f32; len * cout];
-    let mut db = vec![0.0f32; cout];
+    let mut db = vec![[0.0f32; NR]; pitch / NR];
     for (imgs, maps) in x
         .data()
         .chunks(images * geo.image_len())
-        .zip(dy.data().chunks((images * cout * positions).max(1)))
+        .zip(rows.data().chunks((images * positions * pitch).max(1)))
     {
         frame.load(imgs);
-        panels.load(maps, positions, &mut db);
+        for row in maps.chunks_exact(pitch) {
+            for (sums, v) in db.iter_mut().zip(row.chunks_exact(NR)) {
+                *sums = std::array::from_fn(|l| sums[l] + v[l]);
+            }
+        }
         // Between groups a tile rests in `dwt`, which is exact, so its sum
         // runs over every patch of the batch without a break.
-        let patches = &corners[..maps.len() / cout];
+        let patches = &corners[..maps.len() / pitch];
         for k0 in (0..len).step_by(MR) {
             for j0 in (0..cout).step_by(NR) {
-                let panel = panels.panel(j0 / NR, patches.len());
-                frame.weight_grad(patches, panel, (k0, j0, cout), &mut dwt);
+                frame.weight_grad(patches, (maps, pitch), (k0, j0, cout), &mut dwt);
             }
         }
     }
     let dw = Tensor::from_vec(dwt, &[len, cout]).transpose2();
+    let db = db.into_iter().flatten().take(cout).collect();
     (dw, Tensor::from_vec(db, &[cout]))
 }
 
@@ -742,32 +829,10 @@ pub fn avg_pool2d(x: &Tensor, c: usize, h: usize, w: usize, k: usize) -> Tensor 
     let n = x.len() / per_image;
     let (oh, ow) = (h / k, w / k);
     let mut out = vec![0.0f32; n * c * oh * ow];
-    avg_pool_planes(x.data(), w, k, &mut out);
-    Tensor::from_vec(out, &[n, c, oh, ow])
-}
-
-/// [`avg_pool2d`] over planes `w` wide laid end to end in `x`, into `out`
-/// (`x.len() / k²` elements): the loop both the whole-tensor function and
-/// a fused caller run, so a window is summed one way everywhere.
-///
-/// Inlined, so a caller passing a constant `k` gets the window's loops
-/// unrolled.
-///
-/// # Panics
-///
-/// Panics if `w` is not a positive multiple of `k` or `out` is not
-/// `x.len() / k²` long.
-#[inline]
-pub fn avg_pool_planes(x: &[f32], w: usize, k: usize, out: &mut [f32]) {
-    assert!(
-        k > 0 && w > 0 && w.is_multiple_of(k),
-        "pooling rows of {w} by {k}"
-    );
-    assert_eq!(x.len(), out.len() * k * k, "pooled length");
     let inv = 1.0 / (k * k) as f32;
     // One output row gathers a band of `k` input rows; a window's rows are
     // `w` apart in the band and the next window starts `k` further on.
-    for (band, orow) in x.chunks_exact(k * w).zip(out.chunks_exact_mut(w / k)) {
+    for (band, orow) in x.data().chunks_exact(k * w).zip(out.chunks_exact_mut(ow)) {
         for (window, o) in orow.iter_mut().enumerate() {
             let mut acc = 0.0;
             for ky in 0..k {
@@ -778,6 +843,7 @@ pub fn avg_pool_planes(x: &[f32], w: usize, k: usize, out: &mut [f32]) {
             *o = acc * inv;
         }
     }
+    Tensor::from_vec(out, &[n, c, oh, ow])
 }
 
 /// Adjoint of [`avg_pool2d`]: spreads each pooled value, divided by `k*k`,
@@ -798,37 +864,19 @@ pub fn avg_unpool2d(y: &Tensor, c: usize, oh: usize, ow: usize, k: usize) -> Ten
     let (h, w) = (oh * k, ow * k);
     let mut out = vec![0.0f32; n * c * h * w];
     if k > 0 {
-        avg_unpool_planes(y.data(), w, k, &mut out);
+        let inv = 1.0 / (k * k) as f32;
+        // One input row spreads into a band of `k` identical output rows.
+        for (yrow, band) in y.data().chunks_exact(ow).zip(out.chunks_exact_mut(k * w)) {
+            let (first, rest) = band.split_at_mut(w);
+            for (window, &v) in first.chunks_exact_mut(k).zip(yrow) {
+                window.fill(v * inv);
+            }
+            for row in rest.chunks_exact_mut(w) {
+                row.copy_from_slice(first);
+            }
+        }
     }
     Tensor::from_vec(out, &[n, c, h, w])
-}
-
-/// [`avg_unpool2d`] into planes `w` wide laid end to end in `out`, from
-/// `y` (`out.len() / k²` elements): the loop both the whole-tensor
-/// function and a fused caller run. Inlined, as [`avg_pool_planes`] is.
-///
-/// # Panics
-///
-/// Panics if `w` is not a positive multiple of `k` or `y` is not
-/// `out.len() / k²` long.
-#[inline]
-pub fn avg_unpool_planes(y: &[f32], w: usize, k: usize, out: &mut [f32]) {
-    assert!(
-        k > 0 && w > 0 && w.is_multiple_of(k),
-        "unpooling into rows of {w} by {k}"
-    );
-    assert_eq!(out.len(), y.len() * k * k, "unpooled length");
-    let inv = 1.0 / (k * k) as f32;
-    // One input row spreads into a band of `k` identical output rows.
-    for (yrow, band) in y.chunks_exact(w / k).zip(out.chunks_exact_mut(k * w)) {
-        let (first, rest) = band.split_at_mut(w);
-        for (window, &v) in first.chunks_exact_mut(k).zip(yrow) {
-            window.fill(v * inv);
-        }
-        for row in rest.chunks_exact_mut(w) {
-            row.copy_from_slice(first);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -58,11 +58,12 @@ struct Panel<'a> {
     nr: usize,
 }
 
-/// The `NR` values at the start of `run`: one row of a panel, or one run of
-/// output positions of a convolution.
+/// The `L` values at the start of `run`: one row of a panel, one run of
+/// output positions of a convolution, or one vector of a position-major
+/// row.
 #[inline(always)]
-pub(crate) fn lanes(run: &[f32]) -> [f32; NR] {
-    run[..NR].try_into().expect("a run is NR wide")
+pub(crate) fn lanes<const L: usize>(run: &[f32]) -> [f32; L] {
+    run[..L].try_into().expect("a run is a whole vector")
 }
 
 /// Advances one `R x NR` output tile over `terms`, in order: each term is
@@ -101,7 +102,7 @@ impl Product<'_> {
     ) {
         let &Product { m, n, k, a, lhs } = self;
         let &Panel { j0, nr, .. } = panel;
-        let rhs = |kk: usize| lanes(&panel.rows[kk * panel.ld..]);
+        let rhs = |kk: usize| lanes::<NR>(&panel.rows[kk * panel.ld..]);
         let mut acc = [[0.0f32; NR]; R];
         for (r, row) in acc.iter_mut().enumerate() {
             let src = &out[(i0 + r) * n + j0..];

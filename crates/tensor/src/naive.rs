@@ -242,6 +242,13 @@ mod differential {
         Tensor::from_vec(out, &[n * hw, c])
     }
 
+    /// The first `c` lanes of each row of `rows`.
+    fn unpadded(rows: &Tensor, c: usize) -> Tensor {
+        let pitch = rows.dims()[1];
+        let data = rows.data().chunks_exact(pitch).flat_map(|row| &row[..c]);
+        Tensor::from_vec(data.copied().collect(), &[rows.dims()[0], c])
+    }
+
     /// The direct kernels against the chain they replace, built from the
     /// oracles: `im2col`, the triple loop, `col2im`; the parameter
     /// gradients, which read the NCHW upstream, against
@@ -259,10 +266,30 @@ mod differential {
         }
         let want = permuted(&y, [n, cout, oh * ow], false).reshape(&[n, cout, oh, ow]);
         assert_same(&crate::conv2d(x, weight, bias, geo), &want);
+        let pitch = crate::lane_pitch(cout);
+        let stored = crate::conv2d_rows(x, weight, bias, geo);
+        assert_eq!(stored.dims(), [n * oh * ow, pitch]);
+        assert_same(&unpadded(&stored, cout), &y);
         let rows = permuted(dy, [n, cout, oh * ow], true);
-        let (dw, db) = crate::conv2d_weight_grad(x, dy, geo);
-        assert_same(&dw, &product(&rows.transpose2(), &cols));
-        assert_same(&db, &rows.sum_rows());
+        let (dw_want, db_want) = (product(&rows.transpose2(), &cols), rows.sum_rows());
+        let copied = crate::planes_to_rows(dy, [n, cout, oh, ow], pitch);
+        let (dw, db) = crate::conv2d_weight_grad(x, &copied, cout, geo);
+        assert_same(&dw, &dw_want);
+        assert_same(&db, &db_want);
+        // Again with the padding lanes holding NaN and ±∞, not the copy's
+        // zeros: a lane past `Cout` never reaches a result.
+        let mut padded = vec![f32::NAN; n * oh * ow * pitch];
+        for (i, row) in padded.chunks_exact_mut(pitch).enumerate() {
+            row[..cout].copy_from_slice(&rows.data()[i * cout..][..cout]);
+            row[cout..]
+                .iter_mut()
+                .step_by(2)
+                .for_each(|v| *v = f32::INFINITY);
+        }
+        let padded = Tensor::from_vec(padded, &[n * oh * ow, pitch]);
+        let (dw, db) = crate::conv2d_weight_grad(x, &padded, cout, geo);
+        assert_same(&dw, &dw_want);
+        assert_same(&db, &db_want);
         assert_same(
             &crate::conv2d_input_grad(dy, weight, geo),
             &col2im(&product(&rows, weight), geo),
@@ -316,7 +343,8 @@ mod differential {
         /// Kernels 1 to 5, `pad > kernel - 1`, 1x1 images, `h != w`, channel
         /// counts on both sides of a tile and `Cout` past two of them,
         /// ragged or not, output rows narrower than, as wide as and ragged
-        /// past a run of `NR`, strides with and without the contiguous runs,
+        /// past one and two runs of `NR` (`out_w` up to `2 * NR + 3`),
+        /// strides with and without the contiguous runs,
         /// batches that split into more than one group of images; inputs
         /// salted with zeros of both signs, then with NaN and ±∞ among them.
         #[test]
@@ -325,7 +353,7 @@ mod differential {
             cin in 1usize..6,
             cout in 1usize..2 * MR + 4,
             h in 1usize..10,
-            w in 1usize..NR + 6,
+            w in 1usize..2 * NR + 4,
             kernel in 0usize..4,
             stride in 1usize..4,
             pad in 0usize..3,
@@ -344,6 +372,26 @@ mod differential {
             assert_direct_conv_matches(&geo, finite.each_ref(), matmul);
             let hostile = shapes.each_ref().map(|shape| hostile(shape, &mut rng));
             assert_direct_conv_matches(&geo, hostile.each_ref(), product);
+        }
+
+        /// The copies between planes and position-major rows against the
+        /// permute oracle, rows as wide as the channels or padded past them.
+        #[test]
+        fn row_copies_match_the_permute(
+            n in 1usize..4,
+            c in 1usize..2 * NR + 4,
+            h in 1usize..5,
+            w in 1usize..5,
+            extra in 0usize..NR + 1,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = Rng::seed_from(seed);
+            let x = salted(&[n, c, h, w], &mut rng);
+            let want = permuted(&x, [n, c, h * w], true);
+            let rows = crate::planes_to_rows(&x, [n, c, h, w], c + extra);
+            assert_same(&unpadded(&rows, c), &want);
+            assert!(rows.data().chunks_exact(c + extra).all(|row| row[c..].iter().all(|v| v.to_bits() == 0)));
+            assert_same(&crate::rows_to_planes(&rows, [n, c, h, w]), &x);
         }
 
         #[test]

@@ -157,7 +157,8 @@ echo "== float-order gate + exact-count gates (traced qd-perf runs must end on t
 # 269 604 319 with those nodes, 471 990 615 with the patch matrix as well,
 # 1 036 408 712 on the recording tape — and a train-distill run
 # 952 509 332, 1 643 507 152 with those nodes and 2 529 464 016 with the
-# patch matrix. The ceilings are the measured counts plus 10 %.
+# patch matrix. The ceilings are those measured counts plus 10 %; with one
+# node per ConvNet block the two read 128 974 145 and 987 989 079.
 while read -r workload digest; do
     report="$(bash qd-perf/run.sh --workload "$workload" --seed 11 --trace 1 </dev/null)"
     grep -x "  model_digest $digest" <<<"$report" >/dev/null \
@@ -176,6 +177,7 @@ done <<'DIGESTS'
 train-distill 185d83271a152c63
 request-stream 4027121546bddd40
 serve-mixed 075781b4b7e93219
+reopen-history 6d6f94e01d9b30cb
 DIGESTS
 
 echo "== chaos bench (smoke mode, Byzantine aggregators)"
