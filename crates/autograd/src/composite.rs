@@ -1,24 +1,23 @@
-//! Composite layers: one entry point each, two representations.
+//! Composite layers: one entry point each, and a ConvNet block with two
+//! representations.
 //!
-//! On a recording tape a composite expands to the chain of primitives
-//! that is closed under differentiation — the only representation that
-//! reproduces a gradient of a gradient bit for bit. On a first-order or
-//! inference tape nothing is differentiated twice, so it is one node with
-//! a fused forward kernel and a direct backward rule (`ops.rs`). A whole
-//! ConvNet block, [`Tape::conv_norm_relu_pool`], is one such node: its
-//! convolution writes the pre-norm map position-major
-//! (`qd_tensor::conv2d_rows`), its norm·ReLU·pool tail reduces that map
-//! `LANES` planes per vector, and the map never leaves the node. The
-//! tape chooses from its own kind ([`Tape::fuses`]); callers cannot.
-//! [`Tape::conv2d`] and [`Tape::norm_relu_pool`] on their own run the
-//! same kernels (the convolution storing planes, the tail behind a copy
-//! of its input into rows); [`Tape::instance_norm`] on its own is its
-//! chain on every tape.
+//! [`Tape::instance_norm`], [`Tape::norm_relu_pool`] and [`Tape::conv2d`]
+//! record, on every tape, the chain of primitives that is closed under
+//! differentiation — the only representation that reproduces a gradient
+//! of a gradient bit for bit. A whole ConvNet block,
+//! [`Tape::conv_norm_relu_pool`], records those chains on a recording
+//! tape; on a first-order or inference tape nothing is differentiated
+//! twice, so it is one node with fused forward kernels and a direct
+//! backward rule (`ops.rs`): its convolution writes the pre-norm map
+//! position-major (`qd_tensor::conv2d_rows`), its norm·ReLU·pool tail
+//! reduces that map `LANES` planes per vector, and the map never leaves
+//! the node. The tape chooses from its own kind ([`Tape::fuses`]); callers
+//! cannot.
 
 use crate::kernels::{self, Planes};
 use crate::tape::{Op, Tape};
 use crate::Var;
-use qd_tensor::{conv2d, conv2d_rows, planes_to_rows, Conv2dGeometry, Tensor};
+use qd_tensor::{conv2d_rows, Conv2dGeometry, Tensor};
 
 impl Tape {
     /// Instance normalization with affine parameters over an
@@ -28,8 +27,8 @@ impl Tape {
     ///
     /// Records, on every tape, the 17 primitives (sums, broadcasts and
     /// elementwise ops) whose `vjp`s stay closed under second order. Its
-    /// fused form exists only as the head of a ConvNet block's tail,
-    /// [`Tape::norm_relu_pool`] and [`Tape::conv_norm_relu_pool`].
+    /// fused form exists only inside a ConvNet block,
+    /// [`Tape::conv_norm_relu_pool`].
     ///
     /// # Panics
     ///
@@ -76,12 +75,8 @@ impl Tape {
     /// [`Tape::relu`], then a non-overlapping 2×2 [`Tape::avg_pool2d`],
     /// `(N, C, H, W) -> (N, C, H/2, W/2)`.
     ///
-    /// A recording tape records exactly those three. A first-order or
-    /// inference tape records the statistics and one node whose value is
-    /// the pooled map: [`Tape::conv_norm_relu_pool`]'s tail kernels, run on
-    /// a position-major copy of `x` (made again by the backward rule), so
-    /// neither the norm's output nor the ReLU's is kept. Values and
-    /// gradients are `to_bits`-equal between the two.
+    /// Records those three chains on every tape; only inside a whole
+    /// block, [`Tape::conv_norm_relu_pool`], is the tail one node.
     ///
     /// # Panics
     ///
@@ -101,15 +96,6 @@ impl Tape {
     /// assert_eq!(tape.value(y).dims(), &[1, 1, 1, 1]);
     /// ```
     pub fn norm_relu_pool(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        if self.fuses() {
-            let [xv, g, b] = [x, gamma, beta].map(|v| self.value(v));
-            let planes = Planes::new(xv.dims());
-            let map = planes_to_rows(xv, planes.dims, planes.pitch());
-            let (out, stats) = kernels::norm_relu_pool(&map, planes, g, b, eps);
-            let stats = self.constant(stats);
-            let needs = [x, gamma, beta].iter().any(|v| self.needs_grad(*v));
-            return self.push(out, Op::NormReluPool(x, gamma, beta, stats), needs);
-        }
         let normed = self.instance_norm(x, gamma, beta, eps);
         let active = self.relu(normed);
         let dims = self.value(active).dims().to_vec();
@@ -176,14 +162,10 @@ impl Tape {
     /// `(Cout, Cin·k·k)` weight matrix and `(Cout,)` bias:
     /// `rows_to_nchw(im2col(x) · Wᵀ + b)`.
     ///
-    /// A recording tape records those four primitives, which makes the
-    /// convolution valid inside a gradient of a gradient. A first-order
-    /// or inference tape records one node, computed by
-    /// [`qd_tensor::conv2d`] and differentiated by its two gradient
-    /// kernels (the weight gradient's on a position-major copy of the
-    /// upstream), which read and write the images in place: the patch
-    /// matrix, nine times an activation for a 3×3 window, never exists.
-    /// Same bits either way.
+    /// Records those four primitives on every tape, which makes the
+    /// convolution valid inside a gradient of a gradient; only inside a
+    /// whole block, [`Tape::conv_norm_relu_pool`], is it one node on the
+    /// direct kernels, which never build the patch matrix.
     ///
     /// # Panics
     ///
@@ -193,11 +175,6 @@ impl Tape {
     pub fn conv2d(&mut self, x: Var, weight: Var, bias: Var, geo: Conv2dGeometry) -> Var {
         let (xv, w, b) = (self.value(x), self.value(weight), self.value(bias));
         let [n, c, oh, ow] = geo.output_dims(xv, w, b);
-        if self.fuses() {
-            let out = conv2d(xv, w, b, &geo);
-            let needs = [x, weight, bias].iter().any(|v| self.needs_grad(*v));
-            return self.push(out, Op::Conv2d(x, weight, bias, geo), needs);
-        }
         let cols = self.im2col(x, geo); // (N*OH*OW, Cin*k*k)
         let y = self.matmul_nt(cols, weight); // (N*OH*OW, Cout)
         let yb = self.add_row_bias(y, bias);

@@ -1,7 +1,8 @@
 //! Private kernels used by the tape ops: spatial/channel reductions with
 //! their adjoint broadcasts, the ReLU adjoint a first-order or inference
 //! tape records in place of a chain, and the tail of a ConvNet block —
-//! instance norm · ReLU · average pool — that those tapes fuse.
+//! instance norm · ReLU · average pool — that those tapes fuse into the
+//! block's one node.
 //!
 //! The tail runs on its pre-norm map position-major (`qd_tensor::conv2d_rows`
 //! writes it so): row `n·H·W + p` holds every channel of position `p` of
@@ -128,7 +129,7 @@ fn empty_sum() -> Lanes {
 /// dependent adds in position order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Planes {
-    pub dims: [usize; 4],
+    dims: [usize; 4],
 }
 
 impl Planes {
@@ -149,7 +150,7 @@ impl Planes {
     }
 
     /// Floats per row of the position-major map.
-    pub fn pitch(&self) -> usize {
+    fn pitch(&self) -> usize {
         lane_pitch(self.dims[1])
     }
 
@@ -171,15 +172,6 @@ impl Planes {
         images.flat_map(move |(i, rows)| {
             (0..pitch / LANES).map(move |k| (i, k, Column { rows, k, pitch }))
         })
-    }
-
-    /// `v`, one value per plane of the `(N·pitch)`, over every position of
-    /// the `(N, C, H, W)` planes.
-    pub fn broadcast(&self, v: &[f32]) -> Tensor {
-        let [n, c, h, w] = self.dims;
-        let planes = (0..n * c).map(|p| v[p / c * self.pitch() + p % c]);
-        let values = planes.flat_map(|v| std::iter::repeat_n(v, h * w));
-        Tensor::from_vec(values.collect(), &self.dims)
     }
 }
 
@@ -285,12 +277,8 @@ pub(crate) fn norm_relu_pool(
 /// a gradient.
 pub(crate) struct NormReluPoolGrads {
     /// The pre-norm map's adjoint, position-major: its adjoint through the
-    /// centring subtraction, with the mean term already added when the
-    /// caller asked for it folded.
+    /// centring subtraction, the mean term added.
     pub dx: Option<Tensor>,
-    /// The mean term on its own, one per plane of the `(N·pitch)`, when it
-    /// was not folded.
-    pub shift: Option<Vec<f32>>,
     pub dgamma: Option<Tensor>,
     pub dbeta: Option<Tensor>,
 }
@@ -306,15 +294,15 @@ pub(crate) struct NormReluPoolGrads {
 /// (plane sums added into `dγ`/`dβ` in batch order). Pass two forms
 /// `d_centered = ((u·γ)·inv + a·c) + a·c` with
 /// `a = (((d_inv·(inv/std))·−1)·½ / std) / hw` and takes `Σ −d_centered`;
-/// `dx = d_centered + (Σ −d_centered) / hw`. `fold` adds that last term in
-/// place — the chain's result when `x`'s adjoint slot is empty, since it
-/// adds `d_centered` into the slot first and the mean term second.
+/// `dx = d_centered + (Σ −d_centered) / hw`, that last term added in
+/// place — the chain's result, since the map's slot is empty when the
+/// chain adds `d_centered` into it first and the mean term second (the
+/// block's convolution is the map's one consumer).
 pub(crate) fn norm_relu_pool_vjp(
     map: &Tensor,
     planes: Planes,
     [gamma, beta, stats, up]: [&Tensor; 4],
     [need_x, need_gamma, need_beta]: [bool; 3],
-    fold: bool,
 ) -> NormReluPoolGrads {
     let [n, c, h, w] = planes.dims;
     let (hw, pitch, pooled) = (h * w, planes.pitch(), h * w / (POOL * POOL));
@@ -323,7 +311,6 @@ pub(crate) fn norm_relu_pool_vjp(
     let (g, b) = (planes.lanes_of(gamma), planes.lanes_of(beta));
     let inv_hw = 1.0 / hw as f32;
     let mut dx = vec![0.0f32; n * hw * pitch];
-    let mut shifts = vec![0.0f32; n * pitch];
     let (mut dgamma, mut dbeta) = (vec![0.0f32; c], vec![0.0f32; c]);
     // The column's upstream, spread by the pool's rule: `up · ¼`.
     let mut spread = vec![[0.0f32; LANES]; pooled];
@@ -376,18 +363,13 @@ pub(crate) fn norm_relu_pool_vjp(
             negated = each(|l| negated[l] + d_centered[l] * MINUS_ONE);
         }
         let shift = each(|l| negated[l] * inv_hw);
-        if fold {
-            for d in column_mut(image, pitch, k) {
-                d.iter_mut().zip(shift).for_each(|(d, s)| *d += s);
-            }
-        } else {
-            shifts[at..][..LANES].copy_from_slice(&shift);
+        for d in column_mut(image, pitch, k) {
+            d.iter_mut().zip(shift).for_each(|(d, s)| *d += s);
         }
     }
     let per_channel = |v: Vec<f32>| Tensor::from_vec(v, &[c]);
     NormReluPoolGrads {
         dx: need_x.then(|| Tensor::from_vec(dx, &[n * hw, pitch])),
-        shift: (need_x && !fold).then_some(shifts),
         dgamma: need_gamma.then(|| per_channel(dgamma)),
         dbeta: need_beta.then(|| per_channel(dbeta)),
     }

@@ -19,11 +19,12 @@
 //! * Values are plain [`qd_tensor::Tensor`]s; model parameters live
 //!   *outside* the tape and are inserted per step as leaves, which keeps
 //!   federated averaging and gradient ascent as plain tensor arithmetic.
-//! * On a recording tape convolution is a composite of the linear pair
-//!   `im2col`/`col2im` plus a matrix product, so its double-backprop falls
-//!   out of the vjp rules of those primitives — no special casing. Where
-//!   nothing is differentiated twice it is one node on `qd-tensor`'s direct
-//!   kernels, which never build the patch matrix.
+//! * Convolution is a composite of the linear pair `im2col`/`col2im` plus
+//!   a matrix product, so its double-backprop falls out of the vjp rules
+//!   of those primitives — no special casing. Where nothing is
+//!   differentiated twice, a whole ConvNet block is one node whose
+//!   convolution runs on `qd-tensor`'s direct kernels, which never build
+//!   the patch matrix.
 //! * The three products `A·B`, `Aᵀ·B` and `A·Bᵀ` are ops of their own and
 //!   closed under differentiation (each one's adjoints are products from
 //!   the same three), so no transpose is recorded or materialised at any
@@ -36,12 +37,14 @@
 //!   passes. [`Tape::first_order`] allows only `into_grads`, and
 //!   [`Tape::inference`] is a forward-only tape on which finished
 //!   sub-computations are retired.
-//! * The composites [`Tape::conv_norm_relu_pool`] (a whole ConvNet block),
-//!   [`Tape::norm_relu_pool`], [`Tape::relu`] and [`Tape::conv2d`] have
-//!   one entry point and two representations: chains of primitives on a
-//!   recording tape, single fused nodes with direct backward kernels on the
-//!   other two kinds, where no gradient can be differentiated again. The
-//!   tape picks from its own kind and both give the same bits.
+//! * The composites [`Tape::conv_norm_relu_pool`] (a whole ConvNet block)
+//!   and [`Tape::relu`] have one entry point and two representations:
+//!   chains of primitives on a recording tape, single fused nodes with
+//!   direct backward kernels on the other two kinds, where no gradient can
+//!   be differentiated again. The tape picks from its own kind and both
+//!   give the same bits. The block's parts on their own,
+//!   [`Tape::conv2d`] and [`Tape::norm_relu_pool`], are their chains on
+//!   every tape.
 //!
 //! # Examples
 //!

@@ -10,10 +10,7 @@
 use crate::kernels::{self, norm_relu_pool_vjp, Planes};
 use crate::tape::{Op, PoolGeo, Tape};
 use crate::Var;
-use qd_tensor::{
-    conv2d_input_grad, conv2d_weight_grad, lane_pitch, planes_to_rows, rows_to_planes,
-    Conv2dGeometry, Tensor,
-};
+use qd_tensor::{conv2d_input_grad, conv2d_weight_grad, rows_to_planes, Conv2dGeometry, Tensor};
 
 /// The `(input, contribution)` pairs one node hands to the gradient sweep
 /// (one table for [`Tape::grad`] and [`Tape::into_grads`]), in the order
@@ -56,17 +53,7 @@ impl Tape {
     /// are closed under this function — each one's contributions are
     /// products from the same family — so no transpose is ever
     /// materialised, at any order of differentiation.
-    ///
-    /// `slots` are the adjoint slots as the sweep has filled them so far,
-    /// for the one rule whose folded contribution is only the chain's
-    /// when its input's slot is still empty.
-    pub(crate) fn vjp(
-        &mut self,
-        node: Var,
-        op: Op,
-        u: Var,
-        slots: &[Option<Var>],
-    ) -> Contributions {
+    pub(crate) fn vjp(&mut self, node: Var, op: Op, u: Var) -> Contributions {
         match op {
             Op::Leaf | Op::Constant | Op::ReluMask => [None; 5],
             Op::Add(a, b) => self.binary((a, b), |_| u, |_| u),
@@ -184,24 +171,6 @@ impl Tape {
                 let s = self.channel_sum(u, c, h, w);
                 unary(a, self.reshape_like(s, a))
             }
-            Op::NormReluPool(x, gamma, beta, stats) => {
-                // A consumer of `x` recorded after the norm has already
-                // filled the slot: the chain then adds its two
-                // contributions to `x` one after the other. The chain's
-                // `AvgPool` and `Relu` rules had the only consumers of
-                // their outputs, so they change `u` alone.
-                let fold = slots[x.index()].is_none();
-                let needs = [x, gamma, beta].map(|v| self.needs_grad(v));
-                let [xv, g, b, s, up] = [x, gamma, beta, stats, u].map(|v| self.value(v));
-                let planes = Planes::new(xv.dims());
-                let map = planes_to_rows(xv, planes.dims, planes.pitch());
-                let t = norm_relu_pool_vjp(&map, planes, [g, b, s, up], needs, fold);
-                let dx = t.dx.map(|rows| rows_to_planes(&rows, planes.dims));
-                let via_mean = t.shift.map(|shift| planes.broadcast(&shift));
-                // The chain's order: its shift broadcast is recorded last
-                // and so swept first, then the scale's, then `x`.
-                self.given([beta, gamma, x, x], [t.dbeta, t.dgamma, dx, via_mean])
-            }
             Op::ConvNormReluPool([x, weight, bias, gamma, beta], geo, kept) => {
                 // The two chains' rules on their values: the tail's, with
                 // the pre-norm map's slot empty (the convolution is its one
@@ -212,24 +181,11 @@ impl Tape {
                 let [xv, w, g, b, s, u] = [x, weight, gamma, beta, stats, u].map(|v| self.value(v));
                 let planes = Planes::new(&[xv.dims()[0], w.dims()[0], geo.out_h, geo.out_w]);
                 let needs = [nx || nw || nb, ng, nbeta];
-                let t = norm_relu_pool_vjp(self.value(map), planes, [g, b, s, u], needs, true);
+                let t = norm_relu_pool_vjp(self.value(map), planes, [g, b, s, u], needs);
                 let conv = |rows| self.conv_grads([x, weight], geo, &rows, [nx, nw, nb]);
                 let [dw, db, dx] = t.dx.map_or([None, None, None], conv);
                 let grads = [t.dbeta, t.dgamma, db, dw, dx];
                 self.given([beta, gamma, bias, weight, x], grads)
-            }
-            Op::Conv2d(x, weight, bias, geo) => {
-                // The chain's rules on the chain's values, from a
-                // position-major copy of the upstream: `W`'s and `b`'s as
-                // the adjoints of `cols · Wᵀ` and `+ b`, then `x`'s last, as
-                // from the chain's `im2col` node, which sat right below the
-                // convolution's output.
-                let (uv, cout) = (self.value(u), self.value(bias).len());
-                let rows =
-                    planes_to_rows(uv, uv.dims().try_into().expect("NCHW"), lane_pitch(cout));
-                let needs = [x, weight, bias].map(|v| self.needs_grad(v));
-                let [dw, db, dx] = self.conv_grads([x, weight], geo, &rows, needs);
-                self.given([weight, bias, x], [dw, db, dx])
             }
             Op::LogSoftmax(a) => {
                 // y = log_softmax(x); da = u - softmax(x) * rowsum(u).
@@ -268,13 +224,9 @@ impl Tape {
         [dw, db, dx]
     }
 
-    /// The contributions of a fused rule: each adjoint in `grads` that was
-    /// computed, as a constant node, for its input, in the order given.
-    fn given<const N: usize>(
-        &mut self,
-        inputs: [Var; N],
-        grads: [Option<Tensor>; N],
-    ) -> Contributions {
+    /// The contributions of the block's rule: each adjoint in `grads` that
+    /// was computed, as a constant node, for its input, in the order given.
+    fn given(&mut self, inputs: [Var; 5], grads: [Option<Tensor>; 5]) -> Contributions {
         let mut out = [None; 5];
         for (slot, (input, g)) in out.iter_mut().zip(inputs.into_iter().zip(grads)) {
             *slot = g.map(|g| (input, self.constant(g)));

@@ -71,19 +71,11 @@ pub(crate) enum Op {
     ChannelBroadcast(Var, [usize; 4]),
     LogSoftmax(Var),
     AddRowBias(Var, Var),
-    /// Fused instance norm of `(x, γ, β)`, then ReLU, then a 2×2 average
-    /// pool: its value is the pooled map alone. The fourth input is the
-    /// `(2, N·pitch)` per-plane mean/std node its forward pass left behind.
-    NormReluPool(Var, Var, Var, Var),
     /// A whole ConvNet block of `[x, W, b, γ, β]`: a direct convolution,
     /// then the fused norm·ReLU·pool tail; its value is the pooled map.
     /// Where it is differentiated it keeps two constant nodes: the
     /// position-major pre-norm map and the `(2, N·pitch)` statistics.
     ConvNormReluPool([Var; 5], Conv2dGeometry, Option<[Var; 2]>),
-    /// Direct convolution of `(x, W, b)`: no patch matrix, forward or
-    /// backward; its rule hands the weight gradient a position-major copy
-    /// of the upstream.
-    Conv2d(Var, Var, Var, Conv2dGeometry),
 }
 
 pub(crate) struct Node {
@@ -133,8 +125,7 @@ fn value_bytes(value: &Tensor) -> usize {
 ///
 /// A tape is opened for what its caller will still ask of it, and that
 /// *kind* — never a flag — decides what it keeps and how it represents a
-/// composite layer ([`Tape::conv_norm_relu_pool`], [`Tape::norm_relu_pool`],
-/// [`Tape::relu`], [`Tape::conv2d`]):
+/// fused composite ([`Tape::conv_norm_relu_pool`], [`Tape::relu`]):
 ///
 /// * [`Tape::new`], the recording tape: [`Tape::grad`] emits the
 ///   gradients as ordinary nodes, so it can be nested for higher-order
@@ -196,7 +187,7 @@ impl Tape {
     /// training, ascent or recovery step, a reference gradient.
     /// [`Tape::into_grads`] is its only sweep and [`Tape::grad`] panics,
     /// so no adjoint on it is differentiated again — which is what lets a
-    /// composite layer ([`Tape::conv_norm_relu_pool`], [`Tape::relu`], …)
+    /// fused composite ([`Tape::conv_norm_relu_pool`], [`Tape::relu`])
     /// be one node with a hand-written backward kernel
     /// here, where a recording tape needs the chain of primitives that is
     /// closed under second order. The kernels perform, per output element
@@ -224,9 +215,9 @@ impl Tape {
         }
     }
 
-    /// Whether composites are single fused nodes on this tape: it can
-    /// never be asked for a gradient of a gradient. The one place the
-    /// kind decides a representation.
+    /// Whether the fused composites (a ConvNet block, ReLU) are single
+    /// nodes on this tape: it can never be asked for a gradient of a
+    /// gradient. The one place the kind decides a representation.
     pub(crate) fn fuses(&self) -> bool {
         self.kind != Kind::Recording
     }
@@ -748,7 +739,7 @@ impl Tape {
             if let (Some(upstream), true) = (adjoint[id], self.nodes[id].needs_grad) {
                 let mark = self.nodes.len();
                 let op = self.nodes[id].op;
-                let contributions = self.vjp(Var(id), op, upstream, &adjoint);
+                let contributions = self.vjp(Var(id), op, upstream);
                 if terminal {
                     holders.resize(self.nodes.len(), 0);
                     if !xs.contains(&Var(id)) {

@@ -324,8 +324,8 @@ fn train(args: &Args) -> Result<String, CliError> {
     let out = args.require_str("out")?;
     let clients = positive_count(args, "clients", 4)?;
     let samples = positive_count(args, "samples", 800)?;
-    let rounds = args.get_usize("rounds", 8)?;
-    let steps = args.get_usize("steps", 8)?;
+    let rounds = positive_count(args, "rounds", 8)?;
+    let steps = positive_count(args, "steps", 8)?;
     let batch = positive_count(args, "batch", 32)?;
     let lr = args.get_f32("lr", 0.08)?;
     let scale = positive_count(args, "scale", 100)?;
@@ -350,6 +350,12 @@ fn train(args: &Args) -> Result<String, CliError> {
         })?
     };
     let quorum = args.get_usize("quorum", 0)?;
+    if quorum > clients {
+        // No round could reach it: every one would keep the initial model.
+        return Err(CliError::Usage(format!(
+            "--quorum {quorum} is more than --clients {clients}"
+        )));
+    }
     let byzantine_frac = args.get_f32("byzantine-frac", 0.0)?;
     if !(0.0..1.0).contains(&byzantine_frac) {
         return Err(CliError::Usage(format!(
@@ -1647,21 +1653,30 @@ mod tests {
         // A degenerate count or rate is refused by name before anything
         // is written, rather than panicking mid-run (`--lr`, `--alpha`)
         // or writing a deployment that never trained (`--batch`,
-        // `--samples`).
+        // `--samples`, `--rounds`, `--steps`, an unreachable `--quorum`).
         let positive =
             |flag: &str, value: &str| format!("{flag} must be positive and finite, got {value}");
         let mut cases = Vec::new();
-        for flag in ["--clients", "--scale", "--samples", "--batch"] {
-            cases.push((flag, "0", format!("{flag} must be at least 1")));
+        for flag in [
+            "--clients",
+            "--scale",
+            "--samples",
+            "--batch",
+            "--rounds",
+            "--steps",
+        ] {
+            cases.push((vec![flag, "0"], format!("{flag} must be at least 1")));
         }
         for flag in ["--lr", "--alpha"] {
             for (value, shown) in [("0", "0"), ("-1", "-1"), ("nan", "NaN")] {
-                cases.push((flag, value, positive(flag, shown)));
+                cases.push((vec![flag, value], positive(flag, shown)));
             }
         }
-        for (flag, value, message) in cases {
-            let out = tmp(&format!("refused{flag}={value}.json"));
-            let err = run(&args(&["train", "--out", &out, flag, value])).unwrap_err();
+        let quorum = vec!["--quorum", "5", "--clients", "2"];
+        cases.push((quorum, "--quorum 5 is more than --clients 2".into()));
+        for (flags, message) in cases {
+            let out = tmp(&format!("refused{}.json", flags.concat()));
+            let err = run(&args(&[&["train", "--out", &out], &flags[..]].concat())).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{err}");
             assert_eq!(err.to_string(), message);
             assert!(!Path::new(&out).exists(), "nothing is written");

@@ -59,10 +59,10 @@ impl Module for Linear {
 /// A 2-D convolution over `(N, Cin, H, W) -> (N, Cout, OH, OW)`.
 ///
 /// [`Tape::conv2d`]: the composite `rows_to_nchw(im2col(x) · Wᵀ + b)`,
-/// recorded as differentiable primitives where a gradient may be
-/// differentiated again (the distillation objective) and as one node on
-/// the direct kernels, which skip the patch matrix, where it cannot. `Wᵀ`
-/// is never built, forward or backward.
+/// recorded as differentiable primitives on every tape; `Wᵀ` is never
+/// built, forward or backward. Followed by its [`NormReluPool`] as one
+/// [`ConvBlock`], it is part of one fused node where no gradient is
+/// differentiated again, on direct kernels that skip the patch matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conv2d {
     in_channels: usize,
@@ -138,8 +138,9 @@ impl Module for Conv2d {
 /// Each `(n, c)` plane is normalized by its own spatial mean/variance
 /// (`eps = 1e-5`) and scaled by `γ[c]` and shifted by `β[c]`, matching the
 /// `IN` module of the paper's ConvNet. The arithmetic is
-/// [`Tape::norm_relu_pool`]: the three layers' chains of primitives where a
-/// gradient may be differentiated again, one node elsewhere.
+/// [`Tape::norm_relu_pool`]: the three layers' chains of primitives on
+/// every tape. Behind its [`Conv2d`] as one [`ConvBlock`] it is part of one
+/// fused node where no gradient is differentiated again.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormReluPool {
     channels: usize,

@@ -195,8 +195,6 @@ fn a_fused_convnet_records_one_node_per_block_and_no_chain() {
         assert_eq!(count(tape, "MatMulNt"), 1);
         assert_eq!(count(tape, "AddRowBias"), 1);
         for op in [
-            "Conv2d",
-            "NormReluPool",
             "Im2col",
             "Col2im",
             "NchwToRows",

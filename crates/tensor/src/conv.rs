@@ -6,9 +6,9 @@
 //! gradient may be differentiated again it is the composite
 //! `nchw(im2col(x) · Wᵀ + b)`: `im2col` and `col2im` are a mutually adjoint
 //! *linear* pair, so the composite is differentiable to any order — exactly
-//! what the gradient-matching distillation objective needs. Everywhere else
-//! it is [`conv2d`] (or [`conv2d_rows`]) with [`conv2d_weight_grad`]
-//! (weight and bias, from a position-major upstream) and [`conv2d_input_grad`],
+//! what the gradient-matching distillation objective needs. Inside a fused
+//! ConvNet block it is [`conv2d_rows`] with [`conv2d_weight_grad`] (weight
+//! and bias, from a position-major upstream) and [`conv2d_input_grad`],
 //! which walk the images in place and never build the patch matrix, yet
 //! give each output element the composite's terms in the composite's order:
 //! the same bits at a ninth of the working set.
@@ -397,9 +397,10 @@ impl Frame {
     /// window element against the filters' weights there. `group` holds
     /// those weights window element by window element (see [`row_groups`];
     /// a ragged last group repeats its last filter), `bias` the filters'
-    /// biases. A row is one position's `NR` channels, stored as `store`
-    /// says into `out`, the image's share of the output.
-    fn forward(&self, group: &[f32], bias: [f32; NR], oc0: usize, store: Store, out: &mut [f32]) {
+    /// biases. A row is one position's `NR` channels, stored at lane `oc0`
+    /// of its `pitch`-wide row of `out`, the image's share of the
+    /// position-major output.
+    fn forward(&self, group: &[f32], bias: [f32; NR], oc0: usize, pitch: usize, out: &mut [f32]) {
         let (out_h, out_w, stride) = (self.geo.out_h, self.geo.out_w, self.geo.stride);
         // Walked, not indexed, so that a term costs no bounds test on its
         // weights or its offset.
@@ -419,14 +420,7 @@ impl Frame {
                 let first = oy * out_w + ox0;
                 for (p, row) in (first..).zip(&acc[..MR.min(out_w - ox0)]) {
                     let biased: [f32; NR] = std::array::from_fn(|l| row[l] + bias[l]);
-                    match store {
-                        Store::Rows(pitch) => out[p * pitch + oc0..][..NR].copy_from_slice(&biased),
-                        Store::Planes(cout) => {
-                            for (oc, v) in (oc0..cout).zip(biased) {
-                                out[oc * out_h * out_w + p] = v;
-                            }
-                        }
-                    }
+                    out[p * pitch + oc0..][..NR].copy_from_slice(&biased);
                 }
             }
         }
@@ -531,31 +525,25 @@ pub fn lane_pitch(channels: usize) -> usize {
     channels.div_ceil(LANES) * LANES
 }
 
-/// Where the forward kernel stores its tiles.
-#[derive(Clone, Copy)]
-enum Store {
-    /// Position-major rows this many floats wide.
-    Rows(usize),
-    /// `(Cout, OH, OW)` planes of this many channels.
-    Planes(usize),
-}
-
-/// The direct forward kernel over every image, its output stored as
-/// `store` says, image after image.
-fn forward(
-    x: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    geo: &Conv2dGeometry,
-    store: Store,
-) -> Vec<f32> {
+/// The convolution of `(N, C, H, W)` images with a `(Cout, C*k*k)` weight
+/// matrix and `(Cout,)` bias, without the patch matrix, stored
+/// position-major: `(N·OH·OW, lane_pitch(Cout))`, row
+/// `n·OH·OW + oy·OW + ox` holding every channel of that output position —
+/// `im2col(x).matmul_nt(weight) + bias` to the bit, each row padded. The
+/// padding lanes hold the last channel again; a reader drops them.
+///
+/// `out[(n, oy, ox), oc]` is the sum over window elements `(c, ky, kx)`
+/// ascending from `0.0` of `x · w` — one rounded multiply and one rounded
+/// add per term, a padding position multiplied as the zero it is — plus
+/// `bias[oc]`.
+///
+/// # Panics
+///
+/// Panics as [`Conv2dGeometry::output_dims`] does.
+pub fn conv2d_rows(x: &Tensor, weight: &Tensor, bias: &Tensor, geo: &Conv2dGeometry) -> Tensor {
     let [n, cout, oh, ow] = geo.output_dims(x, weight, bias);
-    let per_image = oh
-        * ow
-        * match store {
-            Store::Rows(pitch) => pitch,
-            Store::Planes(cout) => cout,
-        };
+    let pitch = lane_pitch(cout);
+    let per_image = oh * ow * pitch;
     let mut out = vec![0.0f32; n * per_image];
     let mut frame = Frame::new(geo, 1);
     let groups = row_groups(weight.data(), geo.patch_len());
@@ -564,44 +552,10 @@ fn forward(
         let block = &mut out[b * per_image..][..per_image];
         for (g, group) in groups.chunks_exact(geo.patch_len() * NR).enumerate() {
             let lanes = std::array::from_fn(|l| bias.data()[(g * NR + l).min(cout - 1)]);
-            frame.forward(group, lanes, g * NR, store, block);
+            frame.forward(group, lanes, g * NR, pitch, block);
         }
     }
-    out
-}
-
-/// The convolution of `(N, C, H, W)` images with a `(Cout, C*k*k)` weight
-/// matrix and `(Cout,)` bias, `-> (N, Cout, OH, OW)`, without the patch
-/// matrix: `rows_to_nchw(im2col(x).matmul_nt(weight) + bias)` to the bit.
-///
-/// `out[n, oc, oy, ox]` is the sum over window elements `(c, ky, kx)`
-/// ascending from `0.0` of `x · w` — one rounded multiply and one rounded
-/// add per term, a padding position multiplied as the zero it is — plus
-/// `bias[oc]`. It is [`conv2d_rows`]'s kernel, storing planes.
-///
-/// # Panics
-///
-/// Panics as [`Conv2dGeometry::output_dims`] does.
-pub fn conv2d(x: &Tensor, weight: &Tensor, bias: &Tensor, geo: &Conv2dGeometry) -> Tensor {
-    let dims = geo.output_dims(x, weight, bias);
-    Tensor::from_vec(forward(x, weight, bias, geo, Store::Planes(dims[1])), &dims)
-}
-
-/// [`conv2d`] stored position-major: `(N·OH·OW, lane_pitch(Cout))`, row
-/// `n·OH·OW + oy·OW + ox` holding every channel of that output position —
-/// `im2col(x).matmul_nt(weight) + bias` to the bit, each row padded. The
-/// padding lanes hold the last channel again; a reader drops them.
-///
-/// # Panics
-///
-/// Panics as [`Conv2dGeometry::output_dims`] does.
-pub fn conv2d_rows(x: &Tensor, weight: &Tensor, bias: &Tensor, geo: &Conv2dGeometry) -> Tensor {
-    let [n, cout, oh, ow] = geo.output_dims(x, weight, bias);
-    let pitch = lane_pitch(cout);
-    Tensor::from_vec(
-        forward(x, weight, bias, geo, Store::Rows(pitch)),
-        &[n * oh * ow, pitch],
-    )
+    Tensor::from_vec(out, &[n * oh * ow, pitch])
 }
 
 /// The rows of the row-major matrix `m`, `len` wide, as groups of `MR`
@@ -685,11 +639,10 @@ pub fn rows_to_planes(rows: &Tensor, [n, c, h, w]: [usize; 4]) -> Tensor {
     Tensor::from_vec(out, &[n, c, h, w])
 }
 
-/// The gradients of [`conv2d`] with respect to its weight, `(Cout, C*k*k)`,
-/// and its bias, `(Cout,)`, from the input and the position-major upstream
-/// `rows`,
-/// `(N·OH·OW, lane_pitch(cout))`, whose lanes past `cout` are never read
-/// into a result, in one pass over both.
+/// The gradients of [`conv2d_rows`] with respect to its weight,
+/// `(Cout, C*k*k)`, and its bias, `(Cout,)`, from the input and the
+/// position-major upstream `rows`, `(N·OH·OW, lane_pitch(cout))`, whose
+/// lanes past `cout` are never read into a result, in one pass over both.
 ///
 /// `dW[oc, (c, ky, kx)]` is the sum over patches `(n, oy, ox)` ascending
 /// from `0.0` of `dy · x`, padding positions included as zeros, and
@@ -749,7 +702,7 @@ pub fn conv2d_weight_grad(
     (dw, Tensor::from_vec(db, &[cout]))
 }
 
-/// The gradient of [`conv2d`] with respect to its input, `(N, C, H, W)`,
+/// The gradient of [`conv2d_rows`] with respect to its input, `(N, C, H, W)`,
 /// from the `(N, Cout, OH, OW)` upstream and the weight, without the patch
 /// matrix: `col2im(nchw_to_rows(dy).matmul(weight))` to the bit.
 ///

@@ -37,8 +37,8 @@ mod shape;
 mod tensor;
 
 pub use conv::{
-    avg_pool2d, avg_unpool2d, col2im, conv2d, conv2d_input_grad, conv2d_rows, conv2d_weight_grad,
-    im2col, lane_pitch, planes_to_rows, rows_to_planes, Conv2dGeometry, LANES,
+    avg_pool2d, avg_unpool2d, col2im, conv2d_input_grad, conv2d_rows, conv2d_weight_grad, im2col,
+    lane_pitch, planes_to_rows, rows_to_planes, Conv2dGeometry, LANES,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

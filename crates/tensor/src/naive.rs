@@ -231,13 +231,11 @@ mod differential {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// `(N, C, OH, OW) -> (N*OH*OW, C)`, or back.
-    fn permuted(t: &Tensor, [n, c, hw]: [usize; 3], to_rows: bool) -> Tensor {
+    /// `(N, C, OH, OW) -> (N*OH*OW, C)`.
+    fn permuted(t: &Tensor, [n, c, hw]: [usize; 3]) -> Tensor {
         let mut out = vec![0.0f32; n * c * hw];
         for (b, ch, p) in (0..n * c * hw).map(|i| (i / (c * hw), i / hw % c, i % hw)) {
-            let (plane, row) = ((b * c + ch) * hw + p, (b * hw + p) * c + ch);
-            let (to, from) = if to_rows { (row, plane) } else { (plane, row) };
-            out[to] = t.data()[from];
+            out[(b * hw + p) * c + ch] = t.data()[(b * c + ch) * hw + p];
         }
         Tensor::from_vec(out, &[n * hw, c])
     }
@@ -264,13 +262,11 @@ mod differential {
         for row in y.data_mut().chunks_exact_mut(cout) {
             row.iter_mut().zip(bias.data()).for_each(|(v, b)| *v += b);
         }
-        let want = permuted(&y, [n, cout, oh * ow], false).reshape(&[n, cout, oh, ow]);
-        assert_same(&crate::conv2d(x, weight, bias, geo), &want);
         let pitch = crate::lane_pitch(cout);
         let stored = crate::conv2d_rows(x, weight, bias, geo);
         assert_eq!(stored.dims(), [n * oh * ow, pitch]);
         assert_same(&unpadded(&stored, cout), &y);
-        let rows = permuted(dy, [n, cout, oh * ow], true);
+        let rows = permuted(dy, [n, cout, oh * ow]);
         let (dw_want, db_want) = (product(&rows.transpose2(), &cols), rows.sum_rows());
         let copied = crate::planes_to_rows(dy, [n, cout, oh, ow], pitch);
         let (dw, db) = crate::conv2d_weight_grad(x, &copied, cout, geo);
@@ -387,7 +383,7 @@ mod differential {
         ) {
             let mut rng = Rng::seed_from(seed);
             let x = salted(&[n, c, h, w], &mut rng);
-            let want = permuted(&x, [n, c, h * w], true);
+            let want = permuted(&x, [n, c, h * w]);
             let rows = crate::planes_to_rows(&x, [n, c, h, w], c + extra);
             assert_same(&unpadded(&rows, c), &want);
             assert!(rows.data().chunks_exact(c + extra).all(|row| row[c..].iter().all(|v| v.to_bits() == 0)));

@@ -13,23 +13,22 @@
 //! ```
 
 use quickdrop::autograd::{Tape, Var};
-use quickdrop::nn::{Conv2d, Flatten, Linear, NormReluPool, Relu, Sequential};
+use quickdrop::nn::{Conv2d, ConvBlock, Flatten, Linear, Relu, Sequential};
 use quickdrop::{
     accuracy, fr_eval_sets, partition_dirichlet, split_accuracy, Federation, Module, QuickDrop,
     QuickDropConfig, Rng, SyntheticDataset, Tensor, UnlearnRequest, UnlearningMethod,
 };
 use std::sync::Arc;
 
-/// A 5×5 convolution with 8 filters, the ConvNet block tail (instance
-/// norm, ReLU, 2×2 average pool), then `Linear → ReLU → Linear`.
+/// One ConvNet block — a 5×5 convolution with 8 filters, instance norm,
+/// ReLU, 2×2 average pool — then `Linear → ReLU → Linear`.
 struct WideKernelNet(Sequential);
 
 impl WideKernelNet {
     fn new(channels: usize, hw: usize, classes: usize) -> Self {
         let pooled = hw / 2;
         WideKernelNet(Sequential::new(vec![
-            Box::new(Conv2d::new(channels, 8, 5, 1, 2)),
-            Box::new(NormReluPool::new(8)),
+            Box::new(ConvBlock::new(Conv2d::new(channels, 8, 5, 1, 2))),
             Box::new(Flatten),
             Box::new(Linear::new(8 * pooled * pooled, 64)),
             Box::new(Relu),

@@ -97,6 +97,14 @@ ONE_COPY
 echo "== cargo test"
 cargo test --offline --workspace -q
 
+echo "== examples (release; each must exit 0)"
+# Clippy compiles the examples; only running them catches one that panics.
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    cargo run --offline --release -q --example "$name" >/dev/null \
+        || { echo "example $name exited non-zero" >&2; exit 1; }
+done
+
 echo "== code lines (scripts/loc.sh; informational, never a gate)"
 ./scripts/loc.sh | tail -n 7
 
