@@ -26,18 +26,20 @@ fn unary(a: Var, da: Var) -> Contributions {
 
 impl Tape {
     /// Contributions of a two-input op: `da`/`db` build the adjoint of
-    /// `a`/`b` and are only run for an input that needs a gradient, so a
-    /// product against a constant (the `dCols` of a network's first
-    /// convolution, say) is never computed just to be dropped.
+    /// `a`/`b` and are only run for an input the sweep `wants` (see
+    /// [`Tape::vjp`]), so a product against a constant (the `dCols` of a
+    /// network's first convolution, say) is never computed just to be
+    /// dropped.
     fn binary(
         &mut self,
+        wanted: &[bool],
         (a, b): (Var, Var),
         da: impl FnOnce(&mut Tape) -> Var,
         db: impl FnOnce(&mut Tape) -> Var,
     ) -> Contributions {
         [
-            self.needs_grad(a).then(|| (a, da(self))),
-            self.needs_grad(b).then(|| (b, db(self))),
+            wanted[a.0].then(|| (a, da(self))),
+            wanted[b.0].then(|| (b, db(self))),
             None,
             None,
             None,
@@ -46,20 +48,24 @@ impl Tape {
 
     /// Returns `(input, contribution)` pairs for the node `node` (whose
     /// recorded op is `op`) given the upstream adjoint `u`, for the inputs
-    /// that need a gradient.
+    /// the sweep wants: `wanted[i]` says whether node `i` is differentiable
+    /// and on a path to a variable the sweep differentiates for. (A
+    /// unary rule's one input is wanted whenever its node is, unless the
+    /// node is itself one of those variables.)
     ///
     /// Every contribution is shaped exactly like its input so that adjoint
     /// accumulation is a plain elementwise add. The three matrix products
     /// are closed under this function — each one's contributions are
     /// products from the same family — so no transpose is ever
     /// materialised, at any order of differentiation.
-    pub(crate) fn vjp(&mut self, node: Var, op: Op, u: Var) -> Contributions {
+    pub(crate) fn vjp(&mut self, node: Var, op: Op, u: Var, wanted: &[bool]) -> Contributions {
         match op {
             Op::Leaf | Op::Constant | Op::ReluMask => [None; 5],
-            Op::Add(a, b) => self.binary((a, b), |_| u, |_| u),
-            Op::Sub(a, b) => self.binary((a, b), |_| u, |t| t.neg(u)),
-            Op::Mul(a, b) => self.binary((a, b), |t| t.mul(u, b), |t| t.mul(u, a)),
+            Op::Add(a, b) => self.binary(wanted, (a, b), |_| u, |_| u),
+            Op::Sub(a, b) => self.binary(wanted, (a, b), |_| u, |t| t.neg(u)),
+            Op::Mul(a, b) => self.binary(wanted, (a, b), |t| t.mul(u, b), |t| t.mul(u, a)),
             Op::Div(a, b) => self.binary(
+                wanted,
                 (a, b),
                 // y = a / b; da = u / b; db = -u * y / b.
                 |t| t.div(u, b),
@@ -73,11 +79,17 @@ impl Tape {
             Op::Scale(a, s) => unary(a, self.scale(u, s)),
             Op::AddScalar(a) => unary(a, u),
             // y = a·b; da = u·bᵀ; db = aᵀ·u.
-            Op::MatMul(a, b) => self.binary((a, b), |t| t.matmul_nt(u, b), |t| t.matmul_tn(a, u)),
+            Op::MatMul(a, b) => {
+                self.binary(wanted, (a, b), |t| t.matmul_nt(u, b), |t| t.matmul_tn(a, u))
+            }
             // y = aᵀ·b; da = b·uᵀ; db = a·u.
-            Op::MatMulTn(a, b) => self.binary((a, b), |t| t.matmul_nt(b, u), |t| t.matmul(a, u)),
+            Op::MatMulTn(a, b) => {
+                self.binary(wanted, (a, b), |t| t.matmul_nt(b, u), |t| t.matmul(a, u))
+            }
             // y = a·bᵀ; da = u·b; db = uᵀ·a.
-            Op::MatMulNt(a, b) => self.binary((a, b), |t| t.matmul(u, b), |t| t.matmul_tn(u, a)),
+            Op::MatMulNt(a, b) => {
+                self.binary(wanted, (a, b), |t| t.matmul(u, b), |t| t.matmul_tn(u, a))
+            }
             Op::Transpose2(a) => unary(a, self.transpose2(u)),
             Op::Relu(a) if self.fuses() => {
                 let da = kernels::relu_vjp(self.value(u), self.value(a));
@@ -122,7 +134,7 @@ impl Tape {
                 unary(a, self.broadcast_rows(u, m))
             }
             Op::BroadcastRows(a) => unary(a, self.sum_rows(u)),
-            Op::AddRowBias(y, b) => self.binary((y, b), |_| u, |t| t.sum_rows(u)),
+            Op::AddRowBias(y, b) => self.binary(wanted, (y, b), |_| u, |t| t.sum_rows(u)),
             Op::SumCols(a) => {
                 let n = self.value(a).dims()[1];
                 unary(a, self.broadcast_cols(u, n))
@@ -176,8 +188,7 @@ impl Tape {
                 // the pre-norm map's slot empty (the convolution is its one
                 // consumer), then the convolution's from the map's adjoint.
                 let [map, stats] = kept.expect("a differentiable block keeps its map");
-                let [nx, nw, nb, ng, nbeta] =
-                    [x, weight, bias, gamma, beta].map(|v| self.needs_grad(v));
+                let [nx, nw, nb, ng, nbeta] = [x, weight, bias, gamma, beta].map(|v| wanted[v.0]);
                 let [xv, w, g, b, s, u] = [x, weight, gamma, beta, stats, u].map(|v| self.value(v));
                 let planes = Planes::new(&[xv.dims()[0], w.dims()[0], geo.out_h, geo.out_w]);
                 let needs = [nx || nw || nb, ng, nbeta];

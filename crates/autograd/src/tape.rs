@@ -78,6 +78,56 @@ pub(crate) enum Op {
     ConvNormReluPool([Var; 5], Conv2dGeometry, Option<[Var; 2]>),
 }
 
+impl Op {
+    /// The nodes the op reads: none, one, two, or a block's five. (A
+    /// block's kept map and statistics are constants of its own, not
+    /// inputs.)
+    fn inputs(self) -> [Option<Var>; 5] {
+        use Op::*;
+        let (a, b) = match self {
+            Leaf | Constant | ReluMask => return [None; 5],
+            ConvNormReluPool(inputs, ..) => return inputs.map(Some),
+            Add(a, b)
+            | Sub(a, b)
+            | Mul(a, b)
+            | Div(a, b)
+            | MatMul(a, b)
+            | MatMulTn(a, b)
+            | MatMulNt(a, b)
+            | AddRowBias(a, b) => (a, Some(b)),
+            Neg(a)
+            | Scale(a, _)
+            | AddScalar(a)
+            | Transpose2(a)
+            | Relu(a)
+            | Tanh(a)
+            | Sigmoid(a)
+            | Sqrt(a)
+            | Exp(a)
+            | Ln(a)
+            | SumAll(a)
+            | BroadcastTo(a)
+            | SumRows(a)
+            | BroadcastRows(a)
+            | SumCols(a)
+            | BroadcastCols(a)
+            | Reshape(a)
+            | Im2col(a, _)
+            | Col2im(a, _)
+            | AvgPool(a, _)
+            | AvgUnpool(a, _)
+            | RowsToNchw(a, _)
+            | NchwToRows(a, _)
+            | SpatialSum(a, _)
+            | SpatialBroadcast(a, _)
+            | ChannelSum(a, _)
+            | ChannelBroadcast(a, _)
+            | LogSoftmax(a) => (a, None),
+        };
+        [Some(a), b, None, None, None]
+    }
+}
+
 pub(crate) struct Node {
     /// `None` once released: by [`Tape::retire`] on an inference tape, or
     /// by the terminal sweep after it has passed the node.
@@ -722,6 +772,19 @@ impl Tape {
             }
             self.nodes.truncate(horizon);
         }
+        // The nodes a contribution is built for: differentiable ones on a
+        // path to one of `xs`. Any other input's adjoint could only feed
+        // adjoints no entry of `xs` reads, so a rule skips it as it skips
+        // a constant (an ascent's parameters, say, when a gradient is
+        // taken with respect to the samples alone).
+        let mut wanted = vec![false; horizon];
+        for x in xs.iter().filter(|x| x.0 < horizon) {
+            wanted[x.0] = true;
+        }
+        for (id, node) in self.nodes.iter().enumerate().take(horizon) {
+            let reaches = (node.op.inputs().into_iter().flatten()).any(|v| wanted[v.0]);
+            wanted[id] = node.needs_grad && (wanted[id] || reaches);
+        }
         let mut adjoint: Vec<Option<Var>> = vec![None; horizon];
         // Terminal sweep only: how many adjoint slots (and entries of
         // `xs`, whose adjoints are the result) point at each node. The
@@ -736,10 +799,10 @@ impl Tape {
             holders[seed.0] = 1;
         }
         for id in (0..horizon).rev() {
-            if let (Some(upstream), true) = (adjoint[id], self.nodes[id].needs_grad) {
+            if let (Some(upstream), true) = (adjoint[id], wanted[id]) {
                 let mark = self.nodes.len();
                 let op = self.nodes[id].op;
-                let contributions = self.vjp(Var(id), op, upstream);
+                let contributions = self.vjp(Var(id), op, upstream, &wanted);
                 if terminal {
                     holders.resize(self.nodes.len(), 0);
                     if !xs.contains(&Var(id)) {

@@ -275,24 +275,30 @@ fn fused_relu_gradcheck_away_from_the_kink() {
     );
 }
 
-/// A fused rule builds an adjoint only for an input that needs one: the
-/// sweep records one node fewer per constant among the block's five
-/// inputs, and with all five constant the block keeps neither its map nor
-/// its statistics and the adjoint of its output is not built either.
+/// A fused rule builds an adjoint only for an input that needs one: swept
+/// with respect to every differentiable input, the sweep records one node
+/// fewer per constant among the block's five inputs, and with all five
+/// constant the block keeps neither its map nor its statistics and the
+/// adjoint of its output is not built either.
 #[test]
 fn a_fused_rule_computes_no_gradient_for_a_constant_input() {
     let geo = Conv2dGeometry::new(2, 4, 4, 3, 1, 1);
     let nodes_after_sweep = |differentiable: usize| {
         let mut tape = Tape::first_order();
         let shapes: [&[usize]; 5] = [&[2, 2, 4, 4], &[3, 18], &[3], &[3], &[3]];
-        let [x, weight, bias, gamma, beta] = std::array::from_fn(|i| {
+        let inputs: [Var; 5] = std::array::from_fn(|i| {
             input(&mut tape, Tensor::ones(shapes[i]), bit(differentiable, i))
         });
+        let [x, weight, bias, gamma, beta] = inputs;
         let anchor = tape.leaf(Tensor::ones(&[2, 3, 2, 2]));
         let y = tape.conv_norm_relu_pool(x, [weight, bias, gamma, beta], geo, 1e-5);
         let both = tape.mul(y, anchor);
         let loss = tape.sum_all(both);
-        tape.sweep_terminal(loss, &[anchor]);
+        let leaves = (0..5)
+            .filter(|&i| bit(differentiable, i))
+            .map(|i| inputs[i]);
+        let xs: Vec<Var> = std::iter::once(anchor).chain(leaves).collect();
+        tape.sweep_terminal(loss, &xs);
         tape.len()
     };
     let all = nodes_after_sweep(0b11111);

@@ -233,12 +233,103 @@ fn constant_operands_get_no_contribution_nodes() {
         let sq = t.mul(y, y);
         let loss = t.sum_all(sq);
         let before = t.len();
-        let g = t.grad(loss, &[w])[0];
+        // With respect to every differentiable input.
+        let xs = if x_is_leaf { vec![w, xv] } else { vec![w] };
+        let g = t.grad(loss, &xs)[0];
         assert_eq!(t.value(g).dims(), &[2, 3]);
         t.len() - before
     };
     let (constant, leaf) = (grad_nodes(false), grad_nodes(true));
     assert!(constant < leaf, "{constant} nodes vs {leaf}");
+}
+
+/// Per-tensor bits, for bit-for-bit comparisons.
+fn all_bits(ts: &[Tensor]) -> Vec<(Vec<usize>, Vec<u32>)> {
+    (ts.iter())
+        .map(|t| {
+            (
+                t.dims().to_vec(),
+                t.data().iter().map(|v| v.to_bits()).collect(),
+            )
+        })
+        .collect()
+}
+
+/// A sweep builds no contribution into a node off every path to the
+/// variables it differentiates for: with respect to the samples alone, a
+/// ConvNet block and a head whose parameters are leaves record exactly
+/// the nodes they record when those parameters are constants, and the
+/// samples' gradient is bit-for-bit the one a sweep with respect to
+/// everything computes.
+#[test]
+fn a_leaf_off_every_path_to_xs_gets_no_contribution() {
+    let geo = Conv2dGeometry::new(2, 4, 4, 3, 1, 1);
+    let sweep = |params_are_leaves: bool, all: bool| {
+        let mut rng = Rng::seed_from(41);
+        let mut t = Tape::first_order();
+        let x = t.leaf(smooth_randn(&[2, 2, 4, 4], &mut rng));
+        let shapes: [&[usize]; 5] = [&[3, 18], &[3], &[3], &[3], &[2, 12]];
+        let params: Vec<Var> = (shapes.iter())
+            .map(|dims| {
+                let value = smooth_randn(dims, &mut rng);
+                if params_are_leaves {
+                    t.leaf(value)
+                } else {
+                    t.constant(value)
+                }
+            })
+            .collect();
+        let y = t.conv_norm_relu_pool(x, [params[0], params[1], params[2], params[3]], geo, 1e-5);
+        let flat = t.reshape(y, &[2, 12]);
+        let z = t.matmul_nt(flat, params[4]);
+        let sq = t.mul(z, z);
+        let loss = t.sum_all(sq);
+        let xs: Vec<Var> = if all {
+            std::iter::once(x).chain(params).collect()
+        } else {
+            vec![x]
+        };
+        let grads = t.sweep_terminal(loss, &xs);
+        (t.len(), grads)
+    };
+    let (pruned, grads) = sweep(true, false);
+    let (constants, _) = sweep(false, false);
+    let (everything, all) = sweep(true, true);
+    assert_eq!(pruned, constants, "parameter adjoints were built");
+    assert!(pruned < everything, "{pruned} vs {everything} nodes");
+    assert_eq!(all_bits(&grads), all_bits(&all[..1]));
+}
+
+/// The gradient-matching shape: an inner gradient with respect to the
+/// parameters, then an outer one with respect to the samples alone, whose
+/// sweep builds no parameter adjoints through the double backward and
+/// ends on the bits of an outer sweep with respect to everything.
+#[test]
+fn an_outer_sweep_with_respect_to_the_samples_prunes_the_parameters() {
+    let outer = |all: bool| {
+        let mut rng = Rng::seed_from(42);
+        let mut t = Tape::new();
+        let x = t.leaf(smooth_randn(&[4, 3], &mut rng));
+        let w1 = t.leaf(smooth_randn(&[5, 3], &mut rng));
+        let w2 = t.leaf(smooth_randn(&[2, 5], &mut rng));
+        let h = t.matmul_nt(x, w1);
+        let a = t.tanh(h);
+        let y = t.matmul_nt(a, w2);
+        let sq = t.mul(y, y);
+        let loss = t.sum_all(sq);
+        let inner = t.grad(loss, &[w1, w2]);
+        let g1 = t.mul(inner[0], inner[0]);
+        let g2 = t.mul(inner[1], inner[1]);
+        let (s1, s2) = (t.sum_all(g1), t.sum_all(g2));
+        let matching = t.add(s1, s2);
+        let before = t.len();
+        let xs = if all { vec![x, w1, w2] } else { vec![x] };
+        let gx = t.grad(matching, &xs)[0];
+        (t.len() - before, t.value(gx).clone())
+    };
+    let ((pruned, gx), (everything, gx_all)) = (outer(false), outer(true));
+    assert!(pruned < everything, "{pruned} vs {everything} nodes");
+    assert_eq!(all_bits(&[gx]), all_bits(&[gx_all]));
 }
 
 #[test]

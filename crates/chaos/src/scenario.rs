@@ -497,16 +497,19 @@ impl Harness {
         // missing checkpoint implies an empty journal.
         let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
         let model: Arc<dyn Module> = Arc::new(Mlp::new(&[256, 16, 10]));
-        let (mut qd, mut fed, mut journal) = if fs.file(&ckpt).is_none() {
+        let deployment = if fs.file(&ckpt).is_none() {
             seed.ckpt
                 .save_on(fs.as_ref(), &ckpt)
                 .map_err(Death::error)?;
-            seed.ckpt.clone().open_on(vfs, &journal_path, model)
+            seed.ckpt.clone()
         } else {
-            QuickDrop::open_deployment(vfs, &ckpt, &journal_path, model)
-                .map(|(qd, fed, journal, _fell_back)| (qd, fed, journal))
-        }
-        .map_err(Death::error)?;
+            let (loaded, _fell_back) = Checkpoint::load_with_fallback_on(fs.as_ref(), &ckpt)
+                .map_err(|e| Death::error(ServeError::from(e)))?;
+            loaded
+        };
+        let (mut qd, mut fed, mut journal) = deployment
+            .open_on(vfs, &journal_path, model)
+            .map_err(Death::error)?;
         // The post-training stream; the journal tail, once there is
         // one, overrides it.
         let mut rng = Rng::from_state(&seed.rng);

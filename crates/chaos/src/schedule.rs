@@ -18,7 +18,7 @@ pub enum FrontDoor {
     /// `quickdrop-cli serve`: `run_service_isolated` over the whole
     /// plan, then the stats write.
     Service,
-    /// `quickdrop-cli unlearn|relearn --journal`: `open_deployment →
+    /// `quickdrop-cli unlearn|relearn --journal`: `open_on →
     /// resume_requests → serve_journaled | serve_batch_journaled |
     /// relearn_journaled`, the plan's units served one call each (a
     /// one-member unit alone, a coalesced one as a batch). No failure

@@ -12,10 +12,11 @@ use qd_chaos::scenario::serve_config;
 use qd_chaos::{
     shrink, ChaosSchedule, FaultSpec, FrontDoor, Harness, InjectedFault, Repro, Terminal, Workload,
 };
-use qd_core::{BatchPreempt, CrashPoint, RequestState};
+use qd_core::{BatchPreempt, CrashPoint, FaultFs, RequestState};
 use qd_fed::FaultPlan;
 use qd_serve::{build_plan, Plan};
 use qd_unlearn::UnlearnRequest;
+use std::sync::Arc;
 
 /// Two tenants, three requests each, a tight class universe: the plan
 /// is a singleton, a coalesced unit of three and another singleton.
@@ -94,9 +95,24 @@ fn boundaries(schedules: &[ChaosSchedule]) -> Vec<(usize, BatchPreempt)> {
         .collect()
 }
 
+/// The journal in `terminal`'s files, opened as it lies: the open decodes
+/// no snapshot, and each one read afterwards is bit for bit the eager
+/// decode of the same bytes, for every record the run made durable.
+fn assert_lazy_matches_eager(terminal: &Terminal) {
+    let journal = (terminal.files.keys())
+        .find(|p| p.extension().is_some_and(|e| e == "journal"))
+        .expect("a journaled run leaves its marker");
+    let fs = Arc::new(FaultFs::new());
+    fs.reset_to(terminal.files.clone());
+    let compared = qd_core::check_lazy_snapshots(fs, journal)
+        .unwrap_or_else(|e| panic!("{}: {e}", journal.display()));
+    assert_eq!(compared, terminal.records.len());
+}
+
 /// Runs `schedule`, demanding that its one kill fired, that one resume
-/// finished the run, and that all six invariants hold — or panics with
-/// the shrunk reproducer. Returns the fault-free reference terminal.
+/// finished the run, that all six invariants hold — or panics with the
+/// shrunk reproducer — and that both runs' journals decode lazily as
+/// they do eagerly. Returns the fault-free reference terminal.
 fn assert_resumes(harness: &mut Harness, schedule: &ChaosSchedule) -> Terminal {
     let outcome = harness.execute(schedule).expect("schedule executes");
     let report = outcome.report();
@@ -115,6 +131,8 @@ fn assert_resumes(harness: &mut Harness, schedule: &ChaosSchedule) -> Terminal {
         "{:?}: the kill must fire, and one resume must finish",
         kill_of(schedule)
     );
+    assert_lazy_matches_eager(&outcome.reference);
+    assert_lazy_matches_eager(outcome.faulted.as_ref().expect("the run completed"));
     outcome.reference
 }
 

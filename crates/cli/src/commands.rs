@@ -225,26 +225,50 @@ fn check_in_range(request: UnlearnRequest, fed: &Federation) -> Result<(), CliEr
     )))
 }
 
-/// Opens a journaled deployment ([`QuickDrop::open_deployment`] on the
-/// real filesystem). The returned line is empty unless the primary
-/// checkpoint was unreadable and its `.prev` generation stood in.
-fn open_journaled(
-    ckpt: &str,
-    journal: &Path,
-    model: Arc<ConvNet>,
-) -> Result<(QuickDrop, Federation, RequestJournal, String), CliError> {
-    let (qd, fed, journal, fell_back) =
-        QuickDrop::open_deployment(Arc::new(StdFs), Path::new(ckpt), journal, model)?;
-    let fell_back_line = fell_back
-        .map(|primary| {
-            format!(
-                "{primary}\nfell back to the previous checkpoint generation {}; \
-                 the journal rolls it forward\n",
-                Checkpoint::prev_path(Path::new(ckpt)).display()
-            )
-        })
-        .unwrap_or_default();
-    Ok((qd, fed, journal, fell_back_line))
+/// Loads a journaled deployment's checkpoint from the real filesystem:
+/// the primary, or its `.prev` generation when the primary is unreadable
+/// ([`Checkpoint::load_with_fallback_on`]; the journal rolls it forward).
+/// The line is `Some` exactly on a fallback, and reports it.
+fn load_journaled(ckpt: &str) -> Result<(Checkpoint, Option<String>), CliError> {
+    let (loaded, fell_back) = Checkpoint::load_with_fallback_on(&StdFs, Path::new(ckpt))?;
+    let fell_back_line = fell_back.map(|primary| {
+        format!(
+            "{primary}\nfell back to the previous checkpoint generation {}; \
+             the journal rolls it forward\n",
+            Checkpoint::prev_path(Path::new(ckpt)).display()
+        )
+    });
+    Ok((loaded, fell_back_line))
+}
+
+/// Refuses a `--dataset` the deployment's model cannot read, before
+/// anything is computed or written: its channels, side and class count
+/// must be the checkpoint's synthetic geometry. (SynthCifar and SynthSvhn
+/// share one, so which of the two a deployment was trained on is not
+/// checked.)
+fn check_geometry(
+    args: &Args,
+    dataset: SyntheticDataset,
+    ckpt: &Checkpoint,
+) -> Result<(), CliError> {
+    let Some(set) = ckpt.synthetic_sets().first() else {
+        // Nothing to serve from; restoring the deployment says so.
+        return Ok(());
+    };
+    let geometry = |(c, h, w): (usize, usize, usize), classes: usize| {
+        format!("{c}×{h}×{w} samples in {classes} classes")
+    };
+    let side = dataset.hw();
+    let given = geometry((dataset.channels(), side, side), dataset.classes());
+    let trained = geometry(set.sample_dims(), set.classes());
+    if given == trained {
+        return Ok(());
+    }
+    Err(CliError::Usage(format!(
+        "--dataset {} has {given}, but the deployment in {} was trained on {trained}",
+        args.get_str("dataset", "digits"),
+        args.get_str("ckpt", ""),
+    )))
 }
 
 /// Executes a parsed command line, returning the text to print.
@@ -462,11 +486,15 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
     // so the load is strict.
     let (mut qd, mut fed, mut journal, fell_back_line) = match journal_path_from(args, &path) {
         Some(jp) => {
-            let (qd, fed, journal, line) = open_journaled(&path, &jp, model.clone())?;
-            (qd, fed, Some(journal), line)
+            let (loaded, line) = load_journaled(&path)?;
+            check_geometry(args, dataset, &loaded)?;
+            let (qd, fed, journal) = loaded.open_on(Arc::new(StdFs), &jp, model.clone())?;
+            (qd, fed, Some(journal), line.unwrap_or_default())
         }
         None => {
-            let (params, qd) = Checkpoint::load(&path)?.restore()?;
+            let loaded = Checkpoint::load(&path)?;
+            check_geometry(args, dataset, &loaded)?;
+            let (params, qd) = loaded.restore()?;
             let fed = qd.serving_federation(model.clone(), params)?;
             (qd, fed, None, String::new())
         }
@@ -607,8 +635,13 @@ fn service(args: &Args) -> Result<String, CliError> {
     // killed run left in flight). `--journal` only picks the location.
     let journal_path = journal_path_from(args, &path)
         .unwrap_or_else(|| RequestJournal::path_for_checkpoint(&path));
-    let (mut qd, mut fed, mut journal, fell_back_line) =
-        open_journaled(&path, &journal_path, model_for(dataset))?;
+    let (loaded, fell_back_line) = load_journaled(&path)?;
+    check_geometry(args, dataset, &loaded)?;
+    // A run that changes nothing leaves the file it loaded as it lies, so
+    // the loaded checkpoint is kept wherever the save would replace it.
+    let primary = (fell_back_line.is_none() && out == path).then(|| loaded.clone());
+    let (mut qd, mut fed, mut journal) =
+        loaded.open_on(Arc::new(StdFs), &journal_path, model_for(dataset))?;
     let cfg = serve_config_from(args, fed.client_data(0).classes(), fed.n_clients())?;
     let policy = guard_policy_from(args)?;
     let iso = isolation_config_from(args)?;
@@ -624,13 +657,22 @@ fn service(args: &Args) -> Result<String, CliError> {
         &mut rng,
         None,
     )?;
-    Checkpoint::capture(fed.global(), &qd).save(&out)?;
+    let captured = Checkpoint::capture(fed.global(), &qd);
+    let ckpt_line = if primary.is_some_and(|loaded| loaded.same_bits(&captured)) {
+        format!("checkpoint unchanged at {out}\n")
+    } else {
+        captured.save(&out)?;
+        format!("checkpoint written to {out}\n")
+    };
 
     let stats = &run.stats;
     let stats_line = if args.has_option("stats-out") {
         let stats_out = args.get_str("stats-out", "");
-        stats.save_json(std::path::Path::new(&stats_out))?;
-        format!("stats written to {stats_out}\n")
+        if stats.save_json(Path::new(&stats_out))? {
+            format!("stats written to {stats_out}\n")
+        } else {
+            format!("stats unchanged at {stats_out}\n")
+        }
     } else {
         String::new()
     };
@@ -656,10 +698,11 @@ fn service(args: &Args) -> Result<String, CliError> {
         String::new()
     };
     Ok(format!(
-        "{fell_back_line}served {} of {} offered requests from {} tenant(s) in {} unit(s) \
+        "{}served {} of {} offered requests from {} tenant(s) in {} unit(s) \
          (coalesce ratio {:.2}); rejected {}\n\
          virtual latency p50 {} µs, p99 {} µs; {:.1} req/s over {} µs\n\
-         {degraded_line}{resumed_units_line}{stats_line}checkpoint written to {out}\n",
+         {degraded_line}{resumed_units_line}{stats_line}{ckpt_line}",
+        fell_back_line.unwrap_or_default(),
         stats.served,
         stats.offered,
         stats.tenants,
@@ -751,7 +794,9 @@ fn eval(args: &Args) -> Result<String, CliError> {
     let path = args.require_str("ckpt")?;
     let seed = args.get_u64("seed", 42)?;
     let samples = positive_count(args, "samples", 400)?;
-    let (params, qd) = Checkpoint::load(&path)?.restore()?;
+    let loaded = Checkpoint::load(&path)?;
+    check_geometry(args, dataset, &loaded)?;
+    let (params, qd) = loaded.restore()?;
     let model = model_for(dataset);
     let test = dataset.generate(samples, &mut Rng::seed_from(seed + 1));
     let pc = per_class_accuracy(model.as_ref(), &params, &test);
@@ -1053,24 +1098,6 @@ mod tests {
         std::fs::write(format!("{ckpt}.tmp"), b"half-written save").unwrap();
         std::fs::copy(&ckpt, &bare).unwrap();
         std::fs::copy(&seg, format!("{bare}.journal.seg-000000")).unwrap();
-        // Every file carrying a deployment's name, with its bytes.
-        let files = |ckpt: &str| {
-            let ckpt = std::path::Path::new(ckpt);
-            let name = ckpt.file_name().unwrap().to_string_lossy().into_owned();
-            let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(ckpt.parent().unwrap())
-                .unwrap()
-                .flatten()
-                .filter(|e| e.file_name().to_string_lossy().starts_with(&name))
-                .map(|e| {
-                    (
-                        e.file_name().to_string_lossy().into_owned(),
-                        std::fs::read(e.path()).unwrap(),
-                    )
-                })
-                .collect();
-            out.sort();
-            out
-        };
         let before = (files(&ckpt), files(&bare));
         let file = |name: &str| std::fs::read(name).unwrap();
         assert!(
@@ -1139,8 +1166,8 @@ mod tests {
         let record = |i: usize| serde_json::from_str::<qd_core::JournalRecord>(lines[i]).unwrap();
         assert!(!record(3).global.is_empty());
         assert_eq!(
-            record(3).global,
-            record(2).global,
+            *record(3).global,
+            *record(2).global,
             "the back-referenced record dumps with its full parameters"
         );
 
@@ -1235,6 +1262,27 @@ mod tests {
                 std::fs::remove_file(entry.path()).ok();
             }
         }
+    }
+
+    /// Every file carrying a deployment's name, with its bytes and
+    /// mtime: the same before and after a command that wrote, renamed and
+    /// removed nothing there (a save renames a freshly written file over
+    /// the old one, so it moves the mtime even when the bytes repeat).
+    fn files(ckpt: &str) -> Vec<(String, Vec<u8>, std::time::SystemTime)> {
+        let ckpt = std::path::Path::new(ckpt);
+        let name = ckpt.file_name().unwrap().to_string_lossy().into_owned();
+        let mut out: Vec<_> = std::fs::read_dir(ckpt.parent().unwrap())
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().starts_with(&name))
+            .map(|e| {
+                let modified = e.metadata().unwrap().modified().unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).unwrap(), modified)
+            })
+            .collect();
+        out.sort();
+        out
     }
 
     fn train_tiny(ckpt: &str) {
@@ -1554,6 +1602,204 @@ mod tests {
         assert!(err.to_string().contains("unknown dataset"));
     }
 
+    /// A `--dataset` whose samples the deployment's model cannot read is
+    /// refused by name before anything runs, and every file the
+    /// deployment has is left as it was. (Each of these command lines
+    /// panicked in a convolution before the check existed; `serve` had
+    /// journaled its first request by then.)
+    #[test]
+    fn a_dataset_of_another_geometry_is_refused_and_nothing_is_written() {
+        let ckpt = tmp("geometry.json");
+        remove_deployment(&ckpt);
+        let mut line = vec!["train", "--out", &ckpt, "--dataset", "cifar"];
+        line.extend(["--clients", "2", "--samples", "120", "--rounds", "2"]);
+        line.extend(["--steps", "2", "--scale", "20", "--iid", "--seed", "3"]);
+        run(&args(&line)).unwrap();
+        let forget = [
+            "unlearn",
+            "--ckpt",
+            &ckpt,
+            "--class",
+            "1",
+            "--dataset",
+            "cifar",
+        ];
+        run(&args(&[&forget[..], &["--samples", "20"]].concat())).unwrap();
+        for line in [
+            vec!["eval", "--ckpt", &ckpt, "--dataset", "digits"],
+            vec![
+                "unlearn",
+                "--ckpt",
+                &ckpt,
+                "--class",
+                "2",
+                "--dataset",
+                "digits",
+            ],
+            vec![
+                "relearn",
+                "--ckpt",
+                &ckpt,
+                "--class",
+                "1",
+                "--dataset",
+                "digits",
+            ],
+            vec![
+                "serve",
+                "--ckpt",
+                &ckpt,
+                "--dataset",
+                "digits",
+                "--tenants",
+                "1",
+            ],
+        ] {
+            let before = files(&ckpt);
+            let line = [&line[..], &["--arrival-requests", "1"][..]].concat();
+            let line = if line[0] == "serve" {
+                &line[..]
+            } else {
+                &line[..line.len() - 2]
+            };
+            let err = run(&args(line)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{line:?}: {err}");
+            let msg = err.to_string();
+            assert!(
+                msg.starts_with("--dataset digits has 1×16×16 samples in 10 classes")
+                    && msg.ends_with("was trained on 3×16×16 samples in 10 classes"),
+                "{msg}"
+            );
+            assert!(files(&ckpt) == before, "{line:?} touched the deployment");
+        }
+        // SynthSvhn shares SynthCifar's geometry; only the name tells
+        // them apart, and a checkpoint does not record it.
+        run(&args(&[
+            "eval",
+            "--ckpt",
+            &ckpt,
+            "--dataset",
+            "svhn",
+            "--samples",
+            "20",
+        ]))
+        .unwrap();
+        remove_deployment(&ckpt);
+    }
+
+    /// The byte offset of the last commit frame in a journal segment
+    /// (`len: u32le | crc: u32le | body`, back to back).
+    fn last_commit_start(segment: &[u8]) -> usize {
+        let (mut at, mut last) = (0, 0);
+        while at < segment.len() {
+            last = at;
+            let len = u32::from_le_bytes(segment[at..at + 4].try_into().unwrap());
+            at += 8 + len as usize;
+        }
+        last
+    }
+
+    /// A fully served deployment's `serve` command line, re-run: it
+    /// neither writes, fsyncs nor renames anything — checkpoint, `.prev`,
+    /// stats and journal keep their bytes and mtimes — and says so.
+    /// Every run that changes something still saves: one finishing a
+    /// killed run's in-flight unit (its commit torn, or whole but not
+    /// followed by the unit's end), one whose primary checkpoint fell back
+    /// to `.prev`, one writing to another `--out`, and one whose stats
+    /// file no longer holds the stats.
+    #[test]
+    fn serve_leaves_an_unchanged_deployment_untouched() {
+        let ckpt = tmp("noop.json");
+        let stats = format!("{ckpt}.stats");
+        let seg = format!("{ckpt}.journal.seg-000000");
+        let line = |ckpt: &str, out: &str| -> Vec<String> {
+            let stats = format!("{ckpt}.stats");
+            let line = ["serve", "--ckpt", ckpt, "--out", out, "--stats-out", &stats];
+            let flags = ["--tenants", "2", "--arrival-requests", "2", "--seed", "5"];
+            line.iter().chain(&flags).map(|s| s.to_string()).collect()
+        };
+        let serve = |ckpt: &str, out: &str| {
+            let line = line(ckpt, out);
+            run(&Args::parse(line).unwrap()).unwrap()
+        };
+        remove_deployment(&ckpt);
+        train_tiny(&ckpt);
+        let trained = std::fs::read(&ckpt).unwrap();
+        let first = serve(&ckpt, &ckpt);
+        assert!(
+            first.contains(&format!("checkpoint written to {ckpt}")),
+            "{first}"
+        );
+        let served = files(&ckpt);
+        assert_eq!(served.len(), 5, "checkpoint, .prev, marker, segment, stats");
+
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let again = serve(&ckpt, &ckpt);
+        assert!(
+            again.contains(&format!("checkpoint unchanged at {ckpt}")),
+            "{again}"
+        );
+        assert!(
+            again.contains(&format!("stats unchanged at {stats}")),
+            "{again}"
+        );
+        assert!(
+            files(&ckpt) == served,
+            "a no-op serve touched the deployment"
+        );
+
+        // A killed run: the checkpoint is still the one it loaded, and
+        // the journal ends in the last unit, torn or not.
+        let whole = std::fs::read(&seg).unwrap();
+        let last = last_commit_start(&whole);
+        for (cut, kind) in [(whole.len() - 3, "torn commit"), (last, "unfinished unit")] {
+            std::fs::write(&ckpt, &trained).unwrap();
+            std::fs::write(&seg, &whole[..cut]).unwrap();
+            let out = serve(&ckpt, &ckpt);
+            assert!(
+                out.contains(&format!("checkpoint written to {ckpt}")),
+                "{kind}: {out}"
+            );
+            assert_eq!(std::fs::read(&seg).unwrap(), whole, "{kind}");
+            assert_eq!(std::fs::read(&ckpt).unwrap(), served[0].1, "{kind}");
+        }
+
+        // The primary unreadable: `.prev` stands in and the run saves.
+        let primary = std::fs::read(&ckpt).unwrap();
+        std::fs::write(&ckpt, &primary[..primary.len() / 2]).unwrap();
+        let out = serve(&ckpt, &ckpt);
+        assert!(out.contains("fell back to the previous"), "{out}");
+        assert!(
+            out.contains(&format!("checkpoint written to {ckpt}")),
+            "{out}"
+        );
+        assert_eq!(std::fs::read(&ckpt).unwrap(), primary);
+
+        // Another --out: written there, the deployment's own untouched.
+        let other = tmp("noop_other.json");
+        remove_deployment(&other);
+        let before = files(&ckpt);
+        let out = serve(&ckpt, &other);
+        assert!(
+            out.contains(&format!("checkpoint written to {other}")),
+            "{out}"
+        );
+        assert_eq!(std::fs::read(&other).unwrap(), primary);
+        assert!(files(&ckpt) == before, "{out}");
+
+        // Stats that changed are written, the unchanged checkpoint not.
+        std::fs::write(&stats, b"{}\n").unwrap();
+        let out = serve(&ckpt, &ckpt);
+        assert!(out.contains(&format!("stats written to {stats}")), "{out}");
+        assert!(
+            out.contains(&format!("checkpoint unchanged at {ckpt}")),
+            "{out}"
+        );
+        assert_eq!(std::fs::read(&stats).unwrap(), served[4].1);
+        remove_deployment(&ckpt);
+        remove_deployment(&other);
+    }
+
     #[test]
     fn bad_aggregator_and_byzantine_frac_are_usage_errors() {
         let err = run(&args(&["train", "--out", "x", "--aggregator", "krum"])).unwrap_err();
@@ -1775,7 +2021,7 @@ mod tests {
             request: UnlearnRequest::Class(1),
             state: qd_core::RequestState::Received,
             rng: Rng::seed_from(1).state(),
-            global: Vec::new(),
+            global: Default::default(),
             guard: None,
             batch: None,
             reason: None,

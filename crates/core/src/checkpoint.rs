@@ -14,6 +14,7 @@
 //! whole federation.
 
 use crate::frame;
+use crate::journal::same_snapshot;
 use crate::vfs::{self, StdFs, Vfs};
 use crate::{QuickDrop, QuickDropConfig};
 use qd_data::Dataset;
@@ -245,6 +246,21 @@ impl Checkpoint {
         self.mid_phase.as_ref()
     }
 
+    /// Each client's synthetic set (empty in a mid-training checkpoint):
+    /// their sample geometry and class count are the deployment's.
+    pub fn synthetic_sets(&self) -> &[SyntheticSet] {
+        &self.synthetic
+    }
+
+    /// Whether `other` is this checkpoint to the bit, so saving it would
+    /// write this one's bytes again: compared in memory, as value trees
+    /// with each scalar's bits, never by encoding either. The model is
+    /// compared first; it is what a served request changes.
+    pub fn same_bits(&self, other: &Checkpoint) -> bool {
+        same_snapshot(&self.global, &other.global)
+            && frame::same_bits(&self.to_value(), &other.to_value())
+    }
+
     /// Rebuilds `(global parameters, QuickDrop)` from a deployment
     /// snapshot.
     ///
@@ -427,11 +443,9 @@ impl Checkpoint {
     /// corrupted in place). On fallback the primary's error is returned
     /// alongside the recovered checkpoint so callers can report what
     /// was lost — the previous generation predates the primary, but
-    /// the journal [`QuickDrop::open_deployment`] opens beside it rolls
-    /// it forward again. That is the only caller: without a journal a
-    /// fallback would silently un-serve the last request.
-    ///
-    /// [`QuickDrop::open_deployment`]: crate::QuickDrop::open_deployment
+    /// the journal [`Checkpoint::open_on`] opens beside it rolls it
+    /// forward again. Journaled serving is the only caller: without a
+    /// journal a fallback would silently un-serve the last request.
     ///
     /// # Errors
     ///

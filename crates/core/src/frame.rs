@@ -26,6 +26,7 @@ use crate::vfs::crc32;
 use qd_fed::Payload;
 use qd_tensor::Tensor;
 use serde::{DeError, Value};
+use std::ops::Range;
 
 const F32_KEY: &str = "$f32";
 const F64_KEY: &str = "$f64";
@@ -128,6 +129,32 @@ fn hoist(value: &Value, body: &mut Vec<Tensor>) -> Value {
 /// that do not name the body's arrays in order, each exactly once. Never
 /// panics, whatever the bytes.
 pub fn decode(bytes: &[u8]) -> Result<Value, DeError> {
+    let Parsed { mut value, arrays } = parse(bytes)?;
+    fill(&mut value, bytes, &mut arrays.into_iter());
+    Ok(value)
+}
+
+/// A frame whose skeleton is decoded and whose body is checked, with its
+/// dense arrays still in the frame's bytes: each placeholder stands as an
+/// empty [`Value::F32s`], and the `k`-th such leaf in tree order (the only
+/// `F32s` a skeleton can hold) is the array at `arrays[k]`.
+pub(crate) struct Parsed {
+    /// The tree, every dense array an empty `F32s`.
+    pub value: Value,
+    /// Byte range of each array's little-endian scalars in the frame.
+    pub arrays: Vec<Range<usize>>,
+}
+
+/// Everything [`decode`] checks, without copying a scalar: the frame is
+/// a skeleton and an F32 payload, and the placeholders name the body's
+/// arrays in order, each exactly once.
+///
+/// # Errors
+///
+/// A [`DeError`] starting `malformed frame:` on truncation, a skeleton
+/// that is not JSON, a body that is not an F32 payload, or placeholders
+/// that do not name the body's arrays in order, each exactly once.
+pub(crate) fn parse(bytes: &[u8]) -> Result<Parsed, DeError> {
     let skel_len = read_u32(bytes, 0).ok_or_else(|| bad("no skeleton length"))? as usize;
     let (skeleton, body) = bytes
         .get(4..)
@@ -135,23 +162,24 @@ pub fn decode(bytes: &[u8]) -> Result<Value, DeError> {
         .ok_or_else(|| bad("skeleton overruns the frame"))?;
     let skeleton = std::str::from_utf8(skeleton).map_err(bad)?;
     let mut value: Value = serde_json::from_str(skeleton).map_err(bad)?;
-    let body = Payload::from_bytes(body.to_vec());
-    let mut body = body.decode().map_err(bad)?.into_iter().enumerate();
-    lower(&mut value, &mut body)?;
-    match body.next() {
-        None => Ok(value),
-        Some((k, _)) => Err(bad(format!("body array {k} is never referenced"))),
+    let at = 4 + skel_len;
+    let arrays: Vec<Range<usize>> = (Payload::layout(body).map_err(bad)?.into_iter())
+        .map(|(_, span)| at + span.start..at + span.end)
+        .collect();
+    let mut next = 0;
+    lower(&mut value, &mut next, arrays.len())?;
+    if next < arrays.len() {
+        return Err(bad(format!("body array {next} is never referenced")));
     }
+    Ok(Parsed { value, arrays })
 }
 
-/// Inverse of [`hoist`], in place: puts the body's arrays back where the
-/// skeleton's placeholders stand.
-fn lower(
-    value: &mut Value,
-    body: &mut impl Iterator<Item = (usize, Tensor)>,
-) -> Result<(), DeError> {
+/// Inverse of [`hoist`], in place, for everything but the arrays: each
+/// placeholder, which must name body array `next` of `count`, becomes an
+/// empty `F32s` for [`fill`].
+fn lower(value: &mut Value, next: &mut usize, count: usize) -> Result<(), DeError> {
     match value {
-        Value::Seq(items) => items.iter_mut().try_for_each(|v| lower(v, body)),
+        Value::Seq(items) => items.iter_mut().try_for_each(|v| lower(v, next, count)),
         Value::Map(entries) => {
             if let [(key, Value::U64(n))] = entries.as_slice() {
                 if key == F64_KEY {
@@ -159,10 +187,11 @@ fn lower(
                     return Ok(());
                 }
                 if key == F32_KEY {
-                    *value = match body.next() {
-                        Some((k, t)) if k as u64 == *n => Value::F32s(t.into_vec()),
-                        _ => return Err(bad(format!("placeholder {n} is out of order"))),
-                    };
+                    if *n != *next as u64 || *next >= count {
+                        return Err(bad(format!("placeholder {n} is out of order")));
+                    }
+                    *next += 1;
+                    *value = Value::F32s(Vec::new());
                     return Ok(());
                 }
             }
@@ -172,10 +201,58 @@ fn lower(
                     Some(rest) if rest.starts_with('$') => *key = rest.to_string(),
                     Some(_) => return Err(bad(format!("unknown placeholder {key:?}"))),
                 }
-                lower(v, body)
+                lower(v, next, count)
             })
         }
         _ => Ok(()),
+    }
+}
+
+/// Fills the `F32s` leaves of a [`Parsed`] tree (or subtree), in tree
+/// order, with the arrays `arrays` yields from the frame `bytes`.
+pub(crate) fn fill(
+    value: &mut Value,
+    bytes: &[u8],
+    arrays: &mut impl Iterator<Item = Range<usize>>,
+) {
+    match value {
+        Value::F32s(xs) => {
+            if let Some(span) = arrays.next() {
+                *xs = Payload::scalars(bytes.get(span).unwrap_or_default());
+            }
+        }
+        Value::Seq(items) => items.iter_mut().for_each(|v| fill(v, bytes, arrays)),
+        Value::Map(entries) => entries.iter_mut().for_each(|(_, v)| fill(v, bytes, arrays)),
+        _ => {}
+    }
+}
+
+/// How many dense arrays a [`Parsed`] tree (or subtree) holds.
+pub(crate) fn arrays_in(value: &Value) -> usize {
+    match value {
+        Value::F32s(_) => 1,
+        Value::Seq(items) => items.iter().map(arrays_in).sum(),
+        Value::Map(entries) => entries.iter().map(|(_, v)| arrays_in(v)).sum(),
+        _ => 0,
+    }
+}
+
+/// Bit-exact tree equality: what `PartialEq` is but for floats, which
+/// it compares as numbers (NaN != NaN, `-0.0 == 0.0`).
+pub(crate) fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),
+        (Value::F32s(x), Value::F32s(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+        }
+        (Value::Seq(x), Value::Seq(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| same_bits(p, q))
+        }
+        (Value::Map(x), Value::Map(y)) => {
+            x.len() == y.len()
+                && (x.iter().zip(y)).all(|((k, p), (l, q))| k == l && same_bits(p, q))
+        }
+        _ => a == b,
     }
 }
 
@@ -197,23 +274,6 @@ pub(crate) fn foreign_version(bytes: &[u8], stem: &[u8]) -> Option<u32> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    /// Bit-exact tree equality (`PartialEq` says NaN != NaN).
-    fn same(a: &Value, b: &Value) -> bool {
-        match (a, b) {
-            (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),
-            (Value::F32s(x), Value::F32s(y)) => {
-                x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-            }
-            (Value::Seq(x), Value::Seq(y)) => {
-                x.len() == y.len() && x.iter().zip(y).all(|(p, q)| same(p, q))
-            }
-            (Value::Map(x), Value::Map(y)) => {
-                x.len() == y.len() && x.iter().zip(y).all(|((k, p), (l, q))| k == l && same(p, q))
-            }
-            _ => a == b,
-        }
-    }
 
     /// Scalars chosen to break a text detour: NaN with a payload, the two
     /// zeros, infinities, a subnormal, extremes.
@@ -267,7 +327,7 @@ mod tests {
         fn every_tree_round_trips_to_the_bit(seeds in proptest::collection::vec(0u32..u32::MAX, 1..60)) {
             let v = tree(&mut seeds.iter(), 4);
             let back = decode(&encode(&v)).expect("an encoded frame decodes");
-            prop_assert!(same(&v, &back), "{v:?} came back as {back:?}");
+            prop_assert!(same_bits(&v, &back), "{v:?} came back as {back:?}");
         }
 
         #[test]

@@ -38,12 +38,14 @@
 
 use crate::frame::{self, read_u32};
 use crate::vfs::{self, StdFs, StorageError, Vfs};
+use qd_fed::Payload;
 use qd_tensor::rng::RngState;
-use qd_tensor::Tensor;
+use qd_tensor::{Shape, Tensor};
 use qd_unlearn::{GuardStats, UnlearnRequest};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
+use std::ops::{Deref, Range};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Current journal format version.
 ///
@@ -250,8 +252,9 @@ pub struct JournalRecord {
     /// Global model parameters at the boundary. Empty on a *derived*
     /// record ([`RequestState::is_derived`]) once the journal holds it:
     /// only the snapshot's digest is durable ([`RequestJournal::digest`]),
-    /// and the model is rebuilt by replay.
-    pub global: Vec<Tensor>,
+    /// and the model is rebuilt by replay. On a record read from disk
+    /// the tensors are decoded on first use (see [`Snapshot`]).
+    pub global: Snapshot,
     /// Guard bookkeeping accumulated so far (`None` for unguarded
     /// serving and for RECEIVED records).
     pub guard: Option<GuardStats>,
@@ -261,6 +264,125 @@ pub struct JournalRecord {
     /// Why the request failed (`Some` only on [`RequestState::Failed`]
     /// and [`RequestState::Quarantined`] records).
     pub reason: Option<FailReason>,
+}
+
+/// A record's model parameters, [`JournalRecord::global`]: tensors, or
+/// on a record read from disk the CRC-verified segment bytes they are
+/// stored in, decoded on first use and kept. Open checks each stored
+/// snapshot's layout against its skeleton — rank, dims and scalar count
+/// of every tensor — so the decode cannot fail, and a record whose model
+/// is never read is never decoded. Clones share one snapshot: a
+/// back-reference is the record it refers to's, decoded at most once for
+/// both.
+#[derive(Clone, Default)]
+pub struct Snapshot(Arc<SnapshotCell>);
+
+#[derive(Default)]
+struct SnapshotCell {
+    tensors: OnceLock<Vec<Tensor>>,
+    stored: Option<Stored>,
+}
+
+/// Where a stored snapshot lies: its segment's bytes and, per tensor, its
+/// shape and the byte range of its little-endian scalars.
+struct Stored {
+    segment: Arc<Vec<u8>>,
+    tensors: Vec<(Shape, Range<usize>)>,
+}
+
+impl Snapshot {
+    fn stored(segment: Arc<Vec<u8>>, tensors: Vec<(Shape, Range<usize>)>) -> Self {
+        let stored = Some(Stored { segment, tensors });
+        let tensors = OnceLock::new();
+        Snapshot(Arc::new(SnapshotCell { tensors, stored }))
+    }
+
+    /// Whether the tensors have been decoded (always, unless the
+    /// snapshot was read from disk and nothing has read it since).
+    pub fn is_decoded(&self) -> bool {
+        self.0.tensors.get().is_some()
+    }
+}
+
+impl From<Vec<Tensor>> for Snapshot {
+    fn from(tensors: Vec<Tensor>) -> Self {
+        let tensors = OnceLock::from(tensors);
+        Snapshot(Arc::new(SnapshotCell {
+            tensors,
+            stored: None,
+        }))
+    }
+}
+
+impl Deref for Snapshot {
+    type Target = [Tensor];
+
+    fn deref(&self) -> &[Tensor] {
+        let SnapshotCell { tensors, stored } = &*self.0;
+        tensors.get_or_init(|| {
+            let Some(Stored { segment, tensors }) = stored else {
+                return Vec::new();
+            };
+            (tensors.iter())
+                .map(|(shape, span)| {
+                    let raw = segment.get(span.clone()).unwrap_or_default();
+                    Tensor::from_vec(Payload::scalars(raw), shape.dims())
+                })
+                .collect()
+        })
+    }
+}
+
+impl std::fmt::Debug for Snapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for Snapshot {
+    fn to_value(&self) -> serde::Value {
+        Tensor::seq_to_value(self)
+    }
+}
+
+impl Deserialize for Snapshot {
+    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
+        Vec::<Tensor>::from_value(v).map(Snapshot::from)
+    }
+}
+
+/// The tensors a stored `global` skeleton describes, with `arrays` its
+/// body arrays in tree order: what `Vec<Tensor>::from_value` checks of
+/// the decoded tree — a sequence of `{shape, data}` whose scalars fill
+/// their shape — without copying a scalar. Each tensor's `data` must be
+/// its one body array, the only layout a journal writes.
+fn stored_tensors(
+    global: &serde::Value,
+    arrays: Vec<Range<usize>>,
+) -> Result<Vec<(Shape, Range<usize>)>, DeError> {
+    let serde::Value::Seq(items) = global else {
+        return Err(DeError::new("a snapshot is not an array of tensors"));
+    };
+    let not_stored = || DeError::new("a snapshot tensor's data is not one body array");
+    if items.len() != arrays.len() {
+        return Err(not_stored());
+    }
+    (items.iter().zip(arrays))
+        .map(|(item, span)| {
+            let shape = Shape::from_value(item.field("Tensor", "shape")?)?;
+            if !matches!(item.field("Tensor", "data")?, serde::Value::F32s(_)) {
+                return Err(not_stored());
+            }
+            let len = span.len() / 4;
+            let fits = (shape.dims().iter()).try_fold(1usize, |n, &d| n.checked_mul(d));
+            if fits != Some(len) {
+                return Err(DeError::new(format!(
+                    "buffer of {len} elements does not fit shape {shape}"
+                )));
+            }
+            Ok((shape, span))
+        })
+        .collect()
 }
 
 /// Why a journal file failed to load or replay.
@@ -449,7 +571,7 @@ fn io_err(e: StorageError) -> JournalError {
 /// True when two snapshots are the same bits: same shapes, same
 /// `to_bits` per scalar. (`f32` equality would take `-0.0` for `0.0` and
 /// a NaN for no NaN, so a back-reference could restore another model.)
-fn same_snapshot(a: &[Tensor], b: &[Tensor]) -> bool {
+pub(crate) fn same_snapshot(a: &[Tensor], b: &[Tensor]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {
             x.shape() == y.shape()
@@ -555,6 +677,137 @@ fn encode_commit<'a>(
         digests.push(digest);
     }
     Ok((frame::seal(&body)?, digests))
+}
+
+/// What a record frame holds in its snapshot's place (see
+/// [`JOURNAL_VERSION`]).
+enum Held {
+    /// The snapshot itself, checked and not yet decoded.
+    Inline(Snapshot),
+    /// A back-reference to the segment's last stored snapshot.
+    Reference,
+    /// A derived record's digest.
+    Digest(u32),
+}
+
+/// One CRC-verified commit frame of a segment: `body` is the frame's
+/// payload, starting 8 bytes past `offset` in the segment's `bytes`.
+struct Commit<'a> {
+    seg: &'a Path,
+    bytes: &'a Arc<Vec<u8>>,
+    offset: usize,
+    body: &'a [u8],
+}
+
+impl Commit<'_> {
+    fn corrupt(&self, detail: String) -> JournalError {
+        JournalError::CorruptRecord {
+            path: self.seg.to_path_buf(),
+            offset: self.offset,
+            detail,
+        }
+    }
+
+    /// Reads the commit's records, resolving a back-referenced snapshot
+    /// to the last stored record's — which must belong to the same
+    /// segment, the one starting at `seg_start` — and taking a derived
+    /// record's digest out of its `global`.
+    fn parse(
+        &self,
+        seg_start: usize,
+        records: &mut Vec<JournalRecord>,
+        digests: &mut Vec<Option<u32>>,
+    ) -> Result<(), JournalError> {
+        let body = self.body;
+        let count =
+            read_u32(body, 0).ok_or_else(|| self.corrupt("commit body too short".into()))?;
+        let mut pos = 4usize;
+        for _ in 0..count {
+            let rec_len = read_u32(body, pos)
+                .ok_or_else(|| self.corrupt("record length overruns the commit".into()))?
+                as usize;
+            pos += 4;
+            let rec = body
+                .get(pos..pos + rec_len)
+                .ok_or_else(|| self.corrupt("record payload overruns the commit".into()))?;
+            let (mut record, held) = self.record(rec, self.offset + 8 + pos, records.len())?;
+            pos += rec_len;
+            let digest = match held {
+                Held::Inline(snapshot) => {
+                    record.global = snapshot;
+                    None
+                }
+                Held::Reference => {
+                    let prev = records.get(seg_start..).and_then(last_stored);
+                    let prev = prev
+                        .ok_or_else(|| self.corrupt("a back-reference opens its segment".into()))?;
+                    record.global = prev.global.clone();
+                    None
+                }
+                Held::Digest(digest) => Some(digest),
+            };
+            records.push(record);
+            digests.push(digest);
+        }
+        if pos != body.len() {
+            return Err(self.corrupt(format!(
+                "{} stray byte(s) inside the commit body",
+                body.len() - pos
+            )));
+        }
+        Ok(())
+    }
+
+    /// The record frame `rec`, which starts at byte `at` of the segment:
+    /// the record with an empty `global`, and what it holds in the
+    /// snapshot's place. Everything but the snapshot's scalars is decoded
+    /// and checked; they stay in the segment, their layout checked.
+    fn record(
+        &self,
+        rec: &[u8],
+        at: usize,
+        index: usize,
+    ) -> Result<(JournalRecord, Held), JournalError> {
+        let frame::Parsed { mut value, arrays } =
+            frame::parse(rec).map_err(|e| self.corrupt(e.to_string()))?;
+        RequestJournal::check_record_state(self.seg, &value, index as u64)?;
+        // The body arrays in tree order: `global`'s are set aside with
+        // its skeleton, every other one is filled in.
+        let mut arrays = (arrays.into_iter()).map(|span| at + span.start..at + span.end);
+        let mut global = None;
+        if let serde::Value::Map(entries) = &mut value {
+            for (key, v) in entries {
+                if key == "global" && global.is_none() {
+                    let own: Vec<_> = arrays.by_ref().take(frame::arrays_in(v)).collect();
+                    global = Some((std::mem::replace(v, serde::Value::Seq(Vec::new())), own));
+                } else {
+                    frame::fill(v, self.bytes, &mut arrays);
+                }
+            }
+        }
+        let malformed = |e: DeError| self.corrupt(format!("malformed record: {e}"));
+        let record = JournalRecord::from_value(&value).map_err(malformed)?;
+        // `from_value` has refused a record without one.
+        let (global, own) = global.unwrap_or((serde::Value::Null, Vec::new()));
+        let held = match (&global, stored_digest(&global)) {
+            (serde::Value::Null, _) => Held::Reference,
+            (_, Some(digest)) => Held::Digest(digest),
+            (_, None) => {
+                let tensors = stored_tensors(&global, own).map_err(malformed)?;
+                Held::Inline(Snapshot::stored(Arc::clone(self.bytes), tensors))
+            }
+        };
+        let derived = matches!(held, Held::Digest(_));
+        if record.state.is_derived() != derived {
+            let holds = if derived { "a digest" } else { "a model" };
+            return Err(self.corrupt(format!(
+                "{} record {} holds {holds}, which journal version {JOURNAL_VERSION} \
+                 never writes",
+                record.state, record.seq
+            )));
+        }
+        Ok((record, held))
+    }
 }
 
 impl RequestJournal {
@@ -702,7 +955,7 @@ impl RequestJournal {
         let mut tail_len = 0usize;
         let mut tail_start = 0usize;
         for (i, (index, seg)) in segments.iter().enumerate() {
-            let bytes = vfs.read(seg).map_err(io_err)?;
+            let bytes = Arc::new(vfs.read(seg).map_err(io_err)?);
             let is_last = i + 1 == segments.len();
             tail_start = records.len();
             let scan = Self::parse_segment(seg, &bytes, is_last, &mut records, &mut digests)?;
@@ -748,7 +1001,7 @@ impl RequestJournal {
     /// ([`JournalError::CorruptRecord`]).
     fn parse_segment(
         seg: &Path,
-        bytes: &[u8],
+        bytes: &Arc<Vec<u8>>,
         is_last: bool,
         records: &mut Vec<JournalRecord>,
         digests: &mut Vec<Option<u32>>,
@@ -760,103 +1013,37 @@ impl RequestJournal {
         };
         let seg_start = records.len();
         let mut offset = 0usize;
-        while offset < bytes.len() {
-            let remaining = bytes.len() - offset;
-            let body = match frame::unseal(&bytes[offset..]) {
+        while let Some(rest) = bytes.get(offset..).filter(|rest| !rest.is_empty()) {
+            let body = match frame::unseal(rest) {
                 Ok(body) => body,
                 // Damage reaching the very end of the journal is the torn
                 // tail a crash mid-append leaves: a frame that runs past
                 // the end of the file, or a whole final frame with a bad
                 // CRC (a torn body whose header landed first — give the
                 // crash the benefit of the doubt there).
-                Err(torn) if is_last && torn.span == remaining => {
+                Err(torn) if is_last && torn.span == rest.len() => {
                     return Ok(SegmentScan {
                         valid_len: offset,
-                        trailing: remaining,
+                        trailing: rest.len(),
                     });
                 }
                 // Anywhere else valid frames follow, so it can only be
                 // in-place corruption.
                 Err(damage) => return Err(corrupt(offset, damage.detail)),
             };
-            Self::parse_commit_body(seg, offset, body, seg_start, records, digests)?;
+            let commit = Commit {
+                seg,
+                bytes,
+                offset,
+                body,
+            };
+            commit.parse(seg_start, records, digests)?;
             offset += 8 + body.len();
         }
         Ok(SegmentScan {
             valid_len: offset,
             trailing: 0,
         })
-    }
-
-    /// Decodes the records of one CRC-verified commit body, resolving a
-    /// back-referenced snapshot to the last stored record's — which must
-    /// belong to the same segment, the one starting at `seg_start` — and
-    /// taking a derived record's digest out of its `global`.
-    fn parse_commit_body(
-        seg: &Path,
-        offset: usize,
-        body: &[u8],
-        seg_start: usize,
-        records: &mut Vec<JournalRecord>,
-        digests: &mut Vec<Option<u32>>,
-    ) -> Result<(), JournalError> {
-        let corrupt = |detail: String| JournalError::CorruptRecord {
-            path: seg.to_path_buf(),
-            offset,
-            detail,
-        };
-        let count = read_u32(body, 0).ok_or_else(|| corrupt("commit body too short".into()))?;
-        let mut pos = 4usize;
-        for _ in 0..count {
-            let rec_len = read_u32(body, pos)
-                .ok_or_else(|| corrupt("record length overruns the commit".into()))?
-                as usize;
-            pos += 4;
-            let rec = body
-                .get(pos..pos + rec_len)
-                .ok_or_else(|| corrupt("record payload overruns the commit".into()))?;
-            pos += rec_len;
-            let mut value = frame::decode(rec).map_err(|e| corrupt(e.to_string()))?;
-            Self::check_record_state(seg, &value, records.len() as u64)?;
-            let (mut reference, mut digest) = (false, None);
-            if let Some(global) = global_mut(&mut value) {
-                reference = matches!(global, serde::Value::Null);
-                digest = stored_digest(global);
-                if reference || digest.is_some() {
-                    *global = serde::Value::Seq(Vec::new());
-                }
-            }
-            let mut record = JournalRecord::from_value(&value)
-                .map_err(|e| corrupt(format!("malformed record: {e}")))?;
-            if record.state.is_derived() != digest.is_some() {
-                let holds = if digest.is_some() {
-                    "a digest"
-                } else {
-                    "a model"
-                };
-                return Err(corrupt(format!(
-                    "{} record {} holds {holds}, which journal version {JOURNAL_VERSION} \
-                     never writes",
-                    record.state, record.seq
-                )));
-            }
-            if reference {
-                let prev = records.get(seg_start..).and_then(last_stored);
-                record.global = prev
-                    .ok_or_else(|| corrupt("a back-reference opens its segment".into()))?
-                    .global
-                    .clone();
-            }
-            records.push(record);
-            digests.push(digest);
-        }
-        if pos != body.len() {
-            return Err(corrupt(format!(
-                "{} stray byte(s) inside the commit body",
-                body.len() - pos
-            )));
-        }
-        Ok(())
     }
 
     /// Forward-compat guard for one record value: reject a `state` tag
@@ -975,7 +1162,7 @@ impl RequestJournal {
     ) {
         for (mut record, digest) in records.into_iter().zip(digests) {
             if digest.is_some() {
-                record.global = Vec::new();
+                record.global = Snapshot::default();
             }
             self.records.push(record);
             self.digests.push(digest);
@@ -1049,6 +1236,86 @@ impl RequestJournal {
     }
 }
 
+/// Every record's snapshot in the journal at `path` as a reader that
+/// decodes everything up front would have it: each record frame decoded
+/// whole ([`frame::decode`]), a back-reference resolved to a copy of the
+/// last stored snapshot in its segment, a derived record's empty. It
+/// checks nothing beyond what decoding needs and stops at the first frame
+/// that does not unseal. The oracle lazily decoded [`Snapshot`]s are
+/// tested against, record by record; [`check_lazy_snapshots`] runs it.
+///
+/// # Errors
+///
+/// A segment that does not read, or a record that does not decode.
+#[doc(hidden)]
+pub fn eager_snapshots(vfs: &dyn Vfs, path: &Path) -> Result<Vec<Vec<Tensor>>, String> {
+    let mut out = Vec::new();
+    for (_, seg) in RequestJournal::segment_files(vfs, path).map_err(|e| e.to_string())? {
+        let bytes = vfs.read(&seg).map_err(|e| e.to_string())?;
+        let mut last_stored = Vec::new();
+        let mut at = 0;
+        while let Some(Ok(body)) = bytes.get(at..).filter(|b| !b.is_empty()).map(frame::unseal) {
+            at += 8 + body.len();
+            let mut pos = 4;
+            for _ in 0..read_u32(body, 0).unwrap_or(0) {
+                let len = read_u32(body, pos).unwrap_or(0) as usize;
+                let rec = body.get(pos + 4..pos + 4 + len).unwrap_or_default();
+                pos += 4 + len;
+                let value = frame::decode(rec).map_err(|e| e.to_string())?;
+                let snapshot = match value.get("global") {
+                    Some(serde::Value::Null) => last_stored.clone(),
+                    Some(global) if stored_digest(global).is_some() => Vec::new(),
+                    Some(global) => {
+                        let stored =
+                            Vec::<Tensor>::from_value(global).map_err(|e| e.to_string())?;
+                        last_stored = stored.clone();
+                        stored
+                    }
+                    None => return Err(format!("a record in {} has no global", seg.display())),
+                };
+                out.push(snapshot);
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Opens the journal at `path` as it lies ([`RequestJournal::open_strict_on`])
+/// and checks that the open decoded no snapshot, and that each record's,
+/// once read, is bit for bit the one [`eager_snapshots`] decodes from the
+/// same bytes. Returns how many records it compared. What the test
+/// suites run over every journal they write.
+///
+/// # Errors
+///
+/// The first record whose snapshot differs, or a journal that does not
+/// open.
+#[doc(hidden)]
+pub fn check_lazy_snapshots(vfs: Arc<dyn Vfs>, path: &Path) -> Result<usize, String> {
+    let eager = eager_snapshots(&*vfs, path)?;
+    let journal = RequestJournal::open_strict_on(vfs, path).map_err(|e| e.to_string())?;
+    let records = journal.records();
+    if let Some(i) = records
+        .iter()
+        .position(|r| r.global.is_decoded() && !r.global.is_empty())
+    {
+        return Err(format!("record {i}'s snapshot was decoded at open"));
+    }
+    if records.len() != eager.len() {
+        return Err(format!(
+            "{} records open, {} decode eagerly",
+            records.len(),
+            eager.len()
+        ));
+    }
+    match (records.iter().zip(&eager)).position(|(r, e)| !same_snapshot(&r.global, e)) {
+        Some(i) => Err(format!(
+            "record {i}'s snapshot differs from its eager decode"
+        )),
+        None => Ok(records.len()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1061,7 +1328,7 @@ mod tests {
             request: UnlearnRequest::Class(2),
             state: RequestState::Received,
             rng: Rng::seed_from(1).state(),
-            global: Vec::new(),
+            global: Snapshot::default(),
             guard: None,
             batch: None,
             reason: None,
@@ -1073,7 +1340,8 @@ mod tests {
         bytes.extend(encode(&[rec(2)]));
         let parse = |bytes: &[u8], is_last| {
             let mut records = Vec::new();
-            RequestJournal::parse_segment(seg, bytes, is_last, &mut records, &mut Vec::new())
+            let bytes = Arc::new(bytes.to_vec());
+            RequestJournal::parse_segment(seg, &bytes, is_last, &mut records, &mut Vec::new())
                 .map(|scan| (scan, records))
         };
 

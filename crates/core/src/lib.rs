@@ -68,8 +68,9 @@ pub mod vfs;
 pub use checkpoint::{Checkpoint, CheckpointError, MidPhase, CHECKPOINT_VERSION};
 pub use config::QuickDropConfig;
 pub use journal::{
-    segment_path, BatchId, FailReason, JournalError, JournalRecord, RequestJournal, RequestState,
-    TailRepair, JOURNAL_MAGIC, JOURNAL_VERSION,
+    check_lazy_snapshots, eager_snapshots, segment_path, BatchId, FailReason, JournalError,
+    JournalRecord, RequestJournal, RequestState, Snapshot, TailRepair, JOURNAL_MAGIC,
+    JOURNAL_VERSION,
 };
 pub use lifecycle::{
     units, BatchOutcome, BatchPreempt, JournaledRun, ReplayMismatch, ServeError, ShapeError, Unit,

@@ -54,7 +54,7 @@
 //! journal-derived state. Unjournaled: [`qd_unlearn::UnlearningMethod::unlearn`]
 //! and [`QuickDrop::unlearn_guarded`], and [`QuickDrop::probe_unit`],
 //! which is the same call rolled back. A journaled deployment is opened
-//! by [`QuickDrop::open_deployment`].
+//! by [`Checkpoint::load_with_fallback_on`] and [`Checkpoint::open_on`].
 
 use crate::journal::{
     snapshot_digest, BatchId, FailReason, JournalError, JournalRecord, MarkEffect, RequestJournal,
@@ -62,7 +62,7 @@ use crate::journal::{
 };
 use crate::system::validated;
 use crate::vfs::Vfs;
-use crate::{Checkpoint, CheckpointError, QuickDrop};
+use crate::{Checkpoint, QuickDrop};
 use qd_fed::{Federation, PhaseStats};
 use qd_nn::{relative_drift, Module};
 use qd_tensor::rng::{Rng, RngState};
@@ -499,7 +499,7 @@ fn certify(
         request,
         state,
         rng: rng.state(),
-        global: fed.global().to_vec(),
+        global: fed.global().to_vec().into(),
         guard,
         batch,
         reason: None,
@@ -636,7 +636,7 @@ impl QuickDrop {
             .collect::<Vec<_>>()
             .into_iter();
         let batch = tail.batch;
-        let (reference, unit_rng) = (tail.received.global.clone(), tail.received.rng.clone());
+        let (reference, unit_rng) = (tail.received.global.to_vec(), tail.received.rng.clone());
         let preempt_at = match preempt_at {
             // Rule 2 of the module docs: an unbatched unit is its one
             // member, so any count names its UNLEARNED record.
@@ -974,8 +974,9 @@ impl QuickDrop {
     /// `None` when the journal was empty or already fully served.
     ///
     /// This is the single-request CLI's resume: `quickdrop-cli unlearn`
-    /// and `relearn --journal` call it right after
-    /// [`QuickDrop::open_deployment`], before serving the new request.
+    /// and `relearn --journal` call it right after opening the
+    /// deployment ([`Checkpoint::open_on`]), before serving the new
+    /// request.
     /// A service run never needs it — the qd-serve executor finishes an
     /// in-flight service unit itself, under the policy it started
     /// under. Calling it first with that same policy is harmless (the
@@ -1175,45 +1176,9 @@ impl QuickDrop {
             last => last,
         };
         if let Some(boundary) = boundary {
-            fed.set_global(boundary.global.clone());
+            fed.set_global(boundary.global.to_vec());
             *rng = Rng::from_state(&boundary.rng);
         }
-    }
-
-    /// Opens a journaled deployment for serving — the one way in for
-    /// `quickdrop-cli serve`, `unlearn`/`relearn --journal` and the
-    /// `qd-chaos` harness: the checkpoint at `checkpoint` (falling back
-    /// to its `.prev` generation, see
-    /// [`Checkpoint::load_with_fallback_on`]), opened by
-    /// [`Checkpoint::open_on`]. On fallback the primary's error rides
-    /// along so the caller can report it; nothing journaled is lost,
-    /// because whoever serves next — [`QuickDrop::resume_requests`] or
-    /// the service executor — first restores model, RNG and marks from
-    /// the journal tail. Without a journal nothing rolls `.prev`
-    /// forward, which is why the non-journaled CLI modes load strictly.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] when neither checkpoint generation loads, plus
-    /// everything [`Checkpoint::open_on`] returns.
-    #[allow(clippy::type_complexity)]
-    pub fn open_deployment(
-        vfs: Arc<dyn Vfs>,
-        checkpoint: &Path,
-        journal: &Path,
-        model: Arc<dyn Module>,
-    ) -> Result<
-        (
-            QuickDrop,
-            Federation,
-            RequestJournal,
-            Option<CheckpointError>,
-        ),
-        ServeError,
-    > {
-        let (ckpt, fell_back) = Checkpoint::load_with_fallback_on(&*vfs, checkpoint)?;
-        let (qd, fed, journal) = ckpt.open_on(vfs, journal, model)?;
-        Ok((qd, fed, journal, fell_back))
     }
 }
 
@@ -1222,9 +1187,16 @@ impl Checkpoint {
     /// for journaled serving: [`Checkpoint::restore`], the
     /// [`QuickDrop::serving_federation`] over `model`, then the request
     /// journal at `journal` on `vfs` — the journal open is the only
-    /// storage access. [`QuickDrop::open_deployment`] is this after a
-    /// load; the `qd-chaos` harness calls it directly on a fresh deploy,
-    /// whose checkpoint it has just written.
+    /// storage access. A journaled deployment is opened as
+    /// [`Checkpoint::load_with_fallback_on`] (the primary, else `.prev`)
+    /// and then this: by `quickdrop-cli serve` and `unlearn`/`relearn
+    /// --journal`, which check `--dataset` against the loaded checkpoint
+    /// in between (and `serve` keeps it, to tell an unchanged deployment
+    /// from a served one), and by the `qd-chaos` harness, which on a fresh
+    /// deploy calls this on the checkpoint it has just written. On a
+    /// fallback nothing journaled is lost: whoever serves next —
+    /// [`QuickDrop::resume_requests`] or the service executor — first
+    /// restores model, RNG and marks from the journal tail.
     ///
     /// # Errors
     ///
@@ -1255,7 +1227,7 @@ mod tests {
             request: UnlearnRequest::Class(seq as usize),
             state,
             rng: Rng::seed_from(seq).state(),
-            global: Vec::new(),
+            global: Default::default(),
             guard: None,
             batch: batch.map(BatchId),
             reason: match state {

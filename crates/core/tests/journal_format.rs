@@ -59,7 +59,7 @@ fn record(seq: u64, state: RequestState, batch: Option<BatchId>) -> JournalRecor
         request,
         state,
         rng: Rng::seed_from(seq * 31 + 7).state(),
-        global: vec![Tensor::from_vec(vec![seq as f32 * 0.5, -1.25, 3.0], &[3])],
+        global: vec![Tensor::from_vec(vec![seq as f32 * 0.5, -1.25, 3.0], &[3])].into(),
         guard: (state != RequestState::Received).then_some(GuardStats {
             steps: 1,
             rollbacks: 0,
@@ -114,23 +114,23 @@ fn expected_v6() -> Vec<Vec<JournalRecord>> {
             ..record(2, RequestState::Quarantined, batch)
         }],
         vec![JournalRecord {
-            global: diverged(salt()),
+            global: diverged(salt()).into(),
             ..record(3, RequestState::Received, None)
         }],
         vec![JournalRecord {
-            global: diverged(renan),
+            global: diverged(renan).into(),
             ..record(3, RequestState::Unlearned, None)
         }],
         vec![JournalRecord {
-            global: diverged(renan),
+            global: diverged(renan).into(),
             ..record(3, RequestState::Recovered, None)
         }],
         vec![JournalRecord {
-            global: diverged([1.0, -0.0, inf, tiny]),
+            global: diverged([1.0, -0.0, inf, tiny]).into(),
             ..record(3, RequestState::Relearned, None)
         }],
         vec![JournalRecord {
-            global: diverged([1.0, 0.0, inf, tiny]),
+            global: diverged([1.0, 0.0, inf, tiny]).into(),
             ..record(4, RequestState::Received, None)
         }],
     ]
@@ -142,7 +142,7 @@ fn as_read(records: &[JournalRecord]) -> Vec<JournalRecord> {
     (records.iter())
         .map(|r| JournalRecord {
             global: if r.state.is_derived() {
-                Vec::new()
+                Default::default()
             } else {
                 r.global.clone()
             },
@@ -390,6 +390,15 @@ fn open(fs: &Arc<FaultFs>, path: &Path) -> Result<RequestJournal, JournalError> 
     RequestJournal::open_on(Arc::clone(fs) as Arc<dyn Vfs>, path)
 }
 
+/// The differential every journal this suite writes goes through: opened
+/// as it lies, no snapshot is decoded, and each one read afterwards is
+/// bit for bit the eager decode of the same bytes, record by record.
+/// Returns how many records were compared.
+fn assert_lazy_matches_eager(fs: &Arc<FaultFs>, path: &Path) -> usize {
+    let vfs = Arc::clone(fs) as Arc<dyn Vfs>;
+    qd_core::check_lazy_snapshots(vfs, path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
 #[test]
 fn pinned_v6_journal_parses_bit_for_bit_and_the_writer_reproduces_it() {
     let pinned = fixture("journal_v6.bin");
@@ -404,6 +413,7 @@ fn pinned_v6_journal_parses_bit_for_bit_and_the_writer_reproduces_it() {
 
     let mut journal = open(&fs, &path).expect("pinned fixture parses");
     let flat: Vec<JournalRecord> = expected.iter().flatten().cloned().collect();
+    assert_eq!(assert_lazy_matches_eager(&fs, &path), flat.len());
     assert_same_records(&as_read(&flat), journal.records());
     for (i, r) in flat.iter().enumerate() {
         let digest = r.state.is_derived().then(|| documented_digest(&r.global));
@@ -445,6 +455,7 @@ fn pinned_v6_journal_parses_bit_for_bit_and_the_writer_reproduces_it() {
         .expect("append to the pinned journal");
     let reopened = open(&fs, &path).expect("reopen after append");
     assert_same_records(&as_read(&[flat, vec![extra]].concat()), reopened.records());
+    assert_lazy_matches_eager(&fs, &path);
 }
 
 #[test]
@@ -962,6 +973,56 @@ fn a_segment_opening_on_a_back_reference_is_a_typed_corrupt_record() {
     }
 }
 
+/// Open checks every stored snapshot's layout against its skeleton, so
+/// that decoding it on first use cannot fail: a CRC-valid commit whose
+/// snapshot's scalars do not fill the shape its skeleton gives, or whose
+/// tensor keeps its scalars in the skeleton instead of the frame's body
+/// (which no writer of version 6 does), is refused at open as typed
+/// corruption, strict or not, and nothing is written.
+#[test]
+fn a_snapshot_whose_payload_disagrees_with_its_skeleton_is_refused_at_open() {
+    let path = PathBuf::from("svc.journal");
+    let tensor = |dims: &[u64], data: Value| {
+        let shape = Value::Seq(dims.iter().map(|&d| Value::U64(d)).collect());
+        Value::Map(vec![
+            ("shape".to_string(), shape),
+            ("data".to_string(), data),
+        ])
+    };
+    let in_skeleton = Value::Seq(vec![Value::F64(1.0), Value::F64(2.0)]);
+    for (global, needle) in [
+        (
+            tensor(&[3], Value::F32s(vec![1.0, 2.0])),
+            "buffer of 2 elements does not fit shape [3]",
+        ),
+        (
+            tensor(&[2, 2], Value::F32s(vec![1.0; 5])),
+            "buffer of 5 elements does not fit shape [2, 2]",
+        ),
+        (tensor(&[2], in_skeleton), "not one body array"),
+    ] {
+        let commit = crafted_commit(9, "global", Value::Seq(vec![global]));
+        let fs = fs_with(&path, JOURNAL_MAGIC.to_vec());
+        fs.write(&qd_core::segment_path(&path, 0), &commit)
+            .expect("plant the commit");
+        let before = fs.files();
+        for strict in [false, true] {
+            let vfs = Arc::clone(&fs) as Arc<dyn Vfs>;
+            let err = if strict {
+                RequestJournal::open_strict_on(vfs, &path)
+            } else {
+                RequestJournal::open_on(vfs, &path)
+            }
+            .expect_err("the snapshot does not decode");
+            let JournalError::CorruptRecord { ref detail, .. } = err else {
+                panic!("expected CorruptRecord, got {err:?}");
+            };
+            assert!(detail.contains(needle), "{detail}");
+        }
+        assert_eq!(fs.files(), before, "the refusal wrote nothing");
+    }
+}
+
 /// Journal v6's cost of an unlearn, on the lifecycle's own writes: after
 /// a served history, a request served alone and a coalesced unit of three
 /// each add exactly one inline snapshot — the RECOVERED model; the
@@ -1019,6 +1080,7 @@ fn an_unlearn_stores_one_snapshot_in_at_most_25_kb() {
             added.len()
         );
     }
+    assert_eq!(assert_lazy_matches_eager(&fs, &path), 15);
 }
 
 #[test]
@@ -1041,7 +1103,7 @@ fn appends_cost_constant_ops_and_bytes_regardless_of_journal_length() {
         journal
             .append(JournalRecord {
                 seq,
-                global: vec![Tensor::from_vec(vec![model; 64], &[64])],
+                global: vec![Tensor::from_vec(vec![model; 64], &[64])].into(),
                 ..base.clone()
             })
             .expect("append");
@@ -1196,7 +1258,7 @@ fn big_record(seq: u64, batch: Option<BatchId>) -> JournalRecord {
         request: UnlearnRequest::Class(seq as usize % 10),
         state: RequestState::Received,
         rng: Rng::seed_from(seq * 31 + 7).state(),
-        global: vec![Tensor::from_vec(data, &[LEN])],
+        global: vec![Tensor::from_vec(data, &[LEN])].into(),
         guard: None,
         batch,
         reason: None,
@@ -1432,11 +1494,11 @@ fn append_drawn(fs: &Arc<FaultFs>, path: &Path, commits: &[Vec<Step>]) -> Vec<Jo
                 let seq = appended.len() as u64;
                 match *step {
                     Step::Derive(k) => JournalRecord {
-                        global: drawn_model(k, 4),
+                        global: drawn_model(k, 4).into(),
                         ..record(seq, RequestState::Unlearned, None)
                     },
                     _ => JournalRecord {
-                        global: model.clone(),
+                        global: model.clone().into(),
                         ..record(seq, RequestState::Received, None)
                     },
                 }
@@ -1469,6 +1531,7 @@ mod oracle {
             let path = PathBuf::from("svc.journal");
             let fs = Arc::new(FaultFs::new());
             let appended = append_drawn(&fs, &path, &steps(&codes));
+            prop_assert_eq!(assert_lazy_matches_eager(&fs, &path), appended.len());
             let reopened = open(&fs, &path).expect("reopen");
             assert_same_records(&as_read(&appended), reopened.records());
             for (i, r) in appended.iter().enumerate() {
@@ -1532,6 +1595,7 @@ mod oracle {
                 prop_assert!(fs.truncate(&seg, cut));
                 let journal = open(&fs, &path).expect("a torn tail repairs");
                 assert_same_records(&as_read(&appended[..committed]), journal.records());
+                prop_assert_eq!(assert_lazy_matches_eager(&fs, &path), committed);
                 prop_assert_eq!(journal.repairs().len(), usize::from(cut > start));
                 if cut == (start + end) / 2 {
                     let mut journal = journal;

@@ -11,6 +11,7 @@
 //! simulated bandwidth costs track exactly what the codec emits.
 
 use qd_tensor::Tensor;
+use std::ops::Range;
 
 /// Leading magic bytes of every frame.
 const MAGIC: [u8; 4] = *b"QDNP";
@@ -77,14 +78,29 @@ impl Payload {
     ///
     /// # Errors
     ///
+    /// As [`Payload::layout`].
+    pub fn decode(&self) -> Result<Vec<Tensor>, PayloadError> {
+        let layout = Self::layout(&self.bytes)?;
+        Ok((layout.into_iter())
+            .map(|(dims, span)| {
+                let data = self.bytes.get(span).unwrap_or_default();
+                Tensor::from_vec(Self::scalars(data), &dims)
+            })
+            .collect())
+    }
+
+    /// Checks the frame `bytes` as [`Payload::decode`] does, without
+    /// copying an element: per tensor, its dims and the byte range of its
+    /// raw little-endian elements in `bytes`.
+    ///
+    /// # Errors
+    ///
     /// Returns [`PayloadError`] on bad magic, unknown version, a format
     /// byte other than `0`, truncation, or a shape/element-count
     /// mismatch.
-    pub fn decode(&self) -> Result<Vec<Tensor>, PayloadError> {
-        let mut r = Reader {
-            bytes: &self.bytes,
-            pos: 0,
-        };
+    #[allow(clippy::type_complexity)]
+    pub fn layout(bytes: &[u8]) -> Result<Vec<(Vec<usize>, Range<usize>)>, PayloadError> {
+        let mut r = Reader { bytes, pos: 0 };
         if r.take(4)? != MAGIC {
             return Err(PayloadError::new("bad magic"));
         }
@@ -102,7 +118,7 @@ impl Payload {
         // Lengths come off the wire (or the disk): nothing is allocated
         // for one until the bytes that would fill it are known to exist.
         // Every tensor record is at least its 4-byte rank.
-        if count > self.bytes.len().saturating_sub(r.pos) / 4 {
+        if count > bytes.len().saturating_sub(r.pos) / 4 {
             return Err(PayloadError::new("truncated frame"));
         }
         let mut tensors = Vec::with_capacity(count);
@@ -126,17 +142,25 @@ impl Payload {
             let raw = len
                 .checked_mul(4)
                 .ok_or_else(|| PayloadError::new("implausible shape"))?;
-            let (words, _) = r.take(raw)?.as_chunks::<4>();
-            let data = words.iter().map(|w| f32::from_le_bytes(*w)).collect();
-            tensors.push(Tensor::from_vec(data, &dims));
+            let start = r.pos;
+            r.take(raw)?;
+            tensors.push((dims, start..r.pos));
         }
-        if r.pos != self.bytes.len() {
+        if r.pos != bytes.len() {
             return Err(PayloadError::new(format!(
                 "{} trailing bytes",
-                self.bytes.len() - r.pos
+                bytes.len() - r.pos
             )));
         }
         Ok(tensors)
+    }
+
+    /// The little-endian `f32`s in `raw`, in order (a trailing partial
+    /// word is ignored): a tensor's elements from the range
+    /// [`Payload::layout`] gives for them.
+    pub fn scalars(raw: &[u8]) -> Vec<f32> {
+        let (words, _) = raw.as_chunks::<4>();
+        words.iter().map(|w| f32::from_le_bytes(*w)).collect()
     }
 
     /// Size on the wire in bytes.

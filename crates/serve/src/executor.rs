@@ -441,7 +441,7 @@ fn serve_unit(
             (0..=iso.unit_retries)
                 .map(|rung| ladder_policy(base, rung))
                 .find(|rung_policy| {
-                    fed.set_global(pre_global.clone());
+                    fed.set_global(pre_global.to_vec());
                     qd.probe_unit(fed, sub, rung_policy, &probe_rng)
                 })
         };
@@ -610,7 +610,8 @@ pub fn frontier_summary(
 /// miscounted.
 ///
 /// Crash recovery contract: after a kill, reopen the checkpoint and
-/// journal (`QuickDrop::open_deployment`) and call this again with the
+/// journal (`Checkpoint::load_with_fallback_on`, then
+/// `Checkpoint::open_on`) and call this again with the
 /// same config — it restores the tail ([`QuickDrop::restore_tail`]),
 /// re-derives the breaker fold from the journal, finishes the unit the
 /// kill left in flight under the policy it started under (the base
@@ -750,7 +751,7 @@ mod tests {
             request,
             state,
             rng: Rng::seed_from(1).state(),
-            global: Vec::new(),
+            global: Default::default(),
             guard: None,
             batch: Some(qd_core::BatchId(0)),
             reason: None,

@@ -238,6 +238,8 @@ fn unfailed(seed: &PoisonSeed, paths: &Paths, iso: &IsolationConfig) -> Terminal
     .unwrap();
     assert!(!run.preempted);
     assert_eq!(run.resumed_units, 0);
+    let compared = qd_core::check_lazy_snapshots(Arc::new(qd_core::StdFs), &paths.journal);
+    assert_eq!(compared, Ok(journal.records().len()));
     Terminal {
         records: journal.records().to_vec(),
         stats: run.stats,
@@ -419,11 +421,24 @@ fn breaker_sheds_the_tripped_tenants_queue() {
     }
 }
 
+/// The journal on `fs`, opened as it lies: the open decodes no snapshot,
+/// and each one read afterwards is bit for bit the eager decode of the
+/// same bytes. Every state the digest table pins goes through it.
+fn assert_lazy_matches_eager(fs: &FaultFs) {
+    let journal = PathBuf::from("svc.json.journal");
+    let copy = Arc::new(FaultFs::new());
+    copy.reset_to(fs.files());
+    if copy.file(&journal).is_some() {
+        qd_core::check_lazy_snapshots(copy, &journal).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
 /// What one process of the plain service leaves behind, reduced to
 /// CRC32s: every byte on the (fault-injectable) filesystem — checkpoint,
 /// journal marker, every segment — the final model bits, and the
 /// serialized [`ServeStats`].
 fn files_digest(fs: &FaultFs) -> u32 {
+    assert_lazy_matches_eager(fs);
     let mut bytes = Vec::new();
     for (path, data) in fs.files() {
         bytes.extend_from_slice(path.to_string_lossy().as_bytes());

@@ -122,6 +122,26 @@ cargo test --offline --release -p qd-serve --test isolation_props -q
 echo "== whole-system chaos gate (release, pinned seed, 25 schedules, all invariants)"
 cargo run --offline --release -q -p qd-cli -- chaos --seed 7 --runs 25
 
+echo "== a re-served deployment is left untouched (release binary: the identical serve command line writes, renames and removes nothing)"
+# A re-invocation over a fully served history reads one snapshot and
+# finds nothing to do (DESIGN.md §5i): every file keeps its bytes and its
+# mtime, which any write or tmp + rename would move.
+noop="$(mktemp -d)"
+cli() { cargo run --offline --release -q -p qd-cli -- "$@"; }
+cli train --out "$noop/svc.json" --clients 2 --samples 120 --rounds 2 --steps 2 --scale 20 \
+    --iid --seed 3 >/dev/null
+serve_line=(serve --ckpt "$noop/svc.json" --tenants 2 --arrival-requests 3 --seed 5
+    --stats-out "$noop/svc.json.stats")
+cli "${serve_line[@]}" >/dev/null
+listing() { find "$noop" -type f -printf '%P %s %T@ ' -exec sha256sum {} \; | sort; }
+before="$(listing)"
+again="$(cli "${serve_line[@]}")"
+grep -q '^checkpoint unchanged at ' <<<"$again" \
+    || { echo "a no-op serve did not report its checkpoint unchanged: $again" >&2; exit 1; }
+[ "$(listing)" = "$before" ] \
+    || { echo "a no-op serve changed the deployment's files:" >&2; diff <(echo "$before") <(listing) >&2; exit 1; }
+rm -r "$noop"
+
 echo "== qd-perf smoke (the unmodified benchmark harness built against these crates; each replica must end on the CLI's model bits)"
 # One tolerated flake, retried: the harness reads its own CPU time from
 # /proc/self/stat in 10 ms ticks, and since PR 15 the traced smoke-scale
@@ -166,7 +186,10 @@ echo "== float-order gate + exact-count gates (traced qd-perf runs must end on t
 # 1 036 408 712 on the recording tape — and a train-distill run
 # 952 509 332, 1 643 507 152 with those nodes and 2 529 464 016 with the
 # patch matrix. The ceilings are those measured counts plus 10 %; with one
-# node per ConvNet block the two read 128 974 145 and 987 989 079.
+# node per ConvNet block the two read 128 974 145 and 987 989 079. A
+# reopen of the served history decodes one snapshot, not all of them
+# (DESIGN.md §5m): it allocates 4 702 669 bytes, and 8 393 789 when the
+# journal's open decoded every stored and back-referenced model.
 while read -r workload digest; do
     report="$(bash qd-perf/run.sh --workload "$workload" --seed 11 --trace 1 </dev/null)"
     grep -x "  model_digest $digest" <<<"$report" >/dev/null \
@@ -174,12 +197,13 @@ while read -r workload digest; do
     while read -r on metric ceiling; do
         [ "$on" = "$workload" ] || continue
         awk -v m="$metric" -v max="$ceiling" '$1 == m { seen = 1; if ($2 + 0 > max) bad = 1 } END { exit !(seen && !bad) }' <<<"$report" \
-            || { echo "qd-perf $workload (seed 11): $metric is missing or above $ceiling bytes — durable state re-inflated, steps back on the recording tape, or a step holding its layout or ReLU/pool nodes again" >&2; exit 1; }
+            || { echo "qd-perf $workload (seed 11): $metric is missing or above $ceiling bytes — durable state re-inflated, steps back on the recording tape, a step holding its layout or ReLU/pool nodes again, or a reopen decoding the whole history" >&2; exit 1; }
     done <<'BYTES'
 request-stream core.journal.bytes_per_record 296
 request-stream core.ckpt.bytes 299000
 request-stream alloc.bytes_per_op 139000000
 train-distill alloc.bytes_per_op 1048000000
+reopen-history alloc.bytes_per_op 5173000
 BYTES
 done <<'DIGESTS'
 train-distill 185d83271a152c63
