@@ -19,7 +19,7 @@
 use crate::schedule::{ChaosSchedule, FaultSpec, FrontDoor, InjectedFault, Workload};
 use qd_core::{
     units, BatchPreempt, Checkpoint, CrashPoint, FaultFs, JournalRecord, JournaledRun, QuickDrop,
-    QuickDropConfig, RequestJournal, RequestState, ServeError, Vfs,
+    QuickDropConfig, RequestJournal, RequestState, ServeError, Snapshot, Vfs,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{FaultPlan, Federation, Phase};
@@ -59,7 +59,7 @@ pub struct Terminal {
     /// Final RNG stream position.
     pub rng: RngState,
     /// Every durable journal record.
-    pub records: Vec<JournalRecord>,
+    pub records: Vec<JournalRecord<Snapshot>>,
     /// The reported SLA stats (`None` behind the per-request front
     /// door, which reports none).
     pub stats: Option<ServeStats>,

@@ -668,10 +668,14 @@ fn service(args: &Args) -> Result<String, CliError> {
     let stats = &run.stats;
     let stats_line = if args.has_option("stats-out") {
         let stats_out = args.get_str("stats-out", "");
-        if stats.save_json(Path::new(&stats_out))? {
-            format!("stats written to {stats_out}\n")
-        } else {
+        // Like the checkpoint, a file that already holds these bytes is
+        // left as it lies, mtime and all.
+        let bytes = stats.json_bytes()?;
+        if std::fs::read(&stats_out).is_ok_and(|old| old == bytes) {
             format!("stats unchanged at {stats_out}\n")
+        } else {
+            stats.save_json(Path::new(&stats_out))?;
+            format!("stats written to {stats_out}\n")
         }
     } else {
         String::new()
@@ -1166,8 +1170,8 @@ mod tests {
         let record = |i: usize| serde_json::from_str::<qd_core::JournalRecord>(lines[i]).unwrap();
         assert!(!record(3).global.is_empty());
         assert_eq!(
-            *record(3).global,
-            *record(2).global,
+            record(3).global,
+            record(2).global,
             "the back-referenced record dumps with its full parameters"
         );
 
@@ -2021,7 +2025,7 @@ mod tests {
             request: UnlearnRequest::Class(1),
             state: qd_core::RequestState::Received,
             rng: Rng::seed_from(1).state(),
-            global: Default::default(),
+            global: Vec::new(),
             guard: None,
             batch: None,
             reason: None,

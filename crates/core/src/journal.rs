@@ -238,9 +238,11 @@ impl std::fmt::Display for FailReason {
 }
 
 /// One journal entry: a request reaching `state`, with everything needed
-/// to continue from exactly this boundary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct JournalRecord {
+/// to continue from exactly this boundary. `G` holds the model: the
+/// tensors in a record being appended, a [`Snapshot`] in one the journal
+/// holds ([`RequestJournal::records`]).
+#[derive(Debug, Clone)]
+pub struct JournalRecord<G = Vec<Tensor>> {
     /// Request sequence number (shared by all records of one request).
     pub seq: u64,
     /// The request being served.
@@ -254,7 +256,7 @@ pub struct JournalRecord {
     /// only the snapshot's digest is durable ([`RequestJournal::digest`]),
     /// and the model is rebuilt by replay. On a record read from disk
     /// the tensors are decoded on first use (see [`Snapshot`]).
-    pub global: Snapshot,
+    pub global: G,
     /// Guard bookkeeping accumulated so far (`None` for unguarded
     /// serving and for RECEIVED records).
     pub guard: Option<GuardStats>,
@@ -264,6 +266,55 @@ pub struct JournalRecord {
     /// Why the request failed (`Some` only on [`RequestState::Failed`]
     /// and [`RequestState::Quarantined`] records).
     pub reason: Option<FailReason>,
+}
+
+impl<G> JournalRecord<G> {
+    /// The record with its model held as `f` makes it of this one's.
+    pub fn map_global<H>(self, f: impl FnOnce(G) -> H) -> JournalRecord<H> {
+        JournalRecord {
+            seq: self.seq,
+            request: self.request,
+            state: self.state,
+            rng: self.rng,
+            global: f(self.global),
+            guard: self.guard,
+            batch: self.batch,
+            reason: self.reason,
+        }
+    }
+}
+
+// By hand because the derive takes no generic type; the fields go in
+// declaration order, which the stored skeleton's key order is.
+impl<G: Serialize> Serialize for JournalRecord<G> {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("seq".to_string(), self.seq.to_value()),
+            ("request".to_string(), self.request.to_value()),
+            ("state".to_string(), self.state.to_value()),
+            ("rng".to_string(), self.rng.to_value()),
+            ("global".to_string(), self.global.to_value()),
+            ("guard".to_string(), self.guard.to_value()),
+            ("batch".to_string(), self.batch.to_value()),
+            ("reason".to_string(), self.reason.to_value()),
+        ])
+    }
+}
+
+impl<G: Deserialize> Deserialize for JournalRecord<G> {
+    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
+        let field = |name| v.field("JournalRecord", name);
+        Ok(JournalRecord {
+            seq: Deserialize::from_value(field("seq")?)?,
+            request: Deserialize::from_value(field("request")?)?,
+            state: Deserialize::from_value(field("state")?)?,
+            rng: Deserialize::from_value(field("rng")?)?,
+            global: Deserialize::from_value(field("global")?)?,
+            guard: Deserialize::from_value(field("guard")?)?,
+            batch: Deserialize::from_value(field("batch")?)?,
+            reason: Deserialize::from_value(field("reason")?)?,
+        })
+    }
 }
 
 /// A record's model parameters, [`JournalRecord::global`]: tensors, or
@@ -342,12 +393,6 @@ impl std::fmt::Debug for Snapshot {
 impl Serialize for Snapshot {
     fn to_value(&self) -> serde::Value {
         Tensor::seq_to_value(self)
-    }
-}
-
-impl Deserialize for Snapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
-        Vec::<Tensor>::from_value(v).map(Snapshot::from)
     }
 }
 
@@ -541,7 +586,7 @@ struct SegmentScan {
 pub struct RequestJournal {
     path: PathBuf,
     vfs: Arc<dyn Vfs>,
-    records: Vec<JournalRecord>,
+    records: Vec<JournalRecord<Snapshot>>,
     /// Per record, the digest a derived one stores in place of its
     /// snapshot (`None` for a stored snapshot).
     digests: Vec<Option<u32>>,
@@ -616,7 +661,11 @@ fn global_mut(value: &mut serde::Value) -> Option<&mut serde::Value> {
 /// A record's value tree with `global` as the segment stores it:
 /// `{"crc32": digest}` for a derived record, `null` for a
 /// back-reference, the parameters otherwise.
-fn stored_value(record: &JournalRecord, digest: Option<u32>, reference: bool) -> serde::Value {
+fn stored_value(
+    record: &JournalRecord<Snapshot>,
+    digest: Option<u32>,
+    reference: bool,
+) -> serde::Value {
     let mut value = record.to_value();
     let stored = match digest {
         Some(digest) => serde::Value::Map(vec![(
@@ -645,7 +694,7 @@ fn stored_digest(global: &serde::Value) -> Option<u32> {
 
 /// The last record in `segment` whose snapshot is stored — what a
 /// back-reference resolves to.
-fn last_stored(segment: &[JournalRecord]) -> Option<&JournalRecord> {
+fn last_stored(segment: &[JournalRecord<Snapshot>]) -> Option<&JournalRecord<Snapshot>> {
     segment.iter().rev().find(|r| !r.state.is_derived())
 }
 
@@ -656,8 +705,8 @@ fn last_stored(segment: &[JournalRecord]) -> Option<&JournalRecord> {
 /// back-reference. (A count or length past `u32` makes the body longer
 /// than `seal` accepts, so the `as` casts cannot truncate silently.)
 fn encode_commit<'a>(
-    records: &'a [JournalRecord],
-    mut prev: Option<&'a JournalRecord>,
+    records: &'a [JournalRecord<Snapshot>],
+    mut prev: Option<&'a JournalRecord<Snapshot>>,
 ) -> std::io::Result<(Vec<u8>, Vec<Option<u32>>)> {
     let mut body = (records.len() as u32).to_le_bytes().to_vec();
     let mut digests = Vec::with_capacity(records.len());
@@ -715,7 +764,7 @@ impl Commit<'_> {
     fn parse(
         &self,
         seg_start: usize,
-        records: &mut Vec<JournalRecord>,
+        records: &mut Vec<JournalRecord<Snapshot>>,
         digests: &mut Vec<Option<u32>>,
     ) -> Result<(), JournalError> {
         let body = self.body;
@@ -730,23 +779,18 @@ impl Commit<'_> {
             let rec = body
                 .get(pos..pos + rec_len)
                 .ok_or_else(|| self.corrupt("record payload overruns the commit".into()))?;
-            let (mut record, held) = self.record(rec, self.offset + 8 + pos, records.len())?;
+            let (record, held) = self.record(rec, self.offset + 8 + pos, records.len())?;
             pos += rec_len;
-            let digest = match held {
-                Held::Inline(snapshot) => {
-                    record.global = snapshot;
-                    None
-                }
+            let (global, digest) = match held {
+                Held::Inline(snapshot) => (snapshot, None),
                 Held::Reference => {
-                    let prev = records.get(seg_start..).and_then(last_stored);
-                    let prev = prev
+                    let prev = (records.get(seg_start..).and_then(last_stored))
                         .ok_or_else(|| self.corrupt("a back-reference opens its segment".into()))?;
-                    record.global = prev.global.clone();
-                    None
+                    (prev.global.clone(), None)
                 }
-                Held::Digest(digest) => Some(digest),
+                Held::Digest(digest) => (Snapshot::default(), Some(digest)),
             };
-            records.push(record);
+            records.push(record.map_global(|_| global));
             digests.push(digest);
         }
         if pos != body.len() {
@@ -1003,7 +1047,7 @@ impl RequestJournal {
         seg: &Path,
         bytes: &Arc<Vec<u8>>,
         is_last: bool,
-        records: &mut Vec<JournalRecord>,
+        records: &mut Vec<JournalRecord<Snapshot>>,
         digests: &mut Vec<Option<u32>>,
     ) -> Result<SegmentScan, JournalError> {
         let corrupt = |offset: usize, detail: String| JournalError::CorruptRecord {
@@ -1082,7 +1126,7 @@ impl RequestJournal {
     }
 
     /// All records, oldest first.
-    pub fn records(&self) -> &[JournalRecord] {
+    pub fn records(&self) -> &[JournalRecord<Snapshot>] {
         &self.records
     }
 
@@ -1102,7 +1146,7 @@ impl RequestJournal {
     }
 
     /// The most recent record.
-    pub fn last(&self) -> Option<&JournalRecord> {
+    pub fn last(&self) -> Option<&JournalRecord<Snapshot>> {
         self.records.last()
     }
 
@@ -1118,8 +1162,10 @@ impl RequestJournal {
 
     /// Appends a record durably: one framed commit appended to the tail
     /// segment and fsynced — two [`Vfs`] operations regardless of how
-    /// many records the journal already holds. A derived record is kept
-    /// as a reopen reads it: digest, empty `global`.
+    /// many records the journal already holds. The record may hold its
+    /// model as tensors or as a [`Snapshot`] (one read back from a
+    /// journal). A derived record is kept as a reopen reads it: digest,
+    /// empty `global`.
     ///
     /// # Errors
     ///
@@ -1127,10 +1173,8 @@ impl RequestJournal {
     /// is only extended once the frame is durable, and a failed append
     /// poisons the journal (the on-disk tail may be torn) so every
     /// later append fails until the journal is reopened and repaired.
-    pub fn append(&mut self, record: JournalRecord) -> std::io::Result<()> {
-        let digests = self.append_commit(std::slice::from_ref(&record))?;
-        self.push([record], digests);
-        Ok(())
+    pub fn append<G: Into<Snapshot>>(&mut self, record: JournalRecord<G>) -> std::io::Result<()> {
+        self.append_all(vec![record])
     }
 
     /// Appends several records as **one** commit frame: its CRC covers
@@ -1144,22 +1188,19 @@ impl RequestJournal {
     /// # Errors
     ///
     /// As [`RequestJournal::append`].
-    pub fn append_all(&mut self, records: Vec<JournalRecord>) -> std::io::Result<()> {
+    pub fn append_all<G: Into<Snapshot>>(
+        &mut self,
+        records: Vec<JournalRecord<G>>,
+    ) -> std::io::Result<()> {
         if records.is_empty() {
             return Ok(());
         }
+        let records: Vec<_> = (records.into_iter())
+            .map(|record| record.map_global(Into::into))
+            .collect();
         let digests = self.append_commit(&records)?;
-        self.push(records, digests);
-        Ok(())
-    }
-
-    /// Adds durable records to the in-memory list as a reopen would read
-    /// them back: a derived one with its digest and an empty `global`.
-    fn push(
-        &mut self,
-        records: impl IntoIterator<Item = JournalRecord>,
-        digests: Vec<Option<u32>>,
-    ) {
+        // Durable now: kept as a reopen reads them back, a derived one
+        // with its digest and an empty `global`.
         for (mut record, digest) in records.into_iter().zip(digests) {
             if digest.is_some() {
                 record.global = Snapshot::default();
@@ -1167,6 +1208,7 @@ impl RequestJournal {
             self.records.push(record);
             self.digests.push(digest);
         }
+        Ok(())
     }
 
     /// Lands `records` as one commit frame on the tail segment: writes
@@ -1174,7 +1216,10 @@ impl RequestJournal {
     /// at the size threshold, then encodes against the tail segment's
     /// last stored record — so a commit that opens a segment starts
     /// inline. Returns each record's digest (`Some` when derived).
-    fn append_commit(&mut self, records: &[JournalRecord]) -> std::io::Result<Vec<Option<u32>>> {
+    fn append_commit(
+        &mut self,
+        records: &[JournalRecord<Snapshot>],
+    ) -> std::io::Result<Vec<Option<u32>>> {
         if let Some(why) = &self.poisoned {
             return Err(std::io::Error::other(format!(
                 "journal {} is poisoned by an earlier append failure ({why}); \
@@ -1334,7 +1379,9 @@ mod tests {
             reason: None,
         };
         let seg = Path::new("j.seg-000000");
-        let encode = |records: &[JournalRecord]| encode_commit(records, None).expect("encodable").0;
+        let encode = |records: &[JournalRecord<Snapshot>]| {
+            encode_commit(records, None).expect("encodable").0
+        };
         let mut bytes = encode(&[rec(0), rec(1)]);
         let first_commit = bytes.len();
         bytes.extend(encode(&[rec(2)]));

@@ -58,7 +58,7 @@
 
 use crate::journal::{
     snapshot_digest, BatchId, FailReason, JournalError, JournalRecord, MarkEffect, RequestJournal,
-    RequestState,
+    RequestState, Snapshot,
 };
 use crate::system::validated;
 use crate::vfs::Vfs;
@@ -283,7 +283,7 @@ pub struct Unit<'a> {
     /// The unit's first RECEIVED record. Every record of the set pins
     /// the same pre-unit model and RNG stream — the reference every
     /// guard check, probe and resume measures against.
-    pub received: &'a JournalRecord,
+    pub received: &'a JournalRecord<Snapshot>,
     /// The members, in journal order.
     pub members: Vec<UnitMember>,
 }
@@ -389,7 +389,7 @@ impl From<ReplayMismatch> for ServeError {
 /// the journal holds for that member, with its stored `digest`: same RNG
 /// state, same guard stats, and a model with that digest.
 fn check_replay(
-    durable: &JournalRecord,
+    durable: &JournalRecord<Snapshot>,
     digest: Option<u32>,
     frame: &[JournalRecord],
 ) -> Result<(), ReplayMismatch> {
@@ -412,7 +412,7 @@ fn check_replay(
 /// # Errors
 ///
 /// [`ShapeError`] for a sequence no units could have written.
-pub fn units(records: &[JournalRecord]) -> Result<Vec<Unit<'_>>, ShapeError> {
+pub fn units(records: &[JournalRecord<Snapshot>]) -> Result<Vec<Unit<'_>>, ShapeError> {
     let mut units: Vec<Unit<'_>> = Vec::new();
     // seq → (unit, member) position. BTreeMap: iteration order in this
     // crate is lint-enforced deterministic.
@@ -499,7 +499,7 @@ fn certify(
         request,
         state,
         rng: rng.state(),
-        global: fed.global().to_vec().into(),
+        global: fed.global().to_vec(),
         guard,
         batch,
         reason: None,
@@ -1221,7 +1221,7 @@ mod tests {
 
     /// A record of `seq` (request `Class(seq)`) in `state`; `batch` as
     /// the lifecycle writes it, except that RELEARNED never carries one.
-    fn record(seq: u64, state: RequestState, batch: Option<u64>) -> JournalRecord {
+    fn record(seq: u64, state: RequestState, batch: Option<u64>) -> JournalRecord<Snapshot> {
         JournalRecord {
             seq,
             request: UnlearnRequest::Class(seq as usize),
@@ -1243,7 +1243,10 @@ mod tests {
     /// pending / unlearned counts.
     type Shape = (Option<u64>, usize, Vec<(u64, RequestState)>, usize, usize);
 
-    fn shapes(records: &[JournalRecord]) -> Result<Vec<Shape>, ShapeError> {
+    /// Records as a journal holds them.
+    type Records = Vec<JournalRecord<Snapshot>>;
+
+    fn shapes(records: &[JournalRecord<Snapshot>]) -> Result<Vec<Shape>, ShapeError> {
         let shape = |unit: &Unit<'_>| {
             let pinned = records.iter().position(|r| std::ptr::eq(r, unit.received));
             (
@@ -1259,11 +1262,11 @@ mod tests {
 
     #[test]
     fn units_folds_every_journal_the_lifecycle_writes() {
-        let alone = |states: &[RequestState]| -> Vec<JournalRecord> {
+        let alone = |states: &[RequestState]| -> Records {
             states.iter().map(|&s| record(0, s, None)).collect()
         };
         let one = |state, pending, unlearned| vec![(None, 0, vec![(0, state)], pending, unlearned)];
-        let cases: Vec<(&str, Vec<JournalRecord>, Vec<Shape>)> = vec![
+        let cases: Vec<(&str, Records, Vec<Shape>)> = vec![
             ("empty", vec![], vec![]),
             ("alone, received", alone(&[Received]), one(Received, 1, 0)),
             (

@@ -19,8 +19,8 @@
 
 use qd_core::{
     frame, storage_cause, BatchId, Checkpoint, CheckpointError, FailReason, FaultFs, JournalError,
-    JournalRecord, MidPhase, QuickDrop, QuickDropConfig, RequestJournal, RequestState, Vfs,
-    JOURNAL_MAGIC,
+    JournalRecord, MidPhase, QuickDrop, QuickDropConfig, RequestJournal, RequestState, Snapshot,
+    Vfs, JOURNAL_MAGIC,
 };
 use qd_data::{partition_iid, Dataset, SyntheticDataset};
 use qd_distill::SyntheticSet;
@@ -31,6 +31,7 @@ use qd_tensor::Tensor;
 use qd_unlearn::{GuardStats, UnlearnRequest};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -59,7 +60,7 @@ fn record(seq: u64, state: RequestState, batch: Option<BatchId>) -> JournalRecor
         request,
         state,
         rng: Rng::seed_from(seq * 31 + 7).state(),
-        global: vec![Tensor::from_vec(vec![seq as f32 * 0.5, -1.25, 3.0], &[3])].into(),
+        global: vec![Tensor::from_vec(vec![seq as f32 * 0.5, -1.25, 3.0], &[3])],
         guard: (state != RequestState::Received).then_some(GuardStats {
             steps: 1,
             rollbacks: 0,
@@ -114,23 +115,23 @@ fn expected_v6() -> Vec<Vec<JournalRecord>> {
             ..record(2, RequestState::Quarantined, batch)
         }],
         vec![JournalRecord {
-            global: diverged(salt()).into(),
+            global: diverged(salt()),
             ..record(3, RequestState::Received, None)
         }],
         vec![JournalRecord {
-            global: diverged(renan).into(),
+            global: diverged(renan),
             ..record(3, RequestState::Unlearned, None)
         }],
         vec![JournalRecord {
-            global: diverged(renan).into(),
+            global: diverged(renan),
             ..record(3, RequestState::Recovered, None)
         }],
         vec![JournalRecord {
-            global: diverged([1.0, -0.0, inf, tiny]).into(),
+            global: diverged([1.0, -0.0, inf, tiny]),
             ..record(3, RequestState::Relearned, None)
         }],
         vec![JournalRecord {
-            global: diverged([1.0, 0.0, inf, tiny]).into(),
+            global: diverged([1.0, 0.0, inf, tiny]),
             ..record(4, RequestState::Received, None)
         }],
     ]
@@ -142,7 +143,7 @@ fn as_read(records: &[JournalRecord]) -> Vec<JournalRecord> {
     (records.iter())
         .map(|r| JournalRecord {
             global: if r.state.is_derived() {
-                Default::default()
+                Vec::new()
             } else {
                 r.global.clone()
             },
@@ -365,7 +366,11 @@ fn assert_same_tensors(a: &[Tensor], b: &[Tensor]) {
     }
 }
 
-fn assert_same_records(expected: &[JournalRecord], got: &[JournalRecord]) {
+fn assert_same_records<G, H>(expected: &[JournalRecord<G>], got: &[JournalRecord<H>])
+where
+    G: Deref<Target = [Tensor]>,
+    H: Deref<Target = [Tensor]>,
+{
     assert_eq!(expected.len(), got.len(), "record count diverged");
     for (a, b) in expected.iter().zip(got) {
         assert_eq!(a.seq, b.seq);
@@ -1103,7 +1108,7 @@ fn appends_cost_constant_ops_and_bytes_regardless_of_journal_length() {
         journal
             .append(JournalRecord {
                 seq,
-                global: vec![Tensor::from_vec(vec![model; 64], &[64])].into(),
+                global: vec![Tensor::from_vec(vec![model; 64], &[64])],
                 ..base.clone()
             })
             .expect("append");
@@ -1258,7 +1263,7 @@ fn big_record(seq: u64, batch: Option<BatchId>) -> JournalRecord {
         request: UnlearnRequest::Class(seq as usize % 10),
         state: RequestState::Received,
         rng: Rng::seed_from(seq * 31 + 7).state(),
-        global: vec![Tensor::from_vec(data, &[LEN])].into(),
+        global: vec![Tensor::from_vec(data, &[LEN])],
         guard: None,
         batch,
         reason: None,
@@ -1292,7 +1297,9 @@ fn batch_frame_straddling_segment_rotation_stays_atomic_under_torn_writes() {
         seq += 1;
     }
     assert!(fs.file(&seg1).is_none(), "premature rotation");
-    let prefix = journal.records().to_vec();
+    let prefix: Vec<JournalRecord> = (journal.records().iter())
+        .map(|r| r.clone().map_global(|global| global.to_vec()))
+        .collect();
     // Distinct models keep the batch frame bigger than a segment. The
     // first member repeats segment 0's last model, and still goes inline:
     // a segment never opens on a back-reference.
@@ -1494,11 +1501,11 @@ fn append_drawn(fs: &Arc<FaultFs>, path: &Path, commits: &[Vec<Step>]) -> Vec<Jo
                 let seq = appended.len() as u64;
                 match *step {
                     Step::Derive(k) => JournalRecord {
-                        global: drawn_model(k, 4).into(),
+                        global: drawn_model(k, 4),
                         ..record(seq, RequestState::Unlearned, None)
                     },
                     _ => JournalRecord {
-                        global: model.clone().into(),
+                        global: model.clone(),
                         ..record(seq, RequestState::Received, None)
                     },
                 }
@@ -1550,7 +1557,7 @@ mod oracle {
                     .expect("plant the segment");
                 let journal = open(&single, &path).expect("a segment parses alone");
                 let records = journal.records();
-                let (derived, stored): (Vec<&JournalRecord>, Vec<_>) =
+                let (derived, stored): (Vec<&JournalRecord<Snapshot>>, Vec<_>) =
                     records.iter().partition(|r| r.state.is_derived());
                 let repeats = stored
                     .windows(2)

@@ -12,7 +12,7 @@
 use qd_core::{
     frame, segment_path, BatchId, BatchOutcome, BatchPreempt, Checkpoint, FaultFs, JournalError,
     JournalRecord, JournaledRun, QuickDrop, QuickDropConfig, ReplayMismatch, RequestJournal,
-    RequestState, ServeError, Vfs,
+    RequestState, ServeError, Snapshot, Vfs,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};
@@ -63,7 +63,7 @@ fn assert_bit_identical(a: &[Tensor], b: &[Tensor]) {
     }
 }
 
-fn assert_same_records(reference: &[JournalRecord], resumed: &[JournalRecord]) {
+fn assert_same_records(reference: &[JournalRecord<Snapshot>], resumed: &[JournalRecord<Snapshot>]) {
     assert_eq!(reference.len(), resumed.len(), "journal length diverged");
     for (a, b) in reference.iter().zip(resumed) {
         assert_eq!(a.seq, b.seq);
@@ -498,6 +498,9 @@ fn serve_rolled_back(fs: &Arc<FaultFs>, kill: Option<BatchPreempt>) -> Journaled
     run.unwrap()
 }
 
+/// A journal's records, as [`RequestJournal::records`] holds them.
+type Records = Vec<JournalRecord<Snapshot>>;
+
 /// What a restarted process holds after resuming the journal on `fs`
 /// under `policy`: the resume's verdict, the model, the RNG stream and
 /// the journal's records.
@@ -508,7 +511,7 @@ fn resume_on(
     Result<Option<MethodOutcome>, ServeError>,
     Vec<Tensor>,
     RngState,
-    Vec<JournalRecord>,
+    Records,
 ) {
     let (mut fed, mut qd, mut rng, mut journal) = deployment_on(fs);
     let resumed = qd.resume_requests(&mut fed, &mut journal, Some(policy), &mut rng);

@@ -751,7 +751,7 @@ mod tests {
             request,
             state,
             rng: Rng::seed_from(1).state(),
-            global: Default::default(),
+            global: Vec::new(),
             guard: None,
             batch: Some(qd_core::BatchId(0)),
             reason: None,

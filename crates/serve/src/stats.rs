@@ -7,7 +7,6 @@
 //! and `BENCH_serve.json` is reproducible across machines.
 
 use crate::plan::Plan;
-use qd_core::Vfs;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -158,36 +157,33 @@ impl ServeStats {
     /// Writes the stats as JSON with the workspace's crash-safe file
     /// discipline (tmp + fsync + rename, via
     /// [`qd_core::vfs::atomic_write`]): a crash mid-write leaves either
-    /// the previous file or the new one, never a torn one. A file that
-    /// already holds exactly these bytes is left as it lies, mtime and
-    /// all. Returns whether it wrote.
+    /// the previous file or the new one, never a torn one.
     ///
     /// # Errors
     ///
     /// Any I/O error from the atomic rewrite.
-    pub fn save_json(&self, path: &Path) -> std::io::Result<bool> {
-        let fs = qd_core::StdFs;
-        let bytes = self.json_bytes()?;
-        if fs.read(path).is_ok_and(|old| old == bytes) {
-            return Ok(false);
-        }
-        qd_core::vfs::atomic_write(&fs, path, &bytes)?;
-        Ok(true)
+    pub fn save_json(&self, path: &Path) -> std::io::Result<()> {
+        self.save_json_on(&qd_core::StdFs, path)
     }
 
-    /// [`ServeStats::save_json`]'s write on an explicit [`qd_core::Vfs`]
-    /// — what the fault-injection harnesses drive. It always writes.
+    /// [`ServeStats::save_json`] on an explicit [`qd_core::Vfs`] — what
+    /// the fault-injection harnesses drive.
     ///
     /// # Errors
     ///
     /// As [`ServeStats::save_json`].
-    pub fn save_json_on(&self, fs: &dyn Vfs, path: &Path) -> std::io::Result<()> {
+    pub fn save_json_on(&self, fs: &dyn qd_core::Vfs, path: &Path) -> std::io::Result<()> {
         qd_core::vfs::atomic_write(fs, path, &self.json_bytes()?)?;
         Ok(())
     }
 
-    /// The stats file's bytes: the JSON rendering and a newline.
-    fn json_bytes(&self) -> std::io::Result<Vec<u8>> {
+    /// The bytes [`ServeStats::save_json`] writes: the JSON rendering and
+    /// a newline.
+    ///
+    /// # Errors
+    ///
+    /// A value the JSON writer refuses.
+    pub fn json_bytes(&self) -> std::io::Result<Vec<u8>> {
         let mut json = serde_json::to_string(self).map_err(std::io::Error::other)?;
         json.push('\n');
         Ok(json.into_bytes())

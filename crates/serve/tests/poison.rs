@@ -25,7 +25,7 @@
 use qd_core::vfs::crc32;
 use qd_core::{
     BatchPreempt, Checkpoint, FailReason, FaultFs, JournalRecord, QuickDrop, QuickDropConfig,
-    RequestJournal, RequestState, Vfs,
+    RequestJournal, RequestState, Snapshot, Vfs,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{FaultKind, FaultPlan, Federation, Phase};
@@ -214,7 +214,7 @@ fn deploy(seed: &PoisonSeed) -> (Federation, QuickDrop, Rng) {
 }
 
 struct Terminal {
-    records: Vec<JournalRecord>,
+    records: Vec<JournalRecord<Snapshot>>,
     stats: ServeStats,
     dead_letter: Vec<UnlearnRequest>,
 }
@@ -249,7 +249,7 @@ fn unfailed(seed: &PoisonSeed, paths: &Paths, iso: &IsolationConfig) -> Terminal
 
 /// Maps each RECEIVED sequence number to the plan unit that owns it
 /// (RECEIVED frames land in plan order, member by member).
-fn seq_units(plan: &Plan, records: &[JournalRecord]) -> BTreeMap<u64, usize> {
+fn seq_units(plan: &Plan, records: &[JournalRecord<Snapshot>]) -> BTreeMap<u64, usize> {
     let mut map = BTreeMap::new();
     let (mut unit, mut member) = (0usize, 0usize);
     for r in records {

@@ -142,6 +142,12 @@ grep -q '^checkpoint unchanged at ' <<<"$again" \
     || { echo "a no-op serve changed the deployment's files:" >&2; diff <(echo "$before") <(listing) >&2; exit 1; }
 rm -r "$noop"
 
+echo "== qd-perf unit tests (the benchmark's own suite, built against these crates)"
+# qd-perf/ is frozen between benchmark PRs, so a library change that
+# breaks what its tests build (a record literal, a signature) fails here.
+# The suite's smoke test is the step below, with its retry.
+cargo test --offline -q --manifest-path qd-perf/Cargo.toml --bins
+
 echo "== qd-perf smoke (the unmodified benchmark harness built against these crates; each replica must end on the CLI's model bits)"
 # One tolerated flake, retried: the harness reads its own CPU time from
 # /proc/self/stat in 10 ms ticks, and since PR 15 the traced smoke-scale
