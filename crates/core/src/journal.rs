@@ -269,7 +269,9 @@ pub struct JournalRecord<G = Vec<Tensor>> {
 }
 
 impl<G> JournalRecord<G> {
-    /// The record with its model held as `f` makes it of this one's.
+    /// The record with `f` applied to its model: how a record changes
+    /// the way it holds it (`|g| g.to_vec()` turns a held record's
+    /// snapshot into tensors).
     pub fn map_global<H>(self, f: impl FnOnce(G) -> H) -> JournalRecord<H> {
         JournalRecord {
             seq: self.seq,
@@ -284,8 +286,9 @@ impl<G> JournalRecord<G> {
     }
 }
 
-// By hand because the derive takes no generic type; the fields go in
-// declaration order, which the stored skeleton's key order is.
+// By hand because the derive takes no generic type. The keys go in
+// declaration order, as the derive wrote them: a stored skeleton's key
+// order is part of the pinned format.
 impl<G: Serialize> Serialize for JournalRecord<G> {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![
