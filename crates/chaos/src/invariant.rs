@@ -22,12 +22,10 @@ pub struct Violation {
 /// A property of the system that every chaos run must preserve.
 pub trait Invariant {
     /// Stable kebab-case identifier (keys `chaos-repro.json` and the
-    /// README contract table).
+    /// README contract table, which states each contract).
     fn name(&self) -> &'static str;
-    /// One-sentence statement of the contract being checked.
-    fn contract(&self) -> &'static str;
-    /// Evaluates the invariant; `Some` is a violation.
-    fn check(&self, run: &RunOutcome) -> Option<Violation>;
+    /// Evaluates the invariant; `Some` is a violation's detail.
+    fn check(&self, run: &RunOutcome) -> Option<String>;
 }
 
 /// The full registry, in the order invariants are evaluated.
@@ -42,13 +40,6 @@ pub fn registry() -> Vec<Box<dyn Invariant>> {
     ]
 }
 
-fn violation(name: &str, detail: String) -> Option<Violation> {
-    Some(Violation {
-        invariant: name.to_string(),
-        detail,
-    })
-}
-
 /// Liveness: the faulted run reaches a terminal state within the
 /// schedule's resume budget.
 struct RunCompletes;
@@ -57,42 +48,30 @@ impl Invariant for RunCompletes {
     fn name(&self) -> &'static str {
         "run-completes"
     }
-    fn contract(&self) -> &'static str {
-        "a faulted run terminates within max_resumes process lifetimes"
-    }
-    fn check(&self, run: &RunOutcome) -> Option<Violation> {
-        if !run.stalled() {
-            return None;
-        }
-        violation(
-            self.name(),
+    fn check(&self, run: &RunOutcome) -> Option<String> {
+        run.stalled().then(|| {
             format!(
                 "stalled after {} lifetime(s) (max_resumes {}): {}",
                 run.attempts, run.schedule.max_resumes, run.last_error
-            ),
-        )
+            )
+        })
     }
 }
 
 /// The headline crash-recovery contract: the faulted run's terminal
 /// state is bit-for-bit the fault-free reference — model bits, RNG
 /// stream, every journal record, stats, and every surviving byte on
-/// disk.
+/// disk but the checkpoint's `.prev` generation, which must be one the
+/// reference saved and roll forward with the journal to the terminal.
 struct KillResumeEquivalence;
 
 impl Invariant for KillResumeEquivalence {
     fn name(&self) -> &'static str {
         "kill-resume-equivalence"
     }
-    fn contract(&self) -> &'static str {
-        "crash-and-resume terminates bit-for-bit identical to the unfailed run"
-    }
-    fn check(&self, run: &RunOutcome) -> Option<Violation> {
+    fn check(&self, run: &RunOutcome) -> Option<String> {
         let faulted = run.faulted.as_ref()?;
-        compare_terminals(&run.reference, faulted).map(|detail| Violation {
-            invariant: self.name().to_string(),
-            detail,
-        })
+        compare_terminals(&run.reference, faulted)
     }
 }
 
@@ -148,12 +127,26 @@ fn compare_terminals(reference: &Terminal, faulted: &Terminal) -> Option<String>
             "on-disk file set diverged: reference {ref_files:?} vs faulted {faulted_files:?}"
         ));
     }
+    // How many saves a crash history ran decides which generation ends
+    // up as `.prev`; any the reference saved is sound if it rolls forward.
+    let prev = qd_core::Checkpoint::prev_path(&crate::scenario::ckpt_path());
     for (path, bytes) in &reference.files {
-        if faulted.files.get(path).is_none_or(|b| b != bytes) {
+        if *path != prev && faulted.files.get(path).is_none_or(|b| b != bytes) {
             return Some(format!("bytes of {} diverged", path.display()));
         }
     }
-    None
+    let prev_bytes = faulted.files.get(&prev)?;
+    let prev = prev.display();
+    if !reference.saved.contains(prev_bytes) {
+        return Some(format!(
+            "{prev} holds no checkpoint generation the reference saved"
+        ));
+    }
+    let rolled = crate::scenario::roll_forward_prev(&faulted.files);
+    let rolls_forward = rolled.is_some_and(|(global, rng)| {
+        rng == faulted.rng && compare_params("", &global, &faulted.global).is_none()
+    });
+    (!rolls_forward).then(|| format!("{prev} and the journal do not roll forward to the terminal"))
 }
 
 fn compare_params(what: &str, a: &[qd_tensor::Tensor], b: &[qd_tensor::Tensor]) -> Option<String> {
@@ -186,50 +179,32 @@ impl Invariant for JournalFrontier {
     fn name(&self) -> &'static str {
         "journal-frontier"
     }
-    fn contract(&self) -> &'static str {
-        "the journal aligns with the plan; completed frontiers are internally consistent"
-    }
-    fn check(&self, run: &RunOutcome) -> Option<Violation> {
-        let terminals = [
-            ("reference", &run.reference),
-            ("faulted", run.faulted.as_ref()?),
-        ];
-        for (which, terminal) in terminals {
+    fn check(&self, run: &RunOutcome) -> Option<String> {
+        for (which, terminal) in run.terminals()? {
             let Some(frontier) = &terminal.frontier else {
                 continue;
             };
             let summary = match frontier {
                 Ok(s) => s,
-                Err(e) => {
-                    return violation(
-                        self.name(),
-                        format!("{which} journal failed plan alignment: {e}"),
-                    )
-                }
+                Err(e) => return Some(format!("{which} journal failed plan alignment: {e}")),
             };
             if summary.done != summary.units {
-                return violation(
-                    self.name(),
-                    format!(
-                        "{which} frontier incomplete: {} of {} unit(s) done on a terminal run",
-                        summary.done, summary.units
-                    ),
-                );
+                return Some(format!(
+                    "{which} frontier incomplete: {} of {} unit(s) done on a terminal run",
+                    summary.done, summary.units
+                ));
             }
             let terminal_members = summary.recovered + summary.quarantined + summary.failed;
             if terminal_members != summary.received {
-                return violation(
-                    self.name(),
-                    format!(
-                        "{which} frontier leaks members: {} RECEIVED but {} terminal \
+                return Some(format!(
+                    "{which} frontier leaks members: {} RECEIVED but {} terminal \
                          ({} recovered + {} quarantined + {} failed)",
-                        summary.received,
-                        terminal_members,
-                        summary.recovered,
-                        summary.quarantined,
-                        summary.failed
-                    ),
-                );
+                    summary.received,
+                    terminal_members,
+                    summary.recovered,
+                    summary.quarantined,
+                    summary.failed
+                ));
             }
         }
         None
@@ -243,69 +218,47 @@ impl Invariant for StatsAccounting {
     fn name(&self) -> &'static str {
         "stats-accounting"
     }
-    fn contract(&self) -> &'static str {
-        "admitted = served + quarantined + shed + pending; offered = admitted + rejected"
-    }
-    fn check(&self, run: &RunOutcome) -> Option<Violation> {
-        let terminals = [
-            ("reference", &run.reference),
-            ("faulted", run.faulted.as_ref()?),
-        ];
-        for (which, terminal) in terminals {
+    fn check(&self, run: &RunOutcome) -> Option<String> {
+        for (which, terminal) in run.terminals()? {
             // The per-request front door reports no stats.
             let Some(s) = &terminal.stats else {
                 continue;
             };
             let accounted = s.served + s.quarantined + s.shed + s.pending;
             if s.admitted != accounted {
-                return violation(
-                    self.name(),
-                    format!(
-                        "{which}: admitted {} != served {} + quarantined {} + shed {} + pending {}",
-                        s.admitted, s.served, s.quarantined, s.shed, s.pending
-                    ),
-                );
+                return Some(format!(
+                    "{which}: admitted {} != served {} + quarantined {} + shed {} + pending {}",
+                    s.admitted, s.served, s.quarantined, s.shed, s.pending
+                ));
             }
             if s.offered != s.admitted + s.rejected {
-                return violation(
-                    self.name(),
-                    format!(
-                        "{which}: offered {} != admitted {} + rejected {}",
-                        s.offered, s.admitted, s.rejected
-                    ),
-                );
+                return Some(format!(
+                    "{which}: offered {} != admitted {} + rejected {}",
+                    s.offered, s.admitted, s.rejected
+                ));
             }
             let by_tenant: u64 = s.rejected_by_tenant.iter().sum();
             if s.rejected != by_tenant {
-                return violation(
-                    self.name(),
-                    format!(
-                        "{which}: rejected {} != per-tenant sum {}",
-                        s.rejected, by_tenant
-                    ),
-                );
+                return Some(format!(
+                    "{which}: rejected {} != per-tenant sum {}",
+                    s.rejected, by_tenant
+                ));
             }
             if s.breaker.len() != s.tenants {
-                return violation(
-                    self.name(),
-                    format!(
-                        "{which}: {} breaker label(s) for {} tenant(s)",
-                        s.breaker.len(),
-                        s.tenants
-                    ),
-                );
+                return Some(format!(
+                    "{which}: {} breaker label(s) for {} tenant(s)",
+                    s.breaker.len(),
+                    s.tenants
+                ));
             }
             // Every terminal the harness builds comes from a run that
             // finished its plan: nothing may still be pending or
             // flagged partial.
             if s.pending != 0 || s.partial {
-                return violation(
-                    self.name(),
-                    format!(
-                        "{which}: terminal stats report pending {} / partial {}",
-                        s.pending, s.partial
-                    ),
-                );
+                return Some(format!(
+                    "{which}: terminal stats report pending {} / partial {}",
+                    s.pending, s.partial
+                ));
             }
         }
         None
@@ -321,31 +274,21 @@ impl Invariant for GuardMonotonicity {
     fn name(&self) -> &'static str {
         "guard-monotonicity"
     }
-    fn contract(&self) -> &'static str {
-        "journaled guard stats are internally consistent on every record"
-    }
-    fn check(&self, run: &RunOutcome) -> Option<Violation> {
-        let terminals = [
-            ("reference", &run.reference),
-            ("faulted", run.faulted.as_ref()?),
-        ];
-        for (which, terminal) in terminals {
+    fn check(&self, run: &RunOutcome) -> Option<String> {
+        for (which, terminal) in run.terminals()? {
             for record in &terminal.records {
                 if let Some(guard) = &record.guard {
                     if !guard.is_consistent() {
-                        return violation(
-                            self.name(),
-                            format!(
-                                "{which}: inconsistent guard stats at seq {} {:?}: \
+                        return Some(format!(
+                            "{which}: inconsistent guard stats at seq {} {:?}: \
                                  steps {} rollbacks {} lr_halvings {} drift {}",
-                                record.seq,
-                                record.state,
-                                guard.steps,
-                                guard.rollbacks,
-                                guard.lr_halvings,
-                                guard.final_drift
-                            ),
-                        );
+                            record.seq,
+                            record.state,
+                            guard.steps,
+                            guard.rollbacks,
+                            guard.lr_halvings,
+                            guard.final_drift
+                        ));
                     }
                 }
             }
@@ -362,21 +305,11 @@ impl Invariant for NoOrphanedTmp {
     fn name(&self) -> &'static str {
         "no-orphaned-tmp"
     }
-    fn contract(&self) -> &'static str {
-        "no .tmp files survive to the terminal state"
-    }
-    fn check(&self, run: &RunOutcome) -> Option<Violation> {
-        let terminals = [
-            ("reference", &run.reference),
-            ("faulted", run.faulted.as_ref()?),
-        ];
-        for (which, terminal) in terminals {
+    fn check(&self, run: &RunOutcome) -> Option<String> {
+        for (which, terminal) in run.terminals()? {
             for path in terminal.files.keys() {
                 if path.to_string_lossy().ends_with(".tmp") {
-                    return violation(
-                        self.name(),
-                        format!("{which}: orphaned tmp file {}", path.display()),
-                    );
+                    return Some(format!("{which}: orphaned tmp file {}", path.display()));
                 }
             }
         }

@@ -16,6 +16,7 @@
 //! journal boundary its units reach — beside the seeded sampler
 //! [`ChaosSchedule::generate`].
 
+use crate::invariant::Violation;
 use crate::schedule::{ChaosSchedule, FaultSpec, FrontDoor, InjectedFault, Workload};
 use qd_core::{
     units, BatchPreempt, Checkpoint, CrashPoint, FaultFs, JournalRecord, JournaledRun, QuickDrop,
@@ -26,14 +27,14 @@ use qd_fed::{FaultPlan, Federation, Phase};
 use qd_net::{NetConfig, SimNet};
 use qd_nn::{Mlp, Module};
 use qd_serve::{
-    build_plan, frontier_summary, run_service_isolated, ChaosKill, FrontierSummary,
-    IsolationConfig, ServeConfig, ServeStats,
+    build_plan, frontier_summary, run_service_isolated, ChaosKill, Deployment, FrontierSummary,
+    IsolationConfig, ServeConfig, ServeStats, ServiceError,
 };
 use qd_tensor::rng::{Rng, RngState};
 use qd_tensor::Tensor;
 use qd_unlearn::{GuardPolicy, MethodOutcome};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// A harness-level failure: the schedule itself is unrunnable (invalid,
@@ -60,15 +61,19 @@ pub struct Terminal {
     pub rng: RngState,
     /// Every durable journal record.
     pub records: Vec<JournalRecord<Snapshot>>,
-    /// The reported SLA stats (`None` behind the per-request front
-    /// door, which reports none).
+    /// The SLA stats the stats file holds (`None` behind the
+    /// per-request front door, which reports none).
     pub stats: Option<ServeStats>,
-    /// Journal↔plan frontier alignment, when the journal is still
-    /// alignable (`None` after a RELEARNED terminal record, which
-    /// [`qd_serve::frontier_summary`] rightly refuses).
+    /// Journal↔plan frontier alignment before the relearn (`None` when
+    /// the last lifetime opened a journal holding the RELEARNED record,
+    /// which [`qd_serve::frontier_summary`] rightly refuses).
     pub frontier: Option<Result<FrontierSummary, String>>,
     /// Every surviving on-disk file, bit for bit.
     pub files: BTreeMap<PathBuf, Vec<u8>>,
+    /// Every checkpoint generation the run's last lifetime saved, oldest
+    /// first — for the fault-free reference, one lifetime, every
+    /// generation of the run.
+    pub saved: Vec<Vec<u8>>,
 }
 
 /// What one faulted schedule execution produced — the invariant
@@ -99,6 +104,14 @@ impl RunOutcome {
         self.faulted.is_none()
     }
 
+    /// Both terminals, named, when the faulted run completed.
+    pub fn terminals(&self) -> Option<[(&'static str, &Terminal); 2]> {
+        Some([
+            ("reference", &self.reference),
+            ("faulted", self.faulted.as_ref()?),
+        ])
+    }
+
     /// Checks the full invariant registry against this outcome.
     pub fn report(&self) -> RunReport {
         let registry = crate::invariant::registry();
@@ -107,7 +120,12 @@ impl RunOutcome {
             attempts: self.attempts,
             faults_fired: self.faults_fired,
             invariants_checked: registry.len() as u64,
-            violations: registry.iter().filter_map(|i| i.check(self)).collect(),
+            violations: (registry.iter())
+                .filter_map(|i| {
+                    let invariant = i.name().to_string();
+                    i.check(self).map(|detail| Violation { invariant, detail })
+                })
+                .collect(),
         }
     }
 }
@@ -130,12 +148,10 @@ impl Death {
 impl std::fmt::Display for Death {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Death::Boundary(units) => {
-                write!(
-                    f,
-                    "preempted at journal boundary after {units} executed unit(s)"
-                )
-            }
+            Death::Boundary(n) => write!(
+                f,
+                "preempted at journal boundary after {n} executed unit(s)"
+            ),
             Death::Error(message) => f.write_str(message),
         }
     }
@@ -203,13 +219,25 @@ impl Default for Harness {
     }
 }
 
-fn ckpt_path() -> PathBuf {
+/// Where every lifetime keeps its checkpoint.
+pub(crate) fn ckpt_path() -> PathBuf {
     PathBuf::from("chaos.ckpt.json")
 }
 
-fn stats_path() -> PathBuf {
-    PathBuf::from("chaos.stats.json")
+/// The model every chaos deployment runs, on digits.
+fn model() -> Arc<dyn Module> {
+    Arc::new(Mlp::new(&[256, 16, 10]))
 }
+
+/// The deployment on `vfs`, opened as `quickdrop-cli` opens one.
+fn open_on(vfs: Arc<dyn Vfs>) -> Result<Deployment, ServiceError> {
+    let ckpt = ckpt_path();
+    let journal = RequestJournal::path_for_checkpoint(&ckpt);
+    Deployment::open(vfs, &ckpt, &journal, (1, 16, 10), model())
+}
+
+/// Where a service lifetime keeps its stats.
+const STATS: &str = "chaos.stats.json";
 
 /// The environment cache key: every knob that shapes training.
 fn env_key(w: &Workload) -> String {
@@ -373,11 +401,10 @@ impl Harness {
             return Ok(());
         }
         let mut rng = Rng::seed_from(w.train_seed);
-        let model: Arc<dyn Module> = Arc::new(Mlp::new(&[256, 16, 10]));
         let data = SyntheticDataset::Digits.generate(w.samples, &mut rng);
         let parts = partition_iid(data.len(), w.clients, &mut rng);
         let clients = parts.iter().map(|p| data.subset(p)).collect();
-        let mut fed = Federation::new(model, clients, &mut rng);
+        let mut fed = Federation::new(model(), clients, &mut rng);
         if w.byzantine_frac > 0.0 {
             // Byzantine clients run the full default fault menu during
             // training; the trained deployment must already tolerate
@@ -474,185 +501,163 @@ impl Harness {
         Ok(points.into_iter().map(single_death).collect())
     }
 
-    /// One process lifetime: deploy or recover from whatever `fs`
-    /// holds, serve the plan to completion through the workload's front
-    /// door, relearn when the workload asks for it. Any surfaced storage
-    /// error or boundary preemption is the process dying, reported as
-    /// `Err`.
+    /// One process lifetime: deploy, unless a checkpoint generation
+    /// survives on `fs`, then run the workload's `quickdrop-cli`
+    /// invocations, each a [`Deployment::open`] → serve →
+    /// [`Deployment::close`]. Behind the service door that is one `serve`;
+    /// behind the per-request door, one `unlearn --journal` per planned
+    /// unit not yet started. Either way a `relearn --journal` ends it —
+    /// finishing the unit a killed lifetime left in flight, relearning if
+    /// the workload asks — and a lifetime that finds the relearn done only
+    /// opens and closes. Any surfaced storage error or boundary preemption
+    /// is the process dying, reported as `Err`.
     fn attempt(
         &self,
         w: &Workload,
         fs: &Arc<FaultFs>,
         kill: Option<ChaosKill>,
     ) -> Result<Terminal, Death> {
-        let seed = self
-            .deploys
-            .get(&env_key(w))
-            .ok_or_else(|| Death::error("deploy cache miss"))?;
+        let seed =
+            (self.deploys.get(&env_key(w))).ok_or_else(|| Death::error("deploy cache miss"))?;
         let ckpt = ckpt_path();
-        let journal_path = RequestJournal::path_for_checkpoint(&ckpt);
-
-        // Deploy fresh or recover the durable checkpoint. The fresh
-        // path saves the checkpoint before any journal write, so a
-        // missing checkpoint implies an empty journal.
-        let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
-        let model: Arc<dyn Module> = Arc::new(Mlp::new(&[256, 16, 10]));
-        let deployment = if fs.file(&ckpt).is_none() {
-            seed.ckpt
-                .save_on(fs.as_ref(), &ckpt)
-                .map_err(Death::error)?;
-            seed.ckpt.clone()
-        } else {
-            let (loaded, _fell_back) = Checkpoint::load_with_fallback_on(fs.as_ref(), &ckpt)
-                .map_err(|e| Death::error(ServeError::from(e)))?;
-            loaded
-        };
-        let (mut qd, mut fed, mut journal) = deployment
-            .open_on(vfs, &journal_path, model)
-            .map_err(Death::error)?;
-        // The post-training stream; the journal tail, once there is
-        // one, overrides it.
-        let mut rng = Rng::from_state(&seed.rng);
-
-        if spike_active(w) {
-            fed.set_fault_plan(Some(FaultPlan::serving_spike(
-                w.train_seed,
-                w.byzantine_frac,
-                w.ascent_spike,
-            )));
+        let mut saved = Vec::new();
+        // A save rotates the primary to `.prev` before renaming the new
+        // one in, so a kill between the two leaves `.prev` alone. Looking
+        // is no `Vfs` operation: op 0 of a fresh lifetime is the deploy's
+        // tmp write, and the deploy writes before any journal record.
+        if fs.file(&ckpt).is_none() && fs.file(&Checkpoint::prev_path(&ckpt)).is_none() {
+            let deployed = seed.ckpt.save_on(fs.as_ref(), &ckpt);
+            deployed.map_err(Death::error)?;
+            saved.extend(fs.file(&ckpt));
         }
-        let cfg = serve_config(w);
+        let close = |d: &Deployment, stats: Option<(&Path, &ServeStats)>, saved: &mut Vec<_>| {
+            let closed = d.close(&ckpt, stats).map_err(Death::error)?;
+            saved.extend(fs.file(&ckpt).filter(|_| closed.ckpt_written));
+            Ok::<(), Death>(())
+        };
         let service = w.front_door == FrontDoor::Service;
 
-        let journaled = units(journal.records()).map_err(Death::error)?;
+        // A lifetime that finds the relearn durable has nothing to serve:
+        // the resume below restores the tail, and the close saves it.
+        let (mut d, mut rng) = open(w, fs, seed)?;
+        let journaled = units(d.journal.records()).map_err(Death::error)?;
         let mut members = journaled.iter().flat_map(|unit| &unit.members);
         let relearned = members.any(|m| m.state == RequestState::Relearned);
-        if relearned {
-            // A previous lifetime finished the whole lifecycle; rebuild
-            // live state from the tail and reread the persisted stats.
-            qd.restore_tail(&mut fed, &journal, &mut rng);
-            let stats = if service {
-                Some(read_stats(fs).map_err(Death::error)?)
-            } else {
-                None
-            };
-            return Ok(Terminal {
-                global: fed.global().to_vec(),
-                rng: rng.state(),
-                records: journal.records().to_vec(),
-                stats,
-                frontier: None,
-                files: fs.files(),
-            });
-        }
 
-        let stats = if service {
+        let cfg = serve_config(w);
+        let policy = Some(guard_policy());
+        if service && !relearned {
             // The executor finishes whatever unit a previous lifetime
             // left in flight, under the policy (ladder rung) it started
             // under.
-            let run = run_service_isolated(
-                &mut qd,
-                &mut fed,
-                &mut journal,
-                &cfg,
-                Some(&guard_policy()),
-                &isolation(w),
-                &mut rng,
-                kill,
-            )
-            .map_err(Death::error)?;
+            let (iso, policy) = (isolation(w), policy.as_ref());
+            let (qd, fed, journal) = (&mut d.qd, &mut d.fed, &mut d.journal);
+            let run = run_service_isolated(qd, fed, journal, &cfg, policy, &iso, &mut rng, kill);
+            let run = run.map_err(Death::error)?;
             if run.preempted {
                 return Err(Death::Boundary(run.executed_units));
             }
-            Some(run.stats)
-        } else {
-            self.serve_per_request(&cfg, &mut qd, &mut fed, &mut journal, &mut rng, kill)?;
-            None
-        };
-
-        let frontier = frontier_summary(&cfg, &journal).map_err(|e| e.to_string());
-        if let Some(stats) = &stats {
-            stats
-                .save_json_on(fs.as_ref(), &stats_path())
-                .map_err(Death::error)?;
+            close(&d, Some((Path::new(STATS), &run.stats)), &mut saved)?;
+            (d, rng) = open(w, fs, seed)?;
         }
-
-        if w.relearn {
-            let recovered = (units(journal.records()).map_err(Death::error)?.iter())
-                .flat_map(|unit| &unit.members)
-                .find(|m| m.state == RequestState::Recovered)
-                .map(|m| m.request);
-            if let Some(request) = recovered {
-                let phase = qd.config().relearn_phase;
-                qd.relearn_journaled(&mut fed, &mut journal, request, &phase, &mut rng)
-                    .map_err(Death::error)?;
-            }
-        }
-
-        Ok(Terminal {
-            global: fed.global().to_vec(),
-            rng: rng.state(),
-            records: journal.records().to_vec(),
-            stats,
-            frontier: Some(frontier),
-            files: fs.files(),
-        })
-    }
-
-    /// The per-request front door: what a sequence of `quickdrop-cli
-    /// unlearn --journal` invocations does to an open deployment, in
-    /// one lifetime. Finish the unit a previous lifetime left in flight
-    /// (restoring model, RNG and marks from the journal tail), then
-    /// serve every planned unit that has not started, each through its
-    /// own journaled call. `kill` names a plan unit whichever call
-    /// executes it.
-    fn serve_per_request(
-        &self,
-        cfg: &ServeConfig,
-        qd: &mut QuickDrop,
-        fed: &mut Federation,
-        journal: &mut RequestJournal,
-        rng: &mut Rng,
-        kill: Option<ChaosKill>,
-    ) -> Result<(), Death> {
-        let plan = build_plan(cfg).map_err(Death::error)?;
-        let policy = guard_policy();
+        // Units are served in plan order, so the journal's are the plan's
+        // leading ones: each invocation finishes the one a previous one
+        // left in flight, then serves the next, if any is left.
+        let plan = build_plan(&cfg).map_err(Death::error)?;
         let preempt_in = |unit: usize| kill.filter(|k| k.unit_index == unit).map(|k| k.boundary);
-        // Units are served in plan order, so the journal's are the
-        // plan's leading ones.
-        let started = units(journal.records()).map_err(Death::error)?.len();
-        let in_flight = started.checked_sub(1).and_then(preempt_in);
-        let resumed =
-            (self.resume)(qd, fed, journal, Some(&policy), rng, in_flight).map_err(Death::error)?;
-        let resumed = match resumed {
-            JournaledRun::Preempted { .. } => return Err(Death::Boundary(0)),
-            JournaledRun::Complete(finished) => u64::from(finished.is_some()),
-        };
-        for (index, unit) in plan.batches.iter().enumerate().skip(started) {
-            let (policy, preempt) = (Some(&policy), preempt_in(index));
+        let mut executed = 0;
+        loop {
+            let started = units(d.journal.records()).map_err(Death::error)?.len();
+            let in_flight = started.checked_sub(1).and_then(preempt_in);
+            let (qd, fed, journal) = (&mut d.qd, &mut d.fed, &mut d.journal);
+            let resumed = (self.resume)(qd, fed, journal, policy.as_ref(), &mut rng, in_flight);
+            match resumed.map_err(Death::error)? {
+                JournaledRun::Preempted { .. } => return Err(Death::Boundary(executed)),
+                JournaledRun::Complete(finished) => executed += u64::from(finished.is_some()),
+            }
+            let Some(unit) = plan.batches.get(started) else {
+                break;
+            };
+            let (policy, preempt) = (policy.as_ref(), preempt_in(started));
             let served = match unit.members.as_slice() {
                 &[alone] => qd
-                    .serve_journaled(fed, journal, alone, policy, rng, preempt)
+                    .serve_journaled(fed, journal, alone, policy, &mut rng, preempt)
                     .map(|run| run.into_complete().is_some()),
                 members => qd
-                    .serve_batch_journaled(fed, journal, members, policy, rng, preempt)
+                    .serve_batch_journaled(fed, journal, members, policy, &mut rng, preempt)
                     .map(|run| run.into_complete().is_some()),
             };
             if !served.map_err(Death::error)? {
-                return Err(Death::Boundary(resumed + (index - started) as u64));
+                return Err(Death::Boundary(executed));
             }
+            executed += 1;
+            close(&d, None, &mut saved)?;
+            (d, rng) = open(w, fs, seed)?;
         }
-        Ok(())
+
+        // The frontier is the plan's, and a RELEARNED record is none of it.
+        let frontier =
+            (!relearned).then(|| frontier_summary(&cfg, &d.journal).map_err(|e| e.to_string()));
+        let recovered = (units(d.journal.records()).map_err(Death::error)?.iter())
+            .flat_map(|unit| &unit.members)
+            .find(|m| m.state == RequestState::Recovered)
+            .map(|m| m.request);
+        if let Some(request) = recovered.filter(|_| w.relearn && !relearned) {
+            let phase = d.qd.config().relearn_phase;
+            (d.qd)
+                .relearn_journaled(&mut d.fed, &mut d.journal, request, &phase, &mut rng)
+                .map_err(Death::error)?;
+        }
+        close(&d, None, &mut saved)?;
+        Ok(Terminal {
+            global: d.fed.global().to_vec(),
+            rng: rng.state(),
+            records: d.journal.records().to_vec(),
+            stats: service
+                .then(|| read_stats(fs))
+                .transpose()
+                .map_err(Death::error)?,
+            frontier,
+            files: fs.files(),
+            saved,
+        })
     }
 }
 
+/// One invocation's open: the deployment `fs` holds, and the
+/// post-training RNG stream, which the journal tail overrides once there
+/// is one.
+fn open(w: &Workload, fs: &Arc<FaultFs>, seed: &DeploySeed) -> Result<(Deployment, Rng), Death> {
+    let mut d = open_on(Arc::clone(fs) as Arc<dyn Vfs>).map_err(Death::error)?;
+    if spike_active(w) {
+        let spike = FaultPlan::serving_spike(w.train_seed, w.byzantine_frac, w.ascent_spike);
+        d.fed.set_fault_plan(Some(spike));
+    }
+    Ok((d, Rng::from_state(&seed.rng)))
+}
+
+/// The model and RNG stream that the `.prev` generation among `files`
+/// rolls forward to with their journal: the deployment opened with the
+/// primary gone — the fallback a torn primary takes — and the journal
+/// tail restored. `None` when it does not open.
+pub(crate) fn roll_forward_prev(
+    files: &BTreeMap<PathBuf, Vec<u8>>,
+) -> Option<(Vec<Tensor>, RngState)> {
+    let fs = Arc::new(FaultFs::new());
+    fs.reset_to(files.clone());
+    fs.remove(&ckpt_path()).ok()?;
+    let mut d = open_on(fs).ok()?;
+    let mut rng = Rng::seed_from(0);
+    d.qd.restore_tail(&mut d.fed, &d.journal, &mut rng);
+    Some((d.fed.global().to_vec(), rng.state()))
+}
+
 fn read_stats(fs: &FaultFs) -> Result<ServeStats, String> {
-    let bytes = fs
-        .file(&stats_path())
-        .ok_or_else(|| "RELEARNED journal but no persisted stats".to_string())?;
-    let text = String::from_utf8(bytes).map_err(|e| e.to_string())?;
-    let value = serde_json::from_str(&text).map_err(|e| e.to_string())?;
-    serde::Deserialize::from_value(&value).map_err(|e: serde::DeError| e.to_string())
+    let text = fs
+        .file(Path::new(STATS))
+        .ok_or("a service run but no persisted stats")?;
+    let value = serde_json::from_str(&String::from_utf8_lossy(&text)).map_err(|e| e.to_string());
+    serde::Deserialize::from_value(&value?).map_err(|e: serde::DeError| e.to_string())
 }
 
 #[cfg(test)]
@@ -665,9 +670,8 @@ mod tests {
     /// record on, and `kill-resume-equivalence` says so at every
     /// enumerated journal boundary — while a kill before anything was
     /// durable, where there is nothing to resume, still passes.
-    #[test]
-    fn an_unsound_resume_is_caught_at_every_enumerated_boundary() {
-        let w = Workload {
+    fn per_request_stream() -> Workload {
+        Workload {
             train_seed: 42,
             samples: 120,
             clients: 3,
@@ -682,7 +686,12 @@ mod tests {
             breaker_cooldown: 2,
             relearn: true,
             front_door: FrontDoor::PerRequest,
-        };
+        }
+    }
+
+    #[test]
+    fn an_unsound_resume_is_caught_at_every_enumerated_boundary() {
+        let w = per_request_stream();
         let mut harness = Harness::new();
         harness.resume = |_, _, _, _, _, _| Ok(JournaledRun::Complete(Box::new(None)));
         let schedules = harness.exhaustive(&w).expect("the workload enumerates");
@@ -700,5 +709,51 @@ mod tests {
             boundaries += usize::from(at_boundary);
         }
         assert!(boundaries > 0, "the workload must reach journal boundaries");
+    }
+
+    /// The `.prev` rule's negative control: a well-formed checkpoint that
+    /// no run saved, put where the faulted run's `.prev` is, rolls forward
+    /// with the journal like any generation would, and
+    /// `kill-resume-equivalence` still refuses it.
+    #[test]
+    fn a_foreign_prev_generation_is_caught() {
+        let mut harness = Harness::new();
+        let schedules = harness
+            .exhaustive(&per_request_stream())
+            .expect("enumerates");
+        let schedule = schedules.last().expect("non-empty");
+        let mut outcome = harness.execute(schedule).expect("schedule executes");
+        assert_eq!(outcome.report().violations, []);
+
+        let fs = FaultFs::new();
+        let (path, prev) = (ckpt_path(), Checkpoint::prev_path(&ckpt_path()));
+        fs.reset_to([(path.clone(), outcome.reference.saved[0].clone())].into());
+        let (mut global, qd) = Checkpoint::load_on(&fs, &path).unwrap().restore().unwrap();
+        global[0].data_mut()[0] += 1.0;
+        Checkpoint::capture(&global, &qd)
+            .save_on(&fs, &path)
+            .unwrap();
+        let foreign = fs.file(&path).unwrap();
+        assert!(!outcome.reference.saved.contains(&foreign));
+
+        let faulted = outcome.faulted.as_mut().expect("the run completed");
+        faulted.files.insert(prev.clone(), foreign);
+        let (global, rng) = roll_forward_prev(&faulted.files).expect("it opens");
+        let bits = |ts: &[Tensor]| -> Vec<u32> {
+            (ts.iter())
+                .flat_map(|t| t.data().iter().map(|x| x.to_bits()))
+                .collect()
+        };
+        assert!(bits(&global) == bits(&faulted.global) && rng == faulted.rng);
+        let violation = (outcome.report().violations.into_iter())
+            .find(|v| v.invariant == "kill-resume-equivalence")
+            .expect("a foreign .prev is a violation");
+        assert_eq!(
+            violation.detail,
+            format!(
+                "{} holds no checkpoint generation the reference saved",
+                prev.display()
+            )
+        );
     }
 }

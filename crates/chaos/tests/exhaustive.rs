@@ -112,8 +112,9 @@ fn assert_lazy_matches_eager(terminal: &Terminal) {
 /// Runs `schedule`, demanding that its one kill fired, that one resume
 /// finished the run, that all six invariants hold — or panics with the
 /// shrunk reproducer — and that both runs' journals decode lazily as
-/// they do eagerly. Returns the fault-free reference terminal.
-fn assert_resumes(harness: &mut Harness, schedule: &ChaosSchedule) -> Terminal {
+/// they do eagerly. Returns the fault-free reference terminal and the
+/// death the kill caused.
+fn assert_resumes(harness: &mut Harness, schedule: &ChaosSchedule) -> (Terminal, String) {
     let outcome = harness.execute(schedule).expect("schedule executes");
     let report = outcome.report();
     assert_eq!(report.invariants_checked, 6);
@@ -133,18 +134,43 @@ fn assert_resumes(harness: &mut Harness, schedule: &ChaosSchedule) -> Terminal {
     );
     assert_lazy_matches_eager(&outcome.reference);
     assert_lazy_matches_eager(outcome.faulted.as_ref().expect("the run completed"));
-    outcome.reference
+    (outcome.reference, outcome.last_error)
 }
 
-/// Kills `w` at every enumerated crash point — the four workloads
-/// enumerate 45 + 48 + 54 + 54 = 201 schedules.
-fn assert_every_kill_resumes(w: &Workload) -> (Vec<ChaosSchedule>, Terminal) {
+/// Kills `w` at every enumerated crash point, of which there must be
+/// `count` — the four workloads enumerate 88 + 68 + 74 + 74 = 304
+/// schedules. Every save
+/// that rotated the primary to `.prev` is killed between that rename and
+/// the one that puts its tmp file in place, and a service lifetime is
+/// killed inside its stats write.
+fn assert_every_kill_resumes(w: &Workload, count: usize) -> (Vec<ChaosSchedule>, Terminal) {
     let mut harness = Harness::new();
     let schedules = harness.exhaustive(w).expect("the workload enumerates");
+    assert_eq!(schedules.len(), count, "{w:?}");
     let mut reference = None;
+    let mut deaths = Vec::new();
     for schedule in &schedules {
-        reference = Some(assert_resumes(&mut harness, schedule));
+        let (terminal, death) = assert_resumes(&mut harness, schedule);
+        reference = Some(terminal);
+        deaths.push(death);
     }
+    let died_at = |what: &str| deaths.iter().filter(|d| d.contains(what)).count();
+    let rotations = died_at("renaming chaos.ckpt.json: ");
+    assert!(
+        rotations >= 2,
+        "a save after serving and one after the relearn"
+    );
+    assert_eq!(
+        died_at("renaming chaos.ckpt.json.tmp: "),
+        rotations + 1,
+        "the deploy's save, and each save that rotated"
+    );
+    let service = w.front_door == FrontDoor::Service;
+    assert_eq!(
+        died_at("chaos.stats.json.tmp: ") >= 3,
+        service,
+        "write, fsync, rename"
+    );
     (schedules, reference.expect("a workload has crash points"))
 }
 
@@ -164,12 +190,15 @@ fn clean_boundaries(plan: &Plan) -> Vec<(usize, BatchPreempt)> {
 /// unit is killed at every boundary,
 /// and the run every kill is compared against served everyone without
 /// a rollback — so no resumed run rolled back either.
-fn assert_clean_workload_resumes(w: &Workload) -> (Vec<ChaosSchedule>, Plan, Terminal) {
+fn assert_clean_workload_resumes(
+    w: &Workload,
+    count: usize,
+) -> (Vec<ChaosSchedule>, Plan, Terminal) {
     let plan = plan_of(w);
     assert!(plan.batches.len() >= 2, "need a multi-unit plan");
     assert!(plan.batches.iter().any(|u| u.members.len() > 1));
     assert!(plan.batches.iter().any(|u| u.members.len() == 1));
-    let (schedules, reference) = assert_every_kill_resumes(w);
+    let (schedules, reference) = assert_every_kill_resumes(w, count);
     assert_eq!(boundaries(&schedules), clean_boundaries(&plan));
     let recovered = (reference.records.iter()).filter(|r| r.state == RequestState::Recovered);
     assert_eq!(
@@ -184,7 +213,7 @@ fn assert_clean_workload_resumes(w: &Workload) -> (Vec<ChaosSchedule>, Plan, Ter
 
 #[test]
 fn per_request_stream_resumes_from_every_crash_point() {
-    let (schedules, plan, reference) = assert_clean_workload_resumes(&per_request_stream());
+    let (schedules, plan, reference) = assert_clean_workload_resumes(&per_request_stream(), 88);
     assert_eq!(
         reference.records.last().map(|r| r.state),
         Some(RequestState::Relearned),
@@ -207,7 +236,7 @@ fn per_request_stream_resumes_from_every_crash_point() {
 
 #[test]
 fn clean_service_resumes_from_every_crash_point() {
-    let (_, _, reference) = assert_clean_workload_resumes(&clean_service());
+    let (_, _, reference) = assert_clean_workload_resumes(&clean_service(), 68);
     let stats = reference.stats.expect("the service reports");
     assert_eq!(stats.served, stats.admitted);
     assert!(stats.coalesce_ratio > 1.0, "the mix must actually coalesce");
@@ -219,7 +248,7 @@ fn clean_service_resumes_from_every_crash_point() {
 /// write, one mid-survivors of the bisected unit, a clean unit's
 /// RECOVERED (the resumed run must re-probe and take rung 0 again) and,
 /// with breakers, the FAILED set.
-fn assert_isolated_service_resumes(w: &Workload, sheds: bool) {
+fn assert_isolated_service_resumes(w: &Workload, count: usize, sheds: bool) {
     let spike = FaultPlan::serving_spike(w.train_seed, w.byzantine_frac, w.ascent_spike);
     let byzantine: Vec<usize> = (0..w.clients)
         .filter(|&c| spike.fault_of(w.clients, c).is_some())
@@ -233,7 +262,7 @@ fn assert_isolated_service_resumes(w: &Workload, sheds: bool) {
     assert!(poisoned.any(|u| u.members.iter().any(|&m| m != poison)));
     assert!(plan.batches.iter().any(|u| !u.members.contains(&poison)));
 
-    let (schedules, reference) = assert_every_kill_resumes(w);
+    let (schedules, reference) = assert_every_kill_resumes(w, count);
     let kills = boundaries(&schedules);
     let units_at = |boundary| -> Vec<usize> {
         let at = kills.iter().filter(|k| k.1 == boundary);
@@ -258,12 +287,12 @@ fn assert_isolated_service_resumes(w: &Workload, sheds: bool) {
 
 #[test]
 fn spiked_service_resumes_from_every_crash_point() {
-    assert_isolated_service_resumes(&spiked_service(), false);
+    assert_isolated_service_resumes(&spiked_service(), 74, false);
 }
 
 #[test]
 fn breaker_service_resumes_from_every_crash_point() {
-    assert_isolated_service_resumes(&breaker_service(), true);
+    assert_isolated_service_resumes(&breaker_service(), 74, true);
 }
 
 #[test]

@@ -9,6 +9,7 @@ use qd_data::{ascii_samples, partition_dirichlet, partition_iid, Dataset, Synthe
 use qd_eval::{accuracy, per_class_accuracy, split_accuracy};
 use qd_fed::{Federation, Phase};
 use qd_nn::ConvNet;
+use qd_serve::{run_service_isolated, Deployment, Geometry};
 use qd_tensor::rng::Rng;
 use qd_unlearn::{GuardPolicy, UnlearnRequest, UnlearningMethod, DEFAULT_DRIFT_BUDGET};
 use std::fmt;
@@ -79,6 +80,7 @@ impl From<qd_serve::ServiceError> for CliError {
             // errors render their actionable advice (operation, path,
             // what to do) via `storage_cause`, like every other path.
             qd_serve::ServiceError::Serve(s) => CliError::from(s),
+            e @ qd_serve::ServiceError::Geometry(_) => CliError::Usage(e.to_string()),
             qd_serve::ServiceError::ForeignJournal(msg) => CliError::Usage(format!(
                 "journal does not match this service plan: {msg}\n\
                  (point --journal at this run's journal, or move the stale one aside)"
@@ -225,20 +227,9 @@ fn check_in_range(request: UnlearnRequest, fed: &Federation) -> Result<(), CliEr
     )))
 }
 
-/// Loads a journaled deployment's checkpoint from the real filesystem:
-/// the primary, or its `.prev` generation when the primary is unreadable
-/// ([`Checkpoint::load_with_fallback_on`]; the journal rolls it forward).
-/// The line is `Some` exactly on a fallback, and reports it.
-fn load_journaled(ckpt: &str) -> Result<(Checkpoint, Option<String>), CliError> {
-    let (loaded, fell_back) = Checkpoint::load_with_fallback_on(&StdFs, Path::new(ckpt))?;
-    let fell_back_line = fell_back.map(|primary| {
-        format!(
-            "{primary}\nfell back to the previous checkpoint generation {}; \
-             the journal rolls it forward\n",
-            Checkpoint::prev_path(Path::new(ckpt)).display()
-        )
-    });
-    Ok((loaded, fell_back_line))
+/// The `(channels, side, classes)` of `dataset`'s samples.
+fn geometry_of(dataset: SyntheticDataset) -> Geometry {
+    (dataset.channels(), dataset.hw(), dataset.classes())
 }
 
 /// Refuses a `--dataset` the deployment's model cannot read, before
@@ -251,24 +242,46 @@ fn check_geometry(
     dataset: SyntheticDataset,
     ckpt: &Checkpoint,
 ) -> Result<(), CliError> {
-    let Some(set) = ckpt.synthetic_sets().first() else {
-        // Nothing to serve from; restoring the deployment says so.
-        return Ok(());
-    };
-    let geometry = |(c, h, w): (usize, usize, usize), classes: usize| {
-        format!("{c}×{h}×{w} samples in {classes} classes")
-    };
-    let side = dataset.hw();
-    let given = geometry((dataset.channels(), side, side), dataset.classes());
-    let trained = geometry(set.sample_dims(), set.classes());
-    if given == trained {
-        return Ok(());
-    }
-    Err(CliError::Usage(format!(
-        "--dataset {} has {given}, but the deployment in {} was trained on {trained}",
-        args.get_str("dataset", "digits"),
-        args.get_str("ckpt", ""),
-    )))
+    let path = args.get_str("ckpt", "");
+    qd_serve::check_geometry(geometry_of(dataset), ckpt, Path::new(&path))
+        .map_err(|msg| dataset_refused(args, &msg))
+}
+
+/// A geometry refusal, naming the `--dataset` that was given.
+fn dataset_refused(args: &Args, msg: &str) -> CliError {
+    let dataset = args.get_str("dataset", "digits");
+    CliError::Usage(format!("--dataset {dataset} {msg}"))
+}
+
+/// Opens the journaled deployment at `ckpt` ([`Deployment::open`] on the
+/// real filesystem), with the line that reports a fallback to its
+/// `.prev` generation (empty without one).
+fn open_journaled(
+    args: &Args,
+    dataset: SyntheticDataset,
+    ckpt: &str,
+    journal: &Path,
+) -> Result<(Deployment, String), CliError> {
+    let (vfs, geometry) = (Arc::new(StdFs), geometry_of(dataset));
+    let opened = Deployment::open(vfs, Path::new(ckpt), journal, geometry, model_for(dataset));
+    let deployment = opened.map_err(|e| match e {
+        qd_serve::ServiceError::Geometry(msg) => dataset_refused(args, &msg),
+        e => e.into(),
+    })?;
+    let fell_back_line = (deployment.fell_back.as_ref()).map_or_else(String::new, |primary| {
+        format!(
+            "{primary}\nfell back to the previous checkpoint generation {}; \
+             the journal rolls it forward\n",
+            Checkpoint::prev_path(Path::new(ckpt)).display()
+        )
+    });
+    Ok((deployment, fell_back_line))
+}
+
+/// The report line of a [`Deployment::close`] for one file.
+fn closed_line(what: &str, written: bool, path: &str) -> String {
+    let verb = ["unchanged at", "written to"][usize::from(written)];
+    format!("{what} {verb} {path}\n")
 }
 
 /// Executes a parsed command line, returning the text to print.
@@ -477,109 +490,112 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
 
     let model = model_for(dataset);
     let policy = guard_policy_from(args)?;
-    // With --journal the deployment opens through the journal: a corrupt
-    // primary checkpoint falls back to `.prev`, and the model, RNG stream
-    // and request progress continue from the journal's last record — a
-    // request interrupted by a crash in an earlier invocation is finished
-    // here before the new one is served, reproducing the uninterrupted
-    // stream bit-for-bit. Without one nothing could roll `.prev` forward,
-    // so the load is strict.
-    let (mut qd, mut fed, mut journal, fell_back_line) = match journal_path_from(args, &path) {
-        Some(jp) => {
-            let (loaded, line) = load_journaled(&path)?;
-            check_geometry(args, dataset, &loaded)?;
-            let (qd, fed, journal) = loaded.open_on(Arc::new(StdFs), &jp, model.clone())?;
-            (qd, fed, Some(journal), line.unwrap_or_default())
+    // Serves the request on the open deployment and returns the report.
+    // With a journal, a request interrupted by a crash in an earlier
+    // invocation is finished first, reproducing the uninterrupted stream
+    // bit-for-bit, and the marks are the journal tail's from then on.
+    let serve_on = |qd: &mut QuickDrop,
+                    fed: &mut Federation,
+                    mut journal: Option<&mut RequestJournal>|
+     -> Result<String, CliError> {
+        check_in_range(request, fed)?;
+        // Serving RNG is independent of the training seed.
+        let mut rng = Rng::seed_from(seed ^ 0x5EED);
+        let resumed_line = match &mut journal {
+            Some(journal) => qd
+                .resume_requests(fed, journal, policy.as_ref(), &mut rng)?
+                .map(|_| "finished an in-flight request from the journal\n")
+                .unwrap_or_default(),
+            None => "",
+        };
+        // Relearning what the deployment has not forgotten would only
+        // rewrite the model; `relearn_journaled` refuses it as well.
+        if mode == ServeMode::Relearn && !qd.is_forgotten(request) {
+            return Err(CliError::Usage(format!(
+                "the deployment has not forgotten {request}: nothing to relearn"
+            )));
         }
-        None => {
-            let loaded = Checkpoint::load(&path)?;
-            check_geometry(args, dataset, &loaded)?;
-            let (params, qd) = loaded.restore()?;
-            let fed = qd.serving_federation(model.clone(), params)?;
-            (qd, fed, None, String::new())
-        }
+        let test = dataset.generate(samples, &mut Rng::seed_from(seed + 1));
+        let report_accuracy = |fed: &Federation| match request {
+            UnlearnRequest::Class(c) => {
+                let (forget, retain) = (test.only_class(c), test.without_class(c));
+                let (fa, ra) = split_accuracy(model.as_ref(), fed.global(), &forget, &retain);
+                (percent(fa, forget.len()), percent(ra, retain.len()))
+            }
+            UnlearnRequest::Client(_) => {
+                // Client-level evaluation data is not reconstructible from a
+                // stub federation; report whole-test accuracy, evaluated
+                // once, in both columns.
+                let whole = percent(accuracy(model.as_ref(), fed.global(), &test), test.len());
+                (whole.clone(), whole)
+            }
+        };
+        let report = match mode {
+            ServeMode::Unlearn => {
+                let outcome = if let Some(journal) = &mut journal {
+                    qd.serve_journaled(fed, journal, request, policy.as_ref(), &mut rng, None)?
+                        .into_complete()
+                        .expect("no preemption configured")
+                } else if let Some(policy) = &policy {
+                    qd.unlearn_guarded(fed, request, policy, &mut rng)
+                        .map_err(|e| CliError::Usage(e.to_string()))?
+                } else {
+                    qd.unlearn(fed, request, &mut rng)
+                };
+                let guard_line = outcome
+                    .guard
+                    .map(|s| {
+                        format!(
+                            "guard: {} attempt(s), {} rollback(s), final drift {:.2}\n",
+                            s.steps, s.rollbacks, s.final_drift
+                        )
+                    })
+                    .unwrap_or_default();
+                let (fa, ra) = report_accuracy(fed);
+                format!(
+                    "unlearned {request} in {:.0} ms over {} synthetic samples; \
+                     F-Set {fa}, R-Set {ra}\n{guard_line}",
+                    outcome.total().wall.as_secs_f64() * 1000.0,
+                    outcome.unlearn.data_size,
+                )
+            }
+            ServeMode::Relearn => {
+                let phase = qd.config().relearn_phase;
+                let stats = if let Some(journal) = &mut journal {
+                    qd.relearn_journaled(fed, journal, request, &phase, &mut rng)?
+                } else {
+                    qd.relearn(fed, request, &phase, &mut rng)
+                        .expect("QuickDrop supports relearning")
+                };
+                let (fa, ra) = report_accuracy(fed);
+                format!(
+                    "relearned {request} in {:.0} ms; F-Set {fa}, R-Set {ra}\n",
+                    stats.wall.as_secs_f64() * 1000.0,
+                )
+            }
+        };
+        Ok(format!("{resumed_line}{report}"))
     };
-    check_in_range(request, &fed)?;
-    // With a journal, `relearn_journaled` refuses a target it holds no
-    // served request for; without one the checkpoint's forgotten set is
-    // the record, and relearning what it never forgot would only rewrite
-    // the model.
-    if mode == ServeMode::Relearn && journal.is_none() && !qd.is_forgotten(request) {
-        return Err(CliError::Usage(format!(
-            "the deployment has not forgotten {request}: nothing to relearn"
-        )));
-    }
-    // Serving RNG is independent of the training seed.
-    let mut rng = Rng::seed_from(seed ^ 0x5EED);
-    let test = dataset.generate(samples, &mut Rng::seed_from(seed + 1));
-    let report_accuracy = |fed: &Federation| match request {
-        UnlearnRequest::Class(c) => {
-            let (forget, retain) = (test.only_class(c), test.without_class(c));
-            let (fa, ra) = split_accuracy(model.as_ref(), fed.global(), &forget, &retain);
-            (percent(fa, forget.len()), percent(ra, retain.len()))
-        }
-        UnlearnRequest::Client(_) => {
-            // Client-level evaluation data is not reconstructible from a
-            // stub federation; report whole-test accuracy, evaluated
-            // once, in both columns.
-            let whole = percent(accuracy(model.as_ref(), fed.global(), &test), test.len());
-            (whole.clone(), whole)
-        }
+    // With --journal the deployment opens and closes through the journal:
+    // a corrupt primary checkpoint falls back to `.prev`, and the model,
+    // RNG stream and request progress continue from the journal's last
+    // record. Without one nothing could roll `.prev` forward, so the load
+    // is strict.
+    let Some(journal) = journal_path_from(args, &path) else {
+        let loaded = Checkpoint::load(&path)?;
+        check_geometry(args, dataset, &loaded)?;
+        let (params, mut qd) = loaded.restore()?;
+        let mut fed = qd.serving_federation(model.clone(), params)?;
+        let report = serve_on(&mut qd, &mut fed, None)?;
+        Checkpoint::capture(fed.global(), &qd).save(&out)?;
+        return Ok(format!("{report}checkpoint written to {out}\n"));
     };
-    let resumed_line = match &mut journal {
-        Some(journal) => qd
-            .resume_requests(&mut fed, journal, policy.as_ref(), &mut rng)?
-            .map(|_| "finished an in-flight request from the journal\n")
-            .unwrap_or_default(),
-        None => "",
-    };
-    let report = match mode {
-        ServeMode::Unlearn => {
-            let outcome = if let Some(journal) = &mut journal {
-                qd.serve_journaled(&mut fed, journal, request, policy.as_ref(), &mut rng, None)?
-                    .into_complete()
-                    .expect("no preemption configured")
-            } else if let Some(policy) = &policy {
-                qd.unlearn_guarded(&mut fed, request, policy, &mut rng)
-                    .map_err(|e| CliError::Usage(e.to_string()))?
-            } else {
-                qd.unlearn(&mut fed, request, &mut rng)
-            };
-            let guard_line = outcome
-                .guard
-                .map(|s| {
-                    format!(
-                        "guard: {} attempt(s), {} rollback(s), final drift {:.2}\n",
-                        s.steps, s.rollbacks, s.final_drift
-                    )
-                })
-                .unwrap_or_default();
-            let (fa, ra) = report_accuracy(&fed);
-            format!(
-                "unlearned {request} in {:.0} ms over {} synthetic samples; \
-                 F-Set {fa}, R-Set {ra}\n{guard_line}",
-                outcome.total().wall.as_secs_f64() * 1000.0,
-                outcome.unlearn.data_size,
-            )
-        }
-        ServeMode::Relearn => {
-            let phase = qd.config().relearn_phase;
-            let stats = if let Some(journal) = &mut journal {
-                qd.relearn_journaled(&mut fed, journal, request, &phase, &mut rng)?
-            } else {
-                qd.relearn(&mut fed, request, &phase, &mut rng)
-                    .expect("QuickDrop supports relearning")
-            };
-            let (fa, ra) = report_accuracy(&fed);
-            format!(
-                "relearned {request} in {:.0} ms; F-Set {fa}, R-Set {ra}\n",
-                stats.wall.as_secs_f64() * 1000.0,
-            )
-        }
-    };
-    let report = format!("{fell_back_line}{resumed_line}{report}");
-    Checkpoint::capture(fed.global(), &qd).save(&out)?;
-    Ok(format!("{report}checkpoint written to {out}\n"))
+    let (mut deployment, fell_back_line) = open_journaled(args, dataset, &path, &journal)?;
+    let d = &mut deployment;
+    let report = serve_on(&mut d.qd, &mut d.fed, Some(&mut d.journal))?;
+    let closed = deployment.close(Path::new(&out), None)?;
+    let ckpt_line = closed_line("checkpoint", closed.ckpt_written, &out);
+    Ok(format!("{fell_back_line}{report}{ckpt_line}"))
 }
 
 /// Reads the serve front-end flags into a [`qd_serve::ServeConfig`].
@@ -635,51 +651,24 @@ fn service(args: &Args) -> Result<String, CliError> {
     // killed run left in flight). `--journal` only picks the location.
     let journal_path = journal_path_from(args, &path)
         .unwrap_or_else(|| RequestJournal::path_for_checkpoint(&path));
-    let (loaded, fell_back_line) = load_journaled(&path)?;
-    check_geometry(args, dataset, &loaded)?;
-    // A run that changes nothing leaves the file it loaded as it lies, so
-    // the loaded checkpoint is kept wherever the save would replace it.
-    let primary = (fell_back_line.is_none() && out == path).then(|| loaded.clone());
-    let (mut qd, mut fed, mut journal) =
-        loaded.open_on(Arc::new(StdFs), &journal_path, model_for(dataset))?;
-    let cfg = serve_config_from(args, fed.client_data(0).classes(), fed.n_clients())?;
+    let (mut d, fell_back_line) = open_journaled(args, dataset, &path, &journal_path)?;
+    let cfg = serve_config_from(args, d.fed.client_data(0).classes(), d.fed.n_clients())?;
     let policy = guard_policy_from(args)?;
     let iso = isolation_config_from(args)?;
     let mut rng = Rng::seed_from(seed ^ 0x5EED);
 
-    let run = qd_serve::run_service_isolated(
-        &mut qd,
-        &mut fed,
-        &mut journal,
-        &cfg,
-        policy.as_ref(),
-        &iso,
-        &mut rng,
-        None,
-    )?;
-    let captured = Checkpoint::capture(fed.global(), &qd);
-    let ckpt_line = if primary.is_some_and(|loaded| loaded.same_bits(&captured)) {
-        format!("checkpoint unchanged at {out}\n")
-    } else {
-        captured.save(&out)?;
-        format!("checkpoint written to {out}\n")
-    };
-
+    let (qd, fed, journal, policy) = (&mut d.qd, &mut d.fed, &mut d.journal, policy.as_ref());
+    let run = run_service_isolated(qd, fed, journal, &cfg, policy, &iso, &mut rng, None)?;
     let stats = &run.stats;
-    let stats_line = if args.has_option("stats-out") {
-        let stats_out = args.get_str("stats-out", "");
-        // Like the checkpoint, a file that already holds these bytes is
-        // left as it lies, mtime and all.
-        let bytes = stats.json_bytes()?;
-        if std::fs::read(&stats_out).is_ok_and(|old| old == bytes) {
-            format!("stats unchanged at {stats_out}\n")
-        } else {
-            stats.save_json(Path::new(&stats_out))?;
-            format!("stats written to {stats_out}\n")
-        }
-    } else {
-        String::new()
-    };
+    let stats_out = (args.has_option("stats-out")).then(|| args.get_str("stats-out", ""));
+    let closed = d.close(
+        Path::new(&out),
+        stats_out.as_ref().map(|p| (Path::new(p), stats)),
+    )?;
+    let ckpt_line = closed_line("checkpoint", closed.ckpt_written, &out);
+    let stats_line = (stats_out.as_ref())
+        .map(|p| closed_line("stats", closed.stats_written, p))
+        .unwrap_or_default();
     let resumed_units_line = if run.resumed_units > 0 {
         format!(
             "resumed past {} already-journaled service unit(s)\n",
@@ -706,7 +695,7 @@ fn service(args: &Args) -> Result<String, CliError> {
          (coalesce ratio {:.2}); rejected {}\n\
          virtual latency p50 {} µs, p99 {} µs; {:.1} req/s over {} µs\n\
          {degraded_line}{resumed_units_line}{stats_line}{ckpt_line}",
-        fell_back_line.unwrap_or_default(),
+        fell_back_line,
         stats.served,
         stats.offered,
         stats.tenants,
@@ -1325,41 +1314,41 @@ mod tests {
             .count()
     }
 
-    /// Without a journal the checkpoint's forgotten set is the record:
-    /// relearning a class or client the deployment has not forgotten is
-    /// refused once the checkpoint is read and before anything is
-    /// written, as the journaled form refuses it.
+    /// Relearning a class or client the deployment has not forgotten —
+    /// never, or not since its last relearn — is refused with one message
+    /// once the checkpoint (and, with `--journal`, the journal tail) is
+    /// read, and before anything is written.
     #[test]
     fn an_unjournaled_relearn_of_what_was_not_forgotten_is_refused() {
         let ckpt = tmp("not_forgotten.json");
-        remove_deployment(&ckpt);
-        train_tiny(&ckpt);
-        let relearn = |target: [&str; 2]| {
-            let mut line = vec!["relearn", "--ckpt", &ckpt, "--seed", "5"];
-            line.extend(target);
-            run(&args(&line))
-        };
-        for target in [["--class", "7"], ["--client", "1"]] {
-            let before = std::fs::read(&ckpt).unwrap();
-            let err = relearn(target).unwrap_err();
-            assert!(matches!(err, CliError::Usage(_)), "{target:?}: {err}");
-            let what = format!("{} {}", &target[0][2..], target[1]);
-            let message = format!("the deployment has not forgotten {what}: nothing to relearn");
-            assert_eq!(err.to_string(), message);
-            assert_eq!(std::fs::read(&ckpt).unwrap(), before, "{target:?}");
-            assert_eq!(siblings(&ckpt), 1, "{target:?}: no .prev");
+        for journal in [None, Some("--journal")] {
+            remove_deployment(&ckpt);
+            train_tiny(&ckpt);
+            let serve = |mode: &str, target: [&str; 2]| {
+                let mut line = vec![mode, "--ckpt", &ckpt, "--seed", "5"];
+                line.extend(target.into_iter().chain(journal));
+                run(&args(&line))
+            };
+            for target in [["--class", "7"], ["--client", "1"]] {
+                let before = std::fs::read(&ckpt).unwrap();
+                let err = serve("relearn", target).unwrap_err();
+                assert!(matches!(err, CliError::Usage(_)), "{target:?}: {err}");
+                let what = format!("{} {}", &target[0][2..], target[1]);
+                let message =
+                    format!("the deployment has not forgotten {what}: nothing to relearn");
+                assert_eq!(err.to_string(), message);
+                assert_eq!(std::fs::read(&ckpt).unwrap(), before, "{target:?}");
+                assert_eq!(siblings(&ckpt), 1, "{target:?}: no .prev, no journal");
+            }
+            // Forgotten, it relearns once; relearned, it is refused again.
+            serve("unlearn", ["--class", "7"]).unwrap();
+            let out = serve("relearn", ["--class", "7"]).unwrap();
+            assert!(out.contains("relearned class 7"), "{out}");
+            let before = files(&ckpt);
+            let err = serve("relearn", ["--class", "7"]).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{journal:?}: {err}");
+            assert!(files(&ckpt) == before, "{journal:?}: nothing is written");
         }
-        // Forgotten, it relearns once; relearned, it is refused again.
-        run(&args(&[
-            "unlearn", "--ckpt", &ckpt, "--class", "7", "--seed", "5",
-        ]))
-        .unwrap();
-        assert!(relearn(["--class", "7"])
-            .unwrap()
-            .contains("relearned class 7"));
-        let before = std::fs::read(&ckpt).unwrap();
-        assert!(matches!(relearn(["--class", "7"]), Err(CliError::Usage(_))));
-        assert_eq!(std::fs::read(&ckpt).unwrap(), before);
         remove_deployment(&ckpt);
     }
 

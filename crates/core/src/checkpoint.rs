@@ -443,8 +443,8 @@ impl Checkpoint {
     /// corrupted in place). On fallback the primary's error is returned
     /// alongside the recovered checkpoint so callers can report what
     /// was lost — the previous generation predates the primary, but
-    /// the journal [`Checkpoint::open_on`] opens beside it rolls it
-    /// forward again. Journaled serving is the only caller: without a
+    /// the journal opened beside it rolls it forward again
+    /// (`qd_serve::Deployment::open`). Journaled serving is the only caller: without a
     /// journal a fallback would silently un-serve the last request.
     ///
     /// # Errors

@@ -76,5 +76,8 @@ pub use lifecycle::{
     units, BatchOutcome, BatchPreempt, JournaledRun, ReplayMismatch, ServeError, ShapeError, Unit,
     UnitMember,
 };
+/// The model trait [`QuickDrop::serving_federation`] builds on, for the
+/// crates that open a deployment without depending on qd-nn.
+pub use qd_nn::Module;
 pub use system::{CheckpointPolicy, QuickDrop, TrainReport, TrainRun};
 pub use vfs::{storage_cause, CrashPoint, Fault, FaultFs, StdFs, StorageError, Vfs, VfsOp};

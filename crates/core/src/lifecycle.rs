@@ -54,17 +54,16 @@
 //! journal-derived state. Unjournaled: [`qd_unlearn::UnlearningMethod::unlearn`]
 //! and [`QuickDrop::unlearn_guarded`], and [`QuickDrop::probe_unit`],
 //! which is the same call rolled back. A journaled deployment is opened
-//! by [`Checkpoint::load_with_fallback_on`] and [`Checkpoint::open_on`].
+//! and closed by `qd_serve::Deployment`.
 
 use crate::journal::{
     snapshot_digest, BatchId, FailReason, JournalError, JournalRecord, MarkEffect, RequestJournal,
     RequestState, Snapshot,
 };
 use crate::system::validated;
-use crate::vfs::Vfs;
-use crate::{Checkpoint, QuickDrop};
+use crate::QuickDrop;
 use qd_fed::{Federation, PhaseStats};
-use qd_nn::{relative_drift, Module};
+use qd_nn::relative_drift;
 use qd_tensor::rng::{Rng, RngState};
 use qd_tensor::Tensor;
 use qd_unlearn::{
@@ -73,8 +72,6 @@ use qd_unlearn::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::path::Path;
-use std::sync::Arc;
 
 /// How a journaled call ended: [`QuickDrop::serve_journaled`] with the
 /// request's [`MethodOutcome`], [`QuickDrop::serve_batch_journaled`]
@@ -911,11 +908,18 @@ impl QuickDrop {
     /// the relearn as never started (the caller re-submits it), matching
     /// the state machine's forward-only discipline.
     ///
+    /// The live marks say whether `request` is forgotten, so the caller
+    /// restores them from the journal tail first
+    /// ([`QuickDrop::resume_requests`]); a target they do not hold —
+    /// never forgotten, or relearned already — is refused with nothing
+    /// written.
+    ///
     /// # Errors
     ///
     /// [`ServeError::Io`] on journal I/O failure, or with kind
     /// [`std::io::ErrorKind::InvalidData`] when the journal holds no
-    /// served member for `request` (or fails the [`units`] fold).
+    /// served member for `request` (or fails the [`units`] fold), or the
+    /// live marks do not hold it as forgotten.
     pub fn relearn_journaled(
         &mut self,
         fed: &mut Federation,
@@ -935,6 +939,12 @@ impl QuickDrop {
                     format!("journal holds no recovered request matching {request}"),
                 )
             })?;
+        if !self.is_forgotten(request) {
+            return Err(ServeError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("the deployment has not forgotten {request}: nothing to relearn"),
+            )));
+        }
         use qd_unlearn::UnlearningMethod as _;
         let stats = self
             .relearn(fed, request, phase, rng)
@@ -954,9 +964,10 @@ impl QuickDrop {
     }
 
     /// Replays `journal` onto a system restored from its deployment
-    /// [`Checkpoint`]: re-applies every record's forgotten-state marks
-    /// (idempotently), restores the global model and RNG stream from the
-    /// journal's tail ([`QuickDrop::restore_tail`]) — the journal, not
+    /// [`Checkpoint`](crate::Checkpoint): re-applies every record's
+    /// forgotten-state marks (idempotently), restores the global model
+    /// and RNG stream from the journal's tail
+    /// ([`QuickDrop::restore_tail`]) — the journal, not
     /// the checkpoint, is the source of truth for anything that happened
     /// after the checkpoint was written — and finishes the incomplete
     /// stages of the last unit, if any.
@@ -975,7 +986,7 @@ impl QuickDrop {
     ///
     /// This is the single-request CLI's resume: `quickdrop-cli unlearn`
     /// and `relearn --journal` call it right after opening the
-    /// deployment ([`Checkpoint::open_on`]), before serving the new
+    /// deployment (`qd_serve::Deployment::open`), before serving the new
     /// request.
     /// A service run never needs it — the qd-serve executor finishes an
     /// in-flight service unit itself, under the policy it started
@@ -1179,38 +1190,6 @@ impl QuickDrop {
             fed.set_global(boundary.global.to_vec());
             *rng = Rng::from_state(&boundary.rng);
         }
-    }
-}
-
-impl Checkpoint {
-    /// Opens this (already loaded, or just captured) deployment snapshot
-    /// for journaled serving: [`Checkpoint::restore`], the
-    /// [`QuickDrop::serving_federation`] over `model`, then the request
-    /// journal at `journal` on `vfs` — the journal open is the only
-    /// storage access. A journaled deployment is opened as
-    /// [`Checkpoint::load_with_fallback_on`] (the primary, else `.prev`)
-    /// and then this: by `quickdrop-cli serve` and `unlearn`/`relearn
-    /// --journal`, which check `--dataset` against the loaded checkpoint
-    /// in between (and `serve` keeps it, to tell an unchanged deployment
-    /// from a served one), and by the `qd-chaos` harness, which on a fresh
-    /// deploy calls this on the checkpoint it has just written. On a
-    /// fallback nothing journaled is lost: whoever serves next —
-    /// [`QuickDrop::resume_requests`] or the service executor — first
-    /// restores model, RNG and marks from the journal tail.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] for a mid-training or synthetic-set-less
-    /// checkpoint, or a journal that does not open.
-    pub fn open_on(
-        self,
-        vfs: Arc<dyn Vfs>,
-        journal: &Path,
-        model: Arc<dyn Module>,
-    ) -> Result<(QuickDrop, Federation, RequestJournal), ServeError> {
-        let (global, qd) = self.restore()?;
-        let fed = qd.serving_federation(model, global)?;
-        Ok((qd, fed, RequestJournal::open_on(vfs, journal)?))
     }
 }
 

@@ -492,6 +492,8 @@ struct FileEntry {
 struct FaultState {
     files: BTreeMap<PathBuf, FileEntry>,
     ops: u64,
+    /// Operations by kind, indexed by [`VfsOp`] discriminant.
+    ops_by_kind: [u64; 8],
     appended_bytes: u64,
     schedule: BTreeMap<u64, Fault>,
     killed: bool,
@@ -592,6 +594,11 @@ impl FaultFs {
         self.lock().ops
     }
 
+    /// Operations of kind `op` executed so far.
+    pub fn op_count_of(&self, op: VfsOp) -> u64 {
+        self.lock().ops_by_kind[op as usize]
+    }
+
     /// Total bytes handed to `write`/`append` so far — the I/O volume
     /// metric behind the O(1)-append assertion and the storage bench.
     pub fn bytes_written(&self) -> u64 {
@@ -621,6 +628,7 @@ impl FaultFs {
             })
             .collect();
         guard.ops = 0;
+        guard.ops_by_kind = [0; 8];
         guard.appended_bytes = 0;
         guard.schedule.clear();
         guard.killed = false;
@@ -684,6 +692,7 @@ impl FaultFs {
         }
         let index = guard.ops;
         guard.ops += 1;
+        guard.ops_by_kind[op as usize] += 1;
         Ok(guard.schedule.remove(&index))
     }
 }
@@ -716,29 +725,25 @@ impl Vfs for FaultFs {
     fn read(&self, path: &Path) -> Result<Vec<u8>, StorageError> {
         let mut guard = self.lock();
         let fault = self.begin(&mut guard, VfsOp::Read, path)?;
+        // A death strikes whether or not the file is there.
+        if fault.is_some_and(|f| !matches!(f, Fault::BitFlip(_) | Fault::ShortRead(_))) {
+            guard.killed = true;
+            return Err(dead(VfsOp::Read, path));
+        }
         let entry = guard
             .files
             .get(path)
             .ok_or_else(|| not_found(VfsOp::Read, path))?;
         let mut bytes = entry.bytes.clone();
         match fault {
-            None => Ok(bytes),
-            Some(Fault::BitFlip(n)) => {
-                if !bytes.is_empty() {
-                    let bit = n % (bytes.len() * 8);
-                    bytes[bit / 8] ^= 1 << (bit % 8);
-                }
-                Ok(bytes)
+            Some(Fault::BitFlip(n)) if !bytes.is_empty() => {
+                let bit = n % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
             }
-            Some(Fault::ShortRead(n)) => {
-                bytes.truncate(n.min(bytes.len()));
-                Ok(bytes)
-            }
-            Some(_) => {
-                guard.killed = true;
-                Err(dead(VfsOp::Read, path))
-            }
+            Some(Fault::ShortRead(n)) => bytes.truncate(n.min(bytes.len())),
+            _ => {}
         }
+        Ok(bytes)
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
@@ -942,6 +947,16 @@ mod tests {
         assert_eq!(fs.file(p).unwrap(), b"onetwo");
         fs.crash();
         assert_eq!(fs.file(p).unwrap(), b"one", "unsynced bytes must vanish");
+    }
+
+    #[test]
+    fn a_kill_at_a_read_of_a_missing_file_still_kills() {
+        let fs = FaultFs::new();
+        let p = Path::new("absent.json");
+        fs.kill_at(0);
+        assert_eq!(fs.read(p).unwrap_err().source.kind(), io::ErrorKind::Other);
+        assert!(fs.write(p, b"x").is_err(), "later ops stay dead");
+        assert_eq!(fs.pending_faults(), 0);
     }
 
     #[test]

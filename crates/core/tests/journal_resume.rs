@@ -309,6 +309,41 @@ fn relearn_of_an_unserved_request_is_rejected() {
     assert!(err.to_string().contains("no recovered request"), "{err}");
 }
 
+/// A relearn the journal already holds is refused with nothing written:
+/// the marks restored from the journal tail no longer hold the target
+/// as forgotten, though its member still counts as served.
+#[test]
+fn a_second_relearn_of_a_relearned_request_is_rejected() {
+    let (mut fed, mut qd, mut rng, mut journal) = deployment_on(&Arc::new(FaultFs::new()));
+    let phase = qd.config().relearn_phase;
+    qd.serve_journaled(&mut fed, &mut journal, REQUESTS[0], None, &mut rng, None)
+        .unwrap();
+    qd.relearn_journaled(&mut fed, &mut journal, REQUESTS[0], &phase, &mut rng)
+        .unwrap();
+    let (records, model) = (journal.records().len(), fed.global().to_vec());
+    qd.restore_tail(&mut fed, &journal, &mut rng);
+    let err = qd
+        .relearn_journaled(&mut fed, &mut journal, REQUESTS[0], &phase, &mut rng)
+        .expect_err("relearned already");
+    assert_eq!(
+        err.to_string(),
+        format!(
+            "journal I/O: the deployment has not forgotten {}: nothing to relearn",
+            REQUESTS[0]
+        )
+    );
+    assert_eq!(
+        journal.records().len(),
+        records,
+        "no second RELEARNED record"
+    );
+    assert!(fed
+        .global()
+        .iter()
+        .zip(&model)
+        .all(|(a, b)| a.data() == b.data()));
+}
+
 /// Trains once and returns a served-nothing deployment on an in-memory
 /// filesystem: the journal is empty and bound to `fs`.
 fn deployment_on(fs: &Arc<FaultFs>) -> (Federation, QuickDrop, Rng, RequestJournal) {

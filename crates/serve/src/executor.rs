@@ -609,9 +609,8 @@ pub fn frontier_summary(
 /// deployment's history) is refused instead of being silently
 /// miscounted.
 ///
-/// Crash recovery contract: after a kill, reopen the checkpoint and
-/// journal (`Checkpoint::load_with_fallback_on`, then
-/// `Checkpoint::open_on`) and call this again with the
+/// Crash recovery contract: after a kill, reopen the deployment
+/// ([`crate::Deployment::open`]) and call this again with the
 /// same config — it restores the tail ([`QuickDrop::restore_tail`]),
 /// re-derives the breaker fold from the journal, finishes the unit the
 /// kill left in flight under the policy it started under (the base

@@ -50,12 +50,14 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod deployment;
 pub mod executor;
 pub mod plan;
 pub mod service;
 pub mod stats;
 
 pub use config::ServeConfig;
+pub use deployment::{check_geometry, Closed, Deployment, Geometry};
 pub use executor::{
     frontier_summary, isolate_poison, ladder_policy, run_service_isolated, FrontierSummary,
     IsolationConfig, MAX_UNIT_RETRIES,

@@ -22,6 +22,9 @@ pub enum ServiceError {
     /// Progress counting on such a journal would silently corrupt the
     /// run, so it is refused up front.
     ForeignJournal(String),
+    /// The caller's samples are of another geometry than the ones the
+    /// deployment was trained on ([`crate::check_geometry`]'s message).
+    Geometry(String),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -32,6 +35,7 @@ impl std::fmt::Display for ServiceError {
             ServiceError::ForeignJournal(msg) => {
                 write!(f, "journal does not match this service plan: {msg}")
             }
+            ServiceError::Geometry(msg) => write!(f, "the dataset {msg}"),
         }
     }
 }

@@ -154,30 +154,20 @@ impl ServeStats {
         self.makespan_us = 0;
     }
 
-    /// Writes the stats as JSON with the workspace's crash-safe file
-    /// discipline (tmp + fsync + rename, via
+    /// Writes the stats as JSON on `fs` with the workspace's crash-safe
+    /// file discipline (tmp + fsync + rename, via
     /// [`qd_core::vfs::atomic_write`]): a crash mid-write leaves either
     /// the previous file or the new one, never a torn one.
     ///
     /// # Errors
     ///
     /// Any I/O error from the atomic rewrite.
-    pub fn save_json(&self, path: &Path) -> std::io::Result<()> {
-        self.save_json_on(&qd_core::StdFs, path)
-    }
-
-    /// [`ServeStats::save_json`] on an explicit [`qd_core::Vfs`] — what
-    /// the fault-injection harnesses drive.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeStats::save_json`].
     pub fn save_json_on(&self, fs: &dyn qd_core::Vfs, path: &Path) -> std::io::Result<()> {
         qd_core::vfs::atomic_write(fs, path, &self.json_bytes()?)?;
         Ok(())
     }
 
-    /// The bytes [`ServeStats::save_json`] writes: the JSON rendering and
+    /// The bytes [`ServeStats::save_json_on`] writes: the JSON rendering and
     /// a newline.
     ///
     /// # Errors
@@ -216,15 +206,13 @@ mod tests {
         assert!(stats.p50_latency_us <= stats.p99_latency_us);
         assert!(stats.throughput_rps > 0.0);
 
-        let dir = std::env::temp_dir().join("qd_serve_stats_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stats.json");
-        stats.save_json(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
+        let fs = qd_core::FaultFs::new();
+        let path = Path::new("stats.json");
+        stats.save_json_on(&fs, path).unwrap();
+        let text = String::from_utf8(fs.file(path).unwrap()).unwrap();
         let value: serde::Value = serde_json::from_str(&text).unwrap();
         let read = ServeStats::from_value(&value).unwrap();
         assert_eq!(read, stats);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -78,7 +78,10 @@ echo "== one divergence guard, one circuit breaker, one builder of a simulated n
 # Training runs on the loopback transport: the chaos harness's `net_drop`
 # environment is the only library code that builds a SimNet, so a
 # checkpoint, a flag or a config field cannot route training through one
-# again and break bit-for-bit resume.
+# again and break bit-for-bit resume. A journaled deployment is opened
+# (the `.prev` fallback) and closed (the unchanged-or-not compare) by
+# qd-serve's Deployment alone, so the CLI and the chaos lifetimes it
+# kills run the same sequence.
 while read -r owner flag pattern; do
     found=
     for f in crates/*/src/*.rs; do
@@ -92,6 +95,8 @@ done <<'ONE_COPY'
 crates/core/src/lifecycle.rs -F lr_halvings += 1
 crates/fed/src/health.rs -w half_open
 crates/chaos/src/scenario.rs -F SimNet::new(
+crates/serve/src/deployment.rs -F Checkpoint::load_with_fallback_on(
+crates/serve/src/deployment.rs -F .same_bits(
 ONE_COPY
 
 echo "== cargo test"
@@ -145,31 +150,12 @@ rm -r "$noop"
 echo "== qd-perf unit tests (the benchmark's own suite, built against these crates)"
 # qd-perf/ is frozen between benchmark PRs, so a library change that
 # breaks what its tests build (a record literal, a signature) fails here.
-# The suite's smoke test is the step below, with its retry.
+# The suite's smoke test is the smoke step below, with its retry.
 cargo test --offline -q --manifest-path qd-perf/Cargo.toml --bins
 
-echo "== qd-perf smoke (the unmodified benchmark harness built against these crates; each replica must end on the CLI's model bits)"
-# One tolerated flake, retried: the harness reads its own CPU time from
-# /proc/self/stat in 10 ms ticks, and since PR 15 the traced smoke-scale
-# reopen-history span is 6-10 ms, so about one run in three sees zero
-# ticks and reports `proc.sys_share was not emitted`. qd-perf/ is frozen
-# between benchmark PRs; any *other* FAILED line still fails the gate at
-# once.
-smoke_ok=
-for attempt in 1 2 3 4 5; do
-    smoke="$(bash qd-perf/run.sh --smoke </dev/null || true)"
-    printf '%s\n' "$smoke" >&2
-    if grep -x 'smoke: ok' <<<"$smoke" >/dev/null; then
-        smoke_ok=1
-        break
-    fi
-    [ "$(grep '^  FAILED' <<<"$smoke" || true)" = '  FAILED proc.sys_share was not emitted' ] || break
-    echo "qd-perf --smoke attempt $attempt: only the CPU-tick artefact failed; retrying" >&2
-done
-[ -n "$smoke_ok" ] \
-    || { echo "qd-perf --smoke did not end 'smoke: ok' — the benchmark's pinned library surface broke" >&2; exit 1; }
-
 echo "== float-order gate + exact-count gates (traced qd-perf runs must end on the model digests qd-perf/README.md pins; a journal record and a checkpoint must stay binary-sized; a step must stay on the first-order tape, off the patch matrix and free of layout and ReLU/pool nodes)"
+# Runs before the smoke below, so that the smoke's CPU-tick artefact
+# cannot stop this gate from running.
 # Every kernel keeps one reduction order (DESIGN.md §4.6), so these digests
 # only move when a change reorders a float sum — which then needs the
 # re-pin policy of ROADMAP item 2, not a silent pass. The same
@@ -217,6 +203,27 @@ request-stream 4027121546bddd40
 serve-mixed 075781b4b7e93219
 reopen-history 6d6f94e01d9b30cb
 DIGESTS
+
+echo "== qd-perf smoke (the unmodified benchmark harness built against these crates; each replica must end on the CLI's model bits)"
+# One tolerated flake, retried: the harness reads its own CPU time from
+# /proc/self/stat in 10 ms ticks, and the traced smoke-scale
+# reopen-history span is 6-10 ms, so about one run in three sees zero
+# ticks and reports `proc.sys_share was not emitted`. qd-perf/ is frozen
+# between benchmark PRs; any *other* FAILED line still fails the gate at
+# once.
+smoke_ok=
+for attempt in 1 2 3 4 5; do
+    smoke="$(bash qd-perf/run.sh --smoke </dev/null || true)"
+    printf '%s\n' "$smoke" >&2
+    if grep -x 'smoke: ok' <<<"$smoke" >/dev/null; then
+        smoke_ok=1
+        break
+    fi
+    [ "$(grep '^  FAILED' <<<"$smoke" || true)" = '  FAILED proc.sys_share was not emitted' ] || break
+    echo "qd-perf --smoke attempt $attempt: only the CPU-tick artefact failed; retrying" >&2
+done
+[ -n "$smoke_ok" ] \
+    || { echo "qd-perf --smoke did not end 'smoke: ok' — the benchmark's pinned library surface broke" >&2; exit 1; }
 
 echo "== chaos bench (smoke mode, Byzantine aggregators)"
 cargo bench --offline -p qd-bench --bench chaos -- --test
