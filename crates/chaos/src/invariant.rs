@@ -4,11 +4,12 @@
 //! [`RunOutcome`] — the schedule, the fault-free reference terminal
 //! and the faulted terminal — and returns a typed [`Violation`] on
 //! failure. Violation details are fully deterministic strings, because
-//! `qd chaos --replay` asserts a stored violation reproduces
+//! `quickdrop-cli chaos --replay` asserts a stored violation reproduces
 //! byte-for-byte.
 
 use crate::scenario::{RunOutcome, Terminal};
-use serde::{Deserialize, Serialize};
+use crate::schedule::ChaosSchedule;
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// One invariant failure, serializable into `chaos-repro.json`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -17,6 +18,61 @@ pub struct Violation {
     pub invariant: String,
     /// Deterministic description of the first divergence found.
     pub detail: String,
+}
+
+/// A reproducer: a schedule and the violation it re-triggers — the
+/// content of `chaos-repro.json`, which `quickdrop-cli chaos --replay`
+/// re-executes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Repro {
+    /// The schedule that violated an invariant.
+    pub schedule: ChaosSchedule,
+    /// The violation replaying the schedule must reproduce
+    /// byte-for-byte.
+    pub violation: Violation,
+}
+
+impl Serialize for Repro {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("schedule".to_string(), self.schedule.to_value()),
+            ("violation".to_string(), self.violation.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Repro {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(Repro {
+            schedule: Deserialize::from_value(v.field("Repro", "schedule")?)?,
+            violation: Deserialize::from_value(v.field("Repro", "violation")?)?,
+        })
+    }
+}
+
+impl Repro {
+    /// Serializes the reproducer as one JSON line.
+    ///
+    /// # Errors
+    ///
+    /// A description of the (exotic: non-finite float) encode failure.
+    pub fn to_json(&self) -> Result<String, String> {
+        let mut json = serde_json::to_string(&self.to_value()).map_err(|e| e.to_string())?;
+        json.push('\n');
+        Ok(json)
+    }
+
+    /// Parses a reproducer and validates its schedule.
+    ///
+    /// # Errors
+    ///
+    /// A description of the parse or validation failure.
+    pub fn from_json(text: &str) -> Result<Repro, String> {
+        let value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        let repro = Repro::from_value(&value).map_err(|e| e.to_string())?;
+        repro.schedule.validate()?;
+        Ok(repro)
+    }
 }
 
 /// A property of the system that every chaos run must preserve.

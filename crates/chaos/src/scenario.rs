@@ -11,16 +11,16 @@
 //!
 //! A lifetime serves through one of two front doors ([`FrontDoor`]):
 //! the service executor, or the per-request journaled calls.
-//! [`Harness::exhaustive`] enumerates every single-death schedule of a
-//! workload — each `Vfs` operation of the fault-free lifetime, each
-//! journal boundary its units reach — beside the seeded sampler
-//! [`ChaosSchedule::generate`].
+//! [`Harness::exhaustive`] enumerates every single-fault schedule of a
+//! workload: each [`Fault`] at each `Vfs` operation of the fault-free
+//! lifetime it applies to, and a kill at each journal boundary its units
+//! reach.
 
 use crate::invariant::Violation;
-use crate::schedule::{ChaosSchedule, FaultSpec, FrontDoor, InjectedFault, Workload};
+use crate::schedule::{ChaosSchedule, FaultSpec, FrontDoor, InjectedFault, StorageFault, Workload};
 use qd_core::{
-    units, BatchPreempt, Checkpoint, CrashPoint, FaultFs, JournalRecord, JournaledRun, QuickDrop,
-    QuickDropConfig, RequestJournal, RequestState, ServeError, Snapshot, Vfs,
+    units, BatchPreempt, Checkpoint, CrashPoint, Fault, FaultFs, JournalRecord, JournaledRun,
+    QuickDrop, QuickDropConfig, RequestJournal, RequestState, ServeError, Snapshot, Vfs, VfsOp,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{FaultPlan, Federation, Phase};
@@ -74,6 +74,9 @@ pub struct Terminal {
     /// first — for the fault-free reference, one lifetime, every
     /// generation of the run.
     pub saved: Vec<Vec<u8>>,
+    /// Every `Vfs` operation of the run, all lifetimes
+    /// ([`FaultFs::op_log`]); the invariants do not compare it.
+    pub ops: Vec<(VfsOp, usize)>,
 }
 
 /// What one faulted schedule execution produced — the invariant
@@ -157,9 +160,9 @@ impl std::fmt::Display for Death {
     }
 }
 
-/// The serializable result of one schedule execution: what `qd chaos`
-/// prints per run and what the determinism tests compare.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// The serializable result of one schedule execution: what the
+/// determinism tests compare.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct RunReport {
     /// Whether the faulted run reached a terminal state.
     pub completed: bool,
@@ -180,13 +183,6 @@ struct DeploySeed {
     rng: RngState,
 }
 
-/// A fault-free reference lifetime: where it ended, and how many `Vfs`
-/// operations it took to get there.
-struct Reference {
-    terminal: Terminal,
-    ops: u64,
-}
-
 /// [`QuickDrop::resume_requests_until`]'s signature.
 type Resume = fn(
     &mut QuickDrop,
@@ -202,7 +198,7 @@ type Resume = fn(
 /// produced them, so a multi-run sweep trains once per environment.
 pub struct Harness {
     deploys: BTreeMap<String, DeploySeed>,
-    references: BTreeMap<String, Reference>,
+    references: BTreeMap<String, Terminal>,
     /// How a per-request lifetime finishes the journal's in-flight
     /// unit. Always [`QuickDrop::resume_requests_until`]; private, so
     /// only this module's negative control can swap in an unsound one.
@@ -327,7 +323,8 @@ impl Harness {
     }
 
     /// Executes `schedule` and returns the raw outcome without checking
-    /// invariants — what the shrinker re-runs candidates through.
+    /// invariants: both terminals and how the faulted run died, for a
+    /// caller that asks more of a run than the registry does.
     ///
     /// # Errors
     ///
@@ -335,7 +332,7 @@ impl Harness {
     pub fn execute(&mut self, schedule: &ChaosSchedule) -> Result<RunOutcome, ChaosError> {
         schedule.validate().map_err(ChaosError)?;
         let w = schedule.workload.clone();
-        let reference = self.reference(&w)?.terminal.clone();
+        let reference = self.reference(&w)?.clone();
 
         let fs = Arc::new(FaultFs::new());
         let mut attempt: u32 = 0;
@@ -432,7 +429,7 @@ impl Harness {
     }
 
     /// The fault-free reference lifetime of `w`, run once per workload.
-    fn reference(&mut self, w: &Workload) -> Result<&Reference, ChaosError> {
+    fn reference(&mut self, w: &Workload) -> Result<&Terminal, ChaosError> {
         self.ensure_deploy(w)?;
         let key = workload_key(w);
         if !self.references.contains_key(&key) {
@@ -440,46 +437,50 @@ impl Harness {
             let terminal = self
                 .attempt(w, &fs, None)
                 .map_err(|e| ChaosError(format!("fault-free reference run failed: {e}")))?;
-            let ops = fs.op_count();
-            self.references
-                .insert(key.clone(), Reference { terminal, ops });
+            self.references.insert(key.clone(), terminal);
         }
         self.references
             .get(&key)
             .ok_or_else(|| ChaosError("reference cache miss after fill".to_string()))
     }
 
-    /// Every single-death schedule of `w`: one kill per `Vfs` operation
-    /// of its fault-free lifetime, and one per journal boundary each
+    /// Every single-fault schedule of `w`: each [`Fault`] at each `Vfs`
+    /// operation of its fault-free lifetime that the fault applies to —
+    /// a kill at every operation; a torn write (half its bytes) and a
+    /// full disk at every write and append; a failed fsync at every
+    /// fsync; the last bit flipped and half the bytes returned at every
+    /// read — then a kill at each journal boundary each
     /// planned unit reaches in it — RECEIVED always; FAILED and
     /// QUARANTINED where the reference run shed or quarantined a member
     /// of the unit; `Unlearned(k)` for each member it served, and
-    /// RECOVERED if it served any. Both bounds come from the reference
-    /// run, so every schedule's kill fires, and one resume is all it is
-    /// allowed.
+    /// RECOVERED if it served any. Both come from the reference run, so
+    /// every schedule's fault fires, and one resume is all it is allowed.
+    /// A schedule holds one fault, so a failing one is its own minimal
+    /// reproducer.
     ///
     /// # Errors
     ///
     /// As [`Harness::run`].
     pub fn exhaustive(&mut self, w: &Workload) -> Result<Vec<ChaosSchedule>, ChaosError> {
-        let single_death = |point| ChaosSchedule {
+        let single_fault = |spec| ChaosSchedule {
             seed: w.train_seed,
             workload: w.clone(),
-            faults: vec![InjectedFault {
-                attempt: 0,
-                spec: FaultSpec::Crash(point),
-            }],
+            faults: vec![InjectedFault { attempt: 0, spec }],
             max_resumes: 1,
         };
-        single_death(CrashPoint::VfsOp(0))
+        single_fault(FaultSpec::Crash(CrashPoint::VfsOp(0)))
             .validate()
             .map_err(ChaosError)?;
         let reference = self.reference(w)?;
-        let mut points: Vec<CrashPoint> = (0..reference.ops).map(CrashPoint::VfsOp).collect();
+        let mut specs = Vec::new();
+        for fault in FAULTS {
+            for (op, &(kind, len)) in (0..).zip(&reference.ops) {
+                specs.extend(enumerated(fault, op, kind, len));
+            }
+        }
         // The reference run served the whole plan, so its journal's
         // units are the plan's, in plan order.
-        let journaled =
-            units(&reference.terminal.records).map_err(|e| ChaosError(e.to_string()))?;
+        let journaled = units(&reference.records).map_err(|e| ChaosError(e.to_string()))?;
         for (unit, journaled) in journaled.iter().enumerate() {
             let reached = |state| journaled.members.iter().any(|m| m.state == state);
             let served = journaled.members.iter().filter(|m| m.served()).count();
@@ -494,11 +495,12 @@ impl Harness {
             if served > 0 {
                 boundaries.push(BatchPreempt::Recovered);
             }
-            points.extend(
-                (boundaries.into_iter()).map(|boundary| CrashPoint::Boundary { unit, boundary }),
+            specs.extend(
+                (boundaries.into_iter())
+                    .map(|boundary| FaultSpec::Crash(CrashPoint::Boundary { unit, boundary })),
             );
         }
-        Ok(points.into_iter().map(single_death).collect())
+        Ok(specs.into_iter().map(single_fault).collect())
     }
 
     /// One process lifetime: deploy, unless a checkpoint generation
@@ -620,7 +622,45 @@ impl Harness {
             frontier,
             files: fs.files(),
             saved,
+            ops: fs.op_log(),
         })
+    }
+}
+
+/// Every [`Fault`] variant, in the order [`Harness::exhaustive`]
+/// enumerates them.
+const FAULTS: [Fault; 6] = [
+    Fault::Kill,
+    Fault::TornWrite(0),
+    Fault::FsyncFail,
+    Fault::DiskFull,
+    Fault::BitFlip(0),
+    Fault::ShortRead(0),
+];
+
+/// `fault` at operation `op` of a lifetime, a `kind` operation that
+/// moved `len` bytes, or `None` where it does not apply. A kill applies
+/// everywhere; a torn write tears half of a write or append (its bytes
+/// are never durable, so every length leaves the same files after the
+/// crash) and a full disk refuses one; an fsync fails; a read comes back
+/// with its last bit flipped (inside the final journal frame, which an
+/// open takes for a torn tail) or half as long.
+fn enumerated(fault: Fault, op: u64, kind: VfsOp, len: usize) -> Option<FaultSpec> {
+    let writes = matches!(kind, VfsOp::Write | VfsOp::Append);
+    let reads = kind == VfsOp::Read;
+    let storage = |fault| Some(FaultSpec::Storage { op, fault });
+    match fault {
+        Fault::Kill => Some(FaultSpec::Crash(CrashPoint::VfsOp(op))),
+        Fault::TornWrite(_) if writes => storage(StorageFault::TornWrite(len / 2)),
+        Fault::FsyncFail if kind == VfsOp::Fsync => storage(StorageFault::FsyncFail),
+        Fault::DiskFull if writes => storage(StorageFault::DiskFull),
+        Fault::BitFlip(_) if reads => storage(StorageFault::BitFlip((len * 8).saturating_sub(1))),
+        Fault::ShortRead(_) if reads => storage(StorageFault::ShortRead(len / 2)),
+        Fault::TornWrite(_)
+        | Fault::FsyncFail
+        | Fault::DiskFull
+        | Fault::BitFlip(_)
+        | Fault::ShortRead(_) => None,
     }
 }
 

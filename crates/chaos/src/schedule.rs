@@ -5,7 +5,8 @@
 //! multi-tenant service mix — present in the fault-free reference run
 //! and the faulted run alike) and the *failures* (storage faults and
 //! process deaths, each bound to one process lifetime). Schedules are
-//! pure data: generated from a seed, serialized to JSON for
+//! pure data: enumerated by `Harness::exhaustive` (or drawn from a seed
+//! by [`ChaosSchedule::generate`]), serialized to JSON for
 //! `chaos-repro.json` artifacts, and replayed bit-for-bit.
 
 use qd_core::{CrashPoint, Fault};
@@ -142,6 +143,11 @@ pub enum StorageFault {
     FsyncFail,
     /// The write/append fails with `ENOSPC`, applying nothing.
     DiskFull,
+    /// The read returns its buffer with bit `n` flipped; the file is
+    /// untouched.
+    BitFlip(usize),
+    /// The read returns only its first `n` bytes.
+    ShortRead(usize),
 }
 
 impl StorageFault {
@@ -151,36 +157,43 @@ impl StorageFault {
             StorageFault::TornWrite(n) => Fault::TornWrite(n),
             StorageFault::FsyncFail => Fault::FsyncFail,
             StorageFault::DiskFull => Fault::DiskFull,
+            StorageFault::BitFlip(n) => Fault::BitFlip(n),
+            StorageFault::ShortRead(n) => Fault::ShortRead(n),
         }
     }
 }
 
 impl Serialize for StorageFault {
     fn to_value(&self) -> Value {
+        let sized = |key: &str, n: usize| Value::Map(vec![(key.to_string(), n.to_value())]);
         match *self {
-            StorageFault::TornWrite(n) => {
-                Value::Map(vec![("torn_write".to_string(), Serialize::to_value(&n))])
-            }
+            StorageFault::TornWrite(n) => sized("torn_write", n),
             StorageFault::FsyncFail => Value::Str("fsync_fail".to_string()),
             StorageFault::DiskFull => Value::Str("disk_full".to_string()),
+            StorageFault::BitFlip(n) => sized("bit_flip", n),
+            StorageFault::ShortRead(n) => sized("short_read", n),
         }
     }
 }
 
 impl Deserialize for StorageFault {
     fn from_value(v: &Value) -> Result<Self, DeError> {
+        let sized = |key| v.get(key).map(usize::from_value).transpose();
+        if let Some(n) = sized("torn_write")? {
+            return Ok(StorageFault::TornWrite(n));
+        }
+        if let Some(n) = sized("bit_flip")? {
+            return Ok(StorageFault::BitFlip(n));
+        }
+        if let Some(n) = sized("short_read")? {
+            return Ok(StorageFault::ShortRead(n));
+        }
         match v {
-            Value::Str(s) => match s.as_str() {
-                "fsync_fail" => Ok(StorageFault::FsyncFail),
-                "disk_full" => Ok(StorageFault::DiskFull),
-                other => Err(DeError::new(format!(
-                    "unknown StorageFault variant {other:?}"
-                ))),
-            },
-            other => {
-                let n = other.field("StorageFault", "torn_write")?;
-                Ok(StorageFault::TornWrite(Deserialize::from_value(n)?))
-            }
+            Value::Str(s) if s == "fsync_fail" => Ok(StorageFault::FsyncFail),
+            Value::Str(s) if s == "disk_full" => Ok(StorageFault::DiskFull),
+            other => Err(DeError::new(format!(
+                "unknown StorageFault variant {other:?}"
+            ))),
         }
     }
 }
@@ -377,8 +390,8 @@ impl ChaosSchedule {
     /// All runs of one seed share a training environment (so a
     /// multi-run sweep trains once), vary the serving mix, and arm a
     /// contiguous prefix of lethal lifetimes — every generated schedule
-    /// leaves resume headroom, so a correct system completes it and the
-    /// pinned check.sh gate stays green unless an invariant regresses.
+    /// leaves resume headroom, so a correct system completes it. What
+    /// qd-perf's `chaos.runs_per_s` times, and a determinism test runs.
     pub fn generate(seed: u64, run: u64) -> ChaosSchedule {
         let mut stream = mix_stream(seed, run);
         // Environment knobs: a function of `seed` alone.

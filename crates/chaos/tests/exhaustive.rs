@@ -1,21 +1,24 @@
 //! The crash gate: every kill-and-resume test of the workspace is a
 //! `qd-chaos` schedule here. Four named workloads — the per-request
 //! stream, a clean multi-tenant service, a spiked service under the
-//! retry ladder + bisection, and the same with tenant breakers — are
-//! each killed at **every** `Vfs` operation and at **every** journal
-//! boundary their units reach ([`Harness::exhaustive`]); every kill
-//! must fire, resume within one more lifetime and pass all six
-//! invariants, and a failure prints its shrunk `chaos-repro.json`.
-//! The tests at the end are about the enumerator itself.
+//! retry ladder + bisection, and the same with tenant breakers — each
+//! get **every** `qd_core::Fault` at **every** `Vfs` operation it
+//! applies to, and a kill at **every** journal boundary their units
+//! reach ([`Harness::exhaustive`]); every fault must fire, the run must
+//! finish within one resume and pass all six invariants, and a failure
+//! prints its `chaos-repro.json`. The tests at the end are about the
+//! enumerator itself.
 
 use qd_chaos::scenario::serve_config;
 use qd_chaos::{
-    shrink, ChaosSchedule, FaultSpec, FrontDoor, Harness, InjectedFault, Repro, Terminal, Workload,
+    ChaosSchedule, FaultSpec, FrontDoor, Harness, InjectedFault, Repro, StorageFault, Terminal,
+    Workload,
 };
-use qd_core::{BatchPreempt, CrashPoint, FaultFs, RequestState};
+use qd_core::{BatchPreempt, CrashPoint, Fault, FaultFs, RequestState, VfsOp};
 use qd_fed::FaultPlan;
 use qd_serve::{build_plan, Plan};
 use qd_unlearn::UnlearnRequest;
+use std::mem::discriminant;
 use std::sync::Arc;
 
 /// Two tenants, three requests each, a tight class universe: the plan
@@ -75,24 +78,90 @@ fn plan_of(w: &Workload) -> Plan {
     build_plan(&serve_config(w)).expect("the workload plans")
 }
 
-fn kill_of(schedule: &ChaosSchedule) -> CrashPoint {
+/// The one failure of a single-fault schedule.
+fn fault_of(schedule: &ChaosSchedule) -> FaultSpec {
     match schedule.faults[..] {
-        [InjectedFault {
-            attempt: 0,
-            spec: FaultSpec::Crash(point),
-        }] => point,
-        _ => panic!("not a single-death schedule: {schedule:?}"),
+        [InjectedFault { attempt: 0, spec }] => spec,
+        _ => panic!("not a single-fault schedule: {schedule:?}"),
+    }
+}
+
+/// The `Vfs` operation a schedule's fault strikes and the
+/// `qd_core::Fault` it injects there; `None` for a boundary kill.
+fn op_fault(schedule: &ChaosSchedule) -> Option<(u64, Fault)> {
+    match fault_of(schedule) {
+        FaultSpec::Crash(CrashPoint::VfsOp(op)) => Some((op, Fault::Kill)),
+        FaultSpec::Storage { op, fault } => Some((op, fault.to_fault())),
+        FaultSpec::Crash(CrashPoint::Boundary { .. }) => None,
     }
 }
 
 /// The `(unit, boundary)` kills among `schedules`, in order.
 fn boundaries(schedules: &[ChaosSchedule]) -> Vec<(usize, BatchPreempt)> {
-    (schedules.iter().map(kill_of))
-        .filter_map(|point| match point {
-            CrashPoint::Boundary { unit, boundary } => Some((unit, boundary)),
-            CrashPoint::VfsOp(_) => None,
+    (schedules.iter().map(fault_of))
+        .filter_map(|spec| match spec {
+            FaultSpec::Crash(CrashPoint::Boundary { unit, boundary }) => Some((unit, boundary)),
+            _ => None,
         })
         .collect()
+}
+
+/// The operation kinds each `qd_core::Fault` is injected at — a match
+/// with no wildcard, so a variant cannot be added to `Fault` without
+/// saying where the crash gate injects it.
+fn kinds_of(fault: Fault) -> &'static [VfsOp] {
+    match fault {
+        Fault::Kill => &[
+            VfsOp::Read,
+            VfsOp::Write,
+            VfsOp::Append,
+            VfsOp::Fsync,
+            VfsOp::Rename,
+            VfsOp::Remove,
+            VfsOp::Exists,
+            VfsOp::List,
+        ],
+        Fault::TornWrite(_) | Fault::DiskFull => &[VfsOp::Write, VfsOp::Append],
+        Fault::FsyncFail => &[VfsOp::Fsync],
+        Fault::BitFlip(_) | Fault::ShortRead(_) => &[VfsOp::Read],
+    }
+}
+
+/// Every `qd_core::Fault` variant, with the size the enumerator gives it
+/// at an operation that moved `len` bytes: half of a torn write, the
+/// last bit of a read, half of a short one.
+fn sized(len: usize) -> [Fault; 6] {
+    [
+        Fault::Kill,
+        Fault::TornWrite(len / 2),
+        Fault::FsyncFail,
+        Fault::DiskFull,
+        Fault::BitFlip((len * 8).saturating_sub(1)),
+        Fault::ShortRead(len / 2),
+    ]
+}
+
+/// `schedules` inject each `Fault` variant at exactly the operations of
+/// the reference lifetime `ops` it applies to ([`kinds_of`]), sized from
+/// the bytes the operation moved, once each.
+fn assert_every_fault_is_enumerated(schedules: &[ChaosSchedule], ops: &[(VfsOp, usize)]) {
+    let enumerated: Vec<(u64, Fault)> = schedules.iter().filter_map(op_fault).collect();
+    let mut expected = Vec::new();
+    for variant in 0..sized(0).len() {
+        for (op, &(kind, len)) in (0..).zip(ops) {
+            let fault = sized(len)[variant];
+            if kinds_of(fault).contains(&kind) {
+                expected.push((op, fault));
+            }
+        }
+    }
+    for variant in sized(0) {
+        assert!(
+            (enumerated.iter()).any(|(_, f)| discriminant(f) == discriminant(&variant)),
+            "{variant:?} is never injected"
+        );
+    }
+    assert_eq!(enumerated, expected);
 }
 
 /// The journal in `terminal`'s files, opened as it lies: the open decodes
@@ -109,40 +178,49 @@ fn assert_lazy_matches_eager(terminal: &Terminal) {
     assert_eq!(compared, terminal.records.len());
 }
 
-/// Runs `schedule`, demanding that its one kill fired, that one resume
-/// finished the run, that all six invariants hold — or panics with the
-/// shrunk reproducer — and that both runs' journals decode lazily as
-/// they do eagerly. Returns the fault-free reference terminal and the
-/// death the kill caused.
+/// Runs `schedule`, demanding that its one fault fired, that the run
+/// finished within its one resume — a kill or a torn write always needs
+/// it — and that all six invariants hold, or panics with the
+/// schedule's `chaos-repro.json`; and that the faulted run's journal
+/// decodes lazily as it does eagerly. Returns the fault-free reference
+/// terminal and the faulted run's last death.
 fn assert_resumes(harness: &mut Harness, schedule: &ChaosSchedule) -> (Terminal, String) {
     let outcome = harness.execute(schedule).expect("schedule executes");
     let report = outcome.report();
     assert_eq!(report.invariants_checked, 6);
+    let spec = fault_of(schedule);
     if let Some(violation) = report.violations.first() {
-        let repro = shrink(harness, schedule, violation).expect("violation reproduces");
+        let repro = Repro {
+            schedule: schedule.clone(),
+            violation: violation.clone(),
+        };
         let json = repro.to_json().expect("repros encode");
-        panic!(
-            "{:?} broke resume; chaos-repro.json:\n{json}",
-            kill_of(schedule)
-        );
+        panic!("{spec:?} broke resume; chaos-repro.json:\n{json}");
     }
-    assert_eq!(
-        (report.faults_fired, report.attempts),
-        (1, 2),
-        "{:?}: the kill must fire, and one resume must finish",
-        kill_of(schedule)
+    let dies = matches!(
+        spec,
+        FaultSpec::Crash(_)
+            | FaultSpec::Storage {
+                fault: StorageFault::TornWrite(_),
+                ..
+            }
     );
-    assert_lazy_matches_eager(&outcome.reference);
+    assert_eq!(report.faults_fired, 1, "{spec:?}: the fault must fire");
+    assert!(
+        report.attempts == 2 || (report.attempts == 1 && !dies),
+        "{spec:?}: {} lifetimes",
+        report.attempts
+    );
     assert_lazy_matches_eager(outcome.faulted.as_ref().expect("the run completed"));
     (outcome.reference, outcome.last_error)
 }
 
-/// Kills `w` at every enumerated crash point, of which there must be
-/// `count` — the four workloads enumerate 88 + 68 + 74 + 74 = 304
-/// schedules. Every save
-/// that rotated the primary to `.prev` is killed between that rename and
-/// the one that puts its tmp file in place, and a service lifetime is
-/// killed inside its stats write.
+/// Runs every enumerated schedule of `w`, of which there must be
+/// `count` — the four workloads enumerate 162 + 129 + 141 + 141 = 573
+/// schedules — and checks that each `Fault` is injected wherever it
+/// applies. Every save that rotated the primary to `.prev` is killed
+/// between that rename and the one that puts its tmp file in place, and
+/// a service lifetime is killed inside its stats write.
 fn assert_every_kill_resumes(w: &Workload, count: usize) -> (Vec<ChaosSchedule>, Terminal) {
     let mut harness = Harness::new();
     let schedules = harness.exhaustive(w).expect("the workload enumerates");
@@ -154,6 +232,9 @@ fn assert_every_kill_resumes(w: &Workload, count: usize) -> (Vec<ChaosSchedule>,
         reference = Some(terminal);
         deaths.push(death);
     }
+    let reference = reference.expect("a workload has crash points");
+    assert_lazy_matches_eager(&reference);
+    assert_every_fault_is_enumerated(&schedules, &reference.ops);
     let died_at = |what: &str| deaths.iter().filter(|d| d.contains(what)).count();
     let rotations = died_at("renaming chaos.ckpt.json: ");
     assert!(
@@ -171,7 +252,7 @@ fn assert_every_kill_resumes(w: &Workload, count: usize) -> (Vec<ChaosSchedule>,
         service,
         "write, fsync, rename"
     );
-    (schedules, reference.expect("a workload has crash points"))
+    (schedules, reference)
 }
 
 /// Every unit of a clean plan reaches every boundary of the unit engine.
@@ -213,7 +294,7 @@ fn assert_clean_workload_resumes(
 
 #[test]
 fn per_request_stream_resumes_from_every_crash_point() {
-    let (schedules, plan, reference) = assert_clean_workload_resumes(&per_request_stream(), 88);
+    let (schedules, plan, reference) = assert_clean_workload_resumes(&per_request_stream(), 162);
     assert_eq!(
         reference.records.last().map(|r| r.state),
         Some(RequestState::Relearned),
@@ -236,7 +317,7 @@ fn per_request_stream_resumes_from_every_crash_point() {
 
 #[test]
 fn clean_service_resumes_from_every_crash_point() {
-    let (_, _, reference) = assert_clean_workload_resumes(&clean_service(), 68);
+    let (_, _, reference) = assert_clean_workload_resumes(&clean_service(), 129);
     let stats = reference.stats.expect("the service reports");
     assert_eq!(stats.served, stats.admitted);
     assert!(stats.coalesce_ratio > 1.0, "the mix must actually coalesce");
@@ -287,12 +368,12 @@ fn assert_isolated_service_resumes(w: &Workload, count: usize, sheds: bool) {
 
 #[test]
 fn spiked_service_resumes_from_every_crash_point() {
-    assert_isolated_service_resumes(&spiked_service(), 74, false);
+    assert_isolated_service_resumes(&spiked_service(), 141, false);
 }
 
 #[test]
 fn breaker_service_resumes_from_every_crash_point() {
-    assert_isolated_service_resumes(&breaker_service(), 74, true);
+    assert_isolated_service_resumes(&breaker_service(), 141, true);
 }
 
 #[test]
@@ -314,26 +395,28 @@ fn the_enumeration_is_exactly_the_reference_runs_crash_points() {
         assert_eq!(back.to_json().expect("schedules encode"), json);
     }
 
-    // `op_count + Σ_units boundaries(unit)`: the boundary half is the
-    // plan's, and the Vfs half is 0..n with n the first index past the
-    // fault-free lifetime — kill n-1 fires, kill n has nothing to kill.
-    let ops: Vec<u64> = (schedules.iter().map(kill_of))
-        .filter_map(|point| match point {
-            CrashPoint::VfsOp(op) => Some(op),
-            CrashPoint::Boundary { .. } => None,
+    // The kills come first, one per operation: 0..n with n the first
+    // index past the fault-free lifetime — kill n-1 fires, kill n has
+    // nothing to kill. Storage faults strike only those n operations,
+    // and the boundary kills are the plan's.
+    let ops: Vec<u64> = (schedules.iter())
+        .map_while(|s| match fault_of(s) {
+            FaultSpec::Crash(CrashPoint::VfsOp(op)) => Some(op),
+            _ => None,
         })
         .collect();
     let n = ops.len() as u64;
     assert!(n > 20, "the stream must exercise a real op stream, got {n}");
     assert_eq!(ops, (0..n).collect::<Vec<_>>());
+    let faulted_ops = schedules.iter().filter_map(op_fault);
+    assert_eq!(faulted_ops.filter(|&(op, _)| op >= n).count(), 0);
     let plan = plan_of(&w);
-    assert_eq!(
-        schedules.len(),
-        ops.len() + clean_boundaries(&plan).len(),
-        "exactly one schedule per crash point"
-    );
+    assert_eq!(boundaries(&schedules), clean_boundaries(&plan));
     let mut past_the_end = schedules[ops.len() - 1].clone();
-    assert_eq!(kill_of(&past_the_end), CrashPoint::VfsOp(n - 1));
+    assert_eq!(
+        fault_of(&past_the_end),
+        FaultSpec::Crash(CrashPoint::VfsOp(n - 1))
+    );
     past_the_end.faults[0].spec = FaultSpec::Crash(CrashPoint::VfsOp(n));
     let report = harness.run(&past_the_end).expect("schedule executes");
     assert_eq!((report.faults_fired, report.attempts), (0, 1));
@@ -348,8 +431,10 @@ fn the_enumeration_is_exactly_the_reference_runs_crash_points() {
         .contains("front_door"));
 }
 
+/// A schedule holds one fault, so a violating one is its own minimal
+/// reproducer: written with its violation, it replays byte-for-byte.
 #[test]
-fn an_enumerated_kill_without_its_resume_shrinks_and_replays_byte_for_byte() {
+fn an_enumerated_kill_without_its_resume_replays_byte_for_byte() {
     let mut harness = Harness::new();
     let schedules = harness
         .exhaustive(&per_request_stream())
@@ -362,16 +447,13 @@ fn an_enumerated_kill_without_its_resume_shrinks_and_replays_byte_for_byte() {
         .find(|v| v.invariant == "run-completes")
         .expect("a death with no resume left is a stall");
 
-    let repro = shrink(&mut harness, &stalled, violation).expect("shrinking succeeds");
-    assert_eq!(repro.schedule.faults.len(), 1, "the kill is load-bearing");
-    assert_eq!(repro.schedule.workload.requests, 1);
-    assert_eq!(
-        repro.schedule.workload.front_door,
-        FrontDoor::PerRequest,
-        "shrinking keeps the front door"
-    );
+    let repro = Repro {
+        schedule: stalled.clone(),
+        violation: violation.clone(),
+    };
     let json = repro.to_json().expect("repros encode");
     let parsed = Repro::from_json(&json).expect("repro parses");
+    assert_eq!(parsed, repro);
     assert_eq!(parsed.to_json().expect("repros encode"), json);
     let replay = Harness::new()
         .run(&parsed.schedule)
@@ -381,4 +463,31 @@ fn an_enumerated_kill_without_its_resume_shrinks_and_replays_byte_for_byte() {
         Some(&repro.violation),
         "a fresh harness replays the stored violation byte-for-byte"
     );
+}
+
+/// A short read of the tail journal segment is no torn tail. These
+/// operations are that read in each workload's reference lifetime; while
+/// a repairing open trusted one read, it cut the segment to the short
+/// read's prefix, lost acknowledged records, and every one of these
+/// schedules ended in `kill-resume-equivalence: global model: tensor 0
+/// element 0 diverged`.
+#[test]
+fn a_short_read_of_the_tail_segment_loses_no_record() {
+    let mut harness = Harness::new();
+    for (w, at) in [
+        (per_request_stream(), 51),
+        (per_request_stream(), 69),
+        (clean_service(), 49),
+        (spiked_service(), 53),
+        (breaker_service(), 53),
+    ] {
+        let schedules = harness.exhaustive(&w).expect("the workload enumerates");
+        let short_read = (schedules.iter())
+            .find(|s| {
+                let spec = fault_of(s);
+                matches!(spec, FaultSpec::Storage { op, fault: StorageFault::ShortRead(_) } if op == at)
+            })
+            .unwrap_or_else(|| panic!("{w:?} reads at op {at}"));
+        assert_resumes(&mut harness, short_read);
+    }
 }

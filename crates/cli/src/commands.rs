@@ -66,6 +66,8 @@ impl From<std::io::Error> for CliError {
 impl From<ServeError> for CliError {
     fn from(e: ServeError) -> Self {
         match e {
+            ServeError::Journal(e) => CliError::Io(e.into()),
+            ServeError::Checkpoint(e) => CliError::from(e),
             ServeError::Io(io) => CliError::Io(io),
             ServeError::Diverged(d) => CliError::Usage(d.to_string()),
         }
@@ -123,9 +125,7 @@ USAGE:
   quickdrop-cli eval    --ckpt ckpt.json [--dataset D] [--samples N] [--seed X]
   quickdrop-cli show    --ckpt ckpt.json [--client I] [--limit N]
   quickdrop-cli dump    --ckpt ckpt.json [--journal [PATH]]
-  quickdrop-cli chaos   [--seed X] [--runs N] [--shrink]
-                        [--repro-out chaos-repro.json]
-                        [--replay chaos-repro.json]
+  quickdrop-cli chaos   --replay chaos-repro.json
   quickdrop-cli help
 ";
 
@@ -709,54 +709,17 @@ fn service(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `chaos`: deterministic whole-system fault orchestration. Without
-/// `--replay`, generates and executes `--runs` seeded schedules; the
-/// first invariant violation is (optionally shrunk and) written as a
-/// replayable reproducer, and the command exits nonzero. With
-/// `--replay FILE`, re-executes a stored reproducer and demands the
-/// identical violation byte-for-byte.
+/// `chaos --replay FILE`: re-executes a stored reproducer — a schedule
+/// and the violation it tripped, as `Repro::to_json` writes it — and
+/// demands the identical violation byte-for-byte. The schedules
+/// themselves are enumerated and run by qd-chaos's test suite.
 fn chaos(args: &Args) -> Result<String, CliError> {
-    if args.has_option("replay") {
-        return chaos_replay(&args.get_str("replay", ""));
+    if !args.has_option("replay") {
+        return Err(CliError::Usage(format!(
+            "chaos takes --replay chaos-repro.json\n\n{USAGE}"
+        )));
     }
-    let seed = args.get_u64("seed", 7)?;
-    let runs = args.get_u64("runs", 10)?;
-    let mut harness = qd_chaos::Harness::new();
-    let mut faults_fired = 0u64;
-    let mut invariants_checked = 0u64;
-    for run in 0..runs {
-        let schedule = qd_chaos::ChaosSchedule::generate(seed, run);
-        let report = harness
-            .run(&schedule)
-            .map_err(|e| CliError::Usage(e.to_string()))?;
-        faults_fired += report.faults_fired;
-        invariants_checked += report.invariants_checked;
-        if let Some(violation) = report.violations.first() {
-            let repro = if args.flag("shrink") {
-                qd_chaos::shrink(&mut harness, &schedule, violation)
-                    .map_err(|e| CliError::Usage(e.to_string()))?
-            } else {
-                qd_chaos::Repro {
-                    schedule: schedule.clone(),
-                    violation: violation.clone(),
-                }
-            };
-            let out = args.get_str("repro-out", "chaos-repro.json");
-            std::fs::write(&out, repro.to_json().map_err(CliError::Usage)?)?;
-            return Err(CliError::Usage(format!(
-                "chaos run {run} of seed {seed} violated {}: {}\nreproducer written to {out}",
-                repro.violation.invariant, repro.violation.detail
-            )));
-        }
-    }
-    Ok(format!(
-        "{runs} chaos run(s) of seed {seed} completed: {faults_fired} fault(s) fired, \
-         {invariants_checked} invariant check(s), 0 violations\n"
-    ))
-}
-
-fn chaos_replay(path: &str) -> Result<String, CliError> {
-    let text = std::fs::read_to_string(path)?;
+    let text = std::fs::read_to_string(args.get_str("replay", ""))?;
     let repro = qd_chaos::Repro::from_json(&text).map_err(CliError::Usage)?;
     let mut harness = qd_chaos::Harness::new();
     let report = harness
@@ -2073,5 +2036,76 @@ mod tests {
         let (params, _) = Checkpoint::load(&ckpt).unwrap().restore().unwrap();
         assert!(params.iter().all(qd_tensor::Tensor::all_finite));
         std::fs::remove_file(&ckpt).ok();
+    }
+
+    /// A stalled schedule's reproducer: the first enumerated kill of a
+    /// one-request per-request workload, with no resume left to finish.
+    fn stalled_repro() -> qd_chaos::Repro {
+        let workload = qd_chaos::Workload {
+            train_seed: 42,
+            samples: 120,
+            clients: 3,
+            rounds: 3,
+            byzantine_frac: 0.0,
+            net_drop: 0.0,
+            ascent_spike: 1.0,
+            tenants: 1,
+            requests: 1,
+            serve_seed: 11,
+            breaker_trip: 0,
+            breaker_cooldown: 2,
+            relearn: false,
+            front_door: qd_chaos::FrontDoor::PerRequest,
+        };
+        let mut harness = qd_chaos::Harness::new();
+        let mut schedule = harness.exhaustive(&workload).unwrap().swap_remove(0);
+        schedule.max_resumes = 0;
+        let report = harness.run(&schedule).unwrap();
+        let violation = report.violations.first().expect("a stall").clone();
+        assert_eq!(violation.invariant, "run-completes");
+        qd_chaos::Repro {
+            schedule,
+            violation,
+        }
+    }
+
+    #[test]
+    fn chaos_replays_a_reproducer_byte_for_byte_and_refuses_one_that_drifted() {
+        let mut repro = stalled_repro();
+        let path = tmp("chaos-stalled.json");
+        std::fs::write(&path, repro.to_json().unwrap()).unwrap();
+        let out = run(&args(&["chaos", "--replay", &path])).unwrap();
+        assert!(
+            out.ends_with("violation reproduced byte-for-byte\n"),
+            "{out}"
+        );
+
+        repro.violation.detail.push_str(" (edited)");
+        std::fs::write(&path, repro.to_json().unwrap()).unwrap();
+        let err = run(&args(&["chaos", "--replay", &path])).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(err.to_string().starts_with("violation drifted"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn chaos_without_a_reproducer_is_a_usage_error_that_writes_nothing() {
+        let listing = || {
+            let entries = std::fs::read_dir(".").unwrap();
+            let mut names: Vec<_> = entries.map(|e| e.unwrap().file_name()).collect();
+            names.sort();
+            names
+        };
+        let before = listing();
+        for line in [vec!["chaos"], vec!["chaos", "--runs", "5"]] {
+            let err = run(&args(&line)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{line:?}: {err}");
+        }
+        let err = run(&args(&["chaos", "--runs", "5"])).unwrap_err();
+        assert!(
+            err.to_string().starts_with("chaos does not take --runs"),
+            "{err}"
+        );
+        assert_eq!(listing(), before);
     }
 }

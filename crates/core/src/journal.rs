@@ -1002,10 +1002,25 @@ impl RequestJournal {
         let mut tail_len = 0usize;
         let mut tail_start = 0usize;
         for (i, (index, seg)) in segments.iter().enumerate() {
-            let bytes = Arc::new(vfs.read(seg).map_err(io_err)?);
+            let mut bytes = Arc::new(vfs.read(seg).map_err(io_err)?);
             let is_last = i + 1 == segments.len();
             tail_start = records.len();
-            let scan = Self::parse_segment(seg, &bytes, is_last, &mut records, &mut digests)?;
+            let mut scan = Self::parse_segment(seg, &bytes, is_last, &mut records, &mut digests)?;
+            // The repair below cuts the torn tail off for good, so the
+            // tail must be torn on disk, not in one read: a transient
+            // read fault (a short read, a flipped bit) does not repeat.
+            // Read again until two reads in a row agree, or one has no
+            // torn tail.
+            while repair && scan.trailing > 0 {
+                let again = vfs.read(seg).map_err(io_err)?;
+                if again == *bytes {
+                    break;
+                }
+                records.truncate(tail_start);
+                digests.truncate(tail_start);
+                bytes = Arc::new(again);
+                scan = Self::parse_segment(seg, &bytes, is_last, &mut records, &mut digests)?;
+            }
             tail_seg = *index;
             tail_len = scan.valid_len;
             if scan.trailing > 0 {

@@ -108,10 +108,20 @@ impl<T> JournaledRun<T> {
     }
 }
 
-/// Why a journaled serve call failed.
+/// Why a journaled serve call failed. Each variant prints its error as
+/// it is, which names where it came from: `journal I/O: …` or `journal
+/// <path>: …`, `checkpoint I/O: …` or `checkpoint <path>: …`, and no
+/// prefix for a refusal.
 #[derive(Debug)]
 pub enum ServeError {
-    /// Journal or checkpoint I/O failed.
+    /// The request journal did not open, or an append to it failed.
+    Journal(JournalError),
+    /// A checkpoint did not load or restore, or its save failed.
+    Checkpoint(crate::checkpoint::CheckpointError),
+    /// The journal's records refuse the call (kind
+    /// [`std::io::ErrorKind::InvalidData`]: they do not fold into units,
+    /// a replay contradicts them, the request has nothing to relearn), or
+    /// another file's storage failed.
     Io(std::io::Error),
     /// The divergence guard exhausted its backoff; the federation holds
     /// the pre-unit model. The journal keeps the unit at its last
@@ -124,7 +134,9 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::Io(e) => write!(f, "journal I/O: {e}"),
+            ServeError::Journal(e) => e.fmt(f),
+            ServeError::Checkpoint(e) => e.fmt(f),
+            ServeError::Io(e) => e.fmt(f),
             ServeError::Diverged(e) => e.fmt(f),
         }
     }
@@ -132,21 +144,22 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// The `std::io::Error`s a serve call meets are its journal appends'.
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> Self {
-        ServeError::Io(e)
+        ServeError::Journal(JournalError::Io(e))
     }
 }
 
 impl From<crate::checkpoint::CheckpointError> for ServeError {
     fn from(e: crate::checkpoint::CheckpointError) -> Self {
-        ServeError::Io(e.into())
+        ServeError::Checkpoint(e)
     }
 }
 
 impl From<JournalError> for ServeError {
     fn from(e: JournalError) -> Self {
-        ServeError::Io(e.into())
+        ServeError::Journal(e)
     }
 }
 
@@ -520,7 +533,7 @@ impl QuickDrop {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] on journal I/O failure (the request may be
+    /// [`ServeError::Journal`] on journal I/O failure (the request may be
     /// partially served; the journal tells how far), or
     /// [`ServeError::Diverged`] when the guard exhausted its backoff or
     /// the recovered model failed the probe (model, RNG and marks rolled
@@ -568,7 +581,8 @@ impl QuickDrop {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] on journal I/O failure or an empty batch, or
+    /// [`ServeError::Journal`] on journal I/O failure,
+    /// [`ServeError::Io`] for an empty batch, or
     /// [`ServeError::Diverged`] as above.
     ///
     /// # Panics
@@ -667,7 +681,7 @@ impl QuickDrop {
             }
             (Ok(Err(diverged)), None) => Err(ServeError::Diverged(diverged)),
             (Err(Stop::Preempted(boundary)), _) => Ok(Some(JournaledRun::Preempted { boundary })),
-            (Err(Stop::Io(e)), _) => Err(ServeError::Io(e)),
+            (Err(Stop::Io(e)), _) => Err(e.into()),
         }
     }
 
@@ -916,7 +930,8 @@ impl QuickDrop {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] on journal I/O failure, or with kind
+    /// [`ServeError::Journal`] on journal I/O failure, or
+    /// [`ServeError::Io`] with kind
     /// [`std::io::ErrorKind::InvalidData`] when the journal holds no
     /// served member for `request` (or fails the [`units`] fold), or the
     /// live marks do not hold it as forgotten.
@@ -934,10 +949,10 @@ impl QuickDrop {
             .rfind(|m| m.request == request && m.served())
             .map(|m| m.seq)
             .ok_or_else(|| {
-                std::io::Error::new(
+                ServeError::Io(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     format!("journal holds no recovered request matching {request}"),
-                )
+                ))
             })?;
         if !self.is_forgotten(request) {
             return Err(ServeError::Io(std::io::Error::new(
@@ -997,7 +1012,8 @@ impl QuickDrop {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] on journal I/O failure or, with kind
+    /// [`ServeError::Journal`] on journal I/O failure or
+    /// [`ServeError::Io`] with kind
     /// [`std::io::ErrorKind::InvalidData`], a [`ReplayMismatch`] (nothing
     /// written); [`ServeError::Diverged`] when finishing the incomplete
     /// unit trips the guard (deterministically the same outcome the

@@ -491,9 +491,9 @@ struct FileEntry {
 #[derive(Debug, Default)]
 struct FaultState {
     files: BTreeMap<PathBuf, FileEntry>,
-    ops: u64,
-    /// Operations by kind, indexed by [`VfsOp`] discriminant.
-    ops_by_kind: [u64; 8],
+    /// Every operation so far, in order: its kind and the bytes it
+    /// moved ([`FaultFs::op_log`]).
+    log: Vec<(VfsOp, usize)>,
     appended_bytes: u64,
     schedule: BTreeMap<u64, Fault>,
     killed: bool,
@@ -591,12 +591,26 @@ impl FaultFs {
 
     /// Operations executed so far (reads, writes, everything).
     pub fn op_count(&self) -> u64 {
-        self.lock().ops
+        self.lock().log.len() as u64
     }
 
     /// Operations of kind `op` executed so far.
     pub fn op_count_of(&self, op: VfsOp) -> u64 {
-        self.lock().ops_by_kind[op as usize]
+        self.lock()
+            .log
+            .iter()
+            .filter(|(kind, _)| *kind == op)
+            .count() as u64
+    }
+
+    /// Every operation executed so far, in order: its kind, and the
+    /// bytes it moved — the length of the file a read read (0 for a
+    /// missing one; a short read returns fewer), the length a write or
+    /// append was handed, 0 for the rest.
+    /// Operation `n` of the log is the one [`FaultFs::schedule_fault`]
+    /// index `n` strikes.
+    pub fn op_log(&self) -> Vec<(VfsOp, usize)> {
+        self.lock().log.clone()
     }
 
     /// Total bytes handed to `write`/`append` so far — the I/O volume
@@ -627,8 +641,7 @@ impl FaultFs {
                 (p, FileEntry { bytes, durable })
             })
             .collect();
-        guard.ops = 0;
-        guard.ops_by_kind = [0; 8];
+        guard.log.clear();
         guard.appended_bytes = 0;
         guard.schedule.clear();
         guard.killed = false;
@@ -679,20 +692,21 @@ impl FaultFs {
         }
     }
 
-    /// Charges one operation: fails if the process is already dead,
-    /// otherwise bumps the counter and takes any fault scheduled at it.
+    /// Charges one operation moving `bytes`: fails if the process is
+    /// already dead, otherwise logs it and takes any fault scheduled at
+    /// it.
     fn begin(
         &self,
         guard: &mut FaultState,
         op: VfsOp,
         path: &Path,
+        bytes: usize,
     ) -> Result<Option<Fault>, StorageError> {
         if guard.killed {
             return Err(dead(op, path));
         }
-        let index = guard.ops;
-        guard.ops += 1;
-        guard.ops_by_kind[op as usize] += 1;
+        let index = guard.log.len() as u64;
+        guard.log.push((op, bytes));
         Ok(guard.schedule.remove(&index))
     }
 }
@@ -724,7 +738,8 @@ fn not_found(op: VfsOp, path: &Path) -> StorageError {
 impl Vfs for FaultFs {
     fn read(&self, path: &Path) -> Result<Vec<u8>, StorageError> {
         let mut guard = self.lock();
-        let fault = self.begin(&mut guard, VfsOp::Read, path)?;
+        let len = guard.files.get(path).map_or(0, |f| f.bytes.len());
+        let fault = self.begin(&mut guard, VfsOp::Read, path, len)?;
         // A death strikes whether or not the file is there.
         if fault.is_some_and(|f| !matches!(f, Fault::BitFlip(_) | Fault::ShortRead(_))) {
             guard.killed = true;
@@ -748,7 +763,7 @@ impl Vfs for FaultFs {
 
     fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
         let mut guard = self.lock();
-        let fault = self.begin(&mut guard, VfsOp::Write, path)?;
+        let fault = self.begin(&mut guard, VfsOp::Write, path, bytes.len())?;
         match fault {
             Some(Fault::DiskFull) => return Err(enospc(VfsOp::Write, path)),
             Some(Fault::TornWrite(keep)) => {
@@ -789,7 +804,7 @@ impl Vfs for FaultFs {
 
     fn append(&self, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
         let mut guard = self.lock();
-        let fault = self.begin(&mut guard, VfsOp::Append, path)?;
+        let fault = self.begin(&mut guard, VfsOp::Append, path, bytes.len())?;
         match fault {
             Some(Fault::DiskFull) => return Err(enospc(VfsOp::Append, path)),
             Some(Fault::TornWrite(keep)) => {
@@ -819,7 +834,7 @@ impl Vfs for FaultFs {
 
     fn fsync(&self, path: &Path) -> Result<(), StorageError> {
         let mut guard = self.lock();
-        let fault = self.begin(&mut guard, VfsOp::Fsync, path)?;
+        let fault = self.begin(&mut guard, VfsOp::Fsync, path, 0)?;
         match fault {
             Some(Fault::FsyncFail) => {
                 return Err(StorageError::new(
@@ -844,7 +859,7 @@ impl Vfs for FaultFs {
 
     fn rename(&self, from: &Path, to: &Path) -> Result<(), StorageError> {
         let mut guard = self.lock();
-        let fault = self.begin(&mut guard, VfsOp::Rename, from)?;
+        let fault = self.begin(&mut guard, VfsOp::Rename, from, 0)?;
         if fault.is_some() {
             guard.killed = true;
             return Err(dead(VfsOp::Rename, from));
@@ -862,7 +877,7 @@ impl Vfs for FaultFs {
 
     fn remove(&self, path: &Path) -> Result<(), StorageError> {
         let mut guard = self.lock();
-        let fault = self.begin(&mut guard, VfsOp::Remove, path)?;
+        let fault = self.begin(&mut guard, VfsOp::Remove, path, 0)?;
         if fault.is_some() {
             guard.killed = true;
             return Err(dead(VfsOp::Remove, path));
@@ -876,7 +891,7 @@ impl Vfs for FaultFs {
 
     fn exists(&self, path: &Path) -> Result<bool, StorageError> {
         let mut guard = self.lock();
-        let fault = self.begin(&mut guard, VfsOp::Exists, path)?;
+        let fault = self.begin(&mut guard, VfsOp::Exists, path, 0)?;
         if fault.is_some() {
             guard.killed = true;
             return Err(dead(VfsOp::Exists, path));
@@ -886,7 +901,7 @@ impl Vfs for FaultFs {
 
     fn list(&self, dir: &Path) -> Result<Vec<PathBuf>, StorageError> {
         let mut guard = self.lock();
-        let fault = self.begin(&mut guard, VfsOp::List, dir)?;
+        let fault = self.begin(&mut guard, VfsOp::List, dir, 0)?;
         if fault.is_some() {
             guard.killed = true;
             return Err(dead(VfsOp::List, dir));
@@ -982,6 +997,34 @@ mod tests {
         fs.crash();
         // The torn bytes were never fsynced, so the crash removes them.
         assert_eq!(fs.file(p).unwrap(), b"");
+    }
+
+    /// A torn write is never fsynced, so after the crash how many of its
+    /// bytes landed makes no difference: one torn length per operation
+    /// is every torn length there is.
+    #[test]
+    fn every_torn_length_leaves_the_same_files_after_the_crash() {
+        let (p, bytes) = (Path::new("a.log"), b"hello world");
+        let torn = |write: bool, keep: usize| {
+            let fs = FaultFs::new();
+            fs.append(p, b"durable").unwrap();
+            fs.fsync(p).unwrap();
+            fs.schedule_fault(2, Fault::TornWrite(keep));
+            let died = if write {
+                fs.write(p, bytes)
+            } else {
+                fs.append(p, bytes)
+            };
+            assert!(died.is_err(), "a torn write kills");
+            fs.crash();
+            fs.files()
+        };
+        for write in [false, true] {
+            let lengths = [0, bytes.len() / 2, bytes.len() - 1];
+            let after: Vec<_> = lengths.iter().map(|&keep| torn(write, keep)).collect();
+            assert!(after.iter().all(|files| *files == after[0]), "{after:?}");
+        }
+        assert_eq!(torn(false, 5)[p], b"durable", "an append keeps its prefix");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! refusal of a replay that leaves the journaled path.
 
 use qd_core::{
-    frame, segment_path, BatchId, BatchOutcome, BatchPreempt, Checkpoint, FaultFs, JournalError,
-    JournalRecord, JournaledRun, QuickDrop, QuickDropConfig, ReplayMismatch, RequestJournal,
-    RequestState, ServeError, Snapshot, Vfs,
+    frame, segment_path, BatchId, BatchOutcome, BatchPreempt, Checkpoint, Fault, FaultFs,
+    JournalError, JournalRecord, JournaledRun, QuickDrop, QuickDropConfig, ReplayMismatch,
+    RequestJournal, RequestState, ServeError, Snapshot, Vfs,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};
@@ -328,7 +328,7 @@ fn a_second_relearn_of_a_relearned_request_is_rejected() {
     assert_eq!(
         err.to_string(),
         format!(
-            "journal I/O: the deployment has not forgotten {}: nothing to relearn",
+            "the deployment has not forgotten {}: nothing to relearn",
             REQUESTS[0]
         )
     );
@@ -346,6 +346,22 @@ fn a_second_relearn_of_a_relearned_request_is_rejected() {
 
 /// Trains once and returns a served-nothing deployment on an in-memory
 /// filesystem: the journal is empty and bound to `fs`.
+/// A failed journal append says so: `journal I/O: …`, naming the file.
+#[test]
+fn a_failed_append_names_the_journal() {
+    let fs = Arc::new(FaultFs::new());
+    let (mut fed, mut qd, mut rng, mut journal) = deployment_on(&fs);
+    fs.schedule_fault(fs.op_count(), Fault::DiskFull);
+    let err = qd
+        .serve_journaled(&mut fed, &mut journal, REQUESTS[0], None, &mut rng, None)
+        .expect_err("the RECEIVED append fails");
+    assert!(matches!(err, ServeError::Journal(_)), "{err:?}");
+    assert_eq!(
+        err.to_string(),
+        "journal I/O: writing d.json.journal.tmp: no space left on device"
+    );
+}
+
 fn deployment_on(fs: &Arc<FaultFs>) -> (Federation, QuickDrop, Rng, RequestJournal) {
     let (mut fed, mut rng) = fresh_fed();
     let (qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);

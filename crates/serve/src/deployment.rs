@@ -132,7 +132,8 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] when the save or the stats write fails.
+    /// [`ServeError::Checkpoint`] when the save fails, [`ServeError::Io`]
+    /// when the stats write does.
     pub fn close(
         &self,
         out: &Path,
@@ -146,11 +147,11 @@ impl Deployment {
         }
         let mut stats_written = false;
         if let Some((path, stats)) = stats {
-            let bytes = stats.json_bytes()?;
+            let bytes = stats.json_bytes().map_err(ServeError::Io)?;
             stats_written = self.vfs.read(path).map_or(true, |old| old != bytes);
             if stats_written {
                 let written = qd_core::vfs::atomic_write(&*self.vfs, path, &bytes);
-                written.map_err(std::io::Error::from)?;
+                written.map_err(|e| ServeError::Io(e.into()))?;
             }
         }
         Ok(Closed {

@@ -3,11 +3,13 @@
 //! still writes — counted by `FaultFs`, the `Vfs` the chaos harness
 //! kills, so the checkpoint and stats compares run where faults do.
 
-use qd_core::{Checkpoint, FaultFs, QuickDrop, QuickDropConfig, RequestJournal, Vfs, VfsOp};
+use qd_core::{Checkpoint, Fault, FaultFs, QuickDrop, QuickDropConfig, RequestJournal, Vfs, VfsOp};
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};
 use qd_nn::{Mlp, Module};
-use qd_serve::{run_service_isolated, Closed, Deployment, IsolationConfig, ServeConfig};
+use qd_serve::{
+    run_service_isolated, Closed, Deployment, IsolationConfig, ServeConfig, ServeStats,
+};
 use qd_tensor::rng::Rng;
 use std::path::Path;
 use std::sync::Arc;
@@ -61,6 +63,17 @@ fn writes(fs: &FaultFs) -> [u64; 5] {
 fn serve(fs: &Arc<FaultFs>, out: &str) -> (Closed, [u64; 5]) {
     let before = writes(fs);
     let mut d = open(fs);
+    let stats = run(&mut d);
+    let closed = d.close(Path::new(out), Some((Path::new(STATS), &stats)));
+    let after = writes(fs);
+    (
+        closed.unwrap(),
+        std::array::from_fn(|i| after[i] - before[i]),
+    )
+}
+
+/// The planned service over `d`, finishing whatever a killed run left.
+fn run(d: &mut Deployment) -> ServeStats {
     let cfg = ServeConfig {
         tenants: 1,
         arrival_requests: 2,
@@ -70,13 +83,8 @@ fn serve(fs: &Arc<FaultFs>, out: &str) -> (Closed, [u64; 5]) {
     };
     let (iso, mut rng) = (IsolationConfig::default(), Rng::seed_from(5));
     let (qd, fed, journal) = (&mut d.qd, &mut d.fed, &mut d.journal);
-    let run = run_service_isolated(qd, fed, journal, &cfg, None, &iso, &mut rng, None).unwrap();
-    let closed = d.close(Path::new(out), Some((Path::new(STATS), &run.stats)));
-    let after = writes(fs);
-    (
-        closed.unwrap(),
-        std::array::from_fn(|i| after[i] - before[i]),
-    )
+    let run = run_service_isolated(qd, fed, journal, &cfg, None, &iso, &mut rng, None);
+    run.unwrap().stats
 }
 
 fn closed(ckpt_written: bool, stats_written: bool) -> Closed {
@@ -156,5 +164,32 @@ fn every_run_that_changes_something_writes() {
     assert_eq!(
         fs.file(Path::new(STATS)),
         served.get(Path::new(STATS)).cloned()
+    );
+}
+
+/// A failed close says which file failed: a checkpoint save's error
+/// reads `checkpoint I/O: …`, and a stats write's names the stats file
+/// with neither a checkpoint nor a journal prefix.
+#[test]
+fn a_failed_close_names_the_file_that_failed() {
+    let (fs, _) = deployed();
+    let d = open(&fs);
+    fs.schedule_fault(fs.op_count(), Fault::DiskFull);
+    let err = d.close(Path::new("other.ckpt"), None).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "checkpoint I/O: writing other.ckpt.tmp: no space left on device"
+    );
+
+    serve(&fs, CKPT);
+    fs.remove(Path::new(STATS)).unwrap();
+    let mut d = open(&fs);
+    let stats = run(&mut d);
+    // The close reads the (missing) stats file, then writes its tmp.
+    fs.schedule_fault(fs.op_count() + 1, Fault::DiskFull);
+    let err = (d.close(Path::new(CKPT), Some((Path::new(STATS), &stats)))).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "writing d.stats.tmp: no space left on device"
     );
 }

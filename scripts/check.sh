@@ -119,13 +119,14 @@ cargo test --offline --release -p qd-core --test journal_format -q
 echo "== isolation properties (release: ladder monotonicity, bisection order-insensitivity)"
 cargo test --offline --release -p qd-serve --test isolation_props -q
 
-# The crash gate — every Vfs op and every journal boundary of the four
-# named workloads, both front doors, all invariants — is
-# crates/chaos/tests/exhaustive.rs, part of the workspace run above at
-# every schedule; the release binary's serving code is driven by the
-# pinned sweep below.
-echo "== whole-system chaos gate (release, pinned seed, 25 schedules, all invariants)"
-cargo run --offline --release -q -p qd-cli -- chaos --seed 7 --runs 25
+# The crash gate — every FaultFs fault at every Vfs op it applies to and
+# a kill at every journal boundary of the four named workloads, both
+# front doors, all invariants — is crates/chaos/tests/exhaustive.rs, part
+# of the workspace run above; here it runs again with the serving code
+# compiled as the shipped binary compiles it (release), beside the 25
+# generated schedules of seed 7.
+echo "== whole-system chaos gate (release: 573 enumerated schedules + the seed-7 sweep, all invariants)"
+cargo test --offline --release -p qd-chaos -q
 
 echo "== a re-served deployment is left untouched (release binary: the identical serve command line writes, renames and removes nothing)"
 # A re-invocation over a fully served history reads one snapshot and
