@@ -642,12 +642,14 @@ const FAULTS: [Fault; 6] = [
 /// moved `len` bytes, or `None` where it does not apply. A kill applies
 /// everywhere; a torn write tears half of a write or append (its bytes
 /// are never durable, so every length leaves the same files after the
-/// crash) and a full disk refuses one; an fsync fails; a read comes back
-/// with its last bit flipped (inside the final journal frame, which an
-/// open takes for a torn tail) or half as long.
+/// crash) and a full disk refuses one; an fsync fails; a read that
+/// returns a byte comes back with its last bit flipped (inside the final
+/// journal frame, which an open takes for a torn tail) or half as long.
+/// A read of a missing or empty file has no byte to damage, so no read
+/// fault is injected there: it could not fire.
 fn enumerated(fault: Fault, op: u64, kind: VfsOp, len: usize) -> Option<FaultSpec> {
     let writes = matches!(kind, VfsOp::Write | VfsOp::Append);
-    let reads = kind == VfsOp::Read;
+    let reads = kind == VfsOp::Read && len > 0;
     let storage = |fault| Some(FaultSpec::Storage { op, fault });
     match fault {
         Fault::Kill => Some(FaultSpec::Crash(CrashPoint::VfsOp(op))),

@@ -141,16 +141,30 @@ fn sized(len: usize) -> [Fault; 6] {
     ]
 }
 
+/// Whether `fault` damages what a read returns: it fires only at a read
+/// that returns at least one byte.
+fn damages_a_read(fault: Fault) -> bool {
+    matches!(fault, Fault::BitFlip(_) | Fault::ShortRead(_))
+}
+
 /// `schedules` inject each `Fault` variant at exactly the operations of
 /// the reference lifetime `ops` it applies to ([`kinds_of`]), sized from
-/// the bytes the operation moved, once each.
+/// the bytes the operation moved, once each — a read fault only at a
+/// read that returned a byte, as nowhere else could it fire.
 fn assert_every_fault_is_enumerated(schedules: &[ChaosSchedule], ops: &[(VfsOp, usize)]) {
     let enumerated: Vec<(u64, Fault)> = schedules.iter().filter_map(op_fault).collect();
+    for &(op, fault) in enumerated.iter().filter(|(_, f)| damages_a_read(*f)) {
+        let (kind, len) = ops[op as usize];
+        assert!(
+            kind == VfsOp::Read && len > 0,
+            "{fault:?} at op {op}: {kind:?} of {len} bytes"
+        );
+    }
     let mut expected = Vec::new();
     for variant in 0..sized(0).len() {
         for (op, &(kind, len)) in (0..).zip(ops) {
             let fault = sized(len)[variant];
-            if kinds_of(fault).contains(&kind) {
+            if kinds_of(fault).contains(&kind) && (len > 0 || !damages_a_read(fault)) {
                 expected.push((op, fault));
             }
         }
@@ -216,7 +230,7 @@ fn assert_resumes(harness: &mut Harness, schedule: &ChaosSchedule) -> (Terminal,
 }
 
 /// Runs every enumerated schedule of `w`, of which there must be
-/// `count` — the four workloads enumerate 162 + 129 + 141 + 141 = 573
+/// `count` — the four workloads enumerate 162 + 127 + 139 + 139 = 567
 /// schedules — and checks that each `Fault` is injected wherever it
 /// applies. Every save that rotated the primary to `.prev` is killed
 /// between that rename and the one that puts its tmp file in place, and
@@ -317,7 +331,7 @@ fn per_request_stream_resumes_from_every_crash_point() {
 
 #[test]
 fn clean_service_resumes_from_every_crash_point() {
-    let (_, _, reference) = assert_clean_workload_resumes(&clean_service(), 129);
+    let (_, _, reference) = assert_clean_workload_resumes(&clean_service(), 127);
     let stats = reference.stats.expect("the service reports");
     assert_eq!(stats.served, stats.admitted);
     assert!(stats.coalesce_ratio > 1.0, "the mix must actually coalesce");
@@ -368,12 +382,12 @@ fn assert_isolated_service_resumes(w: &Workload, count: usize, sheds: bool) {
 
 #[test]
 fn spiked_service_resumes_from_every_crash_point() {
-    assert_isolated_service_resumes(&spiked_service(), 141, false);
+    assert_isolated_service_resumes(&spiked_service(), 139, false);
 }
 
 #[test]
 fn breaker_service_resumes_from_every_crash_point() {
-    assert_isolated_service_resumes(&breaker_service(), 141, true);
+    assert_isolated_service_resumes(&breaker_service(), 139, true);
 }
 
 #[test]

@@ -25,6 +25,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Why a checkpoint operation failed — the typed error for every
 /// fallible [`Checkpoint`] method. Serving loops match on the variant;
@@ -118,6 +119,9 @@ fn into_io(e: vfs::StorageError) -> CheckpointError {
 
 /// A serializable snapshot of a trained QuickDrop deployment.
 ///
+/// It shares the synthetic and recovery sets with the [`QuickDrop`] it
+/// was captured from or restored into: neither ever mutates them.
+///
 /// # Examples
 ///
 /// ```no_run
@@ -137,10 +141,10 @@ pub struct Checkpoint {
     /// Global model parameters.
     pub global: Vec<Tensor>,
     pub(crate) config: QuickDropConfig,
-    pub(crate) synthetic: Vec<SyntheticSet>,
+    pub(crate) synthetic: Arc<Vec<SyntheticSet>>,
     /// The real half of each client's recovery set; the synthetic half
     /// is `synthetic`, stored once.
-    pub(crate) recovery_real: Vec<Dataset>,
+    pub(crate) recovery_real: Arc<Vec<Dataset>>,
     pub(crate) unlearned_classes: BTreeSet<usize>,
     pub(crate) unlearned_clients: BTreeSet<usize>,
     /// `Some` while a training phase is still in flight: everything
@@ -202,18 +206,17 @@ pub const CHECKPOINT_VERSION: u32 = 4;
 const CHECKPOINT_MAGIC: &[u8; 5] = b"QDC4\n";
 
 impl Checkpoint {
-    /// Captures the current global parameters and QuickDrop state.
+    /// Captures the current global parameters and QuickDrop state; the
+    /// sets are `qd`'s own, shared.
     pub fn capture(global: &[Tensor], qd: &QuickDrop) -> Self {
-        let (config, synthetic, recovery_real, unlearned_classes, unlearned_clients) =
-            qd.state_for_checkpoint();
         Checkpoint {
             version: CHECKPOINT_VERSION,
             global: global.to_vec(),
-            config,
-            synthetic,
-            recovery_real,
-            unlearned_classes,
-            unlearned_clients,
+            config: qd.config.clone(),
+            synthetic: Arc::clone(&qd.synthetic),
+            recovery_real: Arc::clone(&qd.recovery_real),
+            unlearned_classes: qd.unlearned_classes.clone(),
+            unlearned_clients: qd.unlearned_clients.clone(),
             mid_phase: None,
         }
     }
@@ -232,8 +235,8 @@ impl Checkpoint {
             version: CHECKPOINT_VERSION,
             global: global.to_vec(),
             config: config.clone(),
-            synthetic: Vec::new(),
-            recovery_real: Vec::new(),
+            synthetic: Arc::default(),
+            recovery_real: Arc::default(),
             unlearned_classes: BTreeSet::new(),
             unlearned_clients: BTreeSet::new(),
             mid_phase: Some(mid_phase),
@@ -252,17 +255,37 @@ impl Checkpoint {
         &self.synthetic
     }
 
-    /// Whether `other` is this checkpoint to the bit, so saving it would
-    /// write this one's bytes again: compared in memory, as value trees
-    /// with each scalar's bits, never by encoding either. The model is
-    /// compared first; it is what a served request changes.
-    pub fn same_bits(&self, other: &Checkpoint) -> bool {
-        same_snapshot(&self.global, &other.global)
-            && frame::same_bits(&self.to_value(), &other.to_value())
+    /// Whether `Checkpoint::capture(global, qd)` is this checkpoint to the
+    /// bit, so saving it would write this one's bytes again — decided
+    /// field by field with each scalar's bits, without capturing or
+    /// encoding anything. The model is compared first, as it is what a
+    /// served request changes; then the marks, the config, the version
+    /// and the mid-phase cursor. The sets are equal only when they are
+    /// the same allocations, as they are after a [`Checkpoint::restore`]:
+    /// nothing mutates a shared set, and sets replaced by equal ones only
+    /// cost a save that rewrites the same bytes.
+    pub fn is_capture_of(&self, global: &[Tensor], qd: &QuickDrop) -> bool {
+        same_snapshot(&self.global, global)
+            && self.unlearned_classes == qd.unlearned_classes
+            && self.unlearned_clients == qd.unlearned_clients
+            && same_config(&self.config, &qd.config)
+            && self.version == CHECKPOINT_VERSION
+            && self.mid_phase.is_none()
+            && Arc::ptr_eq(&self.synthetic, &qd.synthetic)
+            && Arc::ptr_eq(&self.recovery_real, &qd.recovery_real)
+    }
+
+    /// The value-tree compare [`Checkpoint::is_capture_of`] replaced,
+    /// kept as its oracle: the two checkpoints' trees, every float by its
+    /// bits.
+    #[cfg(test)]
+    pub(crate) fn same_bits(&self, other: &Checkpoint) -> bool {
+        frame::same_bits(&self.to_value(), &other.to_value())
     }
 
     /// Rebuilds `(global parameters, QuickDrop)` from a deployment
-    /// snapshot.
+    /// snapshot. The checkpoint is left as it was: the system shares its
+    /// sets, and the parameters are a copy.
     ///
     /// # Errors
     ///
@@ -271,18 +294,18 @@ impl Checkpoint {
     /// [`QuickDrop::resume_train`] instead.
     ///
     /// [`QuickDrop::resume_train`]: crate::QuickDrop::resume_train
-    pub fn restore(self) -> Result<(Vec<Tensor>, QuickDrop), CheckpointError> {
+    pub fn restore(&self) -> Result<(Vec<Tensor>, QuickDrop), CheckpointError> {
         if self.mid_phase.is_some() {
             return Err(CheckpointError::MidTrainRestore);
         }
-        let qd = QuickDrop::from_checkpoint_state(
-            self.config,
-            self.synthetic,
-            self.recovery_real,
-            self.unlearned_classes,
-            self.unlearned_clients,
-        );
-        Ok((self.global, qd))
+        let qd = QuickDrop {
+            config: self.config.clone(),
+            synthetic: Arc::clone(&self.synthetic),
+            recovery_real: Arc::clone(&self.recovery_real),
+            unlearned_classes: self.unlearned_classes.clone(),
+            unlearned_clients: self.unlearned_clients.clone(),
+        };
+        Ok((self.global.clone(), qd))
     }
 
     /// The sibling path the previous checkpoint generation is rotated
@@ -394,7 +417,8 @@ impl Checkpoint {
         let value = frame::decode(payload).map_err(|e| invalid(e.to_string()))?;
         // Check the version *before* decoding the payload, so a mismatch
         // is reported as such rather than as whatever field happens to
-        // be missing from the other layout.
+        // be missing from the other layout. The payload's arrays then
+        // move into their tensors and datasets.
         let version: u32 = value
             .field("Checkpoint", "version")
             .and_then(serde::Deserialize::from_value)
@@ -402,7 +426,7 @@ impl Checkpoint {
         if version != CHECKPOINT_VERSION {
             return Err(unsupported(version));
         }
-        serde::Deserialize::from_value(&value)
+        serde::Deserialize::from_owned(value)
             .map_err(|e| e.to_string())
             .and_then(|ckpt: Self| ckpt.check_recovery_sets().map(|()| ckpt))
             .map_err(|e| invalid(format!("malformed version-{version} payload: {e}")))
@@ -423,7 +447,7 @@ impl Checkpoint {
             return Ok(());
         };
         let want = (first.sample_dims(), first.classes());
-        for (i, (syn, real)) in self.synthetic.iter().zip(&self.recovery_real).enumerate() {
+        for (i, (syn, real)) in self.synthetic.iter().zip(&*self.recovery_real).enumerate() {
             for (what, got) in [
                 ("synthetic set", (syn.sample_dims(), syn.classes())),
                 ("recovery set", (real.sample_dims(), real.classes())),
@@ -466,6 +490,39 @@ impl Checkpoint {
             Err(_) => Err(primary_err),
         }
     }
+}
+
+/// Config equality with every float compared by its bits (`==` takes
+/// `-0.0` for `0.0`, and a NaN for no NaN, itself included).
+fn same_config(a: &QuickDropConfig, b: &QuickDropConfig) -> bool {
+    let (mut a, mut b) = (a.clone(), b.clone());
+    take_floats(&mut a) == take_floats(&mut b) && a == b
+}
+
+/// The bits of every float in `config`, each zeroed where it stood.
+fn take_floats(config: &mut QuickDropConfig) -> Vec<u32> {
+    let QuickDropConfig {
+        train_phase,
+        distill,
+        unlearn_phase,
+        recover_phase,
+        relearn_phase,
+        augment: _,
+        finetune,
+        max_unlearn_rounds: _,
+        unlearn_stop_accuracy,
+    } = config;
+    let mut floats = vec![&mut distill.lr_syn, unlearn_stop_accuracy];
+    for phase in [train_phase, unlearn_phase, recover_phase, relearn_phase] {
+        floats.extend([&mut phase.lr, &mut phase.participation]);
+    }
+    if let Some(ft) = finetune {
+        floats.extend([&mut ft.lr_model, &mut ft.lr_syn]);
+    }
+    floats
+        .into_iter()
+        .map(|x| std::mem::take(x).to_bits())
+        .collect()
 }
 
 #[cfg(test)]
@@ -529,6 +586,173 @@ mod tests {
         for (a, b) in fed_a.global().iter().zip(fed_b.global()) {
             assert_eq!(a.data(), b.data(), "restored system diverged");
         }
+    }
+
+    /// A trained deployment whose model holds a `+0.0` (scalar 0) and a
+    /// NaN with a payload (scalar 1), with fine-tuning configured so that
+    /// every config float is present and each of them a zero or a NaN,
+    /// and its capture.
+    fn compare_base() -> &'static (Vec<Tensor>, QuickDrop, Checkpoint) {
+        static BASE: std::sync::OnceLock<(Vec<Tensor>, QuickDrop, Checkpoint)> =
+            std::sync::OnceLock::new();
+        BASE.get_or_init(|| {
+            let (fed, mut qd, _) = trained();
+            let mut global = fed.global().to_vec();
+            global[0].data_mut()[..2].copy_from_slice(&[0.0, f32::from_bits(0x7fc0_0123)]);
+            qd.config.finetune = Some(qd_distill::FinetuneConfig::default());
+            // Every config float a zero or a NaN, where `==` and the bits
+            // disagree.
+            let nan = f64::from(f32::from_bits(0x7fc0_0123));
+            qd.config = map_config_floats(&qd.config, |k, _| [0.0, nan][k % 2]);
+            let ckpt = Checkpoint::capture(&global, &qd);
+            (global, qd, ckpt)
+        })
+    }
+
+    /// `config` with its `k`-th float (of the 12 its value tree holds)
+    /// set to `f(k, x)`.
+    fn map_config_floats(
+        config: &QuickDropConfig,
+        f: impl Fn(usize, f64) -> f64,
+    ) -> QuickDropConfig {
+        fn floats<'a>(v: &'a mut serde::Value, out: &mut Vec<&'a mut f64>) {
+            match v {
+                serde::Value::F64(x) => out.push(x),
+                serde::Value::Seq(items) => items.iter_mut().for_each(|v| floats(v, out)),
+                serde::Value::Map(entries) => entries.iter_mut().for_each(|(_, v)| floats(v, out)),
+                _ => {}
+            }
+        }
+        let mut tree = config.to_value();
+        let mut leaves = Vec::new();
+        floats(&mut tree, &mut leaves);
+        assert_eq!(
+            leaves.len(),
+            12,
+            "a new config float goes into `take_floats`"
+        );
+        for (k, x) in leaves.into_iter().enumerate() {
+            *x = f(k, *x);
+        }
+        QuickDropConfig::from_value(&tree).expect("a config tree reads back")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// One field changed at a time — or rewritten with its own bits —
+        /// and the typed compare says "changed" exactly when the
+        /// value-tree oracle does, and when the bits moved. A set rebuilt
+        /// with its own bits is a new allocation, which the compare, going
+        /// by identity, calls changed: it costs a save, never a skip.
+        #[test]
+        fn the_typed_compare_agrees_with_the_value_tree_oracle(
+            field in 0usize..10,
+            pick in 0usize..1_000_000,
+            flip in 0u8..2,
+        ) {
+            let flip = flip == 1;
+            let (base_global, base_qd, base) = compare_base();
+            let (mut global, mut qd, mut ckpt) = (base_global.clone(), base_qd.clone(), base.clone());
+            let client = pick % qd.synthetic.len();
+            let what = match field {
+                0 => {
+                    global[0].data_mut()[0] = if flip { -0.0 } else { 0.0 };
+                    "the sign of a zero in the model"
+                }
+                1 => {
+                    let payload = if flip { 0x7fc0_0124 } else { 0x7fc0_0123 };
+                    global[0].data_mut()[1] = f32::from_bits(payload);
+                    "a NaN payload in the model"
+                }
+                2 => {
+                    let at = pick % 12;
+                    qd.config = map_config_floats(&qd.config, |k, x| if flip && k == at { -x } else { x });
+                    "a config float"
+                }
+                3 => {
+                    let set = &mut Arc::make_mut(&mut qd.synthetic)[client];
+                    let class = set.owned_classes()[pick % set.owned_classes().len()];
+                    let mut samples = set.class_samples(class).expect("owned").clone();
+                    let at = pick % samples.len();
+                    let x = &mut samples.data_mut()[at];
+                    *x = f32::from_bits(x.to_bits() ^ u32::from(flip));
+                    set.set_class_samples(class, samples);
+                    "one synthetic scalar"
+                }
+                4 | 5 => {
+                    let real = &mut Arc::make_mut(&mut qd.recovery_real)[client];
+                    let (n, len) = (real.len(), real.sample_len());
+                    let mut images: Vec<f32> = (0..n).flat_map(|i| real.image(i).to_vec()).collect();
+                    let mut labels = real.labels().to_vec();
+                    let at = pick % n;
+                    let classes = real.classes();
+                    if field == 4 {
+                        let x = &mut images[at * len + pick % len];
+                        *x = f32::from_bits(x.to_bits() ^ (u32::from(flip) << 31));
+                    } else {
+                        labels[at] = (labels[at] + usize::from(flip) * (1 + pick % (classes - 1))) % classes;
+                    }
+                    let (c, h, w) = real.sample_dims();
+                    *real = Dataset::new(images, labels, classes, c, h, w);
+                    ["one recovery image", "one recovery label"][field - 4]
+                }
+                6 | 7 => {
+                    let marks = if field == 6 {
+                        &mut qd.unlearned_classes
+                    } else {
+                        &mut qd.unlearned_clients
+                    };
+                    let mark = pick % 10;
+                    if flip && !marks.remove(&mark) {
+                        marks.insert(mark);
+                    }
+                    ["a class mark", "a client mark"][field - 6]
+                }
+                8 => {
+                    if flip {
+                        ckpt.mid_phase = Some(MidPhase {
+                            phase: qd.config.train_phase,
+                            cursor: ResumeState {
+                                next_round: pick,
+                                rng: Rng::seed_from(pick as u64).state(),
+                                guard: qd_fed::GuardState::default(),
+                                health: qd_fed::HealthState::default(),
+                            },
+                            trainer_synthetic: Vec::new(),
+                            trainer_round_robin: Vec::new(),
+                        });
+                    }
+                    "the mid-phase cursor"
+                }
+                _ => {
+                    ckpt.version = if flip { 3 } else { CHECKPOINT_VERSION };
+                    "the version"
+                }
+            };
+            let typed = ckpt.is_capture_of(&global, &qd);
+            let oracle = ckpt.same_bits(&Checkpoint::capture(&global, &qd));
+            proptest::prop_assert_eq!(oracle, !flip, "{}", what);
+            if (3..=5).contains(&field) {
+                proptest::prop_assert!(!typed, "{} (flip {})", what, flip);
+            } else {
+                proptest::prop_assert_eq!(typed, oracle, "{} (flip {})", what, flip);
+            }
+        }
+    }
+
+    /// A restore and a capture share the sets they are given, so the
+    /// typed compare finds them by identity.
+    #[test]
+    fn a_restore_and_a_capture_share_the_sets() {
+        let (_, _, base) = compare_base();
+        let (global, qd) = base.restore().unwrap();
+        let captured = Checkpoint::capture(&global, &qd);
+        for ckpt in [base, &captured] {
+            assert!(Arc::ptr_eq(&ckpt.synthetic, &qd.synthetic));
+            assert!(Arc::ptr_eq(&ckpt.recovery_real, &qd.recovery_real));
+        }
+        assert!(base.is_capture_of(&global, &qd));
     }
 
     fn load_error(name: &str, contents: &[u8]) -> CheckpointError {
@@ -661,8 +885,8 @@ mod tests {
         // cheap: the bias, one client's synthetic set, no real samples.
         let mut ckpt = Checkpoint::capture(fed.global(), &qd);
         ckpt.global.remove(0);
-        ckpt.synthetic.truncate(1);
-        ckpt.recovery_real = vec![ckpt.recovery_real[0].empty_like()];
+        Arc::make_mut(&mut ckpt.synthetic).truncate(1);
+        ckpt.recovery_real = Arc::new(vec![ckpt.recovery_real[0].empty_like()]);
         let fs = crate::FaultFs::new();
         let path = Path::new("deploy.json");
         ckpt.save_on(&fs, path).unwrap();

@@ -239,6 +239,7 @@ pub(crate) fn arrays_in(value: &Value) -> usize {
 
 /// Bit-exact tree equality: what `PartialEq` is but for floats, which
 /// it compares as numbers (NaN != NaN, `-0.0 == 0.0`).
+#[cfg(test)]
 pub(crate) fn same_bits(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),

@@ -123,15 +123,19 @@ impl TrainReport {
 /// (which classes/clients are currently forgotten), supporting the
 /// paper's sequential-request evaluation (Figure 4) and relearning
 /// (Section 4.7).
+///
+/// The synthetic and recovery sets are shared, never mutated: a
+/// [`Checkpoint`] captured from or restored into a system holds the same
+/// allocations, and [`QuickDrop::finetune_more`] replaces them.
 #[derive(Clone)]
 pub struct QuickDrop {
-    config: QuickDropConfig,
-    synthetic: Vec<SyntheticSet>,
+    pub(crate) config: QuickDropConfig,
+    pub(crate) synthetic: Arc<Vec<SyntheticSet>>,
     /// The real half of each client's recovery set (see
     /// [`QuickDrop::recovery_set`]); empty sets when `augment` is off.
-    recovery_real: Vec<Dataset>,
-    unlearned_classes: BTreeSet<usize>,
-    unlearned_clients: BTreeSet<usize>,
+    pub(crate) recovery_real: Arc<Vec<Dataset>>,
+    pub(crate) unlearned_classes: BTreeSet<usize>,
+    pub(crate) unlearned_clients: BTreeSet<usize>,
 }
 
 impl std::fmt::Debug for QuickDrop {
@@ -367,8 +371,8 @@ impl QuickDrop {
         };
         let system = QuickDrop {
             config,
-            synthetic,
-            recovery_real,
+            synthetic: Arc::new(synthetic),
+            recovery_real: Arc::new(recovery_real),
             unlearned_classes: BTreeSet::new(),
             unlearned_clients: BTreeSet::new(),
         };
@@ -424,27 +428,6 @@ impl QuickDrop {
         &self.config
     }
 
-    /// Deconstructs the serializable state for
-    /// [`crate::Checkpoint::capture`].
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn state_for_checkpoint(
-        &self,
-    ) -> (
-        QuickDropConfig,
-        Vec<SyntheticSet>,
-        Vec<Dataset>,
-        BTreeSet<usize>,
-        BTreeSet<usize>,
-    ) {
-        (
-            self.config.clone(),
-            self.synthetic.clone(),
-            self.recovery_real.clone(),
-            self.unlearned_classes.clone(),
-            self.unlearned_clients.clone(),
-        )
-    }
-
     /// Snapshot of the forgotten-state marks, for side-effect-free
     /// trials ([`QuickDrop::probe_unit`]) that must restore them.
     pub(crate) fn marks_snapshot(&self) -> (BTreeSet<usize>, BTreeSet<usize>) {
@@ -460,23 +443,6 @@ impl QuickDrop {
         self.unlearned_clients = marks.1;
     }
 
-    /// Rebuilds a system from checkpoint state (see [`crate::Checkpoint`]).
-    pub(crate) fn from_checkpoint_state(
-        config: QuickDropConfig,
-        synthetic: Vec<SyntheticSet>,
-        recovery_real: Vec<Dataset>,
-        unlearned_classes: BTreeSet<usize>,
-        unlearned_clients: BTreeSet<usize>,
-    ) -> Self {
-        QuickDrop {
-            config,
-            synthetic,
-            recovery_real,
-            unlearned_classes,
-            unlearned_clients,
-        }
-    }
-
     /// Step 4 of the workflow: recovery descent on the synthetic retain
     /// set (everything not currently forgotten) under `phase`. The unit
     /// engine and relearning's consolidation pass run it with the
@@ -489,9 +455,9 @@ impl QuickDrop {
     }
 
     /// Applies additional fine-tuning steps to the synthetic sets
-    /// (Section 3.3.2) and rebuilds the recovery datasets. Returns the
-    /// number of real-data gradient evaluations spent (Figure 5's cost
-    /// axis).
+    /// (Section 3.3.2) and rebuilds the recovery datasets, replacing both
+    /// (a checkpoint sharing the old ones keeps them). Returns the number
+    /// of real-data gradient evaluations spent (Figure 5's cost axis).
     pub fn finetune_more(
         &mut self,
         fed: &Federation,
@@ -500,10 +466,13 @@ impl QuickDrop {
     ) -> usize {
         let model = fed.model().clone();
         let mut real_grads = 0usize;
-        for (i, syn) in self.synthetic.iter_mut().enumerate() {
+        let mut synthetic = self.synthetic.to_vec();
+        for (i, syn) in synthetic.iter_mut().enumerate() {
             real_grads += finetune(model.as_ref(), syn, fed.client_data(i), cfg, rng);
         }
-        self.recovery_real = recovery_reals(&self.synthetic, fed, self.config.augment, rng);
+        let recovery_real = recovery_reals(&synthetic, fed, self.config.augment, rng);
+        self.synthetic = Arc::new(synthetic);
+        self.recovery_real = Arc::new(recovery_real);
         real_grads
     }
 
@@ -1188,7 +1157,7 @@ mod tests {
         let mut parent = qd.clone();
         let mut oracle_rng = Rng::from_state(&rng.state());
         qd.finetune_more(&fed, &ft, &mut rng);
-        for (i, syn) in parent.synthetic.iter_mut().enumerate() {
+        for (i, syn) in Arc::make_mut(&mut parent.synthetic).iter_mut().enumerate() {
             finetune(
                 fed.model().as_ref(),
                 syn,

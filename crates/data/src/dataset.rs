@@ -314,18 +314,22 @@ impl Serialize for Dataset {
 
 impl Deserialize for Dataset {
     fn from_value(v: &Value) -> Result<Self, serde::DeError> {
-        fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, serde::DeError> {
-            T::from_value(v.field("Dataset", name)?)
+        Self::from_owned(v.clone())
+    }
+
+    fn from_owned(mut v: Value) -> Result<Self, serde::DeError> {
+        fn field<T: Deserialize>(v: &mut Value, name: &str) -> Result<T, serde::DeError> {
+            T::from_owned(v.take_field("Dataset", name)?)
         }
         let dims = (
-            field(v, "channels")?,
-            field(v, "height")?,
-            field(v, "width")?,
+            field(&mut v, "channels")?,
+            field(&mut v, "height")?,
+            field(&mut v, "width")?,
         );
         let (images, labels, classes): (Vec<f32>, Vec<usize>, usize) = (
-            field(v, "images")?,
-            field(v, "labels")?,
-            field(v, "classes")?,
+            field(&mut v, "images")?,
+            field(&mut v, "labels")?,
+            field(&mut v, "classes")?,
         );
         match Self::inconsistency(&images, &labels, classes, dims) {
             Some(problem) => Err(serde::DeError::new(problem)),

@@ -196,14 +196,18 @@ impl SyntheticSet {
 // file is malformed.
 impl Deserialize for SyntheticSet {
     fn from_value(v: &Value) -> Result<Self, serde::DeError> {
-        fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, serde::DeError> {
-            T::from_value(v.field("SyntheticSet", name)?)
+        Self::from_owned(v.clone())
+    }
+
+    fn from_owned(mut v: Value) -> Result<Self, serde::DeError> {
+        fn field<T: Deserialize>(v: &mut Value, name: &str) -> Result<T, serde::DeError> {
+            T::from_owned(v.take_field("SyntheticSet", name)?)
         }
-        let per_class: Vec<Option<Tensor>> = field(v, "per_class")?;
+        let per_class: Vec<Option<Tensor>> = field(&mut v, "per_class")?;
         let (channels, height, width) = (
-            field(v, "channels")?,
-            field(v, "height")?,
-            field(v, "width")?,
+            field(&mut v, "channels")?,
+            field(&mut v, "height")?,
+            field(&mut v, "width")?,
         );
         for (class, t) in per_class.iter().enumerate() {
             let problem = t

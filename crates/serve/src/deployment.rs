@@ -8,10 +8,11 @@
 //! fields ([`crate::run_service_isolated`],
 //! [`QuickDrop::resume_requests`], `serve_journaled`,
 //! `relearn_journaled`); [`Deployment::close`] saves what changed. A run
-//! that changed nothing writes nothing: the capture is compared with the
-//! primary as it was loaded, and the stats with the bytes the stats file
-//! holds, read through the same [`Vfs`] — so a fault-injecting `Vfs`
-//! drives the skip and the save alike.
+//! that changed nothing writes nothing: the live system is compared with
+//! the primary as it was loaded ([`Checkpoint::is_capture_of`], which
+//! finds the sets the restore shared with it by identity), and the stats
+//! with the bytes the stats file holds, read through the same [`Vfs`] —
+//! so a fault-injecting `Vfs` drives the skip and the save alike.
 
 use crate::{ServeStats, ServiceError};
 use qd_core::{Checkpoint, CheckpointError, Module, QuickDrop, RequestJournal, ServeError, Vfs};
@@ -67,7 +68,8 @@ pub struct Deployment {
     vfs: Arc<dyn Vfs>,
     ckpt: PathBuf,
     /// The primary checkpoint as loaded (`None` after a fallback): what
-    /// [`Deployment::close`] leaves in place when nothing changed.
+    /// [`Deployment::close`] leaves in place when nothing changed. The
+    /// restored system shares its sets.
     primary: Option<Checkpoint>,
 }
 
@@ -106,8 +108,8 @@ impl Deployment {
         let loaded = Checkpoint::load_with_fallback_on(&*vfs, ckpt).map_err(ServeError::from);
         let (loaded, fell_back) = loaded?;
         check_geometry(geometry, &loaded, ckpt).map_err(ServiceError::Geometry)?;
-        let primary = fell_back.is_none().then(|| loaded.clone());
         let (global, qd) = loaded.restore().map_err(ServeError::from)?;
+        let primary = fell_back.is_none().then_some(loaded);
         let fed = qd
             .serving_federation(model, global)
             .map_err(ServeError::from)?;
@@ -126,9 +128,10 @@ impl Deployment {
 
     /// Saves the deployment to `out` and, with `stats`, writes the stats
     /// file — each only where its bytes change. The checkpoint is saved
-    /// unless `out` is the primary this deployment opened and holds the
-    /// capture to the bit; the stats are written unless their file, read
-    /// through the deployment's `Vfs`, holds their bytes already.
+    /// unless `out` is the primary this deployment opened and the live
+    /// system is its capture to the bit; the stats are written unless
+    /// their file, read through the deployment's `Vfs`, holds their bytes
+    /// already.
     ///
     /// # Errors
     ///
@@ -139,11 +142,11 @@ impl Deployment {
         out: &Path,
         stats: Option<(&Path, &ServeStats)>,
     ) -> Result<Closed, ServeError> {
-        let captured = Checkpoint::capture(self.fed.global(), &self.qd);
+        let global = self.fed.global();
         let unchanged = out == self.ckpt
-            && (self.primary.as_ref()).is_some_and(|loaded| loaded.same_bits(&captured));
+            && (self.primary.as_ref()).is_some_and(|loaded| loaded.is_capture_of(global, &self.qd));
         if !unchanged {
-            captured.save_on(&*self.vfs, out)?;
+            Checkpoint::capture(global, &self.qd).save_on(&*self.vfs, out)?;
         }
         let mut stats_written = false;
         if let Some((path, stats)) = stats {

@@ -22,8 +22,8 @@ fn model() -> Arc<dyn Module> {
     Arc::new(Mlp::new(&[256, 16, 10]))
 }
 
-/// A trained deployment saved on a fresh filesystem, and its bytes.
-fn deployed() -> (Arc<FaultFs>, Vec<u8>) {
+/// The trained federation — its clients hold the real data — and system.
+fn trained() -> (Federation, QuickDrop) {
     let mut rng = Rng::seed_from(42);
     let data = SyntheticDataset::Digits.generate(120, &mut rng);
     let parts = partition_iid(data.len(), 2, &mut rng);
@@ -32,6 +32,12 @@ fn deployed() -> (Arc<FaultFs>, Vec<u8>) {
     let mut cfg = QuickDropConfig::scaled_test();
     cfg.train_phase = Phase::training(2, 2, 16, 0.1);
     let (qd, _) = QuickDrop::train(&mut fed, cfg, &mut rng);
+    (fed, qd)
+}
+
+/// A trained deployment saved on a fresh filesystem, and its bytes.
+fn deployed() -> (Arc<FaultFs>, Vec<u8>) {
+    let (fed, qd) = trained();
     let fs = Arc::new(FaultFs::new());
     let ckpt = Checkpoint::capture(fed.global(), &qd);
     ckpt.save_on(fs.as_ref(), Path::new(CKPT)).unwrap();
@@ -103,6 +109,8 @@ fn a_run_that_changes_nothing_writes_nothing() {
     let files = fs.files();
 
     // Opened and closed as it lies, and served again over a finished plan.
+    // The close compares the sets by identity, so "unchanged" also says
+    // the open left the live system holding the primary's own sets.
     let before = writes(&fs);
     assert_eq!(
         open(&fs).close(Path::new(CKPT), None).unwrap(),
@@ -165,6 +173,35 @@ fn every_run_that_changes_something_writes() {
         fs.file(Path::new(STATS)),
         served.get(Path::new(STATS)).cloned()
     );
+}
+
+/// `finetune_more` replaces the sets the primary shares: the close finds
+/// new allocations and saves, and the file is the live system's capture,
+/// byte for byte, which loads back to the new sets.
+#[test]
+fn a_reopen_that_replaced_the_sets_saves_them() {
+    let (fs, trained_bytes) = deployed();
+    let (fed, _) = trained();
+    let mut d = open(&fs);
+    let old = d.qd.synthetic_sets().as_ptr();
+    let ft = qd_distill::FinetuneConfig {
+        outer_steps: 1,
+        inner_steps: 1,
+        model_steps: 1,
+        ..qd_distill::FinetuneConfig::default()
+    };
+    d.qd.finetune_more(&fed, &ft, &mut Rng::seed_from(9));
+    assert_ne!(d.qd.synthetic_sets().as_ptr(), old);
+    assert_eq!(d.close(Path::new(CKPT), None).unwrap(), closed(true, false));
+
+    let saved = fs.file(Path::new(CKPT)).unwrap();
+    assert_ne!(saved, trained_bytes, "the fine-tuning changed the sets");
+    let live = Path::new("live.ckpt");
+    let capture = Checkpoint::capture(d.fed.global(), &d.qd);
+    capture.save_on(fs.as_ref(), live).unwrap();
+    assert_eq!(fs.file(live).unwrap(), saved);
+    let back = Checkpoint::load_on(fs.as_ref(), Path::new(CKPT)).unwrap();
+    assert_eq!(back.synthetic_sets(), d.qd.synthetic_sets());
 }
 
 /// A failed close says which file failed: a checkpoint save's error

@@ -293,10 +293,15 @@ impl Tensor {
 
 // Read back through the check `from_vec` asserts: a stored tensor whose
 // shape does not account for its buffer is a malformed file, not a value.
+// An owned tree's buffer becomes the tensor's; a borrowed one is copied.
 impl serde::Deserialize for Tensor {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let shape: Shape = serde::Deserialize::from_value(v.field("Tensor", "shape")?)?;
-        let data: Vec<f32> = serde::Deserialize::from_value(v.field("Tensor", "data")?)?;
+        Self::from_owned(v.clone())
+    }
+
+    fn from_owned(mut v: serde::Value) -> Result<Self, serde::DeError> {
+        let shape: Shape = serde::Deserialize::from_owned(v.take_field("Tensor", "shape")?)?;
+        let data: Vec<f32> = serde::Deserialize::from_owned(v.take_field("Tensor", "data")?)?;
         match Self::misfit(&data, &shape) {
             Some(problem) => Err(serde::DeError::new(problem)),
             None => Ok(Tensor { shape, data }),

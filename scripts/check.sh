@@ -96,7 +96,7 @@ crates/core/src/lifecycle.rs -F lr_halvings += 1
 crates/fed/src/health.rs -w half_open
 crates/chaos/src/scenario.rs -F SimNet::new(
 crates/serve/src/deployment.rs -F Checkpoint::load_with_fallback_on(
-crates/serve/src/deployment.rs -F .same_bits(
+crates/serve/src/deployment.rs -F .is_capture_of(
 ONE_COPY
 
 echo "== cargo test"
@@ -125,7 +125,7 @@ cargo test --offline --release -p qd-serve --test isolation_props -q
 # of the workspace run above; here it runs again with the serving code
 # compiled as the shipped binary compiles it (release), beside the 25
 # generated schedules of seed 7.
-echo "== whole-system chaos gate (release: 573 enumerated schedules + the seed-7 sweep, all invariants)"
+echo "== whole-system chaos gate (release: 567 enumerated schedules + the seed-7 sweep, all invariants)"
 cargo test --offline --release -p qd-chaos -q
 
 echo "== a re-served deployment is left untouched (release binary: the identical serve command line writes, renames and removes nothing)"
@@ -180,9 +180,12 @@ echo "== float-order gate + exact-count gates (traced qd-perf runs must end on t
 # 952 509 332, 1 643 507 152 with those nodes and 2 529 464 016 with the
 # patch matrix. The ceilings are those measured counts plus 10 %; with one
 # node per ConvNet block the two read 128 974 145 and 987 989 079. A
-# reopen of the served history decodes one snapshot, not all of them
-# (DESIGN.md §5m): it allocates 4 702 669 bytes, and 8 393 789 when the
-# journal's open decoded every stored and back-referenced model.
+# reopen of the served history decodes one snapshot, not all of them,
+# and copies each stored byte once (DESIGN.md §5m): it allocates
+# 3 965 357 bytes, 4 702 669 when the checkpoint's arrays are copied twice,
+# its skeletons cloned and the close captures and builds value trees, and
+# 8 393 789 when the journal's open decoded every stored and
+# back-referenced model.
 while read -r workload digest; do
     report="$(bash qd-perf/run.sh --workload "$workload" --seed 11 --trace 1 </dev/null)"
     grep -x "  model_digest $digest" <<<"$report" >/dev/null \
@@ -196,7 +199,7 @@ request-stream core.journal.bytes_per_record 296
 request-stream core.ckpt.bytes 299000
 request-stream alloc.bytes_per_op 139000000
 train-distill alloc.bytes_per_op 1048000000
-reopen-history alloc.bytes_per_op 5173000
+reopen-history alloc.bytes_per_op 4362000
 BYTES
 done <<'DIGESTS'
 train-distill 185d83271a152c63
