@@ -11,8 +11,6 @@
 //! Scales default to CPU-tractable sizes; set `QD_FULL=1` to double
 //! dataset sizes and training rounds.
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
 use qd_core::{QuickDrop, QuickDropConfig, TrainReport};

@@ -709,16 +709,16 @@ fn service(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `chaos --replay FILE`: re-executes a stored reproducer — a schedule
-/// and the violation it tripped, as `Repro::to_json` writes it — and
-/// demands the identical violation byte-for-byte. The schedules
-/// themselves are enumerated and run by qd-chaos's test suite.
+/// `chaos --replay FILE`: re-executes a stored reproducer (a schedule and
+/// the violation it tripped, as `Repro::to_json` writes it) and demands the
+/// identical violation byte-for-byte; qd-chaos's tests run the schedules.
 fn chaos(args: &Args) -> Result<String, CliError> {
     if !args.has_option("replay") {
         return Err(CliError::Usage(format!(
             "chaos takes --replay chaos-repro.json\n\n{USAGE}"
         )));
     }
+    #[expect(clippy::disallowed_methods, reason = "reads an operator's file")]
     let text = std::fs::read_to_string(args.get_str("replay", ""))?;
     let repro = qd_chaos::Repro::from_json(&text).map_err(CliError::Usage)?;
     let mut harness = qd_chaos::Harness::new();
@@ -831,6 +831,11 @@ fn dump(args: &Args) -> Result<String, CliError> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "tests write real deployments and compare their files' mtimes"
+)]
 mod tests {
     use super::*;
 

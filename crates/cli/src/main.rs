@@ -1,9 +1,6 @@
 //! `quickdrop-cli`: train and serve QuickDrop federated-unlearning
 //! deployments from the command line. Run `quickdrop-cli help` for usage.
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 use qd_cli::{run, Args};
 use std::io::Write;
 use std::process::ExitCode;

@@ -526,6 +526,10 @@ fn take_floats(config: &mut QuickDropConfig) -> Vec<u32> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests write and corrupt real files"
+)]
 mod tests {
     use super::*;
     use qd_data::{partition_iid, SyntheticDataset};

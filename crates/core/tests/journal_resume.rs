@@ -9,6 +9,11 @@
 //! pins the replay of its derived UNLEARNED records and the typed
 //! refusal of a replay that leaves the journaled path.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the test corrupts and removes its own files"
+)]
+
 use qd_core::{
     frame, segment_path, BatchId, BatchOutcome, BatchPreempt, Checkpoint, Fault, FaultFs,
     JournalError, JournalRecord, JournaledRun, QuickDrop, QuickDropConfig, ReplayMismatch,

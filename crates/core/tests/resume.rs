@@ -2,6 +2,8 @@
 //! resumes from the last on-disk checkpoint and reaches exactly the
 //! final state of an uninterrupted run (loopback transport).
 
+#![allow(clippy::disallowed_methods, reason = "the test removes its own files")]
+
 use qd_core::{Checkpoint, CheckpointPolicy, QuickDrop, QuickDropConfig, TrainRun};
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};

@@ -4,6 +4,8 @@
 //! uninterrupted one bit-for-bit — the breaker state rides inside the
 //! checkpoint cursor.
 
+#![allow(clippy::disallowed_methods, reason = "the test removes its own files")]
+
 use qd_core::{Checkpoint, CheckpointPolicy, QuickDrop, QuickDropConfig, TrainRun};
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{FaultKind, FaultPlan, Federation, HealthConfig, Phase};

@@ -156,8 +156,8 @@ impl ClientTrainer for DistillingTrainer {
         phase: &Phase,
         rng: &mut Rng,
     ) -> LocalOutcome {
-        // qd-lint: allow(determinism) -- accounting-only wall-clock: feeds
-        // compute-time stats, never control flow
+        // Feeds the compute-time stats, never control flow.
+        #[expect(clippy::disallowed_methods, reason = "wall-clock accounting only")]
         let round_start = Instant::now();
         // Mirror SgdClientTrainer's stream split: stream 0 drives FL batch
         // sampling (so model updates are bit-identical to plain SGD for
@@ -184,8 +184,8 @@ impl ClientTrainer for DistillingTrainer {
 
             // Class-wise gradient matching (lines 14-15), timed as DD
             // overhead.
-            // qd-lint: allow(determinism) -- accounting-only wall-clock:
-            // feeds compute-time stats, never control flow
+            // Feeds the compute-time stats, never control flow.
+            #[expect(clippy::disallowed_methods, reason = "wall-clock accounting only")]
             let dd_start = Instant::now();
             let owned = self
                 .synthetic

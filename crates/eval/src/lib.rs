@@ -29,8 +29,6 @@
 //! assert!((0.0..=1.0).contains(&acc));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
 mod divergence;

@@ -391,8 +391,8 @@ impl Federation {
             return stats;
         }
         let mut aggregator = phase.aggregator.build();
-        // qd-lint: allow(determinism) -- accounting-only wall-clock: feeds
-        // PhaseStats.wall, never control flow
+        // Feeds PhaseStats.wall, never control flow.
+        #[expect(clippy::disallowed_methods, reason = "wall-clock accounting only")]
         let start = Instant::now();
         for round in start_round..phase.rounds {
             'round: {

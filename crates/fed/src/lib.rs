@@ -41,8 +41,6 @@
 //! assert_eq!(stats.rounds, 2);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
 mod aggregate;

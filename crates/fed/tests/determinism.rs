@@ -1,9 +1,9 @@
 //! Order-stability regression gate: two identically-seeded federation
 //! runs must agree on every [`PhaseStats`] field except wall-clock time
-//! (and bit-for-bit on the global model). This is the test the
-//! `order-stability` lint rule backs — if unordered iteration (a
-//! `HashMap`/`HashSet` walk) ever feeds client selection, aggregation
-//! or accounting, seeds stop pinning runs and this fails.
+//! (and bit-for-bit on the global model). This is the test behind the
+//! root `clippy.toml`'s `HashMap`/`HashSet` ban — if unordered iteration
+//! ever feeds client selection, aggregation or accounting, seeds stop
+//! pinning runs and this fails.
 
 use qd_fed::{sgd_trainers, Federation, NetConfig, Phase, PhaseStats, SimNet};
 use qd_nn::{Mlp, Module};

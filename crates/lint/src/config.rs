@@ -18,6 +18,7 @@
 //! segments. A rule with no `include` patterns applies everywhere; the
 //! top-level `[lint] exclude` list removes files from every rule.
 
+use crate::rules::{is_rule, known_rules};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -76,7 +77,9 @@ impl Config {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] naming the offending line for anything
-    /// outside the supported subset.
+    /// outside the supported subset, and for a `[rules.<name>]` table
+    /// whose name is no rule: like a typo'd `allow(..)`, it would
+    /// otherwise scope nothing while its author believes it does.
     pub fn parse(text: &str) -> Result<Config, ConfigError> {
         let mut config = Config::default();
         let mut section: Option<String> = None;
@@ -93,11 +96,17 @@ impl Config {
                 let header = header
                     .strip_suffix(']')
                     .ok_or_else(|| err("unterminated section header"))?;
-                if header != "lint"
-                    && header != "entrypoints"
-                    && header.strip_prefix("rules.").is_none()
-                {
-                    return Err(err("expected [lint], [entrypoints] or [rules.<name>]"));
+                match header.strip_prefix("rules.") {
+                    Some(rule) if !is_rule(rule) => {
+                        return Err(err(&format!(
+                            "unknown rule `{rule}`; known rules: {}",
+                            known_rules()
+                        )))
+                    }
+                    None if header != "lint" && header != "entrypoints" => {
+                        return Err(err("expected [lint], [entrypoints] or [rules.<name>]"))
+                    }
+                    _ => {}
                 }
                 section = Some(header.to_string());
                 continue;
@@ -143,6 +152,7 @@ impl Config {
     /// I/O errors reading `path`, plus any [`ConfigError`] from parsing
     /// (converted to [`std::io::ErrorKind::InvalidData`]).
     pub fn load(path: &Path) -> std::io::Result<Config> {
+        #[expect(clippy::disallowed_methods, reason = "the linter's own config")]
         let text = std::fs::read_to_string(path)?;
         let mut config = Config::parse(&text).map_err(|e| {
             std::io::Error::new(
@@ -275,7 +285,7 @@ exclude = ["vendor/**", "target/**"] # build output
 include = ["crates/core/src/**"]
 exclude = ["crates/core/src/bin/**"]
 
-[rules.unsafe-hygiene]
+[rules.lock-order]
 "##;
         let c = Config::parse(text).unwrap();
         assert!(c.is_excluded("vendor/rand/src/lib.rs"));
@@ -285,7 +295,7 @@ exclude = ["crates/core/src/bin/**"]
         assert!(!scope.applies_to("crates/core/src/bin/tool.rs"));
         assert!(!scope.applies_to("crates/net/src/sim.rs"));
         // Unscoped rules apply everywhere.
-        assert!(c.scope("unsafe-hygiene").applies_to("anything/at/all.rs"));
+        assert!(c.scope("lock-order").applies_to("anything/at/all.rs"));
         assert!(c.scope("never-mentioned").applies_to("anything/at/all.rs"));
     }
 
@@ -334,11 +344,20 @@ admin = ["**::admin::main"]
             "key_outside = \"x\"",
             "[lint]\nnope = \"x\"",
             "[weird]\n",
-            "[rules.x]\ninclude = [unquoted]",
-            "[rules.x\ninclude = []",
+            "[rules.durability]\ninclude = [unquoted]",
+            "[rules.durability\ninclude = []",
         ] {
             let err = Config::parse(bad).unwrap_err();
             assert!(err.line >= 1, "{err}");
         }
+    }
+
+    #[test]
+    fn a_table_for_no_rule_is_refused_at_its_line() {
+        let text = "[rules.panic-safety]\ninclude = [\"a/**\"]\n\n[rules.determinism]\n";
+        let err = Config::parse(text).unwrap_err();
+        assert_eq!(err.line, 4, "{err}");
+        assert!(err.msg.contains("unknown rule `determinism`"), "{err}");
+        assert!(err.msg.contains("panic-safety, durability"), "{err}");
     }
 }

@@ -7,20 +7,12 @@
 //! its line — either on the line itself or in a comment-only line block
 //! immediately above it (the shape rustfmt produces for long lines).
 //!
-//! Two analysis modes exist:
-//!
-//! * [`check_source`] — single-file, local rules only. This is the
-//!   stable unit-test surface; it has no call graph, so `durability`
-//!   runs in its original intra-function form and the interprocedural
-//!   rules contribute nothing.
-//! * [`analyze`] / [`run`] — workspace mode. All files are lexed and
-//!   parsed into a [`Graph`]; local rules run per file (except
-//!   `durability`, which is superseded by its interprocedural form),
-//!   then the graph-backed rules add reachability-scoped panic-safety,
-//!   component-wide durability, and lock-order findings. Local findings
-//!   win dedup at a `(path, line, rule)` collision, so path-scoped
-//!   diagnostics keep their original messages and the graph only adds
-//!   *new* locations.
+//! [`analyze`] lexes every file and parses it into a [`Graph`]; the
+//! file-local rules run per file, then the graph-backed rules add
+//! reachability-scoped panic-safety, component-wide durability and
+//! lock-order findings. Local findings win dedup at a `(path, line,
+//! rule)` collision, so path-scoped diagnostics keep their messages and
+//! the graph only adds *new* locations.
 
 use crate::config::Config;
 use crate::graph::{Graph, Reach};
@@ -62,37 +54,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Analyzes one file's source under every in-scope local rule.
-///
-/// `path` is the file's config-relative path (`/`-separated); it decides
-/// rule scoping and is echoed into diagnostics.
-pub fn check_source(path: &str, source: &str, config: &Config) -> Vec<Diagnostic> {
-    if config.is_excluded(path) {
-        return Vec::new();
-    }
-    let file = lex(source);
-    let mut out = Vec::new();
-    for rule in RULES {
-        if !config.scope(rule.name).applies_to(path) {
-            continue;
-        }
-        for (line0, message) in rules::check(rule.name, &file) {
-            if suppressed(&file, line0, rule.name) {
-                continue;
-            }
-            out.push(Diagnostic {
-                path: path.to_string(),
-                line: line0 + 1,
-                rule: rule.name.to_string(),
-                message,
-                chain: Vec::new(),
-            });
-        }
-    }
-    out.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
-    out
-}
-
 /// A full workspace analysis: diagnostics plus the call graph and
 /// reachability they were computed against (for `--graph dot`).
 #[derive(Debug, Clone)]
@@ -105,13 +66,11 @@ pub struct Analysis {
     pub reach: Reach,
 }
 
-/// Workspace-mode analysis over pre-read `(path, source)` pairs.
+/// Workspace analysis over pre-read `(path, source)` pairs.
 ///
-/// Local rules run per file — except `durability`, whose
-/// interprocedural form supersedes the single-function check — then the
-/// call graph is built and the graph-backed rules run. Suppressions
-/// apply uniformly; at a `(path, line, rule)` collision the local
-/// finding wins.
+/// Local rules run per file, then the call graph is built and the
+/// graph-backed rules run. Suppressions apply uniformly; at a `(path,
+/// line, rule)` collision the local finding wins.
 pub fn analyze(files: &[(String, String)], config: &Config) -> Analysis {
     let mut lexed: BTreeMap<String, LexedFile> = BTreeMap::new();
     let mut parsed: Vec<(String, Vec<crate::items::FnItem>)> = Vec::new();
@@ -122,7 +81,7 @@ pub fn analyze(files: &[(String, String)], config: &Config) -> Analysis {
         }
         let file = lex(source);
         for rule in RULES {
-            if rule.name == "durability" || !config.scope(rule.name).applies_to(path) {
+            if !config.scope(rule.name).applies_to(path) {
                 continue;
             }
             for (line0, message) in rules::check(rule.name, &file) {
@@ -263,6 +222,7 @@ pub fn collect_files(roots: &[PathBuf], config: &Config) -> std::io::Result<Vec<
     Ok(files)
 }
 
+#[expect(clippy::disallowed_methods, reason = "walks the tree it lints")]
 fn walk(path: &Path, config: &Config, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let rel = rel_str(path);
     if config.is_excluded(&rel) {
@@ -299,6 +259,7 @@ fn rel_str(path: &Path) -> String {
 pub fn load_files(roots: &[PathBuf], config: &Config) -> std::io::Result<Vec<(String, String)>> {
     let mut out = Vec::new();
     for file in collect_files(roots, config)? {
+        #[expect(clippy::disallowed_methods, reason = "reads the tree it lints")]
         let source = std::fs::read_to_string(&file)?;
         out.push((rel_str(&file), source));
     }
@@ -315,62 +276,17 @@ pub fn run(roots: &[PathBuf], config: &Config) -> std::io::Result<Vec<Diagnostic
     Ok(analyze(&files, config).diagnostics)
 }
 
-/// Serializes diagnostics as a deterministic JSON array (sorted as
-/// emitted, keys in fixed order), suitable for `--format json`.
-pub fn to_json(diagnostics: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {\"path\":");
-        json_string(&mut out, &d.path);
-        out.push_str(",\"line\":");
-        out.push_str(&d.line.to_string());
-        out.push_str(",\"rule\":");
-        json_string(&mut out, &d.rule);
-        out.push_str(",\"message\":");
-        json_string(&mut out, &d.message);
-        out.push_str(",\"chain\":[");
-        for (j, link) in d.chain.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            json_string(&mut out, link);
-        }
-        out.push_str("]}");
-    }
-    if !diagnostics.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn everywhere() -> Config {
         Config::default()
+    }
+
+    /// `analyze` over one file.
+    fn one_file(path: &str, src: &str, config: &Config) -> Vec<Diagnostic> {
+        analyze(&[(path.to_string(), src.to_string())], config).diagnostics
     }
 
     #[test]
@@ -383,7 +299,7 @@ fn f() {
     let c = z.unwrap();
 }
 ";
-        let diags = check_source("crates/core/src/x.rs", src, &everywhere());
+        let diags = one_file("crates/core/src/x.rs", src, &everywhere());
         let panics: Vec<_> = diags.iter().filter(|d| d.rule == "panic-safety").collect();
         assert_eq!(panics.len(), 1, "{panics:?}");
         assert_eq!(panics[0].line, 5);
@@ -396,7 +312,7 @@ fn f() {
 
 fn f() { x.unwrap(); }
 ";
-        let diags = check_source("a.rs", src, &everywhere());
+        let diags = one_file("a.rs", src, &everywhere());
         assert_eq!(diags.iter().filter(|d| d.rule == "panic-safety").count(), 1);
     }
 
@@ -404,18 +320,38 @@ fn f() { x.unwrap(); }
     fn excluded_paths_produce_nothing() {
         let mut config = everywhere();
         config.exclude.push("vendor/**".into());
-        let diags = check_source("vendor/x/lib.rs", "fn f() { x.unwrap(); }", &config);
+        let diags = one_file("vendor/x/lib.rs", "fn f() { x.unwrap(); }", &config);
         assert!(diags.is_empty());
     }
 
     #[test]
     fn multiple_allows_in_one_comment() {
-        let src = "use std::collections::HashMap; // qd-lint: allow(order-stability, \
-                   determinism)\n";
-        let diags = check_source("a.rs", src, &everywhere());
+        let src = "fn save() {\n    let f = File::create(p).unwrap(); // qd-lint: \
+                   allow(panic-safety, durability)\n}\n";
+        let diags = one_file("a.rs", src, &everywhere());
+        assert!(diags.is_empty(), "{diags:?}");
+        let unsuppressed = src.replace("panic-safety, durability", "durability");
+        let diags = one_file("a.rs", &unsuppressed, &everywhere());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, "panic-safety");
+    }
+
+    #[test]
+    fn durability_checks_at_fn_granularity() {
+        let good = "fn save() {\n let f = File::create(tmp);\n f.sync_all();\n \
+                    fs::rename(tmp, path);\n}\n";
+        assert!(one_file("a.rs", good, &everywhere()).is_empty());
+        // An fsync and a rename in a fn that `save` neither calls nor is
+        // called by do not count.
+        let bad = "fn save() {\n let f = File::create(path);\n f.write_all(b);\n}\n\
+                   fn elsewhere() {\n g.sync_all();\n fs::rename(a, b);\n}\n";
+        let diags = one_file("a.rs", bad, &everywhere());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].line, diags[0].rule.as_str()), (2, "durability"));
         assert!(
-            diags.iter().all(|d| d.rule != "order-stability"),
-            "{diags:?}"
+            diags[0].message.contains("fsync+rename"),
+            "{}",
+            diags[0].message
         );
     }
 
@@ -558,22 +494,5 @@ fn f() { x.unwrap(); }
             "{}",
             dur[0].message
         );
-    }
-
-    #[test]
-    fn json_output_is_deterministic_and_escaped() {
-        let diags = vec![Diagnostic {
-            path: "a\"b.rs".into(),
-            line: 3,
-            rule: "panic-safety".into(),
-            message: "tab\there".into(),
-            chain: vec!["a::b".into()],
-        }];
-        let json = to_json(&diags);
-        assert_eq!(json, to_json(&diags));
-        assert!(json.contains("\"path\":\"a\\\"b.rs\""), "{json}");
-        assert!(json.contains("\"message\":\"tab\\there\""), "{json}");
-        assert!(json.contains("\"chain\":[\"a::b\"]"), "{json}");
-        assert_eq!(to_json(&[]), "[]\n");
     }
 }

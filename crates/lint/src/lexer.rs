@@ -15,11 +15,6 @@
 //!   `#[cfg(test)]` or `#[test]` item, so rules scoped to production
 //!   code skip test modules without needing per-directory layout rules.
 //!
-//! It also records the line span of every `fn` body (including nested
-//! functions), which the durability rule uses to check that a
-//! `File::create` and its matching `sync_all`/`rename` live in the same
-//! function.
-//!
 //! The lexer understands the token shapes that matter for not
 //! mis-classifying bytes: nested block comments, string escapes, raw
 //! strings with arbitrary `#` fencing, byte strings, and the
@@ -41,21 +36,6 @@ pub struct LexedLine {
 pub struct LexedFile {
     /// The file's lines in order.
     pub lines: Vec<LexedLine>,
-    /// Inclusive 0-based line spans of every `fn` body, innermost last
-    /// for nested functions.
-    pub fn_spans: Vec<(usize, usize)>,
-}
-
-impl LexedFile {
-    /// The innermost `fn` body span containing 0-based line `line`, if
-    /// any (the narrowest enclosing span).
-    pub fn enclosing_fn(&self, line: usize) -> Option<(usize, usize)> {
-        self.fn_spans
-            .iter()
-            .filter(|&&(s, e)| s <= line && line <= e)
-            .min_by_key(|&&(s, e)| e - s)
-            .copied()
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,11 +180,8 @@ pub fn lex(src: &str) -> LexedFile {
         flush(&mut code, &mut comment, &mut lines);
     }
 
-    let mut file = LexedFile {
-        lines,
-        fn_spans: Vec::new(),
-    };
-    mark_regions(&mut file);
+    let mut file = LexedFile { lines };
+    mark_test_regions(&mut file);
     file
 }
 
@@ -233,42 +210,25 @@ fn closes_raw_string(chars: &[char], i: usize, hashes: u32) -> bool {
 }
 
 /// Second pass over the blanked code: brace-depth tracking to mark
-/// `#[cfg(test)]` / `#[test]` item bodies and record `fn` body spans.
-fn mark_regions(file: &mut LexedFile) {
+/// `#[cfg(test)]` / `#[test]` item bodies.
+fn mark_test_regions(file: &mut LexedFile) {
     let mut depth: u32 = 0;
     // Sliding window of recent non-whitespace code chars, for attribute
     // detection without a token stream.
     let mut window = String::new();
-    // Identifier accumulator, for keyword detection at word boundaries.
-    let mut word = String::new();
     let mut pending_test = false;
-    let mut pending_fn = false;
     let mut test_stack: Vec<u32> = Vec::new();
-    let mut fn_stack: Vec<(usize, u32)> = Vec::new();
-    let mut spans: Vec<(usize, usize)> = Vec::new();
 
-    for (idx, line) in file.lines.iter_mut().enumerate() {
+    for line in &mut file.lines {
         let mut line_in_test = !test_stack.is_empty();
         for c in line.code.chars() {
             if c.is_whitespace() {
-                if word == "fn" {
-                    pending_fn = true;
-                }
-                word.clear();
                 continue;
             }
             window.push(c);
             if window.len() > 16 {
                 let cut = window.len() - 16;
                 window.drain(..cut);
-            }
-            if is_word(c) {
-                word.push(c);
-            } else {
-                if word == "fn" {
-                    pending_fn = true;
-                }
-                word.clear();
             }
             if window.ends_with("#[cfg(test") || window.ends_with("#[test]") {
                 pending_test = true;
@@ -281,41 +241,23 @@ fn mark_regions(file: &mut LexedFile) {
                         pending_test = false;
                         line_in_test = true;
                     }
-                    if pending_fn {
-                        fn_stack.push((idx, depth));
-                        pending_fn = false;
-                    }
                 }
                 '}' => {
                     if test_stack.last() == Some(&depth) {
                         test_stack.pop();
                     }
-                    if let Some(&(start, d)) = fn_stack.last() {
-                        if d == depth {
-                            spans.push((start, idx));
-                            fn_stack.pop();
-                        }
-                    }
                     depth = depth.saturating_sub(1);
                 }
                 ';' => {
                     // A `;` before any `{` ends the item the pending
-                    // attribute or signature belonged to (`#[cfg(test)]
-                    // use x;`, trait method declarations).
+                    // attribute belonged to (`#[cfg(test)] use x;`).
                     pending_test = false;
-                    pending_fn = false;
                 }
                 _ => {}
             }
         }
-        if word == "fn" {
-            pending_fn = true;
-        }
-        word.clear();
         line.in_test = line_in_test || !test_stack.is_empty();
     }
-    // Unterminated spans (syntax errors) are dropped rather than guessed.
-    file.fn_spans = spans;
 }
 
 /// Finds `needle` in `haystack` at identifier boundaries: the characters
@@ -397,23 +339,6 @@ fn after() {}
         assert!(f.lines[2].in_test);
         assert!(f.lines[3].in_test);
         assert!(!f.lines[5].in_test);
-    }
-
-    #[test]
-    fn fn_spans_cover_bodies() {
-        let src = "\
-fn outer() {
-    let a = 1;
-    fn inner() {
-        let b = 2;
-    }
-}
-";
-        let f = lex(src);
-        assert!(f.fn_spans.contains(&(0, 5)));
-        assert!(f.fn_spans.contains(&(2, 4)));
-        assert_eq!(f.enclosing_fn(3), Some((2, 4)));
-        assert_eq!(f.enclosing_fn(1), Some((0, 5)));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! `qd-lint`: the workspace invariant gate.
 //!
 //! ```text
-//! qd-lint [--deny] [--list-rules] [--format json] [--graph dot]
-//!         [--config <path>] [paths...]
+//! qd-lint [--deny] [--list-rules] [--graph dot] [--config <path>] [paths...]
 //! ```
 //!
 //! With no paths, scans the workspace source roots (`crates`, `src`,
@@ -10,13 +9,9 @@
 //! present; on such a whole-tree scan (or one whose paths contain the
 //! config's directory) an `[entrypoints]` glob matching no fn is itself
 //! a finding. `--deny` exits non-zero on any finding (the CI gate);
-//! without it findings are printed as warnings. `--format json` prints
-//! findings as a JSON array instead of text (exit semantics unchanged);
-//! `--graph dot` prints the workspace call graph, annotated with
-//! entry-point reachability, and exits 0 without reporting findings.
-
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
+//! without it findings are printed as warnings. `--graph dot` prints
+//! the workspace call graph, annotated with entry-point reachability,
+//! and exits 0 without reporting findings.
 
 use qd_lint::{engine, rules, Config};
 use std::path::PathBuf;
@@ -25,36 +20,23 @@ use std::process::ExitCode;
 struct Cli {
     deny: bool,
     list_rules: bool,
-    json: bool,
     graph_dot: bool,
     config: Option<PathBuf>,
     paths: Vec<PathBuf>,
 }
 
-fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut cli = Cli {
         deny: false,
         list_rules: false,
-        json: false,
         graph_dot: false,
         config: None,
         paths: Vec::new(),
     };
-    let mut args = args.peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => cli.deny = true,
             "--list-rules" => cli.list_rules = true,
-            "--format" => {
-                let fmt = args
-                    .next()
-                    .ok_or_else(|| "--format requires a value (json)".to_string())?;
-                match fmt.as_str() {
-                    "json" => cli.json = true,
-                    "text" => cli.json = false,
-                    other => return Err(format!("unknown format {other} (expected json or text)")),
-                }
-            }
             "--graph" => {
                 let kind = args
                     .next()
@@ -72,8 +54,8 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: qd-lint [--deny] [--list-rules] [--format json] [--graph dot] \
-                     [--config <path>] [paths...]"
+                    "usage: qd-lint [--deny] [--list-rules] [--graph dot] [--config <path>] \
+                     [paths...]"
                         .to_string(),
                 )
             }
@@ -146,9 +128,7 @@ fn main() -> ExitCode {
     if whole_tree {
         diagnostics.extend(engine::stale_entrypoints(&analysis.graph, &config));
     }
-    if cli.json {
-        print!("{}", engine::to_json(&diagnostics));
-    } else if diagnostics.is_empty() {
+    if diagnostics.is_empty() {
         println!("qd-lint: clean");
     } else {
         for d in &diagnostics {

@@ -1,11 +1,14 @@
-//! The rule registry: six invariant families over lexed source.
+//! The rule registry: five invariant families over lexed source.
 //!
-//! Each rule is a pure function from a [`LexedFile`] to diagnostics
-//! `(line, message)`; scoping (which files a rule sees) and suppression
-//! (`// qd-lint: allow(<rule>)`) are the engine's job, so rules stay
-//! simple token-level checks. All rules skip `#[cfg(test)]` / `#[test]`
-//! regions — the invariants protect production paths, and tests bang on
-//! `unwrap()` and wall clocks legitimately.
+//! Two of them are checked one file at a time here: the path-scoped
+//! half of panic-safety and suppression-hygiene. Each is a pure function
+//! from a [`LexedFile`] to diagnostics `(line, message)`; scoping (which
+//! files a rule sees) and suppression (`// qd-lint: allow(<rule>)`) are
+//! the engine's job. Panic-safety skips `#[cfg(test)]` / `#[test]`
+//! regions — the invariant protects production paths, and tests bang on
+//! `unwrap()` legitimately. Durability and lock-order need the call
+//! graph ([`crate::interproc`]), and entrypoint-hygiene judges the config
+//! ([`crate::engine::stale_entrypoints`]).
 //!
 //! The registry is ordered and rendered by [`render_table`], which the
 //! `--list-rules` flag prints and a doc test pins, so the documented
@@ -28,16 +31,6 @@ pub struct Rule {
 /// Every rule family, in reporting order.
 pub const RULES: &[Rule] = &[
     Rule {
-        name: "determinism",
-        scope: "everywhere except bench / tests / examples",
-        invariant: "no wall-clock, unseeded RNG or env reads in simulated paths",
-    },
-    Rule {
-        name: "order-stability",
-        scope: "fed / core / serve / unlearn / chaos sources",
-        invariant: "no HashMap/HashSet where iteration order feeds aggregation",
-    },
-    Rule {
         name: "panic-safety",
         scope: "serving scopes + fns reachable from entry points",
         invariant: "no unwrap/expect/panic!/literal indexing in serving paths",
@@ -53,11 +46,6 @@ pub const RULES: &[Rule] = &[
         invariant: "no two locks acquired in inconsistent order along any call path",
     },
     Rule {
-        name: "vfs-discipline",
-        scope: "core / serve sources outside the Vfs impl",
-        invariant: "no direct std::fs calls; all storage I/O goes through qd_core::vfs",
-    },
-    Rule {
         name: "suppression-hygiene",
         scope: "workspace-wide",
         invariant: "qd-lint: allow(..) must name known rules",
@@ -67,16 +55,17 @@ pub const RULES: &[Rule] = &[
         scope: "the config, on scans covering its tree",
         invariant: "every [entrypoints] glob matches at least one workspace fn",
     },
-    Rule {
-        name: "unsafe-hygiene",
-        scope: "workspace-wide",
-        invariant: "no unsafe code anywhere",
-    },
 ];
 
 /// Whether `name` is a registered rule family.
 pub fn is_rule(name: &str) -> bool {
     RULES.iter().any(|r| r.name == name)
+}
+
+/// The registered rule names, comma-separated, for findings about a
+/// name that is none of them.
+pub(crate) fn known_rules() -> String {
+    RULES.iter().map(|r| r.name).collect::<Vec<_>>().join(", ")
 }
 
 /// Renders the rule table exactly as `qd-lint --list-rules` prints it.
@@ -97,55 +86,13 @@ pub fn render_table() -> String {
     out
 }
 
-/// Runs the rule named `name` over `file`, returning 0-based line
-/// numbers with messages. Unknown names return nothing (scoping decides
-/// which rules exist; the engine only asks for registered names).
+/// Runs the file-local half of the rule named `name` over `file`,
+/// returning 0-based line numbers with messages. The graph-backed and
+/// config rules have no file-local half and return nothing.
 pub fn check(name: &str, file: &LexedFile) -> Vec<(usize, String)> {
     match name {
-        "determinism" => check_tokens(
-            file,
-            &[
-                "Instant::now",
-                "SystemTime",
-                "thread_rng",
-                "from_entropy",
-                "env::var",
-                "env::vars",
-                "var_os",
-                "rand::random",
-                "getrandom",
-            ],
-            |tok| format!("nondeterministic `{tok}` in a simulated/serving path"),
-        ),
-        "order-stability" => check_tokens(file, &["HashMap", "HashSet"], |tok| {
-            format!("`{tok}` iteration order is unstable; use BTreeMap/BTreeSet")
-        }),
         "panic-safety" => check_panic_safety(file),
-        "durability" => check_durability(file),
-        "vfs-discipline" => check_tokens(
-            file,
-            &[
-                "File::create",
-                "File::open",
-                "OpenOptions",
-                "fs::write",
-                "fs::read",
-                "fs::read_to_string",
-                "fs::rename",
-                "fs::remove_file",
-                "fs::metadata",
-                "read_dir",
-            ],
-            |tok| format!("direct `{tok}` bypasses the Vfs layer; route I/O through qd_core::vfs"),
-        ),
-        "unsafe-hygiene" => check_tokens(file, &["unsafe"], |_| {
-            "`unsafe` is denied workspace-wide".to_string()
-        }),
         "suppression-hygiene" => check_suppression_hygiene(file),
-        // lock-order is interprocedural-only: it needs the workspace
-        // call graph, so the engine runs it via `crate::interproc`;
-        // entrypoint-hygiene judges the config, not a source file
-        // (`crate::engine::stale_entrypoints`).
         _ => Vec::new(),
     }
 }
@@ -193,7 +140,7 @@ fn check_suppression_hygiene(file: &LexedFile) -> Vec<(usize, String)> {
                     i,
                     format!(
                         "unknown rule `{name}` in suppression; known rules: {}",
-                        RULES.iter().map(|r| r.name).collect::<Vec<_>>().join(", ")
+                        known_rules()
                     ),
                 ));
             }
@@ -227,38 +174,23 @@ pub(crate) fn panic_tokens_on(code: &str) -> Vec<&'static str> {
     out
 }
 
-fn check_tokens(
-    file: &LexedFile,
-    tokens: &[&str],
-    message: impl Fn(&str) -> String,
-) -> Vec<(usize, String)> {
+fn check_panic_safety(file: &LexedFile) -> Vec<(usize, String)> {
     let mut out = Vec::new();
     for (i, line) in file.lines.iter().enumerate() {
         if line.in_test {
             continue;
         }
-        for tok in tokens {
-            if find_token(&line.code, tok) {
-                out.push((i, message(tok)));
-            }
-        }
-    }
-    out
-}
-
-fn check_panic_safety(file: &LexedFile) -> Vec<(usize, String)> {
-    let mut out = check_tokens(file, PANIC_TOKENS, |tok| {
-        format!("`{tok}` can panic in a serving path; return a typed error")
-    });
-    for (i, line) in file.lines.iter().enumerate() {
-        if !line.in_test && has_literal_index(&line.code) {
+        for tok in panic_tokens_on(&line.code) {
             out.push((
                 i,
-                "integer-literal indexing can panic in a serving path; use .get()".to_string(),
+                if tok == "literal indexing" {
+                    "integer-literal indexing can panic in a serving path; use .get()".to_string()
+                } else {
+                    format!("`{tok}` can panic in a serving path; return a typed error")
+                },
             ));
         }
     }
-    out.sort_by_key(|&(line, _)| line);
     out
 }
 
@@ -289,46 +221,9 @@ fn has_literal_index(code: &str) -> bool {
     false
 }
 
-/// Durable-module discipline: every `fn` that calls `File::create` must
-/// also fsync (`sync_all`/`sync_data`) and `rename` before returning —
-/// the tmp+fsync+rename idiom that makes saves atomic. Checked at
-/// function granularity so helper fns that only read are untouched.
-fn check_durability(file: &LexedFile) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.in_test || !find_token(&line.code, "File::create") {
-            continue;
-        }
-        let (start, end) = file.enclosing_fn(i).unwrap_or((0, file.lines.len() - 1));
-        let body = &file.lines[start..=end];
-        let has = |tok: &str| body.iter().any(|l| find_token(&l.code, tok));
-        let fsynced = has("sync_all") || has("sync_data");
-        let renamed = has("rename");
-        if !(fsynced && renamed) {
-            let mut missing = Vec::new();
-            if !fsynced {
-                missing.push("fsync");
-            }
-            if !renamed {
-                missing.push("rename");
-            }
-            out.push((
-                i,
-                format!(
-                    "`File::create` without the tmp+fsync+rename idiom (missing {}) \
-                     in a durable module",
-                    missing.join("+")
-                ),
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
 
     #[test]
     fn registry_and_table_agree() {
@@ -349,31 +244,5 @@ mod tests {
         assert!(!has_literal_index("#[derive(Debug)]"));
         assert!(!has_literal_index("let y = map[key];"));
         assert!(!has_literal_index("let z = v[i + 1];"));
-    }
-
-    #[test]
-    fn vfs_discipline_flags_direct_fs_but_not_prefixed_names() {
-        let bad = lex("fn load() {\n let s = std::fs::read_to_string(p)?;\n}\n");
-        let diags = check("vfs-discipline", &bad);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].1.contains("fs::read_to_string"));
-        // `fs::read` must not also fire inside `fs::read_to_string`, and
-        // Vfs-layer calls share no tokens with std::fs.
-        let good =
-            lex("fn load() {\n let s = vfs.read(path)?;\n vfs::atomic_write(fs, p, b)?;\n}\n");
-        assert!(check("vfs-discipline", &good).is_empty());
-    }
-
-    #[test]
-    fn durability_checks_at_fn_granularity() {
-        let good = lex(
-            "fn save() {\n let f = File::create(tmp);\n f.sync_all();\n \
-                        fs::rename(tmp, path);\n}\n",
-        );
-        assert!(check("durability", &good).is_empty());
-        let bad = lex("fn save() {\n let f = File::create(path);\n f.write_all(b);\n}\n");
-        let diags = check("durability", &bad);
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].1.contains("fsync+rename"));
     }
 }

@@ -3,6 +3,11 @@
 //! fire) and out-of-scope (must not fire) cases, and the `qd-lint`
 //! binary is driven end-to-end to pin its exit codes and output shape.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the test reads its fixture files"
+)]
+
 use qd_lint::{engine, Config};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -39,21 +44,7 @@ fn corpus_produces_exactly_the_expected_findings() {
     let expected: Vec<(String, usize, String)> = [
         ("checkpoint.rs", 7, "durability"),
         ("checkpoint.rs", 13, "durability"),
-        ("core/direct_fs.rs", 4, "vfs-discipline"),
-        ("core/direct_fs.rs", 8, "vfs-discipline"),
-        ("core/direct_fs.rs", 12, "vfs-discipline"),
-        ("core/direct_fs.rs", 16, "vfs-discipline"),
-        ("determinism.rs", 3, "determinism"),
-        ("determinism.rs", 6, "determinism"),
-        ("determinism.rs", 9, "determinism"),
-        ("determinism.rs", 10, "determinism"),
-        ("determinism.rs", 14, "determinism"),
-        ("determinism.rs", 19, "determinism"),
         ("durable/split.rs", 21, "durability"),
-        ("fed/order.rs", 3, "order-stability"),
-        ("fed/order.rs", 4, "order-stability"),
-        ("fed/order.rs", 6, "order-stability"),
-        ("fed/order.rs", 16, "order-stability"),
         ("helpers/math.rs", 9, "panic-safety"),
         ("locks/order.rs", 7, "lock-order"),
         ("locks/order.rs", 13, "lock-order"),
@@ -63,8 +54,6 @@ fn corpus_produces_exactly_the_expected_findings() {
         ("serving/panics.rs", 21, "panic-safety"),
         ("serving/panics.rs", 26, "panic-safety"),
         ("suppress/unknown.rs", 5, "suppression-hygiene"),
-        ("unsafe_code.rs", 4, "unsafe-hygiene"),
-        ("unsafe_code.rs", 7, "unsafe-hygiene"),
     ]
     .into_iter()
     .map(|(f, l, r)| (f.to_string(), l, r.to_string()))
@@ -75,25 +64,16 @@ fn corpus_produces_exactly_the_expected_findings() {
 #[test]
 fn suppressed_and_out_of_scope_cases_never_fire() {
     let findings = corpus_findings();
-    // The clean file and the bench tree (excluded from determinism by
-    // the fixture config) must not appear at all.
+    // The clean file must not appear at all.
     assert!(
         findings.iter().all(|(f, _, _)| f != "clean.rs"),
         "{findings:?}"
     );
-    assert!(
-        findings.iter().all(|(f, _, _)| !f.starts_with("bench/")),
-        "{findings:?}"
-    );
     // Suppressed lines: the `// qd-lint: allow(...)` cases in each file.
     for (file, line) in [
-        ("determinism.rs", 24),
-        ("fed/order.rs", 21),
         ("serving/panics.rs", 30),
         ("serving/panics.rs", 35),
         ("checkpoint.rs", 29),
-        ("core/direct_fs.rs", 21),
-        ("unsafe_code.rs", 10),
         // Reachable but justified (helpers) and meta-suppressed typo.
         ("helpers/math.rs", 14),
         ("suppress/unknown.rs", 9),
@@ -171,35 +151,6 @@ fn reachability_findings_carry_the_witness_call_chain() {
             .iter()
             .any(|d| d.path.ends_with("helpers/math.rs") && d.line == 18),
         "cold_stats is unreachable"
-    );
-}
-
-#[test]
-fn json_format_emits_the_findings_machine_readably() {
-    let out = Command::new(env!("CARGO_BIN_EXE_qd-lint"))
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .args([
-            "--format",
-            "json",
-            "--config",
-            "fixtures/qd-lint.toml",
-            "fixtures",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "json without --deny still exits 0");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.starts_with('['), "{stdout}");
-    assert!(stdout.trim_end().ends_with(']'), "{stdout}");
-    assert!(
-        stdout
-            .contains("\"path\":\"fixtures/durable/split.rs\",\"line\":21,\"rule\":\"durability\""),
-        "{stdout}"
-    );
-    assert!(stdout.contains("\"rule\":\"lock-order\""), "{stdout}");
-    assert!(
-        stdout.contains("\"chain\":[\"fixtures::serving::entry::handle_request\","),
-        "{stdout}"
     );
 }
 

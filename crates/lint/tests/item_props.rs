@@ -5,6 +5,11 @@
 //! against arbitrary token soup *and* every `.rs` file in this
 //! workspace.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the test reads the workspace's sources"
+)]
+
 use proptest::prelude::*;
 use qd_lint::items::parse_items;
 use qd_lint::lexer::lex;

@@ -1,28 +1,35 @@
-//! Property tests for the lexer: banned tokens injected into string
-//! literals, raw strings, char-adjacent positions and (nested) comments
-//! must never produce diagnostics, while the same token in plain code
-//! always does. This is the load-bearing property of the whole tool —
-//! a lexer that leaks literal contents into "code" would drown the
-//! workspace in false positives.
+//! Property tests for the lexer: panic-capable tokens injected into
+//! string literals, raw strings, char-adjacent positions and (nested)
+//! comments must never produce diagnostics, while the same token in
+//! plain code always does. This is the load-bearing property of the
+//! whole tool — a lexer that leaks literal contents into "code" would
+//! drown the workspace in false positives.
 
 use proptest::prelude::*;
-use qd_lint::{check_source, Config};
+use qd_lint::{analyze, Config, Diagnostic};
 
-/// Tokens every rule family bans somewhere, paired with the rule name.
+/// The tokens panic-safety bans, each with a line of code that uses it.
 const BANNED: &[(&str, &str)] = &[
-    ("Instant::now", "determinism"),
-    ("thread_rng", "determinism"),
-    ("SystemTime", "determinism"),
-    ("HashMap", "order-stability"),
-    ("HashSet", "order-stability"),
-    (".unwrap()", "panic-safety"),
-    ("panic!", "panic-safety"),
-    ("unsafe", "unsafe-hygiene"),
+    (".unwrap()", "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n"),
+    (
+        ".expect(",
+        "fn f(x: Option<u32>) -> u32 { x.expect(\"some\") }\n",
+    ),
+    ("panic!", "fn f() { panic!(\"boom\") }\n"),
+    ("unreachable!", "fn f() { unreachable!() }\n"),
+    ("todo!", "fn f() { todo!() }\n"),
+    ("unimplemented!", "fn f() { unimplemented!() }\n"),
+    ("bytes[5]", "fn f(bytes: &[u8]) -> u8 { bytes[5] }\n"),
 ];
 
-/// An everywhere-scope config: every rule sees every path.
-fn everywhere() -> Config {
-    Config::default()
+/// Every finding on `src` as one file, with panic-safety scoped to
+/// every path.
+fn findings(src: &str) -> Vec<Diagnostic> {
+    analyze(
+        &[("crates/core/src/x.rs".to_string(), src.to_string())],
+        &Config::default(),
+    )
+    .diagnostics
 }
 
 /// Lowercase letters and spaces, for payload padding.
@@ -61,7 +68,7 @@ proptest! {
 
     #[test]
     fn banned_tokens_in_literals_and_comments_are_invisible(
-        which in 0usize..8,
+        which in 0usize..7,
         kind in 0usize..6,
         prefix in proptest::collection::vec(0usize..27, 0..12usize),
         suffix in proptest::collection::vec(0usize..27, 0..12usize),
@@ -73,7 +80,7 @@ proptest! {
             from_charset(&suffix, LOWER)
         );
         let src = in_context(kind, &payload);
-        let diags = check_source("crates/fed/src/x.rs", &src, &everywhere());
+        let diags = findings(&src);
         prop_assert!(
             diags.is_empty(),
             "token {token:?} leaked out of context {kind}: {diags:?}\nsource: {src:?}"
@@ -81,19 +88,12 @@ proptest! {
     }
 
     #[test]
-    fn the_same_tokens_in_code_are_visible(which in 0usize..8) {
-        let (token, rule) = BANNED[which];
-        // Shape each token into plausible code position.
-        let src = match token {
-            ".unwrap()" => "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n".to_string(),
-            "panic!" => "fn f() { panic!(\"boom\") }\n".to_string(),
-            "unsafe" => "fn f(p: *const u8) -> u8 { unsafe { *p } }\n".to_string(),
-            tok => format!("fn f() {{ let _ = {tok}; }}\n"),
-        };
-        let diags = check_source("crates/fed/src/x.rs", &src, &everywhere());
+    fn the_same_tokens_in_code_are_visible(which in 0usize..7) {
+        let (token, src) = BANNED[which];
+        let diags = findings(src);
         prop_assert!(
-            diags.iter().any(|d| d.rule == rule),
-            "token {token:?} not caught by {rule}: {diags:?}"
+            diags.iter().any(|d| d.rule == "panic-safety"),
+            "token {token:?} not caught by panic-safety: {diags:?}"
         );
     }
 
@@ -108,7 +108,7 @@ proptest! {
             "fn f() {{ let s = \"{}\"; x.unwrap() }}\n",
             body.replace('\\', "\\\\").replace('"', "\\\"")
         );
-        let diags = check_source("crates/fed/src/x.rs", &src, &everywhere());
+        let diags = findings(&src);
         let unwraps = diags
             .iter()
             .filter(|d| d.rule == "panic-safety")

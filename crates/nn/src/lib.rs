@@ -41,8 +41,6 @@
 //! Sgd::descent(0.1).step(&mut params, &grads);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
 mod layers;

@@ -45,8 +45,6 @@
 //! off; the inactive executor probes, sheds and quarantines nothing,
 //! and the first unit the guard rejects aborts the run.
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
 pub mod config;

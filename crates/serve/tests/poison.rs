@@ -22,6 +22,8 @@
 //! the CLI does. The same table pins two isolation-active runs of the
 //! poisoned mix (breaker; ladder + bisection).
 
+#![allow(clippy::disallowed_methods, reason = "the test removes its own files")]
+
 use qd_core::vfs::crc32;
 use qd_core::{
     BatchPreempt, Checkpoint, FailReason, FaultFs, JournalRecord, QuickDrop, QuickDropConfig,

@@ -23,8 +23,6 @@
 //! assert_eq!(c.data(), a.data());
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
 mod conv;

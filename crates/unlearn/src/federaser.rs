@@ -130,8 +130,8 @@ impl UnlearningMethod for FedEraser {
              Federation::set_record_history(true) before training"
         );
         let retain = retain_override(fed, request);
-        // qd-lint: allow(determinism) -- accounting-only wall-clock: feeds
-        // MethodOutcome compute time, never control flow
+        // Feeds MethodOutcome's compute time, never control flow.
+        #[expect(clippy::disallowed_methods, reason = "wall-clock accounting only")]
         let start = Instant::now();
         let history: Vec<RoundRecord> = fed.history().to_vec();
         // qd-lint: allow(panic-safety) -- non-empty history is asserted at

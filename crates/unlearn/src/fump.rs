@@ -209,8 +209,8 @@ impl UnlearningMethod for FuMp {
             // documented caller bug (`# Panics`)
             panic!("FU-MP only supports class-level unlearning");
         };
-        // qd-lint: allow(determinism) -- accounting-only wall-clock: feeds
-        // MethodOutcome compute time, never control flow
+        // Feeds MethodOutcome's compute time, never control flow.
+        #[expect(clippy::disallowed_methods, reason = "wall-clock accounting only")]
         let start = Instant::now();
         let (act, probed) = self.class_channel_activation(fed, rng);
         let relevance = self.channel_relevance(&act, target);

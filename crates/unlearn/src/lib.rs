@@ -38,8 +38,6 @@
 //! assert_eq!(outcome.unlearn.rounds, 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
 mod federaser;

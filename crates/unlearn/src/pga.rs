@@ -115,8 +115,8 @@ impl UnlearningMethod for PgaHalimi {
         request: UnlearnRequest,
         rng: &mut Rng,
     ) -> MethodOutcome {
-        // qd-lint: allow(determinism) -- accounting-only wall-clock: feeds
-        // MethodOutcome compute time, never control flow
+        // Feeds MethodOutcome's compute time, never control flow.
+        #[expect(clippy::disallowed_methods, reason = "wall-clock accounting only")]
         let start = Instant::now();
         let reference = fed.global().to_vec();
         let forget = forget_override(fed, request);

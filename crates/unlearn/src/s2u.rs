@@ -78,8 +78,8 @@ impl UnlearningMethod for S2U {
             panic!("S2U only supports client-level unlearning");
         };
         assert!(target < fed.n_clients(), "target client out of range");
-        // qd-lint: allow(determinism) -- accounting-only wall-clock: feeds
-        // MethodOutcome compute time, never control flow
+        // Feeds MethodOutcome's compute time, never control flow.
+        #[expect(clippy::disallowed_methods, reason = "wall-clock accounting only")]
         let start = Instant::now();
         let sizes: Vec<usize> = fed.clients().iter().map(qd_data::Dataset::len).collect();
         let total: usize = sizes.iter().sum();

@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check (workspace)"
 cargo fmt -- --check
 
-echo "== cargo clippy (workspace, -D warnings)"
+echo "== cargo clippy (workspace, -D warnings; enforces clippy.toml's bans)"
 cargo clippy --offline --workspace --no-deps --all-targets -- -D warnings
 
 echo "== cargo doc (workspace, -D warnings)"
@@ -35,6 +35,29 @@ if (cd crates/lint && cargo run --offline -q -p qd-lint -- --deny --config fixtu
     exit 1
 fi
 
+echo "== clippy.toml (its fixture must FAIL: one diagnostic per banned name, each on its marked line)"
+# The fixture package is its own workspace, so clippy lints it against the
+# root clippy.toml. It gets a fresh target directory: clippy does not
+# re-lint a crate that is fresh in the target directory when a clippy.toml
+# first appears. Every line marked `// BANNED: <path>` must draw one
+# diagnostic naming that path, no other line may draw one, and every path
+# clippy.toml bans must have a marked line.
+fixture=crates/lint/fixtures/clippy
+fixture_target="$(mktemp -d)"
+if clippy_out="$(cargo clippy --offline -q --manifest-path "$fixture/Cargo.toml" \
+    --target-dir "$fixture_target" --message-format short -- -D warnings 2>&1)"; then
+    echo "clippy accepted the clippy.toml fixture — the bans are not applied" >&2
+    exit 1
+fi
+rm -r "$fixture_target"
+fired="$(sed -n 's/^src\/lib\.rs:\([0-9]*\):[0-9]*: error: use of a disallowed \(method\|type\) `\([^`]*\)`.*/\1 \3/p' <<<"$clippy_out" | sort)"
+marked="$(grep -n '// BANNED: ' "$fixture/src/lib.rs" | sed 's/^\([0-9]*\):.*BANNED: \(.*\)$/\1 \2/' | sort)"
+[ "$fired" = "$marked" ] \
+    || { echo "clippy's diagnostics on $fixture differ from its BANNED lines:"; diff <(echo "$marked") <(echo "$fired"); echo "$clippy_out"; exit 1; } >&2
+banned="$(grep -o 'path = "[^"]*"' clippy.toml | cut -d'"' -f2 | sort)"
+[ "$(cut -d' ' -f2 <<<"$marked" | sort -u)" = "$banned" ] \
+    || { echo "clippy.toml and its fixture disagree on the banned names:"; diff <(echo "$banned") <(cut -d' ' -f2 <<<"$marked" | sort -u); exit 1; } >&2
+
 echo "== qd-lint (interprocedural findings carry witness chains)"
 (cd crates/lint && cargo run --offline -q -p qd-lint -- --config fixtures/qd-lint.toml fixtures || true) \
     | grep -q 'helpers/math.rs:9: \[panic-safety\].*\[via ' \
@@ -45,14 +68,31 @@ echo "== qd-lint (--graph dot output matches the pinned fixture byte-for-byte)"
     | diff -u crates/lint/fixtures/graph.dot - \
     || { echo "call-graph DOT drifted from crates/lint/fixtures/graph.dot" >&2; exit 1; }
 
+echo "== every DESIGN.md §reference resolves (a heading, or a numbered item of §4 for §4.N)"
+unresolved=
+while IFS=: read -r file ref; do
+    case "$ref" in
+    *.*) # §M.N: item N. of section M
+        awk -v m="${ref%%.*}" -v n="${ref#*.}" '
+            /^## / { inside = ($2 == m ".") }
+            inside && $1 == n "." { found = 1 }
+            END { exit !found }' DESIGN.md ;;
+    *) grep -q "^## $ref\. " DESIGN.md ;;
+    esac || unresolved+="$file:§$ref "
+done < <(grep -rIo '§[0-9][0-9a-z]*\(\.[0-9]\+\)\?' crates scripts README.md qd-lint.toml clippy.toml Cargo.toml \
+    | sed 's/§//' | sort -u)
+[ -z "$unresolved" ] \
+    || { echo "DESIGN.md has no section or item for: $unresolved" >&2; exit 1; }
+
 # Does FILE's code match `grep ARGS...`? Code is what scripts/loc.sh
-# counts: the lines above the first #[cfg(test)], comment lines skipped.
+# counts (scripts/code_lines.awk): the lines outside #[cfg(test)] items,
+# comment lines skipped.
 code_matches() {
     local f=$1
     shift
     # Not `grep -q`: exiting at the first match breaks the pipe, which
     # pipefail would report as no match.
-    awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -v '^\s*//' | grep "$@" >/dev/null
+    awk -f scripts/code_lines.awk "$f" | grep "$@" >/dev/null
 }
 
 echo "== recording tape (Tape::new) opened by gradient matching alone"

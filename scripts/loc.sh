@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Code lines per file: non-blank, non-comment lines above the first
-# `#[cfg(test)]` — the measure the simplicity issues quote.
+# Code lines per file: non-blank, non-comment lines outside every
+# `#[cfg(test)]`-gated item (scripts/code_lines.awk) — the measure the
+# simplicity issues quote.
 #
 #   ./scripts/loc.sh [FILE...]     (default: every crates/*/src/*.rs)
 #
@@ -19,7 +20,7 @@ cd "$(dirname "$0")/.."
 code_lines() {
     local n=0
     if [ -f "$1" ]; then
-        n=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1" | grep -v '^\s*//' | grep -cv '^\s*$' || true)
+        n=$(awk -f scripts/code_lines.awk "$1" | wc -l)
     fi
     echo "$n"
 }

@@ -54,8 +54,6 @@
 //! See `examples/` for richer scenarios and `DESIGN.md` / `EXPERIMENTS.md`
 //! for the experiment index.
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
 pub use qd_autograd as autograd;
