@@ -8,7 +8,7 @@
 //! byte-for-byte.
 
 use crate::scenario::{RunOutcome, Terminal};
-use crate::schedule::ChaosSchedule;
+use crate::schedule::{ChaosSchedule, Workload};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// One invariant failure, serializable into `chaos-repro.json`.
@@ -118,7 +118,8 @@ impl Invariant for RunCompletes {
 /// state is bit-for-bit the fault-free reference — model bits, RNG
 /// stream, every journal record, stats, and every surviving byte on
 /// disk but the checkpoint's `.prev` generation, which must be one the
-/// reference saved and roll forward with the journal to the terminal.
+/// reference saved and roll forward with the journal to the terminal
+/// (behind the train door: resume from it alone to the terminal).
 struct KillResumeEquivalence;
 
 impl Invariant for KillResumeEquivalence {
@@ -127,13 +128,13 @@ impl Invariant for KillResumeEquivalence {
     }
     fn check(&self, run: &RunOutcome) -> Option<String> {
         let faulted = run.faulted.as_ref()?;
-        compare_terminals(&run.reference, faulted)
+        compare_terminals(&run.schedule.workload, &run.reference, faulted)
     }
 }
 
 /// The first divergence between two terminals, or `None` when they are
 /// bit-for-bit identical in every compared dimension.
-fn compare_terminals(reference: &Terminal, faulted: &Terminal) -> Option<String> {
+fn compare_terminals(w: &Workload, reference: &Terminal, faulted: &Terminal) -> Option<String> {
     if let Some(detail) = compare_params("global model", &reference.global, &faulted.global) {
         return Some(detail);
     }
@@ -198,11 +199,11 @@ fn compare_terminals(reference: &Terminal, faulted: &Terminal) -> Option<String>
             "{prev} holds no checkpoint generation the reference saved"
         ));
     }
-    let rolled = crate::scenario::roll_forward_prev(&faulted.files);
+    let rolled = crate::scenario::roll_forward_prev(w, &faulted.files);
     let rolls_forward = rolled.is_some_and(|(global, rng)| {
         rng == faulted.rng && compare_params("", &global, &faulted.global).is_none()
     });
-    (!rolls_forward).then(|| format!("{prev} and the journal do not roll forward to the terminal"))
+    (!rolls_forward).then(|| format!("{prev} does not roll forward to the terminal"))
 }
 
 fn compare_params(what: &str, a: &[qd_tensor::Tensor], b: &[qd_tensor::Tensor]) -> Option<String> {

@@ -5,7 +5,8 @@
 //! every layer — a lossy training network, Byzantine clients (training
 //! poison and serving ascent spikes), storage faults, and process deaths
 //! at storage syscalls or journal boundaries — over a single deploy →
-//! serve → crash → resume → relearn run. After every run a pluggable
+//! serve → crash → resume → relearn run, or over checkpointed training
+//! itself. After every run a pluggable
 //! [`Invariant`] registry checks the terminal state: journal frontier
 //! consistency, bit-for-bit kill-and-resume equivalence against a
 //! fault-free reference, `ServeStats` accounting identities, guard

@@ -9,8 +9,8 @@
 //! Byzantine plan, serving traffic) bit-for-bit, so the invariant
 //! registry can demand identical terminal states.
 //!
-//! A lifetime serves through one of two front doors ([`FrontDoor`]):
-//! the service executor, or the per-request journaled calls.
+//! A lifetime runs one of three front doors ([`FrontDoor`]): the service
+//! executor, the per-request journaled calls, or checkpointed training.
 //! [`Harness::exhaustive`] enumerates every single-fault schedule of a
 //! workload: each [`Fault`] at each `Vfs` operation of the fault-free
 //! lifetime it applies to, and a kill at each journal boundary its units
@@ -19,8 +19,9 @@
 use crate::invariant::Violation;
 use crate::schedule::{ChaosSchedule, FaultSpec, FrontDoor, InjectedFault, StorageFault, Workload};
 use qd_core::{
-    units, BatchPreempt, Checkpoint, CrashPoint, Fault, FaultFs, JournalRecord, JournaledRun,
-    QuickDrop, QuickDropConfig, RequestJournal, RequestState, ServeError, Snapshot, Vfs, VfsOp,
+    units, BatchPreempt, Checkpoint, CheckpointPolicy, CrashPoint, Fault, FaultFs, JournalRecord,
+    JournaledRun, QuickDrop, QuickDropConfig, RequestJournal, RequestState, ServeError, Snapshot,
+    Vfs, VfsOp,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{FaultPlan, Federation, Phase};
@@ -59,20 +60,21 @@ pub struct Terminal {
     pub global: Vec<Tensor>,
     /// Final RNG stream position.
     pub rng: RngState,
-    /// Every durable journal record.
+    /// Every durable journal record (none behind the train door).
     pub records: Vec<JournalRecord<Snapshot>>,
     /// The SLA stats the stats file holds (`None` behind the
-    /// per-request front door, which reports none).
+    /// per-request and train doors, which report none).
     pub stats: Option<ServeStats>,
     /// Journal↔plan frontier alignment before the relearn (`None` when
     /// the last lifetime opened a journal holding the RELEARNED record,
-    /// which [`qd_serve::frontier_summary`] rightly refuses).
+    /// which [`qd_serve::frontier_summary`] rightly refuses, and behind
+    /// the train door, which plans nothing).
     pub frontier: Option<Result<FrontierSummary, String>>,
     /// Every surviving on-disk file, bit for bit.
     pub files: BTreeMap<PathBuf, Vec<u8>>,
-    /// Every checkpoint generation the run's last lifetime saved, oldest
-    /// first — for the fault-free reference, one lifetime, every
-    /// generation of the run.
+    /// Every checkpoint generation a save put in place, all lifetimes,
+    /// oldest first ([`FaultFs::renamed_onto`]) — for the fault-free
+    /// reference, one lifetime, every generation of the run.
     pub saved: Vec<Vec<u8>>,
     /// Every `Vfs` operation of the run, all lifetimes
     /// ([`FaultFs::op_log`]); the invariants do not compare it.
@@ -223,6 +225,44 @@ pub(crate) fn ckpt_path() -> PathBuf {
 /// The model every chaos deployment runs, on digits.
 fn model() -> Arc<dyn Module> {
     Arc::new(Mlp::new(&[256, 16, 10]))
+}
+
+/// The federation `w`'s deployment trains on, its config and the RNG
+/// stream after building them — all a function of the workload, so every
+/// lifetime behind the train door rebuilds the same ones, as `quickdrop-cli
+/// train --resume` does from the original flags.
+pub fn training(w: &Workload) -> (Federation, QuickDropConfig, Rng) {
+    let mut rng = Rng::seed_from(w.train_seed);
+    let data = SyntheticDataset::Digits.generate(w.samples, &mut rng);
+    let parts = partition_iid(data.len(), w.clients, &mut rng);
+    let clients = parts.iter().map(|p| data.subset(p)).collect();
+    let mut fed = Federation::new(model(), clients, &mut rng);
+    if w.byzantine_frac > 0.0 {
+        // Byzantine clients run the full default fault menu during
+        // training; the trained deployment must already tolerate
+        // them (robust aggregation is part of the environment).
+        fed.set_fault_plan(Some(FaultPlan::new(w.train_seed, w.byzantine_frac)));
+    }
+    // The `net_drop` environment: clients unreachable for whole
+    // rounds while the deployment trains, over a simulated network.
+    if w.net_drop > 0.0 {
+        let net = NetConfig::lossy(w.train_seed, w.net_drop);
+        fed.set_transport(Box::new(SimNet::new(net)));
+    }
+    let mut cfg = QuickDropConfig::scaled_test();
+    // Behind the train door a Byzantine client's third straight crash
+    // benches it for `breaker_cooldown` rounds (`train --cooldown-rounds`),
+    // so a checkpoint can carry an open breaker.
+    let cooldown = [0, w.breaker_cooldown as usize][usize::from(w.front_door == FrontDoor::Train)];
+    cfg.train_phase = Phase::training(w.rounds, 2, 16, 0.1).with_cooldown_rounds(cooldown);
+    (fed, cfg, rng)
+}
+
+/// Whether a checkpoint generation survives on `fs`. Looking is no `Vfs`
+/// operation.
+fn survives(fs: &FaultFs) -> bool {
+    let ckpt = ckpt_path();
+    fs.file(&ckpt).is_some() || fs.file(&Checkpoint::prev_path(&ckpt)).is_some()
 }
 
 /// The deployment on `vfs`, opened as `quickdrop-cli` opens one.
@@ -393,31 +433,13 @@ impl Harness {
     }
 
     fn ensure_deploy(&mut self, w: &Workload) -> Result<(), ChaosError> {
+        // Behind the train door each lifetime trains the deployment itself.
         let key = env_key(w);
-        if self.deploys.contains_key(&key) {
+        if w.front_door == FrontDoor::Train || self.deploys.contains_key(&key) {
             return Ok(());
         }
-        let mut rng = Rng::seed_from(w.train_seed);
-        let data = SyntheticDataset::Digits.generate(w.samples, &mut rng);
-        let parts = partition_iid(data.len(), w.clients, &mut rng);
-        let clients = parts.iter().map(|p| data.subset(p)).collect();
-        let mut fed = Federation::new(model(), clients, &mut rng);
-        if w.byzantine_frac > 0.0 {
-            // Byzantine clients run the full default fault menu during
-            // training; the trained deployment must already tolerate
-            // them (robust aggregation is part of the environment).
-            fed.set_fault_plan(Some(FaultPlan::new(w.train_seed, w.byzantine_frac)));
-        }
-        // The `net_drop` environment: clients unreachable for whole
-        // rounds while the deployment trains, over a simulated network.
-        if w.net_drop > 0.0 {
-            let net = NetConfig::lossy(w.train_seed, w.net_drop);
-            fed.set_transport(Box::new(SimNet::new(net)));
-        }
-        let mut cfg = QuickDropConfig::scaled_test();
-        cfg.train_phase = Phase::training(w.rounds, 2, 16, 0.1);
+        let (mut fed, cfg, mut rng) = training(w);
         let (qd, _) = QuickDrop::train(&mut fed, cfg, &mut rng);
-        fed.set_fault_plan(None);
         self.deploys.insert(
             key,
             DeploySeed {
@@ -455,6 +477,9 @@ impl Harness {
     /// of the unit; `Unlearned(k)` for each member it served, and
     /// RECOVERED if it served any. Both come from the reference run, so
     /// every schedule's fault fires, and one resume is all it is allowed.
+    /// Behind the train door nothing is journaled, so there are no
+    /// boundaries, and no read: a lifetime that finds a checkpoint
+    /// generation resumes from it, but the reference finds none.
     /// A schedule holds one fault, so a failing one is its own minimal
     /// reproducer.
     ///
@@ -512,30 +537,30 @@ impl Harness {
     /// finishing the unit a killed lifetime left in flight, relearning if
     /// the workload asks — and a lifetime that finds the relearn done only
     /// opens and closes. Any surfaced storage error or boundary preemption
-    /// is the process dying, reported as `Err`.
+    /// is the process dying, reported as `Err`. Behind the train door the
+    /// lifetime is [`train_lifetime`].
     fn attempt(
         &self,
         w: &Workload,
         fs: &Arc<FaultFs>,
         kill: Option<ChaosKill>,
     ) -> Result<Terminal, Death> {
+        if w.front_door == FrontDoor::Train {
+            return train_lifetime(w, fs);
+        }
         let seed =
             (self.deploys.get(&env_key(w))).ok_or_else(|| Death::error("deploy cache miss"))?;
         let ckpt = ckpt_path();
-        let mut saved = Vec::new();
         // A save rotates the primary to `.prev` before renaming the new
-        // one in, so a kill between the two leaves `.prev` alone. Looking
-        // is no `Vfs` operation: op 0 of a fresh lifetime is the deploy's
-        // tmp write, and the deploy writes before any journal record.
-        if fs.file(&ckpt).is_none() && fs.file(&Checkpoint::prev_path(&ckpt)).is_none() {
+        // one in, so a kill between the two leaves `.prev` alone. Op 0 of
+        // a fresh lifetime is the deploy's tmp write, and the deploy
+        // writes before any journal record.
+        if !survives(fs) {
             let deployed = seed.ckpt.save_on(fs.as_ref(), &ckpt);
             deployed.map_err(Death::error)?;
-            saved.extend(fs.file(&ckpt));
         }
-        let close = |d: &Deployment, stats: Option<(&Path, &ServeStats)>, saved: &mut Vec<_>| {
-            let closed = d.close(&ckpt, stats).map_err(Death::error)?;
-            saved.extend(fs.file(&ckpt).filter(|_| closed.ckpt_written));
-            Ok::<(), Death>(())
+        let close = |d: &Deployment, stats: Option<(&Path, &ServeStats)>| {
+            d.close(&ckpt, stats).map(drop).map_err(Death::error)
         };
         let service = w.front_door == FrontDoor::Service;
 
@@ -559,7 +584,7 @@ impl Harness {
             if run.preempted {
                 return Err(Death::Boundary(run.executed_units));
             }
-            close(&d, Some((Path::new(STATS), &run.stats)), &mut saved)?;
+            close(&d, Some((Path::new(STATS), &run.stats)))?;
             (d, rng) = open(w, fs, seed)?;
         }
         // Units are served in plan order, so the journal's are the plan's
@@ -593,7 +618,7 @@ impl Harness {
                 return Err(Death::Boundary(executed));
             }
             executed += 1;
-            close(&d, None, &mut saved)?;
+            close(&d, None)?;
             (d, rng) = open(w, fs, seed)?;
         }
 
@@ -610,7 +635,7 @@ impl Harness {
                 .relearn_journaled(&mut d.fed, &mut d.journal, request, &phase, &mut rng)
                 .map_err(Death::error)?;
         }
-        close(&d, None, &mut saved)?;
+        close(&d, None)?;
         Ok(Terminal {
             global: d.fed.global().to_vec(),
             rng: rng.state(),
@@ -621,10 +646,40 @@ impl Harness {
                 .map_err(Death::error)?,
             frontier,
             files: fs.files(),
-            saved,
+            saved: fs.renamed_onto(&ckpt),
             ops: fs.op_log(),
         })
     }
+}
+
+/// One lifetime behind the train door: `quickdrop-cli train --resume`
+/// when a checkpoint generation survives on `fs`, else `train
+/// --checkpoint-every 1` — the first lifetime, or one whose predecessor
+/// died before any save was durable, where there is nothing to resume and
+/// the command is run again. A surfaced storage error is the process
+/// dying.
+fn train_lifetime(w: &Workload, fs: &FaultFs) -> Result<Terminal, Death> {
+    let (mut fed, config, mut rng) = training(w);
+    let policy = CheckpointPolicy {
+        every: 1,
+        path: ckpt_path(),
+    };
+    let trained = if survives(fs) {
+        QuickDrop::resume_train(&mut fed, &mut rng, fs, &policy).map(drop)
+    } else {
+        QuickDrop::train_with_checkpoints(&mut fed, config, &mut rng, fs, &policy).map(drop)
+    };
+    trained.map_err(Death::error)?;
+    Ok(Terminal {
+        global: fed.global().to_vec(),
+        rng: rng.state(),
+        records: Vec::new(),
+        stats: None,
+        frontier: None,
+        files: fs.files(),
+        saved: fs.renamed_onto(&policy.path),
+        ops: fs.op_log(),
+    })
 }
 
 /// Every [`Fault`] variant, in the order [`Harness::exhaustive`]
@@ -681,13 +736,18 @@ fn open(w: &Workload, fs: &Arc<FaultFs>, seed: &DeploySeed) -> Result<(Deploymen
 /// The model and RNG stream that the `.prev` generation among `files`
 /// rolls forward to with their journal: the deployment opened with the
 /// primary gone — the fallback a torn primary takes — and the journal
-/// tail restored. `None` when it does not open.
+/// tail restored. Behind the train door, the training `train --resume`
+/// finishes from `.prev` alone. `None` when it does not open.
 pub(crate) fn roll_forward_prev(
+    w: &Workload,
     files: &BTreeMap<PathBuf, Vec<u8>>,
 ) -> Option<(Vec<Tensor>, RngState)> {
     let fs = Arc::new(FaultFs::new());
     fs.reset_to(files.clone());
     fs.remove(&ckpt_path()).ok()?;
+    if w.front_door == FrontDoor::Train {
+        return train_lifetime(w, &fs).ok().map(|t| (t.global, t.rng));
+    }
     let mut d = open_on(fs).ok()?;
     let mut rng = Rng::seed_from(0);
     d.qd.restore_tail(&mut d.fed, &d.journal, &mut rng);
@@ -780,7 +840,8 @@ mod tests {
 
         let faulted = outcome.faulted.as_mut().expect("the run completed");
         faulted.files.insert(prev.clone(), foreign);
-        let (global, rng) = roll_forward_prev(&faulted.files).expect("it opens");
+        let w = &outcome.schedule.workload;
+        let (global, rng) = roll_forward_prev(w, &faulted.files).expect("it opens");
         let bits = |ts: &[Tensor]| -> Vec<u32> {
             (ts.iter())
                 .flat_map(|t| t.data().iter().map(|x| x.to_bits()))

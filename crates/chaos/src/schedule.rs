@@ -12,8 +12,8 @@
 use qd_core::{CrashPoint, Fault};
 use serde::{DeError, Deserialize, Serialize, Value};
 
-/// Which serving calls a process lifetime makes — the two ways the
-/// shipped CLI reaches the unit engine.
+/// Which CLI invocations a process lifetime makes: the two ways the
+/// shipped CLI reaches the unit engine, and checkpointed training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FrontDoor {
     /// `quickdrop-cli serve`: `run_service_isolated` over the whole
@@ -25,6 +25,12 @@ pub enum FrontDoor {
     /// one-member unit alone, a coalesced one as a batch). No failure
     /// isolation and no stats file: neither exists behind this door.
     PerRequest,
+    /// `quickdrop-cli train --checkpoint-every 1`, then `train --resume`
+    /// in every lifetime that finds a checkpoint generation: the
+    /// deployment's training itself, on the `FaultFs`, saving after every
+    /// round and the trained deployment last. Nothing is served; the
+    /// serving knobs are unused.
+    Train,
 }
 
 /// The workload every run of a schedule executes — the environment and
@@ -62,6 +68,8 @@ pub struct Workload {
     /// `qd_serve::IsolationConfig::breaker_trip`.
     pub breaker_trip: u32,
     /// Breaker cooldown units (required ≥ 1 when `breaker_trip` > 0).
+    /// Behind [`FrontDoor::Train`], the rounds a client's breaker benches
+    /// it for in training (`quickdrop-cli train --cooldown-rounds`).
     pub breaker_cooldown: u32,
     /// Relearn the first RECOVERED request after the service run — the
     /// full deploy→serve→relearn lifecycle.
@@ -310,6 +318,9 @@ impl ChaosSchedule {
         }
         if w.breaker_trip > 0 && w.breaker_cooldown == 0 {
             return Err("a breaker trip threshold needs a cooldown ≥ 1".to_string());
+        }
+        if w.front_door == FrontDoor::Train && w.net_drop > 0.0 {
+            return Err("the train door trains on loopback only".to_string());
         }
         if w.front_door == FrontDoor::PerRequest && w.ascent_spike > 1.0 {
             return Err(

@@ -1,24 +1,28 @@
 //! The crash gate: every kill-and-resume test of the workspace is a
-//! `qd-chaos` schedule here. Four named workloads — the per-request
+//! `qd-chaos` schedule here. Five named workloads — the per-request
 //! stream, a clean multi-tenant service, a spiked service under the
-//! retry ladder + bisection, and the same with tenant breakers — each
-//! get **every** `qd_core::Fault` at **every** `Vfs` operation it
-//! applies to, and a kill at **every** journal boundary their units
-//! reach ([`Harness::exhaustive`]); every fault must fire, the run must
-//! finish within one resume and pass all six invariants, and a failure
-//! prints its `chaos-repro.json`. The tests at the end are about the
+//! retry ladder + bisection, the same with tenant breakers, and the
+//! deployment's checkpointed training behind the train door — each get
+//! **every** `qd_core::Fault` at **every** `Vfs` operation it applies
+//! to, and a kill at **every** journal boundary their units reach
+//! ([`Harness::exhaustive`]); every fault must fire, the run must finish
+//! within one resume and pass all six invariants, and a failure prints
+//! its `chaos-repro.json`. The tests at the end are about the
 //! enumerator itself.
 
-use qd_chaos::scenario::serve_config;
+use qd_chaos::scenario::{serve_config, training};
 use qd_chaos::{
     ChaosSchedule, FaultSpec, FrontDoor, Harness, InjectedFault, Repro, StorageFault, Terminal,
     Workload,
 };
-use qd_core::{BatchPreempt, CrashPoint, Fault, FaultFs, RequestState, VfsOp};
+use qd_core::{
+    BatchPreempt, Checkpoint, CrashPoint, Fault, FaultFs, QuickDrop, RequestState, VfsOp,
+};
 use qd_fed::FaultPlan;
 use qd_serve::{build_plan, Plan};
 use qd_unlearn::UnlearnRequest;
 use std::mem::discriminant;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Two tenants, three requests each, a tight class universe: the plan
@@ -71,6 +75,20 @@ fn breaker_service() -> Workload {
     Workload {
         breaker_trip: 1,
         ..spiked_service()
+    }
+}
+
+/// The deployment's own training, behind the train door: a checkpoint
+/// after each of six rounds and the trained deployment last. One of three
+/// clients is Byzantine, and at this seed it crashes in rounds 2, 3 and
+/// 4, so its breaker is open from the fourth round's checkpoint on.
+fn train_door() -> Workload {
+    Workload {
+        train_seed: 18,
+        rounds: 6,
+        byzantine_frac: 0.34,
+        front_door: FrontDoor::Train,
+        ..clean_service()
     }
 }
 
@@ -169,7 +187,15 @@ fn assert_every_fault_is_enumerated(schedules: &[ChaosSchedule], ops: &[(VfsOp, 
             }
         }
     }
-    for variant in sized(0) {
+    // A lifetime that reads nothing (the train door's) has no read to
+    // fault; every other fault applies somewhere in each workload.
+    let reads = ops
+        .iter()
+        .any(|&(kind, len)| kind == VfsOp::Read && len > 0);
+    for variant in sized(0)
+        .into_iter()
+        .filter(|&f| reads || !damages_a_read(f))
+    {
         assert!(
             (enumerated.iter()).any(|(_, f)| discriminant(f) == discriminant(&variant)),
             "{variant:?} is never injected"
@@ -180,8 +206,12 @@ fn assert_every_fault_is_enumerated(schedules: &[ChaosSchedule], ops: &[(VfsOp, 
 
 /// The journal in `terminal`'s files, opened as it lies: the open decodes
 /// no snapshot, and each one read afterwards is bit for bit the eager
-/// decode of the same bytes, for every record the run made durable.
-fn assert_lazy_matches_eager(terminal: &Terminal) {
+/// decode of the same bytes, for every record the run made durable. The
+/// train door journals nothing.
+fn assert_lazy_matches_eager(w: &Workload, terminal: &Terminal) {
+    if w.front_door == FrontDoor::Train {
+        return;
+    }
     let journal = (terminal.files.keys())
         .find(|p| p.extension().is_some_and(|e| e == "journal"))
         .expect("a journaled run leaves its marker");
@@ -225,13 +255,14 @@ fn assert_resumes(harness: &mut Harness, schedule: &ChaosSchedule) -> (Terminal,
         "{spec:?}: {} lifetimes",
         report.attempts
     );
-    assert_lazy_matches_eager(outcome.faulted.as_ref().expect("the run completed"));
+    let faulted = outcome.faulted.as_ref().expect("the run completed");
+    assert_lazy_matches_eager(&schedule.workload, faulted);
     (outcome.reference, outcome.last_error)
 }
 
 /// Runs every enumerated schedule of `w`, of which there must be
-/// `count` — the four workloads enumerate 162 + 127 + 139 + 139 = 567
-/// schedules — and checks that each `Fault` is injected wherever it
+/// `count` — the five workloads enumerate 162 + 127 + 139 + 139 + 55 =
+/// 622 schedules — and checks that each `Fault` is injected wherever it
 /// applies. Every save that rotated the primary to `.prev` is killed
 /// between that rename and the one that puts its tmp file in place, and
 /// a service lifetime is killed inside its stats write.
@@ -247,13 +278,13 @@ fn assert_every_kill_resumes(w: &Workload, count: usize) -> (Vec<ChaosSchedule>,
         deaths.push(death);
     }
     let reference = reference.expect("a workload has crash points");
-    assert_lazy_matches_eager(&reference);
+    assert_lazy_matches_eager(w, &reference);
     assert_every_fault_is_enumerated(&schedules, &reference.ops);
     let died_at = |what: &str| deaths.iter().filter(|d| d.contains(what)).count();
     let rotations = died_at("renaming chaos.ckpt.json: ");
     assert!(
         rotations >= 2,
-        "a save after serving and one after the relearn"
+        "a save after serving and one after the relearn, or after a round"
     );
     assert_eq!(
         died_at("renaming chaos.ckpt.json.tmp: "),
@@ -391,6 +422,43 @@ fn breaker_service_resumes_from_every_crash_point() {
 }
 
 #[test]
+fn train_door_resumes_from_every_crash_point() {
+    let (_, reference) = assert_every_kill_resumes(&train_door(), 55);
+    assert_eq!(
+        reference.saved.len(),
+        train_door().rounds + 1,
+        "a checkpoint per round, and the trained deployment"
+    );
+}
+
+/// The train door's fault-free lifetime is training as it runs in
+/// memory: the same model and RNG stream, and its deployment checkpoint
+/// is the one `QuickDrop::train`'s system captures, byte for byte —
+/// saving a checkpoint every round changes nothing it trains.
+#[test]
+fn the_train_doors_terminal_is_in_memory_training() {
+    let w = train_door();
+    let mut harness = Harness::new();
+    let schedules = harness.exhaustive(&w).expect("the workload enumerates");
+    let reference = harness.execute(&schedules[0]).expect("executes").reference;
+
+    let (mut fed, config, mut rng) = training(&w);
+    let (qd, _) = QuickDrop::train(&mut fed, config, &mut rng);
+    let bits = |ts: &[qd_tensor::Tensor]| -> Vec<u32> {
+        (ts.iter())
+            .flat_map(|t| t.data().iter().map(|x| x.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&reference.global), bits(fed.global()));
+    assert_eq!(reference.rng, rng.state());
+    let (fs, ckpt) = (FaultFs::new(), Path::new("chaos.ckpt.json"));
+    Checkpoint::capture(fed.global(), &qd)
+        .save_on(&fs, ckpt)
+        .expect("saves");
+    assert!(reference.files.get(ckpt) == fs.file(ckpt).as_ref());
+}
+
+#[test]
 fn the_enumeration_is_exactly_the_reference_runs_crash_points() {
     let w = per_request_stream();
     let mut harness = Harness::new();
@@ -443,6 +511,52 @@ fn the_enumeration_is_exactly_the_reference_runs_crash_points() {
         .to_json()
         .expect("encodes")
         .contains("front_door"));
+
+    // Training only saves: its reference writes, syncs, looks and
+    // renames, and reads nothing, so it gets kills, torn writes, full
+    // disks and failed fsyncs, no read fault, and — journaling nothing —
+    // no boundary kill.
+    let w = train_door();
+    let lossy = Workload {
+        net_drop: 0.2,
+        ..w.clone()
+    };
+    assert!(
+        harness.exhaustive(&lossy).is_err(),
+        "a resume is bit for bit on loopback only"
+    );
+    let train = harness.exhaustive(&w).expect("the train door enumerates");
+    assert!(train[0]
+        .to_json()
+        .expect("encodes")
+        .contains("\"front_door\":\"Train\""));
+    let reference = harness.execute(&train[0]).expect("executes").reference;
+    let saves = [VfsOp::Write, VfsOp::Fsync, VfsOp::Exists, VfsOp::Rename];
+    assert!(reference.ops.iter().all(|(kind, _)| saves.contains(kind)));
+    let faults: Vec<Fault> = train.iter().filter_map(op_fault).map(|(_, f)| f).collect();
+    for variant in sized(0) {
+        let injected = faults
+            .iter()
+            .any(|f| discriminant(f) == discriminant(&variant));
+        assert_eq!(injected, !damages_a_read(variant), "{variant:?}");
+    }
+    assert_eq!(boundaries(&train), []);
+
+    // The premise of a resume that must carry the client breaker: a
+    // generation the reference saved before its last round has a client
+    // cooling down. Every enumerated kill from its rename to the next
+    // save's leaves it on disk, and the resume from it re-runs rounds
+    // that client sits out.
+    let cooling = (reference.saved.iter()).any(|bytes| {
+        let fs = FaultFs::new();
+        let path = Path::new("generation");
+        fs.reset_to([(path.to_path_buf(), bytes.clone())].into());
+        let ckpt = Checkpoint::read_on(&fs, path).expect("a saved generation loads");
+        ckpt.mid_phase().is_some_and(|mid| {
+            mid.cursor.next_round < w.rounds && mid.cursor.health.cooldown.iter().any(|&c| c > 0)
+        })
+    });
+    assert!(cooling, "test premise: a checkpoint with an open breaker");
 }
 
 /// A schedule holds one fault, so a violating one is its own minimal

@@ -2,8 +2,8 @@
 
 use crate::{Args, ParseError};
 use qd_core::{
-    Checkpoint, CheckpointPolicy, QuickDrop, QuickDropConfig, RequestJournal, ServeError, StdFs,
-    TrainRun,
+    Checkpoint, CheckpointError, CheckpointPolicy, QuickDrop, QuickDropConfig, RequestJournal,
+    ServeError, StdFs,
 };
 use qd_data::{ascii_samples, partition_dirichlet, partition_iid, Dataset, SyntheticDataset};
 use qd_eval::{accuracy, per_class_accuracy, split_accuracy};
@@ -51,8 +51,8 @@ impl From<ParseError> for CliError {
     }
 }
 
-impl From<qd_core::CheckpointError> for CliError {
-    fn from(e: qd_core::CheckpointError) -> Self {
+impl From<CheckpointError> for CliError {
+    fn from(e: CheckpointError) -> Self {
         CliError::Io(e.into())
     }
 }
@@ -102,8 +102,7 @@ USAGE:
                         [--scale S] [--seed X]
                         [--aggregator fedavg|median|trimmed-mean|norm-clip]
                         [--quorum N] [--byzantine-frac F]
-                        [--checkpoint-every K] [--preempt-after R] [--resume]
-                        [--cooldown-rounds N]
+                        [--checkpoint-every K] [--resume] [--cooldown-rounds N]
   quickdrop-cli unlearn --ckpt ckpt.json (--class C | --client I)
                         [--out ckpt.json] [--dataset D] [--samples N]
                         [--seed X] [--drift-budget F] [--retain-probe L]
@@ -268,14 +267,21 @@ fn open_journaled(
         qd_serve::ServiceError::Geometry(msg) => dataset_refused(args, &msg),
         e => e.into(),
     })?;
-    let fell_back_line = (deployment.fell_back.as_ref()).map_or_else(String::new, |primary| {
+    let rolls = "the journal rolls it forward";
+    let line = fell_back_line(deployment.fell_back.as_ref(), ckpt, rolls);
+    Ok((deployment, line))
+}
+
+/// The report line of a load that fell back to `<ckpt>.prev`: the
+/// primary's error, then what was read instead and what `then` makes of
+/// it. Empty when the primary loaded.
+fn fell_back_line(primary: Option<&CheckpointError>, ckpt: &str, then: &str) -> String {
+    primary.map_or_else(String::new, |primary| {
         format!(
-            "{primary}\nfell back to the previous checkpoint generation {}; \
-             the journal rolls it forward\n",
+            "{primary}\nfell back to the previous checkpoint generation {}; {then}\n",
             Checkpoint::prev_path(Path::new(ckpt)).display()
         )
-    });
-    Ok((deployment, fell_back_line))
+    })
 }
 
 /// The report line of a [`Deployment::close`] for one file.
@@ -399,9 +405,6 @@ fn train(args: &Args) -> Result<String, CliError> {
             "--byzantine-frac must be in [0, 1), got {byzantine_frac}"
         )));
     }
-    let checkpoint_every = args.get_usize("checkpoint-every", 0)?;
-    let preempt_after = args.get_opt_usize("preempt-after")?;
-    let resume = args.flag("resume");
 
     let mut rng = Rng::seed_from(seed);
     let data = dataset.generate(samples, &mut rng);
@@ -433,38 +436,24 @@ fn train(args: &Args) -> Result<String, CliError> {
     // Mid-phase checkpoints share the --out path: while the run is in
     // flight the file holds a resumable cursor, and on completion the
     // final deployment checkpoint atomically replaces it.
-    let policy = (checkpoint_every > 0 || preempt_after.is_some()).then(|| CheckpointPolicy {
-        every: checkpoint_every,
+    let policy = CheckpointPolicy {
+        every: args.get_usize("checkpoint-every", 0)?,
         path: std::path::PathBuf::from(&out),
-        preempt_after,
-    });
-    let run = if resume {
+    };
+    let ((_, report), fell_back) = if args.flag("resume") {
         // --resume ignores the phase-shape flags: the checkpoint's own
         // config governs the remainder of the run. The data flags
         // (--dataset/--clients/--samples/--seed/...) must match the
         // original invocation so the rebuilt federation does too.
-        let ckpt = Checkpoint::load(&out)?;
-        QuickDrop::resume_train(&mut fed, ckpt, &mut rng, policy.as_ref())?
-    } else if let Some(policy) = &policy {
-        QuickDrop::train_with_checkpoints(&mut fed, config, &mut rng, policy)?
+        QuickDrop::resume_train(&mut fed, &mut rng, &StdFs, &policy)?
     } else {
-        let (qd, report) = QuickDrop::train(&mut fed, config, &mut rng);
-        TrainRun::Complete(Box::new((qd, report)))
+        let trained =
+            QuickDrop::train_with_checkpoints(&mut fed, config, &mut rng, &StdFs, &policy);
+        (trained?, None)
     };
-    let (qd, report) = match run {
-        TrainRun::Complete(boxed) => *boxed,
-        TrainRun::Preempted { rounds_completed } => {
-            return Ok(format!(
-                "training preempted after {rounds_completed} rounds; mid-phase \
-                 checkpoint at {out}\nresume with: quickdrop-cli train --resume \
-                 --out {out} (plus the original data flags)\n"
-            ));
-        }
-    };
-
-    Checkpoint::capture(fed.global(), &qd).save(&out)?;
+    let fell_back_line = fell_back_line(fell_back.as_ref(), &out, "training resumes from it");
     Ok(format!(
-        "trained {} on {} clients ({} samples); synthetic storage {:.1}%, \
+        "{fell_back_line}trained {} on {} clients ({} samples); synthetic storage {:.1}%, \
          DD overhead {:.0}%; checkpoint written to {out}\n",
         dataset.name(),
         clients,
@@ -587,7 +576,7 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
         let (params, mut qd) = loaded.restore()?;
         let mut fed = qd.serving_federation(model.clone(), params)?;
         let report = serve_on(&mut qd, &mut fed, None)?;
-        Checkpoint::capture(fed.global(), &qd).save(&out)?;
+        Checkpoint::capture(fed.global(), &qd).save_on(&StdFs, Path::new(&out))?;
         return Ok(format!("{report}checkpoint written to {out}\n"));
     };
     let (mut deployment, fell_back_line) = open_journaled(args, dataset, &path, &journal)?;
@@ -1449,7 +1438,7 @@ mod tests {
         let json = run(&args(&["dump", "--ckpt", &ckpt])).unwrap();
         let json = emptied(&emptied(&json, "synthetic"), "recovery_real");
         let hollow: Checkpoint = serde_json::from_str(&json).unwrap();
-        hollow.save(&ckpt).unwrap();
+        hollow.save_on(&StdFs, Path::new(&ckpt)).unwrap();
         for line in [
             vec!["unlearn", "--ckpt", &ckpt, "--class", "1"],
             vec!["unlearn", "--ckpt", &ckpt, "--class", "1", "--journal"],
@@ -1769,12 +1758,14 @@ mod tests {
         assert!(err.to_string().contains("byzantine-frac"), "{err}");
     }
 
-    /// Trains `train --clients 3 ... extra` uninterrupted, and again
-    /// killed after round 3 (last checkpoint: round 2) and resumed; both
-    /// must end on the same bits. Returns the cursor the resume started
-    /// from. `extra` names the seed and the number of rounds.
-    fn assert_resume_is_bit_for_bit(name: &str, extra: &[&str]) -> qd_fed::ResumeState {
-        let flags = |out: &str| -> Vec<String> {
+    /// Trains `train --clients 3 --rounds 5 ... extra` uninterrupted, and
+    /// again with `--checkpoint-every 2`, whose primary is then deleted —
+    /// what a kill between the two renames of the final save leaves — so
+    /// that `train --resume` falls back to `.prev`, round 4's checkpoint,
+    /// and re-runs round 5. The deployment it writes must be the
+    /// uninterrupted run's byte for byte. Returns `.prev`'s cursor.
+    fn assert_prev_resumes_byte_for_byte(name: &str, extra: &[&str]) -> qd_fed::ResumeState {
+        let flags = |out: &str, more: &[&str]| -> Args {
             let base = [
                 "train",
                 "--out",
@@ -1783,75 +1774,83 @@ mod tests {
                 "3",
                 "--samples",
                 "150",
+                "--rounds",
+                "5",
                 "--steps",
                 "2",
                 "--scale",
                 "20",
                 "--iid",
             ];
-            base.iter().chain(extra).map(|s| s.to_string()).collect()
+            args(&[&base[..], extra, more].concat())
         };
         let uninterrupted = tmp(&format!("{name}_ref.json"));
-        run(&Args::parse(flags(&uninterrupted)).unwrap()).unwrap();
+        let cut = tmp(&format!("{name}_cut.json"));
+        remove_deployment(&uninterrupted);
+        remove_deployment(&cut);
+        run(&flags(&uninterrupted, &[])).unwrap();
+        run(&flags(&cut, &["--checkpoint-every", "2"])).unwrap();
 
-        let interrupted = tmp(&format!("{name}_cut.json"));
-        let mut cut = flags(&interrupted);
-        cut.extend(["--checkpoint-every", "2", "--preempt-after", "3"].map(String::from));
-        let out = run(&Args::parse(cut).unwrap()).unwrap();
-        assert!(out.contains("preempted after 3 rounds"), "{out}");
-        let cursor = Checkpoint::load(&interrupted)
-            .unwrap()
-            .mid_phase()
+        let prev = Checkpoint::prev_path(Path::new(&cut));
+        let cursor = (Checkpoint::load(&prev).unwrap().mid_phase())
             .expect("a mid-phase checkpoint")
             .cursor
             .clone();
-
-        let mut resume = flags(&interrupted);
-        resume.push("--resume".to_string());
-        let out = run(&Args::parse(resume).unwrap()).unwrap();
-        assert!(out.contains("checkpoint written"), "{out}");
-
-        let (params_ref, _) = Checkpoint::load(&uninterrupted).unwrap().restore().unwrap();
-        let (params_res, _) = Checkpoint::load(&interrupted).unwrap().restore().unwrap();
-        for (a, b) in params_ref.iter().zip(&params_res) {
-            for (u, v) in a.data().iter().zip(b.data()) {
-                assert_eq!(u.to_bits(), v.to_bits(), "kill+resume diverged");
-            }
-        }
-        std::fs::remove_file(&uninterrupted).ok();
-        std::fs::remove_file(&interrupted).ok();
+        assert_eq!(cursor.next_round, 4);
+        std::fs::remove_file(&cut).unwrap();
+        let out = run(&flags(&cut, &["--resume"])).unwrap();
+        let fell_back = format!(
+            "fell back to the previous checkpoint generation {}; training resumes from it\n",
+            prev.display()
+        );
+        assert!(
+            out.starts_with(&format!("checkpoint I/O: reading {cut}: ")),
+            "{out}"
+        );
+        assert!(out.contains(&fell_back), "{out}");
+        assert!(
+            out.ends_with(&format!("checkpoint written to {cut}\n")),
+            "{out}"
+        );
+        assert!(
+            std::fs::read(&uninterrupted).unwrap() == std::fs::read(&cut).unwrap(),
+            "the resumed deployment is not the uninterrupted one"
+        );
+        remove_deployment(&uninterrupted);
+        remove_deployment(&cut);
         cursor
     }
 
     #[test]
-    fn preempted_training_resumes_to_the_uninterrupted_result() {
-        assert_resume_is_bit_for_bit("resume", &["--seed", "5", "--rounds", "4"]);
+    fn a_resume_with_only_the_previous_generation_left_reaches_the_uninterrupted_bytes() {
+        assert_prev_resumes_byte_for_byte("resume", &["--seed", "5"]);
     }
 
     #[test]
-    fn preempted_training_under_crashing_clients_resumes_to_the_uninterrupted_result() {
-        // `--byzantine-frac` is the one client fault the CLI injects. At
-        // this seed client 0 crashes in rounds 1, 2, 3 and 5: its third
-        // strike opens the breaker in round 3, after the round-2
-        // checkpoint, so the resumed run benches it for round 4 only if
-        // the strikes rode in the checkpoint.
-        let cursor = assert_resume_is_bit_for_bit(
+    fn a_resume_from_the_previous_generation_keeps_the_client_breaker_state() {
+        // `--byzantine-frac` is the one client fault the CLI injects. The
+        // resume re-runs round 5 from a cursor that has a client's strikes
+        // or open breaker on the books, so it reaches the uninterrupted
+        // bytes only if they rode in `.prev`.
+        let cursor = assert_prev_resumes_byte_for_byte(
             "resume_byzantine",
             &[
                 "--seed",
                 "13",
-                "--rounds",
-                "6",
                 "--byzantine-frac",
                 "0.3",
                 "--cooldown-rounds",
                 "2",
             ],
         );
-        assert_eq!(
-            cursor.health.failures,
-            [1, 0, 0],
-            "test premise: client 0's round-1 crash is on the books"
+        let health = &cursor.health;
+        assert!(
+            health
+                .failures
+                .iter()
+                .chain(&health.cooldown)
+                .any(|&n| n > 0),
+            "test premise: a strike or an open breaker at round 4, got {health:?}"
         );
     }
 

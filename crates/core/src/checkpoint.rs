@@ -125,10 +125,11 @@ fn into_io(e: vfs::StorageError) -> CheckpointError {
 /// # Examples
 ///
 /// ```no_run
-/// # use qd_core::{Checkpoint, CheckpointError, QuickDrop, QuickDropConfig};
+/// # use qd_core::{Checkpoint, CheckpointError, QuickDrop, QuickDropConfig, StdFs};
+/// # use std::path::Path;
 /// # fn demo(fed: &qd_fed::Federation, qd: &QuickDrop) -> Result<(), CheckpointError> {
 /// let ckpt = Checkpoint::capture(fed.global(), qd);
-/// ckpt.save("deployment.json")?;
+/// ckpt.save_on(&StdFs, Path::new("deployment.json"))?;
 /// let restored = Checkpoint::load("deployment.json")?;
 /// let (params, qd) = restored.restore()?;
 /// # let _ = (params, qd); Ok(())
@@ -319,7 +320,7 @@ impl Checkpoint {
         path.with_file_name(name)
     }
 
-    /// Writes the checkpoint to `path`, atomically.
+    /// Writes the checkpoint to `path` on `fs`, atomically.
     ///
     /// The bytes are written to a sibling `<name>.tmp` file, synced, and
     /// renamed over `path`, so a crash mid-save leaves either the old
@@ -327,21 +328,13 @@ impl Checkpoint {
     /// checkpoint at `path` is first rotated to `<name>.prev` (see
     /// [`Checkpoint::prev_path`]), keeping one known-good generation
     /// for [`Checkpoint::load_with_fallback_on`] to fall back to if the
-    /// primary is later corrupted in place.
+    /// primary is later corrupted in place, or is gone because the
+    /// process died between the two renames.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from writing the temporary file or renaming
     /// it (as [`CheckpointError::Io`]).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        self.save_on(&StdFs, path.as_ref())
-    }
-
-    /// [`Checkpoint::save`] on an explicit [`Vfs`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Checkpoint::save`].
     pub fn save_on(&self, fs: &dyn Vfs, path: &Path) -> Result<(), CheckpointError> {
         let mut bytes = CHECKPOINT_MAGIC.to_vec();
         bytes.extend(frame::seal(&frame::encode(&self.to_value()))?);
@@ -466,10 +459,13 @@ impl Checkpoint {
     /// generation when the primary is unreadable (missing, torn, or
     /// corrupted in place). On fallback the primary's error is returned
     /// alongside the recovered checkpoint so callers can report what
-    /// was lost — the previous generation predates the primary, but
-    /// the journal opened beside it rolls it forward again
-    /// (`qd_serve::Deployment::open`). Journaled serving is the only caller: without a
-    /// journal a fallback would silently un-serve the last request.
+    /// was lost. The previous generation predates the primary, so only
+    /// a caller that can roll it forward again loads this way: journaled
+    /// serving, whose journal replays what came after it
+    /// (`qd_serve::Deployment::open`), and
+    /// [`QuickDrop::resume_train`](crate::QuickDrop::resume_train), which
+    /// re-runs the rounds after it. Without either a fallback would
+    /// silently un-serve the last request.
     ///
     /// # Errors
     ///
@@ -557,7 +553,7 @@ mod tests {
         let dir = std::env::temp_dir().join("qd_ckpt_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("deployment.json");
-        ckpt.save(&path).unwrap();
+        ckpt.save_on(&StdFs, &path).unwrap();
         let restored = Checkpoint::load(&path).unwrap();
         let (params, qd2) = restored.restore().unwrap();
         for (a, b) in params.iter().zip(fed.global()) {
@@ -928,7 +924,7 @@ mod tests {
         // Overwriting an existing (stale) checkpoint must go through the
         // rename too.
         std::fs::write(&path, "stale").unwrap();
-        ckpt.save(&path).unwrap();
+        ckpt.save_on(&StdFs, &path).unwrap();
         assert!(Checkpoint::load(&path).is_ok());
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -960,7 +956,7 @@ mod tests {
         let dir = std::env::temp_dir().join("qd_ckpt_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mid_train.json");
-        ckpt.save(&path).unwrap();
+        ckpt.save_on(&StdFs, &path).unwrap();
         let back = Checkpoint::load(&path).unwrap();
         let mid = back.mid_phase().expect("mid-phase cursor survives disk");
         assert_eq!(mid.cursor.next_round, 2);

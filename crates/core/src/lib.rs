@@ -77,5 +77,5 @@ pub use lifecycle::{
 /// The model trait [`QuickDrop::serving_federation`] builds on, for the
 /// crates that open a deployment without depending on qd-nn.
 pub use qd_nn::Module;
-pub use system::{CheckpointPolicy, QuickDrop, TrainReport, TrainRun};
+pub use system::{CheckpointPolicy, QuickDrop, TrainReport};
 pub use vfs::{storage_cause, CrashPoint, Fault, FaultFs, StdFs, StorageError, Vfs, VfsOp};

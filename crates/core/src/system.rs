@@ -1,7 +1,7 @@
 //! The QuickDrop system: training-time synthesis and request serving.
 
 use crate::checkpoint::MidPhase;
-use crate::{Checkpoint, CheckpointError, QuickDropConfig};
+use crate::{Checkpoint, CheckpointError, QuickDropConfig, Vfs};
 use qd_data::Dataset;
 use qd_distill::{
     augment_with_real, distilling_trainers, finetune, DistillingTrainer, SyntheticSet,
@@ -14,6 +14,7 @@ use qd_unlearn::{
     Capabilities, Efficiency, GuardPolicy, MethodOutcome, UnlearnRequest, UnlearningMethod,
 };
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,58 +39,17 @@ pub struct TrainReport {
     pub real_samples: usize,
 }
 
-/// When and where [`QuickDrop::train_with_checkpoints`] persists
-/// mid-training state.
+/// When and where [`QuickDrop::train_with_checkpoints`] and
+/// [`QuickDrop::resume_train`] persist training state.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
-    /// Write a [`Checkpoint`] after every `every`-th completed round
-    /// (`0` disables periodic writes). Each write atomically replaces the
-    /// file at [`CheckpointPolicy::path`].
+    /// Write a mid-phase [`Checkpoint`] after every `every`-th completed
+    /// round (`0` disables periodic writes). Each write atomically
+    /// replaces the file at [`CheckpointPolicy::path`], and the trained
+    /// deployment replaces the last one.
     pub every: usize,
     /// Where the checkpoint lives on disk.
     pub path: PathBuf,
-    /// Stop training once this many rounds have completed, *without*
-    /// writing anything extra — a deterministic stand-in for a crash or
-    /// batch-queue preemption. Recovery must come from the last periodic
-    /// checkpoint, exactly as it would after a real kill.
-    pub preempt_after: Option<usize>,
-}
-
-impl CheckpointPolicy {
-    /// Checkpoint to `path` every `every` rounds, never preempting.
-    pub fn every(every: usize, path: impl Into<PathBuf>) -> Self {
-        CheckpointPolicy {
-            every,
-            path: path.into(),
-            preempt_after: None,
-        }
-    }
-}
-
-/// Outcome of a checkpointed training run.
-#[derive(Debug)]
-pub enum TrainRun {
-    /// Training ran to completion: the ready-to-serve system and its
-    /// cost report (boxed to keep the enum small).
-    Complete(Box<(QuickDrop, TrainReport)>),
-    /// Training stopped at a round boundary because
-    /// [`CheckpointPolicy::preempt_after`] fired. Continue it by loading
-    /// the last checkpoint into [`QuickDrop::resume_train`].
-    Preempted {
-        /// Rounds of the training phase completed before stopping.
-        rounds_completed: usize,
-    },
-}
-
-impl TrainRun {
-    /// The completed system and report, or `None` if the run was
-    /// preempted.
-    pub fn into_complete(self) -> Option<(QuickDrop, TrainReport)> {
-        match self {
-            TrainRun::Complete(boxed) => Some(*boxed),
-            TrainRun::Preempted { .. } => None,
-        }
-    }
 }
 
 impl TrainReport {
@@ -191,42 +151,41 @@ impl QuickDrop {
         config: QuickDropConfig,
         rng: &mut Rng,
     ) -> (QuickDrop, TrainReport) {
-        let run = Self::train_checkpointed(fed, config, rng, None, None)
-            // qd-lint: allow(panic-safety) -- without a checkpoint policy no
-            // file I/O happens, so the error arm is unreachable
-            .expect("checkpoint I/O cannot fail without a policy");
-        match run {
-            TrainRun::Complete(boxed) => *boxed,
-            // qd-lint: allow(panic-safety) -- preemption only exists under a
-            // checkpoint policy; this arm is unreachable here
-            TrainRun::Preempted { .. } => unreachable!("no preemption without a policy"),
-        }
+        let Ok(trained) = Self::train_core(fed, config, rng, None, 0, |_| Ok::<_, Infallible>(()));
+        trained
     }
 
-    /// [`QuickDrop::train`] with crash-consistent round checkpointing:
-    /// after every [`CheckpointPolicy::every`]-th round a
+    /// [`QuickDrop::train`] with crash-consistent round checkpointing on
+    /// `fs`: after every [`CheckpointPolicy::every`]-th round a
     /// [`Checkpoint`] holding the partial global model and the
-    /// [`MidPhase`] cursor is atomically written to
-    /// [`CheckpointPolicy::path`]. If the process dies at any point,
-    /// [`QuickDrop::resume_train`] on the surviving file continues the
-    /// run, and the final parameters are bit-for-bit those of the
+    /// [`MidPhase`] cursor is atomically saved to
+    /// [`CheckpointPolicy::path`], and the trained deployment is saved
+    /// there last. If the process dies at any point,
+    /// [`QuickDrop::resume_train`] on what survives continues the run,
+    /// and the final parameters are bit-for-bit those of the
     /// uninterrupted run.
     ///
     /// # Errors
     ///
-    /// Returns the first I/O error raised while writing a checkpoint
-    /// (training stops at that round boundary).
+    /// The first error a save raises (training stops at that round
+    /// boundary).
     pub fn train_with_checkpoints(
         fed: &mut Federation,
         config: QuickDropConfig,
         rng: &mut Rng,
+        fs: &dyn Vfs,
         policy: &CheckpointPolicy,
-    ) -> std::io::Result<TrainRun> {
-        Self::train_checkpointed(fed, config, rng, None, Some(policy))
+    ) -> Result<(QuickDrop, TrainReport), CheckpointError> {
+        Self::train_saving(fed, config, rng, None, fs, policy)
     }
 
-    /// Continues a training run from a mid-phase [`Checkpoint`] written
-    /// by [`QuickDrop::train_with_checkpoints`].
+    /// Continues the training run whose mid-phase [`Checkpoint`]
+    /// [`QuickDrop::train_with_checkpoints`] saved at
+    /// [`CheckpointPolicy::path`] on `fs`, or at its `.prev` generation
+    /// when the primary is unreadable (a death between a save's two
+    /// renames leaves none): the primary's error then comes back beside
+    /// the result. Saves as [`QuickDrop::train_with_checkpoints`] does,
+    /// the trained deployment last.
     ///
     /// `fed` must be built over the same model architecture, client
     /// datasets and seed-derived state as the original run; the global
@@ -239,43 +198,64 @@ impl QuickDrop {
     ///
     /// # Errors
     ///
-    /// Returns [`std::io::ErrorKind::InvalidData`] if the checkpoint
-    /// holds no mid-phase state or does not match the federation's
-    /// client count, plus any checkpoint-write error when `policy` is
-    /// given.
+    /// The primary's [`CheckpointError`] when neither generation loads,
+    /// a [`CheckpointError::Format`] when the one loaded holds no
+    /// mid-phase state or was written for another client count, and any
+    /// error a save raises.
     pub fn resume_train(
         fed: &mut Federation,
-        checkpoint: Checkpoint,
         rng: &mut Rng,
-        policy: Option<&CheckpointPolicy>,
-    ) -> std::io::Result<TrainRun> {
-        let invalid = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+        fs: &dyn Vfs,
+        policy: &CheckpointPolicy,
+    ) -> Result<((QuickDrop, TrainReport), Option<CheckpointError>), CheckpointError> {
+        let (checkpoint, fell_back) = Checkpoint::load_with_fallback_on(fs, &policy.path)?;
+        let refused = |detail: &str| CheckpointError::Format {
+            path: policy.path.clone(),
+            detail: detail.to_string(),
+        };
         let Some(mid) = checkpoint.mid_phase else {
-            return Err(invalid(
-                "deployment checkpoint carries no mid-phase state; nothing to resume",
-            ));
+            return Err(refused("deployment checkpoint carries no mid-phase state"));
         };
         if mid.trainer_synthetic.len() != fed.n_clients()
             || mid.trainer_round_robin.len() != fed.n_clients()
         {
-            return Err(invalid(
-                "checkpoint was written for a different number of clients",
-            ));
+            return Err(refused("checkpoint written for another number of clients"));
         }
         fed.set_global(checkpoint.global);
-        Self::train_checkpointed(fed, checkpoint.config, rng, Some(mid), policy)
+        let trained = Self::train_saving(fed, checkpoint.config, rng, Some(mid), fs, policy)?;
+        Ok((trained, fell_back))
     }
 
-    /// Shared core of [`QuickDrop::train`],
-    /// [`QuickDrop::train_with_checkpoints`] and
-    /// [`QuickDrop::resume_train`].
-    fn train_checkpointed(
+    /// [`QuickDrop::train_core`] saving to `policy` on `fs`, then the
+    /// trained deployment.
+    fn train_saving(
         fed: &mut Federation,
         config: QuickDropConfig,
         rng: &mut Rng,
         resume: Option<MidPhase>,
-        policy: Option<&CheckpointPolicy>,
-    ) -> std::io::Result<TrainRun> {
+        fs: &dyn Vfs,
+        policy: &CheckpointPolicy,
+    ) -> Result<(QuickDrop, TrainReport), CheckpointError> {
+        let save = |ckpt: Checkpoint| ckpt.save_on(fs, &policy.path);
+        let (qd, report) = Self::train_core(fed, config, rng, resume, policy.every, save)?;
+        Checkpoint::capture(fed.global(), &qd).save_on(fs, &policy.path)?;
+        Ok((qd, report))
+    }
+
+    /// Shared core of [`QuickDrop::train`],
+    /// [`QuickDrop::train_with_checkpoints`] and
+    /// [`QuickDrop::resume_train`]: the training phase from `resume`'s
+    /// cursor (the start when `None`), handing `save` a mid-phase
+    /// [`Checkpoint`] after every `every`-th round, then the synthetic
+    /// and recovery sets.
+    fn train_core<E>(
+        fed: &mut Federation,
+        config: QuickDropConfig,
+        rng: &mut Rng,
+        resume: Option<MidPhase>,
+        every: usize,
+        mut save: impl FnMut(Checkpoint) -> Result<(), E>,
+    ) -> Result<(QuickDrop, TrainReport), E> {
         let model = fed.model().clone();
         let n = fed.n_clients();
         let mut trainers = distilling_trainers(model.clone(), config.distill, n);
@@ -289,38 +269,22 @@ impl QuickDrop {
             mid.cursor
         });
 
-        let mut save_error: Option<std::io::Error> = None;
-        let mut preempted: Option<usize> = None;
+        let mut save_error = None;
         let mut observer =
             |cursor: &ResumeState, global: &[Tensor], trainers: &[DistillingTrainer]| -> bool {
-                let Some(policy) = policy else { return true };
-                if policy.every > 0 && cursor.next_round.is_multiple_of(policy.every) {
-                    let mut trainer_synthetic = Vec::with_capacity(trainers.len());
-                    let mut trainer_round_robin = Vec::with_capacity(trainers.len());
-                    for t in trainers {
-                        let (syn, robin) = t.snapshot();
-                        trainer_synthetic.push(syn);
-                        trainer_round_robin.push(robin);
-                    }
-                    let mid = MidPhase {
-                        phase: config.train_phase,
-                        cursor: cursor.clone(),
-                        trainer_synthetic,
-                        trainer_round_robin,
-                    };
-                    let ckpt = Checkpoint::capture_mid_train(global, &config, mid);
-                    if let Err(e) = ckpt.save(&policy.path) {
-                        save_error = Some(e.into());
-                        return false;
-                    }
+                if every == 0 || !cursor.next_round.is_multiple_of(every) {
+                    return true;
                 }
-                match policy.preempt_after {
-                    Some(cap) if cursor.next_round >= cap => {
-                        preempted = Some(cursor.next_round);
-                        false
-                    }
-                    _ => true,
-                }
+                let (trainer_synthetic, trainer_round_robin) =
+                    trainers.iter().map(DistillingTrainer::snapshot).unzip();
+                let mid = MidPhase {
+                    phase: config.train_phase,
+                    cursor: cursor.clone(),
+                    trainer_synthetic,
+                    trainer_round_robin,
+                };
+                save_error = save(Checkpoint::capture_mid_train(global, &config, mid)).err();
+                save_error.is_none()
             };
         let fl_stats = fed.run_phase_resumable(
             &mut trainers,
@@ -332,9 +296,6 @@ impl QuickDrop {
         );
         if let Some(e) = save_error {
             return Err(e);
-        }
-        if let Some(rounds_completed) = preempted {
-            return Ok(TrainRun::Preempted { rounds_completed });
         }
 
         let mut total_compute = Duration::ZERO;
@@ -376,7 +337,7 @@ impl QuickDrop {
             unlearned_classes: BTreeSet::new(),
             unlearned_clients: BTreeSet::new(),
         };
-        Ok(TrainRun::Complete(Box::new((system, report))))
+        Ok((system, report))
     }
 
     /// The per-client synthetic sets.
@@ -726,6 +687,45 @@ mod tests {
         assert!(report.dd_overhead() > 0.0 && report.dd_overhead() < 1.0);
         assert!(report.storage_fraction() < 0.2);
         (fed, qd, test, rng, model)
+    }
+
+    /// A deployment checkpoint has no round to resume from, and a
+    /// mid-phase one fits only a federation of the client count it was
+    /// written for: `resume_train` refuses both and names the file.
+    #[test]
+    fn deployment_checkpoints_and_client_mismatches_are_rejected() {
+        let (mut fed, qd, _, mut rng, _) = trained_system();
+        let fs = crate::FaultFs::new();
+        let policy = CheckpointPolicy {
+            every: 1,
+            path: PathBuf::from("train.ckpt"),
+        };
+        let refused = |fed: &mut Federation, rng: &mut Rng, ckpt: Checkpoint| {
+            ckpt.save_on(&fs, &policy.path).unwrap();
+            let err = QuickDrop::resume_train(fed, rng, &fs, &policy).unwrap_err();
+            assert!(matches!(err, CheckpointError::Format { .. }), "{err}");
+            err.to_string()
+        };
+
+        let deployment = Checkpoint::capture(fed.global(), &qd);
+        let err = refused(&mut fed, &mut rng, deployment);
+        assert!(err.starts_with("checkpoint train.ckpt: "), "{err}");
+        assert!(err.contains("no mid-phase state"), "{err}");
+
+        let mid = MidPhase {
+            phase: qd.config().train_phase,
+            cursor: ResumeState {
+                next_round: 1,
+                rng: rng.state(),
+                guard: qd_fed::GuardState::default(),
+                health: qd_fed::HealthState::default(),
+            },
+            trainer_synthetic: vec![None; fed.n_clients() + 1],
+            trainer_round_robin: vec![0; fed.n_clients() + 1],
+        };
+        let other_clients = Checkpoint::capture_mid_train(fed.global(), qd.config(), mid);
+        let err = refused(&mut fed, &mut rng, other_clients);
+        assert!(err.contains("another number of clients"), "{err}");
     }
 
     #[test]

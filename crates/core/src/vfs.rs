@@ -571,6 +571,9 @@ struct FaultState {
     /// Every operation so far, in order: its kind and the bytes it
     /// moved ([`FaultFs::op_log`]).
     log: Vec<(VfsOp, usize)>,
+    /// Every file a rename put in place, in order: its new path and a
+    /// copy of its bytes ([`FaultFs::renamed_onto`]).
+    renamed: Vec<(PathBuf, Vec<u8>)>,
     appended_bytes: u64,
     schedule: BTreeMap<u64, Fault>,
     killed: bool,
@@ -620,7 +623,8 @@ impl FaultFs {
     /// schedule untouched, returning `false`. This is the single
     /// entry point chaos harnesses route every kill through, so one
     /// schedule cannot express two contradictory deaths for the same
-    /// process lifetime.
+    /// process lifetime. Training has no boundary: every death of a
+    /// checkpointed training run is a [`CrashPoint::VfsOp`].
     pub fn arm(&self, point: &CrashPoint) -> bool {
         match *point {
             CrashPoint::VfsOp(op) => {
@@ -690,6 +694,14 @@ impl FaultFs {
         self.lock().log.clone()
     }
 
+    /// The contents of every file a rename put in place at `path`, oldest
+    /// first: each generation an atomic save of `path` installed.
+    pub fn renamed_onto(&self, path: &Path) -> Vec<Vec<u8>> {
+        let guard = self.lock();
+        let onto = guard.renamed.iter().filter(|(to, _)| to == path);
+        onto.map(|(_, bytes)| bytes.clone()).collect()
+    }
+
     /// Total bytes handed to `write`/`append` so far — the I/O volume
     /// metric behind the O(1)-append assertion and the storage bench.
     pub fn bytes_written(&self) -> u64 {
@@ -719,6 +731,7 @@ impl FaultFs {
             })
             .collect();
         guard.log.clear();
+        guard.renamed.clear();
         guard.appended_bytes = 0;
         guard.schedule.clear();
         guard.killed = false;
@@ -954,6 +967,7 @@ impl Vfs for FaultFs {
                 io::Error::new(io::ErrorKind::NotFound, "no such file"),
             )
         })?;
+        guard.renamed.push((to.to_path_buf(), entry.bytes.clone()));
         guard.files.insert(to.to_path_buf(), entry);
         Ok(())
     }

@@ -337,9 +337,10 @@ impl Federation {
     /// * `observer` — called after every round with the cursor describing
     ///   the post-round state, the current global model, and the trainers.
     ///   The checkpoint layer uses it to persist mid-phase snapshots.
-    ///   Returning `false` stops the phase at this round boundary (a
-    ///   graceful preemption); the returned stats cover the rounds that
-    ///   ran, and a later call can resume from the observer's last cursor.
+    ///   Returning `false` stops the phase at this round boundary (the
+    ///   checkpoint layer does when a save fails); the returned stats
+    ///   cover the rounds that ran, and a later call can resume from the
+    ///   last cursor that was saved.
     ///
     /// # Panics
     ///

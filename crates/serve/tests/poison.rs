@@ -27,7 +27,7 @@
 use qd_core::vfs::crc32;
 use qd_core::{
     BatchPreempt, Checkpoint, FailReason, FaultFs, JournalRecord, QuickDrop, QuickDropConfig,
-    RequestJournal, RequestState, Snapshot, Vfs,
+    RequestJournal, RequestState, Snapshot, StdFs, Vfs,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{FaultKind, FaultPlan, Federation, Phase};
@@ -225,7 +225,7 @@ struct Terminal {
 /// under `iso`, no kill.
 fn unfailed(seed: &PoisonSeed, paths: &Paths, iso: &IsolationConfig) -> Terminal {
     let (mut fed, mut qd, mut rng) = deploy(seed);
-    seed.ckpt.save(&paths.ckpt).unwrap();
+    seed.ckpt.save_on(&StdFs, &paths.ckpt).unwrap();
     let mut journal = RequestJournal::open(&paths.journal).unwrap();
     let run = run_service_isolated(
         &mut qd,
@@ -366,7 +366,7 @@ fn a_preempted_lifetime_reports_partial_stats_with_zeroed_slas() {
     let seed = poison_seed();
     let paths = paths("poison_preempted");
     let (mut fed, mut qd, mut rng) = deploy(&seed);
-    seed.ckpt.save(&paths.ckpt).unwrap();
+    seed.ckpt.save_on(&StdFs, &paths.ckpt).unwrap();
     let mut journal = RequestJournal::open(&paths.journal).unwrap();
     // Die right after the first dead-letter write.
     let kill = ChaosKill {

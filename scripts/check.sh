@@ -121,21 +121,23 @@ echo "== one divergence guard, one circuit breaker, one builder of a simulated n
 # again and break bit-for-bit resume. A journaled deployment is opened
 # (the `.prev` fallback) and closed (the unchanged-or-not compare) by
 # qd-serve's Deployment alone, so the CLI and the chaos lifetimes it
-# kills run the same sequence.
-while read -r owner flag pattern; do
+# kills run the same sequence; the one other `.prev` loader is
+# QuickDrop::resume_train, which `train --resume` and the chaos train door
+# both call. A row's owners are comma-separated.
+while read -r owners flag pattern; do
     found=
     for f in crates/*/src/*.rs; do
         if code_matches "$f" "$flag" -e "$pattern"; then
             found+="$f "
         fi
     done
-    [ "$found" = "$owner " ] \
-        || { echo "'$pattern' is in ${found:-no file}, expected in $owner alone — drive the one copy instead of writing another" >&2; exit 1; }
+    [ "$found" = "${owners//,/ } " ] \
+        || { echo "'$pattern' is in ${found:-no file}, expected in ${owners//,/ and } alone — drive the one copy instead of writing another" >&2; exit 1; }
 done <<'ONE_COPY'
 crates/core/src/lifecycle.rs -F lr_halvings += 1
 crates/fed/src/health.rs -w half_open
 crates/chaos/src/scenario.rs -F SimNet::new(
-crates/serve/src/deployment.rs -F Checkpoint::load_with_fallback_on(
+crates/core/src/system.rs,crates/serve/src/deployment.rs -F Checkpoint::load_with_fallback_on(
 crates/serve/src/deployment.rs -F .is_capture_of(
 ONE_COPY
 
@@ -160,12 +162,12 @@ echo "== isolation properties (release: ladder monotonicity, bisection order-ins
 cargo test --offline --release -p qd-serve --test isolation_props -q
 
 # The crash gate — every FaultFs fault at every Vfs op it applies to and
-# a kill at every journal boundary of the four named workloads, both
+# a kill at every journal boundary of the five named workloads, all three
 # front doors, all invariants — is crates/chaos/tests/exhaustive.rs, part
 # of the workspace run above; here it runs again with the serving code
 # compiled as the shipped binary compiles it (release), beside the 25
 # generated schedules of seed 7.
-echo "== whole-system chaos gate (release: 567 enumerated schedules + the seed-7 sweep, all invariants)"
+echo "== whole-system chaos gate (release: 622 enumerated schedules + the seed-7 sweep, all invariants)"
 cargo test --offline --release -p qd-chaos -q
 
 echo "== a re-served deployment is left untouched (release binary: the identical serve command line writes, renames and removes nothing)"
