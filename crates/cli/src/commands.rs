@@ -6,7 +6,7 @@ use qd_core::{
     ServeError, StdFs,
 };
 use qd_data::{ascii_samples, partition_dirichlet, partition_iid, Dataset, SyntheticDataset};
-use qd_eval::{accuracy, per_class_accuracy, split_accuracy};
+use qd_eval::{accuracy, class_hits, class_split};
 use qd_fed::{Federation, Phase};
 use qd_nn::ConvNet;
 use qd_serve::{run_service_isolated, Deployment, Geometry};
@@ -413,6 +413,8 @@ fn train(args: &Args) -> Result<String, CliError> {
         Some(alpha) => partition_dirichlet(data.labels(), data.classes(), clients, alpha, &mut rng),
     };
     let client_data: Vec<Dataset> = parts.iter().map(|p| data.subset(p)).collect();
+    // The federation holds the only copies from here on.
+    drop(data);
     let model = model_for(dataset);
     let mut fed = Federation::new(model, client_data, &mut rng);
     if byzantine_frac > 0.0 {
@@ -440,7 +442,8 @@ fn train(args: &Args) -> Result<String, CliError> {
         every: args.get_usize("checkpoint-every", 0)?,
         path: std::path::PathBuf::from(&out),
     };
-    let ((_, report), fell_back) = if args.flag("resume") {
+    let resume = args.flag("resume");
+    let ((_, report), fell_back) = if resume {
         // --resume ignores the phase-shape flags: the checkpoint's own
         // config governs the remainder of the run. The data flags
         // (--dataset/--clients/--samples/--seed/...) must match the
@@ -452,14 +455,21 @@ fn train(args: &Args) -> Result<String, CliError> {
         (trained?, None)
     };
     let fell_back_line = fell_back_line(fell_back.as_ref(), &out, "training resumes from it");
+    // A resume times only the rounds it ran: the checkpoint stores no
+    // wall clock, which would make same-seed checkpoints differ.
+    let dd_overhead = format!("DD overhead {:.0}%", report.dd_overhead() * 100.0);
+    let dd_overhead = match report.fl_stats.rounds {
+        _ if !resume => dd_overhead,
+        0 => "no round was left to train".to_string(),
+        rounds => format!("{dd_overhead} over the {rounds} round(s) this resume ran"),
+    };
     Ok(format!(
         "{fell_back_line}trained {} on {} clients ({} samples); synthetic storage {:.1}%, \
-         DD overhead {:.0}%; checkpoint written to {out}\n",
+         {dd_overhead}; checkpoint written to {out}\n",
         dataset.name(),
         clients,
         samples,
         report.storage_fraction() * 100.0,
-        report.dd_overhead() * 100.0,
     ))
 }
 
@@ -504,19 +514,26 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
                 "the deployment has not forgotten {request}: nothing to relearn"
             )));
         }
-        let test = dataset.generate(samples, &mut Rng::seed_from(seed + 1));
-        let report_accuracy = |fed: &Federation| match request {
-            UnlearnRequest::Class(c) => {
-                let (forget, retain) = (test.only_class(c), test.without_class(c));
-                let (fa, ra) = split_accuracy(model.as_ref(), fed.global(), &forget, &retain);
-                (percent(fa, forget.len()), percent(ra, retain.len()))
-            }
-            UnlearnRequest::Client(_) => {
-                // Client-level evaluation data is not reconstructible from a
-                // stub federation; report whole-test accuracy, evaluated
-                // once, in both columns.
-                let whole = percent(accuracy(model.as_ref(), fed.global(), &test), test.len());
-                (whole.clone(), whole)
+        // The test set exists only while the report scores it, after the
+        // model work: its own seed, so nothing else moves.
+        let report_accuracy = |fed: &Federation| {
+            let test = dataset.generate(samples, &mut Rng::seed_from(seed + 1));
+            match request {
+                UnlearnRequest::Class(c) => {
+                    let (f, r) = class_split(model.as_ref(), fed.global(), &test, c);
+                    (
+                        percent(f.accuracy(), f.total),
+                        percent(r.accuracy(), r.total),
+                    )
+                }
+                UnlearnRequest::Client(_) => {
+                    // Client-level evaluation data is not reconstructible
+                    // from a stub federation; report whole-test accuracy,
+                    // evaluated once, in both columns.
+                    let acc = accuracy(model.as_ref(), fed.global(), &test);
+                    let whole = percent(acc, test.len());
+                    (whole.clone(), whole)
+                }
             }
         };
         let report = match mode {
@@ -744,18 +761,17 @@ fn eval(args: &Args) -> Result<String, CliError> {
     let (params, qd) = loaded.restore()?;
     let model = model_for(dataset);
     let test = dataset.generate(samples, &mut Rng::seed_from(seed + 1));
-    let pc = per_class_accuracy(model.as_ref(), &params, &test);
+    let hits = class_hits(model.as_ref(), &params, &test);
     let mut out = String::from("per-class accuracy:\n");
-    for (c, a) in pc.iter().enumerate() {
+    for (c, h) in hits.iter().enumerate() {
         let marker = if qd.unlearned_classes().any(|u| u == c) {
             " (unlearned)"
         } else {
             ""
         };
-        let samples = test.labels().iter().filter(|&&label| label == c).count();
         out.push_str(&format!(
             "  class {c}: {:>6}{marker}\n",
-            percent(*a, samples)
+            percent(h.accuracy(), h.total)
         ));
     }
     Ok(out)
@@ -1809,6 +1825,10 @@ mod tests {
         );
         assert!(out.contains(&fell_back), "{out}");
         assert!(
+            out.contains("% over the 1 round(s) this resume ran; "),
+            "{out}"
+        );
+        assert!(
             out.ends_with(&format!("checkpoint written to {cut}\n")),
             "{out}"
         );
@@ -1824,6 +1844,47 @@ mod tests {
     #[test]
     fn a_resume_with_only_the_previous_generation_left_reaches_the_uninterrupted_bytes() {
         assert_prev_resumes_byte_for_byte("resume", &["--seed", "5"]);
+    }
+
+    /// A resume reports the distillation overhead of the rounds it ran,
+    /// saying how many, and no percentage when it ran none: `.prev` of a
+    /// 4-round run checkpointed every 2 rounds is round 4's checkpoint.
+    #[test]
+    fn a_resume_names_the_rounds_its_overhead_covers() {
+        let ckpt = tmp("resume_overhead.json");
+        remove_deployment(&ckpt);
+        let line = |more: &[&str]| {
+            let base = [
+                "train",
+                "--out",
+                &ckpt,
+                "--clients",
+                "2",
+                "--samples",
+                "120",
+                "--rounds",
+                "4",
+                "--steps",
+                "2",
+                "--scale",
+                "20",
+                "--iid",
+                "--seed",
+                "3",
+            ];
+            run(&args(&[&base[..], more].concat())).unwrap()
+        };
+        let trained = line(&["--checkpoint-every", "2"]);
+        assert!(trained.contains("%, DD overhead "), "{trained}");
+        assert!(!trained.contains("round"), "{trained}");
+        std::fs::remove_file(&ckpt).unwrap();
+        let resumed = line(&["--resume"]);
+        assert!(
+            resumed.contains("synthetic storage 16.7%, no round was left to train; checkpoint"),
+            "{resumed}"
+        );
+        assert!(!resumed.contains("DD overhead"), "{resumed}");
+        remove_deployment(&ckpt);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! * **Top-1 accuracy** on held-out test data ([`accuracy`],
 //!   [`per_class_accuracy`]).
 //! * **F-Set / R-Set accuracy** — accuracy on the forget dataset and its
-//!   complement ([`split_accuracy`]); a successful unlearning method drives
-//!   the F-Set number to the retrain-oracle level while keeping the R-Set
-//!   number high.
+//!   complement ([`split_accuracy`], or [`class_split`] for a class's
+//!   samples and the rest of one dataset); a successful unlearning method
+//!   drives the F-Set number to the retrain-oracle level while keeping the
+//!   R-Set number high.
 //! * **MIA accuracy** (Figure 3) — how often a loss-threshold membership
 //!   attack (Yeom et al.; the setting of Golatkar et al. 2021) still
 //!   classifies forgotten samples as training members ([`MiaAttack`]).
@@ -36,5 +37,7 @@ mod metrics;
 mod mia;
 
 pub use divergence::prediction_agreement;
-pub use metrics::{accuracy, per_class_accuracy, sample_losses, split_accuracy};
+pub use metrics::{
+    accuracy, class_hits, class_split, per_class_accuracy, sample_losses, split_accuracy, Hits,
+};
 pub use mia::MiaAttack;

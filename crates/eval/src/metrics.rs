@@ -9,7 +9,7 @@
 //! worker count.
 
 use qd_data::Dataset;
-use qd_nn::{forward_inference, worker_count, Module};
+use qd_nn::{fan_out, forward_inference, worker_count, Module};
 use qd_tensor::Tensor;
 
 /// Samples per evaluation chunk. 32 is the batch the kernels and the
@@ -26,9 +26,8 @@ pub(crate) fn logits(model: &dyn Module, params: &[Tensor], data: &Dataset) -> T
 }
 
 /// [`logits`] with the chunk size and worker count spelled out: `data` is
-/// cut into consecutive chunks of `chunk` samples, the chunks into at most
-/// `workers` contiguous runs, one thread each (a single run stays on the
-/// calling thread).
+/// cut into consecutive chunks of `chunk` samples, fanned over `workers`
+/// threads by [`fan_out`].
 fn logits_chunked(
     model: &dyn Module,
     params: &[Tensor],
@@ -37,34 +36,15 @@ fn logits_chunked(
     workers: usize,
 ) -> Tensor {
     let starts: Vec<usize> = (0..data.len()).step_by(chunk).collect();
-    let run = |starts: &[usize]| -> Vec<f32> {
-        let mut rows = Vec::new();
-        for &start in starts {
-            let idx: Vec<usize> = (start..(start + chunk).min(data.len())).collect();
-            let (x, _) = data.batch(&idx);
-            rows.extend_from_slice(forward_inference(model, params, &x).data());
-        }
-        rows
-    };
-    let per_worker = starts.len().div_ceil(workers.max(1)).max(1);
-    let rows = if starts.len() <= per_worker {
-        run(&starts)
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = starts
-                .chunks(per_worker)
-                .map(|group| scope.spawn(|| run(group)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| {
-                    // A worker only fails to join by panicking: re-raise it.
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect()
-        })
-    };
+    let chunks = fan_out(starts, workers, |start| {
+        let idx: Vec<usize> = (start..(start + chunk).min(data.len())).collect();
+        let (x, _) = data.batch(&idx);
+        forward_inference(model, params, &x)
+    });
+    let mut rows = Vec::with_capacity(chunks.iter().map(Tensor::len).sum());
+    for logits in &chunks {
+        rows.extend_from_slice(logits.data());
+    }
     let classes = rows.len().checked_div(data.len()).unwrap_or(0);
     Tensor::from_vec(rows, &[data.len(), classes])
 }
@@ -83,24 +63,65 @@ pub fn accuracy(model: &dyn Module, params: &[Tensor], data: &Dataset) -> f32 {
     correct as f32 / data.len() as f32
 }
 
-/// Per-class top-1 accuracy; classes absent from `data` report 0.
-pub fn per_class_accuracy(model: &dyn Module, params: &[Tensor], data: &Dataset) -> Vec<f32> {
-    let mut correct = vec![0usize; data.classes()];
-    let mut total = vec![0usize; data.classes()];
+/// Top-1 hits of a model on some samples.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Hits {
+    /// Samples predicted right.
+    pub correct: usize,
+    /// Samples scored.
+    pub total: usize,
+}
+
+impl Hits {
+    /// `correct / total`, or 0 when no sample was scored (as [`accuracy`]
+    /// reads an empty dataset).
+    pub fn accuracy(self) -> f32 {
+        if self.total == 0 {
+            0.0
+        } else {
+            self.correct as f32 / self.total as f32
+        }
+    }
+}
+
+/// Per-class top-1 hits of `model(params)` on `data`, indexed by class:
+/// the one fold behind [`per_class_accuracy`] and [`class_split`].
+pub fn class_hits(model: &dyn Module, params: &[Tensor], data: &Dataset) -> Vec<Hits> {
+    let mut hits = vec![Hits::default(); data.classes()];
     if !data.is_empty() {
         let preds = logits(model, params, data).row_argmax();
         for (p, &t) in preds.iter().zip(data.labels()) {
-            total[t] += 1;
-            if *p == t {
-                correct[t] += 1;
-            }
+            hits[t].total += 1;
+            hits[t].correct += usize::from(*p == t);
         }
     }
-    correct
-        .iter()
-        .zip(&total)
-        .map(|(&c, &t)| if t == 0 { 0.0 } else { c as f32 / t as f32 })
+    hits
+}
+
+/// Per-class top-1 accuracy; classes absent from `data` report 0.
+pub fn per_class_accuracy(model: &dyn Module, params: &[Tensor], data: &Dataset) -> Vec<f32> {
+    (class_hits(model, params, data).into_iter())
+        .map(Hits::accuracy)
         .collect()
+}
+
+/// A class request's forget and retain splits of `data`, scored in one
+/// pass: the hits on `class`'s samples and on every other sample. Their
+/// accuracies are [`split_accuracy`]'s over `data.only_class(class)` and
+/// `data.without_class(class)`, bit for bit, without copying either.
+pub fn class_split(
+    model: &dyn Module,
+    params: &[Tensor],
+    data: &Dataset,
+    class: usize,
+) -> (Hits, Hits) {
+    let (mut forget, mut retain) = (Hits::default(), Hits::default());
+    for (c, hits) in class_hits(model, params, data).into_iter().enumerate() {
+        let side = if c == class { &mut forget } else { &mut retain };
+        side.correct += hits.correct;
+        side.total += hits.total;
+    }
+    (forget, retain)
 }
 
 /// Accuracy on the forget set and retain set: `(f_set, r_set)`.
@@ -218,6 +239,30 @@ mod tests {
             assert_eq!(
                 loss.to_bits(),
                 (-ls.data()[i * 10 + data.label(i)]).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn a_one_pass_class_split_is_split_accuracy_over_copies() {
+        let mut rng = Rng::seed_from(6);
+        let model = qd_nn::ConvNet::new(1, 16, 2, 4, 10);
+        let params = model.init(&mut rng);
+        let data = SyntheticDataset::Digits.generate(75, &mut rng);
+        for class in 0..10 {
+            let (f, r) = (data.only_class(class), data.without_class(class));
+            let (fa, ra) = split_accuracy(&model, &params, &f, &r);
+            let (forget, retain) = class_split(&model, &params, &data, class);
+            assert_eq!(
+                (forget.total, retain.total),
+                (f.len(), r.len()),
+                "class {class}"
+            );
+            let bits = |a: f32, b: f32| (a.to_bits(), b.to_bits());
+            assert_eq!(
+                bits(forget.accuracy(), retain.accuracy()),
+                bits(fa, ra),
+                "class {class}"
             );
         }
     }

@@ -122,7 +122,8 @@ pub struct Federation {
     guard: UpdateGuard,
     health: ClientHealth,
     fault_plan: Option<FaultPlan>,
-    /// Clients whose local rounds run at once (the machine's hardware
+    /// Threads a round's local rounds fan out over, the calling thread
+    /// among them ([`qd_nn::fan_out`] over the machine's hardware
     /// threads). It decides only when results arrive, never what they are:
     /// every client works from its own pre-forked RNG into its own slot.
     client_threads: usize,
@@ -465,50 +466,34 @@ impl Federation {
                 let mut outcomes: Vec<Option<crate::LocalOutcome>> = Vec::new();
                 outcomes.resize_with(participants.len(), || None);
 
-                // Hand each reachable participating trainer to a worker thread.
-                let slot_of =
-                    // qd-lint: allow(panic-safety) -- client is drawn from
-                    // `participants`, so position() always finds it
-                    |client: usize| participants.iter().position(|&p| p == client).unwrap();
-                let mut jobs: Vec<_> = trainers
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(i, _)| {
-                        participants.contains(i) && start_params[slot_of(*i)].is_some()
-                    })
-                    .collect();
-                for chunk in jobs.chunks_mut(self.client_threads) {
-                    std::thread::scope(|scope| {
-                        let mut handles = Vec::new();
-                        for (client, trainer) in chunk.iter_mut() {
-                            let slot = slot_of(*client);
-                            // qd-lint: allow(panic-safety) -- chunk members
-                            // come from `jobs`, whose clients are reachable
-                            // participants with data
-                            let data = dataset_of(*client).expect("participant has data");
-                            // qd-lint: allow(panic-safety) -- chunk members
-                            // come from `jobs`, whose clients are reachable
-                            // participants with data
-                            let params = start_params[slot].take().expect("reachable participant");
-                            let mut crng = seeds[slot].clone();
-                            let mut phase = *phase;
-                            if lr_scales[slot] != 1.0 {
-                                phase.lr *= lr_scales[slot];
-                            }
-                            handles.push((
-                                slot,
-                                scope.spawn(move || {
-                                    trainer.local_round(params, data, &phase, &mut crng)
-                                }),
-                            ));
-                        }
-                        for (slot, handle) in handles {
-                            // qd-lint: allow(panic-safety) -- join() only
-                            // fails if the client thread panicked; re-raising
-                            // preserves the original panic
-                            outcomes[slot] = Some(handle.join().expect("client thread panicked"));
-                        }
-                    });
+                // One job per reachable participating trainer, in client
+                // order; the fan-out returns each outcome to its slot.
+                let mut jobs = Vec::with_capacity(participants.len());
+                for (client, trainer) in trainers.iter_mut().enumerate() {
+                    let Some(slot) = participants.iter().position(|&p| p == client) else {
+                        continue;
+                    };
+                    let Some(params) = start_params[slot].take() else {
+                        continue; // unreachable this round
+                    };
+                    // qd-lint: allow(panic-safety) -- participants are
+                    // drawn from clients with data
+                    let data = dataset_of(client).expect("participant has data");
+                    let mut phase = *phase;
+                    if lr_scales[slot] != 1.0 {
+                        phase.lr *= lr_scales[slot];
+                    }
+                    jobs.push((slot, trainer, params, data, phase, seeds[slot].clone()));
+                }
+                let results = qd_nn::fan_out(
+                    jobs,
+                    self.client_threads,
+                    |(slot, trainer, params, data, phase, mut crng)| {
+                        (slot, trainer.local_round(params, data, &phase, &mut crng))
+                    },
+                );
+                for (slot, outcome) in results {
+                    outcomes[slot] = Some(outcome);
                 }
 
                 // Clients → server: survivors upload their parameters through
@@ -700,12 +685,12 @@ mod tests {
         let run = |client_threads: usize| {
             let mut rng = Rng::seed_from(3);
             let model: Arc<dyn Module> = Arc::new(qd_nn::ConvNet::new(1, 16, 2, 4, 10));
-            let clients: Vec<Dataset> = (0..4)
+            let clients: Vec<Dataset> = (0..5)
                 .map(|_| SyntheticDataset::Digits.generate(24, &mut rng))
                 .collect();
             let mut fed = Federation::new(model.clone(), clients, &mut rng);
             fed.client_threads = client_threads;
-            let mut trainers = sgd_trainers(model, 4);
+            let mut trainers = sgd_trainers(model, 5);
             let phase = Phase::training(2, 3, 8, 0.1);
             fed.run_phase(&mut trainers, None, &phase, &mut rng);
             fed.global()
@@ -714,8 +699,45 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let serial = run(1);
-        assert_eq!(serial, run(2));
-        assert_eq!(serial, run(4));
+        // Five clients: ragged runs on 2, 3 and 4 threads (3 + 2, 2 + 2 + 1),
+        // one client per thread on 5, more threads than clients on 6.
+        for client_threads in [2, 3, 4, 5, 6] {
+            assert_eq!(serial, run(client_threads), "{client_threads} threads");
+        }
+    }
+
+    /// Panics in its client's local round, whichever thread runs it.
+    struct Exploding;
+
+    impl ClientTrainer for Exploding {
+        fn local_round(
+            &mut self,
+            _: Vec<Tensor>,
+            _: &Dataset,
+            _: &Phase,
+            _: &mut Rng,
+        ) -> crate::LocalOutcome {
+            panic!("client trainer exploded");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "client trainer exploded")]
+    fn a_client_panic_reaches_the_caller_with_its_own_message() {
+        let (model, clients, mut rng) = setup(2, 8);
+        let mut fed = Federation::new(model, clients, &mut rng);
+        // Client 1 runs on the fan-out's one spawned thread.
+        fed.client_threads = 2;
+        let mut trainers: Vec<Box<dyn ClientTrainer>> = vec![
+            Box::new(SgdClientTrainer::new(fed.model().clone())),
+            Box::new(Exploding),
+        ];
+        fed.run_phase(
+            &mut trainers,
+            None,
+            &Phase::training(1, 1, 4, 0.1),
+            &mut rng,
+        );
     }
 
     #[test]

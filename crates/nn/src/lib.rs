@@ -53,6 +53,6 @@ mod params;
 pub use layers::{Conv2d, ConvBlock, Flatten, Linear, NormReluPool, Relu};
 pub use loss::{cross_entropy, loss_gradients, one_hot};
 pub use models::{ConvNet, Mlp};
-pub use module::{forward_inference, worker_count, Module, Sequential};
+pub use module::{fan_out, forward_inference, worker_count, Module, Sequential};
 pub use optim::{Direction, Sgd};
 pub use params::{param_l2_distance, param_l2_norm, params_have_non_finite, relative_drift};

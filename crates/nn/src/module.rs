@@ -64,14 +64,59 @@ pub fn forward_inference(module: &dyn Module, params: &[Tensor], x: &Tensor) -> 
 }
 
 /// How many model evaluations run at once wherever this workspace fans
-/// independent work over threads (a round's clients, an evaluation's
-/// chunks): the machine's hardware threads. It decides only when results
-/// arrive, never what they are — every such caller reduces in a fixed
-/// order — so it is not configurable.
+/// independent work over threads with [`fan_out`] (a round's clients, an
+/// evaluation's chunks): the machine's hardware threads. It decides only
+/// when results arrive, never what they are — every such caller reduces
+/// in a fixed order — so it is not configurable.
 pub fn worker_count() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(4)
+}
+
+/// Runs `job` on every one of `jobs` over at most `workers` threads and
+/// returns the results in job order: the one fan-out of this workspace.
+///
+/// The jobs are cut into at most `workers` contiguous runs of
+/// `⌈jobs / workers⌉`; the first run works on the calling thread and each
+/// other on one scoped thread, so a single run starts no thread at all,
+/// and a process keeps one malloc arena per thread that computes, not one
+/// more for a caller parked in `join`. A worker's panic reaches the
+/// caller with its own payload.
+///
+/// # Examples
+///
+/// ```
+/// let squares = qd_nn::fan_out((0..7).collect(), 3, |i: u32| i * i);
+/// assert_eq!(squares, [0, 1, 4, 9, 16, 25, 36]);
+/// ```
+pub fn fan_out<J, R, F>(jobs: Vec<J>, workers: usize, job: F) -> Vec<R>
+where
+    J: Send,
+    R: Send,
+    F: Fn(J) -> R + Sync,
+{
+    let per_run = jobs.len().div_ceil(workers.max(1)).max(1);
+    let mut jobs = jobs.into_iter().peekable();
+    let first: Vec<J> = jobs.by_ref().take(per_run).collect();
+    let job = &job;
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        while jobs.peek().is_some() {
+            let run: Vec<J> = jobs.by_ref().take(per_run).collect();
+            handles.push(scope.spawn(move || run.into_iter().map(job).collect::<Vec<R>>()));
+        }
+        let mut results: Vec<R> = first.into_iter().map(job).collect();
+        for handle in handles {
+            // A worker only fails to join by panicking: re-raise its payload.
+            results.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        results
+    })
 }
 
 /// Runs a chain of modules, splitting the parameter list among children.
@@ -177,6 +222,40 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::zeros(&[1, 3]));
         let _ = net.forward(&mut tape, &[], x);
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_job_order() {
+        for n in [0, 1, 2, 3, 7] {
+            for workers in [1, 2, 3] {
+                let jobs: Vec<usize> = (0..n).collect();
+                let got = fan_out(jobs, workers, |i| (i, std::thread::current().id()));
+                let order: Vec<usize> = got.iter().map(|&(i, _)| i).collect();
+                assert_eq!(
+                    order,
+                    (0..n).collect::<Vec<_>>(),
+                    "{n} jobs, {workers} workers"
+                );
+                // The first run is the caller's, and no run is empty.
+                let per_run = n.div_ceil(workers).max(1);
+                for (i, &(_, thread)) in got.iter().enumerate() {
+                    let on_caller = thread == std::thread::current().id();
+                    assert_eq!(
+                        on_caller,
+                        i < per_run,
+                        "{n} jobs, {workers} workers, job {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 failed")]
+    fn fan_out_re_raises_a_workers_own_panic() {
+        fan_out((0..6).collect(), 3, |i: usize| {
+            assert_ne!(i, 5, "job {i} failed")
+        });
     }
 
     #[test]

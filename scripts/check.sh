@@ -109,7 +109,7 @@ done
 [ "$recording" = "crates/distill/src/matching.rs " ] \
     || { echo "Tape::new() is opened outside gradient matching: ${recording:-none} — a new second-order caller blocks ROADMAP item 4 (forward-over-reverse matching, Tape::grad test-only); use Tape::first_order or Tape::inference" >&2; exit 1; }
 
-echo "== one divergence guard, one circuit breaker, one builder of a simulated network"
+echo "== one divergence guard, one circuit breaker, one builder of a simulated network, one fan-out"
 # The guard's rollback-and-halve loop lives in qd-core's unit engine
 # alone, and the CLOSED/OPEN/HALF-OPEN state in qd-fed's ClientHealth
 # alone (qd-serve's tenant breakers are a tenant-indexed ClientHealth).
@@ -123,7 +123,10 @@ echo "== one divergence guard, one circuit breaker, one builder of a simulated n
 # qd-serve's Deployment alone, so the CLI and the chaos lifetimes it
 # kills run the same sequence; the one other `.prev` loader is
 # QuickDrop::resume_train, which `train --resume` and the chaos train door
-# both call. A row's owners are comma-separated.
+# both call. Every fan-out over threads is qd_nn::fan_out, whose caller
+# works the first run: a hand-rolled scope parks its caller in `join`
+# and costs the process a malloc arena. A row's owners are
+# comma-separated.
 while read -r owners flag pattern; do
     found=
     for f in crates/*/src/*.rs; do
@@ -139,6 +142,7 @@ crates/fed/src/health.rs -w half_open
 crates/chaos/src/scenario.rs -F SimNet::new(
 crates/core/src/system.rs,crates/serve/src/deployment.rs -F Checkpoint::load_with_fallback_on(
 crates/serve/src/deployment.rs -F .is_capture_of(
+crates/nn/src/module.rs -F thread::scope(
 ONE_COPY
 
 echo "== cargo test"
